@@ -7,7 +7,7 @@ Plain LSH, Hamming-ball multi-probe LSH, and a brute-force oracle ship
 alongside for comparison, plus an evaluation harness and binary dataset IO.
 """
 
-from .baselines import brute_force_query, lsh_query, multiprobe_lsh_query
+from .baselines import brute_force_query, multiprobe_lsh_query
 from .core import (
     BoiParams,
     RankedResult,
@@ -37,13 +37,7 @@ from .evaluate import (
     run_benchmark,
     time_queries,
 )
-from .hashing import (
-    ProjectionTable,
-    hash_vector,
-    insert_all,
-    make_tables,
-    neighbor_codes,
-)
+from .hashing import ProjectionTable, insert_all, make_tables
 from .index import (
     BoiIndex,
     ProbeSchedule,
@@ -80,15 +74,12 @@ __all__ = [
     "estimate_memory",
     "expected_probes",
     "generate",
-    "hash_vector",
     "insert_all",
     "l2_distance",
     "load_index",
-    "lsh_query",
     "make_tables",
     "mean_average_precision",
     "multiprobe_lsh_query",
-    "neighbor_codes",
     "pairwise_distances",
     "query",
     "read_fvecs",

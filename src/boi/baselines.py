@@ -1,5 +1,7 @@
-"""Comparison methods: exact scan, single-bucket LSH, Hamming-ball multi-probe.
+"""Comparison methods: exact scan and Hamming-ball multi-probe LSH.
 
+Plain single-bucket LSH is multi-probe LSH at radius 0 (Lv et al.,
+"Multi-Probe LSH", VLDB 2007), so both run through one candidate path.
 The LSH baselines keep a deduplicated candidate list across all tables and
 re-rank every candidate by true Euclidean distance; that per-table
 dedup-and-rerank cost is exactly what the weighted accumulator avoids, so
@@ -10,7 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RankedResult, VectorSet, pairwise_distances, rank_by_distance
+from .core import (
+    RankedResult,
+    VectorSet,
+    dense_vector,
+    pairwise_distances,
+    query_vector,
+    rank_by_distance,
+)
 from .hashing import ProjectionTable, flip_masks, hash_codes_all
 
 
@@ -22,64 +31,22 @@ def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = np.asarray(q, dtype=np.float32)
-    if q.ndim != 1 or (dataset.n > 0 and q.shape[0] != dataset.dim):
-        raise ValueError(
-            f"dimension mismatch: query {q.shape} vs dataset dim {dataset.dim}"
-        )
     if dataset.n == 0:
+        dense_vector(q)
         return RankedResult.empty()
-    dists = pairwise_distances(dataset.doubles(), q)
+    q = query_vector(q, dataset.dim)
+    dists = pairwise_distances(dataset.vectors, q)
     ids, ranked = rank_by_distance(np.arange(dataset.n, dtype=np.int64), dists, k)
     return RankedResult(ids, ranked)
 
 
-def _dedup_first_seen(candidates: list[np.ndarray]) -> np.ndarray:
-    """Union of id arrays, keeping each id at its first appearance."""
-    if not candidates:
-        return np.empty(0, dtype=np.int64)
-    merged = np.concatenate(candidates).astype(np.int64, copy=False)
-    if merged.size == 0:
-        return merged
-    unique, first = np.unique(merged, return_index=True)
-    return unique[np.argsort(first, kind="stable")]
-
-
-def _rerank(
-    dataset: VectorSet,
-    q: np.ndarray,
-    candidates: np.ndarray,
-    k: int,
-    probe_count: int,
-) -> RankedResult:
-    if candidates.size == 0:
-        return RankedResult.empty(probe_count=probe_count, shortlist_size=0)
-    dists = pairwise_distances(dataset.vectors[candidates], q)
-    ids, ranked = rank_by_distance(candidates, dists, k)
-    return RankedResult(
-        ids, ranked, probe_count=probe_count, shortlist_size=int(candidates.size)
-    )
-
-
-def lsh_query(
-    tables: list[ProjectionTable],
-    dataset: VectorSet,
-    q,
-    shortlist_size: int,
-    k: int,
-) -> RankedResult:
-    """Plain LSH: probe only the query's exact bucket in each table.
-
-    Candidates are the deduplicated union over tables (first-seen order),
-    capped at ``shortlist_size`` before the exact-distance re-rank.
-    """
-    if k < 1 or shortlist_size < 1:
-        raise ValueError("k and shortlist_size must be >= 1")
-    q = np.asarray(q, dtype=np.float32)
-    codes = hash_codes_all(tables, q[np.newaxis, :])[0]
-    buckets = [t.bucket(int(codes[i])) for i, t in enumerate(tables)]
-    candidates = _dedup_first_seen(buckets)[:shortlist_size]
-    return _rerank(dataset, q, candidates, k, probe_count=len(tables))
+def _dedup_first_seen(candidates: list[np.ndarray], n: int) -> np.ndarray:
+    """Union of id arrays over [0, n), keeping each id at its first appearance."""
+    merged = np.concatenate(candidates, dtype=np.intp)
+    positions = np.arange(merged.size)
+    first = np.full(n, merged.size, dtype=np.intp)
+    np.minimum.at(first, merged, positions)
+    return merged[first[merged] == positions]
 
 
 def multiprobe_lsh_query(
@@ -93,24 +60,33 @@ def multiprobe_lsh_query(
     """Multi-probe LSH: probe the full Hamming ball of ``radius`` per table.
 
     No probe budget and no vote weights; every bucket within the radius
-    contributes its members to the candidate union. radius=0 degenerates to
-    ``lsh_query``.
+    contributes its members to the candidate union, deduplicated in
+    first-seen order and capped at ``shortlist_size`` before the
+    exact-distance re-rank. radius=0 is plain LSH: only the query's own
+    bucket in each table.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if k < 1 or shortlist_size < 1:
         raise ValueError("k and shortlist_size must be >= 1")
-    q = np.asarray(q, dtype=np.float32)
+    q = query_vector(q, tables[0].dim)
     bits = tables[0].bits
     codes = hash_codes_all(tables, q[np.newaxis, :])[0]
     masks = np.concatenate(
         [flip_masks(bits, j) for j in range(0, min(radius, bits) + 1)]
     )
-    buckets = []
-    probe_count = 0
-    for i, table in enumerate(tables):
-        ball = codes[i] ^ masks
-        probe_count += int(ball.size)
-        buckets.extend(table.bucket(int(code)) for code in ball)
-    candidates = _dedup_first_seen(buckets)[:shortlist_size]
-    return _rerank(dataset, q, candidates, k, probe_count=probe_count)
+    balls = (codes[:, np.newaxis] ^ masks).tolist()
+    buckets = [
+        members
+        for table, ball in zip(tables, balls)
+        for members in map(table.bucket, ball)
+    ]
+    probe_count = len(buckets)
+    candidates = _dedup_first_seen(buckets, dataset.n)[:shortlist_size]
+    if candidates.size == 0:
+        return RankedResult.empty(probe_count=probe_count, shortlist_size=0)
+    dists = pairwise_distances(dataset.vectors[candidates], q)
+    ids, ranked = rank_by_distance(candidates, dists, k)
+    return RankedResult(
+        ids, ranked, probe_count=probe_count, shortlist_size=int(candidates.size)
+    )

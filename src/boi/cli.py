@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import brute_force_query, lsh_query, multiprobe_lsh_query
+from .baselines import brute_force_query, multiprobe_lsh_query
 from .core import SCHEDULE_KINDS, BoiParams, VectorSet
 from .data_io import (
     load_index,
@@ -29,6 +29,7 @@ from .evaluate import (
     mean_average_precision,
     recall_at,
     recall_curve,
+    recall_cutoffs,
     run_benchmark,
 )
 from .hashing import occupancy_summary
@@ -117,14 +118,10 @@ def _make_runner(method: str, index: BoiIndex | None, dataset: VectorSet, k: int
     if method in ("boi", "boi_strict"):
         return lambda qi, v: boi_query(index, v, k, query_index=qi)
     params = index.params
-    if method == "lsh":
-        return lambda qi, v: lsh_query(
-            index.tables, dataset, v, params.shortlist_size, k
-        )
-    if method == "multiprobe":
+    if method in ("lsh", "multiprobe"):
+        radius = 0 if method == "lsh" else params.probe_radius
         return lambda qi, v: multiprobe_lsh_query(
-            index.tables, dataset, v, params.probe_radius,
-            params.shortlist_size, k,
+            index.tables, dataset, v, radius, params.shortlist_size, k
         )
     raise SystemExit(f"unknown method {method}")
 
@@ -284,14 +281,14 @@ def cmd_eval(args) -> int:
     gt = GroundTruth(read_ivecs(args.groundtruth))
     rankings = [row[row >= 0] for row in rows]
     k = rows.shape[1] if rows.size else 1
-    ks = sorted({c for c in (1, 10, 100, k) if 1 <= c <= k})
     payload = {
         "schema_version": 1,
         "num_queries": int(rows.shape[0]),
         "k": int(k),
         "map": mean_average_precision(rankings, gt),
         "recall_at_k": {
-            str(c): v for c, v in recall_curve(rankings, gt, ks).items()
+            str(c): v
+            for c, v in recall_curve(rankings, gt, recall_cutoffs(k)).items()
         },
     }
     text = json.dumps(payload, indent=2)

@@ -15,6 +15,8 @@ SCHEDULE_KINDS = ("fixed", "linear", "sublinear")
 
 MAX_HASH_BITS = 30
 
+_DIST_CHUNK = 8192  # rows per float64 distance pass; bounds the intermediate
+
 
 def dense_vector(values) -> np.ndarray:
     """Coerce ``values`` to a finite float32 descriptor vector.
@@ -28,6 +30,21 @@ def dense_vector(values) -> np.ndarray:
         raise ValueError("descriptor must have at least one component")
     if not np.all(np.isfinite(vec)):
         raise ValueError("descriptor components must be finite")
+    return vec
+
+
+def query_vector(values, dim: int) -> np.ndarray:
+    """``dense_vector`` for a query against data of dimension ``dim``.
+
+    Every search entry point validates its query here, so a non-finite or
+    wrongly sized query raises ValueError instead of returning an empty or
+    wrong ranking.
+    """
+    vec = dense_vector(values)
+    if vec.shape[0] != dim:
+        raise ValueError(
+            f"dimension mismatch: query {vec.shape} vs dimension {dim}"
+        )
     return vec
 
 
@@ -51,7 +68,6 @@ class VectorSet:
             raise ValueError("vector components must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
-        object.__setattr__(self, "_doubles", None)
 
     @property
     def n(self) -> int:
@@ -63,14 +79,6 @@ class VectorSet:
 
     def __len__(self) -> int:
         return self.n
-
-    def doubles(self) -> np.ndarray:
-        """Read-only float64 copy of the data, cached on first use."""
-        if self._doubles is None:
-            d = self.vectors.astype(np.float64)
-            d.setflags(write=False)
-            object.__setattr__(self, "_doubles", d)
-        return self._doubles
 
 
 @dataclass(frozen=True)
@@ -172,19 +180,23 @@ class RankedResult:
 def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
     """Euclidean distance from ``query`` to every row of ``rows``.
 
-    Inputs are cast to float64 before subtraction, so the result does not
-    depend on which records were gathered or on the caller's batch size.
-    Finiteness is the caller's responsibility (hot path).
+    Inputs are cast to float64 before subtraction, ``_DIST_CHUNK`` rows at
+    a time, so the result does not depend on which records were gathered
+    or on the caller's batch size, and no float64 copy of a large ``rows``
+    is ever made. Finiteness is the caller's responsibility (hot path).
     """
-    r = np.asarray(rows, dtype=np.float64)
+    r = np.asarray(rows)
     q = np.asarray(query, dtype=np.float64)
     if r.ndim != 2 or q.ndim != 1 or r.shape[1] != q.shape[0]:
         raise ValueError(
             f"dimension mismatch: rows {r.shape} vs query {q.shape}"
         )
-    diff = r - q
-    sq = np.einsum("ij,ij->i", diff, diff)
-    return np.sqrt(sq, out=sq)
+    out = np.empty(r.shape[0], dtype=np.float64)
+    for start in range(0, r.shape[0], _DIST_CHUNK):
+        stop = start + _DIST_CHUNK
+        diff = np.subtract(r[start:stop], q, dtype=np.float64)
+        np.einsum("ij,ij->i", diff, diff, out=out[start:stop])
+    return np.sqrt(out, out=out)
 
 
 def l2_distance(a, b) -> float:
@@ -194,11 +206,7 @@ def l2_distance(a, b) -> float:
     dimension mismatch or non-finite input.
     """
     va = dense_vector(a)
-    vb = dense_vector(b)
-    if va.shape != vb.shape:
-        raise ValueError(
-            f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}"
-        )
+    vb = query_vector(b, va.shape[0])
     return float(pairwise_distances(va[np.newaxis, :], vb)[0])
 
 

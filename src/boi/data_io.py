@@ -11,13 +11,16 @@ Snapshot layout (everything little-endian):
             shortlist_size u32, linear_step u32, sublinear_step u32,
             schedule u8 (0 fixed / 1 linear / 2 sublinear),
             flags u8 (bit 0: strict_radius), 2 pad bytes
-    body    per table: the (hash_bits x dim) float32 projection matrix,
-            then per bucket code 0..2**hash_bits-1: u32 count followed by
-            count u32 record ids
+    body    per table, three blocks: the (hash_bits x dim) float32
+            projection matrix, the 2**hash_bits u32 bucket counts (bucket
+            code order), then the n u32 record ids grouped by bucket code
+            (the table's ``bucket_members``)
 
-Projections are stored rather than re-derived from the seed, so snapshots
-stay valid even if the generator implementation ever changes. Loading
-never re-hashes the dataset.
+The body blocks are the arrays a table holds in memory, so saving is three
+``tobytes()`` calls per table and loading is three ``np.frombuffer`` views
+plus a cumulative sum of the counts. Projections are stored rather than
+re-derived from the seed, so snapshots stay valid even if the generator
+implementation ever changes. Loading never re-hashes the dataset.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def write_ivecs(path, rows) -> None:
 
 
 _MAGIC = b"BOIX"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sIIIIQQIIIIIBB2x")
 _FLAG_STRICT = 0x01
 
@@ -140,23 +143,19 @@ def save_index(index: BoiIndex, path) -> None:
     ]
     for table in index.tables:
         chunks.append(np.ascontiguousarray(table.projections, dtype="<f4").tobytes())
-        sizes = table.bucket_sizes().astype("<u4")
-        block = np.empty(table.num_buckets + n, dtype="<u4")
-        count_pos = np.arange(table.num_buckets) + table.bucket_offsets[:-1]
-        block[count_pos] = sizes
-        id_mask = np.ones(block.size, dtype=bool)
-        id_mask[count_pos] = False
-        block[id_mask] = table.bucket_members.astype("<u4")
-        chunks.append(block.tobytes())
+        chunks.append(table.bucket_sizes().astype("<u4").tobytes())
+        chunks.append(table.bucket_members.astype("<u4").tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 
 def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
     """Rebuild an index from a snapshot without re-hashing anything.
 
-    Rejects bad magic, unknown versions, and length mismatches. When
-    ``dataset`` is given it is attached (and size-checked) so the loaded
-    index can answer queries immediately.
+    Tables are read-only views into the file's bytes; nothing is copied
+    per bucket. Rejects bad magic, unknown versions (v1 included), length
+    mismatches, bucket counts that do not sum to n, and record ids outside
+    [0, n). When ``dataset`` is given it is attached (and size-checked) so
+    the loaded index can answer queries immediately.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -207,44 +206,29 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
     tables = []
     offset = _HEADER.size
     for t in range(num_tables):
-        proj = (
-            np.frombuffer(raw, dtype="<f4", count=hash_bits * dim, offset=offset)
-            .reshape(hash_bits, dim)
-            .copy()
-        )
-        proj.setflags(write=False)
+        proj = np.frombuffer(
+            raw, dtype="<f4", count=hash_bits * dim, offset=offset
+        ).reshape(hash_bits, dim)
         offset += proj_bytes
-        block = np.frombuffer(raw, dtype="<u4", count=num_buckets + n, offset=offset)
+        counts = np.frombuffer(raw, dtype="<u4", count=num_buckets, offset=offset)
         offsets = np.zeros(num_buckets + 1, dtype=np.int64)
-        members = np.empty(n, dtype=np.int32)
-        pos = 0
-        stored = 0
-        for code in range(num_buckets):
-            count = int(block[pos])
-            pos += 1
-            if stored + count > n:
-                raise FormatError(
-                    f"bucket counts exceed record count {n} in table {t}",
-                    offset=offset + 4 * (pos - 1),
-                )
-            members[stored : stored + count] = block[pos : pos + count]
-            pos += count
-            stored += count
-            offsets[code + 1] = stored
-        if stored != n:
+        np.cumsum(counts, out=offsets[1:])
+        if offsets[-1] != n:
             raise FormatError(
-                f"bucket counts sum to {stored} != {n} in table {t}",
+                f"bucket counts sum to {int(offsets[-1])} != {n} in table {t}",
                 offset=offset,
             )
-        if n and (members.min() < 0 or members.max() >= n):
+        offset += 4 * num_buckets
+        members = np.frombuffer(raw, dtype="<u4", count=n, offset=offset)
+        if n and members.max() >= n:
             raise FormatError(f"record id out of range in table {t}", offset=offset)
-        offset += 4 * (num_buckets + n)
+        offset += 4 * n
         tables.append(
             ProjectionTable(
                 projections=proj,
                 table_index=t,
                 bucket_offsets=offsets,
-                bucket_members=members,
+                bucket_members=members.view("<i4"),
             )
         )
     index = BoiIndex(params, dim, tables)

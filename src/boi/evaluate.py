@@ -106,6 +106,11 @@ def recall_curve(
     return out
 
 
+def recall_cutoffs(k: int) -> list[int]:
+    """Cut-offs reported for rankings of depth k: 1, 10, 100 and k, up to k."""
+    return sorted({c for c in (1, 10, 100, k) if 1 <= c <= k})
+
+
 def time_queries(
     run: Callable[[int, np.ndarray], object],
     queries: VectorSet,
@@ -274,9 +279,8 @@ def run_benchmark(
         if ground_truth is not None and queries.n
         else None
     )
-    ks = sorted({c for c in (1, 10, 100, k) if 1 <= c <= k})
     recalls = (
-        recall_curve(rankings, ground_truth, ks)
+        recall_curve(rankings, ground_truth, recall_cutoffs(k))
         if ground_truth is not None and queries.n
         else {}
     )

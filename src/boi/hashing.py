@@ -111,16 +111,6 @@ def hash_codes(projections: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _pack_bits(dots >= 0.0)
 
 
-def hash_vector(table: ProjectionTable, v) -> int:
-    """Bucket code of a single vector; pure function of (projections, v)."""
-    v = np.asarray(v, dtype=np.float32)
-    if v.ndim != 1 or v.shape[0] != table.dim:
-        raise ValueError(
-            f"dimension mismatch: vector {v.shape} vs table dim {table.dim}"
-        )
-    return int(hash_codes(table.projections, v[np.newaxis, :])[0])
-
-
 def stack_projections(tables: list[ProjectionTable]) -> np.ndarray:
     """All projection matrices stacked to (L*bits, dim) float64."""
     return np.concatenate(
@@ -205,7 +195,7 @@ def flip_masks(bits: int, distance: int) -> np.ndarray:
 
 
 def neighbor_codes_with_distance(
-    center: int, max_count: int, bits: int, rng: np.random.Generator
+    center: int | np.ndarray, max_count: int, bits: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """First ``max_count`` neighbor codes of ``center`` plus their distances.
 
@@ -213,34 +203,33 @@ def neighbor_codes_with_distance(
     order shuffled by ``rng``), then distance 2 (shuffled), and so on. The
     center itself is excluded. One shuffle is consumed from ``rng`` per
     shell generated, whether or not the whole shell is used.
+
+    ``center`` may also be an array of codes, one per table. Codes then
+    have one row per center, and each shell is shuffled for every row in
+    one ``rng.permuted`` call (row by row), so a single center draws from
+    ``rng`` exactly like a one-element array. Distances depend only on the
+    position and are returned once, shape (max_count,).
     """
+    centers = np.asarray(center)
     num_codes = 1 << bits
-    if not 0 <= center < num_codes:
+    if np.any((centers < 0) | (centers >= num_codes)):
         raise ValueError(f"center {center} out of range for {bits} bits")
     if max_count < 0 or max_count > num_codes - 1:
         raise ValueError(
             f"max_count must be in [0, 2**bits - 1], got {max_count}"
         )
-    codes = np.empty(max_count, dtype=np.uint32)
-    dists = np.empty(max_count, dtype=np.uint8)
-    filled = 0
-    distance = 1
-    while filled < max_count:
-        shell = np.uint32(center) ^ _flip_masks(bits, distance)
-        rng.shuffle(shell)
-        take = min(shell.size, max_count - filled)
-        codes[filled : filled + take] = shell[:take]
-        dists[filled : filled + take] = distance
-        filled += take
-        distance += 1
-    return codes, dists
-
-
-def neighbor_codes(
-    center: int, max_count: int, bits: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Neighbor bucket codes ordered by non-decreasing Hamming distance."""
-    return neighbor_codes_with_distance(center, max_count, bits, rng)[0]
+    rows = centers.astype(np.uint32).reshape(-1, 1)
+    # shell d sits at list position d; distance 0 (the center) is empty
+    shells = [np.empty((rows.shape[0], 0), dtype=np.uint32)]
+    sizes = [0]
+    while sum(sizes) < max_count:
+        shell = rows ^ _flip_masks(bits, len(sizes))
+        rng.permuted(shell, axis=1, out=shell)
+        shells.append(shell)
+        sizes.append(shell.shape[1])
+    codes = np.concatenate(shells, axis=1)[:, :max_count]
+    dists = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)[:max_count]
+    return codes.reshape(centers.shape + (max_count,)), dists
 
 
 def occupancy_summary(tables: list[ProjectionTable]) -> dict:

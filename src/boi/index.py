@@ -20,7 +20,8 @@ instead, so no bucket beyond distance l is ever touched.
 
 Neighbor probe order is re-shuffled per (query, table) from a PCG64 stream
 derived from (seed, probe tag, query_index), which keeps batches
-reproducible while avoiding a fixed probe order across experiments.
+reproducible while avoiding a fixed probe order across experiments. Each
+Hamming shell is drawn for all L tables in one call, shell by shell.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .core import (
     RankedResult,
     VectorSet,
     pairwise_distances,
+    query_vector,
     rank_by_distance,
 )
 from .hashing import (
@@ -54,8 +56,10 @@ PROBE_STREAM_TAG = 0x50524F42
 def weight(hamming: int, radius: int) -> float:
     """Vote weight of a bucket at Hamming distance ``hamming`` from the query.
 
-    1/2**hamming within the probe radius, 0 beyond it. The query's own
-    bucket (distance 0) always weighs 1.
+    1/2**hamming up to ``radius``, 0 beyond it. The query's own bucket
+    (distance 0) always weighs 1. The accumulator takes its weights from
+    here with ``radius`` set to the code width, so buckets probed past the
+    probe radius (the default spill mode) keep their true-distance weight.
     """
     if hamming < 0 or radius < 0:
         raise ValueError("hamming and radius must be non-negative")
@@ -229,48 +233,37 @@ def _accumulate(
     index: BoiIndex, q: np.ndarray, query_index: int
 ) -> tuple[np.ndarray, int]:
     """Weight accumulator plus the realized probe count for one query."""
-    q = np.asarray(q, dtype=np.float32)
-    if q.ndim != 1 or q.shape[0] != index.dim:
-        raise ValueError(
-            f"dimension mismatch: query {q.shape} vs index dim {index.dim}"
-        )
-    params = index.params
-    bits = params.hash_bits
+    q = query_vector(q, index.dim)
+    bits = index.params.hash_bits
     codes = index.query_codes(q)
-    rng = _probe_rng(params, query_index)
-    # 1/2**H lookup; H never exceeds the code width
-    wtab = 2.0 ** -np.arange(bits + 1, dtype=np.float64)
-
-    parts: list[np.ndarray] = []
-    lengths: list[int] = []
-    wvals: list[float] = []
-    probes = 0
     budgets = index._budgets
-    for t, table in enumerate(index.tables):
-        center = int(codes[t])
-        members = table.bucket(center)
-        parts.append(members)
-        lengths.append(members.size)
-        wvals.append(1.0)
-        probes += 1
-        budget = int(budgets[t])
-        if budget:
-            ncodes, hdists = neighbor_codes_with_distance(
-                center, budget, bits, rng
-            )
-            probes += int(ncodes.size)
-            for code, h in zip(ncodes.tolist(), hdists.tolist()):
-                members = table.bucket(code)
-                parts.append(members)
-                lengths.append(members.size)
-                wvals.append(wtab[h])
-    n = index.n
-    if not parts or n == 0:
-        return np.zeros(n, dtype=np.float64), probes
-    ids = np.concatenate(parts)
-    contrib = np.repeat(np.asarray(wvals, dtype=np.float64), lengths)
-    weights = np.bincount(ids, weights=contrib, minlength=n)
-    return weights, probes
+    ncodes, hdists = neighbor_codes_with_distance(
+        codes, int(budgets.max()), bits, _probe_rng(index.params, query_index)
+    )
+    # Row t lists table t's own bucket (distance 0), then its neighbors;
+    # the table probes the first budgets[t] + 1 of them.
+    rows = np.column_stack((codes, ncodes)).tolist()
+    widths = budgets + 1
+    parts = [
+        members
+        for table, row, width in zip(index.tables, rows, widths.tolist())
+        for members in map(table.bucket, row[:width])
+    ]
+    dists = np.concatenate(([0], hdists))
+    probed = np.arange(dists.size) < widths[:, np.newaxis]
+    # In units of 2**-bits every vote is a whole number, and a record sits
+    # in one bucket per table, so it collects at most L * 2**bits units: an
+    # unsigned integer accumulator of that range adds them exactly.
+    scale = 1 << bits
+    units = np.array([weight(h, bits) * scale for h in range(bits + 1)])
+    votes = np.zeros(index.n, dtype=np.min_scalar_type(len(rows) * scale))
+    per_bucket = units.astype(votes.dtype)[dists[probed.nonzero()[1]]]
+    np.add.at(
+        votes,
+        np.concatenate(parts, dtype=np.intp),
+        np.repeat(per_bucket, list(map(len, parts))),
+    )
+    return votes / scale, len(parts)
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
@@ -292,7 +285,7 @@ def shortlist(weights: np.ndarray, shortlist_size: int) -> np.ndarray:
     if shortlist_size < 1:
         raise ValueError("shortlist_size must be >= 1")
     weights = np.asarray(weights, dtype=np.float64)
-    nonzero = np.flatnonzero(weights)
+    nonzero = np.flatnonzero(weights != 0)
     w = weights[nonzero]
     if nonzero.size > shortlist_size:
         # exact boundary handling: keep everything tied with the cut weight,

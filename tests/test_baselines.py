@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from boi.baselines import brute_force_query, lsh_query, multiprobe_lsh_query
+from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import BoiParams, VectorSet
 from boi.hashing import ProjectionTable, hash_codes_all, insert_all, make_tables
+from boi.index import BoiIndex, accumulate, query
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,8 @@ class TestBruteForce:
 
 
 class TestLshQuery:
+    """Plain LSH: multi-probe at radius 0, the query's own bucket only."""
+
     def test_single_shared_bucket_equals_brute_force(self):
         # one table whose single projection keeps every record on the same
         # side of the hyperplane, so the whole set shares bucket 1
@@ -84,7 +87,7 @@ class TestLshQuery:
         )
         insert_all([table], data)
         q = np.array([2.0, 0.5, 0, 0, 0, 0], dtype=np.float32)
-        got = lsh_query([table], data, q, 30, 30)
+        got = multiprobe_lsh_query([table], data, q, 0, 30, 30)
         exact = brute_force_query(data, q, 30)
         assert np.array_equal(got.ids, exact.ids)
         assert np.array_equal(got.distances, exact.distances)
@@ -95,7 +98,7 @@ class TestLshQuery:
             num_tables=5, hash_bits=3, initial_probe_count=2, seed=5
         )
         tables = insert_all(make_tables(params, 3), data)
-        res = lsh_query(tables, data, -data.vectors[0], 10, 3)
+        res = multiprobe_lsh_query(tables, data, -data.vectors[0], 0, 10, 3)
         assert len(res) == 0
         assert res.probe_count == 5
 
@@ -108,7 +111,7 @@ class TestLshQuery:
             union = set()
             for ti, table in enumerate(tables):
                 union |= set(int(i) for i in table.bucket(int(codes[ti])))
-            got = lsh_query(tables, data, q, 500, 500)
+            got = multiprobe_lsh_query(tables, data, q, 0, 500, 500)
             assert set(got.ids.tolist()) == union
             assert got.shortlist_size == len(union)
 
@@ -116,23 +119,13 @@ class TestLshQuery:
         tables, data = populated
         rng = np.random.default_rng(7)
         q = rng.standard_normal(12).astype(np.float32)
-        full = lsh_query(tables, data, q, 500, 500)
-        capped = lsh_query(tables, data, q, 5, 500)
+        full = multiprobe_lsh_query(tables, data, q, 0, 500, 500)
+        capped = multiprobe_lsh_query(tables, data, q, 0, 5, 500)
         assert capped.shortlist_size == min(5, full.shortlist_size)
         assert set(capped.ids.tolist()) <= set(full.ids.tolist())
 
 
 class TestMultiprobeLsh:
-    def test_radius_zero_equals_plain_lsh(self, populated):
-        tables, data = populated
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            q = rng.standard_normal(12).astype(np.float32)
-            a = lsh_query(tables, data, q, 100, 10)
-            b = multiprobe_lsh_query(tables, data, q, 0, 100, 10)
-            assert np.array_equal(a.ids, b.ids)
-            assert np.array_equal(a.distances, b.distances)
-
     def test_full_radius_equals_brute_force(self, populated):
         tables, data = populated
         rng = np.random.default_rng(9)
@@ -165,3 +158,26 @@ class TestMultiprobeLsh:
             multiprobe_lsh_query(
                 tables, data, np.zeros(12, dtype=np.float32), -1, 10, 1
             )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["query", "accumulate", "lsh", "multiprobe", "brute"])
+def test_non_finite_query_rejected(populated, method, bad):
+    tables, data = populated
+    index = BoiIndex(
+        BoiParams(num_tables=10, hash_bits=4, initial_probe_count=3, seed=13),
+        data.dim,
+        tables,
+        data,
+    )
+    q = np.zeros(data.dim, dtype=np.float32)
+    q[3] = bad
+    calls = {
+        "query": lambda: query(index, q, 5),
+        "accumulate": lambda: accumulate(index, q),
+        "lsh": lambda: multiprobe_lsh_query(tables, data, q, 0, 10, 5),
+        "multiprobe": lambda: multiprobe_lsh_query(tables, data, q, 1, 10, 5),
+        "brute": lambda: brute_force_query(data, q, 5),
+    }
+    with pytest.raises(ValueError, match="finite"):
+        calls[method]()

@@ -102,13 +102,6 @@ class TestVectorSet:
         with pytest.raises(ValueError):
             vs.vectors[0, 0] = 1.0
 
-    def test_doubles_cached_and_exact(self):
-        vs = VectorSet(np.array([[1.5, -2.25]], dtype=np.float32))
-        d = vs.doubles()
-        assert d.dtype == np.float64
-        assert np.array_equal(d, vs.vectors.astype(np.float64))
-        assert vs.doubles() is d
-
     def test_empty(self):
         vs = VectorSet(np.empty((0, 0), dtype=np.float32))
         assert vs.n == 0

@@ -9,10 +9,8 @@ from boi.hashing import (
     flip_masks,
     hash_codes,
     hash_codes_all,
-    hash_vector,
     insert_all,
     make_tables,
-    neighbor_codes,
     neighbor_codes_with_distance,
     occupancy_summary,
 )
@@ -70,11 +68,11 @@ class TestHashVector:
     def test_identity_rows_sign_rule(self):
         # bit j = sign of component j; (1, -1) -> bits (1, 0) -> code 1
         t = table_from_matrix([[1.0, 0.0], [0.0, 1.0]])
-        assert hash_vector(t, np.array([1.0, -1.0], dtype=np.float32)) == 1
+        assert hash_codes(t.projections, [[1.0, -1.0]])[0] == 1
 
     def test_zero_vector_all_ties(self):
         t = table_from_matrix(np.ones((3, 4)))
-        assert hash_vector(t, np.zeros(4, dtype=np.float32)) == 0b111
+        assert hash_codes(t.projections, np.zeros((1, 4)))[0] == 0b111
 
     def test_negation_gives_complement(self):
         rng = np.random.default_rng(7)
@@ -83,18 +81,19 @@ class TestHashVector:
         for _ in range(25):
             v = rng.standard_normal(24).astype(np.float32)
             assert np.all(t.projections @ v != 0)  # no ties, complement exact
-            code = hash_vector(t, v)
-            assert hash_vector(t, -v) == code ^ 0b111111
+            code = hash_codes(t.projections, [v])[0]
+            assert hash_codes(t.projections, [-v])[0] == code ^ 0b111111
 
     def test_pure_function(self):
         t = table_from_matrix([[0.5, -0.25]])
         v = np.array([2.0, 1.0], dtype=np.float32)
-        assert hash_vector(t, v) == hash_vector(t, v)
+        first = hash_codes(t.projections, [v])
+        assert np.array_equal(first, hash_codes(t.projections, [v]))
 
     def test_dimension_mismatch(self):
         t = table_from_matrix([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            hash_vector(t, np.zeros(3, dtype=np.float32))
+            hash_codes(t.projections, np.zeros((1, 3), dtype=np.float32))
 
     def test_single_matches_batch(self):
         rng = np.random.default_rng(11)
@@ -106,7 +105,8 @@ class TestHashVector:
             col = hash_codes(table.projections, X)
             assert np.array_equal(col, codes[:, t_i])
             for row in (0, 17, 99):
-                assert hash_vector(table, X[row]) == codes[row, t_i]
+                single = hash_codes(table.projections, X[row : row + 1])[0]
+                assert single == codes[row, t_i]
 
 
 class TestInsertAll:
@@ -144,7 +144,7 @@ class TestInsertAll:
         params = BoiParams(num_tables=4, hash_bits=6, seed=2)
         tables = insert_all(make_tables(params, 8), data)
         for t in tables:
-            code = hash_vector(t, row)
+            code = int(hash_codes(t.projections, [row])[0])
             assert np.array_equal(t.bucket(code), [0, 1, 2])
 
     def test_dimension_mismatch(self):
@@ -163,7 +163,7 @@ def hamming(a: int, b: int) -> int:
 class TestNeighborCodes:
     def test_one_bit_shell_is_exact(self):
         rng = np.random.default_rng(0)
-        got = neighbor_codes(0b10110001, 8, 8, rng)
+        got = neighbor_codes_with_distance(0b10110001, 8, 8, rng)[0]
         expected = {0b10110001 ^ (1 << j) for j in range(8)}
         assert set(int(c) for c in got) == expected
 
@@ -176,24 +176,41 @@ class TestNeighborCodes:
             if code != center:
                 by_shell.setdefault(hamming(code, center), set()).add(code)
         rng = np.random.default_rng(1)
-        got = [int(c) for c in neighbor_codes(center, 10, bits, rng)]
+        codes = neighbor_codes_with_distance(center, 10, bits, rng)[0]
+        got = [int(c) for c in codes]
         assert set(got[:8]) == by_shell[1]
         assert set(got[8:]) <= by_shell[2]
         assert len(set(got)) == 10
 
     def test_zero_count(self):
         rng = np.random.default_rng(2)
-        assert neighbor_codes(3, 0, 4, rng).size == 0
+        assert neighbor_codes_with_distance(3, 0, 4, rng)[0].size == 0
 
     def test_count_too_large(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            neighbor_codes(0, 16, 4, rng)
+            neighbor_codes_with_distance(0, 16, 4, rng)
 
     def test_center_out_of_range(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            neighbor_codes(16, 1, 4, rng)
+            neighbor_codes_with_distance(16, 1, 4, rng)
+
+    def test_array_of_centers(self):
+        centers = np.array([0, 9, 37, 255])
+        codes, dists = neighbor_codes_with_distance(
+            centers, 12, 8, np.random.default_rng(6)
+        )
+        assert codes.shape == (4, 12) and dists.shape == (12,)
+        for center, row in zip(centers, codes):
+            assert len(set(row.tolist())) == 12
+            assert [hamming(int(c), int(center)) for c in row] == dists.tolist()
+        single = neighbor_codes_with_distance(37, 12, 8, np.random.default_rng(6))
+        one_row = neighbor_codes_with_distance(
+            np.array([37]), 12, 8, np.random.default_rng(6)
+        )
+        assert np.array_equal(single[0], one_row[0][0])
+        assert np.array_equal(single[1], one_row[1])
 
     def test_reported_distances_are_true_distances(self):
         rng = np.random.default_rng(5)
@@ -212,7 +229,7 @@ def test_neighbor_codes_properties(bits, seed, data):
     max_count = data.draw(st.integers(0, (1 << bits) - 1))
     center = data.draw(st.integers(0, (1 << bits) - 1))
     rng = np.random.default_rng(seed)
-    codes = neighbor_codes(center, max_count, bits, rng)
+    codes = neighbor_codes_with_distance(center, max_count, bits, rng)[0]
     assert codes.size == max_count
     as_ints = [int(c) for c in codes]
     assert center not in as_ints

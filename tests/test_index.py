@@ -6,7 +6,7 @@ import pytest
 
 from boi.baselines import brute_force_query
 from boi.core import BoiParams, VectorSet
-from boi.hashing import ProjectionTable, insert_all, make_tables
+from boi.hashing import ProjectionTable, hash_codes_all, insert_all, make_tables
 from boi.index import (
     BoiIndex,
     ProbeSchedule,
@@ -215,6 +215,30 @@ class TestAccumulate:
         scaled = w * (1 << index.params.hash_bits)
         assert np.array_equal(scaled, np.round(scaled))
         assert np.all(w >= 0)
+
+    @pytest.mark.parametrize("num_tables, bits", [(5, 3), (257, 8)])
+    def test_full_probe_matches_per_record_loop(self, num_tables, bits):
+        # every bucket probed, so record r gets sum_t weight(H_t(r), bits);
+        # 257 tables of 8 bits pass 2**16 units of 2**-8, the uint16 limit
+        rng = np.random.default_rng(num_tables)
+        data = VectorSet(rng.standard_normal((40, 6)).astype(np.float32))
+        params = fixed_params(
+            num_tables=num_tables,
+            hash_bits=bits,
+            initial_probe_count=(1 << bits) - 1,
+        )
+        index = build_index(data, params)
+        record_codes = hash_codes_all(index.tables, data.vectors)
+        for q in (data.vectors[0], rng.standard_normal(6).astype(np.float32)):
+            query_codes = hash_codes_all(index.tables, q[np.newaxis, :])[0]
+            expected = [
+                sum(
+                    weight(bin(int(qc ^ rc)).count("1"), bits)
+                    for qc, rc in zip(query_codes, record_codes[r])
+                )
+                for r in range(data.n)
+            ]
+            assert accumulate(index, q).tolist() == expected
 
     def test_deterministic_per_query_index(self, small_index):
         index, data = small_index

@@ -174,6 +174,56 @@ class TestSnapshot:
         with pytest.raises(FormatError, match="length"):
             load_index(bad)
 
+    def test_version_1_rejected(self, built, tmp_path):
+        _, _, path = built
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        bad = tmp_path / "v1.boix"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="version 1"):
+            load_index(bad)
+
+    def test_layout_is_header_then_arrays_per_table(self, built):
+        index, _, path = built
+        raw = path.read_bytes()
+        offset = 60
+        for table in index.tables:
+            for block in (
+                table.projections.astype("<f4"),
+                table.bucket_sizes().astype("<u4"),
+                table.bucket_members.astype("<u4"),
+            ):
+                assert raw[offset : offset + block.nbytes] == block.tobytes()
+                offset += block.nbytes
+        assert offset == len(raw)
+
+    @staticmethod
+    def _first_table_blocks(index):
+        """Byte offsets of table 0's bucket counts and record ids."""
+        counts = 60 + 4 * index.params.hash_bits * index.dim
+        return counts, counts + 4 * index.params.num_buckets
+
+    def test_counts_not_summing_to_n_rejected(self, built, tmp_path):
+        index, _, path = built
+        counts, _ = self._first_table_blocks(index)
+        raw = bytearray(path.read_bytes())
+        (first,) = struct.unpack_from("<I", raw, counts)
+        struct.pack_into("<I", raw, counts, first + 1)
+        bad = tmp_path / "bad.boix"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="sum to"):
+            load_index(bad)
+
+    def test_record_id_out_of_range_rejected(self, built, tmp_path):
+        index, _, path = built
+        _, ids = self._first_table_blocks(index)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, ids, index.n)
+        bad = tmp_path / "bad.boix"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="out of range"):
+            load_index(bad)
+
     def test_attach_dataset_later(self, built):
         index, data, path = built
         loaded = load_index(path)

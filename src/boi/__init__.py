@@ -37,7 +37,7 @@ from .evaluate import (
     run_benchmark,
     time_queries,
 )
-from .hashing import ProjectionTable, insert_all, make_tables
+from .hashing import ProjectionTable, insert_all, make_projections
 from .index import (
     BoiIndex,
     ProbeSchedule,
@@ -77,7 +77,7 @@ __all__ = [
     "insert_all",
     "l2_distance",
     "load_index",
-    "make_tables",
+    "make_projections",
     "mean_average_precision",
     "multiprobe_lsh_query",
     "pairwise_distances",

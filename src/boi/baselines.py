@@ -40,9 +40,8 @@ def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
     return RankedResult(ids, ranked)
 
 
-def _dedup_first_seen(candidates: list[np.ndarray], n: int) -> np.ndarray:
-    """Union of id arrays over [0, n), keeping each id at its first appearance."""
-    merged = np.concatenate(candidates, dtype=np.intp)
+def _dedup_first_seen(merged: np.ndarray, n: int) -> np.ndarray:
+    """Ids of ``merged`` (all in [0, n)), each kept at its first appearance."""
     positions = np.arange(merged.size)
     first = np.full(n, merged.size, dtype=np.intp)
     np.minimum.at(first, merged, positions)
@@ -50,7 +49,7 @@ def _dedup_first_seen(candidates: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def multiprobe_lsh_query(
-    tables: list[ProjectionTable],
+    tables: ProjectionTable,
     dataset: VectorSet,
     q,
     radius: int,
@@ -61,28 +60,25 @@ def multiprobe_lsh_query(
 
     No probe budget and no vote weights; every bucket within the radius
     contributes its members to the candidate union, deduplicated in
-    first-seen order and capped at ``shortlist_size`` before the
-    exact-distance re-rank. radius=0 is plain LSH: only the query's own
-    bucket in each table.
+    first-seen order (table by table, inner shells first) and capped at
+    ``shortlist_size`` before the exact-distance re-rank. radius=0 is plain
+    LSH: only the query's own bucket in each table.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if k < 1 or shortlist_size < 1:
         raise ValueError("k and shortlist_size must be >= 1")
-    q = query_vector(q, tables[0].dim)
-    bits = tables[0].bits
-    codes = hash_codes_all(tables, q[np.newaxis, :])[0]
+    q = query_vector(q, tables.dim)
+    bits = tables.bits
+    codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
     masks = np.concatenate(
         [flip_masks(bits, j) for j in range(0, min(radius, bits) + 1)]
     )
-    balls = (codes[:, np.newaxis] ^ masks).tolist()
-    buckets = [
-        members
-        for table, ball in zip(tables, balls)
-        for members in map(table.bucket, ball)
-    ]
-    probe_count = len(buckets)
-    candidates = _dedup_first_seen(buckets, dataset.n)[:shortlist_size]
+    balls = codes[:, np.newaxis] ^ masks
+    rows = np.repeat(np.arange(tables.num_tables), masks.size)
+    members = tables.bucket(rows, balls.ravel())
+    probe_count = int(balls.size)
+    candidates = _dedup_first_seen(members, dataset.n)[:shortlist_size]
     if candidates.size == 0:
         return RankedResult.empty(probe_count=probe_count, shortlist_size=0)
     dists = pairwise_distances(dataset.vectors[candidates], q)

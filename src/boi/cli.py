@@ -178,10 +178,7 @@ def _load_for_query(args, strict: bool):
     if args.index:
         index = load_index(args.index, dataset)
         index = BoiIndex(
-            _apply_overrides(index.params, args, strict),
-            index.dim,
-            index.tables,
-            dataset,
+            _apply_overrides(index.params, args, strict), index.tables, dataset
         )
     return dataset, index
 
@@ -347,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="boi")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="query threads; the numpy query path holds the GIL, "
+                   "so more than 1 adds little throughput")
     p.add_argument("--out", help="JSON report path (stdout when omitted)")
     p.add_argument("--csv", help="optional per-query CSV path")
     _add_param_flags(p, for_build=False)

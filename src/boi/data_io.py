@@ -11,16 +11,18 @@ Snapshot layout (everything little-endian):
             shortlist_size u32, linear_step u32, sublinear_step u32,
             schedule u8 (0 fixed / 1 linear / 2 sublinear),
             flags u8 (bit 0: strict_radius), 2 pad bytes
-    body    per table, three blocks: the (hash_bits x dim) float32
-            projection matrix, the 2**hash_bits u32 bucket counts (bucket
-            code order), then the n u32 record ids grouped by bucket code
-            (the table's ``bucket_members``)
+    body    num_tables fixed-size records, one per table: the
+            (hash_bits x dim) float32 projection matrix, the 2**hash_bits
+            u32 bucket counts (bucket code order), then the n u32 record ids
+            grouped by bucket code (that table's row of ``members``)
 
-The body blocks are the arrays a table holds in memory, so saving is three
-``tobytes()`` calls per table and loading is three ``np.frombuffer`` views
-plus a cumulative sum of the counts. Projections are stored rather than
-re-derived from the seed, so snapshots stay valid even if the generator
-implementation ever changes. Loading never re-hashes the dataset.
+Because every record has the same size, the body is one structured numpy
+array of L records: saving fills its three fields from the
+``ProjectionTable`` arrays, and loading is one ``np.frombuffer`` whose
+fields are (L, ...) views, plus a cumulative sum of the counts. Projections
+are stored rather than re-derived from the seed, so snapshots stay valid
+even if the generator implementation ever changes. Loading never re-hashes
+the dataset.
 """
 
 from __future__ import annotations
@@ -119,43 +121,69 @@ _HEADER = struct.Struct("<4sIIIIQQIIIIIBB2x")
 _FLAG_STRICT = 0x01
 
 
+def _table_record(bits: int, dim: int, n: int) -> np.dtype:
+    """One table's fixed-size body record: projections, counts, members."""
+    return np.dtype(
+        [
+            ("projections", "<f4", (bits, dim)),
+            ("counts", "<u4", (1 << bits,)),
+            ("members", "<u4", (n,)),
+        ]
+    )
+
+
+def _check_records(ok: np.ndarray, what: str, record: np.dtype, field: str) -> None:
+    """Raise FormatError at ``field`` of the first table whose ``ok`` is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        t = int(bad[0])
+        raise FormatError(
+            f"{what} in table {t}",
+            offset=_HEADER.size + t * record.itemsize + record.fields[field][1],
+        )
+
+
 def save_index(index: BoiIndex, path) -> None:
     """Serialize an index snapshot; byte-identical for identical indexes."""
     p = index.params
-    n = index.n
-    chunks = [
-        _HEADER.pack(
-            _MAGIC,
-            _VERSION,
-            p.num_tables,
-            p.hash_bits,
-            index.dim,
-            n,
-            p.seed,
-            p.initial_probe_count,
-            p.probe_radius,
-            p.shortlist_size,
-            p.linear_step,
-            p.sublinear_step,
-            SCHEDULE_KINDS.index(p.schedule),
-            _FLAG_STRICT if p.strict_radius else 0,
-        )
-    ]
-    for table in index.tables:
-        chunks.append(np.ascontiguousarray(table.projections, dtype="<f4").tobytes())
-        chunks.append(table.bucket_sizes().astype("<u4").tobytes())
-        chunks.append(table.bucket_members.astype("<u4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    tables = index.tables
+    record = _table_record(p.hash_bits, index.dim, index.n)
+    raw = np.empty(_HEADER.size + p.num_tables * record.itemsize, dtype=np.uint8)
+    _HEADER.pack_into(
+        raw,
+        0,
+        _MAGIC,
+        _VERSION,
+        p.num_tables,
+        p.hash_bits,
+        index.dim,
+        index.n,
+        p.seed,
+        p.initial_probe_count,
+        p.probe_radius,
+        p.shortlist_size,
+        p.linear_step,
+        p.sublinear_step,
+        SCHEDULE_KINDS.index(p.schedule),
+        _FLAG_STRICT if p.strict_radius else 0,
+    )
+    body = raw[_HEADER.size :].view(record)
+    body["projections"] = tables.projections.reshape(body["projections"].shape)
+    body["counts"] = np.diff(tables.offsets, axis=1)
+    body["members"] = tables.members
+    Path(path).write_bytes(raw)
 
 
 def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
     """Rebuild an index from a snapshot without re-hashing anything.
 
-    Tables are read-only views into the file's bytes; nothing is copied
-    per bucket. Rejects bad magic, unknown versions (v1 included), length
-    mismatches, bucket counts that do not sum to n, and record ids outside
-    [0, n). When ``dataset`` is given it is attached (and size-checked) so
-    the loaded index can answer queries immediately.
+    The body is read as one structured array of L table records, so bucket
+    counts and members are read-only (L, ...) views into the file's bytes;
+    nothing is copied per table or per bucket. Rejects bad magic, unknown
+    versions (v1 included), header values ``BoiParams`` rejects, length
+    mismatches, bucket counts that do not sum to n, non-finite projections
+    and record ids outside [0, n). When ``dataset`` is given the index is
+    made over it (and size-checked) so it can answer queries immediately.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -182,56 +210,55 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
         raise FormatError(f"unsupported snapshot version {version}", offset=4)
     if schedule_code >= len(SCHEDULE_KINDS):
         raise FormatError(f"unknown schedule code {schedule_code}")
-    params = BoiParams(
-        num_tables=num_tables,
-        hash_bits=hash_bits,
-        probe_radius=probe_radius,
-        shortlist_size=shortlist_size,
-        initial_probe_count=gamma0,
-        schedule=SCHEDULE_KINDS[schedule_code],
-        linear_step=linear_step,
-        sublinear_step=sublinear_step,
-        seed=seed,
-        strict_radius=bool(flags & _FLAG_STRICT),
-    )
-    num_buckets = 1 << hash_bits
-    proj_bytes = hash_bits * dim * 4
-    table_bytes = proj_bytes + 4 * (num_buckets + n)
-    expected = _HEADER.size + num_tables * table_bytes
+    try:
+        params = BoiParams(
+            num_tables=num_tables,
+            hash_bits=hash_bits,
+            probe_radius=probe_radius,
+            shortlist_size=shortlist_size,
+            initial_probe_count=gamma0,
+            schedule=SCHEDULE_KINDS[schedule_code],
+            linear_step=linear_step,
+            sublinear_step=sublinear_step,
+            seed=seed,
+            strict_radius=bool(flags & _FLAG_STRICT),
+        )
+    except ValueError as exc:
+        raise FormatError(f"bad snapshot header: {exc}", offset=0) from None
+    record_bytes = 4 * (hash_bits * dim + (1 << hash_bits) + n)
+    expected = _HEADER.size + num_tables * record_bytes
     if len(raw) != expected:
         raise FormatError(
             f"snapshot length {len(raw)} != expected {expected}",
             offset=min(len(raw), expected),
         )
-    tables = []
-    offset = _HEADER.size
-    for t in range(num_tables):
-        proj = np.frombuffer(
-            raw, dtype="<f4", count=hash_bits * dim, offset=offset
-        ).reshape(hash_bits, dim)
-        offset += proj_bytes
-        counts = np.frombuffer(raw, dtype="<u4", count=num_buckets, offset=offset)
-        offsets = np.zeros(num_buckets + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        if offsets[-1] != n:
-            raise FormatError(
-                f"bucket counts sum to {int(offsets[-1])} != {n} in table {t}",
-                offset=offset,
-            )
-        offset += 4 * num_buckets
-        members = np.frombuffer(raw, dtype="<u4", count=n, offset=offset)
-        if n and members.max() >= n:
-            raise FormatError(f"record id out of range in table {t}", offset=offset)
-        offset += 4 * n
-        tables.append(
-            ProjectionTable(
-                projections=proj,
-                table_index=t,
-                bucket_offsets=offsets,
-                bucket_members=members.view("<i4"),
-            )
-        )
-    index = BoiIndex(params, dim, tables)
-    if dataset is not None:
-        index.attach_dataset(dataset)
-    return index
+    record = _table_record(hash_bits, dim, n)
+    body = np.frombuffer(raw, dtype=record, offset=_HEADER.size)
+    offsets = np.zeros((num_tables, (1 << hash_bits) + 1), dtype=np.int64)
+    offsets[:, 1:] = body["counts"]
+    np.cumsum(offsets[:, 1:], axis=1, out=offsets[:, 1:])
+    _check_records(
+        offsets[:, -1] == n, f"bucket counts do not sum to {n}", record, "counts"
+    )
+    projections = body["projections"]
+    _check_records(
+        np.isfinite(projections).all(axis=(1, 2)),
+        "non-finite projection",
+        record,
+        "projections",
+    )
+    members = body["members"]
+    # ids are unsigned, so one upper bound checks [0, n); with n = 0 the
+    # rows are empty and nothing can be out of range
+    _check_records(
+        members.max(axis=1, initial=0) < max(n, 1),
+        "record id out of range",
+        record,
+        "members",
+    )
+    tables = ProjectionTable(
+        projections=projections.reshape(num_tables * hash_bits, dim),
+        offsets=offsets,
+        members=members.view("<i4"),
+    )
+    return BoiIndex(params, tables, dataset)

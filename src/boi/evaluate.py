@@ -122,7 +122,8 @@ def time_queries(
     ``run`` is called as run(query_index, vector). One untimed warm-up call
     per query precedes the timed repetitions. With workers > 1 queries are
     dispatched across a thread pool; each query is still timed end to end
-    inside its worker.
+    inside its worker. The numpy query path holds the GIL for most of its
+    time, so extra workers add little throughput.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")

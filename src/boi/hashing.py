@@ -1,4 +1,4 @@
-"""Sign-of-Gaussian-projection hash family and the bucketed hash table.
+"""Sign-of-Gaussian-projection hash family and the stacked bucketed tables.
 
 A table hashes a d-dimensional vector to a b-bit bucket code: bit j is 1
 iff the dot product with Gaussian row j is >= 0 (LSB-first, sign(0) -> 1).
@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import BoiParams, VectorSet
 
-_HASH_CHUNK = 16384  # rows hashed per matmul; bounds the float64 intermediate
+_HASH_CHUNK = 2048  # rows hashed per matmul; bounds the float64 intermediate
 
 
 def projection_rng(seed: int, table_index: int) -> np.random.Generator:
@@ -27,24 +27,38 @@ def projection_rng(seed: int, table_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, table_index)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProjectionTable:
-    """One hash table: a (bits x dim) Gaussian matrix plus 2**bits buckets.
+    """All L hash tables of an index, as three stacked read-only arrays.
 
-    Buckets are stored in CSR form: ``bucket_members`` holds every record id
-    grouped by bucket code, and ``bucket_offsets[c]:bucket_offsets[c+1]`` is
-    the slice for code c. Ids are ascending within a bucket. A freshly made
-    table has empty buckets; ``insert_all`` populates them.
+    ``projections`` (L*bits, dim) float64: rows t*bits .. t*bits+bits-1 are
+    table t's Gaussian matrix, the matrix every hash multiplies by.
+    ``offsets`` (L, 2**bits + 1) int64: per-table CSR offsets, so
+    ``offsets[t, c]:offsets[t, c + 1]`` bounds bucket c of table t.
+    ``members`` (L, n) int32: row t holds every record id grouped by
+    table t's bucket code, ascending within a bucket.
+
+    A table object is made once, by ``insert_all`` or ``load_index``, and
+    never changes; its arrays cannot be written.
     """
 
     projections: np.ndarray
-    table_index: int
-    bucket_offsets: np.ndarray
-    bucket_members: np.ndarray
+    offsets: np.ndarray
+    members: np.ndarray
+
+    def __post_init__(self):
+        proj = np.asarray(self.projections, dtype=np.float64)
+        for arr in (proj, self.offsets, self.members):
+            arr.setflags(write=False)
+        object.__setattr__(self, "projections", proj)
+
+    @property
+    def num_tables(self) -> int:
+        return int(self.offsets.shape[0])
 
     @property
     def bits(self) -> int:
-        return int(self.projections.shape[0])
+        return (self.offsets.shape[1] - 1).bit_length() - 1
 
     @property
     def dim(self) -> int:
@@ -55,47 +69,43 @@ class ProjectionTable:
         return 1 << self.bits
 
     @property
-    def size(self) -> int:
-        """Number of records stored in this table."""
-        return int(self.bucket_members.size)
+    def n(self) -> int:
+        """Number of records stored in every table."""
+        return int(self.members.shape[1])
 
-    def bucket(self, code: int) -> np.ndarray:
-        """Record ids stored in bucket ``code`` (a read-only view)."""
-        return self.bucket_members[
-            self.bucket_offsets[code] : self.bucket_offsets[code + 1]
-        ]
-
-    def bucket_sizes(self) -> np.ndarray:
-        return np.diff(self.bucket_offsets)
-
-
-def _empty_table(projections: np.ndarray, table_index: int) -> ProjectionTable:
-    num_buckets = 1 << projections.shape[0]
-    return ProjectionTable(
-        projections=projections,
-        table_index=table_index,
-        bucket_offsets=np.zeros(num_buckets + 1, dtype=np.int64),
-        bucket_members=np.empty(0, dtype=np.int32),
-    )
+    def bucket(self, tables, codes) -> np.ndarray:
+        """Record ids of bucket ``codes[i]`` of table ``tables[i]``, for
+        every i, concatenated in that order (int32)."""
+        tables = np.asarray(tables, dtype=np.intp)
+        codes = np.asarray(codes, dtype=np.intp)
+        starts = self.offsets[tables, codes].tolist()
+        stops = self.offsets[tables, codes + 1].tolist()
+        rows = self.members
+        return np.concatenate(
+            [rows[0, :0]]
+            + [rows[t, a:b] for t, a, b in zip(tables.tolist(), starts, stops)]
+        )
 
 
-def make_tables(params: BoiParams, dim: int) -> list[ProjectionTable]:
-    """Create ``num_tables`` tables with independent Gaussian matrices.
+def make_projections(params: BoiParams, dim: int) -> np.ndarray:
+    """The (L*bits, dim) float64 projections of ``num_tables`` tables.
 
-    Table t draws its matrix from a PCG64 generator seeded with
+    Table t draws its float32 matrix from a PCG64 generator seeded with
     (params.seed, t), so the whole family is reproducible from the seed
-    while tables stay mutually independent. Buckets start empty.
+    while tables stay mutually independent. The values are float32-exact,
+    so a snapshot stores them as float32 without loss.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    tables = []
-    for t in range(params.num_tables):
-        proj = projection_rng(params.seed, t).standard_normal(
-            (params.hash_bits, dim), dtype=np.float32
-        )
-        proj.setflags(write=False)
-        tables.append(_empty_table(proj, t))
-    return tables
+    return np.concatenate(
+        [
+            projection_rng(params.seed, t).standard_normal(
+                (params.hash_bits, dim), dtype=np.float32
+            )
+            for t in range(params.num_tables)
+        ],
+        dtype=np.float64,
+    )
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -105,72 +115,53 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return (bits.astype(np.uint32) * pow2).sum(axis=-1, dtype=np.uint32)
 
 
-def hash_codes(projections: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Bucket codes for the rows of X under one projection matrix."""
-    dots = np.asarray(X, dtype=np.float64) @ np.asarray(projections, dtype=np.float64).T
-    return _pack_bits(dots >= 0.0)
+def hash_codes_all(projections: np.ndarray, bits: int, X: np.ndarray) -> np.ndarray:
+    """Bucket codes of the rows of X under every table, shape (m, L).
 
-
-def stack_projections(tables: list[ProjectionTable]) -> np.ndarray:
-    """All projection matrices stacked to (L*bits, dim) float64."""
-    return np.concatenate(
-        [np.asarray(t.projections, dtype=np.float64) for t in tables]
-    )
-
-
-def hash_codes_all(
-    tables: list[ProjectionTable],
-    X: np.ndarray,
-    stacked: np.ndarray | None = None,
-) -> np.ndarray:
-    """Bucket codes of X under every table at once, shape (m, L).
-
-    ``stacked`` may carry a precomputed ``stack_projections`` result to
-    avoid restacking on hot query paths.
+    ``projections`` stacks the L tables' (bits x dim) matrices as in
+    ``ProjectionTable.projections``.
     """
-    num_tables = len(tables)
-    bits = tables[0].bits
-    if stacked is None:
-        stacked = stack_projections(tables)
+    projections = np.asarray(projections, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != projections.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: data {X.shape} vs table dim "
+            f"{projections.shape[1]}"
+        )
+    num_tables = projections.shape[0] // bits
     out = np.empty((X.shape[0], num_tables), dtype=np.uint32)
     for start in range(0, X.shape[0], _HASH_CHUNK):
         chunk = X[start : start + _HASH_CHUNK]
-        dots = chunk @ stacked.T
+        dots = chunk @ projections.T
         signs = (dots >= 0.0).reshape(chunk.shape[0], num_tables, bits)
         out[start : start + _HASH_CHUNK] = _pack_bits(signs)
     return out
 
 
 def insert_all(
-    tables: list[ProjectionTable], dataset: VectorSet
-) -> list[ProjectionTable]:
-    """Insert every record of ``dataset`` into every table.
+    projections: np.ndarray, bits: int, dataset: VectorSet
+) -> ProjectionTable:
+    """Hash every record of ``dataset`` into every table and bucket it.
 
     Each record id lands in exactly one bucket per table, the one matching
-    its code. Returns the same (mutated) table list.
+    its code under that table's rows of ``projections``.
     """
-    if tables and dataset.n > 0 and dataset.dim != tables[0].dim:
-        raise ValueError(
-            f"dimension mismatch: dataset dim {dataset.dim} vs "
-            f"table dim {tables[0].dim}"
-        )
-    if dataset.n == 0:
-        for table in tables:
-            table.bucket_offsets = np.zeros(table.num_buckets + 1, dtype=np.int64)
-            table.bucket_members = np.empty(0, dtype=np.int32)
-        return tables
-    codes = hash_codes_all(tables, dataset.vectors)
-    for t, table in enumerate(tables):
-        col = np.ascontiguousarray(codes[:, t])
-        counts = np.bincount(col, minlength=table.num_buckets)
-        offsets = np.zeros(table.num_buckets + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+    n = dataset.n
+    # an empty set hashes as zero rows of the tables' width, whatever its own
+    X = dataset.vectors.reshape(n, -1 if n else projections.shape[1])
+    codes = hash_codes_all(projections, bits, X)
+    num_tables, num_buckets = codes.shape[1], 1 << bits
+    offsets = np.zeros((num_tables, num_buckets + 1), dtype=np.int64)
+    members = np.empty((num_tables, n), dtype=np.int32)
+    # bucket codes fit 8 or 16 bits at the usual widths, where a stable
+    # sort is a radix sort
+    key_type = np.min_scalar_type(num_buckets - 1)
+    for t in range(num_tables):
+        col = codes[:, t].astype(key_type)
+        np.cumsum(np.bincount(col, minlength=num_buckets), out=offsets[t, 1:])
         # stable sort groups ids by code, ascending id within each bucket
-        order = np.argsort(col, kind="stable").astype(np.int32)
-        table.bucket_offsets = offsets
-        table.bucket_members = order
-    return tables
+        members[t] = np.argsort(col, kind="stable")
+    return ProjectionTable(projections, offsets, members)
 
 
 @lru_cache(maxsize=None)
@@ -232,28 +223,25 @@ def neighbor_codes_with_distance(
     return codes.reshape(centers.shape + (max_count,)), dists
 
 
-def occupancy_summary(tables: list[ProjectionTable]) -> dict:
+def occupancy_summary(tables: ProjectionTable) -> dict:
     """Bucket occupancy statistics across all tables (for build logging).
 
     ``histogram`` maps an occupancy band label to the number of buckets in
     that band, pooled over every table.
     """
-    sizes = np.concatenate([t.bucket_sizes() for t in tables])
-    if sizes.size == 0:
-        hist = {}
-    else:
-        edges = [0, 1, 2, 4, 8, 16, 64, 256, 1024]
-        hist = {}
-        for lo, hi in zip(edges, edges[1:]):
-            label = str(lo) if hi == lo + 1 else f"{lo}-{hi - 1}"
-            hist[label] = int(np.sum((sizes >= lo) & (sizes < hi)))
-        hist[f">={edges[-1]}"] = int(np.sum(sizes >= edges[-1]))
+    sizes = np.diff(tables.offsets, axis=1).ravel()
+    edges = [0, 1, 2, 4, 8, 16, 64, 256, 1024]
+    hist = {}
+    for lo, hi in zip(edges, edges[1:]):
+        label = str(lo) if hi == lo + 1 else f"{lo}-{hi - 1}"
+        hist[label] = int(np.sum((sizes >= lo) & (sizes < hi)))
+    hist[f">={edges[-1]}"] = int(np.sum(sizes >= edges[-1]))
     return {
-        "num_tables": len(tables),
-        "buckets_per_table": int(tables[0].num_buckets) if tables else 0,
-        "min": int(sizes.min()) if sizes.size else 0,
-        "max": int(sizes.max()) if sizes.size else 0,
-        "mean": float(sizes.mean()) if sizes.size else 0.0,
-        "empty_fraction": float(np.mean(sizes == 0)) if sizes.size else 0.0,
+        "num_tables": tables.num_tables,
+        "buckets_per_table": tables.num_buckets,
+        "min": int(sizes.min()),
+        "max": int(sizes.max()),
+        "mean": float(sizes.mean()),
+        "empty_fraction": float(np.mean(sizes == 0)),
         "histogram": hist,
     }

@@ -27,7 +27,7 @@ Hamming shell is drawn for all L tables in one call, shell by shell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,9 +43,8 @@ from .hashing import (
     ProjectionTable,
     hash_codes_all,
     insert_all,
-    make_tables,
+    make_projections,
     neighbor_codes_with_distance,
-    stack_projections,
 )
 
 # Mixed into the per-query SeedSequence so probe shuffles never collide
@@ -121,8 +120,13 @@ def build_schedule(kind: str, params: BoiParams) -> ProbeSchedule:
 
 
 def neighbor_budget(gamma: int, radius: int) -> int:
-    """Neighbor buckets requested per table: sum_{j=1..radius} C(gamma, j)."""
-    return sum(math.comb(int(gamma), j) for j in range(1, radius + 1))
+    """Neighbor buckets requested per table: sum_{j=1..radius} C(gamma, j).
+
+    Terms past j = gamma are 0, so the sum stops there however large the
+    radius is.
+    """
+    gamma = int(gamma)
+    return sum(math.comb(gamma, j) for j in range(1, min(radius, gamma) + 1))
 
 
 def expected_probes(schedule: ProbeSchedule, radius: int) -> int:
@@ -139,87 +143,71 @@ def expected_probes(schedule: ProbeSchedule, radius: int) -> int:
     )
 
 
+@dataclass(frozen=True, eq=False)
 class BoiIndex:
-    """The searchable structure: L populated tables over one vector set.
+    """The searchable structure: one ``ProjectionTable`` of L populated
+    tables over one vector set.
 
-    Immutable once built; concurrent queries are safe because each query
-    owns its accumulator and its probe RNG stream.
+    Immutable: the table and the dataset are fixed by the constructor, and
+    nothing is cached or bound later (there is no ``attach_dataset``). A
+    snapshot loaded without its dataset cannot re-rank; wrap its table in
+    a new ``BoiIndex`` together with the dataset. Concurrent queries are safe because each query owns
+    its accumulator and its probe RNG stream.
     """
 
-    def __init__(
-        self,
-        params: BoiParams,
-        dim: int,
-        tables: list[ProjectionTable],
-        dataset: VectorSet | None = None,
-    ):
-        if len(tables) != params.num_tables:
-            raise ValueError("table count does not match params.num_tables")
-        if any(t.bits != params.hash_bits for t in tables):
-            raise ValueError("table width does not match params.hash_bits")
-        if dataset is not None and dataset.n > 0 and dataset.dim != dim:
-            raise ValueError(
-                f"dataset dim {dataset.dim} does not match index dim {dim}"
-            )
-        self.params = params
-        self.dim = int(dim)
-        self.tables = tables
-        self.dataset = dataset
-        self.schedule = build_schedule(params.schedule, params)
-        self._budgets = self._capped_budgets()
-        self._stacked: np.ndarray | None = None
+    params: BoiParams
+    tables: ProjectionTable
+    dataset: VectorSet | None = None
+    schedule: ProbeSchedule = field(init=False)
+    budgets: np.ndarray = field(init=False)
 
-    def _capped_budgets(self) -> np.ndarray:
-        p = self.params
-        cap = p.num_buckets - 1
-        if p.strict_radius:
-            ball = sum(
-                math.comb(p.hash_bits, j) for j in range(1, p.probe_radius + 1)
+    def __post_init__(self):
+        p, tables, dataset = self.params, self.tables, self.dataset
+        if tables.num_tables != p.num_tables or tables.bits != p.hash_bits:
+            raise ValueError(
+                f"table shape (L={tables.num_tables}, b={tables.bits}) does "
+                f"not match params (L={p.num_tables}, b={p.hash_bits})"
             )
-            cap = min(cap, ball)
-        budgets = np.array(
-            [
-                min(neighbor_budget(int(g), p.probe_radius), cap)
-                for g in self.schedule.gammas
-            ],
-            dtype=np.int64,
-        )
-        return budgets
+        if dataset is not None and (
+            dataset.n != tables.n or (dataset.n and dataset.dim != tables.dim)
+        ):
+            raise ValueError(
+                f"dataset of shape {dataset.vectors.shape} does not match "
+                f"the index's {tables.n} records of dim {tables.dim}"
+            )
+        schedule = build_schedule(p.schedule, p)
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "budgets", _capped_budgets(p, schedule))
+
+    @property
+    def dim(self) -> int:
+        return self.tables.dim
 
     @property
     def n(self) -> int:
         """Number of indexed records."""
-        return self.tables[0].size if self.tables else 0
+        return self.tables.n
 
-    def stacked_projections(self) -> np.ndarray:
-        if self._stacked is None:
-            self._stacked = stack_projections(self.tables)
-        return self._stacked
 
-    def query_codes(self, q: np.ndarray) -> np.ndarray:
-        """The query's bucket code in every table, shape (L,)."""
-        return hash_codes_all(
-            self.tables, q[np.newaxis, :], stacked=self.stacked_projections()
-        )[0]
-
-    def attach_dataset(self, dataset: VectorSet) -> None:
-        """Bind the vectors this index was built over (needed to re-rank)."""
-        if dataset.n != self.n:
-            raise ValueError(
-                f"dataset has {dataset.n} records, index expects {self.n}"
-            )
-        if dataset.n > 0 and dataset.dim != self.dim:
-            raise ValueError(
-                f"dataset dim {dataset.dim} does not match index dim {self.dim}"
-            )
-        self.dataset = dataset
+def _capped_budgets(params: BoiParams, schedule: ProbeSchedule) -> np.ndarray:
+    """Per-table neighbor budgets, read-only, clamped to the code space and,
+    in strict mode, to the radius ball (which ends at the code width)."""
+    cap = params.num_buckets - 1
+    if params.strict_radius:
+        cap = min(cap, neighbor_budget(params.hash_bits, params.probe_radius))
+    budgets = np.array(
+        [min(neighbor_budget(g, params.probe_radius), cap) for g in schedule.gammas],
+        dtype=np.int64,
+    )
+    budgets.setflags(write=False)
+    return budgets
 
 
 def build_index(dataset: VectorSet, params: BoiParams) -> BoiIndex:
-    """Hash every record into L fresh tables and wrap them as an index."""
-    tables = make_tables(params, dataset.dim if dataset.n else 1)
-    insert_all(tables, dataset)
-    return BoiIndex(params, tables[0].dim, tables, dataset)
+    """Hash every record into L tables and wrap them as an index."""
+    projections = make_projections(params, dataset.dim if dataset.n else 1)
+    tables = insert_all(projections, params.hash_bits, dataset)
+    return BoiIndex(params, tables, dataset)
 
 
 def _probe_rng(params: BoiParams, query_index: int) -> np.random.Generator:
@@ -233,37 +221,31 @@ def _accumulate(
     index: BoiIndex, q: np.ndarray, query_index: int
 ) -> tuple[np.ndarray, int]:
     """Weight accumulator plus the realized probe count for one query."""
-    q = query_vector(q, index.dim)
-    bits = index.params.hash_bits
-    codes = index.query_codes(q)
-    budgets = index._budgets
+    tables = index.tables
+    q = query_vector(q, tables.dim)
+    bits = tables.bits
+    codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
+    budgets = index.budgets
     ncodes, hdists = neighbor_codes_with_distance(
         codes, int(budgets.max()), bits, _probe_rng(index.params, query_index)
     )
-    # Row t lists table t's own bucket (distance 0), then its neighbors;
-    # the table probes the first budgets[t] + 1 of them.
-    rows = np.column_stack((codes, ncodes)).tolist()
-    widths = budgets + 1
-    parts = [
-        members
-        for table, row, width in zip(index.tables, rows, widths.tolist())
-        for members in map(table.bucket, row[:width])
-    ]
+    # Row t lists table t's own bucket (distance 0), then its neighbors in
+    # non-decreasing distance; the table probes the first budgets[t] + 1.
+    probes = np.column_stack((codes, ncodes))
     dists = np.concatenate(([0], hdists))
-    probed = np.arange(dists.size) < widths[:, np.newaxis]
+    probed = np.arange(dists.size) < budgets[:, np.newaxis] + 1
     # In units of 2**-bits every vote is a whole number, and a record sits
     # in one bucket per table, so it collects at most L * 2**bits units: an
     # unsigned integer accumulator of that range adds them exactly.
     scale = 1 << bits
-    units = np.array([weight(h, bits) * scale for h in range(bits + 1)])
-    votes = np.zeros(index.n, dtype=np.min_scalar_type(len(rows) * scale))
-    per_bucket = units.astype(votes.dtype)[dists[probed.nonzero()[1]]]
-    np.add.at(
-        votes,
-        np.concatenate(parts, dtype=np.intp),
-        np.repeat(per_bucket, list(map(len, parts))),
-    )
-    return votes / scale, len(parts)
+    votes = np.zeros(tables.n, dtype=np.min_scalar_type(tables.num_tables * scale))
+    unit = votes.dtype.type
+    # one gather and one add per Hamming distance, table-major within it
+    for h in range(int(dists[-1]) + 1):
+        rows, cols = (probed & (dists == h)).nonzero()
+        members = tables.bucket(rows, probes[rows, cols])
+        np.add.at(votes, members, unit(weight(h, bits) * scale))
+    return votes / scale, int(np.count_nonzero(probed))
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
@@ -312,7 +294,8 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
         raise ValueError("k must be >= 1")
     if index.dataset is None:
         raise RuntimeError(
-            "index has no attached dataset; call attach_dataset() first"
+            "index has no dataset; build a BoiIndex with the table and its "
+            "dataset first"
         )
     weights, probes = _accumulate(index, q, query_index)
     candidates = shortlist(weights, index.params.shortlist_size)

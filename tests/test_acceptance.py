@@ -83,7 +83,7 @@ def test_c03_probe_count_conformance():
         index = build_index(data, params)
         want = expected_probes(index.schedule, params.probe_radius)
         # the criterion applies when no budget is clamped by the code space
-        assert int(index._budgets.max(initial=0)) <= params.num_buckets - 1
+        assert int(index.budgets.max(initial=0)) <= params.num_buckets - 1
         for qi, q in enumerate(queries):
             got = query(index, q, 5, query_index=qi)
             assert got.probe_count == want, combo
@@ -131,7 +131,7 @@ def test_c05_recall_trend():
     big = dataclasses.replace(params, shortlist_size=10_000)
     from boi.index import BoiIndex
 
-    r_big = recall_at_1(BoiIndex(big, index.dim, index.tables, db))
+    r_big = recall_at_1(BoiIndex(big, index.tables, db))
     assert r_small >= 0.85, f"recall@1 with shortlist 250 was {r_small}"
     assert r_big >= r_small
     print(

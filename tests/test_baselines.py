@@ -5,7 +5,7 @@ import pytest
 
 from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import BoiParams, VectorSet
-from boi.hashing import ProjectionTable, hash_codes_all, insert_all, make_tables
+from boi.hashing import hash_codes_all, insert_all, make_projections
 from boi.index import BoiIndex, accumulate, query
 
 
@@ -16,7 +16,7 @@ def populated():
     params = BoiParams(
         num_tables=10, hash_bits=4, initial_probe_count=3, seed=13
     )
-    tables = insert_all(make_tables(params, 12), data)
+    tables = insert_all(make_projections(params, 12), params.hash_bits, data)
     return tables, data
 
 
@@ -79,15 +79,11 @@ class TestLshQuery:
         raw = rng.standard_normal((30, 6)).astype(np.float32)
         raw[:, 0] = np.abs(raw[:, 0]) + 1.0
         data = VectorSet(raw)
-        table = ProjectionTable(
-            projections=np.array([[1.0, 0, 0, 0, 0, 0]], dtype=np.float32),
-            table_index=0,
-            bucket_offsets=np.zeros(3, dtype=np.int64),
-            bucket_members=np.empty(0, dtype=np.int32),
+        table = insert_all(
+            np.array([[1.0, 0, 0, 0, 0, 0]], dtype=np.float32), 1, data
         )
-        insert_all([table], data)
         q = np.array([2.0, 0.5, 0, 0, 0, 0], dtype=np.float32)
-        got = multiprobe_lsh_query([table], data, q, 0, 30, 30)
+        got = multiprobe_lsh_query(table, data, q, 0, 30, 30)
         exact = brute_force_query(data, q, 30)
         assert np.array_equal(got.ids, exact.ids)
         assert np.array_equal(got.distances, exact.distances)
@@ -97,7 +93,7 @@ class TestLshQuery:
         params = BoiParams(
             num_tables=5, hash_bits=3, initial_probe_count=2, seed=5
         )
-        tables = insert_all(make_tables(params, 3), data)
+        tables = insert_all(make_projections(params, 3), 3, data)
         res = multiprobe_lsh_query(tables, data, -data.vectors[0], 0, 10, 3)
         assert len(res) == 0
         assert res.probe_count == 5
@@ -107,10 +103,10 @@ class TestLshQuery:
         rng = np.random.default_rng(6)
         for _ in range(10):
             q = rng.standard_normal(12).astype(np.float32)
-            codes = hash_codes_all(tables, q[np.newaxis, :])[0]
+            codes = hash_codes_all(tables.projections, tables.bits, q[np.newaxis, :])[0]
             union = set()
-            for ti, table in enumerate(tables):
-                union |= set(int(i) for i in table.bucket(int(codes[ti])))
+            for ti in range(tables.num_tables):
+                union |= set(int(i) for i in tables.bucket([ti], [codes[ti]]))
             got = multiprobe_lsh_query(tables, data, q, 0, 500, 500)
             assert set(got.ids.tolist()) == union
             assert got.shortlist_size == len(union)
@@ -150,7 +146,7 @@ class TestMultiprobeLsh:
         rng = np.random.default_rng(11)
         q = rng.standard_normal(12).astype(np.float32)
         res = multiprobe_lsh_query(tables, data, q, 1, 10, 10)
-        assert res.probe_count == len(tables) * (1 + 4)  # 4-bit codes
+        assert res.probe_count == tables.num_tables * (1 + 4)  # 4-bit codes
 
     def test_rejects_negative_radius(self, populated):
         tables, data = populated
@@ -166,7 +162,6 @@ def test_non_finite_query_rejected(populated, method, bad):
     tables, data = populated
     index = BoiIndex(
         BoiParams(num_tables=10, hash_bits=4, initial_probe_count=3, seed=13),
-        data.dim,
         tables,
         data,
     )

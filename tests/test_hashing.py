@@ -7,153 +7,200 @@ from boi.core import BoiParams, VectorSet
 from boi.hashing import (
     ProjectionTable,
     flip_masks,
-    hash_codes,
     hash_codes_all,
     insert_all,
-    make_tables,
+    make_projections,
     neighbor_codes_with_distance,
     occupancy_summary,
 )
 
 
-def table_from_matrix(rows, table_index=0) -> ProjectionTable:
+def hash_codes(rows, X) -> np.ndarray:
+    """Codes of X under one table given by its (bits x dim) matrix."""
     proj = np.asarray(rows, dtype=np.float32)
-    t = ProjectionTable(
-        projections=proj,
-        table_index=table_index,
-        bucket_offsets=np.zeros((1 << proj.shape[0]) + 1, dtype=np.int64),
-        bucket_members=np.empty(0, dtype=np.int32),
-    )
-    return t
+    return hash_codes_all(proj, proj.shape[0], X)[:, 0]
+
+
+def table_rows(tables: ProjectionTable, t: int) -> np.ndarray:
+    """Table t's (bits x dim) block of the stacked projections."""
+    return tables.projections[t * tables.bits : (t + 1) * tables.bits]
+
+
+def empty_tables(params: BoiParams, dim: int) -> ProjectionTable:
+    empty = VectorSet(np.empty((0, dim), dtype=np.float32))
+    return insert_all(make_projections(params, dim), params.hash_bits, empty)
 
 
 class TestMakeTables:
     def test_reference_shape(self):
         # 100 tables of 8x128 projections and 256 empty buckets
         params = BoiParams(num_tables=100, hash_bits=8, seed=9)
-        tables = make_tables(params, 128)
-        assert len(tables) == 100
-        for t in tables:
-            assert t.projections.shape == (8, 128)
-            assert t.num_buckets == 256
-            assert t.size == 0
-            assert np.all(t.bucket_sizes() == 0)
+        tables = empty_tables(params, 128)
+        assert tables.num_tables == 100
+        for t in range(tables.num_tables):
+            assert table_rows(tables, t).shape == (8, 128)
+            assert tables.num_buckets == 256
+            assert tables.n == 0
+            assert np.all(np.diff(tables.offsets[t]) == 0)
 
     def test_seeded_determinism(self):
         params = BoiParams(num_tables=5, hash_bits=4, seed=1234)
-        a = make_tables(params, 32)
-        b = make_tables(params, 32)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.projections, tb.projections)
+        a = make_projections(params, 32)
+        b = make_projections(params, 32)
+        for t in range(params.num_tables):
+            assert np.array_equal(a[4 * t : 4 * t + 4], b[4 * t : 4 * t + 4])
 
     def test_tables_are_independent(self):
         params = BoiParams(num_tables=3, hash_bits=4, seed=0)
-        tables = make_tables(params, 16)
-        assert not np.array_equal(tables[0].projections, tables[1].projections)
+        proj = make_projections(params, 16)
+        assert not np.array_equal(proj[0:4], proj[4:8])
 
     def test_minimal(self):
         params = BoiParams(
             num_tables=1, hash_bits=1, initial_probe_count=0, seed=0
         )
-        (t,) = make_tables(params, 1)
+        t = empty_tables(params, 1)
         assert t.projections.shape == (1, 1)
         assert t.num_buckets == 2
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
-            make_tables(BoiParams(), 0)
+            make_projections(BoiParams(), 0)
 
 
 class TestHashVector:
     def test_identity_rows_sign_rule(self):
         # bit j = sign of component j; (1, -1) -> bits (1, 0) -> code 1
-        t = table_from_matrix([[1.0, 0.0], [0.0, 1.0]])
-        assert hash_codes(t.projections, [[1.0, -1.0]])[0] == 1
+        t = [[1.0, 0.0], [0.0, 1.0]]
+        assert hash_codes(t, [[1.0, -1.0]])[0] == 1
 
     def test_zero_vector_all_ties(self):
-        t = table_from_matrix(np.ones((3, 4)))
-        assert hash_codes(t.projections, np.zeros((1, 4)))[0] == 0b111
+        t = np.ones((3, 4))
+        assert hash_codes(t, np.zeros((1, 4)))[0] == 0b111
 
     def test_negation_gives_complement(self):
         rng = np.random.default_rng(7)
         params = BoiParams(num_tables=1, hash_bits=6, seed=7)
-        (t,) = make_tables(params, 24)
+        t = make_projections(params, 24)
         for _ in range(25):
             v = rng.standard_normal(24).astype(np.float32)
-            assert np.all(t.projections @ v != 0)  # no ties, complement exact
-            code = hash_codes(t.projections, [v])[0]
-            assert hash_codes(t.projections, [-v])[0] == code ^ 0b111111
+            assert np.all(t @ v != 0)  # no ties, complement exact
+            code = hash_codes(t, [v])[0]
+            assert hash_codes(t, [-v])[0] == code ^ 0b111111
 
     def test_pure_function(self):
-        t = table_from_matrix([[0.5, -0.25]])
+        t = [[0.5, -0.25]]
         v = np.array([2.0, 1.0], dtype=np.float32)
-        first = hash_codes(t.projections, [v])
-        assert np.array_equal(first, hash_codes(t.projections, [v]))
+        first = hash_codes(t, [v])
+        assert np.array_equal(first, hash_codes(t, [v]))
 
     def test_dimension_mismatch(self):
-        t = table_from_matrix([[1.0, 0.0]])
+        t = [[1.0, 0.0]]
         with pytest.raises(ValueError):
-            hash_codes(t.projections, np.zeros((1, 3), dtype=np.float32))
+            hash_codes(t, np.zeros((1, 3), dtype=np.float32))
 
     def test_single_matches_batch(self):
         rng = np.random.default_rng(11)
         params = BoiParams(num_tables=4, hash_bits=8, seed=5)
-        tables = make_tables(params, 20)
+        proj = make_projections(params, 20)
         X = rng.standard_normal((100, 20)).astype(np.float32)
-        codes = hash_codes_all(tables, X)
-        for t_i, table in enumerate(tables):
-            col = hash_codes(table.projections, X)
+        codes = hash_codes_all(proj, 8, X)
+        for t_i in range(params.num_tables):
+            rows = proj[8 * t_i : 8 * t_i + 8]
+            col = hash_codes(rows, X)
             assert np.array_equal(col, codes[:, t_i])
             for row in (0, 17, 99):
-                single = hash_codes(table.projections, X[row : row + 1])[0]
+                single = hash_codes(rows, X[row : row + 1])[0]
                 assert single == codes[row, t_i]
 
 
 class TestInsertAll:
     def test_empty_dataset(self):
         params = BoiParams(num_tables=2, hash_bits=3, initial_probe_count=2)
-        tables = insert_all(
-            make_tables(params, 4), VectorSet(np.empty((0, 4), dtype=np.float32))
-        )
-        assert all(t.size == 0 for t in tables)
+        tables = empty_tables(params, 4)
+        assert tables.n == 0
 
     def test_partition_property(self):
         rng = np.random.default_rng(3)
         params = BoiParams(num_tables=6, hash_bits=5, seed=21)
         data = VectorSet(rng.standard_normal((1000, 16)).astype(np.float32))
-        tables = insert_all(make_tables(params, 16), data)
-        for t in tables:
-            assert t.bucket_sizes().sum() == 1000
-            seen = np.sort(t.bucket_members)
+        tables = insert_all(make_projections(params, 16), 5, data)
+        for offsets, members in zip(tables.offsets, tables.members):
+            assert np.diff(offsets).sum() == 1000
+            seen = np.sort(members)
             assert np.array_equal(seen, np.arange(1000))
 
     def test_records_land_in_their_hash_bucket(self):
         rng = np.random.default_rng(4)
         params = BoiParams(num_tables=3, hash_bits=4, seed=8)
         data = VectorSet(rng.standard_normal((200, 10)).astype(np.float32))
-        tables = insert_all(make_tables(params, 10), data)
-        codes = hash_codes_all(tables, data.vectors)
-        for ti, t in enumerate(tables):
+        tables = insert_all(make_projections(params, 10), 4, data)
+        codes = hash_codes_all(tables.projections, tables.bits, data.vectors)
+        for ti in range(tables.num_tables):
             for rid in range(0, 200, 17):
-                assert rid in t.bucket(int(codes[rid, ti]))
+                assert rid in tables.bucket([ti], [codes[rid, ti]])
 
     def test_duplicate_vectors_share_buckets(self):
         rng = np.random.default_rng(5)
         row = rng.standard_normal(8).astype(np.float32)
         data = VectorSet(np.stack([row, row, row]))
         params = BoiParams(num_tables=4, hash_bits=6, seed=2)
-        tables = insert_all(make_tables(params, 8), data)
-        for t in tables:
-            code = int(hash_codes(t.projections, [row])[0])
-            assert np.array_equal(t.bucket(code), [0, 1, 2])
+        tables = insert_all(make_projections(params, 8), 6, data)
+        for t in range(tables.num_tables):
+            code = int(hash_codes(table_rows(tables, t), [row])[0])
+            assert np.array_equal(tables.bucket([t], [code]), [0, 1, 2])
 
     def test_dimension_mismatch(self):
         params = BoiParams(num_tables=1, hash_bits=2, initial_probe_count=1)
         with pytest.raises(ValueError):
             insert_all(
-                make_tables(params, 4),
+                make_projections(params, 4),
+                2,
                 VectorSet(np.zeros((3, 5), dtype=np.float32)),
             )
+
+
+class TestProjectionTable:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        rng = np.random.default_rng(12)
+        params = BoiParams(num_tables=7, hash_bits=5, seed=4)
+        data = VectorSet(rng.standard_normal((300, 9)).astype(np.float32))
+        return insert_all(make_projections(params, 9), 5, data)
+
+    def test_stacked_shapes(self, tables):
+        assert tables.projections.shape == (7 * 5, 9)
+        assert tables.projections.dtype == np.float64
+        assert tables.offsets.shape == (7, 33)
+        assert tables.members.shape == (7, 300)
+        assert np.all(tables.offsets[:, -1] == 300)
+
+    def test_projections_are_float32_exact(self, tables):
+        as32 = tables.projections.astype(np.float32)
+        assert np.array_equal(as32.astype(np.float64), tables.projections)
+
+    @pytest.mark.parametrize("name", ["projections", "offsets", "members"])
+    def test_arrays_are_read_only(self, tables, name):
+        arr = getattr(tables, name)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+        with pytest.raises(AttributeError):
+            setattr(tables, name, arr.copy())
+
+    def test_one_bucket_call_equals_per_bucket_concatenation(self, tables):
+        rng = np.random.default_rng(13)
+        rows = rng.integers(0, tables.num_tables, 200)
+        codes = rng.integers(0, tables.num_buckets, 200)
+        expected = np.concatenate(
+            [
+                tables.members[t, tables.offsets[t, c] : tables.offsets[t, c + 1]]
+                for t, c in zip(rows, codes)
+            ]
+        )
+        got = tables.bucket(rows, codes)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert tables.bucket([], []).size == 0
 
 
 def hamming(a: int, b: int) -> int:
@@ -276,7 +323,7 @@ def test_occupancy_summary_counts():
     rng = np.random.default_rng(6)
     params = BoiParams(num_tables=2, hash_bits=3, initial_probe_count=3, seed=1)
     data = VectorSet(rng.standard_normal((50, 6)).astype(np.float32))
-    tables = insert_all(make_tables(params, 6), data)
+    tables = insert_all(make_projections(params, 6), 3, data)
     stats = occupancy_summary(tables)
     assert stats["num_tables"] == 2
     assert stats["buckets_per_table"] == 8

@@ -6,7 +6,7 @@ import pytest
 
 from boi.baselines import brute_force_query
 from boi.core import BoiParams, VectorSet
-from boi.hashing import ProjectionTable, hash_codes_all, insert_all, make_tables
+from boi.hashing import hash_codes_all, insert_all
 from boi.index import (
     BoiIndex,
     ProbeSchedule,
@@ -130,6 +130,17 @@ class TestExpectedProbes:
         )
         assert expected_probes(sched, 2) == oracle == 11
 
+    def test_huge_radius_is_capped_at_gamma(self):
+        rng = np.random.default_rng(3)
+        data = VectorSet(rng.standard_normal((30, 5)).astype(np.float32))
+        for strict in (False, True):
+            params = fixed_params(probe_radius=2**31 - 1, strict_radius=strict)
+            index = build_index(data, params)
+            # gamma0=3 neighbors, all within the 4-bit code space
+            assert expected_probes(index.schedule, params.probe_radius) == 8 * 8
+            assert query(index, data.vectors[0], 3).probe_count == 8 * 8
+        assert neighbor_budget(10, 10**9) == 2**10 - 1
+
     def test_neighbor_budget_is_probe_count_minus_center(self):
         for gamma in (0, 1, 5, 10):
             for radius in (0, 1, 2, 3):
@@ -175,16 +186,9 @@ class TestAccumulate:
         # gamma=1, so its weight is 1 + 1 + 1/2
         record = VectorSet(np.array([[1.0, 1.0]], dtype=np.float32))
         matrices = [[[1.0, 0.0]], [[0.0, 1.0]], [[-1.0, 1.0]]]
-        tables = [
-            ProjectionTable(
-                projections=np.asarray(m, dtype=np.float32),
-                table_index=i,
-                bucket_offsets=np.zeros(3, dtype=np.int64),
-                bucket_members=np.empty(0, dtype=np.int32),
-            )
-            for i, m in enumerate(matrices)
-        ]
-        insert_all(tables, record)
+        tables = insert_all(
+            np.asarray(matrices, dtype=np.float32).reshape(3, 2), 1, record
+        )
         params = BoiParams(
             num_tables=3,
             hash_bits=1,
@@ -194,7 +198,7 @@ class TestAccumulate:
             schedule="fixed",
             seed=0,
         )
-        index = BoiIndex(params, 2, tables, record)
+        index = BoiIndex(params, tables, record)
         w = accumulate(index, np.array([1.0, 0.0], dtype=np.float32))
         assert w.tolist() == [2.5]
 
@@ -228,9 +232,10 @@ class TestAccumulate:
             initial_probe_count=(1 << bits) - 1,
         )
         index = build_index(data, params)
-        record_codes = hash_codes_all(index.tables, data.vectors)
+        proj = index.tables.projections
+        record_codes = hash_codes_all(proj, bits, data.vectors)
         for q in (data.vectors[0], rng.standard_normal(6).astype(np.float32)):
-            query_codes = hash_codes_all(index.tables, q[np.newaxis, :])[0]
+            query_codes = hash_codes_all(proj, bits, q[np.newaxis, :])[0]
             expected = [
                 sum(
                     weight(bin(int(qc ^ rc)).count("1"), bits)
@@ -334,7 +339,7 @@ class TestQuery:
 
     def test_requires_dataset(self, small_index):
         index, data = small_index
-        bare = BoiIndex(index.params, index.dim, index.tables)
+        bare = BoiIndex(index.params, index.tables)
         with pytest.raises(RuntimeError):
             query(bare, data.vectors[0], 1)
 
@@ -356,7 +361,6 @@ class TestStrictRadius:
         assert res.probe_count == 10 * (1 + 8)
         loose = BoiIndex(
             dataclasses.replace(params, strict_radius=False),
-            index.dim,
             index.tables,
             data,
         )
@@ -393,7 +397,6 @@ class TestStrictRadius:
         loose = build_index(data, base)
         strict = BoiIndex(
             dataclasses.replace(base, strict_radius=True),
-            loose.dim,
             loose.tables,
             data,
         )
@@ -422,9 +425,9 @@ class TestDeterminism:
 
         i1, a1, r1 = run()
         i2, a2, r2 = run()
-        for t1, t2 in zip(i1.tables, i2.tables):
-            assert np.array_equal(t1.projections, t2.projections)
-            assert np.array_equal(t1.bucket_members, t2.bucket_members)
+        t1, t2 = i1.tables, i2.tables
+        assert np.array_equal(t1.projections, t2.projections)
+        assert np.array_equal(t1.members, t2.members)
         for x, y in zip(a1, a2):
             assert np.array_equal(x, y)
         for x, y in zip(r1, r2):

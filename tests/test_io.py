@@ -1,4 +1,6 @@
+import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from boi.data_io import (
     write_fvecs,
     write_ivecs,
 )
-from boi.index import accumulate, build_index, query
+from boi.index import BoiIndex, accumulate, build_index, query
 
 
 class TestFvecs:
@@ -121,10 +123,10 @@ class TestSnapshot:
         assert loaded.params == index.params
         assert loaded.dim == index.dim
         assert loaded.n == index.n
-        for a, b in zip(index.tables, loaded.tables):
-            assert np.array_equal(a.projections, b.projections)
-            assert np.array_equal(a.bucket_offsets, b.bucket_offsets)
-            assert np.array_equal(a.bucket_members, b.bucket_members)
+        a, b = index.tables, loaded.tables
+        assert np.array_equal(a.projections, b.projections)
+        assert np.array_equal(a.offsets, b.offsets)
+        assert np.array_equal(a.members, b.members)
 
     def test_save_is_deterministic(self, built, tmp_path):
         index, data, path = built
@@ -187,11 +189,12 @@ class TestSnapshot:
         index, _, path = built
         raw = path.read_bytes()
         offset = 60
-        for table in index.tables:
+        tables, bits = index.tables, index.params.hash_bits
+        for t in range(tables.num_tables):
             for block in (
-                table.projections.astype("<f4"),
-                table.bucket_sizes().astype("<u4"),
-                table.bucket_members.astype("<u4"),
+                tables.projections[t * bits : (t + 1) * bits].astype("<f4"),
+                np.diff(tables.offsets[t]).astype("<u4"),
+                tables.members[t].astype("<u4"),
             ):
                 assert raw[offset : offset + block.nbytes] == block.tobytes()
                 offset += block.nbytes
@@ -228,7 +231,7 @@ class TestSnapshot:
         index, data, path = built
         loaded = load_index(path)
         assert loaded.dataset is None
-        loaded.attach_dataset(data)
+        loaded = BoiIndex(loaded.params, loaded.tables, data)
         q = data.vectors[0]
         assert query(loaded, q, 1).ids[0] == 0
 
@@ -236,8 +239,10 @@ class TestSnapshot:
         _, data, path = built
         loaded = load_index(path)
         with pytest.raises(ValueError):
-            loaded.attach_dataset(
-                VectorSet(np.zeros((5, 10), dtype=np.float32))
+            BoiIndex(
+                loaded.params,
+                loaded.tables,
+                VectorSet(np.zeros((5, 10), dtype=np.float32)),
             )
 
     def test_strict_flag_round_trips(self, tmp_path):
@@ -254,3 +259,137 @@ class TestSnapshot:
         path = tmp_path / "strict.boix"
         save_index(index, path)
         assert load_index(path).params.strict_radius is True
+
+
+# Saved by the earlier writer, which kept one object per table and wrote
+# each table's three blocks in turn; the single stacked table must read it
+# and write the same bytes back.
+OLD_WRITER_SNAPSHOT = Path(__file__).parent / "data" / "v2_L3_b4_n50.boix"
+OLD_WRITER_PARAMS = BoiParams(
+    num_tables=3, hash_bits=4, initial_probe_count=3, schedule="fixed", seed=17
+)
+
+
+def old_writer_data() -> VectorSet:
+    rng = np.random.default_rng(2024)
+    return VectorSet(rng.standard_normal((50, 4)).astype(np.float32))
+
+
+class TestSnapshotCompatibility:
+    def test_old_writer_file_loads_and_matches_a_build(self):
+        data = old_writer_data()
+        loaded = load_index(OLD_WRITER_SNAPSHOT, data)
+        built = build_index(data, OLD_WRITER_PARAMS)
+        assert loaded.params == OLD_WRITER_PARAMS
+        for name in ("projections", "offsets", "members"):
+            assert np.array_equal(
+                getattr(loaded.tables, name), getattr(built.tables, name)
+            )
+        for qi in range(5):
+            q = data.vectors[qi * 7]
+            a = query(loaded, q, 5, query_index=qi)
+            b = query(built, q, 5, query_index=qi)
+            assert np.array_equal(a.ids, b.ids)
+            assert a.probe_count == b.probe_count
+
+    def test_save_writes_the_old_writer_bytes(self, tmp_path):
+        path = tmp_path / "same.boix"
+        save_index(build_index(old_writer_data(), OLD_WRITER_PARAMS), path)
+        assert path.read_bytes() == OLD_WRITER_SNAPSHOT.read_bytes()
+
+    @pytest.mark.parametrize(
+        "bits, digest",
+        [
+            (8, "619272ca9c5690da6f08de20fd2af16b911f364ccef6a096cb74a1e935e85b74"),
+            (16, "41a505183f9eb06bbff88861feadbb6ee5b605577f0a199d827c65b6fbe93ac2"),
+        ],
+        ids=["b8", "b16"],
+    )
+    def test_save_digest_matches_old_writer(self, tmp_path, bits, digest):
+        rng = np.random.default_rng(2025)
+        data = VectorSet(rng.standard_normal((2000, 16)).astype(np.float32))
+        params = BoiParams(num_tables=10, hash_bits=bits, seed=5)
+        path = tmp_path / "big.boix"
+        save_index(build_index(data, params), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_loaded_index_cannot_be_changed(self):
+        index = load_index(OLD_WRITER_SNAPSHOT, old_writer_data())
+        for name in ("params", "tables", "dataset", "budgets", "schedule"):
+            with pytest.raises(AttributeError):
+                setattr(index, name, None)
+        for arr in (
+            index.tables.projections,
+            index.tables.offsets,
+            index.tables.members,
+            index.budgets,
+        ):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
+
+
+class TestCorruptSnapshot:
+    """Every damaged file either loads or raises FormatError, quickly."""
+
+    @staticmethod
+    def _load(path) -> None:
+        try:
+            load_index(path)
+        except FormatError:
+            pass
+
+    def test_every_single_bit_flip(self, tmp_path):
+        raw = OLD_WRITER_SNAPSHOT.read_bytes()
+        path = tmp_path / "flipped.boix"
+        for pos in range(len(raw)):
+            for bit in range(8):
+                damaged = bytearray(raw)
+                damaged[pos] ^= 1 << bit
+                path.write_bytes(bytes(damaged))
+                self._load(path)
+
+    def test_every_truncation(self, tmp_path):
+        raw = OLD_WRITER_SNAPSHOT.read_bytes()
+        path = tmp_path / "short.boix"
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(FormatError):
+                load_index(path)
+
+    @pytest.mark.parametrize(
+        "field_offset, value",
+        [(12, 0), (12, 31), (36, 16), (44, 0), (48, 0), (52, 0)],
+        ids=[
+            "hash_bits=0",
+            "hash_bits=31",
+            "gamma0=2**b",
+            "shortlist_size=0",
+            "linear_step=0",
+            "sublinear_step=0",
+        ],
+    )
+    def test_header_values_params_reject(self, tmp_path, field_offset, value):
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        struct.pack_into("<I", raw, field_offset, value)
+        path = tmp_path / "header.boix"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="header") as err:
+            load_index(path)
+        assert err.value.offset == 0
+
+    def test_non_finite_projection_rejected(self, tmp_path):
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        record = 4 * (4 * 4 + 16 + 50)  # b x dim floats, 2**b counts, n ids
+        struct.pack_into("<f", raw, 60 + record, float("nan"))  # table 1
+        path = tmp_path / "nan.boix"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite projection in table 1") as err:
+            load_index(path)
+        assert err.value.offset == 60 + record
+
+    def test_huge_probe_radius_loads(self, tmp_path):
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        struct.pack_into("<I", raw, 40, 2**31 + 1)  # probe_radius
+        path = tmp_path / "radius.boix"
+        path.write_bytes(bytes(raw))
+        assert load_index(path).params.probe_radius == 2**31 + 1

@@ -13,7 +13,6 @@ from .core import (
     RankedResult,
     VectorSet,
     dense_vector,
-    l2_distance,
     pairwise_distances,
 )
 from .data_io import (
@@ -40,7 +39,6 @@ from .evaluate import (
 from .hashing import ProjectionTable, insert_all, make_projections
 from .index import (
     BoiIndex,
-    ProbeSchedule,
     accumulate,
     build_index,
     build_schedule,
@@ -60,7 +58,6 @@ __all__ = [
     "FormatError",
     "GroundTruth",
     "MemoryEstimate",
-    "ProbeSchedule",
     "ProjectionTable",
     "RankedResult",
     "SynthSpec",
@@ -75,7 +72,6 @@ __all__ = [
     "expected_probes",
     "generate",
     "insert_all",
-    "l2_distance",
     "load_index",
     "make_projections",
     "mean_average_precision",

@@ -62,13 +62,15 @@ def multiprobe_lsh_query(
     contributes its members to the candidate union, deduplicated in
     first-seen order (table by table, inner shells first) and capped at
     ``shortlist_size`` before the exact-distance re-rank. radius=0 is plain
-    LSH: only the query's own bucket in each table.
+    LSH: only the query's own bucket in each table. ``dataset`` must be the
+    set the tables index (ValueError otherwise).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if k < 1 or shortlist_size < 1:
         raise ValueError("k and shortlist_size must be >= 1")
     q = query_vector(q, tables.dim)
+    tables.check_dataset(dataset)
     bits = tables.bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
     masks = np.concatenate(

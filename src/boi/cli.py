@@ -43,70 +43,51 @@ METHODS = ("boi", "boi_strict", "lsh", "multiprobe", "brute")
 _DEFAULTS = BoiParams()
 
 
+# (flag, BoiParams field, help) for every index parameter, in --help order
+_PARAM_FLAGS = (
+    ("L", "num_tables", "number of hash tables"),
+    ("bits", "hash_bits", "bits per bucket code (2**bits buckets)"),
+    ("l", "probe_radius", "probe radius in Hamming distance"),
+    ("epsilon", "shortlist_size", "shortlist size re-ranked by exact distance"),
+    ("gamma0", "initial_probe_count", "initial neighbor buckets probed per table"),
+    ("schedule", "schedule", "probe-count reduction rule"),
+    ("delta1", "linear_step", "tables between reductions (linear schedule)"),
+    ("delta2", "sublinear_step", "tables between reductions (sublinear schedule)"),
+    ("seed", "seed", "RNG seed for projections and probe shuffles"),
+)
+
+# fields baked into a snapshot; only a rebuild changes them
+_STRUCTURAL = frozenset({"num_tables", "hash_bits", "seed"})
+
+
 def _add_param_flags(p: argparse.ArgumentParser, for_build: bool) -> None:
     """Index parameters. On build they take defaults; elsewhere they are
     overrides applied on top of the loaded snapshot."""
-
-    def default(v):
-        return v if for_build else None
-
-    p.add_argument("--L", type=int, default=default(_DEFAULTS.num_tables),
-                   help="number of hash tables")
-    p.add_argument("--bits", type=int, default=default(_DEFAULTS.hash_bits),
-                   help="bits per bucket code (2**bits buckets)")
-    p.add_argument("--l", type=int, default=default(_DEFAULTS.probe_radius),
-                   help="probe radius in Hamming distance")
-    p.add_argument("--epsilon", type=int, default=default(_DEFAULTS.shortlist_size),
-                   help="shortlist size re-ranked by exact distance")
-    p.add_argument("--gamma0", type=int, default=default(_DEFAULTS.initial_probe_count),
-                   help="initial neighbor buckets probed per table")
-    p.add_argument("--schedule", choices=SCHEDULE_KINDS,
-                   default=default(_DEFAULTS.schedule),
-                   help="probe-count reduction rule")
-    p.add_argument("--delta1", type=int, default=default(_DEFAULTS.linear_step),
-                   help="tables between reductions (linear schedule)")
-    p.add_argument("--delta2", type=int, default=default(_DEFAULTS.sublinear_step),
-                   help="tables between reductions (sublinear schedule)")
-    p.add_argument("--seed", type=int, default=default(_DEFAULTS.seed),
-                   help="RNG seed for projections and probe shuffles")
+    for flag, field_name, help_text in _PARAM_FLAGS:
+        kind = {"choices": SCHEDULE_KINDS} if field_name == "schedule" else {"type": int}
+        default = getattr(_DEFAULTS, field_name) if for_build else None
+        p.add_argument(f"--{flag}", default=default, help=help_text, **kind)
 
 
 def _params_from_flags(args) -> BoiParams:
     return BoiParams(
-        num_tables=args.L,
-        hash_bits=args.bits,
-        probe_radius=args.l,
-        shortlist_size=args.epsilon,
-        initial_probe_count=args.gamma0,
-        schedule=args.schedule,
-        linear_step=args.delta1,
-        sublinear_step=args.delta2,
-        seed=args.seed,
+        **{field_name: getattr(args, flag) for flag, field_name, _ in _PARAM_FLAGS}
     )
 
 
 def _apply_overrides(params: BoiParams, args, strict: bool) -> BoiParams:
     """Probe-time parameters may change after build; structural ones may not."""
-    for flag, field_name in (("L", "num_tables"), ("bits", "hash_bits"),
-                             ("seed", "seed")):
+    updates = {"strict_radius": strict}
+    for flag, field_name, _ in _PARAM_FLAGS:
         value = getattr(args, flag)
-        if value is not None and value != getattr(params, field_name):
+        if value is None:
+            continue
+        if field_name in _STRUCTURAL and value != getattr(params, field_name):
             raise SystemExit(
                 f"--{flag} is baked into the snapshot "
                 f"({getattr(params, field_name)}); rebuild to change it"
             )
-    updates = {"strict_radius": strict}
-    for flag, field_name in (
-        ("l", "probe_radius"),
-        ("epsilon", "shortlist_size"),
-        ("gamma0", "initial_probe_count"),
-        ("schedule", "schedule"),
-        ("delta1", "linear_step"),
-        ("delta2", "sublinear_step"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[field_name] = value
+        updates[field_name] = value
     return dataclasses.replace(params, **updates)
 
 

@@ -199,17 +199,6 @@ def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def l2_distance(a, b) -> float:
-    """Euclidean distance between two descriptors.
-
-    Symmetric, zero exactly when the inputs are equal; raises ValueError on
-    dimension mismatch or non-finite input.
-    """
-    va = dense_vector(a)
-    vb = query_vector(b, va.shape[0])
-    return float(pairwise_distances(va[np.newaxis, :], vb)[0])
-
-
 def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Select the k entries with smallest distance, ties by ascending id.
 

@@ -73,6 +73,15 @@ class ProjectionTable:
         """Number of records stored in every table."""
         return int(self.members.shape[1])
 
+    def check_dataset(self, dataset: VectorSet) -> None:
+        """Raise ValueError unless ``dataset`` holds the n records of
+        dimension ``dim`` that these tables index."""
+        if dataset.n != self.n or (dataset.n and dataset.dim != self.dim):
+            raise ValueError(
+                f"dataset of shape {dataset.vectors.shape} does not match "
+                f"the index's {self.n} records of dim {self.dim}"
+            )
+
     def bucket(self, tables, codes) -> np.ndarray:
         """Record ids of bucket ``codes[i]`` of table ``tables[i]``, for
         every i, concatenated in that order (int32)."""
@@ -165,8 +174,11 @@ def insert_all(
 
 
 @lru_cache(maxsize=None)
-def _flip_masks(bits: int, distance: int) -> np.ndarray:
-    """All b-bit masks with exactly ``distance`` set bits, fixed order."""
+def flip_masks(bits: int, distance: int) -> np.ndarray:
+    """Read-only array of the XOR masks for one Hamming shell: every b-bit
+    mask with exactly ``distance`` set bits, in a fixed order (cached)."""
+    if bits < 1 or distance < 0:
+        raise ValueError("bits must be >= 1 and distance >= 0")
     if distance > bits:
         masks = np.empty(0, dtype=np.uint32)
     else:
@@ -176,13 +188,6 @@ def _flip_masks(bits: int, distance: int) -> np.ndarray:
         )
     masks.setflags(write=False)
     return masks
-
-
-def flip_masks(bits: int, distance: int) -> np.ndarray:
-    """Read-only array of the XOR masks for one Hamming shell."""
-    if bits < 1 or distance < 0:
-        raise ValueError("bits must be >= 1 and distance >= 0")
-    return _flip_masks(bits, distance)
 
 
 def neighbor_codes_with_distance(
@@ -214,7 +219,7 @@ def neighbor_codes_with_distance(
     shells = [np.empty((rows.shape[0], 0), dtype=np.uint32)]
     sizes = [0]
     while sum(sizes) < max_count:
-        shell = rows ^ _flip_masks(bits, len(sizes))
+        shell = rows ^ flip_masks(bits, len(sizes))
         rng.permuted(shell, axis=1, out=shell)
         shells.append(shell)
         sizes.append(shell.shape[1])

@@ -15,7 +15,8 @@ where gamma_i follows the configured schedule and l is the probe radius.
 With the default l=1 this is exactly gamma_i buckets. The budget may spill
 past the radius-l shells (gamma_0 = 10 exceeds the 8 one-bit neighbors of
 an 8-bit code); spilled buckets still contribute 1/2**H with their true
-distance. In ``strict_radius`` mode probing is capped at the radius-l ball
+distance. A budget never exceeds the 2**b - 1 other buckets of the code
+space. In ``strict_radius`` mode probing is capped at the radius-l ball
 instead, so no bucket beyond distance l is ever touched.
 
 Neighbor probe order is re-shuffled per (query, table) from a PCG64 stream
@@ -67,80 +68,68 @@ def weight(hamming: int, radius: int) -> float:
     return 2.0 ** -hamming
 
 
-@dataclass(frozen=True, eq=False)
-class ProbeSchedule:
-    """Per-table neighbor-bucket counts gamma_i, non-increasing in i."""
+def build_schedule(params: BoiParams) -> np.ndarray:
+    """Read-only int32 array of gamma_i, the neighbor buckets table i probes.
 
-    gammas: np.ndarray
+    gamma_i = max(gamma_0 - 2 * drops_i, 0) for 1-based table number i,
+    where drops_i counts the reductions up to and including table i:
 
-    def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=np.int32)
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("schedule must be a non-empty 1-D sequence")
-        if np.any(g < 0):
-            raise ValueError("gamma values must be non-negative")
-        if np.any(np.diff(g) > 0):
-            raise ValueError("gamma values must be non-increasing")
-        g.setflags(write=False)
-        object.__setattr__(self, "gammas", g)
+    fixed:     no drops; gamma_i = gamma_0 everywhere.
+    linear:    drops_i = i // linear_step, a drop at tables linear_step,
+               2*linear_step, ...
+    sublinear: drops_i = (i - half) // sublinear_step + 1 from
+               half = ceil(L/2) on and 0 before it, so gamma holds for the
+               first half of the tables and then drops every
+               sublinear_step tables.
 
-    def __len__(self) -> int:
-        return int(self.gammas.size)
-
-
-def build_schedule(kind: str, params: BoiParams) -> ProbeSchedule:
-    """Gamma sequence for tables 1..L under the given reduction rule.
-
-    fixed:     gamma_i = gamma_0 everywhere.
-    linear:    gamma drops by 2 at tables linear_step, 2*linear_step, ...
-               (1-based; the drop applies at the boundary table itself).
-    sublinear: gamma holds for the first half of the tables, then drops
-               by 2 at ceil(L/2) and every sublinear_step tables after.
-
-    Values are clamped at 0 when the reductions would go negative.
+    The sequence never increases.
     """
-    if kind not in ("fixed", "linear", "sublinear"):
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    L = params.num_tables
-    if kind == "fixed":
-        drops: range = range(0)
-    elif kind == "linear":
-        drops = range(params.linear_step, L + 1, params.linear_step)
+    i = np.arange(1, params.num_tables + 1)
+    if params.schedule == "linear":
+        drops = i // params.linear_step
+    elif params.schedule == "sublinear":
+        half = (params.num_tables + 1) // 2
+        drops = np.maximum((i - half) // params.sublinear_step + 1, 0)
     else:
-        half = (L + 1) // 2
-        drops = range(half, L + 1, params.sublinear_step)
-    drop_set = frozenset(drops)
-    gammas = np.empty(L, dtype=np.int32)
-    current = params.initial_probe_count
-    for i in range(1, L + 1):
-        if i in drop_set:
-            current = max(current - 2, 0)
-        gammas[i - 1] = current
-    return ProbeSchedule(gammas)
+        drops = np.zeros_like(i)
+    gammas = np.maximum(params.initial_probe_count - 2 * drops, 0).astype(np.int32)
+    gammas.setflags(write=False)
+    return gammas
 
 
-def neighbor_budget(gamma: int, radius: int) -> int:
-    """Neighbor buckets requested per table: sum_{j=1..radius} C(gamma, j).
+def neighbor_budget(gamma: int, radius: int, cap: float = math.inf) -> int:
+    """Neighbor buckets requested per table: sum_{j=1..radius} C(gamma, j),
+    or ``cap`` if that sum reaches it.
 
     Terms past j = gamma are 0, so the sum stops there however large the
-    radius is.
+    radius is, and it stops as soon as a partial sum reaches ``cap``.
+    ``BoiIndex`` caps at the code space, 2**b - 1 = neighbor_budget(b, b),
+    or in strict mode at the radius ball, neighbor_budget(b, radius);
+    either cap is reached within b terms, whatever gamma and the radius.
     """
     gamma = int(gamma)
-    return sum(math.comb(gamma, j) for j in range(1, min(radius, gamma) + 1))
+    total = 0
+    for j in range(1, min(radius, gamma) + 1):
+        total += math.comb(gamma, j)
+        if total >= cap:
+            return int(cap)
+    return total
 
 
-def expected_probes(schedule: ProbeSchedule, radius: int) -> int:
+def expected_probes(schedule, radius: int) -> int:
     """Total buckets touched per query: sum_i sum_{j=0..radius} C(gamma_i, j).
 
-    The j=0 term counts the query's own bucket in each table. Matches the
-    instrumented probe count exactly whenever no per-table budget has to be
-    clamped by the code-space or strict-radius caps.
+    ``schedule`` is any 1-D sequence of non-negative gamma_i. The j=0 term
+    counts the query's own bucket in each table. Matches the instrumented
+    probe count exactly whenever no per-table budget has to be clamped by
+    the code-space or strict-radius caps.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    return int(
-        sum(1 + neighbor_budget(int(g), radius) for g in schedule.gammas)
-    )
+    gammas = np.asarray(schedule)
+    if gammas.ndim != 1 or np.any(gammas < 0):
+        raise ValueError("schedule must be a 1-D sequence of non-negative gammas")
+    return sum(1 + neighbor_budget(g, radius) for g in gammas.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,36 +137,45 @@ class BoiIndex:
     """The searchable structure: one ``ProjectionTable`` of L populated
     tables over one vector set.
 
+    ``schedule`` is the gamma array of ``build_schedule(params)``.
+    ``budgets[i]`` is table i's neighbor budget, neighbor_budget(gamma_i,
+    radius) capped at the code space (2**b - 1 other buckets) or, in strict
+    mode, at the radius ball; the capped sum stops at the cap, so no budget
+    costs more than b binomial terms however large gamma_0 or the radius.
+    Both arrays are read-only.
+
     Immutable: the table and the dataset are fixed by the constructor, and
     nothing is cached or bound later (there is no ``attach_dataset``). A
     snapshot loaded without its dataset cannot re-rank; wrap its table in
-    a new ``BoiIndex`` together with the dataset. Concurrent queries are safe because each query owns
-    its accumulator and its probe RNG stream.
+    a new ``BoiIndex`` together with the dataset. Concurrent queries are
+    safe because each query owns its accumulator and its probe RNG stream.
     """
 
     params: BoiParams
     tables: ProjectionTable
     dataset: VectorSet | None = None
-    schedule: ProbeSchedule = field(init=False)
+    schedule: np.ndarray = field(init=False)
     budgets: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        p, tables, dataset = self.params, self.tables, self.dataset
+        p, tables = self.params, self.tables
         if tables.num_tables != p.num_tables or tables.bits != p.hash_bits:
             raise ValueError(
                 f"table shape (L={tables.num_tables}, b={tables.bits}) does "
                 f"not match params (L={p.num_tables}, b={p.hash_bits})"
             )
-        if dataset is not None and (
-            dataset.n != tables.n or (dataset.n and dataset.dim != tables.dim)
-        ):
-            raise ValueError(
-                f"dataset of shape {dataset.vectors.shape} does not match "
-                f"the index's {tables.n} records of dim {tables.dim}"
-            )
-        schedule = build_schedule(p.schedule, p)
+        if self.dataset is not None:
+            tables.check_dataset(self.dataset)
+        schedule = build_schedule(p)
+        radius, bits = p.probe_radius, p.hash_bits
+        cap = neighbor_budget(bits, radius if p.strict_radius else bits)
+        budgets = np.array(
+            [neighbor_budget(g, radius, cap) for g in schedule.tolist()],
+            dtype=np.int64,
+        )
+        budgets.setflags(write=False)
         object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "budgets", _capped_budgets(p, schedule))
+        object.__setattr__(self, "budgets", budgets)
 
     @property
     def dim(self) -> int:
@@ -187,20 +185,6 @@ class BoiIndex:
     def n(self) -> int:
         """Number of indexed records."""
         return self.tables.n
-
-
-def _capped_budgets(params: BoiParams, schedule: ProbeSchedule) -> np.ndarray:
-    """Per-table neighbor budgets, read-only, clamped to the code space and,
-    in strict mode, to the radius ball (which ends at the code width)."""
-    cap = params.num_buckets - 1
-    if params.strict_radius:
-        cap = min(cap, neighbor_budget(params.hash_bits, params.probe_radius))
-    budgets = np.array(
-        [min(neighbor_budget(g, params.probe_radius), cap) for g in schedule.gammas],
-        dtype=np.int64,
-    )
-    budgets.setflags(write=False)
-    return budgets
 
 
 def build_index(dataset: VectorSet, params: BoiParams) -> BoiIndex:

@@ -44,9 +44,9 @@ def test_c01_weight_conformance():
 
 def test_c02_schedule_conformance():
     params = BoiParams()  # gamma0=10, L=100, steps 40/25
-    linear = build_schedule("linear", params).gammas
+    linear = build_schedule(dataclasses.replace(params, schedule="linear"))
     assert list(linear) == [10] * 39 + [8] * 40 + [6] * 21
-    sublinear = build_schedule("sublinear", params).gammas
+    sublinear = build_schedule(dataclasses.replace(params, schedule="sublinear"))
     assert list(sublinear) == [10] * 49 + [8] * 25 + [6] * 25 + [4]
     print("ACCEPTANCE 02 schedule conformance: PASS")
 

@@ -148,6 +148,16 @@ class TestMultiprobeLsh:
         res = multiprobe_lsh_query(tables, data, q, 1, 10, 10)
         assert res.probe_count == tables.num_tables * (1 + 4)  # 4-bit codes
 
+    @pytest.mark.parametrize("rows, cols", [(10, 0), (-10, 0), (0, 1)])
+    def test_rejects_dataset_the_tables_do_not_index(self, populated, rows, cols):
+        tables, data = populated
+        rng = np.random.default_rng(12)
+        other = VectorSet(
+            rng.standard_normal((data.n + rows, data.dim + cols)).astype(np.float32)
+        )
+        with pytest.raises(ValueError, match="does not match"):
+            multiprobe_lsh_query(tables, other, data.vectors[0], 1, 10, 5)
+
     def test_rejects_negative_radius(self, populated):
         tables, data = populated
         with pytest.raises(ValueError):

@@ -293,6 +293,12 @@ def test_flip_masks_shell_sizes():
             assert flip_masks(bits, dist).size == comb(bits, dist)
 
 
+@pytest.mark.parametrize("bits, dist", [(0, 1), (4, -1)])
+def test_flip_masks_rejects_bad_arguments(bits, dist):
+    with pytest.raises(ValueError):
+        flip_masks(bits, dist)
+
+
 def test_collision_probability_monotone_in_angle():
     # pairs closer than 30 degrees must collide in a 1-bit table strictly
     # more often than pairs farther than 60 degrees

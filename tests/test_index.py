@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boi.baselines import brute_force_query
-from boi.core import BoiParams, VectorSet
-from boi.hashing import hash_codes_all, insert_all
+from boi.core import SCHEDULE_KINDS, BoiParams, VectorSet
+from boi.hashing import ProjectionTable, hash_codes_all, insert_all
 from boi.index import (
     BoiIndex,
-    ProbeSchedule,
     accumulate,
     build_index,
     build_schedule,
@@ -53,13 +54,13 @@ class TestWeight:
 class TestBuildSchedule:
     def test_linear_reference_bands(self):
         params = BoiParams()  # gamma0=10, L=100, step 40
-        got = build_schedule("linear", params).gammas
+        got = build_schedule(dataclasses.replace(params, schedule="linear"))
         expected = [10] * 39 + [8] * 40 + [6] * 21
         assert list(got) == expected
 
     def test_sublinear_reference_bands(self):
         params = BoiParams()  # gamma0=10, L=100, step 25, drops from table 50
-        got = build_schedule("sublinear", params).gammas
+        got = build_schedule(dataclasses.replace(params, schedule="sublinear"))
         expected = [10] * 49 + [8] * 25 + [6] * 25 + [4]
         assert list(got) == expected
 
@@ -67,11 +68,11 @@ class TestBuildSchedule:
         params = BoiParams(
             num_tables=17, initial_probe_count=0, schedule="fixed"
         )
-        assert np.all(build_schedule("fixed", params).gammas == 0)
+        assert np.all(build_schedule(params) == 0)
 
     def test_clamped_at_zero(self):
         params = BoiParams(num_tables=7, initial_probe_count=2, linear_step=2)
-        got = build_schedule("linear", params).gammas
+        got = build_schedule(dataclasses.replace(params, schedule="linear"))
         assert list(got) == [2, 0, 0, 0, 0, 0, 0]
 
     def test_sublinear_odd_table_count(self):
@@ -79,51 +80,45 @@ class TestBuildSchedule:
         params = BoiParams(
             num_tables=5, initial_probe_count=4, sublinear_step=1
         )
-        got = build_schedule("sublinear", params).gammas
+        got = build_schedule(dataclasses.replace(params, schedule="sublinear"))
         assert list(got) == [4, 4, 2, 0, 0]
 
     def test_non_increasing_and_bounded(self):
         for kind in ("fixed", "linear", "sublinear"):
             for L in (1, 2, 39, 40, 101):
                 params = BoiParams(num_tables=L, initial_probe_count=9)
-                g = build_schedule(kind, params).gammas
+                g = build_schedule(dataclasses.replace(params, schedule=kind))
                 assert len(g) == L
                 assert np.all(np.diff(g) <= 0)
                 assert g.min() >= 0 and g.max() <= 9
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            build_schedule("quadratic", BoiParams())
-
-
-class TestProbeSchedule:
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            ProbeSchedule(np.array([1, 2]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ProbeSchedule(np.array([2, -1]))
+            build_schedule(dataclasses.replace(BoiParams(), schedule="quadratic"))
 
 
 class TestExpectedProbes:
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            expected_probes(np.array([2, -1]), 1)
+
     def test_constant_schedule(self):
-        sched = ProbeSchedule(np.full(100, 8))
+        sched = np.full(100, 8)
         assert expected_probes(sched, 1) == 900
 
     def test_sublinear_reference(self):
-        sched = build_schedule("sublinear", BoiParams())
+        sched = build_schedule(dataclasses.replace(BoiParams(), schedule="sublinear"))
         # summation oracle over the frozen bands
         oracle = sum(1 + g for g in [10] * 49 + [8] * 25 + [6] * 25 + [4])
         assert oracle == 944
         assert expected_probes(sched, 1) == 944
 
     def test_single_table_no_probes(self):
-        sched = ProbeSchedule(np.array([0]))
+        sched = np.array([0])
         assert expected_probes(sched, 0) == 1
 
     def test_radius_two_formula(self):
-        sched = ProbeSchedule(np.array([3, 2]))
+        sched = np.array([3, 2])
         oracle = (
             math.comb(3, 0) + math.comb(3, 1) + math.comb(3, 2)
             + math.comb(2, 0) + math.comb(2, 1) + math.comb(2, 2)
@@ -146,6 +141,84 @@ class TestExpectedProbes:
             for radius in (0, 1, 2, 3):
                 per_table = sum(math.comb(gamma, j) for j in range(radius + 1))
                 assert neighbor_budget(gamma, radius) == per_table - 1
+
+
+def reference_schedule(params):
+    """Gamma per table from the per-table loop that first defined the
+    schedules: a drop of 2 at each listed 1-based table, clamped at 0."""
+    L = params.num_tables
+    if params.schedule == "fixed":
+        drops = range(0)
+    elif params.schedule == "linear":
+        drops = range(params.linear_step, L + 1, params.linear_step)
+    else:
+        half = (L + 1) // 2
+        drops = range(half, L + 1, params.sublinear_step)
+    drop_set = frozenset(drops)
+    gammas, current = [], params.initial_probe_count
+    for i in range(1, L + 1):
+        if i in drop_set:
+            current = max(current - 2, 0)
+        gammas.append(current)
+    return gammas
+
+
+@st.composite
+def probe_params(draw):
+    bits = draw(st.integers(1, 10))
+    num_tables = draw(st.integers(1, 60))
+    return BoiParams(
+        num_tables=num_tables,
+        hash_bits=bits,
+        probe_radius=draw(st.integers(0, bits + 2) | st.just(2**31 - 1)),
+        initial_probe_count=draw(st.integers(0, 2**bits - 1)),
+        schedule=draw(st.sampled_from(SCHEDULE_KINDS)),
+        linear_step=draw(st.integers(1, num_tables + 1)),
+        sublinear_step=draw(st.integers(1, num_tables + 1)),
+        strict_radius=draw(st.booleans()),
+    )
+
+
+@given(probe_params())
+@settings(max_examples=150, deadline=None)
+def test_schedule_and_budgets_match_reference(params):
+    schedule = build_schedule(params)
+    assert schedule.dtype == np.int32 and not schedule.flags.writeable
+    assert schedule.tolist() == reference_schedule(params)
+    assert np.all(np.diff(schedule) <= 0)
+    L, bits, radius = params.num_tables, params.hash_bits, params.probe_radius
+    empty_tables = ProjectionTable(
+        np.zeros((L * bits, 1)),
+        np.zeros((L, 2**bits + 1), dtype=np.int64),
+        np.zeros((L, 0), dtype=np.int32),
+    )
+    index = BoiIndex(params, empty_tables)
+    assert np.array_equal(index.schedule, schedule)
+    if params.strict_radius:
+        cap = sum(math.comb(bits, j) for j in range(1, min(radius, bits) + 1))
+    else:
+        cap = 2**bits - 1
+    uncapped = {g: neighbor_budget(g, radius) for g in set(schedule.tolist())}
+    assert index.budgets.tolist() == [min(uncapped[g], cap) for g in schedule.tolist()]
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_huge_gamma_and_radius_build_at_once(self, strict):
+        data = VectorSet(np.eye(3, dtype=np.float32))
+        params = BoiParams(
+            hash_bits=16,
+            initial_probe_count=65535,
+            probe_radius=10**9,
+            strict_radius=strict,
+        )
+        index = build_index(data, params)
+        assert index.budgets.tolist() == [65535] * params.num_tables
+
+    def test_cap_stops_the_sum(self):
+        assert neighbor_budget(10, 3, cap=50) == 50
+        assert neighbor_budget(10, 3, cap=10**6) == 10 + 45 + 120
+        assert neighbor_budget(2**30 - 1, 10**9, cap=2**30 - 1) == 2**30 - 1
 
 
 def fixed_params(**kwargs):

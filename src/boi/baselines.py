@@ -19,6 +19,7 @@ from .core import (
     pairwise_distances,
     query_vector,
     rank_by_distance,
+    rerank,
 )
 from .hashing import ProjectionTable, flip_masks, hash_codes_all
 
@@ -61,9 +62,10 @@ def multiprobe_lsh_query(
     No probe budget and no vote weights; every bucket within the radius
     contributes its members to the candidate union, deduplicated in
     first-seen order (table by table, inner shells first) and capped at
-    ``shortlist_size`` before the exact-distance re-rank. radius=0 is plain
-    LSH: only the query's own bucket in each table. ``dataset`` must be the
-    set the tables index (ValueError otherwise).
+    ``shortlist_size`` before the exact-distance re-rank (``core.rerank``,
+    the same tail as the boi query). radius=0 is plain LSH: only the
+    query's own bucket in each table. ``dataset`` must be the set the
+    tables index (ValueError otherwise).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -79,12 +81,5 @@ def multiprobe_lsh_query(
     balls = codes[:, np.newaxis] ^ masks
     rows = np.repeat(np.arange(tables.num_tables), masks.size)
     members = tables.bucket(rows, balls.ravel())
-    probe_count = int(balls.size)
     candidates = _dedup_first_seen(members, dataset.n)[:shortlist_size]
-    if candidates.size == 0:
-        return RankedResult.empty(probe_count=probe_count, shortlist_size=0)
-    dists = pairwise_distances(dataset.vectors[candidates], q)
-    ids, ranked = rank_by_distance(candidates, dists, k)
-    return RankedResult(
-        ids, ranked, probe_count=probe_count, shortlist_size=int(candidates.size)
-    )
+    return rerank(dataset.vectors, candidates, q, k, int(balls.size))

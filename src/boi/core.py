@@ -204,10 +204,11 @@ def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     The tie rule is exact: entries sharing the k-th smallest distance are
     resolved by id before truncation, so the output is a deterministic
-    function of (ids, distances, k).
+    function of (ids, distances, k). ``distances`` is any sort key and keeps
+    its dtype (no float64 cast): the shortlist ranks integer votes here.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    distances = np.asarray(distances, dtype=np.float64)
+    distances = np.asarray(distances)
     if k < 1:
         raise ValueError("k must be >= 1")
     if ids.size > k:
@@ -217,3 +218,17 @@ def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:
         distances = distances[keep]
     order = np.lexsort((ids, distances))[:k]
     return ids[order], distances[order]
+
+
+def rerank(vectors, candidates, q, k: int, probe_count: int) -> RankedResult:
+    """The k ``candidates`` (rows of ``vectors``) nearest to ``q``, exactly.
+
+    ``q`` is the validated float32 query (``query_vector``). The result
+    reports ``shortlist_size = candidates.size``; no candidates give an
+    empty result.
+    """
+    dists = pairwise_distances(vectors[candidates], q)
+    ids, ranked = rank_by_distance(candidates, dists, k)
+    return RankedResult(
+        ids, ranked, probe_count=probe_count, shortlist_size=int(candidates.size)
+    )

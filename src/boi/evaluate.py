@@ -111,6 +111,34 @@ def recall_cutoffs(k: int) -> list[int]:
     return sorted({c for c in (1, 10, 100, k) if 1 <= c <= k})
 
 
+def _run_batch(run, queries: VectorSet, repetitions: int, workers: int):
+    """(warm-up results, median ms per query) of ``time_queries``' fan-out;
+    bad ``repetitions`` or ``workers`` raise before any call."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+    def _run_one(qi: int) -> tuple[object, float]:
+        v = queries.vectors[qi]
+        result = run(qi, v)  # warm-up, excluded from the timing
+        samples = []
+        for _ in range(repetitions):
+            t0 = time.perf_counter()
+            run(qi, v)
+            samples.append((time.perf_counter() - t0) * 1e3)
+        return result, statistics.median(samples)
+
+    indices = range(queries.n)
+    if workers == 1:
+        pairs = [_run_one(qi) for qi in indices]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pairs = list(pool.map(_run_one, indices))
+    times = np.asarray([t for _, t in pairs], dtype=np.float64)
+    return [r for r, _ in pairs], times
+
+
 def time_queries(
     run: Callable[[int, np.ndarray], object],
     queries: VectorSet,
@@ -125,28 +153,7 @@ def time_queries(
     inside its worker. The numpy query path holds the GIL for most of its
     time, so extra workers add little throughput.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
-    def _time_one(qi: int) -> float:
-        v = queries.vectors[qi]
-        run(qi, v)  # warm-up, excluded
-        samples = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            run(qi, v)
-            samples.append((time.perf_counter() - t0) * 1e3)
-        return statistics.median(samples)
-
-    indices = range(queries.n)
-    if workers == 1:
-        times = [_time_one(qi) for qi in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            times = list(pool.map(_time_one, indices))
-    return np.asarray(times, dtype=np.float64)
+    return _run_batch(run, queries, repetitions, workers)[1]
 
 
 @dataclass(frozen=True)
@@ -255,25 +262,16 @@ def run_benchmark(
 ) -> tuple[EvalReport, list[RankedResult]]:
     """Run one method over a query batch and aggregate its metrics.
 
-    A first untimed pass collects the rankings used for accuracy; timing
-    then re-runs each query per ``time_queries`` semantics. Returns the
-    report plus the per-query results for CSV export.
+    Each query runs 1 + ``repetitions`` times, as in ``time_queries``; the
+    untimed warm-up call's ranking is the one scored. Returns the report
+    plus the per-query results for CSV export.
     """
     if ground_truth is not None and ground_truth.num_queries != queries.n:
         raise ValueError(
             f"{queries.n} queries but ground truth covers "
             f"{ground_truth.num_queries}"
         )
-
-    def _collect(qi: int) -> RankedResult:
-        return run(qi, queries.vectors[qi])
-
-    if workers == 1:
-        results = [_collect(qi) for qi in range(queries.n)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_collect, range(queries.n)))
-
+    results, times = _run_batch(run, queries, repetitions, workers)
     rankings = [r.ids for r in results]
     map_score = (
         mean_average_precision(rankings, ground_truth)
@@ -285,7 +283,6 @@ def run_benchmark(
         if ground_truth is not None and queries.n
         else {}
     )
-    times = time_queries(run, queries, repetitions=repetitions, workers=workers)
     probe_counts = [r.probe_count for r in results if r.probe_count is not None]
     report = EvalReport(
         method=method,

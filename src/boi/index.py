@@ -7,8 +7,9 @@ Querying works in four stages:
    buckets, adding 1/2**H to every record found, where H is the bucket's
    Hamming distance from the query code;
 3. keep the ``shortlist_size`` records with the highest accumulated
-   weight (zero-weight records never qualify);
-4. re-rank the shortlist by exact Euclidean distance and return the top k.
+   integer vote, ties by lower id (zero-weight records never qualify);
+4. re-rank the shortlist by exact Euclidean distance and return the top k
+   (``core.rerank``, shared with the multi-probe LSH baseline).
 
 The per-table neighbor budget at table i is sum_{j=1..l} C(gamma_i, j),
 where gamma_i follows the configured schedule and l is the probe radius.
@@ -36,9 +37,9 @@ from .core import (
     BoiParams,
     RankedResult,
     VectorSet,
-    pairwise_distances,
     query_vector,
     rank_by_distance,
+    rerank,
 )
 from .hashing import (
     ProjectionTable,
@@ -204,9 +205,8 @@ def _probe_rng(params: BoiParams, query_index: int) -> np.random.Generator:
 def _accumulate(
     index: BoiIndex, q: np.ndarray, query_index: int
 ) -> tuple[np.ndarray, int]:
-    """Weight accumulator plus the realized probe count for one query."""
+    """Votes in units of 2**-b and the probe count; ``q`` is validated."""
     tables = index.tables
-    q = query_vector(q, tables.dim)
     bits = tables.bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
     budgets = index.budgets
@@ -218,52 +218,45 @@ def _accumulate(
     probes = np.column_stack((codes, ncodes))
     dists = np.concatenate(([0], hdists))
     probed = np.arange(dists.size) < budgets[:, np.newaxis] + 1
-    # In units of 2**-bits every vote is a whole number, and a record sits
-    # in one bucket per table, so it collects at most L * 2**bits units: an
-    # unsigned integer accumulator of that range adds them exactly.
+    # In units of 2**-bits every vote is whole, and a record collects at
+    # most L * 2**bits units (one bucket per table): a signed accumulator
+    # that also holds -1 - L * 2**bits adds and negates every total exactly.
     scale = 1 << bits
-    votes = np.zeros(tables.n, dtype=np.min_scalar_type(tables.num_tables * scale))
+    votes = np.zeros(tables.n, np.min_scalar_type(-1 - tables.num_tables * scale))
     unit = votes.dtype.type
     # one gather and one add per Hamming distance, table-major within it
     for h in range(int(dists[-1]) + 1):
         rows, cols = (probed & (dists == h)).nonzero()
         members = tables.bucket(rows, probes[rows, cols])
         np.add.at(votes, members, unit(weight(h, bits) * scale))
-    return votes / scale, int(np.count_nonzero(probed))
+    return votes, int(np.count_nonzero(probed))
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
     """Per-record vote weights for one query, as a dense float64 array.
 
-    Every entry is a finite sum of 1/2**H terms; records that no probed
-    bucket contains stay at exactly 0.
+    The accumulator's integer votes divided by 2**b. Every entry is a finite
+    sum of 1/2**H terms; records that no probed bucket contains stay at
+    exactly 0.
     """
-    return _accumulate(index, q, query_index)[0]
+    votes, _ = _accumulate(index, query_vector(q, index.dim), query_index)
+    return votes / (1 << index.tables.bits)
 
 
 def shortlist(weights: np.ndarray, shortlist_size: int) -> np.ndarray:
     """Ids of the highest-weight records, at most ``shortlist_size`` of them.
 
-    Sorted by weight descending, ties by ascending id. Records with zero
-    weight were never probed and are excluded even when that leaves the
-    shortlist short.
+    ``weights`` are non-negative integer votes or float weights. Sorted by
+    weight descending, ties by ascending id, via ``rank_by_distance`` on the
+    negated weights (an unsigned w negates to 2**N - w, still falling as w
+    rises). Records with zero weight were never probed and are excluded
+    even when that leaves the shortlist short.
     """
     if shortlist_size < 1:
         raise ValueError("shortlist_size must be >= 1")
-    weights = np.asarray(weights, dtype=np.float64)
-    nonzero = np.flatnonzero(weights != 0)
-    w = weights[nonzero]
-    if nonzero.size > shortlist_size:
-        # exact boundary handling: keep everything tied with the cut weight,
-        # then let the id tie-break decide inside the sorted prefix
-        kth = np.partition(w, nonzero.size - shortlist_size)[
-            nonzero.size - shortlist_size
-        ]
-        keep = w >= kth
-        nonzero = nonzero[keep]
-        w = w[keep]
-    order = np.lexsort((nonzero, -w))[:shortlist_size]
-    return nonzero[order].astype(np.int64)
+    weights = np.asarray(weights)
+    touched = np.flatnonzero(weights != 0)
+    return rank_by_distance(touched, -weights[touched], shortlist_size)[0]
 
 
 def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
@@ -281,16 +274,7 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
             "index has no dataset; build a BoiIndex with the table and its "
             "dataset first"
         )
-    weights, probes = _accumulate(index, q, query_index)
-    candidates = shortlist(weights, index.params.shortlist_size)
-    if candidates.size == 0:
-        return RankedResult.empty(probe_count=probes, shortlist_size=0)
-    rows = index.dataset.vectors[candidates]
-    dists = pairwise_distances(rows, np.asarray(q, dtype=np.float32))
-    ids, ranked = rank_by_distance(candidates, dists, k)
-    return RankedResult(
-        ids,
-        ranked,
-        probe_count=probes,
-        shortlist_size=int(candidates.size),
-    )
+    q = query_vector(q, index.dim)
+    votes, probes = _accumulate(index, q, query_index)
+    candidates = shortlist(votes, index.params.shortlist_size)
+    return rerank(index.dataset.vectors, candidates, q, k, probes)

@@ -158,6 +158,22 @@ class TestMultiprobeLsh:
         with pytest.raises(ValueError, match="does not match"):
             multiprobe_lsh_query(tables, other, data.vectors[0], 1, 10, 5)
 
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_float64_query_ranks_as_its_float32_cast(self, populated, radius):
+        # the re-rank measures from the validated float32 query, never from
+        # the caller's float64 values
+        tables, data = populated
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            q64 = rng.standard_normal(12)
+            q32 = q64.astype(np.float32)
+            assert not np.array_equal(q64, q32)
+            got = multiprobe_lsh_query(tables, data, q64, radius, 50, 5)
+            want = multiprobe_lsh_query(tables, data, q32, radius, 50, 5)
+            assert len(want) == 5
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.distances, want.distances)
+
     def test_rejects_negative_radius(self, populated):
         tables, data = populated
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boi.cli import main
 from boi.data_io import read_fvecs, read_ivecs
@@ -208,3 +213,81 @@ class TestEval:
         payload = json.loads(report_path.read_text())
         assert payload["map"] == 1.0
         assert payload["recall_at_k"]["1"] == 1.0
+
+
+FUZZ_FILES = (
+    "base.fvecs", "queries.fvecs", "groundtruth.ivecs", "idx.boix", "results.ivecs"
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data = run_gen(root, n=200)
+    for name in ("base.fvecs", "queries.fvecs", "groundtruth.ivecs"):
+        shutil.move(data / name, root / name)
+    build_small(root, root)
+    rc = main(
+        [
+            "query", "--dataset", str(root / "base.fvecs"),
+            "--queries", str(root / "queries.fvecs"),
+            "--method", "brute", "--k", "5", "--out", str(root / "results.ivecs"),
+        ]
+    )
+    assert rc == 0
+    return root
+
+
+def fuzz_commands(work: Path) -> list[list[str]]:
+    base, queries = str(work / "base.fvecs"), str(work / "queries.fvecs")
+    gt, index = str(work / "groundtruth.ivecs"), str(work / "idx.boix")
+    return [
+        [
+            "query", "--dataset", base, "--queries", queries, "--index", index,
+            "--k", "5", "--out", str(work / "out.ivecs"),
+        ],
+        [
+            "bench", "--dataset", base, "--queries", queries, "--groundtruth", gt,
+            "--index", index, "--k", "5", "--repetitions", "1",
+            "--out", str(work / "report.json"),
+        ],
+        [
+            "eval", "--results", str(work / "results.ivecs"), "--groundtruth", gt,
+            "--out", str(work / "eval.json"),
+        ],
+        [
+            "build", "--dataset", base, "--index", str(work / "rebuilt.boix"),
+            "--L", "4", "--bits", "4", "--gamma0", "3",
+        ],
+    ]
+
+
+@given(
+    name=st.sampled_from(FUZZ_FILES),
+    kind=st.sampled_from(["truncate", "flip", "overwrite"]),
+    position=st.integers(0, 2**31),
+    value=st.integers(0, 255),
+)
+@settings(max_examples=25, deadline=None)
+def test_corrupt_input_files_exit_cleanly(fuzz_dir, name, kind, position, value):
+    # every command returns 0 or 1 or exits through SystemExit, whatever
+    # one damaged byte does to its input; nothing else may escape main
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for f in FUZZ_FILES:
+            shutil.copy(fuzz_dir / f, work / f)
+        data = bytearray((work / name).read_bytes())
+        at = position % len(data)
+        if kind == "truncate":
+            del data[at:]
+        elif kind == "flip":
+            data[at] ^= 1 << (value % 8)
+        else:
+            data[at] = value
+        (work / name).write_bytes(bytes(data))
+        for argv in fuzz_commands(work):
+            try:
+                rc = main(argv)
+            except SystemExit:
+                continue
+            assert rc in (0, 1)

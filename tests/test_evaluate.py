@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from boi.core import BoiParams, VectorSet
+from boi.core import BoiParams, RankedResult, VectorSet
 from boi.evaluate import (
     EvalReport,
     GroundTruth,
@@ -233,6 +233,39 @@ def test_run_benchmark_brute_force_is_perfect():
     assert len(results) == 10
     assert report.mean_probe_count is None
     assert len(report.per_query_times_ms) == 10
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_benchmark_runs_each_query_once_plus_repetitions(workers):
+    # one batch: the untimed warm-up call is the scored one, then the
+    # timed repetitions; no separate accuracy pass
+    import threading
+
+    calls = {}
+    lock = threading.Lock()
+    queries = VectorSet(np.zeros((5, 2), dtype=np.float32))
+
+    def run(qi, v):
+        with lock:
+            nth = calls.get(qi, 0)
+            calls[qi] = nth + 1
+        return RankedResult(np.array([nth]), np.array([0.0]))
+
+    report, results = run_benchmark(
+        run, queries, k=1, repetitions=3, workers=workers
+    )
+    assert sum(calls.values()) == 5 * (1 + 3)
+    assert [r.ids.tolist() for r in results] == [[0]] * 5
+    assert len(report.per_query_times_ms) == 5
+
+
+@pytest.mark.parametrize("bad", [{"repetitions": 0}, {"workers": 0}])
+def test_run_benchmark_rejects_bad_values_before_any_query(bad):
+    calls = []
+    queries = VectorSet(np.zeros((3, 2), dtype=np.float32))
+    with pytest.raises(ValueError):
+        run_benchmark(lambda qi, v: calls.append(qi), queries, k=1, **bad)
+    assert calls == []
 
 
 def test_run_benchmark_parallel_matches_serial():

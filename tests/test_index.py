@@ -8,9 +8,15 @@ from hypothesis import strategies as st
 
 from boi.baselines import brute_force_query
 from boi.core import SCHEDULE_KINDS, BoiParams, VectorSet
-from boi.hashing import ProjectionTable, hash_codes_all, insert_all
+from boi.hashing import (
+    ProjectionTable,
+    hash_codes_all,
+    insert_all,
+    neighbor_codes_with_distance,
+)
 from boi.index import (
     BoiIndex,
+    _probe_rng,
     accumulate,
     build_index,
     build_schedule,
@@ -293,10 +299,11 @@ class TestAccumulate:
         assert np.array_equal(scaled, np.round(scaled))
         assert np.all(w >= 0)
 
-    @pytest.mark.parametrize("num_tables, bits", [(5, 3), (257, 8)])
+    @pytest.mark.parametrize("num_tables, bits", [(5, 3), (128, 8), (257, 8)])
     def test_full_probe_matches_per_record_loop(self, num_tables, bits):
         # every bucket probed, so record r gets sum_t weight(H_t(r), bits);
-        # 257 tables of 8 bits pass 2**16 units of 2**-8, the uint16 limit
+        # 128 tables of 8 bits reach 2**15 units of 2**-8, one past int16,
+        # and 257 tables pass 2**16, one past uint16
         rng = np.random.default_rng(num_tables)
         data = VectorSet(rng.standard_normal((40, 6)).astype(np.float32))
         params = fixed_params(
@@ -348,12 +355,16 @@ class TestShortlist:
         rng = np.random.default_rng(8)
         for _ in range(40):
             n = int(rng.integers(1, 60))
-            w = rng.integers(0, 5, size=n) / 4.0
+            votes = rng.integers(0, 5, size=n)
+            w = votes / 4.0
             eps = int(rng.integers(1, n + 1))
             oracle = sorted(
                 (i for i in range(n) if w[i] > 0), key=lambda i: (-w[i], i)
             )[:eps]
             assert shortlist(w, eps).tolist() == oracle
+            # the accumulator's integer votes rank the same way
+            for dtype in (np.int16, np.int32, np.uint16):
+                assert shortlist(votes.astype(dtype), eps).tolist() == oracle
 
     def test_requires_positive_size(self):
         with pytest.raises(ValueError):
@@ -409,6 +420,25 @@ class TestQuery:
         index, data = small_index
         res = query(index, data.vectors[0], 3)
         assert 1 <= res.shortlist_size <= index.params.shortlist_size
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_float64_query_ranks_as_its_float32_cast(self, small_index, strict):
+        # the re-rank measures from the validated float32 query, never from
+        # the caller's float64 values
+        index, data = small_index
+        params = dataclasses.replace(
+            index.params, probe_radius=2, initial_probe_count=6, strict_radius=strict
+        )
+        index = BoiIndex(params, index.tables, data)
+        rng = np.random.default_rng(23)
+        for qi in range(10):
+            q64 = rng.standard_normal(12)
+            q32 = q64.astype(np.float32)
+            assert not np.array_equal(q64, q32)
+            got, want = query(index, q64, 5, qi), query(index, q32, 5, qi)
+            assert len(want) == 5
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.distances, want.distances)
 
     def test_requires_dataset(self, small_index):
         index, data = small_index
@@ -506,3 +536,80 @@ class TestDeterminism:
         for x, y in zip(r1, r2):
             assert np.array_equal(x.ids, y.ids)
             assert np.array_equal(x.distances, y.distances)
+
+
+@st.composite
+def tail_cases(draw):
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 6))
+    bits = draw(st.integers(1, 6))
+    num_tables = draw(st.integers(1, 12))
+    params = BoiParams(
+        num_tables=num_tables,
+        hash_bits=bits,
+        probe_radius=draw(st.integers(0, bits + 1)),
+        shortlist_size=draw(st.integers(1, n + 2)),
+        initial_probe_count=draw(st.integers(0, 2**bits - 1)),
+        schedule=draw(st.sampled_from(SCHEDULE_KINDS)),
+        linear_step=draw(st.integers(1, num_tables + 1)),
+        sublinear_step=draw(st.integers(1, num_tables + 1)),
+        seed=draw(st.integers(0, 2**32)),
+        strict_radius=draw(st.booleans()),
+    )
+    # a coarse integer grid makes equal votes and equal distances common
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        raw = rng.integers(-2, 3, size=(n + 1, dim))
+    else:
+        raw = rng.standard_normal((n + 1, dim))
+    raw = raw.astype(np.float32)
+    query_index = draw(st.integers(0, 2**20))
+    k = draw(st.integers(1, n + 1))
+    return VectorSet(raw[:n]), raw[n], params, query_index, k
+
+
+def reference_votes(index, q, query_index):
+    """Per-record weights: table t probes its own bucket plus the first
+    budgets[t] codes of the probe order, and each record sums the weight of
+    every probed bucket holding its code."""
+    tables, bits = index.tables, index.params.hash_bits
+    codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
+    ncodes, hdists = neighbor_codes_with_distance(
+        codes,
+        int(index.budgets.max()),
+        bits,
+        _probe_rng(index.params, query_index),
+    )
+    probed = []
+    for t, budget in enumerate(index.budgets.tolist()):
+        found = {int(codes[t]): weight(0, bits)}
+        for code, h in zip(ncodes[t, :budget], hdists[:budget]):
+            found[int(code)] = weight(int(h), bits)
+        probed.append(found)
+    record_codes = hash_codes_all(tables.projections, bits, index.dataset.vectors)
+    return [
+        sum(probed[t].get(int(c), 0.0) for t, c in enumerate(record_codes[r]))
+        for r in range(index.n)
+    ]
+
+
+@given(tail_cases())
+@settings(max_examples=60, deadline=None)
+def test_accumulate_and_query_match_reference(case):
+    data, q, params, query_index, k = case
+    index = build_index(data, params)
+    expected = reference_votes(index, q, query_index)
+    assert accumulate(index, q, query_index).tolist() == expected
+
+    touched = sorted(
+        (r for r in range(data.n) if expected[r] != 0),
+        key=lambda r: (-expected[r], r),
+    )[: params.shortlist_size]
+    exact = brute_force_query(data, q, data.n)
+    dist = dict(zip(exact.ids.tolist(), exact.distances.tolist()))
+    oracle = sorted(touched, key=lambda r: (dist[r], r))[:k]
+    res = query(index, q, k, query_index)
+    assert res.ids.tolist() == oracle
+    assert res.distances.tolist() == [dist[r] for r in oracle]
+    assert res.shortlist_size == len(touched)
+    assert res.probe_count == int((index.budgets + 1).sum())

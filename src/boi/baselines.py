@@ -82,4 +82,6 @@ def multiprobe_lsh_query(
     rows = np.repeat(np.arange(tables.num_tables), masks.size)
     members = tables.bucket(rows, balls.ravel())
     candidates = _dedup_first_seen(members, dataset.n)[:shortlist_size]
-    return rerank(dataset.vectors, candidates, q, k, int(balls.size))
+    return rerank(
+        dataset.vectors, candidates, q, k, int(balls.size), int(members.size)
+    )

@@ -110,6 +110,9 @@ class BoiParams:
             raise ValueError("num_tables must be >= 1")
         if not 1 <= self.hash_bits <= MAX_HASH_BITS:
             raise ValueError(f"hash_bits must be in [1, {MAX_HASH_BITS}]")
+        if self.num_tables * self.num_buckets > 2**31 - 1:
+            # a record's vote, up to L * 2**b units of 2**-b, must fit int32
+            raise ValueError("num_tables * 2**hash_bits must be below 2**31")
         if self.probe_radius < 0:
             raise ValueError("probe_radius must be >= 0")
         if self.shortlist_size < 1:
@@ -134,14 +137,17 @@ class BoiParams:
 class RankedResult:
     """Record ids ranked by non-decreasing distance to a query.
 
-    ``probe_count`` and ``shortlist_size`` carry per-query instrumentation
-    when the result came from a bucketed method; they stay None otherwise.
+    ``probe_count``, ``shortlist_size`` and ``pairs_scanned`` (the
+    (id, bucket) pairs read from the probed buckets, repeats included)
+    carry per-query instrumentation when the result came from a bucketed
+    method; they stay None otherwise.
     """
 
     ids: np.ndarray
     distances: np.ndarray
     probe_count: int | None = None
     shortlist_size: int | None = None
+    pairs_scanned: int | None = None
 
     def __post_init__(self):
         ids = np.asarray(self.ids, dtype=np.int64)
@@ -220,7 +226,9 @@ def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:
     return ids[order], distances[order]
 
 
-def rerank(vectors, candidates, q, k: int, probe_count: int) -> RankedResult:
+def rerank(
+    vectors, candidates, q, k: int, probe_count: int, pairs_scanned: int
+) -> RankedResult:
     """The k ``candidates`` (rows of ``vectors``) nearest to ``q``, exactly.
 
     ``q`` is the validated float32 query (``query_vector``). The result
@@ -230,5 +238,9 @@ def rerank(vectors, candidates, q, k: int, probe_count: int) -> RankedResult:
     dists = pairwise_distances(vectors[candidates], q)
     ids, ranked = rank_by_distance(candidates, dists, k)
     return RankedResult(
-        ids, ranked, probe_count=probe_count, shortlist_size=int(candidates.size)
+        ids,
+        ranked,
+        probe_count=probe_count,
+        shortlist_size=int(candidates.size),
+        pairs_scanned=pairs_scanned,
     )

@@ -150,8 +150,9 @@ def time_queries(
     ``run`` is called as run(query_index, vector). One untimed warm-up call
     per query precedes the timed repetitions. With workers > 1 queries are
     dispatched across a thread pool; each query is still timed end to end
-    inside its worker. The numpy query path holds the GIL for most of its
-    time, so extra workers add little throughput.
+    inside its worker. The boi query's vote kernel runs without the GIL,
+    so workers overlap it; the other stages hold the GIL for part of their
+    time.
     """
     return _run_batch(run, queries, repetitions, workers)[1]
 

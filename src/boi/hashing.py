@@ -47,10 +47,16 @@ class ProjectionTable:
     members: np.ndarray
 
     def __post_init__(self):
-        proj = np.asarray(self.projections, dtype=np.float64)
-        for arr in (proj, self.offsets, self.members):
+        # the vote kernel reads offsets as C-ordered int64 and members as
+        # int32; neither conversion copies what insert_all or load_index made
+        arrays = {
+            "projections": np.asarray(self.projections, dtype=np.float64),
+            "offsets": np.ascontiguousarray(self.offsets, dtype=np.int64),
+            "members": np.asarray(self.members, dtype=np.int32),
+        }
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "projections", proj)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_tables(self) -> int:

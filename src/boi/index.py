@@ -5,7 +5,10 @@ Querying works in four stages:
 1. hash the query once per table;
 2. probe the query's own bucket plus a per-table budget of neighbor
    buckets, adding 1/2**H to every record found, where H is the bucket's
-   Hamming distance from the query code;
+   Hamming distance from the query code. Python orders the probes; the
+   gather and the vote over every table are one call into the compiled
+   kernel of ``vote.c``, which releases the GIL, so threads vote in
+   parallel. Votes are exact int32 counts of 2**-b;
 3. keep the ``shortlist_size`` records with the highest accumulated
    integer vote, ties by lower id (zero-weight records never qualify);
 4. re-rank the shortlist by exact Euclidean distance and return the top k
@@ -48,6 +51,7 @@ from .hashing import (
     make_projections,
     neighbor_codes_with_distance,
 )
+from .vote import gather_vote
 
 # Mixed into the per-query SeedSequence so probe shuffles never collide
 # with the (seed, table_index) streams that draw projection matrices.
@@ -58,9 +62,11 @@ def weight(hamming: int, radius: int) -> float:
     """Vote weight of a bucket at Hamming distance ``hamming`` from the query.
 
     1/2**hamming up to ``radius``, 0 beyond it. The query's own bucket
-    (distance 0) always weighs 1. The accumulator takes its weights from
-    here with ``radius`` set to the code width, so buckets probed past the
-    probe radius (the default spill mode) keep their true-distance weight.
+    (distance 0) always weighs 1. The accumulator's kernel adds
+    1 << (b - hamming) units of 2**-b, which is this weight with ``radius``
+    set to the code width b, so buckets probed past the probe radius (the
+    default spill mode) keep their true-distance weight; the tests check
+    the kernel's votes against sums of this function.
     """
     if hamming < 0 or radius < 0:
         raise ValueError("hamming and radius must be non-negative")
@@ -204,8 +210,15 @@ def _probe_rng(params: BoiParams, query_index: int) -> np.random.Generator:
 
 def _accumulate(
     index: BoiIndex, q: np.ndarray, query_index: int
-) -> tuple[np.ndarray, int]:
-    """Votes in units of 2**-b and the probe count; ``q`` is validated."""
+) -> tuple[np.ndarray, int, int]:
+    """Int32 votes in units of 2**-b, the probe count and the number of
+    (id, vote) pairs the kernel (``vote.gather_vote``) scanned; ``q`` is
+    validated.
+
+    A record collects at most L * 2**b units, which ``BoiParams`` keeps
+    below 2**31, so the int32 sums are exact and so is their negation in
+    the shortlist.
+    """
     tables = index.tables
     bits = tables.bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
@@ -216,20 +229,10 @@ def _accumulate(
     # Row t lists table t's own bucket (distance 0), then its neighbors in
     # non-decreasing distance; the table probes the first budgets[t] + 1.
     probes = np.column_stack((codes, ncodes))
-    dists = np.concatenate(([0], hdists))
-    probed = np.arange(dists.size) < budgets[:, np.newaxis] + 1
-    # In units of 2**-bits every vote is whole, and a record collects at
-    # most L * 2**bits units (one bucket per table): a signed accumulator
-    # that also holds -1 - L * 2**bits adds and negates every total exactly.
-    scale = 1 << bits
-    votes = np.zeros(tables.n, np.min_scalar_type(-1 - tables.num_tables * scale))
-    unit = votes.dtype.type
-    # one gather and one add per Hamming distance, table-major within it
-    for h in range(int(dists[-1]) + 1):
-        rows, cols = (probed & (dists == h)).nonzero()
-        members = tables.bucket(rows, probes[rows, cols])
-        np.add.at(votes, members, unit(weight(h, bits) * scale))
-    return votes, int(np.count_nonzero(probed))
+    dists = np.concatenate((np.zeros(1, np.uint8), hdists))
+    votes = np.zeros(tables.n, np.int32)
+    pairs = gather_vote(tables.offsets, tables.members, probes, dists, budgets, votes)
+    return votes, int(budgets.sum()) + budgets.size, pairs
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
@@ -239,7 +242,7 @@ def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
     sum of 1/2**H terms; records that no probed bucket contains stay at
     exactly 0.
     """
-    votes, _ = _accumulate(index, query_vector(q, index.dim), query_index)
+    votes, _, _ = _accumulate(index, query_vector(q, index.dim), query_index)
     return votes / (1 << index.tables.bits)
 
 
@@ -264,8 +267,10 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
 
     Accumulates weights, shortlists the heaviest records, re-ranks them by
     exact Euclidean distance, and returns the top k with instrumentation
-    (realized probe count, shortlist size). An empty shortlist yields an
-    empty result rather than an error.
+    (realized probe count, shortlist size, and the (id, vote) pairs the
+    kernel scanned). An empty shortlist yields an empty result rather than
+    an error. A table whose probed offsets or ids are out of range raises
+    ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -275,6 +280,6 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
             "dataset first"
         )
     q = query_vector(q, index.dim)
-    votes, probes = _accumulate(index, q, query_index)
+    votes, probes, pairs = _accumulate(index, q, query_index)
     candidates = shortlist(votes, index.params.shortlist_size)
-    return rerank(index.dataset.vectors, candidates, q, k, probes)
+    return rerank(index.dataset.vectors, candidates, q, k, probes, pairs)

@@ -1,0 +1,149 @@
+"""The compiled gather+vote kernel (``vote.c``), loaded with ctypes.
+
+The source is compiled with the system ``cc`` the first time the package is
+imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
+unset), under a name keyed by the source's sha256; later imports load that
+file. ``ctypes.CDLL`` releases the GIL for the length of each call, so
+queries running in threads vote in parallel.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("vote.c")
+_CFLAGS = ("-O3", "-shared", "-fPIC")
+
+
+def default_cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/boi``, or ``~/.cache/boi`` when that is unset."""
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "boi"
+
+
+def build_library(cache_dir, source=SOURCE) -> Path:
+    """Path of ``source`` compiled into ``cache_dir``, compiling it only if
+    no library built from the same source bytes is there yet.
+
+    The compiler writes to a temporary name in ``cache_dir`` that is then
+    renamed into place, so a process importing at the same moment never
+    loads a half-written file. Raises ImportError when there is no ``cc``,
+    the compile fails, or ``cache_dir`` cannot be written.
+    """
+    source = Path(source)
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()
+    cache_dir = Path(cache_dir)
+    library = cache_dir / f"{source.stem}-{digest}.so"
+    if library.exists():
+        return library
+    cc = shutil.which("cc")
+    if cc is None:
+        raise ImportError(
+            "boi compiles its vote kernel on first import and needs a C "
+            "compiler, but no `cc` was found on PATH"
+        )
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=library.name, suffix=".tmp")
+        os.close(fd)
+    except OSError as exc:
+        raise ImportError(
+            f"cannot write the vote kernel into {cache_dir} ({exc}); set "
+            "XDG_CACHE_HOME to a writable directory"
+        ) from None
+    try:
+        done = subprocess.run(
+            [cc, *_CFLAGS, "-o", tmp, str(source)], capture_output=True, text=True
+        )
+        if done.returncode != 0:
+            raise ImportError(f"`cc` failed to compile {source}:\n{done.stderr}")
+        os.replace(tmp, library)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return library
+
+
+def _contiguous(dtype, ndim):
+    return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
+
+
+def load_kernel(cache_dir):
+    """The ctypes function ``boi_gather_vote`` of the library
+    ``build_library(cache_dir)`` gives, its argument and result types
+    declared."""
+    kernel = ctypes.CDLL(str(build_library(cache_dir))).boi_gather_vote
+    i64 = ctypes.c_int64
+    kernel.argtypes = [
+        i64,  # num_tables
+        i64,  # bits
+        i64,  # n
+        _contiguous(np.int64, 2),  # offsets
+        np.ctypeslib.ndpointer(np.int32, ndim=2),  # members, rows strided
+        i64,  # row stride of members, in ids
+        _contiguous(np.uint32, 2),  # probes
+        i64,  # probe row width
+        _contiguous(np.uint8, 1),  # dists
+        _contiguous(np.int64, 1),  # budgets
+        np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+    ]
+    kernel.restype = i64
+    return kernel
+
+
+_kernel = load_kernel(default_cache_dir())
+
+
+def gather_vote(
+    offsets: np.ndarray,
+    members: np.ndarray,
+    probes: np.ndarray,
+    dists: np.ndarray,
+    budgets: np.ndarray,
+    votes: np.ndarray,
+) -> int:
+    """Add every probed bucket's vote to ``votes``; return the number of
+    (id, vote) pairs scanned.
+
+    ``offsets`` (L, 2**b + 1) int64 and ``members`` (L, n) int32 are a
+    ``ProjectionTable``'s arrays; ``members`` may have any row stride but
+    its ids must be adjacent within a row. Table t probes the first
+    ``budgets[t] + 1`` codes of row t of ``probes`` (L, width) uint32,
+    whose position j lies at Hamming distance ``dists[j]`` (uint8) from the
+    query code, and adds 1 << (b - dists[j]) to ``votes[id]`` (int32, n)
+    for each id in the bucket. Raises ValueError when the shapes disagree
+    or a probed value is out of range (a budget past the probe row, a code
+    past 2**b, offsets that decrease or leave [0, n], an id >= n); ``votes``
+    is then partly written.
+    """
+    num_tables, n = members.shape
+    width = probes.shape[1]
+    bits = offsets.shape[1].bit_length() - 1
+    row_stride, rem = divmod(members.strides[0], members.itemsize)
+    if (
+        offsets.shape != (num_tables, (1 << bits) + 1)
+        or probes.shape[0] != num_tables
+        or dists.shape != (width,)
+        or budgets.shape != (num_tables,)
+        or votes.shape != (n,)
+        or (n > 1 and members.strides[1] != members.itemsize)
+        or (num_tables > 1 and rem)
+    ):
+        raise ValueError("gather_vote: array shapes or strides do not agree")
+    scanned = _kernel(
+        num_tables, bits, n, offsets, members, row_stride,
+        probes, width, dists, budgets, votes,
+    )
+    if scanned < 0:
+        raise ValueError(
+            "corrupt hash table: a probed bucket's budget, code, offsets or "
+            "record ids are out of range"
+        )
+    return scanned

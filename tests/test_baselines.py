@@ -5,7 +5,7 @@ import pytest
 
 from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import BoiParams, VectorSet
-from boi.hashing import hash_codes_all, insert_all, make_projections
+from boi.hashing import flip_masks, hash_codes_all, insert_all, make_projections
 from boi.index import BoiIndex, accumulate, query
 
 
@@ -140,6 +140,19 @@ class TestMultiprobeLsh:
             wide = multiprobe_lsh_query(tables, data, q, 1, data.n, data.n)
             assert set(narrow.ids.tolist()) <= set(wide.ids.tolist())
             assert wide.probe_count > narrow.probe_count
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_pairs_scanned_is_bucket_length(self, populated, radius):
+        # every (id, bucket) pair read, before the first-seen dedup
+        tables, data = populated
+        q = np.random.default_rng(radius).standard_normal(12).astype(np.float32)
+        codes = hash_codes_all(tables.projections, tables.bits, q[np.newaxis, :])[0]
+        masks = np.concatenate([flip_masks(tables.bits, j) for j in range(radius + 1)])
+        rows = np.repeat(np.arange(tables.num_tables), masks.size)
+        scanned = tables.bucket(rows, (codes[:, np.newaxis] ^ masks).ravel()).size
+        got = multiprobe_lsh_query(tables, data, q, radius, 5, 3)
+        assert got.pairs_scanned == scanned > got.shortlist_size
+        assert brute_force_query(data, q, 3).pairs_scanned is None
 
     def test_probe_count_is_ball_size(self, populated):
         tables, data = populated

@@ -139,6 +139,12 @@ class TestBoiParams:
         with pytest.raises(ValueError):
             BoiParams(**kwargs)
 
+    def test_votes_must_fit_int32(self):
+        # a record collects up to num_tables * 2**hash_bits vote units
+        BoiParams(num_tables=2**14, hash_bits=16)  # 2**30 units
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            BoiParams(num_tables=2**15, hash_bits=16)  # 2**31 units
+
     def test_gamma0_bound_follows_bits(self):
         BoiParams(hash_bits=2, initial_probe_count=3)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from boi.hashing import (
 )
 from boi.index import (
     BoiIndex,
+    _accumulate,
     _probe_rng,
     accumulate,
     build_index,
@@ -613,3 +616,94 @@ def test_accumulate_and_query_match_reference(case):
     assert res.distances.tolist() == [dist[r] for r in oracle]
     assert res.shortlist_size == len(touched)
     assert res.probe_count == int((index.budgets + 1).sum())
+
+
+def numpy_accumulate(index, q, query_index):
+    """The accumulator in numpy, one gather and one ``np.add.at`` per
+    Hamming distance: the oracle for the compiled kernel's int32 votes,
+    probe count and (id, vote) pairs scanned (the total length of the
+    ``tables.bucket`` gathers over the same probe list)."""
+    tables = index.tables
+    bits = tables.bits
+    codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
+    budgets = index.budgets
+    ncodes, hdists = neighbor_codes_with_distance(
+        codes, int(budgets.max()), bits, _probe_rng(index.params, query_index)
+    )
+    probes = np.column_stack((codes, ncodes))
+    dists = np.concatenate(([0], hdists))
+    probed = np.arange(dists.size) < budgets[:, np.newaxis] + 1
+    votes = np.zeros(tables.n, np.int32)
+    pairs = 0
+    for h in range(int(dists[-1]) + 1):
+        rows, cols = (probed & (dists == h)).nonzero()
+        members = tables.bucket(rows, probes[rows, cols])
+        # a numpy scalar unit keeps np.add.at on its fast path
+        np.add.at(votes, members, np.int32(weight(h, bits) * (1 << bits)))
+        pairs += members.size
+    return votes, int(np.count_nonzero(probed)), pairs
+
+
+@given(tail_cases())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_numpy_oracle(case):
+    data, q, params, query_index, k = case
+    index = build_index(data, params)
+    votes, probes, pairs = _accumulate(index, q, query_index)
+    want_votes, want_probes, want_pairs = numpy_accumulate(index, q, query_index)
+    assert votes.dtype == np.int32
+    assert np.array_equal(votes, want_votes)
+    assert (probes, pairs) == (want_probes, want_pairs)
+    res = query(index, q, k, query_index)
+    assert (res.probe_count, res.pairs_scanned) == (want_probes, want_pairs)
+
+
+class TestCorruptTables:
+    """A table whose probed offsets or ids leave their range raises
+    ValueError from the kernel instead of reading out of bounds or
+    answering wrongly."""
+
+    @pytest.mark.parametrize(
+        "offsets, members",
+        [
+            ([0, 2, 4], [0, 1, 2, 4]),  # id equal to n
+            ([0, 2, 4], [0, 1, 2, -1]),  # negative id
+            ([0, 3, 2], [0, 1, 2, 3]),  # decreasing offsets
+            ([0, 2, 5], [0, 1, 2, 3]),  # offset past n
+            ([-1, 2, 4], [0, 1, 2, 3]),  # negative offset
+        ],
+        ids=["id=n", "id=-1", "decreasing", "past-n", "negative"],
+    )
+    def test_query_raises(self, offsets, members):
+        data = VectorSet(np.arange(8, dtype=np.float32).reshape(4, 2))
+        tables = ProjectionTable(
+            np.array([[1.0, -1.0]]),
+            np.array([offsets], dtype=np.int64),
+            np.array([members], dtype=np.int32),
+        )
+        params = BoiParams(
+            num_tables=1, hash_bits=1, initial_probe_count=1, schedule="fixed"
+        )
+        index = BoiIndex(params, tables, data)  # probes both buckets
+        with pytest.raises(ValueError, match="corrupt hash table"):
+            query(index, data.vectors[0], 2)
+
+
+def test_threads_vote_like_one(small_index):
+    # the kernel runs without the GIL; more threads than cores, switching
+    # often, must give every query the votes a serial run gives it
+    index, data = small_index
+    queries = range(40)
+    serial = [accumulate(index, data.vectors[qi], qi) for qi in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(accumulate, index, data.vectors[qi], qi) for qi in queries
+            ]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)

@@ -137,6 +137,8 @@ class TestSnapshot:
     def test_loaded_index_answers_identically(self, built):
         index, data, path = built
         loaded = load_index(path, data)
+        # the kernel reads the members in place, one snapshot record apart
+        assert not loaded.tables.members.flags.c_contiguous
         rng = np.random.default_rng(3)
         for qi in range(10):
             q = rng.standard_normal(10).astype(np.float32)
@@ -145,6 +147,7 @@ class TestSnapshot:
             assert np.array_equal(mem.ids, disk.ids)
             assert np.array_equal(mem.distances, disk.distances)
             assert mem.probe_count == disk.probe_count
+            assert mem.pairs_scanned == disk.pairs_scanned
             assert np.array_equal(
                 accumulate(index, q, query_index=qi),
                 accumulate(loaded, q, query_index=qi),
@@ -358,10 +361,11 @@ class TestCorruptSnapshot:
 
     @pytest.mark.parametrize(
         "field_offset, value",
-        [(12, 0), (12, 31), (36, 16), (44, 0), (48, 0), (52, 0)],
+        [(12, 0), (12, 31), (8, 2**27), (36, 16), (44, 0), (48, 0), (52, 0)],
         ids=[
             "hash_bits=0",
             "hash_bits=31",
+            "num_tables*2**b=2**31",
             "gamma0=2**b",
             "shortlist_size=0",
             "linear_step=0",

@@ -46,7 +46,7 @@ _DEFAULTS = BoiParams()
 # (flag, BoiParams field, help) for every index parameter, in --help order
 _PARAM_FLAGS = (
     ("L", "num_tables", "number of hash tables"),
-    ("bits", "hash_bits", "bits per bucket code (2**bits buckets)"),
+    ("bits", "hash_bits", "bits per bucket code, 1-16 (2**bits buckets)"),
     ("l", "probe_radius", "probe radius in Hamming distance"),
     ("epsilon", "shortlist_size", "shortlist size re-ranked by exact distance"),
     ("gamma0", "initial_probe_count", "initial neighbor buckets probed per table"),

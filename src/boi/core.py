@@ -13,7 +13,7 @@ import numpy as np
 
 SCHEDULE_KINDS = ("fixed", "linear", "sublinear")
 
-MAX_HASH_BITS = 30
+MAX_HASH_BITS = 16
 
 _DIST_CHUNK = 8192  # rows per float64 distance pass; bounds the intermediate
 

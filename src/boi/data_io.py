@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SCHEDULE_KINDS, BoiParams, VectorSet
-from .hashing import ProjectionTable
+from .hashing import OFFSET_DTYPE, ProjectionTable
 from .index import BoiIndex
 
 
@@ -234,12 +234,14 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
         )
     record = _table_record(hash_bits, dim, n)
     body = np.frombuffer(raw, dtype=record, offset=_HEADER.size)
-    offsets = np.zeros((num_tables, (1 << hash_bits) + 1), dtype=np.int64)
-    offsets[:, 1:] = body["counts"]
+    counts = body["counts"]
+    # summed exactly first: once every row sums to n, no running sum of
+    # its non-negative counts can wrap the int32 offsets
+    total = counts.sum(axis=1, dtype=np.int64)
+    _check_records(total == n, f"bucket counts do not sum to {n}", record, "counts")
+    offsets = np.zeros((num_tables, (1 << hash_bits) + 1), dtype=OFFSET_DTYPE)
+    offsets[:, 1:] = counts
     np.cumsum(offsets[:, 1:], axis=1, out=offsets[:, 1:])
-    _check_records(
-        offsets[:, -1] == n, f"bucket counts do not sum to {n}", record, "counts"
-    )
     projections = body["projections"]
     _check_records(
         np.isfinite(projections).all(axis=(1, 2)),

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import BoiParams, VectorSet
+from .core import MAX_HASH_BITS, BoiParams, VectorSet
 
 _HASH_CHUNK = 2048  # rows hashed per matmul; bounds the float64 intermediate
 
@@ -27,19 +27,38 @@ def projection_rng(seed: int, table_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, table_index)))
 
 
+# The one width decision: a bucket code of up to MAX_HASH_BITS = 16 bits is
+# a uint16, and a CSR bucket offset (at most n) is an int32, like a record id.
+CODE_DTYPE = np.dtype(np.uint16)
+OFFSET_DTYPE = np.dtype(np.int32)
+
+
+def _as_int32(values, name: str) -> np.ndarray:
+    """``values`` as int32; a narrowing cast must keep every value."""
+    arr = np.asarray(values)
+    if arr.dtype != np.int32:
+        narrow = arr.astype(np.int32)
+        if not np.array_equal(narrow, arr):
+            raise ValueError(f"{name} values do not fit int32")
+        arr = narrow
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectionTable:
     """All L hash tables of an index, as three stacked read-only arrays.
 
     ``projections`` (L*bits, dim) float64: rows t*bits .. t*bits+bits-1 are
     table t's Gaussian matrix, the matrix every hash multiplies by.
-    ``offsets`` (L, 2**bits + 1) int64: per-table CSR offsets, so
+    ``offsets`` (L, 2**bits + 1) int32: per-table CSR offsets, so
     ``offsets[t, c]:offsets[t, c + 1]`` bounds bucket c of table t.
     ``members`` (L, n) int32: row t holds every record id grouped by
     table t's bucket code, ascending within a bucket.
 
     A table object is made once, by ``insert_all`` or ``load_index``, and
-    never changes; its arrays cannot be written.
+    never changes; its arrays cannot be written. Offsets or members given
+    in a wider integer type raise ValueError when a value does not fit
+    int32.
     """
 
     projections: np.ndarray
@@ -47,12 +66,13 @@ class ProjectionTable:
     members: np.ndarray
 
     def __post_init__(self):
-        # the vote kernel reads offsets as C-ordered int64 and members as
-        # int32; neither conversion copies what insert_all or load_index made
+        # the vote kernel reads offsets as C-ordered int32 and members as
+        # int32; neither conversion copies or scans what insert_all or
+        # load_index made
         arrays = {
             "projections": np.asarray(self.projections, dtype=np.float64),
-            "offsets": np.ascontiguousarray(self.offsets, dtype=np.int64),
-            "members": np.asarray(self.members, dtype=np.int32),
+            "offsets": np.ascontiguousarray(_as_int32(self.offsets, "offsets")),
+            "members": _as_int32(self.members, "members"),
         }
         for name, arr in arrays.items():
             arr.setflags(write=False)
@@ -124,18 +144,19 @@ def make_projections(params: BoiParams, dim: int) -> np.ndarray:
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (..., b) boolean array into uint32 codes, LSB-first."""
-    b = bits.shape[-1]
-    pow2 = np.uint32(1) << np.arange(b, dtype=np.uint32)
-    return (bits.astype(np.uint32) * pow2).sum(axis=-1, dtype=np.uint32)
+    """Pack a (..., b) boolean array, b <= 16, into uint16 codes, LSB-first."""
+    pow2 = CODE_DTYPE.type(1) << np.arange(bits.shape[-1], dtype=CODE_DTYPE)
+    return (bits * pow2).sum(axis=-1, dtype=CODE_DTYPE)
 
 
 def hash_codes_all(projections: np.ndarray, bits: int, X: np.ndarray) -> np.ndarray:
-    """Bucket codes of the rows of X under every table, shape (m, L).
+    """Bucket codes (uint16) of the rows of X under every table, shape (m, L).
 
     ``projections`` stacks the L tables' (bits x dim) matrices as in
-    ``ProjectionTable.projections``.
+    ``ProjectionTable.projections``; ``bits`` must be in [1, 16].
     """
+    if not 1 <= bits <= MAX_HASH_BITS:
+        raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}]")
     projections = np.asarray(projections, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != projections.shape[1]:
@@ -144,7 +165,7 @@ def hash_codes_all(projections: np.ndarray, bits: int, X: np.ndarray) -> np.ndar
             f"{projections.shape[1]}"
         )
     num_tables = projections.shape[0] // bits
-    out = np.empty((X.shape[0], num_tables), dtype=np.uint32)
+    out = np.empty((X.shape[0], num_tables), dtype=CODE_DTYPE)
     for start in range(0, X.shape[0], _HASH_CHUNK):
         chunk = X[start : start + _HASH_CHUNK]
         dots = chunk @ projections.T
@@ -166,13 +187,10 @@ def insert_all(
     X = dataset.vectors.reshape(n, -1 if n else projections.shape[1])
     codes = hash_codes_all(projections, bits, X)
     num_tables, num_buckets = codes.shape[1], 1 << bits
-    offsets = np.zeros((num_tables, num_buckets + 1), dtype=np.int64)
+    offsets = np.zeros((num_tables, num_buckets + 1), dtype=OFFSET_DTYPE)
     members = np.empty((num_tables, n), dtype=np.int32)
-    # bucket codes fit 8 or 16 bits at the usual widths, where a stable
-    # sort is a radix sort
-    key_type = np.min_scalar_type(num_buckets - 1)
     for t in range(num_tables):
-        col = codes[:, t].astype(key_type)
+        col = np.ascontiguousarray(codes[:, t])
         np.cumsum(np.bincount(col, minlength=num_buckets), out=offsets[t, 1:])
         # stable sort groups ids by code, ascending id within each bucket
         members[t] = np.argsort(col, kind="stable")
@@ -181,16 +199,17 @@ def insert_all(
 
 @lru_cache(maxsize=None)
 def flip_masks(bits: int, distance: int) -> np.ndarray:
-    """Read-only array of the XOR masks for one Hamming shell: every b-bit
-    mask with exactly ``distance`` set bits, in a fixed order (cached)."""
-    if bits < 1 or distance < 0:
-        raise ValueError("bits must be >= 1 and distance >= 0")
+    """Read-only uint16 array of the XOR masks for one Hamming shell: every
+    b-bit mask with exactly ``distance`` set bits, in a fixed order (cached).
+    ``bits`` must be in [1, 16]."""
+    if not 1 <= bits <= MAX_HASH_BITS or distance < 0:
+        raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}] and distance >= 0")
     if distance > bits:
-        masks = np.empty(0, dtype=np.uint32)
+        masks = np.empty(0, dtype=CODE_DTYPE)
     else:
         masks = np.fromiter(
             (sum(1 << p for p in combo) for combo in combinations(range(bits), distance)),
-            dtype=np.uint32,
+            dtype=CODE_DTYPE,
         )
     masks.setflags(write=False)
     return masks
@@ -220,9 +239,9 @@ def neighbor_codes_with_distance(
         raise ValueError(
             f"max_count must be in [0, 2**bits - 1], got {max_count}"
         )
-    rows = centers.astype(np.uint32).reshape(-1, 1)
+    rows = centers.astype(CODE_DTYPE).reshape(-1, 1)
     # shell d sits at list position d; distance 0 (the center) is empty
-    shells = [np.empty((rows.shape[0], 0), dtype=np.uint32)]
+    shells = [np.empty((rows.shape[0], 0), dtype=CODE_DTYPE)]
     sizes = [0]
     while sum(sizes) < max_count:
         shell = rows ^ flip_masks(bits, len(sizes))

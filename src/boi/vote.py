@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .hashing import CODE_DTYPE, OFFSET_DTYPE
+
 SOURCE = Path(__file__).with_name("vote.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 
@@ -85,10 +87,10 @@ def load_kernel(cache_dir):
         i64,  # num_tables
         i64,  # bits
         i64,  # n
-        _contiguous(np.int64, 2),  # offsets
+        _contiguous(OFFSET_DTYPE, 2),  # offsets
         np.ctypeslib.ndpointer(np.int32, ndim=2),  # members, rows strided
         i64,  # row stride of members, in ids
-        _contiguous(np.uint32, 2),  # probes
+        _contiguous(CODE_DTYPE, 2),  # probes
         i64,  # probe row width
         _contiguous(np.uint8, 1),  # dists
         _contiguous(np.int64, 1),  # budgets
@@ -112,10 +114,10 @@ def gather_vote(
     """Add every probed bucket's vote to ``votes``; return the number of
     (id, vote) pairs scanned.
 
-    ``offsets`` (L, 2**b + 1) int64 and ``members`` (L, n) int32 are a
+    ``offsets`` (L, 2**b + 1) int32 and ``members`` (L, n) int32 are a
     ``ProjectionTable``'s arrays; ``members`` may have any row stride but
     its ids must be adjacent within a row. Table t probes the first
-    ``budgets[t] + 1`` codes of row t of ``probes`` (L, width) uint32,
+    ``budgets[t] + 1`` codes of row t of ``probes`` (L, width) uint16,
     whose position j lies at Hamming distance ``dists[j]`` (uint8) from the
     query code, and adds 1 << (b - dists[j]) to ``votes[id]`` (int32, n)
     for each id in the bucket. Raises ValueError when the shapes disagree

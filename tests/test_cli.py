@@ -80,6 +80,17 @@ class TestBuild:
         )
         assert rc != 0
 
+    def test_rejects_bits_past_16(self, tmp_path, dataset_dir, caplog):
+        rc = main(
+            [
+                "build", "--dataset", str(dataset_dir / "base.fvecs"),
+                "--index", str(tmp_path / "x.boix"), "--bits", "17",
+            ]
+        )
+        assert rc == 1
+        assert "hash_bits must be in [1, 16]" in caplog.text
+        assert not (tmp_path / "x.boix").exists()
+
     def test_missing_dataset_fails(self, tmp_path):
         rc = main(
             [

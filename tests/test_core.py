@@ -139,6 +139,12 @@ class TestBoiParams:
         with pytest.raises(ValueError):
             BoiParams(**kwargs)
 
+    def test_hash_bits_capped_at_16(self):
+        # codes are uint16 end to end
+        assert BoiParams(hash_bits=16).num_buckets == 2**16
+        with pytest.raises(ValueError, match=r"hash_bits must be in \[1, 16\]"):
+            BoiParams(hash_bits=17)
+
     def test_votes_must_fit_int32(self):
         # a record collects up to num_tables * 2**hash_bits vote units
         BoiParams(num_tables=2**14, hash_bits=16)  # 2**30 units

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from boi.core import BoiParams, VectorSet
 from boi.hashing import (
+    CODE_DTYPE,
+    OFFSET_DTYPE,
     ProjectionTable,
     flip_masks,
     hash_codes_all,
@@ -98,6 +100,13 @@ class TestHashVector:
         t = [[1.0, 0.0]]
         with pytest.raises(ValueError):
             hash_codes(t, np.zeros((1, 3), dtype=np.float32))
+
+    def test_rejects_more_than_16_bits(self):
+        # a 17th bit would not fit the uint16 code
+        rows = np.eye(17, 2)
+        assert hash_codes(rows[:16], [[1.0, 1.0]]).dtype == np.uint16
+        with pytest.raises(ValueError, match=r"\[1, 16\]"):
+            hash_codes(rows, [[1.0, 1.0]])
 
     def test_single_matches_batch(self):
         rng = np.random.default_rng(11)
@@ -202,6 +211,28 @@ class TestProjectionTable:
         assert np.array_equal(got, expected)
         assert tables.bucket([], []).size == 0
 
+    def test_int32_arrays_are_kept_not_copied(self, tables):
+        again = ProjectionTable(tables.projections, tables.offsets, tables.members)
+        assert again.offsets is tables.offsets
+        assert again.members is tables.members
+
+    def test_codes_and_offsets_use_the_named_widths(self, tables):
+        assert tables.offsets.dtype == OFFSET_DTYPE == np.int32
+        codes = hash_codes_all(tables.projections, tables.bits, np.ones((3, 9)))
+        assert codes.dtype == CODE_DTYPE == np.uint16
+
+    @pytest.mark.parametrize(
+        "name, value", [("offsets", 2**32 + 3), ("members", 2**32 + 1)]
+    )
+    def test_wide_values_that_do_not_fit_int32_raise(self, name, value):
+        arrays = {
+            "offsets": np.array([[0, 1, 2]], dtype=np.int64),
+            "members": np.array([[1, 0]], dtype=np.int64),
+        }
+        arrays[name][0, -1] = value
+        with pytest.raises(ValueError, match=f"{name} values do not fit int32"):
+            ProjectionTable(np.ones((1, 2)), **arrays)
+
 
 def hamming(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
@@ -293,7 +324,7 @@ def test_flip_masks_shell_sizes():
             assert flip_masks(bits, dist).size == comb(bits, dist)
 
 
-@pytest.mark.parametrize("bits, dist", [(0, 1), (4, -1)])
+@pytest.mark.parametrize("bits, dist", [(0, 1), (4, -1), (17, 1)])
 def test_flip_masks_rejects_bad_arguments(bits, dist):
     with pytest.raises(ValueError):
         flip_masks(bits, dist)

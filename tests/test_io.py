@@ -361,9 +361,10 @@ class TestCorruptSnapshot:
 
     @pytest.mark.parametrize(
         "field_offset, value",
-        [(12, 0), (12, 31), (8, 2**27), (36, 16), (44, 0), (48, 0), (52, 0)],
+        [(12, 0), (12, 17), (12, 31), (8, 2**27), (36, 16), (44, 0), (48, 0), (52, 0)],
         ids=[
             "hash_bits=0",
+            "hash_bits=17",
             "hash_bits=31",
             "num_tables*2**b=2**31",
             "gamma0=2**b",
@@ -380,6 +381,17 @@ class TestCorruptSnapshot:
         with pytest.raises(FormatError, match="header") as err:
             load_index(path)
         assert err.value.offset == 0
+
+    def test_counts_that_wrap_int32_rejected(self, tmp_path):
+        # 2**32 - 1 + 51 wraps to 50 in 32 bits: the sum must be taken exactly
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        counts = 60 + 4 * 4 * 4  # table 0's counts follow its b x dim floats
+        struct.pack_into("<16I", raw, counts, 2**32 - 1, 51, *[0] * 14)
+        path = tmp_path / "wrap.boix"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="sum to 50 in table 0") as err:
+            load_index(path)
+        assert err.value.offset == counts
 
     def test_non_finite_projection_rejected(self, tmp_path):
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())

@@ -68,9 +68,9 @@ def test_failed_compile_raises_import_error(tmp_path):
 def _arrays():
     """Two 2-bit tables over 4 records, one record per bucket; each probes
     bucket 0 (distance 0) and bucket 1 (distance 1)."""
-    offsets = np.tile(np.arange(5, dtype=np.int64), (2, 1))
+    offsets = np.tile(np.arange(5, dtype=np.int32), (2, 1))
     members = np.tile(np.arange(4, dtype=np.int32), (2, 1))
-    probes = np.tile(np.array([0, 1], dtype=np.uint32), (2, 1))
+    probes = np.tile(np.array([0, 1], dtype=np.uint16), (2, 1))
     dists = np.array([0, 1], dtype=np.uint8)
     budgets = np.ones(2, dtype=np.int64)
     return offsets, members, probes, dists, budgets, np.zeros(4, np.int32)
@@ -97,7 +97,7 @@ def test_gather_vote_reads_strided_rows_in_place():
         (3, np.zeros(1, np.uint8)),  # dists shorter than a probe row
         (5, np.zeros(5, np.int32)),  # votes not n long
         (1, np.zeros((2, 8), np.int32)[:, ::2]),  # gaps between ids of a row
-        (0, np.zeros((2, 4), np.int64)),  # offsets not 2**b + 1 wide
+        (0, np.zeros((2, 4), np.int32)),  # offsets not 2**b + 1 wide
     ],
     ids=["budgets", "dists", "votes", "member-gaps", "offsets-width"],
 )

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import SCHEDULE_KINDS, BoiParams, VectorSet
-from .hashing import OFFSET_DTYPE, ProjectionTable
+from .hashing import OFFSET_DTYPE, ProjectionTable, check_record_count
 from .index import BoiIndex
 
 
@@ -180,10 +180,11 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
     The body is read as one structured array of L table records, so bucket
     counts and members are read-only (L, ...) views into the file's bytes;
     nothing is copied per table or per bucket. Rejects bad magic, unknown
-    versions (v1 included), header values ``BoiParams`` rejects, length
-    mismatches, bucket counts that do not sum to n, non-finite projections
-    and record ids outside [0, n). When ``dataset`` is given the index is
-    made over it (and size-checked) so it can answer queries immediately.
+    versions (v1 included), header values ``BoiParams`` rejects, n of
+    2**31 or more (record ids are int32), length mismatches, bucket counts
+    that do not sum to n, non-finite projections and record ids outside
+    [0, n). When ``dataset`` is given the index is made over it (and
+    size-checked) so it can answer queries immediately.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -223,6 +224,7 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
             seed=seed,
             strict_radius=bool(flags & _FLAG_STRICT),
         )
+        check_record_count(n)
     except ValueError as exc:
         raise FormatError(f"bad snapshot header: {exc}", offset=0) from None
     record_bytes = 4 * (hash_bits * dim + (1 << hash_bits) + n)

@@ -33,6 +33,15 @@ CODE_DTYPE = np.dtype(np.uint16)
 OFFSET_DTYPE = np.dtype(np.int32)
 
 
+def check_record_count(n: int) -> None:
+    """Raise ValueError unless n records fit the tables' int32 ids and
+    offsets (the vote kernel also compares ids, as uint32, with n)."""
+    if n >= 2**31:
+        raise ValueError(
+            f"{n} records do not fit int32 record ids (at most 2**31 - 1)"
+        )
+
+
 def _as_int32(values, name: str) -> np.ndarray:
     """``values`` as int32; a narrowing cast must keep every value."""
     arr = np.asarray(values)
@@ -58,7 +67,7 @@ class ProjectionTable:
     A table object is made once, by ``insert_all`` or ``load_index``, and
     never changes; its arrays cannot be written. Offsets or members given
     in a wider integer type raise ValueError when a value does not fit
-    int32.
+    int32, and so do 2**31 or more records.
     """
 
     projections: np.ndarray
@@ -69,6 +78,7 @@ class ProjectionTable:
         # the vote kernel reads offsets as C-ordered int32 and members as
         # int32; neither conversion copies or scans what insert_all or
         # load_index made
+        check_record_count(np.shape(self.members)[-1])
         arrays = {
             "projections": np.asarray(self.projections, dtype=np.float64),
             "offsets": np.ascontiguousarray(_as_int32(self.offsets, "offsets")),
@@ -183,6 +193,7 @@ def insert_all(
     its code under that table's rows of ``projections``.
     """
     n = dataset.n
+    check_record_count(n)
     # an empty set hashes as zero rows of the tables' width, whatever its own
     X = dataset.vectors.reshape(n, -1 if n else projections.shape[1])
     codes = hash_codes_all(projections, bits, X)

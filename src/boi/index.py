@@ -8,7 +8,10 @@ Querying works in four stages:
    Hamming distance from the query code. Python orders the probes; the
    gather and the vote over every table are one call into the compiled
    kernel of ``vote.c``, which releases the GIL, so threads vote in
-   parallel. Votes are exact int32 counts of 2**-b;
+   parallel. The kernel collects the non-empty probed buckets, then adds
+   their votes one tile of record ids at a time, small enough that the
+   votes being written stay in the L1 cache. Votes are exact int32 counts
+   of 2**-b, whatever order they are added in;
 3. keep the ``shortlist_size`` records with the highest accumulated
    integer vote, ties by lower id (zero-weight records never qualify);
 4. re-rank the shortlist by exact Euclidean distance and return the top k

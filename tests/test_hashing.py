@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from boi.core import BoiParams, VectorSet
 from boi.hashing import (
@@ -168,6 +171,13 @@ class TestInsertAll:
                 VectorSet(np.zeros((3, 5), dtype=np.float32)),
             )
 
+    def test_rejects_2_31_records_before_hashing(self):
+        params = BoiParams(num_tables=1, hash_bits=2, initial_probe_count=1)
+        # only the record count is read before the check
+        dataset = SimpleNamespace(n=2**31, vectors=None)
+        with pytest.raises(ValueError, match="do not fit int32 record ids"):
+            insert_all(make_projections(params, 4), 2, dataset)
+
 
 class TestProjectionTable:
     @pytest.fixture(scope="class")
@@ -232,6 +242,16 @@ class TestProjectionTable:
         arrays[name][0, -1] = value
         with pytest.raises(ValueError, match=f"{name} values do not fit int32"):
             ProjectionTable(np.ones((1, 2)), **arrays)
+
+    def test_members_of_2_31_records_raise(self):
+        # a zero-stride view: 2**31 int32 ids without allocating them
+        zero = np.zeros(1, dtype=np.int32)
+        offsets = np.zeros((1, 3), dtype=np.int32)
+        largest = as_strided(zero, shape=(1, 2**31 - 1), strides=(0, 0))
+        assert ProjectionTable(np.ones((1, 2)), offsets, largest).n == 2**31 - 1
+        members = as_strided(zero, shape=(1, 2**31), strides=(0, 0))
+        with pytest.raises(ValueError, match="do not fit int32 record ids"):
+            ProjectionTable(np.ones((1, 2)), offsets, members)
 
 
 def hamming(a: int, b: int) -> int:

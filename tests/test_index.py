@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from boi.baselines import brute_force_query
 from boi.core import SCHEDULE_KINDS, BoiParams, VectorSet
+from boi.data_io import load_index, save_index
 from boi.hashing import (
     ProjectionTable,
     hash_codes_all,
@@ -658,6 +659,33 @@ def test_kernel_matches_numpy_oracle(case):
     assert (res.probe_count, res.pairs_scanned) == (want_probes, want_pairs)
 
 
+def test_kernel_matches_numpy_oracle_across_tiles_and_batches(tmp_path):
+    # the kernel sweeps ids in tiles of 8192 and collects at most 1024
+    # buckets before a sweep: 20k records span 3 tiles, and probing all 256
+    # buckets of 16 tables collects several batches
+    rng = np.random.default_rng(21)
+    data = VectorSet(rng.standard_normal((20_000, 16)).astype(np.float32))
+    params = BoiParams(
+        num_tables=16, hash_bits=8, initial_probe_count=255,
+        schedule="fixed", probe_radius=8,
+    )
+    built = build_index(data, params)
+    assert int((built.budgets + 1).sum()) == 4096
+    assert np.count_nonzero(np.diff(built.tables.offsets, axis=1)) > 3 * 1024
+    path = tmp_path / "tiles.boix"
+    save_index(built, path)
+    loaded = load_index(path, data)
+    # loaded member rows are strided views into the snapshot's table records
+    assert loaded.tables.members.strides[0] > 4 * data.n
+    for index in (built, loaded):
+        for query_index in range(3):
+            q = rng.standard_normal(16).astype(np.float32)
+            votes, probes, pairs = _accumulate(index, q, query_index)
+            want = numpy_accumulate(index, q, query_index)
+            assert np.array_equal(votes, want[0])
+            assert (probes, pairs) == want[1:] == (4096, 16 * data.n)
+
+
 class TestCorruptTables:
     """A table whose probed offsets or ids leave their range raises
     ValueError from the kernel instead of reading out of bounds or
@@ -680,6 +708,26 @@ class TestCorruptTables:
             np.array([[1.0, -1.0]]),
             np.array([offsets], dtype=np.int64),
             np.array([members], dtype=np.int32),
+        )
+        params = BoiParams(
+            num_tables=1, hash_bits=1, initial_probe_count=1, schedule="fixed"
+        )
+        index = BoiIndex(params, tables, data)  # probes both buckets
+        with pytest.raises(ValueError, match="corrupt hash table"):
+            query(index, data.vectors[0], 2)
+
+    @pytest.mark.parametrize("bad", [20_000, -1], ids=["id=n", "id=-1"])
+    def test_bad_id_in_last_tile_raises(self, bad):
+        # the kernel sweeps ids in tiles of 8192; the bad id is the last id
+        # of a bucket, in the third and last tile of 20k records
+        n = 20_000
+        data = VectorSet(np.zeros((n, 2), dtype=np.float32))
+        members = np.arange(n, dtype=np.int32)
+        members[-1] = bad
+        tables = ProjectionTable(
+            np.array([[1.0, -1.0]]),
+            np.array([[0, n // 2, n]], dtype=np.int32),
+            members[np.newaxis, :],
         )
         params = BoiParams(
             num_tables=1, hash_bits=1, initial_probe_count=1, schedule="fixed"

@@ -361,12 +361,23 @@ class TestCorruptSnapshot:
 
     @pytest.mark.parametrize(
         "field_offset, value",
-        [(12, 0), (12, 17), (12, 31), (8, 2**27), (36, 16), (44, 0), (48, 0), (52, 0)],
+        [
+            (12, 0),
+            (12, 17),
+            (12, 31),
+            (8, 2**27),
+            (20, 2**31),  # the low half of the u64 n
+            (36, 16),
+            (44, 0),
+            (48, 0),
+            (52, 0),
+        ],
         ids=[
             "hash_bits=0",
             "hash_bits=17",
             "hash_bits=31",
             "num_tables*2**b=2**31",
+            "n=2**31",
             "gamma0=2**b",
             "shortlist_size=0",
             "linear_step=0",

@@ -118,3 +118,21 @@ def test_gather_vote_rejects_out_of_range_probes(position, value):
     args[position].flat[-1] = value
     with pytest.raises(ValueError, match="corrupt hash table"):
         vote.gather_vote(*args)
+
+
+def test_gather_vote_counts_ids_stored_out_of_order():
+    # one 1-bit table over 30k records, so the ids span 4 tiles of 8192:
+    # bucket 0 holds the even ids in descending order, bucket 1 the odd
+    # ids ascending; a descending bucket is added in later tiles, exactly
+    n = 30_000
+    members = np.concatenate((np.arange(n - 2, -1, -2), np.arange(1, n, 2)))
+    offsets = np.array([[0, n // 2, n]], dtype=np.int32)
+    probes = np.array([[0, 1]], dtype=np.uint16)
+    dists = np.array([0, 1], dtype=np.uint8)
+    votes = np.zeros(n, np.int32)
+    scanned = vote.gather_vote(
+        offsets, members.astype(np.int32)[np.newaxis, :], probes, dists,
+        np.ones(1, np.int64), votes,
+    )
+    assert scanned == n
+    assert np.array_equal(votes, np.where(np.arange(n) % 2 == 0, 2, 1))

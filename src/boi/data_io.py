@@ -10,7 +10,8 @@ Snapshot layout (everything little-endian):
             dim u32, n u64, seed u64, gamma0 u32, probe_radius u32,
             shortlist_size u32, linear_step u32, sublinear_step u32,
             schedule u8 (0 fixed / 1 linear / 2 sublinear),
-            flags u8 (bit 0: strict_radius), 2 pad bytes
+            flags u8 (bit 0: strict_radius; bits 1-7 are reserved and
+            must be 0), 2 pad bytes that must be 0
     body    num_tables fixed-size records, one per table: the
             (hash_bits x dim) float32 projection matrix, the 2**hash_bits
             u32 bucket counts (bucket code order), then the n u32 record ids
@@ -85,14 +86,19 @@ def read_fvecs(path) -> VectorSet:
     return VectorSet(values)
 
 
+def _write_records(path, rows: np.ndarray) -> None:
+    """Write (n, dim) 4-byte rows as records: an int32 ``dim`` header
+    column, then each row's bytes viewed as ``<i4``."""
+    n, dim = rows.shape
+    buf = np.empty((n, 1 + dim), dtype="<i4")
+    buf[:, 0] = dim
+    buf[:, 1:] = rows.view("<i4")
+    Path(path).write_bytes(buf.tobytes())
+
+
 def write_fvecs(path, dataset: VectorSet) -> None:
     """Write a VectorSet as fvecs; read_fvecs round-trips it bit-exactly."""
-    n, dim = dataset.n, dataset.dim
-    buf = np.empty((n, 1 + dim), dtype="<f4")
-    if n:
-        buf[:, 0] = np.full(n, dim, dtype="<i4").view("<f4")
-        buf[:, 1:] = dataset.vectors
-    Path(path).write_bytes(buf.tobytes())
+    _write_records(path, np.asarray(dataset.vectors, dtype="<f4"))
 
 
 def read_ivecs(path) -> np.ndarray:
@@ -105,19 +111,16 @@ def write_ivecs(path, rows) -> None:
     rows = np.asarray(rows, dtype="<i4")
     if rows.ndim != 2:
         raise ValueError(f"ivecs rows must be 2-D, got shape {rows.shape}")
-    n, dim = rows.shape
-    if n and dim == 0:
+    if rows.shape[0] and rows.shape[1] == 0:
         raise ValueError("ivecs records must have at least one element")
-    buf = np.empty((n, 1 + dim), dtype="<i4")
-    if n:
-        buf[:, 0] = dim
-        buf[:, 1:] = rows
-    Path(path).write_bytes(buf.tobytes())
+    _write_records(path, rows)
 
 
 _MAGIC = b"BOIX"
 _VERSION = 2
-_HEADER = struct.Struct("<4sIIIIQQIIIIIBB2x")
+_HEADER = struct.Struct("<4sIIIIQQIIIIIBBH")
+# byte offsets of the header's last three fields: schedule, flags, padding
+_SCHEDULE_AT, _FLAGS_AT, _PAD_AT = 56, 57, 58
 _FLAG_STRICT = 0x01
 
 
@@ -166,6 +169,7 @@ def save_index(index: BoiIndex, path) -> None:
         p.sublinear_step,
         SCHEDULE_KINDS.index(p.schedule),
         _FLAG_STRICT if p.strict_radius else 0,
+        0,
     )
     body = raw[_HEADER.size :].view(record)
     body["projections"] = tables.projections.reshape(body["projections"].shape)
@@ -180,11 +184,12 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
     The body is read as one structured array of L table records, so bucket
     counts and members are read-only (L, ...) views into the file's bytes;
     nothing is copied per table or per bucket. Rejects bad magic, unknown
-    versions (v1 included), header values ``BoiParams`` rejects, n of
-    2**31 or more (record ids are int32), length mismatches, bucket counts
-    that do not sum to n, non-finite projections and record ids outside
-    [0, n). When ``dataset`` is given the index is made over it (and
-    size-checked) so it can answer queries immediately.
+    versions (v1 included), unknown schedule codes or flag bits, non-zero
+    header padding, header values ``BoiParams`` rejects, n of 2**31 or
+    more (record ids are int32), length mismatches, bucket counts that do
+    not sum to n, non-finite projections and record ids outside [0, n).
+    When ``dataset`` is given the index is made over it (and size-checked)
+    so it can answer queries immediately.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -204,13 +209,20 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
         sublinear_step,
         schedule_code,
         flags,
+        pad,
     ) = _HEADER.unpack_from(raw, 0)
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r}", offset=0)
     if version != _VERSION:
         raise FormatError(f"unsupported snapshot version {version}", offset=4)
     if schedule_code >= len(SCHEDULE_KINDS):
-        raise FormatError(f"unknown schedule code {schedule_code}")
+        raise FormatError(
+            f"unknown schedule code {schedule_code}", offset=_SCHEDULE_AT
+        )
+    if flags & ~_FLAG_STRICT:
+        raise FormatError(f"unknown header flags {flags:#04x}", offset=_FLAGS_AT)
+    if pad:
+        raise FormatError("non-zero header padding", offset=_PAD_AT)
     try:
         params = BoiParams(
             num_tables=num_tables,

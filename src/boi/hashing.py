@@ -226,42 +226,56 @@ def flip_masks(bits: int, distance: int) -> np.ndarray:
     return masks
 
 
+@lru_cache(maxsize=None)
+def _probe_plan(bits: int, last_shell: int) -> tuple[np.ndarray, ...]:
+    shells = [flip_masks(bits, d) for d in range(last_shell + 1)]
+    sizes = [shell.size for shell in shells]
+    stops = np.cumsum(sizes)
+    plan = (
+        np.concatenate(shells),
+        np.repeat(np.arange(last_shell + 1, dtype=np.uint8), sizes),
+        np.column_stack((stops[:-1], stops[1:])),
+    )
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
+    """Read-only (masks, dists, shells) of the probe row that covers
+    ``count`` neighbors: the center (mask 0, shell 0), then whole Hamming
+    shells 1, 2, ... in ``flip_masks`` order. ``dists`` is each position's
+    distance and row d - 1 of ``shells`` the (start, stop) of shell d.
+    Cached per (bits, last shell)."""
+    if not 0 <= count < 1 << bits:
+        raise ValueError(f"count must be in [0, 2**bits - 1], got {count}")
+    last_shell = covered = 0
+    while covered < count:
+        last_shell += 1
+        covered += flip_masks(bits, last_shell).size
+    return _probe_plan(bits, last_shell)
+
+
 def neighbor_codes_with_distance(
-    center: int | np.ndarray, max_count: int, bits: int, rng: np.random.Generator
+    center: int | np.ndarray, count: int, bits: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First ``max_count`` neighbor codes of ``center`` plus their distances.
+    """The ``probe_plan(bits, count)`` row of ``center``, each neighbor
+    shell in an order shuffled by ``rng``, and each position's distance.
 
-    Codes come out shell by shell: every code at Hamming distance 1 (in an
-    order shuffled by ``rng``), then distance 2 (shuffled), and so on. The
-    center itself is excluded. One shuffle is consumed from ``rng`` per
-    shell generated, whether or not the whole shell is used.
-
-    ``center`` may also be an array of codes, one per table. Codes then
-    have one row per center, and each shell is shuffled for every row in
-    one ``rng.permuted`` call (row by row), so a single center draws from
-    ``rng`` exactly like a one-element array. Distances depend only on the
-    position and are returned once, shape (max_count,).
+    ``center`` may also be an array of codes, one per table. Each shell is
+    then shuffled for every row in one ``rng.permuted`` call, so a single
+    center draws from ``rng`` exactly like a one-element array. Distances
+    depend only on the position and are returned once.
     """
     centers = np.asarray(center)
-    num_codes = 1 << bits
-    if np.any((centers < 0) | (centers >= num_codes)):
+    if np.any((centers < 0) | (centers >= 1 << bits)):
         raise ValueError(f"center {center} out of range for {bits} bits")
-    if max_count < 0 or max_count > num_codes - 1:
-        raise ValueError(
-            f"max_count must be in [0, 2**bits - 1], got {max_count}"
-        )
-    rows = centers.astype(CODE_DTYPE).reshape(-1, 1)
-    # shell d sits at list position d; distance 0 (the center) is empty
-    shells = [np.empty((rows.shape[0], 0), dtype=CODE_DTYPE)]
-    sizes = [0]
-    while sum(sizes) < max_count:
-        shell = rows ^ flip_masks(bits, len(sizes))
-        rng.permuted(shell, axis=1, out=shell)
-        shells.append(shell)
-        sizes.append(shell.shape[1])
-    codes = np.concatenate(shells, axis=1)[:, :max_count]
-    dists = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)[:max_count]
-    return codes.reshape(centers.shape + (max_count,)), dists
+    masks, dists, shells = probe_plan(bits, count)
+    rows = centers.astype(CODE_DTYPE).reshape(-1, 1) ^ masks
+    for start, stop in shells.tolist():
+        shell = rows[:, start:stop]
+        rng.permuted(shell, axis=-1, out=shell)
+    return rows.reshape(centers.shape + masks.shape), dists
 
 
 def occupancy_summary(tables: ProjectionTable) -> dict:

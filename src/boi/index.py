@@ -5,13 +5,12 @@ Querying works in four stages:
 1. hash the query once per table;
 2. probe the query's own bucket plus a per-table budget of neighbor
    buckets, adding 1/2**H to every record found, where H is the bucket's
-   Hamming distance from the query code. Python orders the probes; the
-   gather and the vote over every table are one call into the compiled
-   kernel of ``vote.c``, which releases the GIL, so threads vote in
-   parallel. The kernel collects the non-empty probed buckets, then adds
-   their votes one tile of record ids at a time, small enough that the
-   votes being written stay in the L1 cache. Votes are exact int32 counts
-   of 2**-b, whatever order they are added in;
+   Hamming distance from the query code (``weight``, tabulated per probe
+   position as ``BoiIndex.units``). Python orders the probes; the gather
+   and the vote over every table are one call into the compiled kernel of
+   ``vote.c``, which releases the GIL, so threads vote in parallel. It
+   adds each probed bucket's units one L1-sized tile of record ids at a
+   time. Votes are exact int32 counts of 2**-b, whatever their order;
 3. keep the ``shortlist_size`` records with the highest accumulated
    integer vote, ties by lower id (zero-weight records never qualify);
 4. re-rank the shortlist by exact Euclidean distance and return the top k
@@ -26,10 +25,11 @@ distance. A budget never exceeds the 2**b - 1 other buckets of the code
 space. In ``strict_radius`` mode probing is capped at the radius-l ball
 instead, so no bucket beyond distance l is ever touched.
 
-Neighbor probe order is re-shuffled per (query, table) from a PCG64 stream
-derived from (seed, probe tag, query_index), which keeps batches
-reproducible while avoiding a fixed probe order across experiments. Each
-Hamming shell is drawn for all L tables in one call, shell by shell.
+Probe rows follow one ``hashing.probe_plan`` per index: the center, then
+whole Hamming shells. Each shell's order is re-shuffled per (query, table)
+from a PCG64 stream derived from (seed, probe tag, query_index), which
+keeps batches reproducible while avoiding a fixed probe order across
+experiments, for all L tables in one call per shell.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .hashing import (
     insert_all,
     make_projections,
     neighbor_codes_with_distance,
+    probe_plan,
 )
 from .vote import gather_vote
 
@@ -65,11 +66,11 @@ def weight(hamming: int, radius: int) -> float:
     """Vote weight of a bucket at Hamming distance ``hamming`` from the query.
 
     1/2**hamming up to ``radius``, 0 beyond it. The query's own bucket
-    (distance 0) always weighs 1. The accumulator's kernel adds
-    1 << (b - hamming) units of 2**-b, which is this weight with ``radius``
-    set to the code width b, so buckets probed past the probe radius (the
-    default spill mode) keep their true-distance weight; the tests check
-    the kernel's votes against sums of this function.
+    (distance 0) always weighs 1. This is the only statement of the rule:
+    ``BoiIndex.units`` tabulates it with ``radius`` set to the code width
+    b, in units of 2**-b, and the accumulator's kernel adds those units,
+    so buckets probed past the probe radius (the default spill mode) keep
+    their true-distance weight.
     """
     if hamming < 0 or radius < 0:
         raise ValueError("hamming and radius must be non-negative")
@@ -152,7 +153,9 @@ class BoiIndex:
     radius) capped at the code space (2**b - 1 other buckets) or, in strict
     mode, at the radius ball; the capped sum stops at the cap, so no budget
     costs more than b binomial terms however large gamma_0 or the radius.
-    Both arrays are read-only.
+    ``units[j]`` (uint32) is weight(H_j, b) * 2**b, the vote the kernel
+    adds for position j of a probe row (strict budgets never reach past
+    the radius). All three arrays are read-only.
 
     Immutable: the table and the dataset are fixed by the constructor, and
     nothing is cached or bound later (there is no ``attach_dataset``). A
@@ -166,6 +169,7 @@ class BoiIndex:
     dataset: VectorSet | None = None
     schedule: np.ndarray = field(init=False)
     budgets: np.ndarray = field(init=False)
+    units: np.ndarray = field(init=False)
 
     def __post_init__(self):
         p, tables = self.params, self.tables
@@ -183,9 +187,12 @@ class BoiIndex:
             [neighbor_budget(g, radius, cap) for g in schedule.tolist()],
             dtype=np.int64,
         )
-        budgets.setflags(write=False)
+        per_shell = [weight(h, bits) * 2**bits for h in range(bits + 1)]
+        units = np.array(per_shell, np.uint32)[probe_plan(bits, budgets.max())[1]]
         object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "budgets", budgets)
+        for name, arr in (("budgets", budgets), ("units", units)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -225,16 +232,14 @@ def _accumulate(
     tables = index.tables
     bits = tables.bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
-    budgets = index.budgets
-    ncodes, hdists = neighbor_codes_with_distance(
+    budgets, units = index.budgets, index.units
+    # Row t lists table t's own bucket, then its neighbors shell by shell;
+    # the table probes the first budgets[t] + 1.
+    probes, _ = neighbor_codes_with_distance(
         codes, int(budgets.max()), bits, _probe_rng(index.params, query_index)
     )
-    # Row t lists table t's own bucket (distance 0), then its neighbors in
-    # non-decreasing distance; the table probes the first budgets[t] + 1.
-    probes = np.column_stack((codes, ncodes))
-    dists = np.concatenate((np.zeros(1, np.uint8), hdists))
     votes = np.zeros(tables.n, np.int32)
-    pairs = gather_vote(tables.offsets, tables.members, probes, dists, budgets, votes)
+    pairs = gather_vote(tables.offsets, tables.members, probes, units, budgets, votes)
     return votes, int(budgets.sum()) + budgets.size, pairs
 
 

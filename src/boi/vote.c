@@ -1,10 +1,9 @@
 /* Weighted gather+vote over the probed buckets of every hash table.
  *
- * Table t probes the first budgets[t] + 1 codes of its row of ``probes``;
- * the code at position j lies at Hamming distance dists[j] from the
- * query's code, and every id in its bucket,
- * members[t, offsets[t, c]:offsets[t, c + 1]], gains 1 << (bits - dists[j])
- * votes (the weight 2**-H in units of 2**-bits).
+ * Table t probes the first budgets[t] + 1 codes of its row of ``probes``:
+ * every id in the bucket of the code c at position j,
+ * members[t, offsets[t, c]:offsets[t, c + 1]], gains units[j] votes. The
+ * kernel only adds them; index.weight sets them (BoiIndex.units).
  *
  * Codes are uint16 and offsets int32, as in hashing.CODE_DTYPE and
  * hashing.OFFSET_DTYPE, so bits is at most 16 (core.MAX_HASH_BITS).
@@ -78,7 +77,7 @@ int64_t boi_gather_vote(
     const int32_t *offsets,             /* (num_tables, 2**bits + 1) */
     const int32_t *members, int64_t member_stride, /* row t at t * stride */
     const uint16_t *probes, int64_t width, /* (num_tables, width) */
-    const uint8_t *dists,               /* (width,) */
+    const uint32_t *units,              /* (width,) */
     const int64_t *budgets,             /* (num_tables,) */
     int32_t *votes)                     /* (n,) */
 {
@@ -97,15 +96,14 @@ int64_t boi_gather_vote(
         const uint16_t *codes = probes + t * width;
         for (int64_t j = 0; j < count; j++) {
             const int64_t c = codes[j];
-            if (c >= num_buckets || dists[j] > bits)
+            if (c >= num_buckets)
                 return -1;
             const int64_t start = off[c], stop = off[c + 1];
             if (start < 0 || start > stop || stop > n)
                 return -1;
             if (start == stop)
                 continue;
-            batch[live++] = (struct range){
-                row + start, row + stop, (uint32_t)1 << (bits - dists[j])};
+            batch[live++] = (struct range){row + start, row + stop, units[j]};
             scanned += stop - start;
             if (live == BATCH) {
                 if (sweep(batch, live, n, votes) < 0)

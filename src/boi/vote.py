@@ -92,7 +92,7 @@ def load_kernel(cache_dir):
         i64,  # row stride of members, in ids
         _contiguous(CODE_DTYPE, 2),  # probes
         i64,  # probe row width
-        _contiguous(np.uint8, 1),  # dists
+        _contiguous(np.uint32, 1),  # units
         _contiguous(np.int64, 1),  # budgets
         np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
     ]
@@ -107,7 +107,7 @@ def gather_vote(
     offsets: np.ndarray,
     members: np.ndarray,
     probes: np.ndarray,
-    dists: np.ndarray,
+    units: np.ndarray,
     budgets: np.ndarray,
     votes: np.ndarray,
 ) -> int:
@@ -117,13 +117,12 @@ def gather_vote(
     ``offsets`` (L, 2**b + 1) int32 and ``members`` (L, n) int32 are a
     ``ProjectionTable``'s arrays; ``members`` may have any row stride but
     its ids must be adjacent within a row. Table t probes the first
-    ``budgets[t] + 1`` codes of row t of ``probes`` (L, width) uint16,
-    whose position j lies at Hamming distance ``dists[j]`` (uint8) from the
-    query code, and adds 1 << (b - dists[j]) to ``votes[id]`` (int32, n)
-    for each id in the bucket. Raises ValueError when the shapes disagree
-    or a probed value is out of range (a budget past the probe row, a code
-    past 2**b, offsets that decrease or leave [0, n], an id >= n); ``votes``
-    is then partly written.
+    ``budgets[t] + 1`` codes of row t of ``probes`` (L, width) uint16, and
+    adds ``units[j]`` (uint32, width) to ``votes[id]`` (int32, n) for each
+    id in the bucket of the code at position j. Raises ValueError when the
+    shapes disagree or a probed value is out of range (a budget past the
+    probe row, a code past 2**b, offsets that decrease or leave [0, n], an
+    id >= n); ``votes`` is then partly written.
     """
     num_tables, n = members.shape
     width = probes.shape[1]
@@ -132,7 +131,7 @@ def gather_vote(
     if (
         offsets.shape != (num_tables, (1 << bits) + 1)
         or probes.shape[0] != num_tables
-        or dists.shape != (width,)
+        or units.shape != (width,)
         or budgets.shape != (num_tables,)
         or votes.shape != (n,)
         or (n > 1 and members.strides[1] != members.itemsize)
@@ -141,7 +140,7 @@ def gather_vote(
         raise ValueError("gather_vote: array shapes or strides do not agree")
     scanned = _kernel(
         num_tables, bits, n, offsets, members, row_stride,
-        probes, width, dists, budgets, votes,
+        probes, width, units, budgets, votes,
     )
     if scanned < 0:
         raise ValueError(

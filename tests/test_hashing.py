@@ -1,3 +1,4 @@
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,9 @@ from boi.hashing import (
     make_projections,
     neighbor_codes_with_distance,
     occupancy_summary,
+    probe_plan,
 )
+from boi.index import _probe_rng
 
 
 def hash_codes(rows, X) -> np.ndarray:
@@ -263,7 +266,8 @@ class TestNeighborCodes:
         rng = np.random.default_rng(0)
         got = neighbor_codes_with_distance(0b10110001, 8, 8, rng)[0]
         expected = {0b10110001 ^ (1 << j) for j in range(8)}
-        assert set(int(c) for c in got) == expected
+        assert got[0] == 0b10110001
+        assert set(int(c) for c in got[1:]) == expected
 
     def test_spill_into_second_shell(self):
         # enumeration oracle: group all codes by Hamming distance from center
@@ -276,13 +280,16 @@ class TestNeighborCodes:
         rng = np.random.default_rng(1)
         codes = neighbor_codes_with_distance(center, 10, bits, rng)[0]
         got = [int(c) for c in codes]
-        assert set(got[:8]) == by_shell[1]
-        assert set(got[8:]) <= by_shell[2]
-        assert len(set(got)) == 10
+        # the center, then whole shells: all of shell 2, not just 2 codes
+        assert got[0] == center
+        assert set(got[1:9]) == by_shell[1]
+        assert set(got[9:]) == by_shell[2]
+        assert len(got) == 1 + 8 + 28
 
     def test_zero_count(self):
         rng = np.random.default_rng(2)
-        assert neighbor_codes_with_distance(3, 0, 4, rng)[0].size == 0
+        codes, dists = neighbor_codes_with_distance(3, 0, 4, rng)
+        assert codes.tolist() == [3] and dists.tolist() == [0]
 
     def test_count_too_large(self):
         rng = np.random.default_rng(3)
@@ -299,9 +306,9 @@ class TestNeighborCodes:
         codes, dists = neighbor_codes_with_distance(
             centers, 12, 8, np.random.default_rng(6)
         )
-        assert codes.shape == (4, 12) and dists.shape == (12,)
+        assert codes.shape == (4, 37) and dists.shape == (37,)
         for center, row in zip(centers, codes):
-            assert len(set(row.tolist())) == 12
+            assert len(set(row.tolist())) == 37
             assert [hamming(int(c), int(center)) for c in row] == dists.tolist()
         single = neighbor_codes_with_distance(37, 12, 8, np.random.default_rng(6))
         one_row = neighbor_codes_with_distance(
@@ -316,6 +323,72 @@ class TestNeighborCodes:
         for c, h in zip(codes, dists):
             assert hamming(int(c), 9) == int(h)
 
+    # Rows of the earlier layout, which left the center out and cut the
+    # row at ``count``, for the probe stream of (seed 7, query 5). The
+    # current rows start with the center and must continue with them.
+    EARLIER_ROWS_B8 = [
+        [32, 16, 8, 128, 64, 2, 4, 1, 5, 40],
+        [185, 49, 179, 241, 161, 181, 145, 176, 144, 245],
+        [254, 127, 251, 253, 191, 223, 247, 239, 63, 222],
+    ]
+    EARLIER_ROW_B16 = [
+        48871, 65263, 44783, 48815, 48367, 49135, 48847, 47855, 46831, 48895,
+        16111, 40687, 48877, 48875, 48751, 48878, 40175, 48874, 16047, 48767,
+    ]
+
+    @pytest.mark.parametrize(
+        "centers, count, bits, earlier",
+        [
+            ([0, 0b10110001, 255], 10, 8, EARLIER_ROWS_B8),
+            ([0xBEEF], 20, 16, [EARLIER_ROW_B16]),
+        ],
+        ids=["b8", "b16"],
+    )
+    def test_probe_order_is_pinned(self, centers, count, bits, earlier):
+        rng = _probe_rng(BoiParams(seed=7), 5)
+        codes, dists = neighbor_codes_with_distance(
+            np.array(centers), count, bits, rng
+        )
+        want = np.column_stack((centers, earlier))
+        assert np.array_equal(codes[:, : count + 1], want)
+        assert dists.tolist()[: count + 1] == [
+            hamming(int(c), centers[0]) for c in want[0]
+        ]
+
+
+class TestProbePlan:
+    def test_center_then_whole_shells(self):
+        masks, dists, shells = probe_plan(8, 10)
+        assert masks[0] == 0 and dists[0] == 0
+        assert masks.size == dists.size == 1 + 8 + 28
+        assert shells.tolist() == [[1, 9], [9, 37]]
+        for d, (start, stop) in enumerate(shells.tolist(), start=1):
+            assert np.array_equal(masks[start:stop], flip_masks(8, d))
+            assert set(dists[start:stop].tolist()) == {d}
+
+    def test_zero_count_is_the_center_alone(self):
+        masks, dists, shells = probe_plan(4, 0)
+        assert masks.tolist() == [0] and dists.tolist() == [0]
+        assert shells.shape == (0, 2)
+
+    def test_whole_code_space(self):
+        masks, dists, _ = probe_plan(6, 63)
+        assert sorted(masks.tolist()) == list(range(64))
+        assert dists.tolist() == [bin(int(m)).count("1") for m in masks]
+
+    def test_cached_per_last_shell_and_read_only(self):
+        # 9..36 neighbors all end in shell 2 at b=8: one cached plan
+        plan = probe_plan(8, 9)
+        assert all(a is b for a, b in zip(plan, probe_plan(8, 36)))
+        assert probe_plan(8, 8)[0].size == 9
+        for arr in plan:
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("bits, count", [(4, -1), (4, 16), (17, 1)])
+    def test_rejects_bad_arguments(self, bits, count):
+        with pytest.raises(ValueError):
+            probe_plan(bits, count)
+
 
 @given(
     bits=st.integers(1, 10),
@@ -328,17 +401,18 @@ def test_neighbor_codes_properties(bits, seed, data):
     center = data.draw(st.integers(0, (1 << bits) - 1))
     rng = np.random.default_rng(seed)
     codes = neighbor_codes_with_distance(center, max_count, bits, rng)[0]
-    assert codes.size == max_count
     as_ints = [int(c) for c in codes]
-    assert center not in as_ints
+    assert as_ints[0] == center
     assert len(set(as_ints)) == len(as_ints)
     dists = [hamming(c, center) for c in as_ints]
     assert dists == sorted(dists)  # non-decreasing shells
+    # whole shells, and no more of them than max_count neighbors need
+    last = dists[-1]
+    assert dists.count(last) == comb(bits, last)
+    assert len(as_ints) - 1 - comb(bits, last) < max_count or last == 0
 
 
 def test_flip_masks_shell_sizes():
-    from math import comb
-
     for bits in (1, 4, 8):
         for dist in range(bits + 2):
             assert flip_masks(bits, dist).size == comb(bits, dist)

@@ -231,6 +231,28 @@ class TestBudgets:
         assert neighbor_budget(2**30 - 1, 10**9, cap=2**30 - 1) == 2**30 - 1
 
 
+class TestUnits:
+    @pytest.mark.parametrize(
+        "bits, gamma, radius, strict",
+        [(4, 3, 1, False), (8, 10, 1, False), (8, 10, 1, True), (6, 4, 2, True)],
+    )
+    def test_units_are_weight_per_plan_position(self, bits, gamma, radius, strict):
+        params = BoiParams(
+            num_tables=4, hash_bits=bits, initial_probe_count=gamma,
+            probe_radius=radius, strict_radius=strict,
+        )
+        index = build_index(VectorSet(np.eye(3, dtype=np.float32)), params)
+        _, dists = neighbor_codes_with_distance(
+            0, int(index.budgets.max()), bits, np.random.default_rng(0)
+        )
+        assert index.units.dtype == np.uint32
+        assert index.units.tolist() == [
+            weight(int(d), bits) * 2**bits for d in dists
+        ]
+        with pytest.raises(ValueError, match="read-only"):
+            index.units[0] = 0
+
+
 def fixed_params(**kwargs):
     base = dict(
         num_tables=8,
@@ -573,12 +595,13 @@ def tail_cases(draw):
 
 
 def reference_votes(index, q, query_index):
-    """Per-record weights: table t probes its own bucket plus the first
-    budgets[t] codes of the probe order, and each record sums the weight of
-    every probed bucket holding its code."""
+    """Per-record weights: table t probes the first budgets[t] + 1 codes of
+    its probe row (its own bucket first), and each record sums the weight
+    of every probed bucket holding its code, at the bucket's true Hamming
+    distance from the table's query code."""
     tables, bits = index.tables, index.params.hash_bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
-    ncodes, hdists = neighbor_codes_with_distance(
+    probes, _ = neighbor_codes_with_distance(
         codes,
         int(index.budgets.max()),
         bits,
@@ -586,9 +609,9 @@ def reference_votes(index, q, query_index):
     )
     probed = []
     for t, budget in enumerate(index.budgets.tolist()):
-        found = {int(codes[t]): weight(0, bits)}
-        for code, h in zip(ncodes[t, :budget], hdists[:budget]):
-            found[int(code)] = weight(int(h), bits)
+        found = {}
+        for code in probes[t, : budget + 1].tolist():
+            found[code] = weight(bin(code ^ int(codes[t])).count("1"), bits)
         probed.append(found)
     record_codes = hash_codes_all(tables.projections, bits, index.dataset.vectors)
     return [
@@ -628,11 +651,9 @@ def numpy_accumulate(index, q, query_index):
     bits = tables.bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
     budgets = index.budgets
-    ncodes, hdists = neighbor_codes_with_distance(
+    probes, dists = neighbor_codes_with_distance(
         codes, int(budgets.max()), bits, _probe_rng(index.params, query_index)
     )
-    probes = np.column_stack((codes, ncodes))
-    dists = np.concatenate(([0], hdists))
     probed = np.arange(dists.size) < budgets[:, np.newaxis] + 1
     votes = np.zeros(tables.n, np.int32)
     pairs = 0

@@ -393,6 +393,31 @@ class TestCorruptSnapshot:
             load_index(path)
         assert err.value.offset == 0
 
+    @pytest.mark.parametrize(
+        "byte, value, message, offset",
+        [(56, 3, "unknown schedule code 3", 56)]
+        + [(57, 1 << bit, "unknown header flags", 57) for bit in range(1, 8)]
+        + [(58, 1, "padding", 58), (59, 0x80, "padding", 58)],
+    )
+    def test_reserved_header_bytes_rejected(
+        self, tmp_path, byte, value, message, offset
+    ):
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        assert raw[56:60] == b"\x00\x00\x00\x00"  # save_index writes zeros
+        raw[byte] |= value
+        path = tmp_path / "reserved.boix"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=message) as err:
+            load_index(path)
+        assert err.value.offset == offset
+
+    def test_strict_flag_still_loads(self, tmp_path):
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        raw[57] |= 0x01
+        path = tmp_path / "strict.boix"
+        path.write_bytes(bytes(raw))
+        assert load_index(path).params.strict_radius
+
     def test_counts_that_wrap_int32_rejected(self, tmp_path):
         # 2**32 - 1 + 51 wraps to 50 in 32 bits: the sum must be taken exactly
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())

@@ -65,21 +65,29 @@ def test_failed_compile_raises_import_error(tmp_path):
     assert list(cache.iterdir()) == []
 
 
-def _arrays():
+def _arrays(units=(4, 2)):
     """Two 2-bit tables over 4 records, one record per bucket; each probes
-    bucket 0 (distance 0) and bucket 1 (distance 1)."""
+    bucket 0 and bucket 1, worth ``units`` (by default 2**-H in units of
+    2**-2 at distances 0 and 1)."""
     offsets = np.tile(np.arange(5, dtype=np.int32), (2, 1))
     members = np.tile(np.arange(4, dtype=np.int32), (2, 1))
     probes = np.tile(np.array([0, 1], dtype=np.uint16), (2, 1))
-    dists = np.array([0, 1], dtype=np.uint8)
+    units = np.array(units, dtype=np.uint32)
     budgets = np.ones(2, dtype=np.int64)
-    return offsets, members, probes, dists, budgets, np.zeros(4, np.int32)
+    return offsets, members, probes, units, budgets, np.zeros(4, np.int32)
 
 
 def test_gather_vote_sums_and_counts():
     args = _arrays()
     assert vote.gather_vote(*args) == 4
     assert args[-1].tolist() == [8, 4, 0, 0]
+
+
+def test_gather_vote_adds_the_units_it_is_given():
+    # units need not be powers of two: the kernel only adds them
+    args = _arrays(units=(3, 5))
+    assert vote.gather_vote(*args) == 4
+    assert args[-1].tolist() == [6, 10, 0, 0]
 
 
 def test_gather_vote_reads_strided_rows_in_place():
@@ -94,12 +102,12 @@ def test_gather_vote_reads_strided_rows_in_place():
     "position, replacement",
     [
         (4, np.ones(1, np.int64)),  # budgets shorter than L
-        (3, np.zeros(1, np.uint8)),  # dists shorter than a probe row
+        (3, np.zeros(1, np.uint32)),  # units shorter than a probe row
         (5, np.zeros(5, np.int32)),  # votes not n long
         (1, np.zeros((2, 8), np.int32)[:, ::2]),  # gaps between ids of a row
         (0, np.zeros((2, 4), np.int32)),  # offsets not 2**b + 1 wide
     ],
-    ids=["budgets", "dists", "votes", "member-gaps", "offsets-width"],
+    ids=["budgets", "units", "votes", "member-gaps", "offsets-width"],
 )
 def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
     args = list(_arrays())
@@ -110,8 +118,8 @@ def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
 
 @pytest.mark.parametrize(
     "position, value",
-    [(4, 2), (2, 4), (3, 3)],  # budget past the row, code past 2**b, dist past b
-    ids=["budget", "code", "dist"],
+    [(4, 2), (2, 4)],  # budget past the row, code past 2**b
+    ids=["budget", "code"],
 )
 def test_gather_vote_rejects_out_of_range_probes(position, value):
     args = list(_arrays())
@@ -128,10 +136,10 @@ def test_gather_vote_counts_ids_stored_out_of_order():
     members = np.concatenate((np.arange(n - 2, -1, -2), np.arange(1, n, 2)))
     offsets = np.array([[0, n // 2, n]], dtype=np.int32)
     probes = np.array([[0, 1]], dtype=np.uint16)
-    dists = np.array([0, 1], dtype=np.uint8)
+    units = np.array([2, 1], dtype=np.uint32)
     votes = np.zeros(n, np.int32)
     scanned = vote.gather_vote(
-        offsets, members.astype(np.int32)[np.newaxis, :], probes, dists,
+        offsets, members.astype(np.int32)[np.newaxis, :], probes, units,
         np.ones(1, np.int64), votes,
     )
     assert scanned == n

@@ -21,7 +21,8 @@ from .core import (
     rank_by_distance,
     rerank,
 )
-from .hashing import ProjectionTable, flip_masks, hash_codes_all
+from .hashing import ProjectionTable, hash_codes_all, probe_plan
+from .index import neighbor_budget
 
 
 def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
@@ -75,9 +76,7 @@ def multiprobe_lsh_query(
     tables.check_dataset(dataset)
     bits = tables.bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
-    masks = np.concatenate(
-        [flip_masks(bits, j) for j in range(0, min(radius, bits) + 1)]
-    )
+    masks = probe_plan(bits, neighbor_budget(bits, radius))[0]
     balls = codes[:, np.newaxis] ^ masks
     rows = np.repeat(np.arange(tables.num_tables), masks.size)
     members = tables.bucket(rows, balls.ravel())

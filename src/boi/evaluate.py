@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import BoiParams, RankedResult, VectorSet
+from .hashing import OFFSET_DTYPE
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +160,8 @@ def time_queries(
 
 @dataclass(frozen=True)
 class MemoryEstimate:
-    """Byte counts for the three resident structures of one configuration."""
+    """Bytes resident for one index: the float32 vectors, the hash tables'
+    three arrays, and one query's vote array."""
 
     vectors_bytes: int
     index_bytes: int
@@ -178,29 +180,22 @@ class MemoryEstimate:
         }
 
 
-def estimate_memory(
-    n: int,
-    dim: int,
-    params: BoiParams,
-    id_bytes: int = 4,
-    weight_bytes: int = 4,
-) -> MemoryEstimate:
-    """Resident-memory model: raw vectors, bucketed ids, one accumulator.
+def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
+    """The arrays an index of n records of dimension dim holds, in bytes.
 
-    vectors = n * dim * 4 (float32), index = n * num_tables * id_bytes,
-    accumulator = n * weight_bytes. The 4-byte default for ids is what the
-    implementation actually needs to address large sets; id_bytes=1
-    reproduces the compact single-byte accounting sometimes quoted for
-    256-bucket tables, at the cost of only addressing 256 distinct ids.
+    vectors = n*dim*4 (the float32 ``VectorSet``); index = L*b*dim*8
+    (float64 projections) + L*(2**b + 1)*4 (int32 offsets) + L*n*4 (int32
+    members), the three arrays of ``ProjectionTable``; accumulator = n*4,
+    the int32 votes one query sums.
     """
     if n < 0 or dim < 0:
         raise ValueError("n and dim must be non-negative")
-    if id_bytes < 1 or weight_bytes < 1:
-        raise ValueError("byte widths must be >= 1")
+    bits = params.hash_bits
+    offsets = ((1 << bits) + 1) * OFFSET_DTYPE.itemsize
     return MemoryEstimate(
         vectors_bytes=n * dim * 4,
-        index_bytes=n * params.num_tables * id_bytes,
-        accumulator_bytes=n * weight_bytes,
+        index_bytes=params.num_tables * (bits * dim * 8 + offsets + n * 4),
+        accumulator_bytes=n * 4,
     )
 
 

@@ -168,7 +168,7 @@ def hash_codes_all(projections: np.ndarray, bits: int, X: np.ndarray) -> np.ndar
     if not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}]")
     projections = np.asarray(projections, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != projections.shape[1]:
         raise ValueError(
             f"dimension mismatch: data {X.shape} vs table dim "
@@ -177,7 +177,7 @@ def hash_codes_all(projections: np.ndarray, bits: int, X: np.ndarray) -> np.ndar
     num_tables = projections.shape[0] // bits
     out = np.empty((X.shape[0], num_tables), dtype=CODE_DTYPE)
     for start in range(0, X.shape[0], _HASH_CHUNK):
-        chunk = X[start : start + _HASH_CHUNK]
+        chunk = X[start : start + _HASH_CHUNK].astype(np.float64)
         dots = chunk @ projections.T
         signs = (dots >= 0.0).reshape(chunk.shape[0], num_tables, bits)
         out[start : start + _HASH_CHUNK] = _pack_bits(signs)

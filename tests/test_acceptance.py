@@ -167,10 +167,11 @@ def test_c06_latency_direction():
 
 def test_c07_memory_accounting():
     params = BoiParams()  # 100 tables
-    compat = estimate_memory(1_000_000, 128, params, id_bytes=1)
-    assert compat.vectors_bytes == 512_000_000  # 0.5 GB of raw vectors
-    assert compat.index_bytes == 100_000_000  # 100 MB at 1 byte per id
-    assert compat.accumulator_bytes == 4_000_000  # 4 MB of weights
+    est = estimate_memory(1_000_000, 128, params)
+    assert est.vectors_bytes == 512_000_000  # 0.5 GB of raw vectors
+    # float64 projections 819,200 + int32 offsets 102,800 + int32 ids 400 MB
+    assert est.index_bytes == 400_922_000
+    assert est.accumulator_bytes == 4_000_000  # 4 MB of int32 votes
     print("ACCEPTANCE 07 memory accounting: PASS")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from boi.core import BoiParams, RankedResult, VectorSet
+from boi.data_io import load_index, save_index
 from boi.evaluate import (
     EvalReport,
     GroundTruth,
@@ -16,6 +17,7 @@ from boi.evaluate import (
     run_benchmark,
     time_queries,
 )
+from boi.index import build_index
 
 
 class TestAveragePrecision:
@@ -156,28 +158,41 @@ class TestEstimateMemory:
         est = estimate_memory(1_000_000, 128, BoiParams())
         assert est.vectors_bytes == 512_000_000
 
-    def test_compact_id_accounting(self):
-        est = estimate_memory(1_000_000, 128, BoiParams(), id_bytes=1)
-        assert est.index_bytes == 100_000_000
-
     def test_accumulator_four_megabytes(self):
         est = estimate_memory(1_000_000, 128, BoiParams())
         assert est.accumulator_bytes == 4_000_000
 
     def test_default_id_width_is_addressable(self):
+        # 100 tables: projections 8*128*8, offsets 257*4, members 1M int32 ids
         est = estimate_memory(1_000_000, 128, BoiParams())
-        assert est.index_bytes == 400_000_000
-        assert est.total_bytes == 512_000_000 + 400_000_000 + 4_000_000
+        assert est.index_bytes == 819_200 + 102_800 + 400_000_000
+        assert est.total_bytes == 512_000_000 + 400_922_000 + 4_000_000
 
     def test_scales_with_tables(self):
-        est = estimate_memory(1000, 16, BoiParams(num_tables=7), id_bytes=2)
-        assert est.index_bytes == 1000 * 7 * 2
+        n, dim, b = 1000, 16, 8
+        est = estimate_memory(n, dim, BoiParams(num_tables=7))
+        assert est.index_bytes == 7 * (b * dim * 8 + (2**b + 1) * 4 + n * 4)
+
+    @pytest.mark.parametrize("tables, bits", [(3, 1), (5, 8), (2, 16)])
+    def test_matches_the_arrays_of_an_index(self, tmp_path, tables, bits):
+        rng = np.random.default_rng(bits)
+        dataset = VectorSet(rng.standard_normal((300, 12)).astype(np.float32))
+        params = BoiParams(
+            num_tables=tables, hash_bits=bits, initial_probe_count=1, seed=3
+        )
+        built = build_index(dataset, params)
+        save_index(built, tmp_path / "index.boi")
+        est = estimate_memory(dataset.n, dataset.dim, params)
+        for index in (built, load_index(tmp_path / "index.boi", dataset)):
+            t = index.tables
+            assert est.index_bytes == (
+                t.projections.nbytes + t.offsets.nbytes + t.members.nbytes
+            )
+            assert est.vectors_bytes == index.dataset.vectors.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_memory(-1, 4, BoiParams())
-        with pytest.raises(ValueError):
-            estimate_memory(1, 4, BoiParams(), id_bytes=0)
 
 
 class TestEvalReport:

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from boi.core import BoiParams, VectorSet
 from boi.hashing import (
+    _HASH_CHUNK,
     CODE_DTYPE,
     OFFSET_DTYPE,
     ProjectionTable,
@@ -118,15 +120,30 @@ class TestHashVector:
         rng = np.random.default_rng(11)
         params = BoiParams(num_tables=4, hash_bits=8, seed=5)
         proj = make_projections(params, 20)
-        X = rng.standard_normal((100, 20)).astype(np.float32)
-        codes = hash_codes_all(proj, 8, X)
-        for t_i in range(params.num_tables):
-            rows = proj[8 * t_i : 8 * t_i + 8]
-            col = hash_codes(rows, X)
-            assert np.array_equal(col, codes[:, t_i])
-            for row in (0, 17, 99):
-                single = hash_codes(rows, X[row : row + 1])[0]
-                assert single == codes[row, t_i]
+        # the larger batch spans two chunk boundaries
+        for m in (100, 2 * _HASH_CHUNK + 1):
+            X = rng.standard_normal((m, 20)).astype(np.float32)
+            codes = hash_codes_all(proj, 8, X)
+            for t_i in range(params.num_tables):
+                rows = proj[8 * t_i : 8 * t_i + 8]
+                col = hash_codes(rows, X)
+                assert np.array_equal(col, codes[:, t_i])
+                for row in (0, 17, m - 1):
+                    single = hash_codes(rows, X[row : row + 1])[0]
+                    assert single == codes[row, t_i]
+
+    def test_float64_copy_is_one_chunk_at_a_time(self):
+        proj = make_projections(BoiParams(num_tables=4, hash_bits=8, seed=5), 64)
+        X = np.random.default_rng(12).standard_normal((20_000, 64))
+        X = X.astype(np.float32)
+        tracemalloc.start()
+        try:
+            hash_codes_all(proj, 8, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy of the whole batch alone takes 10.24 MB
+        assert peak < X.size * 8
 
 
 class TestInsertAll:

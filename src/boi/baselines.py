@@ -1,11 +1,11 @@
-"""Comparison methods: exact scan and Hamming-ball multi-probe LSH.
+"""Comparison methods: exact scan and collision-counting multi-probe LSH.
 
 Plain single-bucket LSH is multi-probe LSH at radius 0 (Lv et al.,
-"Multi-Probe LSH", VLDB 2007), so both run through one candidate path.
-The LSH baselines keep a deduplicated candidate list across all tables and
-re-rank every candidate by true Euclidean distance; that per-table
-dedup-and-rerank cost is exactly what the weighted accumulator avoids, so
-it is modeled rather than optimized away.
+"Multi-Probe LSH", VLDB 2007), and multi-probe LSH runs the boi query's
+stages (``boi.index``) with a vote of 1 per probed bucket. A record's vote
+is then its collision count, and the shortlist keeps the records that
+collide most often, as collision-counting LSH does (C2LSH, Gan et al.,
+SIGMOD 2012).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .core import (
     rerank,
 )
 from .hashing import ProjectionTable, hash_codes_all, probe_plan
-from .index import neighbor_budget
+from .index import neighbor_budget, shortlist
+from .vote import gather_vote
 
 
 def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
@@ -42,14 +43,6 @@ def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
     return RankedResult(ids, ranked)
 
 
-def _dedup_first_seen(merged: np.ndarray, n: int) -> np.ndarray:
-    """Ids of ``merged`` (all in [0, n)), each kept at its first appearance."""
-    positions = np.arange(merged.size)
-    first = np.full(n, merged.size, dtype=np.intp)
-    np.minimum.at(first, merged, positions)
-    return merged[first[merged] == positions]
-
-
 def multiprobe_lsh_query(
     tables: ProjectionTable,
     dataset: VectorSet,
@@ -60,13 +53,14 @@ def multiprobe_lsh_query(
 ) -> RankedResult:
     """Multi-probe LSH: probe the full Hamming ball of ``radius`` per table.
 
-    No probe budget and no vote weights; every bucket within the radius
-    contributes its members to the candidate union, deduplicated in
-    first-seen order (table by table, inner shells first) and capped at
-    ``shortlist_size`` before the exact-distance re-rank (``core.rerank``,
-    the same tail as the boi query). radius=0 is plain LSH: only the
-    query's own bucket in each table. ``dataset`` must be the set the
-    tables index (ValueError otherwise).
+    Each probed bucket adds 1 to its records; there is no probe budget and
+    no distance weight. The ``shortlist_size`` records with the most
+    collisions (ties by lower id, never one with none) are re-ranked by
+    exact distance (``core.rerank``, the boi query's tail), so a shortlist
+    of n or more re-ranks the whole union. radius=0 is plain LSH, the
+    query's own bucket in each table; a radius of b or more probes the
+    whole code space. ``dataset`` must be the set the tables index
+    (ValueError otherwise).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -76,11 +70,12 @@ def multiprobe_lsh_query(
     tables.check_dataset(dataset)
     bits = tables.bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
-    masks = probe_plan(bits, neighbor_budget(bits, radius))[0]
-    balls = codes[:, np.newaxis] ^ masks
-    rows = np.repeat(np.arange(tables.num_tables), masks.size)
-    members = tables.bucket(rows, balls.ravel())
-    candidates = _dedup_first_seen(members, dataset.n)[:shortlist_size]
-    return rerank(
-        dataset.vectors, candidates, q, k, int(balls.size), int(members.size)
-    )
+    count = neighbor_budget(bits, radius)
+    masks = probe_plan(bits, count)[0]
+    probes = codes[:, np.newaxis] ^ masks
+    votes = np.zeros(dataset.n, np.int32)
+    ones = np.ones(masks.size, np.uint32)
+    budgets = np.full(tables.num_tables, count, np.int64)
+    pairs = gather_vote(tables.offsets, tables.members, probes, ones, budgets, votes)
+    candidates = shortlist(votes, shortlist_size)
+    return rerank(dataset.vectors, candidates, q, k, probes.size, pairs)

@@ -18,7 +18,7 @@ Snapshot layout (everything little-endian):
             grouped by bucket code (that table's row of ``members``)
 
 Because every record has the same size, the body is one structured numpy
-array of L records: saving fills its three fields from the
+array of L records: saving fills and writes one record per table from the
 ``ProjectionTable`` arrays, and loading is one ``np.frombuffer`` whose
 fields are (L, ...) views, plus a cumulative sum of the counts. Projections
 are stored rather than re-derived from the seed, so snapshots stay valid
@@ -147,14 +147,11 @@ def _check_records(ok: np.ndarray, what: str, record: np.dtype, field: str) -> N
 
 
 def save_index(index: BoiIndex, path) -> None:
-    """Serialize an index snapshot; byte-identical for identical indexes."""
+    """Write a snapshot one table record at a time; same index, same bytes."""
     p = index.params
     tables = index.tables
     record = _table_record(p.hash_bits, index.dim, index.n)
-    raw = np.empty(_HEADER.size + p.num_tables * record.itemsize, dtype=np.uint8)
-    _HEADER.pack_into(
-        raw,
-        0,
+    header = _HEADER.pack(
         _MAGIC,
         _VERSION,
         p.num_tables,
@@ -171,11 +168,15 @@ def save_index(index: BoiIndex, path) -> None:
         _FLAG_STRICT if p.strict_radius else 0,
         0,
     )
-    body = raw[_HEADER.size :].view(record)
-    body["projections"] = tables.projections.reshape(body["projections"].shape)
-    body["counts"] = np.diff(tables.offsets, axis=1)
-    body["members"] = tables.members
-    Path(path).write_bytes(raw)
+    projections = tables.projections.reshape(p.num_tables, p.hash_bits, index.dim)
+    body = np.empty((), record)
+    with open(path, "wb") as f:
+        f.write(header)
+        for t in range(p.num_tables):
+            body["projections"] = projections[t]
+            body["counts"] = np.diff(tables.offsets[t])
+            body["members"] = tables.members[t]
+            f.write(body)
 
 
 def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:

@@ -14,7 +14,10 @@ Querying works in four stages:
 3. keep the ``shortlist_size`` records with the highest accumulated
    integer vote, ties by lower id (zero-weight records never qualify);
 4. re-rank the shortlist by exact Euclidean distance and return the top k
-   (``core.rerank``, shared with the multi-probe LSH baseline).
+   (``core.rerank``).
+
+The LSH baselines (``baselines``) share stages 1-4, with every table
+probing its whole Hamming ball and every probed bucket adding 1.
 
 The per-table neighbor budget at table i is sum_{j=1..l} C(gamma_i, j),
 where gamma_i follows the configured schedule and l is the probe radius.

@@ -5,7 +5,13 @@ import pytest
 
 from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import BoiParams, VectorSet
-from boi.hashing import flip_masks, hash_codes_all, insert_all, make_projections
+from boi.hashing import (
+    ProjectionTable,
+    flip_masks,
+    hash_codes_all,
+    insert_all,
+    make_projections,
+)
 from boi.index import BoiIndex, accumulate, query
 
 
@@ -111,7 +117,7 @@ class TestLshQuery:
             assert set(got.ids.tolist()) == union
             assert got.shortlist_size == len(union)
 
-    def test_shortlist_cap_is_first_seen(self, populated):
+    def test_shortlist_cap_keeps_most_collisions(self, populated):
         tables, data = populated
         rng = np.random.default_rng(7)
         q = rng.standard_normal(12).astype(np.float32)
@@ -119,6 +125,48 @@ class TestLshQuery:
         capped = multiprobe_lsh_query(tables, data, q, 0, 5, 500)
         assert capped.shortlist_size == min(5, full.shortlist_size)
         assert set(capped.ids.tolist()) <= set(full.ids.tolist())
+        # the cap keeps the ids found in the most tables, ties by lower id
+        codes = hash_codes_all(tables.projections, tables.bits, q[np.newaxis, :])[0]
+        found = tables.bucket(np.arange(tables.num_tables), codes)
+        collisions = np.bincount(found, minlength=data.n)
+        by_count = sorted(set(found.tolist()), key=lambda i: (-collisions[i], i))
+        assert set(capped.ids.tolist()) == set(by_count[:5])
+
+
+class TestCollisionCount:
+    """The shortlist keeps the ids that collide with the query most often,
+    ties by lower id, whatever order the tables list them in.
+
+    Three 2-bit tables over four records, whose zero projections hash every
+    query to code 3 in every table. Bucket 3 holds [0, 1], [1, 2] and
+    [1, 2, 3], so first-seen order is 0, 1, 2, 3, while id 1 collides three
+    times, id 2 twice and ids 0 and 3 once each. Table 1 puts id 3 in
+    bucket 2, one bit from the query's code.
+    """
+
+    @pytest.mark.parametrize(
+        "radius, kept",
+        [
+            (0, [[1], [1, 2], [0, 1, 2], [0, 1, 2, 3]]),
+            # radius 1 also probes bucket 2, where id 3 ties id 2
+            (1, [[1], [1, 2], [1, 2, 3], [0, 1, 2, 3]]),
+            # the whole code space: every id collides in all three tables
+            (2, [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]),
+        ],
+    )
+    def test_cap_keeps_the_most_collisions(self, radius, kept):
+        members = [[2, 3, 0, 1], [0, 3, 1, 2], [0, 1, 2, 3]]
+        offsets = [[0, 2, 2, 2, 4], [0, 1, 1, 2, 4], [0, 1, 1, 1, 4]]
+        tables = ProjectionTable(np.zeros((6, 2)), offsets, members)
+        data = VectorSet(np.array([[0, 0], [1, 0], [2, 0], [3, 0]], np.float32))
+        q = np.array([-1.0, -2.0], np.float32)  # nearest to id 0, then 1, 2, 3
+        assert hash_codes_all(tables.projections, 2, q[np.newaxis, :]).tolist() == [
+            [3, 3, 3]
+        ]
+        for cap, ids in enumerate(kept, start=1):
+            got = multiprobe_lsh_query(tables, data, q, radius, cap, 4)
+            assert got.ids.tolist() == ids
+            assert got.shortlist_size == cap
 
 
 class TestMultiprobeLsh:
@@ -143,7 +191,8 @@ class TestMultiprobeLsh:
 
     @pytest.mark.parametrize("radius", [0, 1])
     def test_pairs_scanned_is_bucket_length(self, populated, radius):
-        # every (id, bucket) pair read, before the first-seen dedup
+        # every (id, bucket) pair read, repeats across tables included,
+        # before the shortlist keeps the ids with the most collisions
         tables, data = populated
         q = np.random.default_rng(radius).standard_normal(12).astype(np.float32)
         codes = hash_codes_all(tables.projections, tables.bits, q[np.newaxis, :])[0]

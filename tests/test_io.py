@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,20 @@ class TestSnapshot:
         again = tmp_path / "again.boix"
         save_index(load_index(path, data), again)
         assert path.read_bytes() == again.read_bytes()
+
+    def test_save_holds_one_table_record_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = VectorSet(rng.standard_normal((100_000, 4)).astype(np.float32))
+        index = build_index(data, BoiParams(num_tables=10, hash_bits=8, seed=3))
+        path = tmp_path / "big.boix"
+        tracemalloc.start()
+        try:
+            save_index(index, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 4 MB file is ten records of about 0.4 MB each
+        assert peak < path.stat().st_size / 4
 
     def test_loaded_index_answers_identically(self, built):
         index, data, path = built

@@ -17,24 +17,25 @@ Snapshot layout (everything little-endian):
             u32 bucket counts (bucket code order), then the n u32 record ids
             grouped by bucket code (that table's row of ``members``)
 
-Because every record has the same size, the body is one structured numpy
-array of L records: saving fills and writes one record per table from the
-``ProjectionTable`` arrays, and loading is one ``np.frombuffer`` whose
-fields are (L, ...) views, plus a cumulative sum of the counts. Projections
-are stored rather than re-derived from the seed, so snapshots stay valid
-even if the generator implementation ever changes. Loading never re-hashes
-the dataset.
+Saving and loading are mirror loops over the tables, one record each.
+Loading reads the header, checks the file's size against it, then reads
+each table's fields straight into the C-contiguous arrays ``insert_all``
+builds (the counts become offsets by an in-place cumulative sum), so a
+loaded index holds the same arrays as a built one. Projections are stored
+rather than re-derived from the seed, so snapshots stay valid even if the
+generator implementation ever changes. Loading never re-hashes the dataset.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .core import SCHEDULE_KINDS, BoiParams, VectorSet
-from .hashing import OFFSET_DTYPE, ProjectionTable, check_record_count
+from .hashing import ProjectionTable, check_record_count
 from .index import BoiIndex
 
 
@@ -48,36 +49,53 @@ class FormatError(ValueError):
         self.offset = offset
 
 
+_READ_CHUNK = 1 << 20  # bytes of fvecs/ivecs records read at a time
+
+
+def _read_into(f, arr: np.ndarray) -> None:
+    """Fill ``arr`` with the file's next bytes; FormatError if it ends first."""
+    at = f.tell()
+    if f.readinto(arr) != arr.nbytes:
+        raise FormatError("file ended inside a record", offset=at)
+
+
 def _read_records(path, payload_dtype) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if not raw:
-        return np.empty((0, 0), dtype=payload_dtype)
-    if len(raw) < 4:
-        raise FormatError("file too short for a dimension header", offset=0)
-    dim = int(np.frombuffer(raw, dtype="<i4", count=1)[0])
-    if dim <= 0:
-        raise FormatError(f"non-positive dimension {dim}", offset=0)
-    record_size = 4 + 4 * dim
-    n, leftover = divmod(len(raw), record_size)
-    if leftover:
-        raise FormatError("truncated record at end of file", offset=n * record_size)
-    headers = np.frombuffer(raw, dtype="<i4").reshape(n, 1 + dim)[:, 0]
-    bad = np.flatnonzero(headers != dim)
-    if bad.size:
-        raise FormatError(
-            f"inconsistent dimension {int(headers[bad[0]])} != {dim}",
-            offset=int(bad[0]) * record_size,
-        )
-    payload = np.frombuffer(raw, dtype=payload_dtype).reshape(n, 1 + dim)[:, 1:]
-    return payload.copy()
+    """The (n, dim) payload, read a chunk of records at a time into it."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if not size:
+            return np.empty((0, 0), dtype=payload_dtype)
+        if size < 4:
+            raise FormatError("file too short for a dimension header", offset=0)
+        dim = int(np.frombuffer(f.read(4), dtype="<i4")[0])
+        if dim <= 0:
+            raise FormatError(f"non-positive dimension {dim}", offset=0)
+        record_size = 4 + 4 * dim
+        n, leftover = divmod(size, record_size)
+        if leftover:
+            raise FormatError("truncated record at end of file", offset=n * record_size)
+        f.seek(0)
+        values = np.empty((n, dim), dtype=payload_dtype)
+        chunk = np.empty((max(1, _READ_CHUNK // record_size), 1 + dim), dtype="<i4")
+        for start in range(0, n, len(chunk)):
+            rows = chunk[: n - start]
+            _read_into(f, rows)
+            bad = np.flatnonzero(rows[:, 0] != dim)
+            if bad.size:
+                raise FormatError(
+                    f"inconsistent dimension {int(rows[bad[0], 0])} != {dim}",
+                    offset=(start + int(bad[0])) * record_size,
+                )
+            values[start : start + len(rows)] = rows[:, 1:].view(payload_dtype)
+    return values
 
 
 def read_fvecs(path) -> VectorSet:
     """Load an fvecs file; rejects malformed or non-finite data."""
     values = _read_records(path, "<f4")
-    finite = np.isfinite(values)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
+    # no mask is kept alive while VectorSet makes its own
+    if not np.isfinite(values).all():
+        r, c = np.argwhere(~np.isfinite(values))[0]
         record_size = 4 + 4 * values.shape[1]
         raise FormatError(
             "non-finite component",
@@ -124,33 +142,10 @@ _SCHEDULE_AT, _FLAGS_AT, _PAD_AT = 56, 57, 58
 _FLAG_STRICT = 0x01
 
 
-def _table_record(bits: int, dim: int, n: int) -> np.dtype:
-    """One table's fixed-size body record: projections, counts, members."""
-    return np.dtype(
-        [
-            ("projections", "<f4", (bits, dim)),
-            ("counts", "<u4", (1 << bits,)),
-            ("members", "<u4", (n,)),
-        ]
-    )
-
-
-def _check_records(ok: np.ndarray, what: str, record: np.dtype, field: str) -> None:
-    """Raise FormatError at ``field`` of the first table whose ``ok`` is False."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        t = int(bad[0])
-        raise FormatError(
-            f"{what} in table {t}",
-            offset=_HEADER.size + t * record.itemsize + record.fields[field][1],
-        )
-
-
 def save_index(index: BoiIndex, path) -> None:
     """Write a snapshot one table record at a time; same index, same bytes."""
     p = index.params
     tables = index.tables
-    record = _table_record(p.hash_bits, index.dim, index.n)
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -169,31 +164,18 @@ def save_index(index: BoiIndex, path) -> None:
         0,
     )
     projections = tables.projections.reshape(p.num_tables, p.hash_bits, index.dim)
-    body = np.empty((), record)
     with open(path, "wb") as f:
         f.write(header)
         for t in range(p.num_tables):
-            body["projections"] = projections[t]
-            body["counts"] = np.diff(tables.offsets[t])
-            body["members"] = tables.members[t]
-            f.write(body)
+            f.write(projections[t].astype("<f4"))
+            f.write(np.diff(tables.offsets[t]).astype("<u4"))
+            f.write(tables.members[t].astype("<u4"))
 
 
-def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
-    """Rebuild an index from a snapshot without re-hashing anything.
-
-    The body is read as one structured array of L table records, so bucket
-    counts and members are read-only (L, ...) views into the file's bytes;
-    nothing is copied per table or per bucket. Rejects bad magic, unknown
-    versions (v1 included), unknown schedule codes or flag bits, non-zero
-    header padding, header values ``BoiParams`` rejects, n of 2**31 or
-    more (record ids are int32), length mismatches, bucket counts that do
-    not sum to n, non-finite projections and record ids outside [0, n).
-    When ``dataset`` is given the index is made over it (and size-checked)
-    so it can answer queries immediately.
-    """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
+def _read_header(f) -> tuple[BoiParams, int, int]:
+    """The params, dim and n of the snapshot header at the start of ``f``."""
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise FormatError("file too short for a snapshot header", offset=0)
     (
         magic,
@@ -211,7 +193,7 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
         schedule_code,
         flags,
         pad,
-    ) = _HEADER.unpack_from(raw, 0)
+    ) = _HEADER.unpack(head)
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r}", offset=0)
     if version != _VERSION:
@@ -240,42 +222,61 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
         check_record_count(n)
     except ValueError as exc:
         raise FormatError(f"bad snapshot header: {exc}", offset=0) from None
-    record_bytes = 4 * (hash_bits * dim + (1 << hash_bits) + n)
-    expected = _HEADER.size + num_tables * record_bytes
-    if len(raw) != expected:
-        raise FormatError(
-            f"snapshot length {len(raw)} != expected {expected}",
-            offset=min(len(raw), expected),
-        )
-    record = _table_record(hash_bits, dim, n)
-    body = np.frombuffer(raw, dtype=record, offset=_HEADER.size)
-    counts = body["counts"]
-    # summed exactly first: once every row sums to n, no running sum of
-    # its non-negative counts can wrap the int32 offsets
-    total = counts.sum(axis=1, dtype=np.int64)
-    _check_records(total == n, f"bucket counts do not sum to {n}", record, "counts")
-    offsets = np.zeros((num_tables, (1 << hash_bits) + 1), dtype=OFFSET_DTYPE)
-    offsets[:, 1:] = counts
-    np.cumsum(offsets[:, 1:], axis=1, out=offsets[:, 1:])
-    projections = body["projections"]
-    _check_records(
-        np.isfinite(projections).all(axis=(1, 2)),
-        "non-finite projection",
-        record,
-        "projections",
-    )
-    members = body["members"]
-    # ids are unsigned, so one upper bound checks [0, n); with n = 0 the
-    # rows are empty and nothing can be out of range
-    _check_records(
-        members.max(axis=1, initial=0) < max(n, 1),
-        "record id out of range",
-        record,
-        "members",
-    )
-    tables = ProjectionTable(
-        projections=projections.reshape(num_tables * hash_bits, dim),
-        offsets=offsets,
-        members=members.view("<i4"),
-    )
-    return BoiIndex(params, tables, dataset)
+    return params, dim, n
+
+
+def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
+    """Rebuild an index from a snapshot without re-hashing anything.
+
+    The file's size is checked against its header before anything is
+    allocated; then each table record is read straight into the index's
+    C-contiguous arrays. Rejects bad magic, unknown versions (v1 included),
+    unknown schedule codes or flag bits, non-zero header padding, header
+    values ``BoiParams`` rejects, n of 2**31 or more (record ids are
+    int32), length mismatches, bucket counts that do not sum to n,
+    non-finite projections and record ids outside [0, n). When ``dataset``
+    is given the index is made over it (and size-checked) so it can answer
+    queries immediately.
+    """
+    with open(path, "rb") as f:
+        params, dim, n = _read_header(f)
+        bits, num_tables = params.hash_bits, params.num_tables
+        # a table record: projections, counts, then ids, 4 bytes a value
+        counts_at = 4 * bits * dim
+        ids_at = counts_at + (4 << bits)
+        record_bytes = ids_at + 4 * n
+        size = os.fstat(f.fileno()).st_size
+        expected = _HEADER.size + num_tables * record_bytes
+        if size != expected:
+            raise FormatError(
+                f"snapshot length {size} != expected {expected}",
+                offset=min(size, expected),
+            )
+        matrix = np.empty((bits, dim), dtype="<f4")  # one table's projections
+        projections = np.empty((num_tables * bits, dim))
+        # little-endian like the file: on most hosts int32 itself, uncopied
+        offsets = np.zeros((num_tables, (1 << bits) + 1), dtype="<i4")
+        members = np.empty((num_tables, n), dtype="<i4")
+        for t in range(num_tables):
+            at = _HEADER.size + t * record_bytes
+            _read_into(f, matrix)
+            if not np.isfinite(matrix).all():
+                raise FormatError(f"non-finite projection in table {t}", offset=at)
+            projections[t * bits : (t + 1) * bits] = matrix
+            counts = offsets[t, 1:]
+            _read_into(f, counts)
+            # summed exactly as u32 first: once the row sums to n, no running
+            # sum of its non-negative counts can wrap the int32 offsets
+            if counts.view("<u4").sum(dtype=np.int64) != n:
+                raise FormatError(
+                    f"bucket counts do not sum to {n} in table {t}",
+                    offset=at + counts_at,
+                )
+            np.cumsum(counts, out=counts)
+            _read_into(f, members[t])
+            # read as unsigned, one upper bound checks [0, n)
+            if n and members[t].view("<u4").max() >= n:
+                raise FormatError(
+                    f"record id out of range in table {t}", offset=at + ids_at
+                )
+    return BoiIndex(params, ProjectionTable(projections, offsets, members), dataset)

@@ -65,9 +65,11 @@ class ProjectionTable:
     table t's bucket code, ascending within a bucket.
 
     A table object is made once, by ``insert_all`` or ``load_index``, and
-    never changes; its arrays cannot be written. Offsets or members given
-    in a wider integer type raise ValueError when a value does not fit
-    int32, and so do 2**31 or more records.
+    never changes; its arrays cannot be written. Offsets and members are
+    held C-contiguous, the one layout the vote kernel reads (copied into it
+    if given otherwise). Offsets or members given in a wider integer type
+    raise ValueError when a value does not fit int32, and so do 2**31 or
+    more records.
     """
 
     projections: np.ndarray
@@ -75,14 +77,14 @@ class ProjectionTable:
     members: np.ndarray
 
     def __post_init__(self):
-        # the vote kernel reads offsets as C-ordered int32 and members as
-        # int32; neither conversion copies or scans what insert_all or
-        # load_index made
+        # the vote kernel reads offsets and members as C-ordered int32;
+        # neither conversion copies or scans what insert_all or load_index
+        # made
         check_record_count(np.shape(self.members)[-1])
         arrays = {
             "projections": np.asarray(self.projections, dtype=np.float64),
             "offsets": np.ascontiguousarray(_as_int32(self.offsets, "offsets")),
-            "members": _as_int32(self.members, "members"),
+            "members": np.ascontiguousarray(_as_int32(self.members, "members")),
         }
         for name, arr in arrays.items():
             arr.setflags(write=False)

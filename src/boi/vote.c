@@ -75,7 +75,7 @@ static int sweep(struct range *batch, int64_t live, int64_t n, int32_t *votes)
 int64_t boi_gather_vote(
     int64_t num_tables, int64_t bits, int64_t n,
     const int32_t *offsets,             /* (num_tables, 2**bits + 1) */
-    const int32_t *members, int64_t member_stride, /* row t at t * stride */
+    const int32_t *members,             /* (num_tables, n) */
     const uint16_t *probes, int64_t width, /* (num_tables, width) */
     const uint32_t *units,              /* (width,) */
     const int64_t *budgets,             /* (num_tables,) */
@@ -92,7 +92,7 @@ int64_t boi_gather_vote(
         if (count < 1 || count > width)
             return -1;
         const int32_t *off = offsets + t * (num_buckets + 1);
-        const int32_t *row = members + t * member_stride;
+        const int32_t *row = members + t * n;
         const uint16_t *codes = probes + t * width;
         for (int64_t j = 0; j < count; j++) {
             const int64_t c = codes[j];

@@ -88,8 +88,7 @@ def load_kernel(cache_dir):
         i64,  # bits
         i64,  # n
         _contiguous(OFFSET_DTYPE, 2),  # offsets
-        np.ctypeslib.ndpointer(np.int32, ndim=2),  # members, rows strided
-        i64,  # row stride of members, in ids
+        _contiguous(np.int32, 2),  # members
         _contiguous(CODE_DTYPE, 2),  # probes
         i64,  # probe row width
         _contiguous(np.uint32, 1),  # units
@@ -115,32 +114,29 @@ def gather_vote(
     (id, vote) pairs scanned.
 
     ``offsets`` (L, 2**b + 1) int32 and ``members`` (L, n) int32 are a
-    ``ProjectionTable``'s arrays; ``members`` may have any row stride but
-    its ids must be adjacent within a row. Table t probes the first
-    ``budgets[t] + 1`` codes of row t of ``probes`` (L, width) uint16, and
-    adds ``units[j]`` (uint32, width) to ``votes[id]`` (int32, n) for each
-    id in the bucket of the code at position j. Raises ValueError when the
-    shapes disagree or a probed value is out of range (a budget past the
-    probe row, a code past 2**b, offsets that decrease or leave [0, n], an
-    id >= n); ``votes`` is then partly written.
+    ``ProjectionTable``'s arrays, both C-contiguous. Table t probes the
+    first ``budgets[t] + 1`` codes of row t of ``probes`` (L, width)
+    uint16, and adds ``units[j]`` (uint32, width) to ``votes[id]`` (int32,
+    n) for each id in the bucket of the code at position j. Raises
+    ValueError when the shapes disagree, ``members`` is not C-contiguous,
+    or a probed value is out of range (a budget past the probe row, a code
+    past 2**b, offsets that decrease or leave [0, n], an id >= n);
+    ``votes`` is then partly written.
     """
     num_tables, n = members.shape
     width = probes.shape[1]
     bits = offsets.shape[1].bit_length() - 1
-    row_stride, rem = divmod(members.strides[0], members.itemsize)
     if (
         offsets.shape != (num_tables, (1 << bits) + 1)
         or probes.shape[0] != num_tables
         or units.shape != (width,)
         or budgets.shape != (num_tables,)
         or votes.shape != (n,)
-        or (n > 1 and members.strides[1] != members.itemsize)
-        or (num_tables > 1 and rem)
+        or not members.flags.c_contiguous
     ):
         raise ValueError("gather_vote: array shapes or strides do not agree")
     scanned = _kernel(
-        num_tables, bits, n, offsets, members, row_stride,
-        probes, width, units, budgets, votes,
+        num_tables, bits, n, offsets, members, probes, width, units, budgets, votes
     )
     if scanned < 0:
         raise ValueError(

@@ -14,6 +14,7 @@ from boi.hashing import (
     CODE_DTYPE,
     OFFSET_DTYPE,
     ProjectionTable,
+    check_record_count,
     flip_masks,
     hash_codes_all,
     insert_all,
@@ -264,11 +265,12 @@ class TestProjectionTable:
             ProjectionTable(np.ones((1, 2)), **arrays)
 
     def test_members_of_2_31_records_raise(self):
-        # a zero-stride view: 2**31 int32 ids without allocating them
+        # the largest count is accepted; a table of it would need 8 GiB
+        check_record_count(2**31 - 1)
+        # a zero-stride view: 2**31 int32 ids without allocating them, and
+        # the count is checked before the members are stored contiguously
         zero = np.zeros(1, dtype=np.int32)
         offsets = np.zeros((1, 3), dtype=np.int32)
-        largest = as_strided(zero, shape=(1, 2**31 - 1), strides=(0, 0))
-        assert ProjectionTable(np.ones((1, 2)), offsets, largest).n == 2**31 - 1
         members = as_strided(zero, shape=(1, 2**31), strides=(0, 0))
         with pytest.raises(ValueError, match="do not fit int32 record ids"):
             ProjectionTable(np.ones((1, 2)), offsets, members)

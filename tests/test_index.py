@@ -696,8 +696,6 @@ def test_kernel_matches_numpy_oracle_across_tiles_and_batches(tmp_path):
     path = tmp_path / "tiles.boix"
     save_index(built, path)
     loaded = load_index(path, data)
-    # loaded member rows are strided views into the snapshot's table records
-    assert loaded.tables.members.strides[0] > 4 * data.n
     for index in (built, loaded):
         for query_index in range(3):
             q = rng.standard_normal(16).astype(np.float32)

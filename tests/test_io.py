@@ -73,6 +73,41 @@ class TestFvecs:
         write_fvecs(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_read_holds_the_vectors_and_one_chunk(self, tmp_path):
+        rng = np.random.default_rng(8)
+        vs = VectorSet(rng.standard_normal((100_000, 32)).astype(np.float32))
+        path = tmp_path / "big.fvecs"
+        write_fvecs(path, vs)
+        tracemalloc.start()
+        try:
+            loaded = read_fvecs(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.vectors, vs.vectors)
+        # reading the whole file and copying its payload out takes twice it
+        assert peak < 1.6 * vs.vectors.nbytes
+
+    def test_errors_in_a_later_chunk_keep_their_offset(self, tmp_path):
+        # 132-byte records: a 1 MiB chunk holds 7943, so record 17k is in
+        # the third
+        at = 17_000
+        path = tmp_path / "chunks.fvecs"
+        write_fvecs(path, VectorSet(np.ones((20_000, 32), dtype=np.float32)))
+        raw = bytearray(path.read_bytes())
+        record_size = 4 + 4 * 32
+        component = (at + 1) * record_size + 4 + 4 * 3  # record at + 1, column 3
+        struct.pack_into("<f", raw, component, np.inf)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite") as err:
+            read_fvecs(path)
+        assert err.value.offset == component
+        struct.pack_into("<i", raw, at * record_size, 31)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="inconsistent dimension 31") as err:
+            read_fvecs(path)
+        assert err.value.offset == at * record_size
+
     def test_write_empty(self, tmp_path):
         path = tmp_path / "zero.fvecs"
         write_fvecs(path, VectorSet(np.empty((0, 0), dtype=np.float32)))
@@ -149,11 +184,32 @@ class TestSnapshot:
         # the 4 MB file is ten records of about 0.4 MB each
         assert peak < path.stat().st_size / 4
 
+    def test_load_holds_only_its_arrays(self, tmp_path):
+        rng = np.random.default_rng(6)
+        data = VectorSet(rng.standard_normal((1000, 4)).astype(np.float32))
+        index = build_index(data, BoiParams(num_tables=10, hash_bits=16, seed=3))
+        path = tmp_path / "wide.boix"
+        save_index(index, path)
+        tracemalloc.start()
+        try:
+            tables = load_index(path).tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = tables.projections.nbytes + tables.offsets.nbytes
+        arrays += tables.members.nbytes
+        record = (path.stat().st_size - 60) // tables.num_tables
+        # 2.67 MB of arrays; a table record is 0.27 MB
+        assert peak < arrays + record
+
     def test_loaded_index_answers_identically(self, built):
         index, data, path = built
         loaded = load_index(path, data)
-        # the kernel reads the members in place, one snapshot record apart
-        assert not loaded.tables.members.flags.c_contiguous
+        # one layout: the loaded arrays are the built ones, C-contiguous
+        assert loaded.tables.members.flags.c_contiguous
+        for name in ("projections", "offsets", "members"):
+            mine, theirs = getattr(index.tables, name), getattr(loaded.tables, name)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
         rng = np.random.default_rng(3)
         for qi in range(10):
             q = rng.standard_normal(10).astype(np.float32)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from boi import vote
+from boi.hashing import ProjectionTable
 
 
 def test_first_call_compiles_into_the_cache_dir(tmp_path):
@@ -90,11 +91,14 @@ def test_gather_vote_adds_the_units_it_is_given():
     assert args[-1].tolist() == [6, 10, 0, 0]
 
 
-def test_gather_vote_reads_strided_rows_in_place():
+def test_projection_table_stores_strided_members_contiguously():
     offsets, members, *rest = _arrays()
     wide = np.zeros((2, 9), dtype=np.int32)
     wide[:, :4] = members
-    assert vote.gather_vote(offsets, wide[:, :4], *rest) == 4
+    tables = ProjectionTable(np.ones((4, 1)), offsets, wide[:, :4])
+    assert tables.members.flags.c_contiguous
+    assert np.array_equal(tables.members, members)
+    assert vote.gather_vote(tables.offsets, tables.members, *rest) == 4
     assert rest[-1].tolist() == [8, 4, 0, 0]
 
 
@@ -105,9 +109,13 @@ def test_gather_vote_reads_strided_rows_in_place():
         (3, np.zeros(1, np.uint32)),  # units shorter than a probe row
         (5, np.zeros(5, np.int32)),  # votes not n long
         (1, np.zeros((2, 8), np.int32)[:, ::2]),  # gaps between ids of a row
+        (1, np.zeros((2, 9), np.int32)[:, :4]),  # gaps between rows
         (0, np.zeros((2, 4), np.int32)),  # offsets not 2**b + 1 wide
     ],
-    ids=["budgets", "units", "votes", "member-gaps", "offsets-width"],
+    ids=[
+        "budgets", "units", "votes", "member-gaps", "member-row-gaps",
+        "offsets-width",
+    ],
 )
 def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
     args = list(_arrays())

@@ -15,7 +15,10 @@ SCHEDULE_KINDS = ("fixed", "linear", "sublinear")
 
 MAX_HASH_BITS = 16
 
-_DIST_CHUNK = 8192  # rows per float64 distance pass; bounds the intermediate
+# bytes of the one float64 buffer a distance pass casts rows into: 512 KiB
+# stays resident in L2 while each chunk is cast, subtracted and summed
+# (512 rows at dim 128, never fewer than two rows)
+_DIST_CHUNK_BYTES = 1 << 19
 
 
 def dense_vector(values) -> np.ndarray:
@@ -167,6 +170,29 @@ class RankedResult:
         object.__setattr__(self, "distances", dist)
 
     @classmethod
+    def _ranked(
+        cls, ids, distances, probe_count, shortlist_size, pairs_scanned
+    ) -> "RankedResult":
+        """A result from ``rank_by_distance``'s output, without the checks.
+
+        ``core.rerank`` builds its result here on the query's hot path. Its
+        fresh int64 ids are distinct candidates, and its float64 distances,
+        from a validated query to finite rows, are finite, non-negative and
+        non-decreasing, so ``__post_init__`` would pass them.
+        """
+        ids.setflags(write=False)
+        distances.setflags(write=False)
+        result = object.__new__(cls)
+        vars(result).update(
+            ids=ids,
+            distances=distances,
+            probe_count=probe_count,
+            shortlist_size=shortlist_size,
+            pairs_scanned=pairs_scanned,
+        )
+        return result
+
+    @classmethod
     def empty(cls, probe_count=None, shortlist_size=None) -> "RankedResult":
         return cls(
             np.empty(0, dtype=np.int64),
@@ -186,10 +212,16 @@ class RankedResult:
 def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
     """Euclidean distance from ``query`` to every row of ``rows``.
 
-    Inputs are cast to float64 before subtraction, ``_DIST_CHUNK`` rows at
-    a time, so the result does not depend on which records were gathered
-    or on the caller's batch size, and no float64 copy of a large ``rows``
-    is ever made. Finiteness is the caller's responsibility (hot path).
+    Each row is measured in float64. The call allocates one float64 buffer
+    of ``_DIST_CHUNK_BYTES`` (at least two rows) and, for each chunk of
+    rows, copies them into it (an exact cast from float32), subtracts the
+    query in place and sums the squares into the result. A buffer that
+    fits in L2 is cast, subtracted and summed while it is still cached, and
+    the pass allocates no temporary per chunk. A row's distance does not
+    depend on which records were gathered, on the caller's batch size or on
+    the chunk, except that a lone row wider than numpy's 8192-element
+    buffer (``rows`` of one row) is summed in blocks of that size.
+    Finiteness is the caller's responsibility (hot path).
     """
     r = np.asarray(rows)
     q = np.asarray(query, dtype=np.float64)
@@ -197,11 +229,19 @@ def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: rows {r.shape} vs query {q.shape}"
         )
-    out = np.empty(r.shape[0], dtype=np.float64)
-    for start in range(0, r.shape[0], _DIST_CHUNK):
-        stop = start + _DIST_CHUNK
-        diff = np.subtract(r[start:stop], q, dtype=np.float64)
-        np.einsum("ij,ij->i", diff, diff, out=out[start:stop])
+    n, dim = r.shape
+    step = max(2, _DIST_CHUNK_BYTES // (8 * max(dim, 1)))
+    buf = np.empty((min(step, n), dim), dtype=np.float64)
+    out = np.empty(n, dtype=np.float64)
+    for start in range(0, n, step):
+        # einsum sums a lone row of more than 8192 values in blocks, and each
+        # row of a larger operand in one pass, so a last chunk of one row is
+        # measured again with the row before it
+        start = max(0, min(start, n - 2))
+        diff = buf[: n - start]
+        np.copyto(diff, r[start : start + step])
+        np.subtract(diff, q, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=out[start : start + len(diff)])
     return np.sqrt(out, out=out)
 
 
@@ -231,13 +271,14 @@ def rerank(
 ) -> RankedResult:
     """The k ``candidates`` (rows of ``vectors``) nearest to ``q``, exactly.
 
-    ``q`` is the validated float32 query (``query_vector``). The result
-    reports ``shortlist_size = candidates.size``; no candidates give an
-    empty result.
+    ``q`` is the validated float32 query (``query_vector``), the rows are
+    finite and the candidates distinct, as ``RankedResult`` requires. The
+    result reports ``shortlist_size = candidates.size``; no candidates give
+    an empty result.
     """
     dists = pairwise_distances(vectors[candidates], q)
     ids, ranked = rank_by_distance(candidates, dists, k)
-    return RankedResult(
+    return RankedResult._ranked(
         ids,
         ranked,
         probe_count=probe_count,

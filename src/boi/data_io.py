@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -49,7 +48,7 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-_READ_CHUNK = 1 << 20  # bytes of fvecs/ivecs records read at a time
+_RECORD_CHUNK = 1 << 20  # bytes of fvecs/ivecs records read or written at a time
 
 
 def _read_into(f, arr: np.ndarray) -> None:
@@ -76,7 +75,7 @@ def _read_records(path, payload_dtype) -> np.ndarray:
             raise FormatError("truncated record at end of file", offset=n * record_size)
         f.seek(0)
         values = np.empty((n, dim), dtype=payload_dtype)
-        chunk = np.empty((max(1, _READ_CHUNK // record_size), 1 + dim), dtype="<i4")
+        chunk = np.empty((max(1, _RECORD_CHUNK // record_size), 1 + dim), dtype="<i4")
         for start in range(0, n, len(chunk)):
             rows = chunk[: n - start]
             _read_into(f, rows)
@@ -106,12 +105,16 @@ def read_fvecs(path) -> VectorSet:
 
 def _write_records(path, rows: np.ndarray) -> None:
     """Write (n, dim) 4-byte rows as records: an int32 ``dim`` header
-    column, then each row's bytes viewed as ``<i4``."""
+    column, then each row's bytes viewed as ``<i4``, filled and written a
+    chunk of records at a time."""
     n, dim = rows.shape
-    buf = np.empty((n, 1 + dim), dtype="<i4")
-    buf[:, 0] = dim
-    buf[:, 1:] = rows.view("<i4")
-    Path(path).write_bytes(buf.tobytes())
+    chunk = np.empty((max(1, _RECORD_CHUNK // (4 + 4 * dim)), 1 + dim), dtype="<i4")
+    chunk[:, 0] = dim
+    with open(path, "wb") as f:
+        for start in range(0, n, len(chunk)):
+            records = chunk[: n - start]
+            records[:, 1:] = rows[start : start + len(records)].view("<i4")
+            f.write(records)
 
 
 def write_fvecs(path, dataset: VectorSet) -> None:

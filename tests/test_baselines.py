@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,20 @@ def populated():
 
 
 class TestBruteForce:
+    def test_scan_holds_one_small_float64_chunk(self):
+        rng = np.random.default_rng(4)
+        data = VectorSet(rng.standard_normal((100_000, 32)).astype(np.float32))
+        q = rng.standard_normal(32).astype(np.float32)
+        tracemalloc.start()
+        try:
+            brute_force_query(data, q, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result, the ids and the selection take 2.3 MiB with a 512 KiB
+        # chunk buffer; a 2 MiB temporary per 8192-row chunk took 4.9 MiB
+        assert peak < 3.5 * 2**20
+
     def test_hand_computed(self):
         data = VectorSet(
             np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]], dtype=np.float32)

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boi.core import (
+    _DIST_CHUNK_BYTES,
     BoiParams,
     RankedResult,
     VectorSet,
     dense_vector,
     pairwise_distances,
     rank_by_distance,
+    rerank,
 )
 
 
@@ -207,3 +209,74 @@ def test_pairwise_distances_subset_consistent():
     idx = rng.permutation(64)[:20]
     sub = pairwise_distances(X[idx], q)
     assert np.array_equal(full[idx], sub)
+
+
+def subtract_then_sum(rows, q):
+    """The distance expression before the chunk buffer: a float64
+    difference per call, then ``einsum`` and ``sqrt``."""
+    diff = np.subtract(rows, np.asarray(q, dtype=np.float64), dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+# one row fills the buffer at the widest dimension, so every chunk is the
+# two-row minimum; numpy's einsum sums a row of more than 8192 values in
+# 8192-value blocks when the row is alone, and in one pass otherwise
+WIDE = _DIST_CHUNK_BYTES // 8 + 1
+
+
+@pytest.mark.parametrize("dim", [1, 7, 128, 10_000, WIDE])
+def test_pairwise_distances_match_the_subtraction_bitwise(dim):
+    c = max(2, _DIST_CHUNK_BYTES // (8 * dim))  # rows per chunk
+    rng = np.random.default_rng(dim)
+    q = rng.standard_normal(dim).astype(np.float32)
+    for n in sorted({0, 1, c - 1, c, c + 1, 3 * c + 5}):
+        rows = (rng.standard_normal((n, dim)) * 10).astype(np.float32)
+        got = pairwise_distances(rows, q)
+        want = subtract_then_sum(rows, q)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+def test_pairwise_distances_of_extreme_values_stay_finite():
+    # float32's largest values square and sum in float64 without overflow
+    big = np.finfo(np.float32).max
+    rows = np.array([[big, -big], [-big, big], [0.0, 0.0]], dtype=np.float32)
+    got = pairwise_distances(rows, np.array([-big, big], dtype=np.float32))
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, subtract_then_sum(rows, [-big, big]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    dim=st.integers(1, 6),
+    m=st.integers(0, 40),
+    k=st.integers(1, 45),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rerank_result_equals_a_checked_result(n, dim, m, k, seed):
+    # integer-valued rows give equal distances, so ties are ranked by id
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+    candidates = rng.permutation(n)[: min(m, n)].astype(np.int64)
+    q = dense_vector(rng.integers(-2, 3, size=dim))
+    got = rerank(vectors, candidates, q, k, probe_count=3, pairs_scanned=11)
+    ids, dists = rank_by_distance(
+        candidates, pairwise_distances(vectors[candidates], q), k
+    )
+    checked = RankedResult(
+        ids,
+        dists,
+        probe_count=3,
+        shortlist_size=int(candidates.size),
+        pairs_scanned=11,
+    )
+    for field in ("ids", "distances"):
+        a, b = getattr(got, field), getattr(checked, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
+    assert (got.probe_count, got.shortlist_size, got.pairs_scanned) == (
+        checked.probe_count,
+        checked.shortlist_size,
+        checked.pairs_scanned,
+    )

@@ -88,6 +88,21 @@ class TestFvecs:
         # reading the whole file and copying its payload out takes twice it
         assert peak < 1.6 * vs.vectors.nbytes
 
+    def test_write_holds_one_chunk(self, tmp_path):
+        rng = np.random.default_rng(9)
+        vs = VectorSet(rng.standard_normal((100_000, 32)).astype(np.float32))
+        path = tmp_path / "big.fvecs"
+        tracemalloc.start()
+        try:
+            write_fvecs(path, vs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read_fvecs(path).vectors, vs.vectors)
+        # filling every record, then copying them all to bytes, takes twice
+        # the payload
+        assert peak < 0.25 * vs.vectors.nbytes
+
     def test_errors_in_a_later_chunk_keep_their_offset(self, tmp_path):
         # 132-byte records: a 1 MiB chunk holds 7943, so record 17k is in
         # the third

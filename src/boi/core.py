@@ -15,6 +15,11 @@ SCHEDULE_KINDS = ("fixed", "linear", "sublinear")
 
 MAX_HASH_BITS = 16
 
+# The one width decision: a bucket code of up to MAX_HASH_BITS = 16 bits is
+# a uint16, and a CSR bucket offset (at most n) is an int32, like a record id.
+CODE_DTYPE = np.dtype(np.uint16)
+OFFSET_DTYPE = np.dtype(np.int32)
+
 # bytes of the one float64 buffer a distance pass casts rows into: 512 KiB
 # stays resident in L2 while each chunk is cast, subtracted and summed
 # (512 rows at dim 128, never fewer than two rows)
@@ -219,9 +224,8 @@ def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
     fits in L2 is cast, subtracted and summed while it is still cached, and
     the pass allocates no temporary per chunk. A row's distance does not
     depend on which records were gathered, on the caller's batch size or on
-    the chunk, except that a lone row wider than numpy's 8192-element
-    buffer (``rows`` of one row) is summed in blocks of that size.
-    Finiteness is the caller's responsibility (hot path).
+    the chunk: every chunk holds two rows or more, a lone row beside a copy
+    of itself. Finiteness is the caller's responsibility (hot path).
     """
     r = np.asarray(rows)
     q = np.asarray(query, dtype=np.float64)
@@ -231,18 +235,19 @@ def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
         )
     n, dim = r.shape
     step = max(2, _DIST_CHUNK_BYTES // (8 * max(dim, 1)))
-    buf = np.empty((min(step, n), dim), dtype=np.float64)
-    out = np.empty(n, dtype=np.float64)
+    buf = np.empty((max(2, min(step, n)), dim), dtype=np.float64)
+    out = np.empty(max(2, n), dtype=np.float64)
     for start in range(0, n, step):
         # einsum sums a lone row of more than 8192 values in blocks, and each
         # row of a larger operand in one pass, so a last chunk of one row is
-        # measured again with the row before it
+        # measured again with the row before it, and a lone row of all
+        # ``rows`` is copied into both rows of the buffer
         start = max(0, min(start, n - 2))
-        diff = buf[: n - start]
+        diff = buf[: max(2, n - start)]
         np.copyto(diff, r[start : start + step])
         np.subtract(diff, q, out=diff)
         np.einsum("ij,ij->i", diff, diff, out=out[start : start + len(diff)])
-    return np.sqrt(out, out=out)
+    return np.sqrt(out[:n], out=out[:n])
 
 
 def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -237,9 +237,10 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
     unknown schedule codes or flag bits, non-zero header padding, header
     values ``BoiParams`` rejects, n of 2**31 or more (record ids are
     int32), length mismatches, bucket counts that do not sum to n,
-    non-finite projections and record ids outside [0, n). When ``dataset``
-    is given the index is made over it (and size-checked) so it can answer
-    queries immediately.
+    non-finite projections, record ids outside [0, n) and member rows
+    whose wrapping uint32 sum is not that of 0..n-1 (which catches every
+    single-bit flip of an id). When ``dataset`` is given the index is made
+    over it (and size-checked) so it can answer queries immediately.
     """
     with open(path, "rb") as f:
         params, dim, n = _read_header(f)
@@ -277,9 +278,17 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
                 )
             np.cumsum(counts, out=counts)
             _read_into(f, members[t])
+            ids = members[t].view("<u4")
             # read as unsigned, one upper bound checks [0, n)
-            if n and members[t].view("<u4").max() >= n:
+            if n and ids.max() >= n:
                 raise FormatError(
                     f"record id out of range in table {t}", offset=at + ids_at
+                )
+            # a permutation of 0..n-1 sums to n(n-1)/2; any one flipped bit
+            # moves the wrapping uint32 sum by a power of two below 2**32
+            if ids.sum(dtype=np.uint32) != (n * (n - 1) // 2) % 2**32:
+                raise FormatError(
+                    f"record ids of table {t} are not a permutation of 0..{n - 1}",
+                    offset=at + ids_at,
                 )
     return BoiIndex(params, ProjectionTable(projections, offsets, members), dataset)

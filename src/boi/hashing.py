@@ -6,7 +6,11 @@ Nearby vectors agree on most sign bits, so they land in the same bucket or
 in one at small Hamming distance.
 
 Sign decisions are made on float64 dot products so a vector's code never
-depends on whether it was hashed alone or inside a build batch.
+depends on whether it was hashed alone or inside a build batch. The build
+and the query pack signs into codes the same way (``hash_codes_all``: one
+``np.packbits`` over 16 bit slots a code). The build then buckets every
+table with one compiled counting sort (``vote.bucket_sort``), which lists
+each bucket's ids in ascending order.
 """
 
 from __future__ import annotations
@@ -17,20 +21,19 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import MAX_HASH_BITS, BoiParams, VectorSet
+from .core import CODE_DTYPE, MAX_HASH_BITS, OFFSET_DTYPE, BoiParams, VectorSet
+from .vote import bucket_sort
 
-_HASH_CHUNK = 2048  # rows hashed per matmul; bounds the float64 intermediate
+# rows hashed per matmul: bounds the float64 dot products (6.6 MB at L = 100,
+# b = 8), which the allocator may keep resident after the build; on the
+# benchmark's data 2048 rows hashed as fast at b=8 and 5% faster at b=16,
+# but left 9-17 MB more resident
+_HASH_CHUNK = 1024
 
 
 def projection_rng(seed: int, table_index: int) -> np.random.Generator:
     """PCG64 stream for one table, derived from (seed, table_index)."""
     return np.random.default_rng(np.random.SeedSequence((seed, table_index)))
-
-
-# The one width decision: a bucket code of up to MAX_HASH_BITS = 16 bits is
-# a uint16, and a CSR bucket offset (at most n) is an int32, like a record id.
-CODE_DTYPE = np.dtype(np.uint16)
-OFFSET_DTYPE = np.dtype(np.int32)
 
 
 def check_record_count(n: int) -> None:
@@ -155,17 +158,23 @@ def make_projections(params: BoiParams, dim: int) -> np.ndarray:
     )
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (..., b) boolean array, b <= 16, into uint16 codes, LSB-first."""
-    pow2 = CODE_DTYPE.type(1) << np.arange(bits.shape[-1], dtype=CODE_DTYPE)
-    return (bits * pow2).sum(axis=-1, dtype=CODE_DTYPE)
-
-
-def hash_codes_all(projections: np.ndarray, bits: int, X: np.ndarray) -> np.ndarray:
+def hash_codes_all(
+    projections: np.ndarray, bits: int, X: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Bucket codes (uint16) of the rows of X under every table, shape (m, L).
 
     ``projections`` stacks the L tables' (bits x dim) matrices as in
-    ``ProjectionTable.projections``; ``bits`` must be in [1, 16].
+    ``ProjectionTable.projections``; ``bits`` must be in [1, 16]. The codes
+    are written into ``out`` when it is given, an (m, L) uint16 array of
+    any strides, and returned.
+
+    The rows go ``_HASH_CHUNK`` at a time through one float64 matrix
+    product, cast and multiplied into buffers the call allocates once. Its
+    signs fill the first ``bits`` slots of each code's 16 slots in a zeroed
+    bool buffer, and one little-endian ``np.packbits`` of the whole buffer
+    gives two bytes a code, read as ``<u2``. The slots past ``bits`` stay
+    zero, so every width packs the same way. The build and the query both
+    hash here.
     """
     if not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}]")
@@ -176,13 +185,22 @@ def hash_codes_all(projections: np.ndarray, bits: int, X: np.ndarray) -> np.ndar
             f"dimension mismatch: data {X.shape} vs table dim "
             f"{projections.shape[1]}"
         )
+    m = X.shape[0]
     num_tables = projections.shape[0] // bits
-    out = np.empty((X.shape[0], num_tables), dtype=CODE_DTYPE)
-    for start in range(0, X.shape[0], _HASH_CHUNK):
-        chunk = X[start : start + _HASH_CHUNK].astype(np.float64)
-        dots = chunk @ projections.T
-        signs = (dots >= 0.0).reshape(chunk.shape[0], num_tables, bits)
-        out[start : start + _HASH_CHUNK] = _pack_bits(signs)
+    if out is None:
+        out = np.empty((m, num_tables), dtype=CODE_DTYPE)
+    rows = min(m, _HASH_CHUNK)
+    cast = np.empty((rows, X.shape[1]), dtype=np.float64)
+    dots = np.empty((rows, num_tables, bits), dtype=np.float64)
+    signs = np.zeros((rows, num_tables, MAX_HASH_BITS), dtype=bool)
+    for start in range(0, m, _HASH_CHUNK):
+        chunk = X[start : start + _HASH_CHUNK]
+        k = chunk.shape[0]
+        np.copyto(cast[:k], chunk)
+        np.matmul(cast[:k], projections.T, out=dots[:k].reshape(k, -1))
+        np.greater_equal(dots[:k], 0.0, out=signs[:k, :, :bits])
+        packed = np.packbits(signs[:k].reshape(-1), bitorder="little")
+        out[start : start + k] = packed.view("<u2").reshape(k, num_tables)
     return out
 
 
@@ -192,21 +210,23 @@ def insert_all(
     """Hash every record of ``dataset`` into every table and bucket it.
 
     Each record id lands in exactly one bucket per table, the one matching
-    its code under that table's rows of ``projections``.
+    its code under that table's rows of ``projections``. The codes are
+    hashed into the ``members`` array itself, table t's into the upper half
+    of row t, so the build holds no (n, L) code array of its own. Then one
+    compiled counting sort (``vote.bucket_sort``) replaces each row's codes
+    with its record ids: it counts the table's codes, turns the counts into
+    the CSR offsets and scatters the ids in ascending order, so each bucket
+    lists its ids ascending, as a stable sort by code would.
     """
     n = dataset.n
     check_record_count(n)
     # an empty set hashes as zero rows of the tables' width, whatever its own
     X = dataset.vectors.reshape(n, -1 if n else projections.shape[1])
-    codes = hash_codes_all(projections, bits, X)
-    num_tables, num_buckets = codes.shape[1], 1 << bits
-    offsets = np.zeros((num_tables, num_buckets + 1), dtype=OFFSET_DTYPE)
+    num_tables = projections.shape[0] // bits
+    offsets = np.empty((num_tables, (1 << bits) + 1), dtype=OFFSET_DTYPE)
     members = np.empty((num_tables, n), dtype=np.int32)
-    for t in range(num_tables):
-        col = np.ascontiguousarray(codes[:, t])
-        np.cumsum(np.bincount(col, minlength=num_buckets), out=offsets[t, 1:])
-        # stable sort groups ids by code, ascending id within each bucket
-        members[t] = np.argsort(col, kind="stable")
+    hash_codes_all(projections, bits, X, out=members.view(CODE_DTYPE)[:, n:].T)
+    bucket_sort(offsets, members)
     return ProjectionTable(projections, offsets, members)
 
 

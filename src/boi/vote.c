@@ -1,12 +1,14 @@
-/* Weighted gather+vote over the probed buckets of every hash table.
+/* The two compiled loops of boi: the weighted gather+vote of a query over
+ * the probed buckets of every hash table, and the counting sort that
+ * builds those buckets.
  *
- * Table t probes the first budgets[t] + 1 codes of its row of ``probes``:
- * every id in the bucket of the code c at position j,
+ * boi_gather_vote: table t probes the first budgets[t] + 1 codes of its row
+ * of ``probes``: every id in the bucket of the code c at position j,
  * members[t, offsets[t, c]:offsets[t, c + 1]], gains units[j] votes. The
  * kernel only adds them; index.weight sets them (BoiIndex.units).
  *
- * Codes are uint16 and offsets int32, as in hashing.CODE_DTYPE and
- * hashing.OFFSET_DTYPE, so bits is at most 16 (core.MAX_HASH_BITS).
+ * Codes are uint16 and offsets int32, as in core.CODE_DTYPE and
+ * core.OFFSET_DTYPE, so bits is at most 16 (core.MAX_HASH_BITS).
  *
  * The vote is a cache-blocked scatter (Boncz, Manegold and Kersten, VLDB
  * 1999). Each probed bucket scatters its ids across the whole (n,) vote
@@ -35,8 +37,14 @@
  * a bucket are still counted exactly, in a later tile. Otherwise the
  * return value is the number of (id, vote) pairs scanned. Sums are exact
  * integers, so their order does not matter.
+ *
+ * boi_bucket_sort, the second entry point, builds the tables the first one
+ * reads: one counting sort per table turns the codes hashing.insert_all
+ * hashed into ``members`` into the CSR ``offsets`` and the record ids of
+ * every bucket, ascending within a bucket (its own comment, below).
  */
 #include <stdint.h>
+#include <string.h>
 
 #define TILE 8192
 #define BATCH 1024
@@ -115,4 +123,59 @@ int64_t boi_gather_vote(
     if (sweep(batch, live, n, votes) < 0)
         return -1;
     return scanned;
+}
+
+/* Bucket every record id of every table by its code, in one counting sort.
+ *
+ * On entry, row t of ``members`` holds table t's codes, n uint16 values in
+ * the upper half of its 4n bytes (hashing.insert_all hashes them there).
+ * On return it holds the n record ids grouped by code and ascending within
+ * a bucket, the order a stable argsort of the codes gives, and offsets[t]
+ * (2**bits + 1 values) the CSR offsets of its buckets. Per table:
+ *   copy: the codes go to ``scratch`` (n uint16), since the ids overwrite
+ *     them;
+ *   count: offsets[t, c + 1] counts the records of code c;
+ *   prefix: an exclusive running sum turns offsets[t, c + 1] into the
+ *     start of bucket c (offsets[t, 0] is 0);
+ *   scatter: ids in ascending order go to members[t, offsets[t, c + 1]],
+ *     which then advances, so it ends as the stop of bucket c, that is,
+ *     offsets[t, c + 1] as the CSR layout wants it.
+ * Each pass reads its table's codes in order, and no memory is used beyond
+ * the outputs and one table's codes.
+ *
+ * Every code is checked against 2**bits in the count pass, before it is
+ * used as an index; the scatter reads the same scratch again. Returns 0,
+ * or -1 for a code >= 2**bits, bits outside [1, 16] or n outside
+ * [0, INT32_MAX]; offsets and members are then partly written.
+ */
+int64_t boi_bucket_sort(
+    int64_t num_tables, int64_t bits, int64_t n,
+    int32_t *offsets,                   /* (num_tables, 2**bits + 1) */
+    int32_t *members,                   /* (num_tables, n) */
+    uint16_t *scratch)                  /* (n,) */
+{
+    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX)
+        return -1;
+    const int64_t num_buckets = (int64_t)1 << bits;
+    for (int64_t t = 0; t < num_tables; t++) {
+        int32_t *const row = members + t * n;
+        int32_t *const next = offsets + t * (num_buckets + 1) + 1;
+        memcpy(scratch, (const char *)row + 2 * n, 2 * n);
+        offsets[t * (num_buckets + 1)] = 0;
+        memset(next, 0, num_buckets * sizeof *next);
+        for (int64_t i = 0; i < n; i++) {
+            if (scratch[i] >= num_buckets)
+                return -1;
+            next[scratch[i]]++;
+        }
+        int32_t start = 0;
+        for (int64_t c = 0; c < num_buckets; c++) {
+            const int32_t count = next[c];
+            next[c] = start;
+            start += count;
+        }
+        for (int64_t i = 0; i < n; i++)
+            row[next[scratch[i]]++] = (int32_t)i;
+    }
+    return 0;
 }

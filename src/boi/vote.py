@@ -1,4 +1,6 @@
-"""The compiled gather+vote kernel (``vote.c``), loaded with ctypes.
+"""The compiled loops of ``vote.c``, loaded with ctypes: the gather+vote
+kernel every query runs, and the counting sort ``hashing.insert_all``
+buckets its records with.
 
 The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hashing import CODE_DTYPE, OFFSET_DTYPE
+from .core import CODE_DTYPE, OFFSET_DTYPE
 
 SOURCE = Path(__file__).with_name("vote.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
@@ -77,13 +79,14 @@ def _contiguous(dtype, ndim):
     return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
 
 
-def load_kernel(cache_dir):
-    """The ctypes function ``boi_gather_vote`` of the library
-    ``build_library(cache_dir)`` gives, its argument and result types
+def load_library(cache_dir) -> ctypes.CDLL:
+    """The library ``build_library(cache_dir)`` gives, with the argument
+    and result types of ``boi_gather_vote`` and ``boi_bucket_sort``
     declared."""
-    kernel = ctypes.CDLL(str(build_library(cache_dir))).boi_gather_vote
+    library = ctypes.CDLL(str(build_library(cache_dir)))
     i64 = ctypes.c_int64
-    kernel.argtypes = [
+    writable = "C_CONTIGUOUS,WRITEABLE"
+    library.boi_gather_vote.argtypes = [
         i64,  # num_tables
         i64,  # bits
         i64,  # n
@@ -93,13 +96,22 @@ def load_kernel(cache_dir):
         i64,  # probe row width
         _contiguous(np.uint32, 1),  # units
         _contiguous(np.int64, 1),  # budgets
-        np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),
+        np.ctypeslib.ndpointer(np.int32, ndim=1, flags=writable),  # votes
     ]
-    kernel.restype = i64
-    return kernel
+    library.boi_bucket_sort.argtypes = [
+        i64,  # num_tables
+        i64,  # bits
+        i64,  # n
+        np.ctypeslib.ndpointer(OFFSET_DTYPE, ndim=2, flags=writable),  # offsets
+        np.ctypeslib.ndpointer(np.int32, ndim=2, flags=writable),  # members
+        np.ctypeslib.ndpointer(CODE_DTYPE, ndim=1, flags=writable),  # scratch
+    ]
+    for entry in (library.boi_gather_vote, library.boi_bucket_sort):
+        entry.restype = i64
+    return library
 
 
-_kernel = load_kernel(default_cache_dir())
+_library = load_library(default_cache_dir())
 
 
 def gather_vote(
@@ -135,7 +147,7 @@ def gather_vote(
         or not members.flags.c_contiguous
     ):
         raise ValueError("gather_vote: array shapes or strides do not agree")
-    scanned = _kernel(
+    scanned = _library.boi_gather_vote(
         num_tables, bits, n, offsets, members, probes, width, units, budgets, votes
     )
     if scanned < 0:
@@ -144,3 +156,25 @@ def gather_vote(
             "record ids are out of range"
         )
     return scanned
+
+
+def bucket_sort(offsets: np.ndarray, members: np.ndarray) -> None:
+    """Bucket every record of every table by its code, in one counting sort.
+
+    ``members`` (L, n) int32 comes in holding table t's codes in the upper
+    half of row t, ``members.view(CODE_DTYPE)[:, n:]``, and leaves holding
+    table t's record ids, grouped by code and ascending within a bucket,
+    exactly as a stable argsort of those codes orders them. ``offsets``
+    (L, 2**b + 1) int32 is filled with each table's CSR bucket offsets; it
+    need not be zeroed. Both must be C-contiguous and writable. The sort
+    holds one table's codes besides them. Raises ValueError when the shapes
+    disagree or a code is 2**b or more; ``offsets`` and ``members`` are then
+    partly written.
+    """
+    num_tables, n = members.shape
+    bits = offsets.shape[1].bit_length() - 1
+    if offsets.shape != (num_tables, (1 << bits) + 1):
+        raise ValueError("bucket_sort: array shapes do not agree")
+    scratch = np.empty(n, dtype=CODE_DTYPE)
+    if _library.boi_bucket_sort(num_tables, bits, n, offsets, members, scratch) < 0:
+        raise ValueError(f"a bucket code is out of range for {bits} bits")

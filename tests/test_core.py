@@ -213,14 +213,17 @@ def test_pairwise_distances_subset_consistent():
 
 def subtract_then_sum(rows, q):
     """The distance expression before the chunk buffer: a float64
-    difference per call, then ``einsum`` and ``sqrt``."""
+    difference per call, then ``einsum`` and ``sqrt``, each row measured
+    inside an operand of two rows or more (the rows twice over)."""
+    rows = np.concatenate([rows, rows])
     diff = np.subtract(rows, np.asarray(q, dtype=np.float64), dtype=np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))[: len(rows) // 2]
 
 
 # one row fills the buffer at the widest dimension, so every chunk is the
 # two-row minimum; numpy's einsum sums a row of more than 8192 values in
-# 8192-value blocks when the row is alone, and in one pass otherwise
+# 8192-value blocks when the row is alone, and in one pass otherwise, so a
+# lone row must be measured beside another
 WIDE = _DIST_CHUNK_BYTES // 8 + 1
 
 
@@ -235,6 +238,19 @@ def test_pairwise_distances_match_the_subtraction_bitwise(dim):
         want = subtract_then_sum(rows, q)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+
+
+def test_one_candidate_rerank_at_dim_8193_measures_as_in_a_larger_call():
+    # a lone row one value past einsum's 8192-value block: 2 of these 10
+    # seeds gave it different last bits when it was measured alone
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((3, 8193)).astype(np.float32)
+        q = rng.standard_normal(8193).astype(np.float32)
+        inside = pairwise_distances(vectors, q)[1:2]
+        alone = rerank(vectors, np.array([1]), q, 1, probe_count=0, pairs_scanned=0)
+        assert alone.ids.tolist() == [1]
+        assert np.array_equal(alone.distances.view(np.uint64), inside.view(np.uint64))
 
 
 def test_pairwise_distances_of_extreme_values_stay_finite():

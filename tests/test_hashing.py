@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 
-from boi.core import BoiParams, VectorSet
+from boi.core import MAX_HASH_BITS, BoiParams, VectorSet
 from boi.hashing import (
     _HASH_CHUNK,
     CODE_DTYPE,
@@ -40,6 +40,26 @@ def table_rows(tables: ProjectionTable, t: int) -> np.ndarray:
 def empty_tables(params: BoiParams, dim: int) -> ProjectionTable:
     empty = VectorSet(np.empty((0, dim), dtype=np.float32))
     return insert_all(make_projections(params, dim), params.hash_bits, empty)
+
+
+def shift_and_sum_codes(projections, bits, X) -> np.ndarray:
+    """Reference codes: every sign shifted to its bit and the bits of a
+    code summed."""
+    signs = np.asarray(X, dtype=np.float64) @ np.asarray(projections).T >= 0
+    shifted = signs.reshape(len(X), -1, bits) << np.arange(bits)
+    return shifted.sum(axis=-1).astype(np.uint16)
+
+
+def argsort_buckets(codes, bits) -> tuple[np.ndarray, np.ndarray]:
+    """Reference (offsets, members) of every table: a bincount and a stable
+    argsort of its column of codes."""
+    n, num_tables = codes.shape
+    offsets = np.zeros((num_tables, (1 << bits) + 1), dtype=np.int64)
+    members = np.empty((num_tables, n), dtype=np.int64)
+    for t in range(num_tables):
+        offsets[t, 1:] = np.cumsum(np.bincount(codes[:, t], minlength=1 << bits))
+        members[t] = np.argsort(codes[:, t], kind="stable")
+    return offsets, members
 
 
 class TestMakeTables:
@@ -147,7 +167,70 @@ class TestHashVector:
         assert peak < X.size * 8
 
 
+@pytest.mark.parametrize("bits", range(1, MAX_HASH_BITS + 1))
+def test_packed_codes_match_the_shift_and_sum_oracle(bits):
+    rng = np.random.default_rng(bits)
+    params = BoiParams(num_tables=3, hash_bits=bits, initial_probe_count=1, seed=bits)
+    proj = make_projections(params, 10)
+    # a batch over two chunk boundaries, with zero vectors, whose every dot
+    # product ties at 0 and sets every bit
+    X = rng.standard_normal((2 * _HASH_CHUNK + 1, 10)).astype(np.float32)
+    X[[0, _HASH_CHUNK, 2 * _HASH_CHUNK]] = 0.0
+    codes = hash_codes_all(proj, bits, X)
+    assert codes.dtype == CODE_DTYPE and codes.shape == (len(X), 3)
+    assert np.array_equal(codes, shift_and_sum_codes(proj, bits, X))
+    assert np.all(codes[[0, _HASH_CHUNK, 2 * _HASH_CHUNK]] == (1 << bits) - 1)
+    assert codes.max() < 1 << bits
+    for row in (0, 1, _HASH_CHUNK + 7, 2 * _HASH_CHUNK):
+        one = X[row : row + 1]
+        single = hash_codes_all(proj, bits, one)
+        assert np.array_equal(single, shift_and_sum_codes(proj, bits, one))
+        assert np.array_equal(single[0], codes[row])
+
+
 class TestInsertAll:
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("bits", [1, 5, 8, 12, 16])
+    def test_buckets_match_the_stable_argsort_oracle(self, bits, n):
+        rng = np.random.default_rng(100 * bits + n)
+        params = BoiParams(
+            num_tables=5, hash_bits=bits, initial_probe_count=1, seed=bits
+        )
+        proj = make_projections(params, 6)
+        # repeated rows share every bucket, and with them the id order
+        # within a bucket is the stable order
+        X = rng.standard_normal((n, 6)).astype(np.float32)
+        X[n // 2 :] = X[: n - n // 2]
+        tables = insert_all(proj, bits, VectorSet(X))
+        codes = hash_codes_all(proj, bits, X)
+        offsets, members = argsort_buckets(codes, bits)
+        assert np.array_equal(tables.offsets, offsets)
+        assert np.array_equal(tables.members, members)
+        assert tables.offsets.dtype == OFFSET_DTYPE and tables.members.dtype == np.int32
+        if n < 1 << bits:
+            assert np.any(np.diff(tables.offsets, axis=1) == 0)  # empty buckets
+
+    def test_build_holds_no_code_array_of_its_own(self):
+        params = BoiParams(num_tables=8, hash_bits=4, initial_probe_count=1, seed=9)
+        proj = make_projections(params, 4)
+        rng = np.random.default_rng(14)
+        data = VectorSet(rng.standard_normal((100_000, 4)).astype(np.float32))
+        codes = np.empty((data.n, params.num_tables), dtype=CODE_DTYPE)
+        tracemalloc.start()
+        try:
+            hash_codes_all(proj, 4, data.vectors, out=codes)
+            hash_peak = tracemalloc.get_traced_memory()[1]  # the chunk buffers
+            tracemalloc.reset_peak()
+            tables = insert_all(proj, 4, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(tables.members, argsort_buckets(codes, 4)[1])
+        held = tables.offsets.nbytes + tables.members.nbytes
+        # the returned arrays, the hash's buffers and one table's codes: an
+        # (n, L) code array beside them would add another 1.6 MB
+        assert peak <= held + hash_peak + data.n * CODE_DTYPE.itemsize
+
     def test_empty_dataset(self):
         params = BoiParams(num_tables=2, hash_bits=3, initial_probe_count=2)
         tables = empty_tables(params, 4)

@@ -437,6 +437,20 @@ class TestCorruptSnapshot:
                 path.write_bytes(bytes(damaged))
                 self._load(path)
 
+    def test_every_single_bit_flip_of_a_member_id_raises(self, tmp_path):
+        raw = OLD_WRITER_SNAPSHOT.read_bytes()
+        record = 4 * (4 * 4 + 16 + 50)  # b x dim floats, 2**b counts, n ids
+        ids_at = 60 + 4 * (4 * 4 + 16)  # table 0's ids follow its counts
+        path = tmp_path / "flipped.boix"
+        for t in range(3):
+            for pos in range(ids_at + t * record, ids_at + t * record + 4 * 50):
+                for bit in range(8):
+                    damaged = bytearray(raw)
+                    damaged[pos] ^= 1 << bit
+                    path.write_bytes(bytes(damaged))
+                    with pytest.raises(FormatError, match=f"table {t}"):
+                        load_index(path)
+
     def test_every_truncation(self, tmp_path):
         raw = OLD_WRITER_SNAPSHOT.read_bytes()
         path = tmp_path / "short.boix"

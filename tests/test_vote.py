@@ -17,7 +17,7 @@ def test_first_call_compiles_into_the_cache_dir(tmp_path):
     assert library.parent == cache and library.is_file()
     # the temporary the compiler wrote was renamed into place
     assert list(cache.iterdir()) == [library]
-    assert vote.load_kernel(cache).restype is ctypes.c_int64
+    assert vote.load_library(cache).boi_gather_vote.restype is ctypes.c_int64
 
 
 def test_second_call_reuses_the_library(tmp_path, monkeypatch):
@@ -152,3 +152,43 @@ def test_gather_vote_counts_ids_stored_out_of_order():
     )
     assert scanned == n
     assert np.array_equal(votes, np.where(np.arange(n) % 2 == 0, 2, 1))
+
+
+def _sort_inputs(codes, bits):
+    """``offsets`` filled with junk, which the sort overwrites, and
+    ``members`` holding table t's codes (column t of ``codes``) in the upper
+    half of row t."""
+    n, num_tables = codes.shape
+    offsets = np.full((num_tables, (1 << bits) + 1), -7, np.int32)
+    members = np.full((num_tables, n), -7, np.int32)
+    members.view(np.uint16)[:, n:] = codes.T
+    return offsets, members
+
+
+def test_bucket_sort_groups_ascending_ids_by_code():
+    # two 2-bit tables over 5 records, given record-major
+    codes = np.array([[3, 0], [1, 0], [3, 2], [0, 0], [1, 3]], dtype=np.uint16)
+    offsets, members = _sort_inputs(codes, 2)
+    vote.bucket_sort(offsets, members)
+    assert offsets.tolist() == [[0, 1, 3, 3, 5], [0, 3, 3, 4, 5]]
+    assert members.tolist() == [[3, 1, 4, 0, 2], [0, 1, 3, 2, 4]]
+
+
+@pytest.mark.parametrize("bits", [1, 8, 16])
+def test_bucket_sort_rejects_a_code_past_2_bits(bits):
+    codes = np.zeros((6, 3), dtype=np.uint16)
+    codes[4, 2] = (1 << bits) - 1
+    vote.bucket_sort(*_sort_inputs(codes, bits))  # the largest code fits
+    if bits < 16:  # a 17-bit code does not fit the uint16 codes
+        codes[4, 2] = 1 << bits
+        with pytest.raises(ValueError, match=f"out of range for {bits} bits"):
+            vote.bucket_sort(*_sort_inputs(codes, bits))
+
+
+@pytest.mark.parametrize(
+    "offsets_shape", [(3, 5), (2, 4)], ids=["tables", "offsets-width"]
+)
+def test_bucket_sort_rejects_disagreeing_shapes(offsets_shape):
+    members = np.zeros((2, 6), np.int32)
+    with pytest.raises(ValueError, match="shapes do not agree"):
+        vote.bucket_sort(np.zeros(offsets_shape, np.int32), members)

@@ -256,7 +256,8 @@ def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:
     The tie rule is exact: entries sharing the k-th smallest distance are
     resolved by id before truncation, so the output is a deterministic
     function of (ids, distances, k). ``distances`` is any sort key and keeps
-    its dtype (no float64 cast): the shortlist ranks integer votes here.
+    its dtype (no float64 cast); the re-rank and brute force pass it the
+    float64 distances of ``pairwise_distances``.
     """
     ids = np.asarray(ids, dtype=np.int64)
     distances = np.asarray(distances)

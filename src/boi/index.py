@@ -12,7 +12,10 @@ Querying works in four stages:
    adds each probed bucket's units one L1-sized tile of record ids at a
    time. Votes are exact int32 counts of 2**-b, whatever their order;
 3. keep the ``shortlist_size`` records with the highest accumulated
-   integer vote, ties by lower id (zero-weight records never qualify);
+   integer vote, ties by lower id (zero-weight records never qualify):
+   ``shortlist`` partitions a negated copy of the votes in place to find
+   the cut, keeps the ids at or above it in one pass, and sorts only
+   those;
 4. re-rank the shortlist by exact Euclidean distance and return the top k
    (``core.rerank``).
 
@@ -47,7 +50,6 @@ from .core import (
     RankedResult,
     VectorSet,
     query_vector,
-    rank_by_distance,
     rerank,
 )
 from .hashing import (
@@ -261,16 +263,34 @@ def shortlist(weights: np.ndarray, shortlist_size: int) -> np.ndarray:
     """Ids of the highest-weight records, at most ``shortlist_size`` of them.
 
     ``weights`` are non-negative integer votes or float weights. Sorted by
-    weight descending, ties by ascending id, via ``rank_by_distance`` on the
-    negated weights (an unsigned w negates to 2**N - w, still falling as w
-    rises). Records with zero weight were never probed and are excluded
-    even when that leaves the shortlist short.
+    weight descending, ties by ascending id. Records with zero weight were
+    never probed and are excluded even when that leaves the shortlist short.
+
+    One in-place partition of a negated copy finds the cut, the
+    ``shortlist_size``-th largest weight. One pass over the weights then
+    keeps the ids at or above it, the lowest ids first among those at the
+    cut, and only those are sorted. Unsigned weights are widened to int64
+    first, since an unsigned w would negate to 2**N - w.
     """
     if shortlist_size < 1:
         raise ValueError("shortlist_size must be >= 1")
     weights = np.asarray(weights)
-    touched = np.flatnonzero(weights != 0)
-    return rank_by_distance(touched, -weights[touched], shortlist_size)[0]
+    if weights.dtype.kind == "u":
+        weights = weights.astype(np.int64)
+    cut = 0
+    if shortlist_size < weights.size:
+        neg = np.negative(weights)
+        neg.partition(shortlist_size - 1)
+        cut = -neg[shortlist_size - 1]
+    ids = np.flatnonzero(weights >= cut if cut > 0 else weights > 0)
+    w = weights[ids]
+    if ids.size > shortlist_size:
+        # every id above the cut, then the lowest ids at it
+        keep = w > cut
+        at_cut = np.flatnonzero(~keep)
+        keep[at_cut[: shortlist_size - np.count_nonzero(keep)]] = True
+        ids, w = ids[keep], w[keep]
+    return ids[np.lexsort((ids, -w))]
 
 
 def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:

@@ -379,18 +379,31 @@ class TestShortlist:
 
     def test_matches_sorted_oracle(self):
         rng = np.random.default_rng(8)
+        cases = []
         for _ in range(40):
             n = int(rng.integers(1, 60))
-            votes = rng.integers(0, 5, size=n)
-            w = votes / 4.0
-            eps = int(rng.integers(1, n + 1))
-            oracle = sorted(
-                (i for i in range(n) if w[i] > 0), key=lambda i: (-w[i], i)
-            )[:eps]
-            assert shortlist(w, eps).tolist() == oracle
-            # the accumulator's integer votes rank the same way
-            for dtype in (np.int16, np.int32, np.uint16):
-                assert shortlist(votes.astype(dtype), eps).tolist() == oracle
+            votes = rng.integers(int(rng.integers(0, 2)), 5, size=n)
+            cases.append((votes, [int(rng.integers(1, n + 1))]))
+        # accumulator-sized votes, as dense as at b=8 and as sparse as at
+        # b=16, with so few distinct values that thousands tie at the cut
+        n = 100_000
+        for touched in (0.96, 0.05):
+            votes = rng.integers(1, 12, size=n) * (rng.random(n) < touched)
+            cases.append((votes.astype(np.int32), [250, 3000, 20_000]))
+        for votes, sizes in cases:
+            n = votes.size
+            v = votes.tolist()
+            oracle = sorted((i for i in range(n) if v[i] > 0), key=lambda i: (-v[i], i))
+            # float weights all in (0, 1), and the integer votes of the
+            # accumulator and the baselines, signed and unsigned
+            weights = [votes / 16.0] + [
+                votes.astype(dtype)
+                for dtype in (np.int16, np.int32, np.uint16, np.uint32)
+            ]
+            for eps in sizes + [1, max(n - 1, 1), n, n + 1, 2 * n]:
+                for w in weights:
+                    got = shortlist(w, eps)
+                    assert got.tolist() == oracle[:eps], (w.dtype, n, eps)
 
     def test_requires_positive_size(self):
         with pytest.raises(ValueError):

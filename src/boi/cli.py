@@ -133,8 +133,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
-    dataset = read_fvecs(args.dataset)
     params = _params_from_flags(args)
+    dataset = read_fvecs(args.dataset)
     index = build_index(dataset, params)
     save_index(index, args.index)
     stats = occupancy_summary(index.tables)

@@ -56,6 +56,22 @@ def query_vector(values, dim: int) -> np.ndarray:
     return vec
 
 
+def as_int32(values, name: str) -> np.ndarray:
+    """``values`` as int32; a narrowing cast must keep every value, or
+    ValueError names ``name`` (a NaN or a fraction never survives it)."""
+    arr = np.asarray(values)
+    if arr.dtype != np.int32:
+        with np.errstate(invalid="ignore"):
+            try:
+                narrow = arr.astype(np.int32)
+            except OverflowError:
+                narrow = None
+        if narrow is None or not np.array_equal(narrow, arr):
+            raise ValueError(f"{name} values do not fit int32")
+        arr = narrow
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class VectorSet:
     """An ordered, immutable collection of same-dimension float32 descriptors.
@@ -89,6 +105,21 @@ class VectorSet:
         return self.n
 
 
+# BoiParams fields that hold integers, and those of them a snapshot header
+# stores as u32 with no tighter bound from the other checks
+_INT_FIELDS = (
+    "num_tables",
+    "hash_bits",
+    "probe_radius",
+    "shortlist_size",
+    "initial_probe_count",
+    "linear_step",
+    "sublinear_step",
+    "seed",
+)
+_U32_FIELDS = ("probe_radius", "shortlist_size", "linear_step", "sublinear_step")
+
+
 @dataclass(frozen=True)
 class BoiParams:
     """Tuning parameters for the weighted multi-probe index.
@@ -100,6 +131,11 @@ class BoiParams:
     ``strict_radius`` caps probing at the Hamming ball of ``probe_radius``;
     by default the probe budget may spill into farther buckets, which then
     contribute with their true distance weight (see the index module).
+
+    Every field but ``schedule`` and ``strict_radius`` is a Python or numpy
+    integer (not a bool), stored as an int; ``strict_radius`` is a bool.
+    Any other value, or one the index or its snapshot header cannot hold,
+    raises ValueError naming the field.
     """
 
     num_tables: int = 100
@@ -114,6 +150,19 @@ class BoiParams:
     strict_radius: bool = False
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.strict_radius, (bool, np.bool_)):
+            raise ValueError(
+                f"strict_radius must be a bool, got {self.strict_radius!r}"
+            )
+        object.__setattr__(self, "strict_radius", bool(self.strict_radius))
+        for name in _U32_FIELDS:
+            if getattr(self, name) >= 2**32:
+                raise ValueError(f"{name} must be below 2**32 (a u32 on disk)")
         if self.num_tables < 1:
             raise ValueError("num_tables must be >= 1")
         if not 1 <= self.hash_bits <= MAX_HASH_BITS:

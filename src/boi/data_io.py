@@ -33,7 +33,7 @@ import struct
 
 import numpy as np
 
-from .core import SCHEDULE_KINDS, BoiParams, VectorSet
+from .core import SCHEDULE_KINDS, BoiParams, VectorSet, as_int32
 from .hashing import ProjectionTable, check_record_count
 from .index import BoiIndex
 
@@ -128,8 +128,9 @@ def read_ivecs(path) -> np.ndarray:
 
 
 def write_ivecs(path, rows) -> None:
-    """Write an (n, dim) integer array as ivecs."""
-    rows = np.asarray(rows, dtype="<i4")
+    """Write an (n, dim) integer array as ivecs; a value int32 cannot hold
+    raises ValueError."""
+    rows = as_int32(rows, "ivecs")
     if rows.ndim != 2:
         raise ValueError(f"ivecs rows must be 2-D, got shape {rows.shape}")
     if rows.shape[0] and rows.shape[1] == 0:

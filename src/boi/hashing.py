@@ -21,7 +21,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import CODE_DTYPE, MAX_HASH_BITS, OFFSET_DTYPE, BoiParams, VectorSet
+from .core import (
+    CODE_DTYPE,
+    MAX_HASH_BITS,
+    OFFSET_DTYPE,
+    BoiParams,
+    VectorSet,
+    as_int32,
+)
 from .vote import bucket_sort
 
 # rows hashed per matmul: bounds the float64 dot products (6.6 MB at L = 100,
@@ -43,17 +50,6 @@ def check_record_count(n: int) -> None:
         raise ValueError(
             f"{n} records do not fit int32 record ids (at most 2**31 - 1)"
         )
-
-
-def _as_int32(values, name: str) -> np.ndarray:
-    """``values`` as int32; a narrowing cast must keep every value."""
-    arr = np.asarray(values)
-    if arr.dtype != np.int32:
-        narrow = arr.astype(np.int32)
-        if not np.array_equal(narrow, arr):
-            raise ValueError(f"{name} values do not fit int32")
-        arr = narrow
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +82,8 @@ class ProjectionTable:
         check_record_count(np.shape(self.members)[-1])
         arrays = {
             "projections": np.asarray(self.projections, dtype=np.float64),
-            "offsets": np.ascontiguousarray(_as_int32(self.offsets, "offsets")),
-            "members": np.ascontiguousarray(_as_int32(self.members, "members")),
+            "offsets": np.ascontiguousarray(as_int32(self.offsets, "offsets")),
+            "members": np.ascontiguousarray(as_int32(self.members, "members")),
         }
         for name, arr in arrays.items():
             arr.setflags(write=False)

@@ -10,7 +10,8 @@ Querying works in four stages:
    and the vote over every table are one call into the compiled kernel of
    ``vote.c``, which releases the GIL, so threads vote in parallel. It
    adds each probed bucket's units one L1-sized tile of record ids at a
-   time. Votes are exact int32 counts of 2**-b, whatever their order;
+   time. The votes, which ``accumulate`` returns, are exact int32 counts
+   of 2**-b, whatever their order;
 3. keep the ``shortlist_size`` records with the highest accumulated
    integer vote, ties by lower id (zero-weight records never qualify):
    ``shortlist`` partitions a negated copy of the votes in place to find
@@ -249,14 +250,13 @@ def _accumulate(
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
-    """Per-record vote weights for one query, as a dense float64 array.
+    """Per-record int32 votes for one query, in units of 2**-b: the array
+    ``query`` shortlists.
 
-    The accumulator's integer votes divided by 2**b. Every entry is a finite
-    sum of 1/2**H terms; records that no probed bucket contains stay at
-    exactly 0.
+    Entry r is sum weight(H, b) * 2**b over the probed buckets holding
+    record r; records that no probed bucket contains stay at exactly 0.
     """
-    votes, _, _ = _accumulate(index, query_vector(q, index.dim), query_index)
-    return votes / (1 << index.tables.bits)
+    return _accumulate(index, query_vector(q, index.dim), query_index)[0]
 
 
 def shortlist(weights: np.ndarray, shortlist_size: int) -> np.ndarray:

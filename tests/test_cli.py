@@ -91,6 +91,18 @@ class TestBuild:
         assert "hash_bits must be in [1, 16]" in caplog.text
         assert not (tmp_path / "x.boix").exists()
 
+    def test_rejects_shortlist_size_past_u32(self, tmp_path, dataset_dir, caplog):
+        # the snapshot header stores epsilon as a u32
+        rc = main(
+            [
+                "build", "--dataset", str(dataset_dir / "base.fvecs"),
+                "--index", str(tmp_path / "x.boix"), "--epsilon", str(2**32),
+            ]
+        )
+        assert rc == 1
+        assert "shortlist_size must be below 2**32" in caplog.text
+        assert not (tmp_path / "x.boix").exists()
+
     def test_missing_dataset_fails(self, tmp_path):
         rc = main(
             [

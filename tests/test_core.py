@@ -158,6 +158,47 @@ class TestBoiParams:
         with pytest.raises(ValueError):
             BoiParams(hash_bits=2, initial_probe_count=4)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("initial_probe_count", 2.5),
+            ("linear_step", 1.5),
+            ("sublinear_step", np.float64(2.0)),
+            ("num_tables", True),
+            ("shortlist_size", np.True_),
+            ("seed", "7"),
+            ("strict_radius", "no"),
+            ("strict_radius", 1),
+        ],
+    )
+    def test_rejects_non_integer_and_non_bool_values(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            BoiParams(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name", ["shortlist_size", "probe_radius", "linear_step", "sublinear_step"]
+    )
+    def test_u32_header_fields_stay_below_2_32(self, name):
+        # save_index writes these four as u32
+        assert getattr(BoiParams(**{name: 2**32 - 1}), name) == 2**32 - 1
+        with pytest.raises(ValueError, match=name):
+            BoiParams(**{name: 2**32})
+
+    def test_numpy_integers_and_bools_are_stored_as_python_ones(self):
+        p = BoiParams(
+            num_tables=np.int32(2**15 - 1),
+            hash_bits=np.uint8(16),
+            shortlist_size=np.int64(5),
+            strict_radius=np.True_,
+        )
+        assert p == BoiParams(
+            num_tables=2**15 - 1, hash_bits=16, shortlist_size=5, strict_radius=True
+        )
+        assert type(p.num_tables) is int and type(p.strict_radius) is bool
+        # an int32 product would wrap past 2**31 and pass the check
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            BoiParams(num_tables=np.int32(2**15), hash_bits=np.int32(16))
+
 
 class TestRankedResult:
     def test_entries(self):

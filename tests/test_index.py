@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boi.baselines import brute_force_query
-from boi.core import SCHEDULE_KINDS, BoiParams, VectorSet
+from boi.core import (
+    SCHEDULE_KINDS,
+    BoiParams,
+    VectorSet,
+    pairwise_distances,
+    rank_by_distance,
+)
 from boi.data_io import load_index, save_index
 from boi.hashing import (
     ProjectionTable,
@@ -282,13 +288,13 @@ class TestAccumulate:
         params = fixed_params(num_tables=9, initial_probe_count=0)
         index = build_index(data, params)
         w = accumulate(index, data.vectors[13])
-        assert w.shape == (50,)
-        assert w[13] == 9.0
+        assert w.shape == (50,) and w.dtype == np.int32
+        assert w[13] == 9 * 2**4  # weight 1 in each table, in units of 2**-4
 
     def test_mixed_membership_accumulates_2_5(self):
         # three 1-bit tables; the record shares the query bucket in the
         # first two and sits one bit away in the third, probed with
-        # gamma=1, so its weight is 1 + 1 + 1/2
+        # gamma=1, so its weight is 1 + 1 + 1/2, or 5 units of 2**-1
         record = VectorSet(np.array([[1.0, 1.0]], dtype=np.float32))
         matrices = [[[1.0, 0.0]], [[0.0, 1.0]], [[-1.0, 1.0]]]
         tables = insert_all(
@@ -305,7 +311,7 @@ class TestAccumulate:
         )
         index = BoiIndex(params, tables, record)
         w = accumulate(index, np.array([1.0, 0.0], dtype=np.float32))
-        assert w.tolist() == [2.5]
+        assert w.tolist() == [5]
 
     def test_unprobed_record_stays_zero(self):
         v = np.array([[1.0, 2.0, -0.5, 3.0]], dtype=np.float32)
@@ -313,21 +319,23 @@ class TestAccumulate:
         params = fixed_params(num_tables=6, initial_probe_count=0)
         index = build_index(data, params)
         w = accumulate(index, data.vectors[0])
-        assert w[0] == 6.0
-        assert w[1] == 0.0  # complement codes in every table, never probed
+        assert w[0] == 6 * 2**4
+        assert w[1] == 0  # complement codes in every table, never probed
 
     def test_weights_are_dyadic_sums(self, small_index):
+        # integer counts of 2**-b, the very array query shortlists
         index, data = small_index
         rng = np.random.default_rng(2)
         q = rng.standard_normal(12).astype(np.float32)
         w = accumulate(index, q, query_index=3)
-        scaled = w * (1 << index.params.hash_bits)
-        assert np.array_equal(scaled, np.round(scaled))
+        assert w.dtype == np.int32
+        assert np.array_equal(w, _accumulate(index, q, 3)[0])
         assert np.all(w >= 0)
 
     @pytest.mark.parametrize("num_tables, bits", [(5, 3), (128, 8), (257, 8)])
     def test_full_probe_matches_per_record_loop(self, num_tables, bits):
-        # every bucket probed, so record r gets sum_t weight(H_t(r), bits);
+        # every bucket probed, so record r gets sum_t weight(H_t(r), bits)
+        # in units of 2**-bits;
         # 128 tables of 8 bits reach 2**15 units of 2**-8, one past int16,
         # and 257 tables pass 2**16, one past uint16
         rng = np.random.default_rng(num_tables)
@@ -344,7 +352,7 @@ class TestAccumulate:
             query_codes = hash_codes_all(proj, bits, q[np.newaxis, :])[0]
             expected = [
                 sum(
-                    weight(bin(int(qc ^ rc)).count("1"), bits)
+                    weight(bin(int(qc ^ rc)).count("1"), bits) * 2**bits
                     for qc, rc in zip(query_codes, record_codes[r])
                 )
                 for r in range(data.n)
@@ -417,7 +425,8 @@ class TestQuery:
         assert res.ids[0] == 123
         assert res.distances[0] == 0.0
         w = accumulate(index, data.vectors[123], query_index=0)
-        assert w[123] == w.max() >= index.params.num_tables
+        p = index.params
+        assert w[123] == w.max() >= p.num_tables * 2**p.hash_bits
 
     def test_empty_shortlist_gives_empty_result(self):
         data = VectorSet(np.array([[1.0, 2.0, -0.5, 3.0]], dtype=np.float32))
@@ -522,9 +531,9 @@ class TestStrictRadius:
         )
         index = build_index(data, params)
         w = accumulate(index, rng.standard_normal(8).astype(np.float32))
-        # only distance-0 (1) and distance-1 (1/2) contributions remain
-        scaled = w * 2
-        assert np.array_equal(scaled, np.round(scaled))
+        # only distance-0 (1) and distance-1 (1/2) contributions remain,
+        # 8 and 4 units of 2**-3
+        assert np.all(w % 4 == 0)
 
     def test_modes_agree_when_budget_fits_radius(self):
         rng = np.random.default_rng(6)
@@ -608,10 +617,11 @@ def tail_cases(draw):
 
 
 def reference_votes(index, q, query_index):
-    """Per-record weights: table t probes the first budgets[t] + 1 codes of
-    its probe row (its own bucket first), and each record sums the weight
-    of every probed bucket holding its code, at the bucket's true Hamming
-    distance from the table's query code."""
+    """Per-record votes in units of 2**-b: table t probes the first
+    budgets[t] + 1 codes of its probe row (its own bucket first), and each
+    record sums weight(H, b) * 2**b over every probed bucket holding its
+    code, at the bucket's true Hamming distance H from the table's query
+    code."""
     tables, bits = index.tables, index.params.hash_bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
     probes, _ = neighbor_codes_with_distance(
@@ -624,11 +634,12 @@ def reference_votes(index, q, query_index):
     for t, budget in enumerate(index.budgets.tolist()):
         found = {}
         for code in probes[t, : budget + 1].tolist():
-            found[code] = weight(bin(code ^ int(codes[t])).count("1"), bits)
+            hamming = bin(code ^ int(codes[t])).count("1")
+            found[code] = int(weight(hamming, bits) * 2**bits)
         probed.append(found)
     record_codes = hash_codes_all(tables.projections, bits, index.dataset.vectors)
     return [
-        sum(probed[t].get(int(c), 0.0) for t, c in enumerate(record_codes[r]))
+        sum(probed[t].get(int(c), 0) for t, c in enumerate(record_codes[r]))
         for r in range(index.n)
     ]
 
@@ -716,6 +727,35 @@ def test_kernel_matches_numpy_oracle_across_tiles_and_batches(tmp_path):
             want = numpy_accumulate(index, q, query_index)
             assert np.array_equal(votes, want[0])
             assert (probes, pairs) == want[1:] == (4096, 16 * data.n)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_stages_one_by_one_compose_to_query(tmp_path, bits):
+    # accumulate, shortlist and the exact re-rank called one at a time, as
+    # a traced benchmark pass times them, give query's answer bit for bit
+    rng = np.random.default_rng(30 + bits)
+    data = VectorSet(rng.standard_normal((3_000, 16)).astype(np.float32))
+    picks = rng.choice(data.n, 8, replace=False)
+    noise = 0.3 * rng.standard_normal((8, 16))
+    queries = (data.vectors[picks] + noise).astype(np.float32)
+    params = BoiParams(num_tables=24, hash_bits=bits, shortlist_size=80, seed=4)
+    built = build_index(data, params)
+    path = tmp_path / "stages.boix"
+    save_index(built, path)
+    loaded = load_index(path, data)
+    for index in (built, loaded):
+        for qi, q in enumerate(queries):
+            votes = accumulate(index, q, qi)
+            assert votes.dtype == np.int32
+            assert votes.tobytes() == _accumulate(index, q, qi)[0].tobytes()
+            c = shortlist(votes, params.shortlist_size)
+            ids, dists = rank_by_distance(
+                c, pairwise_distances(data.vectors[c], q), 10
+            )
+            res = query(index, q, 10, qi)
+            assert ids.size == 10
+            assert ids.tobytes() == res.ids.tobytes()
+            assert dists.tobytes() == res.distances.tobytes()
 
 
 class TestCorruptTables:

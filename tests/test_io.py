@@ -148,6 +148,28 @@ class TestIvecs:
         with pytest.raises(ValueError):
             write_ivecs(tmp_path / "x.ivecs", np.zeros(3, dtype=np.int32))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[2**40 + 5]], dtype=np.int64),
+            np.array([[2**31]], dtype=np.uint32),
+            np.array([[1.7]]),
+            np.array([[np.nan]]),
+            [[2**70]],
+        ],
+        ids=["2**40+5", "2**31", "1.7", "nan", "2**70"],
+    )
+    def test_rejects_values_int32_cannot_hold(self, tmp_path, rows):
+        path = tmp_path / "x.ivecs"
+        with pytest.raises(ValueError, match="int32"):
+            write_ivecs(path, rows)
+        assert not path.exists()
+
+    def test_wider_integers_that_fit_round_trip(self, tmp_path):
+        path = tmp_path / "wide.ivecs"
+        write_ivecs(path, np.array([[-(2**31), 2**31 - 1]], dtype=np.int64))
+        assert read_ivecs(path).tolist() == [[-(2**31), 2**31 - 1]]
+
 
 @pytest.fixture()
 def built(tmp_path):

@@ -56,18 +56,20 @@ def query_vector(values, dim: int) -> np.ndarray:
     return vec
 
 
-def as_int32(values, name: str) -> np.ndarray:
-    """``values`` as int32; a narrowing cast must keep every value, or
-    ValueError names ``name`` (a NaN or a fraction never survives it)."""
+def as_exact(values, dtype, name: str) -> np.ndarray:
+    """``values`` as ``dtype`` (int32 or float32); a narrowing cast must
+    keep every value, or ValueError names ``name`` (a NaN, a fraction cast
+    to int32 or a float64 that float32 rounds never survives it)."""
+    dtype = np.dtype(dtype)
     arr = np.asarray(values)
-    if arr.dtype != np.int32:
-        with np.errstate(invalid="ignore"):
+    if arr.dtype != dtype:
+        with np.errstate(invalid="ignore", over="ignore"):
             try:
-                narrow = arr.astype(np.int32)
+                narrow = arr.astype(dtype)
             except OverflowError:
                 narrow = None
         if narrow is None or not np.array_equal(narrow, arr):
-            raise ValueError(f"{name} values do not fit int32")
+            raise ValueError(f"{name} values do not fit {dtype}")
         arr = narrow
     return arr
 

@@ -33,7 +33,7 @@ import struct
 
 import numpy as np
 
-from .core import SCHEDULE_KINDS, BoiParams, VectorSet, as_int32
+from .core import SCHEDULE_KINDS, BoiParams, VectorSet, as_exact
 from .hashing import ProjectionTable, check_record_count
 from .index import BoiIndex
 
@@ -130,7 +130,7 @@ def read_ivecs(path) -> np.ndarray:
 def write_ivecs(path, rows) -> None:
     """Write an (n, dim) integer array as ivecs; a value int32 cannot hold
     raises ValueError."""
-    rows = as_int32(rows, "ivecs")
+    rows = as_exact(rows, np.int32, "ivecs")
     if rows.ndim != 2:
         raise ValueError(f"ivecs rows must be 2-D, got shape {rows.shape}")
     if rows.shape[0] and rows.shape[1] == 0:
@@ -257,17 +257,17 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
                 f"snapshot length {size} != expected {expected}",
                 offset=min(size, expected),
             )
-        matrix = np.empty((bits, dim), dtype="<f4")  # one table's projections
-        projections = np.empty((num_tables * bits, dim))
-        # little-endian like the file: on most hosts int32 itself, uncopied
+        # little-endian like the file: on most hosts float32 and int32
+        # themselves, uncopied
+        projections = np.empty((num_tables * bits, dim), dtype="<f4")
         offsets = np.zeros((num_tables, (1 << bits) + 1), dtype="<i4")
         members = np.empty((num_tables, n), dtype="<i4")
         for t in range(num_tables):
             at = _HEADER.size + t * record_bytes
+            matrix = projections[t * bits : (t + 1) * bits]
             _read_into(f, matrix)
             if not np.isfinite(matrix).all():
                 raise FormatError(f"non-finite projection in table {t}", offset=at)
-            projections[t * bits : (t + 1) * bits] = matrix
             counts = offsets[t, 1:]
             _read_into(f, counts)
             # summed exactly as u32 first: once the row sums to n, no running

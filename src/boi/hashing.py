@@ -5,12 +5,18 @@ iff the dot product with Gaussian row j is >= 0 (LSB-first, sign(0) -> 1).
 Nearby vectors agree on most sign bits, so they land in the same bucket or
 in one at small Hamming distance.
 
-Sign decisions are made on float64 dot products so a vector's code never
-depends on whether it was hashed alone or inside a build batch. The build
-and the query pack signs into codes the same way (``hash_codes_all``: one
-``np.packbits`` over 16 bit slots a code). The build then buckets every
-table with one compiled counting sort (``vote.bucket_sort``), which lists
-each bucket's ids in ascending order.
+Vectors, projections and dot products are float32: one float32 matrix
+product per ``_HASH_CHUNK`` rows. A floating-point filter, as in
+Shewchuk's robust predicates, then decides each sign. Where a dot is
+larger than its float32 rounding error can be (Higham's gamma bound over
+Cauchy-Schwarz, ``_sign_filter``), its float32 sign is the exact one, and
+any float64 summation agrees. The compiled filter of ``vote.c``
+recomputes every other dot as the float64 sum of its exact products in
+index order. So a vector's code never depends on whether it was hashed
+alone or inside a build batch. The filter writes each table's codes
+straight into their destination, the build's ``members`` rows included;
+the build then buckets every table with one compiled counting sort
+(``vote.bucket_sort``), which lists each bucket's ids in ascending order.
 """
 
 from __future__ import annotations
@@ -27,14 +33,12 @@ from .core import (
     OFFSET_DTYPE,
     BoiParams,
     VectorSet,
-    as_int32,
+    as_exact,
 )
-from .vote import bucket_sort
+from .vote import SignFilter, bucket_sort
 
-# rows hashed per matmul: bounds the float64 dot products (6.6 MB at L = 100,
-# b = 8), which the allocator may keep resident after the build; on the
-# benchmark's data 2048 rows hashed as fast at b=8 and 5% faster at b=16,
-# but left 9-17 MB more resident
+# rows hashed per matmul: bounds the float32 dot products (3.3 MB at L = 100,
+# b = 8), which the allocator may keep resident after the build
 _HASH_CHUNK = 1024
 
 
@@ -56,7 +60,7 @@ def check_record_count(n: int) -> None:
 class ProjectionTable:
     """All L hash tables of an index, as three stacked read-only arrays.
 
-    ``projections`` (L*bits, dim) float64: rows t*bits .. t*bits+bits-1 are
+    ``projections`` (L*bits, dim) float32: rows t*bits .. t*bits+bits-1 are
     table t's Gaussian matrix, the matrix every hash multiplies by.
     ``offsets`` (L, 2**bits + 1) int32: per-table CSR offsets, so
     ``offsets[t, c]:offsets[t, c + 1]`` bounds bucket c of table t.
@@ -65,10 +69,10 @@ class ProjectionTable:
 
     A table object is made once, by ``insert_all`` or ``load_index``, and
     never changes; its arrays cannot be written. Offsets and members are
-    held C-contiguous, the one layout the vote kernel reads (copied into it
-    if given otherwise). Offsets or members given in a wider integer type
-    raise ValueError when a value does not fit int32, and so do 2**31 or
-    more records.
+    held C-contiguous, the one layout the compiled loops read (copied into
+    it if given otherwise). Projections given in a wider type raise
+    ValueError when float32 cannot hold a value exactly, offsets or members
+    when a value does not fit int32, and so do 2**31 or more records.
     """
 
     projections: np.ndarray
@@ -76,14 +80,17 @@ class ProjectionTable:
     members: np.ndarray
 
     def __post_init__(self):
-        # the vote kernel reads offsets and members as C-ordered int32;
-        # neither conversion copies or scans what insert_all or load_index
-        # made
+        # the compiled loops read C-ordered float32 projections and int32
+        # offsets and members; no conversion copies or scans what
+        # insert_all or load_index made
         check_record_count(np.shape(self.members)[-1])
         arrays = {
-            "projections": np.asarray(self.projections, dtype=np.float64),
-            "offsets": np.ascontiguousarray(as_int32(self.offsets, "offsets")),
-            "members": np.ascontiguousarray(as_int32(self.members, "members")),
+            name: np.ascontiguousarray(as_exact(getattr(self, name), dtype, name))
+            for name, dtype in (
+                ("projections", np.float32),
+                ("offsets", OFFSET_DTYPE),
+                ("members", np.int32),
+            )
         }
         for name, arr in arrays.items():
             arr.setflags(write=False)
@@ -134,12 +141,11 @@ class ProjectionTable:
 
 
 def make_projections(params: BoiParams, dim: int) -> np.ndarray:
-    """The (L*bits, dim) float64 projections of ``num_tables`` tables.
+    """The (L*bits, dim) float32 projections of ``num_tables`` tables.
 
     Table t draws its float32 matrix from a PCG64 generator seeded with
     (params.seed, t), so the whole family is reproducible from the seed
-    while tables stay mutually independent. The values are float32-exact,
-    so a snapshot stores them as float32 without loss.
+    while tables stay mutually independent.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -149,9 +155,54 @@ def make_projections(params: BoiParams, dim: int) -> np.ndarray:
                 (params.hash_bits, dim), dtype=np.float32
             )
             for t in range(params.num_tables)
-        ],
-        dtype=np.float64,
+        ]
     )
+
+
+# the filter of the last read-only projections hashed with: a query hashes
+# one row, and the projections' norms cost twice its matrix product
+_last_filter: SignFilter | None = None
+
+
+def _sign_filter(projections: np.ndarray) -> SignFilter:
+    """The ``vote.SignFilter`` of these float32 projections: any float32
+    summation of the dot of x with row j is within bound[j] * h of the
+    exact dot, for h >= max(||x||, 2**-31), while ||x||**2 < safe_square.
+
+    With u = 2**-24 and gamma_k = k*u / (1 - k*u), gamma_d * sum |x_i p_i|
+    bounds the rounding error of a d-term dot in any order (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, section 3.1),
+    and ||x|| * ||p_j|| bounds that sum. bound[j] is gamma_{d+2} * ||p_j||
+    + (d + 2) * 2**-118, rounded up to float32, which covers the float64
+    rounding of the bound itself. The two extra units of gamma leave every
+    dot the filter decides at least 2u * ||x|| * ||p_j|| from 0, where a
+    float64 sum has the same sign. The second term, times h >= 2**-31,
+    covers the products that underflow, at most 2**-150 each. Below
+    safe_square, ||x|| * max ||p_j|| < 2**125, so no product, partial sum
+    or limit overflows. A dimension of 2**23 - 2 or more raises
+    ValueError: the bound needs (d + 2) * u < 1/2.
+
+    Read-only projections that own their data, as a ``ProjectionTable``'s
+    do, are taken not to change, so the filter of the last such array is
+    kept, and the array with it.
+    """
+    global _last_filter
+    cached = _last_filter  # read once: another thread may replace it
+    if cached is not None and cached.projections is projections:
+        return cached
+    dim = projections.shape[1]
+    k = (dim + 2) * 2.0**-24
+    if k >= 0.5:
+        raise ValueError(f"dim must be below 2**23 - 2 to hash, got {dim}")
+    norms = np.sqrt(np.einsum("ij,ij->i", projections, projections, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        bound = (k / (1 - k) * norms + (dim + 2) * 2.0**-118).astype(np.float32)
+    np.nextafter(bound, np.float32(np.inf), out=bound)
+    safe_square = 2.0**250 / max(norms.max(initial=0.0), 1.0) ** 2
+    sign_filter = SignFilter(projections, bound, safe_square)
+    if projections.base is None and not projections.flags.writeable:
+        _last_filter = sign_filter
+    return sign_filter
 
 
 def hash_codes_all(
@@ -160,43 +211,40 @@ def hash_codes_all(
     """Bucket codes (uint16) of the rows of X under every table, shape (m, L).
 
     ``projections`` stacks the L tables' (bits x dim) matrices as in
-    ``ProjectionTable.projections``; ``bits`` must be in [1, 16]. The codes
-    are written into ``out`` when it is given, an (m, L) uint16 array of
-    any strides, and returned.
+    ``ProjectionTable.projections``; a value float32 cannot hold exactly
+    raises ValueError, and ``bits`` must be in [1, 16]. X is hashed as its
+    float32 cast, as ``core.query_vector`` makes a query. The codes are
+    written into ``out`` when it is given, an (m, L) uint16 array of any
+    strides that are whole elements, and returned.
 
-    The rows go ``_HASH_CHUNK`` at a time through one float64 matrix
-    product, cast and multiplied into buffers the call allocates once. Its
-    signs fill the first ``bits`` slots of each code's 16 slots in a zeroed
-    bool buffer, and one little-endian ``np.packbits`` of the whole buffer
-    gives two bytes a code, read as ``<u2``. The slots past ``bits`` stay
-    zero, so every width packs the same way. The build and the query both
-    hash here.
+    The rows go ``_HASH_CHUNK`` at a time through one float32 matrix
+    product into an (L*bits, rows) buffer the call allocates once. Then
+    ``vote.SignFilter`` keeps each sign the float32 error bound decides
+    (``_sign_filter``), recomputes the rest in float64 and writes each
+    table's codes into ``out``. The build and the query both hash here.
     """
     if not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}]")
-    projections = np.asarray(projections, dtype=np.float64)
-    X = np.asarray(X)
+    projections = np.ascontiguousarray(as_exact(projections, np.float32, "projections"))
+    X = np.ascontiguousarray(X, dtype=np.float32)
     if X.ndim != 2 or X.shape[1] != projections.shape[1]:
         raise ValueError(
             f"dimension mismatch: data {X.shape} vs table dim "
             f"{projections.shape[1]}"
         )
     m = X.shape[0]
-    num_tables = projections.shape[0] // bits
+    num_rows = projections.shape[0]
     if out is None:
-        out = np.empty((m, num_tables), dtype=CODE_DTYPE)
-    rows = min(m, _HASH_CHUNK)
-    cast = np.empty((rows, X.shape[1]), dtype=np.float64)
-    dots = np.empty((rows, num_tables, bits), dtype=np.float64)
-    signs = np.zeros((rows, num_tables, MAX_HASH_BITS), dtype=bool)
-    for start in range(0, m, _HASH_CHUNK):
-        chunk = X[start : start + _HASH_CHUNK]
-        k = chunk.shape[0]
-        np.copyto(cast[:k], chunk)
-        np.matmul(cast[:k], projections.T, out=dots[:k].reshape(k, -1))
-        np.greater_equal(dots[:k], 0.0, out=signs[:k, :, :bits])
-        packed = np.packbits(signs[:k].reshape(-1), bitorder="little")
-        out[start : start + k] = packed.view("<u2").reshape(k, num_tables)
+        out = np.empty((m, num_rows // bits), dtype=CODE_DTYPE)
+    sign_filter = _sign_filter(projections)
+    dots = np.empty(num_rows * min(m, _HASH_CHUNK), dtype=np.float32)
+    # a product may overflow only in rows the filter recomputes whole
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, _HASH_CHUNK):
+            chunk = X[start : start + _HASH_CHUNK]
+            products = dots[: num_rows * len(chunk)].reshape(num_rows, -1)
+            np.matmul(projections, chunk.T, out=products)
+            sign_filter(products, chunk, bits, out[start : start + len(chunk)])
     return out
 
 

@@ -1,6 +1,7 @@
 """The compiled loops of ``vote.c``, loaded with ctypes: the gather+vote
-kernel every query runs, and the counting sort ``hashing.insert_all``
-buckets its records with.
+kernel every query runs, the counting sort ``hashing.insert_all`` buckets
+its records with, and the sign filter ``hashing.hash_codes_all`` turns its
+float32 dot products into codes with.
 
 The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
@@ -81,8 +82,8 @@ def _contiguous(dtype, ndim):
 
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
-    and result types of ``boi_gather_vote`` and ``boi_bucket_sort``
-    declared."""
+    and result types of ``boi_gather_vote``, ``boi_bucket_sort`` and
+    ``boi_hash_codes`` declared."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64 = ctypes.c_int64
     writable = "C_CONTIGUOUS,WRITEABLE"
@@ -106,7 +107,27 @@ def load_library(cache_dir) -> ctypes.CDLL:
         np.ctypeslib.ndpointer(np.int32, ndim=2, flags=writable),  # members
         np.ctypeslib.ndpointer(CODE_DTYPE, ndim=1, flags=writable),  # scratch
     ]
-    for entry in (library.boi_gather_vote, library.boi_bucket_sort):
+    library.boi_hash_codes.argtypes = [
+        i64,  # num_tables
+        i64,  # bits
+        i64,  # rows
+        i64,  # dim
+        # SignFilter checks the five arrays and passes their addresses; an
+        # ndpointer conversion costs 2-5 us, a tenth of a query's hash
+        ctypes.c_void_p,  # dots
+        ctypes.c_void_p,  # x
+        ctypes.c_void_p,  # proj
+        ctypes.c_void_p,  # bound
+        ctypes.c_double,  # safe_square
+        ctypes.c_void_p,  # out
+        i64,  # record stride
+        i64,  # table stride
+    ]
+    for entry in (
+        library.boi_gather_vote,
+        library.boi_bucket_sort,
+        library.boi_hash_codes,
+    ):
         entry.restype = i64
     return library
 
@@ -178,3 +199,67 @@ def bucket_sort(offsets: np.ndarray, members: np.ndarray) -> None:
     scratch = np.empty(n, dtype=CODE_DTYPE)
     if _library.boi_bucket_sort(num_tables, bits, n, offsets, members, scratch) < 0:
         raise ValueError(f"a bucket code is out of range for {bits} bits")
+
+
+class SignFilter:
+    """``boi_hash_codes`` bound to one float32 projection matrix and its
+    error bounds, so that hashing a chunk passes only the chunk's arrays.
+
+    ``projections`` (L*b, dim) and ``bound`` (L*b,) are float32 and
+    C-contiguous (ValueError otherwise); they must not change while the
+    filter is used. The sign of the dot of row r of x with projection row
+    j is kept when its magnitude is above ``bound[j]`` times a power of two
+    at or above ``||x_r||`` (``hashing`` sets both bounds), and is
+    otherwise recomputed as the float64 sum of the exact products in index
+    order; so is every dot of a row whose squared norm is below 2**-62 or
+    not below ``safe_square``.
+    """
+
+    def __init__(self, projections: np.ndarray, bound: np.ndarray, safe_square: float):
+        if (
+            projections.ndim != 2
+            or bound.shape != (projections.shape[0],)
+            or any(
+                a.dtype != np.float32 or not a.flags.c_contiguous
+                for a in (projections, bound)
+            )
+        ):
+            raise ValueError("SignFilter: projections and bound do not agree")
+        self.projections, self.bound = projections, bound
+        self._fixed = (projections.ctypes.data, bound.ctypes.data, float(safe_square))
+
+    def __call__(self, dots: np.ndarray, x: np.ndarray, bits: int, out: np.ndarray) -> int:
+        """Write the b-bit codes of the rows of ``x`` into ``out``; return
+        how many dot products were recomputed in float64.
+
+        ``dots`` (L*b, rows) float32 is ``projections @ x.T``, summed in
+        any order, and ``x`` (rows, dim) float32 its other operand, both
+        C-contiguous. ``out`` is an (rows, L) uint16 array of any strides
+        that are whole elements; it gets code ``out[r, t]`` of row r under
+        table t. Raises ValueError when the shapes, types or strides
+        disagree.
+        """
+        rows, dim = x.shape
+        num_tables = out.shape[1]
+        step = CODE_DTYPE.itemsize
+        if (
+            self.projections.shape != (num_tables * bits, dim)
+            or dots.shape != (num_tables * bits, rows)
+            or dots.dtype != np.float32
+            or x.dtype != np.float32
+            or not (dots.flags.c_contiguous and x.flags.c_contiguous)
+            or out.shape[0] != rows
+            or out.dtype != CODE_DTYPE
+            or not (out.flags.writeable and out.flags.aligned)
+            or out.strides[0] % step
+            or out.strides[1] % step
+        ):
+            raise ValueError("SignFilter: array shapes, types or strides do not agree")
+        recomputed = _library.boi_hash_codes(
+            num_tables, bits, rows, dim, dots.ctypes.data, x.ctypes.data,
+            *self._fixed, out.ctypes.data, out.strides[0] // step,
+            out.strides[1] // step,
+        )
+        if recomputed < 0:
+            raise ValueError(f"bits must be in [1, 16], got {bits}")
+        return recomputed

@@ -169,8 +169,8 @@ def test_c07_memory_accounting():
     params = BoiParams()  # 100 tables
     est = estimate_memory(1_000_000, 128, params)
     assert est.vectors_bytes == 512_000_000  # 0.5 GB of raw vectors
-    # float64 projections 819,200 + int32 offsets 102,800 + int32 ids 400 MB
-    assert est.index_bytes == 400_922_000
+    # float32 projections 409,600 + int32 offsets 102,800 + int32 ids 400 MB
+    assert est.index_bytes == 400_512_400
     assert est.accumulator_bytes == 4_000_000  # 4 MB of int32 votes
     print("ACCEPTANCE 07 memory accounting: PASS")
 

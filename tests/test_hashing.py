@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from math import comb
 from types import SimpleNamespace
@@ -11,6 +13,7 @@ from numpy.lib.stride_tricks import as_strided
 from boi.core import MAX_HASH_BITS, BoiParams, VectorSet
 from boi.hashing import (
     _HASH_CHUNK,
+    _sign_filter,
     CODE_DTYPE,
     OFFSET_DTYPE,
     ProjectionTable,
@@ -42,12 +45,25 @@ def empty_tables(params: BoiParams, dim: int) -> ProjectionTable:
     return insert_all(make_projections(params, dim), params.hash_bits, empty)
 
 
+def pack(signs, bits) -> np.ndarray:
+    """(m, L*bits) bools to (m, L) codes, bit j of a code from sign j."""
+    shifted = signs.reshape(len(signs), -1, bits) << np.arange(bits)
+    return shifted.sum(axis=-1).astype(np.uint16)
+
+
 def shift_and_sum_codes(projections, bits, X) -> np.ndarray:
     """Reference codes: every sign shifted to its bit and the bits of a
     code summed."""
     signs = np.asarray(X, dtype=np.float64) @ np.asarray(projections).T >= 0
-    shifted = signs.reshape(len(X), -1, bits) << np.arange(bits)
-    return shifted.sum(axis=-1).astype(np.uint16)
+    return pack(signs, bits)
+
+
+def sequential_codes(projections, bits, X) -> np.ndarray:
+    """Reference codes from float64 sums of the exact float32 products,
+    taken in index order (``np.cumsum`` adds one term at a time; Python's
+    ``sum`` compensates from 3.12 on)."""
+    products = np.asarray(X, np.float64)[:, None] * np.asarray(projections, np.float64)
+    return pack(np.cumsum(products, axis=-1)[..., -1] >= 0, bits)
 
 
 def argsort_buckets(codes, bits) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +169,7 @@ class TestHashVector:
                     single = hash_codes(rows, X[row : row + 1])[0]
                     assert single == codes[row, t_i]
 
-    def test_float64_copy_is_one_chunk_at_a_time(self):
+    def test_buffers_hold_one_chunk_at_a_time(self):
         proj = make_projections(BoiParams(num_tables=4, hash_bits=8, seed=5), 64)
         X = np.random.default_rng(12).standard_normal((20_000, 64))
         X = X.astype(np.float32)
@@ -163,8 +179,8 @@ class TestHashVector:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a float64 copy of the whole batch alone takes 10.24 MB
-        assert peak < X.size * 8
+        # the dot products of the whole batch alone take 2.56 MB
+        assert peak < X.size * 2
 
 
 @pytest.mark.parametrize("bits", range(1, MAX_HASH_BITS + 1))
@@ -186,6 +202,136 @@ def test_packed_codes_match_the_shift_and_sum_oracle(bits):
         single = hash_codes_all(proj, bits, one)
         assert np.array_equal(single, shift_and_sum_codes(proj, bits, one))
         assert np.array_equal(single[0], codes[row])
+
+
+def near_ties(proj, rng, m) -> np.ndarray:
+    """m rows, row i built so that its dot with projection row i mod L*b
+    is within float32 rounding of 0: the last component cancels the rest
+    up to its own rounding."""
+    X = rng.standard_normal((m, proj.shape[1])).astype(np.float32)
+    p = proj[np.arange(m) % len(proj)].astype(np.float64)
+    rest = np.einsum("ij,ij->i", X[:, :-1].astype(np.float64), p[:, :-1])
+    X[:, -1] = -rest / p[:, -1]
+    return X
+
+
+def sign_flips(proj, bits, X) -> np.ndarray:
+    """Codes from float32 sums in index order: the signs a float32 hash
+    would give without the filter."""
+    products = X[:, None] * np.asarray(proj, np.float32)
+    return pack(np.cumsum(products, axis=-1)[..., -1] >= 0, bits)
+
+
+class TestExactSigns:
+    """Each sign the float32 error bound cannot decide is the float64 sum
+    of the exact products in index order, whatever the batch."""
+
+    params = BoiParams(num_tables=4, hash_bits=6, initial_probe_count=1, seed=8)
+
+    @pytest.fixture(scope="class")
+    def proj(self):
+        return make_projections(self.params, 16)
+
+    def test_zero_and_orthogonal_rows_set_the_bit(self, proj):
+        X = np.zeros((len(proj) + 1, 16), dtype=np.float32)
+        # row j + 1 is orthogonal to projection row j: two products that
+        # cancel exactly
+        for j, p in enumerate(proj):
+            X[j + 1, :2] = p[1], -p[0]
+        codes = hash_codes_all(proj, 6, X)
+        assert np.all(codes[0] == 0b111111)
+        for j in range(len(proj)):
+            assert codes[j + 1, j // 6] >> (j % 6) & 1, j
+        assert np.array_equal(codes, sequential_codes(proj, 6, X))
+
+    def test_a_sign_float32_rounding_flips(self):
+        # 1 - 2**-26 rounds to 1 in float32, so the float32 sum in index
+        # order is 0 (bit 1); the exact sum is -2**-26 (bit 0)
+        proj = np.array([[1.0, -(2.0**-26), -1.0], [-1.0, 2.0**-26, 1.0]], np.float32)
+        X = np.ones((1, 3), dtype=np.float32)
+        assert sign_flips(proj, 2, X)[0, 0] == 0b11
+        assert hash_codes_all(proj, 2, X)[0, 0] == 0b10
+        assert np.array_equal(hash_codes_all(proj, 2, X), sequential_codes(proj, 2, X))
+
+    def test_near_ties_follow_the_index_order_float64_sum(self, proj):
+        X = near_ties(proj, np.random.default_rng(21), 2000)
+        expected = sequential_codes(proj, 6, X)
+        # float32 rounding flips some of these signs in index order
+        assert not np.array_equal(sign_flips(proj, 6, X), expected)
+        assert np.array_equal(hash_codes_all(proj, 6, X), expected)
+
+    @pytest.mark.parametrize(
+        "row_scale, projection_scale",
+        [
+            (2.0**-130, 1.0),  # subnormal rows and products
+            (2.0**-60, 2.0**-80),  # tiny rows, subnormal products
+            (2.0**-28, 2.0**-120),  # products whose rounding outweighs
+            # the relative error bound
+            (2.0**60, 1.0),
+            (2.0**127, 1.0),  # the float32 products overflow
+            (2.0**110, 2.0**20),  # and here the squared row norm does not
+        ],
+    )
+    def test_rows_and_projections_far_from_unit_scale(
+        self, proj, row_scale, projection_scale
+    ):
+        rng = np.random.default_rng(22)
+        X = (rng.uniform(-1, 1, (300, 16)) * row_scale).astype(np.float32)
+        scaled = proj * np.float32(projection_scale)
+        assert np.all(np.isfinite(X)) and np.any(X)
+        expected = sequential_codes(scaled, 6, X)
+        assert np.array_equal(hash_codes_all(scaled, 6, X), expected)
+
+    def test_every_row_of_a_batch_hashes_alone_to_its_batch_code(self, proj):
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((2 * _HASH_CHUNK + 1, 16)).astype(np.float32)
+        X[::3] = near_ties(proj, rng, len(X[::3]))
+        X[1::7] = 0.0
+        X[2::11] *= np.float32(2.0**-130)
+        X[4::13] *= np.float32(2.0**100)
+        codes = hash_codes_all(proj, 6, X)
+        assert np.array_equal(codes, sequential_codes(proj, 6, X))
+        for row in range(len(X)):
+            assert np.array_equal(hash_codes_all(proj, 6, X[row : row + 1])[0], codes[row])
+
+
+def test_dimensions_past_the_error_bound_raise():
+    # (d + 2) * 2**-24 must stay below 1/2 for gamma_{d+2} to bound the
+    # float32 error; a zero-stride view checks it without 32 MB of rows
+    wide = np.broadcast_to(np.float32(1.0), (1, 2**23 - 2))
+    with pytest.raises(ValueError, match="dim must be below 2\\*\\*23 - 2"):
+        _sign_filter(wide)
+
+
+def test_threads_hashing_under_different_tables_get_their_own_codes():
+    # one filter is cached, for the last read-only projections hashed; the
+    # threads keep replacing it, and each call must still use its own
+    tables = []
+    for seed in (1, 2):  # the same shapes, different values
+        proj = make_projections(BoiParams(num_tables=4, hash_bits=8, seed=seed), 16)
+        proj.setflags(write=False)
+        tables.append(proj)
+    X = np.random.default_rng(31).standard_normal((5, 16)).astype(np.float32)
+    expected = [sequential_codes(proj, 8, X) for proj in tables]
+    wrong = []
+
+    def hash_many(i):
+        for _ in range(400):
+            if not np.array_equal(hash_codes_all(tables[i % 2], 8, X), expected[i % 2]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hash_many, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 class TestInsertAll:
@@ -293,7 +439,7 @@ class TestProjectionTable:
 
     def test_stacked_shapes(self, tables):
         assert tables.projections.shape == (7 * 5, 9)
-        assert tables.projections.dtype == np.float64
+        assert tables.projections.dtype == np.float32
         assert tables.offsets.shape == (7, 33)
         assert tables.members.shape == (7, 300)
         assert np.all(tables.offsets[:, -1] == 300)
@@ -346,6 +492,18 @@ class TestProjectionTable:
         arrays[name][0, -1] = value
         with pytest.raises(ValueError, match=f"{name} values do not fit int32"):
             ProjectionTable(np.ones((1, 2)), **arrays)
+
+    def test_projections_float32_cannot_hold_raise(self):
+        offsets = np.array([[0, 1, 2]], dtype=np.int32)
+        members = np.array([[1, 0]], dtype=np.int32)
+        with pytest.raises(ValueError, match="projections values do not fit float32"):
+            ProjectionTable(np.array([[0.1, 1.0]]), offsets, members)
+        with pytest.raises(ValueError, match="projections values do not fit float32"):
+            hash_codes_all(np.array([[1.0, 2.0**-150]]), 1, np.ones((1, 2)))
+        # float64 values float32 holds exactly are narrowed, not rejected
+        tables = ProjectionTable(np.array([[0.5, -2.0**-149]]), offsets, members)
+        assert tables.projections.dtype == np.float32
+        assert tables.projections.tolist() == [[0.5, -(2.0**-149)]]
 
     def test_members_of_2_31_records_raise(self):
         # the largest count is accepted; a table of it would need 8 GiB

@@ -192,3 +192,67 @@ def test_bucket_sort_rejects_disagreeing_shapes(offsets_shape):
     members = np.zeros((2, 6), np.int32)
     with pytest.raises(ValueError, match="shapes do not agree"):
         vote.bucket_sort(np.zeros(offsets_shape, np.int32), members)
+
+
+def _filter_inputs():
+    """One 2-bit table over three records in dimension 2: its dots, the
+    records, the projections and a filter whose bounds decide every sign
+    of these dots (each at least 0.5 from 0)."""
+    proj = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+    x = np.array([[1.0, -1.0], [-2.0, 3.0], [0.5, 0.5]], dtype=np.float32)
+    bound = np.full(2, 0.1, dtype=np.float32)
+    return np.ascontiguousarray((proj @ x.T).astype(np.float32)), x, proj, bound
+
+
+def test_sign_filter_keeps_decided_signs_and_recomputes_the_rest():
+    dots, x, proj, bound = _filter_inputs()
+    sign_filter = vote.SignFilter(proj, bound, 2.0**250)
+    out = np.zeros((3, 1), np.uint16)
+    assert sign_filter(dots, x, 2, out) == 0
+    assert out[:, 0].tolist() == [0b01, 0b10, 0b11]
+    # a dot within its limit, or NaN, is recomputed from x and proj; wrong
+    # float32 signs that the bound decides are kept as given
+    dots[0, 0], dots[1, 1], dots[1, 2] = 0.01, np.nan, -5.0
+    assert sign_filter(dots, x, 2, out) == 2
+    assert out[:, 0].tolist() == [0b01, 0b10, 0b01]
+    # a row whose squared norm is not below safe_square is recomputed whole
+    # (squares 2, 13 and 0.5)
+    assert vote.SignFilter(proj, bound, 1.0)(dots, x, 2, out) == 4
+    assert out[:, 0].tolist() == [0b01, 0b10, 0b01]
+    assert vote.SignFilter(proj, bound, 0.5)(dots, x, 2, out) == 6
+    assert out[:, 0].tolist() == [0b01, 0b10, 0b11]
+
+
+def test_sign_filter_writes_codes_through_any_element_strides():
+    dots, x, proj, bound = _filter_inputs()
+    wide = np.zeros((3, 4), np.uint16)
+    vote.SignFilter(proj, bound, 2.0**250)(dots, x, 2, wide[::-1, 2:3])
+    assert wide[:, 2].tolist() == [0b11, 0b10, 0b01]
+    assert not wide[:, [0, 1, 3]].any()
+
+
+def _read_only_codes():
+    codes = np.zeros((3, 1), np.uint16)
+    codes.setflags(write=False)
+    return codes
+
+
+@pytest.mark.parametrize(
+    "position, replacement",
+    [
+        (0, np.zeros((2, 2), np.float32)),  # dots of two rows for three
+        (0, np.zeros((2, 3), np.float64)),
+        (1, np.zeros((3, 3), np.float32)),  # rows of the wrong dimension
+        (3, np.zeros((3, 1), np.uint32)),  # codes of the wrong type
+        (3, np.zeros((3, 4), np.uint16)[:, ::3]),  # two tables for one
+        (3, _read_only_codes()),
+    ],
+)
+def test_sign_filter_rejects_disagreeing_arrays(position, replacement):
+    dots, x, proj, bound = _filter_inputs()
+    args = [dots, x, 2, np.zeros((3, 1), np.uint16)]
+    args[position] = replacement
+    with pytest.raises(ValueError, match="do not agree"):
+        vote.SignFilter(proj, bound, 2.0**250)(*args)
+    with pytest.raises(ValueError, match="do not agree"):
+        vote.SignFilter(proj.astype(np.float64), bound, 2.0**250)

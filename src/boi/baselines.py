@@ -77,5 +77,5 @@ def multiprobe_lsh_query(
     ones = np.ones(masks.size, np.uint32)
     budgets = np.full(tables.num_tables, count, np.int64)
     pairs = gather_vote(tables.offsets, tables.members, probes, ones, budgets, votes)
-    candidates = shortlist(votes, shortlist_size)
+    candidates = shortlist(votes, shortlist_size, tables.order)
     return rerank(dataset.vectors, candidates, q, k, probes.size, pairs)

@@ -4,7 +4,7 @@ fvecs: per record, a little-endian int32 dimension header followed by that
 many little-endian float32 components. ivecs is identical with int32
 payloads. All records in a file share one dimension.
 
-Snapshot layout (everything little-endian):
+Snapshot layout, version 3 (everything little-endian):
 
     header  magic "BOIX", version u32, num_tables u32, hash_bits u32,
             dim u32, n u64, seed u64, gamma0 u32, probe_radius u32,
@@ -14,28 +14,41 @@ Snapshot layout (everything little-endian):
             must be 0), 2 pad bytes that must be 0
     body    num_tables fixed-size records, one per table: the
             (hash_bits x dim) float32 projection matrix, the 2**hash_bits
-            u32 bucket counts (bucket code order), then the n u32 record ids
-            grouped by bucket code (that table's row of ``members``)
+            u32 bucket counts (bucket code order), then an id row of n u32,
+            the table's row of ``ProjectionTable.id_rows``: table 0's holds
+            the record ids grouped by its code, ascending within a bucket
+            (``order``), every later table's the internal ids (positions in
+            ``order``) grouped by its code.
+
+Version 2 had the same layout, but every id row held record ids. Its row 0
+is byte for byte version 3's, but its later rows would need relabelling
+through ``order`` on load, so version 2 files are rejected like version 1
+files; rebuild them with ``boi build``.
 
 Saving and loading are mirror loops over the tables, one record each.
 Loading reads the header, checks the file's size against it, then reads
-each table's fields straight into the C-contiguous arrays ``insert_all``
-builds (the counts become offsets by an in-place cumulative sum), so a
-loaded index holds the same arrays as a built one. Projections are stored
-rather than re-derived from the seed, so snapshots stay valid even if the
-generator implementation ever changes. Loading never re-hashes the dataset.
+each table's fields straight into C-contiguous native arrays, swapping
+their bytes on a big-endian host. One compiled pass per record
+(``vote.check_table``) checks the counts and the ids and turns the counts
+into offsets in place; ``ProjectionTable.from_id_rows`` then makes the
+arrays ``insert_all`` builds of the id rows, so a loaded index holds the
+same arrays as a built one. Projections are stored rather than re-derived
+from the seed, so snapshots stay valid even if the generator
+implementation ever changes. Loading never re-hashes the dataset.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import sys
 
 import numpy as np
 
-from .core import SCHEDULE_KINDS, BoiParams, VectorSet, as_exact
+from .core import OFFSET_DTYPE, SCHEDULE_KINDS, BoiParams, VectorSet, as_exact
 from .hashing import ProjectionTable, check_record_count
 from .index import BoiIndex
+from .vote import COUNTS_OFF, ID_OUT_OF_RANGE, check_table
 
 
 class FormatError(ValueError):
@@ -56,6 +69,14 @@ def _read_into(f, arr: np.ndarray) -> None:
     at = f.tell()
     if f.readinto(arr) != arr.nbytes:
         raise FormatError("file ended inside a record", offset=at)
+
+
+def _read_native_into(f, arr: np.ndarray) -> None:
+    """``_read_into`` for an array of native byte order that the file
+    holds little-endian."""
+    _read_into(f, arr)
+    if sys.byteorder == "big":
+        arr.byteswap(inplace=True)
 
 
 def _read_records(path, payload_dtype) -> np.ndarray:
@@ -139,7 +160,7 @@ def write_ivecs(path, rows) -> None:
 
 
 _MAGIC = b"BOIX"
-_VERSION = 2
+_VERSION = 3
 _HEADER = struct.Struct("<4sIIIIQQIIIIIBBH")
 # byte offsets of the header's last three fields: schedule, flags, padding
 _SCHEDULE_AT, _FLAGS_AT, _PAD_AT = 56, 57, 58
@@ -147,9 +168,12 @@ _FLAG_STRICT = 0x01
 
 
 def save_index(index: BoiIndex, path) -> None:
-    """Write a snapshot one table record at a time; same index, same bytes."""
+    """Write a snapshot one table record at a time; same index, same bytes.
+    A corrupt table (``ProjectionTable.id_rows``) raises ValueError before
+    the file is opened."""
     p = index.params
     tables = index.tables
+    id_rows = tables.id_rows()
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -173,7 +197,7 @@ def save_index(index: BoiIndex, path) -> None:
         for t in range(p.num_tables):
             f.write(projections[t].astype("<f4"))
             f.write(np.diff(tables.offsets[t]).astype("<u4"))
-            f.write(tables.members[t].astype("<u4"))
+            f.write(id_rows[t].astype("<u4"))
 
 
 def _read_header(f) -> tuple[BoiParams, int, int]:
@@ -234,14 +258,16 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
 
     The file's size is checked against its header before anything is
     allocated; then each table record is read straight into the index's
-    C-contiguous arrays. Rejects bad magic, unknown versions (v1 included),
-    unknown schedule codes or flag bits, non-zero header padding, header
-    values ``BoiParams`` rejects, n of 2**31 or more (record ids are
-    int32), length mismatches, bucket counts that do not sum to n,
-    non-finite projections, record ids outside [0, n) and member rows
-    whose wrapping uint32 sum is not that of 0..n-1 (which catches every
-    single-bit flip of an id). When ``dataset`` is given the index is made
-    over it (and size-checked) so it can answer queries immediately.
+    C-contiguous arrays. Rejects bad magic, unknown versions (v1 and v2
+    included), unknown schedule codes or flag bits, non-zero header
+    padding, header values ``BoiParams`` rejects, n of 2**31 or more
+    (record ids are int32), length mismatches, bucket counts that do not
+    sum to n, non-finite projections, ids outside [0, n), id rows whose
+    wrapping uint32 sum is not that of 0..n-1 (which catches every
+    single-bit flip of an id) and a table 0 row that is not a permutation
+    of 0..n-1. When ``dataset`` is
+    given the index is made over it (and size-checked) so it can answer
+    queries immediately.
     """
     with open(path, "rb") as f:
         params, dim, n = _read_header(f)
@@ -257,39 +283,36 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
                 f"snapshot length {size} != expected {expected}",
                 offset=min(size, expected),
             )
-        # little-endian like the file: on most hosts float32 and int32
-        # themselves, uncopied
-        projections = np.empty((num_tables * bits, dim), dtype="<f4")
-        offsets = np.zeros((num_tables, (1 << bits) + 1), dtype="<i4")
-        members = np.empty((num_tables, n), dtype="<i4")
+        projections = np.empty((num_tables * bits, dim), dtype=np.float32)
+        offsets = np.empty((num_tables, (1 << bits) + 1), dtype=OFFSET_DTYPE)
+        rows = np.empty((num_tables, n), dtype=np.int32)
         for t in range(num_tables):
             at = _HEADER.size + t * record_bytes
             matrix = projections[t * bits : (t + 1) * bits]
-            _read_into(f, matrix)
+            _read_native_into(f, matrix)
             if not np.isfinite(matrix).all():
                 raise FormatError(f"non-finite projection in table {t}", offset=at)
-            counts = offsets[t, 1:]
-            _read_into(f, counts)
-            # summed exactly as u32 first: once the row sums to n, no running
-            # sum of its non-negative counts can wrap the int32 offsets
-            if counts.view("<u4").sum(dtype=np.int64) != n:
+            _read_native_into(f, offsets[t, 1:])
+            _read_native_into(f, rows[t])
+            status = check_table(offsets[t], rows[t])
+            if status == COUNTS_OFF:
                 raise FormatError(
                     f"bucket counts do not sum to {n} in table {t}",
                     offset=at + counts_at,
                 )
-            np.cumsum(counts, out=counts)
-            _read_into(f, members[t])
-            ids = members[t].view("<u4")
-            # read as unsigned, one upper bound checks [0, n)
-            if n and ids.max() >= n:
+            if status == ID_OUT_OF_RANGE:
                 raise FormatError(
                     f"record id out of range in table {t}", offset=at + ids_at
                 )
-            # a permutation of 0..n-1 sums to n(n-1)/2; any one flipped bit
-            # moves the wrapping uint32 sum by a power of two below 2**32
-            if ids.sum(dtype=np.uint32) != (n * (n - 1) // 2) % 2**32:
+            if status:
                 raise FormatError(
                     f"record ids of table {t} are not a permutation of 0..{n - 1}",
                     offset=at + ids_at,
                 )
-    return BoiIndex(params, ProjectionTable(projections, offsets, members), dataset)
+        try:
+            tables = ProjectionTable.from_id_rows(projections, offsets, rows)
+        except ValueError as exc:
+            raise FormatError(
+                f"bad table 0 record ids: {exc}", offset=_HEADER.size + ids_at
+            ) from None
+    return BoiIndex(params, tables, dataset)

@@ -185,8 +185,8 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
 
     vectors = n*dim*4 (the float32 ``VectorSet``); index = L*b*dim*4
     (float32 projections) + L*(2**b + 1)*4 (int32 offsets) + L*n*4 (int32
-    members), the three arrays of ``ProjectionTable``; accumulator = n*4,
-    the int32 votes one query sums.
+    members) + n*4 (int32 order), the four arrays of ``ProjectionTable``;
+    accumulator = n*4, the int32 votes one query sums.
     """
     if n < 0 or dim < 0:
         raise ValueError("n and dim must be non-negative")
@@ -194,7 +194,7 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     offsets = ((1 << bits) + 1) * OFFSET_DTYPE.itemsize
     return MemoryEstimate(
         vectors_bytes=n * dim * 4,
-        index_bytes=params.num_tables * (bits * dim * 4 + offsets + n * 4),
+        index_bytes=params.num_tables * (bits * dim * 4 + offsets + n * 4) + n * 4,
         accumulator_bytes=n * 4,
     )
 

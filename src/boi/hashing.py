@@ -16,7 +16,8 @@ index order. So a vector's code never depends on whether it was hashed
 alone or inside a build batch. The filter writes each table's codes
 straight into their destination, the build's ``members`` rows included;
 the build then buckets every table with one compiled counting sort
-(``vote.bucket_sort``), which lists each bucket's ids in ascending order.
+(``vote.bucket_sort``), which numbers the records in table 0's bucket order
+and lists each bucket's ids in ascending order.
 """
 
 from __future__ import annotations
@@ -56,45 +57,157 @@ def check_record_count(n: int) -> None:
         )
 
 
+def _is_identity(ids: np.ndarray) -> bool:
+    """True when the 1-D ``ids`` are 0..n-1, checked with one n-byte mask."""
+    n = ids.size
+    return not n or bool(
+        ids[0] == 0 and ids[-1] == n - 1 and np.all(ids[1:] > ids[:-1])
+    )
+
+
+def _is_permutation(ids: np.ndarray) -> bool:
+    """True when the 1-D int32 ``ids`` hold each of 0..n-1 exactly once."""
+    n = ids.size
+    if not n:
+        return True
+    if ids.min() < 0 or ids.max() >= n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    return bool(seen.all())
+
+
+def _renumber(
+    offsets: np.ndarray, members: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The order and members of the same buckets with records numbered in
+    table 0's bucket order: internal id ``members[0, i]`` becomes i, and
+    every later row is relabelled and sorted within its buckets. Row 0 must
+    be a permutation of 0..n-1; ValueError when the offsets of a table do
+    not bucket n records or an id lies outside [0, n)."""
+    num_tables, n = members.shape
+    if members.min() < 0 or members.max() >= n:
+        raise ValueError(f"cannot renumber a table with ids outside [0, {n})")
+    counts = np.diff(offsets, axis=1)
+    if (
+        offsets.shape[0] != num_tables
+        or np.any(offsets[:, 0] != 0)
+        or np.any(counts < 0)
+        or np.any(offsets[:, -1] != n)
+    ):
+        raise ValueError(
+            f"cannot renumber a table whose offsets do not bucket {n} records"
+        )
+    relabel = np.empty(n, dtype=np.int32)
+    relabel[members[0]] = np.arange(n, dtype=np.int32)
+    renumbered = relabel[members]
+    for t in range(1, num_tables):
+        # the bucket index, scaled past every id, keeps the buckets in place
+        base = np.repeat(np.arange(counts.shape[1], dtype=np.int64) * n, counts[t])
+        renumbered[t] = np.sort(base + renumbered[t]) - base
+    return order[members[0]], renumbered
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectionTable:
-    """All L hash tables of an index, as three stacked read-only arrays.
+    """All L hash tables of an index, as four read-only arrays.
 
     ``projections`` (L*bits, dim) float32: rows t*bits .. t*bits+bits-1 are
     table t's Gaussian matrix, the matrix every hash multiplies by.
     ``offsets`` (L, 2**bits + 1) int32: per-table CSR offsets, so
     ``offsets[t, c]:offsets[t, c + 1]`` bounds bucket c of table t.
-    ``members`` (L, n) int32: row t holds every record id grouped by
+    ``members`` (L, n) int32: row t holds every internal id grouped by
     table t's bucket code, ascending within a bucket.
+    ``order`` (n,) int32, a permutation of 0..n-1: internal id i is record
+    ``order[i]``.
+
+    Records are numbered in table 0's bucket order, so row 0 of ``members``
+    is 0..n-1 and each bucket's ids lie close together (``vote.c``).
+    ``insert_all`` builds that form directly. Tables given in another
+    numbering (``order`` defaults to the identity, so a table built by
+    hand over record ids works as given) are renumbered into it:
+    ``order`` becomes ``order[members[0]]``, and every later row is
+    relabelled and sorted within its buckets, which needs every table's
+    offsets to bucket n records and every id to lie in [0, n). A table
+    whose row 0 is not a permutation of 0..n-1 is corrupt and kept as
+    given: the vote kernel refuses the ids out of range a query probes
+    (``vote.gather_vote``), and ``id_rows`` refuses the table.
+
+    Queries vote in internal order, and ``index.shortlist`` maps the ids
+    it keeps to records; ``bucket`` and ``index.accumulate`` give record
+    ids and record order.
 
     A table object is made once, by ``insert_all`` or ``load_index``, and
-    never changes; its arrays cannot be written. Offsets and members are
-    held C-contiguous, the one layout the compiled loops read (copied into
-    it if given otherwise). Projections given in a wider type raise
-    ValueError when float32 cannot hold a value exactly, offsets or members
-    when a value does not fit int32, and so do 2**31 or more records.
+    never changes; its arrays cannot be written. Offsets, members and order
+    are held C-contiguous, the one layout the compiled loops read (copied
+    into it if given otherwise). Projections given in a wider type raise
+    ValueError when float32 cannot hold a value exactly, offsets, members or
+    order when a value does not fit int32, and so do 2**31 or more records,
+    an order that is not a permutation of 0..n-1, and a table that needs
+    renumbering but cannot be renumbered.
     """
 
     projections: np.ndarray
     offsets: np.ndarray
     members: np.ndarray
+    order: np.ndarray | None = None
 
     def __post_init__(self):
         # the compiled loops read C-ordered float32 projections and int32
-        # offsets and members; no conversion copies or scans what
-        # insert_all or load_index made
-        check_record_count(np.shape(self.members)[-1])
+        # offsets and members, and the shortlist the int32 order; no
+        # conversion copies what insert_all or load_index made, and the
+        # numbering checks hold one n-byte mask at a time
+        n = np.shape(self.members)[-1]
+        check_record_count(n)
+        if self.order is None:
+            object.__setattr__(self, "order", np.arange(n, dtype=np.int32))
+        if np.shape(self.order) != (n,):
+            raise ValueError(
+                f"order of shape {np.shape(self.order)} does not number {n} records"
+            )
         arrays = {
             name: np.ascontiguousarray(as_exact(getattr(self, name), dtype, name))
             for name, dtype in (
                 ("projections", np.float32),
                 ("offsets", OFFSET_DTYPE),
                 ("members", np.int32),
+                ("order", np.int32),
             )
         }
+        if not _is_permutation(arrays["order"]):
+            raise ValueError(f"order is not a permutation of 0..{n - 1}")
+        first = arrays["members"][:1]
+        if first.size and not _is_identity(first[0]) and _is_permutation(first[0]):
+            arrays["order"], arrays["members"] = _renumber(
+                arrays["offsets"], arrays["members"], arrays["order"]
+            )
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_id_rows(cls, projections, offsets, rows: np.ndarray) -> ProjectionTable:
+        """The table whose ``id_rows`` are the rows of ``rows``, a writable
+        C-contiguous (L, n) int32 array that becomes its ``members``: row 0
+        is taken out as the order and replaced by 0..n-1."""
+        order = rows[0].copy()
+        rows[0] = np.arange(rows.shape[1], dtype=np.int32)
+        return cls(projections, offsets, rows, order)
+
+    def id_rows(self) -> list[np.ndarray]:
+        """The id row a snapshot stores for each table: ``order`` for table
+        0, whose ``members`` row is 0..n-1, then each later table's
+        ``members`` row. ``from_id_rows`` makes this table again from them.
+        Raises ValueError for a corrupt table, whose row 0 is not 0..n-1.
+        """
+        rows = list(self.members)
+        if rows:
+            if not _is_identity(rows[0]):
+                raise ValueError(
+                    f"table 0's ids are not a permutation of 0..{self.n - 1}"
+                )
+            rows[0] = self.order
+        return rows
 
     @property
     def num_tables(self) -> int:
@@ -128,16 +241,19 @@ class ProjectionTable:
 
     def bucket(self, tables, codes) -> np.ndarray:
         """Record ids of bucket ``codes[i]`` of table ``tables[i]``, for
-        every i, concatenated in that order (int32)."""
+        every i, concatenated in that order (int32). Within a bucket they
+        follow its internal ids, which ascend."""
         tables = np.asarray(tables, dtype=np.intp)
         codes = np.asarray(codes, dtype=np.intp)
         starts = self.offsets[tables, codes].tolist()
         stops = self.offsets[tables, codes + 1].tolist()
         rows = self.members
-        return np.concatenate(
-            [rows[0, :0]]
-            + [rows[t, a:b] for t, a, b in zip(tables.tolist(), starts, stops)]
-        )
+        return self.order[
+            np.concatenate(
+                [rows[0, :0]]
+                + [rows[t, a:b] for t, a, b in zip(tables.tolist(), starts, stops)]
+            )
+        ]
 
 
 def make_projections(params: BoiParams, dim: int) -> np.ndarray:
@@ -253,14 +369,17 @@ def insert_all(
 ) -> ProjectionTable:
     """Hash every record of ``dataset`` into every table and bucket it.
 
-    Each record id lands in exactly one bucket per table, the one matching
-    its code under that table's rows of ``projections``. The codes are
-    hashed into the ``members`` array itself, table t's into the upper half
-    of row t, so the build holds no (n, L) code array of its own. Then one
+    Each record lands in exactly one bucket per table, the one matching its
+    code under that table's rows of ``projections``. The codes are hashed
+    into the ``members`` array itself, table t's into the upper half of row
+    t, so the build holds no (n, L) code array of its own. Then one
     compiled counting sort (``vote.bucket_sort``) replaces each row's codes
-    with its record ids: it counts the table's codes, turns the counts into
-    the CSR offsets and scatters the ids in ascending order, so each bucket
-    lists its ids ascending, as a stable sort by code would.
+    with ids. Table 0's sort gives ``order``, the records grouped by table
+    0's code and ascending within a bucket (a stable argsort of its codes),
+    and record ``order[i]`` becomes internal id i, so row 0 of ``members``
+    is 0..n-1. Every later table gathers its codes in that order and sorts
+    them, so each of its buckets lists the internal ids of its records in
+    ascending order.
     """
     n = dataset.n
     check_record_count(n)
@@ -269,9 +388,10 @@ def insert_all(
     num_tables = projections.shape[0] // bits
     offsets = np.empty((num_tables, (1 << bits) + 1), dtype=OFFSET_DTYPE)
     members = np.empty((num_tables, n), dtype=np.int32)
+    order = np.empty(n, dtype=np.int32)
     hash_codes_all(projections, bits, X, out=members.view(CODE_DTYPE)[:, n:].T)
-    bucket_sort(offsets, members)
-    return ProjectionTable(projections, offsets, members)
+    bucket_sort(offsets, members, order)
+    return ProjectionTable(projections, offsets, members, order)
 
 
 @lru_cache(maxsize=None)

@@ -9,14 +9,16 @@ Querying works in four stages:
    position as ``BoiIndex.units``). Python orders the probes; the gather
    and the vote over every table are one call into the compiled kernel of
    ``vote.c``, which releases the GIL, so threads vote in parallel. It
-   adds each probed bucket's units one L1-sized tile of record ids at a
-   time. The votes, which ``accumulate`` returns, are exact int32 counts
-   of 2**-b, whatever their order;
+   adds each probed bucket's units one L1-sized tile of ids at a time.
+   The votes are exact int32 counts of 2**-b, whatever their order, and
+   stay in the tables' internal order (``ProjectionTable.order``), in
+   which a bucket's ids lie close together. ``accumulate`` returns them
+   in record order, so its traced time includes that scatter;
 3. keep the ``shortlist_size`` records with the highest accumulated
-   integer vote, ties by lower id (zero-weight records never qualify):
-   ``shortlist`` partitions a negated copy of the votes in place to find
-   the cut, keeps the ids at or above it in one pass, and sorts only
-   those;
+   integer vote, ties by lower record id (zero-weight records never
+   qualify): ``shortlist`` partitions a negated copy of the votes in place
+   to find the cut, keeps the ids at or above it in one pass, maps them to
+   record ids, and sorts only those;
 4. re-rank the shortlist by exact Euclidean distance and return the top k
    (``core.rerank``).
 
@@ -227,7 +229,8 @@ def _probe_rng(params: BoiParams, query_index: int) -> np.random.Generator:
 def _accumulate(
     index: BoiIndex, q: np.ndarray, query_index: int
 ) -> tuple[np.ndarray, int, int]:
-    """Int32 votes in units of 2**-b, the probe count and the number of
+    """Int32 votes in units of 2**-b, in internal order (entry i belongs to
+    record ``index.tables.order[i]``), the probe count and the number of
     (id, vote) pairs the kernel (``vote.gather_vote``) scanned; ``q`` is
     validated.
 
@@ -250,26 +253,35 @@ def _accumulate(
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
-    """Per-record int32 votes for one query, in units of 2**-b: the array
-    ``query`` shortlists.
+    """Per-record int32 votes for one query, in units of 2**-b and record
+    order: the votes ``query`` shortlists.
 
     Entry r is sum weight(H, b) * 2**b over the probed buckets holding
     record r; records that no probed bucket contains stay at exactly 0.
     """
-    return _accumulate(index, query_vector(q, index.dim), query_index)[0]
+    votes = _accumulate(index, query_vector(q, index.dim), query_index)[0]
+    out = np.empty_like(votes)
+    out[index.tables.order] = votes
+    return out
 
 
-def shortlist(weights: np.ndarray, shortlist_size: int) -> np.ndarray:
-    """Ids of the highest-weight records, at most ``shortlist_size`` of them.
+def shortlist(
+    weights: np.ndarray, shortlist_size: int, order: np.ndarray | None = None
+) -> np.ndarray:
+    """Record ids of the highest-weight records, at most ``shortlist_size``
+    of them.
 
-    ``weights`` are non-negative integer votes or float weights. Sorted by
-    weight descending, ties by ascending id. Records with zero weight were
-    never probed and are excluded even when that leaves the shortlist short.
+    ``weights`` are non-negative integer votes or float weights; entry i
+    belongs to record ``order[i]``, or to record i when ``order`` is
+    omitted. Sorted by weight descending, ties by ascending record id.
+    Records with zero weight were never probed and are excluded even when
+    that leaves the shortlist short.
 
     One in-place partition of a negated copy finds the cut, the
     ``shortlist_size``-th largest weight. One pass over the weights then
-    keeps the ids at or above it, the lowest ids first among those at the
-    cut, and only those are sorted. Unsigned weights are widened to int64
+    keeps the ids at or above it and maps them through ``order``; of those
+    at the cut, only as many as fit are kept, the lowest record ids first,
+    and only the kept ids are sorted. Unsigned weights are widened to int64
     first, since an unsigned w would negate to 2**N - w.
     """
     if shortlist_size < 1:
@@ -284,10 +296,14 @@ def shortlist(weights: np.ndarray, shortlist_size: int) -> np.ndarray:
         cut = -neg[shortlist_size - 1]
     ids = np.flatnonzero(weights >= cut if cut > 0 else weights > 0)
     w = weights[ids]
+    if order is not None:
+        ids = order[ids]
     if ids.size > shortlist_size:
-        # every id above the cut, then the lowest ids at it
+        # every id above the cut, then the lowest record ids at it
         keep = w > cut
         at_cut = np.flatnonzero(~keep)
+        if order is not None:
+            at_cut = at_cut[np.argsort(ids[at_cut])]
         keep[at_cut[: shortlist_size - np.count_nonzero(keep)]] = True
         ids, w = ids[keep], w[keep]
     return ids[np.lexsort((ids, -w))]
@@ -312,5 +328,5 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
         )
     q = query_vector(q, index.dim)
     votes, probes, pairs = _accumulate(index, q, query_index)
-    candidates = shortlist(votes, index.params.shortlist_size)
+    candidates = shortlist(votes, index.params.shortlist_size, index.tables.order)
     return rerank(index.dataset.vectors, candidates, q, k, probes, pairs)

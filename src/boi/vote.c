@@ -1,11 +1,19 @@
-/* The three compiled loops of boi: the weighted gather+vote of a query over
+/* The four compiled loops of boi: the weighted gather+vote of a query over
  * the probed buckets of every hash table, the counting sort that builds
- * those buckets, and the sign filter that turns dot products into codes.
+ * those buckets, the check of a snapshot's table record as it is loaded,
+ * and the sign filter that turns dot products into codes.
+ *
+ * Buckets hold internal ids: record i of the index is internal id j where
+ * order[j] = i, and ``order`` lists the records in table 0's bucket order
+ * (boi_bucket_sort). So table 0's buckets are runs of consecutive ids, and
+ * records that share a bucket of table 0, which tend to share buckets of
+ * the other tables too, have nearby ids there as well.
  *
  * boi_gather_vote: table t probes the first budgets[t] + 1 codes of its row
  * of ``probes``: every id in the bucket of the code c at position j,
  * members[t, offsets[t, c]:offsets[t, c + 1]], gains units[j] votes. The
- * kernel only adds them; index.weight sets them (BoiIndex.units).
+ * kernel only adds them; index.weight sets them (BoiIndex.units). The votes
+ * are in internal order; index.shortlist maps the ids it keeps to records.
  *
  * Codes are uint16 and offsets int32, as in core.CODE_DTYPE and
  * core.OFFSET_DTYPE, so bits is at most 16 (core.MAX_HASH_BITS).
@@ -21,7 +29,9 @@
  *     walked in tiles of TILE ids. Every live range adds its vote to its
  *     ids below the tile's end and resumes there at the next tile. Ids
  *     ascend within a bucket, so each range is read once in all, and a
- *     tile's votes stay in L1 while every range writes into them.
+ *     tile's votes stay in L1 while every range writes into them. A
+ *     range of nearby internal ids ends within few tiles, so a sweep
+ *     starts fewer member streams than over ids in arrival order.
  * TILE is 8192 ids, 32 KiB of int32 votes, which leaves room in a 48 KiB
  * L1d for the ranges' member streams. Timing the kernel alone on the
  * benchmark's data, 4096 and 16384 were slower at b=8 and b=16, and
@@ -40,10 +50,14 @@
  *
  * boi_bucket_sort, the second entry point, builds the tables the first one
  * reads: one counting sort per table turns the codes hashing.insert_all
- * hashed into ``members`` into the CSR ``offsets`` and the record ids of
- * every bucket, ascending within a bucket (its own comment, below).
+ * hashed into ``members`` into the CSR ``offsets`` and the internal ids of
+ * every bucket, ascending within a bucket, and table 0's sort gives
+ * ``order`` (its own comment, below).
  *
- * boi_hash_codes, the third, turns the float32 dot products of
+ * boi_check_table, the third, checks one table record of a snapshot and
+ * turns its bucket counts into offsets, for data_io.load_index.
+ *
+ * boi_hash_codes, the fourth, turns the float32 dot products of
  * hashing.hash_codes_all into codes, recomputing in float64 each sign the
  * float32 error bound cannot decide (its own comment, at the end).
  */
@@ -130,33 +144,41 @@ int64_t boi_gather_vote(
     return scanned;
 }
 
-/* Bucket every record id of every table by its code, in one counting sort.
+/* Bucket the records of every table by their codes, in one counting sort
+ * per table, and number them in table 0's bucket order.
  *
- * On entry, row t of ``members`` holds table t's codes, n uint16 values in
- * the upper half of its 4n bytes (hashing.insert_all hashes them there).
- * On return it holds the n record ids grouped by code and ascending within
- * a bucket, the order a stable argsort of the codes gives, and offsets[t]
- * (2**bits + 1 values) the CSR offsets of its buckets. Per table:
- *   copy: the codes go to ``scratch`` (n uint16), since the ids overwrite
- *     them;
+ * On entry, row t of ``members`` holds table t's codes of records 0..n-1,
+ * n uint16 values in the upper half of its 4n bytes (hashing.insert_all
+ * hashes them there). On return ``order`` (n values) lists the records
+ * grouped by table 0's code and ascending within a bucket, the order a
+ * stable argsort of table 0's codes gives; internal id i is record
+ * order[i]. Row 0 of ``members`` is then 0..n-1, and row t > 0 holds the
+ * n internal ids grouped by table t's code, ascending within a bucket.
+ * offsets[t] (2**bits + 1 values) gets the CSR offsets of table t's
+ * buckets. Per table:
+ *   load: the codes go to ``scratch`` (n uint16), since the ids overwrite
+ *     them; table 0 copies its row, and table t > 0 gathers code
+ *     codes_t[order[i]] of internal id i, so the ids it scatters are
+ *     internal ones;
  *   count: offsets[t, c + 1] counts the records of code c;
  *   prefix: an exclusive running sum turns offsets[t, c + 1] into the
  *     start of bucket c (offsets[t, 0] is 0);
- *   scatter: ids in ascending order go to members[t, offsets[t, c + 1]],
- *     which then advances, so it ends as the stop of bucket c, that is,
- *     offsets[t, c + 1] as the CSR layout wants it.
- * Each pass reads its table's codes in order, and no memory is used beyond
- * the outputs and one table's codes.
+ *   scatter: ids in ascending order go to out[offsets[t, c + 1]], which
+ *     then advances, so it ends as the stop of bucket c, that is,
+ *     offsets[t, c + 1] as the CSR layout wants it; ``out`` is ``order``
+ *     for table 0 and the table's row otherwise.
+ * No memory is used beyond the outputs and one table's codes.
  *
  * Every code is checked against 2**bits in the count pass, before it is
  * used as an index; the scatter reads the same scratch again. Returns 0,
  * or -1 for a code >= 2**bits, bits outside [1, 16] or n outside
- * [0, INT32_MAX]; offsets and members are then partly written.
+ * [0, INT32_MAX]; offsets, members and order are then partly written.
  */
 int64_t boi_bucket_sort(
     int64_t num_tables, int64_t bits, int64_t n,
     int32_t *offsets,                   /* (num_tables, 2**bits + 1) */
     int32_t *members,                   /* (num_tables, n) */
+    int32_t *order,                     /* (n,) */
     uint16_t *scratch)                  /* (n,) */
 {
     if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX)
@@ -165,7 +187,13 @@ int64_t boi_bucket_sort(
     for (int64_t t = 0; t < num_tables; t++) {
         int32_t *const row = members + t * n;
         int32_t *const next = offsets + t * (num_buckets + 1) + 1;
-        memcpy(scratch, (const char *)row + 2 * n, 2 * n);
+        const uint16_t *const codes = (const uint16_t *)row + n;
+        if (t == 0) {
+            memcpy(scratch, codes, 2 * n);
+        } else {
+            for (int64_t i = 0; i < n; i++)
+                scratch[i] = codes[order[i]];
+        }
         offsets[t * (num_buckets + 1)] = 0;
         memset(next, 0, num_buckets * sizeof *next);
         for (int64_t i = 0; i < n; i++) {
@@ -179,10 +207,67 @@ int64_t boi_bucket_sort(
             next[c] = start;
             start += count;
         }
+        int32_t *const out = t == 0 ? order : row;
         for (int64_t i = 0; i < n; i++)
-            row[next[scratch[i]]++] = (int32_t)i;
+            out[next[scratch[i]]++] = (int32_t)i;
+        if (t == 0) {
+            for (int64_t i = 0; i < n; i++)
+                row[i] = (int32_t)i;
+        }
     }
     return 0;
+}
+
+/* Check one table record of a snapshot, as data_io.load_index reads it,
+ * in one pass over its counts and one over its ids.
+ *
+ * ``offsets`` (2**bits + 1 values) holds the record's bucket counts, read
+ * as uint32, from offsets[1] on. They are summed as uint64, so no count
+ * can wrap the total, and must sum to n; then a running sum turns them in
+ * place into the CSR offsets, from offsets[0] = 0. ``ids`` (n values) is
+ * the record's id row, read as uint32: every id must be below n, and
+ * their wrapping uint32 sum must be n(n - 1)/2 mod 2**32, the sum of
+ * 0..n-1, which any single flipped bit of a permutation changes by a
+ * power of two below 2**32. The id pass has no branch and no compare, so
+ * it vectorises (a compare-select max did not, under the default flags).
+ *
+ * Returns 0 when the record passes, 1 when the counts do not sum to n
+ * (``offsets`` then unchanged), 2 when an id is n or more, 3 when the ids'
+ * sum is wrong, and -1 for bits outside [1, 16] or n outside
+ * [0, INT32_MAX].
+ */
+int64_t boi_check_table(
+    int64_t bits, int64_t n,
+    int32_t *offsets,                   /* (2**bits + 1,) */
+    const uint32_t *ids)                /* (n,) */
+{
+    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX)
+        return -1;
+    const int64_t num_buckets = (int64_t)1 << bits;
+    const uint32_t *const counts = (const uint32_t *)offsets + 1;
+    uint64_t total = 0;
+    for (int64_t c = 0; c < num_buckets; c++)
+        total += counts[c];
+    if (total != (uint64_t)n)
+        return 1;
+    uint32_t stop = 0; /* at most n, so int32 holds every offset */
+    offsets[0] = 0;
+    for (int64_t c = 0; c < num_buckets; c++) {
+        stop += counts[c];
+        offsets[c + 1] = (int32_t)stop;
+    }
+    /* an id v is below n <= 2**31 - 1 iff neither v nor (n - 1) - v,
+     * wrapped, has its top bit set: two ORs instead of an unsigned compare,
+     * which SSE2 lacks */
+    const uint32_t last = (uint32_t)n - 1;
+    uint32_t bad = 0, sum = 0;
+    for (int64_t i = 0; i < n; i++) {
+        bad |= ids[i] | (last - ids[i]);
+        sum += ids[i];
+    }
+    if (bad >> 31)
+        return 2;
+    return sum == (uint32_t)((uint64_t)n * (uint64_t)(n - 1) / 2) ? 0 : 3;
 }
 
 /* Bucket codes from float32 dot products, each sign the float32 error

@@ -1,13 +1,17 @@
 """The compiled loops of ``vote.c``, loaded with ctypes: the gather+vote
 kernel every query runs, the counting sort ``hashing.insert_all`` buckets
-its records with, and the sign filter ``hashing.hash_codes_all`` turns its
-float32 dot products into codes with.
+its records with, the table-record check ``data_io.load_index`` runs, and
+the sign filter ``hashing.hash_codes_all`` turns its float32 dot products
+into codes with.
 
 The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
 unset), under a name keyed by the source's sha256; later imports load that
 file. ``ctypes.CDLL`` releases the GIL for the length of each call, so
-queries running in threads vote in parallel.
+queries running in threads vote in parallel. The entry points called per
+query or per table take raw addresses: their wrappers check each array's
+type, shape and layout, since an ``ndpointer`` conversion costs about 5 us
+an array while the GIL is held.
 """
 
 from __future__ import annotations
@@ -76,28 +80,25 @@ def build_library(cache_dir, source=SOURCE) -> Path:
     return library
 
 
-def _contiguous(dtype, ndim):
-    return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
-
-
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
-    and result types of ``boi_gather_vote``, ``boi_bucket_sort`` and
-    ``boi_hash_codes`` declared."""
+    and result types of ``boi_gather_vote``, ``boi_bucket_sort``,
+    ``boi_check_table`` and ``boi_hash_codes`` declared."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
-    i64 = ctypes.c_int64
+    i64, address = ctypes.c_int64, ctypes.c_void_p
     writable = "C_CONTIGUOUS,WRITEABLE"
+    # the wrappers below check the arrays behind each raw address
     library.boi_gather_vote.argtypes = [
         i64,  # num_tables
         i64,  # bits
         i64,  # n
-        _contiguous(OFFSET_DTYPE, 2),  # offsets
-        _contiguous(np.int32, 2),  # members
-        _contiguous(CODE_DTYPE, 2),  # probes
+        address,  # offsets
+        address,  # members
+        address,  # probes
         i64,  # probe row width
-        _contiguous(np.uint32, 1),  # units
-        _contiguous(np.int64, 1),  # budgets
-        np.ctypeslib.ndpointer(np.int32, ndim=1, flags=writable),  # votes
+        address,  # units
+        address,  # budgets
+        address,  # votes
     ]
     library.boi_bucket_sort.argtypes = [
         i64,  # num_tables
@@ -105,27 +106,33 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # n
         np.ctypeslib.ndpointer(OFFSET_DTYPE, ndim=2, flags=writable),  # offsets
         np.ctypeslib.ndpointer(np.int32, ndim=2, flags=writable),  # members
+        np.ctypeslib.ndpointer(np.int32, ndim=1, flags=writable),  # order
         np.ctypeslib.ndpointer(CODE_DTYPE, ndim=1, flags=writable),  # scratch
+    ]
+    library.boi_check_table.argtypes = [
+        i64,  # bits
+        i64,  # n
+        address,  # offsets
+        address,  # ids
     ]
     library.boi_hash_codes.argtypes = [
         i64,  # num_tables
         i64,  # bits
         i64,  # rows
         i64,  # dim
-        # SignFilter checks the five arrays and passes their addresses; an
-        # ndpointer conversion costs 2-5 us, a tenth of a query's hash
-        ctypes.c_void_p,  # dots
-        ctypes.c_void_p,  # x
-        ctypes.c_void_p,  # proj
-        ctypes.c_void_p,  # bound
+        address,  # dots
+        address,  # x
+        address,  # proj
+        address,  # bound
         ctypes.c_double,  # safe_square
-        ctypes.c_void_p,  # out
+        address,  # out
         i64,  # record stride
         i64,  # table stride
     ]
     for entry in (
         library.boi_gather_vote,
         library.boi_bucket_sort,
+        library.boi_check_table,
         library.boi_hash_codes,
     ):
         entry.restype = i64
@@ -133,6 +140,15 @@ def load_library(cache_dir) -> ctypes.CDLL:
 
 
 _library = load_library(default_cache_dir())
+
+
+def _addressable(arrays) -> bool:
+    """True when each (array, dtype) pair has that exact (native) dtype and
+    is C-contiguous and aligned, so its address can go to the library."""
+    return all(
+        a.dtype == dtype and a.flags.c_contiguous and a.flags.aligned
+        for a, dtype in arrays
+    )
 
 
 def gather_vote(
@@ -147,15 +163,18 @@ def gather_vote(
     (id, vote) pairs scanned.
 
     ``offsets`` (L, 2**b + 1) int32 and ``members`` (L, n) int32 are a
-    ``ProjectionTable``'s arrays, both C-contiguous. Table t probes the
-    first ``budgets[t] + 1`` codes of row t of ``probes`` (L, width)
-    uint16, and adds ``units[j]`` (uint32, width) to ``votes[id]`` (int32,
-    n) for each id in the bucket of the code at position j. Raises
-    ValueError when the shapes disagree, ``members`` is not C-contiguous,
-    or a probed value is out of range (a budget past the probe row, a code
-    past 2**b, offsets that decrease or leave [0, n], an id >= n);
-    ``votes`` is then partly written.
+    ``ProjectionTable``'s arrays. Table t probes the first ``budgets[t] +
+    1`` (int64) codes of row t of ``probes`` (L, width) uint16, and adds
+    ``units[j]`` (uint32, width) to ``votes[id]`` (int32, n) for each id in
+    the bucket of the code at position j. Every array must have exactly
+    that type and be C-contiguous, and ``votes`` writable. Raises
+    ValueError when the shapes, types or layouts disagree, or a probed
+    value is out of range (a budget past the probe row, a code past 2**b,
+    offsets that decrease or leave [0, n], an id >= n); ``votes`` is then
+    partly written.
     """
+    if offsets.ndim != 2 or members.ndim != 2 or probes.ndim != 2:
+        raise ValueError("gather_vote: array shapes or strides do not agree")
     num_tables, n = members.shape
     width = probes.shape[1]
     bits = offsets.shape[1].bit_length() - 1
@@ -165,11 +184,26 @@ def gather_vote(
         or units.shape != (width,)
         or budgets.shape != (num_tables,)
         or votes.shape != (n,)
-        or not members.flags.c_contiguous
+        or not votes.flags.writeable
+        or not _addressable(
+            (
+                (offsets, OFFSET_DTYPE),
+                (members, np.int32),
+                (probes, CODE_DTYPE),
+                (units, np.uint32),
+                (budgets, np.int64),
+                (votes, np.int32),
+            )
+        )
     ):
-        raise ValueError("gather_vote: array shapes or strides do not agree")
+        raise ValueError(
+            "gather_vote: array shapes or strides do not agree, or an array "
+            "has the wrong type or cannot be written"
+        )
     scanned = _library.boi_gather_vote(
-        num_tables, bits, n, offsets, members, probes, width, units, budgets, votes
+        num_tables, bits, n, offsets.ctypes.data, members.ctypes.data,
+        probes.ctypes.data, width, units.ctypes.data, budgets.ctypes.data,
+        votes.ctypes.data,
     )
     if scanned < 0:
         raise ValueError(
@@ -179,26 +213,66 @@ def gather_vote(
     return scanned
 
 
-def bucket_sort(offsets: np.ndarray, members: np.ndarray) -> None:
-    """Bucket every record of every table by its code, in one counting sort.
+def bucket_sort(offsets: np.ndarray, members: np.ndarray, order: np.ndarray) -> None:
+    """Bucket every record of every table by its code, in one counting sort,
+    and number the records in table 0's bucket order.
 
-    ``members`` (L, n) int32 comes in holding table t's codes in the upper
-    half of row t, ``members.view(CODE_DTYPE)[:, n:]``, and leaves holding
-    table t's record ids, grouped by code and ascending within a bucket,
-    exactly as a stable argsort of those codes orders them. ``offsets``
-    (L, 2**b + 1) int32 is filled with each table's CSR bucket offsets; it
-    need not be zeroed. Both must be C-contiguous and writable. The sort
-    holds one table's codes besides them. Raises ValueError when the shapes
-    disagree or a code is 2**b or more; ``offsets`` and ``members`` are then
-    partly written.
+    ``members`` (L, n) int32 comes in holding table t's codes of records
+    0..n-1 in the upper half of row t, ``members.view(CODE_DTYPE)[:, n:]``.
+    ``order`` (n,) int32 is filled with the records grouped by table 0's
+    code, ascending within a bucket (a stable argsort of table 0's codes):
+    record ``order[i]`` gets internal id i. ``members`` leaves holding each
+    table's internal ids, grouped by code and ascending within a bucket, so
+    row 0 is 0..n-1. ``offsets`` (L, 2**b + 1) int32 is filled with each
+    table's CSR bucket offsets; it need not be zeroed. All three must be
+    C-contiguous and writable, and L at least 1. The sort holds one table's
+    codes besides them. Raises ValueError when the shapes disagree or a
+    code is 2**b or more; the three arrays are then partly written.
     """
     num_tables, n = members.shape
     bits = offsets.shape[1].bit_length() - 1
-    if offsets.shape != (num_tables, (1 << bits) + 1):
+    if (
+        num_tables < 1
+        or offsets.shape != (num_tables, (1 << bits) + 1)
+        or order.shape != (n,)
+    ):
         raise ValueError("bucket_sort: array shapes do not agree")
     scratch = np.empty(n, dtype=CODE_DTYPE)
-    if _library.boi_bucket_sort(num_tables, bits, n, offsets, members, scratch) < 0:
+    if _library.boi_bucket_sort(
+        num_tables, bits, n, offsets, members, order, scratch
+    ) < 0:
         raise ValueError(f"a bucket code is out of range for {bits} bits")
+
+
+# what check_table finds wrong with a table record, by its status
+COUNTS_OFF, ID_OUT_OF_RANGE, NOT_A_PERMUTATION = 1, 2, 3
+
+
+def check_table(offsets: np.ndarray, ids: np.ndarray) -> int:
+    """Check one snapshot table record and turn its counts into offsets.
+
+    ``offsets`` (2**b + 1,) int32 holds the record's bucket counts, as
+    uint32, from entry 1 on; ``ids`` (n,) int32 or uint32 is its id row.
+    Both must be C-contiguous and ``offsets`` writable. Returns 0 and
+    leaves ``offsets`` the CSR offsets of the counts when they sum to n
+    exactly, every id, read as uint32, is below n and the ids' wrapping
+    uint32 sum is that of 0..n-1. Otherwise returns the first check that
+    fails: ``COUNTS_OFF`` (``offsets`` then unchanged), ``ID_OUT_OF_RANGE``
+    or ``NOT_A_PERMUTATION``. Raises ValueError when the arrays disagree.
+    """
+    bits = offsets.shape[-1].bit_length() - 1
+    if (
+        offsets.shape != ((1 << bits) + 1,)
+        or not 1 <= bits <= 16
+        or ids.ndim != 1
+        or not offsets.flags.writeable
+        or not _addressable(((offsets, OFFSET_DTYPE), (ids, ids.dtype)))
+        or ids.dtype not in (np.int32, np.uint32)
+    ):
+        raise ValueError("check_table: array shapes, types or strides do not agree")
+    return _library.boi_check_table(
+        bits, ids.size, offsets.ctypes.data, ids.ctypes.data
+    )
 
 
 class SignFilter:

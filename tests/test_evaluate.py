@@ -163,15 +163,16 @@ class TestEstimateMemory:
         assert est.accumulator_bytes == 4_000_000
 
     def test_default_id_width_is_addressable(self):
-        # 100 tables: projections 8*128*4, offsets 257*4, members 1M int32 ids
+        # 100 tables: projections 8*128*4, offsets 257*4, members 1M int32
+        # ids; and the order, 1M int32 record ids
         est = estimate_memory(1_000_000, 128, BoiParams())
-        assert est.index_bytes == 409_600 + 102_800 + 400_000_000
-        assert est.total_bytes == 512_000_000 + 400_512_400 + 4_000_000
+        assert est.index_bytes == 409_600 + 102_800 + 400_000_000 + 4_000_000
+        assert est.total_bytes == 512_000_000 + 404_512_400 + 4_000_000
 
     def test_scales_with_tables(self):
         n, dim, b = 1000, 16, 8
         est = estimate_memory(n, dim, BoiParams(num_tables=7))
-        assert est.index_bytes == 7 * (b * dim * 4 + (2**b + 1) * 4 + n * 4)
+        assert est.index_bytes == 7 * (b * dim * 4 + (2**b + 1) * 4 + n * 4) + n * 4
 
     @pytest.mark.parametrize("tables, bits", [(3, 1), (5, 8), (2, 16)])
     def test_matches_the_arrays_of_an_index(self, tmp_path, tables, bits):
@@ -187,6 +188,7 @@ class TestEstimateMemory:
             t = index.tables
             assert est.index_bytes == (
                 t.projections.nbytes + t.offsets.nbytes + t.members.nbytes
+                + t.order.nbytes
             )
             assert est.vectors_bytes == index.dataset.vectors.nbytes
 

@@ -66,16 +66,19 @@ def sequential_codes(projections, bits, X) -> np.ndarray:
     return pack(np.cumsum(products, axis=-1)[..., -1] >= 0, bits)
 
 
-def argsort_buckets(codes, bits) -> tuple[np.ndarray, np.ndarray]:
-    """Reference (offsets, members) of every table: a bincount and a stable
-    argsort of its column of codes."""
+def argsort_buckets(codes, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference (offsets, order, members) of every table: a bincount of its
+    column of codes; the order, a stable argsort of table 0's codes; and a
+    stable argsort of each table's codes listed in that order, which groups
+    the internal ids (positions in the order) by code."""
     n, num_tables = codes.shape
     offsets = np.zeros((num_tables, (1 << bits) + 1), dtype=np.int64)
     members = np.empty((num_tables, n), dtype=np.int64)
+    order = np.argsort(codes[:, 0], kind="stable") if num_tables else np.arange(n)
     for t in range(num_tables):
         offsets[t, 1:] = np.cumsum(np.bincount(codes[:, t], minlength=1 << bits))
-        members[t] = np.argsort(codes[:, t], kind="stable")
-    return offsets, members
+        members[t] = np.argsort(codes[order, t], kind="stable")
+    return offsets, order, members
 
 
 class TestMakeTables:
@@ -349,10 +352,22 @@ class TestInsertAll:
         X[n // 2 :] = X[: n - n // 2]
         tables = insert_all(proj, bits, VectorSet(X))
         codes = hash_codes_all(proj, bits, X)
-        offsets, members = argsort_buckets(codes, bits)
+        offsets, order, members = argsort_buckets(codes, bits)
         assert np.array_equal(tables.offsets, offsets)
+        assert np.array_equal(tables.order, np.argsort(codes[:, 0], kind="stable"))
+        assert np.array_equal(tables.order, order)
+        assert np.array_equal(tables.members[0], np.arange(n))
         assert np.array_equal(tables.members, members)
         assert tables.offsets.dtype == OFFSET_DTYPE and tables.members.dtype == np.int32
+        assert tables.order.dtype == np.int32
+        # each bucket lists its records' internal ids in ascending order,
+        # and through the order they are exactly the records of its code
+        for t in range(tables.num_tables):
+            for c in np.flatnonzero(np.diff(tables.offsets[t])):
+                internal = tables.members[t, tables.offsets[t, c] : tables.offsets[t, c + 1]]
+                assert np.all(np.diff(internal) > 0)
+                records = np.sort(tables.order[internal])
+                assert np.array_equal(records, np.flatnonzero(codes[:, t] == c))
         if n < 1 << bits:
             assert np.any(np.diff(tables.offsets, axis=1) == 0)  # empty buckets
 
@@ -371,8 +386,8 @@ class TestInsertAll:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(tables.members, argsort_buckets(codes, 4)[1])
-        held = tables.offsets.nbytes + tables.members.nbytes
+        assert np.array_equal(tables.members, argsort_buckets(codes, 4)[2])
+        held = tables.offsets.nbytes + tables.members.nbytes + tables.order.nbytes
         # the returned arrays, the hash's buffers and one table's codes: an
         # (n, L) code array beside them would add another 1.6 MB
         assert peak <= held + hash_peak + data.n * CODE_DTYPE.itemsize
@@ -460,12 +475,15 @@ class TestProjectionTable:
         rng = np.random.default_rng(13)
         rows = rng.integers(0, tables.num_tables, 200)
         codes = rng.integers(0, tables.num_buckets, 200)
-        expected = np.concatenate(
-            [
-                tables.members[t, tables.offsets[t, c] : tables.offsets[t, c + 1]]
-                for t, c in zip(rows, codes)
-            ]
-        )
+        # the buckets hold internal ids; bucket gives the records they name
+        expected = tables.order[
+            np.concatenate(
+                [
+                    tables.members[t, tables.offsets[t, c] : tables.offsets[t, c + 1]]
+                    for t, c in zip(rows, codes)
+                ]
+            )
+        ]
         got = tables.bucket(rows, codes)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
@@ -475,6 +493,109 @@ class TestProjectionTable:
         again = ProjectionTable(tables.projections, tables.offsets, tables.members)
         assert again.offsets is tables.offsets
         assert again.members is tables.members
+        again = ProjectionTable(
+            tables.projections, tables.offsets, tables.members, tables.order
+        )
+        assert again.order is tables.order
+
+    def test_order_is_a_read_only_permutation(self, tables):
+        assert np.array_equal(np.sort(tables.order), np.arange(tables.n))
+        with pytest.raises(ValueError):
+            tables.order[0] = 1
+        with pytest.raises(AttributeError):
+            tables.order = tables.order.copy()
+
+    def test_a_table_over_record_ids_is_numbered_in_table_0_order(self):
+        # a table built by hand over record ids: the order defaults to the
+        # identity, and the records are renumbered so row 0 is 0..n-1
+        offsets = np.array([[0, 2, 3]], dtype=np.int32)
+        members = np.array([[2, 0, 1]], dtype=np.int32)
+        tables = ProjectionTable(np.ones((1, 2)), offsets, members)
+        assert tables.order.tolist() == [2, 0, 1]
+        assert tables.members.tolist() == [[0, 1, 2]]
+        assert tables.order.dtype == np.int32 and not tables.order.flags.writeable
+        assert not tables.members.flags.writeable
+        assert tables.bucket([0, 0], [0, 1]).tolist() == [2, 0, 1]
+        # an order names its records: bucket 0 holds records 1 and 2
+        tables = ProjectionTable(np.ones((1, 2)), offsets, members, [1, 2, 0])
+        assert tables.order.tolist() == [0, 1, 2]
+        assert tables.bucket([0, 0], [0, 1]).tolist() == [0, 1, 2]
+
+    def test_renumbering_keeps_every_bucket_and_sorts_later_rows(self):
+        offsets = np.array([[0, 2, 4], [0, 3, 4], [0, 0, 4]], dtype=np.int32)
+        members = np.array([[3, 1, 0, 2], [0, 1, 3, 2], [2, 3, 1, 0]], np.int32)
+        tables = ProjectionTable(np.ones((3, 2)), offsets, members)
+        assert tables.order.tolist() == [3, 1, 0, 2]
+        # record r was internal id r; internal ids 0..3 are now 3, 1, 0, 2
+        assert tables.members.tolist() == [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
+        assert np.array_equal(tables.offsets, offsets)
+        for t in range(3):
+            for c in range(2):
+                records = members[t, offsets[t, c] : offsets[t, c + 1]]
+                assert sorted(tables.bucket([t], [c]).tolist()) == sorted(records)
+        # the renumbered form is kept as it is
+        again = ProjectionTable(
+            tables.projections, tables.offsets, tables.members, tables.order
+        )
+        assert again.members is tables.members and again.order is tables.order
+
+    @pytest.mark.parametrize(
+        "offsets, members",
+        [
+            ([[0, 2, 4], [0, 2, 4]], [[1, 0, 2, 3], [0, 1, 2, 4]]),  # id = n
+            ([[0, 2, 4], [0, 2, 4]], [[1, 0, 2, 3], [0, 1, 2, -1]]),  # id < 0
+            ([[0, 2, 4], [0, 3, 2]], [[1, 0, 2, 3], [0, 1, 2, 3]]),  # decreasing
+            ([[0, 2, 4], [0, 2, 3]], [[1, 0, 2, 3], [0, 1, 2, 3]]),  # short of n
+            ([[0, 2, 4]], [[1, 0, 2, 3], [0, 1, 2, 3]]),  # one offsets row
+        ],
+        ids=["id=n", "id=-1", "decreasing", "short", "one-offsets-row"],
+    )
+    def test_a_table_that_cannot_be_renumbered_raises(self, offsets, members):
+        with pytest.raises(ValueError, match="cannot renumber"):
+            ProjectionTable(np.ones((2, 2)), offsets, members)
+
+    @pytest.mark.parametrize(
+        "row", [[0, 1, 2, 4], [0, 1, 2, -1], [0, 1, 1, 3]], ids=["id=n", "id=-1", "dup"]
+    )
+    def test_a_table_0_row_that_is_no_permutation_is_kept_but_not_saved(self, row):
+        # a corrupt table: the vote kernel raises when a query probes it
+        offsets = np.array([[0, 2, 4]], dtype=np.int32)
+        tables = ProjectionTable(np.ones((1, 2)), offsets, [row])
+        assert tables.members.tolist() == [row]
+        assert tables.order.tolist() == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="not a permutation"):
+            tables.id_rows()
+
+    def test_id_rows_hold_the_order_then_the_later_rows(self, tables):
+        rows = tables.id_rows()
+        assert len(rows) == tables.num_tables
+        assert rows[0] is tables.order
+        for t in range(1, tables.num_tables):
+            assert np.array_equal(rows[t], tables.members[t])
+        again = ProjectionTable.from_id_rows(
+            tables.projections, tables.offsets, np.stack(rows)
+        )
+        for name in ("projections", "offsets", "members", "order"):
+            assert np.array_equal(getattr(again, name), getattr(tables, name))
+
+    @pytest.mark.parametrize(
+        "order", [[0, 0, 1], [-1, 0, 1], [0, 1, 3], [2, 1, 2]],
+        ids=["dup", "negative", "past-n", "dup-in-range"],
+    )
+    def test_an_order_that_is_not_a_permutation_raises(self, order):
+        offsets = np.array([[0, 2, 3]], dtype=np.int32)
+        members = np.array([[0, 1, 2]], dtype=np.int32)
+        with pytest.raises(ValueError, match="order is not a permutation"):
+            ProjectionTable(np.ones((1, 2)), offsets, members, order)
+
+    @pytest.mark.parametrize(
+        "order", [[0, 1], [[0, 1, 2]], [0, 1, 2**32]], ids=["short", "2d", "wide"]
+    )
+    def test_order_of_the_wrong_shape_or_width_raises(self, order):
+        offsets = np.array([[0, 2, 3]], dtype=np.int32)
+        members = np.array([[2, 0, 1]], dtype=np.int32)
+        with pytest.raises(ValueError, match="order"):
+            ProjectionTable(np.ones((1, 2)), offsets, members, order)
 
     def test_codes_and_offsets_use_the_named_widths(self, tables):
         assert tables.offsets.dtype == OFFSET_DTYPE == np.int32

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boi.baselines import brute_force_query
+from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import (
     SCHEDULE_KINDS,
     BoiParams,
@@ -329,7 +329,8 @@ class TestAccumulate:
         q = rng.standard_normal(12).astype(np.float32)
         w = accumulate(index, q, query_index=3)
         assert w.dtype == np.int32
-        assert np.array_equal(w, _accumulate(index, q, 3)[0])
+        # the kernel's votes are in internal order: entry i is record order[i]
+        assert np.array_equal(w[index.tables.order], _accumulate(index, q, 3)[0])
         assert np.all(w >= 0)
 
     @pytest.mark.parametrize("num_tables, bits", [(5, 3), (128, 8), (257, 8)])
@@ -416,6 +417,29 @@ class TestShortlist:
     def test_requires_positive_size(self):
         with pytest.raises(ValueError):
             shortlist(np.array([1.0]), 0)
+
+    def test_ties_at_the_cut_keep_the_lowest_record_ids(self):
+        # internal ids 0..3 are records 3..0, all tied: records 0 and 1 are
+        # kept, the highest internal ids
+        order = np.array([3, 2, 1, 0], np.int32)
+        assert shortlist(np.full(4, 5, np.int32), 2, order).tolist() == [0, 1]
+        votes = np.array([5, 5, 9, 5], np.int32)  # record 1 leads
+        assert shortlist(votes, 2, order).tolist() == [1, 0]
+        assert shortlist(votes, 3, order).tolist() == [1, 0, 2]
+
+    def test_order_maps_to_the_record_order_shortlist(self):
+        # votes in internal order, shortlisted through a random order, give
+        # the shortlist of the same votes scattered back to record order
+        rng = np.random.default_rng(9)
+        for n, touched in ((50, 0.7), (3000, 0.96), (3000, 0.05)):
+            order = rng.permutation(n).astype(np.int32)
+            votes = (rng.integers(1, 6, n) * (rng.random(n) < touched)).astype(np.int32)
+            records = np.empty_like(votes)
+            records[order] = votes
+            for eps in (1, 7, 250, n - 1, n, n + 1):
+                assert np.array_equal(
+                    shortlist(votes, eps, order), shortlist(records, eps)
+                ), (n, eps)
 
 
 class TestQuery:
@@ -698,7 +722,8 @@ def test_kernel_matches_numpy_oracle(case):
     votes, probes, pairs = _accumulate(index, q, query_index)
     want_votes, want_probes, want_pairs = numpy_accumulate(index, q, query_index)
     assert votes.dtype == np.int32
-    assert np.array_equal(votes, want_votes)
+    # the oracle gathers record ids; the kernel votes in internal order
+    assert np.array_equal(votes, want_votes[index.tables.order])
     assert (probes, pairs) == (want_probes, want_pairs)
     res = query(index, q, k, query_index)
     assert (res.probe_count, res.pairs_scanned) == (want_probes, want_pairs)
@@ -725,7 +750,7 @@ def test_kernel_matches_numpy_oracle_across_tiles_and_batches(tmp_path):
             q = rng.standard_normal(16).astype(np.float32)
             votes, probes, pairs = _accumulate(index, q, query_index)
             want = numpy_accumulate(index, q, query_index)
-            assert np.array_equal(votes, want[0])
+            assert np.array_equal(votes, want[0][index.tables.order])
             assert (probes, pairs) == want[1:] == (4096, 16 * data.n)
 
 
@@ -747,7 +772,10 @@ def test_stages_one_by_one_compose_to_query(tmp_path, bits):
         for qi, q in enumerate(queries):
             votes = accumulate(index, q, qi)
             assert votes.dtype == np.int32
-            assert votes.tobytes() == _accumulate(index, q, qi)[0].tobytes()
+            # accumulate scatters the kernel's internal-order votes back to
+            # record order
+            internal = _accumulate(index, q, qi)[0]
+            assert votes[index.tables.order].tobytes() == internal.tobytes()
             c = shortlist(votes, params.shortlist_size)
             ids, dists = rank_by_distance(
                 c, pairwise_distances(data.vectors[c], q), 10
@@ -756,6 +784,78 @@ def test_stages_one_by_one_compose_to_query(tmp_path, bits):
             assert ids.size == 10
             assert ids.tobytes() == res.ids.tobytes()
             assert dists.tobytes() == res.distances.tobytes()
+
+
+def record_id_tables(tables: ProjectionTable, step: int) -> ProjectionTable:
+    """The same buckets handed over by record id, each listed in ascending
+    (``step`` 1) or descending (-1) record order; the table renumbers its
+    records in the order table 0 lists them."""
+    records = tables.order[tables.members]
+    members = np.stack(
+        [
+            np.concatenate(
+                [np.sort(bucket)[::step] for bucket in np.split(row, offsets[1:-1])]
+            )
+            for row, offsets in zip(records, tables.offsets)
+        ]
+    )
+    return ProjectionTable(tables.projections, tables.offsets, members)
+
+
+@pytest.mark.parametrize("kind", ["ties", "random"])
+def test_internal_order_answers_as_record_order(kind):
+    # a built index numbers its records in table 0's bucket order, with
+    # ascending record ids inside a bucket; numbered with them descending,
+    # so that internal and record ids run against each other, the same
+    # buckets must answer every query identically
+    rng = np.random.default_rng(41)
+    if kind == "ties":
+        # 12 distinct rows repeated: whole buckets tie, and so do distances
+        rows = rng.standard_normal((12, 6)).astype(np.float32)
+        data = VectorSet(rows[rng.integers(0, 12, 90)])
+        params = BoiParams(
+            num_tables=6, hash_bits=3, initial_probe_count=3, shortlist_size=7,
+            seed=2,
+        )
+    else:
+        data = VectorSet(rng.standard_normal((2000, 16)).astype(np.float32))
+        params = BoiParams(num_tables=20, hash_bits=8, shortlist_size=60, seed=3)
+    built = build_index(data, params)
+    assert not np.array_equal(built.tables.order, np.arange(data.n))
+    # handed over by ascending record id, the buckets renumber to the build
+    again = record_id_tables(built.tables, 1)
+    assert again.order.tobytes() == built.tables.order.tobytes()
+    assert again.members.tobytes() == built.tables.members.tobytes()
+    plain = BoiIndex(params, record_id_tables(built.tables, -1), data)
+    assert not np.array_equal(plain.tables.order, built.tables.order)
+    assert np.array_equal(plain.tables.members[0], np.arange(data.n))
+    for t in range(params.num_tables):
+        for c in range(1 << params.hash_bits):
+            assert np.array_equal(
+                np.sort(plain.tables.bucket([t], [c])),
+                np.sort(built.tables.bucket([t], [c])),
+            )
+    for qi in range(12):
+        q = data.vectors[qi] + 0.1 * rng.standard_normal(data.dim).astype(np.float32)
+        assert np.array_equal(accumulate(built, q, qi), accumulate(plain, q, qi))
+        answers = [
+            (
+                query(index, q, 5, qi),
+                *(
+                    multiprobe_lsh_query(
+                        index.tables, data, q, radius, params.shortlist_size, 5
+                    )
+                    for radius in (0, 1)
+                ),
+            )
+            for index in (built, plain)
+        ]
+        for mine, theirs in zip(*answers):
+            assert mine.ids.tobytes() == theirs.ids.tobytes()
+            assert mine.distances.tobytes() == theirs.distances.tobytes()
+            assert (mine.probe_count, mine.shortlist_size, mine.pairs_scanned) == (
+                theirs.probe_count, theirs.shortlist_size, theirs.pairs_scanned
+            )
 
 
 class TestCorruptTables:

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from boi.core import BoiParams, VectorSet
+from boi.hashing import ProjectionTable
 from boi.data_io import (
     FormatError,
+    _read_native_into,
     load_index,
     read_fvecs,
     read_ivecs,
@@ -200,6 +203,7 @@ class TestSnapshot:
         assert np.array_equal(a.projections, b.projections)
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a.order, b.order)
 
     def test_save_is_deterministic(self, built, tmp_path):
         index, data, path = built
@@ -234,7 +238,7 @@ class TestSnapshot:
         finally:
             tracemalloc.stop()
         arrays = tables.projections.nbytes + tables.offsets.nbytes
-        arrays += tables.members.nbytes
+        arrays += tables.members.nbytes + tables.order.nbytes
         record = (path.stat().st_size - 60) // tables.num_tables
         # 2.67 MB of arrays; a table record is 0.27 MB
         assert peak < arrays + record
@@ -244,7 +248,7 @@ class TestSnapshot:
         loaded = load_index(path, data)
         # one layout: the loaded arrays are the built ones, C-contiguous
         assert loaded.tables.members.flags.c_contiguous
-        for name in ("projections", "offsets", "members"):
+        for name in ("projections", "offsets", "members", "order"):
             mine, theirs = getattr(index.tables, name), getattr(loaded.tables, name)
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
         rng = np.random.default_rng(3)
@@ -296,16 +300,29 @@ class TestSnapshot:
         with pytest.raises(FormatError, match="version 1"):
             load_index(bad)
 
+    def test_version_2_rejected(self, built, tmp_path):
+        # a version 3 file patched to say 2: its id rows are not record ids
+        _, _, path = built
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 2)
+        bad = tmp_path / "v2.boix"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="version 2") as err:
+            load_index(bad)
+        assert err.value.offset == 4
+
     def test_layout_is_header_then_arrays_per_table(self, built):
         index, _, path = built
         raw = path.read_bytes()
         offset = 60
         tables, bits = index.tables, index.params.hash_bits
+        # table 0's id row is the order; its members row is 0..n-1
+        assert np.array_equal(tables.members[0], np.arange(index.n))
         for t in range(tables.num_tables):
             for block in (
                 tables.projections[t * bits : (t + 1) * bits].astype("<f4"),
                 np.diff(tables.offsets[t]).astype("<u4"),
-                tables.members[t].astype("<u4"),
+                (tables.order if t == 0 else tables.members[t]).astype("<u4"),
             ):
                 assert raw[offset : offset + block.nbytes] == block.tobytes()
                 offset += block.nbytes
@@ -337,6 +354,78 @@ class TestSnapshot:
         bad.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="out of range"):
             load_index(bad)
+
+    def test_table_0_ids_that_are_no_permutation_rejected(self, built, tmp_path):
+        # two ids moved one apart keep the row's sum and range, but one
+        # record is then listed twice and another never
+        index, _, path = built
+        _, ids = self._first_table_blocks(index)
+        raw = bytearray(path.read_bytes())
+        row = np.frombuffer(raw, "<u4", index.n, ids).copy()
+        low, high = np.flatnonzero(row == 0)[0], np.flatnonzero(row == 3)[0]
+        row[low], row[high] = 1, 2
+        raw[ids : ids + 4 * index.n] = row.tobytes()
+        bad = tmp_path / "bad.boix"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="table 0") as err:
+            load_index(bad)
+        assert err.value.offset == ids
+
+    def test_hand_built_tables_round_trip(self, tmp_path):
+        # buckets over record ids, table 0's not in ascending record order:
+        # the table renumbers them, and the snapshot keeps every bucket
+        rng = np.random.default_rng(8)
+        data = VectorSet(rng.standard_normal((30, 3)).astype(np.float32))
+        params = BoiParams(num_tables=3, hash_bits=2, initial_probe_count=3, seed=2)
+        codes = rng.integers(0, 4, (3, data.n))
+        offsets = [[0, *np.cumsum(np.bincount(row, minlength=4))] for row in codes]
+        members = [np.argsort(row, kind="stable") for row in codes]
+        members[0] = np.concatenate(
+            [members[0][a:b][::-1] for a, b in zip(offsets[0], offsets[0][1:])]
+        )
+        tables = ProjectionTable(
+            rng.standard_normal((6, 3), dtype=np.float32), offsets, members
+        )
+        assert tables.members[0].tolist() == list(range(data.n))
+        index = BoiIndex(params, tables, data)
+        path = tmp_path / "hand.boix"
+        save_index(index, path)
+        loaded = load_index(path, data)
+        for name in ("projections", "offsets", "members", "order"):
+            assert np.array_equal(getattr(loaded.tables, name), getattr(tables, name))
+        for t in range(3):
+            for c in range(4):
+                got = loaded.tables.bucket([t], [c])
+                assert sorted(got.tolist()) == sorted(np.flatnonzero(codes[t] == c))
+        for qi in range(5):
+            q = data.vectors[qi]
+            assert np.array_equal(accumulate(loaded, q, qi), accumulate(index, q, qi))
+            assert query(loaded, q, 3, qi).ids.tolist() == query(index, q, 3, qi).ids.tolist()
+
+    def test_corrupt_table_is_not_saved(self, tmp_path):
+        # table 0 lists record 1 twice: the table keeps it as given for the
+        # vote kernel to refuse, and no snapshot can hold it
+        data = VectorSet(np.zeros((3, 2), dtype=np.float32))
+        tables = ProjectionTable(np.ones((1, 2)), [[0, 2, 3]], [[0, 1, 1]])
+        params = BoiParams(num_tables=1, hash_bits=1, initial_probe_count=1)
+        path = tmp_path / "corrupt.boix"
+        with pytest.raises(ValueError, match="not a permutation"):
+            save_index(BoiIndex(params, tables, data), path)
+        assert not path.exists()
+
+    def test_index_arrays_are_read_in_native_byte_order(self, tmp_path, monkeypatch):
+        # the file is little-endian; a big-endian host swaps what it reads,
+        # so on this host a swap must undo bytes stored in the other order
+        path = tmp_path / "values.bin"
+        values = [1, -2, 2**20 + 3]
+        native = np.dtype(np.int32)
+        for host, stored in (("little", native), ("big", native.newbyteorder())):
+            path.write_bytes(np.array(values, stored).tobytes())
+            monkeypatch.setattr(sys, "byteorder", host)
+            arr = np.empty(3, np.int32)
+            with open(path, "rb") as f:
+                _read_native_into(f, arr)
+            assert arr.tolist() == values
 
     def test_attach_dataset_later(self, built):
         index, data, path = built
@@ -372,10 +461,12 @@ class TestSnapshot:
         assert load_index(path).params.strict_radius is True
 
 
-# Saved by the earlier writer, which kept one object per table and wrote
-# each table's three blocks in turn; the single stacked table must read it
-# and write the same bytes back.
-OLD_WRITER_SNAPSHOT = Path(__file__).parent / "data" / "v2_L3_b4_n50.boix"
+# Version 3, saved from this recipe by the writer that first wrote the
+# version; every later writer must read it and write the same bytes back.
+OLD_WRITER_SNAPSHOT = Path(__file__).parent / "data" / "v3_L3_b4_n50.boix"
+# The same index in version 2, whose id rows all held record ids; saved by
+# an earlier writer that kept one object per table.
+V2_SNAPSHOT = Path(__file__).parent / "data" / "v2_L3_b4_n50.boix"
 OLD_WRITER_PARAMS = BoiParams(
     num_tables=3, hash_bits=4, initial_probe_count=3, schedule="fixed", seed=17
 )
@@ -392,7 +483,7 @@ class TestSnapshotCompatibility:
         loaded = load_index(OLD_WRITER_SNAPSHOT, data)
         built = build_index(data, OLD_WRITER_PARAMS)
         assert loaded.params == OLD_WRITER_PARAMS
-        for name in ("projections", "offsets", "members"):
+        for name in ("projections", "offsets", "members", "order"):
             assert np.array_equal(
                 getattr(loaded.tables, name), getattr(built.tables, name)
             )
@@ -408,11 +499,44 @@ class TestSnapshotCompatibility:
         save_index(build_index(old_writer_data(), OLD_WRITER_PARAMS), path)
         assert path.read_bytes() == OLD_WRITER_SNAPSHOT.read_bytes()
 
+    def test_version_2_file_is_rejected_at_its_version(self):
+        with pytest.raises(FormatError, match="unsupported snapshot version 2") as err:
+            load_index(V2_SNAPSHOT, old_writer_data())
+        assert err.value.offset == 4
+
+    def test_version_3_changes_only_the_version_and_later_id_rows(self):
+        # table 0's id row, the order, is version 2's record ids of table 0;
+        # each bucket of a later row holds the internal ids, ascending, of
+        # the records version 2 lists there
+        v2, v3 = V2_SNAPSHOT.read_bytes(), OLD_WRITER_SNAPSHOT.read_bytes()
+        assert len(v2) == len(v3)
+        assert struct.unpack_from("<I", v2, 4) == (2,)
+        assert struct.unpack_from("<I", v3, 4) == (3,)
+        assert v2[:4] == v3[:4] and v2[8:60] == v3[8:60]
+        record = 4 * (4 * 4 + 16 + 50)  # b x dim floats, 2**b counts, n ids
+        counts_at, ids_at = 4 * 4 * 4, 4 * (4 * 4 + 16)
+        order = np.frombuffer(v3, "<u4", 50, 60 + ids_at)
+        for t in range(3):
+            at = 60 + t * record
+            assert v2[at : at + ids_at] == v3[at : at + ids_at]
+            old = np.frombuffer(v2, "<u4", 50, at + ids_at)
+            new = np.frombuffer(v3, "<u4", 50, at + ids_at)
+            if t == 0:
+                assert np.array_equal(old, new)
+                continue
+            counts = np.frombuffer(v3, "<u4", 16, at + counts_at)
+            for bucket_old, bucket_new in zip(
+                np.split(old, np.cumsum(counts)[:-1]),
+                np.split(new, np.cumsum(counts)[:-1]),
+            ):
+                assert np.all(np.diff(bucket_new.astype(np.int64)) > 0)
+                assert np.array_equal(np.sort(order[bucket_new]), bucket_old)
+
     @pytest.mark.parametrize(
         "bits, digest",
         [
-            (8, "619272ca9c5690da6f08de20fd2af16b911f364ccef6a096cb74a1e935e85b74"),
-            (16, "41a505183f9eb06bbff88861feadbb6ee5b605577f0a199d827c65b6fbe93ac2"),
+            (8, "69f2df982821be439af1b5ed2362598182e180bbc36ffc74cf553206199f7ff9"),
+            (16, "9676c2d1e41e5a7729e55e10bb612d5faa1098ac081f9b6bfc14c6f3704ff363"),
         ],
         ids=["b8", "b16"],
     )
@@ -433,6 +557,7 @@ class TestSnapshotCompatibility:
             index.tables.projections,
             index.tables.offsets,
             index.tables.members,
+            index.tables.order,
             index.budgets,
         ):
             with pytest.raises(ValueError):
@@ -443,23 +568,29 @@ class TestCorruptSnapshot:
     """Every damaged file either loads or raises FormatError, quickly."""
 
     @staticmethod
-    def _load(path) -> None:
+    def _loads(path) -> bool:
         try:
             load_index(path)
         except FormatError:
-            pass
+            return False
+        return True
 
     def test_every_single_bit_flip(self, tmp_path):
         raw = OLD_WRITER_SNAPSHOT.read_bytes()
         path = tmp_path / "flipped.boix"
+        loaded = 0
         for pos in range(len(raw)):
             for bit in range(8):
                 damaged = bytearray(raw)
                 damaged[pos] ^= 1 << bit
                 path.write_bytes(bytes(damaged))
-                self._load(path)
+                loaded += self._loads(path)
+        # 199 flips in the header and 1,520 in projections that stay
+        # finite still load (ROADMAP item 7b); no id or count flip does
+        assert loaded <= 1_719
 
     def test_every_single_bit_flip_of_a_member_id_raises(self, tmp_path):
+        # table 0's id row is the order, the others hold internal ids
         raw = OLD_WRITER_SNAPSHOT.read_bytes()
         record = 4 * (4 * 4 + 16 + 50)  # b x dim floats, 2**b counts, n ids
         ids_at = 60 + 4 * (4 * 4 + 16)  # table 0's ids follow its counts

@@ -66,6 +66,12 @@ def test_failed_compile_raises_import_error(tmp_path):
     assert list(cache.iterdir()) == []
 
 
+def _read_only_votes():
+    votes = np.zeros(4, np.int32)
+    votes.setflags(write=False)
+    return votes
+
+
 def _arrays(units=(4, 2)):
     """Two 2-bit tables over 4 records, one record per bucket; each probes
     bucket 0 and bucket 1, worth ``units`` (by default 2**-H in units of
@@ -111,10 +117,26 @@ def test_projection_table_stores_strided_members_contiguously():
         (1, np.zeros((2, 8), np.int32)[:, ::2]),  # gaps between ids of a row
         (1, np.zeros((2, 9), np.int32)[:, :4]),  # gaps between rows
         (0, np.zeros((2, 4), np.int32)),  # offsets not 2**b + 1 wide
+        # the kernel gets raw addresses, so every type and layout is checked
+        (0, np.zeros((2, 5), np.int64)),  # offsets of the wrong type
+        (1, np.zeros((2, 4), np.uint32)),  # members of the wrong type
+        (2, np.zeros((2, 2), np.int32)),  # probes of the wrong type
+        (3, np.zeros(2, np.int32)),  # units of the wrong type
+        (4, np.ones(2, np.int32)),  # budgets of the wrong type
+        (5, np.zeros(4, np.int64)),  # votes of the wrong type
+        (5, np.zeros(4, np.dtype("<i4").newbyteorder())),  # byte-swapped votes
+        (2, np.zeros((2, 4), np.uint16)[:, ::2]),  # strided probes
+        (0, np.zeros((5, 2), np.int32).T),  # offsets in Fortran order
+        (3, np.zeros(4, np.uint32)[::2]),  # strided units
+        (5, np.zeros(8, np.int32)[::2]),  # strided votes
+        (5, _read_only_votes()),
     ],
     ids=[
         "budgets", "units", "votes", "member-gaps", "member-row-gaps",
-        "offsets-width",
+        "offsets-width", "offsets-dtype", "members-dtype", "probes-dtype",
+        "units-dtype", "budgets-dtype", "votes-dtype", "votes-byte-order",
+        "probes-strided", "offsets-fortran", "units-strided", "votes-strided",
+        "votes-read-only",
     ],
 )
 def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
@@ -155,23 +177,30 @@ def test_gather_vote_counts_ids_stored_out_of_order():
 
 
 def _sort_inputs(codes, bits):
-    """``offsets`` filled with junk, which the sort overwrites, and
-    ``members`` holding table t's codes (column t of ``codes``) in the upper
-    half of row t."""
+    """``offsets`` and ``order`` filled with junk, which the sort
+    overwrites, and ``members`` holding table t's codes (column t of
+    ``codes``) in the upper half of row t."""
     n, num_tables = codes.shape
     offsets = np.full((num_tables, (1 << bits) + 1), -7, np.int32)
     members = np.full((num_tables, n), -7, np.int32)
     members.view(np.uint16)[:, n:] = codes.T
-    return offsets, members
+    return offsets, members, np.full(n, -7, np.int32)
 
 
 def test_bucket_sort_groups_ascending_ids_by_code():
     # two 2-bit tables over 5 records, given record-major
     codes = np.array([[3, 0], [1, 0], [3, 2], [0, 0], [1, 3]], dtype=np.uint16)
-    offsets, members = _sort_inputs(codes, 2)
-    vote.bucket_sort(offsets, members)
+    offsets, members, order = _sort_inputs(codes, 2)
+    vote.bucket_sort(offsets, members, order)
     assert offsets.tolist() == [[0, 1, 3, 3, 5], [0, 3, 3, 4, 5]]
-    assert members.tolist() == [[3, 1, 4, 0, 2], [0, 1, 3, 2, 4]]
+    # records in table 0's bucket order: record 3 (code 0), 1 and 4 (code
+    # 1), 0 and 2 (code 3); internal id i is record order[i]
+    assert order.tolist() == [3, 1, 4, 0, 2]
+    assert members[0].tolist() == [0, 1, 2, 3, 4]
+    # table 1's codes by internal id are 0, 0, 3, 0, 2: bucket 0 holds
+    # internal ids 0, 1 and 3 (records 3, 1 and 0), bucket 2 internal id 4
+    # (record 2), bucket 3 internal id 2 (record 4)
+    assert members[1].tolist() == [0, 1, 3, 4, 2]
 
 
 @pytest.mark.parametrize("bits", [1, 8, 16])
@@ -179,6 +208,8 @@ def test_bucket_sort_rejects_a_code_past_2_bits(bits):
     codes = np.zeros((6, 3), dtype=np.uint16)
     codes[4, 2] = (1 << bits) - 1
     vote.bucket_sort(*_sort_inputs(codes, bits))  # the largest code fits
+    codes[1, 0] = (1 << bits) - 1  # and so it does in table 0
+    vote.bucket_sort(*_sort_inputs(codes, bits))
     if bits < 16:  # a 17-bit code does not fit the uint16 codes
         codes[4, 2] = 1 << bits
         with pytest.raises(ValueError, match=f"out of range for {bits} bits"):
@@ -186,12 +217,91 @@ def test_bucket_sort_rejects_a_code_past_2_bits(bits):
 
 
 @pytest.mark.parametrize(
-    "offsets_shape", [(3, 5), (2, 4)], ids=["tables", "offsets-width"]
+    "offsets_shape, members_shape, order_size",
+    [((3, 5), (2, 6), 6), ((2, 4), (2, 6), 6), ((2, 5), (2, 6), 5),
+     ((0, 5), (0, 6), 6)],
+    ids=["tables", "offsets-width", "order", "no-tables"],
 )
-def test_bucket_sort_rejects_disagreeing_shapes(offsets_shape):
-    members = np.zeros((2, 6), np.int32)
+def test_bucket_sort_rejects_disagreeing_shapes(
+    offsets_shape, members_shape, order_size
+):
+    members = np.zeros(members_shape, np.int32)
+    order = np.zeros(order_size, np.int32)
     with pytest.raises(ValueError, match="shapes do not agree"):
-        vote.bucket_sort(np.zeros(offsets_shape, np.int32), members)
+        vote.bucket_sort(np.zeros(offsets_shape, np.int32), members, order)
+
+
+def _record(counts, ids, bits=2):
+    """A table record's counts, as load_index reads them into a row of
+    offsets (entry 0 junk), and its id row."""
+    offsets = np.full((1 << bits) + 1, -7, np.int32)
+    offsets[1:] = np.array(counts, np.uint32).view(np.int32)
+    return offsets, np.array(ids, np.uint32)
+
+
+def test_check_table_turns_counts_into_offsets():
+    offsets, ids = _record([2, 0, 1, 2], [4, 0, 2, 1, 3])
+    assert vote.check_table(offsets, ids) == 0
+    assert offsets.tolist() == [0, 2, 2, 3, 5]
+    empty, none = _record([0, 0], [], bits=1)
+    assert vote.check_table(empty, none) == 0
+    assert empty.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "counts, ids, status",
+    [
+        ([2, 0, 1, 1], [4, 0, 2, 1, 3], vote.COUNTS_OFF),
+        # 2**32 - 1 + 6 wraps to 5 in 32 bits: summed exactly it is not 5
+        ([2**32 - 1, 6, 0, 0], [4, 0, 2, 1, 3], vote.COUNTS_OFF),
+        ([2, 0, 1, 2], [4, 0, 2, 1, 5], vote.ID_OUT_OF_RANGE),
+        ([2, 0, 1, 2], [4, 0, 2, 1, 2**31], vote.ID_OUT_OF_RANGE),
+        ([2, 0, 1, 2], [4, 0, 2, 1, 2**32 - 1], vote.ID_OUT_OF_RANGE),
+        # in range but not a permutation: a bit of an id flipped
+        ([2, 0, 1, 2], [4, 0, 2, 1, 3 ^ 1], vote.NOT_A_PERMUTATION),
+        # counts that do not add up win over bad ids, as load_index reads
+        ([2, 0, 1, 1], [4, 0, 2, 1, 9], vote.COUNTS_OFF),
+        ([2, 0, 1, 2], [9, 0, 2, 1, 2], vote.ID_OUT_OF_RANGE),
+    ],
+    ids=[
+        "counts", "counts-wrap", "id=n", "id=2**31", "id=-1", "flip",
+        "counts-first", "range-first",
+    ],
+)
+def test_check_table_reports_the_first_check_that_fails(counts, ids, status):
+    offsets, ids = _record(counts, ids)
+    before = offsets.copy()
+    assert vote.check_table(offsets, ids) == status
+    if status == vote.COUNTS_OFF:
+        assert np.array_equal(offsets, before)
+
+
+def test_check_table_reads_every_id_of_a_long_row():
+    # past any vector width and remainder loop: one bad id at either end
+    n = 100_003
+    offsets, ids = _record([n, 0], np.arange(n), bits=1)
+    assert vote.check_table(offsets, ids) == 0
+    for at in (0, n - 1):
+        offsets, ids = _record([n, 0], np.arange(n), bits=1)
+        ids[at] = n
+        assert vote.check_table(offsets, ids) == vote.ID_OUT_OF_RANGE
+
+
+@pytest.mark.parametrize(
+    "offsets, ids",
+    [
+        (np.zeros(4, np.int32), np.zeros(3, np.uint32)),  # not 2**b + 1 wide
+        (np.zeros(3, np.int64), np.zeros(2, np.uint32)),
+        (np.zeros(3, np.int32), np.zeros(2, np.int64)),
+        (np.zeros(3, np.int32), np.zeros(4, np.uint32)[::2]),
+        (np.zeros((1, 3), np.int32), np.zeros(2, np.uint32)),
+        (np.zeros(3, np.int32), np.zeros((1, 2), np.uint32)),
+    ],
+    ids=["width", "offsets-dtype", "ids-dtype", "ids-strided", "offsets-2d", "ids-2d"],
+)
+def test_check_table_rejects_disagreeing_arrays(offsets, ids):
+    with pytest.raises(ValueError, match="do not agree"):
+        vote.check_table(offsets, ids)
 
 
 def _filter_inputs():

@@ -34,7 +34,6 @@ from .evaluate import (
     recall_at,
     recall_curve,
     run_benchmark,
-    time_queries,
 )
 from .hashing import ProjectionTable, insert_all, make_projections
 from .index import (
@@ -42,7 +41,6 @@ from .index import (
     accumulate,
     build_index,
     build_schedule,
-    expected_probes,
     query,
     shortlist,
     weight,
@@ -69,7 +67,6 @@ __all__ = [
     "build_schedule",
     "dense_vector",
     "estimate_memory",
-    "expected_probes",
     "generate",
     "insert_all",
     "load_index",
@@ -85,7 +82,6 @@ __all__ = [
     "run_benchmark",
     "save_index",
     "shortlist",
-    "time_queries",
     "weight",
     "write_fvecs",
     "write_ivecs",

@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument("--workers", type=int, default=1,
                    help="query threads; the vote kernel runs without the "
-                   "GIL, so 2 gave about 1.5-1.6x the queries/s of 1 on 2 cores")
+                   "GIL, so threads overlap it")
     p.add_argument("--out", help="JSON report path (stdout when omitted)")
     p.add_argument("--csv", help="optional per-query CSV path")
     _add_param_flags(p, for_build=False)

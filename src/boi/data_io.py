@@ -168,9 +168,7 @@ _FLAG_STRICT = 0x01
 
 
 def save_index(index: BoiIndex, path) -> None:
-    """Write a snapshot one table record at a time; same index, same bytes.
-    A corrupt table (``ProjectionTable.id_rows``) raises ValueError before
-    the file is opened."""
+    """Write a snapshot one table record at a time; same index, same bytes."""
     p = index.params
     tables = index.tables
     id_rows = tables.id_rows()

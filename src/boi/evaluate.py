@@ -113,8 +113,9 @@ def recall_cutoffs(k: int) -> list[int]:
 
 
 def _run_batch(run, queries: VectorSet, repetitions: int, workers: int):
-    """(warm-up results, median ms per query) of ``time_queries``' fan-out;
-    bad ``repetitions`` or ``workers`` raise before any call."""
+    """(warm-up results, median ms per query) of one call of ``run`` per
+    query plus ``repetitions`` timed ones; bad ``repetitions`` or
+    ``workers`` raise before any call."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if workers < 1:
@@ -138,24 +139,6 @@ def _run_batch(run, queries: VectorSet, repetitions: int, workers: int):
             pairs = list(pool.map(_run_one, indices))
     times = np.asarray([t for _, t in pairs], dtype=np.float64)
     return [r for r, _ in pairs], times
-
-
-def time_queries(
-    run: Callable[[int, np.ndarray], object],
-    queries: VectorSet,
-    repetitions: int = 1,
-    workers: int = 1,
-) -> np.ndarray:
-    """Wall-clock milliseconds per query, median over ``repetitions``.
-
-    ``run`` is called as run(query_index, vector). One untimed warm-up call
-    per query precedes the timed repetitions. With workers > 1 queries are
-    dispatched across a thread pool; each query is still timed end to end
-    inside its worker. The boi query's vote kernel runs without the GIL,
-    so workers overlap it; the other stages hold the GIL for part of their
-    time.
-    """
-    return _run_batch(run, queries, repetitions, workers)[1]
 
 
 @dataclass(frozen=True)
@@ -258,9 +241,14 @@ def run_benchmark(
 ) -> tuple[EvalReport, list[RankedResult]]:
     """Run one method over a query batch and aggregate its metrics.
 
-    Each query runs 1 + ``repetitions`` times, as in ``time_queries``; the
-    untimed warm-up call's ranking is the one scored. Returns the report
-    plus the per-query results for CSV export.
+    ``run`` is called as run(query_index, vector). Each query gets one
+    untimed warm-up call, whose ranking is the one scored, then
+    ``repetitions`` timed calls; its time is their median in milliseconds,
+    end to end. With workers > 1 queries are dispatched across a thread
+    pool, each still timed inside its worker. The boi query's vote kernel
+    runs without the GIL, so workers overlap it; the other stages hold the
+    GIL for part of their time. Returns the report plus the per-query
+    results for CSV export.
     """
     if ground_truth is not None and ground_truth.num_queries != queries.n:
         raise ValueError(

@@ -77,35 +77,28 @@ def _is_permutation(ids: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _renumber(
-    offsets: np.ndarray, members: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The order and members of the same buckets with records numbered in
-    table 0's bucket order: internal id ``members[0, i]`` becomes i, and
-    every later row is relabelled and sorted within its buckets. Row 0 must
-    be a permutation of 0..n-1; ValueError when the offsets of a table do
-    not bucket n records or an id lies outside [0, n)."""
-    num_tables, n = members.shape
-    if members.min() < 0 or members.max() >= n:
-        raise ValueError(f"cannot renumber a table with ids outside [0, {n})")
-    counts = np.diff(offsets, axis=1)
-    if (
-        offsets.shape[0] != num_tables
-        or np.any(offsets[:, 0] != 0)
-        or np.any(counts < 0)
-        or np.any(offsets[:, -1] != n)
-    ):
+def _check_shapes(
+    projections: np.ndarray, offsets: np.ndarray, members: np.ndarray
+) -> None:
+    """Raise ValueError unless the offsets are (L, 2**bits + 1) with L >= 1
+    and bits in [1, 16], the projections (L*bits, dim) and the members
+    (L, n)."""
+    num_tables, width = offsets.shape if offsets.ndim == 2 else (0, 0)
+    bits = (width - 1).bit_length() - 1
+    if not (num_tables and 1 <= bits <= MAX_HASH_BITS and width == (1 << bits) + 1):
         raise ValueError(
-            f"cannot renumber a table whose offsets do not bucket {n} records"
+            f"offsets of shape {offsets.shape} are not (L, 2**bits + 1) "
+            f"with L >= 1 and bits in [1, {MAX_HASH_BITS}]"
         )
-    relabel = np.empty(n, dtype=np.int32)
-    relabel[members[0]] = np.arange(n, dtype=np.int32)
-    renumbered = relabel[members]
-    for t in range(1, num_tables):
-        # the bucket index, scaled past every id, keeps the buckets in place
-        base = np.repeat(np.arange(counts.shape[1], dtype=np.int64) * n, counts[t])
-        renumbered[t] = np.sort(base + renumbered[t]) - base
-    return order[members[0]], renumbered
+    if projections.ndim != 2 or projections.shape[0] != num_tables * bits:
+        raise ValueError(
+            f"projections of shape {projections.shape} are not "
+            f"({num_tables}*{bits}, dim) for {num_tables} tables of {bits} bits"
+        )
+    if members.ndim != 2 or members.shape[0] != num_tables:
+        raise ValueError(
+            f"members of shape {members.shape} do not hold {num_tables} rows"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,43 +107,37 @@ class ProjectionTable:
 
     ``projections`` (L*bits, dim) float32: rows t*bits .. t*bits+bits-1 are
     table t's Gaussian matrix, the matrix every hash multiplies by.
-    ``offsets`` (L, 2**bits + 1) int32: per-table CSR offsets, so
-    ``offsets[t, c]:offsets[t, c + 1]`` bounds bucket c of table t.
+    ``offsets`` (L, 2**bits + 1) int32, bits in [1, 16], L >= 1: per-table
+    CSR offsets, so ``offsets[t, c]:offsets[t, c + 1]`` bounds bucket c of
+    table t.
     ``members`` (L, n) int32: row t holds every internal id grouped by
     table t's bucket code, ascending within a bucket.
     ``order`` (n,) int32, a permutation of 0..n-1: internal id i is record
     ``order[i]``.
 
     Records are numbered in table 0's bucket order, so row 0 of ``members``
-    is 0..n-1 and each bucket's ids lie close together (``vote.c``).
-    ``insert_all`` builds that form directly. Tables given in another
-    numbering (``order`` defaults to the identity, so a table built by
-    hand over record ids works as given) are renumbered into it:
-    ``order`` becomes ``order[members[0]]``, and every later row is
-    relabelled and sorted within its buckets, which needs every table's
-    offsets to bucket n records and every id to lie in [0, n). A table
-    whose row 0 is not a permutation of 0..n-1 is corrupt and kept as
-    given: the vote kernel refuses the ids out of range a query probes
-    (``vote.gather_vote``), and ``id_rows`` refuses the table.
+    is 0..n-1 and each bucket's ids lie close together (``vote.c``). This
+    is the only form: ``insert_all`` builds it, and ``load_index`` reads
+    it back through ``from_id_rows``. Queries vote in internal order, and
+    ``index.shortlist`` maps the ids it keeps to records; ``bucket`` and
+    ``index.accumulate`` give record ids and record order.
 
-    Queries vote in internal order, and ``index.shortlist`` maps the ids
-    it keeps to records; ``bucket`` and ``index.accumulate`` give record
-    ids and record order.
-
-    A table object is made once, by ``insert_all`` or ``load_index``, and
-    never changes; its arrays cannot be written. Offsets, members and order
-    are held C-contiguous, the one layout the compiled loops read (copied
-    into it if given otherwise). Projections given in a wider type raise
-    ValueError when float32 cannot hold a value exactly, offsets, members or
-    order when a value does not fit int32, and so do 2**31 or more records,
-    an order that is not a permutation of 0..n-1, and a table that needs
-    renumbering but cannot be renumbered.
+    A table object is made once and never changes; its arrays cannot be
+    written. Offsets, members and order are held C-contiguous, the one
+    layout the compiled loops read (copied into it if given otherwise).
+    The constructor raises ValueError for arrays whose shapes do not agree
+    with each other, projections that float32 cannot hold exactly,
+    offsets, members or order with a value int32 cannot hold, 2**31 or
+    more records, an order that is not a permutation of 0..n-1, and a row
+    0 of ``members`` that is not 0..n-1. It does not check the later rows
+    or the offsets' values: the vote kernel refuses the out-of-range ids
+    and offsets a query probes (``vote.gather_vote``).
     """
 
     projections: np.ndarray
     offsets: np.ndarray
     members: np.ndarray
-    order: np.ndarray | None = None
+    order: np.ndarray
 
     def __post_init__(self):
         # the compiled loops read C-ordered float32 projections and int32
@@ -159,8 +146,6 @@ class ProjectionTable:
         # numbering checks hold one n-byte mask at a time
         n = np.shape(self.members)[-1]
         check_record_count(n)
-        if self.order is None:
-            object.__setattr__(self, "order", np.arange(n, dtype=np.int32))
         if np.shape(self.order) != (n,):
             raise ValueError(
                 f"order of shape {np.shape(self.order)} does not number {n} records"
@@ -174,13 +159,11 @@ class ProjectionTable:
                 ("order", np.int32),
             )
         }
+        _check_shapes(arrays["projections"], arrays["offsets"], arrays["members"])
         if not _is_permutation(arrays["order"]):
             raise ValueError(f"order is not a permutation of 0..{n - 1}")
-        first = arrays["members"][:1]
-        if first.size and not _is_identity(first[0]) and _is_permutation(first[0]):
-            arrays["order"], arrays["members"] = _renumber(
-                arrays["offsets"], arrays["members"], arrays["order"]
-            )
+        if not _is_identity(arrays["members"][0]):
+            raise ValueError(f"row 0 of members is not 0..{n - 1}")
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -198,16 +181,8 @@ class ProjectionTable:
         """The id row a snapshot stores for each table: ``order`` for table
         0, whose ``members`` row is 0..n-1, then each later table's
         ``members`` row. ``from_id_rows`` makes this table again from them.
-        Raises ValueError for a corrupt table, whose row 0 is not 0..n-1.
         """
-        rows = list(self.members)
-        if rows:
-            if not _is_identity(rows[0]):
-                raise ValueError(
-                    f"table 0's ids are not a permutation of 0..{self.n - 1}"
-                )
-            rows[0] = self.order
-        return rows
+        return [self.order, *self.members[1:]]
 
     @property
     def num_tables(self) -> int:

@@ -135,22 +135,6 @@ def neighbor_budget(gamma: int, radius: int, cap: float = math.inf) -> int:
     return total
 
 
-def expected_probes(schedule, radius: int) -> int:
-    """Total buckets touched per query: sum_i sum_{j=0..radius} C(gamma_i, j).
-
-    ``schedule`` is any 1-D sequence of non-negative gamma_i. The j=0 term
-    counts the query's own bucket in each table. Matches the instrumented
-    probe count exactly whenever no per-table budget has to be clamped by
-    the code-space or strict-radius caps.
-    """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    gammas = np.asarray(schedule)
-    if gammas.ndim != 1 or np.any(gammas < 0):
-        raise ValueError("schedule must be a 1-D sequence of non-negative gammas")
-    return sum(1 + neighbor_budget(g, radius) for g in gammas.tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class BoiIndex:
     """The searchable structure: one ``ProjectionTable`` of L populated

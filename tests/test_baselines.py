@@ -7,13 +7,13 @@ import pytest
 from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import BoiParams, VectorSet
 from boi.hashing import (
-    ProjectionTable,
     flip_masks,
     hash_codes_all,
     insert_all,
     make_projections,
 )
 from boi.index import BoiIndex, accumulate, query
+from hand_tables import from_record_ids
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +172,7 @@ class TestCollisionCount:
     def test_cap_keeps_the_most_collisions(self, radius, kept):
         members = [[2, 3, 0, 1], [0, 3, 1, 2], [0, 1, 2, 3]]
         offsets = [[0, 2, 2, 2, 4], [0, 1, 1, 2, 4], [0, 1, 1, 1, 4]]
-        tables = ProjectionTable(np.zeros((6, 2)), offsets, members)
+        tables = from_record_ids(np.zeros((6, 2)), offsets, members)
         data = VectorSet(np.array([[0, 0], [1, 0], [2, 0], [3, 0]], np.float32))
         q = np.array([-1.0, -2.0], np.float32)  # nearest to id 0, then 1, 2, 3
         assert hash_codes_all(tables.projections, 2, q[np.newaxis, :]).tolist() == [

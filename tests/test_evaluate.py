@@ -15,7 +15,6 @@ from boi.evaluate import (
     recall_at,
     recall_curve,
     run_benchmark,
-    time_queries,
 )
 from boi.index import build_index
 
@@ -114,14 +113,18 @@ class TestGroundTruth:
 
 
 class TestTimeQueries:
+    """How ``run_benchmark`` times a batch of queries."""
+
     def test_warmup_plus_repetitions_call_count(self):
         calls = []
         queries = VectorSet(np.zeros((4, 2), dtype=np.float32))
 
         def run(qi, v):
             calls.append(qi)
+            return RankedResult.empty()
 
-        times = time_queries(run, queries, repetitions=3)
+        report, _ = run_benchmark(run, queries, k=1, repetitions=3)
+        times = np.asarray(report.per_query_times_ms)
         assert times.shape == (4,)
         assert np.all(times >= 0)
         # one warm-up plus three timed repetitions per query
@@ -129,7 +132,11 @@ class TestTimeQueries:
 
     def test_empty_query_set(self):
         queries = VectorSet(np.empty((0, 0), dtype=np.float32))
-        assert time_queries(lambda qi, v: None, queries).size == 0
+        report, results = run_benchmark(
+            lambda qi, v: RankedResult.empty(), queries, k=1
+        )
+        assert report.per_query_times_ms == [] and results == []
+        assert report.mean_query_time_ms == 0.0
 
     def test_parallel_workers_cover_all_queries(self):
         import threading
@@ -141,16 +148,21 @@ class TestTimeQueries:
         def run(qi, v):
             with lock:
                 seen.add(qi)
+            return RankedResult.empty()
 
-        times = time_queries(run, queries, repetitions=1, workers=4)
-        assert times.shape == (8,) and seen == set(range(8))
+        report, _ = run_benchmark(run, queries, k=1, repetitions=1, workers=4)
+        assert len(report.per_query_times_ms) == 8 and seen == set(range(8))
 
     def test_validation(self):
         queries = VectorSet(np.zeros((1, 1), dtype=np.float32))
+
+        def run(qi, v):
+            return RankedResult.empty()
+
         with pytest.raises(ValueError):
-            time_queries(lambda qi, v: None, queries, repetitions=0)
+            run_benchmark(run, queries, k=1, repetitions=0)
         with pytest.raises(ValueError):
-            time_queries(lambda qi, v: None, queries, workers=0)
+            run_benchmark(run, queries, k=1, workers=0)
 
 
 class TestEstimateMemory:

@@ -27,6 +27,7 @@ from boi.hashing import (
     probe_plan,
 )
 from boi.index import _probe_rng
+from hand_tables import from_record_ids
 
 
 def hash_codes(rows, X) -> np.ndarray:
@@ -490,12 +491,11 @@ class TestProjectionTable:
         assert tables.bucket([], []).size == 0
 
     def test_int32_arrays_are_kept_not_copied(self, tables):
-        again = ProjectionTable(tables.projections, tables.offsets, tables.members)
-        assert again.offsets is tables.offsets
-        assert again.members is tables.members
         again = ProjectionTable(
             tables.projections, tables.offsets, tables.members, tables.order
         )
+        assert again.offsets is tables.offsets
+        assert again.members is tables.members
         assert again.order is tables.order
 
     def test_order_is_a_read_only_permutation(self, tables):
@@ -506,25 +506,23 @@ class TestProjectionTable:
             tables.order = tables.order.copy()
 
     def test_a_table_over_record_ids_is_numbered_in_table_0_order(self):
-        # a table built by hand over record ids: the order defaults to the
-        # identity, and the records are renumbered so row 0 is 0..n-1
+        # a table built by hand over record ids (hand_tables): row 0 becomes
+        # the order, and row 0 of members becomes 0..n-1
         offsets = np.array([[0, 2, 3]], dtype=np.int32)
-        members = np.array([[2, 0, 1]], dtype=np.int32)
-        tables = ProjectionTable(np.ones((1, 2)), offsets, members)
+        tables = from_record_ids(np.ones((1, 2)), offsets, [[2, 0, 1]])
         assert tables.order.tolist() == [2, 0, 1]
         assert tables.members.tolist() == [[0, 1, 2]]
         assert tables.order.dtype == np.int32 and not tables.order.flags.writeable
         assert not tables.members.flags.writeable
         assert tables.bucket([0, 0], [0, 1]).tolist() == [2, 0, 1]
         # an order names its records: bucket 0 holds records 1 and 2
-        tables = ProjectionTable(np.ones((1, 2)), offsets, members, [1, 2, 0])
-        assert tables.order.tolist() == [0, 1, 2]
-        assert tables.bucket([0, 0], [0, 1]).tolist() == [0, 1, 2]
+        tables = ProjectionTable(np.ones((1, 2)), offsets, [[0, 1, 2]], [1, 2, 0])
+        assert tables.bucket([0, 0], [0, 1]).tolist() == [1, 2, 0]
 
     def test_renumbering_keeps_every_bucket_and_sorts_later_rows(self):
         offsets = np.array([[0, 2, 4], [0, 3, 4], [0, 0, 4]], dtype=np.int32)
         members = np.array([[3, 1, 0, 2], [0, 1, 3, 2], [2, 3, 1, 0]], np.int32)
-        tables = ProjectionTable(np.ones((3, 2)), offsets, members)
+        tables = from_record_ids(np.ones((3, 2)), offsets, members)
         assert tables.order.tolist() == [3, 1, 0, 2]
         # record r was internal id r; internal ids 0..3 are now 3, 1, 0, 2
         assert tables.members.tolist() == [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
@@ -533,38 +531,37 @@ class TestProjectionTable:
             for c in range(2):
                 records = members[t, offsets[t, c] : offsets[t, c + 1]]
                 assert sorted(tables.bucket([t], [c]).tolist()) == sorted(records)
-        # the renumbered form is kept as it is
+        # the internal form is kept as it is
         again = ProjectionTable(
             tables.projections, tables.offsets, tables.members, tables.order
         )
         assert again.members is tables.members and again.order is tables.order
 
     @pytest.mark.parametrize(
-        "offsets, members",
-        [
-            ([[0, 2, 4], [0, 2, 4]], [[1, 0, 2, 3], [0, 1, 2, 4]]),  # id = n
-            ([[0, 2, 4], [0, 2, 4]], [[1, 0, 2, 3], [0, 1, 2, -1]]),  # id < 0
-            ([[0, 2, 4], [0, 3, 2]], [[1, 0, 2, 3], [0, 1, 2, 3]]),  # decreasing
-            ([[0, 2, 4], [0, 2, 3]], [[1, 0, 2, 3], [0, 1, 2, 3]]),  # short of n
-            ([[0, 2, 4]], [[1, 0, 2, 3], [0, 1, 2, 3]]),  # one offsets row
-        ],
-        ids=["id=n", "id=-1", "decreasing", "short", "one-offsets-row"],
+        "row",
+        [[2, 0, 1], [0, 1, 3], [0, 1, -1], [0, 1, 1]],
+        ids=["permutation", "id=n", "id=-1", "dup"],
     )
-    def test_a_table_that_cannot_be_renumbered_raises(self, offsets, members):
-        with pytest.raises(ValueError, match="cannot renumber"):
-            ProjectionTable(np.ones((2, 2)), offsets, members)
+    def test_a_row_0_that_is_not_0_to_n_minus_1_raises(self, row):
+        # the one form: records are numbered in table 0's bucket order
+        members = np.array([row, [0, 1, 2]], dtype=np.int32)
+        offsets = np.array([[0, 2, 3], [0, 1, 3]], dtype=np.int32)
+        with pytest.raises(ValueError, match="row 0 of members is not 0..2"):
+            ProjectionTable(np.ones((2, 2)), offsets, members, np.arange(3))
 
     @pytest.mark.parametrize(
-        "row", [[0, 1, 2, 4], [0, 1, 2, -1], [0, 1, 1, 3]], ids=["id=n", "id=-1", "dup"]
+        "projections, offsets, members, match",
+        [
+            (np.ones(2), [[0, 2, 3]], [[0, 1, 2]], "projections of shape"),
+            (np.ones((2, 2)), [[0, 1, 2, 3]], [[0, 1, 2]], "offsets of shape"),
+            (np.ones((1, 2)), [[0, 2, 3]] * 2, [[0, 1, 2]] * 2, "projections of shape"),
+            (np.ones((2, 2)), [[0, 2, 3]] * 2, [[0, 1, 2]], "members of shape"),
+        ],
+        ids=["1-d-projections", "offsets-width", "projection-rows", "member-rows"],
     )
-    def test_a_table_0_row_that_is_no_permutation_is_kept_but_not_saved(self, row):
-        # a corrupt table: the vote kernel raises when a query probes it
-        offsets = np.array([[0, 2, 4]], dtype=np.int32)
-        tables = ProjectionTable(np.ones((1, 2)), offsets, [row])
-        assert tables.members.tolist() == [row]
-        assert tables.order.tolist() == [0, 1, 2, 3]
-        with pytest.raises(ValueError, match="not a permutation"):
-            tables.id_rows()
+    def test_shapes_that_disagree_raise(self, projections, offsets, members, match):
+        with pytest.raises(ValueError, match=match):
+            ProjectionTable(projections, offsets, members, np.arange(3))
 
     def test_id_rows_hold_the_order_then_the_later_rows(self, tables):
         rows = tables.id_rows()
@@ -593,7 +590,7 @@ class TestProjectionTable:
     )
     def test_order_of_the_wrong_shape_or_width_raises(self, order):
         offsets = np.array([[0, 2, 3]], dtype=np.int32)
-        members = np.array([[2, 0, 1]], dtype=np.int32)
+        members = np.array([[0, 1, 2]], dtype=np.int32)
         with pytest.raises(ValueError, match="order"):
             ProjectionTable(np.ones((1, 2)), offsets, members, order)
 
@@ -608,34 +605,36 @@ class TestProjectionTable:
     def test_wide_values_that_do_not_fit_int32_raise(self, name, value):
         arrays = {
             "offsets": np.array([[0, 1, 2]], dtype=np.int64),
-            "members": np.array([[1, 0]], dtype=np.int64),
+            "members": np.array([[0, 1]], dtype=np.int64),
         }
         arrays[name][0, -1] = value
         with pytest.raises(ValueError, match=f"{name} values do not fit int32"):
-            ProjectionTable(np.ones((1, 2)), **arrays)
+            ProjectionTable(np.ones((1, 2)), **arrays, order=np.arange(2))
 
     def test_projections_float32_cannot_hold_raise(self):
         offsets = np.array([[0, 1, 2]], dtype=np.int32)
-        members = np.array([[1, 0]], dtype=np.int32)
+        members = np.array([[0, 1]], dtype=np.int32)
+        order = np.arange(2)
         with pytest.raises(ValueError, match="projections values do not fit float32"):
-            ProjectionTable(np.array([[0.1, 1.0]]), offsets, members)
+            ProjectionTable(np.array([[0.1, 1.0]]), offsets, members, order)
         with pytest.raises(ValueError, match="projections values do not fit float32"):
             hash_codes_all(np.array([[1.0, 2.0**-150]]), 1, np.ones((1, 2)))
         # float64 values float32 holds exactly are narrowed, not rejected
-        tables = ProjectionTable(np.array([[0.5, -2.0**-149]]), offsets, members)
+        tables = ProjectionTable(np.array([[0.5, -2.0**-149]]), offsets, members, order)
         assert tables.projections.dtype == np.float32
         assert tables.projections.tolist() == [[0.5, -(2.0**-149)]]
 
     def test_members_of_2_31_records_raise(self):
         # the largest count is accepted; a table of it would need 8 GiB
         check_record_count(2**31 - 1)
-        # a zero-stride view: 2**31 int32 ids without allocating them, and
-        # the count is checked before the members are stored contiguously
+        # zero-stride views: 2**31 int32 ids without allocating them, and
+        # the count is checked before the arrays are stored contiguously
         zero = np.zeros(1, dtype=np.int32)
         offsets = np.zeros((1, 3), dtype=np.int32)
         members = as_strided(zero, shape=(1, 2**31), strides=(0, 0))
+        order = as_strided(zero, shape=(2**31,), strides=(0,))
         with pytest.raises(ValueError, match="do not fit int32 record ids"):
-            ProjectionTable(np.ones((1, 2)), offsets, members)
+            ProjectionTable(np.ones((1, 2)), offsets, members, order)
 
 
 def hamming(a: int, b: int) -> int:

@@ -30,12 +30,12 @@ from boi.index import (
     accumulate,
     build_index,
     build_schedule,
-    expected_probes,
     neighbor_budget,
     query,
     shortlist,
     weight,
 )
+from hand_tables import from_record_ids
 
 
 class TestWeight:
@@ -114,32 +114,40 @@ class TestBuildSchedule:
 
 
 class TestExpectedProbes:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            expected_probes(np.array([2, -1]), 1)
+    """A query probes sum_i sum_{j=0..radius} C(gamma_i, j) buckets when
+    no budget is capped; the j=0 term is the query's own bucket."""
+
+    @staticmethod
+    def probe_count(**params) -> int:
+        data = VectorSet(np.eye(4, 3, dtype=np.float32))
+        index = build_index(data, BoiParams(seed=1, **params))
+        return query(index, data.vectors[0], 1).probe_count
 
     def test_constant_schedule(self):
-        sched = np.full(100, 8)
-        assert expected_probes(sched, 1) == 900
+        got = self.probe_count(num_tables=100, initial_probe_count=8, schedule="fixed")
+        assert got == 100 * (1 + 8) == 900
 
     def test_sublinear_reference(self):
-        sched = build_schedule(dataclasses.replace(BoiParams(), schedule="sublinear"))
-        # summation oracle over the frozen bands
+        # summation oracle over the frozen bands of the default schedule
         oracle = sum(1 + g for g in [10] * 49 + [8] * 25 + [6] * 25 + [4])
         assert oracle == 944
-        assert expected_probes(sched, 1) == 944
+        assert self.probe_count(schedule="sublinear", probe_radius=1) == 944
 
     def test_single_table_no_probes(self):
-        sched = np.array([0])
-        assert expected_probes(sched, 0) == 1
+        got = self.probe_count(num_tables=1, initial_probe_count=0, probe_radius=0)
+        assert got == 1
 
     def test_radius_two_formula(self):
-        sched = np.array([3, 2])
+        # gamma = [3, 1]: the linear schedule drops 2 at table 2
+        got = self.probe_count(
+            num_tables=2, initial_probe_count=3, schedule="linear", linear_step=2,
+            probe_radius=2,
+        )
         oracle = (
             math.comb(3, 0) + math.comb(3, 1) + math.comb(3, 2)
-            + math.comb(2, 0) + math.comb(2, 1) + math.comb(2, 2)
+            + math.comb(1, 0) + math.comb(1, 1)
         )
-        assert expected_probes(sched, 2) == oracle == 11
+        assert got == oracle == 9
 
     def test_huge_radius_is_capped_at_gamma(self):
         rng = np.random.default_rng(3)
@@ -148,7 +156,6 @@ class TestExpectedProbes:
             params = fixed_params(probe_radius=2**31 - 1, strict_radius=strict)
             index = build_index(data, params)
             # gamma0=3 neighbors, all within the 4-bit code space
-            assert expected_probes(index.schedule, params.probe_radius) == 8 * 8
             assert query(index, data.vectors[0], 3).probe_count == 8 * 8
         assert neighbor_budget(10, 10**9) == 2**10 - 1
 
@@ -207,6 +214,7 @@ def test_schedule_and_budgets_match_reference(params):
         np.zeros((L * bits, 1)),
         np.zeros((L, 2**bits + 1), dtype=np.int64),
         np.zeros((L, 0), dtype=np.int32),
+        np.arange(0),
     )
     index = BoiIndex(params, empty_tables)
     assert np.array_equal(index.schedule, schedule)
@@ -483,7 +491,10 @@ class TestQuery:
 
     def test_probe_count_matches_formula(self, small_index):
         index, data = small_index
-        want = expected_probes(index.schedule, index.params.probe_radius)
+        radius = index.params.probe_radius
+        want = sum(
+            math.comb(g, j) for g in index.schedule.tolist() for j in range(radius + 1)
+        )
         for qi in range(5):
             res = query(index, data.vectors[qi], 3, query_index=qi)
             assert res.probe_count == want
@@ -788,8 +799,8 @@ def test_stages_one_by_one_compose_to_query(tmp_path, bits):
 
 def record_id_tables(tables: ProjectionTable, step: int) -> ProjectionTable:
     """The same buckets handed over by record id, each listed in ascending
-    (``step`` 1) or descending (-1) record order; the table renumbers its
-    records in the order table 0 lists them."""
+    (``step`` 1) or descending (-1) record order, and numbered in the order
+    table 0 lists them (``hand_tables.from_record_ids``)."""
     records = tables.order[tables.members]
     members = np.stack(
         [
@@ -799,7 +810,7 @@ def record_id_tables(tables: ProjectionTable, step: int) -> ProjectionTable:
             for row, offsets in zip(records, tables.offsets)
         ]
     )
-    return ProjectionTable(tables.projections, tables.offsets, members)
+    return from_record_ids(tables.projections, tables.offsets, members)
 
 
 @pytest.mark.parametrize("kind", ["ties", "random"])
@@ -822,7 +833,7 @@ def test_internal_order_answers_as_record_order(kind):
         params = BoiParams(num_tables=20, hash_bits=8, shortlist_size=60, seed=3)
     built = build_index(data, params)
     assert not np.array_equal(built.tables.order, np.arange(data.n))
-    # handed over by ascending record id, the buckets renumber to the build
+    # handed over by ascending record id, the buckets number as the build
     again = record_id_tables(built.tables, 1)
     assert again.order.tobytes() == built.tables.order.tobytes()
     assert again.members.tobytes() == built.tables.members.tobytes()
@@ -859,30 +870,34 @@ def test_internal_order_answers_as_record_order(kind):
 
 
 class TestCorruptTables:
-    """A table whose probed offsets or ids leave their range raises
-    ValueError from the kernel instead of reading out of bounds or
-    answering wrongly."""
+    """A table whose probed offsets or later-row ids leave their range
+    raises ValueError from the kernel instead of reading out of bounds or
+    answering wrongly. The constructor checks only row 0 of the members,
+    so a bad id sits in row 1 of a two-table index."""
 
     @pytest.mark.parametrize(
         "offsets, members",
         [
-            ([0, 2, 4], [0, 1, 2, 4]),  # id equal to n
-            ([0, 2, 4], [0, 1, 2, -1]),  # negative id
-            ([0, 3, 2], [0, 1, 2, 3]),  # decreasing offsets
-            ([0, 2, 5], [0, 1, 2, 3]),  # offset past n
-            ([-1, 2, 4], [0, 1, 2, 3]),  # negative offset
+            ([[0, 2, 4]] * 2, [[0, 1, 2, 3], [0, 1, 2, 4]]),  # id equal to n
+            ([[0, 2, 4]] * 2, [[0, 1, 2, 3], [0, 1, 2, -1]]),  # negative id
+            ([[0, 3, 2]], [[0, 1, 2, 3]]),  # decreasing offsets
+            ([[0, 2, 5]], [[0, 1, 2, 3]]),  # offset past n
+            ([[-1, 2, 4]], [[0, 1, 2, 3]]),  # negative offset
         ],
         ids=["id=n", "id=-1", "decreasing", "past-n", "negative"],
     )
     def test_query_raises(self, offsets, members):
         data = VectorSet(np.arange(8, dtype=np.float32).reshape(4, 2))
+        num_tables = len(offsets)
         tables = ProjectionTable(
-            np.array([[1.0, -1.0]]),
-            np.array([offsets], dtype=np.int64),
-            np.array([members], dtype=np.int32),
+            np.tile([[1.0, -1.0]], (num_tables, 1)),
+            np.array(offsets, dtype=np.int64),
+            np.array(members, dtype=np.int32),
+            np.arange(data.n),
         )
         params = BoiParams(
-            num_tables=1, hash_bits=1, initial_probe_count=1, schedule="fixed"
+            num_tables=num_tables, hash_bits=1, initial_probe_count=1,
+            schedule="fixed",
         )
         index = BoiIndex(params, tables, data)  # probes both buckets
         with pytest.raises(ValueError, match="corrupt hash table"):
@@ -891,18 +906,19 @@ class TestCorruptTables:
     @pytest.mark.parametrize("bad", [20_000, -1], ids=["id=n", "id=-1"])
     def test_bad_id_in_last_tile_raises(self, bad):
         # the kernel sweeps ids in tiles of 8192; the bad id is the last id
-        # of a bucket, in the third and last tile of 20k records
+        # of a bucket of table 1, in the third and last tile of 20k records
         n = 20_000
         data = VectorSet(np.zeros((n, 2), dtype=np.float32))
-        members = np.arange(n, dtype=np.int32)
-        members[-1] = bad
+        members = np.tile(np.arange(n, dtype=np.int32), (2, 1))
+        members[1, -1] = bad
         tables = ProjectionTable(
-            np.array([[1.0, -1.0]]),
-            np.array([[0, n // 2, n]], dtype=np.int32),
-            members[np.newaxis, :],
+            np.tile([[1.0, -1.0]], (2, 1)),
+            np.array([[0, n // 2, n]] * 2, dtype=np.int32),
+            members,
+            np.arange(n),
         )
         params = BoiParams(
-            num_tables=1, hash_bits=1, initial_probe_count=1, schedule="fixed"
+            num_tables=2, hash_bits=1, initial_probe_count=1, schedule="fixed"
         )
         index = BoiIndex(params, tables, data)  # probes both buckets
         with pytest.raises(ValueError, match="corrupt hash table"):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from boi.core import BoiParams, VectorSet
-from boi.hashing import ProjectionTable
 from boi.data_io import (
     FormatError,
     _read_native_into,
@@ -20,6 +19,7 @@ from boi.data_io import (
     write_ivecs,
 )
 from boi.index import BoiIndex, accumulate, build_index, query
+from hand_tables import from_record_ids
 
 
 class TestFvecs:
@@ -372,8 +372,8 @@ class TestSnapshot:
         assert err.value.offset == ids
 
     def test_hand_built_tables_round_trip(self, tmp_path):
-        # buckets over record ids, table 0's not in ascending record order:
-        # the table renumbers them, and the snapshot keeps every bucket
+        # buckets over record ids, table 0's not in ascending record order,
+        # numbered by hand_tables; the snapshot keeps every bucket
         rng = np.random.default_rng(8)
         data = VectorSet(rng.standard_normal((30, 3)).astype(np.float32))
         params = BoiParams(num_tables=3, hash_bits=2, initial_probe_count=3, seed=2)
@@ -383,7 +383,7 @@ class TestSnapshot:
         members[0] = np.concatenate(
             [members[0][a:b][::-1] for a, b in zip(offsets[0], offsets[0][1:])]
         )
-        tables = ProjectionTable(
+        tables = from_record_ids(
             rng.standard_normal((6, 3), dtype=np.float32), offsets, members
         )
         assert tables.members[0].tolist() == list(range(data.n))
@@ -401,17 +401,6 @@ class TestSnapshot:
             q = data.vectors[qi]
             assert np.array_equal(accumulate(loaded, q, qi), accumulate(index, q, qi))
             assert query(loaded, q, 3, qi).ids.tolist() == query(index, q, 3, qi).ids.tolist()
-
-    def test_corrupt_table_is_not_saved(self, tmp_path):
-        # table 0 lists record 1 twice: the table keeps it as given for the
-        # vote kernel to refuse, and no snapshot can hold it
-        data = VectorSet(np.zeros((3, 2), dtype=np.float32))
-        tables = ProjectionTable(np.ones((1, 2)), [[0, 2, 3]], [[0, 1, 1]])
-        params = BoiParams(num_tables=1, hash_bits=1, initial_probe_count=1)
-        path = tmp_path / "corrupt.boix"
-        with pytest.raises(ValueError, match="not a permutation"):
-            save_index(BoiIndex(params, tables, data), path)
-        assert not path.exists()
 
     def test_index_arrays_are_read_in_native_byte_order(self, tmp_path, monkeypatch):
         # the file is little-endian; a big-endian host swaps what it reads,

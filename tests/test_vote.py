@@ -101,7 +101,7 @@ def test_projection_table_stores_strided_members_contiguously():
     offsets, members, *rest = _arrays()
     wide = np.zeros((2, 9), dtype=np.int32)
     wide[:, :4] = members
-    tables = ProjectionTable(np.ones((4, 1)), offsets, wide[:, :4])
+    tables = ProjectionTable(np.ones((4, 1)), offsets, wide[:, :4], np.arange(4))
     assert tables.members.flags.c_contiguous
     assert np.array_equal(tables.members, members)
     assert vote.gather_vote(tables.offsets, tables.members, *rest) == 4

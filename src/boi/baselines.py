@@ -21,9 +21,8 @@ from .core import (
     rank_by_distance,
     rerank,
 )
-from .hashing import ProjectionTable, hash_codes_all, probe_plan
-from .index import neighbor_budget, shortlist
-from .vote import gather_vote
+from .hashing import ProjectionTable
+from .index import _accumulate, neighbor_budget, shortlist
 
 
 def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
@@ -53,12 +52,13 @@ def multiprobe_lsh_query(
 ) -> RankedResult:
     """Multi-probe LSH: probe the full Hamming ball of ``radius`` per table.
 
-    Each probed bucket adds 1 to its records; there is no probe budget and
-    no distance weight. The ``shortlist_size`` records with the most
-    collisions (ties by lower id, never one with none) are re-ranked by
-    exact distance (``core.rerank``, the boi query's tail), so a shortlist
-    of n or more re-ranks the whole union. radius=0 is plain LSH, the
-    query's own bucket in each table; a radius of b or more probes the
+    This is the boi query's path (``index._accumulate``, ``shortlist``,
+    ``core.rerank``) with units of 1 and every table's budget the whole
+    ball: each probed bucket adds 1 to its records, with no distance
+    weight. The ``shortlist_size`` records with the most collisions (ties
+    by lower id, never one with none) are re-ranked by exact distance, so a
+    shortlist of n or more re-ranks the whole union. radius=0 is plain LSH,
+    the query's own bucket in each table; a radius of b or more probes the
     whole code space. ``dataset`` must be the set the tables index
     (ValueError otherwise).
     """
@@ -68,14 +68,9 @@ def multiprobe_lsh_query(
         raise ValueError("k and shortlist_size must be >= 1")
     q = query_vector(q, tables.dim)
     tables.check_dataset(dataset)
-    bits = tables.bits
-    codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
-    count = neighbor_budget(bits, radius)
-    masks = probe_plan(bits, count)[0]
-    probes = codes[:, np.newaxis] ^ masks
-    votes = np.zeros(dataset.n, np.int32)
-    ones = np.ones(masks.size, np.uint32)
+    count = neighbor_budget(tables.bits, radius)
     budgets = np.full(tables.num_tables, count, np.int64)
-    pairs = gather_vote(tables.offsets, tables.members, probes, ones, budgets, votes)
+    ones = np.ones(count + 1, np.uint32)
+    votes, probes, pairs = _accumulate(tables, q, ones, budgets)
     candidates = shortlist(votes, shortlist_size, tables.order)
-    return rerank(dataset.vectors, candidates, q, k, probes.size, pairs)
+    return rerank(dataset.vectors, candidates, q, k, probes, pairs)

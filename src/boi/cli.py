@@ -53,7 +53,7 @@ _PARAM_FLAGS = (
     ("schedule", "schedule", "probe-count reduction rule"),
     ("delta1", "linear_step", "tables between reductions (linear schedule)"),
     ("delta2", "sublinear_step", "tables between reductions (sublinear schedule)"),
-    ("seed", "seed", "RNG seed for projections and probe shuffles"),
+    ("seed", "seed", "RNG seed for the projections"),
 )
 
 # fields baked into a snapshot; only a rebuild changes them
@@ -97,7 +97,7 @@ def _make_runner(method: str, index: BoiIndex | None, dataset: VectorSet, k: int
     if index is None:
         raise SystemExit(f"method {method} requires --index")
     if method in ("boi", "boi_strict"):
-        return lambda qi, v: boi_query(index, v, k, query_index=qi)
+        return lambda qi, v: boi_query(index, v, k)
     params = index.params
     if method in ("lsh", "multiprobe"):
         radius = 0 if method == "lsh" else params.probe_radius

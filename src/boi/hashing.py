@@ -391,11 +391,9 @@ def flip_masks(bits: int, distance: int) -> np.ndarray:
 def _probe_plan(bits: int, last_shell: int) -> tuple[np.ndarray, ...]:
     shells = [flip_masks(bits, d) for d in range(last_shell + 1)]
     sizes = [shell.size for shell in shells]
-    stops = np.cumsum(sizes)
     plan = (
         np.concatenate(shells),
         np.repeat(np.arange(last_shell + 1, dtype=np.uint8), sizes),
-        np.column_stack((stops[:-1], stops[1:])),
     )
     for arr in plan:
         arr.setflags(write=False)
@@ -403,11 +401,10 @@ def _probe_plan(bits: int, last_shell: int) -> tuple[np.ndarray, ...]:
 
 
 def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
-    """Read-only (masks, dists, shells) of the probe row that covers
-    ``count`` neighbors: the center (mask 0, shell 0), then whole Hamming
-    shells 1, 2, ... in ``flip_masks`` order. ``dists`` is each position's
-    distance and row d - 1 of ``shells`` the (start, stop) of shell d.
-    Cached per (bits, last shell)."""
+    """Read-only (masks, dists) of the probe row that covers ``count``
+    neighbors: the center (mask 0, shell 0), then whole Hamming shells
+    1, 2, ... in ``flip_masks`` order. ``dists`` is each position's
+    distance. Cached per (bits, last shell)."""
     if not 0 <= count < 1 << bits:
         raise ValueError(f"count must be in [0, 2**bits - 1], got {count}")
     last_shell = covered = 0
@@ -418,25 +415,20 @@ def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
 
 
 def neighbor_codes_with_distance(
-    center: int | np.ndarray, count: int, bits: int, rng: np.random.Generator
+    center: int | np.ndarray, count: int, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``probe_plan(bits, count)`` row of ``center``, each neighbor
-    shell in an order shuffled by ``rng``, and each position's distance.
+    """The ``probe_plan(bits, count)`` row of ``center``, center ^ masks,
+    and each position's distance.
 
-    ``center`` may also be an array of codes, one per table. Each shell is
-    then shuffled for every row in one ``rng.permuted`` call, so a single
-    center draws from ``rng`` exactly like a one-element array. Distances
-    depend only on the position and are returned once.
+    ``center`` may also be an array of codes, one per table, which gives
+    one row per code. Distances depend only on the position and are
+    returned once.
     """
     centers = np.asarray(center)
     if np.any((centers < 0) | (centers >= 1 << bits)):
         raise ValueError(f"center {center} out of range for {bits} bits")
-    masks, dists, shells = probe_plan(bits, count)
-    rows = centers.astype(CODE_DTYPE).reshape(-1, 1) ^ masks
-    for start, stop in shells.tolist():
-        shell = rows[:, start:stop]
-        rng.permuted(shell, axis=-1, out=shell)
-    return rows.reshape(centers.shape + masks.shape), dists
+    masks, dists = probe_plan(bits, count)
+    return centers.astype(CODE_DTYPE)[..., np.newaxis] ^ masks, dists
 
 
 def occupancy_summary(tables: ProjectionTable) -> dict:

@@ -6,7 +6,7 @@ Querying works in four stages:
 2. probe the query's own bucket plus a per-table budget of neighbor
    buckets, adding 1/2**H to every record found, where H is the bucket's
    Hamming distance from the query code (``weight``, tabulated per probe
-   position as ``BoiIndex.units``). Python orders the probes; the gather
+   position as ``BoiIndex.units``). Python builds the probe rows; the gather
    and the vote over every table are one call into the compiled kernel of
    ``vote.c``, which releases the GIL, so threads vote in parallel. It
    adds each probed bucket's units one L1-sized tile of ids at a time.
@@ -22,7 +22,8 @@ Querying works in four stages:
 4. re-rank the shortlist by exact Euclidean distance and return the top k
    (``core.rerank``).
 
-The LSH baselines (``baselines``) share stages 1-4, with every table
+The LSH baselines (``baselines``) run stages 1-4 through the same
+``_accumulate``, ``shortlist`` and ``core.rerank``, with every table
 probing its whole Hamming ball and every probed bucket adding 1.
 
 The per-table neighbor budget at table i is sum_{j=1..l} C(gamma_i, j),
@@ -34,11 +35,11 @@ distance. A budget never exceeds the 2**b - 1 other buckets of the code
 space. In ``strict_radius`` mode probing is capped at the radius-l ball
 instead, so no bucket beyond distance l is ever touched.
 
-Probe rows follow one ``hashing.probe_plan`` per index: the center, then
-whole Hamming shells. Each shell's order is re-shuffled per (query, table)
-from a PCG64 stream derived from (seed, probe tag, query_index), which
-keeps batches reproducible while avoiding a fixed probe order across
-experiments, for all L tables in one call per shell.
+Every table's probe row is its query code XOR the masks of one
+``hashing.probe_plan``: the center, then whole Hamming shells in a fixed
+order. Each table's projection rows are i.i.d. Gaussian, so a fixed order
+favours no bit. The answer is a function of (parameters, seed, data, q)
+alone.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ from .hashing import (
     probe_plan,
 )
 from .vote import gather_vote
-
-# Mixed into the per-query SeedSequence so probe shuffles never collide
-# with the (seed, table_index) streams that draw projection matrices.
-PROBE_STREAM_TAG = 0x50524F42
 
 
 def weight(hamming: int, radius: int) -> float:
@@ -153,7 +150,7 @@ class BoiIndex:
     nothing is cached or bound later (there is no ``attach_dataset``). A
     snapshot loaded without its dataset cannot re-rank; wrap its table in
     a new ``BoiIndex`` together with the dataset. Concurrent queries are
-    safe because each query owns its accumulator and its probe RNG stream.
+    safe because each query owns its accumulator.
     """
 
     params: BoiParams
@@ -203,34 +200,21 @@ def build_index(dataset: VectorSet, params: BoiParams) -> BoiIndex:
     return BoiIndex(params, tables, dataset)
 
 
-def _probe_rng(params: BoiParams, query_index: int) -> np.random.Generator:
-    seed_seq = np.random.SeedSequence(
-        (params.seed, PROBE_STREAM_TAG, int(query_index))
-    )
-    return np.random.default_rng(seed_seq)
-
-
 def _accumulate(
-    index: BoiIndex, q: np.ndarray, query_index: int
+    tables: ProjectionTable, q: np.ndarray, units: np.ndarray, budgets: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
-    """Int32 votes in units of 2**-b, in internal order (entry i belongs to
-    record ``index.tables.order[i]``), the probe count and the number of
-    (id, vote) pairs the kernel (``vote.gather_vote``) scanned; ``q`` is
-    validated.
+    """Int32 votes in internal order (entry i belongs to record
+    ``tables.order[i]``), the probe count and the number of (id, vote)
+    pairs the kernel (``vote.gather_vote``) scanned; ``q`` is validated.
 
-    A record collects at most L * 2**b units, which ``BoiParams`` keeps
-    below 2**31, so the int32 sums are exact and so is their negation in
-    the shortlist.
+    Table t probes the first budgets[t] + 1 codes of its probe row, and
+    position j of a row adds ``units[j]``. A boi vote of at most
+    L * 2**b units stays below 2**31 (``BoiParams``), so the int32 sums are
+    exact and so is their negation in the shortlist.
     """
-    tables = index.tables
     bits = tables.bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
-    budgets, units = index.budgets, index.units
-    # Row t lists table t's own bucket, then its neighbors shell by shell;
-    # the table probes the first budgets[t] + 1.
-    probes, _ = neighbor_codes_with_distance(
-        codes, int(budgets.max()), bits, _probe_rng(index.params, query_index)
-    )
+    probes, _ = neighbor_codes_with_distance(codes, int(budgets.max()), bits)
     votes = np.zeros(tables.n, np.int32)
     pairs = gather_vote(tables.offsets, tables.members, probes, units, budgets, votes)
     return votes, int(budgets.sum()) + budgets.size, pairs
@@ -242,8 +226,10 @@ def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
 
     Entry r is sum weight(H, b) * 2**b over the probed buckets holding
     record r; records that no probed bucket contains stay at exactly 0.
+    ``query_index`` is accepted and ignored.
     """
-    votes = _accumulate(index, query_vector(q, index.dim), query_index)[0]
+    q = query_vector(q, index.dim)
+    votes = _accumulate(index.tables, q, index.units, index.budgets)[0]
     out = np.empty_like(votes)
     out[index.tables.order] = votes
     return out
@@ -301,7 +287,8 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
     (realized probe count, shortlist size, and the (id, vote) pairs the
     kernel scanned). An empty shortlist yields an empty result rather than
     an error. A table whose probed offsets or ids are out of range raises
-    ValueError.
+    ValueError. ``query_index`` is accepted and ignored: the answer depends
+    on (index, q, k) alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -311,6 +298,6 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
             "dataset first"
         )
     q = query_vector(q, index.dim)
-    votes, probes, pairs = _accumulate(index, q, query_index)
+    votes, probes, pairs = _accumulate(index.tables, q, index.units, index.budgets)
     candidates = shortlist(votes, index.params.shortlist_size, index.tables.order)
     return rerank(index.dataset.vectors, candidates, q, k, probes, pairs)

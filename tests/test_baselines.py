@@ -218,6 +218,29 @@ class TestMultiprobeLsh:
         assert got.pairs_scanned == scanned > got.shortlist_size
         assert brute_force_query(data, q, 3).pairs_scanned is None
 
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_boi_over_the_whole_ball_answers_like_it(self, populated, radius):
+        # boi probing exactly the radius ball of every table and re-ranking
+        # the whole union weighs its votes differently but re-ranks the
+        # same records, from the same buckets
+        tables, data = populated
+        params = BoiParams(
+            num_tables=10, hash_bits=4, schedule="fixed", initial_probe_count=4,
+            probe_radius=radius, strict_radius=True, shortlist_size=data.n,
+            seed=13,
+        )
+        index = BoiIndex(params, tables, data)
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            q = rng.standard_normal(12).astype(np.float32)
+            got = query(index, q, 20)
+            want = multiprobe_lsh_query(tables, data, q, radius, data.n, 20)
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.distances.tobytes() == want.distances.tobytes()
+            assert (got.probe_count, got.pairs_scanned, got.shortlist_size) == (
+                want.probe_count, want.pairs_scanned, want.shortlist_size
+            )
+
     def test_probe_count_is_ball_size(self, populated):
         tables, data = populated
         rng = np.random.default_rng(11)

@@ -26,7 +26,6 @@ from boi.hashing import (
     occupancy_summary,
     probe_plan,
 )
-from boi.index import _probe_rng
 from hand_tables import from_record_ids
 
 
@@ -643,8 +642,7 @@ def hamming(a: int, b: int) -> int:
 
 class TestNeighborCodes:
     def test_one_bit_shell_is_exact(self):
-        rng = np.random.default_rng(0)
-        got = neighbor_codes_with_distance(0b10110001, 8, 8, rng)[0]
+        got = neighbor_codes_with_distance(0b10110001, 8, 8)[0]
         expected = {0b10110001 ^ (1 << j) for j in range(8)}
         assert got[0] == 0b10110001
         assert set(int(c) for c in got[1:]) == expected
@@ -657,8 +655,7 @@ class TestNeighborCodes:
         for code in range(1 << bits):
             if code != center:
                 by_shell.setdefault(hamming(code, center), set()).add(code)
-        rng = np.random.default_rng(1)
-        codes = neighbor_codes_with_distance(center, 10, bits, rng)[0]
+        codes = neighbor_codes_with_distance(center, 10, bits)[0]
         got = [int(c) for c in codes]
         # the center, then whole shells: all of shell 2, not just 2 codes
         assert got[0] == center
@@ -667,98 +664,86 @@ class TestNeighborCodes:
         assert len(got) == 1 + 8 + 28
 
     def test_zero_count(self):
-        rng = np.random.default_rng(2)
-        codes, dists = neighbor_codes_with_distance(3, 0, 4, rng)
+        codes, dists = neighbor_codes_with_distance(3, 0, 4)
         assert codes.tolist() == [3] and dists.tolist() == [0]
 
     def test_count_too_large(self):
-        rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            neighbor_codes_with_distance(0, 16, 4, rng)
+            neighbor_codes_with_distance(0, 16, 4)
 
     def test_center_out_of_range(self):
-        rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            neighbor_codes_with_distance(16, 1, 4, rng)
+            neighbor_codes_with_distance(16, 1, 4)
 
     def test_array_of_centers(self):
         centers = np.array([0, 9, 37, 255])
-        codes, dists = neighbor_codes_with_distance(
-            centers, 12, 8, np.random.default_rng(6)
-        )
+        codes, dists = neighbor_codes_with_distance(centers, 12, 8)
         assert codes.shape == (4, 37) and dists.shape == (37,)
         for center, row in zip(centers, codes):
             assert len(set(row.tolist())) == 37
             assert [hamming(int(c), int(center)) for c in row] == dists.tolist()
-        single = neighbor_codes_with_distance(37, 12, 8, np.random.default_rng(6))
-        one_row = neighbor_codes_with_distance(
-            np.array([37]), 12, 8, np.random.default_rng(6)
-        )
+        single = neighbor_codes_with_distance(37, 12, 8)
+        one_row = neighbor_codes_with_distance(np.array([37]), 12, 8)
         assert np.array_equal(single[0], one_row[0][0])
         assert np.array_equal(single[1], one_row[1])
 
     def test_reported_distances_are_true_distances(self):
-        rng = np.random.default_rng(5)
-        codes, dists = neighbor_codes_with_distance(9, 14, 6, rng)
+        codes, dists = neighbor_codes_with_distance(9, 14, 6)
         for c, h in zip(codes, dists):
             assert hamming(int(c), 9) == int(h)
 
-    # Rows of the earlier layout, which left the center out and cut the
-    # row at ``count``, for the probe stream of (seed 7, query 5). The
-    # current rows start with the center and must continue with them.
-    EARLIER_ROWS_B8 = [
-        [32, 16, 8, 128, 64, 2, 4, 1, 5, 40],
-        [185, 49, 179, 241, 161, 181, 145, 176, 144, 245],
-        [254, 127, 251, 253, 191, 223, 247, 239, 63, 222],
+    # The first count + 1 codes of each row: the center, then each shell's
+    # masks in ``itertools.combinations`` order of their set bits (1, 2,
+    # 4, ..., then 3, 5, 9, ...), XORed into the center.
+    PINNED_ROWS_B8 = [
+        [0, 1, 2, 4, 8, 16, 32, 64, 128, 3, 5],
+        [177, 176, 179, 181, 185, 161, 145, 241, 49, 178, 180],
+        [255, 254, 253, 251, 247, 239, 223, 191, 127, 252, 250],
     ]
-    EARLIER_ROW_B16 = [
-        48871, 65263, 44783, 48815, 48367, 49135, 48847, 47855, 46831, 48895,
-        16111, 40687, 48877, 48875, 48751, 48878, 40175, 48874, 16047, 48767,
+    PINNED_ROW_B16 = [
+        48879, 48878, 48877, 48875, 48871, 48895, 48847, 48815, 48751, 49135,
+        48367, 47855, 46831, 44783, 40687, 65263, 16111, 48876, 48874, 48870,
+        48894,
     ]
 
     @pytest.mark.parametrize(
-        "centers, count, bits, earlier",
+        "centers, count, bits, pinned",
         [
-            ([0, 0b10110001, 255], 10, 8, EARLIER_ROWS_B8),
-            ([0xBEEF], 20, 16, [EARLIER_ROW_B16]),
+            ([0, 0b10110001, 255], 10, 8, PINNED_ROWS_B8),
+            ([0xBEEF], 20, 16, [PINNED_ROW_B16]),
         ],
         ids=["b8", "b16"],
     )
-    def test_probe_order_is_pinned(self, centers, count, bits, earlier):
-        rng = _probe_rng(BoiParams(seed=7), 5)
-        codes, dists = neighbor_codes_with_distance(
-            np.array(centers), count, bits, rng
-        )
-        want = np.column_stack((centers, earlier))
-        assert np.array_equal(codes[:, : count + 1], want)
+    def test_probe_order_is_pinned(self, centers, count, bits, pinned):
+        codes, dists = neighbor_codes_with_distance(np.array(centers), count, bits)
+        assert codes[:, : count + 1].tolist() == pinned
         assert dists.tolist()[: count + 1] == [
-            hamming(int(c), centers[0]) for c in want[0]
+            hamming(c, centers[0]) for c in pinned[0]
         ]
 
 
 class TestProbePlan:
     def test_center_then_whole_shells(self):
-        masks, dists, shells = probe_plan(8, 10)
+        masks, dists = probe_plan(8, 10)
         assert masks[0] == 0 and dists[0] == 0
         assert masks.size == dists.size == 1 + 8 + 28
-        assert shells.tolist() == [[1, 9], [9, 37]]
-        for d, (start, stop) in enumerate(shells.tolist(), start=1):
-            assert np.array_equal(masks[start:stop], flip_masks(8, d))
-            assert set(dists[start:stop].tolist()) == {d}
+        assert np.array_equal(masks[1:9], flip_masks(8, 1))
+        assert np.array_equal(masks[9:], flip_masks(8, 2))
+        assert dists.tolist() == [0] + [1] * 8 + [2] * 28
 
     def test_zero_count_is_the_center_alone(self):
-        masks, dists, shells = probe_plan(4, 0)
+        masks, dists = probe_plan(4, 0)
         assert masks.tolist() == [0] and dists.tolist() == [0]
-        assert shells.shape == (0, 2)
 
     def test_whole_code_space(self):
-        masks, dists, _ = probe_plan(6, 63)
+        masks, dists = probe_plan(6, 63)
         assert sorted(masks.tolist()) == list(range(64))
         assert dists.tolist() == [bin(int(m)).count("1") for m in masks]
 
     def test_cached_per_last_shell_and_read_only(self):
         # 9..36 neighbors all end in shell 2 at b=8: one cached plan
         plan = probe_plan(8, 9)
+        assert len(plan) == 2
         assert all(a is b for a, b in zip(plan, probe_plan(8, 36)))
         assert probe_plan(8, 8)[0].size == 9
         for arr in plan:
@@ -770,17 +755,12 @@ class TestProbePlan:
             probe_plan(bits, count)
 
 
-@given(
-    bits=st.integers(1, 10),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
+@given(bits=st.integers(1, 10), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_neighbor_codes_properties(bits, seed, data):
+def test_neighbor_codes_properties(bits, data):
     max_count = data.draw(st.integers(0, (1 << bits) - 1))
     center = data.draw(st.integers(0, (1 << bits) - 1))
-    rng = np.random.default_rng(seed)
-    codes = neighbor_codes_with_distance(center, max_count, bits, rng)[0]
+    codes = neighbor_codes_with_distance(center, max_count, bits)[0]
     as_ints = [int(c) for c in codes]
     assert as_ints[0] == center
     assert len(set(as_ints)) == len(as_ints)

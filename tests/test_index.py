@@ -22,11 +22,11 @@ from boi.hashing import (
     hash_codes_all,
     insert_all,
     neighbor_codes_with_distance,
+    probe_plan,
 )
 from boi.index import (
     BoiIndex,
     _accumulate,
-    _probe_rng,
     accumulate,
     build_index,
     build_schedule,
@@ -256,9 +256,7 @@ class TestUnits:
             probe_radius=radius, strict_radius=strict,
         )
         index = build_index(VectorSet(np.eye(3, dtype=np.float32)), params)
-        _, dists = neighbor_codes_with_distance(
-            0, int(index.budgets.max()), bits, np.random.default_rng(0)
-        )
+        _, dists = neighbor_codes_with_distance(0, int(index.budgets.max()), bits)
         assert index.units.dtype == np.uint32
         assert index.units.tolist() == [
             weight(int(d), bits) * 2**bits for d in dists
@@ -338,7 +336,8 @@ class TestAccumulate:
         w = accumulate(index, q, query_index=3)
         assert w.dtype == np.int32
         # the kernel's votes are in internal order: entry i is record order[i]
-        assert np.array_equal(w[index.tables.order], _accumulate(index, q, 3)[0])
+        internal = _accumulate(index.tables, q, index.units, index.budgets)[0]
+        assert np.array_equal(w[index.tables.order], internal)
         assert np.all(w >= 0)
 
     @pytest.mark.parametrize("num_tables, bits", [(5, 3), (128, 8), (257, 8)])
@@ -368,12 +367,16 @@ class TestAccumulate:
             ]
             assert accumulate(index, q).tolist() == expected
 
-    def test_deterministic_per_query_index(self, small_index):
+    def test_query_index_is_ignored(self, small_index):
         index, data = small_index
         q = data.vectors[7]
-        a = accumulate(index, q, query_index=42)
-        b = accumulate(index, q, query_index=42)
-        assert np.array_equal(a, b)
+        votes = accumulate(index, q)
+        res = query(index, q, 10)
+        for query_index in (0, 42, 2**20):
+            assert accumulate(index, q, query_index).tobytes() == votes.tobytes()
+            again = query(index, q, 10, query_index)
+            assert again.ids.tobytes() == res.ids.tobytes()
+            assert again.distances.tobytes() == res.distances.tobytes()
 
     def test_dimension_mismatch(self, small_index):
         index, _ = small_index
@@ -651,20 +654,15 @@ def tail_cases(draw):
     return VectorSet(raw[:n]), raw[n], params, query_index, k
 
 
-def reference_votes(index, q, query_index):
+def reference_votes(index, q):
     """Per-record votes in units of 2**-b: table t probes the first
-    budgets[t] + 1 codes of its probe row (its own bucket first), and each
-    record sums weight(H, b) * 2**b over every probed bucket holding its
-    code, at the bucket's true Hamming distance H from the table's query
-    code."""
+    budgets[t] + 1 codes of its probe row (its query code XOR the
+    ``probe_plan`` masks, its own bucket first), and each record sums
+    weight(H, b) * 2**b over every probed bucket holding its code, at the
+    bucket's true Hamming distance H from the table's query code."""
     tables, bits = index.tables, index.params.hash_bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
-    probes, _ = neighbor_codes_with_distance(
-        codes,
-        int(index.budgets.max()),
-        bits,
-        _probe_rng(index.params, query_index),
-    )
+    probes = codes[:, np.newaxis] ^ probe_plan(bits, int(index.budgets.max()))[0]
     probed = []
     for t, budget in enumerate(index.budgets.tolist()):
         found = {}
@@ -684,7 +682,7 @@ def reference_votes(index, q, query_index):
 def test_accumulate_and_query_match_reference(case):
     data, q, params, query_index, k = case
     index = build_index(data, params)
-    expected = reference_votes(index, q, query_index)
+    expected = reference_votes(index, q)
     assert accumulate(index, q, query_index).tolist() == expected
 
     touched = sorted(
@@ -701,7 +699,7 @@ def test_accumulate_and_query_match_reference(case):
     assert res.probe_count == int((index.budgets + 1).sum())
 
 
-def numpy_accumulate(index, q, query_index):
+def numpy_accumulate(index, q):
     """The accumulator in numpy, one gather and one ``np.add.at`` per
     Hamming distance: the oracle for the compiled kernel's int32 votes,
     probe count and (id, vote) pairs scanned (the total length of the
@@ -710,9 +708,8 @@ def numpy_accumulate(index, q, query_index):
     bits = tables.bits
     codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
     budgets = index.budgets
-    probes, dists = neighbor_codes_with_distance(
-        codes, int(budgets.max()), bits, _probe_rng(index.params, query_index)
-    )
+    masks, dists = probe_plan(bits, int(budgets.max()))
+    probes = codes[:, np.newaxis] ^ masks
     probed = np.arange(dists.size) < budgets[:, np.newaxis] + 1
     votes = np.zeros(tables.n, np.int32)
     pairs = 0
@@ -730,8 +727,8 @@ def numpy_accumulate(index, q, query_index):
 def test_kernel_matches_numpy_oracle(case):
     data, q, params, query_index, k = case
     index = build_index(data, params)
-    votes, probes, pairs = _accumulate(index, q, query_index)
-    want_votes, want_probes, want_pairs = numpy_accumulate(index, q, query_index)
+    votes, probes, pairs = _accumulate(index.tables, q, index.units, index.budgets)
+    want_votes, want_probes, want_pairs = numpy_accumulate(index, q)
     assert votes.dtype == np.int32
     # the oracle gathers record ids; the kernel votes in internal order
     assert np.array_equal(votes, want_votes[index.tables.order])
@@ -757,10 +754,10 @@ def test_kernel_matches_numpy_oracle_across_tiles_and_batches(tmp_path):
     save_index(built, path)
     loaded = load_index(path, data)
     for index in (built, loaded):
-        for query_index in range(3):
+        for _ in range(3):
             q = rng.standard_normal(16).astype(np.float32)
-            votes, probes, pairs = _accumulate(index, q, query_index)
-            want = numpy_accumulate(index, q, query_index)
+            votes, probes, pairs = _accumulate(index.tables, q, index.units, index.budgets)
+            want = numpy_accumulate(index, q)
             assert np.array_equal(votes, want[0][index.tables.order])
             assert (probes, pairs) == want[1:] == (4096, 16 * data.n)
 
@@ -785,7 +782,7 @@ def test_stages_one_by_one_compose_to_query(tmp_path, bits):
             assert votes.dtype == np.int32
             # accumulate scatters the kernel's internal-order votes back to
             # record order
-            internal = _accumulate(index, q, qi)[0]
+            internal = _accumulate(index.tables, q, index.units, index.budgets)[0]
             assert votes[index.tables.order].tobytes() == internal.tobytes()
             c = shortlist(votes, params.shortlist_size)
             ids, dists = rank_by_distance(

@@ -192,6 +192,8 @@ def cmd_bench(args) -> int:
     run = _make_runner(args.method, index, dataset, args.k)
     params = index.params if index is not None else _DEFAULTS
     memory = estimate_memory(dataset.n, dataset.dim, params)
+    if args.method == "brute":  # it holds no tables and sums no votes
+        memory = dataclasses.replace(memory, index_bytes=0, accumulator_bytes=0)
     report, results = run_benchmark(
         run,
         queries,

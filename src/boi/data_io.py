@@ -46,7 +46,7 @@ import sys
 import numpy as np
 
 from .core import OFFSET_DTYPE, SCHEDULE_KINDS, BoiParams, VectorSet, as_exact
-from .hashing import ProjectionTable, check_record_count
+from .hashing import ProjectionTable, check_dimension, check_record_count
 from .index import BoiIndex
 from .vote import COUNTS_OFF, ID_OUT_OF_RANGE, check_table
 
@@ -113,15 +113,15 @@ def _read_records(path, payload_dtype) -> np.ndarray:
 def read_fvecs(path) -> VectorSet:
     """Load an fvecs file; rejects malformed or non-finite data."""
     values = _read_records(path, "<f4")
-    # no mask is kept alive while VectorSet makes its own
-    if not np.isfinite(values).all():
+    try:
+        return VectorSet(values)
+    except ValueError:  # the one check of VectorSet that a read can fail
         r, c = np.argwhere(~np.isfinite(values))[0]
         record_size = 4 + 4 * values.shape[1]
         raise FormatError(
             "non-finite component",
             offset=int(r) * record_size + 4 + 4 * int(c),
-        )
-    return VectorSet(values)
+        ) from None
 
 
 def _write_records(path, rows: np.ndarray) -> None:
@@ -246,6 +246,7 @@ def _read_header(f) -> tuple[BoiParams, int, int]:
             strict_radius=bool(flags & _FLAG_STRICT),
         )
         check_record_count(n)
+        check_dimension(dim)
     except ValueError as exc:
         raise FormatError(f"bad snapshot header: {exc}", offset=0) from None
     return params, dim, n

@@ -10,11 +10,12 @@ product per ``_HASH_CHUNK`` rows. A floating-point filter, as in
 Shewchuk's robust predicates, then decides each sign. Where a dot is
 larger than its float32 rounding error can be (Higham's gamma bound over
 Cauchy-Schwarz, ``_sign_filter``), its float32 sign is the exact one, and
-any float64 summation agrees. The compiled filter of ``vote.c``
-recomputes every other dot as the float64 sum of its exact products in
-index order. So a vector's code never depends on whether it was hashed
-alone or inside a build batch. The filter writes each table's codes
-straight into their destination, the build's ``members`` rows included;
+any float64 summation agrees; one bound serves every projection row, and
+each ``ProjectionTable`` makes its filter once. The compiled filter of
+``vote.c`` recomputes every other dot as the float64 sum of its exact
+products in index order. So a vector's code never depends on whether it
+was hashed alone or inside a build batch. The filter writes each table's
+codes straight into their destination, the build's ``members`` rows included;
 the build then buckets every table with one compiled counting sort
 (``vote.bucket_sort``), which numbers the records in table 0's bucket order
 and lists each bucket's ids in ascending order.
@@ -22,7 +23,7 @@ and lists each bucket's ids in ascending order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -55,6 +56,13 @@ def check_record_count(n: int) -> None:
         raise ValueError(
             f"{n} records do not fit int32 record ids (at most 2**31 - 1)"
         )
+
+
+def check_dimension(dim: int) -> None:
+    """Raise ValueError unless the sign filter can bound a dot of ``dim``
+    terms: its gamma_{d+2} needs (d + 2) * 2**-24 < 1/2 (``_sign_filter``)."""
+    if dim + 2 >= 2**23:
+        raise ValueError(f"dim must be below 2**23 - 2 to hash, got {dim}")
 
 
 def _is_identity(ids: np.ndarray) -> bool:
@@ -122,22 +130,27 @@ class ProjectionTable:
     ``index.shortlist`` maps the ids it keeps to records; ``bucket`` and
     ``index.accumulate`` give record ids and record order.
 
+    ``sign_filter``, the ``vote.SignFilter`` of the projections, is made
+    once by the constructor (``_sign_filter``); every query hashes with it.
+
     A table object is made once and never changes; its arrays cannot be
     written. Offsets, members and order are held C-contiguous, the one
     layout the compiled loops read (copied into it if given otherwise).
     The constructor raises ValueError for arrays whose shapes do not agree
     with each other, projections that float32 cannot hold exactly,
     offsets, members or order with a value int32 cannot hold, 2**31 or
-    more records, an order that is not a permutation of 0..n-1, and a row
-    0 of ``members`` that is not 0..n-1. It does not check the later rows
-    or the offsets' values: the vote kernel refuses the out-of-range ids
-    and offsets a query probes (``vote.gather_vote``).
+    more records, an order that is not a permutation of 0..n-1, a row 0
+    of ``members`` that is not 0..n-1, and a dimension the filter cannot
+    bound. It does not check the later rows or the offsets' values: the
+    vote kernel refuses the out-of-range ids and offsets a query probes
+    (``vote.gather_vote``).
     """
 
     projections: np.ndarray
     offsets: np.ndarray
     members: np.ndarray
     order: np.ndarray
+    sign_filter: SignFilter = field(init=False, repr=False)
 
     def __post_init__(self):
         # the compiled loops read C-ordered float32 projections and int32
@@ -167,6 +180,7 @@ class ProjectionTable:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "sign_filter", _sign_filter(self.projections))
 
     @classmethod
     def from_id_rows(cls, projections, offsets, rows: np.ndarray) -> ProjectionTable:
@@ -250,73 +264,58 @@ def make_projections(params: BoiParams, dim: int) -> np.ndarray:
     )
 
 
-# the filter of the last read-only projections hashed with: a query hashes
-# one row, and the projections' norms cost twice its matrix product
-_last_filter: SignFilter | None = None
-
-
-def _sign_filter(projections: np.ndarray) -> SignFilter:
-    """The ``vote.SignFilter`` of these float32 projections: any float32
-    summation of the dot of x with row j is within bound[j] * h of the
-    exact dot, for h >= max(||x||, 2**-31), while ||x||**2 < safe_square.
+def _sign_filter(projections) -> SignFilter:
+    """The ``vote.SignFilter`` of these projections, as float32 rows: any
+    float32 summation of the dot of x with any row is within bound * h of
+    the exact dot, for h >= max(||x||, 2**-31), while ||x||**2 <
+    safe_square. A value float32 cannot hold exactly raises ValueError.
 
     With u = 2**-24 and gamma_k = k*u / (1 - k*u), gamma_d * sum |x_i p_i|
     bounds the rounding error of a d-term dot in any order (Higham,
     "Accuracy and Stability of Numerical Algorithms", 2002, section 3.1),
-    and ||x|| * ||p_j|| bounds that sum. bound[j] is gamma_{d+2} * ||p_j||
-    + (d + 2) * 2**-118, rounded up to float32, which covers the float64
-    rounding of the bound itself. The two extra units of gamma leave every
-    dot the filter decides at least 2u * ||x|| * ||p_j|| from 0, where a
-    float64 sum has the same sign. The second term, times h >= 2**-31,
-    covers the products that underflow, at most 2**-150 each. Below
-    safe_square, ||x|| * max ||p_j|| < 2**125, so no product, partial sum
-    or limit overflows. A dimension of 2**23 - 2 or more raises
-    ValueError: the bound needs (d + 2) * u < 1/2.
-
-    Read-only projections that own their data, as a ``ProjectionTable``'s
-    do, are taken not to change, so the filter of the last such array is
-    kept, and the array with it.
+    and ||x|| * ||p_j|| bounds that sum. The one bound is gamma_{d+2} *
+    max_j ||p_j|| + (d + 2) * 2**-118, rounded up to float32, which covers
+    the float64 rounding of the bound itself. The two extra units of gamma
+    leave every dot the filter decides at least 2u * ||x|| * ||p_j|| from
+    0, where a float64 sum has the same sign. The second term, times h >=
+    2**-31, covers the products that underflow, at most 2**-150 each.
+    Below safe_square, ||x|| * max ||p_j|| < 2**125, so no product, partial
+    sum or limit overflows. A dimension of 2**23 - 2 or more raises
+    ValueError (``check_dimension``).
     """
-    global _last_filter
-    cached = _last_filter  # read once: another thread may replace it
-    if cached is not None and cached.projections is projections:
-        return cached
-    dim = projections.shape[1]
+    dim = np.shape(projections)[1]
+    check_dimension(dim)
+    projections = np.ascontiguousarray(as_exact(projections, np.float32, "projections"))
     k = (dim + 2) * 2.0**-24
-    if k >= 0.5:
-        raise ValueError(f"dim must be below 2**23 - 2 to hash, got {dim}")
-    norms = np.sqrt(np.einsum("ij,ij->i", projections, projections, dtype=np.float64))
+    squares = np.einsum("ij,ij->i", projections, projections, dtype=np.float64)
+    top = np.sqrt(squares.max(initial=0.0))
     with np.errstate(over="ignore"):
-        bound = (k / (1 - k) * norms + (dim + 2) * 2.0**-118).astype(np.float32)
-    np.nextafter(bound, np.float32(np.inf), out=bound)
-    safe_square = 2.0**250 / max(norms.max(initial=0.0), 1.0) ** 2
-    sign_filter = SignFilter(projections, bound, safe_square)
-    if projections.base is None and not projections.flags.writeable:
-        _last_filter = sign_filter
-    return sign_filter
+        bound = np.float32(k / (1 - k) * top + (dim + 2) * 2.0**-118)
+    bound = np.nextafter(bound, np.float32(np.inf))
+    return SignFilter(projections, bound, 2.0**250 / max(top, 1.0) ** 2)
 
 
 def hash_codes_all(
-    projections: np.ndarray, bits: int, X: np.ndarray, out: np.ndarray | None = None
+    sign_filter: SignFilter, bits: int, X: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Bucket codes (uint16) of the rows of X under every table, shape (m, L).
 
-    ``projections`` stacks the L tables' (bits x dim) matrices as in
-    ``ProjectionTable.projections``; a value float32 cannot hold exactly
-    raises ValueError, and ``bits`` must be in [1, 16]. X is hashed as its
-    float32 cast, as ``core.query_vector`` makes a query. The codes are
-    written into ``out`` when it is given, an (m, L) uint16 array of any
-    strides that are whole elements, and returned.
+    ``sign_filter`` holds the L tables' stacked (bits x dim) matrices, as
+    ``ProjectionTable.sign_filter`` or ``_sign_filter`` makes it, and
+    ``bits`` must be in [1, 16]. X is hashed as its float32 cast, as
+    ``core.query_vector`` makes a query. The codes are written into
+    ``out`` when it is given, an (m, L) uint16 array of any strides that
+    are whole elements, and returned.
 
     The rows go ``_HASH_CHUNK`` at a time through one float32 matrix
     product into an (L*bits, rows) buffer the call allocates once. Then
-    ``vote.SignFilter`` keeps each sign the float32 error bound decides
-    (``_sign_filter``), recomputes the rest in float64 and writes each
-    table's codes into ``out``. The build and the query both hash here.
+    the filter keeps each sign the float32 error bound decides, recomputes
+    the rest in float64 and writes each table's codes into ``out``. The
+    build and the query both hash here.
     """
     if not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}]")
-    projections = np.ascontiguousarray(as_exact(projections, np.float32, "projections"))
+    projections = sign_filter.projections
     X = np.ascontiguousarray(X, dtype=np.float32)
     if X.ndim != 2 or X.shape[1] != projections.shape[1]:
         raise ValueError(
@@ -327,7 +326,6 @@ def hash_codes_all(
     num_rows = projections.shape[0]
     if out is None:
         out = np.empty((m, num_rows // bits), dtype=CODE_DTYPE)
-    sign_filter = _sign_filter(projections)
     dots = np.empty(num_rows * min(m, _HASH_CHUNK), dtype=np.float32)
     # a product may overflow only in rows the filter recomputes whole
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,7 +362,8 @@ def insert_all(
     offsets = np.empty((num_tables, (1 << bits) + 1), dtype=OFFSET_DTYPE)
     members = np.empty((num_tables, n), dtype=np.int32)
     order = np.empty(n, dtype=np.int32)
-    hash_codes_all(projections, bits, X, out=members.view(CODE_DTYPE)[:, n:].T)
+    sign_filter = _sign_filter(projections)
+    hash_codes_all(sign_filter, bits, X, out=members.view(CODE_DTYPE)[:, n:].T)
     bucket_sort(offsets, members, order)
     return ProjectionTable(projections, offsets, members, order)
 

@@ -213,7 +213,7 @@ def _accumulate(
     exact and so is their negation in the shortlist.
     """
     bits = tables.bits
-    codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
+    codes = hash_codes_all(tables.sign_filter, bits, q[np.newaxis, :])[0]
     probes, _ = neighbor_codes_with_distance(codes, int(budgets.max()), bits)
     votes = np.zeros(tables.n, np.int32)
     pairs = gather_vote(tables.offsets, tables.members, probes, units, budgets, votes)

@@ -276,29 +276,29 @@ int64_t boi_check_table(
  *
  * ``dots`` (num_tables * bits, rows) holds one float32 matrix product:
  * dots[j, r] is the dot of record r (row r of ``x``) with projection row j
- * (row j of ``proj``), summed in any order. hashing.hash_codes_all sets
- * bound[j] so that bound[j] * h is at or above that sum's error, rounding
- * and underflow, for any h >= max(||x||, 2**-31) while ||x|| * ||p_j|| is
- * far below float32's overflow. norm_bound finds such an h, a power of
- * two, so the limit bound[j] * h is exact; a record outside that range
- * gets h = +inf, so all its dots are recomputed. A dot with |dots[j, r]| >
- * limit has the sign of the exact dot, which is then so far from 0 that a
- * float64 sum agrees with it too. Every other dot (NaN included) is
- * recomputed as the float64 sum of its exact float32 products in index
- * order, so a record's code never depends on the other records of its
- * batch. Bit j of table t's code is 1 iff the dot with row t * bits + j
- * is >= 0, so a sign of 0 or -0 sets it.
+ * (row j of ``proj``), summed in any order. hashing._sign_filter sets
+ * ``bound`` so that bound * h is at or above any such sum's error,
+ * rounding and underflow, for any h >= max(||x||, 2**-31) while ||x|| *
+ * max ||p_j|| is far below float32's overflow. norm_bound finds such an h,
+ * a power of two, so each record's limit bound * h is exact; a record
+ * outside that range gets h = +inf, so all its dots are recomputed. A dot
+ * with |dots[j, r]| > limit has the sign of the exact dot, which is then
+ * so far from 0 that a float64 sum agrees with it too. Every other dot
+ * (NaN included) is recomputed as the float64 sum of its exact float32
+ * products in index order, so a record's code never depends on the other
+ * records of its batch. Bit j of table t's code is 1 iff the dot with row
+ * t * bits + j is >= 0, so a sign of 0 or -0 sets it.
  *
- * Records go HASH_BLOCK at a time. Per table, a first pass over the block
- * ORs each projection row's sign bits into ``code`` and notes whether any
- * dot is within the table's widest limit; only then does a second pass
- * (``recompute``) find the dots within their own row's limit and recompute
- * them. The first pass vectorises. Table t's finished codes go to
- * out[r * record_stride + t * table_stride] (strides in uint16 elements,
- * either sign), so hashing.insert_all can write them straight into its
- * ``members`` rows. Returns the number of dots recomputed, or -1 for bits
- * outside [1, 16] or a negative size. No libm function is called (fabsf
- * compiles to a mask).
+ * Records go HASH_BLOCK at a time, and each record's limit is worked out
+ * once per block. Per projection row, a first pass over the block ORs the
+ * row's sign bits into ``code`` and notes whether any dot is within its
+ * limit; only then does a second pass (``recompute``) find those dots and
+ * recompute them. The first pass vectorises. Table t's finished codes go
+ * to out[r * record_stride + t * table_stride] (strides in uint16
+ * elements, either sign), so hashing.insert_all can write them straight
+ * into its ``members`` rows. Returns the number of dots recomputed, or -1
+ * for bits outside [1, 16] or a negative size. No libm function is called
+ * (fabsf compiles to a mask).
  */
 #define HASH_BLOCK 1024
 
@@ -328,16 +328,16 @@ static float norm_bound(const float *x, int64_t dim, double safe_square)
 }
 
 /* Recompute bit ``bit`` of every code whose dot in ``row`` is within
- * scale * norm[r], as the float64 sum of the exact products of record r
- * (row r of x, dim values) with projection row p in index order; return
- * how many were. */
+ * limit[r], as the float64 sum of the exact products of record r (row r
+ * of x, dim values) with projection row p in index order; return how many
+ * were. */
 static int64_t recompute(
-    int64_t count, const float *row, float scale, const float *norm,
-    const float *x, const float *p, int64_t dim, int64_t bit, uint32_t *code)
+    int64_t count, const float *row, const float *limit, const float *x,
+    const float *p, int64_t dim, int64_t bit, uint32_t *code)
 {
     int64_t recomputed = 0;
     for (int64_t r = 0; r < count; r++) {
-        if (fabsf(row[r]) > scale * norm[r])
+        if (fabsf(row[r]) > limit[r])
             continue;
         const float *const xr = x + r * dim;
         double sum = 0.0;
@@ -354,41 +354,32 @@ int64_t boi_hash_codes(
     const float *dots,                  /* (num_tables * bits, rows) */
     const float *x,                     /* (rows, dim) */
     const float *proj,                  /* (num_tables * bits, dim) */
-    const float *bound,                 /* (num_tables * bits,) */
-    double safe_square,
+    float bound, double safe_square,
     uint16_t *out, int64_t record_stride, int64_t table_stride)
 {
     if (bits < 1 || bits > 16 || num_tables < 0 || rows < 0 || dim < 0)
         return -1;
-    float norm[HASH_BLOCK], widest[HASH_BLOCK];
+    float limit[HASH_BLOCK];
     uint32_t code[HASH_BLOCK];
     int64_t recomputed = 0;
     for (int64_t lo = 0; lo < rows; lo += HASH_BLOCK) {
         const int64_t count = rows - lo < HASH_BLOCK ? rows - lo : HASH_BLOCK;
         const float *const xs = x + lo * dim;
         for (int64_t r = 0; r < count; r++)
-            norm[r] = norm_bound(xs + r * dim, dim, safe_square);
+            limit[r] = bound * norm_bound(xs + r * dim, dim, safe_square);
         for (int64_t t = 0; t < num_tables; t++) {
-            const float *const scales = bound + t * bits;
-            float scale = scales[0];
-            for (int64_t bit = 1; bit < bits; bit++)
-                scale = scales[bit] > scale ? scales[bit] : scale;
-            for (int64_t r = 0; r < count; r++) {
-                widest[r] = scale * norm[r];
-                code[r] = 0;
-            }
+            memset(code, 0, count * sizeof *code);
             for (int64_t bit = 0; bit < bits; bit++) {
                 const int64_t j = t * bits + bit;
                 const float *const row = dots + j * rows + lo;
                 uint32_t undecided = 0;
                 for (int64_t r = 0; r < count; r++) {
                     code[r] |= (uint32_t)(row[r] >= 0.0f) << bit;
-                    undecided |= !(fabsf(row[r]) > widest[r]);
+                    undecided |= !(fabsf(row[r]) > limit[r]);
                 }
                 if (undecided)
                     recomputed += recompute(
-                        count, row, scales[bit], norm, xs, proj + j * dim, dim,
-                        bit, code);
+                        count, row, limit, xs, proj + j * dim, dim, bit, code);
             }
             uint16_t *const col = out + lo * record_stride + t * table_stride;
             for (int64_t r = 0; r < count; r++)

@@ -123,7 +123,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         address,  # dots
         address,  # x
         address,  # proj
-        address,  # bound
+        ctypes.c_float,  # bound
         ctypes.c_double,  # safe_square
         address,  # out
         i64,  # record stride
@@ -277,30 +277,23 @@ def check_table(offsets: np.ndarray, ids: np.ndarray) -> int:
 
 class SignFilter:
     """``boi_hash_codes`` bound to one float32 projection matrix and its
-    error bounds, so that hashing a chunk passes only the chunk's arrays.
+    error bound, so that hashing a chunk passes only the chunk's arrays.
 
-    ``projections`` (L*b, dim) and ``bound`` (L*b,) are float32 and
-    C-contiguous (ValueError otherwise); they must not change while the
-    filter is used. The sign of the dot of row r of x with projection row
-    j is kept when its magnitude is above ``bound[j]`` times a power of two
-    at or above ``||x_r||`` (``hashing`` sets both bounds), and is
-    otherwise recomputed as the float64 sum of the exact products in index
-    order; so is every dot of a row whose squared norm is below 2**-62 or
-    not below ``safe_square``.
+    ``projections`` (L*b, dim) is float32 and C-contiguous (ValueError
+    otherwise); it must not change while the filter is used. The sign of
+    the dot of row r of x with any projection row is kept when its
+    magnitude is above ``bound``, a float32 value, times a power of two at
+    or above ``||x_r||`` (``hashing._sign_filter`` sets both bounds), and
+    is otherwise recomputed as the float64 sum of the exact products in
+    index order; so is every dot of a row whose squared norm is below
+    2**-62 or not below ``safe_square``.
     """
 
-    def __init__(self, projections: np.ndarray, bound: np.ndarray, safe_square: float):
-        if (
-            projections.ndim != 2
-            or bound.shape != (projections.shape[0],)
-            or any(
-                a.dtype != np.float32 or not a.flags.c_contiguous
-                for a in (projections, bound)
-            )
-        ):
-            raise ValueError("SignFilter: projections and bound do not agree")
-        self.projections, self.bound = projections, bound
-        self._fixed = (projections.ctypes.data, bound.ctypes.data, float(safe_square))
+    def __init__(self, projections: np.ndarray, bound: float, safe_square: float):
+        if projections.ndim != 2 or not _addressable(((projections, np.float32),)):
+            raise ValueError("SignFilter: projections are not aligned C-contiguous float32")
+        self.projections, self.bound = projections, float(bound)
+        self._fixed = (projections.ctypes.data, self.bound, float(safe_square))
 
     def __call__(self, dots: np.ndarray, x: np.ndarray, bits: int, out: np.ndarray) -> int:
         """Write the b-bit codes of the rows of ``x`` into ``out``; return

@@ -176,6 +176,10 @@ class TestBench:
         assert report["recall_at_k"]["1"] == 1.0
         assert report["method"] == "brute"
         assert report["memory_estimate"]["vectors_bytes"] == 600 * 16 * 4
+        # brute force builds no index and sums no votes
+        assert report["memory_estimate"]["index_bytes"] == 0
+        assert report["memory_estimate"]["accumulator_bytes"] == 0
+        assert report["memory_estimate"]["total_bytes"] == 600 * 16 * 4
 
     def test_all_methods_produce_reports(self, tmp_path, dataset_dir):
         index_path = build_small(tmp_path, dataset_dir)

@@ -1,4 +1,3 @@
-import sys
 import threading
 import tracemalloc
 from math import comb
@@ -32,7 +31,7 @@ from hand_tables import from_record_ids
 def hash_codes(rows, X) -> np.ndarray:
     """Codes of X under one table given by its (bits x dim) matrix."""
     proj = np.asarray(rows, dtype=np.float32)
-    return hash_codes_all(proj, proj.shape[0], X)[:, 0]
+    return hash_codes_all(_sign_filter(proj), proj.shape[0], X)[:, 0]
 
 
 def table_rows(tables: ProjectionTable, t: int) -> np.ndarray:
@@ -163,7 +162,7 @@ class TestHashVector:
         # the larger batch spans two chunk boundaries
         for m in (100, 2 * _HASH_CHUNK + 1):
             X = rng.standard_normal((m, 20)).astype(np.float32)
-            codes = hash_codes_all(proj, 8, X)
+            codes = hash_codes_all(_sign_filter(proj), 8, X)
             for t_i in range(params.num_tables):
                 rows = proj[8 * t_i : 8 * t_i + 8]
                 col = hash_codes(rows, X)
@@ -176,9 +175,10 @@ class TestHashVector:
         proj = make_projections(BoiParams(num_tables=4, hash_bits=8, seed=5), 64)
         X = np.random.default_rng(12).standard_normal((20_000, 64))
         X = X.astype(np.float32)
+        sign_filter = _sign_filter(proj)
         tracemalloc.start()
         try:
-            hash_codes_all(proj, 8, X)
+            hash_codes_all(sign_filter, 8, X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,14 +195,15 @@ def test_packed_codes_match_the_shift_and_sum_oracle(bits):
     # product ties at 0 and sets every bit
     X = rng.standard_normal((2 * _HASH_CHUNK + 1, 10)).astype(np.float32)
     X[[0, _HASH_CHUNK, 2 * _HASH_CHUNK]] = 0.0
-    codes = hash_codes_all(proj, bits, X)
+    sign_filter = _sign_filter(proj)
+    codes = hash_codes_all(sign_filter, bits, X)
     assert codes.dtype == CODE_DTYPE and codes.shape == (len(X), 3)
     assert np.array_equal(codes, shift_and_sum_codes(proj, bits, X))
     assert np.all(codes[[0, _HASH_CHUNK, 2 * _HASH_CHUNK]] == (1 << bits) - 1)
     assert codes.max() < 1 << bits
     for row in (0, 1, _HASH_CHUNK + 7, 2 * _HASH_CHUNK):
         one = X[row : row + 1]
-        single = hash_codes_all(proj, bits, one)
+        single = hash_codes_all(sign_filter, bits, one)
         assert np.array_equal(single, shift_and_sum_codes(proj, bits, one))
         assert np.array_equal(single[0], codes[row])
 
@@ -241,7 +242,7 @@ class TestExactSigns:
         # cancel exactly
         for j, p in enumerate(proj):
             X[j + 1, :2] = p[1], -p[0]
-        codes = hash_codes_all(proj, 6, X)
+        codes = hash_codes_all(_sign_filter(proj), 6, X)
         assert np.all(codes[0] == 0b111111)
         for j in range(len(proj)):
             assert codes[j + 1, j // 6] >> (j % 6) & 1, j
@@ -253,15 +254,16 @@ class TestExactSigns:
         proj = np.array([[1.0, -(2.0**-26), -1.0], [-1.0, 2.0**-26, 1.0]], np.float32)
         X = np.ones((1, 3), dtype=np.float32)
         assert sign_flips(proj, 2, X)[0, 0] == 0b11
-        assert hash_codes_all(proj, 2, X)[0, 0] == 0b10
-        assert np.array_equal(hash_codes_all(proj, 2, X), sequential_codes(proj, 2, X))
+        codes = hash_codes_all(_sign_filter(proj), 2, X)
+        assert codes[0, 0] == 0b10
+        assert np.array_equal(codes, sequential_codes(proj, 2, X))
 
     def test_near_ties_follow_the_index_order_float64_sum(self, proj):
         X = near_ties(proj, np.random.default_rng(21), 2000)
         expected = sequential_codes(proj, 6, X)
         # float32 rounding flips some of these signs in index order
         assert not np.array_equal(sign_flips(proj, 6, X), expected)
-        assert np.array_equal(hash_codes_all(proj, 6, X), expected)
+        assert np.array_equal(hash_codes_all(_sign_filter(proj), 6, X), expected)
 
     @pytest.mark.parametrize(
         "row_scale, projection_scale",
@@ -283,7 +285,7 @@ class TestExactSigns:
         scaled = proj * np.float32(projection_scale)
         assert np.all(np.isfinite(X)) and np.any(X)
         expected = sequential_codes(scaled, 6, X)
-        assert np.array_equal(hash_codes_all(scaled, 6, X), expected)
+        assert np.array_equal(hash_codes_all(_sign_filter(scaled), 6, X), expected)
 
     def test_every_row_of_a_batch_hashes_alone_to_its_batch_code(self, proj):
         rng = np.random.default_rng(23)
@@ -292,10 +294,11 @@ class TestExactSigns:
         X[1::7] = 0.0
         X[2::11] *= np.float32(2.0**-130)
         X[4::13] *= np.float32(2.0**100)
-        codes = hash_codes_all(proj, 6, X)
+        sign_filter = _sign_filter(proj)
+        codes = hash_codes_all(sign_filter, 6, X)
         assert np.array_equal(codes, sequential_codes(proj, 6, X))
         for row in range(len(X)):
-            assert np.array_equal(hash_codes_all(proj, 6, X[row : row + 1])[0], codes[row])
+            assert np.array_equal(hash_codes_all(sign_filter, 6, X[row : row + 1])[0], codes[row])
 
 
 def test_dimensions_past_the_error_bound_raise():
@@ -307,32 +310,26 @@ def test_dimensions_past_the_error_bound_raise():
 
 
 def test_threads_hashing_under_different_tables_get_their_own_codes():
-    # one filter is cached, for the last read-only projections hashed; the
-    # threads keep replacing it, and each call must still use its own
-    tables = []
+    # each table holds its own filter, and the compiled filter keeps its
+    # state on the stack, so threads hashing at once do not mix them up
+    filters, expected = [], []
+    X = np.random.default_rng(31).standard_normal((5, 16)).astype(np.float32)
     for seed in (1, 2):  # the same shapes, different values
         proj = make_projections(BoiParams(num_tables=4, hash_bits=8, seed=seed), 16)
-        proj.setflags(write=False)
-        tables.append(proj)
-    X = np.random.default_rng(31).standard_normal((5, 16)).astype(np.float32)
-    expected = [sequential_codes(proj, 8, X) for proj in tables]
+        filters.append(_sign_filter(proj))
+        expected.append(sequential_codes(proj, 8, X))
     wrong = []
 
     def hash_many(i):
         for _ in range(400):
-            if not np.array_equal(hash_codes_all(tables[i % 2], 8, X), expected[i % 2]):
+            if not np.array_equal(hash_codes_all(filters[i % 2], 8, X), expected[i % 2]):
                 wrong.append(i)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=hash_many, args=(i,)) for i in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
+    threads = [threading.Thread(target=hash_many, args=(i,)) for i in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
 
@@ -351,7 +348,7 @@ class TestInsertAll:
         X = rng.standard_normal((n, 6)).astype(np.float32)
         X[n // 2 :] = X[: n - n // 2]
         tables = insert_all(proj, bits, VectorSet(X))
-        codes = hash_codes_all(proj, bits, X)
+        codes = hash_codes_all(_sign_filter(proj), bits, X)
         offsets, order, members = argsort_buckets(codes, bits)
         assert np.array_equal(tables.offsets, offsets)
         assert np.array_equal(tables.order, np.argsort(codes[:, 0], kind="stable"))
@@ -379,7 +376,7 @@ class TestInsertAll:
         codes = np.empty((data.n, params.num_tables), dtype=CODE_DTYPE)
         tracemalloc.start()
         try:
-            hash_codes_all(proj, 4, data.vectors, out=codes)
+            hash_codes_all(_sign_filter(proj), 4, data.vectors, out=codes)
             hash_peak = tracemalloc.get_traced_memory()[1]  # the chunk buffers
             tracemalloc.reset_peak()
             tables = insert_all(proj, 4, data)
@@ -412,7 +409,7 @@ class TestInsertAll:
         params = BoiParams(num_tables=3, hash_bits=4, seed=8)
         data = VectorSet(rng.standard_normal((200, 10)).astype(np.float32))
         tables = insert_all(make_projections(params, 10), 4, data)
-        codes = hash_codes_all(tables.projections, tables.bits, data.vectors)
+        codes = hash_codes_all(tables.sign_filter, tables.bits, data.vectors)
         for ti in range(tables.num_tables):
             for rid in range(0, 200, 17):
                 assert rid in tables.bucket([ti], [codes[rid, ti]])
@@ -595,7 +592,7 @@ class TestProjectionTable:
 
     def test_codes_and_offsets_use_the_named_widths(self, tables):
         assert tables.offsets.dtype == OFFSET_DTYPE == np.int32
-        codes = hash_codes_all(tables.projections, tables.bits, np.ones((3, 9)))
+        codes = hash_codes_all(tables.sign_filter, tables.bits, np.ones((3, 9)))
         assert codes.dtype == CODE_DTYPE == np.uint16
 
     @pytest.mark.parametrize(
@@ -617,7 +614,7 @@ class TestProjectionTable:
         with pytest.raises(ValueError, match="projections values do not fit float32"):
             ProjectionTable(np.array([[0.1, 1.0]]), offsets, members, order)
         with pytest.raises(ValueError, match="projections values do not fit float32"):
-            hash_codes_all(np.array([[1.0, 2.0**-150]]), 1, np.ones((1, 2)))
+            _sign_filter(np.array([[1.0, 2.0**-150]]))
         # float64 values float32 holds exactly are narrowed, not rejected
         tables = ProjectionTable(np.array([[0.5, -2.0**-149]]), offsets, members, order)
         assert tables.projections.dtype == np.float32

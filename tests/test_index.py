@@ -354,10 +354,10 @@ class TestAccumulate:
             initial_probe_count=(1 << bits) - 1,
         )
         index = build_index(data, params)
-        proj = index.tables.projections
-        record_codes = hash_codes_all(proj, bits, data.vectors)
+        sign_filter = index.tables.sign_filter
+        record_codes = hash_codes_all(sign_filter, bits, data.vectors)
         for q in (data.vectors[0], rng.standard_normal(6).astype(np.float32)):
-            query_codes = hash_codes_all(proj, bits, q[np.newaxis, :])[0]
+            query_codes = hash_codes_all(sign_filter, bits, q[np.newaxis, :])[0]
             expected = [
                 sum(
                     weight(bin(int(qc ^ rc)).count("1"), bits) * 2**bits
@@ -661,7 +661,7 @@ def reference_votes(index, q):
     weight(H, b) * 2**b over every probed bucket holding its code, at the
     bucket's true Hamming distance H from the table's query code."""
     tables, bits = index.tables, index.params.hash_bits
-    codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
+    codes = hash_codes_all(tables.sign_filter, bits, q[np.newaxis, :])[0]
     probes = codes[:, np.newaxis] ^ probe_plan(bits, int(index.budgets.max()))[0]
     probed = []
     for t, budget in enumerate(index.budgets.tolist()):
@@ -670,7 +670,7 @@ def reference_votes(index, q):
             hamming = bin(code ^ int(codes[t])).count("1")
             found[code] = int(weight(hamming, bits) * 2**bits)
         probed.append(found)
-    record_codes = hash_codes_all(tables.projections, bits, index.dataset.vectors)
+    record_codes = hash_codes_all(tables.sign_filter, bits, index.dataset.vectors)
     return [
         sum(probed[t].get(int(c), 0) for t, c in enumerate(record_codes[r]))
         for r in range(index.n)
@@ -706,7 +706,7 @@ def numpy_accumulate(index, q):
     ``tables.bucket`` gathers over the same probe list)."""
     tables = index.tables
     bits = tables.bits
-    codes = hash_codes_all(tables.projections, bits, q[np.newaxis, :])[0]
+    codes = hash_codes_all(tables.sign_filter, bits, q[np.newaxis, :])[0]
     budgets = index.budgets
     masks, dists = probe_plan(bits, int(budgets.max()))
     probes = codes[:, np.newaxis] ^ masks

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from boi import hashing
 from boi.core import BoiParams, VectorSet
 from boi.data_io import (
     FormatError,
@@ -264,6 +265,25 @@ class TestSnapshot:
                 accumulate(index, q, query_index=qi),
                 accumulate(loaded, q, query_index=qi),
             )
+
+    def test_twins_queried_in_turn_hash_through_their_own_filters(
+        self, built, monkeypatch
+    ):
+        index, data, path = built
+        loaded = load_index(path, data)
+        for twin in (index, loaded):  # each table made its filter once
+            assert twin.tables.sign_filter.projections is twin.tables.projections
+        qs = np.random.default_rng(4).standard_normal((10, 10)).astype(np.float32)
+        alone = [[query(twin, q, 5) for q in qs] for twin in (index, loaded)]
+        made = []
+        make = hashing._sign_filter
+        monkeypatch.setattr(hashing, "_sign_filter", lambda p: made.append(p) or make(p))
+        for i, q in enumerate(qs):
+            for twin, answers in zip((index, loaded), alone):
+                result = query(twin, q, 5)
+                assert np.array_equal(result.ids, answers[i].ids)
+                assert np.array_equal(result.distances, answers[i].distances)
+        assert made == []  # no query makes a filter
 
     def test_wrong_magic_rejected(self, built, tmp_path):
         _, _, path = built
@@ -613,6 +633,7 @@ class TestCorruptSnapshot:
             (44, 0),
             (48, 0),
             (52, 0),
+            (16, 2**23 - 2),  # a dim the sign filter cannot bound
         ],
         ids=[
             "hash_bits=0",
@@ -624,6 +645,7 @@ class TestCorruptSnapshot:
             "shortlist_size=0",
             "linear_step=0",
             "sublinear_step=0",
+            "dim=2**23-2",
         ],
     )
     def test_header_values_params_reject(self, tmp_path, field_offset, value):

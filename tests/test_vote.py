@@ -306,11 +306,11 @@ def test_check_table_rejects_disagreeing_arrays(offsets, ids):
 
 def _filter_inputs():
     """One 2-bit table over three records in dimension 2: its dots, the
-    records, the projections and a filter whose bounds decide every sign
-    of these dots (each at least 0.5 from 0)."""
+    records, the projections and a bound that decides every sign of these
+    dots (each at least 0.5 from 0)."""
     proj = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
     x = np.array([[1.0, -1.0], [-2.0, 3.0], [0.5, 0.5]], dtype=np.float32)
-    bound = np.full(2, 0.1, dtype=np.float32)
+    bound = 0.1
     return np.ascontiguousarray((proj @ x.T).astype(np.float32)), x, proj, bound
 
 
@@ -364,5 +364,5 @@ def test_sign_filter_rejects_disagreeing_arrays(position, replacement):
     args[position] = replacement
     with pytest.raises(ValueError, match="do not agree"):
         vote.SignFilter(proj, bound, 2.0**250)(*args)
-    with pytest.raises(ValueError, match="do not agree"):
+    with pytest.raises(ValueError, match="C-contiguous float32"):
         vote.SignFilter(proj.astype(np.float64), bound, 2.0**250)

@@ -29,7 +29,9 @@ def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
     """Exact k nearest neighbors by Euclidean distance, ties by ascending id.
 
     This is the ground-truth oracle every approximate method is measured
-    against.
+    against: an unfiltered exhaustive scan of every record in float64
+    (``core.pairwise_distances``), which acceptance c06 and every
+    full-probe test compare against.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

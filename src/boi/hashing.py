@@ -19,10 +19,14 @@ codes straight into their destination, the build's ``members`` rows included;
 the build then buckets every table with one compiled counting sort
 (``vote.bucket_sort``), which numbers the records in table 0's bucket order
 and lists each bucket's ids in ascending order.
+
+A query probes each table in the one order of ``probe_plan``: its own
+bucket, then whole Hamming shells, each in ``itertools.combinations`` order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -369,30 +373,12 @@ def insert_all(
 
 
 @lru_cache(maxsize=None)
-def flip_masks(bits: int, distance: int) -> np.ndarray:
-    """Read-only uint16 array of the XOR masks for one Hamming shell: every
-    b-bit mask with exactly ``distance`` set bits, in a fixed order (cached).
-    ``bits`` must be in [1, 16]."""
-    if not 1 <= bits <= MAX_HASH_BITS or distance < 0:
-        raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}] and distance >= 0")
-    if distance > bits:
-        masks = np.empty(0, dtype=CODE_DTYPE)
-    else:
-        masks = np.fromiter(
-            (sum(1 << p for p in combo) for combo in combinations(range(bits), distance)),
-            dtype=CODE_DTYPE,
-        )
-    masks.setflags(write=False)
-    return masks
-
-
-@lru_cache(maxsize=None)
 def _probe_plan(bits: int, last_shell: int) -> tuple[np.ndarray, ...]:
-    shells = [flip_masks(bits, d) for d in range(last_shell + 1)]
-    sizes = [shell.size for shell in shells]
+    powers = [1 << p for p in range(bits)]
+    flips = [f for d in range(last_shell + 1) for f in combinations(powers, d)]
     plan = (
-        np.concatenate(shells),
-        np.repeat(np.arange(last_shell + 1, dtype=np.uint8), sizes),
+        np.array([sum(f) for f in flips], CODE_DTYPE),
+        np.array([len(f) for f in flips], np.uint8),
     )
     for arr in plan:
         arr.setflags(write=False)
@@ -400,16 +386,15 @@ def _probe_plan(bits: int, last_shell: int) -> tuple[np.ndarray, ...]:
 
 
 def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
-    """Read-only (masks, dists) of the probe row that covers ``count``
-    neighbors: the center (mask 0, shell 0), then whole Hamming shells
-    1, 2, ... in ``flip_masks`` order. ``dists`` is each position's
-    distance. Cached per (bits, last shell)."""
+    """Read-only (masks, distances) of a probe row covering ``count`` neighbors:
+    mask 0, then whole shells in ``combinations`` order; cached per last shell."""
+    if not 1 <= bits <= MAX_HASH_BITS:
+        raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}], got {bits}")
     if not 0 <= count < 1 << bits:
         raise ValueError(f"count must be in [0, 2**bits - 1], got {count}")
     last_shell = covered = 0
     while covered < count:
-        last_shell += 1
-        covered += flip_masks(bits, last_shell).size
+        covered += math.comb(bits, last_shell := last_shell + 1)
     return _probe_plan(bits, last_shell)
 
 

@@ -7,10 +7,10 @@ import pytest
 from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import BoiParams, VectorSet
 from boi.hashing import (
-    flip_masks,
     hash_codes_all,
     insert_all,
     make_projections,
+    probe_plan,
 )
 from boi.index import BoiIndex, accumulate, query
 from hand_tables import from_record_ids
@@ -211,7 +211,8 @@ class TestMultiprobeLsh:
         tables, data = populated
         q = np.random.default_rng(radius).standard_normal(12).astype(np.float32)
         codes = hash_codes_all(tables.sign_filter, tables.bits, q[np.newaxis, :])[0]
-        masks = np.concatenate([flip_masks(tables.bits, j) for j in range(radius + 1)])
+        masks, dists = probe_plan(tables.bits, (1 << tables.bits) - 1)
+        masks = masks[dists <= radius]
         rows = np.repeat(np.arange(tables.num_tables), masks.size)
         scanned = tables.bucket(rows, (codes[:, np.newaxis] ^ masks).ravel()).size
         got = multiprobe_lsh_query(tables, data, q, radius, 5, 3)

@@ -17,7 +17,6 @@ from boi.hashing import (
     OFFSET_DTYPE,
     ProjectionTable,
     check_record_count,
-    flip_masks,
     hash_codes_all,
     insert_all,
     make_projections,
@@ -724,8 +723,7 @@ class TestProbePlan:
         masks, dists = probe_plan(8, 10)
         assert masks[0] == 0 and dists[0] == 0
         assert masks.size == dists.size == 1 + 8 + 28
-        assert np.array_equal(masks[1:9], flip_masks(8, 1))
-        assert np.array_equal(masks[9:], flip_masks(8, 2))
+        assert np.array_equal(masks[:9], probe_plan(8, 8)[0])
         assert dists.tolist() == [0] + [1] * 8 + [2] * 28
 
     def test_zero_count_is_the_center_alone(self):
@@ -746,7 +744,36 @@ class TestProbePlan:
         for arr in plan:
             assert not arr.flags.writeable
 
-    @pytest.mark.parametrize("bits, count", [(4, -1), (4, 16), (17, 1)])
+    def test_shell_sizes(self):
+        for bits in (1, 4, 8):
+            dists = probe_plan(bits, (1 << bits) - 1)[1]
+            sizes = [comb(bits, d) for d in range(bits + 1)]
+            assert np.bincount(dists).tolist() == sizes
+
+    @pytest.mark.parametrize("bits", range(1, MAX_HASH_BITS + 1))
+    def test_matches_masks_sorted_by_popcount_then_positions(self, bits):
+        # an oracle that never calls combinations: all 2**bits masks by
+        # popcount, then by their ascending set-bit positions, cut after
+        # the shell of the count-th neighbor
+        positions = [[p for p in range(bits) if m >> p & 1] for m in range(1 << bits)]
+        order = sorted(
+            range(1 << bits), key=lambda m: (len(positions[m]), positions[m])
+        )
+        want = np.array(order, dtype=CODE_DTYPE)
+        want_dists = np.array([len(positions[m]) for m in order], dtype=np.uint8)
+        if bits <= 10:
+            counts = range(1 << bits)
+        else:
+            sampled = np.random.default_rng(bits).integers(0, 1 << bits, 24).tolist()
+            counts = sorted({0, 1, bits, bits + 1, (1 << bits) - 1, *sampled})
+        for count in counts:
+            end = np.searchsorted(want_dists, want_dists[count], side="right")
+            masks, dists = probe_plan(bits, count)
+            assert masks.dtype == CODE_DTYPE and dists.dtype == np.uint8
+            assert np.array_equal(masks, want[:end]), count
+            assert np.array_equal(dists, want_dists[:end]), count
+
+    @pytest.mark.parametrize("bits, count", [(4, -1), (4, 16), (17, 1), (0, 0)])
     def test_rejects_bad_arguments(self, bits, count):
         with pytest.raises(ValueError):
             probe_plan(bits, count)
@@ -767,18 +794,6 @@ def test_neighbor_codes_properties(bits, data):
     last = dists[-1]
     assert dists.count(last) == comb(bits, last)
     assert len(as_ints) - 1 - comb(bits, last) < max_count or last == 0
-
-
-def test_flip_masks_shell_sizes():
-    for bits in (1, 4, 8):
-        for dist in range(bits + 2):
-            assert flip_masks(bits, dist).size == comb(bits, dist)
-
-
-@pytest.mark.parametrize("bits, dist", [(0, 1), (4, -1), (17, 1)])
-def test_flip_masks_rejects_bad_arguments(bits, dist):
-    with pytest.raises(ValueError):
-        flip_masks(bits, dist)
 
 
 def test_collision_probability_monotone_in_angle():

@@ -195,7 +195,7 @@ class BoiIndex:
 
 def build_index(dataset: VectorSet, params: BoiParams) -> BoiIndex:
     """Hash every record into L tables and wrap them as an index."""
-    projections = make_projections(params, dataset.dim if dataset.n else 1)
+    projections = make_projections(params, max(dataset.dim, 1))
     tables = insert_all(projections, params.hash_bits, dataset)
     return BoiIndex(params, tables, dataset)
 

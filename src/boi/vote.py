@@ -8,10 +8,10 @@ The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
 unset), under a name keyed by the source's sha256; later imports load that
 file. ``ctypes.CDLL`` releases the GIL for the length of each call, so
-queries running in threads vote in parallel. The entry points called per
-query or per table take raw addresses: their wrappers check each array's
-type, shape and layout, since an ``ndpointer`` conversion costs about 5 us
-an array while the GIL is held.
+queries running in threads vote in parallel. Every entry point takes raw
+addresses, and its wrapper gets each one from ``_address``, which checks
+the array's exact type, shape and layout first: numpy's own ctypes
+argument conversion would cost about 5 us an array while the GIL is held.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CODE_DTYPE, OFFSET_DTYPE
+from .core import CODE_DTYPE, MAX_HASH_BITS, OFFSET_DTYPE
 
 SOURCE = Path(__file__).with_name("vote.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
@@ -86,8 +86,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
     ``boi_check_table`` and ``boi_hash_codes`` declared."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
-    writable = "C_CONTIGUOUS,WRITEABLE"
-    # the wrappers below check the arrays behind each raw address
+    # every address comes from _address, which checks the array behind it
     library.boi_gather_vote.argtypes = [
         i64,  # num_tables
         i64,  # bits
@@ -104,10 +103,10 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # num_tables
         i64,  # bits
         i64,  # n
-        np.ctypeslib.ndpointer(OFFSET_DTYPE, ndim=2, flags=writable),  # offsets
-        np.ctypeslib.ndpointer(np.int32, ndim=2, flags=writable),  # members
-        np.ctypeslib.ndpointer(np.int32, ndim=1, flags=writable),  # order
-        np.ctypeslib.ndpointer(CODE_DTYPE, ndim=1, flags=writable),  # scratch
+        address,  # offsets
+        address,  # members
+        address,  # order
+        address,  # scratch
     ]
     library.boi_check_table.argtypes = [
         i64,  # bits
@@ -142,13 +141,28 @@ def load_library(cache_dir) -> ctypes.CDLL:
 _library = load_library(default_cache_dir())
 
 
-def _addressable(arrays) -> bool:
-    """True when each (array, dtype) pair has that exact (native) dtype and
-    is C-contiguous and aligned, so its address can go to the library."""
-    return all(
-        a.dtype == dtype and a.flags.c_contiguous and a.flags.aligned
-        for a, dtype in arrays
-    )
+def _address(array: np.ndarray, dtype, shape: tuple, writable: bool = False) -> int:
+    """The address of ``array``'s data, to pass to the library.
+
+    Raises ValueError, giving the expected and the actual dtype and shape,
+    unless ``array`` has exactly this native ``dtype`` and this ``shape``,
+    is C-contiguous and aligned, and is writable when ``writable`` is set:
+    the library reads (and writes) through the address alone.
+    """
+    flags = array.flags
+    if (
+        array.dtype != dtype
+        or array.shape != shape
+        or not (flags.c_contiguous and flags.aligned)
+        or (writable and not flags.writeable)
+    ):
+        layout = "C-contiguous aligned writable" if writable else "C-contiguous aligned"
+        raise ValueError(
+            f"expected a {layout} {np.dtype(dtype)} array of shape {shape}, got "
+            f"{array.dtype} of shape {array.shape} (C-contiguous {flags.c_contiguous}, "
+            f"aligned {flags.aligned}, writable {flags.writeable})"
+        )
+    return array.ctypes.data
 
 
 def gather_vote(
@@ -173,37 +187,16 @@ def gather_vote(
     offsets that decrease or leave [0, n], an id >= n); ``votes`` is then
     partly written.
     """
-    if offsets.ndim != 2 or members.ndim != 2 or probes.ndim != 2:
-        raise ValueError("gather_vote: array shapes or strides do not agree")
-    num_tables, n = members.shape
-    width = probes.shape[1]
-    bits = offsets.shape[1].bit_length() - 1
-    if (
-        offsets.shape != (num_tables, (1 << bits) + 1)
-        or probes.shape[0] != num_tables
-        or units.shape != (width,)
-        or budgets.shape != (num_tables,)
-        or votes.shape != (n,)
-        or not votes.flags.writeable
-        or not _addressable(
-            (
-                (offsets, OFFSET_DTYPE),
-                (members, np.int32),
-                (probes, CODE_DTYPE),
-                (units, np.uint32),
-                (budgets, np.int64),
-                (votes, np.int32),
-            )
-        )
-    ):
-        raise ValueError(
-            "gather_vote: array shapes or strides do not agree, or an array "
-            "has the wrong type or cannot be written"
-        )
+    num_tables, width, n = budgets.size, units.size, votes.size
+    bits = offsets.shape[-1].bit_length() - 1
     scanned = _library.boi_gather_vote(
-        num_tables, bits, n, offsets.ctypes.data, members.ctypes.data,
-        probes.ctypes.data, width, units.ctypes.data, budgets.ctypes.data,
-        votes.ctypes.data,
+        num_tables, bits, n,
+        _address(offsets, OFFSET_DTYPE, (num_tables, (1 << bits) + 1)),
+        _address(members, np.int32, (num_tables, n)),
+        _address(probes, CODE_DTYPE, (num_tables, width)), width,
+        _address(units, np.uint32, (width,)),
+        _address(budgets, np.int64, (num_tables,)),
+        _address(votes, np.int32, (n,), writable=True),
     )
     if scanned < 0:
         raise ValueError(
@@ -229,17 +222,18 @@ def bucket_sort(offsets: np.ndarray, members: np.ndarray, order: np.ndarray) -> 
     codes besides them. Raises ValueError when the shapes disagree or a
     code is 2**b or more; the three arrays are then partly written.
     """
-    num_tables, n = members.shape
-    bits = offsets.shape[1].bit_length() - 1
-    if (
-        num_tables < 1
-        or offsets.shape != (num_tables, (1 << bits) + 1)
-        or order.shape != (n,)
-    ):
-        raise ValueError("bucket_sort: array shapes do not agree")
-    scratch = np.empty(n, dtype=CODE_DTYPE)
+    num_tables, n = len(offsets), order.size
+    if num_tables < 1:
+        raise ValueError("bucket_sort needs at least one table")
+    bits = offsets.shape[-1].bit_length() - 1
+    # a name holds the scratch alive while the kernel writes through its address
+    scratch = np.empty(n, CODE_DTYPE)
     if _library.boi_bucket_sort(
-        num_tables, bits, n, offsets, members, order, scratch
+        num_tables, bits, n,
+        _address(offsets, OFFSET_DTYPE, (num_tables, (1 << bits) + 1), writable=True),
+        _address(members, np.int32, (num_tables, n), writable=True),
+        _address(order, np.int32, (n,), writable=True),
+        _address(scratch, CODE_DTYPE, (n,), writable=True),
     ) < 0:
         raise ValueError(f"a bucket code is out of range for {bits} bits")
 
@@ -252,26 +246,25 @@ def check_table(offsets: np.ndarray, ids: np.ndarray) -> int:
     """Check one snapshot table record and turn its counts into offsets.
 
     ``offsets`` (2**b + 1,) int32 holds the record's bucket counts, as
-    uint32, from entry 1 on; ``ids`` (n,) int32 or uint32 is its id row.
-    Both must be C-contiguous and ``offsets`` writable. Returns 0 and
-    leaves ``offsets`` the CSR offsets of the counts when they sum to n
-    exactly, every id, read as uint32, is below n and the ids' wrapping
-    uint32 sum is that of 0..n-1. Otherwise returns the first check that
-    fails: ``COUNTS_OFF`` (``offsets`` then unchanged), ``ID_OUT_OF_RANGE``
-    or ``NOT_A_PERMUTATION``. Raises ValueError when the arrays disagree.
+    uint32, from entry 1 on; ``ids`` (n,) int32 is its id row. Both must
+    be C-contiguous and ``offsets`` writable. Returns 0 and leaves
+    ``offsets`` the CSR offsets of the counts when they sum to n exactly,
+    every id, read as uint32, is below n and the ids' wrapping uint32 sum
+    is that of 0..n-1. Otherwise returns the first check that fails:
+    ``COUNTS_OFF`` (``offsets`` then unchanged), ``ID_OUT_OF_RANGE`` or
+    ``NOT_A_PERMUTATION``. Raises ValueError when the arrays disagree or b
+    is not in [1, 16].
     """
     bits = offsets.shape[-1].bit_length() - 1
-    if (
-        offsets.shape != ((1 << bits) + 1,)
-        or not 1 <= bits <= 16
-        or ids.ndim != 1
-        or not offsets.flags.writeable
-        or not _addressable(((offsets, OFFSET_DTYPE), (ids, ids.dtype)))
-        or ids.dtype not in (np.int32, np.uint32)
-    ):
-        raise ValueError("check_table: array shapes, types or strides do not agree")
+    if not 1 <= bits <= MAX_HASH_BITS:
+        raise ValueError(
+            f"check_table: {offsets.shape} offsets are not 2**b + 1 wide "
+            f"for a b in [1, {MAX_HASH_BITS}]"
+        )
     return _library.boi_check_table(
-        bits, ids.size, offsets.ctypes.data, ids.ctypes.data
+        bits, ids.size,
+        _address(offsets, OFFSET_DTYPE, ((1 << bits) + 1,), writable=True),
+        _address(ids, np.int32, (ids.size,)),
     )
 
 
@@ -290,10 +283,11 @@ class SignFilter:
     """
 
     def __init__(self, projections: np.ndarray, bound: float, safe_square: float):
-        if projections.ndim != 2 or not _addressable(((projections, np.float32),)):
-            raise ValueError("SignFilter: projections are not aligned C-contiguous float32")
+        # its own first and last sizes, which only a 2-D array matches
+        shape = (len(projections), projections.shape[-1])
         self.projections, self.bound = projections, float(bound)
-        self._fixed = (projections.ctypes.data, self.bound, float(safe_square))
+        address = _address(projections, np.float32, shape)
+        self._fixed = (address, self.bound, float(safe_square))
 
     def __call__(self, dots: np.ndarray, x: np.ndarray, bits: int, out: np.ndarray) -> int:
         """Write the b-bit codes of the rows of ``x`` into ``out``; return
@@ -306,27 +300,28 @@ class SignFilter:
         table t. Raises ValueError when the shapes, types or strides
         disagree.
         """
-        rows, dim = x.shape
-        num_tables = out.shape[1]
+        if not 1 <= bits <= MAX_HASH_BITS:
+            raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}], got {bits}")
+        num_rows, dim = self.projections.shape
+        rows, num_tables = shape = (len(x), num_rows // bits)
         step = CODE_DTYPE.itemsize
         if (
-            self.projections.shape != (num_tables * bits, dim)
-            or dots.shape != (num_tables * bits, rows)
-            or dots.dtype != np.float32
-            or x.dtype != np.float32
-            or not (dots.flags.c_contiguous and x.flags.c_contiguous)
-            or out.shape[0] != rows
+            num_tables * bits != num_rows
+            or out.shape != shape
             or out.dtype != CODE_DTYPE
             or not (out.flags.writeable and out.flags.aligned)
             or out.strides[0] % step
             or out.strides[1] % step
         ):
-            raise ValueError("SignFilter: array shapes, types or strides do not agree")
-        recomputed = _library.boi_hash_codes(
-            num_tables, bits, rows, dim, dots.ctypes.data, x.ctypes.data,
+            raise ValueError(
+                f"SignFilter: expected a writable aligned {CODE_DTYPE} array of shape "
+                f"{shape} in whole-element strides for {num_rows} projection rows "
+                f"of {bits} bits, got {out.dtype} of shape {out.shape}"
+            )
+        return _library.boi_hash_codes(
+            num_tables, bits, rows, dim,
+            _address(dots, np.float32, (num_rows, rows)),
+            _address(x, np.float32, (rows, dim)),
             *self._fixed, out.ctypes.data, out.strides[0] // step,
             out.strides[1] // step,
         )
-        if recomputed < 0:
-            raise ValueError(f"bits must be in [1, 16], got {bits}")
-        return recomputed

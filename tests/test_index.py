@@ -472,6 +472,23 @@ class TestQuery:
         assert res.shortlist_size == 0
         assert res.probe_count == 4
 
+    def test_empty_set_of_known_width_answers_empty(self, tmp_path):
+        # no records, but 8 values wide: every path answers an 8-wide query
+        # with nothing, as brute force does, and still rejects other widths
+        data = VectorSet(np.empty((0, 8), dtype=np.float32))
+        index = build_index(data, fixed_params(num_tables=4))
+        save_index(index, tmp_path / "empty.boix")
+        loaded = load_index(tmp_path / "empty.boix", data)
+        q = np.ones(8, dtype=np.float32)
+        answers = [query(index, q, 3), query(loaded, q, 3)] + [
+            multiprobe_lsh_query(index.tables, data, q, radius, 5, 3)
+            for radius in (0, 1)
+        ]
+        assert len(brute_force_query(data, q, 3)) == 0
+        assert [len(answer) for answer in answers] == [0, 0, 0, 0]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            query(index, np.ones(3, dtype=np.float32), 3)
+
     def test_full_probe_degeneracy_equals_brute_force(self):
         rng = np.random.default_rng(17)
         data = VectorSet(rng.standard_normal((300, 8)).astype(np.float32))

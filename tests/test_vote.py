@@ -1,4 +1,5 @@
 import ctypes
+import re
 import shutil
 import subprocess
 import sys
@@ -142,7 +143,7 @@ def test_projection_table_stores_strided_members_contiguously():
 def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
     args = list(_arrays())
     args[position] = replacement
-    with pytest.raises(ValueError, match="shapes or strides"):
+    with pytest.raises(ValueError, match="expected a C-contiguous aligned"):
         vote.gather_vote(*args)
 
 
@@ -217,17 +218,17 @@ def test_bucket_sort_rejects_a_code_past_2_bits(bits):
 
 
 @pytest.mark.parametrize(
-    "offsets_shape, members_shape, order_size",
-    [((3, 5), (2, 6), 6), ((2, 4), (2, 6), 6), ((2, 5), (2, 6), 5),
-     ((0, 5), (0, 6), 6)],
+    "offsets_shape, members_shape, order_size, message",
+    [((3, 5), (2, 6), 6, "expected a"), ((2, 4), (2, 6), 6, "expected a"),
+     ((2, 5), (2, 6), 5, "expected a"), ((0, 5), (0, 6), 6, "at least one table")],
     ids=["tables", "offsets-width", "order", "no-tables"],
 )
 def test_bucket_sort_rejects_disagreeing_shapes(
-    offsets_shape, members_shape, order_size
+    offsets_shape, members_shape, order_size, message
 ):
     members = np.zeros(members_shape, np.int32)
     order = np.zeros(order_size, np.int32)
-    with pytest.raises(ValueError, match="shapes do not agree"):
+    with pytest.raises(ValueError, match=message):
         vote.bucket_sort(np.zeros(offsets_shape, np.int32), members, order)
 
 
@@ -236,7 +237,7 @@ def _record(counts, ids, bits=2):
     offsets (entry 0 junk), and its id row."""
     offsets = np.full((1 << bits) + 1, -7, np.int32)
     offsets[1:] = np.array(counts, np.uint32).view(np.int32)
-    return offsets, np.array(ids, np.uint32)
+    return offsets, np.array(ids, np.uint32).view(np.int32)
 
 
 def test_check_table_turns_counts_into_offsets():
@@ -288,19 +289,26 @@ def test_check_table_reads_every_id_of_a_long_row():
 
 
 @pytest.mark.parametrize(
-    "offsets, ids",
+    "offsets, ids, message",
     [
-        (np.zeros(4, np.int32), np.zeros(3, np.uint32)),  # not 2**b + 1 wide
-        (np.zeros(3, np.int64), np.zeros(2, np.uint32)),
-        (np.zeros(3, np.int32), np.zeros(2, np.int64)),
-        (np.zeros(3, np.int32), np.zeros(4, np.uint32)[::2]),
-        (np.zeros((1, 3), np.int32), np.zeros(2, np.uint32)),
-        (np.zeros(3, np.int32), np.zeros((1, 2), np.uint32)),
+        # int32 ids in every case but those about the ids
+        (np.zeros(4, np.int32), np.zeros(3, np.int32), r"int32 array of shape \(5,\)"),
+        (np.zeros(3, np.int64), np.zeros(2, np.int32), r"int32 array of shape \(3,\)"),
+        (np.zeros(3, np.int32), np.zeros(2, np.int64), r"int32 array of shape \(2,\)"),
+        (np.zeros(3, np.int32), np.zeros(2, np.uint32), r"int32 array of shape \(2,\)"),
+        (np.zeros(3, np.int32), np.zeros(4, np.int32)[::2], "C-contiguous False"),
+        (np.zeros((1, 3), np.int32), np.zeros(2, np.int32), r"of shape \(1, 3\) "),
+        (np.zeros(3, np.int32), np.zeros((1, 2), np.int32), r"of shape \(1, 2\) "),
+        (np.zeros(1, np.int32), np.zeros(1, np.int32), r"b in \[1, 16\]"),
+        (np.zeros(2**17 + 1, np.int32), np.zeros(1, np.int32), r"b in \[1, 16\]"),
     ],
-    ids=["width", "offsets-dtype", "ids-dtype", "ids-strided", "offsets-2d", "ids-2d"],
+    ids=[
+        "width", "offsets-dtype", "ids-dtype", "ids-uint32", "ids-strided",
+        "offsets-2d", "ids-2d", "bits-0", "bits-17",
+    ],
 )
-def test_check_table_rejects_disagreeing_arrays(offsets, ids):
-    with pytest.raises(ValueError, match="do not agree"):
+def test_check_table_rejects_disagreeing_arrays(offsets, ids, message):
+    with pytest.raises(ValueError, match=message):
         vote.check_table(offsets, ids)
 
 
@@ -362,7 +370,63 @@ def test_sign_filter_rejects_disagreeing_arrays(position, replacement):
     dots, x, proj, bound = _filter_inputs()
     args = [dots, x, 2, np.zeros((3, 1), np.uint16)]
     args[position] = replacement
-    with pytest.raises(ValueError, match="do not agree"):
+    with pytest.raises(ValueError, match="expected"):
         vote.SignFilter(proj, bound, 2.0**250)(*args)
-    with pytest.raises(ValueError, match="C-contiguous float32"):
+    with pytest.raises(ValueError, match=r"float32 array of shape \(2, 2\)"):
         vote.SignFilter(proj.astype(np.float64), bound, 2.0**250)
+
+
+def _sign_filter_call(dots, x, bits, out):
+    _, _, proj, bound = _filter_inputs()
+    return vote.SignFilter(proj, bound, 2.0**250)(dots, x, bits, out)
+
+
+def _sign_filter_args():
+    dots, x, _, _ = _filter_inputs()
+    return dots, x, 2, np.zeros((3, 1), np.uint16)
+
+
+# each wrapper, arrays it accepts, and the positions of an input and an output
+_WRAPPERS = {
+    "gather_vote": (vote.gather_vote, _arrays, 2, 5),
+    "bucket_sort": (
+        vote.bucket_sort, lambda: _sort_inputs(np.zeros((5, 2), np.uint16), 2), 1, 2
+    ),
+    "check_table": (
+        vote.check_table, lambda: _record([2, 0, 1, 2], [4, 0, 2, 1, 3]), 1, 0
+    ),
+    "sign_filter": (_sign_filter_call, _sign_filter_args, 1, 3),
+}
+
+
+def _byte_swapped(array):
+    return array.astype(array.dtype.newbyteorder())
+
+
+def _strided(array):
+    wide = np.zeros(array.shape[:-1] + (2 * array.shape[-1],), array.dtype)
+    wide[..., ::2] = array
+    return wide[..., ::2]
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize("wrapper", list(_WRAPPERS))
+@pytest.mark.parametrize(
+    "defect, output",
+    [(_byte_swapped, False), (_strided, False), (_read_only, True)],
+    ids=["byte-swapped", "strided", "read-only-output"],
+)
+def test_every_wrapper_names_the_array_it_needs(wrapper, defect, output):
+    call, accepted, input_at, output_at = _WRAPPERS[wrapper]
+    call(*accepted())
+    args = list(accepted())
+    at = output_at if output else input_at
+    expected = args[at]
+    args[at] = defect(expected.copy())
+    needs = f"{expected.dtype} array of shape {expected.shape}"
+    with pytest.raises(ValueError, match=re.escape(needs)):
+        call(*args)

@@ -22,7 +22,7 @@ from .core import (
     rerank,
 )
 from .hashing import ProjectionTable
-from .index import _accumulate, neighbor_budget, shortlist
+from .index import _accumulate, neighbor_budget, probe_plan, shortlist
 
 
 def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
@@ -73,6 +73,7 @@ def multiprobe_lsh_query(
     count = neighbor_budget(tables.bits, radius)
     budgets = np.full(tables.num_tables, count, np.int64)
     ones = np.ones(count + 1, np.uint32)
-    votes, probes, pairs = _accumulate(tables, q, ones, budgets)
+    masks = probe_plan(tables.bits, count)[0]
+    votes, probes, pairs = _accumulate(tables, q, masks, ones, budgets)
     candidates = shortlist(votes, shortlist_size, tables.order)
     return rerank(dataset.vectors, candidates, q, k, probes, pairs)

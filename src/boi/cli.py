@@ -93,15 +93,15 @@ def _apply_overrides(params: BoiParams, args, strict: bool) -> BoiParams:
 
 def _make_runner(method: str, index: BoiIndex | None, dataset: VectorSet, k: int):
     if method == "brute":
-        return lambda qi, v: brute_force_query(dataset, v, k)
+        return lambda v: brute_force_query(dataset, v, k)
     if index is None:
         raise SystemExit(f"method {method} requires --index")
     if method in ("boi", "boi_strict"):
-        return lambda qi, v: boi_query(index, v, k)
+        return lambda v: boi_query(index, v, k)
     params = index.params
     if method in ("lsh", "multiprobe"):
         radius = 0 if method == "lsh" else params.probe_radius
-        return lambda qi, v: multiprobe_lsh_query(
+        return lambda v: multiprobe_lsh_query(
             index.tables, dataset, v, radius, params.shortlist_size, k
         )
     raise SystemExit(f"unknown method {method}")
@@ -171,7 +171,7 @@ def cmd_query(args) -> int:
     run = _make_runner(args.method, index, dataset, args.k)
     rows = np.full((queries.n, args.k), -1, dtype=np.int32)
     for qi in range(queries.n):
-        result = run(qi, queries.vectors[qi])
+        result = run(queries.vectors[qi])
         rows[qi, : len(result)] = result.ids[: args.k]
         if not args.out:
             head = ", ".join(

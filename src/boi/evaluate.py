@@ -121,22 +121,20 @@ def _run_batch(run, queries: VectorSet, repetitions: int, workers: int):
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    def _run_one(qi: int) -> tuple[object, float]:
-        v = queries.vectors[qi]
-        result = run(qi, v)  # warm-up, excluded from the timing
+    def _run_one(v: np.ndarray) -> tuple[object, float]:
+        result = run(v)  # warm-up, excluded from the timing
         samples = []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            run(qi, v)
+            run(v)
             samples.append((time.perf_counter() - t0) * 1e3)
         return result, statistics.median(samples)
 
-    indices = range(queries.n)
     if workers == 1:
-        pairs = [_run_one(qi) for qi in indices]
+        pairs = [_run_one(v) for v in queries.vectors]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_run_one, indices))
+            pairs = list(pool.map(_run_one, queries.vectors))
     times = np.asarray([t for _, t in pairs], dtype=np.float64)
     return [r for r, _ in pairs], times
 
@@ -228,7 +226,7 @@ class EvalReport:
 
 
 def run_benchmark(
-    run: Callable[[int, np.ndarray], RankedResult],
+    run: Callable[[np.ndarray], RankedResult],
     queries: VectorSet,
     ground_truth: GroundTruth | None = None,
     *,
@@ -241,13 +239,13 @@ def run_benchmark(
 ) -> tuple[EvalReport, list[RankedResult]]:
     """Run one method over a query batch and aggregate its metrics.
 
-    ``run`` is called as run(query_index, vector). Each query gets one
-    untimed warm-up call, whose ranking is the one scored, then
-    ``repetitions`` timed calls; its time is their median in milliseconds,
-    end to end. With workers > 1 queries are dispatched across a thread
-    pool, each still timed inside its worker. The boi query's vote kernel
-    runs without the GIL, so workers overlap it; the other stages hold the
-    GIL for part of their time. Returns the report plus the per-query
+    ``run`` is called as run(vector). Each query gets one untimed warm-up
+    call, whose ranking is the one scored, then ``repetitions`` timed
+    calls; its time is their median in milliseconds, end to end. With
+    workers > 1 queries are dispatched across a thread pool, each still
+    timed inside its worker. The boi query's vote kernel runs without the
+    GIL, so workers overlap it; the other stages hold the GIL for part of
+    their time. Returns the report plus the per-query
     results for CSV export.
     """
     if ground_truth is not None and ground_truth.num_queries != queries.n:

@@ -20,16 +20,13 @@ the build then buckets every table with one compiled counting sort
 (``vote.bucket_sort``), which numbers the records in table 0's bucket order
 and lists each bucket's ids in ascending order.
 
-A query probes each table in the one order of ``probe_plan``: its own
-bucket, then whole Hamming shells, each in ``itertools.combinations`` order.
+This module only hashes and buckets. What a query probes, the probe plan
+and its masks, is decided in ``boi.index``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -134,8 +131,9 @@ class ProjectionTable:
     ``index.shortlist`` maps the ids it keeps to records; ``bucket`` and
     ``index.accumulate`` give record ids and record order.
 
-    ``sign_filter``, the ``vote.SignFilter`` of the projections, is made
-    once by the constructor (``_sign_filter``); every query hashes with it.
+    ``sign_filter``, the ``vote.SignFilter`` of the projections and the
+    code width, is made once by the constructor (``_sign_filter``); every
+    query hashes with it.
 
     A table object is made once and never changes; its arrays cannot be
     written. Offsets, members and order are held C-contiguous, the one
@@ -184,7 +182,8 @@ class ProjectionTable:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "sign_filter", _sign_filter(self.projections))
+        sign_filter = _sign_filter(self.projections, self.bits)
+        object.__setattr__(self, "sign_filter", sign_filter)
 
     @classmethod
     def from_id_rows(cls, projections, offsets, rows: np.ndarray) -> ProjectionTable:
@@ -268,11 +267,13 @@ def make_projections(params: BoiParams, dim: int) -> np.ndarray:
     )
 
 
-def _sign_filter(projections) -> SignFilter:
-    """The ``vote.SignFilter`` of these projections, as float32 rows: any
-    float32 summation of the dot of x with any row is within bound * h of
-    the exact dot, for h >= max(||x||, 2**-31), while ||x||**2 <
-    safe_square. A value float32 cannot hold exactly raises ValueError.
+def _sign_filter(projections, bits: int) -> SignFilter:
+    """The ``vote.SignFilter`` of these projections, as float32 rows, in
+    tables of ``bits`` bits: the filter fixes both, and checks the code
+    width and the table layout once. Any float32 summation of the dot of x
+    with any row is within bound * h of the exact dot, for h >= max(||x||,
+    2**-31), while ||x||**2 < safe_square. A value float32 cannot hold
+    exactly raises ValueError.
 
     With u = 2**-24 and gamma_k = k*u / (1 - k*u), gamma_d * sum |x_i p_i|
     bounds the rounding error of a d-term dot in any order (Higham,
@@ -296,18 +297,19 @@ def _sign_filter(projections) -> SignFilter:
     with np.errstate(over="ignore"):
         bound = np.float32(k / (1 - k) * top + (dim + 2) * 2.0**-118)
     bound = np.nextafter(bound, np.float32(np.inf))
-    return SignFilter(projections, bound, 2.0**250 / max(top, 1.0) ** 2)
+    return SignFilter(projections, bits, bound, 2.0**250 / max(top, 1.0) ** 2)
 
 
 def hash_codes_all(
-    sign_filter: SignFilter, bits: int, X: np.ndarray, out: np.ndarray | None = None
+    sign_filter: SignFilter, X: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Bucket codes (uint16) of the rows of X under every table, shape (m, L).
 
     ``sign_filter`` holds the L tables' stacked (bits x dim) matrices, as
-    ``ProjectionTable.sign_filter`` or ``_sign_filter`` makes it, and
-    ``bits`` must be in [1, 16]. X is hashed as its float32 cast, as
-    ``core.query_vector`` makes a query. The codes are written into
+    ``ProjectionTable.sign_filter`` or ``_sign_filter`` makes it. The code
+    width and the table layout are fixed, and checked, when the filter is
+    made, so a call passes only the rows. X is hashed as its float32 cast,
+    as ``core.query_vector`` makes a query. The codes are written into
     ``out`` when it is given, an (m, L) uint16 array of any strides that
     are whole elements, and returned.
 
@@ -317,8 +319,6 @@ def hash_codes_all(
     the rest in float64 and writes each table's codes into ``out``. The
     build and the query both hash here.
     """
-    if not 1 <= bits <= MAX_HASH_BITS:
-        raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}]")
     projections = sign_filter.projections
     X = np.ascontiguousarray(X, dtype=np.float32)
     if X.ndim != 2 or X.shape[1] != projections.shape[1]:
@@ -329,7 +329,7 @@ def hash_codes_all(
     m = X.shape[0]
     num_rows = projections.shape[0]
     if out is None:
-        out = np.empty((m, num_rows // bits), dtype=CODE_DTYPE)
+        out = np.empty((m, sign_filter.num_tables), dtype=CODE_DTYPE)
     dots = np.empty(num_rows * min(m, _HASH_CHUNK), dtype=np.float32)
     # a product may overflow only in rows the filter recomputes whole
     with np.errstate(over="ignore", invalid="ignore"):
@@ -337,7 +337,7 @@ def hash_codes_all(
             chunk = X[start : start + _HASH_CHUNK]
             products = dots[: num_rows * len(chunk)].reshape(num_rows, -1)
             np.matmul(projections, chunk.T, out=products)
-            sign_filter(products, chunk, bits, out[start : start + len(chunk)])
+            sign_filter(products, chunk, out[start : start + len(chunk)])
     return out
 
 
@@ -366,53 +366,10 @@ def insert_all(
     offsets = np.empty((num_tables, (1 << bits) + 1), dtype=OFFSET_DTYPE)
     members = np.empty((num_tables, n), dtype=np.int32)
     order = np.empty(n, dtype=np.int32)
-    sign_filter = _sign_filter(projections)
-    hash_codes_all(sign_filter, bits, X, out=members.view(CODE_DTYPE)[:, n:].T)
+    sign_filter = _sign_filter(projections, bits)
+    hash_codes_all(sign_filter, X, out=members.view(CODE_DTYPE)[:, n:].T)
     bucket_sort(offsets, members, order)
     return ProjectionTable(projections, offsets, members, order)
-
-
-@lru_cache(maxsize=None)
-def _probe_plan(bits: int, last_shell: int) -> tuple[np.ndarray, ...]:
-    powers = [1 << p for p in range(bits)]
-    flips = [f for d in range(last_shell + 1) for f in combinations(powers, d)]
-    plan = (
-        np.array([sum(f) for f in flips], CODE_DTYPE),
-        np.array([len(f) for f in flips], np.uint8),
-    )
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
-
-
-def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
-    """Read-only (masks, distances) of a probe row covering ``count`` neighbors:
-    mask 0, then whole shells in ``combinations`` order; cached per last shell."""
-    if not 1 <= bits <= MAX_HASH_BITS:
-        raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}], got {bits}")
-    if not 0 <= count < 1 << bits:
-        raise ValueError(f"count must be in [0, 2**bits - 1], got {count}")
-    last_shell = covered = 0
-    while covered < count:
-        covered += math.comb(bits, last_shell := last_shell + 1)
-    return _probe_plan(bits, last_shell)
-
-
-def neighbor_codes_with_distance(
-    center: int | np.ndarray, count: int, bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``probe_plan(bits, count)`` row of ``center``, center ^ masks,
-    and each position's distance.
-
-    ``center`` may also be an array of codes, one per table, which gives
-    one row per code. Distances depend only on the position and are
-    returned once.
-    """
-    centers = np.asarray(center)
-    if np.any((centers < 0) | (centers >= 1 << bits)):
-        raise ValueError(f"center {center} out of range for {bits} bits")
-    masks, dists = probe_plan(bits, count)
-    return centers.astype(CODE_DTYPE)[..., np.newaxis] ^ masks, dists
 
 
 def occupancy_summary(tables: ProjectionTable) -> dict:

@@ -35,35 +35,33 @@ distance. A budget never exceeds the 2**b - 1 other buckets of the code
 space. In ``strict_radius`` mode probing is capped at the radius-l ball
 instead, so no bucket beyond distance l is ever touched.
 
-Every table's probe row is its query code XOR the masks of one
-``hashing.probe_plan``: the center, then whole Hamming shells in a fixed
-order. Each table's projection rows are i.i.d. Gaussian, so a fixed order
-favours no bit. The answer is a function of (parameters, seed, data, q)
-alone.
+This module alone decides what a query probes; ``hashing`` only hashes and
+buckets. Every table's probe row is its query code XOR the masks of one
+``probe_plan``, which ``BoiIndex`` takes once: the center, then whole
+Hamming shells in a fixed order. Each table's projection rows are i.i.d.
+Gaussian, so a fixed order favours no bit. The answer is a function of
+(parameters, seed, data, q) alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .core import (
+    CODE_DTYPE,
+    MAX_HASH_BITS,
     BoiParams,
     RankedResult,
     VectorSet,
     query_vector,
     rerank,
 )
-from .hashing import (
-    ProjectionTable,
-    hash_codes_all,
-    insert_all,
-    make_projections,
-    neighbor_codes_with_distance,
-    probe_plan,
-)
+from .hashing import ProjectionTable, hash_codes_all, insert_all, make_projections
 from .vote import gather_vote
 
 
@@ -132,19 +130,53 @@ def neighbor_budget(gamma: int, radius: int, cap: float = math.inf) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _probe_plan(bits: int, last_shell: int) -> tuple[np.ndarray, ...]:
+    powers = [1 << p for p in range(bits)]
+    flips = [f for d in range(last_shell + 1) for f in combinations(powers, d)]
+    plan = (
+        np.array([sum(f) for f in flips], CODE_DTYPE),
+        np.array([len(f) for f in flips], np.uint8),
+    )
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
+    """Read-only (masks, distances) of a probe row covering ``count`` neighbors:
+    mask 0, then whole shells in ``combinations`` order; cached per last shell."""
+    if not 1 <= bits <= MAX_HASH_BITS:
+        raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}], got {bits}")
+    if not 0 <= count < 1 << bits:
+        raise ValueError(f"count must be in [0, 2**bits - 1], got {count}")
+    last_shell = covered = 0
+    while covered < count:
+        covered += math.comb(bits, last_shell := last_shell + 1)
+    return _probe_plan(bits, last_shell)
+
+
+def neighbor_codes_with_distance(codes: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Probe rows, codes[t] ^ masks for each table t (uint16). The codes come
+    from the hash unchecked: the vote kernel refuses any code of 2**b or
+    more. The name stays for the benchmark's ``hashing.probe_order_ms`` span."""
+    return codes[:, np.newaxis] ^ masks
+
+
 @dataclass(frozen=True, eq=False)
 class BoiIndex:
     """The searchable structure: one ``ProjectionTable`` of L populated
     tables over one vector set.
 
-    ``schedule`` is the gamma array of ``build_schedule(params)``.
     ``budgets[i]`` is table i's neighbor budget, neighbor_budget(gamma_i,
-    radius) capped at the code space (2**b - 1 other buckets) or, in strict
-    mode, at the radius ball; the capped sum stops at the cap, so no budget
-    costs more than b binomial terms however large gamma_0 or the radius.
-    ``units[j]`` (uint32) is weight(H_j, b) * 2**b, the vote the kernel
-    adds for position j of a probe row (strict budgets never reach past
-    the radius). All three arrays are read-only.
+    radius) for ``build_schedule(params)``, capped at the code space (2**b -
+    1 other buckets) or, in strict mode, at the radius ball; the capped sum
+    stops at the cap, so no budget costs more than b binomial terms however
+    large gamma_0 or the radius. ``masks`` (uint16) are the masks of
+    ``probe_plan(b, max(budgets))``, which every query XORs into its codes,
+    and ``units[j]`` (uint32) is weight(H_j, b) * 2**b for the plan's H_j,
+    the vote the kernel adds at position j of a probe row (strict budgets
+    never reach past the radius). All three arrays are read-only.
 
     Immutable: the table and the dataset are fixed by the constructor, and
     nothing is cached or bound later (there is no ``attach_dataset``). A
@@ -156,8 +188,8 @@ class BoiIndex:
     params: BoiParams
     tables: ProjectionTable
     dataset: VectorSet | None = None
-    schedule: np.ndarray = field(init=False)
     budgets: np.ndarray = field(init=False)
+    masks: np.ndarray = field(init=False)
     units: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -169,17 +201,16 @@ class BoiIndex:
             )
         if self.dataset is not None:
             tables.check_dataset(self.dataset)
-        schedule = build_schedule(p)
         radius, bits = p.probe_radius, p.hash_bits
         cap = neighbor_budget(bits, radius if p.strict_radius else bits)
         budgets = np.array(
-            [neighbor_budget(g, radius, cap) for g in schedule.tolist()],
+            [neighbor_budget(g, radius, cap) for g in build_schedule(p).tolist()],
             dtype=np.int64,
         )
+        masks, dists = probe_plan(bits, int(budgets.max()))
         per_shell = [weight(h, bits) * 2**bits for h in range(bits + 1)]
-        units = np.array(per_shell, np.uint32)[probe_plan(bits, budgets.max())[1]]
-        object.__setattr__(self, "schedule", schedule)
-        for name, arr in (("budgets", budgets), ("units", units)):
+        units = np.array(per_shell, np.uint32)[dists]
+        for name, arr in (("budgets", budgets), ("masks", masks), ("units", units)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -194,27 +225,31 @@ class BoiIndex:
 
 
 def build_index(dataset: VectorSet, params: BoiParams) -> BoiIndex:
-    """Hash every record into L tables and wrap them as an index."""
-    projections = make_projections(params, max(dataset.dim, 1))
+    """Hash every record into L tables and wrap them as an index; a set of
+    no records and no width (an empty fvecs file) raises ValueError."""
+    if not dataset.dim:
+        raise ValueError("a set with no records has no known width to index")
+    projections = make_projections(params, dataset.dim)
     tables = insert_all(projections, params.hash_bits, dataset)
     return BoiIndex(params, tables, dataset)
 
 
 def _accumulate(
-    tables: ProjectionTable, q: np.ndarray, units: np.ndarray, budgets: np.ndarray
+    tables: ProjectionTable, q: np.ndarray, masks: np.ndarray, units: np.ndarray,
+    budgets: np.ndarray,
 ) -> tuple[np.ndarray, int, int]:
     """Int32 votes in internal order (entry i belongs to record
     ``tables.order[i]``), the probe count and the number of (id, vote)
     pairs the kernel (``vote.gather_vote``) scanned; ``q`` is validated.
 
-    Table t probes the first budgets[t] + 1 codes of its probe row, and
-    position j of a row adds ``units[j]``. A boi vote of at most
-    L * 2**b units stays below 2**31 (``BoiParams``), so the int32 sums are
-    exact and so is their negation in the shortlist.
+    Each table's probe row is its code XOR ``masks``. Table t probes the
+    first budgets[t] + 1 codes of its row, and position j of a row adds
+    ``units[j]``. A boi vote of at most L * 2**b units stays below 2**31
+    (``BoiParams``), so the int32 sums are exact and so is their negation
+    in the shortlist.
     """
-    bits = tables.bits
-    codes = hash_codes_all(tables.sign_filter, bits, q[np.newaxis, :])[0]
-    probes, _ = neighbor_codes_with_distance(codes, int(budgets.max()), bits)
+    codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
+    probes = neighbor_codes_with_distance(codes, masks)
     votes = np.zeros(tables.n, np.int32)
     pairs = gather_vote(tables.offsets, tables.members, probes, units, budgets, votes)
     return votes, int(budgets.sum()) + budgets.size, pairs
@@ -229,7 +264,7 @@ def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
     ``query_index`` is accepted and ignored.
     """
     q = query_vector(q, index.dim)
-    votes = _accumulate(index.tables, q, index.units, index.budgets)[0]
+    votes = _accumulate(index.tables, q, index.masks, index.units, index.budgets)[0]
     out = np.empty_like(votes)
     # numpy scatters through intp indices faster than through int32 ones,
     # by more than the copy costs (0.22 against 0.36 ms at n = 100k)
@@ -300,6 +335,8 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
             "dataset first"
         )
     q = query_vector(q, index.dim)
-    votes, probes, pairs = _accumulate(index.tables, q, index.units, index.budgets)
+    votes, probes, pairs = _accumulate(
+        index.tables, q, index.masks, index.units, index.budgets
+    )
     candidates = shortlist(votes, index.params.shortlist_size, index.tables.order)
     return rerank(index.dataset.vectors, candidates, q, k, probes, pairs)

@@ -269,27 +269,34 @@ def check_table(offsets: np.ndarray, ids: np.ndarray) -> int:
 
 
 class SignFilter:
-    """``boi_hash_codes`` bound to one float32 projection matrix and its
-    error bound, so that hashing a chunk passes only the chunk's arrays.
+    """``boi_hash_codes`` bound to one float32 projection matrix, its code
+    width and its error bound, so that hashing a chunk passes only its arrays.
 
-    ``projections`` (L*b, dim) is float32 and C-contiguous (ValueError
-    otherwise); it must not change while the filter is used. The sign of
-    the dot of row r of x with any projection row is kept when its
-    magnitude is above ``bound``, a float32 value, times a power of two at
-    or above ``||x_r||`` (``hashing._sign_filter`` sets both bounds), and
-    is otherwise recomputed as the float64 sum of the exact products in
-    index order; so is every dot of a row whose squared norm is below
-    2**-62 or not below ``safe_square``.
+    ``projections`` (L*b, dim) is float32 and C-contiguous, and ``bits`` is
+    in [1, 16] and divides its row count, or ValueError is raised here, once;
+    the matrix must not change while the filter is used. The sign of the
+    dot of row r of x with any projection row is kept when its magnitude is
+    above ``bound``, a float32 value, times a power of two at or above
+    ``||x_r||`` (``hashing._sign_filter`` sets both bounds), and is
+    otherwise recomputed as the float64 sum of the exact products in index
+    order; so is every dot of a row whose squared norm is below 2**-62 or
+    not below ``safe_square``.
     """
 
-    def __init__(self, projections: np.ndarray, bound: float, safe_square: float):
+    def __init__(self, projections, bits: int, bound: float, safe_square: float):
         # its own first and last sizes, which only a 2-D array matches
         shape = (len(projections), projections.shape[-1])
-        self.projections, self.bound = projections, float(bound)
+        if not 1 <= bits <= MAX_HASH_BITS or shape[0] % bits:
+            raise ValueError(
+                f"SignFilter: bits must be in [1, {MAX_HASH_BITS}] and divide "
+                f"the {shape[0]} projection rows, got {bits}"
+            )
+        self.projections, self.bits, self.bound = projections, bits, float(bound)
+        self.num_tables = shape[0] // bits
         address = _address(projections, np.float32, shape)
         self._fixed = (address, self.bound, float(safe_square))
 
-    def __call__(self, dots: np.ndarray, x: np.ndarray, bits: int, out: np.ndarray) -> int:
+    def __call__(self, dots: np.ndarray, x: np.ndarray, out: np.ndarray) -> int:
         """Write the b-bit codes of the rows of ``x`` into ``out``; return
         how many dot products were recomputed in float64.
 
@@ -300,26 +307,23 @@ class SignFilter:
         table t. Raises ValueError when the shapes, types or strides
         disagree.
         """
-        if not 1 <= bits <= MAX_HASH_BITS:
-            raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}], got {bits}")
         num_rows, dim = self.projections.shape
-        rows, num_tables = shape = (len(x), num_rows // bits)
+        rows, num_tables = shape = (len(x), self.num_tables)
         step = CODE_DTYPE.itemsize
         if (
-            num_tables * bits != num_rows
-            or out.shape != shape
+            out.shape != shape
             or out.dtype != CODE_DTYPE
             or not (out.flags.writeable and out.flags.aligned)
             or out.strides[0] % step
             or out.strides[1] % step
         ):
             raise ValueError(
-                f"SignFilter: expected a writable aligned {CODE_DTYPE} array of shape "
-                f"{shape} in whole-element strides for {num_rows} projection rows "
-                f"of {bits} bits, got {out.dtype} of shape {out.shape}"
+                f"SignFilter: expected a writable aligned {CODE_DTYPE} array of "
+                f"shape {shape} in whole-element strides, got {out.dtype} of shape "
+                f"{out.shape}"
             )
         return _library.boi_hash_codes(
-            num_tables, bits, rows, dim,
+            num_tables, self.bits, rows, dim,
             _address(dots, np.float32, (num_rows, rows)),
             _address(x, np.float32, (rows, dim)),
             *self._fixed, out.ctypes.data, out.strides[0] // step,

@@ -6,13 +6,8 @@ import pytest
 
 from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import BoiParams, VectorSet
-from boi.hashing import (
-    hash_codes_all,
-    insert_all,
-    make_projections,
-    probe_plan,
-)
-from boi.index import BoiIndex, accumulate, query
+from boi.hashing import hash_codes_all, insert_all, make_projections
+from boi.index import BoiIndex, accumulate, probe_plan, query
 from hand_tables import from_record_ids
 
 
@@ -124,7 +119,7 @@ class TestLshQuery:
         rng = np.random.default_rng(6)
         for _ in range(10):
             q = rng.standard_normal(12).astype(np.float32)
-            codes = hash_codes_all(tables.sign_filter, tables.bits, q[np.newaxis, :])[0]
+            codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
             union = set()
             for ti in range(tables.num_tables):
                 union |= set(int(i) for i in tables.bucket([ti], [codes[ti]]))
@@ -141,7 +136,7 @@ class TestLshQuery:
         assert capped.shortlist_size == min(5, full.shortlist_size)
         assert set(capped.ids.tolist()) <= set(full.ids.tolist())
         # the cap keeps the ids found in the most tables, ties by lower id
-        codes = hash_codes_all(tables.sign_filter, tables.bits, q[np.newaxis, :])[0]
+        codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
         found = tables.bucket(np.arange(tables.num_tables), codes)
         collisions = np.bincount(found, minlength=data.n)
         by_count = sorted(set(found.tolist()), key=lambda i: (-collisions[i], i))
@@ -175,7 +170,7 @@ class TestCollisionCount:
         tables = from_record_ids(np.zeros((6, 2)), offsets, members)
         data = VectorSet(np.array([[0, 0], [1, 0], [2, 0], [3, 0]], np.float32))
         q = np.array([-1.0, -2.0], np.float32)  # nearest to id 0, then 1, 2, 3
-        assert hash_codes_all(tables.sign_filter, 2, q[np.newaxis, :]).tolist() == [
+        assert hash_codes_all(tables.sign_filter, q[np.newaxis, :]).tolist() == [
             [3, 3, 3]
         ]
         for cap, ids in enumerate(kept, start=1):
@@ -210,7 +205,7 @@ class TestMultiprobeLsh:
         # before the shortlist keeps the ids with the most collisions
         tables, data = populated
         q = np.random.default_rng(radius).standard_normal(12).astype(np.float32)
-        codes = hash_codes_all(tables.sign_filter, tables.bits, q[np.newaxis, :])[0]
+        codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
         masks, dists = probe_plan(tables.bits, (1 << tables.bits) - 1)
         masks = masks[dists <= radius]
         rows = np.repeat(np.arange(tables.num_tables), masks.size)

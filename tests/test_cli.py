@@ -103,6 +103,15 @@ class TestBuild:
         assert "shortlist_size must be below 2**32" in caplog.text
         assert not (tmp_path / "x.boix").exists()
 
+    def test_rejects_an_empty_fvecs_file(self, tmp_path, caplog):
+        # an empty file reads as a (0, 0) set, whose width is unknown
+        empty = tmp_path / "empty.fvecs"
+        empty.write_bytes(b"")
+        rc = main(["build", "--dataset", str(empty), "--index", str(tmp_path / "x.boix")])
+        assert rc == 1
+        assert "no known width" in caplog.text
+        assert not (tmp_path / "x.boix").exists()
+
     def test_missing_dataset_fails(self, tmp_path):
         rc = main(
             [

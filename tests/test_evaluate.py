@@ -119,8 +119,8 @@ class TestTimeQueries:
         calls = []
         queries = VectorSet(np.zeros((4, 2), dtype=np.float32))
 
-        def run(qi, v):
-            calls.append(qi)
+        def run(v):
+            calls.append(v)
             return RankedResult.empty()
 
         report, _ = run_benchmark(run, queries, k=1, repetitions=3)
@@ -133,7 +133,7 @@ class TestTimeQueries:
     def test_empty_query_set(self):
         queries = VectorSet(np.empty((0, 0), dtype=np.float32))
         report, results = run_benchmark(
-            lambda qi, v: RankedResult.empty(), queries, k=1
+            lambda v: RankedResult.empty(), queries, k=1
         )
         assert report.per_query_times_ms == [] and results == []
         assert report.mean_query_time_ms == 0.0
@@ -143,11 +143,12 @@ class TestTimeQueries:
 
         seen = set()
         lock = threading.Lock()
-        queries = VectorSet(np.zeros((8, 2), dtype=np.float32))
+        # row qi holds (qi, qi), so a call names its query by its vector
+        queries = VectorSet(np.repeat(np.arange(8, dtype=np.float32), 2).reshape(8, 2))
 
-        def run(qi, v):
+        def run(v):
             with lock:
-                seen.add(qi)
+                seen.add(int(v[0]))
             return RankedResult.empty()
 
         report, _ = run_benchmark(run, queries, k=1, repetitions=1, workers=4)
@@ -156,7 +157,7 @@ class TestTimeQueries:
     def test_validation(self):
         queries = VectorSet(np.zeros((1, 1), dtype=np.float32))
 
-        def run(qi, v):
+        def run(v):
             return RankedResult.empty()
 
         with pytest.raises(ValueError):
@@ -249,7 +250,7 @@ def test_run_benchmark_brute_force_is_perfect():
 
     db, queries, gt = generate(SynthSpec(n=300, dim=8, num_queries=10, seed=4, gt_k=3))
     report, results = run_benchmark(
-        lambda qi, v: brute_force_query(db, v, 3),
+        lambda v: brute_force_query(db, v, 3),
         queries,
         gt,
         k=3,
@@ -272,9 +273,11 @@ def test_run_benchmark_runs_each_query_once_plus_repetitions(workers):
 
     calls = {}
     lock = threading.Lock()
-    queries = VectorSet(np.zeros((5, 2), dtype=np.float32))
+    # row qi holds (qi, qi), so a call names its query by its vector
+    queries = VectorSet(np.repeat(np.arange(5, dtype=np.float32), 2).reshape(5, 2))
 
-    def run(qi, v):
+    def run(v):
+        qi = int(v[0])
         with lock:
             nth = calls.get(qi, 0)
             calls[qi] = nth + 1
@@ -293,7 +296,7 @@ def test_run_benchmark_rejects_bad_values_before_any_query(bad):
     calls = []
     queries = VectorSet(np.zeros((3, 2), dtype=np.float32))
     with pytest.raises(ValueError):
-        run_benchmark(lambda qi, v: calls.append(qi), queries, k=1, **bad)
+        run_benchmark(lambda v: calls.append(v), queries, k=1, **bad)
     assert calls == []
 
 
@@ -309,8 +312,8 @@ def test_run_benchmark_parallel_matches_serial():
     )
     index = build_index(db, params)
 
-    def run(qi, v):
-        return query(index, v, 5, query_index=qi)
+    def run(v):
+        return query(index, v, 5)
 
     serial, rs = run_benchmark(run, queries, gt, k=5, workers=1, method="boi")
     parallel, rp = run_benchmark(run, queries, gt, k=5, workers=4, method="boi")
@@ -337,10 +340,10 @@ def test_run_benchmark_approximate_bounded_by_oracle():
     )
     index = build_index(db, params)
     exact, _ = run_benchmark(
-        lambda qi, v: brute_force_query(db, v, 3), queries, gt, k=3, method="brute"
+        lambda v: brute_force_query(db, v, 3), queries, gt, k=3, method="brute"
     )
     approx, _ = run_benchmark(
-        lambda qi, v: query(index, v, 3, query_index=qi),
+        lambda v: query(index, v, 3),
         queries,
         gt,
         k=3,

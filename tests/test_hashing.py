@@ -20,17 +20,16 @@ from boi.hashing import (
     hash_codes_all,
     insert_all,
     make_projections,
-    neighbor_codes_with_distance,
     occupancy_summary,
-    probe_plan,
 )
+from boi.index import neighbor_codes_with_distance, probe_plan
 from hand_tables import from_record_ids
 
 
 def hash_codes(rows, X) -> np.ndarray:
     """Codes of X under one table given by its (bits x dim) matrix."""
     proj = np.asarray(rows, dtype=np.float32)
-    return hash_codes_all(_sign_filter(proj), proj.shape[0], X)[:, 0]
+    return hash_codes_all(_sign_filter(proj, proj.shape[0]), X)[:, 0]
 
 
 def table_rows(tables: ProjectionTable, t: int) -> np.ndarray:
@@ -161,7 +160,7 @@ class TestHashVector:
         # the larger batch spans two chunk boundaries
         for m in (100, 2 * _HASH_CHUNK + 1):
             X = rng.standard_normal((m, 20)).astype(np.float32)
-            codes = hash_codes_all(_sign_filter(proj), 8, X)
+            codes = hash_codes_all(_sign_filter(proj, 8), X)
             for t_i in range(params.num_tables):
                 rows = proj[8 * t_i : 8 * t_i + 8]
                 col = hash_codes(rows, X)
@@ -174,10 +173,10 @@ class TestHashVector:
         proj = make_projections(BoiParams(num_tables=4, hash_bits=8, seed=5), 64)
         X = np.random.default_rng(12).standard_normal((20_000, 64))
         X = X.astype(np.float32)
-        sign_filter = _sign_filter(proj)
+        sign_filter = _sign_filter(proj, 8)
         tracemalloc.start()
         try:
-            hash_codes_all(sign_filter, 8, X)
+            hash_codes_all(sign_filter, X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -194,15 +193,15 @@ def test_packed_codes_match_the_shift_and_sum_oracle(bits):
     # product ties at 0 and sets every bit
     X = rng.standard_normal((2 * _HASH_CHUNK + 1, 10)).astype(np.float32)
     X[[0, _HASH_CHUNK, 2 * _HASH_CHUNK]] = 0.0
-    sign_filter = _sign_filter(proj)
-    codes = hash_codes_all(sign_filter, bits, X)
+    sign_filter = _sign_filter(proj, bits)
+    codes = hash_codes_all(sign_filter, X)
     assert codes.dtype == CODE_DTYPE and codes.shape == (len(X), 3)
     assert np.array_equal(codes, shift_and_sum_codes(proj, bits, X))
     assert np.all(codes[[0, _HASH_CHUNK, 2 * _HASH_CHUNK]] == (1 << bits) - 1)
     assert codes.max() < 1 << bits
     for row in (0, 1, _HASH_CHUNK + 7, 2 * _HASH_CHUNK):
         one = X[row : row + 1]
-        single = hash_codes_all(sign_filter, bits, one)
+        single = hash_codes_all(sign_filter, one)
         assert np.array_equal(single, shift_and_sum_codes(proj, bits, one))
         assert np.array_equal(single[0], codes[row])
 
@@ -241,7 +240,7 @@ class TestExactSigns:
         # cancel exactly
         for j, p in enumerate(proj):
             X[j + 1, :2] = p[1], -p[0]
-        codes = hash_codes_all(_sign_filter(proj), 6, X)
+        codes = hash_codes_all(_sign_filter(proj, 6), X)
         assert np.all(codes[0] == 0b111111)
         for j in range(len(proj)):
             assert codes[j + 1, j // 6] >> (j % 6) & 1, j
@@ -253,7 +252,7 @@ class TestExactSigns:
         proj = np.array([[1.0, -(2.0**-26), -1.0], [-1.0, 2.0**-26, 1.0]], np.float32)
         X = np.ones((1, 3), dtype=np.float32)
         assert sign_flips(proj, 2, X)[0, 0] == 0b11
-        codes = hash_codes_all(_sign_filter(proj), 2, X)
+        codes = hash_codes_all(_sign_filter(proj, 2), X)
         assert codes[0, 0] == 0b10
         assert np.array_equal(codes, sequential_codes(proj, 2, X))
 
@@ -262,7 +261,7 @@ class TestExactSigns:
         expected = sequential_codes(proj, 6, X)
         # float32 rounding flips some of these signs in index order
         assert not np.array_equal(sign_flips(proj, 6, X), expected)
-        assert np.array_equal(hash_codes_all(_sign_filter(proj), 6, X), expected)
+        assert np.array_equal(hash_codes_all(_sign_filter(proj, 6), X), expected)
 
     @pytest.mark.parametrize(
         "row_scale, projection_scale",
@@ -284,7 +283,7 @@ class TestExactSigns:
         scaled = proj * np.float32(projection_scale)
         assert np.all(np.isfinite(X)) and np.any(X)
         expected = sequential_codes(scaled, 6, X)
-        assert np.array_equal(hash_codes_all(_sign_filter(scaled), 6, X), expected)
+        assert np.array_equal(hash_codes_all(_sign_filter(scaled, 6), X), expected)
 
     def test_every_row_of_a_batch_hashes_alone_to_its_batch_code(self, proj):
         rng = np.random.default_rng(23)
@@ -293,11 +292,12 @@ class TestExactSigns:
         X[1::7] = 0.0
         X[2::11] *= np.float32(2.0**-130)
         X[4::13] *= np.float32(2.0**100)
-        sign_filter = _sign_filter(proj)
-        codes = hash_codes_all(sign_filter, 6, X)
+        sign_filter = _sign_filter(proj, 6)
+        codes = hash_codes_all(sign_filter, X)
         assert np.array_equal(codes, sequential_codes(proj, 6, X))
         for row in range(len(X)):
-            assert np.array_equal(hash_codes_all(sign_filter, 6, X[row : row + 1])[0], codes[row])
+            single = hash_codes_all(sign_filter, X[row : row + 1])[0]
+            assert np.array_equal(single, codes[row])
 
 
 def test_dimensions_past_the_error_bound_raise():
@@ -305,7 +305,7 @@ def test_dimensions_past_the_error_bound_raise():
     # float32 error; a zero-stride view checks it without 32 MB of rows
     wide = np.broadcast_to(np.float32(1.0), (1, 2**23 - 2))
     with pytest.raises(ValueError, match="dim must be below 2\\*\\*23 - 2"):
-        _sign_filter(wide)
+        _sign_filter(wide, 1)
 
 
 def test_threads_hashing_under_different_tables_get_their_own_codes():
@@ -315,13 +315,13 @@ def test_threads_hashing_under_different_tables_get_their_own_codes():
     X = np.random.default_rng(31).standard_normal((5, 16)).astype(np.float32)
     for seed in (1, 2):  # the same shapes, different values
         proj = make_projections(BoiParams(num_tables=4, hash_bits=8, seed=seed), 16)
-        filters.append(_sign_filter(proj))
+        filters.append(_sign_filter(proj, 8))
         expected.append(sequential_codes(proj, 8, X))
     wrong = []
 
     def hash_many(i):
         for _ in range(400):
-            if not np.array_equal(hash_codes_all(filters[i % 2], 8, X), expected[i % 2]):
+            if not np.array_equal(hash_codes_all(filters[i % 2], X), expected[i % 2]):
                 wrong.append(i)
 
     threads = [threading.Thread(target=hash_many, args=(i,)) for i in range(6)]
@@ -347,7 +347,7 @@ class TestInsertAll:
         X = rng.standard_normal((n, 6)).astype(np.float32)
         X[n // 2 :] = X[: n - n // 2]
         tables = insert_all(proj, bits, VectorSet(X))
-        codes = hash_codes_all(_sign_filter(proj), bits, X)
+        codes = hash_codes_all(_sign_filter(proj, bits), X)
         offsets, order, members = argsort_buckets(codes, bits)
         assert np.array_equal(tables.offsets, offsets)
         assert np.array_equal(tables.order, np.argsort(codes[:, 0], kind="stable"))
@@ -375,7 +375,7 @@ class TestInsertAll:
         codes = np.empty((data.n, params.num_tables), dtype=CODE_DTYPE)
         tracemalloc.start()
         try:
-            hash_codes_all(_sign_filter(proj), 4, data.vectors, out=codes)
+            hash_codes_all(_sign_filter(proj, 4), data.vectors, out=codes)
             hash_peak = tracemalloc.get_traced_memory()[1]  # the chunk buffers
             tracemalloc.reset_peak()
             tables = insert_all(proj, 4, data)
@@ -408,7 +408,7 @@ class TestInsertAll:
         params = BoiParams(num_tables=3, hash_bits=4, seed=8)
         data = VectorSet(rng.standard_normal((200, 10)).astype(np.float32))
         tables = insert_all(make_projections(params, 10), 4, data)
-        codes = hash_codes_all(tables.sign_filter, tables.bits, data.vectors)
+        codes = hash_codes_all(tables.sign_filter, data.vectors)
         for ti in range(tables.num_tables):
             for rid in range(0, 200, 17):
                 assert rid in tables.bucket([ti], [codes[rid, ti]])
@@ -591,7 +591,7 @@ class TestProjectionTable:
 
     def test_codes_and_offsets_use_the_named_widths(self, tables):
         assert tables.offsets.dtype == OFFSET_DTYPE == np.int32
-        codes = hash_codes_all(tables.sign_filter, tables.bits, np.ones((3, 9)))
+        codes = hash_codes_all(tables.sign_filter, np.ones((3, 9)))
         assert codes.dtype == CODE_DTYPE == np.uint16
 
     @pytest.mark.parametrize(
@@ -613,7 +613,7 @@ class TestProjectionTable:
         with pytest.raises(ValueError, match="projections values do not fit float32"):
             ProjectionTable(np.array([[0.1, 1.0]]), offsets, members, order)
         with pytest.raises(ValueError, match="projections values do not fit float32"):
-            _sign_filter(np.array([[1.0, 2.0**-150]]))
+            _sign_filter(np.array([[1.0, 2.0**-150]]), 1)
         # float64 values float32 holds exactly are narrowed, not rejected
         tables = ProjectionTable(np.array([[0.5, -2.0**-149]]), offsets, members, order)
         assert tables.projections.dtype == np.float32
@@ -637,10 +637,14 @@ def hamming(a: int, b: int) -> int:
 
 
 class TestNeighborCodes:
+    """Probe rows, ``codes ^ masks`` for the masks of one ``probe_plan``."""
+
     def test_one_bit_shell_is_exact(self):
-        got = neighbor_codes_with_distance(0b10110001, 8, 8)[0]
-        expected = {0b10110001 ^ (1 << j) for j in range(8)}
-        assert got[0] == 0b10110001
+        center = 0b10110001
+        masks, dists = probe_plan(8, 8)
+        got = neighbor_codes_with_distance(np.array([center], CODE_DTYPE), masks)[0]
+        expected = {center ^ (1 << j) for j in range(8)}
+        assert got[0] == center and dists.tolist() == [0] + [1] * 8
         assert set(int(c) for c in got[1:]) == expected
 
     def test_spill_into_second_shell(self):
@@ -651,7 +655,8 @@ class TestNeighborCodes:
         for code in range(1 << bits):
             if code != center:
                 by_shell.setdefault(hamming(code, center), set()).add(code)
-        codes = neighbor_codes_with_distance(center, 10, bits)[0]
+        masks = probe_plan(bits, 10)[0]
+        codes = neighbor_codes_with_distance(np.array([center], CODE_DTYPE), masks)[0]
         got = [int(c) for c in codes]
         # the center, then whole shells: all of shell 2, not just 2 codes
         assert got[0] == center
@@ -660,33 +665,34 @@ class TestNeighborCodes:
         assert len(got) == 1 + 8 + 28
 
     def test_zero_count(self):
-        codes, dists = neighbor_codes_with_distance(3, 0, 4)
-        assert codes.tolist() == [3] and dists.tolist() == [0]
+        masks, dists = probe_plan(4, 0)
+        codes = neighbor_codes_with_distance(np.array([3], CODE_DTYPE), masks)
+        assert codes.tolist() == [[3]] and dists.tolist() == [0]
 
     def test_count_too_large(self):
-        with pytest.raises(ValueError):
-            neighbor_codes_with_distance(0, 16, 4)
-
-    def test_center_out_of_range(self):
-        with pytest.raises(ValueError):
-            neighbor_codes_with_distance(16, 1, 4)
+        # no plan reaches past the 2**bits - 1 other codes
+        for bits in (1, 4, 8):
+            with pytest.raises(ValueError, match="count must be in"):
+                probe_plan(bits, 1 << bits)
 
     def test_array_of_centers(self):
-        centers = np.array([0, 9, 37, 255])
-        codes, dists = neighbor_codes_with_distance(centers, 12, 8)
-        assert codes.shape == (4, 37) and dists.shape == (37,)
+        centers = np.array([0, 9, 37, 255], CODE_DTYPE)
+        masks, dists = probe_plan(8, 12)
+        codes = neighbor_codes_with_distance(centers, masks)
+        assert codes.shape == (4, 37) and codes.dtype == CODE_DTYPE
+        assert dists.shape == (37,)
         for center, row in zip(centers, codes):
             assert len(set(row.tolist())) == 37
             assert [hamming(int(c), int(center)) for c in row] == dists.tolist()
-        single = neighbor_codes_with_distance(37, 12, 8)
-        one_row = neighbor_codes_with_distance(np.array([37]), 12, 8)
-        assert np.array_equal(single[0], one_row[0][0])
-        assert np.array_equal(single[1], one_row[1])
+        one_row = neighbor_codes_with_distance(centers[2:3], masks)
+        assert np.array_equal(codes[2], one_row[0])
 
     def test_reported_distances_are_true_distances(self):
-        codes, dists = neighbor_codes_with_distance(9, 14, 6)
-        for c, h in zip(codes, dists):
-            assert hamming(int(c), 9) == int(h)
+        # every center of a 6-bit code space, over its whole plan
+        masks, dists = probe_plan(6, 63)
+        centers = np.arange(64, dtype=CODE_DTYPE)
+        for center, row in zip(centers, neighbor_codes_with_distance(centers, masks)):
+            assert [hamming(int(c), int(center)) for c in row] == dists.tolist()
 
     # The first count + 1 codes of each row: the center, then each shell's
     # masks in ``itertools.combinations`` order of their set bits (1, 2,
@@ -711,7 +717,8 @@ class TestNeighborCodes:
         ids=["b8", "b16"],
     )
     def test_probe_order_is_pinned(self, centers, count, bits, pinned):
-        codes, dists = neighbor_codes_with_distance(np.array(centers), count, bits)
+        masks, dists = probe_plan(bits, count)
+        codes = neighbor_codes_with_distance(np.array(centers, CODE_DTYPE), masks)
         assert codes[:, : count + 1].tolist() == pinned
         assert dists.tolist()[: count + 1] == [
             hamming(c, centers[0]) for c in pinned[0]
@@ -784,11 +791,13 @@ class TestProbePlan:
 def test_neighbor_codes_properties(bits, data):
     max_count = data.draw(st.integers(0, (1 << bits) - 1))
     center = data.draw(st.integers(0, (1 << bits) - 1))
-    codes = neighbor_codes_with_distance(center, max_count, bits)[0]
+    masks, plan_dists = probe_plan(bits, max_count)
+    codes = neighbor_codes_with_distance(np.array([center], CODE_DTYPE), masks)[0]
     as_ints = [int(c) for c in codes]
     assert as_ints[0] == center
     assert len(set(as_ints)) == len(as_ints)
     dists = [hamming(c, center) for c in as_ints]
+    assert dists == plan_dists.tolist()
     assert dists == sorted(dists)  # non-decreasing shells
     # whole shells, and no more of them than max_count neighbors need
     last = dists[-1]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boi
 from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import (
     SCHEDULE_KINDS,
@@ -17,13 +18,7 @@ from boi.core import (
     rank_by_distance,
 )
 from boi.data_io import load_index, save_index
-from boi.hashing import (
-    ProjectionTable,
-    hash_codes_all,
-    insert_all,
-    neighbor_codes_with_distance,
-    probe_plan,
-)
+from boi.hashing import ProjectionTable, hash_codes_all, insert_all
 from boi.index import (
     BoiIndex,
     _accumulate,
@@ -31,6 +26,7 @@ from boi.index import (
     build_index,
     build_schedule,
     neighbor_budget,
+    probe_plan,
     query,
     shortlist,
     weight,
@@ -217,7 +213,6 @@ def test_schedule_and_budgets_match_reference(params):
         np.arange(0),
     )
     index = BoiIndex(params, empty_tables)
-    assert np.array_equal(index.schedule, schedule)
     if params.strict_radius:
         cap = sum(math.comb(bits, j) for j in range(1, min(radius, bits) + 1))
     else:
@@ -256,13 +251,37 @@ class TestUnits:
             probe_radius=radius, strict_radius=strict,
         )
         index = build_index(VectorSet(np.eye(3, dtype=np.float32)), params)
-        _, dists = neighbor_codes_with_distance(0, int(index.budgets.max()), bits)
+        masks, dists = probe_plan(bits, int(index.budgets.max()))
         assert index.units.dtype == np.uint32
         assert index.units.tolist() == [
             weight(int(d), bits) * 2**bits for d in dists
         ]
-        with pytest.raises(ValueError, match="read-only"):
-            index.units[0] = 0
+        assert index.masks.dtype == np.uint16
+        assert np.array_equal(index.masks, masks)
+        for arr in (index.units, index.masks):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_query_derives_no_probe_plan(self, monkeypatch):
+        # the plan is fixed when the index is made; a query only XORs its
+        # codes with BoiIndex.masks
+        rng = np.random.default_rng(3)
+        data = VectorSet(rng.standard_normal((60, 8)).astype(np.float32))
+        index = build_index(data, fixed_params(initial_probe_count=5))
+        want = query(index, data.vectors[4], 5)
+
+        def refuse(*args):
+            raise AssertionError("a query called probe_plan")
+
+        monkeypatch.setattr(boi.index, "probe_plan", refuse)
+        got = query(index, data.vectors[4], 5)
+        assert got.ids.tolist() == want.ids.tolist()
+        assert accumulate(index, data.vectors[4]).any()
+
+
+def index_votes(index, q):
+    """``_accumulate`` over the index's own masks, units and budgets."""
+    return _accumulate(index.tables, q, index.masks, index.units, index.budgets)
 
 
 def fixed_params(**kwargs):
@@ -336,7 +355,7 @@ class TestAccumulate:
         w = accumulate(index, q, query_index=3)
         assert w.dtype == np.int32
         # the kernel's votes are in internal order: entry i is record order[i]
-        internal = _accumulate(index.tables, q, index.units, index.budgets)[0]
+        internal = index_votes(index, q)[0]
         assert np.array_equal(w[index.tables.order], internal)
         assert np.all(w >= 0)
 
@@ -355,9 +374,9 @@ class TestAccumulate:
         )
         index = build_index(data, params)
         sign_filter = index.tables.sign_filter
-        record_codes = hash_codes_all(sign_filter, bits, data.vectors)
+        record_codes = hash_codes_all(sign_filter, data.vectors)
         for q in (data.vectors[0], rng.standard_normal(6).astype(np.float32)):
-            query_codes = hash_codes_all(sign_filter, bits, q[np.newaxis, :])[0]
+            query_codes = hash_codes_all(sign_filter, q[np.newaxis, :])[0]
             expected = [
                 sum(
                     weight(bin(int(qc ^ rc)).count("1"), bits) * 2**bits
@@ -489,6 +508,12 @@ class TestQuery:
         with pytest.raises(ValueError, match="dimension mismatch"):
             query(index, np.ones(3, dtype=np.float32), 3)
 
+    def test_set_of_no_width_is_refused(self):
+        # an empty fvecs file reads as (0, 0): no projections of a known
+        # width can be made for it
+        with pytest.raises(ValueError, match="no known width"):
+            build_index(VectorSet(np.empty((0, 0), dtype=np.float32)), fixed_params())
+
     def test_full_probe_degeneracy_equals_brute_force(self):
         rng = np.random.default_rng(17)
         data = VectorSet(rng.standard_normal((300, 8)).astype(np.float32))
@@ -513,7 +538,9 @@ class TestQuery:
         index, data = small_index
         radius = index.params.probe_radius
         want = sum(
-            math.comb(g, j) for g in index.schedule.tolist() for j in range(radius + 1)
+            math.comb(g, j)
+            for g in build_schedule(index.params).tolist()
+            for j in range(radius + 1)
         )
         for qi in range(5):
             res = query(index, data.vectors[qi], 3, query_index=qi)
@@ -678,7 +705,7 @@ def reference_votes(index, q):
     weight(H, b) * 2**b over every probed bucket holding its code, at the
     bucket's true Hamming distance H from the table's query code."""
     tables, bits = index.tables, index.params.hash_bits
-    codes = hash_codes_all(tables.sign_filter, bits, q[np.newaxis, :])[0]
+    codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
     probes = codes[:, np.newaxis] ^ probe_plan(bits, int(index.budgets.max()))[0]
     probed = []
     for t, budget in enumerate(index.budgets.tolist()):
@@ -687,7 +714,7 @@ def reference_votes(index, q):
             hamming = bin(code ^ int(codes[t])).count("1")
             found[code] = int(weight(hamming, bits) * 2**bits)
         probed.append(found)
-    record_codes = hash_codes_all(tables.sign_filter, bits, index.dataset.vectors)
+    record_codes = hash_codes_all(tables.sign_filter, index.dataset.vectors)
     return [
         sum(probed[t].get(int(c), 0) for t, c in enumerate(record_codes[r]))
         for r in range(index.n)
@@ -723,7 +750,7 @@ def numpy_accumulate(index, q):
     ``tables.bucket`` gathers over the same probe list)."""
     tables = index.tables
     bits = tables.bits
-    codes = hash_codes_all(tables.sign_filter, bits, q[np.newaxis, :])[0]
+    codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
     budgets = index.budgets
     masks, dists = probe_plan(bits, int(budgets.max()))
     probes = codes[:, np.newaxis] ^ masks
@@ -744,7 +771,7 @@ def numpy_accumulate(index, q):
 def test_kernel_matches_numpy_oracle(case):
     data, q, params, query_index, k = case
     index = build_index(data, params)
-    votes, probes, pairs = _accumulate(index.tables, q, index.units, index.budgets)
+    votes, probes, pairs = index_votes(index, q)
     want_votes, want_probes, want_pairs = numpy_accumulate(index, q)
     assert votes.dtype == np.int32
     # the oracle gathers record ids; the kernel votes in internal order
@@ -773,7 +800,7 @@ def test_kernel_matches_numpy_oracle_across_tiles_and_batches(tmp_path):
     for index in (built, loaded):
         for _ in range(3):
             q = rng.standard_normal(16).astype(np.float32)
-            votes, probes, pairs = _accumulate(index.tables, q, index.units, index.budgets)
+            votes, probes, pairs = index_votes(index, q)
             want = numpy_accumulate(index, q)
             assert np.array_equal(votes, want[0][index.tables.order])
             assert (probes, pairs) == want[1:] == (4096, 16 * data.n)
@@ -799,7 +826,7 @@ def test_stages_one_by_one_compose_to_query(tmp_path, bits):
             assert votes.dtype == np.int32
             # accumulate scatters the kernel's internal-order votes back to
             # record order
-            internal = _accumulate(index.tables, q, index.units, index.budgets)[0]
+            internal = index_votes(index, q)[0]
             assert votes[index.tables.order].tobytes() == internal.tobytes()
             c = shortlist(votes, params.shortlist_size)
             ids, dists = rank_by_distance(

@@ -277,7 +277,9 @@ class TestSnapshot:
         alone = [[query(twin, q, 5) for q in qs] for twin in (index, loaded)]
         made = []
         make = hashing._sign_filter
-        monkeypatch.setattr(hashing, "_sign_filter", lambda p: made.append(p) or make(p))
+        monkeypatch.setattr(
+            hashing, "_sign_filter", lambda *args: made.append(args) or make(*args)
+        )
         for i, q in enumerate(qs):
             for twin, answers in zip((index, loaded), alone):
                 result = query(twin, q, 5)

@@ -324,27 +324,27 @@ def _filter_inputs():
 
 def test_sign_filter_keeps_decided_signs_and_recomputes_the_rest():
     dots, x, proj, bound = _filter_inputs()
-    sign_filter = vote.SignFilter(proj, bound, 2.0**250)
+    sign_filter = vote.SignFilter(proj, 2, bound, 2.0**250)
     out = np.zeros((3, 1), np.uint16)
-    assert sign_filter(dots, x, 2, out) == 0
+    assert sign_filter(dots, x, out) == 0
     assert out[:, 0].tolist() == [0b01, 0b10, 0b11]
     # a dot within its limit, or NaN, is recomputed from x and proj; wrong
     # float32 signs that the bound decides are kept as given
     dots[0, 0], dots[1, 1], dots[1, 2] = 0.01, np.nan, -5.0
-    assert sign_filter(dots, x, 2, out) == 2
+    assert sign_filter(dots, x, out) == 2
     assert out[:, 0].tolist() == [0b01, 0b10, 0b01]
     # a row whose squared norm is not below safe_square is recomputed whole
     # (squares 2, 13 and 0.5)
-    assert vote.SignFilter(proj, bound, 1.0)(dots, x, 2, out) == 4
+    assert vote.SignFilter(proj, 2, bound, 1.0)(dots, x, out) == 4
     assert out[:, 0].tolist() == [0b01, 0b10, 0b01]
-    assert vote.SignFilter(proj, bound, 0.5)(dots, x, 2, out) == 6
+    assert vote.SignFilter(proj, 2, bound, 0.5)(dots, x, out) == 6
     assert out[:, 0].tolist() == [0b01, 0b10, 0b11]
 
 
 def test_sign_filter_writes_codes_through_any_element_strides():
     dots, x, proj, bound = _filter_inputs()
     wide = np.zeros((3, 4), np.uint16)
-    vote.SignFilter(proj, bound, 2.0**250)(dots, x, 2, wide[::-1, 2:3])
+    vote.SignFilter(proj, 2, bound, 2.0**250)(dots, x, wide[::-1, 2:3])
     assert wide[:, 2].tolist() == [0b11, 0b10, 0b01]
     assert not wide[:, [0, 1, 3]].any()
 
@@ -368,22 +368,34 @@ def _read_only_codes():
 )
 def test_sign_filter_rejects_disagreeing_arrays(position, replacement):
     dots, x, proj, bound = _filter_inputs()
+    # dots, rows, the code width the filter is made with, and the codes
     args = [dots, x, 2, np.zeros((3, 1), np.uint16)]
     args[position] = replacement
+    dots, x, bits, out = args
     with pytest.raises(ValueError, match="expected"):
-        vote.SignFilter(proj, bound, 2.0**250)(*args)
+        vote.SignFilter(proj, bits, bound, 2.0**250)(dots, x, out)
     with pytest.raises(ValueError, match=r"float32 array of shape \(2, 2\)"):
-        vote.SignFilter(proj.astype(np.float64), bound, 2.0**250)
+        vote.SignFilter(proj.astype(np.float64), 2, bound, 2.0**250)
 
 
-def _sign_filter_call(dots, x, bits, out):
+@pytest.mark.parametrize("bits", [0, 3, 17])
+def test_sign_filter_takes_only_whole_tables_of_a_valid_width(bits):
+    # the code width and the table layout are checked once, when the
+    # filter is made: 2 projection rows hold no whole table of 0, 3 or 17
     _, _, proj, bound = _filter_inputs()
-    return vote.SignFilter(proj, bound, 2.0**250)(dots, x, bits, out)
+    with pytest.raises(ValueError, match="divide the 2 projection rows"):
+        vote.SignFilter(proj, bits, bound, 2.0**250)
+    assert vote.SignFilter(proj, 1, bound, 2.0**250).num_tables == 2
+
+
+def _sign_filter_call(dots, x, out):
+    _, _, proj, bound = _filter_inputs()
+    return vote.SignFilter(proj, 2, bound, 2.0**250)(dots, x, out)
 
 
 def _sign_filter_args():
     dots, x, _, _ = _filter_inputs()
-    return dots, x, 2, np.zeros((3, 1), np.uint16)
+    return dots, x, np.zeros((3, 1), np.uint16)
 
 
 # each wrapper, arrays it accepts, and the positions of an input and an output
@@ -395,7 +407,7 @@ _WRAPPERS = {
     "check_table": (
         vote.check_table, lambda: _record([2, 0, 1, 2], [4, 0, 2, 1, 3]), 1, 0
     ),
-    "sign_filter": (_sign_filter_call, _sign_filter_args, 1, 3),
+    "sign_filter": (_sign_filter_call, _sign_filter_args, 1, 2),
 }
 
 

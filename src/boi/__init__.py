@@ -7,11 +7,11 @@ Plain LSH, Hamming-ball multi-probe LSH, and a brute-force oracle ship
 alongside for comparison, plus an evaluation harness and binary dataset IO.
 """
 
-from .baselines import brute_force_query, multiprobe_lsh_query
 from .core import (
     BoiParams,
     RankedResult,
     VectorSet,
+    brute_force_query,
     dense_vector,
     pairwise_distances,
 )
@@ -41,6 +41,7 @@ from .index import (
     accumulate,
     build_index,
     build_schedule,
+    multiprobe_lsh_query,
     query,
     shortlist,
     weight,

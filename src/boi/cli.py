@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import brute_force_query, multiprobe_lsh_query
-from .core import SCHEDULE_KINDS, BoiParams, VectorSet
+from .core import SCHEDULE_KINDS, BoiParams, VectorSet, brute_force_query
 from .data_io import (
     load_index,
     read_fvecs,
@@ -33,7 +32,8 @@ from .evaluate import (
     run_benchmark,
 )
 from .hashing import occupancy_summary
-from .index import BoiIndex, build_index, query as boi_query
+from .index import BoiIndex, build_index, multiprobe_lsh_query
+from .index import query as boi_query
 from .synth import SynthSpec, generate
 
 log = logging.getLogger("boi")

@@ -1,8 +1,10 @@
 """Core value types shared by every other module: vectors, parameters, results.
 
-Descriptors are stored as float32 rows; all distance arithmetic accumulates
-in float64 so that result orderings are stable across the exact and
-approximate search paths.
+This module also holds every exact answer: ``brute_force_query`` scans the
+whole set, and ``rerank`` ranks a bucketed query's shortlist; ``index``
+runs every bucketed query. Descriptors are stored as float32 rows; all
+distance arithmetic accumulates in float64 so that result orderings are
+stable across the exact and approximate search paths.
 """
 
 from __future__ import annotations
@@ -342,3 +344,24 @@ def rerank(
         shortlist_size=int(candidates.size),
         pairs_scanned=pairs_scanned,
     )
+
+
+def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
+    """Exact k nearest neighbors by Euclidean distance, ties by ascending id.
+
+    This is the ground-truth oracle every approximate method is measured
+    against: an unfiltered exhaustive scan of every record in float64
+    (``pairwise_distances``), which acceptance c06 and every full-probe
+    test compare against. A query must match the set's width; only the
+    (0, 0) set of an empty fvecs file, which has none, answers any finite
+    query, empty.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not dataset.dim:
+        dense_vector(q)
+        return RankedResult.empty()
+    q = query_vector(q, dataset.dim)
+    dists = pairwise_distances(dataset.vectors, q)
+    ids, ranked = rank_by_distance(np.arange(dataset.n, dtype=np.int64), dists, k)
+    return RankedResult(ids, ranked)

@@ -11,8 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoiParams, RankedResult, VectorSet
-from .hashing import OFFSET_DTYPE
+from .core import OFFSET_DTYPE, BoiParams, RankedResult, VectorSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +49,16 @@ def average_precision(ranking: Sequence[int], relevant) -> float:
 
     Precision is sampled at every rank holding a relevant id and averaged
     over |relevant|, so relevant items missing from the ranking count as
-    zero-precision hits.
+    zero-precision hits. A ranking that repeats an id is malformed and
+    raises ValueError, since each repeat would count as another hit.
     """
     relevant = np.asarray(list(relevant) if isinstance(relevant, set) else relevant)
     relevant = np.unique(relevant)
     if relevant.size == 0:
         raise ValueError("relevant set must be non-empty")
     ranking = np.asarray(ranking, dtype=np.int64)
+    if np.unique(ranking).size != ranking.size:
+        raise ValueError("ranking repeats a record id")
     if ranking.size == 0:
         return 0.0
     hits = np.isin(ranking, relevant)
@@ -67,7 +69,8 @@ def average_precision(ranking: Sequence[int], relevant) -> float:
 def mean_average_precision(
     rankings: Sequence[Sequence[int]], ground_truth: GroundTruth
 ) -> float:
-    """Arithmetic mean of per-query AP; every query needs a ranking."""
+    """Arithmetic mean of per-query AP; every query needs a ranking, and a
+    malformed one raises ValueError naming its query."""
     if len(rankings) != ground_truth.num_queries:
         raise ValueError(
             f"{ground_truth.num_queries} queries in ground truth but "
@@ -75,14 +78,13 @@ def mean_average_precision(
         )
     if not rankings:
         return 0.0
-    return float(
-        np.mean(
-            [
-                average_precision(r, ground_truth.relevant(i))
-                for i, r in enumerate(rankings)
-            ]
-        )
-    )
+    aps = []
+    for i, r in enumerate(rankings):
+        try:
+            aps.append(average_precision(r, ground_truth.relevant(i)))
+        except ValueError as exc:
+            raise ValueError(f"query {i}: {exc}") from None
+    return float(np.mean(aps))
 
 
 def recall_at(ranking: Sequence[int], true_nn: int, k: int) -> int:

@@ -22,9 +22,14 @@ Querying works in four stages:
 4. re-rank the shortlist by exact Euclidean distance and return the top k
    (``core.rerank``).
 
-The LSH baselines (``baselines``) run stages 1-4 through the same
+The LSH baselines run here too. ``multiprobe_lsh_query`` is multi-probe
+LSH over the Hamming ball of a radius (Lv et al., "Multi-Probe LSH", VLDB
+2007), and plain LSH is its radius 0. It runs stages 1-4 through the same
 ``_accumulate``, ``shortlist`` and ``core.rerank``, with every table
-probing its whole Hamming ball and every probed bucket adding 1.
+probing its whole ball and every probed bucket adding 1. A record's vote
+is then its collision count, and the shortlist keeps the records that
+collide most often, as collision-counting LSH does (C2LSH, Gan et al.,
+SIGMOD 2012).
 
 The per-table neighbor budget at table i is sum_{j=1..l} C(gamma_i, j),
 where gamma_i follows the configured schedule and l is the probe radius.
@@ -35,9 +40,11 @@ distance. A budget never exceeds the 2**b - 1 other buckets of the code
 space. In ``strict_radius`` mode probing is capped at the radius-l ball
 instead, so no bucket beyond distance l is ever touched.
 
-This module alone decides what a query probes; ``hashing`` only hashes and
-buckets. Every table's probe row is its query code XOR the masks of one
-``probe_plan``, which ``BoiIndex`` takes once: the center, then whole
+This module alone decides what any bucketed query probes and how it
+votes; ``hashing`` only hashes and buckets, and ``core`` makes every exact
+answer, the brute-force scan included. Every table's probe row is its
+query code XOR the masks of one ``probe_plan``, which ``BoiIndex`` makes
+once per index and ``_ball_plan`` once per ball: the center, then whole
 Hamming shells in a fixed order. Each table's projection rows are i.i.d.
 Gaussian, so a fixed order favours no bit. The answer is a function of
 (parameters, seed, data, q) alone.
@@ -130,22 +137,10 @@ def neighbor_budget(gamma: int, radius: int, cap: float = math.inf) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _probe_plan(bits: int, last_shell: int) -> tuple[np.ndarray, ...]:
-    powers = [1 << p for p in range(bits)]
-    flips = [f for d in range(last_shell + 1) for f in combinations(powers, d)]
-    plan = (
-        np.array([sum(f) for f in flips], CODE_DTYPE),
-        np.array([len(f) for f in flips], np.uint8),
-    )
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
-
-
 def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
-    """Read-only (masks, distances) of a probe row covering ``count`` neighbors:
-    mask 0, then whole shells in ``combinations`` order; cached per last shell."""
+    """(masks, distances) of a probe row covering ``count`` neighbors: mask 0,
+    then whole shells in ``combinations`` order. Uncached: each index and
+    each ball (``_ball_plan``) makes its plan once."""
     if not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(f"bits must be in [1, {MAX_HASH_BITS}], got {bits}")
     if not 0 <= count < 1 << bits:
@@ -153,7 +148,29 @@ def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
     last_shell = covered = 0
     while covered < count:
         covered += math.comb(bits, last_shell := last_shell + 1)
-    return _probe_plan(bits, last_shell)
+    powers = [1 << p for p in range(bits)]
+    flips = [f for d in range(last_shell + 1) for f in combinations(powers, d)]
+    return (
+        np.array([sum(f) for f in flips], CODE_DTYPE),
+        np.array([len(f) for f in flips], np.uint8),
+    )
+
+
+@lru_cache(maxsize=None)
+def _ball_plan(bits: int, num_tables: int, radius: int) -> tuple[np.ndarray, ...]:
+    """Read-only (masks, units, budgets) of multi-probe LSH over
+    ``num_tables`` tables: each probes the whole Hamming ball of ``radius``
+    (at most ``bits``) and every bucket adds 1. Cached, so each ball is
+    planned once."""
+    count = neighbor_budget(bits, radius)
+    plan = (
+        probe_plan(bits, count)[0],
+        np.ones(count + 1, np.uint32),
+        np.full(num_tables, count, np.int64),
+    )
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
 
 
 def neighbor_codes_with_distance(codes: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -340,3 +357,35 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
     )
     candidates = shortlist(votes, index.params.shortlist_size, index.tables.order)
     return rerank(index.dataset.vectors, candidates, q, k, probes, pairs)
+
+
+def multiprobe_lsh_query(
+    tables: ProjectionTable,
+    dataset: VectorSet,
+    q,
+    radius: int,
+    shortlist_size: int,
+    k: int,
+) -> RankedResult:
+    """Multi-probe LSH: probe the full Hamming ball of ``radius`` per table.
+
+    This is the boi query's path (``_accumulate``, ``shortlist``,
+    ``core.rerank``) with the ball's plan (``_ball_plan``): units of 1 and
+    every table's budget the whole ball, so each probed bucket adds 1 to
+    its records, with no distance weight. The ``shortlist_size`` records
+    with the most collisions (ties by lower id, never one with none) are
+    re-ranked by exact distance, so a shortlist of n or more re-ranks the
+    whole union. radius=0 is plain LSH, the query's own bucket in each
+    table; a radius of b or more probes the whole code space. ``dataset``
+    must be the set the tables index (ValueError otherwise).
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if k < 1 or shortlist_size < 1:
+        raise ValueError("k and shortlist_size must be >= 1")
+    q = query_vector(q, tables.dim)
+    tables.check_dataset(dataset)
+    plan = _ball_plan(tables.bits, tables.num_tables, min(radius, tables.bits))
+    votes, probes, pairs = _accumulate(tables, q, *plan)
+    candidates = shortlist(votes, shortlist_size, tables.order)
+    return rerank(dataset.vectors, candidates, q, k, probes, pairs)

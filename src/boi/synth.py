@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import brute_force_query
-from .core import VectorSet
+from .core import VectorSet, brute_force_query
 from .evaluate import GroundTruth
 
 

@@ -8,8 +8,7 @@ import math
 
 import numpy as np
 
-from boi.baselines import brute_force_query
-from boi.core import BoiParams, VectorSet
+from boi.core import BoiParams, VectorSet, brute_force_query
 from boi.data_io import (
     load_index,
     read_fvecs,

@@ -4,10 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boi.baselines import brute_force_query, multiprobe_lsh_query
-from boi.core import BoiParams, VectorSet
+import boi.index
+from boi.core import BoiParams, VectorSet, brute_force_query
 from boi.hashing import hash_codes_all, insert_all, make_projections
-from boi.index import BoiIndex, accumulate, probe_plan, query
+from boi.index import (
+    BoiIndex,
+    _ball_plan,
+    accumulate,
+    multiprobe_lsh_query,
+    probe_plan,
+    query,
+)
 from hand_tables import from_record_ids
 
 
@@ -83,6 +90,14 @@ class TestBruteForce:
     def test_empty_dataset(self):
         data = VectorSet(np.empty((0, 0), dtype=np.float32))
         assert len(brute_force_query(data, np.zeros(3, dtype=np.float32), 1)) == 0
+
+    def test_empty_set_of_known_width_rejects_other_widths(self):
+        # no records, but 8 values wide: a 3-wide query is refused, as the
+        # bucketed queries over the same set refuse it
+        data = VectorSet(np.empty((0, 8), dtype=np.float32))
+        assert len(brute_force_query(data, np.ones(8, dtype=np.float32), 1)) == 0
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            brute_force_query(data, np.ones(3, dtype=np.float32), 1)
 
 
 class TestLshQuery:
@@ -236,6 +251,43 @@ class TestMultiprobeLsh:
             assert (got.probe_count, got.pairs_scanned, got.shortlist_size) == (
                 want.probe_count, want.pairs_scanned, want.shortlist_size
             )
+
+    def test_ball_plan_is_cached_per_ball_and_read_only(self, populated, monkeypatch):
+        tables, data = populated
+        plan = _ball_plan(4, 10, 1)  # the 4-bit codes of 10 tables
+        assert all(a is b for a, b in zip(plan, _ball_plan(4, 10, 1)))
+        masks, units, budgets = plan
+        assert masks.tolist() == probe_plan(4, 4)[0].tolist()
+        assert units.tolist() == [1] * 5 and budgets.tolist() == [4] * 10
+        for arr in plan:
+            assert not arr.flags.writeable
+        # every radius of b or more is the whole code space: one entry
+        plans = []
+
+        def spy(*key):
+            plans.append(_ball_plan(*key))
+            return plans[-1]
+
+        monkeypatch.setattr(boi.index, "_ball_plan", spy)
+        q = data.vectors[0]
+        for radius in (tables.bits, tables.bits + 5):
+            multiprobe_lsh_query(tables, data, q, radius, 5, 3)
+        assert all(a is b for a, b in zip(*plans))
+        assert sorted(plans[0][0].tolist()) == list(range(16))
+
+    def test_query_derives_no_plan(self, populated, monkeypatch):
+        tables, data = populated
+        q = data.vectors[1]
+        want = multiprobe_lsh_query(tables, data, q, 1, 20, 5)
+
+        def refuse(*args):
+            raise AssertionError("a query derived its probe plan")
+
+        monkeypatch.setattr(boi.index, "probe_plan", refuse)
+        monkeypatch.setattr(boi.index, "neighbor_budget", refuse)
+        got = multiprobe_lsh_query(tables, data, q, 1, 20, 5)
+        assert got.ids.tolist() == want.ids.tolist()
+        assert got.pairs_scanned == want.pairs_scanned
 
     def test_probe_count_is_ball_size(self, populated):
         tables, data = populated

@@ -76,3 +76,17 @@ def test_a_bucket_lists_its_record_ids(index):
     found = boi.hashing.ProjectionTable.bucket(tables, [0], [code])
     assert 0 in found.tolist()
     assert len(found) == tables.offsets[0, code + 1] - tables.offsets[0, code]
+
+
+def test_the_baselines_answer_as_the_benchmark_calls_them(index):
+    # the benchmark runs plain LSH as multi-probe LSH at radius 0 while
+    # the package has no ``lsh_query``, and calls both baselines positionally
+    assert not hasattr(boi, "lsh_query")
+    data, q = index.dataset, index.dataset.vectors[11]
+    eps = index.params.shortlist_size
+    lsh = boi.multiprobe_lsh_query(index.tables, data, q, 0, eps, K)
+    assert lsh.probe_count == index.tables.num_tables
+    assert lsh.ids[0] == 11 and len(lsh) == K
+    exact = boi.brute_force_query(data, q, K)
+    assert exact.ids[0] == 11 and len(exact) == K
+    assert exact.probe_count is None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boi.cli import main
-from boi.data_io import read_fvecs, read_ivecs
+from boi.data_io import read_fvecs, read_ivecs, write_ivecs
 
 
 def run_gen(tmp_path, n=600, extra=()):
@@ -249,6 +249,21 @@ class TestEval:
         payload = json.loads(report_path.read_text())
         assert payload["map"] == 1.0
         assert payload["recall_at_k"]["1"] == 1.0
+
+    def test_rejects_a_ranking_that_repeats_an_id(self, tmp_path, caplog):
+        # scored as is, [3, 3, 3] against [3, 4, 9] would have AP 1.0, not 1/3
+        write_ivecs(tmp_path / "results.ivecs", np.array([[3, 4, 9], [3, 3, 3]]))
+        write_ivecs(tmp_path / "gt.ivecs", np.array([[3, 4, 9], [3, 4, 9]]))
+        rc = main(
+            [
+                "eval", "--results", str(tmp_path / "results.ivecs"),
+                "--groundtruth", str(tmp_path / "gt.ivecs"),
+                "--out", str(tmp_path / "eval.json"),
+            ]
+        )
+        assert rc == 1
+        assert "query 1: ranking repeats a record id" in caplog.text
+        assert not (tmp_path / "eval.json").exists()
 
 
 FUZZ_FILES = (

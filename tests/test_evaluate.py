@@ -41,6 +41,12 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision([1, 2], set())
 
+    def test_repeated_id_rejected(self):
+        # each repeat would count as another hit: AP 2.0 for [7, 7]
+        for ranking in ([7, 7], [3, 3, 3], [1, 5, 1]):
+            with pytest.raises(ValueError, match="repeats"):
+                average_precision(ranking, {7, 3, 5})
+
     def test_bounds_and_perfect_prefix(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -70,6 +76,11 @@ class TestMeanAveragePrecision:
         gt = GroundTruth(np.array([[1], [2]]))
         with pytest.raises(ValueError):
             mean_average_precision([[1]], gt)
+
+    def test_repeated_id_names_its_query(self):
+        gt = GroundTruth(np.array([[3, 4, 9], [3, 4, 9]]))
+        with pytest.raises(ValueError, match="query 1: ranking repeats"):
+            mean_average_precision([[3, 4, 9], [3, 3, 3]], gt)
 
 
 class TestRecall:
@@ -245,7 +256,7 @@ class TestEvalReport:
 
 
 def test_run_benchmark_brute_force_is_perfect():
-    from boi.baselines import brute_force_query
+    from boi.core import brute_force_query
     from boi.synth import SynthSpec, generate
 
     db, queries, gt = generate(SynthSpec(n=300, dim=8, num_queries=10, seed=4, gt_k=3))
@@ -326,7 +337,7 @@ def test_run_benchmark_parallel_matches_serial():
 def test_run_benchmark_approximate_bounded_by_oracle():
     # with distance-based ground truth the exact scan upper-bounds any
     # approximate method's mAP
-    from boi.baselines import brute_force_query
+    from boi.core import brute_force_query
     from boi.index import build_index, query
     from boi.synth import SynthSpec, generate
 

@@ -742,15 +742,6 @@ class TestProbePlan:
         assert sorted(masks.tolist()) == list(range(64))
         assert dists.tolist() == [bin(int(m)).count("1") for m in masks]
 
-    def test_cached_per_last_shell_and_read_only(self):
-        # 9..36 neighbors all end in shell 2 at b=8: one cached plan
-        plan = probe_plan(8, 9)
-        assert len(plan) == 2
-        assert all(a is b for a, b in zip(plan, probe_plan(8, 36)))
-        assert probe_plan(8, 8)[0].size == 9
-        for arr in plan:
-            assert not arr.flags.writeable
-
     def test_shell_sizes(self):
         for bits in (1, 4, 8):
             dists = probe_plan(bits, (1 << bits) - 1)[1]

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boi
-from boi.baselines import brute_force_query, multiprobe_lsh_query
 from boi.core import (
     SCHEDULE_KINDS,
     BoiParams,
     VectorSet,
+    brute_force_query,
     pairwise_distances,
     rank_by_distance,
 )
@@ -25,6 +25,7 @@ from boi.index import (
     accumulate,
     build_index,
     build_schedule,
+    multiprobe_lsh_query,
     neighbor_budget,
     probe_plan,
     query,

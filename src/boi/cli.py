@@ -256,10 +256,24 @@ def _write_per_query_csv(path, report, results, gt) -> None:
             )
 
 
+def _ranking(query_index: int, row: np.ndarray) -> np.ndarray:
+    """The ids of one result row, without the trailing run of -1 that pads
+    a short answer (``boi query``); any other negative id, such as a -1
+    before an id, raises ValueError naming the query."""
+    kept = np.flatnonzero(row != -1)
+    ids = row[: kept[-1] + 1 if kept.size else 0]
+    if np.any(ids < 0):
+        raise ValueError(
+            f"query {query_index}: ranking holds a negative id before its "
+            "trailing -1 padding"
+        )
+    return ids
+
+
 def cmd_eval(args) -> int:
     rows = read_ivecs(args.results)
     gt = GroundTruth(read_ivecs(args.groundtruth))
-    rankings = [row[row >= 0] for row in rows]
+    rankings = [_ranking(qi, row) for qi, row in enumerate(rows)]
     k = rows.shape[1] if rows.size else 1
     payload = {
         "schema_version": 1,

@@ -38,7 +38,7 @@ from .core import (
     VectorSet,
     as_exact,
 )
-from .vote import SignFilter, bucket_sort
+from .vote import GatherVote, SignFilter, bucket_sort
 
 # rows hashed per matmul: bounds the float32 dot products (3.3 MB at L = 100,
 # b = 8), which the allocator may keep resident after the build
@@ -132,8 +132,9 @@ class ProjectionTable:
     ``index.accumulate`` give record ids and record order.
 
     ``sign_filter``, the ``vote.SignFilter`` of the projections and the
-    code width, is made once by the constructor (``_sign_filter``); every
-    query hashes with it.
+    code width, and ``gather_vote``, the ``vote.GatherVote`` of the offsets
+    and members, are made once by the constructor; every query hashes with
+    the one and votes with the other.
 
     A table object is made once and never changes; its arrays cannot be
     written. Offsets, members and order are held C-contiguous, the one
@@ -145,7 +146,7 @@ class ProjectionTable:
     of ``members`` that is not 0..n-1, and a dimension the filter cannot
     bound. It does not check the later rows or the offsets' values: the
     vote kernel refuses the out-of-range ids and offsets a query probes
-    (``vote.gather_vote``).
+    (``vote.GatherVote``).
     """
 
     projections: np.ndarray
@@ -153,6 +154,7 @@ class ProjectionTable:
     members: np.ndarray
     order: np.ndarray
     sign_filter: SignFilter = field(init=False, repr=False)
+    gather_vote: GatherVote = field(init=False, repr=False)
 
     def __post_init__(self):
         # the compiled loops read C-ordered float32 projections and int32
@@ -182,8 +184,8 @@ class ProjectionTable:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        sign_filter = _sign_filter(self.projections, self.bits)
-        object.__setattr__(self, "sign_filter", sign_filter)
+        object.__setattr__(self, "sign_filter", _sign_filter(self.projections, self.bits))
+        object.__setattr__(self, "gather_vote", GatherVote(self.offsets, self.members))
 
     @classmethod
     def from_id_rows(cls, projections, offsets, rows: np.ndarray) -> ProjectionTable:
@@ -301,7 +303,10 @@ def _sign_filter(projections, bits: int) -> SignFilter:
 
 
 def hash_codes_all(
-    sign_filter: SignFilter, X: np.ndarray, out: np.ndarray | None = None
+    sign_filter: SignFilter,
+    X: np.ndarray,
+    out: np.ndarray | None = None,
+    dots: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bucket codes (uint16) of the rows of X under every table, shape (m, L).
 
@@ -317,7 +322,11 @@ def hash_codes_all(
     product into an (L*bits, rows) buffer the call allocates once. Then
     the filter keeps each sign the float32 error bound decides, recomputes
     the rest in float64 and writes each table's codes into ``out``. The
-    build and the query both hash here.
+    build and the query both hash here. When ``dots``, a writable
+    C-contiguous (L*bits, m) float32 array, is given, the product of all m
+    rows goes there in one piece and is kept: the query's probe rows order
+    their shells by it (``index.neighbor_codes_with_distance``). Another
+    ``dots`` raises ValueError.
     """
     projections = sign_filter.projections
     X = np.ascontiguousarray(X, dtype=np.float32)
@@ -330,12 +339,25 @@ def hash_codes_all(
     num_rows = projections.shape[0]
     if out is None:
         out = np.empty((m, sign_filter.num_tables), dtype=CODE_DTYPE)
-    dots = np.empty(num_rows * min(m, _HASH_CHUNK), dtype=np.float32)
+    chunk_rows = _HASH_CHUNK
+    if dots is None:
+        buffer = np.empty(num_rows * min(m, _HASH_CHUNK), dtype=np.float32)
+    elif (
+        dots.shape != (num_rows, m)
+        or dots.dtype != np.float32
+        or not (dots.flags.c_contiguous and dots.flags.writeable)
+    ):
+        raise ValueError(
+            f"dots must be a writable C-contiguous float32 array of shape "
+            f"{(num_rows, m)}, got {dots.dtype} of shape {dots.shape}"
+        )
+    else:
+        buffer, chunk_rows = dots.reshape(-1), max(m, 1)
     # a product may overflow only in rows the filter recomputes whole
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, m, _HASH_CHUNK):
-            chunk = X[start : start + _HASH_CHUNK]
-            products = dots[: num_rows * len(chunk)].reshape(num_rows, -1)
+        for start in range(0, m, chunk_rows):
+            chunk = X[start : start + chunk_rows]
+            products = buffer[: num_rows * len(chunk)].reshape(num_rows, -1)
             np.matmul(projections, chunk.T, out=products)
             sign_filter(products, chunk, out[start : start + len(chunk)])
     return out

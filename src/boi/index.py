@@ -6,10 +6,11 @@ Querying works in four stages:
 2. probe the query's own bucket plus a per-table budget of neighbor
    buckets, adding 1/2**H to every record found, where H is the bucket's
    Hamming distance from the query code (``weight``, tabulated per probe
-   position as ``BoiIndex.units``). Python builds the probe rows; the gather
-   and the vote over every table are one call into the compiled kernel of
-   ``vote.c``, which releases the GIL, so threads vote in parallel. It
-   adds each probed bucket's units one L1-sized tile of ids at a time.
+   position as ``BoiIndex.units``). The probe rows of every table are one
+   call into ``vote.c`` (``neighbor_codes_with_distance``), and the gather
+   and the vote over every table are one more; both release the GIL, so
+   threads query in parallel. The vote kernel adds each probed bucket's
+   units one L1-sized tile of ids at a time.
    The votes are exact int32 counts of 2**-b, whatever their order, and
    stay in the tables' internal order (``ProjectionTable.order``), in
    which a bucket's ids lie close together. ``accumulate`` returns them
@@ -18,7 +19,7 @@ Querying works in four stages:
    integer vote, ties by lower record id (zero-weight records never
    qualify): ``shortlist`` partitions a negated copy of the votes in place
    to find the cut, keeps the ids at or above it in one pass, maps them to
-   record ids, and sorts only those;
+   record ids, and sorts only those, cutting the sorted list;
 4. re-rank the shortlist by exact Euclidean distance and return the top k
    (``core.rerank``).
 
@@ -43,11 +44,17 @@ instead, so no bucket beyond distance l is ever touched.
 This module alone decides what any bucketed query probes and how it
 votes; ``hashing`` only hashes and buckets, and ``core`` makes every exact
 answer, the brute-force scan included. Every table's probe row is its
-query code XOR the masks of one ``probe_plan``, which ``BoiIndex`` makes
-once per index and ``_ball_plan`` once per ball: the center, then whole
-Hamming shells in a fixed order. Each table's projection rows are i.i.d.
-Gaussian, so a fixed order favours no bit. The answer is a function of
-(parameters, seed, data, q) alone.
+query code XOR the masks of one ``probe_plan``, which ``BoiIndex`` binds
+once per index and ``_ball_plan`` once per ball (``vote.ProbePlan``): the
+center, then whole Hamming shells. A budget that ends inside a shell
+spends what it reaches of that shell where the neighbours are, as
+query-directed probing does (Lv et al. 2007): that shell's masks go by
+ascending sum of |q . a_j| over the bits j they flip, the margins of the
+query's own float32 dot products, ties in plan order. A ball probes whole
+shells, so its rows keep plan order. The answer is a function of
+(parameters, seed, data, q) alone; the codes are exact, but the margins
+follow the float32 product, so on another BLAS two masks whose margin
+sums tie to within rounding may swap.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ from .core import (
     rerank,
 )
 from .hashing import ProjectionTable, hash_codes_all, insert_all, make_projections
-from .vote import gather_vote
+from .vote import ProbePlan
 
 
 def weight(hamming: int, radius: int) -> float:
@@ -156,28 +163,47 @@ def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
     )
 
 
+def _bound_plan(bits: int, masks, dists, units, budgets) -> ProbePlan:
+    """The ``vote.ProbePlan`` of the plan ``probe_plan`` gave (``masks``
+    and ``dists``), with these units and budgets, every array made
+    read-only first. Table t's rows order by margin the shell that holds
+    position budgets[t] when the budget ends before that shell's last
+    position: its [lo, hi) in the plan's ``shells``, (0, 0) otherwise."""
+    last = dists[budgets]
+    lo = np.searchsorted(dists, last, side="left")
+    hi = np.searchsorted(dists, last, side="right")
+    partial = (budgets + 1 < hi)[:, np.newaxis]
+    shells = np.where(partial, np.stack([lo, hi], axis=1), 0).astype(np.int64)
+    for arr in (masks, units, budgets, shells):
+        arr.setflags(write=False)
+    return ProbePlan(bits, masks, units, budgets, shells)
+
+
 @lru_cache(maxsize=None)
-def _ball_plan(bits: int, num_tables: int, radius: int) -> tuple[np.ndarray, ...]:
-    """Read-only (masks, units, budgets) of multi-probe LSH over
-    ``num_tables`` tables: each probes the whole Hamming ball of ``radius``
-    (at most ``bits``) and every bucket adds 1. Cached, so each ball is
-    planned once."""
+def _ball_plan(bits: int, num_tables: int, radius: int) -> ProbePlan:
+    """The plan of multi-probe LSH over ``num_tables`` tables: each probes
+    the whole Hamming ball of ``radius`` (at most ``bits``), so no shell is
+    reordered, and every bucket adds 1. Cached, so each ball is planned
+    and bound once."""
     count = neighbor_budget(bits, radius)
-    plan = (
-        probe_plan(bits, count)[0],
+    return _bound_plan(
+        bits,
+        *probe_plan(bits, count),
         np.ones(count + 1, np.uint32),
         np.full(num_tables, count, np.int64),
     )
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
 
 
-def neighbor_codes_with_distance(codes: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Probe rows, codes[t] ^ masks for each table t (uint16). The codes come
-    from the hash unchecked: the vote kernel refuses any code of 2**b or
-    more. The name stays for the benchmark's ``hashing.probe_order_ms`` span."""
-    return codes[:, np.newaxis] ^ masks
+def neighbor_codes_with_distance(
+    codes: np.ndarray, dots: np.ndarray, plan: ProbePlan
+) -> np.ndarray:
+    """Probe rows (L, width) uint16 of one query: codes[t] XOR the plan's
+    masks, table t's last, partly probed shell by ascending margin sum
+    (``vote.ProbePlan.rows``). ``dots`` (L*b,) float32 are the products
+    the codes were hashed from. The codes come from the hash unchecked:
+    the vote kernel refuses any code of 2**b or more. The name stays for
+    the benchmark's ``hashing.probe_order_ms`` span."""
+    return plan.rows(codes, dots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +219,8 @@ class BoiIndex:
     ``probe_plan(b, max(budgets))``, which every query XORs into its codes,
     and ``units[j]`` (uint32) is weight(H_j, b) * 2**b for the plan's H_j,
     the vote the kernel adds at position j of a probe row (strict budgets
-    never reach past the radius). All three arrays are read-only.
+    never reach past the radius). All three arrays are read-only, and
+    ``plan``, their ``vote.ProbePlan``, binds them once for every query.
 
     Immutable: the table and the dataset are fixed by the constructor, and
     nothing is cached or bound later (there is no ``attach_dataset``). A
@@ -205,9 +232,7 @@ class BoiIndex:
     params: BoiParams
     tables: ProjectionTable
     dataset: VectorSet | None = None
-    budgets: np.ndarray = field(init=False)
-    masks: np.ndarray = field(init=False)
-    units: np.ndarray = field(init=False)
+    plan: ProbePlan = field(init=False, repr=False)
 
     def __post_init__(self):
         p, tables = self.params, self.tables
@@ -227,9 +252,19 @@ class BoiIndex:
         masks, dists = probe_plan(bits, int(budgets.max()))
         per_shell = [weight(h, bits) * 2**bits for h in range(bits + 1)]
         units = np.array(per_shell, np.uint32)[dists]
-        for name, arr in (("budgets", budgets), ("masks", masks), ("units", units)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "plan", _bound_plan(bits, masks, dists, units, budgets))
+
+    @property
+    def budgets(self) -> np.ndarray:
+        return self.plan.budgets
+
+    @property
+    def masks(self) -> np.ndarray:
+        return self.plan.masks
+
+    @property
+    def units(self) -> np.ndarray:
+        return self.plan.units
 
     @property
     def dim(self) -> int:
@@ -252,23 +287,26 @@ def build_index(dataset: VectorSet, params: BoiParams) -> BoiIndex:
 
 
 def _accumulate(
-    tables: ProjectionTable, q: np.ndarray, masks: np.ndarray, units: np.ndarray,
-    budgets: np.ndarray,
+    tables: ProjectionTable, q: np.ndarray, plan: ProbePlan
 ) -> tuple[np.ndarray, int, int]:
     """Int32 votes in internal order (entry i belongs to record
     ``tables.order[i]``), the probe count and the number of (id, vote)
-    pairs the kernel (``vote.gather_vote``) scanned; ``q`` is validated.
+    pairs the kernel (``tables.gather_vote``) scanned; ``q`` is validated.
 
-    Each table's probe row is its code XOR ``masks``. Table t probes the
-    first budgets[t] + 1 codes of its row, and position j of a row adds
+    The hash keeps its dot products, and each table's probe row is its
+    code XOR the plan's masks, its last, partly probed shell ordered by
+    them (``neighbor_codes_with_distance``). Table t probes the first
+    budgets[t] + 1 codes of its row, and position j of a row adds
     ``units[j]``. A boi vote of at most L * 2**b units stays below 2**31
     (``BoiParams``), so the int32 sums are exact and so is their negation
     in the shortlist.
     """
-    codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
-    probes = neighbor_codes_with_distance(codes, masks)
+    dots = np.empty((plan.num_tables * plan.bits, 1), np.float32)
+    codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :], dots=dots)[0]
+    probes = neighbor_codes_with_distance(codes, dots[:, 0], plan)
     votes = np.zeros(tables.n, np.int32)
-    pairs = gather_vote(tables.offsets, tables.members, probes, units, budgets, votes)
+    pairs = tables.gather_vote(plan, probes, votes)
+    budgets = plan.budgets
     return votes, int(budgets.sum()) + budgets.size, pairs
 
 
@@ -281,7 +319,7 @@ def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
     ``query_index`` is accepted and ignored.
     """
     q = query_vector(q, index.dim)
-    votes = _accumulate(index.tables, q, index.masks, index.units, index.budgets)[0]
+    votes = _accumulate(index.tables, q, index.plan)[0]
     out = np.empty_like(votes)
     # numpy scatters through intp indices faster than through int32 ones,
     # by more than the copy costs (0.22 against 0.36 ms at n = 100k)
@@ -303,10 +341,11 @@ def shortlist(
 
     One in-place partition of a negated copy finds the cut, the
     ``shortlist_size``-th largest weight. One pass over the weights then
-    keeps the ids at or above it and maps them through ``order``; of those
-    at the cut, only as many as fit are kept, the lowest record ids first,
-    and only the kept ids are sorted. Unsigned weights are widened to int64
-    first, since an unsigned w would negate to 2**N - w.
+    keeps the ids at or above it and maps them through ``order``. Only
+    those are sorted, by weight and then record id, and the sorted list is
+    cut at ``shortlist_size``, so of the ids at the cut the lowest record
+    ids are kept. Unsigned weights are widened to int64 first, since an
+    unsigned w would negate to 2**N - w.
     """
     if shortlist_size < 1:
         raise ValueError("shortlist_size must be >= 1")
@@ -322,15 +361,7 @@ def shortlist(
     w = weights[ids]
     if order is not None:
         ids = order[ids]
-    if ids.size > shortlist_size:
-        # every id above the cut, then the lowest record ids at it
-        keep = w > cut
-        at_cut = np.flatnonzero(~keep)
-        if order is not None:
-            at_cut = at_cut[np.argsort(ids[at_cut])]
-        keep[at_cut[: shortlist_size - np.count_nonzero(keep)]] = True
-        ids, w = ids[keep], w[keep]
-    return ids[np.lexsort((ids, -w))]
+    return ids[np.lexsort((ids, -w))[:shortlist_size]]
 
 
 def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
@@ -352,9 +383,7 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
             "dataset first"
         )
     q = query_vector(q, index.dim)
-    votes, probes, pairs = _accumulate(
-        index.tables, q, index.masks, index.units, index.budgets
-    )
+    votes, probes, pairs = _accumulate(index.tables, q, index.plan)
     candidates = shortlist(votes, index.params.shortlist_size, index.tables.order)
     return rerank(index.dataset.vectors, candidates, q, k, probes, pairs)
 
@@ -386,6 +415,6 @@ def multiprobe_lsh_query(
     q = query_vector(q, tables.dim)
     tables.check_dataset(dataset)
     plan = _ball_plan(tables.bits, tables.num_tables, min(radius, tables.bits))
-    votes, probes, pairs = _accumulate(tables, q, *plan)
+    votes, probes, pairs = _accumulate(tables, q, plan)
     candidates = shortlist(votes, shortlist_size, tables.order)
     return rerank(dataset.vectors, candidates, q, k, probes, pairs)

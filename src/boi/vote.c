@@ -1,7 +1,8 @@
-/* The four compiled loops of boi: the weighted gather+vote of a query over
- * the probed buckets of every hash table, the counting sort that builds
- * those buckets, the check of a snapshot's table record as it is loaded,
- * and the sign filter that turns dot products into codes.
+/* The five compiled loops of boi: the probe rows of a query, ordered by its
+ * margins, the weighted gather+vote of a query over the probed buckets of
+ * every hash table, the counting sort that builds those buckets, the check
+ * of a snapshot's table record as it is loaded, and the sign filter that
+ * turns dot products into codes.
  *
  * Buckets hold internal ids: record i of the index is internal id j where
  * order[j] = i, and ``order`` lists the records in table 0's bucket order
@@ -48,21 +49,27 @@
  * return value is the number of (id, vote) pairs scanned. Sums are exact
  * integers, so their order does not matter.
  *
- * boi_bucket_sort, the second entry point, builds the tables the first one
- * reads: one counting sort per table turns the codes hashing.insert_all
- * hashed into ``members`` into the CSR ``offsets`` and the internal ids of
- * every bucket, ascending within a bucket, and table 0's sort gives
- * ``order`` (its own comment, below).
+ * boi_probe_rows, the second entry point, writes the rows the first one
+ * probes: each table's query code XOR the masks of its probe plan, with
+ * the table's last, partly probed shell ordered by the query's margins
+ * (its own comment, below).
  *
- * boi_check_table, the third, checks one table record of a snapshot and
+ * boi_bucket_sort, the third, builds the tables boi_gather_vote reads: one
+ * counting sort per table turns the codes hashing.insert_all hashed into
+ * ``members`` into the CSR ``offsets`` and the internal ids of every
+ * bucket, ascending within a bucket, and table 0's sort gives ``order``
+ * (its own comment, below).
+ *
+ * boi_check_table, the fourth, checks one table record of a snapshot and
  * turns its bucket counts into offsets, for data_io.load_index.
  *
- * boi_hash_codes, the fourth, turns the float32 dot products of
+ * boi_hash_codes, the fifth, turns the float32 dot products of
  * hashing.hash_codes_all into codes, recomputing in float64 each sign the
  * float32 error bound cannot decide (its own comment, at the end).
  */
 #include <math.h> /* INFINITY and fabsf, which need no libm */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define TILE 8192
@@ -73,9 +80,16 @@ struct range {
     uint32_t vote;
 };
 
+/* HOT starts a function on a 64-byte boundary, so the speed of its inner
+ * loops does not hang on the code placed before it. Without it, the three
+ * library calls boi_probe_rows added to the PLT moved sweep 48 bytes and
+ * slowed the b=8 gather+vote from 0.37 to 0.51 ms a query (the benchmark's
+ * seed-1 data); aligned, it kept its speed. */
+#define HOT __attribute__((aligned(64)))
+
 /* Add every range of the batch to votes, tile by tile; -1 if one stays
  * open after the last tile. */
-static int sweep(struct range *batch, int64_t live, int64_t n, int32_t *votes)
+HOT static int sweep(struct range *batch, int64_t live, int64_t n, int32_t *votes)
 {
     for (int64_t lo = 0; lo < n && live > 0; lo += TILE) {
         const uint32_t end = (uint32_t)(n - lo > TILE ? lo + TILE : n);
@@ -99,7 +113,7 @@ static int sweep(struct range *batch, int64_t live, int64_t n, int32_t *votes)
     return live > 0 ? -1 : 0;
 }
 
-int64_t boi_gather_vote(
+HOT int64_t boi_gather_vote(
     int64_t num_tables, int64_t bits, int64_t n,
     const int32_t *offsets,             /* (num_tables, 2**bits + 1) */
     const int32_t *members,             /* (num_tables, n) */
@@ -142,6 +156,125 @@ int64_t boi_gather_vote(
     if (sweep(batch, live, n, votes) < 0)
         return -1;
     return scanned;
+}
+
+/* Probe rows ordered by the query's margins, as in query-directed probing
+ * (Lv et al., "Multi-Probe LSH", VLDB 2007).
+ *
+ * Row t of ``probes`` (width codes) is codes[t] XOR each of the plan's
+ * ``masks``: mask 0, then whole Hamming shells (index.probe_plan). Every
+ * position keeps plan order except those in [shells[2t], shells[2t + 1]),
+ * the table's last, partly probed shell. There the masks go by ascending
+ * margin: the float64 sum, over the bits j a mask flips and in ascending
+ * j, of |dots[t * bits + j]|, how far bit j's projection lies from its
+ * sign boundary. A near neighbour most likely differs from the query in
+ * the bits closest to their boundaries, so the part of the shell a budget
+ * reaches holds the most likely buckets. Ties keep plan order, and a
+ * non-finite sum (a dot that overflowed, or NaN) sorts last. An empty
+ * range keeps the whole row in plan order. Every mask of a shell flips as
+ * many bits, so a reordered position keeps its units.
+ *
+ * Every shell is ordered by qsort in O(s log s), up to C(16, 8) = 12870
+ * masks, on the heap when it has more than SMALL_SHELL; the position in
+ * the plan breaks ties, so the order is total and qsort need not be
+ * stable. A shell of up to SMALL_SHELL masks, the only size the default
+ * plans reorder, first tries rank_small, which gives the same order with
+ * no call per comparison and no branch on the margins, and falls back to
+ * qsort when two margins round to one float32 value. Returns 0, -1 for
+ * bits outside [1, 16] or a shell outside the row, or -2 when the heap
+ * has no room.
+ */
+#define SMALL_SHELL 64
+
+struct keyed {
+    double margin;
+    int64_t at; /* position in the plan */
+};
+
+static int by_margin(const void *a, const void *b)
+{
+    const struct keyed *x = a, *y = b;
+    if (x->margin != y->margin)
+        return x->margin < y->margin ? -1 : 1;
+    return (x->at > y->at) - (x->at < y->at);
+}
+
+/* rank[i] = how many of the s <= SMALL_SHELL margins, rounded to float32,
+ * lie below key[i]'s; 1 if those ranks are 0..s-1, 0 otherwise. Rounding
+ * to float32 never reverses the order of two margins, though it may make
+ * them equal, so ranks that are all distinct are the places by_margin
+ * gives. The float32 counts vectorise; the padding of ``near`` to whole
+ * vectors of 8 is +inf, below no margin. */
+static int rank_small(const struct keyed *key, int64_t s, int32_t *rank)
+{
+    float near[SMALL_SHELL];
+    const int64_t wide = (s + 7) & ~(int64_t)7;
+    for (int64_t i = 0; i < wide; i++)
+        near[i] = i < s ? (float)key[i].margin : INFINITY;
+    uint64_t seen = 0;
+    for (int64_t i = 0; i < s; i++) {
+        const float x = near[i];
+        int32_t below = 0;
+        for (int64_t j = 0; j < wide; j++)
+            below += near[j] < x;
+        rank[i] = below;
+        seen |= (uint64_t)1 << below;
+    }
+    return seen == ~(uint64_t)0 >> (64 - s);
+}
+
+int64_t boi_probe_rows(
+    int64_t num_tables, int64_t bits, int64_t width,
+    const uint16_t *codes,              /* (num_tables,) */
+    const float *dots,                  /* (num_tables * bits,) */
+    const uint16_t *masks,              /* (width,) */
+    const int64_t *shells,              /* (num_tables, 2) */
+    uint16_t *probes)                   /* (num_tables, width) */
+{
+    if (bits < 1 || bits > 16 || num_tables < 0 || width < 1)
+        return -1;
+    int64_t most = 0;
+    for (int64_t t = 0; t < num_tables; t++) {
+        const int64_t lo = shells[2 * t], hi = shells[2 * t + 1];
+        if (lo < 0 || lo > hi || hi > width)
+            return -1;
+        if (hi - lo > most)
+            most = hi - lo;
+    }
+    struct keyed small[SMALL_SHELL];
+    struct keyed *const key = most <= SMALL_SHELL ? small : malloc(most * sizeof *key);
+    if (key == NULL)
+        return -2;
+    for (int64_t t = 0; t < num_tables; t++) {
+        const uint16_t code = codes[t];
+        uint16_t *const row = probes + t * width;
+        for (int64_t j = 0; j < width; j++)
+            row[j] = code ^ masks[j];
+        const int64_t lo = shells[2 * t], s = shells[2 * t + 1] - lo;
+        if (s < 2)
+            continue;
+        double margin[16] = {0}; /* a mask bit past ``bits`` adds nothing */
+        for (int64_t j = 0; j < bits; j++)
+            margin[j] = fabsf(dots[t * bits + j]);
+        for (int64_t i = 0; i < s; i++) {
+            double sum = 0.0;
+            for (uint32_t m = masks[lo + i]; m; m &= m - 1)
+                sum += margin[__builtin_ctz(m)];
+            key[i] = (struct keyed){sum < INFINITY ? sum : INFINITY, lo + i};
+        }
+        int32_t rank[SMALL_SHELL];
+        if (s <= SMALL_SHELL && rank_small(key, s, rank)) {
+            for (int64_t i = 0; i < s; i++)
+                row[lo + rank[i]] = code ^ masks[lo + i];
+        } else {
+            qsort(key, s, sizeof *key, by_margin);
+            for (int64_t i = 0; i < s; i++)
+                row[lo + i] = code ^ masks[key[i].at];
+        }
+    }
+    if (key != small)
+        free(key);
+    return 0;
 }
 
 /* Bucket the records of every table by their codes, in one counting sort

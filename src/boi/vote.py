@@ -1,8 +1,8 @@
-"""The compiled loops of ``vote.c``, loaded with ctypes: the gather+vote
-kernel every query runs, the counting sort ``hashing.insert_all`` buckets
-its records with, the table-record check ``data_io.load_index`` runs, and
-the sign filter ``hashing.hash_codes_all`` turns its float32 dot products
-into codes with.
+"""The compiled loops of ``vote.c``, loaded with ctypes: the probe rows and
+the gather+vote kernel every query runs, the counting sort
+``hashing.insert_all`` buckets its records with, the table-record check
+``data_io.load_index`` runs, and the sign filter ``hashing.hash_codes_all``
+turns its float32 dot products into codes with.
 
 The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
@@ -12,6 +12,9 @@ queries running in threads vote in parallel. Every entry point takes raw
 addresses, and its wrapper gets each one from ``_address``, which checks
 the array's exact type, shape and layout first: numpy's own ctypes
 argument conversion would cost about 5 us an array while the GIL is held.
+What is fixed per table or per plan is checked once, when ``GatherVote``,
+``ProbePlan`` or ``SignFilter`` binds it, so a query passes only its own
+arrays through ``_address``.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ def build_library(cache_dir, source=SOURCE) -> Path:
 
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
-    and result types of ``boi_gather_vote``, ``boi_bucket_sort``,
-    ``boi_check_table`` and ``boi_hash_codes`` declared."""
+    and result types of ``boi_gather_vote``, ``boi_probe_rows``,
+    ``boi_bucket_sort``, ``boi_check_table`` and ``boi_hash_codes``
+    declared."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
@@ -98,6 +102,16 @@ def load_library(cache_dir) -> ctypes.CDLL:
         address,  # units
         address,  # budgets
         address,  # votes
+    ]
+    library.boi_probe_rows.argtypes = [
+        i64,  # num_tables
+        i64,  # bits
+        i64,  # probe row width
+        address,  # codes
+        address,  # dots
+        address,  # masks
+        address,  # shells
+        address,  # probes
     ]
     library.boi_bucket_sort.argtypes = [
         i64,  # num_tables
@@ -130,6 +144,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
     ]
     for entry in (
         library.boi_gather_vote,
+        library.boi_probe_rows,
         library.boi_bucket_sort,
         library.boi_check_table,
         library.boi_hash_codes,
@@ -165,45 +180,125 @@ def _address(array: np.ndarray, dtype, shape: tuple, writable: bool = False) -> 
     return array.ctypes.data
 
 
-def gather_vote(
-    offsets: np.ndarray,
-    members: np.ndarray,
-    probes: np.ndarray,
-    units: np.ndarray,
-    budgets: np.ndarray,
-    votes: np.ndarray,
-) -> int:
-    """Add every probed bucket's vote to ``votes``; return the number of
-    (id, vote) pairs scanned.
+class ProbePlan:
+    """A probe plan bound once for ``boi_probe_rows`` and ``boi_gather_vote``.
 
-    ``offsets`` (L, 2**b + 1) int32 and ``members`` (L, n) int32 are a
-    ``ProjectionTable``'s arrays. Table t probes the first ``budgets[t] +
-    1`` (int64) codes of row t of ``probes`` (L, width) uint16, and adds
-    ``units[j]`` (uint32, width) to ``votes[id]`` (int32, n) for each id in
-    the bucket of the code at position j. Every array must have exactly
-    that type and be C-contiguous, and ``votes`` writable. Raises
-    ValueError when the shapes, types or layouts disagree, or a probed
-    value is out of range (a budget past the probe row, a code past 2**b,
-    offsets that decrease or leave [0, n], an id >= n); ``votes`` is then
-    partly written.
+    ``masks`` (width,) uint16 are the plan's masks, ``units`` (width,)
+    uint32 the vote of each position of a probe row, ``budgets`` (L,) int64
+    the positions past the first that table t probes, and ``shells`` (L, 2)
+    int64 the range [lo, hi) of positions whose masks table t's rows order
+    by margin, (0, 0) for none (``index`` sets them: the table's last,
+    partly probed shell). The plan holds all four, which must not change
+    while it is used. They are checked here, once: ValueError names the
+    array whose type, shape or layout is wrong, and is raised too when
+    ``bits`` is not in [1, 16], a budget is not in [0, width - 1], a mask
+    has a bit at or past ``bits``, or a range is not within the row.
     """
-    num_tables, width, n = budgets.size, units.size, votes.size
-    bits = offsets.shape[-1].bit_length() - 1
-    scanned = _library.boi_gather_vote(
-        num_tables, bits, n,
-        _address(offsets, OFFSET_DTYPE, (num_tables, (1 << bits) + 1)),
-        _address(members, np.int32, (num_tables, n)),
-        _address(probes, CODE_DTYPE, (num_tables, width)), width,
-        _address(units, np.uint32, (width,)),
-        _address(budgets, np.int64, (num_tables,)),
-        _address(votes, np.int32, (n,), writable=True),
-    )
-    if scanned < 0:
-        raise ValueError(
-            "corrupt hash table: a probed bucket's budget, code, offsets or "
-            "record ids are out of range"
+
+    def __init__(self, bits: int, masks, units, budgets, shells):
+        width, num_tables = np.size(masks), np.size(budgets)
+        if not 1 <= bits <= MAX_HASH_BITS:
+            raise ValueError(f"ProbePlan: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
+        fixed = (
+            _address(masks, CODE_DTYPE, (width,)),
+            _address(units, np.uint32, (width,)),
+            _address(budgets, np.int64, (num_tables,)),
+            _address(shells, np.int64, (num_tables, 2)),
         )
-    return scanned
+        if num_tables and not 0 <= budgets.min() <= budgets.max() < width:
+            raise ValueError(f"ProbePlan: budgets must be in [0, {width - 1}]")
+        if width and int(masks.max()) >> bits:
+            raise ValueError(f"ProbePlan: a mask has a bit past the {bits}-bit code")
+        if num_tables and not (
+            0 <= shells[:, 0].min()
+            and np.all(shells[:, 0] <= shells[:, 1])
+            and shells[:, 1].max() <= width
+        ):
+            raise ValueError(f"ProbePlan: shells must be ranges within [0, {width}]")
+        self.bits, self.width, self.num_tables = bits, width, num_tables
+        self.masks, self.units, self.budgets, self.shells = masks, units, budgets, shells
+        self._rows = (fixed[0], fixed[3])
+        self._votes = fixed[1:3]
+
+    def rows(self, codes: np.ndarray, dots: np.ndarray) -> np.ndarray:
+        """The (L, width) uint16 probe rows of one query (``boi_probe_rows``).
+
+        ``codes`` (L,) uint16 are the query's codes and ``dots`` (L*bits,)
+        float32 the dot products they were hashed from: entry t*bits + j
+        is the one of bit j of table t's code. Row t is codes[t] XOR the
+        masks in plan order, except the table's ``shells`` range, which
+        goes by ascending float64 sum of |dots| over the bits each mask
+        flips, ties in plan order and a non-finite sum last. Raises
+        ValueError when the shapes, types or layouts disagree.
+        """
+        num_tables, bits, width = self.num_tables, self.bits, self.width
+        probes = np.empty((num_tables, width), CODE_DTYPE)
+        if _library.boi_probe_rows(
+            num_tables, bits, width,
+            _address(codes, CODE_DTYPE, (num_tables,)),
+            _address(dots, np.float32, (num_tables * bits,)),
+            *self._rows, probes.ctypes.data,
+        ) < 0:
+            # the plan was checked when it was bound: only the heap can fail
+            raise MemoryError("no room to sort a shell of the probe plan")
+        return probes
+
+
+class GatherVote:
+    """``boi_gather_vote`` bound to one table's ``offsets`` (L, 2**b + 1)
+    int32 and ``members`` (L, n) int32, b in [1, 16], so that a query
+    passes only its probe rows and votes.
+
+    Both arrays are checked here, once, and held; they must not change
+    while the binding is used. ValueError names the array whose type,
+    shape or layout is wrong, or says that b is not in [1, 16].
+    """
+
+    def __init__(self, offsets: np.ndarray, members: np.ndarray):
+        num_tables, n = len(offsets), members.shape[-1]
+        bits = offsets.shape[-1].bit_length() - 1
+        if not 1 <= bits <= MAX_HASH_BITS:
+            raise ValueError(
+                f"GatherVote: {offsets.shape} offsets are not 2**b + 1 wide "
+                f"for a b in [1, {MAX_HASH_BITS}]"
+            )
+        self._arrays = (offsets, members)
+        self._fixed = (
+            num_tables, bits, n,
+            _address(offsets, OFFSET_DTYPE, (num_tables, (1 << bits) + 1)),
+            _address(members, np.int32, (num_tables, n)),
+        )
+
+    def __call__(self, plan: ProbePlan, probes: np.ndarray, votes: np.ndarray) -> int:
+        """Add every probed bucket's vote to ``votes``; return the number
+        of (id, vote) pairs scanned.
+
+        Table t probes the first ``plan.budgets[t] + 1`` codes of row t of
+        ``probes`` (L, plan.width) uint16, and adds ``plan.units[j]`` to
+        ``votes[id]`` (int32, n, writable) for each id in the bucket of the
+        code at position j. Raises ValueError when the plan is for another
+        number of tables, ``probes`` or ``votes`` has another type, shape
+        or layout, or a probed value is out of range (a code past 2**b,
+        offsets that decrease or leave [0, n], an id >= n); ``votes`` is
+        then partly written.
+        """
+        num_tables, n = self._fixed[0], self._fixed[2]
+        if plan.num_tables != num_tables:
+            raise ValueError(
+                f"expected a plan of {num_tables} tables, got {plan.num_tables}"
+            )
+        scanned = _library.boi_gather_vote(
+            *self._fixed,
+            _address(probes, CODE_DTYPE, (num_tables, plan.width)), plan.width,
+            *plan._votes,
+            _address(votes, np.int32, (n,), writable=True),
+        )
+        if scanned < 0:
+            raise ValueError(
+                "corrupt hash table: a probed bucket's code, offsets or record "
+                "ids are out of range"
+            )
+        return scanned
 
 
 def bucket_sort(offsets: np.ndarray, members: np.ndarray, order: np.ndarray) -> None:

@@ -12,6 +12,7 @@ from boi.index import (
     _ball_plan,
     accumulate,
     multiprobe_lsh_query,
+    neighbor_codes_with_distance,
     probe_plan,
     query,
 )
@@ -255,11 +256,13 @@ class TestMultiprobeLsh:
     def test_ball_plan_is_cached_per_ball_and_read_only(self, populated, monkeypatch):
         tables, data = populated
         plan = _ball_plan(4, 10, 1)  # the 4-bit codes of 10 tables
-        assert all(a is b for a, b in zip(plan, _ball_plan(4, 10, 1)))
-        masks, units, budgets = plan
+        assert _ball_plan(4, 10, 1) is plan
+        masks, units, budgets = plan.masks, plan.units, plan.budgets
         assert masks.tolist() == probe_plan(4, 4)[0].tolist()
         assert units.tolist() == [1] * 5 and budgets.tolist() == [4] * 10
-        for arr in plan:
+        # a ball probes whole shells: no row is reordered
+        assert not plan.shells.any()
+        for arr in (masks, units, budgets, plan.shells):
             assert not arr.flags.writeable
         # every radius of b or more is the whole code space: one entry
         plans = []
@@ -272,8 +275,43 @@ class TestMultiprobeLsh:
         q = data.vectors[0]
         for radius in (tables.bits, tables.bits + 5):
             multiprobe_lsh_query(tables, data, q, radius, 5, 3)
-        assert all(a is b for a, b in zip(*plans))
-        assert sorted(plans[0][0].tolist()) == list(range(16))
+        assert plans[0] is plans[1]
+        assert sorted(plans[0].masks.tolist()) == list(range(16))
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 4])
+    def test_ball_rows_keep_plan_order_whatever_the_margins(self, radius):
+        # a ball probes whole shells, so no margin reorders its rows: they
+        # are the codes XOR the plan's masks, as before margins ordered any
+        # shell, and so are the baselines' answers
+        plan = _ball_plan(4, 3, radius)
+        codes = np.array([0, 5, 15], np.uint16)
+        rng = np.random.default_rng(radius)
+        for dots in (
+            rng.standard_normal(12),
+            np.full(12, np.inf),
+            np.tile([np.nan, -3e38, 1e-30, 0.0], 3),
+        ):
+            rows = neighbor_codes_with_distance(codes, dots.astype(np.float32), plan)
+            assert rows.tolist() == (codes[:, np.newaxis] ^ plan.masks).tolist()
+
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_answers_match_a_collision_count_oracle(self, populated, radius):
+        # votes counted from the records' own codes: record r gains 1 in
+        # each table where its code lies within ``radius`` of the query's
+        tables, data = populated
+        record_codes = hash_codes_all(tables.sign_filter, data.vectors)
+        rng = np.random.default_rng(40 + radius)
+        for _ in range(10):
+            q = rng.standard_normal(12).astype(np.float32)
+            codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
+            flips = np.vectorize(lambda c: bin(c).count("1"))(record_codes ^ codes)
+            votes = (flips <= radius).sum(axis=1)
+            touched = sorted(np.flatnonzero(votes), key=lambda r: (-votes[r], r))[:30]
+            exact = brute_force_query(VectorSet(data.vectors[touched]), q, 5)
+            want = np.array(touched)[exact.ids]
+            got = multiprobe_lsh_query(tables, data, q, radius, 30, 5)
+            assert got.ids.tolist() == want.tolist()
+            assert got.distances.tobytes() == exact.distances.tobytes()
 
     def test_query_derives_no_plan(self, populated, monkeypatch):
         tables, data = populated

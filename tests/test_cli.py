@@ -265,6 +265,31 @@ class TestEval:
         assert "query 1: ranking repeats a record id" in caplog.text
         assert not (tmp_path / "eval.json").exists()
 
+    def eval_rows(self, tmp_path, rows):
+        write_ivecs(tmp_path / "results.ivecs", np.array(rows))
+        write_ivecs(tmp_path / "gt.ivecs", np.array([[5, 7, 9]] * len(rows)))
+        return main(
+            [
+                "eval", "--results", str(tmp_path / "results.ivecs"),
+                "--groundtruth", str(tmp_path / "gt.ivecs"),
+                "--out", str(tmp_path / "eval.json"),
+            ]
+        )
+
+    def test_strips_only_the_trailing_padding(self, tmp_path):
+        # a short answer padded as ``boi query`` writes it: [5, 7] scores
+        # AP (1 + 1) / 3 and recall@1 1
+        assert self.eval_rows(tmp_path, [[5, 7, -1], [-1, -1, -1]]) == 0
+        payload = json.loads((tmp_path / "eval.json").read_text())
+        assert payload["map"] == pytest.approx((2 / 3 + 0) / 2)
+        assert payload["recall_at_k"]["1"] == 0.5
+
+    def test_rejects_a_minus_one_before_an_id(self, tmp_path, caplog):
+        # dropping the -1 would score [5, 7] in place of a malformed row
+        assert self.eval_rows(tmp_path, [[5, 7, 9], [5, -1, 7]]) == 1
+        assert "query 1: ranking holds a negative id" in caplog.text
+        assert not (tmp_path / "eval.json").exists()
+
 
 FUZZ_FILES = (
     "base.fvecs", "queries.fvecs", "groundtruth.ivecs", "idx.boix", "results.ivecs"

@@ -22,8 +22,9 @@ from boi.hashing import (
     make_projections,
     occupancy_summary,
 )
-from boi.index import neighbor_codes_with_distance, probe_plan
+from boi.index import _bound_plan, neighbor_codes_with_distance, probe_plan
 from hand_tables import from_record_ids
+from probe_rows import margin_rows
 
 
 def hash_codes(rows, X) -> np.ndarray:
@@ -298,6 +299,26 @@ class TestExactSigns:
         for row in range(len(X)):
             single = hash_codes_all(sign_filter, X[row : row + 1])[0]
             assert np.array_equal(single, codes[row])
+
+
+def test_the_hash_keeps_its_dot_products():
+    # ``dots`` gets the one float32 product the codes were decided from,
+    # in one piece however many rows there are
+    rng = np.random.default_rng(4)
+    proj = make_projections(BoiParams(num_tables=5, hash_bits=6, seed=2), 20)
+    sign_filter = _sign_filter(proj, 6)
+    X = rng.standard_normal((_HASH_CHUNK + 3, 20)).astype(np.float32)
+    dots = np.empty((30, len(X)), np.float32)
+    codes = hash_codes_all(sign_filter, X, dots=dots)
+    assert np.array_equal(dots, proj @ X.T)
+    assert np.array_equal(codes, hash_codes_all(sign_filter, X))
+    for bad in (
+        np.empty((30, len(X) - 1), np.float32),
+        np.empty((30, len(X))),
+        np.empty((len(X), 30), np.float32).T,
+    ):
+        with pytest.raises(ValueError, match="dots must be"):
+            hash_codes_all(sign_filter, X, dots=bad)
 
 
 def test_dimensions_past_the_error_bound_raise():
@@ -636,13 +657,31 @@ def hamming(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
 
 
+def rows_of(centers, bits, masks, budget=None, dots=None) -> np.ndarray:
+    """Probe rows of one table per center over the plan ``masks``: every
+    table probes ``budget`` neighbors (the whole plan when omitted), and
+    ``dots`` (L*bits float32, all 1 when omitted) order a partly probed
+    shell."""
+    centers = np.array(centers, CODE_DTYPE)
+    budget = masks.size - 1 if budget is None else budget
+    dists = np.array([bin(int(m)).count("1") for m in masks], np.uint8)
+    plan = _bound_plan(
+        bits, masks, dists, np.ones(masks.size, np.uint32),
+        np.full(centers.size, budget, np.int64),
+    )
+    if dots is None:
+        dots = np.ones(centers.size * bits)
+    return neighbor_codes_with_distance(centers, np.asarray(dots, np.float32), plan)
+
+
 class TestNeighborCodes:
-    """Probe rows, ``codes ^ masks`` for the masks of one ``probe_plan``."""
+    """Probe rows: codes XOR the masks of one ``probe_plan``, a partly
+    probed last shell ordered by the query's margins."""
 
     def test_one_bit_shell_is_exact(self):
         center = 0b10110001
         masks, dists = probe_plan(8, 8)
-        got = neighbor_codes_with_distance(np.array([center], CODE_DTYPE), masks)[0]
+        got = rows_of([center], 8, masks)[0]
         expected = {center ^ (1 << j) for j in range(8)}
         assert got[0] == center and dists.tolist() == [0] + [1] * 8
         assert set(int(c) for c in got[1:]) == expected
@@ -656,7 +695,8 @@ class TestNeighborCodes:
             if code != center:
                 by_shell.setdefault(hamming(code, center), set()).add(code)
         masks = probe_plan(bits, 10)[0]
-        codes = neighbor_codes_with_distance(np.array([center], CODE_DTYPE), masks)[0]
+        dots = np.random.default_rng(37).standard_normal(bits)
+        codes = rows_of([center], bits, masks, 10, dots)[0]
         got = [int(c) for c in codes]
         # the center, then whole shells: all of shell 2, not just 2 codes
         assert got[0] == center
@@ -666,7 +706,7 @@ class TestNeighborCodes:
 
     def test_zero_count(self):
         masks, dists = probe_plan(4, 0)
-        codes = neighbor_codes_with_distance(np.array([3], CODE_DTYPE), masks)
+        codes = rows_of([3], 4, masks)
         assert codes.tolist() == [[3]] and dists.tolist() == [0]
 
     def test_count_too_large(self):
@@ -678,47 +718,64 @@ class TestNeighborCodes:
     def test_array_of_centers(self):
         centers = np.array([0, 9, 37, 255], CODE_DTYPE)
         masks, dists = probe_plan(8, 12)
-        codes = neighbor_codes_with_distance(centers, masks)
+        dots = np.random.default_rng(9).standard_normal(4 * 8)
+        codes = rows_of(centers, 8, masks, 12, dots)
         assert codes.shape == (4, 37) and codes.dtype == CODE_DTYPE
         assert dists.shape == (37,)
         for center, row in zip(centers, codes):
             assert len(set(row.tolist())) == 37
             assert [hamming(int(c), int(center)) for c in row] == dists.tolist()
-        one_row = neighbor_codes_with_distance(centers[2:3], masks)
+        one_row = rows_of(centers[2:3], 8, masks, 12, dots[16:24])
         assert np.array_equal(codes[2], one_row[0])
 
     def test_reported_distances_are_true_distances(self):
         # every center of a 6-bit code space, over its whole plan
         masks, dists = probe_plan(6, 63)
         centers = np.arange(64, dtype=CODE_DTYPE)
-        for center, row in zip(centers, neighbor_codes_with_distance(centers, masks)):
+        for center, row in zip(centers, rows_of(centers, 6, masks)):
             assert [hamming(int(c), int(center)) for c in row] == dists.tolist()
 
-    # The first count + 1 codes of each row: the center, then each shell's
-    # masks in ``itertools.combinations`` order of their set bits (1, 2,
-    # 4, ..., then 3, 5, 9, ...), XORed into the center.
-    PINNED_ROWS_B8 = [
-        [0, 1, 2, 4, 8, 16, 32, 64, 128, 3, 5],
-        [177, 176, 179, 181, 185, 161, 145, 241, 49, 178, 180],
-        [255, 254, 253, 251, 247, 239, 223, 191, 127, 252, 250],
+    # Each table's dot products, far from ties, its code (bit j set where
+    # dot j >= 0), and the first count + 1 codes of its row: the center,
+    # the whole shells in ``itertools.combinations`` order of their set
+    # bits, then the partly probed shell by ascending sum of |dot| over
+    # the bits a mask flips. Row 0 at b=8: bits 3 and 1 (0.05 + 0.2), then
+    # 3 and 5 (0.05 + 0.3), masks 10 and 40. At b=16 and count 5: the five
+    # smallest margins, bits 10, 1, 13, 4 and 15.
+    DOTS_B8 = [
+        [0.9, -0.2, 0.6, 0.05, -0.8, 0.3, 0.7, -0.4],
+        [-0.15, 0.55, -0.95, 0.35, 0.75, -0.65, 0.25, 0.45],
+        [0.5, 0.1, -0.7, -0.3, 0.85, 0.2, -0.6, 0.4],
     ]
+    PINNED_ROWS_B8 = [
+        [109, 108, 111, 105, 101, 125, 77, 45, 237, 103, 69],
+        [218, 219, 216, 222, 210, 202, 250, 154, 90, 155, 211],
+        [179, 178, 177, 183, 187, 163, 147, 243, 51, 145, 185],
+    ]
+    DOTS_B16 = [[
+        0.61, -0.07, 0.33, -0.92, 0.18, 0.84, -0.45, 0.27,
+        -0.71, 0.52, 0.03, -0.39, 0.96, -0.12, 0.66, -0.24,
+    ]]
     PINNED_ROW_B16 = [
-        48879, 48878, 48877, 48875, 48871, 48895, 48847, 48815, 48751, 49135,
-        48367, 47855, 46831, 44783, 40687, 65263, 16111, 48876, 48874, 48870,
-        48894,
+        22197, 22196, 22199, 22193, 22205, 22181, 22165, 22261, 22069, 22453,
+        21685, 21173, 24245, 18101, 30389, 5813, 54965, 21175, 29365, 30391,
+        21157,
     ]
 
     @pytest.mark.parametrize(
-        "centers, count, bits, pinned",
+        "dots, count, bits, pinned",
         [
-            ([0, 0b10110001, 255], 10, 8, PINNED_ROWS_B8),
-            ([0xBEEF], 20, 16, [PINNED_ROW_B16]),
+            (DOTS_B8, 10, 8, PINNED_ROWS_B8),
+            (DOTS_B16, 20, 16, [PINNED_ROW_B16]),
+            (DOTS_B16, 5, 16, [[22197, 21173, 22199, 30389, 22181, 54965]]),
         ],
-        ids=["b8", "b16"],
+        ids=["b8", "b16", "b16-shell1"],
     )
-    def test_probe_order_is_pinned(self, centers, count, bits, pinned):
+    def test_probe_order_is_pinned(self, dots, count, bits, pinned):
+        centers = [sum(1 << j for j, d in enumerate(row) if d >= 0) for row in dots]
+        assert centers == [row[0] for row in pinned]
         masks, dists = probe_plan(bits, count)
-        codes = neighbor_codes_with_distance(np.array(centers, CODE_DTYPE), masks)
+        codes = rows_of(centers, bits, masks, count, np.ravel(dots))
         assert codes[:, : count + 1].tolist() == pinned
         assert dists.tolist()[: count + 1] == [
             hamming(c, centers[0]) for c in pinned[0]
@@ -782,8 +839,16 @@ class TestProbePlan:
 def test_neighbor_codes_properties(bits, data):
     max_count = data.draw(st.integers(0, (1 << bits) - 1))
     center = data.draw(st.integers(0, (1 << bits) - 1))
+    # coarse margins tie often; the largest float32 overflows a sum of two
+    dots = data.draw(
+        st.lists(
+            st.sampled_from([0.0, -0.5, 0.5, 1.0, -2.0, 3.4e38, np.inf, np.nan]),
+            min_size=bits, max_size=bits,
+        )
+    )
     masks, plan_dists = probe_plan(bits, max_count)
-    codes = neighbor_codes_with_distance(np.array([center], CODE_DTYPE), masks)[0]
+    codes = rows_of([center], bits, masks, max_count, dots)[0]
+    assert codes.tolist() == margin_rows([center], np.float32(dots), masks, [max_count], bits)[0]
     as_ints = [int(c) for c in codes]
     assert as_ints[0] == center
     assert len(set(as_ints)) == len(as_ints)

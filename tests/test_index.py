@@ -22,6 +22,7 @@ from boi.hashing import ProjectionTable, hash_codes_all, insert_all
 from boi.index import (
     BoiIndex,
     _accumulate,
+    _bound_plan,
     accumulate,
     build_index,
     build_schedule,
@@ -33,6 +34,7 @@ from boi.index import (
     weight,
 )
 from hand_tables import from_record_ids
+from probe_rows import margin_rows
 
 
 class TestWeight:
@@ -281,8 +283,19 @@ class TestUnits:
 
 
 def index_votes(index, q):
-    """``_accumulate`` over the index's own masks, units and budgets."""
-    return _accumulate(index.tables, q, index.masks, index.units, index.budgets)
+    """``_accumulate`` over the index's own probe plan."""
+    return _accumulate(index.tables, q, index.plan)
+
+
+def oracle_rows(index, q) -> np.ndarray:
+    """The index's probe rows for ``q`` by the plain-Python oracle
+    (``probe_rows.margin_rows``), from the codes and dot products the hash
+    gives."""
+    tables = index.tables
+    dots = np.empty((tables.num_tables * tables.bits, 1), np.float32)
+    codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :], dots=dots)[0]
+    rows = margin_rows(codes, dots[:, 0], index.masks, index.budgets, tables.bits)
+    return np.array(rows, dtype=np.uint16).reshape(tables.num_tables, -1)
 
 
 def fixed_params(**kwargs):
@@ -702,12 +715,13 @@ def tail_cases(draw):
 def reference_votes(index, q):
     """Per-record votes in units of 2**-b: table t probes the first
     budgets[t] + 1 codes of its probe row (its query code XOR the
-    ``probe_plan`` masks, its own bucket first), and each record sums
-    weight(H, b) * 2**b over every probed bucket holding its code, at the
-    bucket's true Hamming distance H from the table's query code."""
+    ``probe_plan`` masks, its own bucket first, in the oracle's order),
+    and each record sums weight(H, b) * 2**b over every probed bucket
+    holding its code, at the bucket's true Hamming distance H from the
+    table's query code."""
     tables, bits = index.tables, index.params.hash_bits
     codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
-    probes = codes[:, np.newaxis] ^ probe_plan(bits, int(index.budgets.max()))[0]
+    probes = oracle_rows(index, q)
     probed = []
     for t, budget in enumerate(index.budgets.tolist()):
         found = {}
@@ -751,10 +765,9 @@ def numpy_accumulate(index, q):
     ``tables.bucket`` gathers over the same probe list)."""
     tables = index.tables
     bits = tables.bits
-    codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
     budgets = index.budgets
-    masks, dists = probe_plan(bits, int(budgets.max()))
-    probes = codes[:, np.newaxis] ^ masks
+    dists = probe_plan(bits, int(budgets.max()))[1]
+    probes = oracle_rows(index, q)
     probed = np.arange(dists.size) < budgets[:, np.newaxis] + 1
     votes = np.zeros(tables.n, np.int32)
     pairs = 0
@@ -985,3 +998,120 @@ def test_threads_vote_like_one(small_index):
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
+
+
+class TestMarginOrder:
+    """A table whose budget ends inside a shell probes that shell's masks
+    by ascending sum of the query's |q . a_j| over the bits j they flip."""
+
+    def test_plan_finds_each_tables_partly_probed_shell(self):
+        # 3 bits: shell 1 at positions [1, 4), shell 2 at [4, 7); a budget of
+        # 4 probes 1 of shell 2, of 6 and 3 whole shells, of 2 stops in
+        # shell 1, and of 0 probes the center alone
+        masks, dists = probe_plan(3, 6)
+        units = (np.uint32(1) << (3 - dists)).astype(np.uint32)
+        budgets = np.array([4, 3, 2, 0, 6], np.int64)
+        plan = _bound_plan(3, masks, dists, units, budgets)
+        assert plan.shells.tolist() == [[4, 7], [0, 0], [1, 4], [0, 0], [0, 0]]
+        assert (plan.width, plan.num_tables, plan.bits) == (7, 5, 3)
+        for arr in (plan.masks, plan.units, plan.budgets, plan.shells):
+            assert not arr.flags.writeable
+
+    def test_hand_built_budgets_end_mid_shell_one_and_two(self):
+        # two 3-bit tables over 8 records, record r alone in bucket r of
+        # each. gamma 4 and 2 at radius 1: table 0 probes its bucket, the
+        # 3 one-bit neighbors and 1 of the 3 two-bit ones; table 1 its
+        # bucket and 2 of the 3 one-bit neighbors
+        params = BoiParams(
+            num_tables=2, hash_bits=3, probe_radius=1, initial_probe_count=6,
+            schedule="linear", linear_step=1, shortlist_size=8,
+        )
+        projections = np.array(
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1], [1, 0, 0], [0, 1, 0]],
+            dtype=np.float32,
+        )
+        tables = from_record_ids(
+            projections, [list(range(9))] * 2, [list(range(8))] * 2
+        )
+        index = BoiIndex(params, tables)
+        assert index.budgets.tolist() == [4, 2]
+        assert index.plan.shells.tolist() == [[4, 7], [1, 4]]
+        q = np.array([0.5, -0.2, 0.1], dtype=np.float32)
+        # table 0: dots (0.5, -0.2, 0.1), code 0b101 = 5, margins 0.5, 0.2
+        # and 0.1. Shell 2 in plan order is masks 3, 5, 6 with margin sums
+        # 0.7, 0.6 and 0.3, so mask 6 goes first: bucket 5 ^ 6 = 3.
+        # table 1: dots (0.1, 0.5, -0.2), code 0b011 = 3, margins 0.1, 0.5
+        # and 0.2. Shell 1 goes by masks 1, 4, 2: buckets 2, 7 (then 1).
+        probed = {5: 8, 4: 4, 7: 4 + 4, 1: 4, 3: 2 + 8, 2: 4}
+        want = [probed.get(r, 0) for r in range(8)]
+        assert accumulate(index, q).tolist() == want
+        assert oracle_rows(index, q)[:, :5].tolist() == [[5, 4, 7, 1, 3], [3, 2, 7, 1, 0]]
+        # plan order, as the rows were before, would have probed bucket 6
+        # in table 0 and bucket 1 in table 1
+        assert want[6] == 0 and want[1] == 4
+
+    def test_rows_match_the_oracle_at_the_paper_defaults(self):
+        # b = 8, gamma_0 = 10 spills 2 buckets into shell 2, gamma 8 probes
+        # shell 1 whole, and the sublinear schedule's last tables stop
+        # inside shell 1
+        rng = np.random.default_rng(8)
+        data = VectorSet(rng.standard_normal((500, 16)).astype(np.float32))
+        index = build_index(data, BoiParams(num_tables=100, hash_bits=8, seed=2))
+        assert {tuple(r) for r in index.plan.shells.tolist()} == {
+            (9, 37), (0, 0), (1, 9)
+        }
+        for qi in range(5):
+            q = rng.standard_normal(16).astype(np.float32)
+            dots = np.empty((100 * 8, 1), np.float32)
+            codes = hash_codes_all(index.tables.sign_filter, q[np.newaxis], dots=dots)[0]
+            got = boi.index.neighbor_codes_with_distance(codes, dots[:, 0], index.plan)
+            assert got.tolist() == oracle_rows(index, q).tolist()
+
+    def test_query_of_huge_norm_orders_deterministically(self):
+        # dots past float32's range overflow to inf (or NaN when two
+        # infinities meet): their margin sums are not finite and sort last,
+        # in plan order, while the codes stay exact
+        rng = np.random.default_rng(12)
+        data = VectorSet(rng.standard_normal((200, 8)).astype(np.float32))
+        q = (np.sign(rng.standard_normal(8)) * 3e38).astype(np.float32)
+        partial = build_index(
+            data,
+            BoiParams(num_tables=6, hash_bits=4, initial_probe_count=6,
+                      schedule="linear", linear_step=2, shortlist_size=200),
+        )
+        dots = np.empty((6 * 4, 1), np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hash_codes_all(partial.tables.sign_filter, q[np.newaxis], dots=dots)
+        assert not np.isfinite(dots).all()
+        assert partial.plan.shells.any()
+        votes = accumulate(partial, q)
+        assert accumulate(partial, q).tobytes() == votes.tobytes()
+        assert index_votes(partial, q)[0].tolist() == numpy_accumulate(partial, q)[0][
+            partial.tables.order
+        ].tolist()
+        full = build_index(
+            data,
+            BoiParams(num_tables=6, hash_bits=4, initial_probe_count=15,
+                      probe_radius=4, shortlist_size=200),
+        )
+        approx = query(full, q, 200)
+        exact = brute_force_query(data, q, 200)
+        assert approx.ids.tobytes() == exact.ids.tobytes()
+        assert approx.distances.tobytes() == exact.distances.tobytes()
+
+    def test_built_and_loaded_index_answer_alike(self, tmp_path):
+        rng = np.random.default_rng(19)
+        data = VectorSet(rng.standard_normal((1500, 16)).astype(np.float32))
+        built = build_index(data, BoiParams(num_tables=20, hash_bits=8, seed=6))
+        assert built.plan.shells.any()
+        path = tmp_path / "margins.boix"
+        save_index(built, path)
+        loaded = load_index(path, data)
+        assert loaded.plan.shells.tobytes() == built.plan.shells.tobytes()
+        for qi in range(10):
+            q = data.vectors[qi] + 0.2 * rng.standard_normal(16).astype(np.float32)
+            a, b = query(built, q, 10, qi), query(loaded, q, 10, qi)
+            assert a.ids.tobytes() == b.ids.tobytes()
+            assert a.distances.tobytes() == b.distances.tobytes()
+            assert (a.probe_count, a.pairs_scanned) == (b.probe_count, b.pairs_scanned)
+            assert accumulate(built, q).tobytes() == accumulate(loaded, q).tobytes()

@@ -1,8 +1,10 @@
 import ctypes
+import math
 import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,8 @@ import pytest
 
 from boi import vote
 from boi.hashing import ProjectionTable
+from boi.index import _bound_plan, probe_plan
+from probe_rows import margin_rows
 
 
 def test_first_call_compiles_into_the_cache_dir(tmp_path):
@@ -85,16 +89,32 @@ def _arrays(units=(4, 2)):
     return offsets, members, probes, units, budgets, np.zeros(4, np.int32)
 
 
+def plan_for(probes, units, budgets) -> vote.ProbePlan:
+    """A plan as wide as the probe rows, of 1-bit masks (0, then 1s, so
+    that no shell is reordered), with these units and budgets."""
+    width = np.shape(probes)[-1]
+    masks = np.minimum(np.arange(width), 1).astype(np.uint16)
+    shells = np.zeros((budgets.size, 2), np.int64)
+    return vote.ProbePlan(1, masks, units, budgets, shells)
+
+
+def gather_vote(offsets, members, probes, units, budgets, votes) -> int:
+    """The vote kernel bound to a table and a plan, then called as a query
+    calls it, with only its probe rows and votes."""
+    plan = plan_for(probes, units, budgets)
+    return vote.GatherVote(offsets, members)(plan, probes, votes)
+
+
 def test_gather_vote_sums_and_counts():
     args = _arrays()
-    assert vote.gather_vote(*args) == 4
+    assert gather_vote(*args) == 4
     assert args[-1].tolist() == [8, 4, 0, 0]
 
 
 def test_gather_vote_adds_the_units_it_is_given():
     # units need not be powers of two: the kernel only adds them
     args = _arrays(units=(3, 5))
-    assert vote.gather_vote(*args) == 4
+    assert gather_vote(*args) == 4
     assert args[-1].tolist() == [6, 10, 0, 0]
 
 
@@ -105,8 +125,10 @@ def test_projection_table_stores_strided_members_contiguously():
     tables = ProjectionTable(np.ones((4, 1)), offsets, wide[:, :4], np.arange(4))
     assert tables.members.flags.c_contiguous
     assert np.array_equal(tables.members, members)
-    assert vote.gather_vote(tables.offsets, tables.members, *rest) == 4
-    assert rest[-1].tolist() == [8, 4, 0, 0]
+    probes, units, budgets, votes = rest
+    # the table's own binding, made once by its constructor
+    assert tables.gather_vote(plan_for(probes, units, budgets), probes, votes) == 4
+    assert votes.tolist() == [8, 4, 0, 0]
 
 
 @pytest.mark.parametrize(
@@ -143,20 +165,27 @@ def test_projection_table_stores_strided_members_contiguously():
 def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
     args = list(_arrays())
     args[position] = replacement
-    with pytest.raises(ValueError, match="expected a C-contiguous aligned"):
-        vote.gather_vote(*args)
+    # a plan of the wrong number of tables is refused as such
+    with pytest.raises(
+        ValueError, match="expected a (C-contiguous aligned|plan of 2 tables, got 1)"
+    ):
+        gather_vote(*args)
 
 
 @pytest.mark.parametrize(
-    "position, value",
-    [(4, 2), (2, 4)],  # budget past the row, code past 2**b
+    "position, value, message",
+    [
+        # a budget past the row is refused when the plan is bound
+        (4, 2, r"budgets must be in \[0, 1\]"),
+        (2, 4, "corrupt hash table"),  # a code past 2**b, by the kernel
+    ],
     ids=["budget", "code"],
 )
-def test_gather_vote_rejects_out_of_range_probes(position, value):
+def test_gather_vote_rejects_out_of_range_probes(position, value, message):
     args = list(_arrays())
     args[position].flat[-1] = value
-    with pytest.raises(ValueError, match="corrupt hash table"):
-        vote.gather_vote(*args)
+    with pytest.raises(ValueError, match=message):
+        gather_vote(*args)
 
 
 def test_gather_vote_counts_ids_stored_out_of_order():
@@ -169,7 +198,7 @@ def test_gather_vote_counts_ids_stored_out_of_order():
     probes = np.array([[0, 1]], dtype=np.uint16)
     units = np.array([2, 1], dtype=np.uint32)
     votes = np.zeros(n, np.int32)
-    scanned = vote.gather_vote(
+    scanned = gather_vote(
         offsets, members.astype(np.int32)[np.newaxis, :], probes, units,
         np.ones(1, np.int64), votes,
     )
@@ -400,7 +429,7 @@ def _sign_filter_args():
 
 # each wrapper, arrays it accepts, and the positions of an input and an output
 _WRAPPERS = {
-    "gather_vote": (vote.gather_vote, _arrays, 2, 5),
+    "gather_vote": (gather_vote, _arrays, 2, 5),
     "bucket_sort": (
         vote.bucket_sort, lambda: _sort_inputs(np.zeros((5, 2), np.uint16), 2), 1, 2
     ),
@@ -442,3 +471,82 @@ def test_every_wrapper_names_the_array_it_needs(wrapper, defect, output):
     needs = f"{expected.dtype} array of shape {expected.shape}"
     with pytest.raises(ValueError, match=re.escape(needs)):
         call(*args)
+
+
+def _plan_args(bits=3, count=4, tables=2):
+    """The masks, units, budgets and shells of ``tables`` tables probing
+    ``count`` neighbors of ``probe_plan(bits, count)``, units by shell; the
+    default count, 4, ends inside shell 2, at positions [4, 7)."""
+    masks, dists = probe_plan(bits, count)
+    units = (np.uint32(1) << (bits - dists)).astype(np.uint32)
+    shells = np.tile(np.array([4, 7], np.int64), (tables, 1))
+    return masks, units, np.full(tables, count, np.int64), shells
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda a: (0, *a), r"bits must be in \[1, 16\]"),
+        (lambda a: (3, a[0].astype(np.int32), *a[1:]), r"uint16 array of shape \(7,\)"),
+        (lambda a: (3, a[0], a[1][:5], *a[2:]), r"uint32 array of shape \(7,\)"),
+        (lambda a: (3, *a[:2], a[2].astype(np.int32), a[3]), r"int64 array of shape \(2,\)"),
+        (lambda a: (3, *a[:2], a[2] + 3, a[3]), r"budgets must be in \[0, 6\]"),
+        (lambda a: (3, *a[:2], a[2] - 5, a[3]), r"budgets must be in \[0, 6\]"),
+        (lambda a: (2, *a), "a mask has a bit past the 2-bit code"),
+        (lambda a: (3, *a[:3], a[3][:1]), r"int64 array of shape \(2, 2\)"),
+        (lambda a: (3, *a[:3], a[3] + 1), r"shells must be ranges within \[0, 7\]"),
+        (lambda a: (3, *a[:3], a[3] - 5), r"shells must be ranges within \[0, 7\]"),
+        (lambda a: (3, *a[:3], a[3][:, ::-1].copy()), r"shells must be ranges"),
+    ],
+    ids=["bits", "masks", "units", "budgets-dtype", "budget-past-row",
+         "negative-budget", "mask-bit", "shells-shape", "shell-past-row",
+         "negative-shell", "reversed-shell"],
+)
+def test_probe_plan_refuses_what_it_cannot_bind(change, message):
+    with pytest.raises(ValueError, match=message):
+        vote.ProbePlan(*change(_plan_args()))
+
+
+def test_probe_rows_refuse_disagreeing_codes_and_dots():
+    plan = vote.ProbePlan(3, *_plan_args())
+    codes, dots = np.zeros(2, np.uint16), np.ones(6, np.float32)
+    assert plan.rows(codes, dots).shape == (2, 7)
+    for bad_codes, bad_dots, needs in (
+        (codes.astype(np.int32), dots, r"uint16 array of shape \(2,\)"),
+        (codes[:1], dots, r"uint16 array of shape \(2,\)"),
+        (codes, dots.astype(np.float64), r"float32 array of shape \(6,\)"),
+        (codes, np.ones(12, np.float32)[::2], r"float32 array of shape \(6,\)"),
+    ):
+        with pytest.raises(ValueError, match=needs):
+            plan.rows(bad_codes, bad_dots)
+
+
+def test_probe_rows_order_sums_that_float32_cannot_tell_apart():
+    # margins 1, 2**-30 and 2**-31: masks 3, 5 and 6 sum to 1 + 2**-30,
+    # 1 + 2**-31 and 3 * 2**-31. Rounded to float32 the first two are both
+    # 1, so their order comes from the float64 sums: 6, 5, then 3
+    plan = vote.ProbePlan(3, *_plan_args(3, 4, tables=1))
+    masks = plan.masks
+    dots = np.array([1.0, -(2.0**-30), 2.0**-31], np.float32)
+    row = plan.rows(np.array([0b101], np.uint16), dots)[0]
+    assert row.tolist() == [5, 4, 7, 1, 5 ^ 6, 5 ^ 5, 5 ^ 3]
+    assert row.tolist() == margin_rows([5], dots, masks, [4], 3)[0]
+
+
+def test_probe_rows_sort_a_shell_of_12870_masks_in_bounded_time():
+    # b = 16 and budgets that stop inside shell 8, the largest: every
+    # table sorts all C(16, 8) masks on the heap, ties and non-finite
+    # margins included, as the oracle orders them
+    first_of_shell_8 = sum(math.comb(16, d) for d in range(8))
+    masks, dists = probe_plan(16, first_of_shell_8 + 100)
+    budgets = np.array([first_of_shell_8 + 100, first_of_shell_8, 39_000], np.int64)
+    plan = _bound_plan(16, masks, dists, np.ones(masks.size, np.uint32), budgets)
+    assert plan.shells.tolist() == [[first_of_shell_8, masks.size]] * 3
+    rng = np.random.default_rng(16)
+    dots = rng.choice([0.25, -0.5, 1.0, 3.0e38, np.inf, np.nan], 48).astype(np.float32)
+    dots[16:32] = rng.standard_normal(16)
+    codes = np.array([0, 0xBEEF, 0xFFFF], np.uint16)
+    start = time.perf_counter()
+    rows = plan.rows(codes, dots)
+    assert time.perf_counter() - start < 2.0
+    assert rows.tolist() == margin_rows(codes, dots, masks, budgets, 16)

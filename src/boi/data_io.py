@@ -6,19 +6,22 @@ payloads. All records in a file share one dimension.
 
 Snapshot layout, version 3 (everything little-endian):
 
-    header  magic "BOIX", version u32, num_tables u32, hash_bits u32,
-            dim u32, n u64, seed u64, gamma0 u32, probe_radius u32,
-            shortlist_size u32, linear_step u32, sublinear_step u32,
-            schedule u8 (0 fixed / 1 linear / 2 sublinear),
-            flags u8 (bit 0: strict_radius; bits 1-7 are reserved and
-            must be 0), 2 pad bytes that must be 0
+    header  60 bytes: the fields of ``_FIELDS``, one (name, struct code)
+            row a field, in file order. They are the magic "BOIX", the
+            version, dim, n, the integer ``BoiParams`` fields under their
+            own names, the schedule's code (0 fixed / 1 linear / 2
+            sublinear), flags (bit 0: strict_radius; bits 1-7 are reserved
+            and must be 0) and 2 pad bytes that must be 0. That table alone
+            gives the header's ``struct`` format, what ``save_index``
+            packs, what ``_read_header`` unpacks and each field's byte
+            offset.
     body    num_tables fixed-size records, one per table: the
             (hash_bits x dim) float32 projection matrix, the 2**hash_bits
-            u32 bucket counts (bucket code order), then an id row of n u32,
-            the table's row of ``ProjectionTable.id_rows``: table 0's holds
-            the record ids grouped by its code, ascending within a bucket
-            (``order``), every later table's the internal ids (positions in
-            ``order``) grouped by its code.
+            u32 bucket counts (bucket code order), then an id row of n u32.
+            Table 0's holds ``order``, the record ids grouped by its code,
+            ascending within a bucket, in place of its ``members`` row,
+            which is 0..n-1; every later table's holds its ``members`` row,
+            the internal ids (positions in ``order``) grouped by its code.
 
 Version 2 had the same layout, but every id row held record ids. Its row 0
 is byte for byte version 3's, but its later rows would need relabelling
@@ -30,11 +33,11 @@ Loading reads the header, checks the file's size against it, then reads
 each table's fields straight into C-contiguous native arrays, swapping
 their bytes on a big-endian host. One compiled pass per record
 (``vote.check_table``) checks the counts and the ids and turns the counts
-into offsets in place; ``ProjectionTable.from_id_rows`` then makes the
-arrays ``insert_all`` builds of the id rows, so a loaded index holds the
-same arrays as a built one. Projections are stored rather than re-derived
-from the seed, so snapshots stay valid even if the generator
-implementation ever changes. Loading never re-hashes the dataset.
+into offsets in place; then row 0 is copied out as ``order`` and set to
+0..n-1, so a loaded index holds the same arrays ``insert_all`` builds.
+Projections are stored rather than re-derived from the seed, so snapshots
+stay valid even if the generator implementation ever changes. Loading
+never re-hashes the dataset.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from __future__ import annotations
 import os
 import struct
 import sys
+from dataclasses import fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -161,9 +166,32 @@ def write_ivecs(path, rows) -> None:
 
 _MAGIC = b"BOIX"
 _VERSION = 3
-_HEADER = struct.Struct("<4sIIIIQQIIIIIBBH")
-# byte offsets of the header's last three fields: schedule, flags, padding
-_SCHEDULE_AT, _FLAGS_AT, _PAD_AT = 56, 57, 58
+# the header's fields in file order, each a (name, little-endian struct
+# code); the BoiParams fields go under their own names
+_FIELDS = (
+    ("magic", "4s"),
+    ("version", "I"),
+    ("num_tables", "I"),
+    ("hash_bits", "I"),
+    ("dim", "I"),
+    ("n", "Q"),
+    ("seed", "Q"),
+    ("initial_probe_count", "I"),
+    ("probe_radius", "I"),
+    ("shortlist_size", "I"),
+    ("linear_step", "I"),
+    ("sublinear_step", "I"),
+    ("schedule_code", "B"),  # the schedule's place in SCHEDULE_KINDS
+    ("flags", "B"),  # bit 0: strict_radius; bits 1-7 are reserved, 0
+    ("pad", "H"),  # 0
+)
+_NAMES = tuple(name for name, _ in _FIELDS)
+_HEADER = struct.Struct("<" + "".join(code for _, code in _FIELDS))
+# each field's byte offset, where a FormatError about it points
+_FIELD_AT = dict(
+    zip(_NAMES, accumulate((struct.calcsize("<" + code) for _, code in _FIELDS), initial=0))
+)
+_PARAM_FIELDS = [f.name for f in fields(BoiParams) if f.name in _NAMES]
 _FLAG_STRICT = 0x01
 
 
@@ -171,31 +199,24 @@ def save_index(index: BoiIndex, path) -> None:
     """Write a snapshot one table record at a time; same index, same bytes."""
     p = index.params
     tables = index.tables
-    id_rows = tables.id_rows()
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        p.num_tables,
-        p.hash_bits,
-        index.dim,
-        index.n,
-        p.seed,
-        p.initial_probe_count,
-        p.probe_radius,
-        p.shortlist_size,
-        p.linear_step,
-        p.sublinear_step,
-        SCHEDULE_KINDS.index(p.schedule),
-        _FLAG_STRICT if p.strict_radius else 0,
-        0,
-    )
+    header = {
+        "magic": _MAGIC,
+        "version": _VERSION,
+        "dim": index.dim,
+        "n": index.n,
+        "schedule_code": SCHEDULE_KINDS.index(p.schedule),
+        "flags": _FLAG_STRICT if p.strict_radius else 0,
+        "pad": 0,
+        **{name: getattr(p, name) for name in _PARAM_FIELDS},
+    }
     projections = tables.projections.reshape(p.num_tables, p.hash_bits, index.dim)
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(_HEADER.pack(*(header[name] for name in _NAMES)))
         for t in range(p.num_tables):
             f.write(projections[t].astype("<f4"))
             f.write(np.diff(tables.offsets[t]).astype("<u4"))
-            f.write(id_rows[t].astype("<u4"))
+            # table 0's members row is 0..n-1, so its id row holds the order
+            f.write((tables.members[t] if t else tables.order).astype("<u4"))
 
 
 def _read_header(f) -> tuple[BoiParams, int, int]:
@@ -203,53 +224,29 @@ def _read_header(f) -> tuple[BoiParams, int, int]:
     head = f.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise FormatError("file too short for a snapshot header", offset=0)
-    (
-        magic,
-        version,
-        num_tables,
-        hash_bits,
-        dim,
-        n,
-        seed,
-        gamma0,
-        probe_radius,
-        shortlist_size,
-        linear_step,
-        sublinear_step,
-        schedule_code,
-        flags,
-        pad,
-    ) = _HEADER.unpack(head)
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}", offset=0)
-    if version != _VERSION:
-        raise FormatError(f"unsupported snapshot version {version}", offset=4)
-    if schedule_code >= len(SCHEDULE_KINDS):
-        raise FormatError(
-            f"unknown schedule code {schedule_code}", offset=_SCHEDULE_AT
-        )
-    if flags & ~_FLAG_STRICT:
-        raise FormatError(f"unknown header flags {flags:#04x}", offset=_FLAGS_AT)
-    if pad:
-        raise FormatError("non-zero header padding", offset=_PAD_AT)
+    h = dict(zip(_NAMES, _HEADER.unpack(head)))
+    for name, bad, message in (
+        ("magic", h["magic"] != _MAGIC, f"bad magic {h['magic']!r}"),
+        ("version", h["version"] != _VERSION,
+         f"unsupported snapshot version {h['version']}"),
+        ("schedule_code", h["schedule_code"] >= len(SCHEDULE_KINDS),
+         f"unknown schedule code {h['schedule_code']}"),
+        ("flags", h["flags"] & ~_FLAG_STRICT, f"unknown header flags {h['flags']:#04x}"),
+        ("pad", h["pad"], "non-zero header padding"),
+    ):
+        if bad:
+            raise FormatError(message, offset=_FIELD_AT[name])
     try:
         params = BoiParams(
-            num_tables=num_tables,
-            hash_bits=hash_bits,
-            probe_radius=probe_radius,
-            shortlist_size=shortlist_size,
-            initial_probe_count=gamma0,
-            schedule=SCHEDULE_KINDS[schedule_code],
-            linear_step=linear_step,
-            sublinear_step=sublinear_step,
-            seed=seed,
-            strict_radius=bool(flags & _FLAG_STRICT),
+            **{name: h[name] for name in _PARAM_FIELDS},
+            schedule=SCHEDULE_KINDS[h["schedule_code"]],
+            strict_radius=bool(h["flags"] & _FLAG_STRICT),
         )
-        check_record_count(n)
-        check_dimension(dim)
+        check_record_count(h["n"])
+        check_dimension(h["dim"])
     except ValueError as exc:
         raise FormatError(f"bad snapshot header: {exc}", offset=0) from None
-    return params, dim, n
+    return params, h["dim"], h["n"]
 
 
 def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
@@ -260,7 +257,8 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
     C-contiguous arrays. Rejects bad magic, unknown versions (v1 and v2
     included), unknown schedule codes or flag bits, non-zero header
     padding, header values ``BoiParams`` rejects, n of 2**31 or more
-    (record ids are int32), length mismatches, bucket counts that do not
+    (record ids are int32), a dim ``check_dimension`` refuses (0 among
+    them), length mismatches, bucket counts that do not
     sum to n, non-finite projections, ids outside [0, n), id rows whose
     wrapping uint32 sum is not that of 0..n-1 (which catches every
     single-bit flip of an id) and a table 0 row that is not a permutation
@@ -308,8 +306,10 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
                     f"record ids of table {t} are not a permutation of 0..{n - 1}",
                     offset=at + ids_at,
                 )
+        order = rows[0].copy()
+        rows[0] = np.arange(n, dtype=np.int32)
         try:
-            tables = ProjectionTable.from_id_rows(projections, offsets, rows)
+            tables = ProjectionTable(projections, offsets, rows, order)
         except ValueError as exc:
             raise FormatError(
                 f"bad table 0 record ids: {exc}", offset=_HEADER.size + ids_at

@@ -60,10 +60,11 @@ def check_record_count(n: int) -> None:
 
 
 def check_dimension(dim: int) -> None:
-    """Raise ValueError unless the sign filter can bound a dot of ``dim``
-    terms: its gamma_{d+2} needs (d + 2) * 2**-24 < 1/2 (``_sign_filter``)."""
-    if dim + 2 >= 2**23:
-        raise ValueError(f"dim must be below 2**23 - 2 to hash, got {dim}")
+    """Raise ValueError unless ``dim`` is at least 1 and the sign filter can
+    bound a dot of ``dim`` terms: its gamma_{d+2} needs (d + 2) * 2**-24 <
+    1/2 (``_sign_filter``)."""
+    if not 1 <= dim < 2**23 - 2:
+        raise ValueError(f"dim must be below 2**23 - 2 and >= 1 to hash, got {dim}")
 
 
 def _is_identity(ids: np.ndarray) -> bool:
@@ -126,10 +127,11 @@ class ProjectionTable:
 
     Records are numbered in table 0's bucket order, so row 0 of ``members``
     is 0..n-1 and each bucket's ids lie close together (``vote.c``). This
-    is the only form: ``insert_all`` builds it, and ``load_index`` reads
-    it back through ``from_id_rows``. Queries vote in internal order, and
-    ``index.shortlist`` maps the ids it keeps to records; ``bucket`` and
-    ``index.accumulate`` give record ids and record order.
+    is the only form: ``insert_all`` builds it, and ``load_index`` reads it
+    back (``data_io`` alone knows how a snapshot stores it). Queries vote
+    in internal order, and ``index.shortlist`` maps the ids it keeps to
+    records; ``bucket`` and ``index.accumulate`` give record ids and record
+    order.
 
     ``sign_filter``, the ``vote.SignFilter`` of the projections and the
     code width, and ``gather_vote``, the ``vote.GatherVote`` of the offsets
@@ -143,8 +145,8 @@ class ProjectionTable:
     with each other, projections that float32 cannot hold exactly,
     offsets, members or order with a value int32 cannot hold, 2**31 or
     more records, an order that is not a permutation of 0..n-1, a row 0
-    of ``members`` that is not 0..n-1, and a dimension the filter cannot
-    bound. It does not check the later rows or the offsets' values: the
+    of ``members`` that is not 0..n-1, and a dimension ``check_dimension``
+    refuses. It does not check the later rows or the offsets' values: the
     vote kernel refuses the out-of-range ids and offsets a query probes
     (``vote.GatherVote``).
     """
@@ -186,22 +188,6 @@ class ProjectionTable:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "sign_filter", _sign_filter(self.projections, self.bits))
         object.__setattr__(self, "gather_vote", GatherVote(self.offsets, self.members))
-
-    @classmethod
-    def from_id_rows(cls, projections, offsets, rows: np.ndarray) -> ProjectionTable:
-        """The table whose ``id_rows`` are the rows of ``rows``, a writable
-        C-contiguous (L, n) int32 array that becomes its ``members``: row 0
-        is taken out as the order and replaced by 0..n-1."""
-        order = rows[0].copy()
-        rows[0] = np.arange(rows.shape[1], dtype=np.int32)
-        return cls(projections, offsets, rows, order)
-
-    def id_rows(self) -> list[np.ndarray]:
-        """The id row a snapshot stores for each table: ``order`` for table
-        0, whose ``members`` row is 0..n-1, then each later table's
-        ``members`` row. ``from_id_rows`` makes this table again from them.
-        """
-        return [self.order, *self.members[1:]]
 
     @property
     def num_tables(self) -> int:
@@ -287,8 +273,8 @@ def _sign_filter(projections, bits: int) -> SignFilter:
     0, where a float64 sum has the same sign. The second term, times h >=
     2**-31, covers the products that underflow, at most 2**-150 each.
     Below safe_square, ||x|| * max ||p_j|| < 2**125, so no product, partial
-    sum or limit overflows. A dimension of 2**23 - 2 or more raises
-    ValueError (``check_dimension``).
+    sum or limit overflows. A dimension of 0, or of 2**23 - 2 or more,
+    raises ValueError (``check_dimension``).
     """
     dim = np.shape(projections)[1]
     check_dimension(dim)

@@ -191,14 +191,17 @@ class ProbePlan:
     partly probed shell). The plan holds all four, which must not change
     while it is used. They are checked here, once: ValueError names the
     array whose type, shape or layout is wrong, and is raised too when
-    ``bits`` is not in [1, 16], a budget is not in [0, width - 1], a mask
-    has a bit at or past ``bits``, or a range is not within the row.
+    ``bits`` is not in [1, 16], there are no masks (every plan holds mask
+    0), a budget is not in [0, width - 1], a mask has a bit at or past
+    ``bits``, or a range is not within the row.
     """
 
     def __init__(self, bits: int, masks, units, budgets, shells):
         width, num_tables = np.size(masks), np.size(budgets)
         if not 1 <= bits <= MAX_HASH_BITS:
             raise ValueError(f"ProbePlan: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
+        if not width:
+            raise ValueError("ProbePlan: a plan holds at least mask 0, got no masks")
         fixed = (
             _address(masks, CODE_DTYPE, (width,)),
             _address(units, np.uint32, (width,)),
@@ -207,7 +210,7 @@ class ProbePlan:
         )
         if num_tables and not 0 <= budgets.min() <= budgets.max() < width:
             raise ValueError(f"ProbePlan: budgets must be in [0, {width - 1}]")
-        if width and int(masks.max()) >> bits:
+        if int(masks.max()) >> bits:
             raise ValueError(f"ProbePlan: a mask has a bit past the {bits}-bit code")
         if num_tables and not (
             0 <= shells[:, 0].min()
@@ -229,18 +232,23 @@ class ProbePlan:
         masks in plan order, except the table's ``shells`` range, which
         goes by ascending float64 sum of |dots| over the bits each mask
         flips, ties in plan order and a non-finite sum last. Raises
-        ValueError when the shapes, types or layouts disagree.
+        ValueError when the shapes, types or layouts disagree or the held
+        shells were changed to ranges outside the row, and MemoryError when
+        the heap has no room to sort a shell.
         """
         num_tables, bits, width = self.num_tables, self.bits, self.width
         probes = np.empty((num_tables, width), CODE_DTYPE)
-        if _library.boi_probe_rows(
+        status = _library.boi_probe_rows(
             num_tables, bits, width,
             _address(codes, CODE_DTYPE, (num_tables,)),
             _address(dots, np.float32, (num_tables * bits,)),
             *self._rows, probes.ctypes.data,
-        ) < 0:
-            # the plan was checked when it was bound: only the heap can fail
+        )
+        if status == -2:
             raise MemoryError("no room to sort a shell of the probe plan")
+        if status:
+            # the plan was checked when it was bound: its shells changed since
+            raise ValueError(f"ProbePlan: shells must be ranges within [0, {width}]")
         return probes
 
 

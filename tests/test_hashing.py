@@ -579,18 +579,6 @@ class TestProjectionTable:
         with pytest.raises(ValueError, match=match):
             ProjectionTable(projections, offsets, members, np.arange(3))
 
-    def test_id_rows_hold_the_order_then_the_later_rows(self, tables):
-        rows = tables.id_rows()
-        assert len(rows) == tables.num_tables
-        assert rows[0] is tables.order
-        for t in range(1, tables.num_tables):
-            assert np.array_equal(rows[t], tables.members[t])
-        again = ProjectionTable.from_id_rows(
-            tables.projections, tables.offsets, np.stack(rows)
-        )
-        for name in ("projections", "offsets", "members", "order"):
-            assert np.array_equal(getattr(again, name), getattr(tables, name))
-
     @pytest.mark.parametrize(
         "order", [[0, 0, 1], [-1, 0, 1], [0, 1, 3], [2, 1, 2]],
         ids=["dup", "negative", "past-n", "dup-in-range"],

@@ -1,15 +1,20 @@
 import hashlib
 import struct
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boi import hashing
-from boi.core import BoiParams, VectorSet
+from boi.core import _U32_FIELDS, SCHEDULE_KINDS, BoiParams, VectorSet
 from boi.data_io import (
+    _FIELD_AT,
+    _FIELDS,
     FormatError,
     _read_native_into,
     load_index,
@@ -488,6 +493,55 @@ def old_writer_data() -> VectorSet:
     return VectorSet(rng.standard_normal((50, 4)).astype(np.float32))
 
 
+def _up_to(top: int, low: int = 1):
+    """Integers in [low, top], with ``top`` itself a branch of its own."""
+    return st.one_of(st.just(top), st.integers(low, top))
+
+
+@st.composite
+def edge_params(draw) -> BoiParams:
+    """Params of a tiny index with every u32 field and the seed up to its
+    limit, any schedule, strict on or off."""
+    bits = draw(st.integers(1, 3))
+    return BoiParams(
+        num_tables=draw(st.integers(1, 3)),
+        hash_bits=bits,
+        probe_radius=draw(_up_to(2**32 - 1, 0)),
+        shortlist_size=draw(_up_to(2**32 - 1)),
+        initial_probe_count=draw(st.integers(0, 2**bits - 1)),
+        schedule=draw(st.sampled_from(SCHEDULE_KINDS)),
+        linear_step=draw(_up_to(2**32 - 1)),
+        sublinear_step=draw(_up_to(2**32 - 1)),
+        seed=draw(_up_to(2**64 - 1, 0)),
+        strict_radius=draw(st.booleans()),
+    )
+
+
+@given(edge_params())
+@settings(max_examples=40, deadline=None)
+def test_header_fields_round_trip_at_their_limits(params):
+    data = VectorSet(np.random.default_rng(3).standard_normal((7, 2), np.float32))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edge.boix"
+        save_index(build_index(data, params), path)
+        raw = path.read_bytes()
+        assert load_index(path, data).params == params
+    expected = {
+        "magic": b"BOIX",
+        "version": 3,
+        "dim": 2,
+        "n": 7,
+        "schedule_code": SCHEDULE_KINDS.index(params.schedule),
+        "flags": int(params.strict_radius),
+        "pad": 0,
+    }
+    for name, code in _FIELDS:
+        value = expected[name] if name in expected else getattr(params, name)
+        assert struct.unpack_from("<" + code, raw, _FIELD_AT[name]) == (value,), name
+    for name in _U32_FIELDS:  # the fields BoiParams bounds by the header alone
+        assert dict(_FIELDS)[name] == "I", name
+
+
 class TestSnapshotCompatibility:
     def test_old_writer_file_loads_and_matches_a_build(self):
         data = old_writer_data()
@@ -636,6 +690,7 @@ class TestCorruptSnapshot:
             (48, 0),
             (52, 0),
             (16, 2**23 - 2),  # a dim the sign filter cannot bound
+            (16, 0),  # a dim no vector has
         ],
         ids=[
             "hash_bits=0",
@@ -648,6 +703,7 @@ class TestCorruptSnapshot:
             "linear_step=0",
             "sublinear_step=0",
             "dim=2**23-2",
+            "dim=0",
         ],
     )
     def test_header_values_params_reject(self, tmp_path, field_offset, value):

@@ -487,6 +487,7 @@ def _plan_args(bits=3, count=4, tables=2):
     "change, message",
     [
         (lambda a: (0, *a), r"bits must be in \[1, 16\]"),
+        (lambda a: (3, a[0][:0], a[1][:0], *a[2:]), "at least mask 0, got no masks"),
         (lambda a: (3, a[0].astype(np.int32), *a[1:]), r"uint16 array of shape \(7,\)"),
         (lambda a: (3, a[0], a[1][:5], *a[2:]), r"uint32 array of shape \(7,\)"),
         (lambda a: (3, *a[:2], a[2].astype(np.int32), a[3]), r"int64 array of shape \(2,\)"),
@@ -498,13 +499,22 @@ def _plan_args(bits=3, count=4, tables=2):
         (lambda a: (3, *a[:3], a[3] - 5), r"shells must be ranges within \[0, 7\]"),
         (lambda a: (3, *a[:3], a[3][:, ::-1].copy()), r"shells must be ranges"),
     ],
-    ids=["bits", "masks", "units", "budgets-dtype", "budget-past-row",
+    ids=["bits", "no-masks", "masks", "units", "budgets-dtype", "budget-past-row",
          "negative-budget", "mask-bit", "shells-shape", "shell-past-row",
          "negative-shell", "reversed-shell"],
 )
 def test_probe_plan_refuses_what_it_cannot_bind(change, message):
     with pytest.raises(ValueError, match=message):
         vote.ProbePlan(*change(_plan_args()))
+
+
+def test_probe_rows_refuse_shells_changed_after_binding():
+    # the kernel's own range check, not a heap failure, refuses them
+    masks, units, budgets, shells = _plan_args()
+    plan = vote.ProbePlan(3, masks, units, budgets, shells)
+    shells[1] = [5, 2]
+    with pytest.raises(ValueError, match=r"shells must be ranges within \[0, 7\]"):
+        plan.rows(np.zeros(2, np.uint16), np.ones(6, np.float32))
 
 
 def test_probe_rows_refuse_disagreeing_codes_and_dots():

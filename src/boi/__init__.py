@@ -30,10 +30,9 @@ from .evaluate import (
     MemoryEstimate,
     average_precision,
     estimate_memory,
-    mean_average_precision,
-    recall_at,
-    recall_curve,
     run_benchmark,
+    score,
+    summarize,
 )
 from .hashing import ProjectionTable, insert_all, make_projections
 from .index import (
@@ -72,17 +71,16 @@ __all__ = [
     "insert_all",
     "load_index",
     "make_projections",
-    "mean_average_precision",
     "multiprobe_lsh_query",
     "pairwise_distances",
     "query",
     "read_fvecs",
     "read_ivecs",
-    "recall_at",
-    "recall_curve",
     "run_benchmark",
     "save_index",
+    "score",
     "shortlist",
+    "summarize",
     "weight",
     "write_fvecs",
     "write_ivecs",

@@ -21,16 +21,7 @@ from .data_io import (
     write_fvecs,
     write_ivecs,
 )
-from .evaluate import (
-    GroundTruth,
-    average_precision,
-    estimate_memory,
-    mean_average_precision,
-    recall_at,
-    recall_curve,
-    recall_cutoffs,
-    run_benchmark,
-)
+from .evaluate import GroundTruth, estimate_memory, run_benchmark, score, summarize
 from .hashing import occupancy_summary
 from .index import BoiIndex, build_index, multiprobe_lsh_query
 from .index import query as boi_query
@@ -157,9 +148,9 @@ def _load_for_query(args, strict: bool):
     dataset = read_fvecs(args.dataset)
     index = None
     if args.index:
-        index = load_index(args.index, dataset)
+        loaded = load_index(args.index)
         index = BoiIndex(
-            _apply_overrides(index.params, args, strict), index.tables, dataset
+            _apply_overrides(loaded.params, args, strict), loaded.tables, dataset
         )
     return dataset, index
 
@@ -194,7 +185,7 @@ def cmd_bench(args) -> int:
     memory = estimate_memory(dataset.n, dataset.dim, params)
     if args.method == "brute":  # it holds no tables and sums no votes
         memory = dataclasses.replace(memory, index_bytes=0, accumulator_bytes=0)
-    report, results = run_benchmark(
+    report, results, scores = run_benchmark(
         run,
         queries,
         gt,
@@ -215,7 +206,7 @@ def cmd_bench(args) -> int:
     else:
         print(text)
     if args.csv:
-        _write_per_query_csv(args.csv, report, results, gt)
+        _write_per_query_csv(args.csv, report, results, scores)
         log.info("per-query rows written to %s", args.csv)
     log.info(
         "method=%s mAP=%s recall=%s mean_time=%.3fms",
@@ -227,7 +218,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _write_per_query_csv(path, report, results, gt) -> None:
+def _write_per_query_csv(path, report, results, scores) -> None:
+    """One row per query; ``ap`` and ``recall_at_1`` come from ``scores``,
+    the (AP, true-NN rank) arrays ``run_benchmark`` summarized, and are
+    blank without ground truth."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -238,9 +232,9 @@ def _write_per_query_csv(path, report, results, gt) -> None:
         )
         for qi, result in enumerate(results):
             ap = r1 = ""
-            if gt is not None:
-                ap = f"{average_precision(result.ids, gt.relevant(qi)):.6f}"
-                r1 = recall_at(result.ids, gt.true_nn(qi), 1)
+            if scores is not None:
+                ap = f"{scores[0][qi]:.6f}"
+                r1 = int(scores[1][qi] == 0)  # its true NN ranks first
             writer.writerow(
                 [
                     qi,
@@ -279,11 +273,7 @@ def cmd_eval(args) -> int:
         "schema_version": 1,
         "num_queries": int(rows.shape[0]),
         "k": int(k),
-        "map": mean_average_precision(rankings, gt),
-        "recall_at_k": {
-            str(c): v
-            for c, v in recall_curve(rankings, gt, recall_cutoffs(k)).items()
-        },
+        **summarize(*score(rankings, gt), k),  # json writes cutoffs as "1"
     }
     text = json.dumps(payload, indent=2)
     if args.out:

@@ -1,4 +1,11 @@
-"""Accuracy, latency, probe, and memory measurement for query batches."""
+"""Accuracy, latency, probe, and memory measurement for query batches.
+
+Every ranking is scored once, by ``score``: one pass over the queries
+gives each one's AP and the rank of its true nearest neighbour.
+``summarize`` turns those two arrays into the reported ``map`` and
+``recall_at_k``, so ``boi bench``'s JSON, its per-query CSV and
+``boi eval`` all read the same per-query values.
+"""
 
 from __future__ import annotations
 
@@ -66,52 +73,54 @@ def average_precision(ranking: Sequence[int], relevant) -> float:
     return float((precision * hits).sum() / relevant.size)
 
 
-def mean_average_precision(
+def recall_cutoffs(k: int) -> list[int]:
+    """Cut-offs reported for rankings of depth k: 1, 10, 100 and k, up to k."""
+    return sorted({c for c in (1, 10, 100, k) if 1 <= c <= k})
+
+
+def score(
     rankings: Sequence[Sequence[int]], ground_truth: GroundTruth
-) -> float:
-    """Arithmetic mean of per-query AP; every query needs a ranking, and a
-    malformed one raises ValueError naming its query."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every query's quality in one pass: float64 AP of ranking i against
+    ground-truth row i, and the int64 0-based rank of query i's true
+    nearest neighbour in ranking i (-1 when it is missing).
+
+    Every query needs exactly one ranking; a wrong count, or a malformed
+    ranking (named by its query), raises ValueError.
+    """
     if len(rankings) != ground_truth.num_queries:
         raise ValueError(
             f"{ground_truth.num_queries} queries in ground truth but "
             f"{len(rankings)} rankings supplied"
         )
-    if not rankings:
-        return 0.0
-    aps = []
-    for i, r in enumerate(rankings):
+    aps = np.zeros(len(rankings))
+    ranks = np.full(len(rankings), -1, dtype=np.int64)
+    for i, ranking in enumerate(rankings):
+        ranking = np.asarray(ranking, dtype=np.int64)
         try:
-            aps.append(average_precision(r, ground_truth.relevant(i)))
+            aps[i] = average_precision(ranking, ground_truth.relevant(i))
         except ValueError as exc:
             raise ValueError(f"query {i}: {exc}") from None
-    return float(np.mean(aps))
+        hit = np.flatnonzero(ranking == ground_truth.true_nn(i))
+        if hit.size:
+            ranks[i] = hit[0]
+    return aps, ranks
 
 
-def recall_at(ranking: Sequence[int], true_nn: int, k: int) -> int:
-    """1 if the true nearest neighbor appears in the first k entries."""
+def summarize(aps: np.ndarray, ranks: np.ndarray, k: int) -> dict:
+    """``{"map": mean AP, "recall_at_k": {c: share of queries whose true
+    nearest neighbour ranks within the first c}}`` over ``score``'s
+    arrays, at ``recall_cutoffs(k)``; every rate is 0.0 with no queries."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    head = np.asarray(ranking, dtype=np.int64)[:k]
-    return int(np.any(head == true_nn))
-
-
-def recall_curve(
-    rankings: Sequence[Sequence[int]], ground_truth: GroundTruth, ks: Sequence[int]
-) -> dict[int, float]:
-    """Mean recall at each cutoff in ``ks`` over all queries."""
-    out = {}
-    for k in ks:
-        vals = [
-            recall_at(r, ground_truth.true_nn(i), k)
-            for i, r in enumerate(rankings)
-        ]
-        out[int(k)] = float(np.mean(vals)) if vals else 0.0
-    return out
-
-
-def recall_cutoffs(k: int) -> list[int]:
-    """Cut-offs reported for rankings of depth k: 1, 10, 100 and k, up to k."""
-    return sorted({c for c in (1, 10, 100, k) if 1 <= c <= k})
+    n = len(aps)
+    return {
+        "map": float(np.mean(aps)) if n else 0.0,
+        "recall_at_k": {
+            c: float(np.mean((ranks >= 0) & (ranks < c))) if n else 0.0
+            for c in recall_cutoffs(k)
+        },
+    }
 
 
 def _run_batch(run, queries: VectorSet, repetitions: int, workers: int):
@@ -238,7 +247,9 @@ def run_benchmark(
     method: str = "",
     memory: MemoryEstimate | None = None,
     extra: dict | None = None,
-) -> tuple[EvalReport, list[RankedResult]]:
+) -> tuple[
+    EvalReport, list[RankedResult], tuple[np.ndarray, np.ndarray] | None
+]:
     """Run one method over a query batch and aggregate its metrics.
 
     ``run`` is called as run(vector). Each query gets one untimed warm-up
@@ -247,8 +258,10 @@ def run_benchmark(
     workers > 1 queries are dispatched across a thread pool, each still
     timed inside its worker. The boi query's vote kernel runs without the
     GIL, so workers overlap it; the other stages hold the GIL for part of
-    their time. Returns the report plus the per-query
-    results for CSV export.
+    their time. Returns the report, the per-query results and, with
+    ``ground_truth``, ``score``'s per-query (AP, true-NN rank) arrays, of
+    which the report's ``map`` and ``recall_at_k`` are the summary; the
+    results and arrays are the CSV's rows.
     """
     if ground_truth is not None and ground_truth.num_queries != queries.n:
         raise ValueError(
@@ -256,28 +269,26 @@ def run_benchmark(
             f"{ground_truth.num_queries}"
         )
     results, times = _run_batch(run, queries, repetitions, workers)
-    rankings = [r.ids for r in results]
-    map_score = (
-        mean_average_precision(rankings, ground_truth)
-        if ground_truth is not None and queries.n
+    scores = (
+        score([r.ids for r in results], ground_truth)
+        if ground_truth is not None
         else None
     )
-    recalls = (
-        recall_curve(rankings, ground_truth, recall_cutoffs(k))
-        if ground_truth is not None and queries.n
-        else {}
+    quality = (
+        summarize(*scores, k)
+        if scores is not None and queries.n
+        else {"map": None, "recall_at_k": {}}
     )
     probe_counts = [r.probe_count for r in results if r.probe_count is not None]
     report = EvalReport(
         method=method,
         num_queries=queries.n,
         k=k,
-        map=map_score,
-        recall_at_k=recalls,
+        **quality,
         mean_query_time_ms=float(times.mean()) if times.size else 0.0,
         per_query_times_ms=[float(t) for t in times],
         mean_probe_count=float(np.mean(probe_counts)) if probe_counts else None,
         memory_estimate=memory,
         extra=extra or {},
     )
-    return report, results
+    return report, results, scores

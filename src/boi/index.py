@@ -6,7 +6,7 @@ Querying works in four stages:
 2. probe the query's own bucket plus a per-table budget of neighbor
    buckets, adding 1/2**H to every record found, where H is the bucket's
    Hamming distance from the query code (``weight``, tabulated per probe
-   position as ``BoiIndex.units``). The probe rows of every table are one
+   position as ``BoiIndex.plan.units``). The probe rows of every table are one
    call into ``vote.c`` (``neighbor_codes_with_distance``), and the gather
    and the vote over every table are one more; both release the GIL, so
    threads query in parallel. The vote kernel adds each probed bucket's
@@ -84,7 +84,7 @@ def weight(hamming: int, radius: int) -> float:
 
     1/2**hamming up to ``radius``, 0 beyond it. The query's own bucket
     (distance 0) always weighs 1. This is the only statement of the rule:
-    ``BoiIndex.units`` tabulates it with ``radius`` set to the code width
+    ``BoiIndex.plan.units`` tabulates it with ``radius`` set to the code width
     b, in units of 2**-b, and the accumulator's kernel adds those units,
     so buckets probed past the probe radius (the default spill mode) keep
     their true-distance weight.
@@ -211,16 +211,16 @@ class BoiIndex:
     """The searchable structure: one ``ProjectionTable`` of L populated
     tables over one vector set.
 
-    ``budgets[i]`` is table i's neighbor budget, neighbor_budget(gamma_i,
+    ``plan``, a ``vote.ProbePlan``, binds once for every query:
+    ``plan.budgets[i]``, table i's neighbor budget, neighbor_budget(gamma_i,
     radius) for ``build_schedule(params)``, capped at the code space (2**b -
     1 other buckets) or, in strict mode, at the radius ball; the capped sum
     stops at the cap, so no budget costs more than b binomial terms however
-    large gamma_0 or the radius. ``masks`` (uint16) are the masks of
+    large gamma_0 or the radius. ``plan.masks`` (uint16) are the masks of
     ``probe_plan(b, max(budgets))``, which every query XORs into its codes,
-    and ``units[j]`` (uint32) is weight(H_j, b) * 2**b for the plan's H_j,
-    the vote the kernel adds at position j of a probe row (strict budgets
-    never reach past the radius). All three arrays are read-only, and
-    ``plan``, their ``vote.ProbePlan``, binds them once for every query.
+    and ``plan.units[j]`` (uint32) is weight(H_j, b) * 2**b for the plan's
+    H_j, the vote the kernel adds at position j of a probe row (strict
+    budgets never reach past the radius). All three arrays are read-only.
 
     Immutable: the table and the dataset are fixed by the constructor, and
     nothing is cached or bound later (there is no ``attach_dataset``). A
@@ -253,18 +253,6 @@ class BoiIndex:
         per_shell = [weight(h, bits) * 2**bits for h in range(bits + 1)]
         units = np.array(per_shell, np.uint32)[dists]
         object.__setattr__(self, "plan", _bound_plan(bits, masks, dists, units, budgets))
-
-    @property
-    def budgets(self) -> np.ndarray:
-        return self.plan.budgets
-
-    @property
-    def masks(self) -> np.ndarray:
-        return self.plan.masks
-
-    @property
-    def units(self) -> np.ndarray:
-        return self.plan.units
 
     @property
     def dim(self) -> int:

@@ -87,7 +87,7 @@ def test_c03_probe_count_conformance():
             for j in range(radius + 1)
         )
         # the criterion applies when no budget is clamped by the code space
-        assert int(index.budgets.max(initial=0)) <= params.num_buckets - 1
+        assert int(index.plan.budgets.max(initial=0)) <= params.num_buckets - 1
         for qi, q in enumerate(queries):
             got = query(index, q, 5, query_index=qi)
             assert got.probe_count == want, combo

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import tempfile
@@ -219,6 +220,22 @@ class TestBench:
         assert len(lines) == 1 + 12
         assert lines[0].startswith("query_index,time_ms,probe_count")
 
+    def test_csv_columns_average_to_the_report(self, tmp_path, dataset_dir):
+        # map and recall@1 are the means of the per-query values the CSV lists
+        index_path = build_small(tmp_path, dataset_dir)
+        csv_path = tmp_path / "rows.csv"
+        report = self.run_bench(
+            tmp_path, dataset_dir, index_path, "boi",
+            extra=("--epsilon", "8", "--csv", str(csv_path)),
+        )
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        aps = [float(row["ap"]) for row in rows]
+        hits = [int(row["recall_at_1"]) for row in rows]
+        assert len(rows) == 12 and 0.0 < report["map"] < 1.0
+        assert np.mean(aps) == pytest.approx(report["map"], abs=1e-6)
+        assert np.mean(hits) == report["recall_at_k"]["1"]
+
     def test_structural_override_rejected(self, tmp_path, dataset_dir):
         index_path = build_small(tmp_path, dataset_dir)
         with pytest.raises(SystemExit):
@@ -249,6 +266,30 @@ class TestEval:
         payload = json.loads(report_path.read_text())
         assert payload["map"] == 1.0
         assert payload["recall_at_k"]["1"] == 1.0
+
+    def test_eval_of_boi_rankings_matches_bench(self, tmp_path, dataset_dir):
+        # the rankings boi query writes score what boi bench reports
+        index_path = build_small(tmp_path, dataset_dir)
+        data = [
+            "--dataset", str(dataset_dir / "base.fvecs"),
+            "--queries", str(dataset_dir / "queries.fvecs"),
+            "--index", str(index_path), "--method", "boi", "--k", "5",
+            "--epsilon", "8",
+        ]
+        gt = str(dataset_dir / "groundtruth.ivecs")
+        bench_path, out, eval_path = (
+            tmp_path / "bench.json", tmp_path / "results.ivecs", tmp_path / "eval.json"
+        )
+        assert main(["bench", *data, "--groundtruth", gt, "--repetitions", "1",
+                     "--out", str(bench_path)]) == 0
+        assert main(["query", *data, "--out", str(out)]) == 0
+        assert main(["eval", "--results", str(out), "--groundtruth", gt,
+                     "--out", str(eval_path)]) == 0
+        bench = json.loads(bench_path.read_text())
+        payload = json.loads(eval_path.read_text())
+        assert 0.0 < bench["map"] < 1.0
+        assert payload["map"] == bench["map"]
+        assert payload["recall_at_k"] == bench["recall_at_k"]
 
     def test_rejects_a_ranking_that_repeats_an_id(self, tmp_path, caplog):
         # scored as is, [3, 3, 3] against [3, 4, 9] would have AP 1.0, not 1/3

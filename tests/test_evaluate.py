@@ -11,10 +11,9 @@ from boi.evaluate import (
     MemoryEstimate,
     average_precision,
     estimate_memory,
-    mean_average_precision,
-    recall_at,
-    recall_curve,
     run_benchmark,
+    score,
+    summarize,
 )
 from boi.index import build_index
 
@@ -59,52 +58,90 @@ class TestAveragePrecision:
             assert (ap == 1.0) == (top == relevant)
 
 
+def mean_ap(rankings, gt):
+    return summarize(*score(rankings, gt), 1)["map"]
+
+
+def recall(ranking, true_nn, k):
+    return summarize(*score([ranking], GroundTruth(np.array([[true_nn]]))), k)[
+        "recall_at_k"
+    ][k]
+
+
 class TestMeanAveragePrecision:
     def test_mean_of_two(self):
         gt = GroundTruth(np.array([[7], [7]]))
-        assert mean_average_precision([[7, 1], [1, 7]], gt) == 0.75
+        assert mean_ap([[7, 1], [1, 7]], gt) == 0.75
 
     def test_single_query(self):
         gt = GroundTruth(np.array([[3]]))
-        assert mean_average_precision([[1, 3]], gt) == 0.5
+        assert mean_ap([[1, 3]], gt) == 0.5
 
     def test_all_rankings_empty(self):
         gt = GroundTruth(np.array([[1], [2]]))
-        assert mean_average_precision([[], []], gt) == 0.0
+        assert mean_ap([[], []], gt) == 0.0
 
     def test_missing_query_rejected(self):
         gt = GroundTruth(np.array([[1], [2]]))
         with pytest.raises(ValueError):
-            mean_average_precision([[1]], gt)
+            score([[1]], gt)
 
     def test_repeated_id_names_its_query(self):
         gt = GroundTruth(np.array([[3, 4, 9], [3, 4, 9]]))
         with pytest.raises(ValueError, match="query 1: ranking repeats"):
-            mean_average_precision([[3, 4, 9], [3, 3, 3]], gt)
+            score([[3, 4, 9], [3, 3, 3]], gt)
 
 
 class TestRecall:
     def test_hit_at_one(self):
-        assert recall_at([4, 2], 4, 1) == 1
+        assert recall([4, 2], 4, 1) == 1
 
     def test_miss_at_one(self):
-        assert recall_at([2, 4], 4, 1) == 0
+        assert recall([2, 4], 4, 1) == 0
 
     def test_aggregate(self):
         gt = GroundTruth(np.array([[1], [1], [2], [2]]))
         rankings = [[1], [0], [2], [0]]
-        assert recall_curve(rankings, gt, [1]) == {1: 0.5}
+        assert summarize(*score(rankings, gt), 1)["recall_at_k"] == {1: 0.5}
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(1)
         ranking = rng.permutation(30)
-        vals = [recall_at(ranking, 17, k) for k in range(1, 31)]
+        vals = [recall(ranking, 17, k) for k in range(1, 31)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 1
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            recall_at([1], 1, 0)
+            summarize(*score([[1]], GroundTruth(np.array([[1]]))), 0)
+
+
+class TestScore:
+    def test_per_query_ap_and_true_nn_rank(self):
+        gt = GroundTruth(np.array([[7, 8], [3, 4], [5, 6]]))
+        aps, ranks = score([[1, 7, 8], [4], []], gt)
+        assert aps.tolist() == pytest.approx([(1 / 2 + 2 / 3) / 2, 1 / 2, 0.0])
+        assert ranks.tolist() == [1, -1, -1]
+        assert aps.dtype == np.float64 and ranks.dtype == np.int64
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_ranking_count_rejected(self, count):
+        gt = GroundTruth(np.array([[1], [2]]))
+        with pytest.raises(ValueError, match="2 queries in ground truth"):
+            score([[1]] * count, gt)
+
+    def test_summary_of_no_queries(self):
+        aps, ranks = score([], GroundTruth(np.empty((0, 3), dtype=np.int64)))
+        assert summarize(aps, ranks, 10) == {
+            "map": 0.0, "recall_at_k": {1: 0.0, 10: 0.0}
+        }
+
+    def test_summary_cutoffs_and_means(self):
+        aps = np.array([1.0, 0.5, 0.0, 0.25])
+        ranks = np.array([0, 3, -1, 12])
+        assert summarize(aps, ranks, 20) == {
+            "map": 0.4375, "recall_at_k": {1: 0.25, 10: 0.5, 20: 0.75}
+        }
 
 
 class TestGroundTruth:
@@ -134,7 +171,8 @@ class TestTimeQueries:
             calls.append(v)
             return RankedResult.empty()
 
-        report, _ = run_benchmark(run, queries, k=1, repetitions=3)
+        report, _, scores = run_benchmark(run, queries, k=1, repetitions=3)
+        assert scores is None and report.map is None
         times = np.asarray(report.per_query_times_ms)
         assert times.shape == (4,)
         assert np.all(times >= 0)
@@ -143,7 +181,7 @@ class TestTimeQueries:
 
     def test_empty_query_set(self):
         queries = VectorSet(np.empty((0, 0), dtype=np.float32))
-        report, results = run_benchmark(
+        report, results, _ = run_benchmark(
             lambda v: RankedResult.empty(), queries, k=1
         )
         assert report.per_query_times_ms == [] and results == []
@@ -162,7 +200,7 @@ class TestTimeQueries:
                 seen.add(int(v[0]))
             return RankedResult.empty()
 
-        report, _ = run_benchmark(run, queries, k=1, repetitions=1, workers=4)
+        report, _, _ = run_benchmark(run, queries, k=1, repetitions=1, workers=4)
         assert len(report.per_query_times_ms) == 8 and seen == set(range(8))
 
     def test_validation(self):
@@ -260,7 +298,7 @@ def test_run_benchmark_brute_force_is_perfect():
     from boi.synth import SynthSpec, generate
 
     db, queries, gt = generate(SynthSpec(n=300, dim=8, num_queries=10, seed=4, gt_k=3))
-    report, results = run_benchmark(
+    report, results, (aps, ranks) = run_benchmark(
         lambda v: brute_force_query(db, v, 3),
         queries,
         gt,
@@ -268,6 +306,7 @@ def test_run_benchmark_brute_force_is_perfect():
         repetitions=1,
         method="brute",
     )
+    assert aps.tolist() == [1.0] * 10 and ranks.tolist() == [0] * 10
     assert report.map == 1.0
     assert report.recall_at_k[1] == 1.0
     assert report.num_queries == 10
@@ -294,7 +333,7 @@ def test_run_benchmark_runs_each_query_once_plus_repetitions(workers):
             calls[qi] = nth + 1
         return RankedResult(np.array([nth]), np.array([0.0]))
 
-    report, results = run_benchmark(
+    report, results, _ = run_benchmark(
         run, queries, k=1, repetitions=3, workers=workers
     )
     assert sum(calls.values()) == 5 * (1 + 3)
@@ -326,8 +365,8 @@ def test_run_benchmark_parallel_matches_serial():
     def run(v):
         return query(index, v, 5)
 
-    serial, rs = run_benchmark(run, queries, gt, k=5, workers=1, method="boi")
-    parallel, rp = run_benchmark(run, queries, gt, k=5, workers=4, method="boi")
+    serial, rs, _ = run_benchmark(run, queries, gt, k=5, workers=1, method="boi")
+    parallel, rp, _ = run_benchmark(run, queries, gt, k=5, workers=4, method="boi")
     assert serial.map == parallel.map
     for a, b in zip(rs, rp):
         assert np.array_equal(a.ids, b.ids)
@@ -350,10 +389,10 @@ def test_run_benchmark_approximate_bounded_by_oracle():
         seed=6,
     )
     index = build_index(db, params)
-    exact, _ = run_benchmark(
+    exact, _, _ = run_benchmark(
         lambda v: brute_force_query(db, v, 3), queries, gt, k=3, method="brute"
     )
-    approx, _ = run_benchmark(
+    approx, _, _ = run_benchmark(
         lambda v: query(index, v, 3),
         queries,
         gt,

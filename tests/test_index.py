@@ -221,7 +221,8 @@ def test_schedule_and_budgets_match_reference(params):
     else:
         cap = 2**bits - 1
     uncapped = {g: neighbor_budget(g, radius) for g in set(schedule.tolist())}
-    assert index.budgets.tolist() == [min(uncapped[g], cap) for g in schedule.tolist()]
+    budgets = [min(uncapped[g], cap) for g in schedule.tolist()]
+    assert index.plan.budgets.tolist() == budgets
 
 
 class TestBudgets:
@@ -235,7 +236,7 @@ class TestBudgets:
             strict_radius=strict,
         )
         index = build_index(data, params)
-        assert index.budgets.tolist() == [65535] * params.num_tables
+        assert index.plan.budgets.tolist() == [65535] * params.num_tables
 
     def test_cap_stops_the_sum(self):
         assert neighbor_budget(10, 3, cap=50) == 50
@@ -254,20 +255,20 @@ class TestUnits:
             probe_radius=radius, strict_radius=strict,
         )
         index = build_index(VectorSet(np.eye(3, dtype=np.float32)), params)
-        masks, dists = probe_plan(bits, int(index.budgets.max()))
-        assert index.units.dtype == np.uint32
-        assert index.units.tolist() == [
+        masks, dists = probe_plan(bits, int(index.plan.budgets.max()))
+        assert index.plan.units.dtype == np.uint32
+        assert index.plan.units.tolist() == [
             weight(int(d), bits) * 2**bits for d in dists
         ]
-        assert index.masks.dtype == np.uint16
-        assert np.array_equal(index.masks, masks)
-        for arr in (index.units, index.masks):
+        assert index.plan.masks.dtype == np.uint16
+        assert np.array_equal(index.plan.masks, masks)
+        for arr in (index.plan.units, index.plan.masks):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
     def test_query_derives_no_probe_plan(self, monkeypatch):
         # the plan is fixed when the index is made; a query only XORs its
-        # codes with BoiIndex.masks
+        # codes with BoiIndex.plan.masks
         rng = np.random.default_rng(3)
         data = VectorSet(rng.standard_normal((60, 8)).astype(np.float32))
         index = build_index(data, fixed_params(initial_probe_count=5))
@@ -294,7 +295,8 @@ def oracle_rows(index, q) -> np.ndarray:
     tables = index.tables
     dots = np.empty((tables.num_tables * tables.bits, 1), np.float32)
     codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :], dots=dots)[0]
-    rows = margin_rows(codes, dots[:, 0], index.masks, index.budgets, tables.bits)
+    plan = index.plan
+    rows = margin_rows(codes, dots[:, 0], plan.masks, plan.budgets, tables.bits)
     return np.array(rows, dtype=np.uint16).reshape(tables.num_tables, -1)
 
 
@@ -723,7 +725,7 @@ def reference_votes(index, q):
     codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :])[0]
     probes = oracle_rows(index, q)
     probed = []
-    for t, budget in enumerate(index.budgets.tolist()):
+    for t, budget in enumerate(index.plan.budgets.tolist()):
         found = {}
         for code in probes[t, : budget + 1].tolist():
             hamming = bin(code ^ int(codes[t])).count("1")
@@ -755,7 +757,7 @@ def test_accumulate_and_query_match_reference(case):
     assert res.ids.tolist() == oracle
     assert res.distances.tolist() == [dist[r] for r in oracle]
     assert res.shortlist_size == len(touched)
-    assert res.probe_count == int((index.budgets + 1).sum())
+    assert res.probe_count == int((index.plan.budgets + 1).sum())
 
 
 def numpy_accumulate(index, q):
@@ -765,7 +767,7 @@ def numpy_accumulate(index, q):
     ``tables.bucket`` gathers over the same probe list)."""
     tables = index.tables
     bits = tables.bits
-    budgets = index.budgets
+    budgets = index.plan.budgets
     dists = probe_plan(bits, int(budgets.max()))[1]
     probes = oracle_rows(index, q)
     probed = np.arange(dists.size) < budgets[:, np.newaxis] + 1
@@ -806,7 +808,7 @@ def test_kernel_matches_numpy_oracle_across_tiles_and_batches(tmp_path):
         schedule="fixed", probe_radius=8,
     )
     built = build_index(data, params)
-    assert int((built.budgets + 1).sum()) == 4096
+    assert int((built.plan.budgets + 1).sum()) == 4096
     assert np.count_nonzero(np.diff(built.tables.offsets, axis=1)) > 3 * 1024
     path = tmp_path / "tiles.boix"
     save_index(built, path)
@@ -1034,7 +1036,7 @@ class TestMarginOrder:
             projections, [list(range(9))] * 2, [list(range(8))] * 2
         )
         index = BoiIndex(params, tables)
-        assert index.budgets.tolist() == [4, 2]
+        assert index.plan.budgets.tolist() == [4, 2]
         assert index.plan.shells.tolist() == [[4, 7], [1, 4]]
         q = np.array([0.5, -0.2, 0.1], dtype=np.float32)
         # table 0: dots (0.5, -0.2, 0.1), code 0b101 = 5, margins 0.5, 0.2

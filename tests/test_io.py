@@ -623,7 +623,7 @@ class TestSnapshotCompatibility:
             index.tables.offsets,
             index.tables.members,
             index.tables.order,
-            index.budgets,
+            index.plan.budgets,
         ):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0

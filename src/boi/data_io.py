@@ -28,13 +28,22 @@ is byte for byte version 3's, but its later rows would need relabelling
 through ``order`` on load, so version 2 files are rejected like version 1
 files; rebuild them with ``boi build``.
 
+The file stores every table's 2**hash_bits counts, dense, but an index
+holds only a directory of each table's non-empty buckets
+(``hashing.ProjectionTable``); the two are converted one table at a time,
+through one scratch of 2**hash_bits + 1 values, so neither saving nor
+loading holds the dense counts of every table at once.
+
 Saving and loading are mirror loops over the tables, one record each.
-Loading reads the header, checks the file's size against it, then reads
-each table's fields straight into C-contiguous native arrays, swapping
-their bytes on a big-endian host. One compiled pass per record
-(``vote.check_table``) checks the counts and the ids and turns the counts
-into offsets in place; then row 0 is copied out as ``order`` and set to
-0..n-1, so a loaded index holds the same arrays ``insert_all`` builds.
+Saving spreads each table's non-empty bucket sizes over the scratch,
+zeroed, and writes it as the table's counts. Loading reads the header,
+checks the file's size against it, then reads each table's projections
+and ids straight into C-contiguous native arrays, and its counts into the
+scratch, swapping their bytes on a big-endian host. One compiled pass per
+record (``vote.check_table``) checks the counts and the ids and turns the
+counts into the table's directory, whose piece of offsets is copied out of
+the scratch; then row 0 is copied out as ``order`` and set to 0..n-1, so a
+loaded index holds the same arrays ``insert_all`` builds.
 Projections are stored rather than re-derived from the seed, so snapshots
 stay valid even if the generator implementation ever changes. Loading
 never re-hashes the dataset.
@@ -53,7 +62,7 @@ import numpy as np
 from .core import OFFSET_DTYPE, SCHEDULE_KINDS, BoiParams, VectorSet, as_exact
 from .hashing import ProjectionTable, check_dimension, check_record_count
 from .index import BoiIndex
-from .vote import COUNTS_OFF, ID_OUT_OF_RANGE, check_table
+from .vote import COUNTS_OFF, ID_OUT_OF_RANGE, check_table, directory_words, piece
 
 
 class FormatError(ValueError):
@@ -210,11 +219,15 @@ def save_index(index: BoiIndex, path) -> None:
         **{name: getattr(p, name) for name in _PARAM_FIELDS},
     }
     projections = tables.projections.reshape(p.num_tables, p.hash_bits, index.dim)
+    counts = np.empty(1 << p.hash_bits, dtype="<u4")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(*(header[name] for name in _NAMES)))
         for t in range(p.num_tables):
             f.write(projections[t].astype("<f4"))
-            f.write(np.diff(tables.offsets[t]).astype("<u4"))
+            codes, starts = tables.buckets(t)
+            counts[:] = 0
+            counts[codes] = np.diff(starts)
+            f.write(counts)
             # table 0's members row is 0..n-1, so its id row holds the order
             f.write((tables.members[t] if t else tables.order).astype("<u4"))
 
@@ -281,7 +294,13 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
                 offset=min(size, expected),
             )
         projections = np.empty((num_tables * bits, dim), dtype=np.float32)
-        offsets = np.empty((num_tables, (1 << bits) + 1), dtype=OFFSET_DTYPE)
+        words = (num_tables, directory_words(bits))
+        bitmap = np.empty(words, dtype=np.uint64)
+        rank = np.empty(words, dtype=OFFSET_DTYPE)
+        pieces = []
+        # one table's counts at a time, from entry 1 on; check_table turns
+        # them into the table's directory in place
+        scratch = np.empty((1 << bits) + 1, dtype=OFFSET_DTYPE)
         rows = np.empty((num_tables, n), dtype=np.int32)
         for t in range(num_tables):
             at = _HEADER.size + t * record_bytes
@@ -289,9 +308,9 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
             _read_native_into(f, matrix)
             if not np.isfinite(matrix).all():
                 raise FormatError(f"non-finite projection in table {t}", offset=at)
-            _read_native_into(f, offsets[t, 1:])
+            _read_native_into(f, scratch[1:])
             _read_native_into(f, rows[t])
-            status = check_table(offsets[t], rows[t])
+            status = check_table(scratch, rows[t], bitmap[t], rank[t])
             if status == COUNTS_OFF:
                 raise FormatError(
                     f"bucket counts do not sum to {n} in table {t}",
@@ -306,10 +325,14 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
                     f"record ids of table {t} are not a permutation of 0..{n - 1}",
                     offset=at + ids_at,
                 )
+            pieces.append(piece(scratch, bitmap[t], rank[t]))
+        del scratch  # the pieces are all the tables keep of it
         order = rows[0].copy()
         rows[0] = np.arange(n, dtype=np.int32)
         try:
-            tables = ProjectionTable(projections, offsets, rows, order)
+            tables = ProjectionTable(
+                projections, bitmap, rank, np.concatenate(pieces), rows, order
+            )
         except ValueError as exc:
             raise FormatError(
                 f"bad table 0 record ids: {exc}", offset=_HEADER.size + ids_at

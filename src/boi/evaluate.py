@@ -153,7 +153,7 @@ def _run_batch(run, queries: VectorSet, repetitions: int, workers: int):
 @dataclass(frozen=True)
 class MemoryEstimate:
     """Bytes resident for one index: the float32 vectors, the hash tables'
-    three arrays, and one query's vote array."""
+    arrays, and one query's vote array."""
 
     vectors_bytes: int
     index_bytes: int
@@ -176,17 +176,25 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     """The arrays an index of n records of dimension dim holds, in bytes.
 
     vectors = n*dim*4 (the float32 ``VectorSet``); index = L*b*dim*4
-    (float32 projections) + L*(2**b + 1)*4 (int32 offsets) + L*n*4 (int32
-    members) + n*4 (int32 order), the four arrays of ``ProjectionTable``;
-    accumulator = n*4, the int32 votes one query sums.
+    (float32 projections) + L*directory + L*n*4 (int32 members) + n*4
+    (int32 order), the arrays of ``ProjectionTable``; accumulator = n*4,
+    the int32 votes one query sums. A table's directory is W*8 bytes of
+    uint64 bitmap and W*4 of int32 rank, W = max(1, 2**b / 64) words, and
+    4 bytes of int32 start for each non-empty bucket and for n. The
+    non-empty buckets are counted as min(n, 2**b), so the directory term,
+    alone, is an upper bound: the index holds at most that many bytes, and
+    at b = 16 over the benchmark's 100k records about a twentieth of it.
     """
     if n < 0 or dim < 0:
         raise ValueError("n and dim must be non-negative")
     bits = params.hash_bits
-    offsets = ((1 << bits) + 1) * OFFSET_DTYPE.itemsize
+    words = max(1, (1 << bits) >> 6)
+    directory = words * (8 + OFFSET_DTYPE.itemsize) + (
+        min(n, 1 << bits) + 1
+    ) * OFFSET_DTYPE.itemsize
     return MemoryEstimate(
         vectors_bytes=n * dim * 4,
-        index_bytes=params.num_tables * (bits * dim * 4 + offsets + n * 4) + n * 4,
+        index_bytes=params.num_tables * (bits * dim * 4 + directory + n * 4) + n * 4,
         accumulator_bytes=n * 4,
     )
 

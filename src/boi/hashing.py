@@ -16,9 +16,10 @@ each ``ProjectionTable`` makes its filter once. The compiled filter of
 products in index order. So a vector's code never depends on whether it
 was hashed alone or inside a build batch. The filter writes each table's
 codes straight into their destination, the build's ``members`` rows included;
-the build then buckets every table with one compiled counting sort
-(``vote.bucket_sort``), which numbers the records in table 0's bucket order
-and lists each bucket's ids in ascending order.
+the build then buckets each table with a compiled counting sort
+(``vote.bucket_sort``), which numbers the records in table 0's bucket order,
+lists each bucket's ids in ascending order and stores a directory of the
+table's non-empty buckets only (``ProjectionTable``).
 
 This module only hashes and buckets. What a query probes, the probe plan
 and its masks, is decided in ``boi.index``.
@@ -38,7 +39,14 @@ from .core import (
     VectorSet,
     as_exact,
 )
-from .vote import GatherVote, SignFilter, bucket_sort
+from .vote import (
+    GatherVote,
+    SignFilter,
+    bucket_sort,
+    check_directory,
+    directory_words,
+    popcount,
+)
 
 # rows hashed per matmul: bounds the float32 dot products (3.3 MB at L = 100,
 # b = 8), which the allocator may keep resident after the build
@@ -88,38 +96,60 @@ def _is_permutation(ids: np.ndarray) -> bool:
 
 
 def _check_shapes(
-    projections: np.ndarray, offsets: np.ndarray, members: np.ndarray
-) -> None:
-    """Raise ValueError unless the offsets are (L, 2**bits + 1) with L >= 1
-    and bits in [1, 16], the projections (L*bits, dim) and the members
-    (L, n)."""
-    num_tables, width = offsets.shape if offsets.ndim == 2 else (0, 0)
-    bits = (width - 1).bit_length() - 1
-    if not (num_tables and 1 <= bits <= MAX_HASH_BITS and width == (1 << bits) + 1):
+    projections: np.ndarray,
+    bitmap: np.ndarray,
+    rank: np.ndarray,
+    offsets: np.ndarray,
+    members: np.ndarray,
+) -> int:
+    """The tables' code width; ValueError unless the bitmap is (L, W) with
+    L >= 1, the projections (L*bits, dim) with bits in [1, 16], W is
+    ``directory_words(bits)``, the rank is (L, W), the offsets 1-D and the
+    members (L, n)."""
+    num_tables = len(bitmap) if bitmap.ndim == 2 else 0
+    if not num_tables:
+        raise ValueError(f"bitmap of shape {bitmap.shape} is not (L, words) with L >= 1")
+    bits, extra = divmod(projections.shape[0] if projections.ndim else 0, num_tables)
+    if projections.ndim != 2 or extra or not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(
-            f"offsets of shape {offsets.shape} are not (L, 2**bits + 1) "
-            f"with L >= 1 and bits in [1, {MAX_HASH_BITS}]"
+            f"projections of shape {projections.shape} are not (L*bits, dim) "
+            f"for {num_tables} tables of bits in [1, {MAX_HASH_BITS}]"
         )
-    if projections.ndim != 2 or projections.shape[0] != num_tables * bits:
-        raise ValueError(
-            f"projections of shape {projections.shape} are not "
-            f"({num_tables}*{bits}, dim) for {num_tables} tables of {bits} bits"
-        )
+    words = (num_tables, directory_words(bits))
+    for name, arr in (("bitmap", bitmap), ("rank", rank)):
+        if arr.shape != words:
+            raise ValueError(
+                f"{name} of shape {arr.shape} is not {words}, a word per 64 "
+                f"codes of {num_tables} tables of {bits} bits"
+            )
+    if offsets.ndim != 1:
+        raise ValueError(f"offsets of shape {offsets.shape} are not 1-D")
     if members.ndim != 2 or members.shape[0] != num_tables:
         raise ValueError(
             f"members of shape {members.shape} do not hold {num_tables} rows"
         )
+    return bits
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectionTable:
-    """All L hash tables of an index, as four read-only arrays.
+    """All L hash tables of an index, as six read-only arrays.
 
     ``projections`` (L*bits, dim) float32: rows t*bits .. t*bits+bits-1 are
-    table t's Gaussian matrix, the matrix every hash multiplies by.
-    ``offsets`` (L, 2**bits + 1) int32, bits in [1, 16], L >= 1: per-table
-    CSR offsets, so ``offsets[t, c]:offsets[t, c + 1]`` bounds bucket c of
-    table t.
+    table t's Gaussian matrix, the matrix every hash multiplies by; bits is
+    in [1, 16] and L >= 1.
+    ``bitmap`` (L, W) uint64, ``rank`` (L, W) int32 and ``offsets`` int32:
+    the directory of every table's non-empty buckets, W =
+    ``vote.directory_words(bits)`` words of 64 codes a table (``vote.c``'s
+    header comment). Bit c % 64 of ``bitmap[t, c // 64]`` is set iff
+    bucket c of table t holds a record; ``rank[t, w]`` counts the set bits
+    of table t's words before w; and table t's piece of ``offsets`` holds
+    the start of each of its non-empty buckets, in code order, then n. The
+    pieces follow each other: table t's begins after every earlier table's
+    non-empty buckets and n. So a table holds 2**bits / 8 bytes of bitmap,
+    2**bits / 16 of rank and 4 a non-empty bucket, where dense CSR offsets
+    would hold 4 a code: at b = 16 over 100k records, about 13 KB a table
+    against 256 KB. ``buckets`` lists a table's non-empty buckets.
     ``members`` (L, n) int32: row t holds every internal id grouped by
     table t's bucket code, ascending within a bucket.
     ``order`` (n,) int32, a permutation of 0..n-1: internal id i is record
@@ -134,24 +164,29 @@ class ProjectionTable:
     order.
 
     ``sign_filter``, the ``vote.SignFilter`` of the projections and the
-    code width, and ``gather_vote``, the ``vote.GatherVote`` of the offsets
-    and members, are made once by the constructor; every query hashes with
-    the one and votes with the other.
+    code width, and ``gather_vote``, the ``vote.GatherVote`` of the
+    directory and members, are made once by the constructor; every query
+    hashes with the one and votes with the other.
 
     A table object is made once and never changes; its arrays cannot be
-    written. Offsets, members and order are held C-contiguous, the one
-    layout the compiled loops read (copied into it if given otherwise).
+    written. The directory, members and order are held C-contiguous, the
+    one layout the compiled loops read (copied into it if given otherwise).
     The constructor raises ValueError for arrays whose shapes do not agree
-    with each other, projections that float32 cannot hold exactly,
-    offsets, members or order with a value int32 cannot hold, 2**31 or
-    more records, an order that is not a permutation of 0..n-1, a row 0
-    of ``members`` that is not 0..n-1, and a dimension ``check_dimension``
-    refuses. It does not check the later rows or the offsets' values: the
-    vote kernel refuses the out-of-range ids and offsets a query probes
-    (``vote.GatherVote``).
+    with each other, projections that float32 cannot hold exactly, a
+    bitmap uint64 cannot hold, rank, offsets, members or order with a value
+    int32 cannot hold, 2**31 or more records, an order that is not a
+    permutation of 0..n-1, a row 0 of ``members`` that is not 0..n-1, a
+    dimension ``check_dimension`` refuses, and a directory that is not one
+    of n records: a bit set for a code at or past 2**bits, a rank that
+    disagrees with the popcounts before it, or a table's offsets that do
+    not rise strictly from 0 to n, one per set bit. It does not check the
+    later rows of ``members``: the vote kernel refuses the out-of-range ids
+    a query probes (``vote.GatherVote``).
     """
 
     projections: np.ndarray
+    bitmap: np.ndarray
+    rank: np.ndarray
     offsets: np.ndarray
     members: np.ndarray
     order: np.ndarray
@@ -159,10 +194,10 @@ class ProjectionTable:
     gather_vote: GatherVote = field(init=False, repr=False)
 
     def __post_init__(self):
-        # the compiled loops read C-ordered float32 projections and int32
-        # offsets and members, and the shortlist the int32 order; no
-        # conversion copies what insert_all or load_index made, and the
-        # numbering checks hold one n-byte mask at a time
+        # the compiled loops read C-ordered float32 projections, uint64
+        # bitmaps and int32 ranks, offsets and members, and the shortlist the
+        # int32 order; no conversion copies what insert_all or load_index
+        # made, and the numbering checks hold one n-byte mask at a time
         n = np.shape(self.members)[-1]
         check_record_count(n)
         if np.shape(self.order) != (n,):
@@ -173,12 +208,16 @@ class ProjectionTable:
             name: np.ascontiguousarray(as_exact(getattr(self, name), dtype, name))
             for name, dtype in (
                 ("projections", np.float32),
+                ("bitmap", np.uint64),
+                ("rank", OFFSET_DTYPE),
                 ("offsets", OFFSET_DTYPE),
                 ("members", np.int32),
                 ("order", np.int32),
             )
         }
-        _check_shapes(arrays["projections"], arrays["offsets"], arrays["members"])
+        directory = [arrays[name] for name in ("bitmap", "rank", "offsets")]
+        bits = _check_shapes(arrays["projections"], *directory, arrays["members"])
+        check_directory(bits, *directory, n)
         if not _is_permutation(arrays["order"]):
             raise ValueError(f"order is not a permutation of 0..{n - 1}")
         if not _is_identity(arrays["members"][0]):
@@ -186,16 +225,18 @@ class ProjectionTable:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "sign_filter", _sign_filter(self.projections, self.bits))
-        object.__setattr__(self, "gather_vote", GatherVote(self.offsets, self.members))
+        object.__setattr__(self, "sign_filter", _sign_filter(self.projections, bits))
+        object.__setattr__(
+            self, "gather_vote", GatherVote(bits, *directory, self.members)
+        )
 
     @property
     def num_tables(self) -> int:
-        return int(self.offsets.shape[0])
+        return int(self.bitmap.shape[0])
 
     @property
     def bits(self) -> int:
-        return (self.offsets.shape[1] - 1).bit_length() - 1
+        return int(self.projections.shape[0]) // self.num_tables
 
     @property
     def dim(self) -> int:
@@ -219,19 +260,44 @@ class ProjectionTable:
                 f"the index's {self.n} records of dim {self.dim}"
             )
 
+    def _bases(self) -> np.ndarray:
+        """(L + 1,) int64: table t's piece of ``offsets`` is
+        ``offsets[bases[t]:bases[t + 1]]``."""
+        sizes = self.rank[:, -1] + popcount(self.bitmap[:, -1]) + 1
+        return np.concatenate(([0], np.cumsum(sizes)))
+
+    def buckets(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Table t's non-empty buckets: their codes, ascending (intp), and
+        the table's piece of ``offsets``, one value more, so that bucket
+        ``codes[i]`` holds ``members[t, piece[i]:piece[i + 1]]``."""
+        a, b = self._bases()[t : t + 2]
+        bits = self.bitmap[t].astype("<u8").view(np.uint8)
+        return np.flatnonzero(np.unpackbits(bits, bitorder="little")), self.offsets[a:b]
+
     def bucket(self, tables, codes) -> np.ndarray:
         """Record ids of bucket ``codes[i]`` of table ``tables[i]``, for
         every i, concatenated in that order (int32). Within a bucket they
         follow its internal ids, which ascend."""
         tables = np.asarray(tables, dtype=np.intp)
         codes = np.asarray(codes, dtype=np.intp)
-        starts = self.offsets[tables, codes].tolist()
-        stops = self.offsets[tables, codes + 1].tolist()
+        words = codes >> 6
+        word = self.bitmap[tables, words]
+        bit = (codes & 63).astype(np.uint64)
+        full = ((word >> bit) & 1).astype(bool)
+        below = word & ((np.uint64(1) << bit) - np.uint64(1))
+        at = (self._bases()[tables] + self.rank[tables, words] + popcount(below))[full]
         rows = self.members
         return self.order[
             np.concatenate(
                 [rows[0, :0]]
-                + [rows[t, a:b] for t, a, b in zip(tables.tolist(), starts, stops)]
+                + [
+                    rows[t, a:b]
+                    for t, a, b in zip(
+                        tables[full].tolist(),
+                        self.offsets[at].tolist(),
+                        self.offsets[at + 1].tolist(),
+                    )
+                ]
             )
         ]
 
@@ -364,41 +430,47 @@ def insert_all(
     and record ``order[i]`` becomes internal id i, so row 0 of ``members``
     is 0..n-1. Every later table gathers its codes in that order and sorts
     them, so each of its buckets lists the internal ids of its records in
-    ascending order.
+    ascending order. Each sort leaves its table's directory; no array of
+    2**bits offsets a table is held for more than one table at a time.
     """
     n = dataset.n
     check_record_count(n)
     # an empty set hashes as zero rows of the tables' width, whatever its own
     X = dataset.vectors.reshape(n, -1 if n else projections.shape[1])
     num_tables = projections.shape[0] // bits
-    offsets = np.empty((num_tables, (1 << bits) + 1), dtype=OFFSET_DTYPE)
     members = np.empty((num_tables, n), dtype=np.int32)
     order = np.empty(n, dtype=np.int32)
     sign_filter = _sign_filter(projections, bits)
     hash_codes_all(sign_filter, X, out=members.view(CODE_DTYPE)[:, n:].T)
-    bucket_sort(offsets, members, order)
-    return ProjectionTable(projections, offsets, members, order)
+    directory = bucket_sort(bits, members, order)
+    return ProjectionTable(projections, *directory, members, order)
 
 
 def occupancy_summary(tables: ProjectionTable) -> dict:
     """Bucket occupancy statistics across all tables (for build logging).
 
     ``histogram`` maps an occupancy band label to the number of buckets in
-    that band, pooled over every table.
+    that band, pooled over every table. The sizes of the non-empty buckets
+    come from the offsets, and each table's other 2**bits - k buckets are
+    counted as empty, so no array of 2**bits sizes a table is made.
     """
-    sizes = np.diff(tables.offsets, axis=1).ravel()
+    bases = tables._bases()
+    # each table's piece of offsets, less the step from its n to the next 0
+    sizes = np.delete(np.diff(tables.offsets), bases[1:-1] - 1)
+    total = tables.num_tables * tables.num_buckets
+    empty = total - sizes.size
     edges = [0, 1, 2, 4, 8, 16, 64, 256, 1024]
     hist = {}
     for lo, hi in zip(edges, edges[1:]):
         label = str(lo) if hi == lo + 1 else f"{lo}-{hi - 1}"
-        hist[label] = int(np.sum((sizes >= lo) & (sizes < hi)))
+        hist[label] = int(np.sum((sizes >= lo) & (sizes < hi))) + (empty if lo == 0 else 0)
     hist[f">={edges[-1]}"] = int(np.sum(sizes >= edges[-1]))
     return {
         "num_tables": tables.num_tables,
         "buckets_per_table": tables.num_buckets,
-        "min": int(sizes.min()),
-        "max": int(sizes.max()),
-        "mean": float(sizes.mean()),
-        "empty_fraction": float(np.mean(sizes == 0)),
+        "min": 0 if empty else int(sizes.min()),
+        "max": int(sizes.max(initial=0)),
+        "mean": int(sizes.sum()) / total,
+        "empty_fraction": empty / total,
         "histogram": hist,
     }

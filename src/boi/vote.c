@@ -1,8 +1,9 @@
-/* The five compiled loops of boi: the probe rows of a query, ordered by its
+/* The six compiled loops of boi: the probe rows of a query, ordered by its
  * margins, the weighted gather+vote of a query over the probed buckets of
  * every hash table, the counting sort that builds those buckets, the check
- * of a snapshot's table record as it is loaded, and the sign filter that
- * turns dot products into codes.
+ * of a snapshot's table record as it is loaded, the check of the tables'
+ * bucket directory, and the sign filter that turns dot products into
+ * codes.
  *
  * Buckets hold internal ids: record i of the index is internal id j where
  * order[j] = i, and ``order`` lists the records in table 0's bucket order
@@ -10,14 +11,32 @@
  * records that share a bucket of table 0, which tend to share buckets of
  * the other tables too, have nearby ids there as well.
  *
- * boi_gather_vote: table t probes the first budgets[t] + 1 codes of its row
- * of ``probes``: every id in the bucket of the code c at position j,
- * members[t, offsets[t, c]:offsets[t, c + 1]], gains units[j] votes. The
- * kernel only adds them; index.weight sets them (BoiIndex.units). The votes
- * are in internal order; index.shortlist maps the ids it keeps to records.
- *
+ * A table's buckets are found through a directory of its non-empty buckets
+ * only, a rank directory over a bitmap (Jacobson, FOCS 1989). A b-bit
+ * table has 2**b codes, but at b = 16 over the benchmark's 100k records
+ * only about 160 of them hold a record, so a dense row of 2**b + 1
+ * offsets (256 KiB a table) would mostly describe empty buckets. Per table, in words of 64
+ * codes (WORDS(bits) of them, one when b < 6):
+ *   bitmap: bit c % 64 of word c / 64 is set iff bucket c holds a record;
+ *     no bit is set for a code at or past 2**b;
+ *   rank: rank[w] counts the set bits of words 0..w-1, the table's
+ *     non-empty buckets before word w;
+ *   offsets: the table's piece, the start of each of its k non-empty
+ *     buckets in code order, then n; the pieces of tables 0..L-1 follow
+ *     each other in one array, so table t's begins after the k + 1 values
+ *     of every earlier table.
+ * When bit c is set, bucket c is the table's i-th non-empty bucket, i =
+ * rank[c / 64] + popcount(the word's bits below c % 64), and holds
+ * members[t, piece[i]:piece[i + 1]].
  * Codes are uint16 and offsets int32, as in core.CODE_DTYPE and
  * core.OFFSET_DTYPE, so bits is at most 16 (core.MAX_HASH_BITS).
+ *
+ * boi_gather_vote: table t probes the first budgets[t] + 1 codes of its row
+ * of ``probes``: every id in the bucket of the code c at position j gains
+ * units[j] votes. A code whose bit is clear is skipped without reading the
+ * offsets. The kernel only adds the votes; index.weight sets them
+ * (BoiIndex.units). The votes are in internal order; index.shortlist maps
+ * the ids it keeps to records.
  *
  * The vote is a cache-blocked scatter (Boncz, Manegold and Kersten, VLDB
  * 1999). Each probed bucket scatters its ids across the whole (n,) vote
@@ -42,11 +61,15 @@
  *
  * Every value read from an array is checked before it is used as an index,
  * so a corrupt table returns -1 instead of reading or writing out of
- * bounds. An id >= n, or a negative one read as uint32, is below no
- * tile's end, so it leaves its range open after the last tile (whose end
- * is n), and an open range means a corrupt table. Ids out of order within
- * a bucket are still counted exactly, in a later tile. Otherwise the
- * return value is the number of (id, vote) pairs scanned. Sums are exact
+ * bounds: a code past 2**b, a bucket position outside the offsets, or
+ * offsets that decrease or leave [0, n]. hashing.ProjectionTable checks the
+ * whole directory when it is made (boi_check_directory), so a rank that
+ * disagrees with the popcounts before it, or a bit past 2**b, which would
+ * move a bucket within the offsets, never reaches the kernel from there. An id >= n, or a negative one read as uint32, is below no tile's
+ * end, so it leaves its range open after the last tile (whose end is n),
+ * and an open range means a corrupt table. Ids out of order within a
+ * bucket are still counted exactly, in a later tile. Otherwise the return
+ * value is the number of (id, vote) pairs scanned. Sums are exact
  * integers, so their order does not matter.
  *
  * boi_probe_rows, the second entry point, writes the rows the first one
@@ -54,16 +77,20 @@
  * the table's last, partly probed shell ordered by the query's margins
  * (its own comment, below).
  *
- * boi_bucket_sort, the third, builds the tables boi_gather_vote reads: one
- * counting sort per table turns the codes hashing.insert_all hashed into
- * ``members`` into the CSR ``offsets`` and the internal ids of every
- * bucket, ascending within a bucket, and table 0's sort gives ``order``
- * (its own comment, below).
+ * boi_bucket_sort, the third, builds one table of the index:
+ * hashing.insert_all hashed the codes into ``members``, and one counting
+ * sort turns them into the internal ids of every bucket, ascending within
+ * a bucket, and the table's directory; table 0's sort gives ``order`` (its
+ * own comment, below).
  *
  * boi_check_table, the fourth, checks one table record of a snapshot and
- * turns its bucket counts into offsets, for data_io.load_index.
+ * turns its dense bucket counts into the table's directory, for
+ * data_io.load_index.
  *
- * boi_hash_codes, the fifth, turns the float32 dot products of
+ * boi_check_directory, the fifth, checks a whole directory, for
+ * hashing.ProjectionTable.
+ *
+ * boi_hash_codes, the sixth, turns the float32 dot products of
  * hashing.hash_codes_all into codes, recomputing in float64 each sign the
  * float32 error bound cannot decide (its own comment, at the end).
  */
@@ -74,6 +101,56 @@
 
 #define TILE 8192
 #define BATCH 1024
+/* 64-bit words of a table's bitmap and rank: 2**bits / 64, at least one */
+#define WORDS(bits) ((bits) > 6 ? (int64_t)1 << ((bits) - 6) : (int64_t)1)
+
+/* The set bits of x, as a branch-free broadword sum (Vigna, "Broadword
+ * implementation of rank/select queries", WEA 2008): vote.c is built
+ * without -mpopcnt, where __builtin_popcountll calls a library routine. */
+static inline int64_t popcount(uint64_t x)
+{
+    x -= (x >> 1) & UINT64_C(0x5555555555555555);
+    x = (x & UINT64_C(0x3333333333333333)) + ((x >> 2) & UINT64_C(0x3333333333333333));
+    x = (x + (x >> 4)) & UINT64_C(0x0f0f0f0f0f0f0f0f);
+    return (int64_t)((x * UINT64_C(0x0101010101010101)) >> 56);
+}
+
+/* Turn one table's bucket counts, offsets[1..2**bits] (each at least 0,
+ * summing to at most INT32_MAX), into its directory: ``bitmap`` and
+ * ``rank`` get the table's WORDS(bits) words, and the first k + 1 offsets
+ * become its piece of offsets, the start of each of its k non-empty
+ * buckets in code order, then the sum. A word's counts are ORed first,
+ * which vectorises, so an empty word costs no more; only the set bits of
+ * the others are visited in order. Each start is written at or before the
+ * count of the bucket it starts, and after every count before it has been
+ * read, so the pass runs in place. */
+static void directory(int64_t bits, int32_t *offsets, uint64_t *bitmap, int32_t *rank)
+{
+    const int64_t num_buckets = (int64_t)1 << bits;
+    const int64_t per_word = num_buckets < 64 ? num_buckets : 64;
+    const int32_t *const counts = offsets + 1;
+    int32_t start = 0;
+    int64_t k = 0;
+    for (int64_t w = 0; w < WORDS(bits); w++) {
+        const int32_t *const here = counts + 64 * w;
+        uint32_t any = 0;
+        for (int64_t j = 0; j < per_word; j++)
+            any |= (uint32_t)here[j];
+        uint64_t word = 0;
+        if (any) {
+            for (int64_t j = 0; j < per_word; j++)
+                word |= (uint64_t)(here[j] != 0) << j;
+        }
+        rank[w] = (int32_t)k;
+        bitmap[w] = word;
+        for (uint64_t left = word; left; left &= left - 1) {
+            const int32_t count = here[__builtin_ctzll(left)];
+            offsets[k++] = start;
+            start += count;
+        }
+    }
+    offsets[k] = start;
+}
 
 struct range {
     const int32_t *next, *stop;
@@ -115,7 +192,9 @@ HOT static int sweep(struct range *batch, int64_t live, int64_t n, int32_t *vote
 
 HOT int64_t boi_gather_vote(
     int64_t num_tables, int64_t bits, int64_t n,
-    const int32_t *offsets,             /* (num_tables, 2**bits + 1) */
+    const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
+    const int32_t *rank,                /* (num_tables, WORDS(bits)) */
+    const int32_t *offsets, int64_t num_offsets, /* (num_offsets,) */
     const int32_t *members,             /* (num_tables, n) */
     const uint16_t *probes, int64_t width, /* (num_tables, width) */
     const uint32_t *units,              /* (width,) */
@@ -125,21 +204,31 @@ HOT int64_t boi_gather_vote(
     /* tile ends are uint32 and ids int32 (hashing.check_record_count) */
     if (bits < 1 || bits > 16 || n > INT32_MAX)
         return -1;
-    const int64_t num_buckets = (int64_t)1 << bits;
+    const int64_t num_buckets = (int64_t)1 << bits, words = WORDS(bits);
     struct range batch[BATCH];
     int64_t live = 0, scanned = 0;
+    int64_t base = 0; /* where table t's piece of offsets begins */
     for (int64_t t = 0; t < num_tables; t++) {
         const int64_t count = budgets[t] + 1;
         if (count < 1 || count > width)
             return -1;
-        const int32_t *off = offsets + t * (num_buckets + 1);
+        const uint64_t *const bm = bitmap + t * words;
+        const int32_t *const rk = rank + t * words;
         const int32_t *row = members + t * n;
         const uint16_t *codes = probes + t * width;
         for (int64_t j = 0; j < count; j++) {
             const int64_t c = codes[j];
             if (c >= num_buckets)
                 return -1;
-            const int64_t start = off[c], stop = off[c + 1];
+            const uint64_t word = bm[c >> 6];
+            const int64_t bit = c & 63;
+            if (!(word >> bit & 1))
+                continue; /* an empty bucket */
+            const int64_t at = base + rk[c >> 6]
+                + popcount(word & ((UINT64_C(1) << bit) - 1));
+            if (at < 0 || at + 1 >= num_offsets)
+                return -1;
+            const int64_t start = offsets[at], stop = offsets[at + 1];
             if (start < 0 || start > stop || stop > n)
                 return -1;
             if (start == stop)
@@ -152,6 +241,7 @@ HOT int64_t boi_gather_vote(
                 live = 0;
             }
         }
+        base += rk[words - 1] + popcount(bm[words - 1]) + 1;
     }
     if (sweep(batch, live, n, votes) < 0)
         return -1;
@@ -277,102 +367,115 @@ int64_t boi_probe_rows(
     return 0;
 }
 
-/* Bucket the records of every table by their codes, in one counting sort
- * per table, and number them in table 0's bucket order.
+/* Bucket the records of table ``table`` by their codes, in one counting
+ * sort, and number them in table 0's bucket order when it is table 0;
+ * hashing.insert_all sorts tables 0..num_tables-1 in turn.
  *
  * On entry, row t of ``members`` holds table t's codes of records 0..n-1,
  * n uint16 values in the upper half of its 4n bytes (hashing.insert_all
- * hashes them there). On return ``order`` (n values) lists the records
- * grouped by table 0's code and ascending within a bucket, the order a
- * stable argsort of table 0's codes gives; internal id i is record
- * order[i]. Row 0 of ``members`` is then 0..n-1, and row t > 0 holds the
- * n internal ids grouped by table t's code, ascending within a bucket.
- * offsets[t] (2**bits + 1 values) gets the CSR offsets of table t's
- * buckets. Per table:
+ * hashes them there); a later table's sort needs the ``order`` table 0's
+ * gave. For table 0, ``order`` (n values) gets the records grouped by its
+ * code and ascending within a bucket, the order a stable argsort of table
+ * 0's codes gives; internal id i is record order[i], and row 0 of
+ * ``members`` becomes 0..n-1. Row t > 0 gets the n internal ids grouped
+ * by table t's code, ascending within a bucket. The table's rows of
+ * ``bitmap`` and ``rank`` get its directory, and the first k + 1 values
+ * of ``offsets`` its piece of offsets (directory, above). The steps:
  *   load: the codes go to ``scratch`` (n uint16), since the ids overwrite
  *     them; table 0 copies its row, and table t > 0 gathers code
  *     codes_t[order[i]] of internal id i, so the ids it scatters are
  *     internal ones;
- *   count: offsets[t, c + 1] counts the records of code c;
- *   prefix: an exclusive running sum turns offsets[t, c + 1] into the
- *     start of bucket c (offsets[t, 0] is 0);
- *   scatter: ids in ascending order go to out[offsets[t, c + 1]], which
- *     then advances, so it ends as the stop of bucket c, that is,
- *     offsets[t, c + 1] as the CSR layout wants it; ``out`` is ``order``
- *     for table 0 and the table's row otherwise.
- * No memory is used beyond the outputs and one table's codes.
+ *   count: offsets[c + 1] counts the records of code c;
+ *   prefix: an exclusive running sum turns offsets[c + 1] into the start
+ *     of bucket c;
+ *   scatter: ids in ascending order go to out[offsets[c + 1]], which then
+ *     advances, so it ends as the stop of bucket c. ``out`` is ``order``
+ *     for table 0 and the table's row otherwise;
+ *   directory: a backward pass turns the stops back into counts, and
+ *     those become the directory, in place.
+ * No memory is used beyond the outputs, one table's codes and one table's
+ * 2**bits + 1 offsets, which every table reuses.
  *
  * Every code is checked against 2**bits in the count pass, before it is
  * used as an index; the scatter reads the same scratch again. Returns 0,
- * or -1 for a code >= 2**bits, bits outside [1, 16] or n outside
- * [0, INT32_MAX]; offsets, members and order are then partly written.
+ * or -1 for a code >= 2**bits, bits outside [1, 16], n outside
+ * [0, INT32_MAX] or a table outside [0, num_tables); the outputs are then
+ * partly written.
  */
 int64_t boi_bucket_sort(
-    int64_t num_tables, int64_t bits, int64_t n,
-    int32_t *offsets,                   /* (num_tables, 2**bits + 1) */
+    int64_t num_tables, int64_t table, int64_t bits, int64_t n,
+    uint64_t *bitmap,                   /* (num_tables, WORDS(bits)) */
+    int32_t *rank,                      /* (num_tables, WORDS(bits)) */
+    int32_t *offsets,                   /* (2**bits + 1,) */
     int32_t *members,                   /* (num_tables, n) */
     int32_t *order,                     /* (n,) */
     uint16_t *scratch)                  /* (n,) */
 {
-    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX)
+    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || table < 0
+        || table >= num_tables)
         return -1;
     const int64_t num_buckets = (int64_t)1 << bits;
-    for (int64_t t = 0; t < num_tables; t++) {
-        int32_t *const row = members + t * n;
-        int32_t *const next = offsets + t * (num_buckets + 1) + 1;
-        const uint16_t *const codes = (const uint16_t *)row + n;
-        if (t == 0) {
-            memcpy(scratch, codes, 2 * n);
-        } else {
-            for (int64_t i = 0; i < n; i++)
-                scratch[i] = codes[order[i]];
-        }
-        offsets[t * (num_buckets + 1)] = 0;
-        memset(next, 0, num_buckets * sizeof *next);
-        for (int64_t i = 0; i < n; i++) {
-            if (scratch[i] >= num_buckets)
-                return -1;
-            next[scratch[i]]++;
-        }
-        int32_t start = 0;
-        for (int64_t c = 0; c < num_buckets; c++) {
-            const int32_t count = next[c];
-            next[c] = start;
-            start += count;
-        }
-        int32_t *const out = t == 0 ? order : row;
+    int32_t *const row = members + table * n;
+    int32_t *const next = offsets + 1;
+    const uint16_t *const codes = (const uint16_t *)row + n;
+    if (table == 0) {
+        memcpy(scratch, codes, 2 * n);
+    } else {
         for (int64_t i = 0; i < n; i++)
-            out[next[scratch[i]]++] = (int32_t)i;
-        if (t == 0) {
-            for (int64_t i = 0; i < n; i++)
-                row[i] = (int32_t)i;
-        }
+            scratch[i] = codes[order[i]];
     }
+    memset(next, 0, num_buckets * sizeof *next);
+    for (int64_t i = 0; i < n; i++) {
+        if (scratch[i] >= num_buckets)
+            return -1;
+        next[scratch[i]]++;
+    }
+    int32_t start = 0;
+    for (int64_t c = 0; c < num_buckets; c++) {
+        const int32_t count = next[c];
+        next[c] = start;
+        start += count;
+    }
+    int32_t *const out = table == 0 ? order : row;
+    for (int64_t i = 0; i < n; i++)
+        out[next[scratch[i]]++] = (int32_t)i;
+    if (table == 0) {
+        for (int64_t i = 0; i < n; i++)
+            row[i] = (int32_t)i;
+    }
+    for (int64_t c = num_buckets - 1; c > 0; c--)
+        next[c] -= next[c - 1];
+    directory(bits, offsets, bitmap + table * WORDS(bits), rank + table * WORDS(bits));
     return 0;
 }
 
 /* Check one table record of a snapshot, as data_io.load_index reads it,
- * in one pass over its counts and one over its ids.
+ * in one pass over its counts and one over its ids, and turn its counts
+ * into the table's directory.
  *
- * ``offsets`` (2**bits + 1 values) holds the record's bucket counts, read
- * as uint32, from offsets[1] on. They are summed as uint64, so no count
- * can wrap the total, and must sum to n; then a running sum turns them in
- * place into the CSR offsets, from offsets[0] = 0. ``ids`` (n values) is
- * the record's id row, read as uint32: every id must be below n, and
- * their wrapping uint32 sum must be n(n - 1)/2 mod 2**32, the sum of
- * 0..n-1, which any single flipped bit of a permutation changes by a
- * power of two below 2**32. The id pass has no branch and no compare, so
- * it vectorises (a compare-select max did not, under the default flags).
+ * ``offsets`` (2**bits + 1 values) holds the record's dense bucket counts,
+ * read as uint32, from offsets[1] on. They are summed as uint64, so no
+ * count can wrap the total, and must sum to n; then they become the
+ * directory: ``bitmap`` and ``rank`` (WORDS(bits) words each) and, in the
+ * first k + 1 values of ``offsets``, the table's piece of offsets
+ * (directory, above). ``ids`` (n values) is the record's id row, read as
+ * uint32: every id must be below n, and their wrapping uint32 sum must be
+ * n(n - 1)/2 mod 2**32, the sum of 0..n-1, which any single flipped bit
+ * of a permutation changes by a power of two below 2**32. The id pass has
+ * no branch and no compare, so it vectorises (a compare-select max did
+ * not, under the default flags).
  *
  * Returns 0 when the record passes, 1 when the counts do not sum to n
- * (``offsets`` then unchanged), 2 when an id is n or more, 3 when the ids'
- * sum is wrong, and -1 for bits outside [1, 16] or n outside
- * [0, INT32_MAX].
+ * (``offsets``, ``bitmap`` and ``rank`` then unchanged), 2 when an id is n
+ * or more, 3 when the ids' sum is wrong, and -1 for bits outside [1, 16]
+ * or n outside [0, INT32_MAX].
  */
 int64_t boi_check_table(
     int64_t bits, int64_t n,
     int32_t *offsets,                   /* (2**bits + 1,) */
-    const uint32_t *ids)                /* (n,) */
+    const uint32_t *ids,                /* (n,) */
+    uint64_t *bitmap,                   /* (WORDS(bits),) */
+    int32_t *rank)                      /* (WORDS(bits),) */
 {
     if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX)
         return -1;
@@ -383,12 +486,8 @@ int64_t boi_check_table(
         total += counts[c];
     if (total != (uint64_t)n)
         return 1;
-    uint32_t stop = 0; /* at most n, so int32 holds every offset */
-    offsets[0] = 0;
-    for (int64_t c = 0; c < num_buckets; c++) {
-        stop += counts[c];
-        offsets[c + 1] = (int32_t)stop;
-    }
+    /* so every count is at most n, and int32 holds every offset */
+    directory(bits, offsets, bitmap, rank);
     /* an id v is below n <= 2**31 - 1 iff neither v nor (n - 1) - v,
      * wrapped, has its top bit set: two ORs instead of an unsigned compare,
      * which SSE2 lacks */
@@ -401,6 +500,50 @@ int64_t boi_check_table(
     if (bad >> 31)
         return 2;
     return sum == (uint32_t)((uint64_t)n * (uint64_t)(n - 1) / 2) ? 0 : 3;
+}
+
+/* Check the directory of num_tables tables of n records (this file's
+ * header comment), without allocating: no bit set for a code at or past
+ * 2**bits, each rank the popcount of its table's words before it, and each
+ * table's piece of offsets rising strictly from 0 to n, one offset a set
+ * bit and then n, the pieces filling the num_offsets offsets exactly.
+ * Returns 0 when it holds, else the first fault found: 1 a bit past
+ * 2**bits, 2 a rank, 3 a count of offsets, 4 offsets that do not rise
+ * from 0 to n; or -1 for bits outside [1, 16] or n outside [0, INT32_MAX].
+ */
+int64_t boi_check_directory(
+    int64_t num_tables, int64_t bits, int64_t n,
+    const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
+    const int32_t *rank,                /* (num_tables, WORDS(bits)) */
+    const int32_t *offsets, int64_t num_offsets) /* (num_offsets,) */
+{
+    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || num_tables < 0)
+        return -1;
+    const int64_t words = WORDS(bits);
+    const uint64_t past = bits < 6 ? ~UINT64_C(0) << (1 << bits) : 0;
+    int64_t base = 0; /* where table t's piece of offsets begins */
+    for (int64_t t = 0; t < num_tables; t++) {
+        int64_t k = 0;
+        for (int64_t w = 0; w < words; w++) {
+            const uint64_t word = bitmap[t * words + w];
+            if (word & past)
+                return 1;
+            if (rank[t * words + w] != k)
+                return 2;
+            k += popcount(word);
+        }
+        if (k >= num_offsets - base)
+            return 3;
+        const int32_t *const piece = offsets + base;
+        if (piece[0] != 0 || piece[k] != n)
+            return 4;
+        for (int64_t i = 0; i < k; i++) {
+            if (piece[i] >= piece[i + 1])
+                return 4;
+        }
+        base += k + 1;
+    }
+    return base == num_offsets ? 0 : 3;
 }
 
 /* Bucket codes from float32 dot products, each sign the float32 error

@@ -1,8 +1,18 @@
 """The compiled loops of ``vote.c``, loaded with ctypes: the probe rows and
 the gather+vote kernel every query runs, the counting sort
 ``hashing.insert_all`` buckets its records with, the table-record check
-``data_io.load_index`` runs, and the sign filter ``hashing.hash_codes_all``
-turns its float32 dot products into codes with.
+``data_io.load_index`` runs, the directory check ``hashing.ProjectionTable``
+runs, and the sign filter ``hashing.hash_codes_all`` turns its float32 dot
+products into codes with.
+
+A table's buckets are found through a directory of its non-empty buckets
+(``vote.c``'s header comment): a ``bitmap`` of its non-empty codes in
+``directory_words(b)`` uint64 words, per word the ``rank``, how many
+non-empty buckets come before it, and the ``offsets``, the start of each
+of those buckets in code order, then n. The offsets of every table follow
+each other in one int32 array. The sort and the check each build one
+table at a time in a scratch of 2**b + 1 int32 offsets, whose front ends
+holding the table's piece of offsets (``piece``).
 
 The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
@@ -86,8 +96,8 @@ def build_library(cache_dir, source=SOURCE) -> Path:
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
     and result types of ``boi_gather_vote``, ``boi_probe_rows``,
-    ``boi_bucket_sort``, ``boi_check_table`` and ``boi_hash_codes``
-    declared."""
+    ``boi_bucket_sort``, ``boi_check_table``, ``boi_check_directory`` and
+    ``boi_hash_codes`` declared."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
@@ -95,7 +105,10 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # num_tables
         i64,  # bits
         i64,  # n
+        address,  # bitmap
+        address,  # rank
         address,  # offsets
+        i64,  # number of offsets
         address,  # members
         address,  # probes
         i64,  # probe row width
@@ -115,8 +128,11 @@ def load_library(cache_dir) -> ctypes.CDLL:
     ]
     library.boi_bucket_sort.argtypes = [
         i64,  # num_tables
+        i64,  # table
         i64,  # bits
         i64,  # n
+        address,  # bitmap
+        address,  # rank
         address,  # offsets
         address,  # members
         address,  # order
@@ -127,6 +143,17 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # n
         address,  # offsets
         address,  # ids
+        address,  # bitmap
+        address,  # rank
+    ]
+    library.boi_check_directory.argtypes = [
+        i64,  # num_tables
+        i64,  # bits
+        i64,  # n
+        address,  # bitmap
+        address,  # rank
+        address,  # offsets
+        i64,  # number of offsets
     ]
     library.boi_hash_codes.argtypes = [
         i64,  # num_tables
@@ -147,6 +174,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         library.boi_probe_rows,
         library.boi_bucket_sort,
         library.boi_check_table,
+        library.boi_check_directory,
         library.boi_hash_codes,
     ):
         entry.restype = i64
@@ -178,6 +206,32 @@ def _address(array: np.ndarray, dtype, shape: tuple, writable: bool = False) -> 
             f"aligned {flags.aligned}, writable {flags.writeable})"
         )
     return array.ctypes.data
+
+
+def directory_words(bits: int) -> int:
+    """uint64 words of one b-bit table's bitmap and rank: 2**b / 64, at
+    least one."""
+    return max(1, (1 << bits) >> 6)
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 word of an array (not a scalar), as
+    int64: the kernel's broadword sum, which numpy < 2 lacks."""
+    x = np.array(words, np.uint64)
+    x -= (x >> 1) & 0x5555555555555555
+    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+    x += x >> 4
+    x &= 0x0F0F0F0F0F0F0F0F
+    x *= np.uint64(0x0101010101010101)
+    x >>= 56
+    return x.view(np.int64)
+
+
+def piece(offsets: np.ndarray, bitmap: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """A copy of the piece of offsets that ``bucket_sort`` or ``check_table``
+    left at the front of ``offsets`` for the table whose directory words
+    are ``bitmap`` and ``rank``: its k non-empty buckets' starts, then n."""
+    return offsets[: int(rank[-1]) + int(bitmap[-1]).bit_count() + 1].copy()
 
 
 class ProbePlan:
@@ -253,27 +307,30 @@ class ProbePlan:
 
 
 class GatherVote:
-    """``boi_gather_vote`` bound to one table's ``offsets`` (L, 2**b + 1)
-    int32 and ``members`` (L, n) int32, b in [1, 16], so that a query
-    passes only its probe rows and votes.
+    """``boi_gather_vote`` bound to one index's tables: their directory,
+    ``bitmap`` (L, W) uint64 and ``rank`` (L, W) int32 with W =
+    ``directory_words(bits)``, and ``offsets`` int32, and their ``members``
+    (L, n) int32, ``bits`` in [1, 16]; so a query passes only its probe rows
+    and votes.
 
-    Both arrays are checked here, once, and held; they must not change
-    while the binding is used. ValueError names the array whose type,
-    shape or layout is wrong, or says that b is not in [1, 16].
+    The arrays are checked here, once, and held; they must not change while
+    the binding is used. ValueError names the array whose type, shape or
+    layout is wrong, or says that ``bits`` is not in [1, 16]. Their values
+    are not checked here (``hashing.ProjectionTable`` checks them); the
+    kernel refuses any it reads out of range.
     """
 
-    def __init__(self, offsets: np.ndarray, members: np.ndarray):
-        num_tables, n = len(offsets), members.shape[-1]
-        bits = offsets.shape[-1].bit_length() - 1
+    def __init__(self, bits: int, bitmap, rank, offsets, members):
         if not 1 <= bits <= MAX_HASH_BITS:
-            raise ValueError(
-                f"GatherVote: {offsets.shape} offsets are not 2**b + 1 wide "
-                f"for a b in [1, {MAX_HASH_BITS}]"
-            )
-        self._arrays = (offsets, members)
+            raise ValueError(f"GatherVote: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
+        num_tables, n = len(bitmap), members.shape[-1]
+        words = (num_tables, directory_words(bits))
+        self._arrays = (bitmap, rank, offsets, members)
         self._fixed = (
             num_tables, bits, n,
-            _address(offsets, OFFSET_DTYPE, (num_tables, (1 << bits) + 1)),
+            _address(bitmap, np.uint64, words),
+            _address(rank, OFFSET_DTYPE, words),
+            _address(offsets, OFFSET_DTYPE, (offsets.size,)), offsets.size,
             _address(members, np.int32, (num_tables, n)),
         )
 
@@ -286,9 +343,9 @@ class GatherVote:
         ``votes[id]`` (int32, n, writable) for each id in the bucket of the
         code at position j. Raises ValueError when the plan is for another
         number of tables, ``probes`` or ``votes`` has another type, shape
-        or layout, or a probed value is out of range (a code past 2**b,
-        offsets that decrease or leave [0, n], an id >= n); ``votes`` is
-        then partly written.
+        or layout, or a probed value is out of range (a code past 2**b, a
+        bucket past the offsets, offsets that decrease or leave [0, n], an id
+        >= n); ``votes`` is then partly written.
         """
         num_tables, n = self._fixed[0], self._fixed[2]
         if plan.num_tables != num_tables:
@@ -309,54 +366,74 @@ class GatherVote:
         return scanned
 
 
-def bucket_sort(offsets: np.ndarray, members: np.ndarray, order: np.ndarray) -> None:
-    """Bucket every record of every table by its code, in one counting sort,
-    and number the records in table 0's bucket order.
+def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
+    """Bucket every record of every table by its code, one counting sort a
+    table, number the records in table 0's bucket order, and return the
+    tables' directory ``(bitmap, rank, offsets)``.
 
-    ``members`` (L, n) int32 comes in holding table t's codes of records
-    0..n-1 in the upper half of row t, ``members.view(CODE_DTYPE)[:, n:]``.
-    ``order`` (n,) int32 is filled with the records grouped by table 0's
-    code, ascending within a bucket (a stable argsort of table 0's codes):
-    record ``order[i]`` gets internal id i. ``members`` leaves holding each
-    table's internal ids, grouped by code and ascending within a bucket, so
-    row 0 is 0..n-1. ``offsets`` (L, 2**b + 1) int32 is filled with each
-    table's CSR bucket offsets; it need not be zeroed. All three must be
-    C-contiguous and writable, and L at least 1. The sort holds one table's
-    codes besides them. Raises ValueError when the shapes disagree or a
-    code is 2**b or more; the three arrays are then partly written.
+    ``members`` (L, n) int32 comes in holding table t's ``bits``-bit codes
+    of records 0..n-1 in the upper half of row t,
+    ``members.view(CODE_DTYPE)[:, n:]``. ``order`` (n,) int32 is filled with
+    the records grouped by table 0's code, ascending within a bucket (a
+    stable argsort of table 0's codes): record ``order[i]`` gets internal
+    id i. ``members`` leaves holding each table's internal ids, grouped by
+    code and ascending within a bucket, so row 0 is 0..n-1. Both must be
+    C-contiguous and writable, and L at least 1. Besides them the sort
+    holds one table's codes and one table's 2**b + 1 offsets, and the
+    directory it returns. Raises ValueError when ``bits`` is not in
+    [1, 16], the shapes disagree or a code is 2**b or more; ``members`` and
+    ``order`` are then partly written.
     """
-    num_tables, n = len(offsets), order.size
+    num_tables, n = len(members), order.size
     if num_tables < 1:
         raise ValueError("bucket_sort needs at least one table")
-    bits = offsets.shape[-1].bit_length() - 1
-    # a name holds the scratch alive while the kernel writes through its address
+    if not 1 <= bits <= MAX_HASH_BITS:
+        raise ValueError(f"bucket_sort: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
+    words = directory_words(bits)
+    bitmap = np.empty((num_tables, words), np.uint64)
+    rank = np.empty((num_tables, words), OFFSET_DTYPE)
+    # names hold the scratches alive while the kernel writes through their addresses
+    offsets = np.empty((1 << bits) + 1, OFFSET_DTYPE)
     scratch = np.empty(n, CODE_DTYPE)
-    if _library.boi_bucket_sort(
-        num_tables, bits, n,
-        _address(offsets, OFFSET_DTYPE, (num_tables, (1 << bits) + 1), writable=True),
+    fixed = (
+        _address(bitmap, np.uint64, (num_tables, words), writable=True),
+        _address(rank, OFFSET_DTYPE, (num_tables, words), writable=True),
+        _address(offsets, OFFSET_DTYPE, offsets.shape, writable=True),
         _address(members, np.int32, (num_tables, n), writable=True),
         _address(order, np.int32, (n,), writable=True),
         _address(scratch, CODE_DTYPE, (n,), writable=True),
-    ) < 0:
-        raise ValueError(f"a bucket code is out of range for {bits} bits")
+    )
+    pieces = []
+    for t in range(num_tables):
+        if _library.boi_bucket_sort(num_tables, t, bits, n, *fixed) < 0:
+            raise ValueError(f"a bucket code is out of range for {bits} bits")
+        pieces.append(piece(offsets, bitmap[t], rank[t]))
+    del offsets, scratch  # the pieces are all the tables keep of them
+    return bitmap, rank, np.concatenate(pieces)
 
 
 # what check_table finds wrong with a table record, by its status
 COUNTS_OFF, ID_OUT_OF_RANGE, NOT_A_PERMUTATION = 1, 2, 3
 
 
-def check_table(offsets: np.ndarray, ids: np.ndarray) -> int:
-    """Check one snapshot table record and turn its counts into offsets.
+def check_table(
+    offsets: np.ndarray, ids: np.ndarray, bitmap: np.ndarray, rank: np.ndarray
+) -> int:
+    """Check one snapshot table record and turn its dense counts into the
+    table's directory.
 
     ``offsets`` (2**b + 1,) int32 holds the record's bucket counts, as
-    uint32, from entry 1 on; ``ids`` (n,) int32 is its id row. Both must
-    be C-contiguous and ``offsets`` writable. Returns 0 and leaves
-    ``offsets`` the CSR offsets of the counts when they sum to n exactly,
-    every id, read as uint32, is below n and the ids' wrapping uint32 sum
-    is that of 0..n-1. Otherwise returns the first check that fails:
-    ``COUNTS_OFF`` (``offsets`` then unchanged), ``ID_OUT_OF_RANGE`` or
-    ``NOT_A_PERMUTATION``. Raises ValueError when the arrays disagree or b
-    is not in [1, 16].
+    uint32, from entry 1 on; ``ids`` (n,) int32 is its id row; ``bitmap``
+    (W,) uint64 and ``rank`` (W,) int32, W = ``directory_words(b)``, get
+    the table's directory words. All must be C-contiguous, and all but
+    ``ids`` writable. When the counts sum to n exactly, they are turned
+    into the directory: ``bitmap``, ``rank`` and, at the front of
+    ``offsets``, the table's piece of offsets (``piece`` copies it). Returns
+    0 when, besides, every id, read as uint32, is below n and the ids'
+    wrapping uint32 sum is that of 0..n-1. Otherwise returns the first
+    check that fails: ``COUNTS_OFF`` (the arrays then unchanged),
+    ``ID_OUT_OF_RANGE`` or ``NOT_A_PERMUTATION``. Raises ValueError when the
+    arrays disagree or b is not in [1, 16].
     """
     bits = offsets.shape[-1].bit_length() - 1
     if not 1 <= bits <= MAX_HASH_BITS:
@@ -364,11 +441,49 @@ def check_table(offsets: np.ndarray, ids: np.ndarray) -> int:
             f"check_table: {offsets.shape} offsets are not 2**b + 1 wide "
             f"for a b in [1, {MAX_HASH_BITS}]"
         )
+    words = (directory_words(bits),)
     return _library.boi_check_table(
         bits, ids.size,
         _address(offsets, OFFSET_DTYPE, ((1 << bits) + 1,), writable=True),
         _address(ids, np.int32, (ids.size,)),
+        _address(bitmap, np.uint64, words, writable=True),
+        _address(rank, OFFSET_DTYPE, words, writable=True),
     )
+
+
+# what check_directory finds wrong with a directory, by its status
+_DIRECTORY_FAULTS = {
+    -1: "{n} records do not fit int32 offsets",
+    1: "bitmap has a bit set for a code at or past 2**{bits}",
+    2: "rank disagrees with the popcounts of the bitmap words before it",
+    3: "offsets do not hold one value per set bit of the bitmap and each table's n",
+    4: "offsets do not rise strictly from 0 to {n} through each table's "
+    "non-empty buckets",
+}
+
+
+def check_directory(bits: int, bitmap, rank, offsets, n: int) -> None:
+    """Raise ValueError, naming the first fault, unless ``bitmap`` (L, W)
+    uint64, ``rank`` (L, W) int32 and ``offsets`` int32, W =
+    ``directory_words(bits)``, are the directory of L ``bits``-bit tables
+    of n records (``boi_check_directory``): no bit set for a code at or past
+    2**bits, each rank the popcounts of its table's words before it, and
+    each table's piece of offsets rising strictly from 0 to n, one value a
+    set bit and then n, the pieces filling ``offsets`` exactly. ValueError
+    is raised too when the arrays' types, shapes or layouts disagree, or
+    ``bits`` is not in [1, 16]. Nothing is allocated.
+    """
+    if not 1 <= bits <= MAX_HASH_BITS:
+        raise ValueError(f"check_directory: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
+    words = (len(bitmap), directory_words(bits))
+    status = _library.boi_check_directory(
+        words[0], bits, n,
+        _address(bitmap, np.uint64, words),
+        _address(rank, OFFSET_DTYPE, words),
+        _address(offsets, OFFSET_DTYPE, (offsets.size,)), offsets.size,
+    )
+    if status:
+        raise ValueError(_DIRECTORY_FAULTS[status].format(bits=bits, n=n))
 
 
 class SignFilter:

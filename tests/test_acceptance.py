@@ -172,9 +172,10 @@ def test_c07_memory_accounting():
     params = BoiParams()  # 100 tables
     est = estimate_memory(1_000_000, 128, params)
     assert est.vectors_bytes == 512_000_000  # 0.5 GB of raw vectors
-    # float32 projections 409,600 + int32 offsets 102,800 + int32 ids 400 MB
-    # + the int32 order 4 MB
-    assert est.index_bytes == 404_512_400
+    # float32 projections 409,600 + the bucket directory's bound 107,600
+    # (per table 4 words of uint64 bitmap and int32 rank, and 257 int32
+    # offsets) + int32 ids 400 MB + the int32 order 4 MB
+    assert est.index_bytes == 404_517_200
     assert est.accumulator_bytes == 4_000_000  # 4 MB of int32 votes
     print("ACCEPTANCE 07 memory accounting: PASS")
 

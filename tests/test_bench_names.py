@@ -75,7 +75,8 @@ def test_a_bucket_lists_its_record_ids(index):
     code = int(codes[0, 0])
     found = boi.hashing.ProjectionTable.bucket(tables, [0], [code])
     assert 0 in found.tolist()
-    assert len(found) == tables.offsets[0, code + 1] - tables.offsets[0, code]
+    codes_0 = boi.hashing.hash_codes_all(tables.sign_filter, index.dataset.vectors)[:, 0]
+    assert len(found) == np.count_nonzero(codes_0 == code)
 
 
 def test_the_baselines_answer_as_the_benchmark_calls_them(index):

@@ -225,16 +225,28 @@ class TestEstimateMemory:
         assert est.accumulator_bytes == 4_000_000
 
     def test_default_id_width_is_addressable(self):
-        # 100 tables: projections 8*128*4, offsets 257*4, members 1M int32
-        # ids; and the order, 1M int32 record ids
+        # 100 tables: projections 8*128*4, a directory of 4 words of bitmap
+        # (8 bytes) and rank (4 bytes) and 257 int32 offsets, members 1M
+        # int32 ids; and the order, 1M int32 record ids
         est = estimate_memory(1_000_000, 128, BoiParams())
-        assert est.index_bytes == 409_600 + 102_800 + 400_000_000 + 4_000_000
-        assert est.total_bytes == 512_000_000 + 404_512_400 + 4_000_000
+        assert est.index_bytes == 409_600 + 107_600 + 400_000_000 + 4_000_000
+        assert est.total_bytes == 512_000_000 + 404_517_200 + 4_000_000
 
     def test_scales_with_tables(self):
         n, dim, b = 1000, 16, 8
         est = estimate_memory(n, dim, BoiParams(num_tables=7))
-        assert est.index_bytes == 7 * (b * dim * 4 + (2**b + 1) * 4 + n * 4) + n * 4
+        directory = 4 * 8 + 4 * 4 + (2**b + 1) * 4
+        assert est.index_bytes == 7 * (b * dim * 4 + directory + n * 4) + n * 4
+
+    @pytest.mark.parametrize(
+        "n, bits, offsets", [(10, 16, 11), (1000, 8, 257), (0, 1, 1), (5, 3, 6)]
+    )
+    def test_counts_at_most_one_offset_a_record_or_a_code(self, n, bits, offsets):
+        # a table's directory: max(1, 2**b / 64) words of bitmap and rank,
+        # and min(n, 2**b) + 1 offsets
+        words = max(1, 2**bits // 64)
+        est = estimate_memory(n, 4, BoiParams(num_tables=1, hash_bits=bits, initial_probe_count=1))
+        assert est.index_bytes == bits * 4 * 4 + words * 12 + offsets * 4 + n * 4 + n * 4
 
     @pytest.mark.parametrize("tables, bits", [(3, 1), (5, 8), (2, 16)])
     def test_matches_the_arrays_of_an_index(self, tmp_path, tables, bits):
@@ -246,13 +258,21 @@ class TestEstimateMemory:
         built = build_index(dataset, params)
         save_index(built, tmp_path / "index.boi")
         est = estimate_memory(dataset.n, dataset.dim, params)
+        # the directory's term is an upper bound: every table holds at most
+        # min(n, 2**b) non-empty buckets; every other term is exact
+        words = max(1, 2**bits // 64)
+        directory = tables * (words * 12 + (min(dataset.n, 2**bits) + 1) * 4)
         for index in (built, load_index(tmp_path / "index.boi", dataset)):
             t = index.tables
-            assert est.index_bytes == (
-                t.projections.nbytes + t.offsets.nbytes + t.members.nbytes
-                + t.order.nbytes
+            assert est.index_bytes - directory == (
+                t.projections.nbytes + t.members.nbytes + t.order.nbytes
             )
+            assert directory >= t.bitmap.nbytes + t.rank.nbytes + t.offsets.nbytes
             assert est.vectors_bytes == index.dataset.vectors.nbytes
+        if bits == 16:
+            # 300 records hold at most 300 of 65,536 buckets: the bound is
+            # about a twentieth of the dense offsets it replaces
+            assert directory < tables * (2**bits + 1) * 4 / 16
 
     def test_validation(self):
         with pytest.raises(ValueError):

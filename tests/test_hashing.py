@@ -23,7 +23,7 @@ from boi.hashing import (
     occupancy_summary,
 )
 from boi.index import _bound_plan, neighbor_codes_with_distance, probe_plan
-from hand_tables import from_record_ids
+from hand_tables import dense_offsets, directory, from_record_ids
 from probe_rows import margin_rows
 
 
@@ -89,7 +89,7 @@ class TestMakeTables:
             assert table_rows(tables, t).shape == (8, 128)
             assert tables.num_buckets == 256
             assert tables.n == 0
-            assert np.all(np.diff(tables.offsets[t]) == 0)
+            assert tables.buckets(t)[0].size == 0
 
     def test_seeded_determinism(self):
         params = BoiParams(num_tables=5, hash_bits=4, seed=1234)
@@ -370,7 +370,7 @@ class TestInsertAll:
         tables = insert_all(proj, bits, VectorSet(X))
         codes = hash_codes_all(_sign_filter(proj, bits), X)
         offsets, order, members = argsort_buckets(codes, bits)
-        assert np.array_equal(tables.offsets, offsets)
+        assert np.array_equal(dense_offsets(tables), offsets)
         assert np.array_equal(tables.order, np.argsort(codes[:, 0], kind="stable"))
         assert np.array_equal(tables.order, order)
         assert np.array_equal(tables.members[0], np.arange(n))
@@ -378,15 +378,18 @@ class TestInsertAll:
         assert tables.offsets.dtype == OFFSET_DTYPE and tables.members.dtype == np.int32
         assert tables.order.dtype == np.int32
         # each bucket lists its records' internal ids in ascending order,
-        # and through the order they are exactly the records of its code
+        # and through the order they are exactly the records of its code;
+        # the directory lists exactly the codes that hold a record
         for t in range(tables.num_tables):
-            for c in np.flatnonzero(np.diff(tables.offsets[t])):
-                internal = tables.members[t, tables.offsets[t, c] : tables.offsets[t, c + 1]]
+            nonempty, starts = tables.buckets(t)
+            assert np.array_equal(nonempty, np.unique(codes[:, t]))
+            for c, a, b in zip(nonempty, starts, starts[1:]):
+                internal = tables.members[t, a:b]
                 assert np.all(np.diff(internal) > 0)
                 records = np.sort(tables.order[internal])
                 assert np.array_equal(records, np.flatnonzero(codes[:, t] == c))
-        if n < 1 << bits:
-            assert np.any(np.diff(tables.offsets, axis=1) == 0)  # empty buckets
+        # the directory holds only the non-empty buckets and each table's n
+        assert tables.offsets.size == sum(np.unique(col).size + 1 for col in codes.T)
 
     def test_build_holds_no_code_array_of_its_own(self):
         params = BoiParams(num_tables=8, hash_bits=4, initial_probe_count=1, seed=9)
@@ -404,10 +407,15 @@ class TestInsertAll:
         finally:
             tracemalloc.stop()
         assert np.array_equal(tables.members, argsort_buckets(codes, 4)[2])
-        held = tables.offsets.nbytes + tables.members.nbytes + tables.order.nbytes
-        # the returned arrays, the hash's buffers and one table's codes: an
-        # (n, L) code array beside them would add another 1.6 MB
-        assert peak <= held + hash_peak + data.n * CODE_DTYPE.itemsize
+        held = sum(
+            getattr(tables, name).nbytes
+            for name in ("bitmap", "rank", "offsets", "members", "order")
+        )
+        # the returned arrays, the hash's buffers, one table's codes and one
+        # table's 2**4 + 1 offsets, with the directory's pieces on the way:
+        # an (n, L) code array beside them would add another 1.6 MB
+        slack = 2 * tables.offsets.nbytes + ((1 << 4) + 1) * 4
+        assert peak <= held + hash_peak + data.n * CODE_DTYPE.itemsize + slack
 
     def test_empty_dataset(self):
         params = BoiParams(num_tables=2, hash_bits=3, initial_probe_count=2)
@@ -419,8 +427,8 @@ class TestInsertAll:
         params = BoiParams(num_tables=6, hash_bits=5, seed=21)
         data = VectorSet(rng.standard_normal((1000, 16)).astype(np.float32))
         tables = insert_all(make_projections(params, 16), 5, data)
-        for offsets, members in zip(tables.offsets, tables.members):
-            assert np.diff(offsets).sum() == 1000
+        for t, members in enumerate(tables.members):
+            assert np.diff(tables.buckets(t)[1]).sum() == 1000
             seen = np.sort(members)
             assert np.array_equal(seen, np.arange(1000))
 
@@ -472,19 +480,20 @@ class TestProjectionTable:
     def test_stacked_shapes(self, tables):
         assert tables.projections.shape == (7 * 5, 9)
         assert tables.projections.dtype == np.float32
-        assert tables.offsets.shape == (7, 33)
+        # 32 codes a table fit one word of bitmap and rank
+        assert tables.bitmap.shape == tables.rank.shape == (7, 1)
         assert tables.members.shape == (7, 300)
-        assert np.all(tables.offsets[:, -1] == 300)
+        assert np.array_equal(dense_offsets(tables)[:, -1], [300] * 7)
 
     def test_projections_are_float32_exact(self, tables):
         as32 = tables.projections.astype(np.float32)
         assert np.array_equal(as32.astype(np.float64), tables.projections)
 
-    @pytest.mark.parametrize("name", ["projections", "offsets", "members"])
+    @pytest.mark.parametrize("name", ["projections", "bitmap", "rank", "offsets", "members"])
     def test_arrays_are_read_only(self, tables, name):
         arr = getattr(tables, name)
         with pytest.raises(ValueError):
-            arr[0, 0] = 1
+            arr.flat[0] = 1
         with pytest.raises(AttributeError):
             setattr(tables, name, arr.copy())
 
@@ -493,12 +502,10 @@ class TestProjectionTable:
         rows = rng.integers(0, tables.num_tables, 200)
         codes = rng.integers(0, tables.num_buckets, 200)
         # the buckets hold internal ids; bucket gives the records they name
+        offsets = dense_offsets(tables)
         expected = tables.order[
             np.concatenate(
-                [
-                    tables.members[t, tables.offsets[t, c] : tables.offsets[t, c + 1]]
-                    for t, c in zip(rows, codes)
-                ]
+                [tables.members[t, offsets[t, c] : offsets[t, c + 1]] for t, c in zip(rows, codes)]
             )
         ]
         got = tables.bucket(rows, codes)
@@ -508,8 +515,11 @@ class TestProjectionTable:
 
     def test_int32_arrays_are_kept_not_copied(self, tables):
         again = ProjectionTable(
-            tables.projections, tables.offsets, tables.members, tables.order
+            tables.projections, tables.bitmap, tables.rank, tables.offsets,
+            tables.members, tables.order,
         )
+        assert again.bitmap is tables.bitmap
+        assert again.rank is tables.rank
         assert again.offsets is tables.offsets
         assert again.members is tables.members
         assert again.order is tables.order
@@ -532,7 +542,9 @@ class TestProjectionTable:
         assert not tables.members.flags.writeable
         assert tables.bucket([0, 0], [0, 1]).tolist() == [2, 0, 1]
         # an order names its records: bucket 0 holds records 1 and 2
-        tables = ProjectionTable(np.ones((1, 2)), offsets, [[0, 1, 2]], [1, 2, 0])
+        tables = ProjectionTable(
+            np.ones((1, 2)), *directory(offsets), [[0, 1, 2]], [1, 2, 0]
+        )
         assert tables.bucket([0, 0], [0, 1]).tolist() == [1, 2, 0]
 
     def test_renumbering_keeps_every_bucket_and_sorts_later_rows(self):
@@ -542,14 +554,15 @@ class TestProjectionTable:
         assert tables.order.tolist() == [3, 1, 0, 2]
         # record r was internal id r; internal ids 0..3 are now 3, 1, 0, 2
         assert tables.members.tolist() == [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
-        assert np.array_equal(tables.offsets, offsets)
+        assert np.array_equal(dense_offsets(tables), offsets)
         for t in range(3):
             for c in range(2):
                 records = members[t, offsets[t, c] : offsets[t, c + 1]]
                 assert sorted(tables.bucket([t], [c]).tolist()) == sorted(records)
         # the internal form is kept as it is
         again = ProjectionTable(
-            tables.projections, tables.offsets, tables.members, tables.order
+            tables.projections, tables.bitmap, tables.rank, tables.offsets,
+            tables.members, tables.order,
         )
         assert again.members is tables.members and again.order is tables.order
 
@@ -563,13 +576,15 @@ class TestProjectionTable:
         members = np.array([row, [0, 1, 2]], dtype=np.int32)
         offsets = np.array([[0, 2, 3], [0, 1, 3]], dtype=np.int32)
         with pytest.raises(ValueError, match="row 0 of members is not 0..2"):
-            ProjectionTable(np.ones((2, 2)), offsets, members, np.arange(3))
+            ProjectionTable(np.ones((2, 2)), *directory(offsets), members, np.arange(3))
 
     @pytest.mark.parametrize(
         "projections, offsets, members, match",
         [
             (np.ones(2), [[0, 2, 3]], [[0, 1, 2]], "projections of shape"),
-            (np.ones((2, 2)), [[0, 1, 2, 3]], [[0, 1, 2]], "offsets of shape"),
+            # 7 projection rows of one table are 7 bits, 128 buckets in two
+            # words, not the 2 buckets of these offsets in one
+            (np.ones((7, 2)), [[0, 2, 3]], [[0, 1, 2]], r"bitmap of shape \(1, 1\)"),
             (np.ones((1, 2)), [[0, 2, 3]] * 2, [[0, 1, 2]] * 2, "projections of shape"),
             (np.ones((2, 2)), [[0, 2, 3]] * 2, [[0, 1, 2]], "members of shape"),
         ],
@@ -577,7 +592,86 @@ class TestProjectionTable:
     )
     def test_shapes_that_disagree_raise(self, projections, offsets, members, match):
         with pytest.raises(ValueError, match=match):
-            ProjectionTable(projections, offsets, members, np.arange(3))
+            ProjectionTable(projections, *directory(offsets), members, np.arange(3))
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("bitmap", (1, 1)), ("rank", (2, 2)), ("offsets", (1, 3))],
+        ids=["bitmap", "rank", "offsets"],
+    )
+    def test_directory_arrays_of_the_wrong_shape_raise(self, name, shape):
+        # one 7-bit table: two words of bitmap and rank, and 1-D offsets
+        arrays = dict(zip(("bitmap", "rank", "offsets"), directory([[0] * 129])))
+        arrays[name] = np.zeros(shape, arrays[name].dtype)
+        with pytest.raises(ValueError, match=f"{name} of shape"):
+            ProjectionTable(np.ones((7, 2)), **arrays, members=[[]], order=[])
+
+    def test_a_directory_of_n_records_is_accepted(self):
+        # 7 bits: two words, the second holding codes 64..127; one record
+        # in bucket 3 and one in bucket 127
+        offsets = np.zeros(129, np.int64)
+        offsets[[4, 65, 128]] = [1, 1, 2]
+        offsets = np.maximum.accumulate(offsets)[np.newaxis]
+        bitmap, rank, starts = directory(offsets)
+        assert bitmap.tolist() == [[1 << 3, 1 << 63]] and rank.tolist() == [[0, 1]]
+        tables = ProjectionTable(np.ones((7, 2)), bitmap, rank, starts, [[0, 1]], [0, 1])
+        assert tables.bits == 7 and tables.num_tables == 1
+        assert tables.buckets(0)[0].tolist() == [3, 127]
+        assert tables.bucket([0, 0, 0], [127, 5, 3]).tolist() == [1, 0]
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            # a start that decreases, or passes n, or does not begin at 0
+            (lambda b, r, s: (b, r, s[[0, 2, 1, 3]]), "offsets do not rise"),
+            (lambda b, r, s: (b, r, s + [0, 0, 3, 0]), "offsets do not rise"),
+            (lambda b, r, s: (b, r, s + [0, 0, 0, 1]), "offsets do not rise"),
+            (lambda b, r, s: (b, r, s + 1), "offsets do not rise"),
+            # two starts equal: a bucket set in the bitmap that holds nothing
+            (lambda b, r, s: (b, r, s[[0, 1, 1, 3]]), "offsets do not rise"),
+            # starts that wrap int32 on the way, each step read as rising
+            (lambda b, r, s: (b, r, np.array([0, 2**31 - 1, -(2**31), 3])),
+             "offsets do not rise"),
+            # a rank that disagrees with the popcounts before it
+            (lambda b, r, s: (b, r + [0, 1], s), "rank disagrees"),
+            (lambda b, r, s: (b, r - [0, 1], s), "rank disagrees"),
+            (lambda b, r, s: (b, r + [1, 0], s), "rank disagrees"),
+            # a fourth bit, the rank after it raised to match, needs one
+            # more offset
+            (
+                lambda b, r, s: (b | np.uint64(1 << 9), r + [0, 1], s),
+                "offsets do not hold one value per set bit",
+            ),
+        ],
+        ids=["decreasing", "past-n", "last-not-n", "first-not-0", "empty-bucket",
+             "int32-wrap", "rank-high", "rank-low", "rank-first", "extra-bit"],
+    )
+    def test_a_directory_that_is_not_one_of_n_records_raises(self, change, match):
+        # one 7-bit table of 3 records: codes 3 and 5 in word 0, 70 in word 1
+        offsets = np.zeros(129, np.int64)
+        offsets[[4, 6, 71]] = 1
+        offsets = np.cumsum(offsets)[np.newaxis]
+        bitmap, rank, starts = directory(offsets)
+        assert starts.tolist() == [0, 1, 2, 3] and rank.tolist() == [[0, 2]]
+        ProjectionTable(np.ones((7, 2)), bitmap, rank, starts, [[0, 1, 2]], [0, 1, 2])
+        with pytest.raises(ValueError, match=match):
+            ProjectionTable(
+                np.ones((7, 2)), *change(bitmap, rank, starts), [[0, 1, 2]], [0, 1, 2]
+            )
+
+    @pytest.mark.parametrize("bits", [1, 2, 5])
+    def test_a_bit_past_2_bits_raises(self, bits):
+        # a table of fewer than 64 codes has one word; its bits at and past
+        # 2**bits name no code
+        offsets = np.zeros((1, (1 << bits) + 1), np.int64)
+        offsets[0, 1:] = 1
+        bitmap, rank, starts = directory(offsets)
+        projections = np.ones((bits, 2))
+        ProjectionTable(projections, bitmap, rank, starts, [[0]], [0])
+        with pytest.raises(ValueError, match=f"code at or past 2\\*\\*{bits}"):
+            ProjectionTable(
+                projections, bitmap | np.uint64(1 << (1 << bits)), rank, starts, [[0]], [0]
+            )
 
     @pytest.mark.parametrize(
         "order", [[0, 0, 1], [-1, 0, 1], [0, 1, 3], [2, 1, 2]],
@@ -587,7 +681,7 @@ class TestProjectionTable:
         offsets = np.array([[0, 2, 3]], dtype=np.int32)
         members = np.array([[0, 1, 2]], dtype=np.int32)
         with pytest.raises(ValueError, match="order is not a permutation"):
-            ProjectionTable(np.ones((1, 2)), offsets, members, order)
+            ProjectionTable(np.ones((1, 2)), *directory(offsets), members, order)
 
     @pytest.mark.parametrize(
         "order", [[0, 1], [[0, 1, 2]], [0, 1, 2**32]], ids=["short", "2d", "wide"]
@@ -596,10 +690,11 @@ class TestProjectionTable:
         offsets = np.array([[0, 2, 3]], dtype=np.int32)
         members = np.array([[0, 1, 2]], dtype=np.int32)
         with pytest.raises(ValueError, match="order"):
-            ProjectionTable(np.ones((1, 2)), offsets, members, order)
+            ProjectionTable(np.ones((1, 2)), *directory(offsets), members, order)
 
     def test_codes_and_offsets_use_the_named_widths(self, tables):
-        assert tables.offsets.dtype == OFFSET_DTYPE == np.int32
+        assert tables.offsets.dtype == tables.rank.dtype == OFFSET_DTYPE == np.int32
+        assert tables.bitmap.dtype == np.uint64
         codes = hash_codes_all(tables.sign_filter, np.ones((3, 9)))
         assert codes.dtype == CODE_DTYPE == np.uint16
 
@@ -607,24 +702,31 @@ class TestProjectionTable:
         "name, value", [("offsets", 2**32 + 3), ("members", 2**32 + 1)]
     )
     def test_wide_values_that_do_not_fit_int32_raise(self, name, value):
-        arrays = {
-            "offsets": np.array([[0, 1, 2]], dtype=np.int64),
-            "members": np.array([[0, 1]], dtype=np.int64),
-        }
-        arrays[name][0, -1] = value
+        # the dense offsets' last value is the directory's last offset
+        offsets = np.array([[0, 1, 2]], dtype=np.int64)
+        members = np.array([[0, 1]], dtype=np.int64)
+        {"offsets": offsets, "members": members}[name][0, -1] = value
+        bitmap, rank, starts = directory(offsets)
         with pytest.raises(ValueError, match=f"{name} values do not fit int32"):
-            ProjectionTable(np.ones((1, 2)), **arrays, order=np.arange(2))
+            ProjectionTable(np.ones((1, 2)), bitmap, rank, starts, members, np.arange(2))
+
+    def test_a_bitmap_uint64_cannot_hold_raises(self):
+        bitmap, rank, starts = directory([[0, 1, 2]])
+        with pytest.raises(ValueError, match="bitmap values do not fit uint64"):
+            ProjectionTable(
+                np.ones((1, 2)), -bitmap.astype(np.int64), rank, starts, [[0, 1]], [0, 1]
+            )
 
     def test_projections_float32_cannot_hold_raise(self):
-        offsets = np.array([[0, 1, 2]], dtype=np.int32)
+        offsets = directory([[0, 1, 2]])
         members = np.array([[0, 1]], dtype=np.int32)
         order = np.arange(2)
         with pytest.raises(ValueError, match="projections values do not fit float32"):
-            ProjectionTable(np.array([[0.1, 1.0]]), offsets, members, order)
+            ProjectionTable(np.array([[0.1, 1.0]]), *offsets, members, order)
         with pytest.raises(ValueError, match="projections values do not fit float32"):
             _sign_filter(np.array([[1.0, 2.0**-150]]), 1)
         # float64 values float32 holds exactly are narrowed, not rejected
-        tables = ProjectionTable(np.array([[0.5, -2.0**-149]]), offsets, members, order)
+        tables = ProjectionTable(np.array([[0.5, -2.0**-149]]), *offsets, members, order)
         assert tables.projections.dtype == np.float32
         assert tables.projections.tolist() == [[0.5, -(2.0**-149)]]
 
@@ -634,11 +736,11 @@ class TestProjectionTable:
         # zero-stride views: 2**31 int32 ids without allocating them, and
         # the count is checked before the arrays are stored contiguously
         zero = np.zeros(1, dtype=np.int32)
-        offsets = np.zeros((1, 3), dtype=np.int32)
+        offsets = directory(np.zeros((1, 3), dtype=np.int32))
         members = as_strided(zero, shape=(1, 2**31), strides=(0, 0))
         order = as_strided(zero, shape=(2**31,), strides=(0,))
         with pytest.raises(ValueError, match="do not fit int32 record ids"):
-            ProjectionTable(np.ones((1, 2)), offsets, members, order)
+            ProjectionTable(np.ones((1, 2)), *offsets, members, order)
 
 
 def hamming(a: int, b: int) -> int:
@@ -884,3 +986,39 @@ def test_occupancy_summary_counts():
     assert stats["num_tables"] == 2
     assert stats["buckets_per_table"] == 8
     assert stats["mean"] == pytest.approx(50 / 8)
+
+
+@pytest.mark.parametrize(
+    "num_tables, bits, n, dim, expected",
+    [
+        (5, 10, 3000, 12, {
+            "min": 0, "max": 54, "mean": 2.9296875, "empty_fraction": 0.3904296875,
+            "histogram": {"0": 1999, "1": 851, "2-3": 898, "4-7": 781, "8-15": 448,
+                          "16-63": 143, "64-255": 0, "256-1023": 0, ">=1024": 0},
+        }),
+        (3, 2, 400, 6, {
+            "min": 52, "max": 154, "mean": 100.0, "empty_fraction": 0.0,
+            "histogram": {"0": 0, "1": 0, "2-3": 0, "4-7": 0, "8-15": 0,
+                          "16-63": 2, "64-255": 10, "256-1023": 0, ">=1024": 0},
+        }),
+        (2, 16, 0, 3, {
+            "min": 0, "max": 0, "mean": 0.0, "empty_fraction": 1.0,
+            "histogram": {"0": 131072, "1": 0, "2-3": 0, "4-7": 0, "8-15": 0,
+                          "16-63": 0, "64-255": 0, "256-1023": 0, ">=1024": 0},
+        }),
+    ],
+    ids=["some-empty", "none-empty", "all-empty"],
+)
+def test_occupancy_summary_is_pinned(num_tables, bits, n, dim, expected):
+    # the values a dense (L, 2**b + 1) offsets array gave for these builds;
+    # the summary now reads the non-empty buckets' sizes from the directory
+    # and counts every other bucket as empty
+    rng = np.random.default_rng(6)
+    params = BoiParams(
+        num_tables=num_tables, hash_bits=bits,
+        initial_probe_count=min(10, (1 << bits) - 1), seed=3,
+    )
+    data = VectorSet(rng.standard_normal((n, dim)).astype(np.float32))
+    tables = insert_all(make_projections(params, dim), bits, data)
+    stats = occupancy_summary(tables)
+    assert stats == {"num_tables": num_tables, "buckets_per_table": 1 << bits, **expected}

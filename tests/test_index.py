@@ -33,7 +33,7 @@ from boi.index import (
     shortlist,
     weight,
 )
-from hand_tables import from_record_ids
+from hand_tables import dense_offsets, directory, from_record_ids
 from probe_rows import margin_rows
 
 
@@ -209,9 +209,12 @@ def test_schedule_and_budgets_match_reference(params):
     assert schedule.tolist() == reference_schedule(params)
     assert np.all(np.diff(schedule) <= 0)
     L, bits, radius = params.num_tables, params.hash_bits, params.probe_radius
+    words = (L, max(1, 2**bits // 64))
     empty_tables = ProjectionTable(
         np.zeros((L * bits, 1)),
-        np.zeros((L, 2**bits + 1), dtype=np.int64),
+        np.zeros(words, dtype=np.uint64),
+        np.zeros(words, dtype=np.int32),
+        np.zeros(L, dtype=np.int32),
         np.zeros((L, 0), dtype=np.int32),
         np.arange(0),
     )
@@ -809,7 +812,8 @@ def test_kernel_matches_numpy_oracle_across_tiles_and_batches(tmp_path):
     )
     built = build_index(data, params)
     assert int((built.plan.budgets + 1).sum()) == 4096
-    assert np.count_nonzero(np.diff(built.tables.offsets, axis=1)) > 3 * 1024
+    # non-empty buckets: every start but each table's n
+    assert built.tables.offsets.size - built.tables.num_tables > 3 * 1024
     path = tmp_path / "tiles.boix"
     save_index(built, path)
     loaded = load_index(path, data)
@@ -859,15 +863,16 @@ def record_id_tables(tables: ProjectionTable, step: int) -> ProjectionTable:
     (``step`` 1) or descending (-1) record order, and numbered in the order
     table 0 lists them (``hand_tables.from_record_ids``)."""
     records = tables.order[tables.members]
+    dense = dense_offsets(tables)
     members = np.stack(
         [
             np.concatenate(
                 [np.sort(bucket)[::step] for bucket in np.split(row, offsets[1:-1])]
             )
-            for row, offsets in zip(records, tables.offsets)
+            for row, offsets in zip(records, dense)
         ]
     )
-    return from_record_ids(tables.projections, tables.offsets, members)
+    return from_record_ids(tables.projections, dense, members)
 
 
 @pytest.mark.parametrize("kind", ["ties", "random"])
@@ -927,10 +932,11 @@ def test_internal_order_answers_as_record_order(kind):
 
 
 class TestCorruptTables:
-    """A table whose probed offsets or later-row ids leave their range
-    raises ValueError from the kernel instead of reading out of bounds or
-    answering wrongly. The constructor checks only row 0 of the members,
-    so a bad id sits in row 1 of a two-table index."""
+    """A table whose bucket offsets or later-row ids leave their range
+    raises ValueError instead of reading out of bounds or answering
+    wrongly: the constructor refuses a directory whose offsets leave their
+    range, and the kernel a bad id it probes. The constructor checks only
+    row 0 of the members, so a bad id sits in row 1 of a two-table index."""
 
     @pytest.mark.parametrize(
         "offsets, members",
@@ -946,18 +952,18 @@ class TestCorruptTables:
     def test_query_raises(self, offsets, members):
         data = VectorSet(np.arange(8, dtype=np.float32).reshape(4, 2))
         num_tables = len(offsets)
-        tables = ProjectionTable(
-            np.tile([[1.0, -1.0]], (num_tables, 1)),
-            np.array(offsets, dtype=np.int64),
-            np.array(members, dtype=np.int32),
-            np.arange(data.n),
-        )
         params = BoiParams(
             num_tables=num_tables, hash_bits=1, initial_probe_count=1,
             schedule="fixed",
         )
-        index = BoiIndex(params, tables, data)  # probes both buckets
-        with pytest.raises(ValueError, match="corrupt hash table"):
+        with pytest.raises(ValueError, match="corrupt hash table|offsets do not rise"):
+            tables = ProjectionTable(
+                np.tile([[1.0, -1.0]], (num_tables, 1)),
+                *directory(np.array(offsets, dtype=np.int64)),
+                np.array(members, dtype=np.int32),
+                np.arange(data.n),
+            )
+            index = BoiIndex(params, tables, data)  # probes both buckets
             query(index, data.vectors[0], 2)
 
     @pytest.mark.parametrize("bad", [20_000, -1], ids=["id=n", "id=-1"])
@@ -970,7 +976,7 @@ class TestCorruptTables:
         members[1, -1] = bad
         tables = ProjectionTable(
             np.tile([[1.0, -1.0]], (2, 1)),
-            np.array([[0, n // 2, n]] * 2, dtype=np.int32),
+            *directory(np.array([[0, n // 2, n]] * 2, dtype=np.int32)),
             members,
             np.arange(n),
         )

@@ -25,7 +25,7 @@ from boi.data_io import (
     write_ivecs,
 )
 from boi.index import BoiIndex, accumulate, build_index, query
-from hand_tables import from_record_ids
+from hand_tables import dense_offsets, from_record_ids
 
 
 class TestFvecs:
@@ -207,6 +207,8 @@ class TestSnapshot:
         assert loaded.n == index.n
         a, b = index.tables, loaded.tables
         assert np.array_equal(a.projections, b.projections)
+        assert np.array_equal(a.bitmap, b.bitmap)
+        assert np.array_equal(a.rank, b.rank)
         assert np.array_equal(a.offsets, b.offsets)
         assert np.array_equal(a.members, b.members)
         assert np.array_equal(a.order, b.order)
@@ -244,17 +246,45 @@ class TestSnapshot:
         finally:
             tracemalloc.stop()
         arrays = tables.projections.nbytes + tables.offsets.nbytes
+        arrays += tables.bitmap.nbytes + tables.rank.nbytes
         arrays += tables.members.nbytes + tables.order.nbytes
         record = (path.stat().st_size - 60) // tables.num_tables
-        # 2.67 MB of arrays; a table record is 0.27 MB
-        assert peak < arrays + record
+        # 0.18 MB of arrays, where dense offsets alone were 2.6 MB; a table
+        # record is 0.27 MB, and the offsets are joined from one piece a table
+        assert peak < arrays + record + tables.offsets.nbytes
+
+    def test_build_and_load_hold_no_dense_offsets(self, tmp_path):
+        # L = 4 tables of b = 16 over 2,000 records: dense (L, 2**16 + 1)
+        # int32 offsets would be 1 MB, more than this budget beside them
+        rng = np.random.default_rng(31)
+        data = VectorSet(rng.standard_normal((2000, 8)).astype(np.float32))
+        params = BoiParams(num_tables=4, hash_bits=16, seed=3)
+        projections = hashing.make_projections(params, data.dim)
+        members = params.num_tables * data.n * 4
+        budget = members + projections.nbytes + 2 * (1 << 16) * 4
+        assert params.num_tables * ((1 << 16) + 1) * 4 > budget
+        path = tmp_path / "b16.boix"
+        peaks = []
+        tracemalloc.start()
+        try:
+            tables = hashing.insert_all(projections, 16, data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            save_index(BoiIndex(params, tables, data), path)
+            tracemalloc.start()
+            loaded = load_index(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert loaded.tables.members.nbytes == members
+        assert max(peaks) < budget, (peaks, budget)
 
     def test_loaded_index_answers_identically(self, built):
         index, data, path = built
         loaded = load_index(path, data)
         # one layout: the loaded arrays are the built ones, C-contiguous
         assert loaded.tables.members.flags.c_contiguous
-        for name in ("projections", "offsets", "members", "order"):
+        for name in ("projections", "bitmap", "rank", "offsets", "members", "order"):
             mine, theirs = getattr(index.tables, name), getattr(loaded.tables, name)
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
         rng = np.random.default_rng(3)
@@ -345,10 +375,11 @@ class TestSnapshot:
         tables, bits = index.tables, index.params.hash_bits
         # table 0's id row is the order; its members row is 0..n-1
         assert np.array_equal(tables.members[0], np.arange(index.n))
+        offsets = dense_offsets(tables)
         for t in range(tables.num_tables):
             for block in (
                 tables.projections[t * bits : (t + 1) * bits].astype("<f4"),
-                np.diff(tables.offsets[t]).astype("<u4"),
+                np.diff(offsets[t]).astype("<u4"),
                 (tables.order if t == 0 else tables.members[t]).astype("<u4"),
             ):
                 assert raw[offset : offset + block.nbytes] == block.tobytes()
@@ -418,7 +449,7 @@ class TestSnapshot:
         path = tmp_path / "hand.boix"
         save_index(index, path)
         loaded = load_index(path, data)
-        for name in ("projections", "offsets", "members", "order"):
+        for name in ("projections", "bitmap", "rank", "offsets", "members", "order"):
             assert np.array_equal(getattr(loaded.tables, name), getattr(tables, name))
         for t in range(3):
             for c in range(4):

@@ -80,13 +80,18 @@ def _read_only_votes():
 def _arrays(units=(4, 2)):
     """Two 2-bit tables over 4 records, one record per bucket; each probes
     bucket 0 and bucket 1, worth ``units`` (by default 2**-H in units of
-    2**-2 at distances 0 and 1)."""
-    offsets = np.tile(np.arange(5, dtype=np.int32), (2, 1))
+    2**-2 at distances 0 and 1). The code width, then the directory: every
+    bucket is non-empty, so each table's one word has bits 0-3 set and
+    rank 0, and its piece of offsets is 0..4."""
+    bitmap = np.full((2, 1), 0b1111, dtype=np.uint64)
+    rank = np.zeros((2, 1), dtype=np.int32)
+    offsets = np.tile(np.arange(5, dtype=np.int32), 2)
     members = np.tile(np.arange(4, dtype=np.int32), (2, 1))
     probes = np.tile(np.array([0, 1], dtype=np.uint16), (2, 1))
     units = np.array(units, dtype=np.uint32)
     budgets = np.ones(2, dtype=np.int64)
-    return offsets, members, probes, units, budgets, np.zeros(4, np.int32)
+    votes = np.zeros(4, np.int32)
+    return 2, bitmap, rank, offsets, members, probes, units, budgets, votes
 
 
 def plan_for(probes, units, budgets) -> vote.ProbePlan:
@@ -98,11 +103,11 @@ def plan_for(probes, units, budgets) -> vote.ProbePlan:
     return vote.ProbePlan(1, masks, units, budgets, shells)
 
 
-def gather_vote(offsets, members, probes, units, budgets, votes) -> int:
+def gather_vote(bits, bitmap, rank, offsets, members, probes, units, budgets, votes) -> int:
     """The vote kernel bound to a table and a plan, then called as a query
     calls it, with only its probe rows and votes."""
     plan = plan_for(probes, units, budgets)
-    return vote.GatherVote(offsets, members)(plan, probes, votes)
+    return vote.GatherVote(bits, bitmap, rank, offsets, members)(plan, probes, votes)
 
 
 def test_gather_vote_sums_and_counts():
@@ -118,11 +123,32 @@ def test_gather_vote_adds_the_units_it_is_given():
     assert args[-1].tolist() == [6, 10, 0, 0]
 
 
+def test_gather_vote_skips_empty_buckets_and_finds_each_piece():
+    # two 7-bit tables over 3 records: table 0 holds records in buckets 3
+    # and 100 (word 1, bit 36), table 1 all three in bucket 127; each
+    # probes buckets 3, 100, 127 and 0, worth 8, 4, 2 and 1
+    bitmap = np.array([[1 << 3, 1 << 36], [0, 1 << 63]], dtype=np.uint64)
+    rank = np.array([[0, 1], [0, 0]], dtype=np.int32)
+    offsets = np.array([0, 2, 3, 0, 3], dtype=np.int32)
+    members = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.int32)
+    probes = np.tile(np.array([3, 100, 127, 0], dtype=np.uint16), (2, 1))
+    units = np.array([8, 4, 2, 1], dtype=np.uint32)
+    votes = np.zeros(3, np.int32)
+    budgets = np.full(2, 3, dtype=np.int64)
+    plan = vote.ProbePlan(7, np.array([0, 1, 2, 3], np.uint16), units, budgets,
+                          np.zeros((2, 2), np.int64))
+    scanned = vote.GatherVote(7, bitmap, rank, offsets, members)(plan, probes, votes)
+    assert scanned == 6
+    assert votes.tolist() == [8 + 2, 8 + 2, 4 + 2]
+
+
 def test_projection_table_stores_strided_members_contiguously():
-    offsets, members, *rest = _arrays()
+    _, bitmap, rank, offsets, members, *rest = _arrays()
     wide = np.zeros((2, 9), dtype=np.int32)
     wide[:, :4] = members
-    tables = ProjectionTable(np.ones((4, 1)), offsets, wide[:, :4], np.arange(4))
+    tables = ProjectionTable(
+        np.ones((4, 1)), bitmap, rank, offsets, wide[:, :4], np.arange(4)
+    )
     assert tables.members.flags.c_contiguous
     assert np.array_equal(tables.members, members)
     probes, units, budgets, votes = rest
@@ -134,32 +160,39 @@ def test_projection_table_stores_strided_members_contiguously():
 @pytest.mark.parametrize(
     "position, replacement",
     [
-        (4, np.ones(1, np.int64)),  # budgets shorter than L
-        (3, np.zeros(1, np.uint32)),  # units shorter than a probe row
-        (5, np.zeros(5, np.int32)),  # votes not n long
-        (1, np.zeros((2, 8), np.int32)[:, ::2]),  # gaps between ids of a row
-        (1, np.zeros((2, 9), np.int32)[:, :4]),  # gaps between rows
-        (0, np.zeros((2, 4), np.int32)),  # offsets not 2**b + 1 wide
+        (7, np.ones(1, np.int64)),  # budgets shorter than L
+        (6, np.zeros(1, np.uint32)),  # units shorter than a probe row
+        (8, np.zeros(5, np.int32)),  # votes not n long
+        (4, np.zeros((2, 8), np.int32)[:, ::2]),  # gaps between ids of a row
+        (4, np.zeros((2, 9), np.int32)[:, :4]),  # gaps between rows
+        # dense (L, 2**b + 1) offsets, where the directory's are one row
+        (3, np.zeros((2, 5), np.int32)),
         # the kernel gets raw addresses, so every type and layout is checked
-        (0, np.zeros((2, 5), np.int64)),  # offsets of the wrong type
-        (1, np.zeros((2, 4), np.uint32)),  # members of the wrong type
-        (2, np.zeros((2, 2), np.int32)),  # probes of the wrong type
-        (3, np.zeros(2, np.int32)),  # units of the wrong type
-        (4, np.ones(2, np.int32)),  # budgets of the wrong type
-        (5, np.zeros(4, np.int64)),  # votes of the wrong type
-        (5, np.zeros(4, np.dtype("<i4").newbyteorder())),  # byte-swapped votes
-        (2, np.zeros((2, 4), np.uint16)[:, ::2]),  # strided probes
-        (0, np.zeros((5, 2), np.int32).T),  # offsets in Fortran order
-        (3, np.zeros(4, np.uint32)[::2]),  # strided units
-        (5, np.zeros(8, np.int32)[::2]),  # strided votes
-        (5, _read_only_votes()),
+        (3, np.zeros(10, np.int64)),  # offsets of the wrong type
+        (4, np.zeros((2, 4), np.uint32)),  # members of the wrong type
+        (5, np.zeros((2, 2), np.int32)),  # probes of the wrong type
+        (6, np.zeros(2, np.int32)),  # units of the wrong type
+        (7, np.ones(2, np.int32)),  # budgets of the wrong type
+        (8, np.zeros(4, np.int64)),  # votes of the wrong type
+        (8, np.zeros(4, np.dtype("<i4").newbyteorder())),  # byte-swapped votes
+        (5, np.zeros((2, 4), np.uint16)[:, ::2]),  # strided probes
+        (3, np.zeros((5, 2), np.int32).T),  # offsets in Fortran order
+        (6, np.zeros(4, np.uint32)[::2]),  # strided units
+        (8, np.zeros(8, np.int32)[::2]),  # strided votes
+        (8, _read_only_votes()),
+        (1, np.zeros((2, 1), np.int64)),  # bitmap of the wrong type
+        (1, np.zeros((2, 2), np.uint64)),  # bitmap of two words for 2 bits
+        (2, np.zeros((2, 1), np.uint32)),  # rank of the wrong type
+        (2, np.zeros((1, 1), np.int32)),  # rank of one table
+        (3, np.zeros(20, np.int32)[::2]),  # strided offsets
     ],
     ids=[
         "budgets", "units", "votes", "member-gaps", "member-row-gaps",
         "offsets-width", "offsets-dtype", "members-dtype", "probes-dtype",
         "units-dtype", "budgets-dtype", "votes-dtype", "votes-byte-order",
         "probes-strided", "offsets-fortran", "units-strided", "votes-strided",
-        "votes-read-only",
+        "votes-read-only", "bitmap-dtype", "bitmap-width", "rank-dtype",
+        "rank-tables", "offsets-strided",
     ],
 )
 def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
@@ -172,12 +205,20 @@ def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
         gather_vote(*args)
 
 
+@pytest.mark.parametrize("bits", [0, 17])
+def test_gather_vote_binds_only_a_valid_code_width(bits):
+    args = list(_arrays())
+    args[0] = bits
+    with pytest.raises(ValueError, match=r"bits must be in \[1, 16\]"):
+        gather_vote(*args)
+
+
 @pytest.mark.parametrize(
     "position, value, message",
     [
         # a budget past the row is refused when the plan is bound
-        (4, 2, r"budgets must be in \[0, 1\]"),
-        (2, 4, "corrupt hash table"),  # a code past 2**b, by the kernel
+        (7, 2, r"budgets must be in \[0, 1\]"),
+        (5, 4, "corrupt hash table"),  # a code past 2**b, by the kernel
     ],
     ids=["budget", "code"],
 )
@@ -188,41 +229,127 @@ def test_gather_vote_rejects_out_of_range_probes(position, value, message):
         gather_vote(*args)
 
 
+@pytest.mark.parametrize(
+    "position, at, value",
+    [
+        (3, 2, 0),  # table 0's offsets decrease: bucket 1 is [1, 0)
+        (3, 1, 5),  # an offset past n = 4
+        (3, 0, -1),  # a negative offset
+        (3, 6, 9),  # table 1's: its bucket 1 stops past n
+        (2, 1, 2**30),  # table 1's rank points past the offsets
+        (2, 1, -(2**31)),  # and before them
+        (2, 0, 7),  # table 0's rank: its buckets past its piece
+    ],
+    ids=["decreasing", "past-n", "negative", "past-n-table-1", "rank-past",
+         "rank-before", "rank-table-0"],
+)
+def test_gather_vote_refuses_a_corrupt_directory(position, at, value):
+    # bound directly, with no ProjectionTable to check the directory first:
+    # the kernel's own range checks refuse whatever would read or write out
+    # of bounds (the sanitizer job runs these under ASan and UBSan). A rank
+    # or a bit that only moves a bucket within the offsets gives a wrong
+    # answer in range; check_directory refuses those (below)
+    args = list(_arrays())
+    args[position].flat[at] = value
+    with pytest.raises(ValueError, match="corrupt hash table"):
+        gather_vote(*args)
+
+
 def test_gather_vote_counts_ids_stored_out_of_order():
     # one 1-bit table over 30k records, so the ids span 4 tiles of 8192:
     # bucket 0 holds the even ids in descending order, bucket 1 the odd
     # ids ascending; a descending bucket is added in later tiles, exactly
     n = 30_000
     members = np.concatenate((np.arange(n - 2, -1, -2), np.arange(1, n, 2)))
-    offsets = np.array([[0, n // 2, n]], dtype=np.int32)
+    bitmap = np.array([[0b11]], dtype=np.uint64)
+    offsets = np.array([0, n // 2, n], dtype=np.int32)
     probes = np.array([[0, 1]], dtype=np.uint16)
     units = np.array([2, 1], dtype=np.uint32)
     votes = np.zeros(n, np.int32)
     scanned = gather_vote(
-        offsets, members.astype(np.int32)[np.newaxis, :], probes, units,
+        1, bitmap, np.zeros((1, 1), np.int32), offsets,
+        members.astype(np.int32)[np.newaxis, :], probes, units,
         np.ones(1, np.int64), votes,
     )
     assert scanned == n
     assert np.array_equal(votes, np.where(np.arange(n) % 2 == 0, 2, 1))
 
 
+def _directory(bits=7):
+    """One 7-bit table of 3 records, in buckets 3 and 5 (word 0) and 70
+    (word 1), as ``(bits, bitmap, rank, offsets, n)``."""
+    bitmap = np.array([[(1 << 3) | (1 << 5), 1 << 6]], dtype=np.uint64)
+    rank = np.array([[0, 2]], dtype=np.int32)
+    return bits, bitmap, rank, np.array([0, 1, 2, 3], dtype=np.int32), 3
+
+
+@pytest.mark.parametrize(
+    "position, at, value, fault",
+    [
+        (3, 1, 2, "do not rise"),  # two offsets equal
+        (3, 2, 0, "do not rise"),  # decreasing
+        (3, 3, 4, "do not rise"),  # the last past n
+        (3, 0, 1, "do not rise"),  # the first not 0
+        (2, 1, 3, "rank disagrees"),
+        (2, 0, -1, "rank disagrees"),
+        (1, 1, (1 << 6) | 1, "one value per set bit"),
+        (0, 0, 2, r"code at or past 2\*\*2"),  # 2 bits: bit 5 names no code
+    ],
+    ids=["equal", "decreasing", "past-n", "first", "rank", "rank-first",
+         "extra-bit", "bit-past-2-bits"],
+)
+def test_check_directory_names_the_first_fault(position, at, value, fault):
+    args = list(_directory())
+    vote.check_directory(*args)
+    if position == 0:
+        args[0], args[1] = value, args[1][:, :1].copy()
+        args[2] = np.zeros((1, 1), np.int32)
+    else:
+        args[position].flat[at] = value
+    with pytest.raises(ValueError, match=fault):
+        vote.check_directory(*args)
+
+
+def test_check_directory_reads_every_table_of_a_long_directory():
+    # 16-bit tables: 1024 words each; a fault in the last word of the last
+    # table, or in its last offset, is found
+    bits, num_tables, n = 16, 3, 5
+    bitmap = np.zeros((num_tables, 1024), np.uint64)
+    bitmap[:, -1] = np.uint64(0b11111 << 59)
+    rank = np.zeros((num_tables, 1024), np.int32)
+    offsets = np.tile(np.arange(n + 1, dtype=np.int32), num_tables)
+    vote.check_directory(bits, bitmap, rank, offsets, n)
+    rank[-1, -1] = 1
+    with pytest.raises(ValueError, match="rank disagrees"):
+        vote.check_directory(bits, bitmap, rank, offsets, n)
+    rank[-1, -1] = 0
+    offsets[-1] = n - 1
+    with pytest.raises(ValueError, match="do not rise"):
+        vote.check_directory(bits, bitmap, rank, offsets, n)
+    with pytest.raises(ValueError, match="one value per set bit"):
+        vote.check_directory(bits, bitmap, rank, offsets[:-1], n)
+
+
 def _sort_inputs(codes, bits):
-    """``offsets`` and ``order`` filled with junk, which the sort
-    overwrites, and ``members`` holding table t's codes (column t of
-    ``codes``) in the upper half of row t."""
+    """The code width, ``members`` holding table t's codes (column t of
+    ``codes``) in the upper half of row t, and ``order`` filled with junk,
+    which the sort overwrites."""
     n, num_tables = codes.shape
-    offsets = np.full((num_tables, (1 << bits) + 1), -7, np.int32)
     members = np.full((num_tables, n), -7, np.int32)
     members.view(np.uint16)[:, n:] = codes.T
-    return offsets, members, np.full(n, -7, np.int32)
+    return bits, members, np.full(n, -7, np.int32)
 
 
 def test_bucket_sort_groups_ascending_ids_by_code():
     # two 2-bit tables over 5 records, given record-major
     codes = np.array([[3, 0], [1, 0], [3, 2], [0, 0], [1, 3]], dtype=np.uint16)
-    offsets, members, order = _sort_inputs(codes, 2)
-    vote.bucket_sort(offsets, members, order)
-    assert offsets.tolist() == [[0, 1, 3, 3, 5], [0, 3, 3, 4, 5]]
+    bits, members, order = _sort_inputs(codes, 2)
+    bitmap, rank, offsets = vote.bucket_sort(bits, members, order)
+    # table 0 holds codes 0, 1 and 3, table 1 codes 0, 2 and 3: dense
+    # offsets [0, 1, 3, 3, 5] and [0, 3, 3, 4, 5], less their empty buckets
+    assert bitmap.tolist() == [[0b1011], [0b1101]]
+    assert rank.tolist() == [[0], [0]]
+    assert offsets.tolist() == [0, 1, 3, 5, 0, 3, 4, 5]
     # records in table 0's bucket order: record 3 (code 0), 1 and 4 (code
     # 1), 0 and 2 (code 3); internal id i is record order[i]
     assert order.tolist() == [3, 1, 4, 0, 2]
@@ -231,6 +358,17 @@ def test_bucket_sort_groups_ascending_ids_by_code():
     # internal ids 0, 1 and 3 (records 3, 1 and 0), bucket 2 internal id 4
     # (record 2), bucket 3 internal id 2 (record 4)
     assert members[1].tolist() == [0, 1, 3, 4, 2]
+
+
+def test_bucket_sort_ranks_the_words_of_a_wide_table():
+    # one 8-bit table over 4 records, in buckets 1, 70, 70 and 200: words
+    # 0, 1 and 3 hold a bucket each, so the ranks are 0, 1, 2, 2
+    codes = np.array([[70], [1], [200], [70]], dtype=np.uint16)
+    bitmap, rank, offsets = vote.bucket_sort(*_sort_inputs(codes, 8))
+    assert bitmap.tolist() == [[1 << 1, 1 << 6, 0, 1 << 8]]
+    assert rank.tolist() == [[0, 1, 2, 2]]
+    assert offsets.tolist() == [0, 1, 3, 4]
+    vote.check_directory(8, bitmap, rank, offsets, 4)
 
 
 @pytest.mark.parametrize("bits", [1, 8, 16])
@@ -247,35 +385,54 @@ def test_bucket_sort_rejects_a_code_past_2_bits(bits):
 
 
 @pytest.mark.parametrize(
-    "offsets_shape, members_shape, order_size, message",
-    [((3, 5), (2, 6), 6, "expected a"), ((2, 4), (2, 6), 6, "expected a"),
-     ((2, 5), (2, 6), 5, "expected a"), ((0, 5), (0, 6), 6, "at least one table")],
+    "bits, members_shape, order_size, message",
+    [(2, (6,), 6, "expected a"), (17, (2, 6), 6, r"bits must be in \[1, 16\]"),
+     (2, (2, 6), 5, "expected a"), (2, (0, 6), 6, "at least one table")],
     ids=["tables", "offsets-width", "order", "no-tables"],
 )
 def test_bucket_sort_rejects_disagreeing_shapes(
-    offsets_shape, members_shape, order_size, message
+    bits, members_shape, order_size, message
 ):
+    # "tables": members with no row per table; "offsets-width": a code
+    # width whose one table's 2**b + 1 offsets no table can have
     members = np.zeros(members_shape, np.int32)
     order = np.zeros(order_size, np.int32)
     with pytest.raises(ValueError, match=message):
-        vote.bucket_sort(np.zeros(offsets_shape, np.int32), members, order)
+        vote.bucket_sort(bits, members, order)
 
 
 def _record(counts, ids, bits=2):
-    """A table record's counts, as load_index reads them into a row of
-    offsets (entry 0 junk), and its id row."""
+    """A table record's counts, as load_index reads them into its scratch
+    of offsets (entry 0 junk), its id row, and the table's directory words,
+    junk."""
     offsets = np.full((1 << bits) + 1, -7, np.int32)
     offsets[1:] = np.array(counts, np.uint32).view(np.int32)
-    return offsets, np.array(ids, np.uint32).view(np.int32)
+    words = vote.directory_words(bits)
+    bitmap, rank = np.full(words, 7, np.uint64), np.full(words, -7, np.int32)
+    return offsets, np.array(ids, np.uint32).view(np.int32), bitmap, rank
 
 
 def test_check_table_turns_counts_into_offsets():
-    offsets, ids = _record([2, 0, 1, 2], [4, 0, 2, 1, 3])
-    assert vote.check_table(offsets, ids) == 0
-    assert offsets.tolist() == [0, 2, 2, 3, 5]
-    empty, none = _record([0, 0], [], bits=1)
-    assert vote.check_table(empty, none) == 0
-    assert empty.tolist() == [0, 0, 0]
+    offsets, ids, bitmap, rank = _record([2, 0, 1, 2], [4, 0, 2, 1, 3])
+    assert vote.check_table(offsets, ids, bitmap, rank) == 0
+    # dense [0, 2, 2, 3, 5] less the empty bucket 1
+    assert bitmap.tolist() == [0b1101] and rank.tolist() == [0]
+    assert vote.piece(offsets, bitmap, rank).tolist() == [0, 2, 3, 5]
+    empty, none, bitmap, rank = _record([0, 0], [], bits=1)
+    assert vote.check_table(empty, none, bitmap, rank) == 0
+    assert bitmap.tolist() == [0] and rank.tolist() == [0]
+    assert vote.piece(empty, bitmap, rank).tolist() == [0]
+
+
+def test_check_table_ranks_the_words_of_a_wide_table():
+    # 8 bits: 3 records in bucket 5, 1 in 130, 2 in 255
+    counts = np.zeros(256, np.uint32)
+    counts[[5, 130, 255]] = [3, 1, 2]
+    offsets, ids, bitmap, rank = _record(counts, [5, 0, 4, 1, 3, 2], bits=8)
+    assert vote.check_table(offsets, ids, bitmap, rank) == 0
+    assert bitmap.tolist() == [1 << 5, 0, 1 << 2, 1 << 63]
+    assert rank.tolist() == [0, 1, 1, 2]
+    assert vote.piece(offsets, bitmap, rank).tolist() == [0, 3, 4, 6]
 
 
 @pytest.mark.parametrize(
@@ -299,46 +456,56 @@ def test_check_table_turns_counts_into_offsets():
     ],
 )
 def test_check_table_reports_the_first_check_that_fails(counts, ids, status):
-    offsets, ids = _record(counts, ids)
-    before = offsets.copy()
-    assert vote.check_table(offsets, ids) == status
+    offsets, ids, bitmap, rank = _record(counts, ids)
+    before = [offsets.copy(), bitmap.copy(), rank.copy()]
+    assert vote.check_table(offsets, ids, bitmap, rank) == status
     if status == vote.COUNTS_OFF:
-        assert np.array_equal(offsets, before)
+        for now, then in zip((offsets, bitmap, rank), before):
+            assert np.array_equal(now, then)
 
 
 def test_check_table_reads_every_id_of_a_long_row():
     # past any vector width and remainder loop: one bad id at either end
     n = 100_003
-    offsets, ids = _record([n, 0], np.arange(n), bits=1)
-    assert vote.check_table(offsets, ids) == 0
+    record = _record([n, 0], np.arange(n), bits=1)
+    assert vote.check_table(*record) == 0
     for at in (0, n - 1):
-        offsets, ids = _record([n, 0], np.arange(n), bits=1)
-        ids[at] = n
-        assert vote.check_table(offsets, ids) == vote.ID_OUT_OF_RANGE
+        record = _record([n, 0], np.arange(n), bits=1)
+        record[1][at] = n
+        assert vote.check_table(*record) == vote.ID_OUT_OF_RANGE
+
+
+_WORD = np.zeros(1, np.uint64), np.zeros(1, np.int32)
 
 
 @pytest.mark.parametrize(
-    "offsets, ids, message",
+    "offsets, ids, words, message",
     [
         # int32 ids in every case but those about the ids
-        (np.zeros(4, np.int32), np.zeros(3, np.int32), r"int32 array of shape \(5,\)"),
-        (np.zeros(3, np.int64), np.zeros(2, np.int32), r"int32 array of shape \(3,\)"),
-        (np.zeros(3, np.int32), np.zeros(2, np.int64), r"int32 array of shape \(2,\)"),
-        (np.zeros(3, np.int32), np.zeros(2, np.uint32), r"int32 array of shape \(2,\)"),
-        (np.zeros(3, np.int32), np.zeros(4, np.int32)[::2], "C-contiguous False"),
-        (np.zeros((1, 3), np.int32), np.zeros(2, np.int32), r"of shape \(1, 3\) "),
-        (np.zeros(3, np.int32), np.zeros((1, 2), np.int32), r"of shape \(1, 2\) "),
-        (np.zeros(1, np.int32), np.zeros(1, np.int32), r"b in \[1, 16\]"),
-        (np.zeros(2**17 + 1, np.int32), np.zeros(1, np.int32), r"b in \[1, 16\]"),
+        (np.zeros(4, np.int32), np.zeros(3, np.int32), _WORD, r"int32 array of shape \(5,\)"),
+        (np.zeros(3, np.int64), np.zeros(2, np.int32), _WORD, r"int32 array of shape \(3,\)"),
+        (np.zeros(3, np.int32), np.zeros(2, np.int64), _WORD, r"int32 array of shape \(2,\)"),
+        (np.zeros(3, np.int32), np.zeros(2, np.uint32), _WORD, r"int32 array of shape \(2,\)"),
+        (np.zeros(3, np.int32), np.zeros(4, np.int32)[::2], _WORD, "C-contiguous False"),
+        (np.zeros((1, 3), np.int32), np.zeros(2, np.int32), _WORD, r"of shape \(1, 3\) "),
+        (np.zeros(3, np.int32), np.zeros((1, 2), np.int32), _WORD, r"of shape \(1, 2\) "),
+        (np.zeros(1, np.int32), np.zeros(1, np.int32), _WORD, r"b in \[1, 16\]"),
+        (np.zeros(2**17 + 1, np.int32), np.zeros(1, np.int32), _WORD, r"b in \[1, 16\]"),
+        (np.zeros(3, np.int32), np.zeros(2, np.int32), (np.zeros(1, np.int64), _WORD[1]),
+         r"uint64 array of shape \(1,\)"),
+        (np.zeros(129, np.int32), np.zeros(2, np.int32), _WORD, r"uint64 array of shape \(2,\)"),
+        (np.zeros(3, np.int32), np.zeros(2, np.int32), (_WORD[0], np.zeros(2, np.int32)),
+         r"int32 array of shape \(1,\)"),
     ],
     ids=[
         "width", "offsets-dtype", "ids-dtype", "ids-uint32", "ids-strided",
-        "offsets-2d", "ids-2d", "bits-0", "bits-17",
+        "offsets-2d", "ids-2d", "bits-0", "bits-17", "bitmap-dtype",
+        "bitmap-words", "rank-words",
     ],
 )
-def test_check_table_rejects_disagreeing_arrays(offsets, ids, message):
+def test_check_table_rejects_disagreeing_arrays(offsets, ids, words, message):
     with pytest.raises(ValueError, match=message):
-        vote.check_table(offsets, ids)
+        vote.check_table(offsets, ids, *words)
 
 
 def _filter_inputs():
@@ -427,16 +594,18 @@ def _sign_filter_args():
     return dots, x, np.zeros((3, 1), np.uint16)
 
 
-# each wrapper, arrays it accepts, and the positions of an input and an output
+# each wrapper, arguments it accepts, and the positions of its input and
+# its output arrays
 _WRAPPERS = {
-    "gather_vote": (gather_vote, _arrays, 2, 5),
+    "gather_vote": (gather_vote, _arrays, (1, 2, 3, 4, 5), (8,)),
     "bucket_sort": (
-        vote.bucket_sort, lambda: _sort_inputs(np.zeros((5, 2), np.uint16), 2), 1, 2
+        vote.bucket_sort, lambda: _sort_inputs(np.zeros((5, 2), np.uint16), 2), (1,), (1, 2)
     ),
     "check_table": (
-        vote.check_table, lambda: _record([2, 0, 1, 2], [4, 0, 2, 1, 3]), 1, 0
+        vote.check_table, lambda: _record([2, 0, 1, 2], [4, 0, 2, 1, 3]), (0, 1), (0, 2, 3)
     ),
-    "sign_filter": (_sign_filter_call, _sign_filter_args, 1, 2),
+    "check_directory": (vote.check_directory, _directory, (1, 2, 3), ()),
+    "sign_filter": (_sign_filter_call, _sign_filter_args, (0, 1), (2,)),
 }
 
 
@@ -455,22 +624,34 @@ def _read_only(array):
     return array
 
 
-@pytest.mark.parametrize("wrapper", list(_WRAPPERS))
+_DEFECTS = {
+    "byte-swapped": (_byte_swapped, False),
+    "strided": (_strided, False),
+    "read-only-output": (_read_only, True),
+}
+
+
 @pytest.mark.parametrize(
-    "defect, output",
-    [(_byte_swapped, False), (_strided, False), (_read_only, True)],
-    ids=["byte-swapped", "strided", "read-only-output"],
+    "defect, wrapper",
+    [
+        (defect, wrapper)
+        for wrapper, (*_, inputs, outputs) in _WRAPPERS.items()
+        for defect, (_, output) in _DEFECTS.items()
+        if (outputs if output else inputs)
+    ],
+    ids=lambda value: value,
 )
-def test_every_wrapper_names_the_array_it_needs(wrapper, defect, output):
-    call, accepted, input_at, output_at = _WRAPPERS[wrapper]
+def test_every_wrapper_names_the_array_it_needs(defect, wrapper):
+    call, accepted, inputs, outputs = _WRAPPERS[wrapper]
+    change, output = _DEFECTS[defect]
     call(*accepted())
-    args = list(accepted())
-    at = output_at if output else input_at
-    expected = args[at]
-    args[at] = defect(expected.copy())
-    needs = f"{expected.dtype} array of shape {expected.shape}"
-    with pytest.raises(ValueError, match=re.escape(needs)):
-        call(*args)
+    for at in outputs if output else inputs:
+        args = list(accepted())
+        expected = args[at]
+        args[at] = change(expected.copy())
+        needs = f"{expected.dtype} array of shape {expected.shape}"
+        with pytest.raises(ValueError, match=re.escape(needs)):
+            call(*args)
 
 
 def _plan_args(bits=3, count=4, tables=2):

@@ -40,10 +40,12 @@ zeroed, and writes it as the table's counts. Loading reads the header,
 checks the file's size against it, then reads each table's projections
 and ids straight into C-contiguous native arrays, and its counts into the
 scratch, swapping their bytes on a big-endian host. One compiled pass per
-record (``vote.check_table``) checks the counts and the ids and turns the
-counts into the table's directory, whose piece of offsets is copied out of
-the scratch; then row 0 is copied out as ``order`` and set to 0..n-1, so a
-loaded index holds the same arrays ``insert_all`` builds.
+record (``vote.check_table``) checks the counts and the ids, turns the
+counts into the table's bitmap and piece of offsets and gives the piece's
+length, so the piece is copied out of the scratch; then row 0 is copied
+out as ``order`` and set to 0..n-1, so a loaded index holds the same
+arrays ``insert_all`` builds, and ``ProjectionTable`` makes the rank from
+them as it does for a built one.
 Projections are stored rather than re-derived from the seed, so snapshots
 stay valid even if the generator implementation ever changes. Loading
 never re-hashes the dataset.
@@ -62,7 +64,7 @@ import numpy as np
 from .core import OFFSET_DTYPE, SCHEDULE_KINDS, BoiParams, VectorSet, as_exact
 from .hashing import ProjectionTable, check_dimension, check_record_count
 from .index import BoiIndex
-from .vote import COUNTS_OFF, ID_OUT_OF_RANGE, check_table, directory_words, piece
+from .vote import COUNTS_OFF, ID_OUT_OF_RANGE, check_table, directory_words
 
 
 class FormatError(ValueError):
@@ -294,9 +296,7 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
                 offset=min(size, expected),
             )
         projections = np.empty((num_tables * bits, dim), dtype=np.float32)
-        words = (num_tables, directory_words(bits))
-        bitmap = np.empty(words, dtype=np.uint64)
-        rank = np.empty(words, dtype=OFFSET_DTYPE)
+        bitmap = np.empty((num_tables, directory_words(bits)), dtype=np.uint64)
         pieces = []
         # one table's counts at a time, from entry 1 on; check_table turns
         # them into the table's directory in place
@@ -310,29 +310,27 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
                 raise FormatError(f"non-finite projection in table {t}", offset=at)
             _read_native_into(f, scratch[1:])
             _read_native_into(f, rows[t])
-            status = check_table(scratch, rows[t], bitmap[t], rank[t])
-            if status == COUNTS_OFF:
+            size = check_table(scratch, rows[t], bitmap[t])
+            if size == COUNTS_OFF:
                 raise FormatError(
                     f"bucket counts do not sum to {n} in table {t}",
                     offset=at + counts_at,
                 )
-            if status == ID_OUT_OF_RANGE:
+            if size == ID_OUT_OF_RANGE:
                 raise FormatError(
                     f"record id out of range in table {t}", offset=at + ids_at
                 )
-            if status:
+            if size < 0:
                 raise FormatError(
                     f"record ids of table {t} are not a permutation of 0..{n - 1}",
                     offset=at + ids_at,
                 )
-            pieces.append(piece(scratch, bitmap[t], rank[t]))
+            pieces.append(scratch[:size].copy())
         del scratch  # the pieces are all the tables keep of it
         order = rows[0].copy()
         rows[0] = np.arange(n, dtype=np.int32)
         try:
-            tables = ProjectionTable(
-                projections, bitmap, rank, np.concatenate(pieces), rows, order
-            )
+            tables = ProjectionTable(projections, bitmap, np.concatenate(pieces), rows, order)
         except ValueError as exc:
             raise FormatError(
                 f"bad table 0 record ids: {exc}", offset=_HEADER.size + ids_at

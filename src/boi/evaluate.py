@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import OFFSET_DTYPE, BoiParams, RankedResult, VectorSet
+from .vote import directory_words
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +180,9 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     (float32 projections) + L*directory + L*n*4 (int32 members) + n*4
     (int32 order), the arrays of ``ProjectionTable``; accumulator = n*4,
     the int32 votes one query sums. A table's directory is W*8 bytes of
-    uint64 bitmap and W*4 of int32 rank, W = max(1, 2**b / 64) words, and
-    4 bytes of int32 start for each non-empty bucket and for n. The
+    uint64 bitmap and W*4 of the int32 rank the table makes from it, W =
+    ``vote.directory_words(b)`` words, max(1, 2**b / 64), and 4 bytes of
+    int32 start for each non-empty bucket and for n. The
     non-empty buckets are counted as min(n, 2**b), so the directory term,
     alone, is an upper bound: the index holds at most that many bytes, and
     at b = 16 over the benchmark's 100k records about a twentieth of it.
@@ -188,7 +190,7 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     if n < 0 or dim < 0:
         raise ValueError("n and dim must be non-negative")
     bits = params.hash_bits
-    words = max(1, (1 << bits) >> 6)
+    words = directory_words(bits)
     directory = words * (8 + OFFSET_DTYPE.itemsize) + (
         min(n, 1 << bits) + 1
     ) * OFFSET_DTYPE.itemsize

@@ -98,14 +98,12 @@ def _is_permutation(ids: np.ndarray) -> bool:
 def _check_shapes(
     projections: np.ndarray,
     bitmap: np.ndarray,
-    rank: np.ndarray,
     offsets: np.ndarray,
     members: np.ndarray,
 ) -> int:
     """The tables' code width; ValueError unless the bitmap is (L, W) with
     L >= 1, the projections (L*bits, dim) with bits in [1, 16], W is
-    ``directory_words(bits)``, the rank is (L, W), the offsets 1-D and the
-    members (L, n)."""
+    ``directory_words(bits)``, the offsets 1-D and the members (L, n)."""
     num_tables = len(bitmap) if bitmap.ndim == 2 else 0
     if not num_tables:
         raise ValueError(f"bitmap of shape {bitmap.shape} is not (L, words) with L >= 1")
@@ -116,12 +114,11 @@ def _check_shapes(
             f"for {num_tables} tables of bits in [1, {MAX_HASH_BITS}]"
         )
     words = (num_tables, directory_words(bits))
-    for name, arr in (("bitmap", bitmap), ("rank", rank)):
-        if arr.shape != words:
-            raise ValueError(
-                f"{name} of shape {arr.shape} is not {words}, a word per 64 "
-                f"codes of {num_tables} tables of {bits} bits"
-            )
+    if bitmap.shape != words:
+        raise ValueError(
+            f"bitmap of shape {bitmap.shape} is not {words}, a word per 64 "
+            f"codes of {num_tables} tables of {bits} bits"
+        )
     if offsets.ndim != 1:
         raise ValueError(f"offsets of shape {offsets.shape} are not 1-D")
     if members.ndim != 2 or members.shape[0] != num_tables:
@@ -133,23 +130,27 @@ def _check_shapes(
 
 @dataclass(frozen=True, eq=False)
 class ProjectionTable:
-    """All L hash tables of an index, as six read-only arrays.
+    """All L hash tables of an index, as five read-only arrays and the
+    rank the constructor derives from them.
 
     ``projections`` (L*bits, dim) float32: rows t*bits .. t*bits+bits-1 are
     table t's Gaussian matrix, the matrix every hash multiplies by; bits is
     in [1, 16] and L >= 1.
-    ``bitmap`` (L, W) uint64, ``rank`` (L, W) int32 and ``offsets`` int32:
-    the directory of every table's non-empty buckets, W =
-    ``vote.directory_words(bits)`` words of 64 codes a table (``vote.c``'s
-    header comment). Bit c % 64 of ``bitmap[t, c // 64]`` is set iff
-    bucket c of table t holds a record; ``rank[t, w]`` counts the set bits
-    of table t's words before w; and table t's piece of ``offsets`` holds
-    the start of each of its non-empty buckets, in code order, then n. The
-    pieces follow each other: table t's begins after every earlier table's
-    non-empty buckets and n. So a table holds 2**bits / 8 bytes of bitmap,
-    2**bits / 16 of rank and 4 a non-empty bucket, where dense CSR offsets
-    would hold 4 a code: at b = 16 over 100k records, about 13 KB a table
-    against 256 KB. ``buckets`` lists a table's non-empty buckets.
+    ``bitmap`` (L, W) uint64 and ``offsets`` int32: the directory of every
+    table's non-empty buckets, W = ``vote.directory_words(bits)`` words of
+    64 codes a table (``vote.c``'s header comment). Bit c % 64 of
+    ``bitmap[t, c // 64]`` is set iff bucket c of table t holds a record,
+    and table t's piece of ``offsets`` holds the start of each of its
+    non-empty buckets, in code order, then n. The pieces follow each other:
+    table t's begins after every earlier table's non-empty buckets and n.
+    ``rank`` (L, W) int32 is not given but made, once, by the check of the
+    directory (``vote.check_directory``): ``rank[t, w]`` is the position in
+    ``offsets`` of table t's first non-empty bucket at or after word w, so
+    bucket c is found at ``rank[t, c // 64]`` plus the set bits of its word
+    below c % 64. So a table holds 2**bits / 8 bytes of bitmap, 2**bits /
+    16 of rank and 4 a non-empty bucket, where dense CSR offsets would hold
+    4 a code: at b = 16 over 100k records, about 13 KB a table against
+    256 KB. ``buckets`` lists a table's non-empty buckets.
     ``members`` (L, n) int32: row t holds every internal id grouped by
     table t's bucket code, ascending within a bucket.
     ``order`` (n,) int32, a permutation of 0..n-1: internal id i is record
@@ -173,51 +174,51 @@ class ProjectionTable:
     one layout the compiled loops read (copied into it if given otherwise).
     The constructor raises ValueError for arrays whose shapes do not agree
     with each other, projections that float32 cannot hold exactly, a
-    bitmap uint64 cannot hold, rank, offsets, members or order with a value
-    int32 cannot hold, 2**31 or more records, an order that is not a
+    bitmap uint64 cannot hold, offsets, members or order with a value int32
+    cannot hold, 2**31 or more records or offsets, an order that is not a
     permutation of 0..n-1, a row 0 of ``members`` that is not 0..n-1, a
     dimension ``check_dimension`` refuses, and a directory that is not one
-    of n records: a bit set for a code at or past 2**bits, a rank that
-    disagrees with the popcounts before it, or a table's offsets that do
-    not rise strictly from 0 to n, one per set bit. It does not check the
-    later rows of ``members``: the vote kernel refuses the out-of-range ids
-    a query probes (``vote.GatherVote``).
+    of n records: a bit set for a code at or past 2**bits, or a table's
+    offsets that do not rise strictly from 0 to n, one per set bit. It does
+    not check the later rows of ``members``: the vote kernel refuses the
+    out-of-range ids a query probes (``vote.GatherVote``).
     """
 
     projections: np.ndarray
     bitmap: np.ndarray
-    rank: np.ndarray
     offsets: np.ndarray
     members: np.ndarray
     order: np.ndarray
+    rank: np.ndarray = field(init=False)
     sign_filter: SignFilter = field(init=False, repr=False)
     gather_vote: GatherVote = field(init=False, repr=False)
 
     def __post_init__(self):
         # the compiled loops read C-ordered float32 projections, uint64
-        # bitmaps and int32 ranks, offsets and members, and the shortlist the
-        # int32 order; no conversion copies what insert_all or load_index
-        # made, and the numbering checks hold one n-byte mask at a time
+        # bitmaps and int32 offsets and members, and the shortlist the int32
+        # order; no conversion copies what insert_all or load_index made,
+        # and the numbering checks hold one n-byte mask at a time
         n = np.shape(self.members)[-1]
         check_record_count(n)
         if np.shape(self.order) != (n,):
             raise ValueError(
                 f"order of shape {np.shape(self.order)} does not number {n} records"
             )
+        if np.size(self.offsets) >= 2**31:
+            raise ValueError(f"{np.size(self.offsets)} offsets do not fit int32 ranks")
         arrays = {
             name: np.ascontiguousarray(as_exact(getattr(self, name), dtype, name))
             for name, dtype in (
                 ("projections", np.float32),
                 ("bitmap", np.uint64),
-                ("rank", OFFSET_DTYPE),
                 ("offsets", OFFSET_DTYPE),
                 ("members", np.int32),
                 ("order", np.int32),
             )
         }
-        directory = [arrays[name] for name in ("bitmap", "rank", "offsets")]
-        bits = _check_shapes(arrays["projections"], *directory, arrays["members"])
-        check_directory(bits, *directory, n)
+        bitmap, offsets = arrays["bitmap"], arrays["offsets"]
+        bits = _check_shapes(arrays["projections"], bitmap, offsets, arrays["members"])
+        arrays["rank"] = check_directory(bits, bitmap, offsets, n)
         if not _is_permutation(arrays["order"]):
             raise ValueError(f"order is not a permutation of 0..{n - 1}")
         if not _is_identity(arrays["members"][0]):
@@ -227,7 +228,7 @@ class ProjectionTable:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "sign_filter", _sign_filter(self.projections, bits))
         object.__setattr__(
-            self, "gather_vote", GatherVote(bits, *directory, self.members)
+            self, "gather_vote", GatherVote(bits, bitmap, self.rank, offsets, self.members)
         )
 
     @property
@@ -260,19 +261,14 @@ class ProjectionTable:
                 f"the index's {self.n} records of dim {self.dim}"
             )
 
-    def _bases(self) -> np.ndarray:
-        """(L + 1,) int64: table t's piece of ``offsets`` is
-        ``offsets[bases[t]:bases[t + 1]]``."""
-        sizes = self.rank[:, -1] + popcount(self.bitmap[:, -1]) + 1
-        return np.concatenate(([0], np.cumsum(sizes)))
-
     def buckets(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Table t's non-empty buckets: their codes, ascending (intp), and
         the table's piece of ``offsets``, one value more, so that bucket
         ``codes[i]`` holds ``members[t, piece[i]:piece[i + 1]]``."""
-        a, b = self._bases()[t : t + 2]
         bits = self.bitmap[t].astype("<u8").view(np.uint8)
-        return np.flatnonzero(np.unpackbits(bits, bitorder="little")), self.offsets[a:b]
+        codes = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
+        start = self.rank[t, 0]
+        return codes, self.offsets[start : start + codes.size + 1]
 
     def bucket(self, tables, codes) -> np.ndarray:
         """Record ids of bucket ``codes[i]`` of table ``tables[i]``, for
@@ -285,7 +281,7 @@ class ProjectionTable:
         bit = (codes & 63).astype(np.uint64)
         full = ((word >> bit) & 1).astype(bool)
         below = word & ((np.uint64(1) << bit) - np.uint64(1))
-        at = (self._bases()[tables] + self.rank[tables, words] + popcount(below))[full]
+        at = (self.rank[tables, words] + popcount(below))[full]
         rows = self.members
         return self.order[
             np.concatenate(
@@ -442,8 +438,7 @@ def insert_all(
     order = np.empty(n, dtype=np.int32)
     sign_filter = _sign_filter(projections, bits)
     hash_codes_all(sign_filter, X, out=members.view(CODE_DTYPE)[:, n:].T)
-    directory = bucket_sort(bits, members, order)
-    return ProjectionTable(projections, *directory, members, order)
+    return ProjectionTable(projections, *bucket_sort(bits, members, order), members, order)
 
 
 def occupancy_summary(tables: ProjectionTable) -> dict:
@@ -454,9 +449,9 @@ def occupancy_summary(tables: ProjectionTable) -> dict:
     come from the offsets, and each table's other 2**bits - k buckets are
     counted as empty, so no array of 2**bits sizes a table is made.
     """
-    bases = tables._bases()
-    # each table's piece of offsets, less the step from its n to the next 0
-    sizes = np.delete(np.diff(tables.offsets), bases[1:-1] - 1)
+    # each table's piece of offsets, less the step from its n to the next
+    # table's 0, which sits just before where that table's piece begins
+    sizes = np.delete(np.diff(tables.offsets), tables.rank[1:, 0] - 1)
     total = tables.num_tables * tables.num_buckets
     empty = total - sizes.size
     edges = [0, 1, 2, 4, 8, 16, 64, 256, 1024]

@@ -15,19 +15,20 @@
  * only, a rank directory over a bitmap (Jacobson, FOCS 1989). A b-bit
  * table has 2**b codes, but at b = 16 over the benchmark's 100k records
  * only about 160 of them hold a record, so a dense row of 2**b + 1
- * offsets (256 KiB a table) would mostly describe empty buckets. Per table, in words of 64
- * codes (WORDS(bits) of them, one when b < 6):
+ * offsets (256 KiB a table) would mostly describe empty buckets. Per
+ * table, in words of 64 codes (WORDS(bits) of them, one when b < 6):
  *   bitmap: bit c % 64 of word c / 64 is set iff bucket c holds a record;
  *     no bit is set for a code at or past 2**b;
- *   rank: rank[w] counts the set bits of words 0..w-1, the table's
- *     non-empty buckets before word w;
  *   offsets: the table's piece, the start of each of its k non-empty
  *     buckets in code order, then n; the pieces of tables 0..L-1 follow
  *     each other in one array, so table t's begins after the k + 1 values
- *     of every earlier table.
- * When bit c is set, bucket c is the table's i-th non-empty bucket, i =
- * rank[c / 64] + popcount(the word's bits below c % 64), and holds
- * members[t, piece[i]:piece[i + 1]].
+ *     of every earlier table;
+ *   rank: rank[w] is the position in ``offsets`` of the table's first
+ *     non-empty bucket at or after word w: where its piece begins, plus
+ *     the set bits of its words 0..w-1. It is derived from the bitmap
+ *     alone, by boi_check_directory, the one place that counts positions.
+ * When bit c is set, bucket c holds members[t, offsets[i]:offsets[i + 1]],
+ * i = rank[c / 64] + popcount(the word's bits below c % 64).
  * Codes are uint16 and offsets int32, as in core.CODE_DTYPE and
  * core.OFFSET_DTYPE, so bits is at most 16 (core.MAX_HASH_BITS).
  *
@@ -63,10 +64,11 @@
  * so a corrupt table returns -1 instead of reading or writing out of
  * bounds: a code past 2**b, a bucket position outside the offsets, or
  * offsets that decrease or leave [0, n]. hashing.ProjectionTable checks the
- * whole directory when it is made (boi_check_directory), so a rank that
- * disagrees with the popcounts before it, or a bit past 2**b, which would
- * move a bucket within the offsets, never reaches the kernel from there. An id >= n, or a negative one read as uint32, is below no tile's
- * end, so it leaves its range open after the last tile (whose end is n),
+ * whole directory and makes the rank from it (boi_check_directory), so a
+ * rank that disagrees with the bitmap, or a bit past 2**b, which would
+ * move a bucket within the offsets, never reaches the kernel from there.
+ * An id >= n, or a negative one read as uint32, is below no tile's end,
+ * so it leaves its range open after the last tile (whose end is n),
  * and an open range means a corrupt table. Ids out of order within a
  * bucket are still counted exactly, in a later tile. Otherwise the return
  * value is the number of (id, vote) pairs scanned. Sums are exact
@@ -87,8 +89,8 @@
  * turns its dense bucket counts into the table's directory, for
  * data_io.load_index.
  *
- * boi_check_directory, the fifth, checks a whole directory, for
- * hashing.ProjectionTable.
+ * boi_check_directory, the fifth, checks a whole directory and makes its
+ * rank, for hashing.ProjectionTable.
  *
  * boi_hash_codes, the sixth, turns the float32 dot products of
  * hashing.hash_codes_all into codes, recomputing in float64 each sign the
@@ -116,15 +118,15 @@ static inline int64_t popcount(uint64_t x)
 }
 
 /* Turn one table's bucket counts, offsets[1..2**bits] (each at least 0,
- * summing to at most INT32_MAX), into its directory: ``bitmap`` and
- * ``rank`` get the table's WORDS(bits) words, and the first k + 1 offsets
- * become its piece of offsets, the start of each of its k non-empty
- * buckets in code order, then the sum. A word's counts are ORed first,
- * which vectorises, so an empty word costs no more; only the set bits of
- * the others are visited in order. Each start is written at or before the
- * count of the bucket it starts, and after every count before it has been
- * read, so the pass runs in place. */
-static void directory(int64_t bits, int32_t *offsets, uint64_t *bitmap, int32_t *rank)
+ * summing to at most INT32_MAX), into its directory: ``bitmap`` gets the
+ * table's WORDS(bits) words, and the first k + 1 offsets become its piece
+ * of offsets, the start of each of its k non-empty buckets in code order,
+ * then the sum; returns k + 1, the piece's length. A word's counts are
+ * ORed first, which vectorises, so an empty word costs no more; only the
+ * set bits of the others are visited in order. Each start is written at
+ * or before the count of the bucket it starts, and after every count
+ * before it has been read, so the pass runs in place. */
+static int64_t directory(int64_t bits, int32_t *offsets, uint64_t *bitmap)
 {
     const int64_t num_buckets = (int64_t)1 << bits;
     const int64_t per_word = num_buckets < 64 ? num_buckets : 64;
@@ -141,7 +143,6 @@ static void directory(int64_t bits, int32_t *offsets, uint64_t *bitmap, int32_t 
             for (int64_t j = 0; j < per_word; j++)
                 word |= (uint64_t)(here[j] != 0) << j;
         }
-        rank[w] = (int32_t)k;
         bitmap[w] = word;
         for (uint64_t left = word; left; left &= left - 1) {
             const int32_t count = here[__builtin_ctzll(left)];
@@ -150,6 +151,7 @@ static void directory(int64_t bits, int32_t *offsets, uint64_t *bitmap, int32_t 
         }
     }
     offsets[k] = start;
+    return k + 1;
 }
 
 struct range {
@@ -207,7 +209,6 @@ HOT int64_t boi_gather_vote(
     const int64_t num_buckets = (int64_t)1 << bits, words = WORDS(bits);
     struct range batch[BATCH];
     int64_t live = 0, scanned = 0;
-    int64_t base = 0; /* where table t's piece of offsets begins */
     for (int64_t t = 0; t < num_tables; t++) {
         const int64_t count = budgets[t] + 1;
         if (count < 1 || count > width)
@@ -224,8 +225,7 @@ HOT int64_t boi_gather_vote(
             const int64_t bit = c & 63;
             if (!(word >> bit & 1))
                 continue; /* an empty bucket */
-            const int64_t at = base + rk[c >> 6]
-                + popcount(word & ((UINT64_C(1) << bit) - 1));
+            const int64_t at = rk[c >> 6] + popcount(word & ((UINT64_C(1) << bit) - 1));
             if (at < 0 || at + 1 >= num_offsets)
                 return -1;
             const int64_t start = offsets[at], stop = offsets[at + 1];
@@ -241,7 +241,6 @@ HOT int64_t boi_gather_vote(
                 live = 0;
             }
         }
-        base += rk[words - 1] + popcount(bm[words - 1]) + 1;
     }
     if (sweep(batch, live, n, votes) < 0)
         return -1;
@@ -378,9 +377,9 @@ int64_t boi_probe_rows(
  * code and ascending within a bucket, the order a stable argsort of table
  * 0's codes gives; internal id i is record order[i], and row 0 of
  * ``members`` becomes 0..n-1. Row t > 0 gets the n internal ids grouped
- * by table t's code, ascending within a bucket. The table's rows of
- * ``bitmap`` and ``rank`` get its directory, and the first k + 1 values
- * of ``offsets`` its piece of offsets (directory, above). The steps:
+ * by table t's code, ascending within a bucket. The table's row of
+ * ``bitmap`` and the first k + 1 values of ``offsets`` get its directory,
+ * the bitmap and its piece of offsets (directory, above). The steps:
  *   load: the codes go to ``scratch`` (n uint16), since the ids overwrite
  *     them; table 0 copies its row, and table t > 0 gathers code
  *     codes_t[order[i]] of internal id i, so the ids it scatters are
@@ -397,15 +396,14 @@ int64_t boi_probe_rows(
  * 2**bits + 1 offsets, which every table reuses.
  *
  * Every code is checked against 2**bits in the count pass, before it is
- * used as an index; the scatter reads the same scratch again. Returns 0,
- * or -1 for a code >= 2**bits, bits outside [1, 16], n outside
- * [0, INT32_MAX] or a table outside [0, num_tables); the outputs are then
- * partly written.
+ * used as an index; the scatter reads the same scratch again. Returns
+ * k + 1, the length of the table's piece, or -1 for a code >= 2**bits,
+ * bits outside [1, 16], n outside [0, INT32_MAX] or a table outside
+ * [0, num_tables); the outputs are then partly written.
  */
 int64_t boi_bucket_sort(
     int64_t num_tables, int64_t table, int64_t bits, int64_t n,
     uint64_t *bitmap,                   /* (num_tables, WORDS(bits)) */
-    int32_t *rank,                      /* (num_tables, WORDS(bits)) */
     int32_t *offsets,                   /* (2**bits + 1,) */
     int32_t *members,                   /* (num_tables, n) */
     int32_t *order,                     /* (n,) */
@@ -445,8 +443,7 @@ int64_t boi_bucket_sort(
     }
     for (int64_t c = num_buckets - 1; c > 0; c--)
         next[c] -= next[c - 1];
-    directory(bits, offsets, bitmap + table * WORDS(bits), rank + table * WORDS(bits));
-    return 0;
+    return directory(bits, offsets, bitmap + table * WORDS(bits));
 }
 
 /* Check one table record of a snapshot, as data_io.load_index reads it,
@@ -456,26 +453,24 @@ int64_t boi_bucket_sort(
  * ``offsets`` (2**bits + 1 values) holds the record's dense bucket counts,
  * read as uint32, from offsets[1] on. They are summed as uint64, so no
  * count can wrap the total, and must sum to n; then they become the
- * directory: ``bitmap`` and ``rank`` (WORDS(bits) words each) and, in the
- * first k + 1 values of ``offsets``, the table's piece of offsets
- * (directory, above). ``ids`` (n values) is the record's id row, read as
+ * directory: ``bitmap`` (WORDS(bits) words) and, in the first k + 1
+ * values of ``offsets``, the table's piece of offsets (directory, above). ``ids`` (n values) is the record's id row, read as
  * uint32: every id must be below n, and their wrapping uint32 sum must be
  * n(n - 1)/2 mod 2**32, the sum of 0..n-1, which any single flipped bit
  * of a permutation changes by a power of two below 2**32. The id pass has
  * no branch and no compare, so it vectorises (a compare-select max did
  * not, under the default flags).
  *
- * Returns 0 when the record passes, 1 when the counts do not sum to n
- * (``offsets``, ``bitmap`` and ``rank`` then unchanged), 2 when an id is n
- * or more, 3 when the ids' sum is wrong, and -1 for bits outside [1, 16]
- * or n outside [0, INT32_MAX].
+ * Returns k + 1, the length of the table's piece, when the record passes;
+ * -2 when the counts do not sum to n (``offsets`` and ``bitmap`` then
+ * unchanged), -3 when an id is n or more, -4 when the ids' sum is wrong,
+ * and -1 for bits outside [1, 16] or n outside [0, INT32_MAX].
  */
 int64_t boi_check_table(
     int64_t bits, int64_t n,
     int32_t *offsets,                   /* (2**bits + 1,) */
     const uint32_t *ids,                /* (n,) */
-    uint64_t *bitmap,                   /* (WORDS(bits),) */
-    int32_t *rank)                      /* (WORDS(bits),) */
+    uint64_t *bitmap)                   /* (WORDS(bits),) */
 {
     if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX)
         return -1;
@@ -485,9 +480,9 @@ int64_t boi_check_table(
     for (int64_t c = 0; c < num_buckets; c++)
         total += counts[c];
     if (total != (uint64_t)n)
-        return 1;
+        return -2;
     /* so every count is at most n, and int32 holds every offset */
-    directory(bits, offsets, bitmap, rank);
+    const int64_t size = directory(bits, offsets, bitmap);
     /* an id v is below n <= 2**31 - 1 iff neither v nor (n - 1) - v,
      * wrapped, has its top bit set: two ORs instead of an unsigned compare,
      * which SSE2 lacks */
@@ -498,52 +493,56 @@ int64_t boi_check_table(
         sum += ids[i];
     }
     if (bad >> 31)
-        return 2;
-    return sum == (uint32_t)((uint64_t)n * (uint64_t)(n - 1) / 2) ? 0 : 3;
+        return -3;
+    return sum == (uint32_t)((uint64_t)n * (uint64_t)(n - 1) / 2) ? size : -4;
 }
 
 /* Check the directory of num_tables tables of n records (this file's
- * header comment), without allocating: no bit set for a code at or past
- * 2**bits, each rank the popcount of its table's words before it, and each
- * table's piece of offsets rising strictly from 0 to n, one offset a set
- * bit and then n, the pieces filling the num_offsets offsets exactly.
- * Returns 0 when it holds, else the first fault found: 1 a bit past
- * 2**bits, 2 a rank, 3 a count of offsets, 4 offsets that do not rise
- * from 0 to n; or -1 for bits outside [1, 16] or n outside [0, INT32_MAX].
+ * header comment) and make its rank: no bit set for a code at or past
+ * 2**bits, and each table's piece of offsets rising strictly from 0 to n,
+ * one offset a set bit and then n, the pieces filling the num_offsets
+ * offsets exactly. ``rank`` gets each word's position in ``offsets``, so
+ * this is the one loop that counts the pieces. Returns 0 when the
+ * directory holds, else the first fault found: 1 a bit past 2**bits, 2 a
+ * count of offsets, 3 offsets that do not rise from 0 to n; or -1 for
+ * bits outside [1, 16], n outside [0, INT32_MAX] or more than INT32_MAX
+ * offsets, which int32 ranks cannot reach. ``rank`` is then partly
+ * written. Nothing is allocated.
  */
 int64_t boi_check_directory(
     int64_t num_tables, int64_t bits, int64_t n,
     const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
-    const int32_t *rank,                /* (num_tables, WORDS(bits)) */
-    const int32_t *offsets, int64_t num_offsets) /* (num_offsets,) */
+    const int32_t *offsets, int64_t num_offsets, /* (num_offsets,) */
+    int32_t *rank)                      /* (num_tables, WORDS(bits)) */
 {
-    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || num_tables < 0)
+    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || num_tables < 0
+        || num_offsets > INT32_MAX)
         return -1;
     const int64_t words = WORDS(bits);
     const uint64_t past = bits < 6 ? ~UINT64_C(0) << (1 << bits) : 0;
-    int64_t base = 0; /* where table t's piece of offsets begins */
+    int64_t at = 0; /* the position of the next non-empty bucket */
     for (int64_t t = 0; t < num_tables; t++) {
-        int64_t k = 0;
+        const int64_t base = at; /* where table t's piece begins */
         for (int64_t w = 0; w < words; w++) {
             const uint64_t word = bitmap[t * words + w];
             if (word & past)
                 return 1;
-            if (rank[t * words + w] != k)
-                return 2;
-            k += popcount(word);
+            rank[t * words + w] = (int32_t)at;
+            at += popcount(word);
         }
-        if (k >= num_offsets - base)
-            return 3;
+        if (at >= num_offsets)
+            return 2;
         const int32_t *const piece = offsets + base;
+        const int64_t k = at - base;
         if (piece[0] != 0 || piece[k] != n)
-            return 4;
+            return 3;
         for (int64_t i = 0; i < k; i++) {
             if (piece[i] >= piece[i + 1])
-                return 4;
+                return 3;
         }
-        base += k + 1;
+        at++; /* past the table's n */
     }
-    return base == num_offsets ? 0 : 3;
+    return at == num_offsets ? 0 : 2;
 }
 
 /* Bucket codes from float32 dot products, each sign the float32 error

@@ -7,12 +7,14 @@ products into codes with.
 
 A table's buckets are found through a directory of its non-empty buckets
 (``vote.c``'s header comment): a ``bitmap`` of its non-empty codes in
-``directory_words(b)`` uint64 words, per word the ``rank``, how many
-non-empty buckets come before it, and the ``offsets``, the start of each
-of those buckets in code order, then n. The offsets of every table follow
-each other in one int32 array. The sort and the check each build one
-table at a time in a scratch of 2**b + 1 int32 offsets, whose front ends
-holding the table's piece of offsets (``piece``).
+``directory_words(b)`` uint64 words, and the ``offsets``, the start of
+each of those buckets in code order, then n. The offsets of every table
+follow each other in one int32 array. The sort and the check each build
+one table at a time in a scratch of 2**b + 1 int32 offsets, whose front
+ends holding the table's piece of offsets, and return the piece's length.
+The ``rank`` of each word, the position in ``offsets`` of its first
+non-empty bucket, is derived from the bitmap alone, by
+``check_directory``.
 
 The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
@@ -132,7 +134,6 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # bits
         i64,  # n
         address,  # bitmap
-        address,  # rank
         address,  # offsets
         address,  # members
         address,  # order
@@ -144,16 +145,15 @@ def load_library(cache_dir) -> ctypes.CDLL:
         address,  # offsets
         address,  # ids
         address,  # bitmap
-        address,  # rank
     ]
     library.boi_check_directory.argtypes = [
         i64,  # num_tables
         i64,  # bits
         i64,  # n
         address,  # bitmap
-        address,  # rank
         address,  # offsets
         i64,  # number of offsets
+        address,  # rank
     ]
     library.boi_hash_codes.argtypes = [
         i64,  # num_tables
@@ -225,13 +225,6 @@ def popcount(words: np.ndarray) -> np.ndarray:
     x *= np.uint64(0x0101010101010101)
     x >>= 56
     return x.view(np.int64)
-
-
-def piece(offsets: np.ndarray, bitmap: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """A copy of the piece of offsets that ``bucket_sort`` or ``check_table``
-    left at the front of ``offsets`` for the table whose directory words
-    are ``bitmap`` and ``rank``: its k non-empty buckets' starts, then n."""
-    return offsets[: int(rank[-1]) + int(bitmap[-1]).bit_count() + 1].copy()
 
 
 class ProbePlan:
@@ -309,9 +302,9 @@ class ProbePlan:
 class GatherVote:
     """``boi_gather_vote`` bound to one index's tables: their directory,
     ``bitmap`` (L, W) uint64 and ``rank`` (L, W) int32 with W =
-    ``directory_words(bits)``, and ``offsets`` int32, and their ``members``
-    (L, n) int32, ``bits`` in [1, 16]; so a query passes only its probe rows
-    and votes.
+    ``directory_words(bits)`` (the rank ``check_directory`` makes), and
+    ``offsets`` int32, and their ``members`` (L, n) int32, ``bits`` in
+    [1, 16]; so a query passes only its probe rows and votes.
 
     The arrays are checked here, once, and held; they must not change while
     the binding is used. ValueError names the array whose type, shape or
@@ -369,7 +362,7 @@ class GatherVote:
 def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
     """Bucket every record of every table by its code, one counting sort a
     table, number the records in table 0's bucket order, and return the
-    tables' directory ``(bitmap, rank, offsets)``.
+    tables' directory ``(bitmap, offsets)``.
 
     ``members`` (L, n) int32 comes in holding table t's ``bits``-bit codes
     of records 0..n-1 in the upper half of row t,
@@ -391,13 +384,11 @@ def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
         raise ValueError(f"bucket_sort: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
     words = directory_words(bits)
     bitmap = np.empty((num_tables, words), np.uint64)
-    rank = np.empty((num_tables, words), OFFSET_DTYPE)
     # names hold the scratches alive while the kernel writes through their addresses
     offsets = np.empty((1 << bits) + 1, OFFSET_DTYPE)
     scratch = np.empty(n, CODE_DTYPE)
     fixed = (
         _address(bitmap, np.uint64, (num_tables, words), writable=True),
-        _address(rank, OFFSET_DTYPE, (num_tables, words), writable=True),
         _address(offsets, OFFSET_DTYPE, offsets.shape, writable=True),
         _address(members, np.int32, (num_tables, n), writable=True),
         _address(order, np.int32, (n,), writable=True),
@@ -405,35 +396,34 @@ def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
     )
     pieces = []
     for t in range(num_tables):
-        if _library.boi_bucket_sort(num_tables, t, bits, n, *fixed) < 0:
+        size = _library.boi_bucket_sort(num_tables, t, bits, n, *fixed)
+        if size < 0:
             raise ValueError(f"a bucket code is out of range for {bits} bits")
-        pieces.append(piece(offsets, bitmap[t], rank[t]))
+        pieces.append(offsets[:size].copy())
     del offsets, scratch  # the pieces are all the tables keep of them
-    return bitmap, rank, np.concatenate(pieces)
+    return bitmap, np.concatenate(pieces)
 
 
 # what check_table finds wrong with a table record, by its status
-COUNTS_OFF, ID_OUT_OF_RANGE, NOT_A_PERMUTATION = 1, 2, 3
+COUNTS_OFF, ID_OUT_OF_RANGE, NOT_A_PERMUTATION = -2, -3, -4
 
 
-def check_table(
-    offsets: np.ndarray, ids: np.ndarray, bitmap: np.ndarray, rank: np.ndarray
-) -> int:
+def check_table(offsets: np.ndarray, ids: np.ndarray, bitmap: np.ndarray) -> int:
     """Check one snapshot table record and turn its dense counts into the
     table's directory.
 
     ``offsets`` (2**b + 1,) int32 holds the record's bucket counts, as
     uint32, from entry 1 on; ``ids`` (n,) int32 is its id row; ``bitmap``
-    (W,) uint64 and ``rank`` (W,) int32, W = ``directory_words(b)``, get
-    the table's directory words. All must be C-contiguous, and all but
-    ``ids`` writable. When the counts sum to n exactly, they are turned
-    into the directory: ``bitmap``, ``rank`` and, at the front of
-    ``offsets``, the table's piece of offsets (``piece`` copies it). Returns
-    0 when, besides, every id, read as uint32, is below n and the ids'
-    wrapping uint32 sum is that of 0..n-1. Otherwise returns the first
-    check that fails: ``COUNTS_OFF`` (the arrays then unchanged),
-    ``ID_OUT_OF_RANGE`` or ``NOT_A_PERMUTATION``. Raises ValueError when the
-    arrays disagree or b is not in [1, 16].
+    (W,) uint64, W = ``directory_words(b)``, gets the table's bitmap words.
+    All must be C-contiguous, and all but ``ids`` writable. When the counts
+    sum to n exactly, they are turned into the directory: ``bitmap`` and,
+    at the front of ``offsets``, the table's piece of offsets. Returns the
+    piece's length, k + 1 for k non-empty buckets, when, besides, every id,
+    read as uint32, is below n and the ids' wrapping uint32 sum is that of
+    0..n-1. Otherwise returns the first check that fails, a negative
+    status: ``COUNTS_OFF`` (the arrays then unchanged), ``ID_OUT_OF_RANGE``
+    or ``NOT_A_PERMUTATION``. Raises ValueError when the arrays disagree or
+    b is not in [1, 16].
     """
     bits = offsets.shape[-1].bit_length() - 1
     if not 1 <= bits <= MAX_HASH_BITS:
@@ -441,49 +431,52 @@ def check_table(
             f"check_table: {offsets.shape} offsets are not 2**b + 1 wide "
             f"for a b in [1, {MAX_HASH_BITS}]"
         )
-    words = (directory_words(bits),)
     return _library.boi_check_table(
         bits, ids.size,
         _address(offsets, OFFSET_DTYPE, ((1 << bits) + 1,), writable=True),
         _address(ids, np.int32, (ids.size,)),
-        _address(bitmap, np.uint64, words, writable=True),
-        _address(rank, OFFSET_DTYPE, words, writable=True),
+        _address(bitmap, np.uint64, (directory_words(bits),), writable=True),
     )
 
 
 # what check_directory finds wrong with a directory, by its status
 _DIRECTORY_FAULTS = {
-    -1: "{n} records do not fit int32 offsets",
+    -1: "{n} records or {size} offsets do not fit int32 positions",
     1: "bitmap has a bit set for a code at or past 2**{bits}",
-    2: "rank disagrees with the popcounts of the bitmap words before it",
-    3: "offsets do not hold one value per set bit of the bitmap and each table's n",
-    4: "offsets do not rise strictly from 0 to {n} through each table's "
+    2: "offsets do not hold one value per set bit of the bitmap and each table's n",
+    3: "offsets do not rise strictly from 0 to {n} through each table's "
     "non-empty buckets",
 }
 
 
-def check_directory(bits: int, bitmap, rank, offsets, n: int) -> None:
-    """Raise ValueError, naming the first fault, unless ``bitmap`` (L, W)
-    uint64, ``rank`` (L, W) int32 and ``offsets`` int32, W =
-    ``directory_words(bits)``, are the directory of L ``bits``-bit tables
-    of n records (``boi_check_directory``): no bit set for a code at or past
-    2**bits, each rank the popcounts of its table's words before it, and
-    each table's piece of offsets rising strictly from 0 to n, one value a
-    set bit and then n, the pieces filling ``offsets`` exactly. ValueError
-    is raised too when the arrays' types, shapes or layouts disagree, or
-    ``bits`` is not in [1, 16]. Nothing is allocated.
+def check_directory(bits: int, bitmap, offsets, n: int) -> np.ndarray:
+    """The (L, W) int32 ``rank`` of the directory ``bitmap`` (L, W) uint64
+    and ``offsets`` int32, W = ``directory_words(bits)``, of L ``bits``-bit
+    tables of n records (``boi_check_directory``): ``rank[t, w]`` is the
+    position in ``offsets`` of table t's first non-empty bucket at or after
+    word w, where its piece begins plus the set bits of its words before w.
+
+    Raises ValueError, naming the first fault, unless the arrays are such a
+    directory: no bit set for a code at or past 2**bits, and each table's
+    piece of offsets rising strictly from 0 to n, one value a set bit and
+    then n, the pieces filling ``offsets`` exactly, at most 2**31 - 1 of
+    them. ValueError is raised too when the arrays' types, shapes or
+    layouts disagree, or ``bits`` is not in [1, 16]. Nothing is allocated
+    but the rank.
     """
     if not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(f"check_directory: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
     words = (len(bitmap), directory_words(bits))
+    rank = np.empty(words, OFFSET_DTYPE)
     status = _library.boi_check_directory(
         words[0], bits, n,
         _address(bitmap, np.uint64, words),
-        _address(rank, OFFSET_DTYPE, words),
         _address(offsets, OFFSET_DTYPE, (offsets.size,)), offsets.size,
+        _address(rank, OFFSET_DTYPE, words, writable=True),
     )
     if status:
-        raise ValueError(_DIRECTORY_FAULTS[status].format(bits=bits, n=n))
+        raise ValueError(_DIRECTORY_FAULTS[status].format(bits=bits, n=n, size=offsets.size))
+    return rank
 
 
 class SignFilter:

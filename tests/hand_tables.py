@@ -5,24 +5,21 @@ import numpy as np
 from boi.hashing import ProjectionTable
 
 
-def directory(offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(bitmap, rank, offsets)`` directory of dense CSR ``offsets``
+def directory(offsets) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(bitmap, offsets)`` directory of dense CSR ``offsets``
     (L, 2**b + 1): every bucket whose offsets differ counts as non-empty,
     so dense offsets that decrease give a directory ``ProjectionTable``
     refuses. The directory's offsets keep the dense ones' dtype."""
     offsets = np.asarray(offsets)
     num_tables, width = offsets.shape
     num_buckets = width - 1
-    words = max(1, num_buckets // 64)
-    full = np.zeros((num_tables, 64 * words), dtype=bool)
+    full = np.zeros((num_tables, 64 * max(1, num_buckets // 64)), dtype=bool)
     full[:, :num_buckets] = offsets[:, 1:] != offsets[:, :-1]
     bitmap = np.packbits(full, axis=1, bitorder="little").view("<u8").astype(np.uint64)
-    counts = full.reshape(num_tables, words, 64).sum(axis=-1)
-    rank = (np.cumsum(counts, axis=1) - counts).astype(np.int32)
     compact = np.concatenate(
         [np.append(row[:-1][mask[:num_buckets]], row[-1]) for row, mask in zip(offsets, full)]
     )
-    return bitmap, rank, compact
+    return bitmap, compact
 
 
 def dense_offsets(tables: ProjectionTable) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import as_strided
 
 from boi.core import MAX_HASH_BITS, BoiParams, VectorSet
+from boi.data_io import load_index, save_index
 from boi.hashing import (
     _HASH_CHUNK,
     _sign_filter,
@@ -22,7 +23,7 @@ from boi.hashing import (
     make_projections,
     occupancy_summary,
 )
-from boi.index import _bound_plan, neighbor_codes_with_distance, probe_plan
+from boi.index import _bound_plan, build_index, neighbor_codes_with_distance, probe_plan
 from hand_tables import dense_offsets, directory, from_record_ids
 from probe_rows import margin_rows
 
@@ -515,11 +516,10 @@ class TestProjectionTable:
 
     def test_int32_arrays_are_kept_not_copied(self, tables):
         again = ProjectionTable(
-            tables.projections, tables.bitmap, tables.rank, tables.offsets,
-            tables.members, tables.order,
+            tables.projections, tables.bitmap, tables.offsets, tables.members,
+            tables.order,
         )
         assert again.bitmap is tables.bitmap
-        assert again.rank is tables.rank
         assert again.offsets is tables.offsets
         assert again.members is tables.members
         assert again.order is tables.order
@@ -561,8 +561,8 @@ class TestProjectionTable:
                 assert sorted(tables.bucket([t], [c]).tolist()) == sorted(records)
         # the internal form is kept as it is
         again = ProjectionTable(
-            tables.projections, tables.bitmap, tables.rank, tables.offsets,
-            tables.members, tables.order,
+            tables.projections, tables.bitmap, tables.offsets, tables.members,
+            tables.order,
         )
         assert again.members is tables.members and again.order is tables.order
 
@@ -595,13 +595,11 @@ class TestProjectionTable:
             ProjectionTable(projections, *directory(offsets), members, np.arange(3))
 
     @pytest.mark.parametrize(
-        "name, shape",
-        [("bitmap", (1, 1)), ("rank", (2, 2)), ("offsets", (1, 3))],
-        ids=["bitmap", "rank", "offsets"],
+        "name, shape", [("bitmap", (1, 1)), ("offsets", (1, 3))], ids=["bitmap", "offsets"]
     )
     def test_directory_arrays_of_the_wrong_shape_raise(self, name, shape):
-        # one 7-bit table: two words of bitmap and rank, and 1-D offsets
-        arrays = dict(zip(("bitmap", "rank", "offsets"), directory([[0] * 129])))
+        # one 7-bit table: two words of bitmap, and 1-D offsets
+        arrays = dict(zip(("bitmap", "offsets"), directory([[0] * 129])))
         arrays[name] = np.zeros(shape, arrays[name].dtype)
         with pytest.raises(ValueError, match=f"{name} of shape"):
             ProjectionTable(np.ones((7, 2)), **arrays, members=[[]], order=[])
@@ -612,9 +610,10 @@ class TestProjectionTable:
         offsets = np.zeros(129, np.int64)
         offsets[[4, 65, 128]] = [1, 1, 2]
         offsets = np.maximum.accumulate(offsets)[np.newaxis]
-        bitmap, rank, starts = directory(offsets)
-        assert bitmap.tolist() == [[1 << 3, 1 << 63]] and rank.tolist() == [[0, 1]]
-        tables = ProjectionTable(np.ones((7, 2)), bitmap, rank, starts, [[0, 1]], [0, 1])
+        bitmap, starts = directory(offsets)
+        assert bitmap.tolist() == [[1 << 3, 1 << 63]]
+        tables = ProjectionTable(np.ones((7, 2)), bitmap, starts, [[0, 1]], [0, 1])
+        assert tables.rank.tolist() == [[0, 1]]
         assert tables.bits == 7 and tables.num_tables == 1
         assert tables.buckets(0)[0].tolist() == [3, 127]
         assert tables.bucket([0, 0, 0], [127, 5, 3]).tolist() == [1, 0]
@@ -623,41 +622,35 @@ class TestProjectionTable:
         "change, match",
         [
             # a start that decreases, or passes n, or does not begin at 0
-            (lambda b, r, s: (b, r, s[[0, 2, 1, 3]]), "offsets do not rise"),
-            (lambda b, r, s: (b, r, s + [0, 0, 3, 0]), "offsets do not rise"),
-            (lambda b, r, s: (b, r, s + [0, 0, 0, 1]), "offsets do not rise"),
-            (lambda b, r, s: (b, r, s + 1), "offsets do not rise"),
+            (lambda b, s: (b, s[[0, 2, 1, 3]]), "offsets do not rise"),
+            (lambda b, s: (b, s + [0, 0, 3, 0]), "offsets do not rise"),
+            (lambda b, s: (b, s + [0, 0, 0, 1]), "offsets do not rise"),
+            (lambda b, s: (b, s + 1), "offsets do not rise"),
             # two starts equal: a bucket set in the bitmap that holds nothing
-            (lambda b, r, s: (b, r, s[[0, 1, 1, 3]]), "offsets do not rise"),
+            (lambda b, s: (b, s[[0, 1, 1, 3]]), "offsets do not rise"),
             # starts that wrap int32 on the way, each step read as rising
-            (lambda b, r, s: (b, r, np.array([0, 2**31 - 1, -(2**31), 3])),
+            (lambda b, s: (b, np.array([0, 2**31 - 1, -(2**31), 3])),
              "offsets do not rise"),
-            # a rank that disagrees with the popcounts before it
-            (lambda b, r, s: (b, r + [0, 1], s), "rank disagrees"),
-            (lambda b, r, s: (b, r - [0, 1], s), "rank disagrees"),
-            (lambda b, r, s: (b, r + [1, 0], s), "rank disagrees"),
-            # a fourth bit, the rank after it raised to match, needs one
-            # more offset
+            # a fourth bit needs one more offset
             (
-                lambda b, r, s: (b | np.uint64(1 << 9), r + [0, 1], s),
+                lambda b, s: (b | np.uint64(1 << 9), s),
                 "offsets do not hold one value per set bit",
             ),
         ],
         ids=["decreasing", "past-n", "last-not-n", "first-not-0", "empty-bucket",
-             "int32-wrap", "rank-high", "rank-low", "rank-first", "extra-bit"],
+             "int32-wrap", "extra-bit"],
     )
     def test_a_directory_that_is_not_one_of_n_records_raises(self, change, match):
         # one 7-bit table of 3 records: codes 3 and 5 in word 0, 70 in word 1
         offsets = np.zeros(129, np.int64)
         offsets[[4, 6, 71]] = 1
         offsets = np.cumsum(offsets)[np.newaxis]
-        bitmap, rank, starts = directory(offsets)
-        assert starts.tolist() == [0, 1, 2, 3] and rank.tolist() == [[0, 2]]
-        ProjectionTable(np.ones((7, 2)), bitmap, rank, starts, [[0, 1, 2]], [0, 1, 2])
+        bitmap, starts = directory(offsets)
+        assert starts.tolist() == [0, 1, 2, 3]
+        tables = ProjectionTable(np.ones((7, 2)), bitmap, starts, [[0, 1, 2]], [0, 1, 2])
+        assert tables.rank.tolist() == [[0, 2]]
         with pytest.raises(ValueError, match=match):
-            ProjectionTable(
-                np.ones((7, 2)), *change(bitmap, rank, starts), [[0, 1, 2]], [0, 1, 2]
-            )
+            ProjectionTable(np.ones((7, 2)), *change(bitmap, starts), [[0, 1, 2]], [0, 1, 2])
 
     @pytest.mark.parametrize("bits", [1, 2, 5])
     def test_a_bit_past_2_bits_raises(self, bits):
@@ -665,12 +658,12 @@ class TestProjectionTable:
         # 2**bits name no code
         offsets = np.zeros((1, (1 << bits) + 1), np.int64)
         offsets[0, 1:] = 1
-        bitmap, rank, starts = directory(offsets)
+        bitmap, starts = directory(offsets)
         projections = np.ones((bits, 2))
-        ProjectionTable(projections, bitmap, rank, starts, [[0]], [0])
+        ProjectionTable(projections, bitmap, starts, [[0]], [0])
         with pytest.raises(ValueError, match=f"code at or past 2\\*\\*{bits}"):
             ProjectionTable(
-                projections, bitmap | np.uint64(1 << (1 << bits)), rank, starts, [[0]], [0]
+                projections, bitmap | np.uint64(1 << (1 << bits)), starts, [[0]], [0]
             )
 
     @pytest.mark.parametrize(
@@ -706,15 +699,15 @@ class TestProjectionTable:
         offsets = np.array([[0, 1, 2]], dtype=np.int64)
         members = np.array([[0, 1]], dtype=np.int64)
         {"offsets": offsets, "members": members}[name][0, -1] = value
-        bitmap, rank, starts = directory(offsets)
+        bitmap, starts = directory(offsets)
         with pytest.raises(ValueError, match=f"{name} values do not fit int32"):
-            ProjectionTable(np.ones((1, 2)), bitmap, rank, starts, members, np.arange(2))
+            ProjectionTable(np.ones((1, 2)), bitmap, starts, members, np.arange(2))
 
     def test_a_bitmap_uint64_cannot_hold_raises(self):
-        bitmap, rank, starts = directory([[0, 1, 2]])
+        bitmap, starts = directory([[0, 1, 2]])
         with pytest.raises(ValueError, match="bitmap values do not fit uint64"):
             ProjectionTable(
-                np.ones((1, 2)), -bitmap.astype(np.int64), rank, starts, [[0, 1]], [0, 1]
+                np.ones((1, 2)), -bitmap.astype(np.int64), starts, [[0, 1]], [0, 1]
             )
 
     def test_projections_float32_cannot_hold_raise(self):
@@ -741,6 +734,54 @@ class TestProjectionTable:
         order = as_strided(zero, shape=(2**31,), strides=(0,))
         with pytest.raises(ValueError, match="do not fit int32 record ids"):
             ProjectionTable(np.ones((1, 2)), *offsets, members, order)
+
+    def test_offsets_of_2_31_values_raise(self):
+        # int32 ranks reach at most 2**31 - 1 offsets: a zero-stride view of
+        # 2**31 is refused before the offsets are stored contiguously
+        bitmap, _ = directory(np.zeros((1, 3), dtype=np.int32))
+        offsets = as_strided(np.zeros(1, dtype=np.int32), shape=(2**31,), strides=(0,))
+        with pytest.raises(ValueError, match=r"2147483648 offsets do not fit int32 ranks"):
+            ProjectionTable(np.ones((1, 2)), bitmap, offsets, [[]], [])
+
+
+@pytest.mark.parametrize("bits", [1, 5, 7, 16])
+@pytest.mark.parametrize("source", ["built", "loaded", "hand"])
+def test_rank_is_each_words_position_in_the_offsets(tmp_path, source, bits):
+    # however a table's arrays were made, it makes rank[t, w] itself: where
+    # table t's piece begins plus the set bits of its words before w; and
+    # buckets(t) gives the codes and starts the table's counts give
+    rng = np.random.default_rng(bits)
+    n, num_tables = 300, 3
+    if source == "hand":
+        # dense offsets of random counts, most buckets empty at b = 16
+        counts = rng.multinomial(n, np.full(1 << bits, 1 / (1 << bits)), size=num_tables)
+        dense = np.pad(np.cumsum(counts, axis=1), ((0, 0), (1, 0)))
+        members = [rng.permutation(n) for _ in range(num_tables)]
+        tables = from_record_ids(np.ones((num_tables * bits, 2)), dense, members)
+    else:
+        data = VectorSet(rng.standard_normal((n, 6)).astype(np.float32))
+        params = BoiParams(
+            num_tables=num_tables, hash_bits=bits, initial_probe_count=1, seed=bits
+        )
+        index = build_index(data, params)
+        codes = hash_codes_all(index.tables.sign_filter, data.vectors)
+        counts = np.stack([np.bincount(col, minlength=1 << bits) for col in codes.T])
+        if source == "loaded":
+            save_index(index, tmp_path / "index.boix")
+            index = load_index(tmp_path / "index.boix")
+        tables = index.tables
+    assert tables.rank.dtype == OFFSET_DTYPE and not tables.rank.flags.writeable
+    start = 0  # where table t's piece begins, counted bit by bit
+    for t, row in enumerate(tables.bitmap.tolist()):
+        popcounts = [word.bit_count() for word in row]
+        assert tables.rank[t].tolist() == (start + np.cumsum([0] + popcounts[:-1])).tolist()
+        codes_t, piece = tables.buckets(t)
+        nonempty = np.flatnonzero(counts[t])
+        first = np.cumsum(counts[t]) - counts[t]
+        assert codes_t.tolist() == nonempty.tolist()
+        assert piece.tolist() == first[nonempty].tolist() + [n]
+        start += sum(popcounts) + 1
+    assert start == tables.offsets.size and tables.rank[0, 0] == 0
 
 
 def hamming(a: int, b: int) -> int:

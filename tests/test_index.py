@@ -213,7 +213,6 @@ def test_schedule_and_budgets_match_reference(params):
     empty_tables = ProjectionTable(
         np.zeros((L * bits, 1)),
         np.zeros(words, dtype=np.uint64),
-        np.zeros(words, dtype=np.int32),
         np.zeros(L, dtype=np.int32),
         np.zeros((L, 0), dtype=np.int32),
         np.arange(0),

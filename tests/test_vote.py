@@ -81,10 +81,11 @@ def _arrays(units=(4, 2)):
     """Two 2-bit tables over 4 records, one record per bucket; each probes
     bucket 0 and bucket 1, worth ``units`` (by default 2**-H in units of
     2**-2 at distances 0 and 1). The code width, then the directory: every
-    bucket is non-empty, so each table's one word has bits 0-3 set and
-    rank 0, and its piece of offsets is 0..4."""
+    bucket is non-empty, so each table's one word has bits 0-3 set, its
+    piece of offsets is 0..4, and its rank is where that piece begins, 0
+    and 5."""
     bitmap = np.full((2, 1), 0b1111, dtype=np.uint64)
-    rank = np.zeros((2, 1), dtype=np.int32)
+    rank = np.array([[0], [5]], dtype=np.int32)
     offsets = np.tile(np.arange(5, dtype=np.int32), 2)
     members = np.tile(np.arange(4, dtype=np.int32), (2, 1))
     probes = np.tile(np.array([0, 1], dtype=np.uint16), (2, 1))
@@ -126,9 +127,10 @@ def test_gather_vote_adds_the_units_it_is_given():
 def test_gather_vote_skips_empty_buckets_and_finds_each_piece():
     # two 7-bit tables over 3 records: table 0 holds records in buckets 3
     # and 100 (word 1, bit 36), table 1 all three in bucket 127; each
-    # probes buckets 3, 100, 127 and 0, worth 8, 4, 2 and 1
+    # probes buckets 3, 100, 127 and 0, worth 8, 4, 2 and 1. Table 1's
+    # piece begins at position 3 of the offsets
     bitmap = np.array([[1 << 3, 1 << 36], [0, 1 << 63]], dtype=np.uint64)
-    rank = np.array([[0, 1], [0, 0]], dtype=np.int32)
+    rank = np.array([[0, 1], [3, 3]], dtype=np.int32)
     offsets = np.array([0, 2, 3, 0, 3], dtype=np.int32)
     members = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.int32)
     probes = np.tile(np.array([3, 100, 127, 0], dtype=np.uint16), (2, 1))
@@ -146,9 +148,8 @@ def test_projection_table_stores_strided_members_contiguously():
     _, bitmap, rank, offsets, members, *rest = _arrays()
     wide = np.zeros((2, 9), dtype=np.int32)
     wide[:, :4] = members
-    tables = ProjectionTable(
-        np.ones((4, 1)), bitmap, rank, offsets, wide[:, :4], np.arange(4)
-    )
+    tables = ProjectionTable(np.ones((4, 1)), bitmap, offsets, wide[:, :4], np.arange(4))
+    assert np.array_equal(tables.rank, rank)
     assert tables.members.flags.c_contiguous
     assert np.array_equal(tables.members, members)
     probes, units, budgets, votes = rest
@@ -238,7 +239,7 @@ def test_gather_vote_rejects_out_of_range_probes(position, value, message):
         (3, 6, 9),  # table 1's: its bucket 1 stops past n
         (2, 1, 2**30),  # table 1's rank points past the offsets
         (2, 1, -(2**31)),  # and before them
-        (2, 0, 7),  # table 0's rank: its buckets past its piece
+        (2, 0, 9),  # table 0's rank at the last offset: bucket 0 ends past it
     ],
     ids=["decreasing", "past-n", "negative", "past-n-table-1", "rank-past",
          "rank-before", "rank-table-0"],
@@ -248,7 +249,8 @@ def test_gather_vote_refuses_a_corrupt_directory(position, at, value):
     # the kernel's own range checks refuse whatever would read or write out
     # of bounds (the sanitizer job runs these under ASan and UBSan). A rank
     # or a bit that only moves a bucket within the offsets gives a wrong
-    # answer in range; check_directory refuses those (below)
+    # answer in range; a table makes its rank with check_directory (below),
+    # which refuses such a bit
     args = list(_arrays())
     args[position].flat[at] = value
     with pytest.raises(ValueError, match="corrupt hash table"):
@@ -277,33 +279,28 @@ def test_gather_vote_counts_ids_stored_out_of_order():
 
 def _directory(bits=7):
     """One 7-bit table of 3 records, in buckets 3 and 5 (word 0) and 70
-    (word 1), as ``(bits, bitmap, rank, offsets, n)``."""
+    (word 1), as ``(bits, bitmap, offsets, n)``."""
     bitmap = np.array([[(1 << 3) | (1 << 5), 1 << 6]], dtype=np.uint64)
-    rank = np.array([[0, 2]], dtype=np.int32)
-    return bits, bitmap, rank, np.array([0, 1, 2, 3], dtype=np.int32), 3
+    return bits, bitmap, np.array([0, 1, 2, 3], dtype=np.int32), 3
 
 
 @pytest.mark.parametrize(
     "position, at, value, fault",
     [
-        (3, 1, 2, "do not rise"),  # two offsets equal
-        (3, 2, 0, "do not rise"),  # decreasing
-        (3, 3, 4, "do not rise"),  # the last past n
-        (3, 0, 1, "do not rise"),  # the first not 0
-        (2, 1, 3, "rank disagrees"),
-        (2, 0, -1, "rank disagrees"),
+        (2, 1, 2, "do not rise"),  # two offsets equal
+        (2, 2, 0, "do not rise"),  # decreasing
+        (2, 3, 4, "do not rise"),  # the last past n
+        (2, 0, 1, "do not rise"),  # the first not 0
         (1, 1, (1 << 6) | 1, "one value per set bit"),
         (0, 0, 2, r"code at or past 2\*\*2"),  # 2 bits: bit 5 names no code
     ],
-    ids=["equal", "decreasing", "past-n", "first", "rank", "rank-first",
-         "extra-bit", "bit-past-2-bits"],
+    ids=["equal", "decreasing", "past-n", "first", "extra-bit", "bit-past-2-bits"],
 )
 def test_check_directory_names_the_first_fault(position, at, value, fault):
     args = list(_directory())
-    vote.check_directory(*args)
+    assert vote.check_directory(*args).tolist() == [[0, 2]]
     if position == 0:
         args[0], args[1] = value, args[1][:, :1].copy()
-        args[2] = np.zeros((1, 1), np.int32)
     else:
         args[position].flat[at] = value
     with pytest.raises(ValueError, match=fault):
@@ -311,23 +308,30 @@ def test_check_directory_names_the_first_fault(position, at, value, fault):
 
 
 def test_check_directory_reads_every_table_of_a_long_directory():
-    # 16-bit tables: 1024 words each; a fault in the last word of the last
-    # table, or in its last offset, is found
+    # 16-bit tables: 1024 words each; the last word of each table holds its
+    # 5 buckets, and a fault in the last offset of the last table is found
     bits, num_tables, n = 16, 3, 5
     bitmap = np.zeros((num_tables, 1024), np.uint64)
     bitmap[:, -1] = np.uint64(0b11111 << 59)
-    rank = np.zeros((num_tables, 1024), np.int32)
     offsets = np.tile(np.arange(n + 1, dtype=np.int32), num_tables)
-    vote.check_directory(bits, bitmap, rank, offsets, n)
-    rank[-1, -1] = 1
-    with pytest.raises(ValueError, match="rank disagrees"):
-        vote.check_directory(bits, bitmap, rank, offsets, n)
-    rank[-1, -1] = 0
+    rank = vote.check_directory(bits, bitmap, offsets, n)
+    assert rank.tolist() == [[0] * 1024, [6] * 1024, [12] * 1024]
     offsets[-1] = n - 1
     with pytest.raises(ValueError, match="do not rise"):
-        vote.check_directory(bits, bitmap, rank, offsets, n)
+        vote.check_directory(bits, bitmap, offsets, n)
     with pytest.raises(ValueError, match="one value per set bit"):
-        vote.check_directory(bits, bitmap, rank, offsets[:-1], n)
+        vote.check_directory(bits, bitmap, offsets[:-1], n)
+
+
+def test_check_directory_refuses_more_offsets_than_int32_ranks_reach():
+    # the count alone is passed: the compiled check refuses 2**31 offsets
+    # before it reads one, and 2**31 - 1 as too many for this directory,
+    # reading no more than its 4
+    bits, bitmap, offsets, n = _directory()
+    rank = np.empty(bitmap.shape, np.int32)
+    for size, status in ((4, 0), (2**31 - 1, 2), (2**31, -1)):
+        args = (bitmap.ctypes.data, offsets.ctypes.data, size, rank.ctypes.data)
+        assert vote._library.boi_check_directory(1, bits, n, *args) == status
 
 
 def _sort_inputs(codes, bits):
@@ -344,11 +348,10 @@ def test_bucket_sort_groups_ascending_ids_by_code():
     # two 2-bit tables over 5 records, given record-major
     codes = np.array([[3, 0], [1, 0], [3, 2], [0, 0], [1, 3]], dtype=np.uint16)
     bits, members, order = _sort_inputs(codes, 2)
-    bitmap, rank, offsets = vote.bucket_sort(bits, members, order)
+    bitmap, offsets = vote.bucket_sort(bits, members, order)
     # table 0 holds codes 0, 1 and 3, table 1 codes 0, 2 and 3: dense
     # offsets [0, 1, 3, 3, 5] and [0, 3, 3, 4, 5], less their empty buckets
     assert bitmap.tolist() == [[0b1011], [0b1101]]
-    assert rank.tolist() == [[0], [0]]
     assert offsets.tolist() == [0, 1, 3, 5, 0, 3, 4, 5]
     # records in table 0's bucket order: record 3 (code 0), 1 and 4 (code
     # 1), 0 and 2 (code 3); internal id i is record order[i]
@@ -364,11 +367,10 @@ def test_bucket_sort_ranks_the_words_of_a_wide_table():
     # one 8-bit table over 4 records, in buckets 1, 70, 70 and 200: words
     # 0, 1 and 3 hold a bucket each, so the ranks are 0, 1, 2, 2
     codes = np.array([[70], [1], [200], [70]], dtype=np.uint16)
-    bitmap, rank, offsets = vote.bucket_sort(*_sort_inputs(codes, 8))
+    bitmap, offsets = vote.bucket_sort(*_sort_inputs(codes, 8))
     assert bitmap.tolist() == [[1 << 1, 1 << 6, 0, 1 << 8]]
-    assert rank.tolist() == [[0, 1, 2, 2]]
     assert offsets.tolist() == [0, 1, 3, 4]
-    vote.check_directory(8, bitmap, rank, offsets, 4)
+    assert vote.check_directory(8, bitmap, offsets, 4).tolist() == [[0, 1, 2, 2]]
 
 
 @pytest.mark.parametrize("bits", [1, 8, 16])
@@ -403,36 +405,36 @@ def test_bucket_sort_rejects_disagreeing_shapes(
 
 def _record(counts, ids, bits=2):
     """A table record's counts, as load_index reads them into its scratch
-    of offsets (entry 0 junk), its id row, and the table's directory words,
+    of offsets (entry 0 junk), its id row, and the table's bitmap words,
     junk."""
     offsets = np.full((1 << bits) + 1, -7, np.int32)
     offsets[1:] = np.array(counts, np.uint32).view(np.int32)
-    words = vote.directory_words(bits)
-    bitmap, rank = np.full(words, 7, np.uint64), np.full(words, -7, np.int32)
-    return offsets, np.array(ids, np.uint32).view(np.int32), bitmap, rank
+    bitmap = np.full(vote.directory_words(bits), 7, np.uint64)
+    return offsets, np.array(ids, np.uint32).view(np.int32), bitmap
 
 
 def test_check_table_turns_counts_into_offsets():
-    offsets, ids, bitmap, rank = _record([2, 0, 1, 2], [4, 0, 2, 1, 3])
-    assert vote.check_table(offsets, ids, bitmap, rank) == 0
+    offsets, ids, bitmap = _record([2, 0, 1, 2], [4, 0, 2, 1, 3])
+    # the length of the piece at the front of the offsets:
     # dense [0, 2, 2, 3, 5] less the empty bucket 1
-    assert bitmap.tolist() == [0b1101] and rank.tolist() == [0]
-    assert vote.piece(offsets, bitmap, rank).tolist() == [0, 2, 3, 5]
-    empty, none, bitmap, rank = _record([0, 0], [], bits=1)
-    assert vote.check_table(empty, none, bitmap, rank) == 0
-    assert bitmap.tolist() == [0] and rank.tolist() == [0]
-    assert vote.piece(empty, bitmap, rank).tolist() == [0]
+    assert vote.check_table(offsets, ids, bitmap) == 4
+    assert bitmap.tolist() == [0b1101]
+    assert offsets[:4].tolist() == [0, 2, 3, 5]
+    empty, none, bitmap = _record([0, 0], [], bits=1)
+    assert vote.check_table(empty, none, bitmap) == 1
+    assert bitmap.tolist() == [0] and empty[0] == 0
 
 
 def test_check_table_ranks_the_words_of_a_wide_table():
     # 8 bits: 3 records in bucket 5, 1 in 130, 2 in 255
     counts = np.zeros(256, np.uint32)
     counts[[5, 130, 255]] = [3, 1, 2]
-    offsets, ids, bitmap, rank = _record(counts, [5, 0, 4, 1, 3, 2], bits=8)
-    assert vote.check_table(offsets, ids, bitmap, rank) == 0
+    offsets, ids, bitmap = _record(counts, [5, 0, 4, 1, 3, 2], bits=8)
+    assert vote.check_table(offsets, ids, bitmap) == 4
     assert bitmap.tolist() == [1 << 5, 0, 1 << 2, 1 << 63]
-    assert rank.tolist() == [0, 1, 1, 2]
-    assert vote.piece(offsets, bitmap, rank).tolist() == [0, 3, 4, 6]
+    assert offsets[:4].tolist() == [0, 3, 4, 6]
+    rank = vote.check_directory(8, bitmap[np.newaxis], offsets[:4], 6)
+    assert rank.tolist() == [[0, 1, 1, 2]]
 
 
 @pytest.mark.parametrize(
@@ -456,11 +458,11 @@ def test_check_table_ranks_the_words_of_a_wide_table():
     ],
 )
 def test_check_table_reports_the_first_check_that_fails(counts, ids, status):
-    offsets, ids, bitmap, rank = _record(counts, ids)
-    before = [offsets.copy(), bitmap.copy(), rank.copy()]
-    assert vote.check_table(offsets, ids, bitmap, rank) == status
+    offsets, ids, bitmap = _record(counts, ids)
+    before = [offsets.copy(), bitmap.copy()]
+    assert vote.check_table(offsets, ids, bitmap) == status
     if status == vote.COUNTS_OFF:
-        for now, then in zip((offsets, bitmap, rank), before):
+        for now, then in zip((offsets, bitmap), before):
             assert np.array_equal(now, then)
 
 
@@ -468,18 +470,18 @@ def test_check_table_reads_every_id_of_a_long_row():
     # past any vector width and remainder loop: one bad id at either end
     n = 100_003
     record = _record([n, 0], np.arange(n), bits=1)
-    assert vote.check_table(*record) == 0
+    assert vote.check_table(*record) == 2  # one bucket: [0, n]
     for at in (0, n - 1):
         record = _record([n, 0], np.arange(n), bits=1)
         record[1][at] = n
         assert vote.check_table(*record) == vote.ID_OUT_OF_RANGE
 
 
-_WORD = np.zeros(1, np.uint64), np.zeros(1, np.int32)
+_WORD = np.zeros(1, np.uint64)
 
 
 @pytest.mark.parametrize(
-    "offsets, ids, words, message",
+    "offsets, ids, bitmap, message",
     [
         # int32 ids in every case but those about the ids
         (np.zeros(4, np.int32), np.zeros(3, np.int32), _WORD, r"int32 array of shape \(5,\)"),
@@ -491,21 +493,19 @@ _WORD = np.zeros(1, np.uint64), np.zeros(1, np.int32)
         (np.zeros(3, np.int32), np.zeros((1, 2), np.int32), _WORD, r"of shape \(1, 2\) "),
         (np.zeros(1, np.int32), np.zeros(1, np.int32), _WORD, r"b in \[1, 16\]"),
         (np.zeros(2**17 + 1, np.int32), np.zeros(1, np.int32), _WORD, r"b in \[1, 16\]"),
-        (np.zeros(3, np.int32), np.zeros(2, np.int32), (np.zeros(1, np.int64), _WORD[1]),
+        (np.zeros(3, np.int32), np.zeros(2, np.int32), np.zeros(1, np.int64),
          r"uint64 array of shape \(1,\)"),
         (np.zeros(129, np.int32), np.zeros(2, np.int32), _WORD, r"uint64 array of shape \(2,\)"),
-        (np.zeros(3, np.int32), np.zeros(2, np.int32), (_WORD[0], np.zeros(2, np.int32)),
-         r"int32 array of shape \(1,\)"),
     ],
     ids=[
         "width", "offsets-dtype", "ids-dtype", "ids-uint32", "ids-strided",
         "offsets-2d", "ids-2d", "bits-0", "bits-17", "bitmap-dtype",
-        "bitmap-words", "rank-words",
+        "bitmap-words",
     ],
 )
-def test_check_table_rejects_disagreeing_arrays(offsets, ids, words, message):
+def test_check_table_rejects_disagreeing_arrays(offsets, ids, bitmap, message):
     with pytest.raises(ValueError, match=message):
-        vote.check_table(offsets, ids, *words)
+        vote.check_table(offsets, ids, bitmap)
 
 
 def _filter_inputs():
@@ -602,9 +602,9 @@ _WRAPPERS = {
         vote.bucket_sort, lambda: _sort_inputs(np.zeros((5, 2), np.uint16), 2), (1,), (1, 2)
     ),
     "check_table": (
-        vote.check_table, lambda: _record([2, 0, 1, 2], [4, 0, 2, 1, 3]), (0, 1), (0, 2, 3)
+        vote.check_table, lambda: _record([2, 0, 1, 2], [4, 0, 2, 1, 3]), (0, 1), (0, 2)
     ),
-    "check_directory": (vote.check_directory, _directory, (1, 2, 3), ()),
+    "check_directory": (vote.check_directory, _directory, (1, 2), ()),
     "sign_filter": (_sign_filter_call, _sign_filter_args, (0, 1), (2,)),
 }
 

@@ -45,7 +45,6 @@ from .vote import (
     bucket_sort,
     check_directory,
     directory_words,
-    popcount,
 )
 
 # rows hashed per matmul: bounds the float32 dot products (3.3 MB at L = 100,
@@ -150,7 +149,9 @@ class ProjectionTable:
     below c % 64. So a table holds 2**bits / 8 bytes of bitmap, 2**bits /
     16 of rank and 4 a non-empty bucket, where dense CSR offsets would hold
     4 a code: at b = 16 over 100k records, about 13 KB a table against
-    256 KB. ``buckets`` lists a table's non-empty buckets.
+    256 KB. ``buckets`` lists a table's non-empty buckets, and is the one
+    Python reader of the bitmap and the rank: ``bucket`` reads through it,
+    and ``occupancy_summary`` reads the offsets alone.
     ``members`` (L, n) int32: row t holds every internal id grouped by
     table t's bucket code, ascending within a bucket.
     ``order`` (n,) int32, a permutation of 0..n-1: internal id i is record
@@ -162,7 +163,9 @@ class ProjectionTable:
     back (``data_io`` alone knows how a snapshot stores it). Queries vote
     in internal order, and ``index.shortlist`` maps the ids it keeps to
     records; ``bucket`` and ``index.accumulate`` give record ids and record
-    order.
+    order. ``buckets`` and ``bucket`` raise ValueError for a table outside
+    [0, L), and ``bucket`` for a code outside [0, 2**bits) or tables and
+    codes that are not 1-D and of one length.
 
     ``sign_filter``, the ``vote.SignFilter`` of the projections and the
     code width, and ``gather_vote``, the ``vote.GatherVote`` of the
@@ -264,7 +267,11 @@ class ProjectionTable:
     def buckets(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Table t's non-empty buckets: their codes, ascending (intp), and
         the table's piece of ``offsets``, one value more, so that bucket
-        ``codes[i]`` holds ``members[t, piece[i]:piece[i + 1]]``."""
+        ``codes[i]`` holds ``members[t, piece[i]:piece[i + 1]]``. This is
+        the one reader of the bitmap and the rank in Python. Raises
+        ValueError for a t outside [0, L)."""
+        if not 0 <= t < self.num_tables:
+            raise ValueError(f"table {t} is not in [0, {self.num_tables})")
         bits = self.bitmap[t].astype("<u8").view(np.uint8)
         codes = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
         start = self.rank[t, 0]
@@ -273,26 +280,32 @@ class ProjectionTable:
     def bucket(self, tables, codes) -> np.ndarray:
         """Record ids of bucket ``codes[i]`` of table ``tables[i]``, for
         every i, concatenated in that order (int32). Within a bucket they
-        follow its internal ids, which ascend."""
+        follow its internal ids, which ascend. Each table is read once,
+        through ``buckets``. Raises ValueError unless ``tables`` and
+        ``codes`` are 1-D and of one length, for a table outside [0, L)
+        and for a code outside [0, 2**bits)."""
         tables = np.asarray(tables, dtype=np.intp)
         codes = np.asarray(codes, dtype=np.intp)
-        words = codes >> 6
-        word = self.bitmap[tables, words]
-        bit = (codes & 63).astype(np.uint64)
-        full = ((word >> bit) & 1).astype(bool)
-        below = word & ((np.uint64(1) << bit) - np.uint64(1))
-        at = (self.rank[tables, words] + popcount(below))[full]
+        if tables.ndim != 1 or tables.shape != codes.shape:
+            raise ValueError(
+                f"tables {tables.shape} and codes {codes.shape} differ or are not 1-D"
+            )
+        if codes.size and not 0 <= codes.min() <= codes.max() < self.num_buckets:
+            raise ValueError(f"a code is not in [0, 2**{self.bits})")
+        # a code absent from the table's codes finds the empty [start, start)
+        starts, stops = np.empty_like(codes), np.empty_like(codes)
+        for t in np.unique(tables).tolist():
+            pick = tables == t
+            nonempty, piece = self.buckets(t)
+            starts[pick] = piece[np.searchsorted(nonempty, codes[pick])]
+            stops[pick] = piece[np.searchsorted(nonempty, codes[pick], side="right")]
         rows = self.members
         return self.order[
             np.concatenate(
                 [rows[0, :0]]
                 + [
                     rows[t, a:b]
-                    for t, a, b in zip(
-                        tables[full].tolist(),
-                        self.offsets[at].tolist(),
-                        self.offsets[at + 1].tolist(),
-                    )
+                    for t, a, b in zip(tables.tolist(), starts.tolist(), stops.tolist())
                 ]
             )
         ]
@@ -446,12 +459,16 @@ def occupancy_summary(tables: ProjectionTable) -> dict:
 
     ``histogram`` maps an occupancy band label to the number of buckets in
     that band, pooled over every table. The sizes of the non-empty buckets
-    come from the offsets, and each table's other 2**bits - k buckets are
-    counted as empty, so no array of 2**bits sizes a table is made.
+    are the positive steps of ``offsets``, which rise strictly within a
+    table's piece and fall from n to 0 (or stay at 0) between pieces; each
+    table's other 2**bits - k buckets are counted as empty, so neither the
+    bitmap nor the rank is read and no array of 2**bits sizes a table is
+    made.
     """
-    # each table's piece of offsets, less the step from its n to the next
-    # table's 0, which sits just before where that table's piece begins
-    sizes = np.delete(np.diff(tables.offsets), tables.rank[1:, 0] - 1)
+    # offsets rise strictly within a table's piece; only the step from one
+    # table's n to the next one's 0 does not
+    steps = np.diff(tables.offsets)
+    sizes = steps[steps > 0]
     total = tables.num_tables * tables.num_buckets
     empty = total - sizes.size
     edges = [0, 1, 2, 4, 8, 16, 64, 256, 1024]

@@ -36,8 +36,8 @@
  * of ``probes``: every id in the bucket of the code c at position j gains
  * units[j] votes. A code whose bit is clear is skipped without reading the
  * offsets. The kernel only adds the votes; index.weight sets them
- * (BoiIndex.units). The votes are in internal order; index.shortlist maps
- * the ids it keeps to records.
+ * (BoiIndex.plan.units). The votes are in internal order; index.shortlist
+ * maps the ids it keeps to records.
  *
  * The vote is a cache-blocked scatter (Boncz, Manegold and Kersten, VLDB
  * 1999). Each probed bucket scatters its ids across the whole (n,) vote

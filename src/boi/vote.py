@@ -14,7 +14,9 @@ one table at a time in a scratch of 2**b + 1 int32 offsets, whose front
 ends holding the table's piece of offsets, and return the piece's length.
 The ``rank`` of each word, the position in ``offsets`` of its first
 non-empty bucket, is derived from the bitmap alone, by
-``check_directory``.
+``check_directory``. Only the kernel counts the set bits below a code
+within its word; in Python, ``hashing.ProjectionTable.buckets`` alone
+reads the bitmap and the rank, a table at a time.
 
 The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
@@ -212,19 +214,6 @@ def directory_words(bits: int) -> int:
     """uint64 words of one b-bit table's bitmap and rank: 2**b / 64, at
     least one."""
     return max(1, (1 << bits) >> 6)
-
-
-def popcount(words: np.ndarray) -> np.ndarray:
-    """The set bits of each uint64 word of an array (not a scalar), as
-    int64: the kernel's broadword sum, which numpy < 2 lacks."""
-    x = np.array(words, np.uint64)
-    x -= (x >> 1) & 0x5555555555555555
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x += x >> 4
-    x &= 0x0F0F0F0F0F0F0F0F
-    x *= np.uint64(0x0101010101010101)
-    x >>= 56
-    return x.view(np.int64)
 
 
 class ProbePlan:

@@ -784,6 +784,86 @@ def test_rank_is_each_words_position_in_the_offsets(tmp_path, source, bits):
     assert start == tables.offsets.size and tables.rank[0, 0] == 0
 
 
+class TestBucketAgainstTheCodes:
+    """``bucket`` checked against the records' hash codes alone, an oracle
+    that reads neither the directory nor ``buckets``."""
+
+    @pytest.fixture(scope="class", params=[1, 6, 7, 16])
+    def built(self, request):
+        bits = request.param
+        rng = np.random.default_rng(40 + bits)
+        params = BoiParams(num_tables=3, hash_bits=bits, initial_probe_count=1, seed=bits)
+        data = VectorSet(rng.standard_normal((400, 6)).astype(np.float32))
+        tables = insert_all(make_projections(params, 6), bits, data)
+        return tables, hash_codes_all(tables.sign_filter, data.vectors)
+
+    @staticmethod
+    def expected(tables, codes, t, c) -> np.ndarray:
+        # the records of table t's code c, in ascending internal id
+        order = tables.order
+        return order[np.flatnonzero(codes[order, t] == c)]
+
+    @staticmethod
+    def codes_to_check(tables, codes, t) -> list:
+        """Every code at small b; at b = 16 a sample, both ends of the code
+        range, and the first and last non-empty codes with their neighbours."""
+        if tables.bits < 16:
+            return list(range(tables.num_buckets))
+        present = np.unique(codes[:, t]).tolist()
+        rng = np.random.default_rng(t)
+        edges = [present[0] - 1, present[0], present[0] + 1,
+                 present[-1] - 1, present[-1], present[-1] + 1]
+        sample = rng.integers(0, tables.num_buckets, 200).tolist() + present[::7]
+        return sorted({0, tables.num_buckets - 1, *sample} | {
+            c for c in edges if 0 <= c < tables.num_buckets
+        })
+
+    def test_each_bucket_holds_the_records_of_its_code(self, built):
+        tables, codes = built
+        for t in range(tables.num_tables):
+            for c in self.codes_to_check(tables, codes, t):
+                got = tables.bucket([t], [c])
+                assert got.dtype == np.int32
+                assert np.array_equal(got, self.expected(tables, codes, t, c)), (t, c)
+
+    def test_one_call_keeps_the_pairs_order(self, built):
+        tables, codes = built
+        rng = np.random.default_rng(tables.bits)
+        # repeated pairs, tables out of order, and half the codes of records
+        rows = rng.integers(0, tables.num_tables, 60)
+        picks = np.where(
+            np.arange(60) % 2,
+            codes[rng.integers(0, tables.n, 60), rows],
+            rng.integers(0, tables.num_buckets, 60),
+        )
+        rows, picks = np.tile(rows, 2)[::-1], np.tile(picks, 2)[::-1]
+        expected = np.concatenate(
+            [self.expected(tables, codes, t, c) for t, c in zip(rows, picks)]
+        )
+        assert np.array_equal(tables.bucket(rows, picks), expected)
+
+
+@pytest.mark.parametrize("bits", [6, 16])
+def test_bucket_and_buckets_refuse_input_out_of_range(bits):
+    rng = np.random.default_rng(bits)
+    params = BoiParams(num_tables=3, hash_bits=bits, initial_probe_count=1, seed=2)
+    data = VectorSet(rng.standard_normal((50, 4)).astype(np.float32))
+    tables = insert_all(make_projections(params, 4), bits, data)
+    for t in (-1, 3):
+        with pytest.raises(ValueError, match=rf"table {t} is not in \[0, 3\)"):
+            tables.buckets(t)
+        with pytest.raises(ValueError, match=rf"table {t} is not in \[0, 3\)"):
+            tables.bucket([0, t], [0, 0])
+    # a negative code must not wrap onto a bucket of the table's last word
+    for c in (-1, -59, 1 << bits):
+        with pytest.raises(ValueError, match=rf"a code is not in \[0, 2\*\*{bits}\)"):
+            tables.bucket([0, 0], [0, c])
+    # one code is not broadcast over two tables, nor 2-D pairs flattened
+    for rows, codes in (([0, 1], [5]), ([0], [5, 6]), ([[0, 1]], [[5, 6]])):
+        with pytest.raises(ValueError, match="differ or are not 1-D"):
+            tables.bucket(rows, codes)
+
+
 def hamming(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
 

@@ -139,7 +139,7 @@ class BoiParams:
     Every field but ``schedule`` and ``strict_radius`` is a Python or numpy
     integer (not a bool), stored as an int; ``strict_radius`` is a bool.
     Any other value, or one the index or its snapshot header cannot hold,
-    raises ValueError naming the field.
+    raises ValueError whose message begins with the field's name.
     """
 
     num_tables: int = 100
@@ -184,8 +184,9 @@ class BoiParams:
             )
         if self.schedule not in SCHEDULE_KINDS:
             raise ValueError(f"schedule must be one of {SCHEDULE_KINDS}")
-        if self.linear_step < 1 or self.sublinear_step < 1:
-            raise ValueError("schedule steps must be >= 1")
+        for name in ("linear_step", "sublinear_step"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -4,48 +4,54 @@ fvecs: per record, a little-endian int32 dimension header followed by that
 many little-endian float32 components. ivecs is identical with int32
 payloads. All records in a file share one dimension.
 
-Snapshot layout, version 3 (everything little-endian):
+Snapshot layout, version 4 (everything little-endian):
 
-    header  60 bytes: the fields of ``_FIELDS``, one (name, struct code)
+    header  68 bytes: the fields of ``_FIELDS``, one (name, struct code)
             row a field, in file order. They are the magic "BOIX", the
             version, dim, n, the integer ``BoiParams`` fields under their
             own names, the schedule's code (0 fixed / 1 linear / 2
             sublinear), flags (bit 0: strict_radius; bits 1-7 are reserved
-            and must be 0) and 2 pad bytes that must be 0. That table alone
-            gives the header's ``struct`` format, what ``save_index``
-            packs, what ``_read_header`` unpacks and each field's byte
-            offset.
-    body    num_tables fixed-size records, one per table: the
-            (hash_bits x dim) float32 projection matrix, the 2**hash_bits
-            u32 bucket counts (bucket code order), then an id row of n u32.
-            Table 0's holds ``order``, the record ids grouped by its code,
-            ascending within a bucket, in place of its ``members`` row,
-            which is 0..n-1; every later table's holds its ``members`` row,
-            the internal ids (positions in ``order``) grouped by its code.
+            and must be 0), 2 pad bytes that must be 0, K, the number of
+            non-empty buckets over all tables, and the crc32 of the 64
+            bytes before it. That table alone gives the header's ``struct``
+            format, what ``save_index`` packs, what ``_read_header`` unpacks
+            and each field's byte offset.
+    body    num_tables records, one per table: the (hash_bits x dim)
+            float32 projection matrix, the u32 crc32 of its bytes, the
+            table's bitmap (``vote.directory_words(hash_bits)`` u64 words;
+            bit c % 64 of word c / 64 is set iff bucket c holds a record),
+            the u32 sizes of its k non-empty buckets in code order, each at
+            least 1, then an id row of n u32. Table 0's holds ``order``,
+            the record ids grouped by its code, ascending within a bucket,
+            in place of its ``members`` row, which is 0..n-1; every later
+            table's holds its ``members`` row, the internal ids (positions
+            in ``order``) grouped by its code.
 
-Version 2 had the same layout, but every id row held record ids. Its row 0
-is byte for byte version 3's, but its later rows would need relabelling
-through ``order`` on load, so version 2 files are rejected like version 1
-files; rebuild them with ``boi build``.
-
-The file stores every table's 2**hash_bits counts, dense, but an index
-holds only a directory of each table's non-empty buckets
-(``hashing.ProjectionTable``); the two are converted one table at a time,
-through one scratch of 2**hash_bits + 1 values, so neither saving nor
-loading holds the dense counts of every table at once.
+So the file holds the directory the index holds
+(``hashing.ProjectionTable``): the bitmap and the non-empty buckets only.
+A record's length hangs on its k, but the header's K gives the file's
+exact length, 68 + num_tables * (4 * hash_bits * dim + 4 + 8 * words + 4 *
+n) + 4 * K, which is checked before anything is allocated. Earlier
+versions (version 3 stored 2**hash_bits dense counts a table) are rejected
+at the version field; rebuild them with ``boi build``.
 
 Saving and loading are mirror loops over the tables, one record each.
-Saving spreads each table's non-empty bucket sizes over the scratch,
-zeroed, and writes it as the table's counts. Loading reads the header,
-checks the file's size against it, then reads each table's projections
-and ids straight into C-contiguous native arrays, and its counts into the
-scratch, swapping their bytes on a big-endian host. One compiled pass per
-record (``vote.check_table``) checks the counts and the ids, turns the
-counts into the table's bitmap and piece of offsets and gives the piece's
-length, so the piece is copied out of the scratch; then row 0 is copied
-out as ``order`` and set to 0..n-1, so a loaded index holds the same
-arrays ``insert_all`` builds, and ``ProjectionTable`` makes the rank from
-them as it does for a built one.
+Loading reads the header, checks its values, each at its own field, and
+its crc32, checks the file's size against it, then reads each record's
+projections, bitmap, sizes and ids straight into the index's C-contiguous
+native arrays, swapping their bytes on a big-endian host: the sizes of
+table t go to the places in ``offsets`` after where its piece begins. One
+``vote.TableCheck``, bound to those arrays once, counts each table's
+non-empty buckets from its bitmap, so the loader knows how many sizes to
+read, then checks the sizes and the ids and turns the sizes into the
+table's piece of offsets in place. Row 0 is then copied out as ``order``
+and set to 0..n-1, so a loaded index holds the same arrays ``insert_all``
+builds, and ``ProjectionTable`` makes the rank from them as it does for a
+built one. Every single-bit flip of a file fails to load: the crc32s cover
+the header and the projections, a flipped bitmap bit changes its table's
+count of sizes, so the sizes read no longer sum to n, or the bitmaps' sum
+no longer matches K; a flipped size changes the sizes' sum; a flipped id
+changes its row's wrapping sum.
 Projections are stored rather than re-derived from the seed, so snapshots
 stay valid even if the generator implementation ever changes. Loading
 never re-hashes the dataset.
@@ -56,6 +62,7 @@ from __future__ import annotations
 import os
 import struct
 import sys
+import zlib
 from dataclasses import fields
 from itertools import accumulate
 
@@ -64,7 +71,15 @@ import numpy as np
 from .core import OFFSET_DTYPE, SCHEDULE_KINDS, BoiParams, VectorSet, as_exact
 from .hashing import ProjectionTable, check_dimension, check_record_count
 from .index import BoiIndex
-from .vote import COUNTS_OFF, ID_OUT_OF_RANGE, check_table, directory_words
+from .vote import (
+    BIT_PAST,
+    EMPTY_BUCKET,
+    ID_OUT_OF_RANGE,
+    NOT_A_PERMUTATION,
+    SIZES_OFF,
+    TableCheck,
+    directory_words,
+)
 
 
 class FormatError(ValueError):
@@ -176,7 +191,7 @@ def write_ivecs(path, rows) -> None:
 
 
 _MAGIC = b"BOIX"
-_VERSION = 3
+_VERSION = 4
 # the header's fields in file order, each a (name, little-endian struct
 # code); the BoiParams fields go under their own names
 _FIELDS = (
@@ -195,6 +210,8 @@ _FIELDS = (
     ("schedule_code", "B"),  # the schedule's place in SCHEDULE_KINDS
     ("flags", "B"),  # bit 0: strict_radius; bits 1-7 are reserved, 0
     ("pad", "H"),  # 0
+    ("buckets", "I"),  # K, the non-empty buckets of all tables
+    ("crc", "I"),  # crc32 of the header's bytes before this field
 )
 _NAMES = tuple(name for name, _ in _FIELDS)
 _HEADER = struct.Struct("<" + "".join(code for _, code in _FIELDS))
@@ -204,6 +221,11 @@ _FIELD_AT = dict(
 )
 _PARAM_FIELDS = [f.name for f in fields(BoiParams) if f.name in _NAMES]
 _FLAG_STRICT = 0x01
+
+
+def _header_crc(head: bytes) -> int:
+    """The crc32 of a packed header's bytes before its ``crc`` field."""
+    return zlib.crc32(head[: _FIELD_AT["crc"]])
 
 
 def save_index(index: BoiIndex, path) -> None:
@@ -218,24 +240,28 @@ def save_index(index: BoiIndex, path) -> None:
         "schedule_code": SCHEDULE_KINDS.index(p.schedule),
         "flags": _FLAG_STRICT if p.strict_radius else 0,
         "pad": 0,
+        "buckets": tables.offsets.size - p.num_tables,  # one n a table besides
+        "crc": 0,
         **{name: getattr(p, name) for name in _PARAM_FIELDS},
     }
+    header["crc"] = _header_crc(_HEADER.pack(*(header[name] for name in _NAMES)))
     projections = tables.projections.reshape(p.num_tables, p.hash_bits, index.dim)
-    counts = np.empty(1 << p.hash_bits, dtype="<u4")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(*(header[name] for name in _NAMES)))
         for t in range(p.num_tables):
-            f.write(projections[t].astype("<f4"))
-            codes, starts = tables.buckets(t)
-            counts[:] = 0
-            counts[codes] = np.diff(starts)
-            f.write(counts)
+            matrix = projections[t].astype("<f4")
+            f.write(matrix)
+            f.write(struct.pack("<I", zlib.crc32(matrix)))
+            f.write(tables.bitmap[t].astype("<u8"))
+            f.write(np.diff(tables.buckets(t)[1]).astype("<u4"))
             # table 0's members row is 0..n-1, so its id row holds the order
             f.write((tables.members[t] if t else tables.order).astype("<u4"))
 
 
-def _read_header(f) -> tuple[BoiParams, int, int]:
-    """The params, dim and n of the snapshot header at the start of ``f``."""
+def _read_header(f) -> tuple[BoiParams, int, int, int]:
+    """The params, dim, n and K of the snapshot header at the start of ``f``.
+    A value the header cannot hold is reported at its own field, and then
+    the header's crc32 is checked."""
     head = f.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise FormatError("file too short for a snapshot header", offset=0)
@@ -243,7 +269,8 @@ def _read_header(f) -> tuple[BoiParams, int, int]:
     for name, bad, message in (
         ("magic", h["magic"] != _MAGIC, f"bad magic {h['magic']!r}"),
         ("version", h["version"] != _VERSION,
-         f"unsupported snapshot version {h['version']}"),
+         f"unsupported snapshot version {h['version']}; rebuild the index with "
+         "`boi build`"),
         ("schedule_code", h["schedule_code"] >= len(SCHEDULE_KINDS),
          f"unknown schedule code {h['schedule_code']}"),
         ("flags", h["flags"] & ~_FLAG_STRICT, f"unknown header flags {h['flags']:#04x}"),
@@ -257,11 +284,38 @@ def _read_header(f) -> tuple[BoiParams, int, int]:
             schedule=SCHEDULE_KINDS[h["schedule_code"]],
             strict_radius=bool(h["flags"] & _FLAG_STRICT),
         )
-        check_record_count(h["n"])
-        check_dimension(h["dim"])
     except ValueError as exc:
-        raise FormatError(f"bad snapshot header: {exc}", offset=0) from None
-    return params, h["dim"], h["n"]
+        # BoiParams begins its message with the field it rejects
+        raise FormatError(
+            f"bad snapshot header: {exc}", offset=_FIELD_AT[str(exc).split()[0]]
+        ) from None
+    for name, check in (("n", check_record_count), ("dim", check_dimension)):
+        try:
+            check(h[name])
+        except ValueError as exc:
+            raise FormatError(f"bad snapshot header: {exc}", offset=_FIELD_AT[name]) from None
+    # each table of n > 0 records has from 1 to min(n, 2**b) non-empty buckets
+    least = params.num_tables * min(h["n"], 1)
+    most = params.num_tables * min(h["n"], params.num_buckets)
+    if not least <= h["buckets"] <= most:
+        raise FormatError(
+            f"bad snapshot header: {h['buckets']} non-empty buckets, not in "
+            f"[{least}, {most}]",
+            offset=_FIELD_AT["buckets"],
+        )
+    if _header_crc(head) != h["crc"]:
+        raise FormatError("snapshot header fails its crc32", offset=_FIELD_AT["crc"])
+    return params, h["dim"], h["n"], h["buckets"]
+
+
+# what TableCheck finds wrong with a table record: the message, and whether
+# it points at the record's ids rather than its sizes
+_TABLE_FAULTS = {
+    EMPTY_BUCKET: ("a bucket size of 0 in table {t}", False),
+    SIZES_OFF: ("bucket sizes do not sum to {n} in table {t}", False),
+    ID_OUT_OF_RANGE: ("record id out of range in table {t}", True),
+    NOT_A_PERMUTATION: ("record ids of table {t} are not a permutation of 0..{last}", True),
+}
 
 
 def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
@@ -269,70 +323,87 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
 
     The file's size is checked against its header before anything is
     allocated; then each table record is read straight into the index's
-    C-contiguous arrays. Rejects bad magic, unknown versions (v1 and v2
-    included), unknown schedule codes or flag bits, non-zero header
-    padding, header values ``BoiParams`` rejects, n of 2**31 or more
-    (record ids are int32), a dim ``check_dimension`` refuses (0 among
-    them), length mismatches, bucket counts that do not
-    sum to n, non-finite projections, ids outside [0, n), id rows whose
-    wrapping uint32 sum is not that of 0..n-1 (which catches every
-    single-bit flip of an id) and a table 0 row that is not a permutation
-    of 0..n-1. When ``dataset`` is
-    given the index is made over it (and size-checked) so it can answer
-    queries immediately.
+    C-contiguous arrays, and checked there. Rejects bad magic, unknown
+    versions (v1 to v3 included), unknown schedule codes or flag bits,
+    non-zero header padding, header values ``BoiParams`` rejects, n of
+    2**31 or more (record ids are int32), a dim ``check_dimension``
+    refuses (0 among them), a K no table of n records can have, a header
+    or projections that fail their crc32, length mismatches, non-finite
+    projections, a bitmap bit set for a code at or past 2**b, bitmaps
+    whose set bits do not sum to K, bucket sizes of 0 or that do not sum
+    to n, ids outside [0, n), id rows whose wrapping uint32 sum is not that
+    of 0..n-1 (which catches every single-bit flip of an id) and a table 0
+    row that is not a permutation of 0..n-1. Each ``FormatError`` about a
+    table names it. When ``dataset`` is given the index is made over it
+    (and size-checked) so it can answer queries immediately.
     """
     with open(path, "rb") as f:
-        params, dim, n = _read_header(f)
+        params, dim, n, num_buckets = _read_header(f)
         bits, num_tables = params.hash_bits, params.num_tables
-        # a table record: projections, counts, then ids, 4 bytes a value
-        counts_at = 4 * bits * dim
-        ids_at = counts_at + (4 << bits)
-        record_bytes = ids_at + 4 * n
+        words = directory_words(bits)
+        # a table record: projections, their crc32, the bitmap, k sizes,
+        # then ids, each field at these byte offsets when k = 0
+        crc_at = 4 * bits * dim
+        bitmap_at = crc_at + 4
+        sizes_at = bitmap_at + 8 * words
+        fixed_bytes = sizes_at + 4 * n
         size = os.fstat(f.fileno()).st_size
-        expected = _HEADER.size + num_tables * record_bytes
+        expected = _HEADER.size + num_tables * fixed_bytes + 4 * num_buckets
         if size != expected:
             raise FormatError(
                 f"snapshot length {size} != expected {expected}",
                 offset=min(size, expected),
             )
         projections = np.empty((num_tables * bits, dim), dtype=np.float32)
-        bitmap = np.empty((num_tables, directory_words(bits)), dtype=np.uint64)
-        pieces = []
-        # one table's counts at a time, from entry 1 on; check_table turns
-        # them into the table's directory in place
-        scratch = np.empty((1 << bits) + 1, dtype=OFFSET_DTYPE)
+        bitmap = np.empty((num_tables, words), dtype=np.uint64)
+        offsets = np.empty(num_buckets + num_tables, dtype=OFFSET_DTYPE)
         rows = np.empty((num_tables, n), dtype=np.int32)
+        check = TableCheck(bits, bitmap, offsets, rows)
+        crc = np.empty(1, dtype="<u4")
+        record = _HEADER.size  # where table t's record begins
+        at = 0  # where table t's piece of offsets begins, after t earlier n's
         for t in range(num_tables):
-            at = _HEADER.size + t * record_bytes
             matrix = projections[t * bits : (t + 1) * bits]
-            _read_native_into(f, matrix)
+            _read_into(f, matrix)
+            _read_into(f, crc)
+            if zlib.crc32(matrix) != crc[0]:
+                raise FormatError(f"projections of table {t} fail their crc32", offset=record)
+            if sys.byteorder == "big":
+                matrix.byteswap(inplace=True)
             if not np.isfinite(matrix).all():
-                raise FormatError(f"non-finite projection in table {t}", offset=at)
-            _read_native_into(f, scratch[1:])
+                raise FormatError(f"non-finite projection in table {t}", offset=record)
+            _read_native_into(f, bitmap[t])
+            k = check.buckets(t)
+            left = num_buckets - (at - t)  # the header's K less earlier tables' k
+            if k == BIT_PAST:
+                raise FormatError(
+                    f"bitmap of table {t} has a bit set for a code at or past 2**{bits}",
+                    offset=record + bitmap_at,
+                )
+            if k > left or (t == num_tables - 1 and k < left):
+                raise FormatError(
+                    f"bitmap of table {t} marks {k} non-empty buckets where the "
+                    f"header's K leaves {left}",
+                    offset=record + bitmap_at,
+                )
+            ids_at = record + sizes_at + 4 * k
+            _read_native_into(f, offsets[at + 1 : at + 1 + k])
             _read_native_into(f, rows[t])
-            size = check_table(scratch, rows[t], bitmap[t])
-            if size == COUNTS_OFF:
+            status = check(t, at)
+            if status < 0:
+                message, about_ids = _TABLE_FAULTS[status]
                 raise FormatError(
-                    f"bucket counts do not sum to {n} in table {t}",
-                    offset=at + counts_at,
+                    message.format(t=t, n=n, last=n - 1),
+                    offset=ids_at if about_ids else record + sizes_at,
                 )
-            if size == ID_OUT_OF_RANGE:
-                raise FormatError(
-                    f"record id out of range in table {t}", offset=at + ids_at
-                )
-            if size < 0:
-                raise FormatError(
-                    f"record ids of table {t} are not a permutation of 0..{n - 1}",
-                    offset=at + ids_at,
-                )
-            pieces.append(scratch[:size].copy())
-        del scratch  # the pieces are all the tables keep of it
+            if not t:
+                order_at = ids_at
+            at += status
+            record = ids_at + 4 * n
         order = rows[0].copy()
         rows[0] = np.arange(n, dtype=np.int32)
         try:
-            tables = ProjectionTable(projections, bitmap, np.concatenate(pieces), rows, order)
+            tables = ProjectionTable(projections, bitmap, offsets, rows, order)
         except ValueError as exc:
-            raise FormatError(
-                f"bad table 0 record ids: {exc}", offset=_HEADER.size + ids_at
-            ) from None
+            raise FormatError(f"bad table 0 record ids: {exc}", offset=order_at) from None
     return BoiIndex(params, tables, dataset)

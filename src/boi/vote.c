@@ -1,9 +1,9 @@
-/* The six compiled loops of boi: the probe rows of a query, ordered by its
- * margins, the weighted gather+vote of a query over the probed buckets of
- * every hash table, the counting sort that builds those buckets, the check
- * of a snapshot's table record as it is loaded, the check of the tables'
- * bucket directory, and the sign filter that turns dot products into
- * codes.
+/* The seven compiled loops of boi: the probe rows of a query, ordered by
+ * its margins, the weighted gather+vote of a query over the probed buckets
+ * of every hash table, the counting sort that builds those buckets, the
+ * two checks of a snapshot's table record as it is loaded, the check of
+ * the tables' bucket directory, and the sign filter that turns dot
+ * products into codes.
  *
  * Buckets hold internal ids: record i of the index is internal id j where
  * order[j] = i, and ``order`` lists the records in table 0's bucket order
@@ -85,14 +85,15 @@
  * a bucket, and the table's directory; table 0's sort gives ``order`` (its
  * own comment, below).
  *
- * boi_check_table, the fourth, checks one table record of a snapshot and
- * turns its dense bucket counts into the table's directory, for
- * data_io.load_index.
+ * boi_table_buckets and boi_check_table, the fourth and fifth, count the
+ * non-empty buckets of one table record of a snapshot and check the
+ * record, turning its bucket sizes into the table's piece of offsets in
+ * place, for data_io.load_index.
  *
- * boi_check_directory, the fifth, checks a whole directory and makes its
+ * boi_check_directory, the sixth, checks a whole directory and makes its
  * rank, for hashing.ProjectionTable.
  *
- * boi_hash_codes, the sixth, turns the float32 dot products of
+ * boi_hash_codes, the seventh, turns the float32 dot products of
  * hashing.hash_codes_all into codes, recomputing in float64 each sign the
  * float32 error bound cannot decide (its own comment, at the end).
  */
@@ -105,6 +106,9 @@
 #define BATCH 1024
 /* 64-bit words of a table's bitmap and rank: 2**bits / 64, at least one */
 #define WORDS(bits) ((bits) > 6 ? (int64_t)1 << ((bits) - 6) : (int64_t)1)
+/* the bits of a table's one word that stand for codes at or past 2**bits,
+ * when bits < 6; none otherwise */
+#define PAST(bits) ((bits) < 6 ? ~UINT64_C(0) << (1 << (bits)) : UINT64_C(0))
 
 /* The set bits of x, as a branch-free broadword sum (Vigna, "Broadword
  * implementation of rank/select queries", WEA 2008): vote.c is built
@@ -446,46 +450,100 @@ int64_t boi_bucket_sort(
     return directory(bits, offsets, bitmap + table * WORDS(bits));
 }
 
-/* Check one table record of a snapshot, as data_io.load_index reads it,
- * in one pass over its counts and one over its ids, and turn its counts
- * into the table's directory.
+/* The set bits of one table's WORDS(bits) words of bitmap, or -2 when one
+ * is set for a code at or past 2**bits. */
+static int64_t table_buckets(int64_t bits, const uint64_t *row)
+{
+    uint64_t past = 0;
+    int64_t k = 0;
+    for (int64_t w = 0; w < WORDS(bits); w++) {
+        past |= row[w] & PAST(bits);
+        k += popcount(row[w]);
+    }
+    return past ? -2 : k;
+}
+
+/* The number of non-empty buckets of table ``table`` of a snapshot, the
+ * set bits of its row of ``bitmap``, so that data_io.load_index knows how
+ * many bucket sizes its record holds: -2 when a bit is set for a code at
+ * or past 2**bits, and -1 for bits outside [1, 16] or a table outside
+ * [0, num_tables). */
+int64_t boi_table_buckets(
+    int64_t num_tables, int64_t bits,
+    const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
+    int64_t table)
+{
+    if (bits < 1 || bits > 16 || table < 0 || table >= num_tables)
+        return -1;
+    return table_buckets(bits, bitmap + table * WORDS(bits));
+}
+
+/* Check table ``table`` of a snapshot, as data_io.load_index reads its
+ * record straight into the index's arrays, in one pass over its bucket
+ * sizes and one over its ids, and turn the sizes into the table's piece of
+ * offsets in place.
  *
- * ``offsets`` (2**bits + 1 values) holds the record's dense bucket counts,
- * read as uint32, from offsets[1] on. They are summed as uint64, so no
- * count can wrap the total, and must sum to n; then they become the
- * directory: ``bitmap`` (WORDS(bits) words) and, in the first k + 1
- * values of ``offsets``, the table's piece of offsets (directory, above). ``ids`` (n values) is the record's id row, read as
- * uint32: every id must be below n, and their wrapping uint32 sum must be
- * n(n - 1)/2 mod 2**32, the sum of 0..n-1, which any single flipped bit
- * of a permutation changes by a power of two below 2**32. The id pass has
- * no branch and no compare, so it vectorises (a compare-select max did
- * not, under the default flags).
+ * Row ``table`` of ``bitmap`` marks the table's k non-empty buckets, and
+ * offsets[at + 1 .. at + k] holds their sizes in code order, read as
+ * uint32. Every size must be at least 1, and their sum, taken as uint64 so
+ * that no size can wrap it, must be n; then offsets[at .. at + k] become
+ * the table's piece of offsets (directory, above): the start of each
+ * bucket, then n. Start i, the sum of sizes 0..i-1, is written over size
+ * i - 1, which has been read, so no scratch is needed. Row
+ * ``table`` of ``members`` is the record's id row, read as uint32: every
+ * id must be below n, and their wrapping uint32 sum must be n(n - 1)/2 mod
+ * 2**32, the sum of 0..n-1, which any single flipped bit of a permutation
+ * changes by a power of two below 2**32. The id pass has no branch and no
+ * compare, so it vectorises (a compare-select max did not, under the
+ * default flags).
  *
  * Returns k + 1, the length of the table's piece, when the record passes;
- * -2 when the counts do not sum to n (``offsets`` and ``bitmap`` then
- * unchanged), -3 when an id is n or more, -4 when the ids' sum is wrong,
- * and -1 for bits outside [1, 16] or n outside [0, INT32_MAX].
+ * otherwise the first check that fails: -2 a bit set past 2**bits, -3 a
+ * size of 0, -4 sizes that do not sum to n (``offsets`` is unchanged after
+ * these three), -5 an id of n or more, -6 ids whose sum is wrong; or -1
+ * for bits outside [1, 16], n outside [0, INT32_MAX], a table outside
+ * [0, num_tables) or a piece that does not fit between ``at`` and the end
+ * of the num_offsets offsets.
  */
 int64_t boi_check_table(
-    int64_t bits, int64_t n,
-    int32_t *offsets,                   /* (2**bits + 1,) */
-    const uint32_t *ids,                /* (n,) */
-    uint64_t *bitmap)                   /* (WORDS(bits),) */
+    int64_t num_tables, int64_t bits, int64_t n,
+    const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
+    int32_t *offsets, int64_t num_offsets, /* (num_offsets,) */
+    const uint32_t *members,            /* (num_tables, n) */
+    int64_t table, int64_t at)
 {
-    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX)
+    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || table < 0
+        || table >= num_tables)
         return -1;
-    const int64_t num_buckets = (int64_t)1 << bits;
-    const uint32_t *const counts = (const uint32_t *)offsets + 1;
+    const int64_t k = table_buckets(bits, bitmap + table * WORDS(bits));
+    if (k < 0)
+        return k;
+    if (at < 0 || at + k >= num_offsets)
+        return -1;
+    int32_t *const piece = offsets + at;
+    const uint32_t *const sizes = (const uint32_t *)piece + 1;
     uint64_t total = 0;
-    for (int64_t c = 0; c < num_buckets; c++)
-        total += counts[c];
+    uint32_t empty = 0;
+    for (int64_t i = 0; i < k; i++) {
+        total += sizes[i];
+        empty |= sizes[i] == 0;
+    }
+    if (empty)
+        return -3;
     if (total != (uint64_t)n)
-        return -2;
-    /* so every count is at most n, and int32 holds every offset */
-    const int64_t size = directory(bits, offsets, bitmap);
+        return -4;
+    /* so every size is at most n, and int32 holds every start */
+    int32_t start = 0;
+    for (int64_t i = 0; i < k; i++) {
+        const int32_t size = (int32_t)sizes[i];
+        piece[i] = start;
+        start += size;
+    }
+    piece[k] = start;
     /* an id v is below n <= 2**31 - 1 iff neither v nor (n - 1) - v,
      * wrapped, has its top bit set: two ORs instead of an unsigned compare,
      * which SSE2 lacks */
+    const uint32_t *const ids = members + table * n;
     const uint32_t last = (uint32_t)n - 1;
     uint32_t bad = 0, sum = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -493,8 +551,8 @@ int64_t boi_check_table(
         sum += ids[i];
     }
     if (bad >> 31)
-        return -3;
-    return sum == (uint32_t)((uint64_t)n * (uint64_t)(n - 1) / 2) ? size : -4;
+        return -5;
+    return sum == (uint32_t)((uint64_t)n * (uint64_t)(n - 1) / 2) ? k + 1 : -6;
 }
 
 /* Check the directory of num_tables tables of n records (this file's
@@ -519,7 +577,7 @@ int64_t boi_check_directory(
         || num_offsets > INT32_MAX)
         return -1;
     const int64_t words = WORDS(bits);
-    const uint64_t past = bits < 6 ? ~UINT64_C(0) << (1 << bits) : 0;
+    const uint64_t past = PAST(bits);
     int64_t at = 0; /* the position of the next non-empty bucket */
     for (int64_t t = 0; t < num_tables; t++) {
         const int64_t base = at; /* where table t's piece begins */

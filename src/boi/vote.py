@@ -1,6 +1,6 @@
 """The compiled loops of ``vote.c``, loaded with ctypes: the probe rows and
 the gather+vote kernel every query runs, the counting sort
-``hashing.insert_all`` buckets its records with, the table-record check
+``hashing.insert_all`` buckets its records with, the table-record checks
 ``data_io.load_index`` runs, the directory check ``hashing.ProjectionTable``
 runs, and the sign filter ``hashing.hash_codes_all`` turns its float32 dot
 products into codes with.
@@ -9,14 +9,16 @@ A table's buckets are found through a directory of its non-empty buckets
 (``vote.c``'s header comment): a ``bitmap`` of its non-empty codes in
 ``directory_words(b)`` uint64 words, and the ``offsets``, the start of
 each of those buckets in code order, then n. The offsets of every table
-follow each other in one int32 array. The sort and the check each build
-one table at a time in a scratch of 2**b + 1 int32 offsets, whose front
-ends holding the table's piece of offsets, and return the piece's length.
-The ``rank`` of each word, the position in ``offsets`` of its first
-non-empty bucket, is derived from the bitmap alone, by
-``check_directory``. Only the kernel counts the set bits below a code
-within its word; in Python, ``hashing.ProjectionTable.buckets`` alone
-reads the bitmap and the rank, a table at a time.
+follow each other in one int32 array. The sort builds one table at a time
+in a scratch of 2**b + 1 int32 offsets, whose front ends holding the
+table's piece of offsets, and returns the piece's length; the snapshot
+check (``TableCheck``) turns a table's bucket sizes into its piece in
+place, in the index's own offsets. The ``rank`` of each word, the
+position in ``offsets`` of its first non-empty bucket, is derived from
+the bitmap alone, by ``check_directory``. Only the kernel counts the set
+bits below a code within its word; in Python,
+``hashing.ProjectionTable.buckets`` alone reads the bitmap and the rank, a
+table at a time.
 
 The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
@@ -28,7 +30,8 @@ the array's exact type, shape and layout first: numpy's own ctypes
 argument conversion would cost about 5 us an array while the GIL is held.
 What is fixed per table or per plan is checked once, when ``GatherVote``,
 ``ProbePlan`` or ``SignFilter`` binds it, so a query passes only its own
-arrays through ``_address``.
+arrays through ``_address``; ``TableCheck`` binds a snapshot load's
+arrays once in the same way.
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ def build_library(cache_dir, source=SOURCE) -> Path:
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
     and result types of ``boi_gather_vote``, ``boi_probe_rows``,
-    ``boi_bucket_sort``, ``boi_check_table``, ``boi_check_directory`` and
-    ``boi_hash_codes`` declared."""
+    ``boi_bucket_sort``, ``boi_table_buckets``, ``boi_check_table``,
+    ``boi_check_directory`` and ``boi_hash_codes`` declared."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
@@ -141,12 +144,22 @@ def load_library(cache_dir) -> ctypes.CDLL:
         address,  # order
         address,  # scratch
     ]
+    library.boi_table_buckets.argtypes = [
+        i64,  # num_tables
+        i64,  # bits
+        address,  # bitmap
+        i64,  # table
+    ]
     library.boi_check_table.argtypes = [
+        i64,  # num_tables
         i64,  # bits
         i64,  # n
-        address,  # offsets
-        address,  # ids
         address,  # bitmap
+        address,  # offsets
+        i64,  # number of offsets
+        address,  # members
+        i64,  # table
+        i64,  # position of the table's piece in offsets
     ]
     library.boi_check_directory.argtypes = [
         i64,  # num_tables
@@ -175,6 +188,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         library.boi_gather_vote,
         library.boi_probe_rows,
         library.boi_bucket_sort,
+        library.boi_table_buckets,
         library.boi_check_table,
         library.boi_check_directory,
         library.boi_hash_codes,
@@ -393,39 +407,71 @@ def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
     return bitmap, np.concatenate(pieces)
 
 
-# what check_table finds wrong with a table record, by its status
-COUNTS_OFF, ID_OUT_OF_RANGE, NOT_A_PERMUTATION = -2, -3, -4
+# what TableCheck finds wrong with a table record, by its status
+BIT_PAST, EMPTY_BUCKET, SIZES_OFF, ID_OUT_OF_RANGE, NOT_A_PERMUTATION = -2, -3, -4, -5, -6
 
 
-def check_table(offsets: np.ndarray, ids: np.ndarray, bitmap: np.ndarray) -> int:
-    """Check one snapshot table record and turn its dense counts into the
-    table's directory.
+class TableCheck:
+    """``boi_table_buckets`` and ``boi_check_table`` bound to the arrays
+    ``data_io.load_index`` reads a snapshot's table records into: ``bitmap``
+    (L, W) uint64, W = ``directory_words(bits)``, ``offsets`` int32, K + L
+    values for K non-empty buckets in all, and ``members`` (L, n) int32,
+    ``bits`` in [1, 16]; so a table's calls pass only the table and the
+    position of its piece in ``offsets``.
 
-    ``offsets`` (2**b + 1,) int32 holds the record's bucket counts, as
-    uint32, from entry 1 on; ``ids`` (n,) int32 is its id row; ``bitmap``
-    (W,) uint64, W = ``directory_words(b)``, gets the table's bitmap words.
-    All must be C-contiguous, and all but ``ids`` writable. When the counts
-    sum to n exactly, they are turned into the directory: ``bitmap`` and,
-    at the front of ``offsets``, the table's piece of offsets. Returns the
-    piece's length, k + 1 for k non-empty buckets, when, besides, every id,
-    read as uint32, is below n and the ids' wrapping uint32 sum is that of
-    0..n-1. Otherwise returns the first check that fails, a negative
-    status: ``COUNTS_OFF`` (the arrays then unchanged), ``ID_OUT_OF_RANGE``
-    or ``NOT_A_PERMUTATION``. Raises ValueError when the arrays disagree or
-    b is not in [1, 16].
+    The arrays are checked here, once, and held; they must not change shape
+    while the binding is used. ValueError names the array whose type, shape
+    or layout is wrong (``offsets`` must be writable), or says that
+    ``bits`` is not in [1, 16].
     """
-    bits = offsets.shape[-1].bit_length() - 1
-    if not 1 <= bits <= MAX_HASH_BITS:
-        raise ValueError(
-            f"check_table: {offsets.shape} offsets are not 2**b + 1 wide "
-            f"for a b in [1, {MAX_HASH_BITS}]"
+
+    def __init__(self, bits: int, bitmap, offsets, members):
+        if not 1 <= bits <= MAX_HASH_BITS:
+            raise ValueError(f"TableCheck: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
+        num_tables, n = len(bitmap), members.shape[-1]
+        words = (num_tables, directory_words(bits))
+        self._arrays = (bitmap, offsets, members)
+        bitmap_at = _address(bitmap, np.uint64, words)
+        self._buckets = (num_tables, bits, bitmap_at)
+        self._check = (
+            num_tables, bits, n, bitmap_at,
+            _address(offsets, OFFSET_DTYPE, (offsets.size,), writable=True), offsets.size,
+            _address(members, np.int32, (num_tables, n)),
         )
-    return _library.boi_check_table(
-        bits, ids.size,
-        _address(offsets, OFFSET_DTYPE, ((1 << bits) + 1,), writable=True),
-        _address(ids, np.int32, (ids.size,)),
-        _address(bitmap, np.uint64, (directory_words(bits),), writable=True),
-    )
+
+    def buckets(self, table: int) -> int:
+        """k, the non-empty buckets row ``table`` of the bitmap marks, or
+        ``BIT_PAST`` when a bit is set for a code at or past 2**b. Raises
+        ValueError for a table outside [0, L)."""
+        k = _library.boi_table_buckets(*self._buckets, table)
+        if k == -1:
+            raise ValueError(f"TableCheck: table {table} is not in [0, {self._buckets[0]})")
+        return k
+
+    def __call__(self, table: int, at: int) -> int:
+        """Check table ``table``'s record and turn its bucket sizes into its
+        piece of offsets, in place.
+
+        Entries ``at + 1 .. at + k`` of ``offsets`` hold the sizes, read as
+        uint32, of the k non-empty buckets row ``table`` of the bitmap
+        marks, in code order, and row ``table`` of ``members`` the record's
+        ids. When every size is at least 1 and their exact sum is n, entries
+        ``at .. at + k`` become the table's piece of offsets: the start of
+        each bucket, then n. Returns k + 1, the piece's length, when,
+        besides, every id, read as uint32, is below n and the ids' wrapping
+        uint32 sum is that of 0..n-1. Otherwise returns the first check
+        that fails, a negative status: ``BIT_PAST``, ``EMPTY_BUCKET`` or
+        ``SIZES_OFF`` (``offsets`` then unchanged), ``ID_OUT_OF_RANGE`` or
+        ``NOT_A_PERMUTATION``. Raises ValueError for a table outside [0, L)
+        or a piece that does not fit in ``offsets`` from ``at``.
+        """
+        status = _library.boi_check_table(*self._check, table, at)
+        if status == -1:
+            raise ValueError(
+                f"TableCheck: table {table} is not in [0, {self._check[0]}) or its "
+                f"piece does not fit in the {self._check[5]} offsets from {at}"
+            )
+        return status
 
 
 # what check_directory finds wrong with a directory, by its status

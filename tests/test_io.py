@@ -3,6 +3,7 @@ import struct
 import sys
 import tempfile
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,43 @@ from boi.data_io import (
     write_ivecs,
 )
 from boi.index import BoiIndex, accumulate, build_index, query
-from hand_tables import dense_offsets, from_record_ids
+from hand_tables import from_record_ids
+
+
+def table_fields(raw) -> list[dict]:
+    """Each table record of version 4 snapshot bytes: the byte offset of
+    its projections, their crc32, its bitmap, sizes and ids, and its k."""
+    num_tables, bits, dim, n = (
+        struct.unpack_from("<" + dict(_FIELDS)[name], raw, _FIELD_AT[name])[0]
+        for name in ("num_tables", "hash_bits", "dim", "n")
+    )
+    words = max(1, (1 << bits) >> 6)
+    at, records = 68, []
+    for _ in range(num_tables):
+        crc = at + 4 * bits * dim
+        bitmap = crc + 4
+        sizes = bitmap + 8 * words
+        k = sum(bin(w).count("1") for w in struct.unpack_from(f"<{words}Q", raw, bitmap))
+        ids = sizes + 4 * k
+        records.append(
+            {"projections": at, "crc": crc, "bitmap": bitmap, "sizes": sizes, "k": k,
+             "ids": ids}
+        )
+        at = ids + 4 * n
+    assert at == len(raw)
+    return records
+
+
+def reseal(raw: bytearray, table=None) -> bytearray:
+    """``raw`` with the header's crc32, or table ``table``'s projections'
+    crc32, made to match what they now hold."""
+    if table is None:
+        struct.pack_into("<I", raw, 64, zlib.crc32(raw[:64]))
+    else:
+        record = table_fields(raw)[table]
+        crc = zlib.crc32(raw[record["projections"] : record["crc"]])
+        struct.pack_into("<I", raw, record["crc"], crc)
+    return raw
 
 
 class TestFvecs:
@@ -248,10 +285,10 @@ class TestSnapshot:
         arrays = tables.projections.nbytes + tables.offsets.nbytes
         arrays += tables.bitmap.nbytes + tables.rank.nbytes
         arrays += tables.members.nbytes + tables.order.nbytes
-        record = (path.stat().st_size - 60) // tables.num_tables
-        # 0.18 MB of arrays, where dense offsets alone were 2.6 MB; a table
-        # record is 0.27 MB, and the offsets are joined from one piece a table
-        assert peak < arrays + record + tables.offsets.nbytes
+        # 0.18 MB of arrays, where dense offsets alone were 2.6 MB; each
+        # record is read straight into them, through no scratch, so only
+        # small transients come on top, such as the file's read buffer
+        assert peak < arrays + 32_768
 
     def test_build_and_load_hold_no_dense_offsets(self, tmp_path):
         # L = 4 tables of b = 16 over 2,000 records: dense (L, 2**16 + 1)
@@ -358,7 +395,7 @@ class TestSnapshot:
             load_index(bad)
 
     def test_version_2_rejected(self, built, tmp_path):
-        # a version 3 file patched to say 2: its id rows are not record ids
+        # a version 4 file patched to say 2: its id rows are not record ids
         _, _, path = built
         raw = bytearray(path.read_bytes())
         raw[4:8] = struct.pack("<I", 2)
@@ -371,54 +408,61 @@ class TestSnapshot:
     def test_layout_is_header_then_arrays_per_table(self, built):
         index, _, path = built
         raw = path.read_bytes()
-        offset = 60
+        offset = 68
         tables, bits = index.tables, index.params.hash_bits
+        # the header ends with K and the crc32 of the 64 bytes before it
+        num_buckets = tables.offsets.size - tables.num_tables
+        assert struct.unpack_from("<2I", raw, 60) == (num_buckets, zlib.crc32(raw[:64]))
         # table 0's id row is the order; its members row is 0..n-1
         assert np.array_equal(tables.members[0], np.arange(index.n))
-        offsets = dense_offsets(tables)
         for t in range(tables.num_tables):
+            matrix = tables.projections[t * bits : (t + 1) * bits].astype("<f4")
+            codes, piece = tables.buckets(t)
+            bitmap = np.zeros(max(64, 1 << bits), bool)  # whole u64 words
+            bitmap[codes] = True
             for block in (
-                tables.projections[t * bits : (t + 1) * bits].astype("<f4"),
-                np.diff(offsets[t]).astype("<u4"),
+                matrix,
+                np.array([zlib.crc32(matrix)], "<u4"),
+                np.packbits(bitmap, bitorder="little"),
+                np.diff(piece).astype("<u4"),
                 (tables.order if t == 0 else tables.members[t]).astype("<u4"),
             ):
                 assert raw[offset : offset + block.nbytes] == block.tobytes()
                 offset += block.nbytes
         assert offset == len(raw)
-
-    @staticmethod
-    def _first_table_blocks(index):
-        """Byte offsets of table 0's bucket counts and record ids."""
-        counts = 60 + 4 * index.params.hash_bits * index.dim
-        return counts, counts + 4 * index.params.num_buckets
+        # 32 codes need one bitmap word
+        record = 4 * bits * index.dim + 4 + 8 + 4 * index.n
+        assert len(raw) == 68 + tables.num_tables * record + 4 * num_buckets
 
     def test_counts_not_summing_to_n_rejected(self, built, tmp_path):
-        index, _, path = built
-        counts, _ = self._first_table_blocks(index)
+        _, _, path = built
         raw = bytearray(path.read_bytes())
-        (first,) = struct.unpack_from("<I", raw, counts)
-        struct.pack_into("<I", raw, counts, first + 1)
+        sizes = table_fields(raw)[0]["sizes"]
+        (first,) = struct.unpack_from("<I", raw, sizes)
+        struct.pack_into("<I", raw, sizes, first + 1)
         bad = tmp_path / "bad.boix"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="sum to"):
+        with pytest.raises(FormatError, match="sum to 300 in table 0") as err:
             load_index(bad)
+        assert err.value.offset == sizes
 
     def test_record_id_out_of_range_rejected(self, built, tmp_path):
         index, _, path = built
-        _, ids = self._first_table_blocks(index)
         raw = bytearray(path.read_bytes())
+        ids = table_fields(raw)[0]["ids"]
         struct.pack_into("<I", raw, ids, index.n)
         bad = tmp_path / "bad.boix"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="out of range"):
+        with pytest.raises(FormatError, match="out of range in table 0") as err:
             load_index(bad)
+        assert err.value.offset == ids
 
     def test_table_0_ids_that_are_no_permutation_rejected(self, built, tmp_path):
         # two ids moved one apart keep the row's sum and range, but one
         # record is then listed twice and another never
         index, _, path = built
-        _, ids = self._first_table_blocks(index)
         raw = bytearray(path.read_bytes())
+        ids = table_fields(raw)[0]["ids"]
         row = np.frombuffer(raw, "<u4", index.n, ids).copy()
         low, high = np.flatnonzero(row == 0)[0], np.flatnonzero(row == 3)[0]
         row[low], row[high] = 1, 2
@@ -508,9 +552,12 @@ class TestSnapshot:
         assert load_index(path).params.strict_radius is True
 
 
-# Version 3, saved from this recipe by the writer that first wrote the
+# Version 4, saved from this recipe by the writer that first wrote the
 # version; every later writer must read it and write the same bytes back.
-OLD_WRITER_SNAPSHOT = Path(__file__).parent / "data" / "v3_L3_b4_n50.boix"
+OLD_WRITER_SNAPSHOT = Path(__file__).parent / "data" / "v4_L3_b4_n50.boix"
+# The same index in version 3, which stored 2**b dense counts a table; saved
+# by the writer that first wrote that version.
+V3_SNAPSHOT = Path(__file__).parent / "data" / "v3_L3_b4_n50.boix"
 # The same index in version 2, whose id rows all held record ids; saved by
 # an earlier writer that kept one object per table.
 V2_SNAPSHOT = Path(__file__).parent / "data" / "v2_L3_b4_n50.boix"
@@ -556,15 +603,18 @@ def test_header_fields_round_trip_at_their_limits(params):
         path = Path(tmp) / "edge.boix"
         save_index(build_index(data, params), path)
         raw = path.read_bytes()
-        assert load_index(path, data).params == params
+        loaded = load_index(path, data)
+        assert loaded.params == params
     expected = {
         "magic": b"BOIX",
-        "version": 3,
+        "version": 4,
         "dim": 2,
         "n": 7,
         "schedule_code": SCHEDULE_KINDS.index(params.schedule),
         "flags": int(params.strict_radius),
         "pad": 0,
+        "buckets": loaded.tables.offsets.size - params.num_tables,
+        "crc": zlib.crc32(raw[:64]),
     }
     for name, code in _FIELDS:
         value = expected[name] if name in expected else getattr(params, name)
@@ -579,7 +629,7 @@ class TestSnapshotCompatibility:
         loaded = load_index(OLD_WRITER_SNAPSHOT, data)
         built = build_index(data, OLD_WRITER_PARAMS)
         assert loaded.params == OLD_WRITER_PARAMS
-        for name in ("projections", "offsets", "members", "order"):
+        for name in ("projections", "bitmap", "offsets", "members", "order"):
             assert np.array_equal(
                 getattr(loaded.tables, name), getattr(built.tables, name)
             )
@@ -600,11 +650,39 @@ class TestSnapshotCompatibility:
             load_index(V2_SNAPSHOT, old_writer_data())
         assert err.value.offset == 4
 
+    def test_version_3_file_is_rejected_at_its_version(self):
+        with pytest.raises(
+            FormatError, match="unsupported snapshot version 3; rebuild .* `boi build`"
+        ) as err:
+            load_index(V3_SNAPSHOT, old_writer_data())
+        assert err.value.offset == 4
+
+    def test_version_4_stores_the_non_empty_buckets_of_version_3(self):
+        # the same params, projections and id rows; the dense counts become
+        # a bitmap of the non-zero ones and those counts alone
+        v3, v4 = V3_SNAPSHOT.read_bytes(), OLD_WRITER_SNAPSHOT.read_bytes()
+        assert struct.unpack_from("<I", v4, 4) == (4,)
+        assert v3[:4] == v4[:4] and v3[8:60] == v4[8:60]
+        record = 4 * (4 * 4 + 16 + 50)  # b x dim floats, 2**b counts, n ids
+        num_buckets = 0
+        for t, fields_at in enumerate(table_fields(v4)):
+            at = 60 + t * record
+            assert v3[at : at + 64] == v4[fields_at["projections"] : fields_at["crc"]]
+            counts = np.frombuffer(v3, "<u4", 16, at + 64)
+            (word,) = struct.unpack_from("<Q", v4, fields_at["bitmap"])
+            assert word == sum(1 << int(c) for c in np.flatnonzero(counts))
+            sizes = np.frombuffer(v4, "<u4", fields_at["k"], fields_at["sizes"])
+            assert np.array_equal(sizes, counts[counts > 0])
+            ids = fields_at["ids"]
+            assert v3[at + 128 : at + record] == v4[ids : ids + 200]
+            num_buckets += fields_at["k"]
+        assert struct.unpack_from("<I", v4, 60) == (num_buckets,)
+
     def test_version_3_changes_only_the_version_and_later_id_rows(self):
         # table 0's id row, the order, is version 2's record ids of table 0;
         # each bucket of a later row holds the internal ids, ascending, of
         # the records version 2 lists there
-        v2, v3 = V2_SNAPSHOT.read_bytes(), OLD_WRITER_SNAPSHOT.read_bytes()
+        v2, v3 = V2_SNAPSHOT.read_bytes(), V3_SNAPSHOT.read_bytes()
         assert len(v2) == len(v3)
         assert struct.unpack_from("<I", v2, 4) == (2,)
         assert struct.unpack_from("<I", v3, 4) == (3,)
@@ -631,8 +709,8 @@ class TestSnapshotCompatibility:
     @pytest.mark.parametrize(
         "bits, digest",
         [
-            (8, "69f2df982821be439af1b5ed2362598182e180bbc36ffc74cf553206199f7ff9"),
-            (16, "9676c2d1e41e5a7729e55e10bb612d5faa1098ac081f9b6bfc14c6f3704ff363"),
+            (8, "cf224914744b96f2dc0aaa0a851e81fafb146e99c364ae7ec167a830f1ecc11e"),
+            (16, "0fd388a57e2520c4ad801e64ac7f60d0f1e6597fcf08d9ccb28baa3ce9456cb7"),
         ],
         ids=["b8", "b16"],
     )
@@ -681,18 +759,17 @@ class TestCorruptSnapshot:
                 damaged[pos] ^= 1 << bit
                 path.write_bytes(bytes(damaged))
                 loaded += self._loads(path)
-        # 199 flips in the header and 1,520 in projections that stay
-        # finite still load (ROADMAP item 7b); no id or count flip does
-        assert loaded <= 1_719
+        # the crc32s catch the header and projection flips; a bitmap flip
+        # changes how many sizes its table reads, a size flip their sum and
+        # an id flip its row's wrapping sum
+        assert loaded == 0
 
     def test_every_single_bit_flip_of_a_member_id_raises(self, tmp_path):
         # table 0's id row is the order, the others hold internal ids
         raw = OLD_WRITER_SNAPSHOT.read_bytes()
-        record = 4 * (4 * 4 + 16 + 50)  # b x dim floats, 2**b counts, n ids
-        ids_at = 60 + 4 * (4 * 4 + 16)  # table 0's ids follow its counts
         path = tmp_path / "flipped.boix"
-        for t in range(3):
-            for pos in range(ids_at + t * record, ids_at + t * record + 4 * 50):
+        for t, fields_at in enumerate(table_fields(raw)):
+            for pos in range(fields_at["ids"], fields_at["ids"] + 4 * 50):
                 for bit in range(8):
                     damaged = bytearray(raw)
                     damaged[pos] ^= 1 << bit
@@ -738,13 +815,15 @@ class TestCorruptSnapshot:
         ],
     )
     def test_header_values_params_reject(self, tmp_path, field_offset, value):
+        # each value is reported at its own field, crc32 or not
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
         struct.pack_into("<I", raw, field_offset, value)
         path = tmp_path / "header.boix"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="header") as err:
-            load_index(path)
-        assert err.value.offset == 0
+        for resealed in (raw, reseal(bytearray(raw))):
+            path.write_bytes(bytes(resealed))
+            with pytest.raises(FormatError, match="bad snapshot header") as err:
+                load_index(path)
+            assert err.value.offset == field_offset
 
     @pytest.mark.parametrize(
         "byte, value, message, offset",
@@ -768,33 +847,106 @@ class TestCorruptSnapshot:
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
         raw[57] |= 0x01
         path = tmp_path / "strict.boix"
-        path.write_bytes(bytes(raw))
+        path.write_bytes(bytes(reseal(raw)))
         assert load_index(path).params.strict_radius
 
     def test_counts_that_wrap_int32_rejected(self, tmp_path):
-        # 2**32 - 1 + 51 wraps to 50 in 32 bits: the sum must be taken exactly
+        # 2**32 - 1 + (51 - (k - 2)) + (k - 2) wraps to 50 in 32 bits: the
+        # sum must be taken exactly
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
-        counts = 60 + 4 * 4 * 4  # table 0's counts follow its b x dim floats
-        struct.pack_into("<16I", raw, counts, 2**32 - 1, 51, *[0] * 14)
+        table_0 = table_fields(raw)[0]
+        k, sizes = table_0["k"], table_0["sizes"]
+        struct.pack_into(f"<{k}I", raw, sizes, 2**32 - 1, 51 - (k - 2), *[1] * (k - 2))
         path = tmp_path / "wrap.boix"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="sum to 50 in table 0") as err:
             load_index(path)
-        assert err.value.offset == counts
+        assert err.value.offset == sizes
+
+    def test_empty_bucket_rejected(self, tmp_path):
+        # a size of 0 moved onto the next size keeps the sum n
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        table_1 = table_fields(raw)[1]
+        sizes = table_1["sizes"]
+        first, second = struct.unpack_from("<2I", raw, sizes)
+        struct.pack_into("<2I", raw, sizes, 0, first + second)
+        path = tmp_path / "empty.boix"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="a bucket size of 0 in table 1") as err:
+            load_index(path)
+        assert err.value.offset == sizes
+
+    def test_bit_past_2_bits_rejected(self, tmp_path):
+        # b = 4: bits 16-63 of the one word stand for no code
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        bitmap = table_fields(raw)[2]["bitmap"]
+        raw[bitmap + 2] |= 1
+        path = tmp_path / "past.boix"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="table 2 has a bit set .* past 2\\*\\*4") as err:
+            load_index(path)
+        assert err.value.offset == bitmap
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_buckets_that_do_not_match_the_bitmaps_rejected(self, tmp_path, change):
+        # K one off, and the file one size shorter or longer to match it:
+        # the last table's bitmap marks one bucket more or less than K leaves
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        (num_buckets,) = struct.unpack_from("<I", raw, 60)
+        struct.pack_into("<I", raw, 60, num_buckets + change)
+        raw = reseal(raw) + bytes(4) if change > 0 else reseal(raw)[:-4]
+        bitmap = table_fields(OLD_WRITER_SNAPSHOT.read_bytes())[2]["bitmap"]
+        path = tmp_path / "buckets.boix"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="bitmap of table 2 marks") as err:
+            load_index(path)
+        assert err.value.offset == bitmap
+
+    @pytest.mark.parametrize("value", [0, 2, 3 * 16 + 1])
+    def test_buckets_no_tables_can_hold_rejected(self, tmp_path, value):
+        # 3 tables of 50 records hold from 3 to 3 * 16 non-empty buckets
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        struct.pack_into("<I", raw, 60, value)
+        path = tmp_path / "buckets.boix"
+        path.write_bytes(bytes(reseal(raw)))
+        with pytest.raises(FormatError, match=f"header: {value} non-empty") as err:
+            load_index(path)
+        assert err.value.offset == 60
+
+    def test_header_crc_mismatch_rejected(self, tmp_path):
+        # a seed the header can hold, but not the one its crc32 covers
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        raw[28] ^= 1
+        path = tmp_path / "seed.boix"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="header fails its crc32") as err:
+            load_index(path)
+        assert err.value.offset == 64
+
+    def test_projection_crc_mismatch_rejected(self, tmp_path):
+        raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
+        at = table_fields(raw)[1]["projections"]
+        raw[at] ^= 1
+        path = tmp_path / "projection.boix"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="projections of table 1 fail") as err:
+            load_index(path)
+        assert err.value.offset == at
 
     def test_non_finite_projection_rejected(self, tmp_path):
+        # with the crc32 made to match, the value itself is refused
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
-        record = 4 * (4 * 4 + 16 + 50)  # b x dim floats, 2**b counts, n ids
-        struct.pack_into("<f", raw, 60 + record, float("nan"))  # table 1
+        at = table_fields(raw)[1]["projections"]
+        struct.pack_into("<f", raw, at, float("nan"))
         path = tmp_path / "nan.boix"
-        path.write_bytes(bytes(raw))
+        path.write_bytes(bytes(reseal(raw, table=1)))
         with pytest.raises(FormatError, match="non-finite projection in table 1") as err:
             load_index(path)
-        assert err.value.offset == 60 + record
+        assert err.value.offset == at
 
     def test_huge_probe_radius_loads(self, tmp_path):
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
         struct.pack_into("<I", raw, 40, 2**31 + 1)  # probe_radius
         path = tmp_path / "radius.boix"
-        path.write_bytes(bytes(raw))
+        path.write_bytes(bytes(reseal(raw)))
         assert load_index(path).params.probe_radius == 2**31 + 1

@@ -403,99 +403,144 @@ def test_bucket_sort_rejects_disagreeing_shapes(
         vote.bucket_sort(bits, members, order)
 
 
-def _record(counts, ids, bits=2):
-    """A table record's counts, as load_index reads them into its scratch
-    of offsets (entry 0 junk), its id row, and the table's bitmap words,
-    junk."""
-    offsets = np.full((1 << bits) + 1, -7, np.int32)
-    offsets[1:] = np.array(counts, np.uint32).view(np.int32)
-    bitmap = np.full(vote.directory_words(bits), 7, np.uint64)
-    return offsets, np.array(ids, np.uint32).view(np.int32), bitmap
+def _record(sizes, ids, bits=2, codes=None):
+    """One table's arrays as load_index reads its record into them: the
+    bitmap of its non-empty ``codes`` (the first len(sizes) codes unless
+    given), its bucket sizes in offsets[1:] (entry 0 junk) and its id row;
+    with ``bits``, the arguments of vote.TableCheck."""
+    bitmap = np.zeros((1, vote.directory_words(bits)), np.uint64)
+    for c in range(len(sizes)) if codes is None else codes:
+        bitmap[0, c // 64] |= np.uint64(1 << (c % 64))
+    offsets = np.full(len(sizes) + 1, -7, np.int32)
+    offsets[1:] = np.array(sizes, np.uint32).view(np.int32)
+    members = np.array(ids, np.uint32).view(np.int32)[np.newaxis]
+    return bits, bitmap, offsets, members
+
+
+def check_table(bits, bitmap, offsets, members, table=0, at=0):
+    """TableCheck bound to the arrays, called on one table."""
+    return vote.TableCheck(bits, bitmap, offsets, members)(table, at)
 
 
 def test_check_table_turns_counts_into_offsets():
-    offsets, ids, bitmap = _record([2, 0, 1, 2], [4, 0, 2, 1, 3])
-    # the length of the piece at the front of the offsets:
-    # dense [0, 2, 2, 3, 5] less the empty bucket 1
-    assert vote.check_table(offsets, ids, bitmap) == 4
-    assert bitmap.tolist() == [0b1101]
-    assert offsets[:4].tolist() == [0, 2, 3, 5]
-    empty, none, bitmap = _record([0, 0], [], bits=1)
-    assert vote.check_table(empty, none, bitmap) == 1
-    assert bitmap.tolist() == [0] and empty[0] == 0
+    # buckets 0, 2 and 3 hold 2, 1 and 2 records
+    record = _record([2, 1, 2], [4, 0, 2, 1, 3], codes=[0, 2, 3])
+    assert vote.TableCheck(*record).buckets(0) == 3
+    # the length of the piece, in place of the sizes
+    assert check_table(*record) == 4
+    assert record[2].tolist() == [0, 2, 3, 5]
+    empty = _record([], [], bits=1)
+    assert check_table(*empty) == 1
+    assert empty[2].tolist() == [0]
 
 
 def test_check_table_ranks_the_words_of_a_wide_table():
     # 8 bits: 3 records in bucket 5, 1 in 130, 2 in 255
-    counts = np.zeros(256, np.uint32)
-    counts[[5, 130, 255]] = [3, 1, 2]
-    offsets, ids, bitmap = _record(counts, [5, 0, 4, 1, 3, 2], bits=8)
-    assert vote.check_table(offsets, ids, bitmap) == 4
-    assert bitmap.tolist() == [1 << 5, 0, 1 << 2, 1 << 63]
-    assert offsets[:4].tolist() == [0, 3, 4, 6]
-    rank = vote.check_directory(8, bitmap[np.newaxis], offsets[:4], 6)
+    bits, bitmap, offsets, members = _record(
+        [3, 1, 2], [5, 0, 4, 1, 3, 2], bits=8, codes=[5, 130, 255]
+    )
+    assert bitmap.tolist() == [[1 << 5, 0, 1 << 2, 1 << 63]]
+    assert check_table(bits, bitmap, offsets, members) == 4
+    assert offsets.tolist() == [0, 3, 4, 6]
+    rank = vote.check_directory(8, bitmap, offsets, 6)
     assert rank.tolist() == [[0, 1, 1, 2]]
 
 
+def test_check_table_checks_each_table_at_its_own_piece():
+    # two 2-bit tables of 3 records: table 1's piece begins after table 0's 2
+    bits = 2
+    bitmap = np.array([[0b0010], [0b1001]], np.uint64)
+    offsets = np.array([-7, 3, -7, 1, 2], np.int32)
+    members = np.array([[2, 0, 1], [1, 0, 2]], np.int32)
+    check = vote.TableCheck(bits, bitmap, offsets, members)
+    assert [check.buckets(0), check.buckets(1)] == [1, 2]
+    assert check(0, 0) == 2 and check(1, 2) == 3
+    assert offsets.tolist() == [0, 3, 0, 1, 3]
+    assert vote.check_directory(bits, bitmap, offsets, 3).tolist() == [[0], [2]]
+    for table, at in ((2, 0), (-1, 0), (1, 3), (0, -1)):
+        with pytest.raises(ValueError, match="TableCheck: table"):
+            check(table, at)
+    with pytest.raises(ValueError, match=r"not in \[0, 2\)"):
+        check.buckets(2)
+
+
 @pytest.mark.parametrize(
-    "counts, ids, status",
+    "sizes, ids, status",
     [
-        ([2, 0, 1, 1], [4, 0, 2, 1, 3], vote.COUNTS_OFF),
+        ([2, 1, 1], [4, 0, 2, 1, 3], vote.SIZES_OFF),
         # 2**32 - 1 + 6 wraps to 5 in 32 bits: summed exactly it is not 5
-        ([2**32 - 1, 6, 0, 0], [4, 0, 2, 1, 3], vote.COUNTS_OFF),
-        ([2, 0, 1, 2], [4, 0, 2, 1, 5], vote.ID_OUT_OF_RANGE),
-        ([2, 0, 1, 2], [4, 0, 2, 1, 2**31], vote.ID_OUT_OF_RANGE),
-        ([2, 0, 1, 2], [4, 0, 2, 1, 2**32 - 1], vote.ID_OUT_OF_RANGE),
+        ([2**32 - 1, 6], [4, 0, 2, 1, 3], vote.SIZES_OFF),
+        ([2, 1, 2], [4, 0, 2, 1, 5], vote.ID_OUT_OF_RANGE),
+        ([2, 1, 2], [4, 0, 2, 1, 2**31], vote.ID_OUT_OF_RANGE),
+        ([2, 1, 2], [4, 0, 2, 1, 2**32 - 1], vote.ID_OUT_OF_RANGE),
         # in range but not a permutation: a bit of an id flipped
-        ([2, 0, 1, 2], [4, 0, 2, 1, 3 ^ 1], vote.NOT_A_PERMUTATION),
-        # counts that do not add up win over bad ids, as load_index reads
-        ([2, 0, 1, 1], [4, 0, 2, 1, 9], vote.COUNTS_OFF),
-        ([2, 0, 1, 2], [9, 0, 2, 1, 2], vote.ID_OUT_OF_RANGE),
+        ([2, 1, 2], [4, 0, 2, 1, 3 ^ 1], vote.NOT_A_PERMUTATION),
+        # sizes that do not add up win over bad ids, as load_index reads
+        ([2, 1, 1], [4, 0, 2, 1, 9], vote.SIZES_OFF),
+        ([2, 1, 2], [9, 0, 2, 1, 2], vote.ID_OUT_OF_RANGE),
+        ([2, 0, 3], [4, 0, 2, 1, 3], vote.EMPTY_BUCKET),
+        # an empty bucket wins over a sum that is off
+        ([2, 0, 1], [4, 0, 2, 1, 3], vote.EMPTY_BUCKET),
     ],
     ids=[
         "counts", "counts-wrap", "id=n", "id=2**31", "id=-1", "flip",
-        "counts-first", "range-first",
+        "counts-first", "range-first", "empty", "empty-first",
     ],
 )
-def test_check_table_reports_the_first_check_that_fails(counts, ids, status):
-    offsets, ids, bitmap = _record(counts, ids)
-    before = [offsets.copy(), bitmap.copy()]
-    assert vote.check_table(offsets, ids, bitmap) == status
-    if status == vote.COUNTS_OFF:
-        for now, then in zip((offsets, bitmap), before):
-            assert np.array_equal(now, then)
+def test_check_table_reports_the_first_check_that_fails(sizes, ids, status):
+    record = _record(sizes, ids)
+    offsets = record[2]
+    before = offsets.copy()
+    assert check_table(*record) == status
+    if status in (vote.EMPTY_BUCKET, vote.SIZES_OFF):
+        assert np.array_equal(offsets, before)
+
+
+def test_check_table_refuses_a_bit_past_2_bits():
+    # 2 bits: bit 4 of the word stands for no code
+    bits, bitmap, offsets, members = _record([2, 1, 2], [4, 0, 2, 1, 3])
+    bitmap[0, 0] |= np.uint64(1 << 4)
+    before = offsets.copy()
+    assert vote.TableCheck(bits, bitmap, offsets, members).buckets(0) == vote.BIT_PAST
+    assert check_table(bits, bitmap, offsets, members) == vote.BIT_PAST
+    assert np.array_equal(offsets, before)
 
 
 def test_check_table_reads_every_id_of_a_long_row():
     # past any vector width and remainder loop: one bad id at either end
     n = 100_003
-    record = _record([n, 0], np.arange(n), bits=1)
-    assert vote.check_table(*record) == 2  # one bucket: [0, n]
+    record = _record([n], np.arange(n), bits=1)
+    assert check_table(*record) == 2  # one bucket: [0, n]
     for at in (0, n - 1):
-        record = _record([n, 0], np.arange(n), bits=1)
-        record[1][at] = n
-        assert vote.check_table(*record) == vote.ID_OUT_OF_RANGE
+        record = _record([n], np.arange(n), bits=1)
+        record[3][0, at] = n
+        assert check_table(*record) == vote.ID_OUT_OF_RANGE
 
 
-_WORD = np.zeros(1, np.uint64)
+_WORD = np.zeros((1, 1), np.uint64)
+_IDS = np.zeros((1, 2), np.int32)
 
 
 @pytest.mark.parametrize(
-    "offsets, ids, bitmap, message",
+    "bits, bitmap, offsets, members, message",
     [
-        # int32 ids in every case but those about the ids
-        (np.zeros(4, np.int32), np.zeros(3, np.int32), _WORD, r"int32 array of shape \(5,\)"),
-        (np.zeros(3, np.int64), np.zeros(2, np.int32), _WORD, r"int32 array of shape \(3,\)"),
-        (np.zeros(3, np.int32), np.zeros(2, np.int64), _WORD, r"int32 array of shape \(2,\)"),
-        (np.zeros(3, np.int32), np.zeros(2, np.uint32), _WORD, r"int32 array of shape \(2,\)"),
-        (np.zeros(3, np.int32), np.zeros(4, np.int32)[::2], _WORD, "C-contiguous False"),
-        (np.zeros((1, 3), np.int32), np.zeros(2, np.int32), _WORD, r"of shape \(1, 3\) "),
-        (np.zeros(3, np.int32), np.zeros((1, 2), np.int32), _WORD, r"of shape \(1, 2\) "),
-        (np.zeros(1, np.int32), np.zeros(1, np.int32), _WORD, r"b in \[1, 16\]"),
-        (np.zeros(2**17 + 1, np.int32), np.zeros(1, np.int32), _WORD, r"b in \[1, 16\]"),
-        (np.zeros(3, np.int32), np.zeros(2, np.int32), np.zeros(1, np.int64),
-         r"uint64 array of shape \(1,\)"),
-        (np.zeros(129, np.int32), np.zeros(2, np.int32), _WORD, r"uint64 array of shape \(2,\)"),
+        # one table of two records in every case but those about the ids
+        (1, _WORD, np.zeros(3, np.int32), np.zeros((2, 2), np.int32),
+         r"int32 array of shape \(1, 2\)"),
+        (1, _WORD, np.zeros(3, np.int64), _IDS, r"int32 array of shape \(3,\)"),
+        (1, _WORD, np.zeros(3, np.int32), _IDS.astype(np.int64),
+         r"int32 array of shape \(1, 2\)"),
+        (1, _WORD, np.zeros(3, np.int32), _IDS.astype(np.uint32),
+         r"int32 array of shape \(1, 2\)"),
+        (1, _WORD, np.zeros(3, np.int32), np.zeros((1, 4), np.int32)[:, ::2],
+         "C-contiguous False"),
+        (1, _WORD, np.zeros((1, 3), np.int32), _IDS, r"of shape \(1, 3\) "),
+        (1, _WORD, np.zeros(3, np.int32), _IDS[np.newaxis], r"of shape \(1, 1, 2\) "),
+        (0, _WORD, np.zeros(3, np.int32), _IDS, r"bits must be in \[1, 16\]"),
+        (17, _WORD, np.zeros(3, np.int32), _IDS, r"bits must be in \[1, 16\]"),
+        (1, _WORD.astype(np.int64), np.zeros(3, np.int32), _IDS,
+         r"uint64 array of shape \(1, 1\)"),
+        (7, _WORD, np.zeros(3, np.int32), _IDS, r"uint64 array of shape \(1, 2\)"),
     ],
     ids=[
         "width", "offsets-dtype", "ids-dtype", "ids-uint32", "ids-strided",
@@ -503,9 +548,9 @@ _WORD = np.zeros(1, np.uint64)
         "bitmap-words",
     ],
 )
-def test_check_table_rejects_disagreeing_arrays(offsets, ids, bitmap, message):
+def test_check_table_rejects_disagreeing_arrays(bits, bitmap, offsets, members, message):
     with pytest.raises(ValueError, match=message):
-        vote.check_table(offsets, ids, bitmap)
+        vote.TableCheck(bits, bitmap, offsets, members)
 
 
 def _filter_inputs():
@@ -602,7 +647,7 @@ _WRAPPERS = {
         vote.bucket_sort, lambda: _sort_inputs(np.zeros((5, 2), np.uint16), 2), (1,), (1, 2)
     ),
     "check_table": (
-        vote.check_table, lambda: _record([2, 0, 1, 2], [4, 0, 2, 1, 3]), (0, 1), (0, 2)
+        check_table, lambda: _record([2, 1, 2], [4, 0, 2, 1, 3], bits=7), (1, 3), (2,)
     ),
     "check_directory": (vote.check_directory, _directory, (1, 2), ()),
     "sign_filter": (_sign_filter_call, _sign_filter_args, (0, 1), (2,)),

@@ -253,7 +253,7 @@ def save_index(index: BoiIndex, path) -> None:
             f.write(matrix)
             f.write(struct.pack("<I", zlib.crc32(matrix)))
             f.write(tables.bitmap[t].astype("<u8"))
-            f.write(np.diff(tables.buckets(t)[1]).astype("<u4"))
+            f.write(np.diff(tables.piece(t)).astype("<u4"))
             # table 0's members row is 0..n-1, so its id row holds the order
             f.write((tables.members[t] if t else tables.order).astype("<u4"))
 

@@ -179,13 +179,18 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     vectors = n*dim*4 (the float32 ``VectorSet``); index = L*b*dim*4
     (float32 projections) + L*directory + L*n*4 (int32 members) + n*4
     (int32 order), the arrays of ``ProjectionTable``; accumulator = n*4,
-    the int32 votes one query sums. A table's directory is W*8 bytes of
-    uint64 bitmap and W*4 of the int32 rank the table makes from it, W =
-    ``vote.directory_words(b)`` words, max(1, 2**b / 64), and 4 bytes of
-    int32 start for each non-empty bucket and for n. The
-    non-empty buckets are counted as min(n, 2**b), so the directory term,
-    alone, is an upper bound: the index holds at most that many bytes, and
-    at b = 16 over the benchmark's 100k records about a twentieth of it.
+    the int32 votes of one querying thread's scratch
+    (``ProjectionTable.scratch``), per thread: each thread that queries
+    holds its own. The scratch's touched pairs, 8 *
+    ``vote.touched_capacity(n)`` bytes (about n*2), and its hash and
+    probe-row buffers, which do not grow with n, are not counted. A
+    table's directory is W*8 bytes of uint64 bitmap and W*4 of the int32
+    rank the table makes from it, W = ``vote.directory_words(b)`` words,
+    max(1, 2**b / 64), and 4 bytes of int32 start for each non-empty
+    bucket and for n. The non-empty buckets are counted as min(n, 2**b),
+    so the directory term, alone, is an upper bound: the index holds at
+    most that many bytes, and at b = 16 over the benchmark's 100k records
+    about a twentieth of it.
     """
     if n < 0 or dim < 0:
         raise ValueError("n and dim must be non-negative")
@@ -266,9 +271,10 @@ def run_benchmark(
     call, whose ranking is the one scored, then ``repetitions`` timed
     calls; its time is their median in milliseconds, end to end. With
     workers > 1 queries are dispatched across a thread pool, each still
-    timed inside its worker. The boi query's vote kernel runs without the
-    GIL, so workers overlap it; the other stages hold the GIL for part of
-    their time. Returns the report, the per-query results and, with
+    timed inside its worker, and each worker thread querying boi tables
+    with its own scratch (``ProjectionTable.scratch``). The boi query's
+    vote kernel runs without the GIL, so workers overlap it; the other
+    stages hold the GIL for part of their time. Returns the report, the per-query results and, with
     ``ground_truth``, ``score``'s per-query (AP, true-NN rank) arrays, of
     which the report's ``map`` and ``recall_at_k`` are the summary; the
     results and arrays are the CSV's rows.

@@ -27,6 +27,7 @@ and its masks, is decided in ``boi.index``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ from .core import (
 )
 from .vote import (
     GatherVote,
+    QueryScratch,
     SignFilter,
     bucket_sort,
     check_directory,
@@ -149,9 +151,10 @@ class ProjectionTable:
     below c % 64. So a table holds 2**bits / 8 bytes of bitmap, 2**bits /
     16 of rank and 4 a non-empty bucket, where dense CSR offsets would hold
     4 a code: at b = 16 over 100k records, about 13 KB a table against
-    256 KB. ``buckets`` lists a table's non-empty buckets, and is the one
-    Python reader of the bitmap and the rank: ``bucket`` reads through it,
-    and ``occupancy_summary`` reads the offsets alone.
+    256 KB. ``piece`` gives a table's piece of offsets, and ``buckets``
+    lists a table's non-empty buckets with it; ``buckets`` is the one
+    Python reader of the bitmap, ``bucket`` reads through it, and
+    ``occupancy_summary`` reads the offsets alone.
     ``members`` (L, n) int32: row t holds every internal id grouped by
     table t's bucket code, ascending within a bucket.
     ``order`` (n,) int32, a permutation of 0..n-1: internal id i is record
@@ -169,8 +172,10 @@ class ProjectionTable:
 
     ``sign_filter``, the ``vote.SignFilter`` of the projections and the
     code width, and ``gather_vote``, the ``vote.GatherVote`` of the
-    directory and members, are made once by the constructor; every query
-    hashes with the one and votes with the other.
+    directory and members, are made once by the constructor. Each thread
+    that queries the tables hashes and votes with them through its own
+    ``vote.QueryScratch`` (``scratch``), so concurrent queries share no
+    buffer.
 
     A table object is made once and never changes; its arrays cannot be
     written. The directory, members and order are held C-contiguous, the
@@ -195,6 +200,7 @@ class ProjectionTable:
     rank: np.ndarray = field(init=False)
     sign_filter: SignFilter = field(init=False, repr=False)
     gather_vote: GatherVote = field(init=False, repr=False)
+    _scratches: threading.local = field(init=False, repr=False)
 
     def __post_init__(self):
         # the compiled loops read C-ordered float32 projections, uint64
@@ -233,6 +239,18 @@ class ProjectionTable:
         object.__setattr__(
             self, "gather_vote", GatherVote(bits, bitmap, self.rank, offsets, self.members)
         )
+        object.__setattr__(self, "_scratches", threading.local())
+
+    def scratch(self) -> QueryScratch:
+        """The calling thread's ``vote.QueryScratch`` for these tables, made
+        and bound on its first query: about 0.6 MB at n = 100k, one for
+        each thread that has queried the tables and still runs."""
+        try:
+            return self._scratches.scratch
+        except AttributeError:
+            scratch = QueryScratch(self.sign_filter, self.gather_vote, self.order)
+            self._scratches.scratch = scratch
+            return scratch
 
     @property
     def num_tables(self) -> int:
@@ -264,18 +282,24 @@ class ProjectionTable:
                 f"the index's {self.n} records of dim {self.dim}"
             )
 
-    def buckets(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Table t's non-empty buckets: their codes, ascending (intp), and
-        the table's piece of ``offsets``, one value more, so that bucket
-        ``codes[i]`` holds ``members[t, piece[i]:piece[i + 1]]``. This is
-        the one reader of the bitmap and the rank in Python. Raises
-        ValueError for a t outside [0, L)."""
+    def piece(self, t: int) -> np.ndarray:
+        """Table t's piece of ``offsets``: the start of each of its
+        non-empty buckets, in code order, then n. Raises ValueError for a t
+        outside [0, L)."""
         if not 0 <= t < self.num_tables:
             raise ValueError(f"table {t} is not in [0, {self.num_tables})")
+        stop = self.rank[t + 1, 0] if t + 1 < self.num_tables else self.offsets.size
+        return self.offsets[self.rank[t, 0] : stop]
+
+    def buckets(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Table t's non-empty buckets: their codes, ascending (intp), and
+        the table's ``piece`` of offsets, one value more, so that bucket
+        ``codes[i]`` holds ``members[t, piece[i]:piece[i + 1]]``. This is
+        the one reader of the bitmap in Python. Raises ValueError for a t
+        outside [0, L)."""
+        piece = self.piece(t)
         bits = self.bitmap[t].astype("<u8").view(np.uint8)
-        codes = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
-        start = self.rank[t, 0]
-        return codes, self.offsets[start : start + codes.size + 1]
+        return np.flatnonzero(np.unpackbits(bits, bitorder="little")), piece
 
     def bucket(self, tables, codes) -> np.ndarray:
         """Record ids of bucket ``codes[i]`` of table ``tables[i]``, for
@@ -364,7 +388,7 @@ def _sign_filter(projections, bits: int) -> SignFilter:
 
 
 def hash_codes_all(
-    sign_filter: SignFilter,
+    sign_filter: SignFilter | QueryScratch,
     X: np.ndarray,
     out: np.ndarray | None = None,
     dots: np.ndarray | None = None,
@@ -388,7 +412,15 @@ def hash_codes_all(
     rows goes there in one piece and is kept: the query's probe rows order
     their shells by it (``index.neighbor_codes_with_distance``). Another
     ``dots`` raises ValueError.
+
+    A query hashes through here with its thread's ``vote.QueryScratch`` in
+    place of the filter (``ProjectionTable.scratch``): X is then the one
+    (dim,) float32 query ``core.query_vector`` checked, and its codes and
+    dot products go to the scratch's bound ``codes`` and ``dots``, the
+    codes returned, with no check or buffer made per call.
     """
+    if isinstance(sign_filter, QueryScratch):
+        return sign_filter.hash(X)
     projections = sign_filter.projections
     X = np.ascontiguousarray(X, dtype=np.float32)
     if X.ndim != 2 or X.shape[1] != projections.shape[1]:

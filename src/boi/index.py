@@ -13,12 +13,20 @@ Querying works in four stages:
    units one L1-sized tile of ids at a time.
    The votes are exact int32 counts of 2**-b, whatever their order, and
    stay in the tables' internal order (``ProjectionTable.order``), in
-   which a bucket's ids lie close together. ``accumulate`` returns them
-   in record order, so its traced time includes that scatter;
+   which a bucket's ids lie close together. Each querying thread owns the
+   buffers a query hashes, probes and votes into, bound once
+   (``ProjectionTable.scratch``), and its (n,) votes are all zero between
+   its queries. ``accumulate`` returns fresh votes in record order, so its
+   traced time includes that scatter;
 3. keep the ``shortlist_size`` records with the highest accumulated
    integer vote, ties by lower record id (zero-weight records never
-   qualify): ``shortlist`` partitions a negated copy of the votes in place
-   to find the cut, keeps the ids at or above it in one pass, maps them to
+   qualify). When the votes lie in at most a quarter of their 64-id
+   blocks, one compiled pass takes each non-zero vote out as a (record
+   id, vote) pair and zeroes the votes (``vote.QueryScratch.take``), so
+   the shortlist reads about 4k pairs, not n votes, at b = 16; otherwise,
+   as at b = 8, it reads the dense votes, which are zeroed after.
+   ``shortlist`` partitions a negated copy of what it reads in place to
+   find the cut, keeps the ids at or above it in one pass, maps them to
    record ids, and sorts only those, cutting the sorted list;
 4. re-rank the shortlist by exact Euclidean distance and return the top k
    (``core.rerank``).
@@ -76,7 +84,7 @@ from .core import (
     rerank,
 )
 from .hashing import ProjectionTable, hash_codes_all, insert_all, make_projections
-from .vote import ProbePlan
+from .vote import ProbePlan, QueryScratch
 
 
 def weight(hamming: int, radius: int) -> float:
@@ -194,16 +202,15 @@ def _ball_plan(bits: int, num_tables: int, radius: int) -> ProbePlan:
     )
 
 
-def neighbor_codes_with_distance(
-    codes: np.ndarray, dots: np.ndarray, plan: ProbePlan
-) -> np.ndarray:
-    """Probe rows (L, width) uint16 of one query: codes[t] XOR the plan's
-    masks, table t's last, partly probed shell by ascending margin sum
-    (``vote.ProbePlan.rows``). ``dots`` (L*b,) float32 are the products
-    the codes were hashed from. The codes come from the hash unchecked:
-    the vote kernel refuses any code of 2**b or more. The name stays for
-    the benchmark's ``hashing.probe_order_ms`` span."""
-    return plan.rows(codes, dots)
+def neighbor_codes_with_distance(scratch: QueryScratch, plan: ProbePlan) -> np.ndarray:
+    """Probe rows (L, width) uint16 of the query ``scratch`` last hashed
+    (``hash_codes_all``), written into its bound ``probes``: codes[t] XOR
+    the plan's masks, table t's last, partly probed shell by ascending
+    margin sum of the query's dot products (``vote.ProbePlan.rows``). The
+    codes come from the hash unchecked: the vote kernel refuses any code
+    of 2**b or more. The name stays for the benchmark's
+    ``hashing.probe_order_ms`` span."""
+    return scratch.rows(plan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +233,8 @@ class BoiIndex:
     nothing is cached or bound later (there is no ``attach_dataset``). A
     snapshot loaded without its dataset cannot re-rank; wrap its table in
     a new ``BoiIndex`` together with the dataset. Concurrent queries are
-    safe because each query owns its accumulator.
+    safe because each thread queries with its own buffers, its table's
+    ``scratch``, which it binds on its first query.
     """
 
     params: BoiParams
@@ -276,10 +284,12 @@ def build_index(dataset: VectorSet, params: BoiParams) -> BoiIndex:
 
 def _accumulate(
     tables: ProjectionTable, q: np.ndarray, plan: ProbePlan
-) -> tuple[np.ndarray, int, int]:
-    """Int32 votes in internal order (entry i belongs to record
-    ``tables.order[i]``), the probe count and the number of (id, vote)
-    pairs the kernel (``tables.gather_vote``) scanned; ``q`` is validated.
+) -> tuple[QueryScratch, int, int]:
+    """The calling thread's scratch (``tables.scratch()``), whose
+    ``votes`` then hold the query's int32 votes in internal order (entry i
+    belongs to record ``tables.order[i]``), the probe count and the number
+    of (id, vote) pairs the kernel scanned; ``q`` is validated. The caller
+    takes the votes out, which zeroes them (``_candidates``).
 
     The hash keeps its dot products, and each table's probe row is its
     code XOR the plan's masks, its last, partly probed shell ordered by
@@ -289,13 +299,23 @@ def _accumulate(
     (``BoiParams``), so the int32 sums are exact and so is their negation
     in the shortlist.
     """
-    dots = np.empty((plan.num_tables * plan.bits, 1), np.float32)
-    codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :], dots=dots)[0]
-    probes = neighbor_codes_with_distance(codes, dots[:, 0], plan)
-    votes = np.zeros(tables.n, np.int32)
-    pairs = tables.gather_vote(plan, probes, votes)
-    budgets = plan.budgets
-    return votes, int(budgets.sum()) + budgets.size, pairs
+    scratch = tables.scratch()
+    hash_codes_all(scratch, q)
+    neighbor_codes_with_distance(scratch, plan)
+    return scratch, plan.probe_count, scratch.vote(plan)
+
+
+def _candidates(scratch: QueryScratch, shortlist_size: int, order: np.ndarray) -> np.ndarray:
+    """``shortlist`` of the votes ``scratch`` holds, for the tables whose
+    ``order`` it is, leaving the votes all zero: of the touched pairs when
+    the compiled pass takes them out (``QueryScratch.take``), else of the
+    dense votes, which are cleared after. Both give the same ids."""
+    m = scratch.take()
+    if m >= 0:
+        return shortlist(scratch.weights[:m], shortlist_size, scratch.ids[:m])
+    candidates = shortlist(scratch.votes, shortlist_size, order)
+    scratch.clear()
+    return candidates
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
@@ -307,11 +327,18 @@ def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
     ``query_index`` is accepted and ignored.
     """
     q = query_vector(q, index.dim)
-    votes = _accumulate(index.tables, q, index.plan)[0]
-    out = np.empty_like(votes)
+    tables = index.tables
+    scratch = _accumulate(tables, q, index.plan)[0]
+    m = scratch.take()
+    if m >= 0:
+        out = np.zeros(tables.n, np.int32)
+        out[scratch.ids[:m]] = scratch.weights[:m]
+        return out
+    out = np.empty(tables.n, np.int32)
     # numpy scatters through intp indices faster than through int32 ones,
     # by more than the copy costs (0.22 against 0.36 ms at n = 100k)
-    out[index.tables.order.astype(np.intp)] = votes
+    out[tables.order.astype(np.intp)] = scratch.votes
+    scratch.clear()
     return out
 
 
@@ -371,8 +398,9 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
             "dataset first"
         )
     q = query_vector(q, index.dim)
-    votes, probes, pairs = _accumulate(index.tables, q, index.plan)
-    candidates = shortlist(votes, index.params.shortlist_size, index.tables.order)
+    tables = index.tables
+    scratch, probes, pairs = _accumulate(tables, q, index.plan)
+    candidates = _candidates(scratch, index.params.shortlist_size, tables.order)
     return rerank(index.dataset.vectors, candidates, q, k, probes, pairs)
 
 
@@ -403,6 +431,6 @@ def multiprobe_lsh_query(
     q = query_vector(q, tables.dim)
     tables.check_dataset(dataset)
     plan = _ball_plan(tables.bits, tables.num_tables, min(radius, tables.bits))
-    votes, probes, pairs = _accumulate(tables, q, plan)
-    candidates = shortlist(votes, shortlist_size, tables.order)
+    scratch, probes, pairs = _accumulate(tables, q, plan)
+    candidates = _candidates(scratch, shortlist_size, tables.order)
     return rerank(dataset.vectors, candidates, q, k, probes, pairs)

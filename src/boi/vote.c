@@ -1,9 +1,10 @@
-/* The seven compiled loops of boi: the probe rows of a query, ordered by
+/* The eight compiled loops of boi: the probe rows of a query, ordered by
  * its margins, the weighted gather+vote of a query over the probed buckets
- * of every hash table, the counting sort that builds those buckets, the
- * two checks of a snapshot's table record as it is loaded, the check of
- * the tables' bucket directory, and the sign filter that turns dot
- * products into codes.
+ * of every hash table, the pass that moves the votes a query touched out
+ * for its shortlist, the counting sort that builds the buckets, the two
+ * checks of a snapshot's table record as it is loaded, the check of the
+ * tables' bucket directory, and the sign filter that turns dot products
+ * into codes.
  *
  * Buckets hold internal ids: record i of the index is internal id j where
  * order[j] = i, and ``order`` lists the records in table 0's bucket order
@@ -36,8 +37,9 @@
  * of ``probes``: every id in the bucket of the code c at position j gains
  * units[j] votes. A code whose bit is clear is skipped without reading the
  * offsets. The kernel only adds the votes; index.weight sets them
- * (BoiIndex.plan.units). The votes are in internal order; index.shortlist
- * maps the ids it keeps to records.
+ * (BoiIndex.plan.units). The votes are in internal order, in an (n,)
+ * array that each querying thread owns and keeps all zero between its
+ * queries (vote.QueryScratch); boi_touched_votes takes them out again.
  *
  * The vote is a cache-blocked scatter (Boncz, Manegold and Kersten, VLDB
  * 1999). Each probed bucket scatters its ids across the whole (n,) vote
@@ -74,26 +76,31 @@
  * value is the number of (id, vote) pairs scanned. Sums are exact
  * integers, so their order does not matter.
  *
- * boi_probe_rows, the second entry point, writes the rows the first one
- * probes: each table's query code XOR the masks of its probe plan, with
- * the table's last, partly probed shell ordered by the query's margins
- * (its own comment, below).
+ * boi_touched_votes, the second entry point, hands the shortlist only the
+ * votes a query touched, as (record id, vote) pairs, when they lie in few
+ * 64-id blocks of the votes, and zeroes them as it goes (its own comment,
+ * below).
  *
- * boi_bucket_sort, the third, builds one table of the index:
+ * boi_probe_rows, the third, writes the rows the first one probes: each
+ * table's query code XOR the masks of its probe plan, with the table's
+ * last, partly probed shell ordered by the query's margins (its own
+ * comment, below).
+ *
+ * boi_bucket_sort, the fourth, builds one table of the index:
  * hashing.insert_all hashed the codes into ``members``, and one counting
  * sort turns them into the internal ids of every bucket, ascending within
  * a bucket, and the table's directory; table 0's sort gives ``order`` (its
  * own comment, below).
  *
- * boi_table_buckets and boi_check_table, the fourth and fifth, count the
+ * boi_table_buckets and boi_check_table, the fifth and sixth, count the
  * non-empty buckets of one table record of a snapshot and check the
  * record, turning its bucket sizes into the table's piece of offsets in
  * place, for data_io.load_index.
  *
- * boi_check_directory, the sixth, checks a whole directory and makes its
+ * boi_check_directory, the seventh, checks a whole directory and makes its
  * rank, for hashing.ProjectionTable.
  *
- * boi_hash_codes, the seventh, turns the float32 dot products of
+ * boi_hash_codes, the eighth, turns the float32 dot products of
  * hashing.hash_codes_all into codes, recomputing in float64 each sign the
  * float32 error bound cannot decide (its own comment, at the end).
  */
@@ -249,6 +256,83 @@ HOT int64_t boi_gather_vote(
     if (sweep(batch, live, n, votes) < 0)
         return -1;
     return scanned;
+}
+
+/* The votes a query touched, taken out for its shortlist
+ * (index.shortlist), so that the shortlist reads about m values instead of
+ * n: at b = 16 over the benchmark's 100k records a query touches about 4k
+ * ids, in about 110 of the 1,563 blocks of 64 ids.
+ *
+ * One pass over the n votes (int32, internal order) counts the blocks of
+ * 64 ids that hold a non-zero vote, the last block holding n % 64 when
+ * that is not 0. When more than capacity / 64 of them do, it stops and
+ * returns -1, the votes unchanged: the shortlist then reads the dense
+ * votes, and every b = 8 query goes that way, all its blocks non-empty,
+ * after reading only as many blocks as the count allows. Otherwise each
+ * non-zero vote, in ascending internal id j, becomes one pair, ids[i] =
+ * order[j] (the record id) and weights[i] = votes[j], each of its blocks
+ * is zeroed once read, and the return value is m, the number of pairs;
+ * the votes are then all zero. vote.QueryScratch sizes ``ids`` and
+ * ``weights`` at capacity = 64 * (a quarter of the blocks), the share the
+ * pass allows, so m never exceeds it.
+ *
+ * The first pass keeps the list of non-empty blocks in the last
+ * capacity / 64 entries of ``ids``, from ids[capacity - capacity / 64],
+ * so no other memory is needed. The pairs of listed block i (from 0) are
+ * written below 64 * (i + 1), and the entries of the blocks after it lie
+ * at or above capacity - capacity / 64 + i + 1 >= 63 * (capacity / 64) +
+ * i + 1, which is at least 64 * (i + 1) while i < capacity / 64: no entry
+ * is overwritten before it is read. Each pair is written whatever the
+ * vote and kept only when it is non-zero, so the copy has no branch on
+ * the votes; a write lands below the number of ids read so far in the
+ * listed blocks, the current one included, so never at or past capacity.
+ * Returns -2 for n outside [0, INT32_MAX] or a negative capacity.
+ */
+#define BLOCK 64
+
+static inline uint32_t any_vote(const int32_t *votes, int64_t count)
+{
+    uint32_t any = 0;
+    for (int64_t j = 0; j < count; j++)
+        any |= (uint32_t)votes[j];
+    return any;
+}
+
+int64_t boi_touched_votes(
+    int64_t n,
+    int32_t *votes,                     /* (n,) */
+    const int32_t *order,               /* (n,) */
+    int64_t capacity,
+    int32_t *ids,                       /* (capacity,) */
+    int32_t *weights)                   /* (capacity,) */
+{
+    if (n < 0 || n > INT32_MAX || capacity < 0)
+        return -2;
+    const int64_t full = n / BLOCK, blocks = (n + BLOCK - 1) / BLOCK;
+    const int64_t most = capacity / BLOCK;
+    int32_t *const listed = ids + (capacity - most);
+    int64_t count = 0;
+    for (int64_t b = 0; b < blocks; b++) {
+        const int64_t size = b < full ? BLOCK : n - full * BLOCK;
+        if (!any_vote(votes + b * BLOCK, size))
+            continue;
+        if (count == most)
+            return -1;
+        listed[count++] = (int32_t)b;
+    }
+    int64_t m = 0;
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t lo = (int64_t)listed[i] * BLOCK;
+        const int64_t hi = lo + BLOCK < n ? lo + BLOCK : n;
+        for (int64_t j = lo; j < hi; j++) {
+            const int32_t vote = votes[j];
+            ids[m] = order[j];
+            weights[m] = vote;
+            m += vote != 0;
+        }
+        memset(votes + lo, 0, (size_t)(hi - lo) * sizeof *votes);
+    }
+    return m;
 }
 
 /* Probe rows ordered by the query's margins, as in query-directed probing

@@ -1,5 +1,6 @@
-"""The compiled loops of ``vote.c``, loaded with ctypes: the probe rows and
-the gather+vote kernel every query runs, the counting sort
+"""The compiled loops of ``vote.c``, loaded with ctypes: the probe rows, the
+gather+vote kernel and the pass that takes the touched votes out, which
+every query runs, the counting sort
 ``hashing.insert_all`` buckets its records with, the table-record checks
 ``data_io.load_index`` runs, the directory check ``hashing.ProjectionTable``
 runs, and the sign filter ``hashing.hash_codes_all`` turns its float32 dot
@@ -17,8 +18,8 @@ place, in the index's own offsets. The ``rank`` of each word, the
 position in ``offsets`` of its first non-empty bucket, is derived from
 the bitmap alone, by ``check_directory``. Only the kernel counts the set
 bits below a code within its word; in Python,
-``hashing.ProjectionTable.buckets`` alone reads the bitmap and the rank, a
-table at a time.
+``hashing.ProjectionTable.piece`` alone reads the rank and ``buckets``
+alone the bitmap, a table at a time.
 
 The source is compiled with the system ``cc`` the first time the package is
 imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
@@ -29,9 +30,10 @@ addresses, and its wrapper gets each one from ``_address``, which checks
 the array's exact type, shape and layout first: numpy's own ctypes
 argument conversion would cost about 5 us an array while the GIL is held.
 What is fixed per table or per plan is checked once, when ``GatherVote``,
-``ProbePlan`` or ``SignFilter`` binds it, so a query passes only its own
-arrays through ``_address``; ``TableCheck`` binds a snapshot load's
-arrays once in the same way.
+``ProbePlan`` or ``SignFilter`` binds it; ``TableCheck`` binds a snapshot
+load's arrays once in the same way. A query's own buffers belong to the
+thread that runs it (``QueryScratch``), which binds them on its first
+query, so a query then passes no array through ``_address``.
 """
 
 from __future__ import annotations
@@ -102,9 +104,10 @@ def build_library(cache_dir, source=SOURCE) -> Path:
 
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
-    and result types of ``boi_gather_vote``, ``boi_probe_rows``,
-    ``boi_bucket_sort``, ``boi_table_buckets``, ``boi_check_table``,
-    ``boi_check_directory`` and ``boi_hash_codes`` declared."""
+    and result types of ``boi_gather_vote``, ``boi_touched_votes``,
+    ``boi_probe_rows``, ``boi_bucket_sort``, ``boi_table_buckets``,
+    ``boi_check_table``, ``boi_check_directory`` and ``boi_hash_codes``
+    declared."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
@@ -122,6 +125,14 @@ def load_library(cache_dir) -> ctypes.CDLL:
         address,  # units
         address,  # budgets
         address,  # votes
+    ]
+    library.boi_touched_votes.argtypes = [
+        i64,  # n
+        address,  # votes
+        address,  # order
+        i64,  # capacity
+        address,  # ids
+        address,  # weights
     ]
     library.boi_probe_rows.argtypes = [
         i64,  # num_tables
@@ -186,6 +197,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
     ]
     for entry in (
         library.boi_gather_vote,
+        library.boi_touched_votes,
         library.boi_probe_rows,
         library.boi_bucket_sort,
         library.boi_table_buckets,
@@ -239,11 +251,12 @@ class ProbePlan:
     int64 the range [lo, hi) of positions whose masks table t's rows order
     by margin, (0, 0) for none (``index`` sets them: the table's last,
     partly probed shell). The plan holds all four, which must not change
-    while it is used. They are checked here, once: ValueError names the
-    array whose type, shape or layout is wrong, and is raised too when
-    ``bits`` is not in [1, 16], there are no masks (every plan holds mask
-    0), a budget is not in [0, width - 1], a mask has a bit at or past
-    ``bits``, or a range is not within the row.
+    while it is used, and ``probe_count``, the codes a query probes over
+    every table, sum(budgets) + L. They are checked here, once: ValueError
+    names the array whose type, shape or layout is wrong, and is raised
+    too when ``bits`` is not in [1, 16], there are no masks (every plan
+    holds mask 0), a budget is not in [0, width - 1], a mask has a bit at
+    or past ``bits``, or a range is not within the row.
     """
 
     def __init__(self, bits: int, masks, units, budgets, shells):
@@ -270,6 +283,7 @@ class ProbePlan:
             raise ValueError(f"ProbePlan: shells must be ranges within [0, {width}]")
         self.bits, self.width, self.num_tables = bits, width, num_tables
         self.masks, self.units, self.budgets, self.shells = masks, units, budgets, shells
+        self.probe_count = int(budgets.sum()) + num_tables
         self._rows = (fixed[0], fixed[3])
         self._votes = fixed[1:3]
 
@@ -294,12 +308,21 @@ class ProbePlan:
             _address(dots, np.float32, (num_tables * bits,)),
             *self._rows, probes.ctypes.data,
         )
+        self._check_rows(status)
+        return probes
+
+    def _check_rows(self, status: int) -> None:
+        """Raise what a non-zero status of ``boi_probe_rows`` means."""
         if status == -2:
             raise MemoryError("no room to sort a shell of the probe plan")
         if status:
             # the plan was checked when it was bound: its shells changed since
-            raise ValueError(f"ProbePlan: shells must be ranges within [0, {width}]")
-        return probes
+            raise ValueError(f"ProbePlan: shells must be ranges within [0, {self.width}]")
+
+
+_CORRUPT = (
+    "corrupt hash table: a probed bucket's code, offsets or record ids are out of range"
+)
 
 
 class GatherVote:
@@ -355,10 +378,7 @@ class GatherVote:
             _address(votes, np.int32, (n,), writable=True),
         )
         if scanned < 0:
-            raise ValueError(
-                "corrupt hash table: a probed bucket's code, offsets or record "
-                "ids are out of range"
-            )
+            raise ValueError(_CORRUPT)
         return scanned
 
 
@@ -575,3 +595,143 @@ class SignFilter:
             *self._fixed, out.ctypes.data, out.strides[0] // step,
             out.strides[1] // step,
         )
+
+
+# the touched pass takes the votes out while at most 1/_TOUCHED_SHARE of
+# their 64-id blocks hold one (``boi_touched_votes``)
+_TOUCHED_SHARE = 4
+
+
+def touched_capacity(n: int) -> int:
+    """The (id, vote) pairs the touched pass over n votes can take out: 64
+    for each of a quarter of the ceil(n / 64) blocks of 64 ids, at most
+    n / 4 + 16 (``boi_touched_votes``)."""
+    return 64 * (-(-n // 64) // _TOUCHED_SHARE)
+
+
+class QueryScratch:
+    """The buffers one thread queries one set of tables with, bound once.
+
+    ``hashing.ProjectionTable.scratch`` makes one for each thread that
+    queries the tables, on the thread's first query, from the tables'
+    ``SignFilter``, ``GatherVote`` and ``order`` (n,) int32. Every address
+    is taken then, through ``_address``, so a query passes only its vector
+    and its plan, and nothing is allocated per query but the probe rows of
+    a plan wider than any the scratch has seen. The buffers:
+
+    ``votes`` (n,) int32, the query's votes in internal order, all zero
+    between queries; ``dots`` (L*b, 1) float32 and ``codes`` (L,) uint16,
+    the query's hash; ``probes``, the (L, width) uint16 probe rows of the
+    last plan given; ``ids`` and ``weights``, ``touched_capacity(n)`` int32
+    each, the record ids and votes the touched pass takes out. At n = 100k
+    they hold about 0.6 MB. A query runs ``hash``, ``rows``, ``vote`` and
+    then ``take``, and ``clear`` when the votes stayed dense. Votes a query
+    left behind, because it raised or was interrupted, are cleared by the
+    next ``vote``, so a query never sees another's votes. One thread at a
+    time may use a scratch.
+    """
+
+    def __init__(self, sign_filter: SignFilter, gather: GatherVote, order):
+        num_tables, bits, n = gather._fixed[:3]
+        dim = sign_filter.projections.shape[1]
+        capacity = touched_capacity(n)
+        self.votes = np.zeros(n, np.int32)
+        self.ids = np.empty(capacity, np.int32)
+        self.weights = np.empty(capacity, np.int32)
+        self.dots = np.empty((num_tables * bits, 1), np.float32)
+        self.codes = np.empty(num_tables, CODE_DTYPE)
+        self.probes = self._probe_buffer = np.empty((num_tables, 0), CODE_DTYPE)
+        self._x = np.empty((1, dim), np.float32)
+        self._sign_filter, self._gather, self._order = sign_filter, gather, order
+        self._plan, self._voted = None, False
+        self._probes_at = self.probes.ctypes.data
+        dots_at = _address(self.dots, np.float32, self.dots.shape, writable=True)
+        codes_at = _address(self.codes, CODE_DTYPE, self.codes.shape, writable=True)
+        self._hash = (
+            num_tables, bits, 1, dim, dots_at,
+            _address(self._x, np.float32, self._x.shape, writable=True),
+            *sign_filter._fixed, codes_at, 1, 1,
+        )
+        self._rows = (codes_at, dots_at)
+        self._votes_at = _address(self.votes, np.int32, (n,), writable=True)
+        self._touched = (
+            n, self._votes_at, _address(order, np.int32, (n,)), capacity,
+            _address(self.ids, np.int32, (capacity,), writable=True),
+            _address(self.weights, np.int32, (capacity,), writable=True),
+        )
+
+    def hash(self, q: np.ndarray) -> np.ndarray:
+        """The query's codes (``codes``), and its dot products in ``dots``:
+        one float32 matrix product and the sign filter, as
+        ``hashing.hash_codes_all`` hashes one row. ``q`` is the (dim,)
+        float32 query ``core.query_vector`` checked."""
+        x = self._x
+        x[0] = q
+        # a product may overflow only in a row the filter recomputes whole
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(self._sign_filter.projections, x.T, out=self.dots)
+        _library.boi_hash_codes(*self._hash)
+        return self.codes
+
+    def _use(self, plan: ProbePlan) -> None:
+        """Bind ``probes`` to ``plan``'s width, unless it is the last plan;
+        ValueError when the plan is for other tables."""
+        if plan is self._plan:
+            return
+        num_tables, bits = self._gather._fixed[:2]
+        if (plan.num_tables, plan.bits) != (num_tables, bits):
+            raise ValueError(
+                f"expected a plan of {num_tables} tables of {bits} bits, got "
+                f"{plan.num_tables} of {plan.bits}"
+            )
+        size = num_tables * plan.width
+        if size > self._probe_buffer.size:
+            self._probe_buffer = np.empty(size, CODE_DTYPE)
+        self.probes = self._probe_buffer[:size].reshape(num_tables, plan.width)
+        self._probes_at = self.probes.ctypes.data
+        self._plan = plan
+
+    def rows(self, plan: ProbePlan) -> np.ndarray:
+        """The (L, width) probe rows of the hashed query under ``plan``,
+        written into ``probes`` (``ProbePlan.rows``)."""
+        self._use(plan)
+        plan._check_rows(
+            _library.boi_probe_rows(
+                plan.num_tables, plan.bits, plan.width, *self._rows, *plan._rows,
+                self._probes_at,
+            )
+        )
+        return self.probes
+
+    def vote(self, plan: ProbePlan) -> int:
+        """Add the votes of every bucket the rows probe to ``votes``
+        (``GatherVote``); return the (id, vote) pairs scanned. Raises
+        ValueError for a corrupt table, as ``GatherVote`` does; the next
+        ``vote`` clears what it wrote."""
+        self._use(plan)
+        if self._voted:
+            self.clear()
+        self._voted = True
+        scanned = _library.boi_gather_vote(
+            *self._gather._fixed, self._probes_at, plan.width, *plan._votes,
+            self._votes_at,
+        )
+        if scanned < 0:
+            raise ValueError(_CORRUPT)
+        return scanned
+
+    def take(self) -> int:
+        """m, when the touched pass took the votes out: ``ids[:m]`` and
+        ``weights[:m]`` hold each non-zero vote's record id and vote, in
+        ascending internal id, and ``votes`` is all zero again. -1 when
+        more than a quarter of the votes' 64-id blocks hold one: ``votes``
+        is left as it is, for ``clear`` once it has been read."""
+        m = _library.boi_touched_votes(*self._touched)
+        if m >= 0:
+            self._voted = False
+        return m
+
+    def clear(self) -> None:
+        """Zero ``votes``."""
+        self.votes.fill(0)
+        self._voted = False

@@ -12,7 +12,6 @@ from boi.index import (
     _ball_plan,
     accumulate,
     multiprobe_lsh_query,
-    neighbor_codes_with_distance,
     probe_plan,
     query,
 )
@@ -291,7 +290,7 @@ class TestMultiprobeLsh:
             np.full(12, np.inf),
             np.tile([np.nan, -3e38, 1e-30, 0.0], 3),
         ):
-            rows = neighbor_codes_with_distance(codes, dots.astype(np.float32), plan)
+            rows = plan.rows(codes, dots.astype(np.float32))
             assert rows.tolist() == (codes[:, np.newaxis] ^ plan.masks).tolist()
 
     @pytest.mark.parametrize("radius", [0, 1, 2])

@@ -23,7 +23,7 @@ from boi.hashing import (
     make_projections,
     occupancy_summary,
 )
-from boi.index import _bound_plan, build_index, neighbor_codes_with_distance, probe_plan
+from boi.index import _bound_plan, build_index, probe_plan
 from hand_tables import dense_offsets, directory, from_record_ids
 from probe_rows import margin_rows
 
@@ -776,6 +776,7 @@ def test_rank_is_each_words_position_in_the_offsets(tmp_path, source, bits):
         popcounts = [word.bit_count() for word in row]
         assert tables.rank[t].tolist() == (start + np.cumsum([0] + popcounts[:-1])).tolist()
         codes_t, piece = tables.buckets(t)
+        assert tables.piece(t).tolist() == piece.tolist()
         nonempty = np.flatnonzero(counts[t])
         first = np.cumsum(counts[t]) - counts[t]
         assert codes_t.tolist() == nonempty.tolist()
@@ -853,6 +854,8 @@ def test_bucket_and_buckets_refuse_input_out_of_range(bits):
         with pytest.raises(ValueError, match=rf"table {t} is not in \[0, 3\)"):
             tables.buckets(t)
         with pytest.raises(ValueError, match=rf"table {t} is not in \[0, 3\)"):
+            tables.piece(t)
+        with pytest.raises(ValueError, match=rf"table {t} is not in \[0, 3\)"):
             tables.bucket([0, t], [0, 0])
     # a negative code must not wrap onto a bucket of the table's last word
     for c in (-1, -59, 1 << bits):
@@ -882,7 +885,7 @@ def rows_of(centers, bits, masks, budget=None, dots=None) -> np.ndarray:
     )
     if dots is None:
         dots = np.ones(centers.size * bits)
-    return neighbor_codes_with_distance(centers, np.asarray(dots, np.float32), plan)
+    return plan.rows(centers, np.asarray(dots, np.float32))
 
 
 class TestNeighborCodes:

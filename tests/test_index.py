@@ -23,6 +23,7 @@ from boi.index import (
     BoiIndex,
     _accumulate,
     _bound_plan,
+    _candidates,
     accumulate,
     build_index,
     build_schedule,
@@ -286,8 +287,13 @@ class TestUnits:
 
 
 def index_votes(index, q):
-    """``_accumulate`` over the index's own probe plan."""
-    return _accumulate(index.tables, q, index.plan)
+    """``_accumulate`` over the index's own probe plan: a copy of the
+    internal-order votes it leaves in the thread's scratch, which is then
+    cleared, the probe count and the pairs scanned."""
+    scratch, probes, pairs = _accumulate(index.tables, q, index.plan)
+    votes = scratch.votes.copy()
+    scratch.clear()
+    return votes, probes, pairs
 
 
 def oracle_rows(index, q) -> np.ndarray:
@@ -488,6 +494,108 @@ class TestShortlist:
                 assert np.array_equal(
                     shortlist(votes, eps, order), shortlist(records, eps)
                 ), (n, eps)
+
+
+def tables_of(n: int) -> ProjectionTable:
+    """Tables over n random records, whose ``order`` is not the identity."""
+    rng = np.random.default_rng(n)
+    data = VectorSet(rng.standard_normal((n, 4)).astype(np.float32))
+    params = BoiParams(num_tables=2, hash_bits=4, initial_probe_count=1, seed=n)
+    return build_index(data, params).tables
+
+
+def take_and_shortlist(tables, votes, eps) -> int:
+    """What the touched pass makes of hand-built internal-order ``votes``
+    in the thread's scratch: m, after checking that it took out each
+    non-zero vote's record id and vote in ascending internal id and left
+    the votes zero, or -1, after checking that it left them as they were.
+    Then the same votes, shortlisted through the pass (``_candidates``),
+    must give ``shortlist(votes, eps, order)`` and leave the votes zero."""
+    scratch = tables.scratch()
+    scratch.votes[:] = votes
+    m = scratch.take()
+    if m >= 0:
+        touched = np.flatnonzero(votes)
+        assert m == touched.size
+        assert scratch.ids[:m].tolist() == tables.order[touched].tolist()
+        assert scratch.weights[:m].tolist() == votes[touched].tolist()
+        assert not scratch.votes.any()
+    else:
+        assert scratch.votes.tolist() == votes.tolist()
+        scratch.clear()
+    scratch.votes[:] = votes
+    got = _candidates(scratch, eps, tables.order)
+    want = shortlist(votes, eps, tables.order)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert not scratch.votes.any()
+    return m
+
+
+class TestTouchedPass:
+    """The votes go to the shortlist as touched (record id, vote) pairs
+    while at most a quarter of their 64-id blocks hold one, and dense
+    otherwise; either way the shortlist is ``shortlist(votes, eps,
+    order)``. n = 1044 holds 16 blocks of 64 ids and a tail block of 20:
+    a quarter of the 17 blocks is 4."""
+
+    N = 64 * 16 + 20
+
+    def votes_in(self, blocks, per_block=64, value=3) -> np.ndarray:
+        votes = np.zeros(self.N, np.int32)
+        for b in blocks:
+            ids = np.arange(64 * b, min(64 * b + 64, self.N))
+            votes[ids[:per_block]] = value + ids[:per_block] % 5
+        return votes
+
+    def test_exactly_the_share_is_touched_and_one_block_more_is_dense(self):
+        tables = tables_of(self.N)
+        # every id of four blocks: 212 pairs with the 20-id tail block
+        # among them, and 256, the pairs' whole room, without it
+        for eps in (1, 10, 250, self.N):
+            assert take_and_shortlist(tables, self.votes_in([0, 5, 9, 16]), eps) == 212
+            assert take_and_shortlist(tables, self.votes_in([0, 5, 9, 16, 12]), eps) == -1
+            assert take_and_shortlist(tables, self.votes_in([1, 2, 3, 4]), eps) == 256
+            assert take_and_shortlist(tables, self.votes_in([1, 2, 3, 4, 5], 1), eps) == -1
+
+    def test_a_touched_id_in_the_tail_block(self):
+        tables = tables_of(self.N)
+        votes = np.zeros(self.N, np.int32)
+        votes[[self.N - 1, 3, 700]] = [8, 2, 8]
+        assert take_and_shortlist(tables, votes, 2) == 3
+        assert take_and_shortlist(tables, votes, 10) == 3
+
+    def test_no_vote_gives_no_candidate(self):
+        for n in (1, 63, 64, self.N):
+            tables = tables_of(n)
+            assert take_and_shortlist(tables, np.zeros(n, np.int32), 5) == 0
+            assert _candidates(tables.scratch(), 5, tables.order).size == 0
+
+    def test_fewer_touched_than_the_shortlist(self):
+        tables = tables_of(self.N)
+        votes = np.zeros(self.N, np.int32)
+        votes[[40, 41, 900]] = [1, 6, 1]
+        assert take_and_shortlist(tables, votes, 250) == 3
+
+    def test_a_tie_group_at_the_cut(self):
+        # five leaders, then 30 ids tied at the cut of 10: the five tied
+        # records of lowest record id are kept
+        tables = tables_of(self.N)
+        votes = np.zeros(self.N, np.int32)
+        votes[np.arange(64, 94)] = 7
+        votes[[0, 65, 200, 201, 1040]] = 9
+        assert take_and_shortlist(tables, votes, 10) == 34
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 255, 256, 300, 1044, 5000])
+    def test_random_votes_of_every_density(self, n):
+        tables = tables_of(n)
+        rng = np.random.default_rng(n + 1)
+        paths = set()
+        for touched in (0.0, 0.002, 0.01, 0.05, 0.2, 1.0):
+            for _ in range(5):
+                votes = rng.integers(1, 4, n) * (rng.random(n) < touched)
+                for eps in (1, 5, max(n // 3, 1), n):
+                    paths.add(take_and_shortlist(tables, votes.astype(np.int32), eps) >= 0)
+        assert paths == {True, False}
 
 
 class TestQuery:
@@ -987,24 +1095,100 @@ class TestCorruptTables:
             query(index, data.vectors[0], 2)
 
 
-def test_threads_vote_like_one(small_index):
+@pytest.fixture(scope="module")
+def mixed_index():
+    """3000 clustered records in 12-bit tables: some queries' votes lie in
+    at most a quarter of their 64-id blocks and are taken out as touched
+    pairs, the others' are read dense."""
+    rng = np.random.default_rng(31)
+    centers = rng.standard_normal((16, 16))
+    points = centers[np.arange(3000) % 16] + 0.05 * rng.standard_normal((3000, 16))
+    data = VectorSet(points.astype(np.float32))
+    params = BoiParams(num_tables=10, hash_bits=12, shortlist_size=50, seed=4)
+    return build_index(data, params), data
+
+
+def answer(index, q, qi):
+    """The votes ``accumulate`` gives and the ids and distances of ``query``."""
+    res = query(index, q, 10, qi)
+    return accumulate(index, q, qi).tobytes(), res.ids.tobytes(), res.distances.tobytes()
+
+
+def test_threads_vote_like_one(small_index, mixed_index):
     # the kernel runs without the GIL; more threads than cores, switching
-    # often, must give every query the votes a serial run gives it
-    index, data = small_index
-    queries = range(40)
-    serial = [accumulate(index, data.vectors[qi], qi) for qi in queries]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [
-                pool.submit(accumulate, index, data.vectors[qi], qi) for qi in queries
-            ]
-            threaded = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a, b)
+    # often, must give every query the votes and the answer a serial run
+    # gives it, each thread voting in its own scratch. The small index's
+    # votes are read dense, the mixed one's often as touched pairs
+    for index, data in (small_index, mixed_index):
+        queries = range(40)
+        serial = [answer(index, data.vectors[qi], qi) for qi in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(answer, index, data.vectors[qi], qi) for qi in queries
+                ]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
+def test_each_thread_queries_with_its_own_scratch(mixed_index):
+    tables = mixed_index[0].tables
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(tables.scratch).result(timeout=60)
+    mine = tables.scratch()
+    assert mine is tables.scratch() and mine is not other
+    assert mine.votes.shape == other.votes.shape == (tables.n,)
+
+
+def test_one_thread_keeps_the_scratches_of_two_indexes_apart(small_index, mixed_index):
+    # queries of two indexes of different n, interleaved in one thread,
+    # answer as each index's queries answer alone
+    (a, a_data), (b, b_data) = small_index, mixed_index
+    assert a.n != b.n
+    alone_a = [answer(a, a_data.vectors[qi], qi) for qi in range(10)]
+    alone_b = [answer(b, b_data.vectors[qi], qi) for qi in range(10)]
+    for qi in range(10):
+        assert answer(b, b_data.vectors[qi], qi) == alone_b[qi]
+        assert answer(a, a_data.vectors[qi], qi) == alone_a[qi]
+    assert a.tables.scratch().votes.size == a.n
+    assert b.tables.scratch().votes.size == b.n
+
+
+def test_a_query_that_raises_leaves_the_next_answer_alone():
+    # records 0-3 lie in bucket 0 of both 1-bit tables and 4-7 in bucket 1,
+    # but table 1's bucket 0 ends in id 8 = n. Query B probes bucket 0
+    # alone: the kernel adds the votes of its good ids and then refuses
+    # the table. Query A probes bucket 1; had B's votes stayed, A's full
+    # shortlist would hold records 0-3 too
+    n = 8
+    points = [(0.0, 1.0 + r) for r in range(4)] + [(float(r), 0.0) for r in range(4, 8)]
+    data = VectorSet(np.array(points, np.float32))
+    members = np.array([range(n), [0, 1, 2, n, 4, 5, 6, 7]], np.int32)
+    tables = ProjectionTable(
+        np.tile([[1.0, -1.0]], (2, 1)),
+        *directory(np.array([[0, 4, n]] * 2, np.int32)),
+        members,
+        np.arange(n),
+    )
+    params = BoiParams(
+        num_tables=2, hash_bits=1, initial_probe_count=0, schedule="fixed",
+        shortlist_size=n,
+    )
+    index = BoiIndex(params, tables, data)
+    a, b = np.array([10.0, 0.0], np.float32), np.array([0.0, 10.0], np.float32)
+    first = query(index, a, n)
+    assert sorted(first.ids.tolist()) == [4, 5, 6, 7]
+    for stage in (query, accumulate):
+        with pytest.raises(ValueError, match="corrupt hash table"):
+            stage(index, b, n)
+        again = query(index, a, n)
+        assert again.ids.tobytes() == first.ids.tobytes()
+        assert again.distances.tobytes() == first.distances.tobytes()
+        assert accumulate(index, a).tolist() == [0, 0, 0, 0, 4, 4, 4, 4]
 
 
 class TestMarginOrder:
@@ -1069,9 +1253,9 @@ class TestMarginOrder:
         }
         for qi in range(5):
             q = rng.standard_normal(16).astype(np.float32)
-            dots = np.empty((100 * 8, 1), np.float32)
-            codes = hash_codes_all(index.tables.sign_filter, q[np.newaxis], dots=dots)[0]
-            got = boi.index.neighbor_codes_with_distance(codes, dots[:, 0], index.plan)
+            scratch = index.tables.scratch()
+            hash_codes_all(scratch, q)
+            got = boi.index.neighbor_codes_with_distance(scratch, index.plan)
             assert got.tolist() == oracle_rows(index, q).tolist()
 
     def test_query_of_huge_norm_orders_deterministically(self):

@@ -334,7 +334,11 @@ def rerank(
     ``q`` is the validated float32 query (``query_vector``), the rows are
     finite and the candidates distinct, as ``RankedResult`` requires. The
     result reports ``shortlist_size = candidates.size``; no candidates give
-    an empty result.
+    an empty result. It depends on the set of candidates alone, not on
+    their order, to the bit: ``pairwise_distances`` measures each row
+    alone, and ``rank_by_distance`` depends only on the (id, distance)
+    pairs. So a shortlist may hand its set over in any order, as the
+    compiled one does (``index._answer``).
     """
     dists = pairwise_distances(vectors[candidates], q)
     ids, ranked = rank_by_distance(candidates, dists, k)

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import OFFSET_DTYPE, BoiParams, RankedResult, VectorSet
-from .vote import directory_words
+from .index import plan_budgets, probe_plan
+from .vote import directory_words, scratch_bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +155,7 @@ def _run_batch(run, queries: VectorSet, repetitions: int, workers: int):
 @dataclass(frozen=True)
 class MemoryEstimate:
     """Bytes resident for one index: the float32 vectors, the hash tables'
-    arrays, and one query's vote array."""
+    arrays, and one querying thread's scratch."""
 
     vectors_bytes: int
     index_bytes: int
@@ -178,19 +179,20 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
 
     vectors = n*dim*4 (the float32 ``VectorSet``); index = L*b*dim*4
     (float32 projections) + L*directory + L*n*4 (int32 members) + n*4
-    (int32 order), the arrays of ``ProjectionTable``; accumulator = n*4,
-    the int32 votes of one querying thread's scratch
-    (``ProjectionTable.scratch``), per thread: each thread that queries
-    holds its own. The scratch's touched pairs, 8 *
-    ``vote.touched_capacity(n)`` bytes (about n*2), and its hash and
-    probe-row buffers, which do not grow with n, are not counted. A
-    table's directory is W*8 bytes of uint64 bitmap and W*4 of the int32
-    rank the table makes from it, W = ``vote.directory_words(b)`` words,
-    max(1, 2**b / 64), and 4 bytes of int32 start for each non-empty
-    bucket and for n. The non-empty buckets are counted as min(n, 2**b),
-    so the directory term, alone, is an upper bound: the index holds at
-    most that many bytes, and at b = 16 over the benchmark's 100k records
-    about a twentieth of it.
+    (int32 order), the arrays of ``ProjectionTable``; accumulator = the
+    buffers of one querying thread's scratch (``ProjectionTable.scratch``)
+    once it has queried with the index's own plan, per thread: each thread
+    that queries holds its own. That is ``vote.scratch_bytes``: n*4 of
+    int32 votes and 8 * ``vote.touched_capacity(n)`` of touched pairs
+    (about n*2), and the hash's buffers, the plan's probe rows and the
+    compiled call's block, which do not grow with n. A wider plan, such as
+    a multi-probe ball, widens the probe rows. A table's directory is W*8
+    bytes of uint64 bitmap and W*4 of the int32 rank the table makes from
+    it, W = ``vote.directory_words(b)`` words, max(1, 2**b / 64), and 4
+    bytes of int32 start for each non-empty bucket and for n. The
+    non-empty buckets are counted as min(n, 2**b), so the directory term,
+    alone, is an upper bound: the index holds at most that many bytes, and
+    at b = 16 over the benchmark's 100k records about a twentieth of it.
     """
     if n < 0 or dim < 0:
         raise ValueError("n and dim must be non-negative")
@@ -199,10 +201,11 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     directory = words * (8 + OFFSET_DTYPE.itemsize) + (
         min(n, 1 << bits) + 1
     ) * OFFSET_DTYPE.itemsize
+    width = probe_plan(bits, int(plan_budgets(params).max()))[0].size
     return MemoryEstimate(
         vectors_bytes=n * dim * 4,
         index_bytes=params.num_tables * (bits * dim * 4 + directory + n * 4) + n * 4,
-        accumulator_bytes=n * 4,
+        accumulator_bytes=scratch_bytes(n, dim, params.num_tables, bits, width),
     )
 
 

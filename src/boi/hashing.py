@@ -413,11 +413,13 @@ def hash_codes_all(
     their shells by it (``index.neighbor_codes_with_distance``). Another
     ``dots`` raises ValueError.
 
-    A query hashes through here with its thread's ``vote.QueryScratch`` in
-    place of the filter (``ProjectionTable.scratch``): X is then the one
-    (dim,) float32 query ``core.query_vector`` checked, and its codes and
-    dot products go to the scratch's bound ``codes`` and ``dots``, the
-    codes returned, with no check or buffer made per call.
+    ``index.accumulate``'s staged path hashes a query through here with
+    its thread's ``vote.QueryScratch`` in place of the filter
+    (``ProjectionTable.scratch``): X is then the one (dim,) float32 query
+    ``core.query_vector`` checked, and its codes and dot products go to the
+    scratch's bound ``codes`` and ``dots``, the codes returned, with no
+    check or buffer made per call. ``index.query`` runs the same sign
+    filter inside its one compiled call (``vote.QueryScratch.query``).
     """
     if isinstance(sign_filter, QueryScratch):
         return sign_filter.hash(X)

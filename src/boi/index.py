@@ -6,39 +6,42 @@ Querying works in four stages:
 2. probe the query's own bucket plus a per-table budget of neighbor
    buckets, adding 1/2**H to every record found, where H is the bucket's
    Hamming distance from the query code (``weight``, tabulated per probe
-   position as ``BoiIndex.plan.units``). The probe rows of every table are one
-   call into ``vote.c`` (``neighbor_codes_with_distance``), and the gather
-   and the vote over every table are one more; both release the GIL, so
-   threads query in parallel. The vote kernel adds each probed bucket's
-   units one L1-sized tile of ids at a time.
-   The votes are exact int32 counts of 2**-b, whatever their order, and
-   stay in the tables' internal order (``ProjectionTable.order``), in
-   which a bucket's ids lie close together. Each querying thread owns the
-   buffers a query hashes, probes and votes into, bound once
-   (``ProjectionTable.scratch``), and its (n,) votes are all zero between
-   its queries. ``accumulate`` returns fresh votes in record order, so its
-   traced time includes that scatter;
+   position as ``BoiIndex.plan.units``). The vote kernel adds each probed
+   bucket's units one L1-sized tile of ids at a time. The votes are exact
+   int32 counts of 2**-b, whatever their order, and stay in the tables'
+   internal order (``ProjectionTable.order``), in which a bucket's ids lie
+   close together. Each querying thread owns the buffers a query hashes,
+   probes and votes into, bound once (``ProjectionTable.scratch``), and
+   its (n,) votes are all zero between its queries;
 3. keep the ``shortlist_size`` records with the highest accumulated
    integer vote, ties by lower record id (zero-weight records never
    qualify). When the votes lie in at most a quarter of their 64-id
    blocks, one compiled pass takes each non-zero vote out as a (record
-   id, vote) pair and zeroes the votes (``vote.QueryScratch.take``), so
-   the shortlist reads about 4k pairs, not n votes, at b = 16; otherwise,
-   as at b = 8, it reads the dense votes, which are zeroed after.
-   ``shortlist`` partitions a negated copy of what it reads in place to
-   find the cut, keeps the ids at or above it in one pass, maps them to
-   record ids, and sorts only those, cutting the sorted list;
+   id, vote) pair, zeroes the votes and selects the shortlist's set from
+   the pairs, about 4k of them at b = 16; otherwise, as at b = 8,
+   ``shortlist`` reads the dense votes, which are zeroed after. It
+   partitions a negated copy of the votes in place to find the cut, keeps
+   the ids at or above it in one pass, maps them to record ids, and sorts
+   only those, cutting the sorted list;
 4. re-rank the shortlist by exact Euclidean distance and return the top k
-   (``core.rerank``).
+   (``core.rerank``), which depends only on the shortlist's set, not on
+   its order.
+
+``query`` runs stages 1-3 in one call into ``vote.c`` that releases the
+GIL (``vote.QueryScratch.query``), after the matrix product of the hash,
+so threads query in parallel; only a dense shortlist and the re-rank run
+in Python. ``accumulate`` runs the same compiled stages one call at a
+time, through ``hash_codes_all`` and ``neighbor_codes_with_distance``,
+and returns fresh votes in record order: the staged path whose spans the
+benchmark's trace times, so its traced time includes that scatter.
 
 The LSH baselines run here too. ``multiprobe_lsh_query`` is multi-probe
 LSH over the Hamming ball of a radius (Lv et al., "Multi-Probe LSH", VLDB
-2007), and plain LSH is its radius 0. It runs stages 1-4 through the same
-``_accumulate``, ``shortlist`` and ``core.rerank``, with every table
-probing its whole ball and every probed bucket adding 1. A record's vote
-is then its collision count, and the shortlist keeps the records that
-collide most often, as collision-counting LSH does (C2LSH, Gan et al.,
-SIGMOD 2012).
+2007), and plain LSH is its radius 0. It runs stages 1-4 as ``query``
+does (``_answer``), with every table probing its whole ball and every
+probed bucket adding 1. A record's vote is then its collision count, and
+the shortlist keeps the records that collide most often, as
+collision-counting LSH does (C2LSH, Gan et al., SIGMOD 2012).
 
 The per-table neighbor budget at table i is sum_{j=1..l} C(gamma_i, j),
 where gamma_i follows the configured schedule and l is the probe radius.
@@ -152,6 +155,19 @@ def neighbor_budget(gamma: int, radius: int, cap: float = math.inf) -> int:
     return total
 
 
+def plan_budgets(params: BoiParams) -> np.ndarray:
+    """The (L,) int64 neighbor budgets of ``BoiIndex.plan``: table i's is
+    neighbor_budget(gamma_i, radius) for ``build_schedule(params)``, capped
+    at the code space (2**b - 1 other buckets) or, in strict mode, at the
+    radius ball."""
+    radius, bits = params.probe_radius, params.hash_bits
+    cap = neighbor_budget(bits, radius if params.strict_radius else bits)
+    return np.array(
+        [neighbor_budget(g, radius, cap) for g in build_schedule(params).tolist()],
+        dtype=np.int64,
+    )
+
+
 def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
     """(masks, distances) of a probe row covering ``count`` neighbors: mask 0,
     then whole shells in ``combinations`` order. Uncached: each index and
@@ -219,13 +235,14 @@ class BoiIndex:
     tables over one vector set.
 
     ``plan``, a ``vote.ProbePlan``, binds once for every query:
-    ``plan.budgets[i]``, table i's neighbor budget, neighbor_budget(gamma_i,
-    radius) for ``build_schedule(params)``, capped at the code space (2**b -
-    1 other buckets) or, in strict mode, at the radius ball; the capped sum
-    stops at the cap, so no budget costs more than b binomial terms however
-    large gamma_0 or the radius. ``plan.masks`` (uint16) are the masks of
-    ``probe_plan(b, max(budgets))``, which every query XORs into its codes,
-    and ``plan.units[j]`` (uint32) is weight(H_j, b) * 2**b for the plan's
+    ``plan.budgets[i]``, table i's neighbor budget (``plan_budgets``):
+    neighbor_budget(gamma_i, radius) for ``build_schedule(params)``, capped
+    at the code space (2**b - 1 other buckets) or, in strict mode, at the
+    radius ball; the capped sum stops at the cap, so no budget costs more
+    than b binomial terms however large gamma_0 or the radius.
+    ``plan.masks`` (uint16) are the masks of ``probe_plan(b,
+    max(budgets))``, which every query XORs into its codes, and
+    ``plan.units[j]`` (uint32) is weight(H_j, b) * 2**b for the plan's
     H_j, the vote the kernel adds at position j of a probe row (strict
     budgets never reach past the radius). All three arrays are read-only.
 
@@ -251,12 +268,7 @@ class BoiIndex:
             )
         if self.dataset is not None:
             tables.check_dataset(self.dataset)
-        radius, bits = p.probe_radius, p.hash_bits
-        cap = neighbor_budget(bits, radius if p.strict_radius else bits)
-        budgets = np.array(
-            [neighbor_budget(g, radius, cap) for g in build_schedule(p).tolist()],
-            dtype=np.int64,
-        )
+        bits, budgets = p.hash_bits, plan_budgets(p)
         masks, dists = probe_plan(bits, int(budgets.max()))
         per_shell = [weight(h, bits) * 2**bits for h in range(bits + 1)]
         units = np.array(per_shell, np.uint32)[dists]
@@ -285,11 +297,11 @@ def build_index(dataset: VectorSet, params: BoiParams) -> BoiIndex:
 def _accumulate(
     tables: ProjectionTable, q: np.ndarray, plan: ProbePlan
 ) -> tuple[QueryScratch, int, int]:
-    """The calling thread's scratch (``tables.scratch()``), whose
-    ``votes`` then hold the query's int32 votes in internal order (entry i
-    belongs to record ``tables.order[i]``), the probe count and the number
-    of (id, vote) pairs the kernel scanned; ``q`` is validated. The caller
-    takes the votes out, which zeroes them (``_candidates``).
+    """The staged path of ``accumulate``: the calling thread's scratch
+    (``tables.scratch()``), whose ``votes`` then hold the query's int32
+    votes in internal order (entry i belongs to record ``tables.order[i]``),
+    the probe count and the number of (id, vote) pairs the kernel scanned;
+    ``q`` is validated. The caller takes the votes out, which zeroes them.
 
     The hash keeps its dot products, and each table's probe row is its
     code XOR the plan's masks, its last, partly probed shell ordered by
@@ -297,7 +309,9 @@ def _accumulate(
     budgets[t] + 1 codes of its row, and position j of a row adds
     ``units[j]``. A boi vote of at most L * 2**b units stays below 2**31
     (``BoiParams``), so the int32 sums are exact and so is their negation
-    in the shortlist.
+    in the shortlist. ``hash_codes_all`` and
+    ``neighbor_codes_with_distance`` are called through this module's
+    globals, which the benchmark's trace wraps.
     """
     scratch = tables.scratch()
     hash_codes_all(scratch, q)
@@ -305,17 +319,24 @@ def _accumulate(
     return scratch, plan.probe_count, scratch.vote(plan)
 
 
-def _candidates(scratch: QueryScratch, shortlist_size: int, order: np.ndarray) -> np.ndarray:
-    """``shortlist`` of the votes ``scratch`` holds, for the tables whose
-    ``order`` it is, leaving the votes all zero: of the touched pairs when
-    the compiled pass takes them out (``QueryScratch.take``), else of the
-    dense votes, which are cleared after. Both give the same ids."""
-    m = scratch.take()
-    if m >= 0:
-        return shortlist(scratch.weights[:m], shortlist_size, scratch.ids[:m])
-    candidates = shortlist(scratch.votes, shortlist_size, order)
-    scratch.clear()
-    return candidates
+def _answer(
+    tables: ProjectionTable, vectors, q: np.ndarray, plan: ProbePlan,
+    shortlist_size: int, k: int,
+) -> RankedResult:
+    """The k nearest of the ``shortlist_size`` records of highest vote
+    under ``plan``, for the validated ``q``: one compiled call from the dot
+    products to the shortlist's set (``QueryScratch.query``), then, when
+    the votes stayed dense, ``shortlist`` over them, and the re-rank. The
+    compiled set and ``shortlist`` hold the same ids, and the re-rank
+    does not depend on their order."""
+    scratch = tables.scratch()
+    count, pairs = scratch.query(q, plan, shortlist_size)
+    if count >= 0:
+        candidates = scratch.ids[:count]
+    else:
+        candidates = shortlist(scratch.votes, shortlist_size, tables.order)
+        scratch.clear()
+    return rerank(vectors, candidates, q, k, plan.probe_count, pairs)
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
@@ -324,7 +345,10 @@ def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
 
     Entry r is sum weight(H, b) * 2**b over the probed buckets holding
     record r; records that no probed bucket contains stay at exactly 0.
-    ``query_index`` is accepted and ignored.
+    ``query_index`` is accepted and ignored. This is the staged path
+    (``_accumulate``), one compiled call a stage, which only the
+    benchmark's trace and the tests run; ``query`` runs the same stages
+    in one call.
     """
     q = query_vector(q, index.dim)
     tables = index.tables
@@ -385,10 +409,11 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
     Accumulates weights, shortlists the heaviest records, re-ranks them by
     exact Euclidean distance, and returns the top k with instrumentation
     (realized probe count, shortlist size, and the (id, vote) pairs the
-    kernel scanned). An empty shortlist yields an empty result rather than
-    an error. A table whose probed offsets or ids are out of range raises
-    ValueError. ``query_index`` is accepted and ignored: the answer depends
-    on (index, q, k) alone.
+    kernel scanned). Everything from the hash's dot products to the
+    shortlist is one compiled call (``_answer``). An empty shortlist yields
+    an empty result rather than an error. A table whose probed offsets or
+    ids are out of range raises ValueError. ``query_index`` is accepted and
+    ignored: the answer depends on (index, q, k) alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -398,10 +423,9 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
             "dataset first"
         )
     q = query_vector(q, index.dim)
-    tables = index.tables
-    scratch, probes, pairs = _accumulate(tables, q, index.plan)
-    candidates = _candidates(scratch, index.params.shortlist_size, tables.order)
-    return rerank(index.dataset.vectors, candidates, q, k, probes, pairs)
+    return _answer(
+        index.tables, index.dataset.vectors, q, index.plan, index.params.shortlist_size, k
+    )
 
 
 def multiprobe_lsh_query(
@@ -414,8 +438,8 @@ def multiprobe_lsh_query(
 ) -> RankedResult:
     """Multi-probe LSH: probe the full Hamming ball of ``radius`` per table.
 
-    This is the boi query's path (``_accumulate``, ``shortlist``,
-    ``core.rerank``) with the ball's plan (``_ball_plan``): units of 1 and
+    This is the boi query's path (``_answer``) with the ball's plan
+    (``_ball_plan``): units of 1 and
     every table's budget the whole ball, so each probed bucket adds 1 to
     its records, with no distance weight. The ``shortlist_size`` records
     with the most collisions (ties by lower id, never one with none) are
@@ -431,6 +455,4 @@ def multiprobe_lsh_query(
     q = query_vector(q, tables.dim)
     tables.check_dataset(dataset)
     plan = _ball_plan(tables.bits, tables.num_tables, min(radius, tables.bits))
-    scratch, probes, pairs = _accumulate(tables, q, plan)
-    candidates = _candidates(scratch, shortlist_size, tables.order)
-    return rerank(dataset.vectors, candidates, q, k, probes, pairs)
+    return _answer(tables, dataset.vectors, q, plan, shortlist_size, k)

@@ -1,10 +1,11 @@
-/* The eight compiled loops of boi: the probe rows of a query, ordered by
- * its margins, the weighted gather+vote of a query over the probed buckets
- * of every hash table, the pass that moves the votes a query touched out
- * for its shortlist, the counting sort that builds the buckets, the two
- * checks of a snapshot's table record as it is loaded, the check of the
- * tables' bucket directory, and the sign filter that turns dot products
- * into codes.
+/* The compiled loops of boi: the probe rows of a query, ordered by its
+ * margins, the weighted gather+vote of a query over the probed buckets of
+ * every hash table, the pass that moves the votes a query touched out and
+ * selects its shortlist's set from them, the counting sort that builds the
+ * buckets, the two checks of a snapshot's table record as it is loaded,
+ * the check of the tables' bucket directory, the sign filter that turns
+ * dot products into codes, and the one call that runs a query's stages in
+ * turn.
  *
  * Buckets hold internal ids: record i of the index is internal id j where
  * order[j] = i, and ``order`` lists the records in table 0's bucket order
@@ -78,8 +79,9 @@
  *
  * boi_touched_votes, the second entry point, hands the shortlist only the
  * votes a query touched, as (record id, vote) pairs, when they lie in few
- * 64-id blocks of the votes, and zeroes them as it goes (its own comment,
- * below).
+ * 64-id blocks of the votes, and zeroes them as it goes; given a shortlist
+ * size, it then keeps only the pairs of the shortlist's set (its own
+ * comment, below).
  *
  * boi_probe_rows, the third, writes the rows the first one probes: each
  * table's query code XOR the masks of its probe plan, with the table's
@@ -102,7 +104,14 @@
  *
  * boi_hash_codes, the eighth, turns the float32 dot products of
  * hashing.hash_codes_all into codes, recomputing in float64 each sign the
- * float32 error bound cannot decide (its own comment, at the end).
+ * float32 error bound cannot decide (its own comment, below).
+ *
+ * boi_query, the ninth, runs one query from its dot products to its
+ * shortlist's set: the sign filter, the probe rows, the gather+vote and
+ * the touched pass with its selection, each through its entry point above,
+ * on the addresses and sizes of one thread's scratch and one probe plan,
+ * bound once in an int64 block (its own comment, at the end). The staged
+ * calls stay for index.accumulate, whose stages the benchmark times.
  */
 #include <math.h> /* INFINITY and fabsf, which need no libm */
 #include <stdint.h>
@@ -274,7 +283,9 @@ HOT int64_t boi_gather_vote(
  * is zeroed once read, and the return value is m, the number of pairs;
  * the votes are then all zero. vote.QueryScratch sizes ``ids`` and
  * ``weights`` at capacity = 64 * (a quarter of the blocks), the share the
- * pass allows, so m never exceeds it.
+ * pass allows, so m never exceeds it. When shortlist_size is positive,
+ * the pairs are then cut to the shortlist's set (shortlist_touched, below)
+ * and the return value is its size.
  *
  * The first pass keeps the list of non-empty blocks in the last
  * capacity / 64 entries of ``ids``, from ids[capacity - capacity / 64],
@@ -298,13 +309,133 @@ static inline uint32_t any_vote(const int32_t *votes, int64_t count)
     return any;
 }
 
+/* Move the pairs whose vote is at least ``least`` to the front of the m
+ * pairs, in their order; return how many there are. A pair is written
+ * whatever its vote and kept only when it qualifies, so the pass has no
+ * branch on the votes, and each write lands at or below the pair read. */
+static int64_t keep_at_least(int64_t m, int32_t *ids, int32_t *weights, int32_t least)
+{
+    int64_t kept = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const int32_t vote = weights[i];
+        ids[kept] = ids[i];
+        weights[kept] = vote;
+        kept += vote >= least;
+    }
+    return kept;
+}
+
+/* A pair's place in the shortlist as one key: the higher vote first, then
+ * the lower record id (ids are record ids, in [0, INT32_MAX)). */
+static inline uint64_t shortlist_key(const int32_t *ids, const int32_t *weights, int64_t i)
+{
+    return (uint64_t)(uint32_t)weights[i] << 32 | (uint32_t)~(uint32_t)ids[i];
+}
+
+static inline void swap_pairs(int32_t *ids, int32_t *weights, int64_t i, int64_t j)
+{
+    const int32_t id = ids[i], vote = weights[i];
+    ids[i] = ids[j];
+    weights[i] = weights[j];
+    ids[j] = id;
+    weights[j] = vote;
+}
+
+/* Put the r pairs of highest shortlist_key first among ``count`` pairs, in
+ * no order: Hoare's FIND (quickselect), with the median of the first,
+ * middle and last keys as each pivot. Keys are distinct, since ids are. */
+static void best_first(int32_t *ids, int32_t *weights, int64_t count, int64_t r)
+{
+    int64_t lo = 0, hi = count;
+    while (lo < r && r < hi) {
+        const int64_t mid = lo + (hi - lo) / 2, last = hi - 1;
+        const uint64_t a = shortlist_key(ids, weights, lo);
+        const uint64_t b = shortlist_key(ids, weights, mid);
+        const uint64_t c = shortlist_key(ids, weights, last);
+        const int64_t median = (a < b) == (b < c) ? mid : (a < b) == (a < c) ? last : lo;
+        swap_pairs(ids, weights, median, last);
+        const uint64_t pivot = shortlist_key(ids, weights, last);
+        int64_t store = lo;
+        for (int64_t i = lo; i < last; i++) {
+            if (shortlist_key(ids, weights, i) > pivot)
+                swap_pairs(ids, weights, i, store++);
+        }
+        swap_pairs(ids, weights, store, last);
+        /* [lo, store) ranks above the pivot, now at store, and (store, hi)
+         * below it */
+        if (r <= store)
+            hi = store;
+        else
+            lo = store + 1;
+    }
+}
+
+/* The shortlist's set of the m touched pairs, moved to the front of
+ * ``ids`` and ``weights`` in no order; returns its size. It is the set
+ * index.shortlist keeps: the ``size`` pairs of highest vote, those tied at
+ * the cut by lowest record id, none whose vote is not positive, and all
+ * the positive ones when there are at most ``size``.
+ *
+ * One pass finds the top vote, and a second counts the positive votes in
+ * BINS bins of vote >> shift, the smallest shift that puts the top vote
+ * in the last bins. Walking the bins down from the top finds the cut's
+ * bin, the one in which the running count reaches ``size``; a third pass
+ * keeps the pairs in and above it. Only when the cut's bin holds more
+ * pairs than the slots left does a quickselect (best_first) choose among
+ * them, by vote and then record id. At b = 16 over the benchmark's data
+ * the votes are multiples of 2**15, so each bin holds one vote value, and
+ * the quickselect only picks the lowest ids of the tie at the cut. The
+ * bins' counts are on the stack, so the selection allocates nothing.
+ */
+#define BINS 2048
+
+static int64_t shortlist_touched(int64_t m, int32_t *ids, int32_t *weights, int64_t size)
+{
+    int32_t top = 0;
+    for (int64_t i = 0; i < m; i++)
+        top = weights[i] > top ? weights[i] : top;
+    if (m <= size || top == 0)
+        return keep_at_least(m, ids, weights, 1);
+    int shift = 0;
+    while (top >> shift >= BINS)
+        shift++;
+    uint32_t count[BINS];
+    memset(count, 0, sizeof count);
+    for (int64_t i = 0; i < m; i++) {
+        const int32_t vote = weights[i];
+        if (vote > 0)
+            count[vote >> shift]++;
+    }
+    int64_t bin = top >> shift, above = 0; /* the pairs in the bins above */
+    while (above + count[bin] < size) {
+        above += count[bin];
+        if (bin == 0)
+            return keep_at_least(m, ids, weights, 1); /* size or fewer positive */
+        bin--;
+    }
+    const int64_t least = bin << shift;
+    const int64_t kept = keep_at_least(m, ids, weights, least > 0 ? (int32_t)least : 1);
+    if (kept == size)
+        return size;
+    /* the bins above the cut's first, then choose among the cut's bin */
+    const int64_t next = (bin + 1) << shift;
+    int64_t front = 0;
+    for (int64_t i = 0; i < kept; i++) {
+        if (weights[i] >= next)
+            swap_pairs(ids, weights, i, front++);
+    }
+    best_first(ids + above, weights + above, kept - above, size - above);
+    return size;
+}
+
 int64_t boi_touched_votes(
     int64_t n,
     int32_t *votes,                     /* (n,) */
     const int32_t *order,               /* (n,) */
     int64_t capacity,
     int32_t *ids,                       /* (capacity,) */
-    int32_t *weights)                   /* (capacity,) */
+    int32_t *weights,                   /* (capacity,) */
+    int64_t shortlist_size)
 {
     if (n < 0 || n > INT32_MAX || capacity < 0)
         return -2;
@@ -332,7 +463,7 @@ int64_t boi_touched_votes(
         }
         memset(votes + lo, 0, (size_t)(hi - lo) * sizeof *votes);
     }
-    return m;
+    return shortlist_size > 0 ? shortlist_touched(m, ids, weights, shortlist_size) : m;
 }
 
 /* Probe rows ordered by the query's margins, as in query-directed probing
@@ -804,4 +935,71 @@ int64_t boi_hash_codes(
         }
     }
     return recomputed;
+}
+
+/* One query, from the dot products of its vector to its shortlist's set,
+ * in one call: the sign filter (boi_hash_codes), the probe rows
+ * (boi_probe_rows), the gather+vote (boi_gather_vote) and the touched pass
+ * with the shortlist's set (boi_touched_votes), in that order, each as its
+ * own entry point runs it. vote.QueryScratch calls it with the GIL
+ * released, once np.matmul has written the query's dot products.
+ *
+ * ``block`` holds what is fixed for one thread's scratch and one probe
+ * plan, bound once (vote.QueryScratch): the slots below, in this order,
+ * each an int64 size or an address; the sign filter's float32 bound and
+ * float64 safe square are stored as the bits of a float64. The plan's
+ * slots come last, so binding another plan rewrites only those.
+ *
+ * Returns the size of the shortlist's set, at the front of ``ids``, when
+ * the touched pass took the votes out, the votes all zero again; -1 when
+ * the votes stayed dense, intact for the shortlist to read; -2 when the
+ * heap had no room to order a shell; -3 for arguments a stage refuses (a
+ * shell outside the row); -4 for a corrupt table, the votes partly
+ * written. ``scanned`` gets the (id, vote) pairs the gather+vote scanned
+ * when the return value is -1 or more.
+ */
+enum {
+    Q_TABLES, Q_BITS, Q_N, Q_BITMAP, Q_RANK, Q_OFFSETS, Q_NUM_OFFSETS, Q_MEMBERS,
+    Q_DIM, Q_PROJECTIONS, Q_BOUND, Q_SAFE_SQUARE, Q_X, Q_DOTS, Q_CODES,
+    Q_VOTES, Q_ORDER, Q_CAPACITY, Q_IDS, Q_WEIGHTS,
+    Q_WIDTH, Q_MASKS, Q_SHELLS, Q_UNITS, Q_BUDGETS, Q_PROBES, /* the plan's */
+    Q_SLOTS
+};
+
+/* the slots of boi_query's block, which vote.py checks it fills */
+const int64_t boi_query_slots = Q_SLOTS;
+
+#define AT(type, slot) ((type *)(uintptr_t)block[slot])
+
+int64_t boi_query(const int64_t *block, int64_t shortlist_size, int64_t *scanned)
+{
+    const int64_t num_tables = block[Q_TABLES], bits = block[Q_BITS];
+    const int64_t n = block[Q_N], width = block[Q_WIDTH];
+    double bound, safe_square;
+    memcpy(&bound, block + Q_BOUND, sizeof bound);
+    memcpy(&safe_square, block + Q_SAFE_SQUARE, sizeof safe_square);
+    const float *const dots = AT(const float, Q_DOTS);
+    uint16_t *const codes = AT(uint16_t, Q_CODES), *const probes = AT(uint16_t, Q_PROBES);
+    int32_t *const votes = AT(int32_t, Q_VOTES);
+    if (boi_hash_codes(
+            num_tables, bits, 1, block[Q_DIM], dots, AT(const float, Q_X),
+            AT(const float, Q_PROJECTIONS), (float)bound, safe_square, codes, 1, 1)
+        < 0)
+        return -3;
+    const int64_t rows = boi_probe_rows(
+        num_tables, bits, width, codes, dots, AT(const uint16_t, Q_MASKS),
+        AT(const int64_t, Q_SHELLS), probes);
+    if (rows)
+        return rows == -2 ? -2 : -3;
+    const int64_t pairs = boi_gather_vote(
+        num_tables, bits, n, AT(const uint64_t, Q_BITMAP), AT(const int32_t, Q_RANK),
+        AT(const int32_t, Q_OFFSETS), block[Q_NUM_OFFSETS], AT(const int32_t, Q_MEMBERS),
+        probes, width, AT(const uint32_t, Q_UNITS), AT(const int64_t, Q_BUDGETS), votes);
+    if (pairs < 0)
+        return -4;
+    *scanned = pairs;
+    const int64_t taken = boi_touched_votes(
+        n, votes, AT(const int32_t, Q_ORDER), block[Q_CAPACITY], AT(int32_t, Q_IDS),
+        AT(int32_t, Q_WEIGHTS), shortlist_size);
+    return taken < -1 ? -3 : taken;
 }

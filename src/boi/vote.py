@@ -1,6 +1,7 @@
-"""The compiled loops of ``vote.c``, loaded with ctypes: the probe rows, the
-gather+vote kernel and the pass that takes the touched votes out, which
-every query runs, the counting sort
+"""The compiled loops of ``vote.c``, loaded with ctypes: the sign filter,
+the probe rows, the gather+vote kernel and the pass that takes the
+touched votes out and selects the shortlist's set from them, which every
+query runs in one call (``QueryScratch.query``), the counting sort
 ``hashing.insert_all`` buckets its records with, the table-record checks
 ``data_io.load_index`` runs, the directory check ``hashing.ProjectionTable``
 runs, and the sign filter ``hashing.hash_codes_all`` turns its float32 dot
@@ -33,7 +34,11 @@ What is fixed per table or per plan is checked once, when ``GatherVote``,
 ``ProbePlan`` or ``SignFilter`` binds it; ``TableCheck`` binds a snapshot
 load's arrays once in the same way. A query's own buffers belong to the
 thread that runs it (``QueryScratch``), which binds them on its first
-query, so a query then passes no array through ``_address``.
+query. The scratch writes every address and size a query needs into one
+int64 block, rebound only when the probe plan changes, so a query crosses
+into C once (``boi_query``) and passes three arguments: the block, its
+shortlist size and where the pairs scanned go. The staged calls
+(``hash``, ``rows``, ``vote``, ``take``) stay for ``index.accumulate``.
 """
 
 from __future__ import annotations
@@ -106,8 +111,8 @@ def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
     and result types of ``boi_gather_vote``, ``boi_touched_votes``,
     ``boi_probe_rows``, ``boi_bucket_sort``, ``boi_table_buckets``,
-    ``boi_check_table``, ``boi_check_directory`` and ``boi_hash_codes``
-    declared."""
+    ``boi_check_table``, ``boi_check_directory``, ``boi_hash_codes`` and
+    ``boi_query`` declared."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
@@ -133,6 +138,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # capacity
         address,  # ids
         address,  # weights
+        i64,  # shortlist size, 0 for every pair
     ]
     library.boi_probe_rows.argtypes = [
         i64,  # num_tables
@@ -195,6 +201,11 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # record stride
         i64,  # table stride
     ]
+    library.boi_query.argtypes = [
+        address,  # the bound block (QueryScratch)
+        i64,  # shortlist size
+        address,  # pairs scanned
+    ]
     for entry in (
         library.boi_gather_vote,
         library.boi_touched_votes,
@@ -204,6 +215,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         library.boi_check_table,
         library.boi_check_directory,
         library.boi_hash_codes,
+        library.boi_query,
     ):
         entry.restype = i64
     return library
@@ -609,6 +621,37 @@ def touched_capacity(n: int) -> int:
     return 64 * (-(-n // 64) // _TOUCHED_SHARE)
 
 
+# the slots of boi_query's block (``vote.c``), the plan's last
+_QUERY_SLOTS = ctypes.c_int64.in_dll(_library, "boi_query_slots").value
+_PLAN_SLOTS = 6
+# what boi_query returns for a corrupt table
+_QUERY_CORRUPT = -4
+
+
+def scratch_bytes(n: int, dim: int, num_tables: int, bits: int, width: int) -> int:
+    """The bytes of a ``QueryScratch`` over n records of dimension dim in
+    L = num_tables tables of b = bits bits, once it has bound plans of at
+    most ``width`` masks: 4n of int32 votes, 8 * ``touched_capacity(n)`` of
+    touched ids and votes, 4Lb of float32 dot products, 2L of codes, 4 *
+    dim of the query's float32 copy, 2L * width of probe rows, and the
+    int64 block and count of pairs scanned. The selection keeps its
+    counts on the stack, so it adds nothing."""
+    return (
+        4 * n
+        + 8 * touched_capacity(n)
+        + 4 * num_tables * bits
+        + 2 * num_tables
+        + 4 * dim
+        + 2 * num_tables * width
+        + 8 * (_QUERY_SLOTS + 1)
+    )
+
+
+def _float_slot(value: float) -> int:
+    """The bits of ``value`` as a float64, for a slot of boi_query's block."""
+    return int(np.float64(value).view(np.int64))
+
+
 class QueryScratch:
     """The buffers one thread queries one set of tables with, bound once.
 
@@ -623,12 +666,17 @@ class QueryScratch:
     between queries; ``dots`` (L*b, 1) float32 and ``codes`` (L,) uint16,
     the query's hash; ``probes``, the (L, width) uint16 probe rows of the
     last plan given; ``ids`` and ``weights``, ``touched_capacity(n)`` int32
-    each, the record ids and votes the touched pass takes out. At n = 100k
-    they hold about 0.6 MB. A query runs ``hash``, ``rows``, ``vote`` and
-    then ``take``, and ``clear`` when the votes stayed dense. Votes a query
-    left behind, because it raised or was interrupted, are cleared by the
-    next ``vote``, so a query never sees another's votes. One thread at a
-    time may use a scratch.
+    each, the record ids and votes the touched pass takes out; and the
+    int64 block of every address and size ``boi_query`` reads, whose plan
+    slots ``_use`` rebinds when the plan changes. At n = 100k they hold
+    about 0.6 MB (``nbytes``).
+
+    ``query`` runs a whole query in one compiled call. The staged path,
+    which ``index.accumulate`` takes, runs ``hash``, ``rows``, ``vote`` and
+    then ``take``. Either way ``clear`` follows when the votes stayed
+    dense. Votes a query left behind, because it raised or was
+    interrupted, are cleared before the next one votes, so a query never
+    sees another's votes. One thread at a time may use a scratch.
     """
 
     def __init__(self, sign_filter: SignFilter, gather: GatherVote, order):
@@ -642,15 +690,16 @@ class QueryScratch:
         self.codes = np.empty(num_tables, CODE_DTYPE)
         self.probes = self._probe_buffer = np.empty((num_tables, 0), CODE_DTYPE)
         self._x = np.empty((1, dim), np.float32)
+        self._scanned = np.zeros(1, np.int64)
         self._sign_filter, self._gather, self._order = sign_filter, gather, order
         self._plan, self._voted = None, False
         self._probes_at = self.probes.ctypes.data
         dots_at = _address(self.dots, np.float32, self.dots.shape, writable=True)
         codes_at = _address(self.codes, CODE_DTYPE, self.codes.shape, writable=True)
+        x_at = _address(self._x, np.float32, self._x.shape, writable=True)
+        projections_at, bound, safe_square = sign_filter._fixed
         self._hash = (
-            num_tables, bits, 1, dim, dots_at,
-            _address(self._x, np.float32, self._x.shape, writable=True),
-            *sign_filter._fixed, codes_at, 1, 1,
+            num_tables, bits, 1, dim, dots_at, x_at, *sign_filter._fixed, codes_at, 1, 1,
         )
         self._rows = (codes_at, dots_at)
         self._votes_at = _address(self.votes, np.int32, (n,), writable=True)
@@ -659,23 +708,55 @@ class QueryScratch:
             _address(self.ids, np.int32, (capacity,), writable=True),
             _address(self.weights, np.int32, (capacity,), writable=True),
         )
+        # boi_query's slots in ``vote.c``'s order; the plan's are bound by _use
+        self._block = np.array(
+            [
+                *gather._fixed, dim, projections_at, _float_slot(bound),
+                _float_slot(safe_square), x_at, dots_at, codes_at, *self._touched[1:],
+            ]
+            + [0] * _PLAN_SLOTS,
+            np.int64,
+        )
+        if self._block.size != _QUERY_SLOTS:
+            raise RuntimeError(
+                f"boi_query reads {_QUERY_SLOTS} slots, QueryScratch binds {self._block.size}"
+            )
+        self._query = (self._block.ctypes.data, self._scanned.ctypes.data)
 
-    def hash(self, q: np.ndarray) -> np.ndarray:
-        """The query's codes (``codes``), and its dot products in ``dots``:
-        one float32 matrix product and the sign filter, as
-        ``hashing.hash_codes_all`` hashes one row. ``q`` is the (dim,)
-        float32 query ``core.query_vector`` checked."""
+    @property
+    def nbytes(self) -> int:
+        """The bytes of every buffer the scratch holds: the votes, the
+        touched pairs, the hash's, the probe rows of the widest plan it has
+        bound, the block and the count of pairs scanned."""
+        return sum(
+            a.nbytes
+            for a in (
+                self.votes, self.ids, self.weights, self.dots, self.codes,
+                self._probe_buffer, self._x, self._block, self._scanned,
+            )
+        )
+
+    def _product(self, q: np.ndarray) -> None:
+        """The query's float32 dot products, into ``dots``: one matrix
+        product, as ``hashing.hash_codes_all`` makes them for one row. ``q``
+        is the (dim,) float32 query ``core.query_vector`` checked."""
         x = self._x
         x[0] = q
         # a product may overflow only in a row the filter recomputes whole
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(self._sign_filter.projections, x.T, out=self.dots)
+
+    def hash(self, q: np.ndarray) -> np.ndarray:
+        """The query's codes (``codes``), and its dot products in ``dots``:
+        one float32 matrix product and the sign filter, as
+        ``hashing.hash_codes_all`` hashes one row."""
+        self._product(q)
         _library.boi_hash_codes(*self._hash)
         return self.codes
 
     def _use(self, plan: ProbePlan) -> None:
-        """Bind ``probes`` to ``plan``'s width, unless it is the last plan;
-        ValueError when the plan is for other tables."""
+        """Bind ``probes`` and the block's plan slots to ``plan``, unless it
+        is the last plan; ValueError when the plan is for other tables."""
         if plan is self._plan:
             return
         num_tables, bits = self._gather._fixed[:2]
@@ -689,7 +770,46 @@ class QueryScratch:
             self._probe_buffer = np.empty(size, CODE_DTYPE)
         self.probes = self._probe_buffer[:size].reshape(num_tables, plan.width)
         self._probes_at = self.probes.ctypes.data
+        self._block[-_PLAN_SLOTS:] = (
+            plan.width, *plan._rows, *plan._votes, self._probes_at
+        )
         self._plan = plan
+
+    def _start_vote(self) -> None:
+        """Clear the votes a query left behind, and mark them in use."""
+        if self._voted:
+            self.clear()
+        self._voted = True
+
+    def query(self, q: np.ndarray, plan: ProbePlan, shortlist_size: int) -> tuple[int, int]:
+        """One query under ``plan``, in one compiled call with the GIL
+        released (``boi_query``), after the matrix product of ``hash``:
+        the sign filter, the probe rows, the gather+vote and the touched
+        pass. Returns (count, pairs scanned).
+
+        When the touched pass takes the votes out, ``votes`` is all zero
+        again and ``ids[:count]`` holds, in no order, the record ids of
+        ``index.shortlist``'s set of the votes: the ``shortlist_size``
+        highest votes, the ties at the cut by lowest record id. Otherwise
+        count is -1 and ``votes`` holds the dense votes, for the caller to
+        shortlist and then ``clear``. Raises ValueError for a corrupt
+        table, as ``vote`` does, or for shells outside the row, and
+        MemoryError when the heap has no room to order a shell, as
+        ``rows`` does.
+        """
+        self._use(plan)
+        self._product(q)
+        self._start_vote()
+        count = _library.boi_query(
+            self._query[0], min(shortlist_size, len(self.votes)), self._query[1]
+        )
+        if count >= 0:
+            self._voted = False
+        elif count == _QUERY_CORRUPT:
+            raise ValueError(_CORRUPT)
+        elif count < -1:
+            plan._check_rows(count)
+        return count, int(self._scanned[0])
 
     def rows(self, plan: ProbePlan) -> np.ndarray:
         """The (L, width) probe rows of the hashed query under ``plan``,
@@ -707,11 +827,9 @@ class QueryScratch:
         """Add the votes of every bucket the rows probe to ``votes``
         (``GatherVote``); return the (id, vote) pairs scanned. Raises
         ValueError for a corrupt table, as ``GatherVote`` does; the next
-        ``vote`` clears what it wrote."""
+        query clears what it wrote."""
         self._use(plan)
-        if self._voted:
-            self.clear()
-        self._voted = True
+        self._start_vote()
         scanned = _library.boi_gather_vote(
             *self._gather._fixed, self._probes_at, plan.width, *plan._votes,
             self._votes_at,
@@ -720,13 +838,20 @@ class QueryScratch:
             raise ValueError(_CORRUPT)
         return scanned
 
-    def take(self) -> int:
+    def take(self, shortlist_size: int = 0) -> int:
         """m, when the touched pass took the votes out: ``ids[:m]`` and
         ``weights[:m]`` hold each non-zero vote's record id and vote, in
         ascending internal id, and ``votes`` is all zero again. -1 when
         more than a quarter of the votes' 64-id blocks hold one: ``votes``
-        is left as it is, for ``clear`` once it has been read."""
-        m = _library.boi_touched_votes(*self._touched)
+        is left as it is, for ``clear`` once it has been read.
+
+        Given a ``shortlist_size`` of 1 or more, the pairs taken out are
+        then cut to ``index.shortlist``'s set of them, as ``query`` cuts
+        them, and m is the set's size: its pairs come first, in no order.
+        """
+        m = _library.boi_touched_votes(
+            *self._touched, min(shortlist_size, len(self.votes))
+        )
         if m >= 0:
             self._voted = False
         return m

@@ -176,7 +176,12 @@ def test_c07_memory_accounting():
     # (per table 4 words of uint64 bitmap and int32 rank, and 257 int32
     # offsets) + int32 ids 400 MB + the int32 order 4 MB
     assert est.index_bytes == 404_517_200
-    assert est.accumulator_bytes == 4_000_000  # 4 MB of int32 votes
+    # one querying thread's scratch: 4 MB of int32 votes, 1,999,872 of
+    # touched pairs (8 * 249,984), 3,912 of hash buffers (float32 dots
+    # 100*8*4, uint16 codes 100*2, the float32 query 128*4), 7,400 of probe
+    # rows (100 tables of 37 uint16 masks) and 216 of the compiled call's
+    # int64 block and pairs count
+    assert est.accumulator_bytes == 6_011_400
     print("ACCEPTANCE 07 memory accounting: PASS")
 
 

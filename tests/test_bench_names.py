@@ -12,6 +12,7 @@ import boi
 import boi.core
 import boi.hashing
 import boi.index
+import boi.vote
 
 K = 5
 
@@ -36,7 +37,9 @@ def count_calls(monkeypatch, module, name: str, calls: dict) -> None:
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("stage", ["query", "accumulate"])
+# the traced pass times ``accumulate``, the staged path; ``query`` runs
+# the same compiled stages in one call, past these globals
+@pytest.mark.parametrize("stage", ["accumulate"])
 def test_a_query_hashes_and_builds_its_probe_rows_through_the_index_globals(
     index, monkeypatch, stage
 ):
@@ -44,11 +47,19 @@ def test_a_query_hashes_and_builds_its_probe_rows_through_the_index_globals(
     calls = {}
     for name in ("hash_codes_all", "neighbor_codes_with_distance"):
         count_calls(monkeypatch, boi.index, name, calls)
-    if stage == "query":
-        boi.query(index, q, K, 3)
-    else:
-        boi.accumulate(index, q, 3)
+    getattr(boi, stage)(index, q, 3)
     assert calls == {"hash_codes_all": 1, "neighbor_codes_with_distance": 1}
+
+
+def test_a_query_makes_one_compiled_call_past_the_index_globals(index, monkeypatch):
+    q = index.dataset.vectors[3]
+    calls = {}
+    for name in ("hash_codes_all", "neighbor_codes_with_distance"):
+        count_calls(monkeypatch, boi.index, name, calls)
+    count_calls(monkeypatch, boi.vote._library, "boi_query", calls)
+    boi.query(index, q, K, 3)
+    boi.multiprobe_lsh_query(index.tables, index.dataset, q, 1, 10, K)
+    assert calls == {"hash_codes_all": 0, "neighbor_codes_with_distance": 0, "boi_query": 2}
 
 
 def test_the_build_inserts_and_hashes_through_the_patched_globals(index, monkeypatch):

@@ -337,3 +337,32 @@ def test_rerank_result_equals_a_checked_result(n, dim, m, k, seed):
         checked.shortlist_size,
         checked.pairs_scanned,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    dim=st.integers(1, 9),
+    m=st.integers(0, 60),
+    k=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rerank_ignores_the_order_of_its_candidates(n, dim, m, k, seed):
+    # the compiled shortlist hands its set over in no order: every
+    # permutation of the candidates must give the same bits. Small integer
+    # rows tie distances exactly, and half the rows repeat another row
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+    copies = rng.integers(0, n, size=n // 2)
+    vectors[rng.permutation(n)[: n // 2]] = vectors[copies]
+    vectors[rng.random(n) < 0.3] += rng.standard_normal(dim).astype(np.float32)
+    candidates = rng.permutation(n)[: min(m, n)].astype(np.int32)
+    q = dense_vector(rng.integers(-2, 3, size=dim))
+    first = rerank(vectors, candidates, q, k, probe_count=1, pairs_scanned=2)
+    for _ in range(4):
+        shuffled = rerank(
+            vectors, rng.permutation(candidates), q, k, probe_count=1, pairs_scanned=2
+        )
+        assert shuffled.ids.tobytes() == first.ids.tobytes()
+        assert shuffled.distances.tobytes() == first.distances.tobytes()
+        assert shuffled.shortlist_size == first.shortlist_size

@@ -15,7 +15,8 @@ from boi.evaluate import (
     score,
     summarize,
 )
-from boi.index import build_index
+from boi.index import build_index, query
+from boi.vote import touched_capacity
 
 
 class TestAveragePrecision:
@@ -221,8 +222,12 @@ class TestEstimateMemory:
         assert est.vectors_bytes == 512_000_000
 
     def test_accumulator_four_megabytes(self):
+        # 4 MB of int32 votes and 8 * touched_capacity(1M) = 1,999,872 bytes
+        # of touched pairs, then the buffers that do not grow with n: dots,
+        # codes and the query (3,912), the 37-mask probe rows of 100 tables
+        # (7,400), and the block and pairs count (8 * 27)
         est = estimate_memory(1_000_000, 128, BoiParams())
-        assert est.accumulator_bytes == 4_000_000
+        assert est.accumulator_bytes == 4_000_000 + 1_999_872 + 3_912 + 7_400 + 216
 
     def test_default_id_width_is_addressable(self):
         # 100 tables: projections 8*128*4, a directory of 4 words of bitmap
@@ -230,7 +235,7 @@ class TestEstimateMemory:
         # int32 ids; and the order, 1M int32 record ids
         est = estimate_memory(1_000_000, 128, BoiParams())
         assert est.index_bytes == 409_600 + 107_600 + 400_000_000 + 4_000_000
-        assert est.total_bytes == 512_000_000 + 404_517_200 + 4_000_000
+        assert est.total_bytes == 512_000_000 + 404_517_200 + 6_011_400
 
     def test_scales_with_tables(self):
         n, dim, b = 1000, 16, 8
@@ -273,6 +278,22 @@ class TestEstimateMemory:
             # 300 records hold at most 300 of 65,536 buckets: the bound is
             # about a twentieth of the dense offsets it replaces
             assert directory < tables * (2**bits + 1) * 4 / 16
+
+    @pytest.mark.parametrize("n, bits", [(100_000, 8), (100_000, 16), (5_003, 12)])
+    def test_covers_the_scratch_a_query_holds(self, n, bits):
+        # the buffers of a scratch that has queried with the index's plan,
+        # at n = 100k and at an n that is not a multiple of 64
+        rng = np.random.default_rng(n)
+        dataset = VectorSet(rng.standard_normal((n, 6)).astype(np.float32))
+        params = BoiParams(num_tables=3, hash_bits=bits, seed=1)
+        index = build_index(dataset, params)
+        query(index, dataset.vectors[0], 5)
+        scratch = index.tables.scratch()
+        est = estimate_memory(n, 6, params)
+        assert est.accumulator_bytes >= scratch.nbytes
+        # every term of the model is exact for the index's own plan
+        assert est.accumulator_bytes == scratch.nbytes
+        assert scratch.nbytes >= 4 * n + 8 * touched_capacity(n)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boi
+from boi import vote
 from boi.core import (
     SCHEDULE_KINDS,
     BoiParams,
@@ -23,7 +28,6 @@ from boi.index import (
     BoiIndex,
     _accumulate,
     _bound_plan,
-    _candidates,
     accumulate,
     build_index,
     build_schedule,
@@ -509,8 +513,9 @@ def take_and_shortlist(tables, votes, eps) -> int:
     in the thread's scratch: m, after checking that it took out each
     non-zero vote's record id and vote in ascending internal id and left
     the votes zero, or -1, after checking that it left them as they were.
-    Then the same votes, shortlisted through the pass (``_candidates``),
-    must give ``shortlist(votes, eps, order)`` and leave the votes zero."""
+    Then the same votes, taken out with the shortlist's selection as a
+    query takes them, must give the set of ``shortlist(votes, eps,
+    order)`` with each pair's own vote, or leave the dense votes alone."""
     scratch = tables.scratch()
     scratch.votes[:] = votes
     m = scratch.take()
@@ -524,10 +529,19 @@ def take_and_shortlist(tables, votes, eps) -> int:
         assert scratch.votes.tolist() == votes.tolist()
         scratch.clear()
     scratch.votes[:] = votes
-    got = _candidates(scratch, eps, tables.order)
-    want = shortlist(votes, eps, tables.order)
-    assert got.dtype == want.dtype and got.tolist() == want.tolist()
-    assert not scratch.votes.any()
+    count = scratch.take(eps)
+    assert (count >= 0) == (m >= 0)
+    if count >= 0:
+        want = shortlist(votes, eps, tables.order)
+        got = scratch.ids[:count]
+        assert sorted(got.tolist()) == sorted(want.tolist())
+        records = np.zeros(tables.n, np.int64)
+        records[tables.order] = votes
+        assert scratch.weights[:count].tolist() == records[got].tolist()
+        assert not scratch.votes.any()
+    else:
+        assert scratch.votes.tolist() == votes.tolist()
+        scratch.clear()
     return m
 
 
@@ -568,7 +582,7 @@ class TestTouchedPass:
         for n in (1, 63, 64, self.N):
             tables = tables_of(n)
             assert take_and_shortlist(tables, np.zeros(n, np.int32), 5) == 0
-            assert _candidates(tables.scratch(), 5, tables.order).size == 0
+            assert tables.scratch().take(5) == 0
 
     def test_fewer_touched_than_the_shortlist(self):
         tables = tables_of(self.N)
@@ -596,6 +610,91 @@ class TestTouchedPass:
                 for eps in (1, 5, max(n // 3, 1), n):
                     paths.add(take_and_shortlist(tables, votes.astype(np.int32), eps) >= 0)
         assert paths == {True, False}
+
+
+class TestTouchedShortlist:
+    """The compiled selection of the shortlist's set from the touched
+    pairs, against ``shortlist(votes, eps, order)`` as the oracle
+    (``take_and_shortlist``), over the 1044 votes of ``TestTouchedPass``:
+    256 pairs of room, and a tail block of 20 ids. Every case's votes lie
+    in at most 4 of the 17 blocks, so they are taken out."""
+
+    N = TestTouchedPass.N
+
+    def votes_at(self, ids, values) -> np.ndarray:
+        votes = np.zeros(self.N, np.int32)
+        votes[ids] = values
+        return votes
+
+    def test_no_more_pairs_than_the_shortlist_and_a_shortlist_of_one(self):
+        tables = tables_of(self.N)
+        votes = self.votes_at([3, 500, 1040], [4, 9, 4])
+        for eps in (1, 2, 3, 250):
+            assert take_and_shortlist(tables, votes, eps) == 3
+        # a shortlist of one among tied leaders keeps the lowest record id
+        votes = self.votes_at(np.arange(0, 256, 7), 6)
+        assert take_and_shortlist(tables, votes, 1) == 37
+
+    def test_a_tie_group_larger_than_the_slots_left(self):
+        tables = tables_of(self.N)
+        votes = self.votes_at(np.arange(70, 250), 7)
+        votes[[5, 150, 251]] = [9, 8, 12]
+        for eps in (4, 5, 50, 181):
+            assert take_and_shortlist(tables, votes, eps) == 182
+
+    def test_every_pair_tied(self):
+        tables = tables_of(self.N)
+        votes = self.votes_at(np.arange(20, 220), 5)
+        for eps in (1, 17, 199, 200, 201):
+            assert take_and_shortlist(tables, votes, eps) == 200
+
+    def test_several_votes_share_the_cuts_bin(self):
+        # a top vote of 2**20 sorts the votes into bins of 2**10: the cut
+        # falls among votes 700 * 2**10 + {0, 3, 5, 1000, 1023}, one bin,
+        # several ids each, under leaders of other bins
+        tables = tables_of(self.N)
+        ids = np.arange(64, 256)
+        offsets = np.array([0, 3, 5, 1000, 1023])[ids % 5]
+        votes = self.votes_at(ids, 700 * 2**10 + offsets)
+        votes[[1, 2, 3]] = [2**20, 900 * 2**10, 701 * 2**10]
+        for eps in (3, 4, 10, 50, 100, 150, 194):
+            assert take_and_shortlist(tables, votes, eps) == 195
+
+    def test_a_shortlist_at_or_past_the_pairs_room(self):
+        tables = tables_of(self.N)
+        capacity = vote.touched_capacity(self.N)
+        assert capacity == 256
+        votes = self.votes_at(np.arange(64 * 4), np.arange(256) % 9 + 1)
+        for eps in (capacity - 1, capacity, capacity + 1, 2**40):
+            assert take_and_shortlist(tables, votes, eps) == 256
+
+    def test_votes_in_the_tail_block(self):
+        tables = tables_of(self.N)
+        tail = np.arange(1024, 1044)
+        votes = self.votes_at(tail, tail % 3 + 1)
+        votes[[0, 64]] = [2, 3]
+        for eps in (1, 5, 8, 21, 22, 23):
+            assert take_and_shortlist(tables, votes, eps) == 22
+
+    def test_a_vote_wrapped_negative_never_qualifies(self):
+        # an int32 sum past 2**31 - 1 reads negative; like the shortlist,
+        # the selection keeps only positive votes
+        tables = tables_of(self.N)
+        votes = self.votes_at([10, 20, 30, 40], [2**31 - 1, -(2**30), -5, 3])
+        for eps in (1, 2, 3, 4):
+            assert take_and_shortlist(tables, votes, eps) == 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_votes_of_every_spread(self, seed):
+        rng = np.random.default_rng(seed)
+        tables = tables_of(self.N)
+        for top in (3, 2000, 2**16, 2**24, 2**31 - 1):
+            ids = rng.permutation(256)
+            votes = self.votes_at(ids, rng.integers(1, top + 1, 256))
+            # a tie group at some vote, so the cut often falls inside it
+            votes[ids[:40]] = votes[ids[40]]
+            for eps in (1, 13, 40, 41, 128, 255):
+                assert take_and_shortlist(tables, votes, eps) == 256
 
 
 class TestQuery:
@@ -1156,6 +1255,86 @@ def test_one_thread_keeps_the_scratches_of_two_indexes_apart(small_index, mixed_
         assert answer(a, a_data.vectors[qi], qi) == alone_a[qi]
     assert a.tables.scratch().votes.size == a.n
     assert b.tables.scratch().votes.size == b.n
+
+
+# a b = 16 index whose plan's rows are 17 masks wide, and its answers to
+# ``query`` and to multi-probe LSH over the radius-3 ball, 697 masks wide
+_PLAN_SWITCH = """
+import numpy as np
+import boi
+
+rng = np.random.default_rng(36)
+centers = rng.standard_normal((8, 16))
+points = centers[np.arange(2000) % 8] + 0.2 * rng.standard_normal((2000, 16))
+data = boi.VectorSet(points.astype(np.float32))
+index = boi.build_index(
+    data, boi.BoiParams(num_tables=12, hash_bits=16, shortlist_size=40, seed=3)
+)
+queries = data.vectors[:15] + 0.1 * rng.standard_normal((15, 16)).astype(np.float32)
+
+
+def fields(res):
+    return [res.ids.tolist(), res.distances.tobytes().hex(), res.probe_count,
+            res.pairs_scanned, res.shortlist_size]
+
+
+def boi_answers():
+    return [fields(boi.query(index, q, 10)) for q in queries]
+
+
+def ball_answers():
+    return [fields(boi.multiprobe_lsh_query(index.tables, data, q, 3, 40, 10))
+            for q in queries]
+"""
+
+
+def test_a_wider_plan_between_queries_leaves_every_answer_alone():
+    # one thread queries with the index's plan, then the radius-3 ball,
+    # whose rows regrow the scratch's probe buffer and rebind the compiled
+    # call's block, then the index's plan again; a fresh process answers
+    # each plan in a thread of its own, importing this process's boi
+    env = dict(os.environ, PYTHONPATH=str(Path(boi.__file__).resolve().parent.parent))
+    fresh = subprocess.run(
+        [
+            sys.executable, "-c",
+            _PLAN_SWITCH + "import json, threading\n"
+            "out = {'boi': boi_answers()}\n"
+            "t = threading.Thread(target=lambda: out.update(ball=ball_answers()))\n"
+            "t.start(); t.join()\n"
+            "print(json.dumps(out))\n",
+        ],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    want = json.loads(fresh.stdout)
+    space = {}
+    exec(_PLAN_SWITCH, space)
+    index, scratch = space["index"], space["index"].tables.scratch()
+    assert space["boi_answers"]() == want["boi"]
+    assert scratch.probes.shape == (12, index.plan.width) == (12, 17)
+    assert space["ball_answers"]() == want["ball"]
+    assert scratch.probes.shape == (12, 697)
+    assert space["boi_answers"]() == want["boi"]
+    assert scratch.probes.shape == (12, 17)
+    assert {len(set(a[0])) for a in want["boi"] + want["ball"]} == {10}
+
+
+def test_the_one_call_refuses_shells_changed_after_binding(small_index):
+    # the probe-row stage refuses the range inside the compiled call, before
+    # any vote, and the next query answers as before
+    index, data = small_index
+    q = data.vectors[9]
+    before = query(index, q, 5)
+    plan = index.plan
+    shells = plan.shells.copy()
+    mine = vote.ProbePlan(
+        plan.bits, plan.masks.copy(), plan.units.copy(), plan.budgets.copy(), shells
+    )
+    shells[0] = [plan.width, 0]
+    with pytest.raises(ValueError, match=r"shells must be ranges within"):
+        index.tables.scratch().query(q, mine, 5)
+    again = query(index, q, 5)
+    assert again.ids.tobytes() == before.ids.tobytes()
+    assert again.distances.tobytes() == before.distances.tobytes()
 
 
 def test_a_query_that_raises_leaves_the_next_answer_alone():

@@ -391,7 +391,6 @@ def hash_codes_all(
     sign_filter: SignFilter | QueryScratch,
     X: np.ndarray,
     out: np.ndarray | None = None,
-    dots: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bucket codes (uint16) of the rows of X under every table, shape (m, L).
 
@@ -407,18 +406,15 @@ def hash_codes_all(
     product into an (L*bits, rows) buffer the call allocates once. Then
     the filter keeps each sign the float32 error bound decides, recomputes
     the rest in float64 and writes each table's codes into ``out``. The
-    build and the query both hash here. When ``dots``, a writable
-    C-contiguous (L*bits, m) float32 array, is given, the product of all m
-    rows goes there in one piece and is kept: the query's probe rows order
-    their shells by it (``index.neighbor_codes_with_distance``). Another
-    ``dots`` raises ValueError.
+    build hashes its records here (``insert_all``).
 
     ``index.accumulate``'s staged path hashes a query through here with
     its thread's ``vote.QueryScratch`` in place of the filter
     (``ProjectionTable.scratch``): X is then the one (dim,) float32 query
     ``core.query_vector`` checked, and its codes and dot products go to the
     scratch's bound ``codes`` and ``dots``, the codes returned, with no
-    check or buffer made per call. ``index.query`` runs the same sign
+    check or buffer made per call; ``QueryScratch.rows`` orders the partly
+    probed shells by those dot products. ``index.query`` runs the same sign
     filter inside its one compiled call (``vote.QueryScratch.query``).
     """
     if isinstance(sign_filter, QueryScratch):
@@ -434,24 +430,11 @@ def hash_codes_all(
     num_rows = projections.shape[0]
     if out is None:
         out = np.empty((m, sign_filter.num_tables), dtype=CODE_DTYPE)
-    chunk_rows = _HASH_CHUNK
-    if dots is None:
-        buffer = np.empty(num_rows * min(m, _HASH_CHUNK), dtype=np.float32)
-    elif (
-        dots.shape != (num_rows, m)
-        or dots.dtype != np.float32
-        or not (dots.flags.c_contiguous and dots.flags.writeable)
-    ):
-        raise ValueError(
-            f"dots must be a writable C-contiguous float32 array of shape "
-            f"{(num_rows, m)}, got {dots.dtype} of shape {dots.shape}"
-        )
-    else:
-        buffer, chunk_rows = dots.reshape(-1), max(m, 1)
+    buffer = np.empty(num_rows * min(m, _HASH_CHUNK), dtype=np.float32)
     # a product may overflow only in rows the filter recomputes whole
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, m, chunk_rows):
-            chunk = X[start : start + chunk_rows]
+        for start in range(0, m, _HASH_CHUNK):
+            chunk = X[start : start + _HASH_CHUNK]
             products = buffer[: num_rows * len(chunk)].reshape(num_rows, -1)
             np.matmul(projections, chunk.T, out=products)
             sign_filter(products, chunk, out[start : start + len(chunk)])

@@ -222,9 +222,9 @@ def neighbor_codes_with_distance(scratch: QueryScratch, plan: ProbePlan) -> np.n
     """Probe rows (L, width) uint16 of the query ``scratch`` last hashed
     (``hash_codes_all``), written into its bound ``probes``: codes[t] XOR
     the plan's masks, table t's last, partly probed shell by ascending
-    margin sum of the query's dot products (``vote.ProbePlan.rows``). The
-    codes come from the hash unchecked: the vote kernel refuses any code
-    of 2**b or more. The name stays for the benchmark's
+    margin sum of the query's dot products (``vote.QueryScratch.rows``).
+    The codes come from the hash unchecked: the vote kernel refuses any
+    code of 2**b or more. The name stays for the benchmark's
     ``hashing.probe_order_ms`` span."""
     return scratch.rows(plan)
 
@@ -372,25 +372,26 @@ def shortlist(
     """Record ids of the highest-weight records, at most ``shortlist_size``
     of them.
 
-    ``weights`` are non-negative integer votes or float weights; entry i
-    belongs to record ``order[i]``, or to record i when ``order`` is
-    omitted. Sorted by weight descending, ties by ascending record id.
-    Records with zero weight were never probed and are excluded even when
-    that leaves the shortlist short.
+    ``weights`` are the non-negative int32 votes a query accumulates
+    (``accumulate``, or a scratch's ``votes``); entry i belongs to record
+    ``order[i]``, or to record i when ``order`` is omitted. Sorted by
+    weight descending, ties by ascending record id. Records with zero
+    weight were never probed and are excluded even when that leaves the
+    shortlist short. Weights of any other dtype raise ValueError naming
+    it, as does a ``shortlist_size`` below 1.
 
     One in-place partition of a negated copy finds the cut, the
-    ``shortlist_size``-th largest weight. One pass over the weights then
-    keeps the ids at or above it and maps them through ``order``. Only
-    those are sorted, by weight and then record id, and the sorted list is
-    cut at ``shortlist_size``, so of the ids at the cut the lowest record
-    ids are kept. Unsigned weights are widened to int64 first, since an
-    unsigned w would negate to 2**N - w.
+    ``shortlist_size``-th largest weight; a non-negative int32 vote negates
+    exactly. One pass over the weights then keeps the ids at or above it
+    and maps them through ``order``. Only those are sorted, by weight and
+    then record id, and the sorted list is cut at ``shortlist_size``, so
+    of the ids at the cut the lowest record ids are kept.
     """
     if shortlist_size < 1:
         raise ValueError("shortlist_size must be >= 1")
     weights = np.asarray(weights)
-    if weights.dtype.kind == "u":
-        weights = weights.astype(np.int64)
+    if weights.dtype != np.int32:
+        raise ValueError(f"shortlist takes int32 votes, got {weights.dtype}")
     cut = 0
     if shortlist_size < weights.size:
         neg = np.negative(weights)

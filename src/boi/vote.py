@@ -32,11 +32,13 @@ the array's exact type, shape and layout first: numpy's own ctypes
 argument conversion would cost about 5 us an array while the GIL is held.
 What is fixed per table or per plan is checked once, when ``GatherVote``,
 ``ProbePlan`` or ``SignFilter`` binds it; ``TableCheck`` binds a snapshot
-load's arrays once in the same way. A query's own buffers belong to the
-thread that runs it (``QueryScratch``), which binds them on its first
-query. The scratch writes every address and size a query needs into one
-int64 block, rebound only when the probe plan changes, so a query crosses
-into C once (``boi_query``) and passes three arguments: the block, its
+load's arrays once in the same way. The query stages have one Python
+caller each, a method of the querying thread's ``QueryScratch``, which
+owns every buffer a query writes and binds them on its first query;
+``GatherVote`` and ``ProbePlan`` are only bindings that it reads. The
+scratch writes every address and size a query needs into one int64
+block, rebound only when the probe plan changes, so a query crosses into
+C once (``boi_query``) and passes three arguments: the block, its
 shortlist size and where the pairs scanned go. The staged calls
 (``hash``, ``rows``, ``vote``, ``take``) stay for ``index.accumulate``.
 """
@@ -255,7 +257,8 @@ def directory_words(bits: int) -> int:
 
 
 class ProbePlan:
-    """A probe plan bound once for ``boi_probe_rows`` and ``boi_gather_vote``.
+    """A probe plan bound once for ``boi_probe_rows`` and ``boi_gather_vote``,
+    which ``QueryScratch`` passes them.
 
     ``masks`` (width,) uint16 are the plan's masks, ``units`` (width,)
     uint32 the vote of each position of a probe row, ``budgets`` (L,) int64
@@ -299,56 +302,19 @@ class ProbePlan:
         self._rows = (fixed[0], fixed[3])
         self._votes = fixed[1:3]
 
-    def rows(self, codes: np.ndarray, dots: np.ndarray) -> np.ndarray:
-        """The (L, width) uint16 probe rows of one query (``boi_probe_rows``).
-
-        ``codes`` (L,) uint16 are the query's codes and ``dots`` (L*bits,)
-        float32 the dot products they were hashed from: entry t*bits + j
-        is the one of bit j of table t's code. Row t is codes[t] XOR the
-        masks in plan order, except the table's ``shells`` range, which
-        goes by ascending float64 sum of |dots| over the bits each mask
-        flips, ties in plan order and a non-finite sum last. Raises
-        ValueError when the shapes, types or layouts disagree or the held
-        shells were changed to ranges outside the row, and MemoryError when
-        the heap has no room to sort a shell.
-        """
-        num_tables, bits, width = self.num_tables, self.bits, self.width
-        probes = np.empty((num_tables, width), CODE_DTYPE)
-        status = _library.boi_probe_rows(
-            num_tables, bits, width,
-            _address(codes, CODE_DTYPE, (num_tables,)),
-            _address(dots, np.float32, (num_tables * bits,)),
-            *self._rows, probes.ctypes.data,
-        )
-        self._check_rows(status)
-        return probes
-
-    def _check_rows(self, status: int) -> None:
-        """Raise what a non-zero status of ``boi_probe_rows`` means."""
-        if status == -2:
-            raise MemoryError("no room to sort a shell of the probe plan")
-        if status:
-            # the plan was checked when it was bound: its shells changed since
-            raise ValueError(f"ProbePlan: shells must be ranges within [0, {self.width}]")
-
-
-_CORRUPT = (
-    "corrupt hash table: a probed bucket's code, offsets or record ids are out of range"
-)
-
 
 class GatherVote:
     """``boi_gather_vote`` bound to one index's tables: their directory,
     ``bitmap`` (L, W) uint64 and ``rank`` (L, W) int32 with W =
     ``directory_words(bits)`` (the rank ``check_directory`` makes), and
     ``offsets`` int32, and their ``members`` (L, n) int32, ``bits`` in
-    [1, 16]; so a query passes only its probe rows and votes.
+    [1, 16]; each ``QueryScratch`` over the tables votes through it.
 
     The arrays are checked here, once, and held; they must not change while
     the binding is used. ValueError names the array whose type, shape or
     layout is wrong, or says that ``bits`` is not in [1, 16]. Their values
     are not checked here (``hashing.ProjectionTable`` checks them); the
-    kernel refuses any it reads out of range.
+    kernel refuses any it reads out of range (``QueryScratch.vote``).
     """
 
     def __init__(self, bits: int, bitmap, rank, offsets, members):
@@ -364,34 +330,6 @@ class GatherVote:
             _address(offsets, OFFSET_DTYPE, (offsets.size,)), offsets.size,
             _address(members, np.int32, (num_tables, n)),
         )
-
-    def __call__(self, plan: ProbePlan, probes: np.ndarray, votes: np.ndarray) -> int:
-        """Add every probed bucket's vote to ``votes``; return the number
-        of (id, vote) pairs scanned.
-
-        Table t probes the first ``plan.budgets[t] + 1`` codes of row t of
-        ``probes`` (L, plan.width) uint16, and adds ``plan.units[j]`` to
-        ``votes[id]`` (int32, n, writable) for each id in the bucket of the
-        code at position j. Raises ValueError when the plan is for another
-        number of tables, ``probes`` or ``votes`` has another type, shape
-        or layout, or a probed value is out of range (a code past 2**b, a
-        bucket past the offsets, offsets that decrease or leave [0, n], an id
-        >= n); ``votes`` is then partly written.
-        """
-        num_tables, n = self._fixed[0], self._fixed[2]
-        if plan.num_tables != num_tables:
-            raise ValueError(
-                f"expected a plan of {num_tables} tables, got {plan.num_tables}"
-            )
-        scanned = _library.boi_gather_vote(
-            *self._fixed,
-            _address(probes, CODE_DTYPE, (num_tables, plan.width)), plan.width,
-            *plan._votes,
-            _address(votes, np.int32, (n,), writable=True),
-        )
-        if scanned < 0:
-            raise ValueError(_CORRUPT)
-        return scanned
 
 
 def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
@@ -624,8 +562,11 @@ def touched_capacity(n: int) -> int:
 # the slots of boi_query's block (``vote.c``), the plan's last
 _QUERY_SLOTS = ctypes.c_int64.in_dll(_library, "boi_query_slots").value
 _PLAN_SLOTS = 6
-# what boi_query returns for a corrupt table
+# what boi_query returns for a corrupt table, and what it means
 _QUERY_CORRUPT = -4
+_CORRUPT = (
+    "corrupt hash table: a probed bucket's code, offsets or record ids are out of range"
+)
 
 
 def scratch_bytes(n: int, dim: int, num_tables: int, bits: int, width: int) -> int:
@@ -660,7 +601,10 @@ class QueryScratch:
     ``SignFilter``, ``GatherVote`` and ``order`` (n,) int32. Every address
     is taken then, through ``_address``, so a query passes only its vector
     and its plan, and nothing is allocated per query but the probe rows of
-    a plan wider than any the scratch has seen. The buffers:
+    a plan wider than any the scratch has seen. Its methods are the only
+    Python callers of the probe rows, the gather+vote, the touched pass
+    and ``boi_query``, and the query's caller of the sign filter (the
+    build's is ``SignFilter``); it owns every buffer they write:
 
     ``votes`` (n,) int32, the query's votes in internal order, all zero
     between queries; ``dots`` (L*b, 1) float32 and ``codes`` (L,) uint16,
@@ -792,10 +736,8 @@ class QueryScratch:
         ``index.shortlist``'s set of the votes: the ``shortlist_size``
         highest votes, the ties at the cut by lowest record id. Otherwise
         count is -1 and ``votes`` holds the dense votes, for the caller to
-        shortlist and then ``clear``. Raises ValueError for a corrupt
-        table, as ``vote`` does, or for shells outside the row, and
-        MemoryError when the heap has no room to order a shell, as
-        ``rows`` does.
+        shortlist and then ``clear``. Raises what ``rows`` and ``vote``
+        raise.
         """
         self._use(plan)
         self._product(q)
@@ -805,29 +747,56 @@ class QueryScratch:
         )
         if count >= 0:
             self._voted = False
-        elif count == _QUERY_CORRUPT:
-            raise ValueError(_CORRUPT)
         elif count < -1:
-            plan._check_rows(count)
+            self._raise(count)
         return count, int(self._scanned[0])
 
+    def _raise(self, status: int) -> None:
+        """Raise what a failed status of ``boi_probe_rows`` or ``boi_query``
+        means under the bound plan: -2, no room to order a shell;
+        ``_QUERY_CORRUPT``, a corrupt table; any other, a shell outside the
+        row, since the plan's shells were checked when it was bound."""
+        if status == -2:
+            raise MemoryError("no room to sort a shell of the probe plan")
+        if status == _QUERY_CORRUPT:
+            raise ValueError(_CORRUPT)
+        raise ValueError(f"ProbePlan: shells must be ranges within [0, {self._plan.width}]")
+
     def rows(self, plan: ProbePlan) -> np.ndarray:
-        """The (L, width) probe rows of the hashed query under ``plan``,
-        written into ``probes`` (``ProbePlan.rows``)."""
+        """The (L, width) uint16 probe rows of the query in ``codes`` and
+        ``dots`` under ``plan``, written into ``probes`` and returned
+        (``boi_probe_rows``).
+
+        ``codes`` holds the query's L codes and ``dots`` the L*bits dot
+        products they were hashed from (``hash`` writes both): entry
+        t*bits + j is the one of bit j of table t's code. Row t is
+        codes[t] XOR the plan's masks in plan order, except the table's
+        ``shells`` range, which goes by ascending float64 sum of |dots|
+        over the bits each mask flips, ties in plan order and a non-finite
+        sum last. Raises ValueError when the plan is for other tables or
+        its held shells were changed to ranges outside the row, and
+        MemoryError when the heap has no room to sort a shell.
+        """
         self._use(plan)
-        plan._check_rows(
-            _library.boi_probe_rows(
-                plan.num_tables, plan.bits, plan.width, *self._rows, *plan._rows,
-                self._probes_at,
-            )
+        status = _library.boi_probe_rows(
+            plan.num_tables, plan.bits, plan.width, *self._rows, *plan._rows,
+            self._probes_at,
         )
+        if status:
+            self._raise(status)
         return self.probes
 
     def vote(self, plan: ProbePlan) -> int:
-        """Add the votes of every bucket the rows probe to ``votes``
-        (``GatherVote``); return the (id, vote) pairs scanned. Raises
-        ValueError for a corrupt table, as ``GatherVote`` does; the next
-        query clears what it wrote."""
+        """Add the votes of every bucket ``probes`` probe under ``plan`` to
+        ``votes`` (``boi_gather_vote``); return the (id, vote) pairs scanned.
+
+        Table t probes the first ``plan.budgets[t] + 1`` codes of row t,
+        and adds ``plan.units[j]`` to the vote of each id in the bucket of
+        the code at position j. Raises ValueError when the plan is for
+        other tables, or when a probed value is out of range (a code past
+        2**b, a bucket past the offsets, offsets that decrease or leave
+        [0, n], an id >= n); ``votes`` is then partly written, and the next
+        query clears it."""
         self._use(plan)
         self._start_vote()
         scanned = _library.boi_gather_vote(

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from boi.hashing import ProjectionTable
+from boi.hashing import ProjectionTable, _sign_filter
+from boi.vote import GatherVote, QueryScratch, directory_words
 
 
 def directory(offsets) -> tuple[np.ndarray, np.ndarray]:
@@ -53,3 +54,34 @@ def from_record_ids(projections, offsets, members) -> ProjectionTable:
         for start, stop in zip(bounds[:-1], bounds[1:]):
             row[start:stop].sort()
     return ProjectionTable(projections, *directory(offsets), members, order)
+
+
+def scratch_over(bits, bitmap, rank, offsets, members) -> QueryScratch:
+    """A ``QueryScratch`` over a ``GatherVote`` bound straight to these
+    arrays, with no ``ProjectionTable`` to check the directory first, so a
+    query reaches the kernel's own range checks. Its ``SignFilter`` is of
+    all-one projections of dimension 1, and its ``order`` the identity. The
+    ``GatherVote`` is bound first, so its own checks are the ones a bad
+    argument meets; the scratch's codes and dot products start at zero."""
+    num_tables, n = len(bitmap), np.shape(members)[-1]
+    gather = GatherVote(bits, bitmap, rank, offsets, members)
+    sign_filter = _sign_filter(np.ones((num_tables * bits, 1)), bits)
+    scratch = QueryScratch(sign_filter, gather, np.arange(n, dtype=np.int32))
+    scratch.codes[...] = 0
+    scratch.dots[...] = 0
+    return scratch
+
+
+def rows_of_plan(plan, codes, dots) -> np.ndarray:
+    """The probe rows ``QueryScratch.rows`` writes under ``plan`` for the
+    query codes ``codes`` (L,) and dot products ``dots`` (L*bits,), cast
+    to the scratch's uint16 and float32, in a scratch over L tables of no
+    records."""
+    words = (plan.num_tables, directory_words(plan.bits))
+    scratch = scratch_over(
+        plan.bits, np.zeros(words, np.uint64), np.zeros(words, np.int32),
+        np.zeros(plan.num_tables, np.int32), np.zeros((plan.num_tables, 0), np.int32),
+    )
+    scratch.codes[:] = codes
+    scratch.dots[:, 0] = dots
+    return scratch.rows(plan)

@@ -15,7 +15,7 @@ from boi.index import (
     probe_plan,
     query,
 )
-from hand_tables import from_record_ids
+from hand_tables import from_record_ids, rows_of_plan
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +290,7 @@ class TestMultiprobeLsh:
             np.full(12, np.inf),
             np.tile([np.nan, -3e38, 1e-30, 0.0], 3),
         ):
-            rows = plan.rows(codes, dots.astype(np.float32))
+            rows = rows_of_plan(plan, codes, dots)
             assert rows.tolist() == (codes[:, np.newaxis] ^ plan.masks).tolist()
 
     @pytest.mark.parametrize("radius", [0, 1, 2])

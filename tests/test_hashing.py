@@ -24,7 +24,7 @@ from boi.hashing import (
     occupancy_summary,
 )
 from boi.index import _bound_plan, build_index, probe_plan
-from hand_tables import dense_offsets, directory, from_record_ids
+from hand_tables import dense_offsets, directory, from_record_ids, rows_of_plan
 from probe_rows import margin_rows
 
 
@@ -303,23 +303,18 @@ class TestExactSigns:
 
 
 def test_the_hash_keeps_its_dot_products():
-    # ``dots`` gets the one float32 product the codes were decided from,
-    # in one piece however many rows there are
+    # a query hashed through its thread's scratch leaves in ``dots`` the one
+    # float32 product its codes were decided from, which the probe rows
+    # order their shells by, and gets the codes a batch hash gives
     rng = np.random.default_rng(4)
     proj = make_projections(BoiParams(num_tables=5, hash_bits=6, seed=2), 20)
-    sign_filter = _sign_filter(proj, 6)
-    X = rng.standard_normal((_HASH_CHUNK + 3, 20)).astype(np.float32)
-    dots = np.empty((30, len(X)), np.float32)
-    codes = hash_codes_all(sign_filter, X, dots=dots)
-    assert np.array_equal(dots, proj @ X.T)
-    assert np.array_equal(codes, hash_codes_all(sign_filter, X))
-    for bad in (
-        np.empty((30, len(X) - 1), np.float32),
-        np.empty((30, len(X))),
-        np.empty((len(X), 30), np.float32).T,
-    ):
-        with pytest.raises(ValueError, match="dots must be"):
-            hash_codes_all(sign_filter, X, dots=bad)
+    data = VectorSet(rng.standard_normal((50, 20)).astype(np.float32))
+    tables = insert_all(proj, 6, data)
+    scratch = tables.scratch()
+    X = rng.standard_normal((40, 20)).astype(np.float32)
+    for x, codes in zip(X, hash_codes_all(tables.sign_filter, X)):
+        assert np.array_equal(hash_codes_all(scratch, x), codes)
+        assert np.array_equal(scratch.dots, proj @ x[np.newaxis].T)
 
 
 def test_dimensions_past_the_error_bound_raise():
@@ -885,7 +880,7 @@ def rows_of(centers, bits, masks, budget=None, dots=None) -> np.ndarray:
     )
     if dots is None:
         dots = np.ones(centers.size * bits)
-    return plan.rows(centers, np.asarray(dots, np.float32))
+    return rows_of_plan(plan, centers, np.asarray(dots, np.float32))
 
 
 class TestNeighborCodes:

@@ -303,12 +303,12 @@ def index_votes(index, q):
 def oracle_rows(index, q) -> np.ndarray:
     """The index's probe rows for ``q`` by the plain-Python oracle
     (``probe_rows.margin_rows``), from the codes and dot products the hash
-    gives."""
+    leaves in the thread's scratch."""
     tables = index.tables
-    dots = np.empty((tables.num_tables * tables.bits, 1), np.float32)
-    codes = hash_codes_all(tables.sign_filter, q[np.newaxis, :], dots=dots)[0]
+    scratch = tables.scratch()
+    codes = hash_codes_all(scratch, q)
     plan = index.plan
-    rows = margin_rows(codes, dots[:, 0], plan.masks, plan.budgets, tables.bits)
+    rows = margin_rows(codes, scratch.dots[:, 0], plan.masks, plan.budgets, tables.bits)
     return np.array(rows, dtype=np.uint16).reshape(tables.num_tables, -1)
 
 
@@ -433,16 +433,23 @@ class TestAccumulate:
 
 class TestShortlist:
     def test_top_two_by_weight(self):
-        assert shortlist(np.array([0.5, 3.0, 0.0, 1.5]), 2).tolist() == [1, 3]
+        assert shortlist(np.array([1, 6, 0, 3], np.int32), 2).tolist() == [1, 3]
 
     def test_tie_broken_by_id(self):
-        assert shortlist(np.array([1.0, 1.0, 1.0]), 2).tolist() == [0, 1]
+        assert shortlist(np.array([2, 2, 2], np.int32), 2).tolist() == [0, 1]
 
     def test_zero_weights_excluded(self):
-        assert shortlist(np.zeros(10), 250).size == 0
+        assert shortlist(np.zeros(10, np.int32), 250).size == 0
 
     def test_fewer_nonzero_than_requested(self):
-        assert shortlist(np.array([0.0, 2.0, 0.0]), 5).tolist() == [1]
+        assert shortlist(np.array([0, 4, 0], np.int32), 5).tolist() == [1]
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.float64])
+    def test_refuses_weights_other_than_int32_votes(self, dtype):
+        # a uint vote would negate to 2**N - w and a float is no vote:
+        # either would give a wrong list, so each is refused by its dtype
+        with pytest.raises(ValueError, match=f"int32 votes, got {np.dtype(dtype)}"):
+            shortlist(np.array([1, 6, 0, 3], dtype), 2)
 
     def test_matches_sorted_oracle(self):
         rng = np.random.default_rng(8)
@@ -461,20 +468,15 @@ class TestShortlist:
             n = votes.size
             v = votes.tolist()
             oracle = sorted((i for i in range(n) if v[i] > 0), key=lambda i: (-v[i], i))
-            # float weights all in (0, 1), and the integer votes of the
-            # accumulator and the baselines, signed and unsigned
-            weights = [votes / 16.0] + [
-                votes.astype(dtype)
-                for dtype in (np.int16, np.int32, np.uint16, np.uint32)
-            ]
+            # the int32 votes of the accumulator and the baselines
+            w = votes.astype(np.int32)
             for eps in sizes + [1, max(n - 1, 1), n, n + 1, 2 * n]:
-                for w in weights:
-                    got = shortlist(w, eps)
-                    assert got.tolist() == oracle[:eps], (w.dtype, n, eps)
+                got = shortlist(w, eps)
+                assert got.tolist() == oracle[:eps], (n, eps)
 
     def test_requires_positive_size(self):
         with pytest.raises(ValueError):
-            shortlist(np.array([1.0]), 0)
+            shortlist(np.array([1], np.int32), 0)
 
     def test_ties_at_the_cut_keep_the_lowest_record_ids(self):
         # internal ids 0..3 are records 3..0, all tied: records 0 and 1 are
@@ -1449,10 +1451,9 @@ class TestMarginOrder:
             BoiParams(num_tables=6, hash_bits=4, initial_probe_count=6,
                       schedule="linear", linear_step=2, shortlist_size=200),
         )
-        dots = np.empty((6 * 4, 1), np.float32)
-        with np.errstate(over="ignore", invalid="ignore"):
-            hash_codes_all(partial.tables.sign_filter, q[np.newaxis], dots=dots)
-        assert not np.isfinite(dots).all()
+        scratch = partial.tables.scratch()
+        hash_codes_all(scratch, q)
+        assert not np.isfinite(scratch.dots).all()
         assert partial.plan.shells.any()
         votes = accumulate(partial, q)
         assert accumulate(partial, q).tobytes() == votes.tobytes()

@@ -1,10 +1,15 @@
-"""No module of the package imports a private name from a sibling.
+"""No module of the package imports a private name from a sibling, and
+each compiled query stage has one Python caller.
 
 A ``_``-prefixed name is its module's own. A sibling that needs one
-belongs in that module, so each kind of search stays in one place.
+belongs in that module, so each kind of search stays in one place. In
+``vote.py`` a query stage is called by the one ``QueryScratch`` method
+that runs it, and the sign filter by the build's ``SignFilter`` too; no
+second, checked way into a kernel is kept for the tests.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import boi
@@ -45,3 +50,45 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         if (names := private_sibling_imports(path.read_text()))
     }
     assert found == {}
+
+
+def library_calls(source: str) -> Counter:
+    """The calls of a ``_library.boi_*`` entry point in ``source``, by
+    entry point."""
+    return Counter(
+        node.func.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "_library"
+        and node.func.attr.startswith("boi_")
+    )
+
+
+def test_the_count_sees_only_calls_of_the_library():
+    source = (
+        "_library.boi_query(block, 5, scanned)\n"
+        "entry = _library.boi_query\n"
+        "library.boi_query.restype = int\n"
+        "status = check(_library.boi_probe_rows(*args))\n"
+    )
+    assert library_calls(source) == {"boi_query": 1, "boi_probe_rows": 1}
+
+
+def test_each_compiled_stage_has_one_caller_in_vote():
+    calls = library_calls((PACKAGE / "vote.py").read_text())
+    assert calls == {
+        # the query's stages: QueryScratch's query, rows, vote and take
+        "boi_query": 1,
+        "boi_probe_rows": 1,
+        "boi_gather_vote": 1,
+        "boi_touched_votes": 1,
+        # the sign filter: the build's SignFilter and QueryScratch.hash
+        "boi_hash_codes": 2,
+        # the build's sort and the checks of a directory and a snapshot
+        "boi_bucket_sort": 1,
+        "boi_check_directory": 1,
+        "boi_table_buckets": 1,
+        "boi_check_table": 1,
+    }

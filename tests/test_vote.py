@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import boi
 from boi import vote
 from boi.hashing import ProjectionTable
 from boi.index import _bound_plan, probe_plan
+from hand_tables import rows_of_plan, scratch_over
 from probe_rows import margin_rows
 
 
@@ -71,12 +73,6 @@ def test_failed_compile_raises_import_error(tmp_path):
     assert list(cache.iterdir()) == []
 
 
-def _read_only_votes():
-    votes = np.zeros(4, np.int32)
-    votes.setflags(write=False)
-    return votes
-
-
 def _arrays(units=(4, 2)):
     """Two 2-bit tables over 4 records, one record per bucket; each probes
     bucket 0 and bucket 1, worth ``units`` (by default 2**-H in units of
@@ -91,37 +87,42 @@ def _arrays(units=(4, 2)):
     probes = np.tile(np.array([0, 1], dtype=np.uint16), (2, 1))
     units = np.array(units, dtype=np.uint32)
     budgets = np.ones(2, dtype=np.int64)
-    votes = np.zeros(4, np.int32)
-    return 2, bitmap, rank, offsets, members, probes, units, budgets, votes
+    return 2, bitmap, rank, offsets, members, probes, units, budgets
 
 
-def plan_for(probes, units, budgets) -> vote.ProbePlan:
-    """A plan as wide as the probe rows, of 1-bit masks (0, then 1s, so
-    that no shell is reordered), with these units and budgets."""
+def vote_rows(scratch, bits, probes, units, budgets) -> int:
+    """``scratch.vote`` of the probe rows ``probes``, as a query runs it:
+    one ``scratch.rows`` binds a plan as wide as the rows, of the scratch's
+    ``bits`` and of masks 0, then 1s (so that no shell is reordered), with
+    these units and budgets, and its rows are then overwritten in place.
+    Returns the pairs scanned; the votes are in ``scratch.votes``."""
     width = np.shape(probes)[-1]
     masks = np.minimum(np.arange(width), 1).astype(np.uint16)
-    shells = np.zeros((budgets.size, 2), np.int64)
-    return vote.ProbePlan(1, masks, units, budgets, shells)
+    shells = np.zeros((np.size(budgets), 2), np.int64)
+    plan = vote.ProbePlan(bits, masks, units, budgets, shells)
+    scratch.rows(plan)
+    scratch.probes[...] = probes
+    return scratch.vote(plan)
 
 
-def gather_vote(bits, bitmap, rank, offsets, members, probes, units, budgets, votes) -> int:
-    """The vote kernel bound to a table and a plan, then called as a query
-    calls it, with only its probe rows and votes."""
-    plan = plan_for(probes, units, budgets)
-    return vote.GatherVote(bits, bitmap, rank, offsets, members)(plan, probes, votes)
+def gather_vote(bits, bitmap, rank, offsets, members, probes, units, budgets):
+    """(pairs scanned, votes) of ``vote_rows`` in a scratch over these
+    tables (``hand_tables.scratch_over``)."""
+    scratch = scratch_over(bits, bitmap, rank, offsets, members)
+    return vote_rows(scratch, bits, probes, units, budgets), scratch.votes
 
 
 def test_gather_vote_sums_and_counts():
-    args = _arrays()
-    assert gather_vote(*args) == 4
-    assert args[-1].tolist() == [8, 4, 0, 0]
+    scanned, votes = gather_vote(*_arrays())
+    assert scanned == 4
+    assert votes.tolist() == [8, 4, 0, 0]
 
 
 def test_gather_vote_adds_the_units_it_is_given():
     # units need not be powers of two: the kernel only adds them
-    args = _arrays(units=(3, 5))
-    assert gather_vote(*args) == 4
-    assert args[-1].tolist() == [6, 10, 0, 0]
+    scanned, votes = gather_vote(*_arrays(units=(3, 5)))
+    assert scanned == 4
+    assert votes.tolist() == [6, 10, 0, 0]
 
 
 def test_gather_vote_skips_empty_buckets_and_finds_each_piece():
@@ -135,11 +136,8 @@ def test_gather_vote_skips_empty_buckets_and_finds_each_piece():
     members = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.int32)
     probes = np.tile(np.array([3, 100, 127, 0], dtype=np.uint16), (2, 1))
     units = np.array([8, 4, 2, 1], dtype=np.uint32)
-    votes = np.zeros(3, np.int32)
     budgets = np.full(2, 3, dtype=np.int64)
-    plan = vote.ProbePlan(7, np.array([0, 1, 2, 3], np.uint16), units, budgets,
-                          np.zeros((2, 2), np.int64))
-    scanned = vote.GatherVote(7, bitmap, rank, offsets, members)(plan, probes, votes)
+    scanned, votes = gather_vote(7, bitmap, rank, offsets, members, probes, units, budgets)
     assert scanned == 6
     assert votes.tolist() == [8 + 2, 8 + 2, 4 + 2]
 
@@ -152,10 +150,12 @@ def test_projection_table_stores_strided_members_contiguously():
     assert np.array_equal(tables.rank, rank)
     assert tables.members.flags.c_contiguous
     assert np.array_equal(tables.members, members)
-    probes, units, budgets, votes = rest
-    # the table's own binding, made once by its constructor
-    assert tables.gather_vote(plan_for(probes, units, budgets), probes, votes) == 4
-    assert votes.tolist() == [8, 4, 0, 0]
+    # the table's own binding, made once by its constructor, through the
+    # scratch a query votes in
+    scratch = tables.scratch()
+    assert vote_rows(scratch, 2, *rest) == 4
+    assert scratch.votes.tolist() == [8, 4, 0, 0]
+    scratch.clear()
 
 
 @pytest.mark.parametrize(
@@ -163,7 +163,6 @@ def test_projection_table_stores_strided_members_contiguously():
     [
         (7, np.ones(1, np.int64)),  # budgets shorter than L
         (6, np.zeros(1, np.uint32)),  # units shorter than a probe row
-        (8, np.zeros(5, np.int32)),  # votes not n long
         (4, np.zeros((2, 8), np.int32)[:, ::2]),  # gaps between ids of a row
         (4, np.zeros((2, 9), np.int32)[:, :4]),  # gaps between rows
         # dense (L, 2**b + 1) offsets, where the directory's are one row
@@ -171,16 +170,10 @@ def test_projection_table_stores_strided_members_contiguously():
         # the kernel gets raw addresses, so every type and layout is checked
         (3, np.zeros(10, np.int64)),  # offsets of the wrong type
         (4, np.zeros((2, 4), np.uint32)),  # members of the wrong type
-        (5, np.zeros((2, 2), np.int32)),  # probes of the wrong type
         (6, np.zeros(2, np.int32)),  # units of the wrong type
         (7, np.ones(2, np.int32)),  # budgets of the wrong type
-        (8, np.zeros(4, np.int64)),  # votes of the wrong type
-        (8, np.zeros(4, np.dtype("<i4").newbyteorder())),  # byte-swapped votes
-        (5, np.zeros((2, 4), np.uint16)[:, ::2]),  # strided probes
         (3, np.zeros((5, 2), np.int32).T),  # offsets in Fortran order
         (6, np.zeros(4, np.uint32)[::2]),  # strided units
-        (8, np.zeros(8, np.int32)[::2]),  # strided votes
-        (8, _read_only_votes()),
         (1, np.zeros((2, 1), np.int64)),  # bitmap of the wrong type
         (1, np.zeros((2, 2), np.uint64)),  # bitmap of two words for 2 bits
         (2, np.zeros((2, 1), np.uint32)),  # rank of the wrong type
@@ -188,20 +181,20 @@ def test_projection_table_stores_strided_members_contiguously():
         (3, np.zeros(20, np.int32)[::2]),  # strided offsets
     ],
     ids=[
-        "budgets", "units", "votes", "member-gaps", "member-row-gaps",
-        "offsets-width", "offsets-dtype", "members-dtype", "probes-dtype",
-        "units-dtype", "budgets-dtype", "votes-dtype", "votes-byte-order",
-        "probes-strided", "offsets-fortran", "units-strided", "votes-strided",
-        "votes-read-only", "bitmap-dtype", "bitmap-width", "rank-dtype",
-        "rank-tables", "offsets-strided",
+        "budgets", "units", "member-gaps", "member-row-gaps", "offsets-width",
+        "offsets-dtype", "members-dtype", "units-dtype", "budgets-dtype",
+        "offsets-fortran", "units-strided", "bitmap-dtype", "bitmap-width",
+        "rank-dtype", "rank-tables", "offsets-strided",
     ],
 )
 def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
+    # the tables' and the plan's arrays, checked when they are bound; the
+    # probe rows and votes are the scratch's own. A plan of the wrong
+    # number of tables is refused as such
     args = list(_arrays())
     args[position] = replacement
-    # a plan of the wrong number of tables is refused as such
     with pytest.raises(
-        ValueError, match="expected a (C-contiguous aligned|plan of 2 tables, got 1)"
+        ValueError, match="expected a (C-contiguous aligned|plan of 2 tables of 2 bits, got 1)"
     ):
         gather_vote(*args)
 
@@ -210,7 +203,7 @@ def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
 def test_gather_vote_binds_only_a_valid_code_width(bits):
     args = list(_arrays())
     args[0] = bits
-    with pytest.raises(ValueError, match=r"bits must be in \[1, 16\]"):
+    with pytest.raises(ValueError, match=r"GatherVote: bits must be in \[1, 16\]"):
         gather_vote(*args)
 
 
@@ -245,8 +238,9 @@ def test_gather_vote_rejects_out_of_range_probes(position, value, message):
          "rank-before", "rank-table-0"],
 )
 def test_gather_vote_refuses_a_corrupt_directory(position, at, value):
-    # bound directly, with no ProjectionTable to check the directory first:
-    # the kernel's own range checks refuse whatever would read or write out
+    # bound directly, with no ProjectionTable to check the directory first
+    # (``scratch_over``): the kernel's own range checks, which
+    # ``scratch.vote`` reaches, refuse whatever would read or write out
     # of bounds (the sanitizer job runs these under ASan and UBSan). A rank
     # or a bit that only moves a bucket within the offsets gives a wrong
     # answer in range; a table makes its rank with check_directory (below),
@@ -267,11 +261,9 @@ def test_gather_vote_counts_ids_stored_out_of_order():
     offsets = np.array([0, n // 2, n], dtype=np.int32)
     probes = np.array([[0, 1]], dtype=np.uint16)
     units = np.array([2, 1], dtype=np.uint32)
-    votes = np.zeros(n, np.int32)
-    scanned = gather_vote(
+    scanned, votes = gather_vote(
         1, bitmap, np.zeros((1, 1), np.int32), offsets,
-        members.astype(np.int32)[np.newaxis, :], probes, units,
-        np.ones(1, np.int64), votes,
+        members.astype(np.int32)[np.newaxis, :], probes, units, np.ones(1, np.int64),
     )
     assert scanned == n
     assert np.array_equal(votes, np.where(np.arange(n) % 2 == 0, 2, 1))
@@ -642,7 +634,8 @@ def _sign_filter_args():
 # each wrapper, arguments it accepts, and the positions of its input and
 # its output arrays
 _WRAPPERS = {
-    "gather_vote": (gather_vote, _arrays, (1, 2, 3, 4, 5), (8,)),
+    # the tables' and the plan's arrays; the scratch owns what is written
+    "gather_vote": (gather_vote, _arrays, (1, 2, 3, 4, 6, 7), ()),
     "bucket_sort": (
         vote.bucket_sort, lambda: _sort_inputs(np.zeros((5, 2), np.uint16), 2), (1,), (1, 2)
     ),
@@ -738,23 +731,10 @@ def test_probe_rows_refuse_shells_changed_after_binding():
     # the kernel's own range check, not a heap failure, refuses them
     masks, units, budgets, shells = _plan_args()
     plan = vote.ProbePlan(3, masks, units, budgets, shells)
+    assert rows_of_plan(plan, np.zeros(2), np.ones(6)).shape == (2, 7)
     shells[1] = [5, 2]
     with pytest.raises(ValueError, match=r"shells must be ranges within \[0, 7\]"):
-        plan.rows(np.zeros(2, np.uint16), np.ones(6, np.float32))
-
-
-def test_probe_rows_refuse_disagreeing_codes_and_dots():
-    plan = vote.ProbePlan(3, *_plan_args())
-    codes, dots = np.zeros(2, np.uint16), np.ones(6, np.float32)
-    assert plan.rows(codes, dots).shape == (2, 7)
-    for bad_codes, bad_dots, needs in (
-        (codes.astype(np.int32), dots, r"uint16 array of shape \(2,\)"),
-        (codes[:1], dots, r"uint16 array of shape \(2,\)"),
-        (codes, dots.astype(np.float64), r"float32 array of shape \(6,\)"),
-        (codes, np.ones(12, np.float32)[::2], r"float32 array of shape \(6,\)"),
-    ):
-        with pytest.raises(ValueError, match=needs):
-            plan.rows(bad_codes, bad_dots)
+        rows_of_plan(plan, np.zeros(2), np.ones(6))
 
 
 def test_probe_rows_order_sums_that_float32_cannot_tell_apart():
@@ -764,7 +744,7 @@ def test_probe_rows_order_sums_that_float32_cannot_tell_apart():
     plan = vote.ProbePlan(3, *_plan_args(3, 4, tables=1))
     masks = plan.masks
     dots = np.array([1.0, -(2.0**-30), 2.0**-31], np.float32)
-    row = plan.rows(np.array([0b101], np.uint16), dots)[0]
+    row = rows_of_plan(plan, [0b101], dots)[0]
     assert row.tolist() == [5, 4, 7, 1, 5 ^ 6, 5 ^ 5, 5 ^ 3]
     assert row.tolist() == margin_rows([5], dots, masks, [4], 3)[0]
 
@@ -783,6 +763,37 @@ def test_probe_rows_sort_a_shell_of_12870_masks_in_bounded_time():
     dots[16:32] = rng.standard_normal(16)
     codes = np.array([0, 0xBEEF, 0xFFFF], np.uint16)
     start = time.perf_counter()
-    rows = plan.rows(codes, dots)
+    rows = rows_of_plan(plan, codes, dots)
     assert time.perf_counter() - start < 2.0
     assert rows.tolist() == margin_rows(codes, dots, masks, budgets, 16)
+
+
+def test_a_build_save_load_and_each_query_run_every_entry_point(tmp_path, monkeypatch):
+    # the sanitizer job runs the whole suite over the kernel built with
+    # ASan and UBSan; every entry point load_library declares must still be
+    # reached, by a build, a save, a load and the three kinds of query
+    declared = sorted(
+        name
+        for name, entry in vars(vote._library).items()
+        if name.startswith("boi_") and getattr(entry, "argtypes", None)
+    )
+    assert len(declared) == 9
+    calls = dict.fromkeys(declared, 0)
+    for name in declared:
+
+        def counted(*args, entry=getattr(vote._library, name), name=name):
+            calls[name] += 1
+            return entry(*args)
+
+        monkeypatch.setattr(vote._library, name, counted)
+    rng = np.random.default_rng(5)
+    data = boi.VectorSet(rng.standard_normal((300, 8)).astype(np.float32))
+    built = boi.build_index(data, boi.BoiParams(num_tables=4, hash_bits=6, seed=5))
+    path = tmp_path / "entry-points.boix"
+    boi.save_index(built, path)
+    index = boi.load_index(path, data)
+    q = data.vectors[7]
+    assert boi.query(index, q, 3).ids[0] == 7
+    assert boi.accumulate(index, q)[7] > 0
+    assert boi.multiprobe_lsh_query(index.tables, data, q, 1, 20, 3).ids[0] == 7
+    assert {name for name, count in calls.items() if count == 0} == set()

@@ -183,9 +183,10 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     buffers of one querying thread's scratch (``ProjectionTable.scratch``)
     once it has queried with the index's own plan, per thread: each thread
     that queries holds its own. That is ``vote.scratch_bytes``: n*4 of
-    int32 votes and 8 * ``vote.touched_capacity(n)`` of touched pairs
-    (about n*2), and the hash's buffers, the plan's probe rows and the
-    compiled call's block, which do not grow with n. A wider plan, such as
+    int32 votes and 8 * max(``vote.touched_capacity(n)``,
+    min(shortlist_size, n)) of pairs taken out (about n*2 unless the
+    shortlist is longer), and the hash's buffers, the plan's probe rows and
+    the compiled call's block, which do not grow with n. A wider plan, such as
     a multi-probe ball, widens the probe rows. A table's directory is W*8
     bytes of uint64 bitmap and W*4 of the int32 rank the table makes from
     it, W = ``vote.directory_words(b)`` words, max(1, 2**b / 64), and 4
@@ -205,7 +206,9 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     return MemoryEstimate(
         vectors_bytes=n * dim * 4,
         index_bytes=params.num_tables * (bits * dim * 4 + directory + n * 4) + n * 4,
-        accumulator_bytes=scratch_bytes(n, dim, params.num_tables, bits, width),
+        accumulator_bytes=scratch_bytes(
+            n, dim, params.num_tables, bits, width, params.shortlist_size
+        ),
     )
 
 

@@ -6,7 +6,8 @@ Nearby vectors agree on most sign bits, so they land in the same bucket or
 in one at small Hamming distance.
 
 Vectors, projections and dot products are float32: one float32 matrix
-product per ``_HASH_CHUNK`` rows. A floating-point filter, as in
+product per ``_HASH_CHUNK`` rows of a build, and for a query the dots
+``vote.c`` sums in one fixed order. A floating-point filter, as in
 Shewchuk's robust predicates, then decides each sign. Where a dot is
 larger than its float32 rounding error can be (Higham's gamma bound over
 Cauchy-Schwarz, ``_sign_filter``), its float32 sign is the exact one, and
@@ -411,11 +412,13 @@ def hash_codes_all(
     ``index.accumulate``'s staged path hashes a query through here with
     its thread's ``vote.QueryScratch`` in place of the filter
     (``ProjectionTable.scratch``): X is then the one (dim,) float32 query
-    ``core.query_vector`` checked, and its codes and dot products go to the
-    scratch's bound ``codes`` and ``dots``, the codes returned, with no
-    check or buffer made per call; ``QueryScratch.rows`` orders the partly
-    probed shells by those dot products. ``index.query`` runs the same sign
-    filter inside its one compiled call (``vote.QueryScratch.query``).
+    ``core.query_vector`` checked. Its dot products are summed in
+    ``vote.c``, in one fixed order rather than by the BLAS, and they and
+    its codes go to the scratch's bound ``dots`` and ``codes``, the codes
+    returned, with no check or buffer made per call;
+    ``QueryScratch.rows`` orders the partly probed shells by those dot
+    products. ``index.query`` computes the same dots and codes inside its
+    one compiled call (``vote.QueryScratch.query``).
     """
     if isinstance(sign_filter, QueryScratch):
         return sign_filter.hash(X)

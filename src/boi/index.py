@@ -15,25 +15,27 @@ Querying works in four stages:
    its (n,) votes are all zero between its queries;
 3. keep the ``shortlist_size`` records with the highest accumulated
    integer vote, ties by lower record id (zero-weight records never
-   qualify). When the votes lie in at most a quarter of their 64-id
-   blocks, one compiled pass takes each non-zero vote out as a (record
-   id, vote) pair, zeroes the votes and selects the shortlist's set from
-   the pairs, about 4k of them at b = 16; otherwise, as at b = 8,
-   ``shortlist`` reads the dense votes, which are zeroed after. It
-   partitions a negated copy of the votes in place to find the cut, keeps
-   the ids at or above it in one pass, maps them to record ids, and sorts
-   only those, cutting the sorted list;
+   qualify), the set ``shortlist`` gives. When the votes lie in at most a
+   quarter of their 64-id blocks, one compiled pass takes each non-zero
+   vote out as a (record id, vote) pair, zeroes the votes and selects the
+   shortlist's set from the pairs, about 4k of them at b = 16. Otherwise,
+   as at b = 8, a floor set from every 16th vote lets through the few
+   votes that can hold the set, about 4 * ``shortlist_size`` of them, and
+   the same selection runs on those; when the sample misleads, an exact
+   pass over every vote selects instead;
 4. re-rank the shortlist by exact Euclidean distance and return the top k
    (``core.rerank``), which depends only on the shortlist's set, not on
    its order.
 
-``query`` runs stages 1-3 in one call into ``vote.c`` that releases the
-GIL (``vote.QueryScratch.query``), after the matrix product of the hash,
-so threads query in parallel; only a dense shortlist and the re-rank run
-in Python. ``accumulate`` runs the same compiled stages one call at a
-time, through ``hash_codes_all`` and ``neighbor_codes_with_distance``,
-and returns fresh votes in record order: the staged path whose spans the
-benchmark's trace times, so its traced time includes that scatter.
+``query`` runs stages 1-3, from the query's vector to the shortlist's
+set, in one call into ``vote.c`` that releases the GIL
+(``vote.QueryScratch.query``), so threads query in parallel; only the
+re-rank runs in Python. ``accumulate`` runs the same compiled stages one
+call at a time, through ``hash_codes_all`` and
+``neighbor_codes_with_distance``, and returns fresh votes in record
+order: the staged path whose spans the benchmark's trace times, so its
+traced time includes that scatter. ``shortlist`` is the numpy statement
+of stage 3, which the trace and the tests call.
 
 The LSH baselines run here too. ``multiprobe_lsh_query`` is multi-probe
 LSH over the Hamming ball of a radius (Lv et al., "Multi-Probe LSH", VLDB
@@ -63,9 +65,9 @@ query-directed probing does (Lv et al. 2007): that shell's masks go by
 ascending sum of |q . a_j| over the bits j they flip, the margins of the
 query's own float32 dot products, ties in plan order. A ball probes whole
 shells, so its rows keep plan order. The answer is a function of
-(parameters, seed, data, q) alone; the codes are exact, but the margins
-follow the float32 product, so on another BLAS two masks whose margin
-sums tie to within rounding may swap.
+(parameters, seed, data, q) alone: the codes are exact, and the query's
+dot products are summed in ``vote.c`` in one fixed order, not by the
+BLAS, so the margins are the same bits on every machine.
 """
 
 from __future__ import annotations
@@ -324,19 +326,13 @@ def _answer(
     shortlist_size: int, k: int,
 ) -> RankedResult:
     """The k nearest of the ``shortlist_size`` records of highest vote
-    under ``plan``, for the validated ``q``: one compiled call from the dot
-    products to the shortlist's set (``QueryScratch.query``), then, when
-    the votes stayed dense, ``shortlist`` over them, and the re-rank. The
-    compiled set and ``shortlist`` hold the same ids, and the re-rank
-    does not depend on their order."""
+    under ``plan``, for the validated ``q``: one compiled call from the
+    query's vector to the shortlist's set (``QueryScratch.query``), the
+    set ``shortlist`` gives, whether the votes were touched or dense, then
+    the re-rank, which does not depend on the set's order."""
     scratch = tables.scratch()
     count, pairs = scratch.query(q, plan, shortlist_size)
-    if count >= 0:
-        candidates = scratch.ids[:count]
-    else:
-        candidates = shortlist(scratch.votes, shortlist_size, tables.order)
-        scratch.clear()
-    return rerank(vectors, candidates, q, k, plan.probe_count, pairs)
+    return rerank(vectors, scratch.ids[:count], q, k, plan.probe_count, pairs)
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
@@ -410,11 +406,13 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
     Accumulates weights, shortlists the heaviest records, re-ranks them by
     exact Euclidean distance, and returns the top k with instrumentation
     (realized probe count, shortlist size, and the (id, vote) pairs the
-    kernel scanned). Everything from the hash's dot products to the
-    shortlist is one compiled call (``_answer``). An empty shortlist yields
-    an empty result rather than an error. A table whose probed offsets or
-    ids are out of range raises ValueError. ``query_index`` is accepted and
-    ignored: the answer depends on (index, q, k) alone.
+    kernel scanned). Everything from the query's vector to the
+    shortlist's set, its dot products included, is one compiled call
+    (``_answer``), whether the votes are touched or dense. An empty
+    shortlist yields an empty result rather than an error. A table whose
+    probed offsets or ids are out of range raises ValueError.
+    ``query_index`` is accepted and ignored: the answer depends on (index,
+    q, k) alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

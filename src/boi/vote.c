@@ -1,11 +1,11 @@
 /* The compiled loops of boi: the probe rows of a query, ordered by its
  * margins, the weighted gather+vote of a query over the probed buckets of
- * every hash table, the pass that moves the votes a query touched out and
- * selects its shortlist's set from them, the counting sort that builds the
- * buckets, the two checks of a snapshot's table record as it is loaded,
- * the check of the tables' bucket directory, the sign filter that turns
- * dot products into codes, and the one call that runs a query's stages in
- * turn.
+ * every hash table, the pass that selects its shortlist's set from its
+ * votes, the counting sort that builds the buckets, the two checks of a
+ * snapshot's table record as it is loaded, the check of the tables'
+ * bucket directory, the sign filter that turns dot products into codes
+ * (and makes a query's dot products first), and the one call that runs a
+ * query's stages in turn.
  *
  * Buckets hold internal ids: record i of the index is internal id j where
  * order[j] = i, and ``order`` lists the records in table 0's bucket order
@@ -80,8 +80,9 @@
  * boi_touched_votes, the second entry point, hands the shortlist only the
  * votes a query touched, as (record id, vote) pairs, when they lie in few
  * 64-id blocks of the votes, and zeroes them as it goes; given a shortlist
- * size, it then keeps only the pairs of the shortlist's set (its own
- * comment, below).
+ * size, it then keeps only the pairs of the shortlist's set, and selects
+ * that set from dense votes too, from the few a sampled floor lets
+ * through (its own comment, below).
  *
  * boi_probe_rows, the third, writes the rows the first one probes: each
  * table's query code XOR the masks of its probe plan, with the table's
@@ -104,14 +105,16 @@
  *
  * boi_hash_codes, the eighth, turns the float32 dot products of
  * hashing.hash_codes_all into codes, recomputing in float64 each sign the
- * float32 error bound cannot decide (its own comment, below).
+ * float32 error bound cannot decide; for a query it first computes the dot
+ * products itself, in one fixed order (its own comment, below).
  *
- * boi_query, the ninth, runs one query from its dot products to its
- * shortlist's set: the sign filter, the probe rows, the gather+vote and
- * the touched pass with its selection, each through its entry point above,
- * on the addresses and sizes of one thread's scratch and one probe plan,
- * bound once in an int64 block (its own comment, at the end). The staged
- * calls stay for index.accumulate, whose stages the benchmark times.
+ * boi_query, the ninth, runs one query from its vector to its shortlist's
+ * set: the dot products and the sign filter, the probe rows, the
+ * gather+vote and the touched pass with its selection, each through its
+ * entry point above, on the addresses and sizes of one thread's scratch
+ * and one probe plan, bound once in an int64 block (its own comment, at
+ * the end). The staged calls stay for index.accumulate, whose stages the
+ * benchmark times.
  */
 #include <math.h> /* INFINITY and fabsf, which need no libm */
 #include <stdint.h>
@@ -274,30 +277,36 @@ HOT int64_t boi_gather_vote(
  *
  * One pass over the n votes (int32, internal order) counts the blocks of
  * 64 ids that hold a non-zero vote, the last block holding n % 64 when
- * that is not 0. When more than capacity / 64 of them do, it stops and
- * returns -1, the votes unchanged: the shortlist then reads the dense
- * votes, and every b = 8 query goes that way, all its blocks non-empty,
- * after reading only as many blocks as the count allows. Otherwise each
+ * that is not 0. It stops once more than most = blocks / TOUCHED_SHARE
+ * (a quarter) of them do, after reading only as many blocks as that count
+ * allows: the votes are then dense, as at b = 8, where nearly every block
+ * holds one. Otherwise each
  * non-zero vote, in ascending internal id j, becomes one pair, ids[i] =
  * order[j] (the record id) and weights[i] = votes[j], each of its blocks
  * is zeroed once read, and the return value is m, the number of pairs;
- * the votes are then all zero. vote.QueryScratch sizes ``ids`` and
- * ``weights`` at capacity = 64 * (a quarter of the blocks), the share the
- * pass allows, so m never exceeds it. When shortlist_size is positive,
- * the pairs are then cut to the shortlist's set (shortlist_touched, below)
- * and the return value is its size.
+ * the votes are then all zero. ``ids`` and ``weights`` hold ``capacity``
+ * pairs, at least 64 * most (vote.touched_capacity), so m never exceeds
+ * it.
  *
- * The first pass keeps the list of non-empty blocks in the last
- * capacity / 64 entries of ``ids``, from ids[capacity - capacity / 64],
- * so no other memory is needed. The pairs of listed block i (from 0) are
- * written below 64 * (i + 1), and the entries of the blocks after it lie
- * at or above capacity - capacity / 64 + i + 1 >= 63 * (capacity / 64) +
- * i + 1, which is at least 64 * (i + 1) while i < capacity / 64: no entry
- * is overwritten before it is read. Each pair is written whatever the
- * vote and kept only when it is non-zero, so the copy has no branch on
- * the votes; a write lands below the number of ids read so far in the
- * listed blocks, the current one included, so never at or past capacity.
- * Returns -2 for n outside [0, INT32_MAX] or a negative capacity.
+ * Given no shortlist size (0), dense votes are left as they are and the
+ * return value is -1. Given one, the pairs are cut to the shortlist's set
+ * (shortlist_touched, below) and the return value is its size; dense
+ * votes go to dense_shortlist (below), which selects the same set from
+ * them and zeroes them, so every query leaves its votes zero. The size
+ * must be at most ``capacity``: vote.QueryScratch passes min(size, n) and
+ * grows ``ids`` and ``weights`` to it.
+ *
+ * The first pass keeps the list of non-empty blocks in the last most
+ * entries of ``ids``, from ids[capacity - most], so no other memory is
+ * needed. The pairs of listed block i (from 0) are written below 64 * (i
+ * + 1), and the entries of the blocks after it lie at or above capacity -
+ * most + i + 1 >= 63 * most + i + 1, which is at least 64 * (i + 1) while
+ * i < most: no entry is overwritten before it is read. Each pair is
+ * written whatever the vote and kept only when it is non-zero, so the copy
+ * has no branch on the votes; a write lands below the number of ids read
+ * so far in the listed blocks, the current one included, so never at or
+ * past capacity. Returns -2 for n outside [0, INT32_MAX], a capacity below
+ * 64 * most, or a shortlist size outside [0, capacity].
  */
 #define BLOCK 64
 
@@ -389,6 +398,16 @@ static void best_first(int32_t *ids, int32_t *weights, int64_t count, int64_t r)
  */
 #define BINS 2048
 
+/* The smallest shift that puts ``top`` in the last of BINS bins of
+ * vote >> shift. */
+static int bin_shift(int32_t top)
+{
+    int shift = 0;
+    while (top >> shift >= BINS)
+        shift++;
+    return shift;
+}
+
 static int64_t shortlist_touched(int64_t m, int32_t *ids, int32_t *weights, int64_t size)
 {
     int32_t top = 0;
@@ -396,9 +415,7 @@ static int64_t shortlist_touched(int64_t m, int32_t *ids, int32_t *weights, int6
         top = weights[i] > top ? weights[i] : top;
     if (m <= size || top == 0)
         return keep_at_least(m, ids, weights, 1);
-    int shift = 0;
-    while (top >> shift >= BINS)
-        shift++;
+    const int shift = bin_shift(top);
     uint32_t count[BINS];
     memset(count, 0, sizeof count);
     for (int64_t i = 0; i < m; i++) {
@@ -428,6 +445,139 @@ static int64_t shortlist_touched(int64_t m, int32_t *ids, int32_t *weights, int6
     return size;
 }
 
+/* Sink the pair at ``at`` of a min-heap of ``size`` pairs on
+ * shortlist_key (heap_shortlist, below) until neither child's key is
+ * lower. */
+static void sift_down(int32_t *ids, int32_t *weights, int64_t size, int64_t at)
+{
+    for (;;) {
+        const int64_t left = 2 * at + 1, right = left + 1;
+        int64_t low = at;
+        if (left < size && shortlist_key(ids, weights, left) < shortlist_key(ids, weights, low))
+            low = left;
+        if (right < size && shortlist_key(ids, weights, right) < shortlist_key(ids, weights, low))
+            low = right;
+        if (low == at)
+            return;
+        swap_pairs(ids, weights, at, low);
+        at = low;
+    }
+}
+
+/* The shortlist's set of the n dense votes, exactly, in ids[0..size) and
+ * weights in no order; returns its size. One pass streams each positive
+ * vote's pair through a min-heap of ``size`` pairs on shortlist_key: the
+ * first ``size`` fill it, and a later pair replaces the root when its key
+ * is higher. It needs no room past the ``size`` slots, whatever the ties,
+ * and costs O(n + r log size) for r replacements, which in the worst
+ * order is every pair. */
+static int64_t heap_shortlist(
+    int64_t n, const int32_t *votes, const int32_t *order, int32_t *ids, int32_t *weights,
+    int64_t size)
+{
+    int64_t kept = 0;
+    for (int64_t j = 0; j < n; j++) {
+        const int32_t vote = votes[j];
+        if (vote <= 0)
+            continue;
+        if (kept < size) {
+            ids[kept] = order[j];
+            weights[kept] = vote;
+            if (++kept == size) {
+                for (int64_t i = size / 2; i-- > 0;)
+                    sift_down(ids, weights, size, i);
+            }
+        } else if (((uint64_t)(uint32_t)vote << 32 | (uint32_t)~(uint32_t)order[j])
+                   > shortlist_key(ids, weights, 0)) {
+            ids[0] = order[j];
+            weights[0] = vote;
+            sift_down(ids, weights, size, 0);
+        }
+    }
+    return kept;
+}
+
+/* The shortlist's set of the n dense votes, selected from the few that
+ * can hold it: a floor is set from a sample, the votes at or above it are
+ * taken out as pairs and shortlist_touched selects among them. On the
+ * benchmark's b = 8 data 1,100 to 1,700 of the 100k votes reach the floor
+ * at size 250.
+ *
+ * The floor: the 1-in-SAMPLE votes votes[0], votes[SAMPLE], ... are
+ * counted in BINS bins of vote >> shift, the smallest shift that puts the
+ * sample's top vote in the last bins, and the bins are walked down from
+ * the top until they hold AIM * size / SAMPLE sampled votes; the floor is
+ * the lower edge of that bin, at least 1. The collect: each chunk of
+ * BLOCK votes is skipped when every vote in it lies below the floor, which
+ * one AND over the sign bits of vote - floor, in uint32, tells without a
+ * branch (a wrapped negative vote may read as at or above it; the copy
+ * below does not keep it). Every other chunk is copied as in the touched
+ * pass, each pair kept when its vote is at or above the floor. The pairs
+ * then hold every vote at or above the floor, so when there are ``size``
+ * or more of them, or the floor is 1, they hold the shortlist's set, and
+ * one memset zeroes the votes.
+ *
+ * When they are fewer than ``size`` above a floor of 2 or more, or a chunk
+ * would not fit in the ``capacity`` pairs, the sample misled: the exact
+ * heap_shortlist runs over all n votes instead, then the memset. */
+#define SAMPLE 16
+#define AIM 4
+
+static int32_t sampled_floor(int64_t n, const int32_t *votes, int64_t size)
+{
+    int32_t top = 0;
+    for (int64_t j = 0; j < n; j += SAMPLE)
+        top = votes[j] > top ? votes[j] : top;
+    const int shift = bin_shift(top);
+    uint32_t count[BINS];
+    memset(count, 0, sizeof count);
+    for (int64_t j = 0; j < n; j += SAMPLE) {
+        if (votes[j] > 0)
+            count[votes[j] >> shift]++;
+    }
+    const int64_t want = (AIM * size + SAMPLE - 1) / SAMPLE;
+    int64_t bin = top >> shift, seen = count[bin];
+    while (seen < want && bin > 0)
+        seen += count[--bin];
+    return bin > 0 ? (int32_t)(bin << shift) : 1;
+}
+
+static int64_t dense_shortlist(
+    int64_t n, int32_t *votes, const int32_t *order, int64_t capacity, int32_t *ids,
+    int32_t *weights, int64_t size)
+{
+    const int32_t least = sampled_floor(n, votes, size);
+    int64_t m = 0, fits = 1;
+    for (int64_t lo = 0; lo < n; lo += BLOCK) {
+        const int64_t hi = lo + BLOCK < n ? lo + BLOCK : n;
+        uint32_t below = ~UINT32_C(0);
+        for (int64_t j = lo; j < hi; j++)
+            below &= (uint32_t)votes[j] - (uint32_t)least;
+        if (below >> 31)
+            continue;
+        if (m + (hi - lo) > capacity) {
+            fits = 0;
+            break;
+        }
+        for (int64_t j = lo; j < hi; j++) {
+            const int32_t vote = votes[j];
+            ids[m] = order[j];
+            weights[m] = vote;
+            m += vote >= least;
+        }
+    }
+    const int64_t kept = fits && (m >= size || least == 1)
+        ? shortlist_touched(m, ids, weights, size)
+        : heap_shortlist(n, votes, order, ids, weights, size);
+    memset(votes, 0, (size_t)n * sizeof *votes);
+    return kept;
+}
+
+/* A share of 1/TOUCHED_SHARE of the blocks is the most the touched pass
+ * takes out; vote.py reads it from here */
+#define TOUCHED_SHARE 4
+const int64_t boi_touched_share = TOUCHED_SHARE;
+
 int64_t boi_touched_votes(
     int64_t n,
     int32_t *votes,                     /* (n,) */
@@ -437,18 +587,23 @@ int64_t boi_touched_votes(
     int32_t *weights,                   /* (capacity,) */
     int64_t shortlist_size)
 {
-    if (n < 0 || n > INT32_MAX || capacity < 0)
+    if (n < 0 || n > INT32_MAX)
         return -2;
     const int64_t full = n / BLOCK, blocks = (n + BLOCK - 1) / BLOCK;
-    const int64_t most = capacity / BLOCK;
+    const int64_t most = blocks / TOUCHED_SHARE;
+    if (capacity < BLOCK * most || shortlist_size < 0 || shortlist_size > capacity)
+        return -2;
     int32_t *const listed = ids + (capacity - most);
     int64_t count = 0;
     for (int64_t b = 0; b < blocks; b++) {
         const int64_t size = b < full ? BLOCK : n - full * BLOCK;
         if (!any_vote(votes + b * BLOCK, size))
             continue;
-        if (count == most)
-            return -1;
+        if (count == most) {
+            return shortlist_size > 0
+                ? dense_shortlist(n, votes, order, capacity, ids, weights, shortlist_size)
+                : -1;
+        }
         listed[count++] = (int32_t)b;
     }
     int64_t m = 0;
@@ -824,18 +979,23 @@ int64_t boi_check_directory(
  *
  * ``dots`` (num_tables * bits, rows) holds one float32 matrix product:
  * dots[j, r] is the dot of record r (row r of ``x``) with projection row j
- * (row j of ``proj``), summed in any order. hashing._sign_filter sets
- * ``bound`` so that bound * h is at or above any such sum's error,
- * rounding and underflow, for any h >= max(||x||, 2**-31) while ||x|| *
- * max ||p_j|| is far below float32's overflow. norm_bound finds such an h,
- * a power of two, so each record's limit bound * h is exact; a record
- * outside that range gets h = +inf, so all its dots are recomputed. A dot
- * with |dots[j, r]| > limit has the sign of the exact dot, which is then
- * so far from 0 that a float64 sum agrees with it too. Every other dot
- * (NaN included) is recomputed as the float64 sum of its exact float32
- * products in index order, so a record's code never depends on the other
- * records of its batch. Bit j of table t's code is 1 iff the dot with row
- * t * bits + j is >= 0, so a sign of 0 or -0 sets it.
+ * (row j of ``proj``), summed in any order. The build passes the product
+ * numpy made (hashing.hash_codes_all, ``product`` 0). A query passes
+ * ``product`` 1, and the dots are first written here, each summed in the
+ * one order of ``dot`` (below), so its margins do not depend on the BLAS
+ * (vote.QueryScratch); the bound below holds for every order of summation,
+ * this one included. hashing._sign_filter sets ``bound`` so that bound * h
+ * is at or above any such sum's error, rounding and underflow, for any h
+ * >= max(||x||, 2**-31) while ||x|| * max ||p_j|| is far below float32's
+ * overflow. norm_bound finds such an h, a power of two, so each record's
+ * limit bound * h is exact; a record outside that range gets h = +inf, so
+ * all its dots are recomputed. A dot with |dots[j, r]| > limit has the
+ * sign of the exact dot, which is then so far from 0 that a float64 sum
+ * agrees with it too. Every other dot (NaN included) is recomputed as the
+ * float64 sum of its exact float32 products in index order, so a record's
+ * code never depends on the other records of its batch. Bit j of table t's
+ * code is 1 iff the dot with row t * bits + j is >= 0, so a sign of 0 or
+ * -0 sets it.
  *
  * Records go HASH_BLOCK at a time, and each record's limit is worked out
  * once per block. Per projection row, a first pass over the block ORs the
@@ -849,6 +1009,30 @@ int64_t boi_check_directory(
  * (fabsf compiles to a mask).
  */
 #define HASH_BLOCK 1024
+
+/* The float32 dot of p and x, dim values each, in one fixed order: lane k
+ * of LANES sums p[i] * x[i] over i = k (mod LANES), ascending, over the
+ * whole groups of LANES; the lanes are added as ((l0 + l1) + (l2 + l3)) +
+ * ((l4 + l5) + (l6 + l7)); then the dim % LANES products past the groups
+ * are added in ascending i. vote.py compiles with -ffp-contract=off, so
+ * every product is rounded before it is added, on any target. The lanes
+ * are independent sums, so the loop vectorises with no reassociation. */
+#define LANES 8
+
+static float dot(const float *p, const float *x, int64_t dim)
+{
+    const int64_t whole = dim - dim % LANES;
+    float lane[LANES] = {0};
+    for (int64_t i = 0; i < whole; i += LANES) {
+        for (int64_t k = 0; k < LANES; k++)
+            lane[k] += p[i + k] * x[i + k];
+    }
+    float sum = ((lane[0] + lane[1]) + (lane[2] + lane[3]))
+        + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    for (int64_t i = whole; i < dim; i++)
+        sum += p[i] * x[i];
+    return sum;
+}
 
 /* A power of two at or above ||x|| when ||x||**2 lies in [2**-62,
  * safe_square) and below 2**250, otherwise +inf; so h stays a normal
@@ -899,7 +1083,8 @@ static int64_t recompute(
 
 int64_t boi_hash_codes(
     int64_t num_tables, int64_t bits, int64_t rows, int64_t dim,
-    const float *dots,                  /* (num_tables * bits, rows) */
+    int64_t product,
+    float *dots,                        /* (num_tables * bits, rows) */
     const float *x,                     /* (rows, dim) */
     const float *proj,                  /* (num_tables * bits, dim) */
     float bound, double safe_square,
@@ -907,6 +1092,12 @@ int64_t boi_hash_codes(
 {
     if (bits < 1 || bits > 16 || num_tables < 0 || rows < 0 || dim < 0)
         return -1;
+    if (product) {
+        for (int64_t j = 0; j < num_tables * bits; j++) {
+            for (int64_t r = 0; r < rows; r++)
+                dots[j * rows + r] = dot(proj + j * dim, x + r * dim, dim);
+        }
+    }
     float limit[HASH_BLOCK];
     uint32_t code[HASH_BLOCK];
     int64_t recomputed = 0;
@@ -937,12 +1128,13 @@ int64_t boi_hash_codes(
     return recomputed;
 }
 
-/* One query, from the dot products of its vector to its shortlist's set,
- * in one call: the sign filter (boi_hash_codes), the probe rows
+/* One query, from its vector to its shortlist's set, in one call: the dot
+ * products and the sign filter (boi_hash_codes), the probe rows
  * (boi_probe_rows), the gather+vote (boi_gather_vote) and the touched pass
- * with the shortlist's set (boi_touched_votes), in that order, each as its
- * own entry point runs it. vote.QueryScratch calls it with the GIL
- * released, once np.matmul has written the query's dot products.
+ * with the shortlist's set, dense votes included (boi_touched_votes), in
+ * that order, each as its own entry point runs it. vote.QueryScratch
+ * calls it with the GIL released, once it has copied the query into the
+ * bound ``x``.
  *
  * ``block`` holds what is fixed for one thread's scratch and one probe
  * plan, bound once (vote.QueryScratch): the slots below, in this order,
@@ -950,13 +1142,12 @@ int64_t boi_hash_codes(
  * float64 safe square are stored as the bits of a float64. The plan's
  * slots come last, so binding another plan rewrites only those.
  *
- * Returns the size of the shortlist's set, at the front of ``ids``, when
- * the touched pass took the votes out, the votes all zero again; -1 when
- * the votes stayed dense, intact for the shortlist to read; -2 when the
- * heap had no room to order a shell; -3 for arguments a stage refuses (a
- * shell outside the row); -4 for a corrupt table, the votes partly
- * written. ``scanned`` gets the (id, vote) pairs the gather+vote scanned
- * when the return value is -1 or more.
+ * Returns the size of the shortlist's set, at the front of ``ids``, the
+ * votes all zero again; -2 when the heap had no room to order a shell; -3
+ * for arguments a stage refuses: a shell outside the row, or a shortlist
+ * size past ``capacity`` or, over dense votes, of 0; -4 for a corrupt
+ * table, the votes partly written. ``scanned`` gets the (id, vote) pairs the gather+vote
+ * scanned when the return value is 0 or more.
  */
 enum {
     Q_TABLES, Q_BITS, Q_N, Q_BITMAP, Q_RANK, Q_OFFSETS, Q_NUM_OFFSETS, Q_MEMBERS,
@@ -978,11 +1169,11 @@ int64_t boi_query(const int64_t *block, int64_t shortlist_size, int64_t *scanned
     double bound, safe_square;
     memcpy(&bound, block + Q_BOUND, sizeof bound);
     memcpy(&safe_square, block + Q_SAFE_SQUARE, sizeof safe_square);
-    const float *const dots = AT(const float, Q_DOTS);
+    float *const dots = AT(float, Q_DOTS);
     uint16_t *const codes = AT(uint16_t, Q_CODES), *const probes = AT(uint16_t, Q_PROBES);
     int32_t *const votes = AT(int32_t, Q_VOTES);
     if (boi_hash_codes(
-            num_tables, bits, 1, block[Q_DIM], dots, AT(const float, Q_X),
+            num_tables, bits, 1, block[Q_DIM], 1, dots, AT(const float, Q_X),
             AT(const float, Q_PROJECTIONS), (float)bound, safe_square, codes, 1, 1)
         < 0)
         return -3;
@@ -1001,5 +1192,5 @@ int64_t boi_query(const int64_t *block, int64_t shortlist_size, int64_t *scanned
     const int64_t taken = boi_touched_votes(
         n, votes, AT(const int32_t, Q_ORDER), block[Q_CAPACITY], AT(int32_t, Q_IDS),
         AT(int32_t, Q_WEIGHTS), shortlist_size);
-    return taken < -1 ? -3 : taken;
+    return taken < 0 ? -3 : taken;
 }

@@ -1,11 +1,12 @@
-"""The compiled loops of ``vote.c``, loaded with ctypes: the sign filter,
-the probe rows, the gather+vote kernel and the pass that takes the
-touched votes out and selects the shortlist's set from them, which every
-query runs in one call (``QueryScratch.query``), the counting sort
-``hashing.insert_all`` buckets its records with, the table-record checks
-``data_io.load_index`` runs, the directory check ``hashing.ProjectionTable``
-runs, and the sign filter ``hashing.hash_codes_all`` turns its float32 dot
-products into codes with.
+"""The compiled loops of ``vote.c``, loaded with ctypes: the query's dot
+products and sign filter, the probe rows, the gather+vote kernel and the
+pass that selects the shortlist's set from the votes, touched or dense,
+which every query runs in one call (``QueryScratch.query``), the counting
+sort ``hashing.insert_all`` buckets its records with, the table-record
+checks ``data_io.load_index`` runs, the directory check
+``hashing.ProjectionTable`` runs, and the sign filter
+``hashing.hash_codes_all`` turns its float32 dot products into codes
+with.
 
 A table's buckets are found through a directory of its non-empty buckets
 (``vote.c``'s header comment): a ``bitmap`` of its non-empty codes in
@@ -22,25 +23,28 @@ bits below a code within its word; in Python,
 ``hashing.ProjectionTable.piece`` alone reads the rank and ``buckets``
 alone the bitmap, a table at a time.
 
-The source is compiled with the system ``cc`` the first time the package is
-imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
-unset), under a name keyed by the source's sha256; later imports load that
-file. ``ctypes.CDLL`` releases the GIL for the length of each call, so
-queries running in threads vote in parallel. Every entry point takes raw
-addresses, and its wrapper gets each one from ``_address``, which checks
-the array's exact type, shape and layout first: numpy's own ctypes
-argument conversion would cost about 5 us an array while the GIL is held.
-What is fixed per table or per plan is checked once, when ``GatherVote``,
-``ProbePlan`` or ``SignFilter`` binds it; ``TableCheck`` binds a snapshot
-load's arrays once in the same way. The query stages have one Python
-caller each, a method of the querying thread's ``QueryScratch``, which
-owns every buffer a query writes and binds them on its first query;
-``GatherVote`` and ``ProbePlan`` are only bindings that it reads. The
-scratch writes every address and size a query needs into one int64
-block, rebound only when the probe plan changes, so a query crosses into
-C once (``boi_query``) and passes three arguments: the block, its
-shortlist size and where the pairs scanned go. The staged calls
-(``hash``, ``rows``, ``vote``, ``take``) stay for ``index.accumulate``.
+The source is compiled with the system ``cc`` the first time the package
+is imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
+unset), under a name keyed by the sha256 of the source and ``_CFLAGS``;
+later imports load that file. ``ctypes.CDLL`` releases the GIL for the
+length of each call, so queries running in threads vote in parallel. Every
+entry point takes raw addresses, and its wrapper gets each one from
+``_address``, which checks the array's exact type, shape and layout first:
+numpy's own ctypes argument conversion would cost about 5 us an array
+while the GIL is held. What is fixed per table or per plan is checked
+once, when ``GatherVote``, ``ProbePlan`` or ``SignFilter`` binds it;
+``TableCheck`` binds a snapshot load's arrays once in the same way. The
+query stages have one Python caller each, a method of the querying
+thread's ``QueryScratch``, which owns every buffer a query writes and
+binds them on its first query; ``GatherVote`` and ``ProbePlan`` are only
+bindings that it reads. The scratch writes every address and size a query
+needs into one int64 block, rebound only when the probe plan changes or a
+longer shortlist grows the pairs, so a query copies its vector into the
+scratch, crosses into C once (``boi_query``) and passes three arguments:
+the block, its shortlist size and where the pairs scanned go. Its dot
+products are summed in ``vote.c``, in one fixed order, so no BLAS decides
+its margins. The staged calls (``hash``, ``rows``, ``vote``, ``take``)
+stay for ``index.accumulate``.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ import numpy as np
 from .core import CODE_DTYPE, MAX_HASH_BITS, OFFSET_DTYPE
 
 SOURCE = Path(__file__).with_name("vote.c")
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+# -ffp-contract=off: a query's dot products round every product before it
+# is added, on any target (``vote.c``'s ``dot``)
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def default_cache_dir() -> Path:
@@ -68,7 +74,8 @@ def default_cache_dir() -> Path:
 
 def build_library(cache_dir, source=SOURCE) -> Path:
     """Path of ``source`` compiled into ``cache_dir``, compiling it only if
-    no library built from the same source bytes is there yet.
+    no library built from the same source bytes with the same ``_CFLAGS``
+    is there yet: the name is keyed by the sha256 of both.
 
     The compiler writes to a temporary name in ``cache_dir`` that is then
     renamed into place, so a process importing at the same moment never
@@ -76,7 +83,8 @@ def build_library(cache_dir, source=SOURCE) -> Path:
     the compile fails, or ``cache_dir`` cannot be written.
     """
     source = Path(source)
-    digest = hashlib.sha256(source.read_bytes()).hexdigest()
+    keyed = b"\0".join([source.read_bytes(), *(flag.encode() for flag in _CFLAGS)])
+    digest = hashlib.sha256(keyed).hexdigest()
     cache_dir = Path(cache_dir)
     library = cache_dir / f"{source.stem}-{digest}.so"
     if library.exists():
@@ -194,6 +202,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # bits
         i64,  # rows
         i64,  # dim
+        i64,  # product: 1 to write the dots first, in vote.c's fixed order
         address,  # dots
         address,  # x
         address,  # proj
@@ -539,7 +548,7 @@ class SignFilter:
                 f"{out.shape}"
             )
         return _library.boi_hash_codes(
-            num_tables, self.bits, rows, dim,
+            num_tables, self.bits, rows, dim, 0,
             _address(dots, np.float32, (num_rows, rows)),
             _address(x, np.float32, (rows, dim)),
             *self._fixed, out.ctypes.data, out.strides[0] // step,
@@ -549,7 +558,7 @@ class SignFilter:
 
 # the touched pass takes the votes out while at most 1/_TOUCHED_SHARE of
 # their 64-id blocks hold one (``boi_touched_votes``)
-_TOUCHED_SHARE = 4
+_TOUCHED_SHARE = ctypes.c_int64.in_dll(_library, "boi_touched_share").value
 
 
 def touched_capacity(n: int) -> int:
@@ -562,6 +571,9 @@ def touched_capacity(n: int) -> int:
 # the slots of boi_query's block (``vote.c``), the plan's last
 _QUERY_SLOTS = ctypes.c_int64.in_dll(_library, "boi_query_slots").value
 _PLAN_SLOTS = 6
+# the three slots before the plan's: the pairs' room and addresses, which
+# a longer shortlist rebinds
+_PAIR_SLOTS = slice(-_PLAN_SLOTS - 3, -_PLAN_SLOTS)
 # what boi_query returns for a corrupt table, and what it means
 _QUERY_CORRUPT = -4
 _CORRUPT = (
@@ -569,17 +581,21 @@ _CORRUPT = (
 )
 
 
-def scratch_bytes(n: int, dim: int, num_tables: int, bits: int, width: int) -> int:
+def scratch_bytes(
+    n: int, dim: int, num_tables: int, bits: int, width: int, shortlist_size: int
+) -> int:
     """The bytes of a ``QueryScratch`` over n records of dimension dim in
     L = num_tables tables of b = bits bits, once it has bound plans of at
-    most ``width`` masks: 4n of int32 votes, 8 * ``touched_capacity(n)`` of
-    touched ids and votes, 4Lb of float32 dot products, 2L of codes, 4 *
-    dim of the query's float32 copy, 2L * width of probe rows, and the
-    int64 block and count of pairs scanned. The selection keeps its
-    counts on the stack, so it adds nothing."""
+    most ``width`` masks and shortlisted at most ``shortlist_size``
+    records: 4n of int32 votes, 8 * max(``touched_capacity(n)``,
+    min(shortlist_size, n)) of record ids and votes taken out, 4Lb of
+    float32 dot products, 2L of codes, 4 * dim of the query's float32
+    copy, 2L * width of probe rows, and the int64 block and count of pairs
+    scanned. The selection keeps its counts on the stack, so it adds
+    nothing."""
     return (
         4 * n
-        + 8 * touched_capacity(n)
+        + 8 * max(touched_capacity(n), min(shortlist_size, n))
         + 4 * num_tables * bits
         + 2 * num_tables
         + 4 * dim
@@ -599,37 +615,37 @@ class QueryScratch:
     ``hashing.ProjectionTable.scratch`` makes one for each thread that
     queries the tables, on the thread's first query, from the tables'
     ``SignFilter``, ``GatherVote`` and ``order`` (n,) int32. Every address
-    is taken then, through ``_address``, so a query passes only its vector
-    and its plan, and nothing is allocated per query but the probe rows of
-    a plan wider than any the scratch has seen. Its methods are the only
-    Python callers of the probe rows, the gather+vote, the touched pass
-    and ``boi_query``, and the query's caller of the sign filter (the
+    is taken then, through ``_address``, so a query passes only its vector,
+    its plan and its shortlist size, and nothing is allocated per query
+    but the probe rows of a plan wider than any the scratch has seen, or
+    the pairs of a shortlist longer than any it has held. Its methods are
+    the only Python callers of the probe rows, the gather+vote, the touched
+    pass and ``boi_query``, and the query's caller of the sign filter (the
     build's is ``SignFilter``); it owns every buffer they write:
 
     ``votes`` (n,) int32, the query's votes in internal order, all zero
     between queries; ``dots`` (L*b, 1) float32 and ``codes`` (L,) uint16,
-    the query's hash; ``probes``, the (L, width) uint16 probe rows of the
-    last plan given; ``ids`` and ``weights``, ``touched_capacity(n)`` int32
-    each, the record ids and votes the touched pass takes out; and the
-    int64 block of every address and size ``boi_query`` reads, whose plan
-    slots ``_use`` rebinds when the plan changes. At n = 100k they hold
-    about 0.6 MB (``nbytes``).
+    the query's hash, from its float32 copy; ``probes``, the (L, width)
+    uint16 probe rows of the last plan given; ``ids`` and ``weights``,
+    int32 each, the record ids and votes taken out, ``touched_capacity(n)``
+    of them, or min(shortlist size, n) once a query has asked for a longer
+    shortlist; and the int64 block of every address and size ``boi_query``
+    reads, whose plan slots ``_use`` rebinds when the plan changes, and
+    whose pair slots ``_grow`` rebinds when the pairs grow. At n = 100k
+    they hold about 0.6 MB (``nbytes``).
 
-    ``query`` runs a whole query in one compiled call. The staged path,
-    which ``index.accumulate`` takes, runs ``hash``, ``rows``, ``vote`` and
-    then ``take``. Either way ``clear`` follows when the votes stayed
-    dense. Votes a query left behind, because it raised or was
-    interrupted, are cleared before the next one votes, so a query never
-    sees another's votes. One thread at a time may use a scratch.
+    ``query`` runs a whole query in one compiled call, from the vector to
+    the shortlist's set. The staged path, which ``index.accumulate`` takes,
+    runs ``hash``, ``rows``, ``vote`` and then ``take``, and ``clear`` when
+    the votes stayed dense. Votes a query left behind, because it raised or
+    was interrupted, are cleared before the next one votes, so a query
+    never sees another's votes. One thread at a time may use a scratch.
     """
 
     def __init__(self, sign_filter: SignFilter, gather: GatherVote, order):
         num_tables, bits, n = gather._fixed[:3]
         dim = sign_filter.projections.shape[1]
-        capacity = touched_capacity(n)
         self.votes = np.zeros(n, np.int32)
-        self.ids = np.empty(capacity, np.int32)
-        self.weights = np.empty(capacity, np.int32)
         self.dots = np.empty((num_tables * bits, 1), np.float32)
         self.codes = np.empty(num_tables, CODE_DTYPE)
         self.probes = self._probe_buffer = np.empty((num_tables, 0), CODE_DTYPE)
@@ -643,20 +659,18 @@ class QueryScratch:
         x_at = _address(self._x, np.float32, self._x.shape, writable=True)
         projections_at, bound, safe_square = sign_filter._fixed
         self._hash = (
-            num_tables, bits, 1, dim, dots_at, x_at, *sign_filter._fixed, codes_at, 1, 1,
+            num_tables, bits, 1, dim, 1, dots_at, x_at, *sign_filter._fixed, codes_at, 1, 1,
         )
         self._rows = (codes_at, dots_at)
         self._votes_at = _address(self.votes, np.int32, (n,), writable=True)
-        self._touched = (
-            n, self._votes_at, _address(order, np.int32, (n,)), capacity,
-            _address(self.ids, np.int32, (capacity,), writable=True),
-            _address(self.weights, np.int32, (capacity,), writable=True),
-        )
-        # boi_query's slots in ``vote.c``'s order; the plan's are bound by _use
+        self._order_at = _address(order, np.int32, (n,))
+        # boi_query's slots in ``vote.c``'s order; _grow binds the pairs'
+        # and _use the plan's
         self._block = np.array(
             [
                 *gather._fixed, dim, projections_at, _float_slot(bound),
-                _float_slot(safe_square), x_at, dots_at, codes_at, *self._touched[1:],
+                _float_slot(safe_square), x_at, dots_at, codes_at, self._votes_at,
+                self._order_at, 0, 0, 0,
             ]
             + [0] * _PLAN_SLOTS,
             np.int64,
@@ -665,13 +679,14 @@ class QueryScratch:
             raise RuntimeError(
                 f"boi_query reads {_QUERY_SLOTS} slots, QueryScratch binds {self._block.size}"
             )
+        self._grow(touched_capacity(n))
         self._query = (self._block.ctypes.data, self._scanned.ctypes.data)
 
     @property
     def nbytes(self) -> int:
         """The bytes of every buffer the scratch holds: the votes, the
-        touched pairs, the hash's, the probe rows of the widest plan it has
-        bound, the block and the count of pairs scanned."""
+        pairs, the hash's, the probe rows of the widest plan it has bound,
+        the block and the count of pairs scanned."""
         return sum(
             a.nbytes
             for a in (
@@ -680,21 +695,32 @@ class QueryScratch:
             )
         )
 
-    def _product(self, q: np.ndarray) -> None:
-        """The query's float32 dot products, into ``dots``: one matrix
-        product, as ``hashing.hash_codes_all`` makes them for one row. ``q``
-        is the (dim,) float32 query ``core.query_vector`` checked."""
-        x = self._x
-        x[0] = q
-        # a product may overflow only in a row the filter recomputes whole
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(self._sign_filter.projections, x.T, out=self.dots)
+    def _grow(self, size: int) -> None:
+        """Make ``ids`` and ``weights`` hold ``size`` pairs each, and bind
+        the block's pair slots to them."""
+        self.ids = np.empty(size, np.int32)
+        self.weights = np.empty(size, np.int32)
+        self._block[_PAIR_SLOTS] = self._pairs = (
+            size,
+            _address(self.ids, np.int32, (size,), writable=True),
+            _address(self.weights, np.int32, (size,), writable=True),
+        )
+
+    def _hold(self, shortlist_size: int) -> int:
+        """min(shortlist_size, n), the size to pass the touched pass, once
+        ``ids`` and ``weights`` hold that many pairs (``_grow``)."""
+        size = min(shortlist_size, len(self.votes))
+        if size > len(self.ids):
+            self._grow(size)
+        return size
 
     def hash(self, q: np.ndarray) -> np.ndarray:
-        """The query's codes (``codes``), and its dot products in ``dots``:
-        one float32 matrix product and the sign filter, as
-        ``hashing.hash_codes_all`` hashes one row."""
-        self._product(q)
+        """The query's codes (``codes``), and its dot products in ``dots``
+        (``boi_hash_codes``): each dot summed in ``vote.c``'s one fixed
+        order, then the sign filter, as ``hashing.hash_codes_all`` filters
+        one row. ``q`` is the (dim,) float32 query ``core.query_vector``
+        checked."""
+        self._x[0] = q
         _library.boi_hash_codes(*self._hash)
         return self.codes
 
@@ -727,28 +753,25 @@ class QueryScratch:
 
     def query(self, q: np.ndarray, plan: ProbePlan, shortlist_size: int) -> tuple[int, int]:
         """One query under ``plan``, in one compiled call with the GIL
-        released (``boi_query``), after the matrix product of ``hash``:
-        the sign filter, the probe rows, the gather+vote and the touched
-        pass. Returns (count, pairs scanned).
+        released (``boi_query``): the dot products and the sign filter of
+        ``hash``, the probe rows, the gather+vote and the touched pass.
+        Returns (count, pairs scanned).
 
-        When the touched pass takes the votes out, ``votes`` is all zero
-        again and ``ids[:count]`` holds, in no order, the record ids of
+        ``ids[:count]`` then holds, in no order, the record ids of
         ``index.shortlist``'s set of the votes: the ``shortlist_size``
-        highest votes, the ties at the cut by lowest record id. Otherwise
-        count is -1 and ``votes`` holds the dense votes, for the caller to
-        shortlist and then ``clear``. Raises what ``rows`` and ``vote``
+        (at least 1) highest votes, the ties at the cut by lowest record
+        id, none that is 0; and ``votes`` is all zero again, whether the
+        votes were touched or dense. Raises what ``rows`` and ``vote``
         raise.
         """
         self._use(plan)
-        self._product(q)
+        size = self._hold(shortlist_size)
+        self._x[0] = q
         self._start_vote()
-        count = _library.boi_query(
-            self._query[0], min(shortlist_size, len(self.votes)), self._query[1]
-        )
-        if count >= 0:
-            self._voted = False
-        elif count < -1:
+        count = _library.boi_query(self._query[0], size, self._query[1])
+        if count < 0:
             self._raise(count)
+        self._voted = False
         return count, int(self._scanned[0])
 
     def _raise(self, status: int) -> None:
@@ -814,12 +837,14 @@ class QueryScratch:
         more than a quarter of the votes' 64-id blocks hold one: ``votes``
         is left as it is, for ``clear`` once it has been read.
 
-        Given a ``shortlist_size`` of 1 or more, the pairs taken out are
-        then cut to ``index.shortlist``'s set of them, as ``query`` cuts
-        them, and m is the set's size: its pairs come first, in no order.
+        Given a ``shortlist_size`` of 1 or more, the votes are cut to
+        ``index.shortlist``'s set of them, as ``query`` cuts them, dense
+        ones too, and m is the set's size: its pairs come first, in no
+        order, and ``votes`` is all zero again.
         """
+        size = self._hold(shortlist_size)
         m = _library.boi_touched_votes(
-            *self._touched, min(shortlist_size, len(self.votes))
+            len(self.votes), self._votes_at, self._order_at, *self._pairs, size
         )
         if m >= 0:
             self._voted = False

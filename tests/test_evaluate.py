@@ -16,7 +16,7 @@ from boi.evaluate import (
     summarize,
 )
 from boi.index import build_index, query
-from boi.vote import touched_capacity
+from boi.vote import scratch_bytes, touched_capacity
 
 
 class TestAveragePrecision:
@@ -294,6 +294,26 @@ class TestEstimateMemory:
         # every term of the model is exact for the index's own plan
         assert est.accumulator_bytes == scratch.nbytes
         assert scratch.nbytes >= 4 * n + 8 * touched_capacity(n)
+
+    def test_counts_the_pairs_of_a_shortlist_past_the_touched_capacity(self):
+        # a shortlist longer than the touched pass's room grows the pairs to
+        # it, at b = 8, where the dense votes are selected from, and at
+        # b = 16; the model counts the grown pairs
+        n, eps = 5_003, 3_000
+        rng = np.random.default_rng(n)
+        dataset = VectorSet(rng.standard_normal((n, 6)).astype(np.float32))
+        for bits in (8, 16):
+            params = BoiParams(num_tables=3, hash_bits=bits, shortlist_size=eps, seed=1)
+            index = build_index(dataset, params)
+            scratch = index.tables.scratch()
+            assert len(scratch.ids) == touched_capacity(n) == 1216 < eps
+            query(index, dataset.vectors[0], 5)
+            assert len(scratch.ids) == eps
+            width = index.plan.width
+            assert scratch.nbytes == scratch_bytes(n, 6, 3, bits, width, eps)
+            assert scratch.nbytes == estimate_memory(n, 6, params).accumulator_bytes
+            # a shortlist of n or more holds n pairs
+            assert scratch_bytes(n, 6, 3, bits, width, 10**9) - scratch.nbytes == 8 * (n - eps)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -302,19 +302,45 @@ class TestExactSigns:
             assert np.array_equal(single, codes[row])
 
 
+def lane_dots(proj, x) -> np.ndarray:
+    """The float32 dots of x with each row of ``proj`` in ``vote.c``'s one
+    order, each product rounded before it is added: lane k sums the
+    products of i = k (mod 8) over the whole groups of 8, ascending; the
+    lanes are added as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)); then the
+    dim % 8 products past the groups are added in ascending i."""
+    proj, x = np.asarray(proj, np.float32), np.asarray(x, np.float32)
+    whole = x.size - x.size % 8
+    lanes = np.zeros((len(proj), 8), np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, whole, 8):
+            lanes += proj[:, i : i + 8] * x[i : i + 8]
+        sums = (lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])
+        sums += (lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7])
+        for i in range(whole, x.size):
+            sums += proj[:, i] * x[i]
+    return sums
+
+
 def test_the_hash_keeps_its_dot_products():
-    # a query hashed through its thread's scratch leaves in ``dots`` the one
-    # float32 product its codes were decided from, which the probe rows
-    # order their shells by, and gets the codes a batch hash gives
+    # a query hashed through its thread's scratch leaves in ``dots`` the
+    # float32 dots its codes were decided from, summed in vote.c's one
+    # order, which the probe rows order their shells by, and gets the codes
+    # a batch hash gives, for rows of zeros, tiny and huge values too; the
+    # widths hold no whole group of 8, exactly one, a tail, and 16 groups
     rng = np.random.default_rng(4)
-    proj = make_projections(BoiParams(num_tables=5, hash_bits=6, seed=2), 20)
-    data = VectorSet(rng.standard_normal((50, 20)).astype(np.float32))
-    tables = insert_all(proj, 6, data)
-    scratch = tables.scratch()
-    X = rng.standard_normal((40, 20)).astype(np.float32)
-    for x, codes in zip(X, hash_codes_all(tables.sign_filter, X)):
-        assert np.array_equal(hash_codes_all(scratch, x), codes)
-        assert np.array_equal(scratch.dots, proj @ x[np.newaxis].T)
+    for dim in (1, 7, 8, 20, 128):
+        proj = make_projections(BoiParams(num_tables=5, hash_bits=6, seed=2), dim)
+        data = VectorSet(rng.standard_normal((50, dim)).astype(np.float32))
+        tables = insert_all(proj, 6, data)
+        scratch = tables.scratch()
+        X = rng.standard_normal((40, dim)).astype(np.float32)
+        X[1] = 0.0
+        X[2] *= np.float32(2.0**-130)
+        X[3] *= np.float32(2.0**100)
+        X[4] *= np.float32(3.0e37)
+        for x, codes in zip(X, hash_codes_all(tables.sign_filter, X)):
+            assert np.array_equal(hash_codes_all(scratch, x), codes)
+            assert scratch.dots[:, 0].tobytes() == lane_dots(proj, x).tobytes()
 
 
 def test_dimensions_past_the_error_bound_raise():

@@ -516,8 +516,9 @@ def take_and_shortlist(tables, votes, eps) -> int:
     non-zero vote's record id and vote in ascending internal id and left
     the votes zero, or -1, after checking that it left them as they were.
     Then the same votes, taken out with the shortlist's selection as a
-    query takes them, must give the set of ``shortlist(votes, eps,
-    order)`` with each pair's own vote, or leave the dense votes alone."""
+    query takes them, touched or dense, must give the set of
+    ``shortlist(votes, eps, order)`` with each pair's own vote, and leave
+    the votes zero."""
     scratch = tables.scratch()
     scratch.votes[:] = votes
     m = scratch.take()
@@ -532,18 +533,13 @@ def take_and_shortlist(tables, votes, eps) -> int:
         scratch.clear()
     scratch.votes[:] = votes
     count = scratch.take(eps)
-    assert (count >= 0) == (m >= 0)
-    if count >= 0:
-        want = shortlist(votes, eps, tables.order)
-        got = scratch.ids[:count]
-        assert sorted(got.tolist()) == sorted(want.tolist())
-        records = np.zeros(tables.n, np.int64)
-        records[tables.order] = votes
-        assert scratch.weights[:count].tolist() == records[got].tolist()
-        assert not scratch.votes.any()
-    else:
-        assert scratch.votes.tolist() == votes.tolist()
-        scratch.clear()
+    want = shortlist(votes, eps, tables.order)
+    got = scratch.ids[:count]
+    assert sorted(got.tolist()) == sorted(want.tolist())
+    records = np.zeros(tables.n, np.int64)
+    records[tables.order] = votes
+    assert scratch.weights[:count].tolist() == records[got].tolist()
+    assert not scratch.votes.any()
     return m
 
 
@@ -697,6 +693,91 @@ class TestTouchedShortlist:
             votes[ids[:40]] = votes[ids[40]]
             for eps in (1, 13, 40, 41, 128, 255):
                 assert take_and_shortlist(tables, votes, eps) == 256
+
+
+class TestDenseShortlist:
+    """The compiled selection of the shortlist's set from dense votes, more
+    than a quarter of whose 64-id blocks hold one (``take`` returns -1 for
+    them), against ``shortlist(votes, eps, order)`` as the oracle
+    (``take_and_shortlist``): a floor set from every 16th vote lets a few
+    votes through, and when that sample misleads, an exact pass over every
+    vote runs instead. n = 1044 holds 256 pairs of room until a longer
+    shortlist grows it."""
+
+    N = TestTouchedPass.N
+
+    def sizes(self, n) -> list:
+        capacity = vote.touched_capacity(n)
+        return sorted({1, 2, 10, n // 2, capacity, capacity + 1, n - 1, n, n + 7} - {0})
+
+    @pytest.mark.parametrize("n", [1, 15, 63, 1044])
+    def test_every_vote_equal(self, n):
+        tables = tables_of(n)
+        for eps in self.sizes(n):
+            assert take_and_shortlist(tables, np.full(n, 5, np.int32), eps) == -1
+
+    @pytest.mark.parametrize("n", [1, 15, 63, 1044])
+    def test_heavy_ties_at_the_cut(self, n):
+        # three vote values under a few leaders: every cut falls in a tie
+        # group of about n / 3 ids
+        tables = tables_of(n)
+        rng = np.random.default_rng(n)
+        votes = rng.integers(1, 4, n).astype(np.int32)
+        votes[rng.permutation(n)[:3]] = [9, 9, 7][: n]
+        for eps in self.sizes(n):
+            assert take_and_shortlist(tables, votes, eps) == -1
+
+    def test_a_shortlist_past_the_touched_capacity_grows_the_pairs(self):
+        tables = tables_of(self.N)
+        scratch = tables.scratch()
+        votes = (np.arange(self.N) % 7 + 1).astype(np.int32)
+        assert len(scratch.ids) == vote.touched_capacity(self.N) == 256
+        for eps in (257, 600, self.N, 5000):
+            assert take_and_shortlist(tables, votes, eps) == -1
+            assert len(scratch.ids) == len(scratch.weights) == min(eps, self.N)
+        # the grown pairs serve the touched path too
+        assert take_and_shortlist(tables, TestTouchedPass().votes_in([0, 5]), 100) == 128
+
+    def test_top_votes_the_sample_misses(self):
+        # the sample reads ids 0, 16, 32, ...: top votes at every other id
+        # leave it a floor so low that every vote passes, more than the 256
+        # pairs hold, and the exact pass selects instead
+        tables = tables_of(self.N)
+        ids = np.arange(self.N)
+        votes = np.where(ids % 16 == 0, 1, 1 + (ids % 16 == 5) * (ids % 97)).astype(np.int32)
+        for eps in (1, 5, 10, 11, 40, 255):
+            assert take_and_shortlist(tables, votes, eps) == -1
+
+    def test_top_votes_only_in_the_sample(self):
+        # the sampled ids hold the only top votes: the floor lets those 66
+        # through, fewer than the shortlist, and the exact pass selects
+        tables = tables_of(self.N)
+        votes = np.full(self.N, 2, np.int32)
+        votes[::16] = 9
+        for eps in (67, 100, 255, 256, 257, 1043):
+            assert take_and_shortlist(tables, votes, eps) == -1
+
+    def test_a_vote_wrapped_negative_never_qualifies(self):
+        tables = tables_of(self.N)
+        votes = np.full(self.N, 3, np.int32)
+        votes[[10, 20, 30, 40]] = [2**31 - 1, -(2**30), -5, 0]
+        for eps in (1, 2, 3, 300, self.N):
+            assert take_and_shortlist(tables, votes, eps) == -1
+
+
+@given(
+    n=st.sampled_from([1, 15, 63, 64, 65, 256, 1044, 3000]),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.sampled_from([1, 3, 255, 2**16, 2**31 - 1]),
+    touched=st.floats(0.3, 1.0),
+    eps=st.integers(1, 3200),
+)
+@settings(max_examples=150, deadline=None)
+def test_dense_selection_matches_shortlist(n, seed, top, touched, eps):
+    # dense votes of any spread, ties at every cut when the top is small
+    rng = np.random.default_rng(seed)
+    votes = rng.integers(1, top, n, endpoint=True) * (rng.random(n) < touched)
+    take_and_shortlist(tables_of(n), votes.astype(np.int32), eps)
 
 
 class TestQuery:
@@ -1064,6 +1145,47 @@ def test_stages_one_by_one_compose_to_query(tmp_path, bits):
             assert ids.size == 10
             assert ids.tobytes() == res.ids.tobytes()
             assert dists.tobytes() == res.distances.tobytes()
+
+
+@pytest.mark.parametrize("bits", [8, 12])
+def test_answers_do_not_follow_the_blas(monkeypatch, bits):
+    # a query's dot products, whose margins order the partly probed shell,
+    # come from vote.c in one fixed order: np.matmul, patched after the
+    # build to move each product by one unit in the last place, is never
+    # called by a query, and no answer, vote or shortlist changes. The
+    # shortlist of accumulate's votes is the set query re-ranks
+    rng = np.random.default_rng(40 + bits)
+    data = VectorSet(rng.standard_normal((2_000, 16)).astype(np.float32))
+    picks = rng.choice(data.n, 30, replace=False)
+    queries = (data.vectors[picks] + 0.3 * rng.standard_normal((30, 16))).astype(np.float32)
+    params = BoiParams(num_tables=24, hash_bits=bits, shortlist_size=80, seed=4)
+    index = build_index(data, params)
+    assert (index.plan.shells[:, 1] > 0).any()  # some shell is ordered by margin
+
+    def answers():
+        out = []
+        for q in queries:
+            res = query(index, q, 10)
+            votes = accumulate(index, q)
+            c = shortlist(votes, params.shortlist_size)
+            ids = rank_by_distance(c, pairwise_distances(data.vectors[c], q), 10)[0]
+            assert ids.tobytes() == res.ids.tobytes() and res.shortlist_size == c.size
+            ball = multiprobe_lsh_query(index.tables, data, q, 1, 80, 10)
+            out.append((res.ids.tobytes(), res.distances.tobytes(), res.pairs_scanned,
+                        votes.tobytes(), ball.ids.tobytes()))
+        return out
+
+    before = answers()
+    calls, matmul = [], np.matmul
+
+    def nudged(*args, **kwargs):
+        calls.append(1)
+        product = matmul(*args, **kwargs)
+        return np.nextafter(product, np.float32(np.inf), out=product)
+
+    monkeypatch.setattr(np, "matmul", nudged)
+    assert answers() == before
+    assert calls == []
 
 
 def record_id_tables(tables: ProjectionTable, step: int) -> ProjectionTable:

@@ -46,6 +46,17 @@ def test_changed_source_gets_a_new_name(tmp_path):
     assert sorted(cache.iterdir()) == sorted([original, changed])
 
 
+def test_changed_flags_get_a_new_name(tmp_path, monkeypatch):
+    # the same source built with other flags is another library: the name
+    # is keyed by the source and the flags together
+    cache = tmp_path / "cache"
+    original = vote.build_library(cache)
+    monkeypatch.setattr(vote, "_CFLAGS", (*vote._CFLAGS, "-DBOI_OTHER_FLAGS"))
+    changed = vote.build_library(cache)
+    assert changed != original
+    assert sorted(cache.iterdir()) == sorted([original, changed])
+
+
 def test_no_compiler_raises_import_error_naming_cc(tmp_path, monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda name: None)
     with pytest.raises(ImportError, match="`cc`"):

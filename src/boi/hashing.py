@@ -412,13 +412,14 @@ def hash_codes_all(
     ``index.accumulate``'s staged path hashes a query through here with
     its thread's ``vote.QueryScratch`` in place of the filter
     (``ProjectionTable.scratch``): X is then the one (dim,) float32 query
-    ``core.query_vector`` checked. Its dot products are summed in
-    ``vote.c``, in one fixed order rather than by the BLAS, and they and
-    its codes go to the scratch's bound ``dots`` and ``codes``, the codes
-    returned, with no check or buffer made per call;
+    ``core.query_vector`` checked, and the scratch runs the hash stage of
+    ``vote.c``'s ``boi_query`` alone (``QueryScratch.hash``), the stage
+    ``index.query`` runs first in its one call. The dot products are
+    summed there, in one fixed order rather than by the BLAS, and they
+    and the codes go to the scratch's bound ``dots`` and ``codes``, the
+    codes returned, with no check or buffer made per call;
     ``QueryScratch.rows`` orders the partly probed shells by those dot
-    products. ``index.query`` computes the same dots and codes inside its
-    one compiled call (``vote.QueryScratch.query``).
+    products.
     """
     if isinstance(sign_filter, QueryScratch):
         return sign_filter.hash(X)

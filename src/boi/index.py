@@ -30,11 +30,12 @@ Querying works in four stages:
 ``query`` runs stages 1-3, from the query's vector to the shortlist's
 set, in one call into ``vote.c`` that releases the GIL
 (``vote.QueryScratch.query``), so threads query in parallel; only the
-re-rank runs in Python. ``accumulate`` runs the same compiled stages one
-call at a time, through ``hash_codes_all`` and
+re-rank runs in Python. ``accumulate`` asks the same compiled call for
+one stage at a time, through ``hash_codes_all`` and
 ``neighbor_codes_with_distance``, and returns fresh votes in record
-order: the staged path whose spans the benchmark's trace times, so its
-traced time includes that scatter. ``shortlist`` is the numpy statement
+order: the staged path whose spans the benchmark's trace times. Its
+spans therefore time the stages ``query`` runs, and its traced time
+adds the scatter to record order. ``shortlist`` is the numpy statement
 of stage 3, which the trace and the tests call.
 
 The LSH baselines run here too. ``multiprobe_lsh_query`` is multi-probe
@@ -311,9 +312,10 @@ def _accumulate(
     budgets[t] + 1 codes of its row, and position j of a row adds
     ``units[j]``. A boi vote of at most L * 2**b units stays below 2**31
     (``BoiParams``), so the int32 sums are exact and so is their negation
-    in the shortlist. ``hash_codes_all`` and
-    ``neighbor_codes_with_distance`` are called through this module's
-    globals, which the benchmark's trace wraps.
+    in the shortlist. Each stage is one call of ``vote.c``'s ``boi_query``
+    that runs it alone: ``hash_codes_all`` and
+    ``neighbor_codes_with_distance``, called through this module's globals,
+    which the benchmark's trace wraps, then ``QueryScratch.vote``.
     """
     scratch = tables.scratch()
     hash_codes_all(scratch, q)
@@ -342,9 +344,9 @@ def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
     Entry r is sum weight(H, b) * 2**b over the probed buckets holding
     record r; records that no probed bucket contains stay at exactly 0.
     ``query_index`` is accepted and ignored. This is the staged path
-    (``_accumulate``), one compiled call a stage, which only the
-    benchmark's trace and the tests run; ``query`` runs the same stages
-    in one call.
+    (``_accumulate``), which only the benchmark's trace and the tests run:
+    ``boi_query`` asked for one stage a call, then the touched pass alone
+    (``QueryScratch.take``), where ``query`` asks for all of them at once.
     """
     q = query_vector(q, index.dim)
     tables = index.tables

@@ -51,15 +51,28 @@ class SynthSpec:
         )
 
 
+# base rows drawn, summed in float64 and cast to float32 at a time, so that
+# only one chunk's float64 noise and sum (8 MiB each at dim 128) is held
+# beside the float32 base, however large n is
+_ROW_CHUNK = 8192
+
+
 def generate(spec: SynthSpec) -> tuple[VectorSet, VectorSet, GroundTruth]:
-    """Database, queries, and exact ground truth for one spec; seed-determined."""
+    """Database, queries, and exact ground truth for one spec; seed-determined.
+
+    The base is drawn ``_ROW_CHUNK`` rows at a time. The generator gives
+    the same normals in row chunks as in one draw, and is left in the same
+    state, so the chunk size changes no value of the base, the queries or
+    the ground truth."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     centers = rng.standard_normal((spec.num_clusters, spec.dim))
-    assignment = np.arange(spec.n) % spec.num_clusters
-    points = centers[assignment] + spec.cluster_std * rng.standard_normal(
-        (spec.n, spec.dim)
-    )
-    database = VectorSet(points.astype(np.float32))
+    points = np.empty((spec.n, spec.dim), np.float32)
+    for lo in range(0, spec.n, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, spec.n)
+        noise = rng.standard_normal((hi - lo, spec.dim))
+        centered = centers[np.arange(lo, hi) % spec.num_clusters]
+        points[lo:hi] = centered + spec.cluster_std * noise
+    database = VectorSet(points)
 
     picks = rng.choice(spec.n, size=spec.num_queries, replace=spec.num_queries > spec.n)
     qpoints = database.vectors[picks] + spec.jitter * rng.standard_normal(

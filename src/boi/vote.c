@@ -3,9 +3,9 @@
  * every hash table, the pass that selects its shortlist's set from its
  * votes, the counting sort that builds the buckets, the two checks of a
  * snapshot's table record as it is loaded, the check of the tables'
- * bucket directory, the sign filter that turns dot products into codes
- * (and makes a query's dot products first), and the one call that runs a
- * query's stages in turn.
+ * bucket directory, the sign filter that turns dot products into codes,
+ * and the one call that runs a query's stages in turn, its dot products
+ * first.
  *
  * Buckets hold internal ids: record i of the index is internal id j where
  * order[j] = i, and ``order`` lists the records in table 0's bucket order
@@ -34,13 +34,13 @@
  * Codes are uint16 and offsets int32, as in core.CODE_DTYPE and
  * core.OFFSET_DTYPE, so bits is at most 16 (core.MAX_HASH_BITS).
  *
- * boi_gather_vote: table t probes the first budgets[t] + 1 codes of its row
- * of ``probes``: every id in the bucket of the code c at position j gains
- * units[j] votes. A code whose bit is clear is skipped without reading the
- * offsets. The kernel only adds the votes; index.weight sets them
- * (BoiIndex.plan.units). The votes are in internal order, in an (n,)
- * array that each querying thread owns and keeps all zero between its
- * queries (vote.QueryScratch); boi_touched_votes takes them out again.
+ * The gather+vote (gather_vote): table t probes the first budgets[t] + 1
+ * codes of its row of ``probes``: every id in the bucket of the code c at
+ * position j gains units[j] votes. A code whose bit is clear is skipped
+ * without reading the offsets. The kernel only adds the votes; index.weight
+ * sets them (BoiIndex.plan.units). The votes are in internal order, in an
+ * (n,) array that each querying thread owns and keeps all zero between its
+ * queries (vote.QueryScratch); the touched pass takes them out again.
  *
  * The vote is a cache-blocked scatter (Boncz, Manegold and Kersten, VLDB
  * 1999). Each probed bucket scatters its ids across the whole (n,) vote
@@ -77,44 +77,39 @@
  * value is the number of (id, vote) pairs scanned. Sums are exact
  * integers, so their order does not matter.
  *
- * boi_touched_votes, the second entry point, hands the shortlist only the
- * votes a query touched, as (record id, vote) pairs, when they lie in few
- * 64-id blocks of the votes, and zeroes them as it goes; given a shortlist
- * size, it then keeps only the pairs of the shortlist's set, and selects
- * that set from dense votes too, from the few a sampled floor lets
- * through (its own comment, below).
+ * The touched pass (touched_votes) hands the shortlist only the votes a
+ * query touched, as (record id, vote) pairs, when they lie in few 64-id
+ * blocks of the votes, and zeroes them as it goes; given a shortlist size,
+ * it then keeps only the pairs of the shortlist's set, and selects that set
+ * from dense votes too, from the few a sampled floor lets through (its own
+ * comment, below).
  *
- * boi_probe_rows, the third, writes the rows the first one probes: each
+ * The probe rows (probe_rows) are what the gather+vote probes: each
  * table's query code XOR the masks of its probe plan, with the table's
  * last, partly probed shell ordered by the query's margins (its own
  * comment, below).
  *
- * boi_bucket_sort, the fourth, builds one table of the index:
- * hashing.insert_all hashed the codes into ``members``, and one counting
- * sort turns them into the internal ids of every bucket, ascending within
- * a bucket, and the table's directory; table 0's sort gives ``order`` (its
- * own comment, below).
- *
- * boi_table_buckets and boi_check_table, the fifth and sixth, count the
- * non-empty buckets of one table record of a snapshot and check the
- * record, turning its bucket sizes into the table's piece of offsets in
- * place, for data_io.load_index.
- *
- * boi_check_directory, the seventh, checks a whole directory and makes its
- * rank, for hashing.ProjectionTable.
- *
- * boi_hash_codes, the eighth, turns the float32 dot products of
- * hashing.hash_codes_all into codes, recomputing in float64 each sign the
- * float32 error bound cannot decide; for a query it first computes the dot
- * products itself, in one fixed order (its own comment, below).
- *
- * boi_query, the ninth, runs one query from its vector to its shortlist's
- * set: the dot products and the sign filter, the probe rows, the
- * gather+vote and the touched pass with its selection, each through its
- * entry point above, on the addresses and sizes of one thread's scratch
- * and one probe plan, bound once in an int64 block (its own comment, at
- * the end). The staged calls stay for index.accumulate, whose stages the
- * benchmark times.
+ * Six entry points are exported, each with one caller in vote.py:
+ *   boi_bucket_sort builds one table of the index: hashing.insert_all
+ *     hashed the codes into ``members``, and one counting sort turns them
+ *     into the internal ids of every bucket, ascending within a bucket,
+ *     and the table's directory; table 0's sort gives ``order``;
+ *   boi_table_buckets and boi_check_table count the non-empty buckets of
+ *     one table record of a snapshot and check the record, turning its
+ *     bucket sizes into the table's piece of offsets in place, for
+ *     data_io.load_index;
+ *   boi_check_directory checks a whole directory and makes its rank, for
+ *     hashing.ProjectionTable;
+ *   boi_hash_codes turns the float32 dot products of a build's matrix
+ *     product (hashing.hash_codes_all) into codes, recomputing in float64
+ *     each sign the float32 error bound cannot decide;
+ *   boi_query runs a query's stages in one fixed order: its dot products
+ *     and the sign filter, the probe rows, the gather+vote and the touched
+ *     pass with its selection, on the addresses and sizes of one thread's
+ *     scratch and one probe plan, bound once in an int64 block. A query
+ *     runs all four in one call; index.accumulate runs them one call at a
+ *     time, so that the benchmark can time each.
+ * Each has its own comment below.
  */
 #include <math.h> /* INFINITY and fabsf, which need no libm */
 #include <stdint.h>
@@ -184,7 +179,7 @@ struct range {
 
 /* HOT starts a function on a 64-byte boundary, so the speed of its inner
  * loops does not hang on the code placed before it. Without it, the three
- * library calls boi_probe_rows added to the PLT moved sweep 48 bytes and
+ * library calls the probe rows added to the PLT moved sweep 48 bytes and
  * slowed the b=8 gather+vote from 0.37 to 0.51 ms a query (the benchmark's
  * seed-1 data); aligned, it kept its speed. */
 #define HOT __attribute__((aligned(64)))
@@ -215,7 +210,7 @@ HOT static int sweep(struct range *batch, int64_t live, int64_t n, int32_t *vote
     return live > 0 ? -1 : 0;
 }
 
-HOT int64_t boi_gather_vote(
+HOT static int64_t gather_vote(
     int64_t num_tables, int64_t bits, int64_t n,
     const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
     const int32_t *rank,                /* (num_tables, WORDS(bits)) */
@@ -578,7 +573,7 @@ static int64_t dense_shortlist(
 #define TOUCHED_SHARE 4
 const int64_t boi_touched_share = TOUCHED_SHARE;
 
-int64_t boi_touched_votes(
+static int64_t touched_votes(
     int64_t n,
     int32_t *votes,                     /* (n,) */
     const int32_t *order,               /* (n,) */
@@ -686,7 +681,7 @@ static int rank_small(const struct keyed *key, int64_t s, int32_t *rank)
     return seen == ~(uint64_t)0 >> (64 - s);
 }
 
-int64_t boi_probe_rows(
+static int64_t probe_rows(
     int64_t num_tables, int64_t bits, int64_t width,
     const uint16_t *codes,              /* (num_tables,) */
     const float *dots,                  /* (num_tables * bits,) */
@@ -980,14 +975,13 @@ int64_t boi_check_directory(
  * ``dots`` (num_tables * bits, rows) holds one float32 matrix product:
  * dots[j, r] is the dot of record r (row r of ``x``) with projection row j
  * (row j of ``proj``), summed in any order. The build passes the product
- * numpy made (hashing.hash_codes_all, ``product`` 0). A query passes
- * ``product`` 1, and the dots are first written here, each summed in the
- * one order of ``dot`` (below), so its margins do not depend on the BLAS
- * (vote.QueryScratch); the bound below holds for every order of summation,
- * this one included. hashing._sign_filter sets ``bound`` so that bound * h
- * is at or above any such sum's error, rounding and underflow, for any h
- * >= max(||x||, 2**-31) while ||x|| * max ||p_j|| is far below float32's
- * overflow. norm_bound finds such an h, a power of two, so each record's
+ * numpy made (hashing.hash_codes_all); boi_query's hash stage passes a
+ * query's dots, each summed in the one order of ``dot`` (below), so its
+ * margins do not depend on the BLAS. The bound below holds for every order
+ * of summation, both of these included. hashing._sign_filter sets ``bound``
+ * so that bound * h is at or above any such sum's error, rounding and
+ * underflow, for any h >= max(||x||, 2**-31) while ||x|| * max ||p_j|| is
+ * far below float32's overflow. norm_bound finds such an h, a power of two, so each record's
  * limit bound * h is exact; a record outside that range gets h = +inf, so
  * all its dots are recomputed. A dot with |dots[j, r]| > limit has the
  * sign of the exact dot, which is then so far from 0 that a float64 sum
@@ -1083,8 +1077,7 @@ static int64_t recompute(
 
 int64_t boi_hash_codes(
     int64_t num_tables, int64_t bits, int64_t rows, int64_t dim,
-    int64_t product,
-    float *dots,                        /* (num_tables * bits, rows) */
+    const float *dots,                  /* (num_tables * bits, rows) */
     const float *x,                     /* (rows, dim) */
     const float *proj,                  /* (num_tables * bits, dim) */
     float bound, double safe_square,
@@ -1092,12 +1085,6 @@ int64_t boi_hash_codes(
 {
     if (bits < 1 || bits > 16 || num_tables < 0 || rows < 0 || dim < 0)
         return -1;
-    if (product) {
-        for (int64_t j = 0; j < num_tables * bits; j++) {
-            for (int64_t r = 0; r < rows; r++)
-                dots[j * rows + r] = dot(proj + j * dim, x + r * dim, dim);
-        }
-    }
     float limit[HASH_BLOCK];
     uint32_t code[HASH_BLOCK];
     int64_t recomputed = 0;
@@ -1128,13 +1115,17 @@ int64_t boi_hash_codes(
     return recomputed;
 }
 
-/* One query, from its vector to its shortlist's set, in one call: the dot
- * products and the sign filter (boi_hash_codes), the probe rows
- * (boi_probe_rows), the gather+vote (boi_gather_vote) and the touched pass
- * with the shortlist's set, dense votes included (boi_touched_votes), in
- * that order, each as its own entry point runs it. vote.QueryScratch
- * calls it with the GIL released, once it has copied the query into the
- * bound ``x``.
+/* A query's stages, in one fixed order:
+ *   HASH: the query's dot products, each in the order of ``dot``, then the
+ *     sign filter (boi_hash_codes), into the scratch's dots and codes;
+ *   ROWS: the probe rows of those codes and dots (probe_rows);
+ *   VOTE: the gather+vote of the rows (gather_vote); ``scanned`` gets the
+ *     (id, vote) pairs it scanned;
+ *   TAKE: the touched pass, with the shortlist's set when
+ *     ``shortlist_size`` is 1 or more, dense votes included (touched_votes).
+ * boi_query runs stages [first, last), each as above. vote.QueryScratch
+ * runs all four for a query, with the GIL released, once it has copied the
+ * query into the bound ``x``, and one at a time for index.accumulate.
  *
  * ``block`` holds what is fixed for one thread's scratch and one probe
  * plan, bound once (vote.QueryScratch): the slots below, in this order,
@@ -1142,13 +1133,17 @@ int64_t boi_hash_codes(
  * float64 safe square are stored as the bits of a float64. The plan's
  * slots come last, so binding another plan rewrites only those.
  *
- * Returns the size of the shortlist's set, at the front of ``ids``, the
- * votes all zero again; -2 when the heap had no room to order a shell; -3
- * for arguments a stage refuses: a shell outside the row, or a shortlist
- * size past ``capacity`` or, over dense votes, of 0; -4 for a corrupt
- * table, the votes partly written. ``scanned`` gets the (id, vote) pairs the gather+vote
- * scanned when the return value is 0 or more.
+ * Returns what TAKE returns when it runs: the size of the shortlist's set
+ * at the front of ``ids``, or m touched pairs given no shortlist size, the
+ * votes all zero again, or -1 when, given none, the votes are dense and
+ * left as they are. Otherwise 0 once the stages have run; -2 when the heap
+ * had no room to order a shell; -3 for arguments a stage refuses: a shell
+ * outside the row, or a shortlist size outside [0, capacity]; -4 for a
+ * corrupt table, the votes partly written; -5, before any stage runs, for a
+ * range outside [0, STAGES] or with first > last.
  */
+enum { HASH, ROWS, VOTE, TAKE, STAGES };
+
 enum {
     Q_TABLES, Q_BITS, Q_N, Q_BITMAP, Q_RANK, Q_OFFSETS, Q_NUM_OFFSETS, Q_MEMBERS,
     Q_DIM, Q_PROJECTIONS, Q_BOUND, Q_SAFE_SQUARE, Q_X, Q_DOTS, Q_CODES,
@@ -1161,36 +1156,55 @@ enum {
 const int64_t boi_query_slots = Q_SLOTS;
 
 #define AT(type, slot) ((type *)(uintptr_t)block[slot])
+#define RUNS(stage) (first <= (stage) && (stage) < last)
 
-int64_t boi_query(const int64_t *block, int64_t shortlist_size, int64_t *scanned)
+int64_t boi_query(
+    const int64_t *block, int64_t first, int64_t last, int64_t shortlist_size,
+    int64_t *scanned)
 {
+    if (first < 0 || first > last || last > STAGES)
+        return -5;
     const int64_t num_tables = block[Q_TABLES], bits = block[Q_BITS];
     const int64_t n = block[Q_N], width = block[Q_WIDTH];
-    double bound, safe_square;
-    memcpy(&bound, block + Q_BOUND, sizeof bound);
-    memcpy(&safe_square, block + Q_SAFE_SQUARE, sizeof safe_square);
     float *const dots = AT(float, Q_DOTS);
     uint16_t *const codes = AT(uint16_t, Q_CODES), *const probes = AT(uint16_t, Q_PROBES);
     int32_t *const votes = AT(int32_t, Q_VOTES);
-    if (boi_hash_codes(
-            num_tables, bits, 1, block[Q_DIM], 1, dots, AT(const float, Q_X),
-            AT(const float, Q_PROJECTIONS), (float)bound, safe_square, codes, 1, 1)
-        < 0)
-        return -3;
-    const int64_t rows = boi_probe_rows(
-        num_tables, bits, width, codes, dots, AT(const uint16_t, Q_MASKS),
-        AT(const int64_t, Q_SHELLS), probes);
-    if (rows)
-        return rows == -2 ? -2 : -3;
-    const int64_t pairs = boi_gather_vote(
-        num_tables, bits, n, AT(const uint64_t, Q_BITMAP), AT(const int32_t, Q_RANK),
-        AT(const int32_t, Q_OFFSETS), block[Q_NUM_OFFSETS], AT(const int32_t, Q_MEMBERS),
-        probes, width, AT(const uint32_t, Q_UNITS), AT(const int64_t, Q_BUDGETS), votes);
-    if (pairs < 0)
-        return -4;
-    *scanned = pairs;
-    const int64_t taken = boi_touched_votes(
-        n, votes, AT(const int32_t, Q_ORDER), block[Q_CAPACITY], AT(int32_t, Q_IDS),
-        AT(int32_t, Q_WEIGHTS), shortlist_size);
-    return taken < 0 ? -3 : taken;
+    if (RUNS(HASH)) {
+        const int64_t dim = block[Q_DIM];
+        const float *const x = AT(const float, Q_X);
+        const float *const proj = AT(const float, Q_PROJECTIONS);
+        double bound, safe_square;
+        memcpy(&bound, block + Q_BOUND, sizeof bound);
+        memcpy(&safe_square, block + Q_SAFE_SQUARE, sizeof safe_square);
+        for (int64_t j = 0; j < num_tables * bits; j++)
+            dots[j] = dot(proj + j * dim, x, dim);
+        if (boi_hash_codes(
+                num_tables, bits, 1, dim, dots, x, proj, (float)bound, safe_square,
+                codes, 1, 1) < 0)
+            return -3;
+    }
+    if (RUNS(ROWS)) {
+        const int64_t status = probe_rows(
+            num_tables, bits, width, codes, dots, AT(const uint16_t, Q_MASKS),
+            AT(const int64_t, Q_SHELLS), probes);
+        if (status)
+            return status == -2 ? -2 : -3;
+    }
+    if (RUNS(VOTE)) {
+        const int64_t pairs = gather_vote(
+            num_tables, bits, n, AT(const uint64_t, Q_BITMAP), AT(const int32_t, Q_RANK),
+            AT(const int32_t, Q_OFFSETS), block[Q_NUM_OFFSETS],
+            AT(const int32_t, Q_MEMBERS), probes, width, AT(const uint32_t, Q_UNITS),
+            AT(const int64_t, Q_BUDGETS), votes);
+        if (pairs < 0)
+            return -4;
+        *scanned = pairs;
+    }
+    if (RUNS(TAKE)) {
+        const int64_t taken = touched_votes(
+            n, votes, AT(const int32_t, Q_ORDER), block[Q_CAPACITY], AT(int32_t, Q_IDS),
+            AT(int32_t, Q_WEIGHTS), shortlist_size);
+        return taken == -2 ? -3 : taken;
+    }
+    return 0;
 }

@@ -1,12 +1,12 @@
-"""The compiled loops of ``vote.c``, loaded with ctypes: the query's dot
-products and sign filter, the probe rows, the gather+vote kernel and the
-pass that selects the shortlist's set from the votes, touched or dense,
-which every query runs in one call (``QueryScratch.query``), the counting
-sort ``hashing.insert_all`` buckets its records with, the table-record
-checks ``data_io.load_index`` runs, the directory check
-``hashing.ProjectionTable`` runs, and the sign filter
-``hashing.hash_codes_all`` turns its float32 dot products into codes
-with.
+"""The compiled loops of ``vote.c``, loaded with ctypes: ``boi_query``,
+which runs a query's stages (its dot products and sign filter, the probe
+rows, the gather+vote kernel and the pass that selects the shortlist's set
+from the votes, touched or dense), the counting sort ``hashing.insert_all``
+buckets its records with, the table-record checks ``data_io.load_index``
+runs, the directory check ``hashing.ProjectionTable`` runs, and the sign
+filter ``hashing.hash_codes_all`` turns a build's float32 dot products
+into codes with. These six are all the library exports, besides two
+constants.
 
 A table's buckets are found through a directory of its non-empty buckets
 (``vote.c``'s header comment): a ``bitmap`` of its non-empty codes in
@@ -33,18 +33,19 @@ entry point takes raw addresses, and its wrapper gets each one from
 numpy's own ctypes argument conversion would cost about 5 us an array
 while the GIL is held. What is fixed per table or per plan is checked
 once, when ``GatherVote``, ``ProbePlan`` or ``SignFilter`` binds it;
-``TableCheck`` binds a snapshot load's arrays once in the same way. The
-query stages have one Python caller each, a method of the querying
-thread's ``QueryScratch``, which owns every buffer a query writes and
-binds them on its first query; ``GatherVote`` and ``ProbePlan`` are only
-bindings that it reads. The scratch writes every address and size a query
-needs into one int64 block, rebound only when the probe plan changes or a
-longer shortlist grows the pairs, so a query copies its vector into the
-scratch, crosses into C once (``boi_query``) and passes three arguments:
-the block, its shortlist size and where the pairs scanned go. Its dot
-products are summed in ``vote.c``, in one fixed order, so no BLAS decides
-its margins. The staged calls (``hash``, ``rows``, ``vote``, ``take``)
-stay for ``index.accumulate``.
+``TableCheck`` binds a snapshot load's arrays once in the same way. Each
+entry point has one Python caller. The querying thread's ``QueryScratch``
+owns every buffer a query writes and calls ``boi_query`` from one method,
+``_stages``; ``GatherVote`` and ``ProbePlan`` are only bindings that it
+reads. The scratch writes every address and size a query needs into one
+int64 block, rebound only when the probe plan changes or a longer
+shortlist grows the pairs, so a query copies its vector into the scratch,
+crosses into C once and passes five arguments: the block, the range of
+stages to run, its shortlist size and where the pairs scanned go.
+``query`` runs every stage in one call; ``hash``, ``rows``, ``vote`` and
+``take`` run one each, for ``index.accumulate``, so the staged path runs
+the same compiled stages as the query. A query's dot products are summed
+in ``vote.c``, in one fixed order, so no BLAS decides its margins.
 """
 
 from __future__ import annotations
@@ -119,47 +120,12 @@ def build_library(cache_dir, source=SOURCE) -> Path:
 
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
-    and result types of ``boi_gather_vote``, ``boi_touched_votes``,
-    ``boi_probe_rows``, ``boi_bucket_sort``, ``boi_table_buckets``,
-    ``boi_check_table``, ``boi_check_directory``, ``boi_hash_codes`` and
-    ``boi_query`` declared."""
+    and result types of its six entry points declared: ``boi_bucket_sort``,
+    ``boi_table_buckets``, ``boi_check_table``, ``boi_check_directory``,
+    ``boi_hash_codes`` and ``boi_query``."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
-    library.boi_gather_vote.argtypes = [
-        i64,  # num_tables
-        i64,  # bits
-        i64,  # n
-        address,  # bitmap
-        address,  # rank
-        address,  # offsets
-        i64,  # number of offsets
-        address,  # members
-        address,  # probes
-        i64,  # probe row width
-        address,  # units
-        address,  # budgets
-        address,  # votes
-    ]
-    library.boi_touched_votes.argtypes = [
-        i64,  # n
-        address,  # votes
-        address,  # order
-        i64,  # capacity
-        address,  # ids
-        address,  # weights
-        i64,  # shortlist size, 0 for every pair
-    ]
-    library.boi_probe_rows.argtypes = [
-        i64,  # num_tables
-        i64,  # bits
-        i64,  # probe row width
-        address,  # codes
-        address,  # dots
-        address,  # masks
-        address,  # shells
-        address,  # probes
-    ]
     library.boi_bucket_sort.argtypes = [
         i64,  # num_tables
         i64,  # table
@@ -202,7 +168,6 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # bits
         i64,  # rows
         i64,  # dim
-        i64,  # product: 1 to write the dots first, in vote.c's fixed order
         address,  # dots
         address,  # x
         address,  # proj
@@ -214,13 +179,12 @@ def load_library(cache_dir) -> ctypes.CDLL:
     ]
     library.boi_query.argtypes = [
         address,  # the bound block (QueryScratch)
-        i64,  # shortlist size
+        i64,  # first stage
+        i64,  # stage past the last
+        i64,  # shortlist size, 0 for every pair
         address,  # pairs scanned
     ]
     for entry in (
-        library.boi_gather_vote,
-        library.boi_touched_votes,
-        library.boi_probe_rows,
         library.boi_bucket_sort,
         library.boi_table_buckets,
         library.boi_check_table,
@@ -266,8 +230,8 @@ def directory_words(bits: int) -> int:
 
 
 class ProbePlan:
-    """A probe plan bound once for ``boi_probe_rows`` and ``boi_gather_vote``,
-    which ``QueryScratch`` passes them.
+    """A probe plan bound once for the probe-row and gather+vote stages of
+    ``boi_query``, whose block ``QueryScratch`` writes its addresses into.
 
     ``masks`` (width,) uint16 are the plan's masks, ``units`` (width,)
     uint32 the vote of each position of a probe row, ``budgets`` (L,) int64
@@ -308,12 +272,14 @@ class ProbePlan:
         self.bits, self.width, self.num_tables = bits, width, num_tables
         self.masks, self.units, self.budgets, self.shells = masks, units, budgets, shells
         self.probe_count = int(budgets.sum()) + num_tables
-        self._rows = (fixed[0], fixed[3])
-        self._votes = fixed[1:3]
+        # the plan's slots of boi_query's block, in ``vote.c``'s order, all
+        # but the last, the scratch's probe rows
+        self._slots = (width, fixed[0], fixed[3], *fixed[1:3])
 
 
 class GatherVote:
-    """``boi_gather_vote`` bound to one index's tables: their directory,
+    """One index's tables, bound once for ``boi_query``'s gather+vote
+    stage: their directory,
     ``bitmap`` (L, W) uint64 and ``rank`` (L, W) int32 with W =
     ``directory_words(bits)`` (the rank ``check_directory`` makes), and
     ``offsets`` int32, and their ``members`` (L, n) int32, ``bits`` in
@@ -323,7 +289,8 @@ class GatherVote:
     the binding is used. ValueError names the array whose type, shape or
     layout is wrong, or says that ``bits`` is not in [1, 16]. Their values
     are not checked here (``hashing.ProjectionTable`` checks them); the
-    kernel refuses any it reads out of range (``QueryScratch.vote``).
+    kernel refuses any it reads out of range (``QueryScratch.vote``). The
+    scratch writes ``_fixed``, the first slots of its block, as they are.
     """
 
     def __init__(self, bits: int, bitmap, rank, offsets, members):
@@ -548,7 +515,7 @@ class SignFilter:
                 f"{out.shape}"
             )
         return _library.boi_hash_codes(
-            num_tables, self.bits, rows, dim, 0,
+            num_tables, self.bits, rows, dim,
             _address(dots, np.float32, (num_rows, rows)),
             _address(x, np.float32, (rows, dim)),
             *self._fixed, out.ctypes.data, out.strides[0] // step,
@@ -574,8 +541,11 @@ _PLAN_SLOTS = 6
 # the three slots before the plan's: the pairs' room and addresses, which
 # a longer shortlist rebinds
 _PAIR_SLOTS = slice(-_PLAN_SLOTS - 3, -_PLAN_SLOTS)
-# what boi_query returns for a corrupt table, and what it means
-_QUERY_CORRUPT = -4
+# boi_query's stages, in ``vote.c``'s order: the hash, the probe rows, the
+# gather+vote and the touched pass; a call runs those in [first, last)
+_HASH, _ROWS, _VOTE, _TAKE, _STAGES = range(5)
+# boi_query's failed statuses (``vote.c``) that ``_raise`` tells apart
+_NO_ROOM, _QUERY_CORRUPT, _NOT_STAGES = -2, -4, -5
 _CORRUPT = (
     "corrupt hash table: a probed bucket's code, offsets or record ids are out of range"
 )
@@ -618,10 +588,9 @@ class QueryScratch:
     is taken then, through ``_address``, so a query passes only its vector,
     its plan and its shortlist size, and nothing is allocated per query
     but the probe rows of a plan wider than any the scratch has seen, or
-    the pairs of a shortlist longer than any it has held. Its methods are
-    the only Python callers of the probe rows, the gather+vote, the touched
-    pass and ``boi_query``, and the query's caller of the sign filter (the
-    build's is ``SignFilter``); it owns every buffer they write:
+    the pairs of a shortlist longer than any it has held. ``_stages`` is
+    the only Python caller of ``boi_query``, and the scratch owns every
+    buffer its stages write:
 
     ``votes`` (n,) int32, the query's votes in internal order, all zero
     between queries; ``dots`` (L*b, 1) float32 and ``codes`` (L,) uint16,
@@ -635,9 +604,10 @@ class QueryScratch:
     they hold about 0.6 MB (``nbytes``).
 
     ``query`` runs a whole query in one compiled call, from the vector to
-    the shortlist's set. The staged path, which ``index.accumulate`` takes,
-    runs ``hash``, ``rows``, ``vote`` and then ``take``, and ``clear`` when
-    the votes stayed dense. Votes a query left behind, because it raised or
+    the shortlist's set. ``hash``, ``rows``, ``vote`` and ``take`` each run
+    one of its stages, in that order, on the same buffers; this staged
+    path is the one ``index.accumulate`` takes, with ``clear`` when the
+    votes stayed dense. Votes a query left behind, because it raised or
     was interrupted, are cleared before the next one votes, so a query
     never sees another's votes. One thread at a time may use a scratch.
     """
@@ -651,26 +621,21 @@ class QueryScratch:
         self.probes = self._probe_buffer = np.empty((num_tables, 0), CODE_DTYPE)
         self._x = np.empty((1, dim), np.float32)
         self._scanned = np.zeros(1, np.int64)
+        # held, since the block holds only their addresses
         self._sign_filter, self._gather, self._order = sign_filter, gather, order
         self._plan, self._voted = None, False
-        self._probes_at = self.probes.ctypes.data
-        dots_at = _address(self.dots, np.float32, self.dots.shape, writable=True)
-        codes_at = _address(self.codes, CODE_DTYPE, self.codes.shape, writable=True)
-        x_at = _address(self._x, np.float32, self._x.shape, writable=True)
         projections_at, bound, safe_square = sign_filter._fixed
-        self._hash = (
-            num_tables, bits, 1, dim, 1, dots_at, x_at, *sign_filter._fixed, codes_at, 1, 1,
-        )
-        self._rows = (codes_at, dots_at)
-        self._votes_at = _address(self.votes, np.int32, (n,), writable=True)
-        self._order_at = _address(order, np.int32, (n,))
         # boi_query's slots in ``vote.c``'s order; _grow binds the pairs'
         # and _use the plan's
         self._block = np.array(
             [
                 *gather._fixed, dim, projections_at, _float_slot(bound),
-                _float_slot(safe_square), x_at, dots_at, codes_at, self._votes_at,
-                self._order_at, 0, 0, 0,
+                _float_slot(safe_square),
+                _address(self._x, np.float32, self._x.shape, writable=True),
+                _address(self.dots, np.float32, self.dots.shape, writable=True),
+                _address(self.codes, CODE_DTYPE, self.codes.shape, writable=True),
+                _address(self.votes, np.int32, (n,), writable=True),
+                _address(order, np.int32, (n,)), 0, 0, 0,
             ]
             + [0] * _PLAN_SLOTS,
             np.int64,
@@ -680,7 +645,7 @@ class QueryScratch:
                 f"boi_query reads {_QUERY_SLOTS} slots, QueryScratch binds {self._block.size}"
             )
         self._grow(touched_capacity(n))
-        self._query = (self._block.ctypes.data, self._scanned.ctypes.data)
+        self._at = (self._block.ctypes.data, self._scanned.ctypes.data)
 
     @property
     def nbytes(self) -> int:
@@ -700,29 +665,22 @@ class QueryScratch:
         the block's pair slots to them."""
         self.ids = np.empty(size, np.int32)
         self.weights = np.empty(size, np.int32)
-        self._block[_PAIR_SLOTS] = self._pairs = (
+        self._block[_PAIR_SLOTS] = (
             size,
             _address(self.ids, np.int32, (size,), writable=True),
             _address(self.weights, np.int32, (size,), writable=True),
         )
 
-    def _hold(self, shortlist_size: int) -> int:
+    def _hold(self, shortlist_size: int, least: int) -> int:
         """min(shortlist_size, n), the size to pass the touched pass, once
-        ``ids`` and ``weights`` hold that many pairs (``_grow``)."""
+        ``ids`` and ``weights`` hold that many pairs (``_grow``); ValueError
+        for a size below ``least``."""
+        if shortlist_size < least:
+            raise ValueError(f"shortlist_size must be >= {least}, got {shortlist_size}")
         size = min(shortlist_size, len(self.votes))
         if size > len(self.ids):
             self._grow(size)
         return size
-
-    def hash(self, q: np.ndarray) -> np.ndarray:
-        """The query's codes (``codes``), and its dot products in ``dots``
-        (``boi_hash_codes``): each dot summed in ``vote.c``'s one fixed
-        order, then the sign filter, as ``hashing.hash_codes_all`` filters
-        one row. ``q`` is the (dim,) float32 query ``core.query_vector``
-        checked."""
-        self._x[0] = q
-        _library.boi_hash_codes(*self._hash)
-        return self.codes
 
     def _use(self, plan: ProbePlan) -> None:
         """Bind ``probes`` and the block's plan slots to ``plan``, unless it
@@ -739,56 +697,74 @@ class QueryScratch:
         if size > self._probe_buffer.size:
             self._probe_buffer = np.empty(size, CODE_DTYPE)
         self.probes = self._probe_buffer[:size].reshape(num_tables, plan.width)
-        self._probes_at = self.probes.ctypes.data
-        self._block[-_PLAN_SLOTS:] = (
-            plan.width, *plan._rows, *plan._votes, self._probes_at
-        )
+        self._block[-_PLAN_SLOTS:] = (*plan._slots, self.probes.ctypes.data)
         self._plan = plan
 
-    def _start_vote(self) -> None:
-        """Clear the votes a query left behind, and mark them in use."""
-        if self._voted:
-            self.clear()
-        self._voted = True
+    def _stages(self, first: int, last: int, shortlist_size: int = 0) -> int:
+        """Run stages [first, last) of ``boi_query`` on the bound block, in
+        one compiled call with the GIL released, and return its status:
+        what the touched pass returns when it runs (``take``), 0 otherwise.
 
-    def query(self, q: np.ndarray, plan: ProbePlan, shortlist_size: int) -> tuple[int, int]:
-        """One query under ``plan``, in one compiled call with the GIL
-        released (``boi_query``): the dot products and the sign filter of
-        ``hash``, the probe rows, the gather+vote and the touched pass.
-        Returns (count, pairs scanned).
-
-        ``ids[:count]`` then holds, in no order, the record ids of
-        ``index.shortlist``'s set of the votes: the ``shortlist_size``
-        (at least 1) highest votes, the ties at the cut by lowest record
-        id, none that is 0; and ``votes`` is all zero again, whether the
-        votes were touched or dense. Raises what ``rows`` and ``vote``
-        raise.
-        """
-        self._use(plan)
-        size = self._hold(shortlist_size)
-        self._x[0] = q
-        self._start_vote()
-        count = _library.boi_query(self._query[0], size, self._query[1])
-        if count < 0:
-            self._raise(count)
-        self._voted = False
-        return count, int(self._scanned[0])
+        Votes a query left behind are cleared before a gather+vote, and
+        count as left behind until a touched pass has taken them out. A
+        failed status raises (``_raise``); a range outside [0, 4], or with
+        first > last, is refused before any stage runs, the votes as they
+        were."""
+        if 0 <= first <= _VOTE < last <= _STAGES:
+            if self._voted:
+                self.clear()
+            self._voted = True
+        status = _library.boi_query(self._at[0], first, last, shortlist_size, self._at[1])
+        if status < -1:
+            self._raise(status)
+        if status >= 0 and first <= _TAKE < last:
+            self._voted = False
+        return status
 
     def _raise(self, status: int) -> None:
-        """Raise what a failed status of ``boi_probe_rows`` or ``boi_query``
-        means under the bound plan: -2, no room to order a shell;
-        ``_QUERY_CORRUPT``, a corrupt table; any other, a shell outside the
-        row, since the plan's shells were checked when it was bound."""
-        if status == -2:
+        """Raise what a failed status of ``boi_query`` means under the bound
+        plan: ``_NO_ROOM`` to order a shell; ``_QUERY_CORRUPT``, a corrupt
+        table; ``_NOT_STAGES``, a range of stages that is not one; any
+        other, a shell outside the row, since the plan's shells were
+        checked when it was bound."""
+        if status == _NO_ROOM:
             raise MemoryError("no room to sort a shell of the probe plan")
         if status == _QUERY_CORRUPT:
             raise ValueError(_CORRUPT)
+        if status == _NOT_STAGES:
+            raise ValueError(f"boi_query runs a range of its stages within [0, {_STAGES}]")
         raise ValueError(f"ProbePlan: shells must be ranges within [0, {self._plan.width}]")
+
+    def query(self, q: np.ndarray, plan: ProbePlan, shortlist_size: int) -> tuple[int, int]:
+        """One query under ``plan``, every stage in one compiled call:
+        ``hash``, ``rows``, ``vote`` and ``take`` with the shortlist's
+        selection. Returns (count, pairs scanned).
+
+        ``ids[:count]`` then holds, in no order, the record ids of
+        ``index.shortlist``'s set of the votes: the ``shortlist_size``
+        (at least 1, or ValueError) highest votes, the ties at the cut by
+        lowest record id, none that is 0; and ``votes`` is all zero again,
+        whether the votes were touched or dense. Raises what ``rows`` and
+        ``vote`` raise.
+        """
+        size = self._hold(shortlist_size, 1)
+        self._use(plan)
+        self._x[0] = q
+        count = self._stages(_HASH, _STAGES, size)
+        return count, int(self._scanned[0])
+
+    def hash(self, q: np.ndarray) -> np.ndarray:
+        """The query's codes (``codes``), and its dot products in ``dots``:
+        each dot summed in ``vote.c``'s one fixed order, then the sign
+        filter, as ``hashing.hash_codes_all`` filters one row. ``q`` is the
+        (dim,) float32 query ``core.query_vector`` checked."""
+        self._x[0] = q
+        self._stages(_HASH, _ROWS)
+        return self.codes
 
     def rows(self, plan: ProbePlan) -> np.ndarray:
         """The (L, width) uint16 probe rows of the query in ``codes`` and
-        ``dots`` under ``plan``, written into ``probes`` and returned
-        (``boi_probe_rows``).
+        ``dots`` under ``plan``, written into ``probes`` and returned.
 
         ``codes`` holds the query's L codes and ``dots`` the L*bits dot
         products they were hashed from (``hash`` writes both): entry
@@ -801,17 +777,12 @@ class QueryScratch:
         MemoryError when the heap has no room to sort a shell.
         """
         self._use(plan)
-        status = _library.boi_probe_rows(
-            plan.num_tables, plan.bits, plan.width, *self._rows, *plan._rows,
-            self._probes_at,
-        )
-        if status:
-            self._raise(status)
+        self._stages(_ROWS, _VOTE)
         return self.probes
 
     def vote(self, plan: ProbePlan) -> int:
         """Add the votes of every bucket ``probes`` probe under ``plan`` to
-        ``votes`` (``boi_gather_vote``); return the (id, vote) pairs scanned.
+        ``votes``; return the (id, vote) pairs scanned.
 
         Table t probes the first ``plan.budgets[t] + 1`` codes of row t,
         and adds ``plan.units[j]`` to the vote of each id in the bucket of
@@ -821,14 +792,8 @@ class QueryScratch:
         [0, n], an id >= n); ``votes`` is then partly written, and the next
         query clears it."""
         self._use(plan)
-        self._start_vote()
-        scanned = _library.boi_gather_vote(
-            *self._gather._fixed, self._probes_at, plan.width, *plan._votes,
-            self._votes_at,
-        )
-        if scanned < 0:
-            raise ValueError(_CORRUPT)
-        return scanned
+        self._stages(_VOTE, _TAKE)
+        return int(self._scanned[0])
 
     def take(self, shortlist_size: int = 0) -> int:
         """m, when the touched pass took the votes out: ``ids[:m]`` and
@@ -840,15 +805,10 @@ class QueryScratch:
         Given a ``shortlist_size`` of 1 or more, the votes are cut to
         ``index.shortlist``'s set of them, as ``query`` cuts them, dense
         ones too, and m is the set's size: its pairs come first, in no
-        order, and ``votes`` is all zero again.
+        order, and ``votes`` is all zero again. A negative size raises
+        ValueError.
         """
-        size = self._hold(shortlist_size)
-        m = _library.boi_touched_votes(
-            len(self.votes), self._votes_at, self._order_at, *self._pairs, size
-        )
-        if m >= 0:
-            self._voted = False
-        return m
+        return self._stages(_TAKE, _STAGES, self._hold(shortlist_size, 0))
 
     def clear(self) -> None:
         """Zero ``votes``."""

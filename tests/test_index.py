@@ -27,6 +27,7 @@ from boi.hashing import ProjectionTable, hash_codes_all, insert_all
 from boi.index import (
     BoiIndex,
     _accumulate,
+    _ball_plan,
     _bound_plan,
     accumulate,
     build_index,
@@ -1459,6 +1460,81 @@ def test_the_one_call_refuses_shells_changed_after_binding(small_index):
     again = query(index, q, 5)
     assert again.ids.tobytes() == before.ids.tobytes()
     assert again.distances.tobytes() == before.distances.tobytes()
+
+
+def dense(votes: np.ndarray) -> bool:
+    """Whether more than a quarter of the 64-id blocks of ``votes`` hold a
+    vote, so that the touched pass leaves them to the dense selection."""
+    blocks = np.unique(np.flatnonzero(votes) // 64).size
+    return blocks > -(-votes.size // 64) // 4
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_each_stage_run_alone_does_what_the_one_call_does(bits):
+    # boi_query runs a range of one fixed sequence of stages: the scratch's
+    # hash, rows, vote and take, each run alone, leave the codes, dot
+    # products, probe rows, pairs scanned and shortlist's set that query's
+    # one call leaves, under the index's plan and a radius-1 ball; the
+    # index's plan votes densely at b = 8 and touches few blocks at b = 16
+    rng = np.random.default_rng(50 + bits)
+    data = VectorSet(rng.standard_normal((5_000, 64)).astype(np.float32))
+    params = BoiParams(num_tables=8, hash_bits=bits, shortlist_size=60, seed=6)
+    index = build_index(data, params)
+    queries = (data.vectors[:6] + 0.3 * rng.standard_normal((6, 64))).astype(np.float32)
+    eps = params.shortlist_size
+    scratch = index.tables.scratch()
+    seen = set()
+    for plan in (index.plan, _ball_plan(bits, params.num_tables, 1)):
+        for q in queries:
+            count, pairs = scratch.query(q, plan, eps)
+            fused = [a.tobytes() for a in (scratch.codes, scratch.dots, scratch.probes)]
+            chosen = sorted(scratch.ids[:count].tolist())
+            assert count > 0 and not scratch.votes.any()
+            scratch.codes[:] = 0
+            scratch.dots[:] = 0
+            scratch.probes[:] = 0
+            assert scratch.hash(q) is scratch.codes
+            assert scratch.rows(plan) is scratch.probes
+            staged = [a.tobytes() for a in (scratch.codes, scratch.dots, scratch.probes)]
+            assert staged == fused
+            assert scratch.vote(plan) == pairs
+            if plan is index.plan:
+                seen.add(dense(scratch.votes))
+            m = scratch.take(eps)
+            assert sorted(scratch.ids[:m].tolist()) == chosen
+            assert not scratch.votes.any()
+    assert seen == {bits == 8}
+
+
+@pytest.mark.parametrize("first, last", [(-1, 2), (0, 5), (3, 2), (5, 5), (4, 3)])
+def test_a_range_of_stages_that_is_not_one_is_refused(small_index, first, last):
+    # the compiled call refuses the range before any stage runs, through
+    # the scratch's one decoder of its statuses, and the votes a staged
+    # query holds stay as they were
+    index, data = small_index
+    scratch = index.tables.scratch()
+    scratch.hash(data.vectors[3])
+    scratch.rows(index.plan)
+    scratch.vote(index.plan)
+    votes = scratch.votes.copy()
+    assert votes.any()
+    with pytest.raises(ValueError, match=r"range of its stages within \[0, 4\]"):
+        scratch._stages(first, last)
+    assert scratch.votes.tobytes() == votes.tobytes()
+    assert scratch.take(5) > 0 and not scratch.votes.any()
+
+
+def test_a_query_of_no_shortlist_is_refused(small_index):
+    # the touched pass given no shortlist size would leave dense votes in
+    # place, with no set to re-rank, so the one-call query refuses it, and
+    # the touched pass alone refuses a negative size, before any call
+    index, data = small_index
+    scratch = index.tables.scratch()
+    with pytest.raises(ValueError, match="shortlist_size must be >= 1, got 0"):
+        scratch.query(data.vectors[3], index.plan, 0)
+    with pytest.raises(ValueError, match="shortlist_size must be >= 0, got -1"):
+        scratch.take(-1)
+    assert len(query(index, data.vectors[3], 5)) == 5
 
 
 def test_a_query_that_raises_leaves_the_next_answer_alone():

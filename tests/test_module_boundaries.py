@@ -3,9 +3,10 @@ each compiled query stage has one Python caller.
 
 A ``_``-prefixed name is its module's own. A sibling that needs one
 belongs in that module, so each kind of search stays in one place. In
-``vote.py`` a query stage is called by the one ``QueryScratch`` method
-that runs it, and the sign filter by the build's ``SignFilter`` too; no
-second, checked way into a kernel is kept for the tests.
+``vote.py`` every stage of a query runs through one call of
+``boi_query``, in ``QueryScratch._stages``, and the sign filter of a
+build's dot products through ``SignFilter``; no second, checked way into
+a kernel is kept for the tests.
 """
 
 import ast
@@ -79,13 +80,10 @@ def test_the_count_sees_only_calls_of_the_library():
 def test_each_compiled_stage_has_one_caller_in_vote():
     calls = library_calls((PACKAGE / "vote.py").read_text())
     assert calls == {
-        # the query's stages: QueryScratch's query, rows, vote and take
+        # the query's stages, all of them or one at a time: QueryScratch._stages
         "boi_query": 1,
-        "boi_probe_rows": 1,
-        "boi_gather_vote": 1,
-        "boi_touched_votes": 1,
-        # the sign filter: the build's SignFilter and QueryScratch.hash
-        "boi_hash_codes": 2,
+        # the sign filter of a build's dot products: SignFilter
+        "boi_hash_codes": 1,
         # the build's sort and the checks of a directory and a snapshot
         "boi_bucket_sort": 1,
         "boi_check_directory": 1,

@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from boi import synth
+from boi.cli import main
 from boi.core import BoiParams
 from boi.index import build_index, query
 from boi.synth import SynthSpec, generate
@@ -92,3 +95,36 @@ def test_shapes_and_dtypes():
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         SynthSpec(**{"n": 10, **kwargs})
+
+
+def test_the_row_chunk_changes_no_value(monkeypatch):
+    # the base is drawn in row chunks; the generator gives the same normals
+    # in chunks as in one draw and leaves the same state, so a chunk of 7
+    # rows (a last one of 2) makes the arrays the default chunk makes
+    spec = SynthSpec(n=100, dim=5, num_clusters=3, num_queries=9, seed=4, gt_k=3)
+    want = generate(spec)
+    monkeypatch.setattr(synth, "_ROW_CHUNK", 7)
+    got = generate(spec)
+    for a, b in zip(want[:2], got[:2]):
+        assert a.vectors.dtype == b.vectors.dtype == np.float32
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert want[2].neighbors.tobytes() == got[2].neighbors.tobytes()
+
+
+def test_gen_writes_the_files_it_wrote_in_one_draw(tmp_path):
+    # sha256 of the three files of a spec of three row chunks, the last one
+    # partial, as written when the base was drawn and cast in one float64
+    # array: drawing in chunks changed no byte
+    assert main([
+        "gen", "--out", str(tmp_path), "--n", "20000", "--dim", "12", "--clusters", "5",
+        "--num-queries", "7", "--seed", "9", "--gt-k", "4",
+    ]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("base.fvecs", "queries.fvecs", "groundtruth.ivecs")
+    }
+    assert digests == {
+        "base.fvecs": "87ee60d8d0c2eb3694b5656603be26a747bf7e12f924d084fa22bc55be9e9812",
+        "queries.fvecs": "356ce40931e1ce8043dc1a43a3143b78043db4daa2c468c6719d050d4be08560",
+        "groundtruth.ivecs": "ec8ee4bda33b88db35ace6cd5f12b3f2db4a9eccf4c3168a8afdbbacbec3eb1d",
+    }

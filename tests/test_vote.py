@@ -24,7 +24,7 @@ def test_first_call_compiles_into_the_cache_dir(tmp_path):
     assert library.parent == cache and library.is_file()
     # the temporary the compiler wrote was renamed into place
     assert list(cache.iterdir()) == [library]
-    assert vote.load_library(cache).boi_gather_vote.restype is ctypes.c_int64
+    assert vote.load_library(cache).boi_query.restype is ctypes.c_int64
 
 
 def test_second_call_reuses_the_library(tmp_path, monkeypatch):
@@ -788,7 +788,7 @@ def test_a_build_save_load_and_each_query_run_every_entry_point(tmp_path, monkey
         for name, entry in vars(vote._library).items()
         if name.startswith("boi_") and getattr(entry, "argtypes", None)
     )
-    assert len(declared) == 9
+    assert len(declared) == 6
     calls = dict.fromkeys(declared, 0)
     for name in declared:
 

@@ -1,10 +1,13 @@
 """Core value types shared by every other module: vectors, parameters, results.
 
-This module also holds every exact answer: ``brute_force_query`` scans the
-whole set, and ``rerank`` ranks a bucketed query's shortlist; ``index``
-runs every bucketed query. Descriptors are stored as float32 rows; all
-distance arithmetic accumulates in float64 so that result orderings are
-stable across the exact and approximate search paths.
+This module also states every exact distance: ``pairwise_distances``
+measures rows from a query, and ``brute_force_query`` scans the whole set
+with it and ranks the records by ``rank_by_distance``. Descriptors are
+stored as float32 rows, and a distance is summed in float64, in the one
+fixed order of ``vote.c``'s ``distance``. A bucketed query (``index``)
+re-ranks its shortlist with the same compiled loop and the same ranking,
+(distance, record id), inside its one compiled call, so the exact and the
+approximate paths measure a record to the same bits and order it alike.
 """
 
 from __future__ import annotations
@@ -13,19 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .vote import CODE_DTYPE, MAX_HASH_BITS, OFFSET_DTYPE, row_distances
+
 SCHEDULE_KINDS = ("fixed", "linear", "sublinear")
 
-MAX_HASH_BITS = 16
-
-# The one width decision: a bucket code of up to MAX_HASH_BITS = 16 bits is
-# a uint16, and a CSR bucket offset (at most n) is an int32, like a record id.
-CODE_DTYPE = np.dtype(np.uint16)
-OFFSET_DTYPE = np.dtype(np.int32)
-
-# bytes of the one float64 buffer a distance pass casts rows into: 512 KiB
-# stays resident in L2 while each chunk is cast, subtracted and summed
-# (512 rows at dim 128, never fewer than two rows)
-_DIST_CHUNK_BYTES = 1 << 19
+# values of the vectors whose finiteness VectorSet checks at once: a bool
+# mask of 512 KiB, whatever the set's size (4,096 rows at dim 128)
+_FINITE_CHUNK = 1 << 19
 
 
 def dense_vector(values) -> np.ndarray:
@@ -92,8 +89,10 @@ class VectorSet:
             raise ValueError(f"vector set must have shape (n, dim), got {arr.shape}")
         if arr.shape[0] > 0 and arr.shape[1] == 0:
             raise ValueError("vectors must have at least one component")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("vector components must be finite")
+        step = max(1, _FINITE_CHUNK // max(arr.shape[1], 1))
+        for start in range(0, arr.shape[0], step):
+            if not np.isfinite(arr[start : start + step]).all():
+                raise ValueError("vector components must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 
@@ -232,11 +231,12 @@ class RankedResult:
     def _ranked(
         cls, ids, distances, probe_count, shortlist_size, pairs_scanned
     ) -> "RankedResult":
-        """A result from ``rank_by_distance``'s output, without the checks.
+        """A result of ranked ids and distances, without the checks.
 
-        ``core.rerank`` builds its result here on the query's hot path. Its
-        fresh int64 ids are distinct candidates, and its float64 distances,
-        from a validated query to finite rows, are finite, non-negative and
+        ``index._answer`` builds its result here on the query's hot path,
+        from copies of the compiled re-rank's answer. Its fresh int64 ids
+        are distinct candidates, and its float64 distances, from a
+        validated query to finite rows, are finite, non-negative and
         non-decreasing, so ``__post_init__`` would pass them.
         """
         ids.setflags(write=False)
@@ -271,15 +271,17 @@ class RankedResult:
 def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
     """Euclidean distance from ``query`` to every row of ``rows``.
 
-    Each row is measured in float64. The call allocates one float64 buffer
-    of ``_DIST_CHUNK_BYTES`` (at least two rows) and, for each chunk of
-    rows, copies them into it (an exact cast from float32), subtracts the
-    query in place and sums the squares into the result. A buffer that
-    fits in L2 is cast, subtracted and summed while it is still cached, and
-    the pass allocates no temporary per chunk. A row's distance does not
-    depend on which records were gathered, on the caller's batch size or on
-    the chunk: every chunk holds two rows or more, a lone row beside a copy
-    of itself. Finiteness is the caller's responsibility (hot path).
+    ``rows`` (n, dim) are read as float32, exactly (ValueError for a value
+    float32 cannot hold), and ``query`` (dim,) as float64. Each row is
+    measured alone, by ``vote.c``'s ``distance``, in one fixed order: the
+    float64 differences d_i = row_i - query_i, whose squares lane k of 8
+    sums over i = k (mod 8), ascending, over the whole groups of 8; the
+    lanes added as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)); then
+    the dim % 8 squares past the groups in ascending i; then the correctly
+    rounded square root. So a row's distance does not depend on which rows
+    are measured with it, on their number or on the numpy version, and it
+    is the bits a bucketed query's re-rank gives the same record.
+    Finiteness is the caller's responsibility (hot path).
     """
     r = np.asarray(rows)
     q = np.asarray(query, dtype=np.float64)
@@ -287,21 +289,8 @@ def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: rows {r.shape} vs query {q.shape}"
         )
-    n, dim = r.shape
-    step = max(2, _DIST_CHUNK_BYTES // (8 * max(dim, 1)))
-    buf = np.empty((max(2, min(step, n)), dim), dtype=np.float64)
-    out = np.empty(max(2, n), dtype=np.float64)
-    for start in range(0, n, step):
-        # einsum sums a lone row of more than 8192 values in blocks, and each
-        # row of a larger operand in one pass, so a last chunk of one row is
-        # measured again with the row before it, and a lone row of all
-        # ``rows`` is copied into both rows of the buffer
-        start = max(0, min(start, n - 2))
-        diff = buf[: max(2, n - start)]
-        np.copyto(diff, r[start : start + step])
-        np.subtract(diff, q, out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=out[start : start + len(diff)])
-    return np.sqrt(out[:n], out=out[:n])
+    r = np.ascontiguousarray(as_exact(r, np.float32, "rows"))
+    return row_distances(r, np.ascontiguousarray(q))
 
 
 def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,8 +299,9 @@ def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:
     The tie rule is exact: entries sharing the k-th smallest distance are
     resolved by id before truncation, so the output is a deterministic
     function of (ids, distances, k). ``distances`` is any sort key and keeps
-    its dtype (no float64 cast); the re-rank and brute force pass it the
-    float64 distances of ``pairwise_distances``.
+    its dtype (no float64 cast); brute force passes it the float64
+    distances of ``pairwise_distances``. A bucketed query's compiled
+    re-rank ranks its shortlist in this order too, (distance, record id).
     """
     ids = np.asarray(ids, dtype=np.int64)
     distances = np.asarray(distances)
@@ -326,40 +316,19 @@ def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:
     return ids[order], distances[order]
 
 
-def rerank(
-    vectors, candidates, q, k: int, probe_count: int, pairs_scanned: int
-) -> RankedResult:
-    """The k ``candidates`` (rows of ``vectors``) nearest to ``q``, exactly.
-
-    ``q`` is the validated float32 query (``query_vector``), the rows are
-    finite and the candidates distinct, as ``RankedResult`` requires. The
-    result reports ``shortlist_size = candidates.size``; no candidates give
-    an empty result. It depends on the set of candidates alone, not on
-    their order, to the bit: ``pairwise_distances`` measures each row
-    alone, and ``rank_by_distance`` depends only on the (id, distance)
-    pairs. So a shortlist may hand its set over in any order, as the
-    compiled one does (``index._answer``).
-    """
-    dists = pairwise_distances(vectors[candidates], q)
-    ids, ranked = rank_by_distance(candidates, dists, k)
-    return RankedResult._ranked(
-        ids,
-        ranked,
-        probe_count=probe_count,
-        shortlist_size=int(candidates.size),
-        pairs_scanned=pairs_scanned,
-    )
-
-
 def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
     """Exact k nearest neighbors by Euclidean distance, ties by ascending id.
 
     This is the ground-truth oracle every approximate method is measured
-    against: an unfiltered exhaustive scan of every record in float64
-    (``pairwise_distances``), which acceptance c06 and every full-probe
-    test compare against. A query must match the set's width; only the
-    (0, 0) set of an empty fvecs file, which has none, answers any finite
-    query, empty.
+    against: an unfiltered exhaustive scan of every record, each distance
+    summed in float64 in ``pairwise_distances``' one fixed order (8 lanes
+    of squared differences over i mod 8, added pairwise, then the tail,
+    then the square root), in one compiled pass over the rows where they
+    lie, then ``rank_by_distance``. Acceptance c06 and every full-probe
+    test compare against it; a bucketed query that re-ranks a record
+    measures it to the same bits. A query must match the set's width; only
+    the (0, 0) set of an empty fvecs file, which has none, answers any
+    finite query, empty.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -185,8 +185,10 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     that queries holds its own. That is ``vote.scratch_bytes``: n*4 of
     int32 votes and 8 * max(``vote.touched_capacity(n)``,
     min(shortlist_size, n)) of pairs taken out (about n*2 unless the
-    shortlist is longer), and the hash's buffers, the plan's probe rows and
-    the compiled call's block, which do not grow with n. A wider plan, such as
+    shortlist is longer), 16 * min(shortlist_size, n) of the re-rank's
+    int64 ids and float64 distances, and the hash's buffers, the query's
+    float32 and float64 copies, the plan's probe rows and the compiled
+    call's block, which do not grow with n. A wider plan, such as
     a multi-probe ball, widens the probe rows. A table's directory is W*8
     bytes of uint64 bitmap and W*4 of the int32 rank the table makes from
     it, W = ``vote.directory_words(b)`` words, max(1, 2**b / 64), and 4

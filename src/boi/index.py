@@ -23,20 +23,25 @@ Querying works in four stages:
    votes that can hold the set, about 4 * ``shortlist_size`` of them, and
    the same selection runs on those; when the sample misleads, an exact
    pass over every vote selects instead;
-4. re-rank the shortlist by exact Euclidean distance and return the top k
-   (``core.rerank``), which depends only on the shortlist's set, not on
-   its order.
+4. measure the shortlist's records where they lie in the base vectors, by
+   exact Euclidean distance in ``core.pairwise_distances``' one fixed
+   order, and keep the k nearest, ranked by (distance, record id) as
+   ``core.rank_by_distance`` ranks them: an answer that depends only on
+   the shortlist's set, not on its order.
 
-``query`` runs stages 1-3, from the query's vector to the shortlist's
-set, in one call into ``vote.c`` that releases the GIL
-(``vote.QueryScratch.query``), so threads query in parallel; only the
-re-rank runs in Python. ``accumulate`` asks the same compiled call for
-one stage at a time, through ``hash_codes_all`` and
-``neighbor_codes_with_distance``, and returns fresh votes in record
-order: the staged path whose spans the benchmark's trace times. Its
-spans therefore time the stages ``query`` runs, and its traced time
-adds the scatter to record order. ``shortlist`` is the numpy statement
-of stage 3, which the trace and the tests call.
+``query`` runs all four, from the query's vector to its ranked answer,
+in one call into ``vote.c`` that releases the GIL
+(``vote.QueryScratch.query``; its ``boi_query`` splits stage 2 into the
+probe rows and the vote, so it has five), and threads query in parallel;
+Python only copies the k results out (``_answer``). ``accumulate`` asks
+the same compiled call for one of its first four stages at a time, through
+``hash_codes_all`` and ``neighbor_codes_with_distance``, and returns
+fresh votes in record order: the staged path whose spans the benchmark's
+trace times. Its spans therefore time the stages ``query`` runs, and its
+traced time adds the scatter to record order. ``shortlist`` is the numpy
+statement of stage 3, and ``core.pairwise_distances`` with
+``core.rank_by_distance`` that of stage 4, which the trace and the tests
+call.
 
 The LSH baselines run here too. ``multiprobe_lsh_query`` is multi-probe
 LSH over the Hamming ball of a radius (Lv et al., "Multi-Probe LSH", VLDB
@@ -87,7 +92,6 @@ from .core import (
     RankedResult,
     VectorSet,
     query_vector,
-    rerank,
 )
 from .hashing import ProjectionTable, hash_codes_all, insert_all, make_projections
 from .vote import ProbePlan, QueryScratch
@@ -327,14 +331,22 @@ def _answer(
     tables: ProjectionTable, vectors, q: np.ndarray, plan: ProbePlan,
     shortlist_size: int, k: int,
 ) -> RankedResult:
-    """The k nearest of the ``shortlist_size`` records of highest vote
-    under ``plan``, for the validated ``q``: one compiled call from the
-    query's vector to the shortlist's set (``QueryScratch.query``), the
-    set ``shortlist`` gives, whether the votes were touched or dense, then
-    the re-rank, which does not depend on the set's order."""
+    """The k nearest, among the rows of ``vectors``, of the
+    ``shortlist_size`` records of highest vote under ``plan``, for the
+    validated ``q``: one compiled call from the query's vector to its
+    ranked answer (``QueryScratch.query``), which re-ranks the set
+    ``shortlist`` gives, whether the votes were touched or dense, and does
+    not depend on the set's order. The result reports the set's size as
+    its ``shortlist_size``; an empty set gives an empty result."""
     scratch = tables.scratch()
-    count, pairs = scratch.query(q, plan, shortlist_size)
-    return rerank(vectors, scratch.ids[:count], q, k, plan.probe_count, pairs)
+    ranked, count, pairs = scratch.query(q, plan, shortlist_size, vectors, k)
+    return RankedResult._ranked(
+        scratch.nearest[:ranked].copy(),
+        scratch.distances[:ranked].copy(),
+        probe_count=plan.probe_count,
+        shortlist_size=count,
+        pairs_scanned=pairs,
+    )
 
 
 def accumulate(index: BoiIndex, q, query_index: int = 0) -> np.ndarray:
@@ -408,9 +420,10 @@ def query(index: BoiIndex, q, k: int, query_index: int = 0) -> RankedResult:
     Accumulates weights, shortlists the heaviest records, re-ranks them by
     exact Euclidean distance, and returns the top k with instrumentation
     (realized probe count, shortlist size, and the (id, vote) pairs the
-    kernel scanned). Everything from the query's vector to the
-    shortlist's set, its dot products included, is one compiled call
-    (``_answer``), whether the votes are touched or dense. An empty
+    kernel scanned). Everything from the query's vector to its ranked
+    answer, its dot products and exact distances included, is one
+    compiled call (``_answer``), whether the votes are touched or dense.
+    An empty
     shortlist yields an empty result rather than an error. A table whose
     probed offsets or ids are out of range raises ValueError.
     ``query_index`` is accepted and ignored: the answer depends on (index,

@@ -1,11 +1,12 @@
 /* The compiled loops of boi: the probe rows of a query, ordered by its
  * margins, the weighted gather+vote of a query over the probed buckets of
  * every hash table, the pass that selects its shortlist's set from its
- * votes, the counting sort that builds the buckets, the two checks of a
- * snapshot's table record as it is loaded, the check of the tables'
- * bucket directory, the sign filter that turns dot products into codes,
- * and the one call that runs a query's stages in turn, its dot products
- * first.
+ * votes, the exact distances that re-rank the shortlist and make the
+ * brute-force oracle, the counting sort that builds the buckets, the two
+ * checks of a snapshot's table record as it is loaded, the check of the
+ * tables' bucket directory, the sign filter that turns dot products into
+ * codes, and the one call that runs a query's stages in turn, from its dot
+ * products to its ranked answer.
  *
  * Buckets hold internal ids: record i of the index is internal id j where
  * order[j] = i, and ``order`` lists the records in table 0's bucket order
@@ -31,8 +32,8 @@
  *     alone, by boi_check_directory, the one place that counts positions.
  * When bit c is set, bucket c holds members[t, offsets[i]:offsets[i + 1]],
  * i = rank[c / 64] + popcount(the word's bits below c % 64).
- * Codes are uint16 and offsets int32, as in core.CODE_DTYPE and
- * core.OFFSET_DTYPE, so bits is at most 16 (core.MAX_HASH_BITS).
+ * Codes are uint16 and offsets int32, as in vote.CODE_DTYPE and
+ * vote.OFFSET_DTYPE, so bits is at most 16 (vote.MAX_HASH_BITS).
  *
  * The gather+vote (gather_vote): table t probes the first budgets[t] + 1
  * codes of its row of ``probes``: every id in the bucket of the code c at
@@ -89,7 +90,7 @@
  * last, partly probed shell ordered by the query's margins (its own
  * comment, below).
  *
- * Six entry points are exported, each with one caller in vote.py:
+ * Seven entry points are exported, each with one caller in vote.py:
  *   boi_bucket_sort builds one table of the index: hashing.insert_all
  *     hashed the codes into ``members``, and one counting sort turns them
  *     into the internal ids of every bucket, ascending within a bucket,
@@ -103,15 +104,20 @@
  *   boi_hash_codes turns the float32 dot products of a build's matrix
  *     product (hashing.hash_codes_all) into codes, recomputing in float64
  *     each sign the float32 error bound cannot decide;
+ *   boi_distances measures rows from a query in the fixed order of the
+ *     exact distance, for core.pairwise_distances and so for the oracle,
+ *     core.brute_force_query;
  *   boi_query runs a query's stages in one fixed order: its dot products
- *     and the sign filter, the probe rows, the gather+vote and the touched
- *     pass with its selection, on the addresses and sizes of one thread's
- *     scratch and one probe plan, bound once in an int64 block. A query
- *     runs all four in one call; index.accumulate runs them one call at a
- *     time, so that the benchmark can time each.
+ *     and the sign filter, the probe rows, the gather+vote, the touched
+ *     pass with its selection and the re-rank by exact distance, on the
+ *     addresses and sizes of one thread's scratch, one probe plan and the
+ *     base vectors, bound once in an int64 block. A query runs all five in
+ *     one call; index.accumulate runs the first four one call at a time,
+ *     so that the benchmark can time each.
  * Each has its own comment below.
  */
-#include <math.h> /* INFINITY and fabsf, which need no libm */
+#include <math.h> /* INFINITY, fabsf and sqrt, which need no libm (sqrt
+                   * under -fno-math-errno) */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1115,39 +1121,207 @@ int64_t boi_hash_codes(
     return recomputed;
 }
 
+/* Exact distances: the Euclidean distance from a float64 query to float32
+ * rows, each summed in one fixed order (``distance``), and the k nearest of
+ * a set of record ids, in ascending (distance, record id) (``nearest``),
+ * the order core.rank_by_distance ranks them in. boi_distances measures
+ * every row of an array for core.pairwise_distances, and so for
+ * core.brute_force_query; boi_query's RERANK stage measures a shortlist's
+ * rows where they lie and ranks them. Both run ``distance``, so the oracle
+ * and every bucketed query measure a record to the same bits.
+ */
+
+/* The float64 distance from row x (float32) to q (float64), dim values
+ * each, in one fixed order: lane k of LANES sums d * d, d = (double)x[i] -
+ * q[i], over i = k (mod LANES), ascending, over the whole groups of LANES;
+ * the lanes are added as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)),
+ * as in ``dot``; then the dim % LANES squares past the groups are added in
+ * ascending i, and sqrt takes the sum's correctly rounded square root
+ * (IEEE 754). vote.py compiles with -ffp-contract=off, so every square is
+ * rounded before it is added, and with -fno-math-errno, so sqrt is the one
+ * instruction and calls nothing in libm. A float32 row's squares stay far
+ * below float64's overflow, even at float32's largest magnitude. The lanes
+ * are independent sums, so the loop vectorises with no reassociation. */
+static double distance(const float *x, const double *q, int64_t dim)
+{
+    const int64_t whole = dim - dim % LANES;
+    double lane[LANES] = {0};
+    for (int64_t i = 0; i < whole; i += LANES) {
+        for (int64_t k = 0; k < LANES; k++) {
+            const double d = (double)x[i + k] - q[i + k];
+            lane[k] += d * d;
+        }
+    }
+    double sum = ((lane[0] + lane[1]) + (lane[2] + lane[3]))
+        + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    for (int64_t i = whole; i < dim; i++) {
+        const double d = (double)x[i] - q[i];
+        sum += d * d;
+    }
+    return sqrt(sum);
+}
+
+/* Whether (d, id) ranks before (e, other): the lower distance first, then
+ * the lower record id. */
+static inline int before(double d, int64_t id, double e, int64_t other)
+{
+    return d < e || (d == e && id < other);
+}
+
+/* Sink entry ``at`` of a max-heap of ``size`` (distance, id) entries until
+ * neither child ranks after it. */
+static void sink(int64_t *ids, double *dist, int64_t size, int64_t at)
+{
+    for (;;) {
+        const int64_t left = 2 * at + 1, right = left + 1;
+        int64_t last = at; /* the one of the three that ranks last */
+        if (left < size && before(dist[last], ids[last], dist[left], ids[left]))
+            last = left;
+        if (right < size && before(dist[last], ids[last], dist[right], ids[right]))
+            last = right;
+        if (last == at)
+            return;
+        const int64_t id = ids[at];
+        const double d = dist[at];
+        ids[at] = ids[last];
+        dist[at] = dist[last];
+        ids[last] = id;
+        dist[last] = d;
+        at = last;
+    }
+}
+
+/* Ask for every 64-byte line of row ``id`` of ``vectors`` (n, dim), unless
+ * the id is outside [0, n). */
+static inline void fetch(int64_t n, int64_t dim, const float *vectors, int64_t id)
+{
+    if (id < 0 || id >= n)
+        return;
+    const char *const row = (const char *)(vectors + id * dim);
+    for (int64_t b = 0; b < dim * (int64_t)sizeof *vectors; b += 64)
+        __builtin_prefetch(row + b);
+}
+
+/* The r = min(k, count) rows nearest to ``query`` of the record ids
+ * ids[0..count), in ascending (distance, record id), into top[0..r) and
+ * top_dist[0..r); returns r, or -1 for an id outside [0, n). Row id is
+ * read where it lies in ``vectors`` (n, dim), with no gather. One pass
+ * measures each row and streams it through a max-heap of r entries, held
+ * in the output: the first r fill it, and a later row replaces the root
+ * when it ranks before it. A heapsort then puts the r in order. Ids are
+ * distinct, so the order is total, and the answer depends on the set of
+ * ids alone, not on their order. Nothing is allocated.
+ *
+ * A shortlist's rows lie scattered over the base vectors and are cold
+ * after the vote, so each row's lines are asked for AHEAD rows before it
+ * is measured, and AHEAD rows arrive at once instead of one after
+ * another. On the benchmark's seed-1 data the stage took 0.125 ms a query
+ * without it and 0.05 ms with it, at b = 8 and b = 16; 2 to 16 rows ahead
+ * were alike within the noise. */
+#define AHEAD 8
+
+static int64_t nearest(
+    int64_t n, int64_t dim, const float *vectors, const double *query,
+    int64_t count, const int32_t *ids, int64_t k, int64_t *top, double *top_dist)
+{
+    const int64_t r = k < count ? k : count;
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t id = ids[i];
+        if (id < 0 || id >= n)
+            return -1;
+        if (i + AHEAD < count)
+            fetch(n, dim, vectors, ids[i + AHEAD]);
+        const double d = distance(vectors + id * dim, query, dim);
+        if (i < r) {
+            top[i] = id;
+            top_dist[i] = d;
+            if (i == r - 1) {
+                for (int64_t at = r / 2; at-- > 0;)
+                    sink(top, top_dist, r, at);
+            }
+        } else if (before(d, id, top_dist[0], top[0])) {
+            top[0] = id;
+            top_dist[0] = d;
+            sink(top, top_dist, r, 0);
+        }
+    }
+    for (int64_t size = r - 1; size > 0; size--) {
+        const int64_t id = top[0];
+        const double d = top_dist[0];
+        top[0] = top[size];
+        top_dist[0] = top_dist[size];
+        top[size] = id;
+        top_dist[size] = d;
+        sink(top, top_dist, size, 0);
+    }
+    return r;
+}
+
+/* The distance from ``q`` (dim,) to each of the n rows of ``rows`` (n,
+ * dim), in ``distance``'s order, into out[0..n); returns 0, or -1 for a
+ * negative size. */
+int64_t boi_distances(
+    int64_t n, int64_t dim,
+    const float *rows,                  /* (n, dim) */
+    const double *q,                    /* (dim,) */
+    double *out)                        /* (n,) */
+{
+    if (n < 0 || dim < 0)
+        return -1;
+    for (int64_t i = 0; i < n; i++)
+        out[i] = distance(rows + i * dim, q, dim);
+    return 0;
+}
+
 /* A query's stages, in one fixed order:
  *   HASH: the query's dot products, each in the order of ``dot``, then the
  *     sign filter (boi_hash_codes), into the scratch's dots and codes;
  *   ROWS: the probe rows of those codes and dots (probe_rows);
- *   VOTE: the gather+vote of the rows (gather_vote); ``scanned`` gets the
+ *   VOTE: the gather+vote of the rows (gather_vote); counts[0] gets the
  *     (id, vote) pairs it scanned;
  *   TAKE: the touched pass, with the shortlist's set when
- *     ``shortlist_size`` is 1 or more, dense votes included (touched_votes).
- * boi_query runs stages [first, last), each as above. vote.QueryScratch
- * runs all four for a query, with the GIL released, once it has copied the
- * query into the bound ``x``, and one at a time for index.accumulate.
+ *     ``shortlist_size`` is 1 or more, dense votes included (touched_votes);
+ *     counts[1] gets the number of pairs it leaves at the front of ``ids``;
+ *   RERANK: the min(k, counts[1]) records of those ids nearest to the
+ *     query, ranked (nearest), from the base vectors bound in the block and
+ *     a float64 copy of the query it makes in the scratch, into the
+ *     scratch's nearest ids and their distances.
+ * boi_query runs stages [first, last), each as above, and a stage reads
+ * what the stages before it left in the scratch, counts[1] included.
+ * vote.QueryScratch runs all five for a query, with the GIL released, once
+ * it has copied the query into the bound ``x``, and one at a time for
+ * index.accumulate.
  *
  * ``block`` holds what is fixed for one thread's scratch and one probe
  * plan, bound once (vote.QueryScratch): the slots below, in this order,
  * each an int64 size or an address; the sign filter's float32 bound and
- * float64 safe square are stored as the bits of a float64. The plan's
- * slots come last, so binding another plan rewrites only those.
+ * float64 safe square are stored as the bits of a float64. The pairs', the
+ * results' and the base vectors' slots come next to last, so a longer
+ * shortlist or other vectors rewrite only those, and the plan's slots come
+ * last, so binding another plan rewrites only those.
  *
- * Returns what TAKE returns when it runs: the size of the shortlist's set
- * at the front of ``ids``, or m touched pairs given no shortlist size, the
- * votes all zero again, or -1 when, given none, the votes are dense and
- * left as they are. Otherwise 0 once the stages have run; -2 when the heap
- * had no room to order a shell; -3 for arguments a stage refuses: a shell
- * outside the row, or a shortlist size outside [0, capacity]; -4 for a
- * corrupt table, the votes partly written; -5, before any stage runs, for a
- * range outside [0, STAGES] or with first > last.
+ * Returns what the last stage run returns, when TAKE or RERANK runs: for
+ * TAKE, the size of the shortlist's set at the front of ``ids``, or m
+ * touched pairs given no shortlist size, the votes all zero again, or -1
+ * when, given none, the votes are dense and left as they are (RERANK then
+ * does not run); for RERANK, the number of records it ranked. Otherwise 0
+ * once the stages have run; -2 when the heap had no room to order a shell;
+ * -3 for arguments a stage refuses: a shell outside the row, or a
+ * shortlist size outside [0, capacity]; -4 for a corrupt table, the votes
+ * partly written, or a shortlisted id outside [0, n); -5, before any stage
+ * runs, for a range outside [0, STAGES] or with first > last; -6 when
+ * RERANK has no base vectors bound, a negative k, a count outside [0,
+ * capacity] or more records to rank than its room holds.
  */
-enum { HASH, ROWS, VOTE, TAKE, STAGES };
+enum { HASH, ROWS, VOTE, TAKE, RERANK, STAGES };
 
 enum {
     Q_TABLES, Q_BITS, Q_N, Q_BITMAP, Q_RANK, Q_OFFSETS, Q_NUM_OFFSETS, Q_MEMBERS,
-    Q_DIM, Q_PROJECTIONS, Q_BOUND, Q_SAFE_SQUARE, Q_X, Q_DOTS, Q_CODES,
-    Q_VOTES, Q_ORDER, Q_CAPACITY, Q_IDS, Q_WEIGHTS,
+    Q_DIM, Q_PROJECTIONS, Q_BOUND, Q_SAFE_SQUARE, Q_X, Q_QUERY, Q_DOTS, Q_CODES,
+    Q_VOTES, Q_ORDER,
+    Q_CAPACITY, Q_IDS, Q_WEIGHTS, /* the pairs' */
+    Q_ROOM, Q_NEAREST, Q_DISTANCES, /* the results' */
+    Q_VECTORS, /* the base vectors', (n, dim) float32, or 0 */
     Q_WIDTH, Q_MASKS, Q_SHELLS, Q_UNITS, Q_BUDGETS, Q_PROBES, /* the plan's */
     Q_SLOTS
 };
@@ -1160,18 +1334,17 @@ const int64_t boi_query_slots = Q_SLOTS;
 
 int64_t boi_query(
     const int64_t *block, int64_t first, int64_t last, int64_t shortlist_size,
-    int64_t *scanned)
+    int64_t k, int64_t *counts)
 {
     if (first < 0 || first > last || last > STAGES)
         return -5;
     const int64_t num_tables = block[Q_TABLES], bits = block[Q_BITS];
-    const int64_t n = block[Q_N], width = block[Q_WIDTH];
+    const int64_t n = block[Q_N], dim = block[Q_DIM], width = block[Q_WIDTH];
+    const float *const x = AT(const float, Q_X);
     float *const dots = AT(float, Q_DOTS);
     uint16_t *const codes = AT(uint16_t, Q_CODES), *const probes = AT(uint16_t, Q_PROBES);
-    int32_t *const votes = AT(int32_t, Q_VOTES);
+    int32_t *const votes = AT(int32_t, Q_VOTES), *const ids = AT(int32_t, Q_IDS);
     if (RUNS(HASH)) {
-        const int64_t dim = block[Q_DIM];
-        const float *const x = AT(const float, Q_X);
         const float *const proj = AT(const float, Q_PROJECTIONS);
         double bound, safe_square;
         memcpy(&bound, block + Q_BOUND, sizeof bound);
@@ -1198,13 +1371,31 @@ int64_t boi_query(
             AT(const int64_t, Q_BUDGETS), votes);
         if (pairs < 0)
             return -4;
-        *scanned = pairs;
+        counts[0] = pairs;
     }
     if (RUNS(TAKE)) {
         const int64_t taken = touched_votes(
-            n, votes, AT(const int32_t, Q_ORDER), block[Q_CAPACITY], AT(int32_t, Q_IDS),
+            n, votes, AT(const int32_t, Q_ORDER), block[Q_CAPACITY], ids,
             AT(int32_t, Q_WEIGHTS), shortlist_size);
-        return taken == -2 ? -3 : taken;
+        if (taken == -2)
+            return -3;
+        counts[1] = taken > 0 ? taken : 0;
+        if (taken < 0 || !RUNS(RERANK))
+            return taken;
+    }
+    if (RUNS(RERANK)) {
+        const float *const vectors = AT(const float, Q_VECTORS);
+        const int64_t count = counts[1];
+        if (vectors == NULL || k < 0 || count < 0 || count > block[Q_CAPACITY]
+            || (k < count ? k : count) > block[Q_ROOM])
+            return -6;
+        double *const query = AT(double, Q_QUERY);
+        for (int64_t j = 0; j < dim; j++)
+            query[j] = x[j];
+        const int64_t ranked = nearest(
+            n, dim, vectors, query, count, ids, k, AT(int64_t, Q_NEAREST),
+            AT(double, Q_DISTANCES));
+        return ranked < 0 ? -4 : ranked;
     }
     return 0;
 }

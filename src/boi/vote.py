@@ -1,12 +1,14 @@
 """The compiled loops of ``vote.c``, loaded with ctypes: ``boi_query``,
 which runs a query's stages (its dot products and sign filter, the probe
-rows, the gather+vote kernel and the pass that selects the shortlist's set
-from the votes, touched or dense), the counting sort ``hashing.insert_all``
-buckets its records with, the table-record checks ``data_io.load_index``
-runs, the directory check ``hashing.ProjectionTable`` runs, and the sign
-filter ``hashing.hash_codes_all`` turns a build's float32 dot products
-into codes with. These six are all the library exports, besides two
-constants.
+rows, the gather+vote kernel, the pass that selects the shortlist's set
+from the votes, touched or dense, and the re-rank of that set by exact
+distance), ``boi_distances``, which measures rows from a query in the same
+fixed order for ``core.pairwise_distances`` and the brute-force oracle,
+the counting sort ``hashing.insert_all`` buckets its records with, the
+table-record checks ``data_io.load_index`` runs, the directory check
+``hashing.ProjectionTable`` runs, and the sign filter
+``hashing.hash_codes_all`` turns a build's float32 dot products into codes
+with. These seven are all the library exports, besides two constants.
 
 A table's buckets are found through a directory of its non-empty buckets
 (``vote.c``'s header comment): a ``bitmap`` of its non-empty codes in
@@ -38,14 +40,17 @@ entry point has one Python caller. The querying thread's ``QueryScratch``
 owns every buffer a query writes and calls ``boi_query`` from one method,
 ``_stages``; ``GatherVote`` and ``ProbePlan`` are only bindings that it
 reads. The scratch writes every address and size a query needs into one
-int64 block, rebound only when the probe plan changes or a longer
-shortlist grows the pairs, so a query copies its vector into the scratch,
-crosses into C once and passes five arguments: the block, the range of
-stages to run, its shortlist size and where the pairs scanned go.
-``query`` runs every stage in one call; ``hash``, ``rows``, ``vote`` and
-``take`` run one each, for ``index.accumulate``, so the staged path runs
-the same compiled stages as the query. A query's dot products are summed
-in ``vote.c``, in one fixed order, so no BLAS decides its margins.
+int64 block, rebound only when the probe plan changes, a longer
+shortlist grows the pairs and the results, or other base vectors are
+given, so a query copies its vector into the scratch, crosses into C once
+and passes six arguments: the block, the range of stages to run, its
+shortlist size, its k and where its counts go. ``query`` runs every stage
+in one call, from the vector to the ranked answer; ``hash``, ``rows``,
+``vote`` and ``take`` run one each, for ``index.accumulate``, so the
+staged path runs the same compiled stages as the query. A query's dot
+products and its exact distances are summed in ``vote.c``, each in one
+fixed order, so no BLAS decides its margins and no numpy version its
+distances.
 """
 
 from __future__ import annotations
@@ -60,12 +65,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CODE_DTYPE, MAX_HASH_BITS, OFFSET_DTYPE
+MAX_HASH_BITS = 16
+
+# The one width decision, which the compiled loops are written for: a bucket
+# code of up to MAX_HASH_BITS = 16 bits is a uint16, and a CSR bucket offset
+# (at most n) is an int32, like a record id.
+CODE_DTYPE = np.dtype(np.uint16)
+OFFSET_DTYPE = np.dtype(np.int32)
 
 SOURCE = Path(__file__).with_name("vote.c")
-# -ffp-contract=off: a query's dot products round every product before it
-# is added, on any target (``vote.c``'s ``dot``)
-_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+# -ffp-contract=off: a query's dot products and exact distances round every
+# product before it is added, on any target (``vote.c``'s ``dot`` and
+# ``distance``); -fno-math-errno: sqrt is the one correctly rounded
+# instruction, with no call into libm, which the library does not link
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 
 def default_cache_dir() -> Path:
@@ -120,9 +133,10 @@ def build_library(cache_dir, source=SOURCE) -> Path:
 
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
-    and result types of its six entry points declared: ``boi_bucket_sort``,
-    ``boi_table_buckets``, ``boi_check_table``, ``boi_check_directory``,
-    ``boi_hash_codes`` and ``boi_query``."""
+    and result types of its seven entry points declared:
+    ``boi_bucket_sort``, ``boi_table_buckets``, ``boi_check_table``,
+    ``boi_check_directory``, ``boi_hash_codes``, ``boi_distances`` and
+    ``boi_query``."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
@@ -177,12 +191,20 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # record stride
         i64,  # table stride
     ]
+    library.boi_distances.argtypes = [
+        i64,  # n
+        i64,  # dim
+        address,  # rows
+        address,  # query
+        address,  # out
+    ]
     library.boi_query.argtypes = [
         address,  # the bound block (QueryScratch)
         i64,  # first stage
         i64,  # stage past the last
         i64,  # shortlist size, 0 for every pair
-        address,  # pairs scanned
+        i64,  # k, the records the re-rank keeps
+        address,  # counts: pairs scanned, then pairs taken
     ]
     for entry in (
         library.boi_bucket_sort,
@@ -190,6 +212,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         library.boi_check_table,
         library.boi_check_directory,
         library.boi_hash_codes,
+        library.boi_distances,
         library.boi_query,
     ):
         entry.restype = i64
@@ -523,6 +546,23 @@ class SignFilter:
         )
 
 
+def row_distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (n,) float64 Euclidean distances from ``q`` (dim,) float64 to
+    the rows of ``rows`` (n, dim) float32, both C-contiguous and aligned:
+    ``boi_distances``, each row summed in ``vote.c``'s one fixed order
+    (``distance``), the order of ``boi_query``'s re-rank. Raises
+    ValueError, naming the array, when a type, shape or layout disagrees."""
+    n, dim = rows.shape
+    out = np.empty(n, np.float64)
+    _library.boi_distances(
+        n, dim,
+        _address(rows, np.float32, (n, dim)),
+        _address(q, np.float64, (dim,)),
+        _address(out, np.float64, (n,), writable=True),
+    )
+    return out
+
+
 # the touched pass takes the votes out while at most 1/_TOUCHED_SHARE of
 # their 64-id blocks hold one (``boi_touched_votes``)
 _TOUCHED_SHARE = ctypes.c_int64.in_dll(_library, "boi_touched_share").value
@@ -535,17 +575,19 @@ def touched_capacity(n: int) -> int:
     return 64 * (-(-n // 64) // _TOUCHED_SHARE)
 
 
-# the slots of boi_query's block (``vote.c``), the plan's last
+# the slots of boi_query's block (``vote.c``): the tables' (GatherVote's
+# eight) and the scratch's ten, then the ones rebound after it is made: the
+# pairs' room and addresses, which a longer shortlist rebinds, the results'
+# likewise, the base vectors', and last the plan's
 _QUERY_SLOTS = ctypes.c_int64.in_dll(_library, "boi_query_slots").value
-_PLAN_SLOTS = 6
-# the three slots before the plan's: the pairs' room and addresses, which
-# a longer shortlist rebinds
-_PAIR_SLOTS = slice(-_PLAN_SLOTS - 3, -_PLAN_SLOTS)
+_PAIR_SLOTS, _RESULT_SLOTS, _VECTOR_SLOT = slice(18, 21), slice(21, 24), 24
+_PLAN_SLOTS = slice(25, 31)
 # boi_query's stages, in ``vote.c``'s order: the hash, the probe rows, the
-# gather+vote and the touched pass; a call runs those in [first, last)
-_HASH, _ROWS, _VOTE, _TAKE, _STAGES = range(5)
+# gather+vote, the touched pass and the re-rank; a call runs those in
+# [first, last)
+_HASH, _ROWS, _VOTE, _TAKE, _RERANK, _STAGES = range(6)
 # boi_query's failed statuses (``vote.c``) that ``_raise`` tells apart
-_NO_ROOM, _QUERY_CORRUPT, _NOT_STAGES = -2, -4, -5
+_NO_ROOM, _QUERY_CORRUPT, _NOT_STAGES, _NO_RERANK = -2, -4, -5, -6
 _CORRUPT = (
     "corrupt hash table: a probed bucket's code, offsets or record ids are out of range"
 )
@@ -560,17 +602,20 @@ def scratch_bytes(
     records: 4n of int32 votes, 8 * max(``touched_capacity(n)``,
     min(shortlist_size, n)) of record ids and votes taken out, 4Lb of
     float32 dot products, 2L of codes, 4 * dim of the query's float32
-    copy, 2L * width of probe rows, and the int64 block and count of pairs
-    scanned. The selection keeps its counts on the stack, so it adds
-    nothing."""
+    copy and 8 * dim of its float64 one, 2L * width of probe rows, 16 *
+    min(shortlist_size, n) of the re-rank's int64 ids and float64
+    distances, and the int64 block and two counts. The selection and the
+    re-rank keep their counts and heaps on the stack or in those buffers,
+    so they add nothing."""
     return (
         4 * n
         + 8 * max(touched_capacity(n), min(shortlist_size, n))
         + 4 * num_tables * bits
         + 2 * num_tables
-        + 4 * dim
+        + 12 * dim
         + 2 * num_tables * width
-        + 8 * (_QUERY_SLOTS + 1)
+        + 16 * min(shortlist_size, n)
+        + 8 * (_QUERY_SLOTS + 2)
     )
 
 
@@ -586,11 +631,11 @@ class QueryScratch:
     queries the tables, on the thread's first query, from the tables'
     ``SignFilter``, ``GatherVote`` and ``order`` (n,) int32. Every address
     is taken then, through ``_address``, so a query passes only its vector,
-    its plan and its shortlist size, and nothing is allocated per query
-    but the probe rows of a plan wider than any the scratch has seen, or
-    the pairs of a shortlist longer than any it has held. ``_stages`` is
-    the only Python caller of ``boi_query``, and the scratch owns every
-    buffer its stages write:
+    its plan, its shortlist size, its base vectors and its k, and nothing
+    is allocated per query but the probe rows of a plan wider than any the
+    scratch has seen, or the pairs and results of a shortlist longer than
+    any it has held. ``_stages`` is the only Python caller of
+    ``boi_query``, and the scratch owns every buffer its stages write:
 
     ``votes`` (n,) int32, the query's votes in internal order, all zero
     between queries; ``dots`` (L*b, 1) float32 and ``codes`` (L,) uint16,
@@ -598,18 +643,23 @@ class QueryScratch:
     uint16 probe rows of the last plan given; ``ids`` and ``weights``,
     int32 each, the record ids and votes taken out, ``touched_capacity(n)``
     of them, or min(shortlist size, n) once a query has asked for a longer
-    shortlist; and the int64 block of every address and size ``boi_query``
-    reads, whose plan slots ``_use`` rebinds when the plan changes, and
-    whose pair slots ``_grow`` rebinds when the pairs grow. At n = 100k
-    they hold about 0.6 MB (``nbytes``).
+    shortlist; ``nearest`` int64 and ``distances`` float64, the re-rank's
+    answer, min(shortlist size, n) of each for the longest shortlist asked
+    for; the query's float64 copy, which the re-rank measures from; and the
+    int64 block of every address and size ``boi_query`` reads, whose plan
+    slots ``_use`` rebinds when the plan changes, whose pair and result
+    slots ``_hold`` rebinds when they grow, and whose vector slot ``_read``
+    rebinds when other base vectors are given. At n = 100k they hold about
+    0.6 MB (``nbytes``).
 
     ``query`` runs a whole query in one compiled call, from the vector to
-    the shortlist's set. ``hash``, ``rows``, ``vote`` and ``take`` each run
-    one of its stages, in that order, on the same buffers; this staged
-    path is the one ``index.accumulate`` takes, with ``clear`` when the
-    votes stayed dense. Votes a query left behind, because it raised or
+    its ranked answer. ``hash``, ``rows``, ``vote`` and ``take`` each run
+    one of its first four stages, in that order, on the same buffers; this
+    staged path is the one ``index.accumulate`` takes, with ``clear`` when
+    the votes stayed dense. Votes a query left behind, because it raised or
     was interrupted, are cleared before the next one votes, so a query
-    never sees another's votes. One thread at a time may use a scratch.
+    never sees another's votes. One thread at a time may use a scratch;
+    the base vectors it reads may be shared by every thread.
     """
 
     def __init__(self, sign_filter: SignFilter, gather: GatherVote, order):
@@ -620,66 +670,70 @@ class QueryScratch:
         self.codes = np.empty(num_tables, CODE_DTYPE)
         self.probes = self._probe_buffer = np.empty((num_tables, 0), CODE_DTYPE)
         self._x = np.empty((1, dim), np.float32)
-        self._scanned = np.zeros(1, np.int64)
+        self._query = np.empty(dim, np.float64)
+        # pairs scanned by the last gather+vote, pairs left by the last take
+        self._counts = np.zeros(2, np.int64)
         # held, since the block holds only their addresses
         self._sign_filter, self._gather, self._order = sign_filter, gather, order
-        self._plan, self._voted = None, False
+        self._plan, self._vectors, self._voted = None, None, False
         projections_at, bound, safe_square = sign_filter._fixed
-        # boi_query's slots in ``vote.c``'s order; _grow binds the pairs'
-        # and _use the plan's
-        self._block = np.array(
-            [
-                *gather._fixed, dim, projections_at, _float_slot(bound),
-                _float_slot(safe_square),
-                _address(self._x, np.float32, self._x.shape, writable=True),
-                _address(self.dots, np.float32, self.dots.shape, writable=True),
-                _address(self.codes, CODE_DTYPE, self.codes.shape, writable=True),
-                _address(self.votes, np.int32, (n,), writable=True),
-                _address(order, np.int32, (n,)), 0, 0, 0,
-            ]
-            + [0] * _PLAN_SLOTS,
-            np.int64,
+        # boi_query's slots in ``vote.c``'s order; _grow binds the pairs' and
+        # the results', _read the vectors' and _use the plan's
+        self._block = np.zeros(_QUERY_SLOTS, np.int64)
+        self._block[: _PAIR_SLOTS.start] = (
+            *gather._fixed, dim, projections_at, _float_slot(bound),
+            _float_slot(safe_square),
+            _address(self._x, np.float32, self._x.shape, writable=True),
+            _address(self._query, np.float64, (dim,), writable=True),
+            _address(self.dots, np.float32, self.dots.shape, writable=True),
+            _address(self.codes, CODE_DTYPE, self.codes.shape, writable=True),
+            _address(self.votes, np.int32, (n,), writable=True),
+            _address(order, np.int32, (n,)),
         )
-        if self._block.size != _QUERY_SLOTS:
+        if _PLAN_SLOTS.stop != _QUERY_SLOTS:
             raise RuntimeError(
-                f"boi_query reads {_QUERY_SLOTS} slots, QueryScratch binds {self._block.size}"
+                f"boi_query reads {_QUERY_SLOTS} slots, QueryScratch binds {_PLAN_SLOTS.stop}"
             )
-        self._grow(touched_capacity(n))
-        self._at = (self._block.ctypes.data, self._scanned.ctypes.data)
+        pairs = touched_capacity(n)
+        self.ids, self.weights = self._grow(_PAIR_SLOTS, pairs, np.int32, np.int32)
+        self.nearest, self.distances = self._grow(_RESULT_SLOTS, 0, np.int64, np.float64)
+        self._at = (self._block.ctypes.data, self._counts.ctypes.data)
 
     @property
     def nbytes(self) -> int:
         """The bytes of every buffer the scratch holds: the votes, the
-        pairs, the hash's, the probe rows of the widest plan it has bound,
-        the block and the count of pairs scanned."""
+        pairs, the hash's, the query's two copies, the probe rows of the
+        widest plan it has bound, the results, the block and the counts."""
         return sum(
             a.nbytes
             for a in (
                 self.votes, self.ids, self.weights, self.dots, self.codes,
-                self._probe_buffer, self._x, self._block, self._scanned,
+                self._probe_buffer, self._x, self._query, self.nearest,
+                self.distances, self._block, self._counts,
             )
         )
 
-    def _grow(self, size: int) -> None:
-        """Make ``ids`` and ``weights`` hold ``size`` pairs each, and bind
-        the block's pair slots to them."""
-        self.ids = np.empty(size, np.int32)
-        self.weights = np.empty(size, np.int32)
-        self._block[_PAIR_SLOTS] = (
-            size,
-            _address(self.ids, np.int32, (size,), writable=True),
-            _address(self.weights, np.int32, (size,), writable=True),
+    def _grow(self, slots: slice, size: int, *dtypes) -> tuple[np.ndarray, ...]:
+        """New arrays of ``size`` values of each of ``dtypes``, with the
+        block's ``slots`` bound to their size and addresses."""
+        arrays = tuple(np.empty(size, dtype) for dtype in dtypes)
+        self._block[slots] = (
+            size, *(_address(a, a.dtype, (size,), writable=True) for a in arrays)
         )
+        return arrays
 
     def _hold(self, shortlist_size: int, least: int) -> int:
         """min(shortlist_size, n), the size to pass the touched pass, once
-        ``ids`` and ``weights`` hold that many pairs (``_grow``); ValueError
-        for a size below ``least``."""
+        ``ids`` and ``weights`` hold that many pairs and ``nearest`` and
+        ``distances`` that many results; ValueError for a size below
+        ``least``."""
         if shortlist_size < least:
             raise ValueError(f"shortlist_size must be >= {least}, got {shortlist_size}")
         size = min(shortlist_size, len(self.votes))
         if size > len(self.ids):
-            self._grow(size)
+            self.ids, self.weights = self._grow(_PAIR_SLOTS, size, np.int32, np.int32)
+        if size > len(self.nearest):
+            self.nearest, self.distances = self._grow(_RESULT_SLOTS, size, np.int64, np.float64)
         return size
 
     def _use(self, plan: ProbePlan) -> None:
@@ -697,24 +751,36 @@ class QueryScratch:
         if size > self._probe_buffer.size:
             self._probe_buffer = np.empty(size, CODE_DTYPE)
         self.probes = self._probe_buffer[:size].reshape(num_tables, plan.width)
-        self._block[-_PLAN_SLOTS:] = (*plan._slots, self.probes.ctypes.data)
+        self._block[_PLAN_SLOTS] = (*plan._slots, self.probes.ctypes.data)
         self._plan = plan
 
-    def _stages(self, first: int, last: int, shortlist_size: int = 0) -> int:
+    def _read(self, vectors: np.ndarray) -> None:
+        """Bind the block's vector slot to ``vectors``, the (n, dim)
+        float32 C-contiguous base vectors the re-rank measures, unless they
+        are the last given; ValueError, naming the expected array, for any
+        other. They must not change while they are bound."""
+        if vectors is self._vectors:
+            return
+        shape = (len(self.votes), len(self._query))
+        self._block[_VECTOR_SLOT] = _address(vectors, np.float32, shape)
+        self._vectors = vectors
+
+    def _stages(self, first: int, last: int, shortlist_size: int = 0, k: int = 0) -> int:
         """Run stages [first, last) of ``boi_query`` on the bound block, in
         one compiled call with the GIL released, and return its status:
-        what the touched pass returns when it runs (``take``), 0 otherwise.
+        what the last of the touched pass (``take``) and the re-rank
+        returns when either runs, 0 otherwise.
 
         Votes a query left behind are cleared before a gather+vote, and
         count as left behind until a touched pass has taken them out. A
-        failed status raises (``_raise``); a range outside [0, 4], or with
+        failed status raises (``_raise``); a range outside [0, 5], or with
         first > last, is refused before any stage runs, the votes as they
         were."""
         if 0 <= first <= _VOTE < last <= _STAGES:
             if self._voted:
                 self.clear()
             self._voted = True
-        status = _library.boi_query(self._at[0], first, last, shortlist_size, self._at[1])
+        status = _library.boi_query(self._at[0], first, last, shortlist_size, k, self._at[1])
         if status < -1:
             self._raise(status)
         if status >= 0 and first <= _TAKE < last:
@@ -724,34 +790,51 @@ class QueryScratch:
     def _raise(self, status: int) -> None:
         """Raise what a failed status of ``boi_query`` means under the bound
         plan: ``_NO_ROOM`` to order a shell; ``_QUERY_CORRUPT``, a corrupt
-        table; ``_NOT_STAGES``, a range of stages that is not one; any
-        other, a shell outside the row, since the plan's shells were
-        checked when it was bound."""
+        table; ``_NOT_STAGES``, a range of stages that is not one;
+        ``_NO_RERANK``, a re-rank with no base vectors bound, a negative k
+        or more records to rank than its results hold; any other, a shell
+        outside the row, since the plan's shells were checked when it was
+        bound."""
         if status == _NO_ROOM:
             raise MemoryError("no room to sort a shell of the probe plan")
         if status == _QUERY_CORRUPT:
             raise ValueError(_CORRUPT)
         if status == _NOT_STAGES:
             raise ValueError(f"boi_query runs a range of its stages within [0, {_STAGES}]")
+        if status == _NO_RERANK:
+            raise ValueError(
+                "the re-rank needs base vectors bound, a k of 0 or more and room "
+                f"for its results: {len(self.nearest)} of them"
+            )
         raise ValueError(f"ProbePlan: shells must be ranges within [0, {self._plan.width}]")
 
-    def query(self, q: np.ndarray, plan: ProbePlan, shortlist_size: int) -> tuple[int, int]:
+    def query(
+        self, q: np.ndarray, plan: ProbePlan, shortlist_size: int, vectors: np.ndarray,
+        k: int,
+    ) -> tuple[int, int, int]:
         """One query under ``plan``, every stage in one compiled call:
-        ``hash``, ``rows``, ``vote`` and ``take`` with the shortlist's
-        selection. Returns (count, pairs scanned).
+        ``hash``, ``rows``, ``vote``, ``take`` with the shortlist's
+        selection, and the re-rank of the shortlist's set by exact distance
+        from ``vectors`` (``_read``). Returns (ranked, count, pairs
+        scanned).
 
-        ``ids[:count]`` then holds, in no order, the record ids of
-        ``index.shortlist``'s set of the votes: the ``shortlist_size``
-        (at least 1, or ValueError) highest votes, the ties at the cut by
-        lowest record id, none that is 0; and ``votes`` is all zero again,
+        ``nearest[:ranked]`` and ``distances[:ranked]`` then hold the
+        min(k, count) records nearest to ``q``, and their float64
+        distances, in ascending (distance, record id), of the ``count``
+        records of ``index.shortlist``'s set of the votes: the
+        ``shortlist_size`` (at least 1, or ValueError) highest votes, the
+        ties at the cut by lowest record id, none that is 0. Each distance
+        is summed as ``row_distances`` sums it, so the answer does not
+        depend on the order of the set. ``votes`` is then all zero again,
         whether the votes were touched or dense. Raises what ``rows`` and
         ``vote`` raise.
         """
         size = self._hold(shortlist_size, 1)
         self._use(plan)
+        self._read(vectors)
         self._x[0] = q
-        count = self._stages(_HASH, _STAGES, size)
-        return count, int(self._scanned[0])
+        ranked = self._stages(_HASH, _STAGES, size, k)
+        return ranked, int(self._counts[1]), int(self._counts[0])
 
     def hash(self, q: np.ndarray) -> np.ndarray:
         """The query's codes (``codes``), and its dot products in ``dots``:
@@ -793,7 +876,7 @@ class QueryScratch:
         query clears it."""
         self._use(plan)
         self._stages(_VOTE, _TAKE)
-        return int(self._scanned[0])
+        return int(self._counts[0])
 
     def take(self, shortlist_size: int = 0) -> int:
         """m, when the touched pass took the votes out: ``ids[:m]`` and
@@ -808,7 +891,7 @@ class QueryScratch:
         order, and ``votes`` is all zero again. A negative size raises
         ValueError.
         """
-        return self._stages(_TAKE, _STAGES, self._hold(shortlist_size, 0))
+        return self._stages(_TAKE, _RERANK, self._hold(shortlist_size, 0))
 
     def clear(self) -> None:
         """Zero ``votes``."""

@@ -177,11 +177,13 @@ def test_c07_memory_accounting():
     # offsets) + int32 ids 400 MB + the int32 order 4 MB
     assert est.index_bytes == 404_517_200
     # one querying thread's scratch: 4 MB of int32 votes, 1,999,872 of
-    # touched pairs (8 * 249,984), 3,912 of hash buffers (float32 dots
-    # 100*8*4, uint16 codes 100*2, the float32 query 128*4), 7,400 of probe
-    # rows (100 tables of 37 uint16 masks) and 216 of the compiled call's
-    # int64 block and pairs count
-    assert est.accumulator_bytes == 6_011_400
+    # touched pairs (8 * 249,984), 4,936 of hash and query buffers (float32
+    # dots 100*8*4, uint16 codes 100*2, the float32 query 128*4 and its
+    # float64 copy 128*8), 7,400 of probe rows (100 tables of 37 uint16
+    # masks), 4,000 of the re-rank's results (250 int64 ids and 250 float64
+    # distances) and 264 of the compiled call's int64 block (31 slots) and
+    # its two counts
+    assert est.accumulator_bytes == 6_016_472
     print("ACCEPTANCE 07 memory accounting: PASS")
 
 

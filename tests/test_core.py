@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boi.core import (
-    _DIST_CHUNK_BYTES,
+    _FINITE_CHUNK,
     BoiParams,
     RankedResult,
     VectorSet,
     dense_vector,
     pairwise_distances,
     rank_by_distance,
-    rerank,
 )
+from boi.index import accumulate, build_index, query, shortlist
 
 
 def l2_distance(a, b) -> float:
@@ -252,90 +252,147 @@ def test_pairwise_distances_subset_consistent():
     assert np.array_equal(full[idx], sub)
 
 
-def subtract_then_sum(rows, q):
-    """The distance expression before the chunk buffer: a float64
-    difference per call, then ``einsum`` and ``sqrt``, each row measured
-    inside an operand of two rows or more (the rows twice over)."""
-    rows = np.concatenate([rows, rows])
-    diff = np.subtract(rows, np.asarray(q, dtype=np.float64), dtype=np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))[: len(rows) // 2]
+def fixed_order(rows, q):
+    """The distances ``vote.c``'s ``distance`` sums, restated in numpy: the
+    float64 differences of the float32 rows and the float64 query, squared;
+    lane k of 8 adds the squares of columns i = k (mod 8), ascending, over
+    the whole groups of 8; the lanes are added as ((l0 + l1) + (l2 + l3))
+    + ((l4 + l5) + (l6 + l7)); then the squares past the groups, ascending;
+    then the square root. Every numpy step is one correctly rounded float64
+    operation per value, so the order alone decides the bits."""
+    squares = np.square(np.asarray(rows, np.float32) - np.asarray(q, np.float64))
+    n, dim = squares.shape
+    whole = dim - dim % 8
+    lane = np.zeros((n, 8))
+    for i in range(0, whole, 8):
+        lane += squares[:, i : i + 8]
+    total = ((lane[:, 0] + lane[:, 1]) + (lane[:, 2] + lane[:, 3])) + (
+        (lane[:, 4] + lane[:, 5]) + (lane[:, 6] + lane[:, 7])
+    )
+    for i in range(whole, dim):
+        total = total + squares[:, i]
+    return np.sqrt(total)
 
 
-# one row fills the buffer at the widest dimension, so every chunk is the
-# two-row minimum; numpy's einsum sums a row of more than 8192 values in
-# 8192-value blocks when the row is alone, and in one pass otherwise, so a
-# lone row must be measured beside another
-WIDE = _DIST_CHUNK_BYTES // 8 + 1
+def bits_of(distances) -> bytes:
+    return np.asarray(distances, np.float64).tobytes()
 
 
-@pytest.mark.parametrize("dim", [1, 7, 128, 10_000, WIDE])
+# 8,193 is one value past the 8,192-value blocks in which numpy's einsum
+# sums a lone row, and 65,537 one past the values 512 KiB of float64 hold:
+# a pass that chunked its rows or summed in blocks would change there
+@pytest.mark.parametrize("dim", [1, 7, 128, 8193, 10_000, 65_537])
 def test_pairwise_distances_match_the_subtraction_bitwise(dim):
-    c = max(2, _DIST_CHUNK_BYTES // (8 * dim))  # rows per chunk
+    # every row count on either side of 512 KiB of float64 rows, and none
+    c = max(2, (1 << 19) // (8 * dim))
     rng = np.random.default_rng(dim)
     q = rng.standard_normal(dim).astype(np.float32)
     for n in sorted({0, 1, c - 1, c, c + 1, 3 * c + 5}):
         rows = (rng.standard_normal((n, dim)) * 10).astype(np.float32)
         got = pairwise_distances(rows, q)
-        want = subtract_then_sum(rows, q)
         assert got.dtype == np.float64 and got.shape == (n,)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+        assert bits_of(got) == bits_of(fixed_order(rows, q)), n
+        # each row alone measures as inside the larger call
+        for r in {0, n // 2, n - 1} if n else ():
+            assert bits_of(pairwise_distances(rows[r : r + 1], q)) == bits_of(got[r : r + 1])
 
 
 def test_one_candidate_rerank_at_dim_8193_measures_as_in_a_larger_call():
-    # a lone row one value past einsum's 8192-value block: 2 of these 10
-    # seeds gave it different last bits when it was measured alone
+    # a query's compiled re-rank of a one-record shortlist, at one value
+    # past einsum's 8192-value block, gives the record the fixed order's
+    # bits, as pairwise_distances does inside a call over every row
     for seed in range(10):
         rng = np.random.default_rng(seed)
         vectors = rng.standard_normal((3, 8193)).astype(np.float32)
         q = rng.standard_normal(8193).astype(np.float32)
-        inside = pairwise_distances(vectors, q)[1:2]
-        alone = rerank(vectors, np.array([1]), q, 1, probe_count=0, pairs_scanned=0)
-        assert alone.ids.tolist() == [1]
-        assert np.array_equal(alone.distances.view(np.uint64), inside.view(np.uint64))
+        params = BoiParams(
+            num_tables=2, hash_bits=2, shortlist_size=1, initial_probe_count=3,
+            schedule="fixed", seed=seed,
+        )
+        index = build_index(VectorSet(vectors), params)
+        (one,) = shortlist(accumulate(index, q), 1)
+        alone = query(index, q, 1)
+        assert alone.ids.tolist() == [one] and alone.shortlist_size == 1
+        inside = pairwise_distances(vectors, q)[one : one + 1]
+        assert bits_of(alone.distances) == bits_of(inside)
+        assert bits_of(inside) == bits_of(fixed_order(vectors[one : one + 1], q))
 
 
 def test_pairwise_distances_of_extreme_values_stay_finite():
-    # float32's largest values square and sum in float64 without overflow
+    # float32's largest values square and sum in float64 without overflow,
+    # in the fixed order, at a width with whole lanes and a tail
     big = np.finfo(np.float32).max
     rows = np.array([[big, -big], [-big, big], [0.0, 0.0]], dtype=np.float32)
-    got = pairwise_distances(rows, np.array([-big, big], dtype=np.float32))
+    q = np.array([-big, big], dtype=np.float32)
+    got = pairwise_distances(rows, q)
+    assert np.all(np.isfinite(got)) and got[1] == 0.0
+    assert bits_of(got) == bits_of(fixed_order(rows, q))
+    rng = np.random.default_rng(9)
+    rows = (rng.choice([-1.0, 1.0], (4, 19)) * big).astype(np.float32)
+    q = (rng.choice([-1.0, 0.0, 1.0], 19) * big).astype(np.float32)
+    got = pairwise_distances(rows, q)
     assert np.all(np.isfinite(got))
-    assert np.array_equal(got, subtract_then_sum(rows, [-big, big]))
+    assert bits_of(got) == bits_of(fixed_order(rows, q))
+
+
+def test_pairwise_distances_keep_a_float64_query_and_refuse_inexact_rows():
+    # the query is measured as the float64 it is; rows are float32 exactly
+    rows = np.array([[0.0], [1.0]], np.float32)
+    got = pairwise_distances(rows, np.array([0.1]))
+    assert got.tolist() == [0.1, 0.9]
+    assert pairwise_distances(rows.astype(np.float64), [0.5]).tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError, match="rows values do not fit float32"):
+        pairwise_distances(np.array([[0.1]]), [0.0])
+
+
+def own_buckets_query(vectors, q, k, tables, bits, seed):
+    """``query``'s answer when each of ``tables`` tables of ``bits`` bits
+    probes only the query's own bucket and the shortlist holds every
+    record found, and those records, ascending: the candidates its
+    compiled re-rank measures."""
+    params = BoiParams(
+        num_tables=tables, hash_bits=bits, initial_probe_count=0,
+        shortlist_size=len(vectors), seed=seed,
+    )
+    index = build_index(VectorSet(vectors), params)
+    return query(index, q, k), np.flatnonzero(accumulate(index, q))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 40),
     dim=st.integers(1, 6),
-    m=st.integers(0, 40),
+    tables=st.integers(1, 3),
+    bits=st.integers(1, 4),
     k=st.integers(1, 45),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rerank_result_equals_a_checked_result(n, dim, m, k, seed):
-    # integer-valued rows give equal distances, so ties are ranked by id
+def test_rerank_result_equals_a_checked_result(n, dim, tables, bits, k, seed):
+    # the compiled re-rank of the records that share a bucket with the
+    # query equals a checked result of pairwise_distances and
+    # rank_by_distance over them; integer-valued rows give equal
+    # distances, so ties are ranked by id
     rng = np.random.default_rng(seed)
     vectors = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
-    candidates = rng.permutation(n)[: min(m, n)].astype(np.int64)
     q = dense_vector(rng.integers(-2, 3, size=dim))
-    got = rerank(vectors, candidates, q, k, probe_count=3, pairs_scanned=11)
+    got, candidates = own_buckets_query(vectors, q, k, tables, bits, seed)
     ids, dists = rank_by_distance(
         candidates, pairwise_distances(vectors[candidates], q), k
     )
     checked = RankedResult(
         ids,
         dists,
-        probe_count=3,
+        probe_count=tables,
         shortlist_size=int(candidates.size),
-        pairs_scanned=11,
+        pairs_scanned=got.pairs_scanned,
     )
     for field in ("ids", "distances"):
         a, b = getattr(got, field), getattr(checked, field)
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not a.flags.writeable and not b.flags.writeable
-    assert (got.probe_count, got.shortlist_size, got.pairs_scanned) == (
+    assert (got.probe_count, got.shortlist_size) == (
         checked.probe_count,
         checked.shortlist_size,
-        checked.pairs_scanned,
     )
 
 
@@ -343,26 +400,47 @@ def test_rerank_result_equals_a_checked_result(n, dim, m, k, seed):
 @given(
     n=st.integers(1, 60),
     dim=st.integers(1, 9),
-    m=st.integers(0, 60),
+    bits=st.integers(1, 3),
     k=st.integers(1, 20),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rerank_ignores_the_order_of_its_candidates(n, dim, m, k, seed):
-    # the compiled shortlist hands its set over in no order: every
-    # permutation of the candidates must give the same bits. Small integer
-    # rows tie distances exactly, and half the rows repeat another row
+def test_rerank_ignores_the_order_of_its_candidates(n, dim, bits, k, seed):
+    # the compiled shortlist hands its set over in no order: tables of four
+    # seeds number the records in four internal orders, but a query that
+    # probes the whole code space shortlists every record under each, and
+    # must rank them to the same bits, the sorted (distance, id) pairs.
+    # Small integer rows tie distances exactly, and half the rows repeat
+    # another row
     rng = np.random.default_rng(seed)
     vectors = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
     copies = rng.integers(0, n, size=n // 2)
     vectors[rng.permutation(n)[: n // 2]] = vectors[copies]
     vectors[rng.random(n) < 0.3] += rng.standard_normal(dim).astype(np.float32)
-    candidates = rng.permutation(n)[: min(m, n)].astype(np.int32)
     q = dense_vector(rng.integers(-2, 3, size=dim))
-    first = rerank(vectors, candidates, q, k, probe_count=1, pairs_scanned=2)
-    for _ in range(4):
-        shuffled = rerank(
-            vectors, rng.permutation(candidates), q, k, probe_count=1, pairs_scanned=2
+    answers = set()
+    for tables_seed in range(4):
+        params = BoiParams(
+            num_tables=2, hash_bits=bits, initial_probe_count=2**bits - 1,
+            schedule="fixed", shortlist_size=n, seed=tables_seed,
         )
-        assert shuffled.ids.tobytes() == first.ids.tobytes()
-        assert shuffled.distances.tobytes() == first.distances.tobytes()
-        assert shuffled.shortlist_size == first.shortlist_size
+        got = query(build_index(VectorSet(vectors), params), q, k)
+        assert got.shortlist_size == n
+        answers.add((got.ids.tobytes(), got.distances.tobytes()))
+    assert len(answers) == 1
+    want = sorted(zip(fixed_order(vectors, q).tolist(), range(n)))[:k]
+    assert list(zip(got.distances.tolist(), got.ids.tolist())) == want
+
+
+def test_a_non_finite_value_in_the_last_row_of_many_chunks_raises():
+    # the finiteness check reads a chunk of rows at a time, the last one
+    # short, and every chunk counts
+    dim = 16
+    rows = _FINITE_CHUNK // dim
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((3 * rows + 5, dim), np.float32)
+        assert VectorSet(x.copy()).n == 3 * rows + 5
+        for row in (rows - 1, rows, 3 * rows + 4):
+            x[row, dim - 1] = bad
+            with pytest.raises(ValueError, match="vector components must be finite"):
+                VectorSet(x)
+            x[row, dim - 1] = 0.0

@@ -224,10 +224,14 @@ class TestEstimateMemory:
     def test_accumulator_four_megabytes(self):
         # 4 MB of int32 votes and 8 * touched_capacity(1M) = 1,999,872 bytes
         # of touched pairs, then the buffers that do not grow with n: dots,
-        # codes and the query (3,912), the 37-mask probe rows of 100 tables
-        # (7,400), and the block and pairs count (8 * 27)
+        # codes and the query's float32 and float64 copies (4,936), the
+        # 37-mask probe rows of 100 tables (7,400), the re-rank's 250 int64
+        # ids and float64 distances (16 * 250), and the block and two
+        # counts (8 * 33)
         est = estimate_memory(1_000_000, 128, BoiParams())
-        assert est.accumulator_bytes == 4_000_000 + 1_999_872 + 3_912 + 7_400 + 216
+        assert est.accumulator_bytes == (
+            4_000_000 + 1_999_872 + 4_936 + 7_400 + 4_000 + 264
+        )
 
     def test_default_id_width_is_addressable(self):
         # 100 tables: projections 8*128*4, a directory of 4 words of bitmap
@@ -235,7 +239,7 @@ class TestEstimateMemory:
         # int32 ids; and the order, 1M int32 record ids
         est = estimate_memory(1_000_000, 128, BoiParams())
         assert est.index_bytes == 409_600 + 107_600 + 400_000_000 + 4_000_000
-        assert est.total_bytes == 512_000_000 + 404_517_200 + 6_011_400
+        assert est.total_bytes == 512_000_000 + 404_517_200 + 6_016_472
 
     def test_scales_with_tables(self):
         n, dim, b = 1000, 16, 8
@@ -312,8 +316,8 @@ class TestEstimateMemory:
             width = index.plan.width
             assert scratch.nbytes == scratch_bytes(n, 6, 3, bits, width, eps)
             assert scratch.nbytes == estimate_memory(n, 6, params).accumulator_bytes
-            # a shortlist of n or more holds n pairs
-            assert scratch_bytes(n, 6, 3, bits, width, 10**9) - scratch.nbytes == 8 * (n - eps)
+            # a shortlist of n or more holds n pairs and n results
+            assert scratch_bytes(n, 6, 3, bits, width, 10**9) - scratch.nbytes == 24 * (n - eps)
 
     def test_validation(self):
         with pytest.raises(ValueError):

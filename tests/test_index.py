@@ -1456,7 +1456,7 @@ def test_the_one_call_refuses_shells_changed_after_binding(small_index):
     )
     shells[0] = [plan.width, 0]
     with pytest.raises(ValueError, match=r"shells must be ranges within"):
-        index.tables.scratch().query(q, mine, 5)
+        index.tables.scratch().query(q, mine, 5, data.vectors, 5)
     again = query(index, q, 5)
     assert again.ids.tobytes() == before.ids.tobytes()
     assert again.distances.tobytes() == before.distances.tobytes()
@@ -1475,7 +1475,9 @@ def test_each_stage_run_alone_does_what_the_one_call_does(bits):
     # hash, rows, vote and take, each run alone, leave the codes, dot
     # products, probe rows, pairs scanned and shortlist's set that query's
     # one call leaves, under the index's plan and a radius-1 ball; the
-    # index's plan votes densely at b = 8 and touches few blocks at b = 16
+    # index's plan votes densely at b = 8 and touches few blocks at b = 16.
+    # The one call's re-rank ranks that set as the numpy statement of the
+    # stage does, to the bit
     rng = np.random.default_rng(50 + bits)
     data = VectorSet(rng.standard_normal((5_000, 64)).astype(np.float32))
     params = BoiParams(num_tables=8, hash_bits=bits, shortlist_size=60, seed=6)
@@ -1486,10 +1488,16 @@ def test_each_stage_run_alone_does_what_the_one_call_does(bits):
     seen = set()
     for plan in (index.plan, _ball_plan(bits, params.num_tables, 1)):
         for q in queries:
-            count, pairs = scratch.query(q, plan, eps)
+            ranked, count, pairs = scratch.query(q, plan, eps, data.vectors, 10)
             fused = [a.tobytes() for a in (scratch.codes, scratch.dots, scratch.probes)]
             chosen = sorted(scratch.ids[:count].tolist())
             assert count > 0 and not scratch.votes.any()
+            ids, dists = rank_by_distance(
+                chosen, pairwise_distances(data.vectors[chosen], q), 10
+            )
+            assert ranked == min(10, count)
+            assert scratch.nearest[:ranked].tobytes() == ids.tobytes()
+            assert scratch.distances[:ranked].tobytes() == dists.tobytes()
             scratch.codes[:] = 0
             scratch.dots[:] = 0
             scratch.probes[:] = 0
@@ -1506,7 +1514,7 @@ def test_each_stage_run_alone_does_what_the_one_call_does(bits):
     assert seen == {bits == 8}
 
 
-@pytest.mark.parametrize("first, last", [(-1, 2), (0, 5), (3, 2), (5, 5), (4, 3)])
+@pytest.mark.parametrize("first, last", [(-1, 2), (0, 6), (3, 2), (6, 6), (4, 3)])
 def test_a_range_of_stages_that_is_not_one_is_refused(small_index, first, last):
     # the compiled call refuses the range before any stage runs, through
     # the scratch's one decoder of its statuses, and the votes a staged
@@ -1518,7 +1526,7 @@ def test_a_range_of_stages_that_is_not_one_is_refused(small_index, first, last):
     scratch.vote(index.plan)
     votes = scratch.votes.copy()
     assert votes.any()
-    with pytest.raises(ValueError, match=r"range of its stages within \[0, 4\]"):
+    with pytest.raises(ValueError, match=r"range of its stages within \[0, 5\]"):
         scratch._stages(first, last)
     assert scratch.votes.tobytes() == votes.tobytes()
     assert scratch.take(5) > 0 and not scratch.votes.any()
@@ -1531,7 +1539,7 @@ def test_a_query_of_no_shortlist_is_refused(small_index):
     index, data = small_index
     scratch = index.tables.scratch()
     with pytest.raises(ValueError, match="shortlist_size must be >= 1, got 0"):
-        scratch.query(data.vectors[3], index.plan, 0)
+        scratch.query(data.vectors[3], index.plan, 0, data.vectors, 5)
     with pytest.raises(ValueError, match="shortlist_size must be >= 0, got -1"):
         scratch.take(-1)
     assert len(query(index, data.vectors[3], 5)) == 5
@@ -1684,3 +1692,136 @@ class TestMarginOrder:
             assert a.distances.tobytes() == b.distances.tobytes()
             assert (a.probe_count, a.pairs_scanned) == (b.probe_count, b.pairs_scanned)
             assert accumulate(built, q).tobytes() == accumulate(loaded, q).tobytes()
+
+
+class TestRerankStage:
+    """``boi_query``'s last stage measures the shortlist's records where
+    they lie in the base vectors and keeps the k nearest, ranked by
+    (distance, record id), inside the one compiled call."""
+
+    # records 2, 4, 6 and 7 tie at distance 3 from the origin, 5 lies at 1
+    # and 1 at 0; 3 and 0 lie farthest
+    POINTS = [(9, 9), (0, 0), (3, 0), (8, 8), (0, 3), (1, 0), (-3, 0), (0, -3)]
+    ORDER = [1, 5, 2, 4, 6, 7, 3, 0]
+    DISTANCES = [0.0, 1.0, 3.0, 3.0, 3.0, 3.0, math.sqrt(128), math.sqrt(162)]
+
+    def test_ties_at_the_kth_distance_go_to_the_lowest_ids(self):
+        # whatever the internal order the tables' seed numbers the records
+        # in, and so the order the shortlist hands them over in
+        data = VectorSet(np.array(self.POINTS, np.float32))
+        q = np.zeros(2, np.float32)
+        for seed in range(4):
+            params = BoiParams(
+                num_tables=3, hash_bits=2, initial_probe_count=3, schedule="fixed",
+                shortlist_size=8, seed=seed,
+            )
+            index = build_index(data, params)
+            for k in range(1, 9):
+                got = query(index, q, k)
+                ball = multiprobe_lsh_query(index.tables, data, q, 2, 8, k)
+                for res in (got, ball):
+                    assert res.ids.tolist() == self.ORDER[:k]
+                    assert res.distances.tolist() == self.DISTANCES[:k]
+                    assert res.shortlist_size == 8
+
+    def test_k_at_or_above_the_shortlist_and_k_of_1(self, small_index):
+        # a shortlist of 4 ranks all 4 for any k of 4 or more, and its
+        # nearest alone for k = 1, as the numpy statement of the stage does
+        index, data = small_index
+        params = dataclasses.replace(index.params, shortlist_size=4)
+        four = BoiIndex(params, index.tables, data)
+        for qi in range(5):
+            q = data.vectors[qi] + np.float32(0.1)
+            c = shortlist(accumulate(four, q), 4)
+            assert c.size == 4
+            ids, dists = rank_by_distance(c, pairwise_distances(data.vectors[c], q), 4)
+            for k in (1, 3, 4, 5, 400):
+                res = query(four, q, k)
+                assert len(res) == min(k, 4) and res.shortlist_size == 4
+                assert res.ids.tobytes() == ids[:k].tobytes()
+                assert res.distances.tobytes() == dists[:k].tobytes()
+
+    def test_an_empty_shortlist_gives_an_empty_result(self):
+        # every record lies opposite the query, so no table's own bucket
+        # of the query holds one
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(6).astype(np.float32)
+        data = VectorSet(np.tile(v, (20, 1)))
+        params = BoiParams(num_tables=3, hash_bits=4, initial_probe_count=0, seed=2)
+        index = build_index(data, params)
+        for res in (
+            query(index, -v, 5),
+            multiprobe_lsh_query(index.tables, data, -v, 0, 10, 5),
+        ):
+            assert len(res) == 0 and res.shortlist_size == 0
+            assert res.ids.dtype == np.int64 and res.distances.dtype == np.float64
+        assert query(index, v, 5).ids.tolist() == [0, 1, 2, 3, 4]
+
+    def test_two_threads_rank_as_one(self, mixed_index):
+        # the re-rank reads the shared base vectors with the GIL released:
+        # two threads, switching often, give every query the ids and
+        # distance bits a serial run gives it, for boi and multi-probe LSH
+        index, data = mixed_index
+
+        def ranked(qi):
+            q = data.vectors[qi] + np.float32(0.01)
+            a = query(index, q, 10, qi)
+            b = multiprobe_lsh_query(index.tables, data, q, 1, 40, 10)
+            return [r.ids.tobytes() + r.distances.tobytes() for r in (a, b)]
+
+        queries = range(0, 3000, 37)
+        serial = [ranked(qi) for qi in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(ranked, queries, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_ranges_that_end_before_the_rerank_leave_its_results(self, small_index):
+        # [0, last) for every last up to the re-rank leaves the results
+        # alone; the re-rank run alone then ranks the set the touched pass
+        # left, as the one call does
+        index, data = small_index
+        scratch = index.tables.scratch()
+        q = data.vectors[3]
+        ranked, count, _ = scratch.query(q, index.plan, 50, data.vectors, 5)
+        want = scratch.nearest[:ranked].tobytes(), scratch.distances[:ranked].tobytes()
+        for last in range(vote._RERANK + 1):
+            scratch.nearest[:] = -1
+            scratch.distances[:] = -1.0
+            status = scratch._stages(vote._HASH, last, 50, 5)
+            assert status == (count if last == vote._RERANK else 0)
+            assert (scratch.nearest == -1).all() and (scratch.distances == -1.0).all()
+        assert scratch._stages(vote._RERANK, vote._STAGES, 0, 5) == ranked
+        got = scratch.nearest[:ranked].tobytes(), scratch.distances[:ranked].tobytes()
+        assert got == want
+        assert not scratch.votes.any()
+
+    def test_every_refusal_of_the_rerank_is_decoded(self, mixed_index):
+        # no base vectors bound, a negative k, and more records to rank than
+        # the results hold, each refused by the compiled call and raised
+        index, data = mixed_index
+        tables = index.tables
+        fresh = vote.QueryScratch(tables.sign_filter, tables.gather_vote, tables.order)
+        with pytest.raises(ValueError, match="the re-rank needs base vectors bound"):
+            fresh._stages(vote._RERANK, vote._STAGES, 0, 5)
+        assert fresh.query(data.vectors[0], index.plan, 1, data.vectors, 1)[0] == 1
+        with pytest.raises(ValueError, match="a k of 0 or more"):
+            fresh._stages(vote._RERANK, vote._STAGES, 0, -1)
+        for qi in range(20):
+            fresh.hash(data.vectors[qi])
+            fresh.rows(index.plan)
+            fresh.vote(index.plan)
+            m = fresh.take()
+            if m >= 2:
+                break
+            fresh.clear()
+        assert m >= 2
+        with pytest.raises(ValueError, match="room for its results: 1 of them"):
+            fresh._stages(vote._RERANK, vote._STAGES, 0, 2)
+        assert fresh._stages(vote._RERANK, vote._STAGES, 0, 1) == 1
+        with pytest.raises(ValueError, match=r"range of its stages within \[0, 5\]"):
+            fresh._stages(vote._RERANK, vote._STAGES + 1, 0, 1)

@@ -97,6 +97,20 @@ def _is_permutation(ids: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+_ONE = np.uint64(1)
+# the masks of a broadword popcount: 0x55.., 0x33.., 0x0f.. and 0x01..
+_M1, _M2, _M4, _H01 = (np.uint64(b * 0x0101010101010101) for b in (0x55, 0x33, 0x0F, 1))
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 of ``words`` (intp), as the vote kernel's
+    broadword ``popcount`` counts them (numpy 1.24 has no bitwise_count)."""
+    x = words - ((words >> _ONE) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return ((x * _H01) >> np.uint64(56)).astype(np.intp)
+
+
 def _check_shapes(
     projections: np.ndarray,
     bitmap: np.ndarray,
@@ -153,9 +167,10 @@ class ProjectionTable:
     16 of rank and 4 a non-empty bucket, where dense CSR offsets would hold
     4 a code: at b = 16 over 100k records, about 13 KB a table against
     256 KB. ``piece`` gives a table's piece of offsets, and ``buckets``
-    lists a table's non-empty buckets with it; ``buckets`` is the one
-    Python reader of the bitmap, ``bucket`` reads through it, and
-    ``occupancy_summary`` reads the offsets alone.
+    lists a table's non-empty buckets with it; ``bucket`` finds each
+    (table, code) pair's bucket through the rank and one word of the
+    bitmap, as the vote kernel does, and ``occupancy_summary`` reads the
+    offsets alone.
     ``members`` (L, n) int32: row t holds every internal id grouped by
     table t's bucket code, ascending within a bucket.
     ``order`` (n,) int32, a permutation of 0..n-1: internal id i is record
@@ -295,9 +310,8 @@ class ProjectionTable:
     def buckets(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Table t's non-empty buckets: their codes, ascending (intp), and
         the table's ``piece`` of offsets, one value more, so that bucket
-        ``codes[i]`` holds ``members[t, piece[i]:piece[i + 1]]``. This is
-        the one reader of the bitmap in Python. Raises ValueError for a t
-        outside [0, L)."""
+        ``codes[i]`` holds ``members[t, piece[i]:piece[i + 1]]``. Raises
+        ValueError for a t outside [0, L)."""
         piece = self.piece(t)
         bits = self.bitmap[t].astype("<u8").view(np.uint8)
         return np.flatnonzero(np.unpackbits(bits, bitorder="little")), piece
@@ -305,10 +319,13 @@ class ProjectionTable:
     def bucket(self, tables, codes) -> np.ndarray:
         """Record ids of bucket ``codes[i]`` of table ``tables[i]``, for
         every i, concatenated in that order (int32). Within a bucket they
-        follow its internal ids, which ascend. Each table is read once,
-        through ``buckets``. Raises ValueError unless ``tables`` and
-        ``codes`` are 1-D and of one length, for a table outside [0, L)
-        and for a code outside [0, 2**bits)."""
+        follow its internal ids, which ascend. Each pair's bucket is found
+        as the vote kernel finds it: position ``rank[t, c >> 6]`` in
+        ``offsets``, plus the set bits of word ``bitmap[t, c >> 6]`` below
+        bit c & 63, which is set iff the bucket holds a record. Raises
+        ValueError unless ``tables`` and ``codes`` are 1-D and of one
+        length, for a table outside [0, L) and for a code outside
+        [0, 2**bits)."""
         tables = np.asarray(tables, dtype=np.intp)
         codes = np.asarray(codes, dtype=np.intp)
         if tables.ndim != 1 or tables.shape != codes.shape:
@@ -317,13 +334,15 @@ class ProjectionTable:
             )
         if codes.size and not 0 <= codes.min() <= codes.max() < self.num_buckets:
             raise ValueError(f"a code is not in [0, 2**{self.bits})")
-        # a code absent from the table's codes finds the empty [start, start)
-        starts, stops = np.empty_like(codes), np.empty_like(codes)
-        for t in np.unique(tables).tolist():
-            pick = tables == t
-            nonempty, piece = self.buckets(t)
-            starts[pick] = piece[np.searchsorted(nonempty, codes[pick])]
-            stops[pick] = piece[np.searchsorted(nonempty, codes[pick], side="right")]
+        outside = tables[(tables < 0) | (tables >= self.num_tables)]
+        if outside.size:
+            raise ValueError(f"table {outside[0]} is not in [0, {self.num_tables})")
+        w, bit = codes >> 6, (codes & 63).astype(np.uint64)
+        words = self.bitmap[tables, w]
+        at = self.rank[tables, w] + _popcount(words & ((_ONE << bit) - _ONE))
+        # a code whose bit is clear finds the empty [start, start)
+        starts = self.offsets[at]
+        stops = self.offsets[at + (words >> bit & _ONE).astype(np.intp)]
         rows = self.members
         return self.order[
             np.concatenate(

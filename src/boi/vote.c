@@ -90,7 +90,7 @@
  * last, partly probed shell ordered by the query's margins (its own
  * comment, below).
  *
- * Seven entry points are exported, each with one caller in vote.py:
+ * Eight entry points are exported, each with one caller in vote.py:
  *   boi_bucket_sort builds one table of the index: hashing.insert_all
  *     hashed the codes into ``members``, and one counting sort turns them
  *     into the internal ids of every bucket, ascending within a bucket,
@@ -105,17 +105,21 @@
  *     product (hashing.hash_codes_all) into codes, recomputing in float64
  *     each sign the float32 error bound cannot decide;
  *   boi_distances measures rows from a query in the fixed order of the
- *     exact distance, for core.pairwise_distances and so for the oracle,
- *     core.brute_force_query;
+ *     exact distance, for core.pairwise_distances;
+ *   boi_nearest ranks every row of the base vectors by that distance and
+ *     keeps the k nearest, for the oracle, core.brute_force_query; it
+ *     measures only the rows a float32 filter cannot prove too far;
  *   boi_query runs a query's stages in one fixed order: its dot products
  *     and the sign filter, the probe rows, the gather+vote, the touched
- *     pass with its selection and the re-rank by exact distance, on the
- *     addresses and sizes of one thread's scratch, one probe plan and the
- *     base vectors, bound once in an int64 block. A query runs all five in
- *     one call; index.accumulate runs the first four one call at a time,
- *     so that the benchmark can time each.
+ *     pass with its selection and the re-rank by exact distance, through
+ *     the same filter as boi_nearest, on the addresses and sizes of one
+ *     thread's scratch, one probe plan and the base vectors, bound once in
+ *     an int64 block. A query runs all five in one call; index.accumulate
+ *     runs the first four one call at a time, so that the benchmark can
+ *     time each.
  * Each has its own comment below.
  */
+#include <float.h> /* FLT_MAX */
 #include <math.h> /* INFINITY, fabsf and sqrt, which need no libm (sqrt
                    * under -fno-math-errno) */
 #include <stdint.h>
@@ -1123,12 +1127,14 @@ int64_t boi_hash_codes(
 
 /* Exact distances: the Euclidean distance from a float64 query to float32
  * rows, each summed in one fixed order (``distance``), and the k nearest of
- * a set of record ids, in ascending (distance, record id) (``nearest``),
- * the order core.rank_by_distance ranks them in. boi_distances measures
- * every row of an array for core.pairwise_distances, and so for
- * core.brute_force_query; boi_query's RERANK stage measures a shortlist's
- * rows where they lie and ranks them. Both run ``distance``, so the oracle
- * and every bucketed query measure a record to the same bits.
+ * a set of rows, in ascending (distance, record id) (``nearest``), the
+ * order core.rank_by_distance ranks them in. boi_distances measures every
+ * row of an array for core.pairwise_distances; boi_nearest ranks every row
+ * of the base vectors for core.brute_force_query, and boi_query's RERANK
+ * stage a shortlist's rows where they lie. All three run ``distance``, so
+ * the oracle and every bucketed query measure a record to the same bits;
+ * the two that rank skip, by a float32 filter (``nearest``), only rows
+ * that ``distance`` would place after the k-th.
  */
 
 /* The float64 distance from row x (float32) to q (float64), dim values
@@ -1141,7 +1147,33 @@ int64_t boi_hash_codes(
  * rounded before it is added, and with -fno-math-errno, so sqrt is the one
  * instruction and calls nothing in libm. A float32 row's squares stay far
  * below float64's overflow, even at float32's largest magnitude. The lanes
- * are independent sums, so the loop vectorises with no reassociation. */
+ * are independent sums, so the loop vectorises with no reassociation.
+ *
+ * The bound the filter (``nearest``) rests on, for a float32 query q, so
+ * that (double)q[i] is exact, and dim + 2 < 2**23. Let D be the exact
+ * sum of (x[i] - q[i])**2, u = 2**-24 and t = (dim + 2) * u.
+ *   square32 rounds each difference, its square and dim - 1 sums, dim + 2
+ *     roundings on any term's path, each within a factor 1 + u while no
+ *     value overflows (Higham, "Accuracy and Stability of Numerical
+ *     Algorithms", 2002, ch. 3: gamma_{dim+2} = t / (1 - t)). A difference
+ *     that lands among the subnormals is exact, but a square may underflow,
+ *     off by at most 2**-150, which the sum can enlarge by less than 1 +
+ *     gamma: so its S <= D / (1 - t) + dim * 2**-149, and D >= (S - dim *
+ *     2**-149) * (1 - t).
+ *   ``distance`` computes D64 >= D * (1 - 2**-29): its differences,
+ *     squares and sums round the same way in float64, dim + 2 times on a
+ *     path, and nothing over- or underflows there.
+ *   For the k-th distance e so far (a value ``distance`` returned, so 0 or
+ *     at least 2**-149), the filter skips a row only when the float64
+ *     (double)S - dim * 2**-149 exceeds e * e * scale, scale = (1 + 2**-20)
+ *     / (1 - t), each of those four operations rounded once. Then D64 >
+ *     e**2 * (1 + 2**-20) * (1 - 2**-51) * (1 - 2**-29) > e**2 * (1 +
+ *     2**-51), so sqrt(D64) > e * (1 + 2**-52), which is at or above the
+ *     next float64 after e; and a correctly rounded sqrt is then above e.
+ *     The row's distance exceeds e, so it would not enter the heap.
+ *   A row whose float32 difference, square or sum overflows has S = +inf
+ *     and is always measured; at t >= 1/2 no row is skipped.
+ */
 static double distance(const float *x, const double *q, int64_t dim)
 {
     const int64_t whole = dim - dim % LANES;
@@ -1159,6 +1191,27 @@ static double distance(const float *x, const double *q, int64_t dim)
         sum += d * d;
     }
     return sqrt(sum);
+}
+
+/* The float32 squared distance from row x to q, dim values each, summed in
+ * ``dot``'s order: the filter's estimate (``distance``'s bound). */
+static float square32(const float *x, const float *q, int64_t dim)
+{
+    const int64_t whole = dim - dim % LANES;
+    float lane[LANES] = {0};
+    for (int64_t i = 0; i < whole; i += LANES) {
+        for (int64_t k = 0; k < LANES; k++) {
+            const float d = x[i + k] - q[i + k];
+            lane[k] += d * d;
+        }
+    }
+    float sum = ((lane[0] + lane[1]) + (lane[2] + lane[3]))
+        + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    for (int64_t i = whole; i < dim; i++) {
+        const float d = x[i] - q[i];
+        sum += d * d;
+    }
+    return sum;
 }
 
 /* Whether (d, id) ranks before (e, other): the lower distance first, then
@@ -1202,48 +1255,77 @@ static inline void fetch(int64_t n, int64_t dim, const float *vectors, int64_t i
         __builtin_prefetch(row + b);
 }
 
-/* The r = min(k, count) rows nearest to ``query`` of the record ids
- * ids[0..count), in ascending (distance, record id), into top[0..r) and
- * top_dist[0..r); returns r, or -1 for an id outside [0, n). Row id is
- * read where it lies in ``vectors`` (n, dim), with no gather. One pass
- * measures each row and streams it through a max-heap of r entries, held
- * in the output: the first r fill it, and a later row replaces the root
- * when it ranks before it. A heapsort then puts the r in order. Ids are
- * distinct, so the order is total, and the answer depends on the set of
- * ids alone, not on their order. Nothing is allocated.
+/* The r = min(k, count) rows nearest to the query of the record ids
+ * ids[0..count), or of rows 0..count-1 when ``ids`` is NULL, in ascending
+ * (distance, record id), into top[0..r) and top_dist[0..r); returns how
+ * many rows it measured with ``distance``, or -1 for an id outside [0, n).
+ * The query is given twice, as float32 ``x`` and as ``query``, its exact
+ * float64 copy. Row id is read where it lies in ``vectors`` (n, dim), with
+ * no gather. One pass streams each row through a max-heap of r entries,
+ * held in the output: the first r fill it, and a later row replaces the
+ * root when it ranks before it. A heapsort then puts the r in order. Ids
+ * are distinct, so the order is total, and the answer depends on the set
+ * of ids alone, not on their order. Nothing is allocated.
+ *
+ * The filter (a floating-point filter, as in Shewchuk's robust predicates
+ * and boi_hash_codes): once the heap is full, each row first gets its
+ * float32 square32, and ``distance`` measures it unless the bound stated
+ * there proves its distance above the root's, the k-th so far. Such a row
+ * could not enter the heap, and every row that could is measured, so the
+ * answer is the bits the unfiltered pass gives. ``reach`` is the float64
+ * limit on (double)S - slack that the filter tests, +inf while the heap
+ * fills or when the bound does not hold (dim + 2 >= 2**23).
  *
  * A shortlist's rows lie scattered over the base vectors and are cold
  * after the vote, so each row's lines are asked for AHEAD rows before it
  * is measured, and AHEAD rows arrive at once instead of one after
  * another. On the benchmark's seed-1 data the stage took 0.125 ms a query
  * without it and 0.05 ms with it, at b = 8 and b = 16; 2 to 16 rows ahead
- * were alike within the noise. */
+ * were alike within the noise. Rows 0..count-1 are read in order, which
+ * the hardware prefetches unasked. */
 #define AHEAD 8
 
 static int64_t nearest(
-    int64_t n, int64_t dim, const float *vectors, const double *query,
+    int64_t n, int64_t dim, const float *vectors, const float *x, const double *query,
     int64_t count, const int32_t *ids, int64_t k, int64_t *top, double *top_dist)
 {
     const int64_t r = k < count ? k : count;
+    const double relative = (double)(dim + 2) * 0x1p-24;
+    const double scale = relative < 0.5 ? (1.0 + 0x1p-20) / (1.0 - relative) : 0.0;
+    const double slack = (double)dim * 0x1p-149;
+    double reach = INFINITY;
+    int64_t measured = 0;
     for (int64_t i = 0; i < count; i++) {
-        const int64_t id = ids[i];
+        const int64_t id = ids ? ids[i] : i;
         if (id < 0 || id >= n)
             return -1;
-        if (i + AHEAD < count)
+        if (ids && i + AHEAD < count)
             fetch(n, dim, vectors, ids[i + AHEAD]);
-        const double d = distance(vectors + id * dim, query, dim);
+        const float *const row = vectors + id * dim;
         if (i < r) {
             top[i] = id;
-            top_dist[i] = d;
-            if (i == r - 1) {
-                for (int64_t at = r / 2; at-- > 0;)
-                    sink(top, top_dist, r, at);
-            }
-        } else if (before(d, id, top_dist[0], top[0])) {
+            top_dist[i] = distance(row, query, dim);
+            measured++;
+            if (i < r - 1)
+                continue;
+            for (int64_t at = r / 2; at-- > 0;)
+                sink(top, top_dist, r, at);
+        } else {
+            if (r == 0)
+                continue;
+            const float s = reach < INFINITY ? square32(row, x, dim) : INFINITY;
+            if (s <= FLT_MAX && (double)s - slack > reach)
+                continue;
+            const double d = distance(row, query, dim);
+            measured++;
+            if (!before(d, id, top_dist[0], top[0]))
+                continue;
             top[0] = id;
             top_dist[0] = d;
             sink(top, top_dist, r, 0);
         }
+        if (scale > 0.0)
+            reach = top_dist[0] * top_dist[0] * scale;
     }
     for (int64_t size = r - 1; size > 0; size--) {
         const int64_t id = top[0];
@@ -1254,7 +1336,7 @@ static int64_t nearest(
         top_dist[size] = d;
         sink(top, top_dist, size, 0);
     }
-    return r;
+    return measured;
 }
 
 /* The distance from ``q`` (dim,) to each of the n rows of ``rows`` (n,
@@ -1273,6 +1355,25 @@ int64_t boi_distances(
     return 0;
 }
 
+/* The min(k, n) rows of ``rows`` (n, dim) nearest to the query, as record
+ * ids 0..n-1 in ascending (distance, id), into top and top_dist, by
+ * ``nearest`` over every row: the query is ``x`` (dim,) float32 and
+ * ``query``, its exact float64 copy. Returns how many rows ``distance``
+ * measured, or -1 for a negative size. */
+int64_t boi_nearest(
+    int64_t n, int64_t dim,
+    const float *rows,                  /* (n, dim) */
+    const float *x,                     /* (dim,) */
+    const double *query,                /* (dim,) */
+    int64_t k,
+    int64_t *top,                       /* (min(k, n),) */
+    double *top_dist)                   /* (min(k, n),) */
+{
+    if (n < 0 || dim < 0 || k < 0)
+        return -1;
+    return nearest(n, dim, rows, x, query, n, NULL, k, top, top_dist);
+}
+
 /* A query's stages, in one fixed order:
  *   HASH: the query's dot products, each in the order of ``dot``, then the
  *     sign filter (boi_hash_codes), into the scratch's dots and codes;
@@ -1283,8 +1384,9 @@ int64_t boi_distances(
  *     ``shortlist_size`` is 1 or more, dense votes included (touched_votes);
  *     counts[1] gets the number of pairs it leaves at the front of ``ids``;
  *   RERANK: the min(k, counts[1]) records of those ids nearest to the
- *     query, ranked (nearest), from the base vectors bound in the block and
- *     a float64 copy of the query it makes in the scratch, into the
+ *     query, ranked (nearest, its float32 filter reading the query's
+ *     float32 ``x``), from the base vectors bound in the block and a
+ *     float64 copy of the query it makes in the scratch, into the
  *     scratch's nearest ids and their distances.
  * boi_query runs stages [first, last), each as above, and a stage reads
  * what the stages before it left in the scratch, counts[1] included.
@@ -1392,10 +1494,12 @@ int64_t boi_query(
         double *const query = AT(double, Q_QUERY);
         for (int64_t j = 0; j < dim; j++)
             query[j] = x[j];
-        const int64_t ranked = nearest(
-            n, dim, vectors, query, count, ids, k, AT(int64_t, Q_NEAREST),
-            AT(double, Q_DISTANCES));
-        return ranked < 0 ? -4 : ranked;
+        if (nearest(
+                n, dim, vectors, x, query, count, ids, k, AT(int64_t, Q_NEAREST),
+                AT(double, Q_DISTANCES))
+            < 0)
+            return -4;
+        return k < count ? k : count;
     }
     return 0;
 }

@@ -3,12 +3,13 @@ which runs a query's stages (its dot products and sign filter, the probe
 rows, the gather+vote kernel, the pass that selects the shortlist's set
 from the votes, touched or dense, and the re-rank of that set by exact
 distance), ``boi_distances``, which measures rows from a query in the same
-fixed order for ``core.pairwise_distances`` and the brute-force oracle,
-the counting sort ``hashing.insert_all`` buckets its records with, the
-table-record checks ``data_io.load_index`` runs, the directory check
+fixed order for ``core.pairwise_distances``, ``boi_nearest``, which ranks
+every row the same way for the brute-force oracle, the counting sort
+``hashing.insert_all`` buckets its records with, the table-record checks
+``data_io.load_index`` runs, the directory check
 ``hashing.ProjectionTable`` runs, and the sign filter
 ``hashing.hash_codes_all`` turns a build's float32 dot products into codes
-with. These seven are all the library exports, besides two constants.
+with. These eight are all the library exports, besides two constants.
 
 A table's buckets are found through a directory of its non-empty buckets
 (``vote.c``'s header comment): a ``bitmap`` of its non-empty codes in
@@ -20,10 +21,11 @@ table's piece of offsets, and returns the piece's length; the snapshot
 check (``TableCheck``) turns a table's bucket sizes into its piece in
 place, in the index's own offsets. The ``rank`` of each word, the
 position in ``offsets`` of its first non-empty bucket, is derived from
-the bitmap alone, by ``check_directory``. Only the kernel counts the set
-bits below a code within its word; in Python,
-``hashing.ProjectionTable.piece`` alone reads the rank and ``buckets``
-alone the bitmap, a table at a time.
+the bitmap alone, by ``check_directory``. The kernel counts the set bits
+below a code within its word, and so, in numpy and in the same broadword
+way, does ``hashing.ProjectionTable.bucket``, which lists the records of
+given (table, code) pairs; ``piece`` reads the rank, and ``buckets`` the
+bitmap, a table at a time.
 
 The source is compiled with the system ``cc`` the first time the package
 is imported, into ``$XDG_CACHE_HOME/boi`` (``~/.cache/boi`` when that is
@@ -50,7 +52,9 @@ in one call, from the vector to the ranked answer; ``hash``, ``rows``,
 staged path runs the same compiled stages as the query. A query's dot
 products and its exact distances are summed in ``vote.c``, each in one
 fixed order, so no BLAS decides its margins and no numpy version its
-distances.
+distances. The re-rank and the oracle measure a row in float64 only when
+a float32 filter cannot prove it farther than the k-th nearest so far
+(``vote.c``'s ``nearest``), which changes no bit of their answers.
 """
 
 from __future__ import annotations
@@ -133,10 +137,10 @@ def build_library(cache_dir, source=SOURCE) -> Path:
 
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
-    and result types of its seven entry points declared:
+    and result types of its eight entry points declared:
     ``boi_bucket_sort``, ``boi_table_buckets``, ``boi_check_table``,
-    ``boi_check_directory``, ``boi_hash_codes``, ``boi_distances`` and
-    ``boi_query``."""
+    ``boi_check_directory``, ``boi_hash_codes``, ``boi_distances``,
+    ``boi_nearest`` and ``boi_query``."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
@@ -198,6 +202,16 @@ def load_library(cache_dir) -> ctypes.CDLL:
         address,  # query
         address,  # out
     ]
+    library.boi_nearest.argtypes = [
+        i64,  # n
+        i64,  # dim
+        address,  # rows
+        address,  # the query, float32
+        address,  # the query, its float64 copy
+        i64,  # k
+        address,  # ids out
+        address,  # distances out
+    ]
     library.boi_query.argtypes = [
         address,  # the bound block (QueryScratch)
         i64,  # first stage
@@ -213,6 +227,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         library.boi_check_directory,
         library.boi_hash_codes,
         library.boi_distances,
+        library.boi_nearest,
         library.boi_query,
     ):
         entry.restype = i64
@@ -561,6 +576,32 @@ def row_distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
         _address(out, np.float64, (n,), writable=True),
     )
     return out
+
+
+def nearest_rows(rows: np.ndarray, x: np.ndarray, k: int) -> tuple:
+    """(ids, distances, measured): the min(k, n) rows of ``rows`` (n, dim)
+    float32 nearest to ``x`` (dim,) float32, both C-contiguous and aligned,
+    as int64 row numbers and float64 distances in ascending (distance, row
+    number), each distance the bits ``row_distances`` gives; and how many
+    rows were measured in float64, the others skipped by ``boi_nearest``'s
+    float32 filter. Raises ValueError, naming the array, when a type, shape
+    or layout disagrees, or for a negative k."""
+    n, dim = rows.shape
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    size = min(k, n)
+    ids, distances = np.empty(size, np.int64), np.empty(size, np.float64)
+    query = x.astype(np.float64)
+    measured = _library.boi_nearest(
+        n, dim,
+        _address(rows, np.float32, (n, dim)),
+        _address(x, np.float32, (dim,)),
+        _address(query, np.float64, (dim,)),
+        k,
+        _address(ids, np.int64, (size,), writable=True),
+        _address(distances, np.float64, (size,), writable=True),
+    )
+    return ids, distances, measured
 
 
 # the touched pass takes the votes out while at most 1/_TOUCHED_SHARE of

@@ -8,11 +8,14 @@ from boi.core import (
     BoiParams,
     RankedResult,
     VectorSet,
+    brute_force_query,
     dense_vector,
     pairwise_distances,
     rank_by_distance,
 )
 from boi.index import accumulate, build_index, query, shortlist
+from boi.synth import SynthSpec, generate
+from boi.vote import nearest_rows
 
 
 def l2_distance(a, b) -> float:
@@ -429,6 +432,159 @@ def test_rerank_ignores_the_order_of_its_candidates(n, dim, bits, k, seed):
     assert len(answers) == 1
     want = sorted(zip(fixed_order(vectors, q).tolist(), range(n)))[:k]
     assert list(zip(got.distances.tolist(), got.ids.tolist())) == want
+
+
+# The float32 filter in front of the exact distances (``vote.c``'s
+# ``nearest``): brute force and a query's re-rank measure a row in float64
+# only when its float32 distance, with its error bound, could still reach
+# the k nearest so far. Each answer must be the bits of the unfiltered
+# ``pairwise_distances`` ranked by ``rank_by_distance``.
+
+FLT_MAX = float(np.finfo(np.float32).max)
+FLT_TRUE_MIN = 2.0**-149  # float32's smallest subnormal
+
+
+def filter_case(kind: str, n: int, dim: int, rng) -> np.ndarray:
+    """n float32 rows of dim values of one ``kind``: ``normal`` at a random
+    scale; ``ties``, small integers, half the rows copies of others, so
+    distances tie at the k-th; ``huge``, multiples of float32's largest
+    value, whose float32 differences and squares overflow; ``tiny``,
+    multiples of its smallest subnormal, whose differences are subnormal and
+    whose squares underflow to 0, or of 2**-94, whose squares round to a
+    subnormal, a third of the rows moved 1.0 away so that the filter has
+    rows to skip."""
+    if kind == "normal":
+        rows = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4)
+    elif kind == "ties":
+        rows = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+        rows[rng.permutation(n)[: n // 2]] = rows[rng.integers(0, n, size=n // 2)]
+    elif kind == "huge":
+        rows = rng.choice([-1.0, -0.5, 0.0, 0.75, 1.0], size=(n, dim)) * FLT_MAX
+    else:
+        step = rng.choice([FLT_TRUE_MIN, 2.0**-94])
+        rows = rng.integers(-(2**20), 2**20, size=(n, dim)) * step
+        rows[rng.random(n) < 1 / 3] += 1.0
+    return rows.astype(np.float32)
+
+
+def unfiltered(rows, q, k):
+    """The checked answer: every row measured, then ranked."""
+    return rank_by_distance(np.arange(len(rows)), pairwise_distances(rows, q), k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["normal", "ties", "huge", "tiny"]),
+    n=st.integers(2, 40),
+    dim=st.sampled_from([1, 7, 8, 9, 129]),
+    k_of=st.sampled_from(["1", "10", "n-1", "n", "n+3"]),
+    on_a_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_filtered_scan_and_rerank_equal_the_unfiltered_bits(kind, n, dim, k_of, on_a_row, seed):
+    # brute force, and a query that probes the whole code space and so
+    # re-ranks every record, give the ids and distance bits of the
+    # unfiltered pass, for a query drawn like the rows or equal to one of
+    # them (distance 0)
+    rng = np.random.default_rng(seed)
+    k = {"1": 1, "10": 10, "n-1": n - 1, "n": n, "n+3": n + 3}[k_of]
+    rows = filter_case(kind, n, dim, rng)
+    q = rows[rng.integers(n)].copy() if on_a_row else filter_case(kind, 1, dim, rng)[0]
+    ids, distances = unfiltered(rows, q, k)
+    exact = brute_force_query(VectorSet(rows), q, k)
+    assert exact.ids.tolist() == ids.tolist()
+    assert bits_of(exact.distances) == bits_of(distances)
+    params = BoiParams(
+        num_tables=2, hash_bits=2, initial_probe_count=3, schedule="fixed",
+        shortlist_size=n, seed=seed,
+    )
+    got = query(build_index(VectorSet(rows), params), q, k)
+    assert got.shortlist_size == n
+    assert got.ids.tolist() == ids.tolist()
+    assert bits_of(got.distances) == bits_of(distances)
+
+
+def test_rows_tied_at_the_kth_distance_are_all_measured():
+    # copies of one row tie at every rank, so none can be skipped and the
+    # lowest ids win; a far row is skipped once the heap holds the ties
+    rows = np.zeros((12, 9), np.float32)
+    rows[:] = np.arange(9, dtype=np.float32)
+    rows[5] += 100.0
+    q = np.full(9, 0.5, np.float32)
+    ids, distances, measured = nearest_rows(rows, q, 4)
+    assert ids.tolist() == [0, 1, 2, 3]
+    assert len(set(distances.tolist())) == 1
+    assert measured == 11
+
+
+def test_the_filter_skips_every_row_that_cannot_reach_the_k_nearest():
+    # rows whose distance doubles from one to the next are measured only
+    # while the heap fills; rows ever nearer each enter it, so all are
+    # measured; the answers are the unfiltered ones either way
+    k, dim = 5, 8
+    scales = 2.0 ** np.arange(40)
+    rising = (scales[:, None] * np.ones(dim)).astype(np.float32)
+    q = np.zeros(dim, np.float32)
+    for rows, want in ((rising, k), (rising[::-1].copy(), len(rising))):
+        ids, distances, measured = nearest_rows(rows, q, k)
+        assert measured == want
+        checked_ids, checked = unfiltered(rows, q, k)
+        assert ids.tolist() == checked_ids.tolist()
+        assert bits_of(distances) == bits_of(checked)
+
+
+def test_rows_within_the_bound_of_the_kth_distance_are_measured():
+    # at dim 1 the k-th distance 1.0 squares to 1.0, and row 1 + j * 2**-23
+    # squares in float32 to 1 + j * 2**-22; the bound's margin on a square
+    # is (1 + 2**-20) / (1 - 3 * 2**-24) - 1, about 1.19 * 2**-20, so rows
+    # j = 1..4 are measured (and do not enter), and rows j = 5..8 not
+    rows = (1.0 + np.arange(9) * 2.0**-23).astype(np.float32)[:, None]
+    q = np.zeros(1, np.float32)
+    ids, distances, measured = nearest_rows(rows, q, 1)
+    assert ids.tolist() == [0] and distances.tolist() == [1.0]
+    assert measured == 5
+
+
+def test_a_square_that_underflows_upward_does_not_hide_a_nearer_row():
+    # both rows' float32 squares, 0.8 and 0.7 times 2**-149, round up to
+    # 2**-149, above the first row's exact square: only the underflow term
+    # of the bound keeps the second, nearer row from being skipped
+    rows = np.array([[0.8**0.5 * 2.0**-74.5], [0.7**0.5 * 2.0**-74.5]], np.float32)
+    q = np.zeros(1, np.float32)
+    assert (rows.astype(np.float32) ** 2).tolist() == [[2.0**-149]] * 2
+    ids, distances, measured = nearest_rows(rows, q, 1)
+    assert ids.tolist() == [1] and measured == 2
+    checked_ids, checked = unfiltered(rows, q, 1)
+    assert ids.tolist() == checked_ids.tolist()
+    assert bits_of(distances) == bits_of(checked)
+
+
+def test_brute_force_measures_under_two_percent_of_a_clustered_set():
+    # a bound that stopped filtering would still answer right; this count
+    # is what shows it. On 32 tight clusters of 20k rows, each query's
+    # scan measures its heap's first 10 rows and the few that can still
+    # reach its 10 nearest
+    database, queries, truth = generate(
+        SynthSpec(n=20_000, dim=128, num_queries=20, seed=3, gt_k=10)
+    )
+    for q, want in zip(queries.vectors, truth.neighbors):
+        ids, distances, measured = nearest_rows(database.vectors, q, 10)
+        assert ids.tolist() == want.tolist()
+        assert 10 <= measured < 0.02 * database.n
+        checked_ids, checked = unfiltered(database.vectors, q, 10)
+        assert ids.tolist() == checked_ids.tolist()
+        assert bits_of(distances) == bits_of(checked)
+
+
+def test_nearest_rows_refuses_a_negative_k_and_ranks_none_at_zero():
+    rows = np.ones((3, 2), np.float32)
+    q = np.zeros(2, np.float32)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        nearest_rows(rows, q, -1)
+    ids, distances, measured = nearest_rows(rows, q, 0)
+    assert ids.size == distances.size == measured == 0
+    with pytest.raises(ValueError, match="float32"):
+        nearest_rows(rows.astype(np.float64), q, 1)
 
 
 def test_a_non_finite_value_in_the_last_row_of_many_chunks_raises():

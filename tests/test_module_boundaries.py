@@ -86,6 +86,8 @@ def test_each_compiled_stage_has_one_caller_in_vote():
         "boi_hash_codes": 1,
         # the exact distances of rows from a query: row_distances
         "boi_distances": 1,
+        # the nearest rows of a whole set, for the oracle: nearest_rows
+        "boi_nearest": 1,
         # the build's sort and the checks of a directory and a snapshot
         "boi_bucket_sort": 1,
         "boi_check_directory": 1,

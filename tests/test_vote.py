@@ -782,14 +782,14 @@ def test_probe_rows_sort_a_shell_of_12870_masks_in_bounded_time():
 def test_a_build_save_load_and_each_query_run_every_entry_point(tmp_path, monkeypatch):
     # the sanitizer job runs the whole suite over the kernel built with
     # ASan and UBSan; every entry point load_library declares must still be
-    # reached, by a build, a save, a load, the three kinds of bucketed query
-    # and the brute-force oracle
+    # reached, by a build, a save, a load, the three kinds of bucketed query,
+    # the brute-force oracle and the distances of rows
     declared = sorted(
         name
         for name, entry in vars(vote._library).items()
         if name.startswith("boi_") and getattr(entry, "argtypes", None)
     )
-    assert len(declared) == 7
+    assert len(declared) == 8
     calls = dict.fromkeys(declared, 0)
     for name in declared:
 
@@ -809,4 +809,5 @@ def test_a_build_save_load_and_each_query_run_every_entry_point(tmp_path, monkey
     assert boi.accumulate(index, q)[7] > 0
     assert boi.multiprobe_lsh_query(index.tables, data, q, 1, 20, 3).ids[0] == 7
     assert boi.brute_force_query(data, q, 3).ids[0] == 7
+    assert boi.pairwise_distances(data.vectors[7:8], q).tolist() == [0.0]
     assert {name for name, count in calls.items() if count == 0} == set()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import OFFSET_DTYPE, BoiParams, RankedResult, VectorSet
 from .index import plan_budgets, probe_plan
-from .vote import directory_words, scratch_bytes
+from .vote import ID_DTYPE, directory_words, page_sizes, scratch_bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,36 +178,41 @@ def estimate_memory(n: int, dim: int, params: BoiParams) -> MemoryEstimate:
     """The arrays an index of n records of dimension dim holds, in bytes.
 
     vectors = n*dim*4 (the float32 ``VectorSet``); index = L*b*dim*4
-    (float32 projections) + L*directory + L*n*4 (int32 members) + n*4
-    (int32 order), the arrays of ``ProjectionTable``; accumulator = the
-    buffers of one querying thread's scratch (``ProjectionTable.scratch``)
-    once it has queried with the index's own plan, per thread: each thread
-    that queries holds its own. That is ``vote.scratch_bytes``: n*4 of
-    int32 votes and 8 * max(``vote.touched_capacity(n)``,
-    min(shortlist_size, n)) of pairs taken out (about n*2 unless the
-    shortlist is longer), 16 * min(shortlist_size, n) of the re-rank's
-    int64 ids and float64 distances, and the hash's buffers, the query's
-    float32 and float64 copies, the plan's probe rows and the compiled
-    call's block, which do not grow with n. A wider plan, such as
-    a multi-probe ball, widens the probe rows. A table's directory is W*8
-    bytes of uint64 bitmap and W*4 of the int32 rank the table makes from
-    it, W = ``vote.directory_words(b)`` words, max(1, 2**b / 64), and 4
-    bytes of int32 start for each non-empty bucket and for n. The
-    non-empty buckets are counted as min(n, 2**b), so the directory term,
-    alone, is an upper bound: the index holds at most that many bytes, and
-    at b = 16 over the benchmark's 100k records about a twentieth of it.
+    (float32 projections) + L*directory + L*n*2 (uint16 members) + n*4
+    (int32 order), the arrays of ``ProjectionTable`` (its ``nbytes``);
+    accumulator = the buffers of one querying thread's scratch
+    (``ProjectionTable.scratch``) once it has queried with the index's own
+    plan, per thread: each thread that queries holds its own. That is
+    ``vote.scratch_bytes``: n*4 of int32 votes and 8 *
+    max(``vote.touched_capacity(n)``, min(shortlist_size, n)) of pairs
+    taken out (about n*2 unless the shortlist is longer), 16 *
+    min(shortlist_size, n) of the re-rank's int64 ids and float64
+    distances, and the hash's buffers, the query's float32 and float64
+    copies, the plan's probe rows and the compiled call's block, which do
+    not grow with n. A wider plan, such as a multi-probe ball, widens the
+    probe rows. A table's directory holds, for each of its P =
+    ``vote.num_pages(n)`` pages of 2**16 ids, W*8 bytes of uint64 bitmap
+    and W*4 of the int32 rank the table makes from it, W =
+    ``vote.directory_words(b)`` words, max(1, 2**b / 64), and 4 bytes of
+    int32 start for each non-empty bucket of the page and for its end. The
+    non-empty buckets of a page of s ids are counted as min(s, 2**b), so
+    the directory term, alone, is an upper bound: the index holds at most
+    that many bytes, and at b = 16 over the benchmark's 100k records about
+    a twentieth of it.
     """
     if n < 0 or dim < 0:
         raise ValueError("n and dim must be non-negative")
     bits = params.hash_bits
     words = directory_words(bits)
-    directory = words * (8 + OFFSET_DTYPE.itemsize) + (
-        min(n, 1 << bits) + 1
+    sizes = page_sizes(n)
+    directory = sizes.size * words * (8 + OFFSET_DTYPE.itemsize) + int(
+        (np.minimum(sizes, 1 << bits) + 1).sum()
     ) * OFFSET_DTYPE.itemsize
     width = probe_plan(bits, int(plan_budgets(params).max()))[0].size
     return MemoryEstimate(
         vectors_bytes=n * dim * 4,
-        index_bytes=params.num_tables * (bits * dim * 4 + directory + n * 4) + n * 4,
+        index_bytes=params.num_tables * (bits * dim * 4 + directory + n * ID_DTYPE.itemsize)
+        + n * 4,
         accumulator_bytes=scratch_bytes(
             n, dim, params.num_tables, bits, width, params.shortlist_size
         ),

@@ -17,10 +17,11 @@ each ``ProjectionTable`` makes its filter once. The compiled filter of
 products in index order. So a vector's code never depends on whether it
 was hashed alone or inside a build batch. The filter writes each table's
 codes straight into their destination, the build's ``members`` rows included;
-the build then buckets each table with a compiled counting sort
-(``vote.bucket_sort``), which numbers the records in table 0's bucket order,
-lists each bucket's ids in ascending order and stores a directory of the
-table's non-empty buckets only (``ProjectionTable``).
+the build then buckets each table with a compiled counting sort a page of
+2**16 ids (``vote.bucket_sort``), which numbers the records in table 0's
+bucket order, lists each bucket's ids in ascending order, each as a uint16
+less its page's first id, and stores a directory of each page's non-empty
+buckets only (``ProjectionTable``).
 
 This module only hashes and buckets. What a query probes, the probe plan
 and its masks, is decided in ``boi.index``.
@@ -42,12 +43,14 @@ from .core import (
     as_exact,
 )
 from .vote import (
+    ID_DTYPE,
+    PAGE,
     GatherVote,
     QueryScratch,
     SignFilter,
     bucket_sort,
     check_directory,
-    directory_words,
+    directory_shape,
 )
 
 # rows hashed per matmul: bounds the float32 dot products (3.3 MB at L = 100,
@@ -61,8 +64,8 @@ def projection_rng(seed: int, table_index: int) -> np.random.Generator:
 
 
 def check_record_count(n: int) -> None:
-    """Raise ValueError unless n records fit the tables' int32 ids and
-    offsets (the vote kernel also compares ids, as uint32, with n)."""
+    """Raise ValueError unless n records fit the tables' int32 record ids,
+    order and offsets."""
     if n >= 2**31:
         raise ValueError(
             f"{n} records do not fit int32 record ids (at most 2**31 - 1)"
@@ -78,11 +81,14 @@ def check_dimension(dim: int) -> None:
 
 
 def _is_identity(ids: np.ndarray) -> bool:
-    """True when the 1-D ``ids`` are 0..n-1, checked with one n-byte mask."""
-    n = ids.size
-    return not n or bool(
-        ids[0] == 0 and ids[-1] == n - 1 and np.all(ids[1:] > ids[:-1])
-    )
+    """True when the 1-D ``ids`` hold 0, 1, 2, ... in each page of
+    ``PAGE``, as table 0's stored members do, checked with one page-sized
+    mask at a time."""
+    for first in range(0, ids.size, PAGE):
+        page = ids[first : first + PAGE]
+        if not (page[0] == 0 and page[-1] == page.size - 1 and np.all(page[1:] > page[:-1])):
+            return False
+    return True
 
 
 def _is_permutation(ids: np.ndarray) -> bool:
@@ -117,30 +123,34 @@ def _check_shapes(
     offsets: np.ndarray,
     members: np.ndarray,
 ) -> int:
-    """The tables' code width; ValueError unless the bitmap is (L, W) with
-    L >= 1, the projections (L*bits, dim) with bits in [1, 16], W is
-    ``directory_words(bits)``, the offsets 1-D and the members (L, n)."""
-    num_tables = len(bitmap) if bitmap.ndim == 2 else 0
+    """The tables' code width; ValueError unless the bitmap is (L, P, W)
+    with L >= 1, the projections (L*bits, dim) with bits in [1, 16], the
+    members (L, n), (L, P, W) is ``directory_shape(L, bits, n)`` and the
+    offsets are 1-D."""
+    num_tables = len(bitmap) if bitmap.ndim == 3 else 0
     if not num_tables:
-        raise ValueError(f"bitmap of shape {bitmap.shape} is not (L, words) with L >= 1")
+        raise ValueError(
+            f"bitmap of shape {bitmap.shape} is not (L, pages, words) with L >= 1"
+        )
     bits, extra = divmod(projections.shape[0] if projections.ndim else 0, num_tables)
     if projections.ndim != 2 or extra or not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(
             f"projections of shape {projections.shape} are not (L*bits, dim) "
             f"for {num_tables} tables of bits in [1, {MAX_HASH_BITS}]"
         )
-    words = (num_tables, directory_words(bits))
-    if bitmap.shape != words:
-        raise ValueError(
-            f"bitmap of shape {bitmap.shape} is not {words}, a word per 64 "
-            f"codes of {num_tables} tables of {bits} bits"
-        )
-    if offsets.ndim != 1:
-        raise ValueError(f"offsets of shape {offsets.shape} are not 1-D")
     if members.ndim != 2 or members.shape[0] != num_tables:
         raise ValueError(
             f"members of shape {members.shape} do not hold {num_tables} rows"
         )
+    shape = directory_shape(num_tables, bits, members.shape[1])
+    if bitmap.shape != shape:
+        raise ValueError(
+            f"bitmap of shape {bitmap.shape} is not {shape}, a word per 64 "
+            f"codes of each page of {members.shape[1]} records in {num_tables} "
+            f"tables of {bits} bits"
+        )
+    if offsets.ndim != 1:
+        raise ValueError(f"offsets of shape {offsets.shape} are not 1-D")
     return bits
 
 
@@ -152,39 +162,46 @@ class ProjectionTable:
     ``projections`` (L*bits, dim) float32: rows t*bits .. t*bits+bits-1 are
     table t's Gaussian matrix, the matrix every hash multiplies by; bits is
     in [1, 16] and L >= 1.
-    ``bitmap`` (L, W) uint64 and ``offsets`` int32: the directory of every
-    table's non-empty buckets, W = ``vote.directory_words(bits)`` words of
-    64 codes a table (``vote.c``'s header comment). Bit c % 64 of
-    ``bitmap[t, c // 64]`` is set iff bucket c of table t holds a record,
-    and table t's piece of ``offsets`` holds the start of each of its
-    non-empty buckets, in code order, then n. The pieces follow each other:
-    table t's begins after every earlier table's non-empty buckets and n.
-    ``rank`` (L, W) int32 is not given but made, once, by the check of the
-    directory (``vote.check_directory``): ``rank[t, w]`` is the position in
-    ``offsets`` of table t's first non-empty bucket at or after word w, so
-    bucket c is found at ``rank[t, c // 64]`` plus the set bits of its word
-    below c % 64. So a table holds 2**bits / 8 bytes of bitmap, 2**bits /
-    16 of rank and 4 a non-empty bucket, where dense CSR offsets would hold
-    4 a code: at b = 16 over 100k records, about 13 KB a table against
-    256 KB. ``piece`` gives a table's piece of offsets, and ``buckets``
-    lists a table's non-empty buckets with it; ``bucket`` finds each
-    (table, code) pair's bucket through the rank and one word of the
-    bitmap, as the vote kernel does, and ``occupancy_summary`` reads the
-    offsets alone.
-    ``members`` (L, n) int32: row t holds every internal id grouped by
-    table t's bucket code, ascending within a bucket.
+    ``members`` (L, n) uint16 (``vote.ID_DTYPE``): row t holds every
+    internal id once, in P = ``vote.num_pages(n)`` pages of ``vote.PAGE`` =
+    2**16 ids. Page p holds ids [p * PAGE, min(n, (p + 1) * PAGE)) at those
+    same positions of the row, grouped by table t's bucket code, ascending
+    within a bucket, each stored as id - p * PAGE (``vote.c``'s header
+    comment).
+    ``bitmap`` (L, P, W) uint64 and ``offsets`` int32: the directory of
+    the non-empty buckets of every (table, page), W =
+    ``vote.directory_words(bits)`` words of 64 codes. Bit c % 64 of
+    ``bitmap[t, p, c // 64]`` is set iff bucket c of table t holds a
+    record of page p, and the piece of ``offsets`` of (t, p) holds the
+    position in row t of each of its non-empty buckets, in code order, then
+    the page's end, so it rises strictly from p * PAGE to that end. The
+    pieces follow each other, table by table and page by page.
+    ``rank`` (L, P, W) int32 is not given but made, once, by the check of
+    the directory (``vote.check_directory``): ``rank[t, p, w]`` is the
+    position in ``offsets`` of the first non-empty bucket at or after word
+    w of (t, p), so bucket c of page p is found at ``rank[t, p, c // 64]``
+    plus the set bits of its word below c % 64. So a page holds 2**bits / 8
+    bytes of bitmap, 2**bits / 16 of rank and 4 a non-empty bucket, where
+    dense CSR offsets would hold 4 a code: at b = 16 over 100k records,
+    about 26 KB a table against 256 KB. ``piece`` gives a page's piece of
+    offsets, and ``buckets`` lists a page's non-empty buckets with it;
+    ``bucket`` finds each (table, code) pair's bucket in every page through
+    the rank and one word of the bitmap, as the vote kernel does, and
+    ``occupancy_summary`` adds up a table's pages. ``nbytes`` is what the
+    six arrays hold.
     ``order`` (n,) int32, a permutation of 0..n-1: internal id i is record
     ``order[i]``.
 
-    Records are numbered in table 0's bucket order, so row 0 of ``members``
-    is 0..n-1 and each bucket's ids lie close together (``vote.c``). This
-    is the only form: ``insert_all`` builds it, and ``load_index`` reads it
-    back (``data_io`` alone knows how a snapshot stores it). Queries vote
-    in internal order, and ``index.shortlist`` maps the ids it keeps to
-    records; ``bucket`` and ``index.accumulate`` give record ids and record
-    order. ``buckets`` and ``bucket`` raise ValueError for a table outside
-    [0, L), and ``bucket`` for a code outside [0, 2**bits) or tables and
-    codes that are not 1-D and of one length.
+    Records are numbered in table 0's bucket order, so each page of row 0
+    of ``members`` holds 0, 1, 2, ..., and each bucket's ids lie close
+    together (``vote.c``). This is the only form: ``insert_all`` builds it,
+    and ``load_index`` reads it back (``data_io`` alone knows how a
+    snapshot stores it). Queries vote in internal order, and
+    ``index.shortlist`` maps the ids it keeps to records; ``bucket`` and
+    ``index.accumulate`` give record ids and record order. ``buckets`` and
+    ``piece`` raise ValueError for a table outside [0, L) or a page outside
+    [0, P), and ``bucket`` for a table outside [0, L), a code outside
+    [0, 2**bits) or tables and codes that are not 1-D and of one length.
 
     ``sign_filter``, the ``vote.SignFilter`` of the projections and the
     code width, and ``gather_vote``, the ``vote.GatherVote`` of the
@@ -198,14 +215,16 @@ class ProjectionTable:
     one layout the compiled loops read (copied into it if given otherwise).
     The constructor raises ValueError for arrays whose shapes do not agree
     with each other, projections that float32 cannot hold exactly, a
-    bitmap uint64 cannot hold, offsets, members or order with a value int32
-    cannot hold, 2**31 or more records or offsets, an order that is not a
-    permutation of 0..n-1, a row 0 of ``members`` that is not 0..n-1, a
-    dimension ``check_dimension`` refuses, and a directory that is not one
-    of n records: a bit set for a code at or past 2**bits, or a table's
-    offsets that do not rise strictly from 0 to n, one per set bit. It does
-    not check the later rows of ``members``: the vote kernel refuses the
-    out-of-range ids a query probes (``vote.GatherVote``).
+    bitmap uint64 cannot hold, offsets or order with a value int32 cannot
+    hold, members with one uint16 cannot hold, 2**31 or more records or
+    offsets, an order that is not a permutation of 0..n-1, a row 0 of
+    ``members`` that is not 0, 1, 2, ... in each page, a dimension
+    ``check_dimension`` refuses, and a directory that is not one of n
+    records: a bit set for a code at or past 2**bits, or the offsets of a
+    (table, page) that do not rise strictly from the page's start to its
+    end, one per set bit. It does not check the later rows of ``members``:
+    the vote kernel refuses the out-of-range ids a query probes
+    (``vote.GatherVote``).
     """
 
     projections: np.ndarray
@@ -220,9 +239,9 @@ class ProjectionTable:
 
     def __post_init__(self):
         # the compiled loops read C-ordered float32 projections, uint64
-        # bitmaps and int32 offsets and members, and the shortlist the int32
-        # order; no conversion copies what insert_all or load_index made,
-        # and the numbering checks hold one n-byte mask at a time
+        # bitmaps, int32 offsets, uint16 members, and the shortlist the
+        # int32 order; no conversion copies what insert_all or load_index
+        # made, and the numbering checks hold one mask of n or PAGE bytes
         n = np.shape(self.members)[-1]
         check_record_count(n)
         if np.shape(self.order) != (n,):
@@ -237,7 +256,7 @@ class ProjectionTable:
                 ("projections", np.float32),
                 ("bitmap", np.uint64),
                 ("offsets", OFFSET_DTYPE),
-                ("members", np.int32),
+                ("members", ID_DTYPE),
                 ("order", np.int32),
             )
         }
@@ -247,7 +266,9 @@ class ProjectionTable:
         if not _is_permutation(arrays["order"]):
             raise ValueError(f"order is not a permutation of 0..{n - 1}")
         if not _is_identity(arrays["members"][0]):
-            raise ValueError(f"row 0 of members is not 0..{n - 1}")
+            raise ValueError(
+                f"row 0 of members is not 0..{min(n, PAGE) - 1} in each page"
+            )
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -273,6 +294,11 @@ class ProjectionTable:
         return int(self.bitmap.shape[0])
 
     @property
+    def num_pages(self) -> int:
+        """P, the pages of 2**16 ids each table keeps its members in."""
+        return int(self.bitmap.shape[1])
+
+    @property
     def bits(self) -> int:
         return int(self.projections.shape[0]) // self.num_tables
 
@@ -289,6 +315,18 @@ class ProjectionTable:
         """Number of records stored in every table."""
         return int(self.members.shape[1])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes the tables hold: their projections, bitmap, rank, offsets,
+        members and order."""
+        return sum(
+            arr.nbytes
+            for arr in (
+                self.projections, self.bitmap, self.rank, self.offsets, self.members,
+                self.order,
+            )
+        )
+
     def check_dataset(self, dataset: VectorSet) -> None:
         """Raise ValueError unless ``dataset`` holds the n records of
         dimension ``dim`` that these tables index."""
@@ -298,34 +336,42 @@ class ProjectionTable:
                 f"the index's {self.n} records of dim {self.dim}"
             )
 
-    def piece(self, t: int) -> np.ndarray:
-        """Table t's piece of ``offsets``: the start of each of its
-        non-empty buckets, in code order, then n. Raises ValueError for a t
-        outside [0, L)."""
-        if not 0 <= t < self.num_tables:
-            raise ValueError(f"table {t} is not in [0, {self.num_tables})")
-        stop = self.rank[t + 1, 0] if t + 1 < self.num_tables else self.offsets.size
-        return self.offsets[self.rank[t, 0] : stop]
+    def piece(self, t: int, page: int = 0) -> np.ndarray:
+        """The piece of ``offsets`` of page ``page`` of table t, the only
+        page when n <= 2**16: the position in row t of ``members`` of each
+        of the page's non-empty buckets, in code order, then the page's
+        end. Raises ValueError for a t outside [0, L) or a page outside
+        [0, P)."""
+        if not (0 <= t < self.num_tables and 0 <= page < self.num_pages):
+            raise ValueError(
+                f"table {t} is not in [0, {self.num_tables}) or page {page} is not "
+                f"in [0, {self.num_pages})"
+            )
+        starts = self.rank[..., 0].ravel()
+        row = t * self.num_pages + page
+        stop = starts[row + 1] if row + 1 < starts.size else self.offsets.size
+        return self.offsets[starts[row] : stop]
 
-    def buckets(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Table t's non-empty buckets: their codes, ascending (intp), and
-        the table's ``piece`` of offsets, one value more, so that bucket
-        ``codes[i]`` holds ``members[t, piece[i]:piece[i + 1]]``. Raises
-        ValueError for a t outside [0, L)."""
-        piece = self.piece(t)
-        bits = self.bitmap[t].astype("<u8").view(np.uint8)
+    def buckets(self, t: int, page: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The non-empty buckets of page ``page`` of table t: their codes,
+        ascending (intp), and the page's ``piece`` of offsets, one value
+        more, so that bucket ``codes[i]`` holds the ids page * 2**16 +
+        ``members[t, piece[i]:piece[i + 1]]``. Raises ValueError for a t
+        outside [0, L) or a page outside [0, P)."""
+        piece = self.piece(t, page)
+        bits = self.bitmap[t, page].astype("<u8").view(np.uint8)
         return np.flatnonzero(np.unpackbits(bits, bitorder="little")), piece
 
     def bucket(self, tables, codes) -> np.ndarray:
         """Record ids of bucket ``codes[i]`` of table ``tables[i]``, for
         every i, concatenated in that order (int32). Within a bucket they
-        follow its internal ids, which ascend. Each pair's bucket is found
-        as the vote kernel finds it: position ``rank[t, c >> 6]`` in
-        ``offsets``, plus the set bits of word ``bitmap[t, c >> 6]`` below
-        bit c & 63, which is set iff the bucket holds a record. Raises
-        ValueError unless ``tables`` and ``codes`` are 1-D and of one
-        length, for a table outside [0, L) and for a code outside
-        [0, 2**bits)."""
+        follow its internal ids, which ascend, page by page. Each pair's
+        bucket of page p is found as the vote kernel finds it: position
+        ``rank[t, p, c >> 6]`` in ``offsets``, plus the set bits of word
+        ``bitmap[t, p, c >> 6]`` below bit c & 63, which is set iff the
+        bucket holds a record of the page. Raises ValueError unless
+        ``tables`` and ``codes`` are 1-D and of one length, for a table
+        outside [0, L) and for a code outside [0, 2**bits)."""
         tables = np.asarray(tables, dtype=np.intp)
         codes = np.asarray(codes, dtype=np.intp)
         if tables.ndim != 1 or tables.shape != codes.shape:
@@ -337,22 +383,29 @@ class ProjectionTable:
         outside = tables[(tables < 0) | (tables >= self.num_tables)]
         if outside.size:
             raise ValueError(f"table {outside[0]} is not in [0, {self.num_tables})")
-        w, bit = codes >> 6, (codes & 63).astype(np.uint64)
-        words = self.bitmap[tables, w]
-        at = self.rank[tables, w] + _popcount(words & ((_ONE << bit) - _ONE))
+        # (pairs, pages): each pair's bucket in each page
+        w, bit = codes[:, np.newaxis] >> 6, (codes[:, np.newaxis] & 63).astype(np.uint64)
+        rows, pages = tables[:, np.newaxis], np.arange(self.num_pages)
+        words = self.bitmap[rows, pages, w]
+        at = self.rank[rows, pages, w] + _popcount(words & ((_ONE << bit) - _ONE))
         # a code whose bit is clear finds the empty [start, start)
         starts = self.offsets[at]
         stops = self.offsets[at + (words >> bit & _ONE).astype(np.intp)]
-        rows = self.members
-        return self.order[
-            np.concatenate(
-                [rows[0, :0]]
-                + [
-                    rows[t, a:b]
-                    for t, a, b in zip(tables.tolist(), starts.tolist(), stops.tolist())
-                ]
-            )
-        ]
+        members = self.members
+        ids = np.concatenate(
+            [members[0, :0]]
+            + [
+                members[t, a:b]
+                for t, a, b in zip(
+                    np.broadcast_to(rows, starts.shape).ravel().tolist(),
+                    starts.ravel().tolist(),
+                    stops.ravel().tolist(),
+                )
+            ]
+        ).astype(np.intp)
+        # each stored id is its page's first id less
+        ids += np.repeat(np.broadcast_to(pages * PAGE, starts.shape).ravel(), (stops - starts).ravel())
+        return self.order[ids]
 
 
 def make_projections(params: BoiParams, dim: int) -> np.ndarray:
@@ -471,26 +524,27 @@ def insert_all(
 
     Each record lands in exactly one bucket per table, the one matching its
     code under that table's rows of ``projections``. The codes are hashed
-    into the ``members`` array itself, table t's into the upper half of row
-    t, so the build holds no (n, L) code array of its own. Then one
-    compiled counting sort (``vote.bucket_sort``) replaces each row's codes
-    with ids. Table 0's sort gives ``order``, the records grouped by table
-    0's code and ascending within a bucket (a stable argsort of its codes),
-    and record ``order[i]`` becomes internal id i, so row 0 of ``members``
-    is 0..n-1. Every later table gathers its codes in that order and sorts
-    them, so each of its buckets lists the internal ids of its records in
+    straight into the uint16 ``members`` array, table t's into row t, so
+    the build holds no (n, L) code array of its own. Then one compiled
+    counting sort a page (``vote.bucket_sort``) replaces each row's codes
+    with ids, from one temporary row of n codes. Table 0's sort gives
+    ``order``, the records grouped by table 0's code and ascending within a
+    bucket (a stable argsort of its codes), and record ``order[i]`` becomes
+    internal id i, so each page of row 0 holds 0, 1, 2, .... Every later
+    table gathers its codes in that order and sorts each page of them, so
+    each bucket of a page lists the internal ids of its records in
     ascending order. Each sort leaves its table's directory; no array of
-    2**bits offsets a table is held for more than one table at a time.
+    2**bits counts is held for more than one page at a time.
     """
     n = dataset.n
     check_record_count(n)
     # an empty set hashes as zero rows of the tables' width, whatever its own
     X = dataset.vectors.reshape(n, -1 if n else projections.shape[1])
     num_tables = projections.shape[0] // bits
-    members = np.empty((num_tables, n), dtype=np.int32)
+    members = np.empty((num_tables, n), dtype=ID_DTYPE)
     order = np.empty(n, dtype=np.int32)
     sign_filter = _sign_filter(projections, bits)
-    hash_codes_all(sign_filter, X, out=members.view(CODE_DTYPE)[:, n:].T)
+    hash_codes_all(sign_filter, X, out=members.T)
     return ProjectionTable(projections, *bucket_sort(bits, members, order), members, order)
 
 
@@ -498,17 +552,19 @@ def occupancy_summary(tables: ProjectionTable) -> dict:
     """Bucket occupancy statistics across all tables (for build logging).
 
     ``histogram`` maps an occupancy band label to the number of buckets in
-    that band, pooled over every table. The sizes of the non-empty buckets
-    are the positive steps of ``offsets``, which rise strictly within a
-    table's piece and fall from n to 0 (or stay at 0) between pieces; each
-    table's other 2**bits - k buckets are counted as empty, so neither the
-    bitmap nor the rank is read and no array of 2**bits sizes a table is
-    made.
+    that band, pooled over every table. A table's bucket holds its records
+    of every page, so the sizes of a table's non-empty buckets are the
+    steps of its pages' pieces of offsets, added up by code; each table's
+    other 2**bits - k buckets are counted as empty, so no array of 2**bits
+    sizes a table is made.
     """
-    # offsets rise strictly within a table's piece; only the step from one
-    # table's n to the next one's 0 does not
-    steps = np.diff(tables.offsets)
-    sizes = steps[steps > 0]
+    sizes = []
+    for t in range(tables.num_tables):
+        pages = [tables.buckets(t, page) for page in range(tables.num_pages)]
+        codes, where = np.unique(np.concatenate([c for c, _ in pages]), return_inverse=True)
+        steps = np.concatenate([np.diff(piece) for _, piece in pages])
+        sizes.append(np.bincount(where, steps, codes.size).astype(np.int64))
+    sizes = np.concatenate(sizes)
     total = tables.num_tables * tables.num_buckets
     empty = total - sizes.size
     edges = [0, 1, 2, 4, 8, 16, 64, 256, 1024]

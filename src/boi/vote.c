@@ -14,69 +14,112 @@
  * records that share a bucket of table 0, which tend to share buckets of
  * the other tables too, have nearby ids there as well.
  *
- * A table's buckets are found through a directory of its non-empty buckets
- * only, a rank directory over a bitmap (Jacobson, FOCS 1989). A b-bit
- * table has 2**b codes, but at b = 16 over the benchmark's 100k records
- * only about 160 of them hold a record, so a dense row of 2**b + 1
+ * The ids are kept in pages of PAGE = 2**16, as Roaring bitmaps split the
+ * id space into chunks of 2**16 (Lemire et al., Softw. Pract. Exp. 2016):
+ * n records make PAGES(n) = max(1, ceil(n / 2**16)) pages, and page p holds
+ * the ids [p * 2**16, min(n, (p + 1) * 2**16)), PAGE_SIZE(n, p) of them.
+ * Every table holds every record once, so page p of each table fills the
+ * same positions of its row of ``members``, from p * 2**16 to the page's
+ * end, and no bound of a page is stored. Within a page the ids are grouped
+ * by code and ascend within a bucket, and each is stored as its 16 low
+ * bits, id - p * 2**16, a uint16: half the bytes of an int32 id, in the
+ * index and in what the gather+vote streams.
+ *
+ * A page of a table, a (table, page) piece, finds its buckets through a
+ * directory of its non-empty buckets only, a rank directory over a bitmap
+ * (Jacobson, FOCS 1989), as if it were a table of its page's records. A
+ * b-bit table has 2**b codes, but at b = 16 over the benchmark's 100k
+ * records only about 160 of them hold a record, so a dense row of 2**b + 1
  * offsets (256 KiB a table) would mostly describe empty buckets. Per
- * table, in words of 64 codes (WORDS(bits) of them, one when b < 6):
- *   bitmap: bit c % 64 of word c / 64 is set iff bucket c holds a record;
- *     no bit is set for a code at or past 2**b;
- *   offsets: the table's piece, the start of each of its k non-empty
- *     buckets in code order, then n; the pieces of tables 0..L-1 follow
- *     each other in one array, so table t's begins after the k + 1 values
- *     of every earlier table;
- *   rank: rank[w] is the position in ``offsets`` of the table's first
- *     non-empty bucket at or after word w: where its piece begins, plus
+ * (table, page), in words of 64 codes (WORDS(bits) of them, one when b < 6;
+ * the words of (t, p) are row t * PAGES(n) + p of ``bitmap`` and ``rank``):
+ *   bitmap: bit c % 64 of word c / 64 is set iff bucket c holds a record
+ *     of the page; no bit is set for a code at or past 2**b;
+ *   offsets: the piece, the position in the table's row of ``members`` of
+ *     each of its k non-empty buckets in code order, then the page's end;
+ *     so a piece rises strictly from its page's start to its page's end.
+ *     The pieces follow each other in one array, table by table and page
+ *     by page within a table, so the piece of (t, p) begins after the k + 1
+ *     values of every earlier one;
+ *   rank: rank[w] is the position in ``offsets`` of the piece's first
+ *     non-empty bucket at or after word w: where the piece begins, plus
  *     the set bits of its words 0..w-1. It is derived from the bitmap
  *     alone, by boi_check_directory, the one place that counts positions.
- * When bit c is set, bucket c holds members[t, offsets[i]:offsets[i + 1]],
- * i = rank[c / 64] + popcount(the word's bits below c % 64).
- * Codes are uint16 and offsets int32, as in vote.CODE_DTYPE and
- * vote.OFFSET_DTYPE, so bits is at most 16 (vote.MAX_HASH_BITS).
+ * When bit c is set, bucket c of page p holds the ids p * 2**16 +
+ * members[t, offsets[i]:offsets[i + 1]], i = rank[c / 64] + popcount(the
+ * word's bits below c % 64). Codes and ids are uint16 and offsets int32, as
+ * in vote.CODE_DTYPE, vote.ID_DTYPE and vote.OFFSET_DTYPE, so bits is at
+ * most 16 (vote.MAX_HASH_BITS).
  *
- * The gather+vote (gather_vote): table t probes the first budgets[t] + 1
- * codes of its row of ``probes``: every id in the bucket of the code c at
- * position j gains units[j] votes. A code whose bit is clear is skipped
- * without reading the offsets. The kernel only adds the votes; index.weight
- * sets them (BoiIndex.plan.units). The votes are in internal order, in an
- * (n,) array that each querying thread owns and keeps all zero between its
- * queries (vote.QueryScratch); the touched pass takes them out again.
+ * The gather+vote (gather_vote) goes page by page. In page p, table t
+ * probes the first budgets[t] + 1 codes of its row of ``probes``: every id
+ * of the page in the bucket of the code c at position j gains units[j]
+ * votes. A code whose bit is clear is skipped without reading the offsets.
+ * The kernel only adds the votes; index.weight sets them
+ * (BoiIndex.plan.units). The votes are in internal order, in an (n,) array
+ * that each querying thread owns and keeps all zero between its queries
+ * (vote.QueryScratch); the touched pass takes them out again.
  *
  * The vote is a cache-blocked scatter (Boncz, Manegold and Kersten, VLDB
- * 1999). Each probed bucket scatters its ids across the whole (n,) vote
- * array, which at n = 100k is 400 KB, far larger than L1. So the kernel
- * works in two steps:
- *   collect: each non-empty probed bucket becomes a range (next, stop,
- *     vote) in a batch of BATCH ranges on the stack, so a query that
- *     probes the whole code space needs no heap and no more memory;
- *   sweep: when the batch is full, and once at the end, the id space is
- *     walked in tiles of TILE ids. Every live range adds its vote to its
- *     ids below the tile's end and resumes there at the next tile. Ids
- *     ascend within a bucket, so each range is read once in all, and a
- *     tile's votes stay in L1 while every range writes into them. A
- *     range of nearby internal ids ends within few tiles, so a sweep
- *     starts fewer member streams than over ids in arrival order.
+ * 1999). Each probed bucket scatters its ids across a page's votes, which
+ * at 2**16 ids are 256 KiB, far larger than L1. So the kernel works in two
+ * steps, a page at a time:
+ *   collect: each non-empty probed bucket of the page becomes a range
+ *     (next, stop, vote) in a batch of BATCH ranges on the stack, so a
+ *     query that probes the whole code space needs no heap and no more
+ *     memory;
+ *   sweep: when the batch is full, and once at the end of the page, the
+ *     page's ids are walked in tiles of TILE ids, eight to a full page.
+ *     Every live range adds its vote to its ids below the tile's end and
+ *     resumes there at the next tile, in one loop, ``for (; p < stop; p++)
+ *     { id = *p; if (id >= end) break; ... }``. Ids ascend within a
+ *     bucket, so each range is read once in all, and a tile's votes stay
+ *     in L1 while every range writes into them. A range of nearby internal
+ *     ids ends within few tiles, so a sweep starts fewer member streams
+ *     than over ids in arrival order.
+ * The uint16 ids halve the index and the bytes the loop streams. In a
+ * prototype two variants of the page loop were slower, by 3 to 8%: ranges
+ * split at the page edges but every page's ranges live in every tile, and
+ * two batches held apart in thread-local storage, which overflowed L1.
  * TILE is 8192 ids, 32 KiB of int32 votes, which leaves room in a 48 KiB
  * L1d for the ranges' member streams. Timing the kernel alone on the
- * benchmark's data, 4096 and 16384 were slower at b=8 and b=16, and
- * 12288 no faster. BATCH bounds the stack at 24 KiB of ranges; a sweep
- * over a full batch visits each range about n / TILE times, which is
- * small beside the ids it adds.
+ * benchmark's data, 4096 and 16384 were slower at b=8 and b=16, and 12288
+ * no faster. BATCH bounds the stack at 24 KiB of ranges; a sweep over a
+ * full batch visits each range at most PAGE / TILE times, which is small
+ * beside the ids it adds.
+ *
+ * Pages cut each bucket into one range a page, P short ranges 128 KiB
+ * apart in its row, and each page looks each probed code up again: the
+ * memory streams of a range restart P times, and each lookup of a page
+ * misses the cache. So the collect step asks for what it reads next
+ * before it reads it: the first HEAD ids of each range it adds to the
+ * batch, read when the batch is swept, and each probed code's words of
+ * the bitmap and rank in the next page, read when that page is collected.
+ * Timed in one process on a 2-core Xeon, alternating with the int32
+ * kernel of the same tiles (before pages) query by query, this
+ * gather+vote took, at b=8 and b=16:
+ *   the benchmark's 100k records (2 pages): 0.85 and 0.85 of its time,
+ *     0.87 and 0.89 without the two prefetches;
+ *   1M records of 32 overlapping clusters, dim 128 (16 pages): 0.99 and
+ *     1.68, against 1.17 and 1.97 without them.
+ * The int32 kernel built with the same loop alignment (HOT, below) took
+ * as long as this one at 100k, within 2%: there the uint16 ids saved
+ * memory, not time.
  *
  * Every value read from an array is checked before it is used as an index,
  * so a corrupt table returns -1 instead of reading or writing out of
  * bounds: a code past 2**b, a bucket position outside the offsets, or
- * offsets that decrease or leave [0, n]. hashing.ProjectionTable checks the
- * whole directory and makes the rank from it (boi_check_directory), so a
- * rank that disagrees with the bitmap, or a bit past 2**b, which would
- * move a bucket within the offsets, never reaches the kernel from there.
- * An id >= n, or a negative one read as uint32, is below no tile's end,
- * so it leaves its range open after the last tile (whose end is n),
- * and an open range means a corrupt table. Ids out of order within a
- * bucket are still counted exactly, in a later tile. Otherwise the return
- * value is the number of (id, vote) pairs scanned. Sums are exact
- * integers, so their order does not matter.
+ * offsets that decrease or leave their page. hashing.ProjectionTable
+ * checks the whole directory and makes the rank from it
+ * (boi_check_directory), so a rank that disagrees with the bitmap, or a bit
+ * past 2**b, which would move a bucket within the offsets, never reaches
+ * the kernel from there. A stored id at or past its page's size is below
+ * no tile's end, so it leaves its range open after the page's last tile
+ * (whose end is the page's size), and an open range means a corrupt table.
+ * Ids out of order within a bucket are still counted exactly, in a later
+ * tile. Otherwise the return value is the number of (id, vote) pairs
+ * scanned. Sums are exact integers, so their order does not matter: every
+ * vote and count is the one a single pass over whole ids would give.
  *
  * The touched pass (touched_votes) hands the shortlist only the votes a
  * query touched, as (record id, vote) pairs, when they lie in few 64-id
@@ -92,12 +135,13 @@
  *
  * Eight entry points are exported, each with one caller in vote.py:
  *   boi_bucket_sort builds one table of the index: hashing.insert_all
- *     hashed the codes into ``members``, and one counting sort turns them
- *     into the internal ids of every bucket, ascending within a bucket,
- *     and the table's directory; table 0's sort gives ``order``;
+ *     hashed the codes into ``members``, and one counting sort a page
+ *     turns them into the internal ids of every bucket, ascending within a
+ *     bucket, and the table's pieces of the directory; table 0 first sorts
+ *     every record once, which gives ``order``;
  *   boi_table_buckets and boi_check_table count the non-empty buckets of
- *     one table record of a snapshot and check the record, turning its
- *     bucket sizes into the table's piece of offsets in place, for
+ *     one (table, page) of a snapshot and check its bucket sizes and ids,
+ *     turning the sizes into its piece of offsets in place, for
  *     data_io.load_index;
  *   boi_check_directory checks a whole directory and makes its rank, for
  *     hashing.ProjectionTable;
@@ -128,6 +172,14 @@
 
 #define TILE 8192
 #define BATCH 1024
+/* the ids at the head of a range that gather_vote asks for */
+#define HEAD 128
+/* the ids of a page, and the pages of n records, at least one */
+#define PAGE_BITS 16
+#define PAGE ((int64_t)1 << PAGE_BITS)
+#define PAGES(n) ((n) > PAGE ? ((n) + PAGE - 1) >> PAGE_BITS : (int64_t)1)
+/* the ids of page p of n records: PAGE, less in the last page */
+#define PAGE_SIZE(n, p) ((n) - (p) * PAGE < PAGE ? (n) - (p) * PAGE : PAGE)
 /* 64-bit words of a table's bitmap and rank: 2**bits / 64, at least one */
 #define WORDS(bits) ((bits) > 6 ? (int64_t)1 << ((bits) - 6) : (int64_t)1)
 /* the bits of a table's one word that stand for codes at or past 2**bits,
@@ -145,24 +197,25 @@ static inline int64_t popcount(uint64_t x)
     return (int64_t)((x * UINT64_C(0x0101010101010101)) >> 56);
 }
 
-/* Turn one table's bucket counts, offsets[1..2**bits] (each at least 0,
- * summing to at most INT32_MAX), into its directory: ``bitmap`` gets the
- * table's WORDS(bits) words, and the first k + 1 offsets become its piece
- * of offsets, the start of each of its k non-empty buckets in code order,
- * then the sum; returns k + 1, the piece's length. A word's counts are
- * ORed first, which vectorises, so an empty word costs no more; only the
- * set bits of the others are visited in order. Each start is written at
- * or before the count of the bucket it starts, and after every count
- * before it has been read, so the pass runs in place. */
-static int64_t directory(int64_t bits, int32_t *offsets, uint64_t *bitmap)
+/* Turn one page's bucket counts, counts[0..2**bits) (each at least 0,
+ * summing to at most PAGE), into its directory: ``bitmap`` gets the page's
+ * WORDS(bits) words, and piece[0..k] its piece of offsets, ``first`` plus
+ * the start of each of its k non-empty buckets in code order, then
+ * ``first`` plus the sum; returns k + 1, the piece's length. The count of
+ * each non-empty bucket becomes its start within the page, where its
+ * first id goes; an empty bucket's 0 is left. A word's counts are ORed
+ * first, which vectorises, so an empty word costs no more; only the set
+ * bits of the others are visited in order, so no pass runs over every
+ * code. */
+static int64_t directory(
+    int64_t bits, int32_t *counts, int64_t first, uint64_t *bitmap, int32_t *piece)
 {
     const int64_t num_buckets = (int64_t)1 << bits;
     const int64_t per_word = num_buckets < 64 ? num_buckets : 64;
-    const int32_t *const counts = offsets + 1;
     int32_t start = 0;
     int64_t k = 0;
     for (int64_t w = 0; w < WORDS(bits); w++) {
-        const int32_t *const here = counts + 64 * w;
+        int32_t *const here = counts + 64 * w;
         uint32_t any = 0;
         for (int64_t j = 0; j < per_word; j++)
             any |= (uint32_t)here[j];
@@ -173,17 +226,19 @@ static int64_t directory(int64_t bits, int32_t *offsets, uint64_t *bitmap)
         }
         bitmap[w] = word;
         for (uint64_t left = word; left; left &= left - 1) {
-            const int32_t count = here[__builtin_ctzll(left)];
-            offsets[k++] = start;
-            start += count;
+            int32_t *const count = here + __builtin_ctzll(left);
+            piece[k++] = (int32_t)(first + start);
+            const int32_t size = *count;
+            *count = start;
+            start += size;
         }
     }
-    offsets[k] = start;
+    piece[k] = (int32_t)(first + start);
     return k + 1;
 }
 
 struct range {
-    const int32_t *next, *stop;
+    const uint16_t *next, *stop;
     uint32_t vote;
 };
 
@@ -191,23 +246,28 @@ struct range {
  * loops does not hang on the code placed before it. Without it, the three
  * library calls the probe rows added to the PLT moved sweep 48 bytes and
  * slowed the b=8 gather+vote from 0.37 to 0.51 ms a query (the benchmark's
- * seed-1 data); aligned, it kept its speed. */
+ * seed-1 data); aligned, it kept its speed. Code within a function moves
+ * too: once sweep read uint16 ids, its inner loop straddled a 64-byte
+ * boundary and the gather+vote ran 10% slower than the int32 kernel's, so
+ * vote.py also builds with -falign-loops=64, which starts every loop on
+ * such a boundary. */
 #define HOT __attribute__((aligned(64)))
 
-/* Add every range of the batch to votes, tile by tile; -1 if one stays
- * open after the last tile. */
-HOT static int sweep(struct range *batch, int64_t live, int64_t n, int32_t *votes)
+/* Add every range of the batch to a page's ``size`` votes, tile by tile;
+ * -1 if one stays open after the last tile. */
+HOT static int sweep(struct range *batch, int64_t live, int64_t size, int32_t *votes)
 {
-    for (int64_t lo = 0; lo < n && live > 0; lo += TILE) {
-        const uint32_t end = (uint32_t)(n - lo > TILE ? lo + TILE : n);
+    for (int64_t lo = 0; lo < size && live > 0; lo += TILE) {
+        const uint32_t end = (uint32_t)(size - lo > TILE ? lo + TILE : size);
         for (int64_t k = 0; k < live;) {
-            const int32_t *p = batch[k].next, *const stop = batch[k].stop;
+            const uint16_t *p = batch[k].next, *const stop = batch[k].stop;
             const uint32_t vote = batch[k].vote;
-            uint32_t id;
-            while (p < stop && (id = (uint32_t)*p) < end) {
+            for (; p < stop; p++) {
+                const uint32_t id = *p;
+                if (id >= end)
+                    break;
                 /* unsigned, so even a corrupt table cannot overflow */
                 votes[id] = (int32_t)((uint32_t)votes[id] + vote);
-                p++;
             }
             if (p == stop) {
                 batch[k] = batch[--live]; /* done: the last range takes its slot */
@@ -222,56 +282,66 @@ HOT static int sweep(struct range *batch, int64_t live, int64_t n, int32_t *vote
 
 HOT static int64_t gather_vote(
     int64_t num_tables, int64_t bits, int64_t n,
-    const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
-    const int32_t *rank,                /* (num_tables, WORDS(bits)) */
+    const uint64_t *bitmap,             /* (num_tables, PAGES(n), WORDS(bits)) */
+    const int32_t *rank,                /* (num_tables, PAGES(n), WORDS(bits)) */
     const int32_t *offsets, int64_t num_offsets, /* (num_offsets,) */
-    const int32_t *members,             /* (num_tables, n) */
+    const uint16_t *members,            /* (num_tables, n) */
     const uint16_t *probes, int64_t width, /* (num_tables, width) */
     const uint32_t *units,              /* (width,) */
     const int64_t *budgets,             /* (num_tables,) */
     int32_t *votes)                     /* (n,) */
 {
-    /* tile ends are uint32 and ids int32 (hashing.check_record_count) */
+    /* ids and offsets are int32 (hashing.check_record_count) */
     if (bits < 1 || bits > 16 || n > INT32_MAX)
         return -1;
-    const int64_t num_buckets = (int64_t)1 << bits, words = WORDS(bits);
+    const int64_t num_buckets = (int64_t)1 << bits, words = WORDS(bits), pages = PAGES(n);
     struct range batch[BATCH];
-    int64_t live = 0, scanned = 0;
-    for (int64_t t = 0; t < num_tables; t++) {
-        const int64_t count = budgets[t] + 1;
-        if (count < 1 || count > width)
-            return -1;
-        const uint64_t *const bm = bitmap + t * words;
-        const int32_t *const rk = rank + t * words;
-        const int32_t *row = members + t * n;
-        const uint16_t *codes = probes + t * width;
-        for (int64_t j = 0; j < count; j++) {
-            const int64_t c = codes[j];
-            if (c >= num_buckets)
+    int64_t scanned = 0;
+    for (int64_t page = 0; page < pages; page++) {
+        const int64_t first = page * PAGE, size = PAGE_SIZE(n, page);
+        int64_t live = 0;
+        for (int64_t t = 0; t < num_tables; t++) {
+            const int64_t count = budgets[t] + 1;
+            if (count < 1 || count > width)
                 return -1;
-            const uint64_t word = bm[c >> 6];
-            const int64_t bit = c & 63;
-            if (!(word >> bit & 1))
-                continue; /* an empty bucket */
-            const int64_t at = rk[c >> 6] + popcount(word & ((UINT64_C(1) << bit) - 1));
-            if (at < 0 || at + 1 >= num_offsets)
-                return -1;
-            const int64_t start = offsets[at], stop = offsets[at + 1];
-            if (start < 0 || start > stop || stop > n)
-                return -1;
-            if (start == stop)
-                continue;
-            batch[live++] = (struct range){row + start, row + stop, units[j]};
-            scanned += stop - start;
-            if (live == BATCH) {
-                if (sweep(batch, live, n, votes) < 0)
+            const uint64_t *const bm = bitmap + (t * pages + page) * words;
+            const int32_t *const rk = rank + (t * pages + page) * words;
+            const uint16_t *const row = members + t * n;
+            const uint16_t *const codes = probes + t * width;
+            for (int64_t j = 0; j < count; j++) {
+                const int64_t c = codes[j];
+                if (c >= num_buckets)
                     return -1;
-                live = 0;
+                if (page + 1 < pages) { /* the next page's words of the code */
+                    __builtin_prefetch(bm + words + (c >> 6));
+                    __builtin_prefetch(rk + words + (c >> 6));
+                }
+                const uint64_t word = bm[c >> 6];
+                const int64_t bit = c & 63;
+                if (!(word >> bit & 1))
+                    continue; /* an empty bucket */
+                const int64_t at = rk[c >> 6] + popcount(word & ((UINT64_C(1) << bit) - 1));
+                if (at < 0 || at + 1 >= num_offsets)
+                    return -1;
+                const int64_t start = offsets[at], stop = offsets[at + 1];
+                if (start < first || start > stop || stop > first + size)
+                    return -1;
+                if (start == stop)
+                    continue;
+                for (int64_t i = start; i < stop && i < start + HEAD; i += 32)
+                    __builtin_prefetch(row + i); /* a 64-byte line of ids */
+                batch[live++] = (struct range){row + start, row + stop, units[j]};
+                scanned += stop - start;
+                if (live == BATCH) {
+                    if (sweep(batch, live, size, votes + first) < 0)
+                        return -1;
+                    live = 0;
+                }
             }
         }
+        if (sweep(batch, live, size, votes + first) < 0)
+            return -1;
     }
-    if (sweep(batch, live, n, votes) < 0)
-        return -1;
     return scanned;
 }
 
@@ -745,87 +815,104 @@ static int64_t probe_rows(
     return 0;
 }
 
-/* Bucket the records of table ``table`` by their codes, in one counting
- * sort, and number them in table 0's bucket order when it is table 0;
+/* Bucket the records of table ``table`` by their codes, one counting sort
+ * a page, and number them in table 0's bucket order when it is table 0;
  * hashing.insert_all sorts tables 0..num_tables-1 in turn.
  *
- * On entry, row t of ``members`` holds table t's codes of records 0..n-1,
- * n uint16 values in the upper half of its 4n bytes (hashing.insert_all
- * hashes them there); a later table's sort needs the ``order`` table 0's
- * gave. For table 0, ``order`` (n values) gets the records grouped by its
- * code and ascending within a bucket, the order a stable argsort of table
- * 0's codes gives; internal id i is record order[i], and row 0 of
- * ``members`` becomes 0..n-1. Row t > 0 gets the n internal ids grouped
- * by table t's code, ascending within a bucket. The table's row of
- * ``bitmap`` and the first k + 1 values of ``offsets`` get its directory,
- * the bitmap and its piece of offsets (directory, above). The steps:
- *   load: the codes go to ``scratch`` (n uint16), since the ids overwrite
- *     them; table 0 copies its row, and table t > 0 gathers code
- *     codes_t[order[i]] of internal id i, so the ids it scatters are
- *     internal ones;
- *   count: offsets[c + 1] counts the records of code c;
- *   prefix: an exclusive running sum turns offsets[c + 1] into the start
- *     of bucket c;
- *   scatter: ids in ascending order go to out[offsets[c + 1]], which then
- *     advances, so it ends as the stop of bucket c. ``out`` is ``order``
- *     for table 0 and the table's row otherwise;
- *   directory: a backward pass turns the stops back into counts, and
- *     those become the directory, in place.
- * No memory is used beyond the outputs, one table's codes and one table's
- * 2**bits + 1 offsets, which every table reuses.
+ * On entry, row t of ``members`` holds table t's codes of records 0..n-1
+ * (hashing.insert_all hashes them there); a later table's sort needs the
+ * ``order`` table 0's gave. The steps:
+ *   number, table 0 only: one counting sort of the row's codes over all n
+ *     records fills ``order`` with the records grouped by code, ascending
+ *     within a bucket, the order a stable argsort of table 0's codes
+ *     gives; internal id i is record order[i];
+ *   load: ``scratch`` (n uint16) gets code row[order[i]] of internal id i,
+ *     since the ids overwrite the row;
+ *   then a counting sort of each page's codes in ``scratch``, in
+ *     ``counts`` (2**bits int32), which every page reuses:
+ *     count (count_codes, below): counts[c] becomes the page's records of
+ *       code c;
+ *     directory (above): the counts become the page's words of ``bitmap``
+ *       and its piece of offsets, written to ``pieces`` after the earlier
+ *       pages' pieces, and counts[c] of each non-empty bucket c its start
+ *       within the page;
+ *     scatter: the page's ids in ascending order, each less the page's
+ *       first id, go to row[first + counts[c]], which then advances.
+ * So table 0's pages hold 0, 1, 2, ... in turn, since its codes ascend in
+ * internal order. No memory is used beyond the outputs, one table's codes
+ * and one page's 2**bits counts.
  *
- * Every code is checked against 2**bits in the count pass, before it is
- * used as an index; the scatter reads the same scratch again. Returns
- * k + 1, the length of the table's piece, or -1 for a code >= 2**bits,
- * bits outside [1, 16], n outside [0, INT32_MAX] or a table outside
- * [0, num_tables); the outputs are then partly written.
+ * Every code is checked against 2**bits in a count pass before it is used
+ * as an index; the scatter reads the same scratch again. Returns the
+ * length of the table's pieces, or -1 for a code >= 2**bits, bits outside
+ * [1, 16], n outside [0, INT32_MAX], a table outside [0, num_tables) or a
+ * ``capacity`` below min(PAGE_SIZE(n, p), 2**bits) + 1 summed over the
+ * pages p, which bounds the pieces' length; the outputs are then partly
+ * written.
  */
+static int count_codes(int64_t bits, const uint16_t *codes, int64_t size, int32_t *counts)
+{
+    const int64_t num_buckets = (int64_t)1 << bits;
+    memset(counts, 0, num_buckets * sizeof *counts);
+    for (int64_t i = 0; i < size; i++) {
+        if (codes[i] >= num_buckets)
+            return -1;
+        counts[codes[i]]++;
+    }
+    return 0;
+}
+
 int64_t boi_bucket_sort(
     int64_t num_tables, int64_t table, int64_t bits, int64_t n,
-    uint64_t *bitmap,                   /* (num_tables, WORDS(bits)) */
-    int32_t *offsets,                   /* (2**bits + 1,) */
-    int32_t *members,                   /* (num_tables, n) */
+    uint64_t *bitmap,                   /* (num_tables, PAGES(n), WORDS(bits)) */
+    int32_t *counts,                    /* (2**bits,) */
+    int32_t *pieces, int64_t capacity,  /* (capacity,) */
+    uint16_t *members,                  /* (num_tables, n) */
     int32_t *order,                     /* (n,) */
     uint16_t *scratch)                  /* (n,) */
 {
     if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || table < 0
         || table >= num_tables)
         return -1;
-    const int64_t num_buckets = (int64_t)1 << bits;
-    int32_t *const row = members + table * n;
-    int32_t *const next = offsets + 1;
-    const uint16_t *const codes = (const uint16_t *)row + n;
-    if (table == 0) {
-        memcpy(scratch, codes, 2 * n);
-    } else {
-        for (int64_t i = 0; i < n; i++)
-            scratch[i] = codes[order[i]];
+    const int64_t num_buckets = (int64_t)1 << bits, pages = PAGES(n);
+    int64_t most = 0;
+    for (int64_t page = 0; page < pages; page++) {
+        const int64_t size = PAGE_SIZE(n, page);
+        most += (size < num_buckets ? size : num_buckets) + 1;
     }
-    memset(next, 0, num_buckets * sizeof *next);
-    for (int64_t i = 0; i < n; i++) {
-        if (scratch[i] >= num_buckets)
+    if (most > capacity)
+        return -1;
+    uint16_t *const row = members + table * n;
+    if (table == 0) {
+        if (count_codes(bits, row, n, counts) < 0)
             return -1;
-        next[scratch[i]]++;
-    }
-    int32_t start = 0;
-    for (int64_t c = 0; c < num_buckets; c++) {
-        const int32_t count = next[c];
-        next[c] = start;
-        start += count;
-    }
-    int32_t *const out = table == 0 ? order : row;
-    for (int64_t i = 0; i < n; i++)
-        out[next[scratch[i]]++] = (int32_t)i;
-    if (table == 0) {
+        int32_t start = 0;
+        for (int64_t c = 0; c < num_buckets; c++) {
+            const int32_t count = counts[c];
+            counts[c] = start;
+            start += count;
+        }
         for (int64_t i = 0; i < n; i++)
-            row[i] = (int32_t)i;
+            order[counts[row[i]]++] = (int32_t)i;
     }
-    for (int64_t c = num_buckets - 1; c > 0; c--)
-        next[c] -= next[c - 1];
-    return directory(bits, offsets, bitmap + table * WORDS(bits));
+    for (int64_t i = 0; i < n; i++)
+        scratch[i] = row[order[i]];
+    int64_t length = 0;
+    for (int64_t page = 0; page < pages; page++) {
+        const int64_t first = page * PAGE, size = PAGE_SIZE(n, page);
+        const uint16_t *const codes = scratch + first;
+        if (count_codes(bits, codes, size, counts) < 0)
+            return -1;
+        length += directory(
+            bits, counts, first, bitmap + (table * pages + page) * WORDS(bits),
+            pieces + length);
+        for (int64_t i = 0; i < size; i++)
+            row[first + counts[codes[i]]++] = (uint16_t)i;
+    }
+    return length;
 }
 
-/* The set bits of one table's WORDS(bits) words of bitmap, or -2 when one
+/* The set bits of one piece's WORDS(bits) words of bitmap, or -2 when one
  * is set for a code at or past 2**bits. */
 static int64_t table_buckets(int64_t bits, const uint64_t *row)
 {
@@ -838,63 +925,64 @@ static int64_t table_buckets(int64_t bits, const uint64_t *row)
     return past ? -2 : k;
 }
 
-/* The number of non-empty buckets of table ``table`` of a snapshot, the
- * set bits of its row of ``bitmap``, so that data_io.load_index knows how
- * many bucket sizes its record holds: -2 when a bit is set for a code at
- * or past 2**bits, and -1 for bits outside [1, 16] or a table outside
- * [0, num_tables). */
+/* The number of non-empty buckets of page ``page`` of table ``table`` of a
+ * snapshot of n records, the set bits of its words of ``bitmap``, so that
+ * data_io.load_index knows how many bucket sizes its record holds: -2 when
+ * a bit is set for a code at or past 2**bits, and -1 for bits outside
+ * [1, 16], n outside [0, INT32_MAX], or a table or page outside [0,
+ * num_tables) or [0, PAGES(n)). */
 int64_t boi_table_buckets(
-    int64_t num_tables, int64_t bits,
-    const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
-    int64_t table)
+    int64_t num_tables, int64_t bits, int64_t n,
+    const uint64_t *bitmap,             /* (num_tables, PAGES(n), WORDS(bits)) */
+    int64_t table, int64_t page)
 {
-    if (bits < 1 || bits > 16 || table < 0 || table >= num_tables)
+    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || table < 0
+        || table >= num_tables || page < 0 || page >= PAGES(n))
         return -1;
-    return table_buckets(bits, bitmap + table * WORDS(bits));
+    return table_buckets(bits, bitmap + (table * PAGES(n) + page) * WORDS(bits));
 }
 
-/* Check table ``table`` of a snapshot, as data_io.load_index reads its
- * record straight into the index's arrays, in one pass over its bucket
- * sizes and one over its ids, and turn the sizes into the table's piece of
- * offsets in place.
+/* Check page ``page`` of table ``table`` of a snapshot, as
+ * data_io.load_index reads its record straight into the index's arrays,
+ * in one pass over its bucket sizes and one over its ids, and turn the
+ * sizes into its piece of offsets in place.
  *
- * Row ``table`` of ``bitmap`` marks the table's k non-empty buckets, and
+ * The page's words of ``bitmap`` mark its k non-empty buckets, and
  * offsets[at + 1 .. at + k] holds their sizes in code order, read as
  * uint32. Every size must be at least 1, and their sum, taken as uint64 so
- * that no size can wrap it, must be n; then offsets[at .. at + k] become
- * the table's piece of offsets (directory, above): the start of each
- * bucket, then n. Start i, the sum of sizes 0..i-1, is written over size
- * i - 1, which has been read, so no scratch is needed. Row
- * ``table`` of ``members`` is the record's id row, read as uint32: every
- * id must be below n, and their wrapping uint32 sum must be n(n - 1)/2 mod
- * 2**32, the sum of 0..n-1, which any single flipped bit of a permutation
- * changes by a power of two below 2**32. The id pass has no branch and no
+ * that no size can wrap it, must be the page's size s = PAGE_SIZE(n, page);
+ * then offsets[at .. at + k] become the piece (directory, above): the
+ * position of each bucket in the row, from the page's first id, then the
+ * page's end. Start i is written over size i - 1, which has been read, so
+ * no scratch is needed. The page's s stored ids, row ``table`` of
+ * ``members`` from the page's first id, must each be below s, and their
+ * uint32 sum, which no s <= 2**16 ids below 2**16 can wrap, must be
+ * s(s - 1)/2, the sum of 0..s-1, which any single flipped bit of a
+ * permutation changes by a power of two. The id pass has no branch and no
  * compare, so it vectorises (a compare-select max did not, under the
  * default flags).
  *
- * Returns k + 1, the length of the table's piece, when the record passes;
+ * Returns k + 1, the length of the piece, when the record passes;
  * otherwise the first check that fails: -2 a bit set past 2**bits, -3 a
- * size of 0, -4 sizes that do not sum to n (``offsets`` is unchanged after
- * these three), -5 an id of n or more, -6 ids whose sum is wrong; or -1
- * for bits outside [1, 16], n outside [0, INT32_MAX], a table outside
- * [0, num_tables) or a piece that does not fit between ``at`` and the end
- * of the num_offsets offsets.
+ * size of 0, -4 sizes that do not sum to s (``offsets`` is unchanged after
+ * these three), -5 an id of s or more, -6 ids whose sum is wrong; or -1
+ * for bits outside [1, 16], n outside [0, INT32_MAX], a table or page
+ * outside [0, num_tables) or [0, PAGES(n)), or a piece that does not fit
+ * between ``at`` and the end of the num_offsets offsets.
  */
 int64_t boi_check_table(
     int64_t num_tables, int64_t bits, int64_t n,
-    const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
+    const uint64_t *bitmap,             /* (num_tables, PAGES(n), WORDS(bits)) */
     int32_t *offsets, int64_t num_offsets, /* (num_offsets,) */
-    const uint32_t *members,            /* (num_tables, n) */
-    int64_t table, int64_t at)
+    const uint16_t *members,            /* (num_tables, n) */
+    int64_t table, int64_t page, int64_t at)
 {
-    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || table < 0
-        || table >= num_tables)
-        return -1;
-    const int64_t k = table_buckets(bits, bitmap + table * WORDS(bits));
+    const int64_t k = boi_table_buckets(num_tables, bits, n, bitmap, table, page);
     if (k < 0)
         return k;
     if (at < 0 || at + k >= num_offsets)
         return -1;
+    const int64_t first = page * PAGE, size = PAGE_SIZE(n, page);
     int32_t *const piece = offsets + at;
     const uint32_t *const sizes = (const uint32_t *)piece + 1;
     uint64_t total = 0;
@@ -905,75 +993,75 @@ int64_t boi_check_table(
     }
     if (empty)
         return -3;
-    if (total != (uint64_t)n)
+    if (total != (uint64_t)size)
         return -4;
-    /* so every size is at most n, and int32 holds every start */
-    int32_t start = 0;
+    /* so every size is at most the page's, and int32 holds every start */
+    int32_t start = (int32_t)first;
     for (int64_t i = 0; i < k; i++) {
-        const int32_t size = (int32_t)sizes[i];
+        const int32_t count = (int32_t)sizes[i];
         piece[i] = start;
-        start += size;
+        start += count;
     }
     piece[k] = start;
-    /* an id v is below n <= 2**31 - 1 iff neither v nor (n - 1) - v,
-     * wrapped, has its top bit set: two ORs instead of an unsigned compare,
-     * which SSE2 lacks */
-    const uint32_t *const ids = members + table * n;
-    const uint32_t last = (uint32_t)n - 1;
+    /* an id v is below s <= 2**16 iff (s - 1) - v, wrapped, has no top bit
+     * set: an OR instead of an unsigned compare, which SSE2 lacks */
+    const uint16_t *const ids = members + table * n + first;
+    const uint32_t last = (uint32_t)size - 1;
     uint32_t bad = 0, sum = 0;
-    for (int64_t i = 0; i < n; i++) {
-        bad |= ids[i] | (last - ids[i]);
+    for (int64_t i = 0; i < size; i++) {
+        bad |= last - ids[i];
         sum += ids[i];
     }
     if (bad >> 31)
         return -5;
-    return sum == (uint32_t)((uint64_t)n * (uint64_t)(n - 1) / 2) ? k + 1 : -6;
+    return sum == (uint32_t)(size * (size - 1) / 2) ? k + 1 : -6;
 }
 
 /* Check the directory of num_tables tables of n records (this file's
  * header comment) and make its rank: no bit set for a code at or past
- * 2**bits, and each table's piece of offsets rising strictly from 0 to n,
- * one offset a set bit and then n, the pieces filling the num_offsets
- * offsets exactly. ``rank`` gets each word's position in ``offsets``, so
- * this is the one loop that counts the pieces. Returns 0 when the
- * directory holds, else the first fault found: 1 a bit past 2**bits, 2 a
- * count of offsets, 3 offsets that do not rise from 0 to n; or -1 for
- * bits outside [1, 16], n outside [0, INT32_MAX] or more than INT32_MAX
- * offsets, which int32 ranks cannot reach. ``rank`` is then partly
- * written. Nothing is allocated.
+ * 2**bits, and the piece of each (table, page) rising strictly from the
+ * page's first id to its end, one offset a set bit and then the end, the
+ * pieces filling the num_offsets offsets exactly. ``rank`` gets each
+ * word's position in ``offsets``, so this is the one loop that counts the
+ * pieces. Returns 0 when the directory holds, else the first fault found:
+ * 1 a bit past 2**bits, 2 a count of offsets, 3 offsets that do not rise
+ * from a page's start to its end; or -1 for bits outside [1, 16], n
+ * outside [0, INT32_MAX] or more than INT32_MAX offsets, which int32 ranks
+ * cannot reach. ``rank`` is then partly written. Nothing is allocated.
  */
 int64_t boi_check_directory(
     int64_t num_tables, int64_t bits, int64_t n,
-    const uint64_t *bitmap,             /* (num_tables, WORDS(bits)) */
+    const uint64_t *bitmap,             /* (num_tables, PAGES(n), WORDS(bits)) */
     const int32_t *offsets, int64_t num_offsets, /* (num_offsets,) */
-    int32_t *rank)                      /* (num_tables, WORDS(bits)) */
+    int32_t *rank)                      /* (num_tables, PAGES(n), WORDS(bits)) */
 {
     if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || num_tables < 0
         || num_offsets > INT32_MAX)
         return -1;
-    const int64_t words = WORDS(bits);
+    const int64_t words = WORDS(bits), pages = PAGES(n);
     const uint64_t past = PAST(bits);
     int64_t at = 0; /* the position of the next non-empty bucket */
-    for (int64_t t = 0; t < num_tables; t++) {
-        const int64_t base = at; /* where table t's piece begins */
+    for (int64_t row = 0; row < num_tables * pages; row++) {
+        const int64_t page = row % pages, first = page * PAGE;
+        const int64_t base = at; /* where the piece begins */
         for (int64_t w = 0; w < words; w++) {
-            const uint64_t word = bitmap[t * words + w];
+            const uint64_t word = bitmap[row * words + w];
             if (word & past)
                 return 1;
-            rank[t * words + w] = (int32_t)at;
+            rank[row * words + w] = (int32_t)at;
             at += popcount(word);
         }
         if (at >= num_offsets)
             return 2;
         const int32_t *const piece = offsets + base;
         const int64_t k = at - base;
-        if (piece[0] != 0 || piece[k] != n)
+        if (piece[0] != first || piece[k] != first + PAGE_SIZE(n, page))
             return 3;
         for (int64_t i = 0; i < k; i++) {
             if (piece[i] >= piece[i + 1])
                 return 3;
         }
-        at++; /* past the table's n */
+        at++; /* past the page's end */
     }
     return at == num_offsets ? 0 : 2;
 }
@@ -1152,10 +1240,13 @@ int64_t boi_hash_codes(
  * The bound the filter (``nearest``) rests on, for a float32 query q, so
  * that (double)q[i] is exact, and dim + 2 < 2**23. Let D be the exact
  * sum of (x[i] - q[i])**2, u = 2**-24 and t = (dim + 2) * u.
- *   square32 rounds each difference, its square and dim - 1 sums, dim + 2
- *     roundings on any term's path, each within a factor 1 + u while no
- *     value overflows (Higham, "Accuracy and Stability of Numerical
- *     Algorithms", 2002, ch. 3: gamma_{dim+2} = t / (1 - t)). A difference
+ *   square32 rounds each difference, its square and the sums that add
+ *     it, at most dim - 1 of them in any order of summation, however lanes
+ *     split and rejoin the terms: at most dim + 1 roundings on any term's
+ *     path, fewer than the dim + 2 of gamma_{dim+2} = t / (1 - t), each
+ *     within a factor 1 + u while no value overflows (Higham, "Accuracy
+ *     and Stability of Numerical Algorithms", 2002, ch. 3). So the bound
+ *     holds for square32's 32 lanes as for any other order. A difference
  *     that lands among the subnormals is exact, but a square may underflow,
  *     off by at most 2**-150, which the sum can enlarge by less than 1 +
  *     gamma: so its S <= D / (1 - t) + dim * 2**-149, and D >= (S - dim *
@@ -1193,20 +1284,39 @@ static double distance(const float *x, const double *q, int64_t dim)
     return sqrt(sum);
 }
 
-/* The float32 squared distance from row x to q, dim values each, summed in
- * ``dot``'s order: the filter's estimate (``distance``'s bound). */
+/* The float32 squared distance from row x to q, dim values each: the
+ * filter's estimate (``distance``'s bound). Lane k of SQUARE_LANES sums
+ * d * d, d = x[i] - q[i], over i = k (mod SQUARE_LANES), ascending, over
+ * the whole groups; lane k + h is then added to lane k for h = 16, 8 and 4
+ * in turn, the four lanes left are added as (l0 + l1) + (l2 + l3), and the
+ * dim % SQUARE_LANES squares past the groups are added in ascending i. The
+ * bound holds for any order of summation, so the lanes need not be
+ * ``dot``'s 8: 32 independent sums keep eight SSE accumulators in flight
+ * where 8 lanes kept two, each add waiting on the one before it. The fixed
+ * steps of the fold keep the lanes in registers; a loop over h, which GCC
+ * did not unroll, left them on the stack and made the oracle 5% slower
+ * than 8 lanes. Over the benchmark's seed-1 base, the oracle
+ * (boi_nearest) went 5.9 to 5.3 ms a query, every id and distance the
+ * same. */
+#define SQUARE_LANES 32
+
 static float square32(const float *x, const float *q, int64_t dim)
 {
-    const int64_t whole = dim - dim % LANES;
-    float lane[LANES] = {0};
-    for (int64_t i = 0; i < whole; i += LANES) {
-        for (int64_t k = 0; k < LANES; k++) {
+    const int64_t whole = dim - dim % SQUARE_LANES;
+    float lane[SQUARE_LANES] = {0};
+    for (int64_t i = 0; i < whole; i += SQUARE_LANES) {
+        for (int64_t k = 0; k < SQUARE_LANES; k++) {
             const float d = x[i + k] - q[i + k];
             lane[k] += d * d;
         }
     }
-    float sum = ((lane[0] + lane[1]) + (lane[2] + lane[3]))
-        + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    for (int64_t k = 0; k < 16; k++)
+        lane[k] += lane[k + 16];
+    for (int64_t k = 0; k < 8; k++)
+        lane[k] += lane[k + 8];
+    for (int64_t k = 0; k < 4; k++)
+        lane[k] += lane[k + 4];
+    float sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
     for (int64_t i = whole; i < dim; i++) {
         const float d = x[i] - q[i];
         sum += d * d;
@@ -1469,7 +1579,7 @@ int64_t boi_query(
         const int64_t pairs = gather_vote(
             num_tables, bits, n, AT(const uint64_t, Q_BITMAP), AT(const int32_t, Q_RANK),
             AT(const int32_t, Q_OFFSETS), block[Q_NUM_OFFSETS],
-            AT(const int32_t, Q_MEMBERS), probes, width, AT(const uint32_t, Q_UNITS),
+            AT(const uint16_t, Q_MEMBERS), probes, width, AT(const uint32_t, Q_UNITS),
             AT(const int64_t, Q_BUDGETS), votes);
         if (pairs < 0)
             return -4;

@@ -11,20 +11,25 @@ every row the same way for the brute-force oracle, the counting sort
 ``hashing.hash_codes_all`` turns a build's float32 dot products into codes
 with. These eight are all the library exports, besides two constants.
 
-A table's buckets are found through a directory of its non-empty buckets
-(``vote.c``'s header comment): a ``bitmap`` of its non-empty codes in
-``directory_words(b)`` uint64 words, and the ``offsets``, the start of
-each of those buckets in code order, then n. The offsets of every table
-follow each other in one int32 array. The sort builds one table at a time
-in a scratch of 2**b + 1 int32 offsets, whose front ends holding the
-table's piece of offsets, and returns the piece's length; the snapshot
-check (``TableCheck``) turns a table's bucket sizes into its piece in
-place, in the index's own offsets. The ``rank`` of each word, the
-position in ``offsets`` of its first non-empty bucket, is derived from
-the bitmap alone, by ``check_directory``. The kernel counts the set bits
-below a code within its word, and so, in numpy and in the same broadword
-way, does ``hashing.ProjectionTable.bucket``, which lists the records of
-given (table, code) pairs; ``piece`` reads the rank, and ``buckets`` the
+Every table keeps its internal ids as uint16 (``ID_DTYPE``) in pages of
+``PAGE`` = 2**16 ids (``vote.c``'s header comment): page p holds ids
+[p * PAGE, min(n, (p + 1) * PAGE)) at those same positions of each
+table's row of ``members``, grouped by code, and stores each as id - p *
+PAGE. Each (table, page) finds its buckets through a directory of its
+non-empty buckets: a ``bitmap`` of its non-empty codes in
+``directory_words(b)`` uint64 words, and its piece of ``offsets``, the
+position in the row of each of those buckets in code order, then the
+page's end. The pieces follow each other in one int32 array, table by
+table and page by page. The sort builds one table at a time, a counting
+sort a page in a scratch of 2**b int32 counts, and returns the
+length of the table's pieces; the snapshot check (``TableCheck``) turns a
+(table, page)'s bucket sizes into its piece in place, in the index's own
+offsets. The ``rank`` of each word, the position in ``offsets`` of its
+first non-empty bucket, is derived from the bitmap alone, by
+``check_directory``. The kernel counts the set bits below a code within
+its word, and so, in numpy and in the same broadword way, does
+``hashing.ProjectionTable.bucket``, which lists the records of given
+(table, code) pairs; ``piece`` reads the rank, and ``buckets`` the
 bitmap, a table at a time.
 
 The source is compiled with the system ``cc`` the first time the package
@@ -72,17 +77,25 @@ import numpy as np
 MAX_HASH_BITS = 16
 
 # The one width decision, which the compiled loops are written for: a bucket
-# code of up to MAX_HASH_BITS = 16 bits is a uint16, and a CSR bucket offset
-# (at most n) is an int32, like a record id.
+# code of up to MAX_HASH_BITS = 16 bits is a uint16, and so is a stored
+# member, an internal id less its page's first id; a bucket offset (at most
+# n) is an int32, like a record id.
 CODE_DTYPE = np.dtype(np.uint16)
+ID_DTYPE = np.dtype(np.uint16)
 OFFSET_DTYPE = np.dtype(np.int32)
+# the ids of a page (``vote.c``'s PAGE)
+PAGE = 1 << 16
 
 SOURCE = Path(__file__).with_name("vote.c")
 # -ffp-contract=off: a query's dot products and exact distances round every
 # product before it is added, on any target (``vote.c``'s ``dot`` and
 # ``distance``); -fno-math-errno: sqrt is the one correctly rounded
-# instruction, with no call into libm, which the library does not link
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+# instruction, with no call into libm, which the library does not link;
+# -falign-loops=64: every loop starts on a 64-byte boundary, so the vote
+# kernel's inner loop never straddles one (``vote.c``'s HOT comment)
+_CFLAGS = (
+    "-O3", "-ffp-contract=off", "-fno-math-errno", "-falign-loops=64", "-shared", "-fPIC"
+)
 
 
 def default_cache_dir() -> Path:
@@ -150,7 +163,9 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # bits
         i64,  # n
         address,  # bitmap
-        address,  # offsets
+        address,  # counts
+        address,  # pieces
+        i64,  # their capacity
         address,  # members
         address,  # order
         address,  # scratch
@@ -158,8 +173,10 @@ def load_library(cache_dir) -> ctypes.CDLL:
     library.boi_table_buckets.argtypes = [
         i64,  # num_tables
         i64,  # bits
+        i64,  # n
         address,  # bitmap
         i64,  # table
+        i64,  # page
     ]
     library.boi_check_table.argtypes = [
         i64,  # num_tables
@@ -170,7 +187,8 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # number of offsets
         address,  # members
         i64,  # table
-        i64,  # position of the table's piece in offsets
+        i64,  # page
+        i64,  # position of the piece in offsets
     ]
     library.boi_check_directory.argtypes = [
         i64,  # num_tables
@@ -262,9 +280,29 @@ def _address(array: np.ndarray, dtype, shape: tuple, writable: bool = False) -> 
 
 
 def directory_words(bits: int) -> int:
-    """uint64 words of one b-bit table's bitmap and rank: 2**b / 64, at
-    least one."""
+    """uint64 words of the bitmap and rank of one page of a b-bit table:
+    2**b / 64, at least one."""
     return max(1, (1 << bits) >> 6)
+
+
+def num_pages(n: int) -> int:
+    """The pages of n records: ceil(n / PAGE), at least one."""
+    return max(1, -(-n // PAGE))
+
+
+def page_sizes(n: int) -> np.ndarray:
+    """The (num_pages(n),) int64 ids of each page of n records: PAGE, less
+    in the last page."""
+    pages = num_pages(n)
+    sizes = np.full(pages, PAGE, np.int64)
+    sizes[-1] = n - (pages - 1) * PAGE
+    return sizes
+
+
+def directory_shape(num_tables: int, bits: int, n: int) -> tuple[int, int, int]:
+    """(L, P, W), the shape of the bitmap and rank of L b-bit tables of n
+    records: P = ``num_pages(n)``, W = ``directory_words(bits)``."""
+    return (num_tables, num_pages(n), directory_words(bits))
 
 
 class ProbePlan:
@@ -317,11 +355,11 @@ class ProbePlan:
 
 class GatherVote:
     """One index's tables, bound once for ``boi_query``'s gather+vote
-    stage: their directory,
-    ``bitmap`` (L, W) uint64 and ``rank`` (L, W) int32 with W =
-    ``directory_words(bits)`` (the rank ``check_directory`` makes), and
-    ``offsets`` int32, and their ``members`` (L, n) int32, ``bits`` in
-    [1, 16]; each ``QueryScratch`` over the tables votes through it.
+    stage: their directory, ``bitmap`` (L, P, W) uint64 and ``rank`` (L, P,
+    W) int32 of shape ``directory_shape(L, bits, n)`` (the rank
+    ``check_directory`` makes), and ``offsets`` int32, and their
+    ``members`` (L, n) uint16, ``bits`` in [1, 16]; each ``QueryScratch``
+    over the tables votes through it.
 
     The arrays are checked here, once, and held; they must not change while
     the binding is used. ValueError names the array whose type, shape or
@@ -335,60 +373,64 @@ class GatherVote:
         if not 1 <= bits <= MAX_HASH_BITS:
             raise ValueError(f"GatherVote: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
         num_tables, n = len(bitmap), members.shape[-1]
-        words = (num_tables, directory_words(bits))
+        shape = directory_shape(num_tables, bits, n)
         self._arrays = (bitmap, rank, offsets, members)
         self._fixed = (
             num_tables, bits, n,
-            _address(bitmap, np.uint64, words),
-            _address(rank, OFFSET_DTYPE, words),
+            _address(bitmap, np.uint64, shape),
+            _address(rank, OFFSET_DTYPE, shape),
             _address(offsets, OFFSET_DTYPE, (offsets.size,)), offsets.size,
-            _address(members, np.int32, (num_tables, n)),
+            _address(members, ID_DTYPE, (num_tables, n)),
         )
 
 
 def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
     """Bucket every record of every table by its code, one counting sort a
-    table, number the records in table 0's bucket order, and return the
-    tables' directory ``(bitmap, offsets)``.
+    page of each table, number the records in table 0's bucket order, and
+    return the tables' directory ``(bitmap, offsets)``.
 
-    ``members`` (L, n) int32 comes in holding table t's ``bits``-bit codes
-    of records 0..n-1 in the upper half of row t,
-    ``members.view(CODE_DTYPE)[:, n:]``. ``order`` (n,) int32 is filled with
+    ``members`` (L, n) uint16 comes in holding table t's ``bits``-bit
+    codes of records 0..n-1 in row t. ``order`` (n,) int32 is filled with
     the records grouped by table 0's code, ascending within a bucket (a
     stable argsort of table 0's codes): record ``order[i]`` gets internal
-    id i. ``members`` leaves holding each table's internal ids, grouped by
-    code and ascending within a bucket, so row 0 is 0..n-1. Both must be
-    C-contiguous and writable, and L at least 1. Besides them the sort
-    holds one table's codes and one table's 2**b + 1 offsets, and the
-    directory it returns. Raises ValueError when ``bits`` is not in
-    [1, 16], the shapes disagree or a code is 2**b or more; ``members`` and
-    ``order`` are then partly written.
+    id i. ``members`` leaves holding each table's internal ids, page by
+    page, each grouped by code and ascending within a bucket, and each
+    stored less its page's first id, so row 0 holds 0..PAGE-1 in each full
+    page. Both must be C-contiguous and writable, and L at least 1. Besides
+    them the sort holds one row of n codes, one page's 2**b counts
+    and one table's pieces, and the directory it returns: ``bitmap`` (L,
+    P, W) and the pieces of every (table, page) in one int32 array. Raises
+    ValueError when ``bits`` is not in [1, 16], the shapes disagree or a
+    code is 2**b or more; ``members`` and ``order`` are then partly
+    written.
     """
     num_tables, n = len(members), order.size
     if num_tables < 1:
         raise ValueError("bucket_sort needs at least one table")
     if not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(f"bucket_sort: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
-    words = directory_words(bits)
-    bitmap = np.empty((num_tables, words), np.uint64)
+    shape = directory_shape(num_tables, bits, n)
+    bitmap = np.empty(shape, np.uint64)
     # names hold the scratches alive while the kernel writes through their addresses
-    offsets = np.empty((1 << bits) + 1, OFFSET_DTYPE)
+    counts = np.empty(1 << bits, OFFSET_DTYPE)
+    pieces = np.empty(int(np.minimum(page_sizes(n), 1 << bits).sum()) + shape[1], OFFSET_DTYPE)
     scratch = np.empty(n, CODE_DTYPE)
     fixed = (
-        _address(bitmap, np.uint64, (num_tables, words), writable=True),
-        _address(offsets, OFFSET_DTYPE, offsets.shape, writable=True),
-        _address(members, np.int32, (num_tables, n), writable=True),
+        _address(bitmap, np.uint64, shape, writable=True),
+        _address(counts, OFFSET_DTYPE, counts.shape, writable=True),
+        _address(pieces, OFFSET_DTYPE, pieces.shape, writable=True), pieces.size,
+        _address(members, ID_DTYPE, (num_tables, n), writable=True),
         _address(order, np.int32, (n,), writable=True),
         _address(scratch, CODE_DTYPE, (n,), writable=True),
     )
-    pieces = []
+    tables = []
     for t in range(num_tables):
         size = _library.boi_bucket_sort(num_tables, t, bits, n, *fixed)
         if size < 0:
             raise ValueError(f"a bucket code is out of range for {bits} bits")
-        pieces.append(offsets[:size].copy())
-    del offsets, scratch  # the pieces are all the tables keep of them
-    return bitmap, np.concatenate(pieces)
+        tables.append(pieces[:size].copy())
+    del counts, pieces, scratch  # the pieces are all the tables keep of them
+    return bitmap, np.concatenate(tables)
 
 
 # what TableCheck finds wrong with a table record, by its status
@@ -398,10 +440,11 @@ BIT_PAST, EMPTY_BUCKET, SIZES_OFF, ID_OUT_OF_RANGE, NOT_A_PERMUTATION = -2, -3, 
 class TableCheck:
     """``boi_table_buckets`` and ``boi_check_table`` bound to the arrays
     ``data_io.load_index`` reads a snapshot's table records into: ``bitmap``
-    (L, W) uint64, W = ``directory_words(bits)``, ``offsets`` int32, K + L
-    values for K non-empty buckets in all, and ``members`` (L, n) int32,
-    ``bits`` in [1, 16]; so a table's calls pass only the table and the
-    position of its piece in ``offsets``.
+    (L, P, W) uint64 of shape ``directory_shape(L, bits, n)``, ``offsets``
+    int32, K + L*P values for K non-empty buckets in all, and ``members``
+    (L, n) uint16, ``bits`` in [1, 16]; so a (table, page)'s calls pass
+    only the table, the page and the position of its piece in
+    ``offsets``.
 
     The arrays are checked here, once, and held; they must not change shape
     while the binding is used. ValueError names the array whose type, shape
@@ -413,47 +456,52 @@ class TableCheck:
         if not 1 <= bits <= MAX_HASH_BITS:
             raise ValueError(f"TableCheck: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
         num_tables, n = len(bitmap), members.shape[-1]
-        words = (num_tables, directory_words(bits))
         self._arrays = (bitmap, offsets, members)
-        bitmap_at = _address(bitmap, np.uint64, words)
-        self._buckets = (num_tables, bits, bitmap_at)
+        bitmap_at = _address(bitmap, np.uint64, directory_shape(num_tables, bits, n))
+        self._buckets = (num_tables, bits, n, bitmap_at)
         self._check = (
             num_tables, bits, n, bitmap_at,
             _address(offsets, OFFSET_DTYPE, (offsets.size,), writable=True), offsets.size,
-            _address(members, np.int32, (num_tables, n)),
+            _address(members, ID_DTYPE, (num_tables, n)),
         )
 
-    def buckets(self, table: int) -> int:
-        """k, the non-empty buckets row ``table`` of the bitmap marks, or
-        ``BIT_PAST`` when a bit is set for a code at or past 2**b. Raises
-        ValueError for a table outside [0, L)."""
-        k = _library.boi_table_buckets(*self._buckets, table)
+    def buckets(self, table: int, page: int) -> int:
+        """k, the non-empty buckets the bitmap marks in page ``page`` of
+        table ``table``, or ``BIT_PAST`` when a bit is set for a code at or
+        past 2**b. Raises ValueError for a table outside [0, L) or a page
+        outside [0, P)."""
+        k = _library.boi_table_buckets(*self._buckets, table, page)
         if k == -1:
-            raise ValueError(f"TableCheck: table {table} is not in [0, {self._buckets[0]})")
+            raise ValueError(
+                f"TableCheck: (table {table}, page {page}) is not in "
+                f"[0, {self._buckets[0]}) x [0, {num_pages(self._buckets[2])})"
+            )
         return k
 
-    def __call__(self, table: int, at: int) -> int:
-        """Check table ``table``'s record and turn its bucket sizes into its
-        piece of offsets, in place.
+    def __call__(self, table: int, page: int, at: int) -> int:
+        """Check page ``page`` of table ``table`` and turn its bucket sizes
+        into its piece of offsets, in place.
 
         Entries ``at + 1 .. at + k`` of ``offsets`` hold the sizes, read as
-        uint32, of the k non-empty buckets row ``table`` of the bitmap
-        marks, in code order, and row ``table`` of ``members`` the record's
-        ids. When every size is at least 1 and their exact sum is n, entries
-        ``at .. at + k`` become the table's piece of offsets: the start of
-        each bucket, then n. Returns k + 1, the piece's length, when,
-        besides, every id, read as uint32, is below n and the ids' wrapping
-        uint32 sum is that of 0..n-1. Otherwise returns the first check
-        that fails, a negative status: ``BIT_PAST``, ``EMPTY_BUCKET`` or
-        ``SIZES_OFF`` (``offsets`` then unchanged), ``ID_OUT_OF_RANGE`` or
-        ``NOT_A_PERMUTATION``. Raises ValueError for a table outside [0, L)
-        or a piece that does not fit in ``offsets`` from ``at``.
+        uint32, of the k non-empty buckets the bitmap marks in the page, in
+        code order, and row ``table`` of ``members`` the page's ids at the
+        page's positions, each less the page's first id. When every size
+        is at least 1 and their exact sum is s, the page's number of ids,
+        entries ``at .. at + k`` become its piece of offsets: the position
+        of each bucket in the row, from the page's first id, then the
+        page's end. Returns k + 1, the piece's length, when, besides, every
+        stored id is below s and their sum is that of 0..s-1. Otherwise
+        returns the first check that fails, a negative status:
+        ``BIT_PAST``, ``EMPTY_BUCKET`` or ``SIZES_OFF`` (``offsets`` then
+        unchanged), ``ID_OUT_OF_RANGE`` or ``NOT_A_PERMUTATION``. Raises
+        ValueError for a table or page outside the tables' or a piece that
+        does not fit in ``offsets`` from ``at``.
         """
-        status = _library.boi_check_table(*self._check, table, at)
+        status = _library.boi_check_table(*self._check, table, page, at)
         if status == -1:
             raise ValueError(
-                f"TableCheck: table {table} is not in [0, {self._check[0]}) or its "
-                f"piece does not fit in the {self._check[5]} offsets from {at}"
+                f"TableCheck: (table {table}, page {page}) is not one of the tables' "
+                f"or its piece does not fit in the {self._check[5]} offsets from {at}"
             )
         return status
 
@@ -462,36 +510,37 @@ class TableCheck:
 _DIRECTORY_FAULTS = {
     -1: "{n} records or {size} offsets do not fit int32 positions",
     1: "bitmap has a bit set for a code at or past 2**{bits}",
-    2: "offsets do not hold one value per set bit of the bitmap and each table's n",
-    3: "offsets do not rise strictly from 0 to {n} through each table's "
-    "non-empty buckets",
+    2: "offsets do not hold one value per set bit of the bitmap and each page's end",
+    3: "offsets do not rise strictly from each page's start to its end through "
+    "its non-empty buckets",
 }
 
 
 def check_directory(bits: int, bitmap, offsets, n: int) -> np.ndarray:
-    """The (L, W) int32 ``rank`` of the directory ``bitmap`` (L, W) uint64
-    and ``offsets`` int32, W = ``directory_words(bits)``, of L ``bits``-bit
-    tables of n records (``boi_check_directory``): ``rank[t, w]`` is the
-    position in ``offsets`` of table t's first non-empty bucket at or after
-    word w, where its piece begins plus the set bits of its words before w.
+    """The (L, P, W) int32 ``rank`` of the directory ``bitmap`` (L, P, W)
+    uint64 and ``offsets`` int32 of L ``bits``-bit tables of n records, of
+    shape ``directory_shape(L, bits, n)`` (``boi_check_directory``):
+    ``rank[t, p, w]`` is the position in ``offsets`` of the first non-empty
+    bucket at or after word w of page p of table t, where its piece begins
+    plus the set bits of its words before w.
 
     Raises ValueError, naming the first fault, unless the arrays are such a
-    directory: no bit set for a code at or past 2**bits, and each table's
-    piece of offsets rising strictly from 0 to n, one value a set bit and
-    then n, the pieces filling ``offsets`` exactly, at most 2**31 - 1 of
-    them. ValueError is raised too when the arrays' types, shapes or
-    layouts disagree, or ``bits`` is not in [1, 16]. Nothing is allocated
-    but the rank.
+    directory: no bit set for a code at or past 2**bits, and the piece of
+    each (table, page) rising strictly from the page's first id to its end,
+    one value a set bit and then the end, the pieces filling ``offsets``
+    exactly, at most 2**31 - 1 of them. ValueError is raised too when the
+    arrays' types, shapes or layouts disagree, or ``bits`` is not in
+    [1, 16]. Nothing is allocated but the rank.
     """
     if not 1 <= bits <= MAX_HASH_BITS:
         raise ValueError(f"check_directory: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
-    words = (len(bitmap), directory_words(bits))
-    rank = np.empty(words, OFFSET_DTYPE)
+    shape = directory_shape(len(bitmap), bits, n)
+    rank = np.empty(shape, OFFSET_DTYPE)
     status = _library.boi_check_directory(
-        words[0], bits, n,
-        _address(bitmap, np.uint64, words),
+        shape[0], bits, n,
+        _address(bitmap, np.uint64, shape),
         _address(offsets, OFFSET_DTYPE, (offsets.size,)), offsets.size,
-        _address(rank, OFFSET_DTYPE, words, writable=True),
+        _address(rank, OFFSET_DTYPE, shape, writable=True),
     )
     if status:
         raise ValueError(_DIRECTORY_FAULTS[status].format(bits=bits, n=n, size=offsets.size))
@@ -645,9 +694,12 @@ def scratch_bytes(
     float32 dot products, 2L of codes, 4 * dim of the query's float32
     copy and 8 * dim of its float64 one, 2L * width of probe rows, 16 *
     min(shortlist_size, n) of the re-rank's int64 ids and float64
-    distances, and the int64 block and two counts. The selection and the
-    re-rank keep their counts and heaps on the stack or in those buffers,
-    so they add nothing."""
+    distances, and the int64 block and two counts. The votes are int32
+    over every internal id, whatever the page: only the tables store ids
+    as uint16, and the gather+vote adds a page's votes at the page's own
+    place in them. The selection and the re-rank keep their counts and
+    heaps on the stack or in those buffers, and the gather+vote its batch
+    of ranges, so they add nothing."""
     return (
         4 * n
         + 8 * max(touched_capacity(n), min(shortlist_size, n))

@@ -3,20 +3,22 @@
 import numpy as np
 
 from boi.hashing import ProjectionTable, _sign_filter
-from boi.vote import GatherVote, QueryScratch, directory_words
+from boi.vote import ID_DTYPE, GatherVote, QueryScratch, directory_shape
 
 
 def directory(offsets) -> tuple[np.ndarray, np.ndarray]:
     """The ``(bitmap, offsets)`` directory of dense CSR ``offsets``
-    (L, 2**b + 1): every bucket whose offsets differ counts as non-empty,
-    so dense offsets that decrease give a directory ``ProjectionTable``
-    refuses. The directory's offsets keep the dense ones' dtype."""
+    (L, 2**b + 1) of tables of one page (at most 2**16 records): every
+    bucket whose offsets differ counts as non-empty, so dense offsets that
+    decrease give a directory ``ProjectionTable`` refuses. The bitmap is
+    (L, 1, W); the directory's offsets keep the dense ones' dtype."""
     offsets = np.asarray(offsets)
     num_tables, width = offsets.shape
     num_buckets = width - 1
     full = np.zeros((num_tables, 64 * max(1, num_buckets // 64)), dtype=bool)
     full[:, :num_buckets] = offsets[:, 1:] != offsets[:, :-1]
     bitmap = np.packbits(full, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+    bitmap = bitmap[:, np.newaxis, :]
     compact = np.concatenate(
         [np.append(row[:-1][mask[:num_buckets]], row[-1]) for row, mask in zip(offsets, full)]
     )
@@ -25,11 +27,13 @@ def directory(offsets) -> tuple[np.ndarray, np.ndarray]:
 
 def dense_offsets(tables: ProjectionTable) -> np.ndarray:
     """The (L, 2**b + 1) int64 CSR offsets of every bucket of ``tables``,
-    empty ones included, as an oracle to compare a directory with."""
+    empty ones included, its records of every page counted, as an oracle
+    to compare a directory with."""
     offsets = np.zeros((tables.num_tables, tables.num_buckets + 1), dtype=np.int64)
     for t in range(tables.num_tables):
-        codes, piece = tables.buckets(t)
-        offsets[t, codes + 1] = np.diff(piece)
+        for page in range(tables.num_pages):
+            codes, piece = tables.buckets(t, page)
+            offsets[t, codes + 1] += np.diff(piece)
     return np.cumsum(offsets, axis=1)
 
 
@@ -42,7 +46,7 @@ def from_record_ids(projections, offsets, members) -> ProjectionTable:
     internal id i. Every row is mapped through the inverse of that order,
     and each later row is sorted within its buckets, as ``insert_all``
     lists them. Row 0 must be a permutation of 0..n-1 and every later id
-    must lie in [0, n).
+    must lie in [0, n), n at most 2**16: the tables have one page.
     """
     members = np.asarray(members, dtype=np.int32)
     offsets = np.asarray(offsets)
@@ -53,7 +57,9 @@ def from_record_ids(projections, offsets, members) -> ProjectionTable:
     for row, bounds in zip(members[1:], offsets[1:]):
         for start, stop in zip(bounds[:-1], bounds[1:]):
             row[start:stop].sort()
-    return ProjectionTable(projections, *directory(offsets), members, order)
+    return ProjectionTable(
+        projections, *directory(offsets), members.astype(ID_DTYPE), order
+    )
 
 
 def scratch_over(bits, bitmap, rank, offsets, members) -> QueryScratch:
@@ -77,10 +83,10 @@ def rows_of_plan(plan, codes, dots) -> np.ndarray:
     query codes ``codes`` (L,) and dot products ``dots`` (L*bits,), cast
     to the scratch's uint16 and float32, in a scratch over L tables of no
     records."""
-    words = (plan.num_tables, directory_words(plan.bits))
+    words = directory_shape(plan.num_tables, plan.bits, 0)
     scratch = scratch_over(
         plan.bits, np.zeros(words, np.uint64), np.zeros(words, np.int32),
-        np.zeros(plan.num_tables, np.int32), np.zeros((plan.num_tables, 0), np.int32),
+        np.zeros(plan.num_tables, np.int32), np.zeros((plan.num_tables, 0), ID_DTYPE),
     )
     scratch.codes[:] = codes
     scratch.dots[:, 0] = dots

@@ -172,10 +172,11 @@ def test_c07_memory_accounting():
     params = BoiParams()  # 100 tables
     est = estimate_memory(1_000_000, 128, params)
     assert est.vectors_bytes == 512_000_000  # 0.5 GB of raw vectors
-    # float32 projections 409,600 + the bucket directory's bound 107,600
-    # (per table 4 words of uint64 bitmap and int32 rank, and 257 int32
-    # offsets) + int32 ids 400 MB + the int32 order 4 MB
-    assert est.index_bytes == 404_517_200
+    # float32 projections 409,600 + the bucket directory's bound 1,721,600
+    # (per table 16 pages of 2**16 ids, each of 4 words of uint64 bitmap and
+    # int32 rank, and 257 int32 offsets) + uint16 ids 200 MB + the int32
+    # order 4 MB
+    assert est.index_bytes == 206_131_200
     # one querying thread's scratch: 4 MB of int32 votes, 1,999,872 of
     # touched pairs (8 * 249,984), 4,936 of hash and query buffers (float32
     # dots 100*8*4, uint16 codes 100*2, the float32 query 128*4 and its

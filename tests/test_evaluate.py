@@ -234,28 +234,36 @@ class TestEstimateMemory:
         )
 
     def test_default_id_width_is_addressable(self):
-        # 100 tables: projections 8*128*4, a directory of 4 words of bitmap
-        # (8 bytes) and rank (4 bytes) and 257 int32 offsets, members 1M
-        # int32 ids; and the order, 1M int32 record ids
+        # 100 tables: projections 8*128*4; a directory of 16 pages (1M ids
+        # in pages of 2**16), each of 4 words of bitmap (8 bytes) and rank
+        # (4 bytes) and 257 int32 offsets; members 1M uint16 ids; and the
+        # order, 1M int32 record ids
         est = estimate_memory(1_000_000, 128, BoiParams())
-        assert est.index_bytes == 409_600 + 107_600 + 400_000_000 + 4_000_000
-        assert est.total_bytes == 512_000_000 + 404_517_200 + 6_016_472
+        projections = 100 * 8 * 128 * 4
+        directory = 100 * 16 * (4 * (8 + 4) + 257 * 4)
+        members, order = 100 * 1_000_000 * 2, 1_000_000 * 4
+        assert (projections, directory, members, order) == (
+            409_600, 1_721_600, 200_000_000, 4_000_000
+        )
+        assert est.index_bytes == projections + directory + members + order
+        assert est.total_bytes == 512_000_000 + 206_131_200 + 6_016_472
 
     def test_scales_with_tables(self):
         n, dim, b = 1000, 16, 8
         est = estimate_memory(n, dim, BoiParams(num_tables=7))
         directory = 4 * 8 + 4 * 4 + (2**b + 1) * 4
-        assert est.index_bytes == 7 * (b * dim * 4 + directory + n * 4) + n * 4
+        assert est.index_bytes == 7 * (b * dim * 4 + directory + n * 2) + n * 4
 
     @pytest.mark.parametrize(
         "n, bits, offsets", [(10, 16, 11), (1000, 8, 257), (0, 1, 1), (5, 3, 6)]
     )
     def test_counts_at_most_one_offset_a_record_or_a_code(self, n, bits, offsets):
         # a table's directory: max(1, 2**b / 64) words of bitmap and rank,
-        # and min(n, 2**b) + 1 offsets
+        # and min(n, 2**b) + 1 offsets, for its one page; uint16 members and
+        # the int32 order
         words = max(1, 2**bits // 64)
         est = estimate_memory(n, 4, BoiParams(num_tables=1, hash_bits=bits, initial_probe_count=1))
-        assert est.index_bytes == bits * 4 * 4 + words * 12 + offsets * 4 + n * 4 + n * 4
+        assert est.index_bytes == bits * 4 * 4 + words * 12 + offsets * 4 + n * 2 + n * 4
 
     @pytest.mark.parametrize("tables, bits", [(3, 1), (5, 8), (2, 16)])
     def test_matches_the_arrays_of_an_index(self, tmp_path, tables, bits):
@@ -282,6 +290,29 @@ class TestEstimateMemory:
             # 300 records hold at most 300 of 65,536 buckets: the bound is
             # about a twentieth of the dense offsets it replaces
             assert directory < tables * (2**bits + 1) * 4 / 16
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_bounds_the_bytes_the_tables_hold(self, bits):
+        # 2**16 + 5 records make two pages: the model holds the tables'
+        # nbytes, its members term is 2 bytes an id a table, and every term
+        # but the directory's bound is exact
+        n, dim, tables = 2**16 + 5, 3, 3
+        rng = np.random.default_rng(bits)
+        dataset = VectorSet(rng.standard_normal((n, dim)).astype(np.float32))
+        params = BoiParams(num_tables=tables, hash_bits=bits, seed=2)
+        t = build_index(dataset, params).tables
+        est = estimate_memory(n, dim, params)
+        assert t.num_pages == 2 and t.members.nbytes == 2 * n * tables
+        assert est.index_bytes >= t.nbytes
+        # per table and page: words of bitmap and rank, and one offset for
+        # each bucket the page can fill and for its end; page 1 holds 5 ids
+        words = max(1, 2**bits // 64)
+        offsets = min(2**16, 2**bits) + 1 + min(5, 2**bits) + 1
+        directory = tables * (2 * words * 12 + offsets * 4)
+        assert est.index_bytes == (
+            t.projections.nbytes + directory + 2 * n * tables + t.order.nbytes
+        )
+        assert directory >= t.bitmap.nbytes + t.rank.nbytes + t.offsets.nbytes
 
     @pytest.mark.parametrize("n, bits", [(100_000, 8), (100_000, 16), (5_003, 12)])
     def test_covers_the_scratch_a_query_holds(self, n, bits):

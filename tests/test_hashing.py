@@ -15,6 +15,7 @@ from boi.hashing import (
     _HASH_CHUNK,
     _sign_filter,
     CODE_DTYPE,
+    ID_DTYPE,
     OFFSET_DTYPE,
     ProjectionTable,
     check_record_count,
@@ -67,16 +68,19 @@ def sequential_codes(projections, bits, X) -> np.ndarray:
 
 def argsort_buckets(codes, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference (offsets, order, members) of every table: a bincount of its
-    column of codes; the order, a stable argsort of table 0's codes; and a
-    stable argsort of each table's codes listed in that order, which groups
-    the internal ids (positions in the order) by code."""
+    column of codes; the order, a stable argsort of table 0's codes; and,
+    page by page of 2**16 internal ids (positions in the order), a stable
+    argsort of the page's codes listed in that order, which groups the
+    page's ids, each less the page's first id, by code."""
     n, num_tables = codes.shape
     offsets = np.zeros((num_tables, (1 << bits) + 1), dtype=np.int64)
     members = np.empty((num_tables, n), dtype=np.int64)
     order = np.argsort(codes[:, 0], kind="stable") if num_tables else np.arange(n)
     for t in range(num_tables):
         offsets[t, 1:] = np.cumsum(np.bincount(codes[:, t], minlength=1 << bits))
-        members[t] = np.argsort(codes[order, t], kind="stable")
+        for first in range(0, n, 1 << 16):
+            page = codes[order, t][first : first + (1 << 16)]
+            members[t, first : first + page.size] = np.argsort(page, kind="stable")
     return offsets, order, members
 
 
@@ -397,7 +401,7 @@ class TestInsertAll:
         assert np.array_equal(tables.order, order)
         assert np.array_equal(tables.members[0], np.arange(n))
         assert np.array_equal(tables.members, members)
-        assert tables.offsets.dtype == OFFSET_DTYPE and tables.members.dtype == np.int32
+        assert tables.offsets.dtype == OFFSET_DTYPE and tables.members.dtype == ID_DTYPE
         assert tables.order.dtype == np.int32
         # each bucket lists its records' internal ids in ascending order,
         # and through the order they are exactly the records of its code;
@@ -503,7 +507,7 @@ class TestProjectionTable:
         assert tables.projections.shape == (7 * 5, 9)
         assert tables.projections.dtype == np.float32
         # 32 codes a table fit one word of bitmap and rank
-        assert tables.bitmap.shape == tables.rank.shape == (7, 1)
+        assert tables.bitmap.shape == tables.rank.shape == (7, 1, 1)
         assert tables.members.shape == (7, 300)
         assert np.array_equal(dense_offsets(tables)[:, -1], [300] * 7)
 
@@ -589,14 +593,15 @@ class TestProjectionTable:
 
     @pytest.mark.parametrize(
         "row",
-        [[2, 0, 1], [0, 1, 3], [0, 1, -1], [0, 1, 1]],
+        # -1 as a 16-bit id
+        [[2, 0, 1], [0, 1, 3], [0, 1, 2**16 - 1], [0, 1, 1]],
         ids=["permutation", "id=n", "id=-1", "dup"],
     )
     def test_a_row_0_that_is_not_0_to_n_minus_1_raises(self, row):
         # the one form: records are numbered in table 0's bucket order
-        members = np.array([row, [0, 1, 2]], dtype=np.int32)
+        members = np.array([row, [0, 1, 2]], dtype=np.uint16)
         offsets = np.array([[0, 2, 3], [0, 1, 3]], dtype=np.int32)
-        with pytest.raises(ValueError, match="row 0 of members is not 0..2"):
+        with pytest.raises(ValueError, match="row 0 of members is not 0..2 in each page"):
             ProjectionTable(np.ones((2, 2)), *directory(offsets), members, np.arange(3))
 
     @pytest.mark.parametrize(
@@ -605,7 +610,7 @@ class TestProjectionTable:
             (np.ones(2), [[0, 2, 3]], [[0, 1, 2]], "projections of shape"),
             # 7 projection rows of one table are 7 bits, 128 buckets in two
             # words, not the 2 buckets of these offsets in one
-            (np.ones((7, 2)), [[0, 2, 3]], [[0, 1, 2]], r"bitmap of shape \(1, 1\)"),
+            (np.ones((7, 2)), [[0, 2, 3]], [[0, 1, 2]], r"bitmap of shape \(1, 1, 1\)"),
             (np.ones((1, 2)), [[0, 2, 3]] * 2, [[0, 1, 2]] * 2, "projections of shape"),
             (np.ones((2, 2)), [[0, 2, 3]] * 2, [[0, 1, 2]], "members of shape"),
         ],
@@ -632,9 +637,9 @@ class TestProjectionTable:
         offsets[[4, 65, 128]] = [1, 1, 2]
         offsets = np.maximum.accumulate(offsets)[np.newaxis]
         bitmap, starts = directory(offsets)
-        assert bitmap.tolist() == [[1 << 3, 1 << 63]]
+        assert bitmap.tolist() == [[[1 << 3, 1 << 63]]]
         tables = ProjectionTable(np.ones((7, 2)), bitmap, starts, [[0, 1]], [0, 1])
-        assert tables.rank.tolist() == [[0, 1]]
+        assert tables.rank.tolist() == [[[0, 1]]]
         assert tables.bits == 7 and tables.num_tables == 1
         assert tables.buckets(0)[0].tolist() == [3, 127]
         assert tables.bucket([0, 0, 0], [127, 5, 3]).tolist() == [1, 0]
@@ -669,7 +674,7 @@ class TestProjectionTable:
         bitmap, starts = directory(offsets)
         assert starts.tolist() == [0, 1, 2, 3]
         tables = ProjectionTable(np.ones((7, 2)), bitmap, starts, [[0, 1, 2]], [0, 1, 2])
-        assert tables.rank.tolist() == [[0, 2]]
+        assert tables.rank.tolist() == [[[0, 2]]]
         with pytest.raises(ValueError, match=match):
             ProjectionTable(np.ones((7, 2)), *change(bitmap, starts), [[0, 1, 2]], [0, 1, 2])
 
@@ -716,12 +721,14 @@ class TestProjectionTable:
         "name, value", [("offsets", 2**32 + 3), ("members", 2**32 + 1)]
     )
     def test_wide_values_that_do_not_fit_int32_raise(self, name, value):
+        # offsets are int32, members uint16
         # the dense offsets' last value is the directory's last offset
         offsets = np.array([[0, 1, 2]], dtype=np.int64)
         members = np.array([[0, 1]], dtype=np.int64)
         {"offsets": offsets, "members": members}[name][0, -1] = value
         bitmap, starts = directory(offsets)
-        with pytest.raises(ValueError, match=f"{name} values do not fit int32"):
+        width = {"offsets": "int32", "members": "uint16"}[name]
+        with pytest.raises(ValueError, match=f"{name} values do not fit {width}"):
             ProjectionTable(np.ones((1, 2)), bitmap, starts, members, np.arange(2))
 
     def test_a_bitmap_uint64_cannot_hold_raises(self):
@@ -768,9 +775,10 @@ class TestProjectionTable:
 @pytest.mark.parametrize("bits", [1, 5, 7, 16])
 @pytest.mark.parametrize("source", ["built", "loaded", "hand"])
 def test_rank_is_each_words_position_in_the_offsets(tmp_path, source, bits):
-    # however a table's arrays were made, it makes rank[t, w] itself: where
-    # table t's piece begins plus the set bits of its words before w; and
-    # buckets(t) gives the codes and starts the table's counts give
+    # however a table's arrays were made, it makes rank[t, 0, w] itself:
+    # where table t's piece of its one page begins plus the set bits of its
+    # words before w; and buckets(t) gives the codes and starts the table's
+    # counts give
     rng = np.random.default_rng(bits)
     n, num_tables = 300, 3
     if source == "hand":
@@ -793,9 +801,10 @@ def test_rank_is_each_words_position_in_the_offsets(tmp_path, source, bits):
         tables = index.tables
     assert tables.rank.dtype == OFFSET_DTYPE and not tables.rank.flags.writeable
     start = 0  # where table t's piece begins, counted bit by bit
-    for t, row in enumerate(tables.bitmap.tolist()):
+    assert tables.num_pages == 1
+    for t, (row,) in enumerate(tables.bitmap.tolist()):
         popcounts = [word.bit_count() for word in row]
-        assert tables.rank[t].tolist() == (start + np.cumsum([0] + popcounts[:-1])).tolist()
+        assert tables.rank[t, 0].tolist() == (start + np.cumsum([0] + popcounts[:-1])).tolist()
         codes_t, piece = tables.buckets(t)
         assert tables.piece(t).tolist() == piece.tolist()
         nonempty = np.flatnonzero(counts[t])
@@ -803,7 +812,7 @@ def test_rank_is_each_words_position_in_the_offsets(tmp_path, source, bits):
         assert codes_t.tolist() == nonempty.tolist()
         assert piece.tolist() == first[nonempty].tolist() + [n]
         start += sum(popcounts) + 1
-    assert start == tables.offsets.size and tables.rank[0, 0] == 0
+    assert start == tables.offsets.size and tables.rank[0, 0, 0] == 0
 
 
 class TestBucketAgainstTheCodes:
@@ -878,6 +887,12 @@ def test_bucket_and_buckets_refuse_input_out_of_range(bits):
             tables.piece(t)
         with pytest.raises(ValueError, match=rf"table {t} is not in \[0, 3\)"):
             tables.bucket([0, t], [0, 0])
+    # 50 records make one page
+    for page in (-1, 1):
+        with pytest.raises(ValueError, match=rf"page {page} is not in \[0, 1\)"):
+            tables.buckets(0, page)
+        with pytest.raises(ValueError, match=rf"page {page} is not in \[0, 1\)"):
+            tables.piece(0, page)
     # a negative code must not wrap onto a bucket of the table's last word
     for c in (-1, -59, 1 << bits):
         with pytest.raises(ValueError, match=rf"a code is not in \[0, 2\*\*{bits}\)"):

@@ -215,12 +215,12 @@ def test_schedule_and_budgets_match_reference(params):
     assert schedule.tolist() == reference_schedule(params)
     assert np.all(np.diff(schedule) <= 0)
     L, bits, radius = params.num_tables, params.hash_bits, params.probe_radius
-    words = (L, max(1, 2**bits // 64))
+    words = (L, 1, max(1, 2**bits // 64))  # one page of no records
     empty_tables = ProjectionTable(
         np.zeros((L * bits, 1)),
         np.zeros(words, dtype=np.uint64),
         np.zeros(L, dtype=np.int32),
-        np.zeros((L, 0), dtype=np.int32),
+        np.zeros((L, 0), dtype=np.uint16),
         np.arange(0),
     )
     index = BoiIndex(params, empty_tables)
@@ -1273,7 +1273,8 @@ class TestCorruptTables:
         "offsets, members",
         [
             ([[0, 2, 4]] * 2, [[0, 1, 2, 3], [0, 1, 2, 4]]),  # id equal to n
-            ([[0, 2, 4]] * 2, [[0, 1, 2, 3], [0, 1, 2, -1]]),  # negative id
+            # a negative id, -1 as a 16-bit id
+            ([[0, 2, 4]] * 2, [[0, 1, 2, 3], [0, 1, 2, 2**16 - 1]]),
             ([[0, 3, 2]], [[0, 1, 2, 3]]),  # decreasing offsets
             ([[0, 2, 5]], [[0, 1, 2, 3]]),  # offset past n
             ([[-1, 2, 4]], [[0, 1, 2, 3]]),  # negative offset
@@ -1291,19 +1292,20 @@ class TestCorruptTables:
             tables = ProjectionTable(
                 np.tile([[1.0, -1.0]], (num_tables, 1)),
                 *directory(np.array(offsets, dtype=np.int64)),
-                np.array(members, dtype=np.int32),
+                np.array(members, dtype=np.uint16),
                 np.arange(data.n),
             )
             index = BoiIndex(params, tables, data)  # probes both buckets
             query(index, data.vectors[0], 2)
 
-    @pytest.mark.parametrize("bad", [20_000, -1], ids=["id=n", "id=-1"])
+    # -1 as a 16-bit id
+    @pytest.mark.parametrize("bad", [20_000, 2**16 - 1], ids=["id=n", "id=-1"])
     def test_bad_id_in_last_tile_raises(self, bad):
         # the kernel sweeps ids in tiles of 8192; the bad id is the last id
         # of a bucket of table 1, in the third and last tile of 20k records
         n = 20_000
         data = VectorSet(np.zeros((n, 2), dtype=np.float32))
-        members = np.tile(np.arange(n, dtype=np.int32), (2, 1))
+        members = np.tile(np.arange(n, dtype=np.uint16), (2, 1))
         members[1, -1] = bad
         tables = ProjectionTable(
             np.tile([[1.0, -1.0]], (2, 1)),

@@ -29,13 +29,51 @@ from boi.index import BoiIndex, accumulate, build_index, query
 from hand_tables import from_record_ids
 
 
-def table_fields(raw) -> list[dict]:
-    """Each table record of version 4 snapshot bytes: the byte offset of
-    its projections, their crc32, its bitmap, sizes and ids, and its k."""
-    num_tables, bits, dim, n = (
+def _header_sizes(raw) -> tuple[int, int, int, int]:
+    """num_tables, hash_bits, dim and n of snapshot bytes."""
+    return tuple(
         struct.unpack_from("<" + dict(_FIELDS)[name], raw, _FIELD_AT[name])[0]
         for name in ("num_tables", "hash_bits", "dim", "n")
     )
+
+
+def table_fields(raw) -> list[dict]:
+    """Each table record of version 5 snapshot bytes: the byte offset of
+    its projections and their crc32, and ``pages``, one dict a page of
+    2**16 ids, with the byte offset of the page's bitmap, sizes and ids
+    (None in table 0, which stores none) and its k. Table 0's record also
+    gives the offset of ``order``. The record's ``bitmap``, ``sizes`` and
+    ``k`` are its page 0's, and its ``ids`` page 0's ids, or, in table 0,
+    the order, which stands in its place."""
+    num_tables, bits, dim, n = _header_sizes(raw)
+    words = max(1, (1 << bits) >> 6)
+    at, records = 68, []
+    for t in range(num_tables):
+        crc = at + 4 * bits * dim
+        record = {"projections": at, "crc": crc, "pages": []}
+        at = crc + 4
+        for first in range(0, max(n, 1), 1 << 16):
+            size = min(n - first, 1 << 16)
+            bitmap, sizes = at, at + 8 * words
+            k = sum(bin(w).count("1") for w in struct.unpack_from(f"<{words}Q", raw, bitmap))
+            ids = sizes + 4 * k if t else None
+            record["pages"].append({"bitmap": bitmap, "sizes": sizes, "k": k, "ids": ids})
+            at = sizes + 4 * k + (2 * size if t else 0)
+        if not t:
+            record["order"] = at
+            at += 4 * n
+        record.update(record["pages"][0])
+        record["ids"] = record["pages"][0]["ids"] if t else record["order"]
+        records.append(record)
+    assert at == len(raw)
+    return records
+
+
+def v4_table_fields(raw) -> list[dict]:
+    """Each table record of version 4 snapshot bytes: the byte offset of
+    its projections, their crc32, its bitmap, sizes and ids (n u32), and
+    its k."""
+    num_tables, bits, dim, n = _header_sizes(raw)
     words = max(1, (1 << bits) >> 6)
     at, records = 68, []
     for _ in range(num_tables):
@@ -297,7 +335,7 @@ class TestSnapshot:
         data = VectorSet(rng.standard_normal((2000, 8)).astype(np.float32))
         params = BoiParams(num_tables=4, hash_bits=16, seed=3)
         projections = hashing.make_projections(params, data.dim)
-        members = params.num_tables * data.n * 4
+        members = params.num_tables * data.n * 2
         budget = members + projections.nbytes + 2 * (1 << 16) * 4
         assert params.num_tables * ((1 << 16) + 1) * 4 > budget
         path = tmp_path / "b16.boix"
@@ -395,7 +433,7 @@ class TestSnapshot:
             load_index(bad)
 
     def test_version_2_rejected(self, built, tmp_path):
-        # a version 4 file patched to say 2: its id rows are not record ids
+        # a version 5 file patched to say 2: its id rows are not record ids
         _, _, path = built
         raw = bytearray(path.read_bytes())
         raw[4:8] = struct.pack("<I", 2)
@@ -410,14 +448,17 @@ class TestSnapshot:
         raw = path.read_bytes()
         offset = 68
         tables, bits = index.tables, index.params.hash_bits
-        # the header ends with K and the crc32 of the 64 bytes before it
+        # the header ends with K and the crc32 of the 64 bytes before it;
+        # 300 records make one page
+        assert tables.num_pages == 1
         num_buckets = tables.offsets.size - tables.num_tables
         assert struct.unpack_from("<2I", raw, 60) == (num_buckets, zlib.crc32(raw[:64]))
-        # table 0's id row is the order; its members row is 0..n-1
+        # table 0's members row is 0..n-1, so its record ends with the order
+        # instead; the others' ids are two bytes each
         assert np.array_equal(tables.members[0], np.arange(index.n))
         for t in range(tables.num_tables):
             matrix = tables.projections[t * bits : (t + 1) * bits].astype("<f4")
-            codes, piece = tables.buckets(t)
+            codes, piece = tables.buckets(t, 0)
             bitmap = np.zeros(max(64, 1 << bits), bool)  # whole u64 words
             bitmap[codes] = True
             for block in (
@@ -425,14 +466,15 @@ class TestSnapshot:
                 np.array([zlib.crc32(matrix)], "<u4"),
                 np.packbits(bitmap, bitorder="little"),
                 np.diff(piece).astype("<u4"),
-                (tables.order if t == 0 else tables.members[t]).astype("<u4"),
+                tables.order.astype("<u4") if t == 0 else tables.members[t].astype("<u2"),
             ):
                 assert raw[offset : offset + block.nbytes] == block.tobytes()
                 offset += block.nbytes
         assert offset == len(raw)
         # 32 codes need one bitmap word
-        record = 4 * bits * index.dim + 4 + 8 + 4 * index.n
-        assert len(raw) == 68 + tables.num_tables * record + 4 * num_buckets
+        record = 4 * bits * index.dim + 4 + 8
+        ids = 4 * index.n + 2 * index.n * (tables.num_tables - 1)
+        assert len(raw) == 68 + tables.num_tables * record + 4 * num_buckets + ids
 
     def test_counts_not_summing_to_n_rejected(self, built, tmp_path):
         _, _, path = built
@@ -552,9 +594,12 @@ class TestSnapshot:
         assert load_index(path).params.strict_radius is True
 
 
-# Version 4, saved from this recipe by the writer that first wrote the
+# Version 5, saved from this recipe by the writer that first wrote the
 # version; every later writer must read it and write the same bytes back.
-OLD_WRITER_SNAPSHOT = Path(__file__).parent / "data" / "v4_L3_b4_n50.boix"
+OLD_WRITER_SNAPSHOT = Path(__file__).parent / "data" / "v5_L3_b4_n50.boix"
+# The same index in version 4, which stored every id as u32; saved by the
+# writer that first wrote that version.
+V4_SNAPSHOT = Path(__file__).parent / "data" / "v4_L3_b4_n50.boix"
 # The same index in version 3, which stored 2**b dense counts a table; saved
 # by the writer that first wrote that version.
 V3_SNAPSHOT = Path(__file__).parent / "data" / "v3_L3_b4_n50.boix"
@@ -607,7 +652,7 @@ def test_header_fields_round_trip_at_their_limits(params):
         assert loaded.params == params
     expected = {
         "magic": b"BOIX",
-        "version": 4,
+        "version": 5,
         "dim": 2,
         "n": 7,
         "schedule_code": SCHEDULE_KINDS.index(params.schedule),
@@ -657,15 +702,38 @@ class TestSnapshotCompatibility:
             load_index(V3_SNAPSHOT, old_writer_data())
         assert err.value.offset == 4
 
+    def test_version_4_file_is_rejected_at_its_version(self):
+        with pytest.raises(
+            FormatError, match="unsupported snapshot version 4; rebuild .* `boi build`"
+        ) as err:
+            load_index(V4_SNAPSHOT, old_writer_data())
+        assert err.value.offset == 4
+
+    def test_version_5_stores_the_ids_of_version_4_in_two_bytes(self):
+        # the same params, K, projections, bitmaps and sizes; each later
+        # table's u32 ids become u16, and table 0's id row, the order, moves
+        # after its one page's sizes: 50 records make one page
+        v4, v5 = V4_SNAPSHOT.read_bytes(), OLD_WRITER_SNAPSHOT.read_bytes()
+        assert struct.unpack_from("<I", v4, 4) == (4,)
+        assert struct.unpack_from("<I", v5, 4) == (5,)
+        assert v4[:4] == v5[:4] and v4[8:64] == v5[8:64]
+        for old, new in zip(v4_table_fields(v4), table_fields(v5)):
+            assert old["k"] == new["k"]
+            assert v4[old["projections"] : old["ids"]] == v5[new["projections"] : new["sizes"] + 4 * new["k"]]
+            ids = np.frombuffer(v4, "<u4", 50, old["ids"])
+            width = "<u4" if new["ids"] == new.get("order") else "<u2"
+            assert np.array_equal(np.frombuffer(v5, width, 50, new["ids"]), ids)
+        assert len(v5) == len(v4) - 2 * 50 * 2
+
     def test_version_4_stores_the_non_empty_buckets_of_version_3(self):
         # the same params, projections and id rows; the dense counts become
         # a bitmap of the non-zero ones and those counts alone
-        v3, v4 = V3_SNAPSHOT.read_bytes(), OLD_WRITER_SNAPSHOT.read_bytes()
+        v3, v4 = V3_SNAPSHOT.read_bytes(), V4_SNAPSHOT.read_bytes()
         assert struct.unpack_from("<I", v4, 4) == (4,)
         assert v3[:4] == v4[:4] and v3[8:60] == v4[8:60]
         record = 4 * (4 * 4 + 16 + 50)  # b x dim floats, 2**b counts, n ids
         num_buckets = 0
-        for t, fields_at in enumerate(table_fields(v4)):
+        for t, fields_at in enumerate(v4_table_fields(v4)):
             at = 60 + t * record
             assert v3[at : at + 64] == v4[fields_at["projections"] : fields_at["crc"]]
             counts = np.frombuffer(v3, "<u4", 16, at + 64)
@@ -709,8 +777,8 @@ class TestSnapshotCompatibility:
     @pytest.mark.parametrize(
         "bits, digest",
         [
-            (8, "cf224914744b96f2dc0aaa0a851e81fafb146e99c364ae7ec167a830f1ecc11e"),
-            (16, "0fd388a57e2520c4ad801e64ac7f60d0f1e6597fcf08d9ccb28baa3ce9456cb7"),
+            (8, "b40a439e819942e13c07629bcb09cf04473abbbc6d5e7f5ab2b15e8ae90e8142"),
+            (16, "970f8076144df2fc7740c1765171b1db8366518e7287c45f62fb5be270662853"),
         ],
         ids=["b8", "b16"],
     )
@@ -765,11 +833,13 @@ class TestCorruptSnapshot:
         assert loaded == 0
 
     def test_every_single_bit_flip_of_a_member_id_raises(self, tmp_path):
-        # table 0's id row is the order, the others hold internal ids
+        # table 0's record ends with the order, u32 record ids; the others
+        # hold u16 internal ids
         raw = OLD_WRITER_SNAPSHOT.read_bytes()
         path = tmp_path / "flipped.boix"
         for t, fields_at in enumerate(table_fields(raw)):
-            for pos in range(fields_at["ids"], fields_at["ids"] + 4 * 50):
+            width = 2 if t else 4
+            for pos in range(fields_at["ids"], fields_at["ids"] + width * 50):
                 for bit in range(8):
                     damaged = bytearray(raw)
                     damaged[pos] ^= 1 << bit

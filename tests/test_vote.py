@@ -90,11 +90,11 @@ def _arrays(units=(4, 2)):
     2**-2 at distances 0 and 1). The code width, then the directory: every
     bucket is non-empty, so each table's one word has bits 0-3 set, its
     piece of offsets is 0..4, and its rank is where that piece begins, 0
-    and 5."""
-    bitmap = np.full((2, 1), 0b1111, dtype=np.uint64)
-    rank = np.array([[0], [5]], dtype=np.int32)
+    and 5. The tables have one page, so the directory is (2, 1, 1)."""
+    bitmap = np.full((2, 1, 1), 0b1111, dtype=np.uint64)
+    rank = np.array([[[0]], [[5]]], dtype=np.int32)
     offsets = np.tile(np.arange(5, dtype=np.int32), 2)
-    members = np.tile(np.arange(4, dtype=np.int32), (2, 1))
+    members = np.tile(np.arange(4, dtype=np.uint16), (2, 1))
     probes = np.tile(np.array([0, 1], dtype=np.uint16), (2, 1))
     units = np.array(units, dtype=np.uint32)
     budgets = np.ones(2, dtype=np.int64)
@@ -141,10 +141,10 @@ def test_gather_vote_skips_empty_buckets_and_finds_each_piece():
     # and 100 (word 1, bit 36), table 1 all three in bucket 127; each
     # probes buckets 3, 100, 127 and 0, worth 8, 4, 2 and 1. Table 1's
     # piece begins at position 3 of the offsets
-    bitmap = np.array([[1 << 3, 1 << 36], [0, 1 << 63]], dtype=np.uint64)
-    rank = np.array([[0, 1], [3, 3]], dtype=np.int32)
+    bitmap = np.array([[[1 << 3, 1 << 36]], [[0, 1 << 63]]], dtype=np.uint64)
+    rank = np.array([[[0, 1]], [[3, 3]]], dtype=np.int32)
     offsets = np.array([0, 2, 3, 0, 3], dtype=np.int32)
-    members = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.int32)
+    members = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.uint16)
     probes = np.tile(np.array([3, 100, 127, 0], dtype=np.uint16), (2, 1))
     units = np.array([8, 4, 2, 1], dtype=np.uint32)
     budgets = np.full(2, 3, dtype=np.int64)
@@ -155,7 +155,7 @@ def test_gather_vote_skips_empty_buckets_and_finds_each_piece():
 
 def test_projection_table_stores_strided_members_contiguously():
     _, bitmap, rank, offsets, members, *rest = _arrays()
-    wide = np.zeros((2, 9), dtype=np.int32)
+    wide = np.zeros((2, 9), dtype=np.uint16)
     wide[:, :4] = members
     tables = ProjectionTable(np.ones((4, 1)), bitmap, offsets, wide[:, :4], np.arange(4))
     assert np.array_equal(tables.rank, rank)
@@ -174,28 +174,29 @@ def test_projection_table_stores_strided_members_contiguously():
     [
         (7, np.ones(1, np.int64)),  # budgets shorter than L
         (6, np.zeros(1, np.uint32)),  # units shorter than a probe row
-        (4, np.zeros((2, 8), np.int32)[:, ::2]),  # gaps between ids of a row
-        (4, np.zeros((2, 9), np.int32)[:, :4]),  # gaps between rows
+        (4, np.zeros((2, 8), np.uint16)[:, ::2]),  # gaps between ids of a row
+        (4, np.zeros((2, 9), np.uint16)[:, :4]),  # gaps between rows
         # dense (L, 2**b + 1) offsets, where the directory's are one row
         (3, np.zeros((2, 5), np.int32)),
         # the kernel gets raw addresses, so every type and layout is checked
         (3, np.zeros(10, np.int64)),  # offsets of the wrong type
-        (4, np.zeros((2, 4), np.uint32)),  # members of the wrong type
+        (4, np.zeros((2, 4), np.int32)),  # members of the wrong type
         (6, np.zeros(2, np.int32)),  # units of the wrong type
         (7, np.ones(2, np.int32)),  # budgets of the wrong type
         (3, np.zeros((5, 2), np.int32).T),  # offsets in Fortran order
         (6, np.zeros(4, np.uint32)[::2]),  # strided units
-        (1, np.zeros((2, 1), np.int64)),  # bitmap of the wrong type
-        (1, np.zeros((2, 2), np.uint64)),  # bitmap of two words for 2 bits
-        (2, np.zeros((2, 1), np.uint32)),  # rank of the wrong type
-        (2, np.zeros((1, 1), np.int32)),  # rank of one table
+        (1, np.zeros((2, 1, 1), np.int64)),  # bitmap of the wrong type
+        (1, np.zeros((2, 1, 2), np.uint64)),  # bitmap of two words for 2 bits
+        (1, np.zeros((2, 2, 1), np.uint64)),  # bitmap of two pages for 4 ids
+        (2, np.zeros((2, 1, 1), np.uint32)),  # rank of the wrong type
+        (2, np.zeros((1, 1, 1), np.int32)),  # rank of one table
         (3, np.zeros(20, np.int32)[::2]),  # strided offsets
     ],
     ids=[
         "budgets", "units", "member-gaps", "member-row-gaps", "offsets-width",
         "offsets-dtype", "members-dtype", "units-dtype", "budgets-dtype",
         "offsets-fortran", "units-strided", "bitmap-dtype", "bitmap-width",
-        "rank-dtype", "rank-tables", "offsets-strided",
+        "bitmap-pages", "rank-dtype", "rank-tables", "offsets-strided",
     ],
 )
 def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
@@ -268,13 +269,13 @@ def test_gather_vote_counts_ids_stored_out_of_order():
     # ids ascending; a descending bucket is added in later tiles, exactly
     n = 30_000
     members = np.concatenate((np.arange(n - 2, -1, -2), np.arange(1, n, 2)))
-    bitmap = np.array([[0b11]], dtype=np.uint64)
+    bitmap = np.array([[[0b11]]], dtype=np.uint64)
     offsets = np.array([0, n // 2, n], dtype=np.int32)
     probes = np.array([[0, 1]], dtype=np.uint16)
     units = np.array([2, 1], dtype=np.uint32)
     scanned, votes = gather_vote(
-        1, bitmap, np.zeros((1, 1), np.int32), offsets,
-        members.astype(np.int32)[np.newaxis, :], probes, units, np.ones(1, np.int64),
+        1, bitmap, np.zeros((1, 1, 1), np.int32), offsets,
+        members.astype(np.uint16)[np.newaxis, :], probes, units, np.ones(1, np.int64),
     )
     assert scanned == n
     assert np.array_equal(votes, np.where(np.arange(n) % 2 == 0, 2, 1))
@@ -282,8 +283,8 @@ def test_gather_vote_counts_ids_stored_out_of_order():
 
 def _directory(bits=7):
     """One 7-bit table of 3 records, in buckets 3 and 5 (word 0) and 70
-    (word 1), as ``(bits, bitmap, offsets, n)``."""
-    bitmap = np.array([[(1 << 3) | (1 << 5), 1 << 6]], dtype=np.uint64)
+    (word 1), as ``(bits, bitmap, offsets, n)``; one page."""
+    bitmap = np.array([[[(1 << 3) | (1 << 5), 1 << 6]]], dtype=np.uint64)
     return bits, bitmap, np.array([0, 1, 2, 3], dtype=np.int32), 3
 
 
@@ -301,9 +302,9 @@ def _directory(bits=7):
 )
 def test_check_directory_names_the_first_fault(position, at, value, fault):
     args = list(_directory())
-    assert vote.check_directory(*args).tolist() == [[0, 2]]
+    assert vote.check_directory(*args).tolist() == [[[0, 2]]]
     if position == 0:
-        args[0], args[1] = value, args[1][:, :1].copy()
+        args[0], args[1] = value, args[1][..., :1].copy()
     else:
         args[position].flat[at] = value
     with pytest.raises(ValueError, match=fault):
@@ -314,11 +315,11 @@ def test_check_directory_reads_every_table_of_a_long_directory():
     # 16-bit tables: 1024 words each; the last word of each table holds its
     # 5 buckets, and a fault in the last offset of the last table is found
     bits, num_tables, n = 16, 3, 5
-    bitmap = np.zeros((num_tables, 1024), np.uint64)
-    bitmap[:, -1] = np.uint64(0b11111 << 59)
+    bitmap = np.zeros((num_tables, 1, 1024), np.uint64)
+    bitmap[..., -1] = np.uint64(0b11111 << 59)
     offsets = np.tile(np.arange(n + 1, dtype=np.int32), num_tables)
     rank = vote.check_directory(bits, bitmap, offsets, n)
-    assert rank.tolist() == [[0] * 1024, [6] * 1024, [12] * 1024]
+    assert rank.tolist() == [[[0] * 1024], [[6] * 1024], [[12] * 1024]]
     offsets[-1] = n - 1
     with pytest.raises(ValueError, match="do not rise"):
         vote.check_directory(bits, bitmap, offsets, n)
@@ -339,11 +340,10 @@ def test_check_directory_refuses_more_offsets_than_int32_ranks_reach():
 
 def _sort_inputs(codes, bits):
     """The code width, ``members`` holding table t's codes (column t of
-    ``codes``) in the upper half of row t, and ``order`` filled with junk,
-    which the sort overwrites."""
+    ``codes``) in row t, and ``order`` filled with junk, which the sort
+    overwrites."""
     n, num_tables = codes.shape
-    members = np.full((num_tables, n), -7, np.int32)
-    members.view(np.uint16)[:, n:] = codes.T
+    members = np.ascontiguousarray(codes.T, dtype=np.uint16)
     return bits, members, np.full(n, -7, np.int32)
 
 
@@ -354,7 +354,7 @@ def test_bucket_sort_groups_ascending_ids_by_code():
     bitmap, offsets = vote.bucket_sort(bits, members, order)
     # table 0 holds codes 0, 1 and 3, table 1 codes 0, 2 and 3: dense
     # offsets [0, 1, 3, 3, 5] and [0, 3, 3, 4, 5], less their empty buckets
-    assert bitmap.tolist() == [[0b1011], [0b1101]]
+    assert bitmap.tolist() == [[[0b1011]], [[0b1101]]]
     assert offsets.tolist() == [0, 1, 3, 5, 0, 3, 4, 5]
     # records in table 0's bucket order: record 3 (code 0), 1 and 4 (code
     # 1), 0 and 2 (code 3); internal id i is record order[i]
@@ -371,9 +371,9 @@ def test_bucket_sort_ranks_the_words_of_a_wide_table():
     # 0, 1 and 3 hold a bucket each, so the ranks are 0, 1, 2, 2
     codes = np.array([[70], [1], [200], [70]], dtype=np.uint16)
     bitmap, offsets = vote.bucket_sort(*_sort_inputs(codes, 8))
-    assert bitmap.tolist() == [[1 << 1, 1 << 6, 0, 1 << 8]]
+    assert bitmap.tolist() == [[[1 << 1, 1 << 6, 0, 1 << 8]]]
     assert offsets.tolist() == [0, 1, 3, 4]
-    assert vote.check_directory(8, bitmap, offsets, 4).tolist() == [[0, 1, 2, 2]]
+    assert vote.check_directory(8, bitmap, offsets, 4).tolist() == [[[0, 1, 2, 2]]]
 
 
 @pytest.mark.parametrize("bits", [1, 8, 16])
@@ -400,35 +400,36 @@ def test_bucket_sort_rejects_disagreeing_shapes(
 ):
     # "tables": members with no row per table; "offsets-width": a code
     # width whose one table's 2**b + 1 offsets no table can have
-    members = np.zeros(members_shape, np.int32)
+    members = np.zeros(members_shape, np.uint16)
     order = np.zeros(order_size, np.int32)
     with pytest.raises(ValueError, match=message):
         vote.bucket_sort(bits, members, order)
 
 
 def _record(sizes, ids, bits=2, codes=None):
-    """One table's arrays as load_index reads its record into them: the
-    bitmap of its non-empty ``codes`` (the first len(sizes) codes unless
-    given), its bucket sizes in offsets[1:] (entry 0 junk) and its id row;
-    with ``bits``, the arguments of vote.TableCheck."""
-    bitmap = np.zeros((1, vote.directory_words(bits)), np.uint64)
+    """One table's arrays as load_index reads its record into them, one
+    page of at most 2**16 ids: the bitmap of its non-empty ``codes`` (the
+    first len(sizes) codes unless given), its bucket sizes in offsets[1:]
+    (entry 0 junk) and its id row; with ``bits``, the arguments of
+    vote.TableCheck."""
+    bitmap = np.zeros((1, 1, vote.directory_words(bits)), np.uint64)
     for c in range(len(sizes)) if codes is None else codes:
-        bitmap[0, c // 64] |= np.uint64(1 << (c % 64))
+        bitmap[0, 0, c // 64] |= np.uint64(1 << (c % 64))
     offsets = np.full(len(sizes) + 1, -7, np.int32)
     offsets[1:] = np.array(sizes, np.uint32).view(np.int32)
-    members = np.array(ids, np.uint32).view(np.int32)[np.newaxis]
+    members = np.array(ids, np.uint16)[np.newaxis]
     return bits, bitmap, offsets, members
 
 
 def check_table(bits, bitmap, offsets, members, table=0, at=0):
-    """TableCheck bound to the arrays, called on one table."""
-    return vote.TableCheck(bits, bitmap, offsets, members)(table, at)
+    """TableCheck bound to the arrays, called on page 0 of one table."""
+    return vote.TableCheck(bits, bitmap, offsets, members)(table, 0, at)
 
 
 def test_check_table_turns_counts_into_offsets():
     # buckets 0, 2 and 3 hold 2, 1 and 2 records
     record = _record([2, 1, 2], [4, 0, 2, 1, 3], codes=[0, 2, 3])
-    assert vote.TableCheck(*record).buckets(0) == 3
+    assert vote.TableCheck(*record).buckets(0, 0) == 3
     # the length of the piece, in place of the sizes
     assert check_table(*record) == 4
     assert record[2].tolist() == [0, 2, 3, 5]
@@ -442,29 +443,31 @@ def test_check_table_ranks_the_words_of_a_wide_table():
     bits, bitmap, offsets, members = _record(
         [3, 1, 2], [5, 0, 4, 1, 3, 2], bits=8, codes=[5, 130, 255]
     )
-    assert bitmap.tolist() == [[1 << 5, 0, 1 << 2, 1 << 63]]
+    assert bitmap.tolist() == [[[1 << 5, 0, 1 << 2, 1 << 63]]]
     assert check_table(bits, bitmap, offsets, members) == 4
     assert offsets.tolist() == [0, 3, 4, 6]
     rank = vote.check_directory(8, bitmap, offsets, 6)
-    assert rank.tolist() == [[0, 1, 1, 2]]
+    assert rank.tolist() == [[[0, 1, 1, 2]]]
 
 
 def test_check_table_checks_each_table_at_its_own_piece():
     # two 2-bit tables of 3 records: table 1's piece begins after table 0's 2
     bits = 2
-    bitmap = np.array([[0b0010], [0b1001]], np.uint64)
+    bitmap = np.array([[[0b0010]], [[0b1001]]], np.uint64)
     offsets = np.array([-7, 3, -7, 1, 2], np.int32)
-    members = np.array([[2, 0, 1], [1, 0, 2]], np.int32)
+    members = np.array([[2, 0, 1], [1, 0, 2]], np.uint16)
     check = vote.TableCheck(bits, bitmap, offsets, members)
-    assert [check.buckets(0), check.buckets(1)] == [1, 2]
-    assert check(0, 0) == 2 and check(1, 2) == 3
+    assert [check.buckets(0, 0), check.buckets(1, 0)] == [1, 2]
+    assert check(0, 0, 0) == 2 and check(1, 0, 2) == 3
     assert offsets.tolist() == [0, 3, 0, 1, 3]
-    assert vote.check_directory(bits, bitmap, offsets, 3).tolist() == [[0], [2]]
-    for table, at in ((2, 0), (-1, 0), (1, 3), (0, -1)):
-        with pytest.raises(ValueError, match="TableCheck: table"):
-            check(table, at)
+    assert vote.check_directory(bits, bitmap, offsets, 3).tolist() == [[[0]], [[2]]]
+    for table, page, at in ((2, 0, 0), (-1, 0, 0), (1, 0, 3), (0, 0, -1), (0, 1, 0)):
+        with pytest.raises(ValueError, match=r"TableCheck: \(table"):
+            check(table, page, at)
     with pytest.raises(ValueError, match=r"not in \[0, 2\)"):
-        check.buckets(2)
+        check.buckets(2, 0)
+    with pytest.raises(ValueError, match=r"x \[0, 1\)"):
+        check.buckets(0, 1)
 
 
 @pytest.mark.parametrize(
@@ -474,8 +477,9 @@ def test_check_table_checks_each_table_at_its_own_piece():
         # 2**32 - 1 + 6 wraps to 5 in 32 bits: summed exactly it is not 5
         ([2**32 - 1, 6], [4, 0, 2, 1, 3], vote.SIZES_OFF),
         ([2, 1, 2], [4, 0, 2, 1, 5], vote.ID_OUT_OF_RANGE),
-        ([2, 1, 2], [4, 0, 2, 1, 2**31], vote.ID_OUT_OF_RANGE),
-        ([2, 1, 2], [4, 0, 2, 1, 2**32 - 1], vote.ID_OUT_OF_RANGE),
+        ([2, 1, 2], [4, 0, 2, 1, 2**15], vote.ID_OUT_OF_RANGE),
+        # -1 as a 16-bit id
+        ([2, 1, 2], [4, 0, 2, 1, 2**16 - 1], vote.ID_OUT_OF_RANGE),
         # in range but not a permutation: a bit of an id flipped
         ([2, 1, 2], [4, 0, 2, 1, 3 ^ 1], vote.NOT_A_PERMUTATION),
         # sizes that do not add up win over bad ids, as load_index reads
@@ -486,7 +490,7 @@ def test_check_table_checks_each_table_at_its_own_piece():
         ([2, 0, 1], [4, 0, 2, 1, 3], vote.EMPTY_BUCKET),
     ],
     ids=[
-        "counts", "counts-wrap", "id=n", "id=2**31", "id=-1", "flip",
+        "counts", "counts-wrap", "id=n", "id=2**15", "id=-1", "flip",
         "counts-first", "range-first", "empty", "empty-first",
     ],
 )
@@ -502,16 +506,17 @@ def test_check_table_reports_the_first_check_that_fails(sizes, ids, status):
 def test_check_table_refuses_a_bit_past_2_bits():
     # 2 bits: bit 4 of the word stands for no code
     bits, bitmap, offsets, members = _record([2, 1, 2], [4, 0, 2, 1, 3])
-    bitmap[0, 0] |= np.uint64(1 << 4)
+    bitmap[0, 0, 0] |= np.uint64(1 << 4)
     before = offsets.copy()
-    assert vote.TableCheck(bits, bitmap, offsets, members).buckets(0) == vote.BIT_PAST
+    assert vote.TableCheck(bits, bitmap, offsets, members).buckets(0, 0) == vote.BIT_PAST
     assert check_table(bits, bitmap, offsets, members) == vote.BIT_PAST
     assert np.array_equal(offsets, before)
 
 
 def test_check_table_reads_every_id_of_a_long_row():
-    # past any vector width and remainder loop: one bad id at either end
-    n = 100_003
+    # a page one id short of full, past any vector width and remainder
+    # loop: one bad id at either end
+    n = 2**16 - 1
     record = _record([n], np.arange(n), bits=1)
     assert check_table(*record) == 2  # one bucket: [0, n]
     for at in (0, n - 1):
@@ -520,30 +525,30 @@ def test_check_table_reads_every_id_of_a_long_row():
         assert check_table(*record) == vote.ID_OUT_OF_RANGE
 
 
-_WORD = np.zeros((1, 1), np.uint64)
-_IDS = np.zeros((1, 2), np.int32)
+_WORD = np.zeros((1, 1, 1), np.uint64)
+_IDS = np.zeros((1, 2), np.uint16)
 
 
 @pytest.mark.parametrize(
     "bits, bitmap, offsets, members, message",
     [
         # one table of two records in every case but those about the ids
-        (1, _WORD, np.zeros(3, np.int32), np.zeros((2, 2), np.int32),
-         r"int32 array of shape \(1, 2\)"),
+        (1, _WORD, np.zeros(3, np.int32), np.zeros((2, 2), np.uint16),
+         r"uint16 array of shape \(1, 2\)"),
         (1, _WORD, np.zeros(3, np.int64), _IDS, r"int32 array of shape \(3,\)"),
         (1, _WORD, np.zeros(3, np.int32), _IDS.astype(np.int64),
-         r"int32 array of shape \(1, 2\)"),
+         r"uint16 array of shape \(1, 2\)"),
         (1, _WORD, np.zeros(3, np.int32), _IDS.astype(np.uint32),
-         r"int32 array of shape \(1, 2\)"),
-        (1, _WORD, np.zeros(3, np.int32), np.zeros((1, 4), np.int32)[:, ::2],
+         r"uint16 array of shape \(1, 2\)"),
+        (1, _WORD, np.zeros(3, np.int32), np.zeros((1, 4), np.uint16)[:, ::2],
          "C-contiguous False"),
         (1, _WORD, np.zeros((1, 3), np.int32), _IDS, r"of shape \(1, 3\) "),
         (1, _WORD, np.zeros(3, np.int32), _IDS[np.newaxis], r"of shape \(1, 1, 2\) "),
         (0, _WORD, np.zeros(3, np.int32), _IDS, r"bits must be in \[1, 16\]"),
         (17, _WORD, np.zeros(3, np.int32), _IDS, r"bits must be in \[1, 16\]"),
         (1, _WORD.astype(np.int64), np.zeros(3, np.int32), _IDS,
-         r"uint64 array of shape \(1, 1\)"),
-        (7, _WORD, np.zeros(3, np.int32), _IDS, r"uint64 array of shape \(1, 2\)"),
+         r"uint64 array of shape \(1, 1, 1\)"),
+        (7, _WORD, np.zeros(3, np.int32), _IDS, r"uint64 array of shape \(1, 1, 2\)"),
     ],
     ids=[
         "width", "offsets-dtype", "ids-dtype", "ids-uint32", "ids-strided",

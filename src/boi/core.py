@@ -2,13 +2,14 @@
 
 This module also states every exact distance: ``pairwise_distances``
 measures rows from a query, ``rank_by_distance`` ranks measured records,
-and ``brute_force_query`` scans the whole set in one compiled call that
-measures and ranks as those two do. Descriptors are stored as float32
-rows, and a distance is summed in float64, in the one fixed order of
-``vote.c``'s ``distance``. A bucketed query (``index``) re-ranks its
-shortlist with the same compiled loop and the same ranking, (distance,
-record id), inside its one compiled call, so the exact and the
-approximate paths measure a record to the same bits and order it alike.
+and ``brute_force_query`` scans the whole set. ``pairwise_distances`` and
+``brute_force_query`` are each one compiled call that ranks every row
+(``vote.nearest_rows``). Descriptors are stored as float32 rows, and a
+distance is summed in float64 by the one exact-distance loop, ``vote.c``'s
+``distance``, which states its order. A bucketed query (``index``) re-ranks its shortlist with
+the same compiled loop and the same ranking, (distance, record id), inside
+its one compiled call, so the exact and the approximate paths measure a
+record to the same bits and order it alike.
 Both the scan and the re-rank first bound each row's distance in float32
 and measure in float64 only the rows that can still reach the k nearest,
 about 100 of the 100k rows of the benchmark's scan; the float64 distances,
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vote import CODE_DTYPE, MAX_HASH_BITS, OFFSET_DTYPE, nearest_rows, row_distances
+from .vote import CODE_DTYPE, MAX_HASH_BITS, OFFSET_DTYPE, nearest_rows
 
 SCHEDULE_KINDS = ("fixed", "linear", "sublinear")
 
@@ -278,16 +279,15 @@ def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
     """Euclidean distance from ``query`` to every row of ``rows``.
 
     ``rows`` (n, dim) are read as float32, exactly (ValueError for a value
-    float32 cannot hold), and ``query`` (dim,) as float64. Each row is
-    measured alone, by ``vote.c``'s ``distance``, in one fixed order: the
-    float64 differences d_i = row_i - query_i, whose squares lane k of 8
-    sums over i = k (mod 8), ascending, over the whole groups of 8; the
-    lanes added as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)); then
-    the dim % 8 squares past the groups in ascending i; then the correctly
-    rounded square root. So a row's distance does not depend on which rows
+    float32 cannot hold), and ``query`` (dim,) as float64. The distances
+    come back in row order. ``vote.nearest_rows`` ranks all n rows, so its
+    float32 filter never starts and each row is measured alone, in
+    ``vote.c``'s ``distance``'s one fixed order, and its distance is put
+    back at its own row. So a row's distance does not depend on which rows
     are measured with it, on their number or on the numpy version, and it
     is the bits a bucketed query's re-rank gives the same record.
-    Finiteness is the caller's responsibility (hot path).
+    Finiteness is the caller's responsibility; a non-finite row measures
+    as NaN or inf at its own position.
     """
     r = np.asarray(rows)
     q = np.asarray(query, dtype=np.float64)
@@ -296,7 +296,10 @@ def pairwise_distances(rows: np.ndarray, query) -> np.ndarray:
             f"dimension mismatch: rows {r.shape} vs query {q.shape}"
         )
     r = np.ascontiguousarray(as_exact(r, np.float32, "rows"))
-    return row_distances(r, np.ascontiguousarray(q))
+    ids, distances, _ = nearest_rows(r, q, len(r))
+    out = np.empty(len(r))
+    out[ids] = distances
+    return out
 
 
 def rank_by_distance(ids, distances, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,12 +332,11 @@ def brute_force_query(dataset: VectorSet, q, k: int) -> RankedResult:
     This is the ground-truth oracle every approximate method is measured
     against: an exhaustive scan of every record in one compiled pass over
     the rows where they lie (``vote.nearest_rows``), with no (n,) array of
-    distances. Its answer is the bits of ``pairwise_distances`` (8 lanes of
-    float64 squared differences over i mod 8, added pairwise, then the
-    tail, then the square root) ranked by ``rank_by_distance``: a heap
-    keeps the k nearest in (distance, record id), and a row is measured in
-    float64 unless its float32 distance, with a proven error bound, puts it
-    past the k-th so far. Acceptance c06 and every full-probe test compare
+    distances. Its answer is the bits of ``pairwise_distances`` (``vote.c``'s
+    ``distance``) ranked by ``rank_by_distance``: a heap keeps the k
+    nearest in (distance, record id), and a row is measured in float64
+    unless its float32 distance, with a proven error bound, puts it past
+    the k-th so far. Acceptance c06 and every full-probe test compare
     against it; a bucketed query that re-ranks a record measures it to the
     same bits. A query must match the set's width; only the (0, 0) set of
     an empty fvecs file, which has none, answers any finite query, empty.

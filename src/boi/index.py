@@ -24,8 +24,9 @@ Querying works in four stages:
    the same selection runs on those; when the sample misleads, an exact
    pass over every vote selects instead;
 4. measure the shortlist's records where they lie in the base vectors, by
-   exact Euclidean distance in ``core.pairwise_distances``' one fixed
-   order, and keep the k nearest, ranked by (distance, record id) as
+   exact Euclidean distance in the one fixed order of ``vote.c``'s
+   ``distance``, the loop ``core.pairwise_distances`` and the oracle run
+   too, and keep the k nearest, ranked by (distance, record id) as
    ``core.rank_by_distance`` ranks them: an answer that depends only on
    the shortlist's set, not on its order. Once k records are held, a
    record reaches the float64 distance only when its float32 distance,

@@ -133,7 +133,7 @@
  * last, partly probed shell ordered by the query's margins (its own
  * comment, below).
  *
- * Eight entry points are exported, each with one caller in vote.py:
+ * Seven entry points are exported, each with one caller in vote.py:
  *   boi_bucket_sort builds one table of the index: hashing.insert_all
  *     hashed the codes into ``members``, and one counting sort a page
  *     turns them into the internal ids of every bucket, ascending within a
@@ -148,11 +148,10 @@
  *   boi_hash_codes turns the float32 dot products of a build's matrix
  *     product (hashing.hash_codes_all) into codes, recomputing in float64
  *     each sign the float32 error bound cannot decide;
- *   boi_distances measures rows from a query in the fixed order of the
- *     exact distance, for core.pairwise_distances;
- *   boi_nearest ranks every row of the base vectors by that distance and
- *     keeps the k nearest, for the oracle, core.brute_force_query; it
- *     measures only the rows a float32 filter cannot prove too far;
+ *   boi_nearest ranks every row of an array by the exact distance and
+ *     keeps the k nearest, for the oracle, core.brute_force_query, and for
+ *     core.pairwise_distances, which keeps every row; it measures only the
+ *     rows a float32 filter cannot prove too far;
  *   boi_query runs a query's stages in one fixed order: its dot products
  *     and the sign filter, the probe rows, the gather+vote, the touched
  *     pass with its selection and the re-rank by exact distance, through
@@ -1216,13 +1215,14 @@ int64_t boi_hash_codes(
 /* Exact distances: the Euclidean distance from a float64 query to float32
  * rows, each summed in one fixed order (``distance``), and the k nearest of
  * a set of rows, in ascending (distance, record id) (``nearest``), the
- * order core.rank_by_distance ranks them in. boi_distances measures every
- * row of an array for core.pairwise_distances; boi_nearest ranks every row
- * of the base vectors for core.brute_force_query, and boi_query's RERANK
- * stage a shortlist's rows where they lie. All three run ``distance``, so
- * the oracle and every bucketed query measure a record to the same bits;
- * the two that rank skip, by a float32 filter (``nearest``), only rows
- * that ``distance`` would place after the k-th.
+ * order core.rank_by_distance ranks them in. ``distance`` is the one
+ * exact-distance loop, and only ``nearest`` runs it: for boi_nearest, which
+ * ranks every row of an array (core.brute_force_query, and
+ * core.pairwise_distances with k = n), and for boi_query's RERANK stage,
+ * which ranks a shortlist's rows where they lie. So the oracle and every
+ * bucketed query measure a record to the same bits, and a float32 filter
+ * (``nearest``) skips only rows that ``distance`` would place after the
+ * k-th.
  */
 
 /* The float64 distance from row x (float32) to q (float64), dim values
@@ -1369,8 +1369,10 @@ static inline void fetch(int64_t n, int64_t dim, const float *vectors, int64_t i
  * ids[0..count), or of rows 0..count-1 when ``ids`` is NULL, in ascending
  * (distance, record id), into top[0..r) and top_dist[0..r); returns how
  * many rows it measured with ``distance``, or -1 for an id outside [0, n).
- * The query is given twice, as float32 ``x`` and as ``query``, its exact
- * float64 copy. Row id is read where it lies in ``vectors`` (n, dim), with
+ * The query is given twice, as float64 ``query`` and as float32 ``x``.
+ * Only the filter reads ``x``, once k rows are held, and its bound needs
+ * ``x`` to be ``query`` exactly, which the callers see to whenever k <
+ * count. Row id is read where it lies in ``vectors`` (n, dim), with
  * no gather. One pass streams each row through a max-heap of r entries,
  * held in the output: the first r fill it, and a later row replaces the
  * root when it ranks before it. A heapsort then puts the r in order. Ids
@@ -1449,27 +1451,12 @@ static int64_t nearest(
     return measured;
 }
 
-/* The distance from ``q`` (dim,) to each of the n rows of ``rows`` (n,
- * dim), in ``distance``'s order, into out[0..n); returns 0, or -1 for a
- * negative size. */
-int64_t boi_distances(
-    int64_t n, int64_t dim,
-    const float *rows,                  /* (n, dim) */
-    const double *q,                    /* (dim,) */
-    double *out)                        /* (n,) */
-{
-    if (n < 0 || dim < 0)
-        return -1;
-    for (int64_t i = 0; i < n; i++)
-        out[i] = distance(rows + i * dim, q, dim);
-    return 0;
-}
-
 /* The min(k, n) rows of ``rows`` (n, dim) nearest to the query, as record
  * ids 0..n-1 in ascending (distance, id), into top and top_dist, by
- * ``nearest`` over every row: the query is ``x`` (dim,) float32 and
- * ``query``, its exact float64 copy. Returns how many rows ``distance``
- * measured, or -1 for a negative size. */
+ * ``nearest`` over every row: the query is ``query`` (dim,) float64 and
+ * ``x``, its float32 copy, exact whenever k < n (vote.nearest_rows checks
+ * it). Returns how many rows ``distance`` measured, or -1 for a negative
+ * size. */
 int64_t boi_nearest(
     int64_t n, int64_t dim,
     const float *rows,                  /* (n, dim) */

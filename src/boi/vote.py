@@ -2,14 +2,15 @@
 which runs a query's stages (its dot products and sign filter, the probe
 rows, the gather+vote kernel, the pass that selects the shortlist's set
 from the votes, touched or dense, and the re-rank of that set by exact
-distance), ``boi_distances``, which measures rows from a query in the same
-fixed order for ``core.pairwise_distances``, ``boi_nearest``, which ranks
-every row the same way for the brute-force oracle, the counting sort
-``hashing.insert_all`` buckets its records with, the table-record checks
-``data_io.load_index`` runs, the directory check
+distance), ``boi_nearest``, which ranks every row of an array by the same
+exact distance for the brute-force oracle and ``core.pairwise_distances``,
+the counting sort ``hashing.insert_all`` buckets its records with, the
+table-record checks ``data_io.load_index`` runs, the directory check
 ``hashing.ProjectionTable`` runs, and the sign filter
 ``hashing.hash_codes_all`` turns a build's float32 dot products into codes
-with. These eight are all the library exports, besides two constants.
+with. These seven are all the library exports, besides two constants.
+Every exact distance is summed by one loop, ``vote.c``'s ``distance``,
+which only ``boi_query``'s re-rank and ``boi_nearest`` reach.
 
 Every table keeps its internal ids as uint16 (``ID_DTYPE``) in pages of
 ``PAGE`` = 2**16 ids (``vote.c``'s header comment): page p holds ids
@@ -150,10 +151,10 @@ def build_library(cache_dir, source=SOURCE) -> Path:
 
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
-    and result types of its eight entry points declared:
+    and result types of its seven entry points declared:
     ``boi_bucket_sort``, ``boi_table_buckets``, ``boi_check_table``,
-    ``boi_check_directory``, ``boi_hash_codes``, ``boi_distances``,
-    ``boi_nearest`` and ``boi_query``."""
+    ``boi_check_directory``, ``boi_hash_codes``, ``boi_nearest`` and
+    ``boi_query``."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
@@ -213,13 +214,6 @@ def load_library(cache_dir) -> ctypes.CDLL:
         i64,  # record stride
         i64,  # table stride
     ]
-    library.boi_distances.argtypes = [
-        i64,  # n
-        i64,  # dim
-        address,  # rows
-        address,  # query
-        address,  # out
-    ]
     library.boi_nearest.argtypes = [
         i64,  # n
         i64,  # dim
@@ -244,7 +238,6 @@ def load_library(cache_dir) -> ctypes.CDLL:
         library.boi_check_table,
         library.boi_check_directory,
         library.boi_hash_codes,
-        library.boi_distances,
         library.boi_nearest,
         library.boi_query,
     ):
@@ -610,37 +603,30 @@ class SignFilter:
         )
 
 
-def row_distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The (n,) float64 Euclidean distances from ``q`` (dim,) float64 to
-    the rows of ``rows`` (n, dim) float32, both C-contiguous and aligned:
-    ``boi_distances``, each row summed in ``vote.c``'s one fixed order
-    (``distance``), the order of ``boi_query``'s re-rank. Raises
-    ValueError, naming the array, when a type, shape or layout disagrees."""
-    n, dim = rows.shape
-    out = np.empty(n, np.float64)
-    _library.boi_distances(
-        n, dim,
-        _address(rows, np.float32, (n, dim)),
-        _address(q, np.float64, (dim,)),
-        _address(out, np.float64, (n,), writable=True),
-    )
-    return out
-
-
-def nearest_rows(rows: np.ndarray, x: np.ndarray, k: int) -> tuple:
+def nearest_rows(rows: np.ndarray, query: np.ndarray, k: int) -> tuple:
     """(ids, distances, measured): the min(k, n) rows of ``rows`` (n, dim)
-    float32 nearest to ``x`` (dim,) float32, both C-contiguous and aligned,
-    as int64 row numbers and float64 distances in ascending (distance, row
-    number), each distance the bits ``row_distances`` gives; and how many
-    rows were measured in float64, the others skipped by ``boi_nearest``'s
-    float32 filter. Raises ValueError, naming the array, when a type, shape
-    or layout disagrees, or for a negative k."""
+    float32, C-contiguous and aligned, nearest to ``query`` (dim,), read as
+    float64, as int64 row numbers and float64 distances in ascending
+    (distance, row number), each distance ``vote.c``'s ``distance`` of the
+    row; and how many rows were measured in float64, the others skipped by
+    ``boi_nearest``'s float32 filter. The filter reads a float32 copy of the
+    query, once k rows are held, and its bound holds only when that copy is
+    exact: so for k < n a query float32 cannot hold raises ValueError, and
+    for k >= n, when the filter never starts, any query is measured as it
+    is. Raises ValueError, naming the array, when a type, shape or layout
+    disagrees, or for a negative k."""
     n, dim = rows.shape
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    query = np.ascontiguousarray(query, np.float64)
+    with np.errstate(over="ignore"):
+        x = query.astype(np.float32)
+    if k < n and not np.array_equal(x, query):
+        raise ValueError(
+            f"nearest_rows: k = {k} < {n} rows needs a query float32 holds exactly"
+        )
     size = min(k, n)
     ids, distances = np.empty(size, np.int64), np.empty(size, np.float64)
-    query = x.astype(np.float64)
     measured = _library.boi_nearest(
         n, dim,
         _address(rows, np.float32, (n, dim)),
@@ -917,7 +903,7 @@ class QueryScratch:
         records of ``index.shortlist``'s set of the votes: the
         ``shortlist_size`` (at least 1, or ValueError) highest votes, the
         ties at the cut by lowest record id, none that is 0. Each distance
-        is summed as ``row_distances`` sums it, so the answer does not
+        is ``vote.c``'s ``distance`` of the record, so the answer does not
         depend on the order of the set. ``votes`` is then all zero again,
         whether the votes were touched or dense. Raises what ``rows`` and
         ``vote`` raise.

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boi import vote
 from boi.core import (
     _FINITE_CHUNK,
     BoiParams,
@@ -585,6 +586,62 @@ def test_nearest_rows_refuses_a_negative_k_and_ranks_none_at_zero():
     assert ids.size == distances.size == measured == 0
     with pytest.raises(ValueError, match="float32"):
         nearest_rows(rows.astype(np.float64), q, 1)
+
+
+def test_nearest_rows_below_n_refuses_a_query_float32_cannot_hold(monkeypatch):
+    # the filter reads the query's float32 copy, and its bound needs that
+    # copy exact; 0.1 is not a float32, so k < n raises before any
+    # compiled call, at any width
+    def refused(*args):
+        raise AssertionError("boi_nearest ran")
+
+    monkeypatch.setattr(vote._library, "boi_nearest", refused)
+    for dim in (1, 8193):
+        rows = np.zeros((3, dim), np.float32)
+        q = np.full(dim, 0.1)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="float32 holds exactly"):
+                nearest_rows(rows, q, k)
+
+
+@pytest.mark.parametrize("dim", [1, 8193])
+def test_nearest_rows_of_every_row_measure_a_float64_query_exactly(dim):
+    # with k >= n the filter never starts, so every row is measured from
+    # the float64 query itself, to the fixed order's bits, and ranked
+    rng = np.random.default_rng(dim)
+    rows = rng.standard_normal((9, dim)).astype(np.float32)
+    rows[4] = rows[2]
+    q = rng.standard_normal(dim) + 0.1
+    assert not np.array_equal(q.astype(np.float32), q)
+    want = fixed_order(rows, q)
+    order = np.lexsort((np.arange(9), want))
+    for k in (9, 12):
+        ids, distances, measured = nearest_rows(rows, q, k)
+        assert ids.tolist() == order.tolist() and measured == 9
+        assert bits_of(distances) == bits_of(want[order])
+
+
+def test_pairwise_distances_keep_a_non_finite_row_at_its_own_position():
+    # a NaN or an infinite row ranks nowhere in particular in the heap, yet
+    # its distance lands at its own row and every other row keeps its bits
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((7, 9)).astype(np.float32)
+    q = rng.standard_normal(9)
+    want = fixed_order(rows, q)
+    for bad, is_bad in ((np.nan, np.isnan), (np.inf, np.isposinf), (-np.inf, np.isposinf)):
+        for at in (0, 3, 6):
+            broken = rows.copy()
+            broken[at, 5] = bad
+            got = pairwise_distances(broken, q)
+            assert is_bad(got[at])
+            others = np.arange(7) != at
+            assert bits_of(got[others]) == bits_of(want[others])
+    broken = rows.copy()
+    broken[1, 0], broken[5, 8] = np.nan, -np.inf
+    got = pairwise_distances(broken, q)
+    assert np.isnan(got[1]) and np.isposinf(got[5])
+    others = ~np.isin(np.arange(7), [1, 5])
+    assert bits_of(got[others]) == bits_of(want[others])
 
 
 def test_a_non_finite_value_in_the_last_row_of_many_chunks_raises():

@@ -794,7 +794,7 @@ def test_a_build_save_load_and_each_query_run_every_entry_point(tmp_path, monkey
         for name, entry in vars(vote._library).items()
         if name.startswith("boi_") and getattr(entry, "argtypes", None)
     )
-    assert len(declared) == 8
+    assert len(declared) == 7
     calls = dict.fromkeys(declared, 0)
     for name in declared:
 

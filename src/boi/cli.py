@@ -67,8 +67,10 @@ def _params_from_flags(args) -> BoiParams:
 
 
 def _apply_overrides(params: BoiParams, args, strict: bool) -> BoiParams:
-    """Probe-time parameters may change after build; structural ones may not."""
-    updates = {"strict_radius": strict}
+    """Probe-time parameters may change after build; structural ones may not.
+    ``strict`` (method boi_strict) sets strict_radius; otherwise the
+    snapshot's stored flag holds, like every other probe-time parameter."""
+    updates = {"strict_radius": True} if strict else {}
     for flag, field_name, _ in _PARAM_FLAGS:
         value = getattr(args, flag)
         if value is None:
@@ -332,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument("--workers", type=int, default=1,
-                   help="query threads; the vote kernel runs without the "
-                   "GIL, so threads overlap it")
+                   help="query threads; each query is one compiled call "
+                   "without the GIL, so threads overlap whole queries")
     p.add_argument("--out", help="JSON report path (stdout when omitted)")
     p.add_argument("--csv", help="optional per-query CSV path")
     _add_param_flags(p, for_build=False)

@@ -285,9 +285,11 @@ def run_benchmark(
     calls; its time is their median in milliseconds, end to end. With
     workers > 1 queries are dispatched across a thread pool, each still
     timed inside its worker, and each worker thread querying boi tables
-    with its own scratch (``ProjectionTable.scratch``). The boi query's
-    vote kernel runs without the GIL, so workers overlap it; the other
-    stages hold the GIL for part of their time. Returns the report, the per-query results and, with
+    with its own scratch (``ProjectionTable.scratch``). Each method's
+    query is one compiled call that runs without the GIL (``vote.c``'s
+    ``boi_query``, from the hash to the re-rank, or ``boi_nearest`` for
+    brute force), so workers overlap whole queries; only the Python around
+    that call holds it. Returns the report, the per-query results and, with
     ``ground_truth``, ``score``'s per-query (AP, true-NN rank) arrays, of
     which the report's ``map`` and ``recall_at_k`` are the summary; the
     results and arrays are the CSV's rows.

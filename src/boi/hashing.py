@@ -45,7 +45,6 @@ from .core import (
 from .vote import (
     ID_DTYPE,
     PAGE,
-    GatherVote,
     QueryScratch,
     SignFilter,
     bucket_sort,
@@ -204,11 +203,10 @@ class ProjectionTable:
     [0, 2**bits) or tables and codes that are not 1-D and of one length.
 
     ``sign_filter``, the ``vote.SignFilter`` of the projections and the
-    code width, and ``gather_vote``, the ``vote.GatherVote`` of the
-    directory and members, are made once by the constructor. Each thread
-    that queries the tables hashes and votes with them through its own
-    ``vote.QueryScratch`` (``scratch``), so concurrent queries share no
-    buffer.
+    code width, is made once by the constructor. Each thread that queries
+    the tables hashes and votes through its own ``vote.QueryScratch``
+    (``scratch``), which binds the filter, the directory, the members and
+    the order itself, so concurrent queries share no buffer.
 
     A table object is made once and never changes; its arrays cannot be
     written. The directory, members and order are held C-contiguous, the
@@ -224,7 +222,7 @@ class ProjectionTable:
     (table, page) that do not rise strictly from the page's start to its
     end, one per set bit. It does not check the later rows of ``members``:
     the vote kernel refuses the out-of-range ids a query probes
-    (``vote.GatherVote``).
+    (``vote.QueryScratch.vote``).
     """
 
     projections: np.ndarray
@@ -234,7 +232,6 @@ class ProjectionTable:
     order: np.ndarray
     rank: np.ndarray = field(init=False)
     sign_filter: SignFilter = field(init=False, repr=False)
-    gather_vote: GatherVote = field(init=False, repr=False)
     _scratches: threading.local = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -273,9 +270,6 @@ class ProjectionTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "sign_filter", _sign_filter(self.projections, bits))
-        object.__setattr__(
-            self, "gather_vote", GatherVote(bits, bitmap, self.rank, offsets, self.members)
-        )
         object.__setattr__(self, "_scratches", threading.local())
 
     def scratch(self) -> QueryScratch:
@@ -285,7 +279,7 @@ class ProjectionTable:
         try:
             return self._scratches.scratch
         except AttributeError:
-            scratch = QueryScratch(self.sign_filter, self.gather_vote, self.order)
+            scratch = QueryScratch(self)
             self._scratches.scratch = scratch
             return scratch
 
@@ -461,9 +455,7 @@ def _sign_filter(projections, bits: int) -> SignFilter:
 
 
 def hash_codes_all(
-    sign_filter: SignFilter | QueryScratch,
-    X: np.ndarray,
-    out: np.ndarray | None = None,
+    sign_filter: SignFilter, X: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Bucket codes (uint16) of the rows of X under every table, shape (m, L).
 
@@ -479,22 +471,10 @@ def hash_codes_all(
     product into an (L*bits, rows) buffer the call allocates once. Then
     the filter keeps each sign the float32 error bound decides, recomputes
     the rest in float64 and writes each table's codes into ``out``. The
-    build hashes its records here (``insert_all``).
-
-    ``index.accumulate``'s staged path hashes a query through here with
-    its thread's ``vote.QueryScratch`` in place of the filter
-    (``ProjectionTable.scratch``): X is then the one (dim,) float32 query
-    ``core.query_vector`` checked, and the scratch runs the hash stage of
-    ``vote.c``'s ``boi_query`` alone (``QueryScratch.hash``), the stage
-    ``index.query`` runs first in its one call. The dot products are
-    summed there, in one fixed order rather than by the BLAS, and they
-    and the codes go to the scratch's bound ``dots`` and ``codes``, the
-    codes returned, with no check or buffer made per call;
-    ``QueryScratch.rows`` orders the partly probed shells by those dot
-    products.
+    build hashes its records here (``insert_all``); a query is hashed
+    inside ``vote.c``'s ``boi_query``, by its thread's
+    ``vote.QueryScratch``, to the same codes.
     """
-    if isinstance(sign_filter, QueryScratch):
-        return sign_filter.hash(X)
     projections = sign_filter.projections
     X = np.ascontiguousarray(X, dtype=np.float32)
     if X.ndim != 2 or X.shape[1] != projections.shape[1]:

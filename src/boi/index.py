@@ -38,14 +38,14 @@ in one call into ``vote.c`` that releases the GIL
 (``vote.QueryScratch.query``; its ``boi_query`` splits stage 2 into the
 probe rows and the vote, so it has five), and threads query in parallel;
 Python only copies the k results out (``_answer``). ``accumulate`` asks
-the same compiled call for one of its first four stages at a time, through
-``hash_codes_all`` and ``neighbor_codes_with_distance``, and returns
-fresh votes in record order: the staged path whose spans the benchmark's
-trace times. Its spans therefore time the stages ``query`` runs, and its
-traced time adds the scatter to record order. ``shortlist`` is the numpy
-statement of stage 3, and ``core.pairwise_distances`` with
-``core.rank_by_distance`` that of stage 4, which the trace and the tests
-call.
+the same compiled call for one of its first four stages at a time, the
+first two through this module's ``hash_codes_all`` and
+``neighbor_codes_with_distance``, and returns fresh votes in record
+order: the staged path whose spans the benchmark's trace times. Its
+spans therefore time the stages ``query`` runs, and its traced time adds
+the scatter to record order. ``shortlist`` is the numpy statement of
+stage 3, and ``core.pairwise_distances`` with ``core.rank_by_distance``
+that of stage 4, which the trace and the tests call.
 
 The LSH baselines run here too. ``multiprobe_lsh_query`` is multi-probe
 LSH over the Hamming ball of a radius (Lv et al., "Multi-Probe LSH", VLDB
@@ -97,7 +97,7 @@ from .core import (
     VectorSet,
     query_vector,
 )
-from .hashing import ProjectionTable, hash_codes_all, insert_all, make_projections
+from .hashing import ProjectionTable, insert_all, make_projections
 from .vote import ProbePlan, QueryScratch
 
 
@@ -229,6 +229,11 @@ def _ball_plan(bits: int, num_tables: int, radius: int) -> ProbePlan:
     )
 
 
+def hash_codes_all(scratch: QueryScratch, q: np.ndarray) -> np.ndarray:
+    """``scratch.hash(q)``: the benchmark's ``hashing.query_codes_ms`` span."""
+    return scratch.hash(q)
+
+
 def neighbor_codes_with_distance(scratch: QueryScratch, plan: ProbePlan) -> np.ndarray:
     """Probe rows (L, width) uint16 of the query ``scratch`` last hashed
     (``hash_codes_all``), written into its bound ``probes``: codes[t] XOR
@@ -321,9 +326,9 @@ def _accumulate(
     ``units[j]``. A boi vote of at most L * 2**b units stays below 2**31
     (``BoiParams``), so the int32 sums are exact and so is their negation
     in the shortlist. Each stage is one call of ``vote.c``'s ``boi_query``
-    that runs it alone: ``hash_codes_all`` and
-    ``neighbor_codes_with_distance``, called through this module's globals,
-    which the benchmark's trace wraps, then ``QueryScratch.vote``.
+    that runs it alone: this module's ``hash_codes_all`` and
+    ``neighbor_codes_with_distance``, called through its globals, which
+    the benchmark's trace wraps, then ``QueryScratch.vote``.
     """
     scratch = tables.scratch()
     hash_codes_all(scratch, q)

@@ -42,15 +42,15 @@ entry point takes raw addresses, and its wrapper gets each one from
 ``_address``, which checks the array's exact type, shape and layout first:
 numpy's own ctypes argument conversion would cost about 5 us an array
 while the GIL is held. What is fixed per table or per plan is checked
-once, when ``GatherVote``, ``ProbePlan`` or ``SignFilter`` binds it;
+once, when ``QueryScratch``, ``ProbePlan`` or ``SignFilter`` binds it;
 ``TableCheck`` binds a snapshot load's arrays once in the same way. Each
 entry point has one Python caller. The querying thread's ``QueryScratch``
-owns every buffer a query writes and calls ``boi_query`` from one method,
-``_stages``; ``GatherVote`` and ``ProbePlan`` are only bindings that it
-reads. The scratch writes every address and size a query needs into one
-int64 block, rebound only when the probe plan changes, a longer
-shortlist grows the pairs and the results, or other base vectors are
-given, so a query copies its vector into the scratch, crosses into C once
+binds its tables' arrays itself, owns every buffer a query writes and
+calls ``boi_query`` from one method, ``_stages``; ``ProbePlan`` is only a
+binding that it reads. The scratch writes every address and size a query
+needs into one int64 block, rebound only when the probe plan changes, a
+longer shortlist grows the pairs and the results, or other base vectors
+are given, so a query copies its vector into the scratch, crosses into C once
 and passes six arguments: the block, the range of stages to run, its
 shortlist size, its k and where its counts go. ``query`` runs every stage
 in one call, from the vector to the ranked answer; ``hash``, ``rows``,
@@ -346,37 +346,6 @@ class ProbePlan:
         self._slots = (width, fixed[0], fixed[3], *fixed[1:3])
 
 
-class GatherVote:
-    """One index's tables, bound once for ``boi_query``'s gather+vote
-    stage: their directory, ``bitmap`` (L, P, W) uint64 and ``rank`` (L, P,
-    W) int32 of shape ``directory_shape(L, bits, n)`` (the rank
-    ``check_directory`` makes), and ``offsets`` int32, and their
-    ``members`` (L, n) uint16, ``bits`` in [1, 16]; each ``QueryScratch``
-    over the tables votes through it.
-
-    The arrays are checked here, once, and held; they must not change while
-    the binding is used. ValueError names the array whose type, shape or
-    layout is wrong, or says that ``bits`` is not in [1, 16]. Their values
-    are not checked here (``hashing.ProjectionTable`` checks them); the
-    kernel refuses any it reads out of range (``QueryScratch.vote``). The
-    scratch writes ``_fixed``, the first slots of its block, as they are.
-    """
-
-    def __init__(self, bits: int, bitmap, rank, offsets, members):
-        if not 1 <= bits <= MAX_HASH_BITS:
-            raise ValueError(f"GatherVote: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
-        num_tables, n = len(bitmap), members.shape[-1]
-        shape = directory_shape(num_tables, bits, n)
-        self._arrays = (bitmap, rank, offsets, members)
-        self._fixed = (
-            num_tables, bits, n,
-            _address(bitmap, np.uint64, shape),
-            _address(rank, OFFSET_DTYPE, shape),
-            _address(offsets, OFFSET_DTYPE, (offsets.size,)), offsets.size,
-            _address(members, ID_DTYPE, (num_tables, n)),
-        )
-
-
 def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
     """Bucket every record of every table by its code, one counting sort a
     page of each table, number the records in table 0's bucket order, and
@@ -651,10 +620,10 @@ def touched_capacity(n: int) -> int:
     return 64 * (-(-n // 64) // _TOUCHED_SHARE)
 
 
-# the slots of boi_query's block (``vote.c``): the tables' (GatherVote's
-# eight) and the scratch's ten, then the ones rebound after it is made: the
-# pairs' room and addresses, which a longer shortlist rebinds, the results'
-# likewise, the base vectors', and last the plan's
+# the slots of boi_query's block (``vote.c``): the tables' eight and the
+# scratch's ten, then the ones rebound after it is made: the pairs' room and
+# addresses, which a longer shortlist rebinds, the results' likewise, the
+# base vectors', and last the plan's
 _QUERY_SLOTS = ctypes.c_int64.in_dll(_library, "boi_query_slots").value
 _PAIR_SLOTS, _RESULT_SLOTS, _VECTOR_SLOT = slice(18, 21), slice(21, 24), 24
 _PLAN_SLOTS = slice(25, 31)
@@ -707,13 +676,21 @@ class QueryScratch:
     """The buffers one thread queries one set of tables with, bound once.
 
     ``hashing.ProjectionTable.scratch`` makes one for each thread that
-    queries the tables, on the thread's first query, from the tables'
-    ``SignFilter``, ``GatherVote`` and ``order`` (n,) int32. Every address
-    is taken then, through ``_address``, so a query passes only its vector,
-    its plan, its shortlist size, its base vectors and its k, and nothing
-    is allocated per query but the probe rows of a plan wider than any the
-    scratch has seen, or the pairs and results of a shortlist longer than
-    any it has held. ``_stages`` is the only Python caller of
+    queries the tables, on the thread's first query, from the tables
+    themselves: their ``sign_filter``, the ``SignFilter`` that fixes L and
+    the code width b, their directory, ``bitmap`` uint64 and ``rank``
+    int32 of shape ``directory_shape(L, b, n)`` and 1-D ``offsets``
+    int32, their ``members`` (L, n) uint16 and their ``order`` (n,)
+    int32. Every address is taken then, through ``_address``, whose
+    ValueError names an array of the wrong type, shape or layout. The
+    values are not checked here (``hashing.ProjectionTable`` checks
+    them); the kernel refuses any it reads out of range (``vote``). The
+    scratch holds the filter and the five arrays, not ``tables``, so they
+    outlive its block, and they must not change while it is used. A query
+    passes only its vector, its plan, its shortlist size, its base vectors
+    and its k, and nothing is allocated per query but the probe rows of a
+    plan wider than any the scratch has seen, or the pairs and results of
+    a shortlist longer than any it has held. ``_stages`` is the only Python caller of
     ``boi_query``, and the scratch owns every buffer its stages write:
 
     ``votes`` (n,) int32, the query's votes in internal order, all zero
@@ -741,9 +718,10 @@ class QueryScratch:
     the base vectors it reads may be shared by every thread.
     """
 
-    def __init__(self, sign_filter: SignFilter, gather: GatherVote, order):
-        num_tables, bits, n = gather._fixed[:3]
-        dim = sign_filter.projections.shape[1]
+    def __init__(self, tables):
+        sign_filter, offsets, members = tables.sign_filter, tables.offsets, tables.members
+        num_tables, bits, n = sign_filter.num_tables, sign_filter.bits, members.shape[-1]
+        shape, dim = directory_shape(num_tables, bits, n), sign_filter.projections.shape[1]
         self.votes = np.zeros(n, np.int32)
         self.dots = np.empty((num_tables * bits, 1), np.float32)
         self.codes = np.empty(num_tables, CODE_DTYPE)
@@ -752,22 +730,28 @@ class QueryScratch:
         self._query = np.empty(dim, np.float64)
         # pairs scanned by the last gather+vote, pairs left by the last take
         self._counts = np.zeros(2, np.int64)
-        # held, since the block holds only their addresses
-        self._sign_filter, self._gather, self._order = sign_filter, gather, order
+        # held, since the block holds only their addresses; not ``tables``,
+        # which holds its scratches: that cycle would keep a dropped index's
+        # arrays until the cyclic collector ran
+        self._held = sign_filter, tables.bitmap, tables.rank, offsets, members, tables.order
         self._plan, self._vectors, self._voted = None, None, False
         projections_at, bound, safe_square = sign_filter._fixed
         # boi_query's slots in ``vote.c``'s order; _grow binds the pairs' and
         # the results', _read the vectors' and _use the plan's
         self._block = np.zeros(_QUERY_SLOTS, np.int64)
         self._block[: _PAIR_SLOTS.start] = (
-            *gather._fixed, dim, projections_at, _float_slot(bound),
-            _float_slot(safe_square),
+            num_tables, bits, n,
+            _address(tables.bitmap, np.uint64, shape),
+            _address(tables.rank, OFFSET_DTYPE, shape),
+            _address(offsets, OFFSET_DTYPE, (offsets.size,)), offsets.size,
+            _address(members, ID_DTYPE, (num_tables, n)),
+            dim, projections_at, _float_slot(bound), _float_slot(safe_square),
             _address(self._x, np.float32, self._x.shape, writable=True),
             _address(self._query, np.float64, (dim,), writable=True),
             _address(self.dots, np.float32, self.dots.shape, writable=True),
             _address(self.codes, CODE_DTYPE, self.codes.shape, writable=True),
             _address(self.votes, np.int32, (n,), writable=True),
-            _address(order, np.int32, (n,)),
+            _address(tables.order, np.int32, (n,)),
         )
         if _PLAN_SLOTS.stop != _QUERY_SLOTS:
             raise RuntimeError(
@@ -820,7 +804,7 @@ class QueryScratch:
         is the last plan; ValueError when the plan is for other tables."""
         if plan is self._plan:
             return
-        num_tables, bits = self._gather._fixed[:2]
+        num_tables, bits = self._block[:2].tolist()
         if (plan.num_tables, plan.bits) != (num_tables, bits):
             raise ValueError(
                 f"expected a plan of {num_tables} tables of {bits} bits, got "

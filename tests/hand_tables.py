@@ -1,9 +1,11 @@
 """Hash tables built by hand over record ids, for the tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from boi.hashing import ProjectionTable, _sign_filter
-from boi.vote import ID_DTYPE, GatherVote, QueryScratch, directory_shape
+from boi.vote import ID_DTYPE, QueryScratch, directory_shape
 
 
 def directory(offsets) -> tuple[np.ndarray, np.ndarray]:
@@ -63,16 +65,21 @@ def from_record_ids(projections, offsets, members) -> ProjectionTable:
 
 
 def scratch_over(bits, bitmap, rank, offsets, members) -> QueryScratch:
-    """A ``QueryScratch`` over a ``GatherVote`` bound straight to these
-    arrays, with no ``ProjectionTable`` to check the directory first, so a
-    query reaches the kernel's own range checks. Its ``SignFilter`` is of
-    all-one projections of dimension 1, and its ``order`` the identity. The
-    ``GatherVote`` is bound first, so its own checks are the ones a bad
-    argument meets; the scratch's codes and dot products start at zero."""
-    num_tables, n = len(bitmap), np.shape(members)[-1]
-    gather = GatherVote(bits, bitmap, rank, offsets, members)
-    sign_filter = _sign_filter(np.ones((num_tables * bits, 1)), bits)
-    scratch = QueryScratch(sign_filter, gather, np.arange(n, dtype=np.int32))
+    """A ``QueryScratch`` bound straight to these arrays, passed as a
+    namespace in place of a ``ProjectionTable``, so that no table checks
+    the directory first and a query reaches the kernel's own range checks.
+    Its ``sign_filter`` is of all-one projections of dimension 1 in
+    len(bitmap) tables of ``bits`` bits, made first, so that its check of
+    the code width is the one a bad ``bits`` meets; its ``order`` is the
+    identity. The scratch's codes and dot products start at zero."""
+    sign_filter = _sign_filter(np.ones((len(bitmap) * bits, 1)), bits)
+    order = np.arange(np.shape(members)[-1], dtype=np.int32)
+    scratch = QueryScratch(
+        SimpleNamespace(
+            sign_filter=sign_filter, bitmap=bitmap, rank=rank, offsets=offsets,
+            members=members, order=order,
+        )
+    )
     scratch.codes[...] = 0
     scratch.dots[...] = 0
     return scratch

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boi import BoiParams, build_index
 from boi.cli import main
-from boi.data_io import read_fvecs, read_ivecs, write_ivecs
+from boi.data_io import read_fvecs, read_ivecs, save_index, write_ivecs
 
 
 def run_gen(tmp_path, n=600, extra=()):
@@ -235,6 +236,35 @@ class TestBench:
         assert len(rows) == 12 and 0.0 < report["map"] < 1.0
         assert np.mean(aps) == pytest.approx(report["map"], abs=1e-6)
         assert np.mean(hits) == report["recall_at_k"]["1"]
+
+    def test_boi_keeps_the_strict_radius_a_snapshot_was_saved_with(
+        self, tmp_path, dataset_dir
+    ):
+        # strict_radius is a stored probe-time parameter: only boi_strict
+        # sets it, so a snapshot saved strict probes the radius-1 ball, 7
+        # buckets of 6-bit codes a table, under boi too, where spill mode
+        # would spend gamma0 = 10 neighbours a table
+        index_path = tmp_path / "strict.boix"
+        params = BoiParams(
+            num_tables=4, hash_bits=6, initial_probe_count=10, strict_radius=True, seed=3
+        )
+        save_index(build_index(read_fvecs(dataset_dir / "base.fvecs"), params), index_path)
+        rows = {}
+        for method in ("boi", "boi_strict"):
+            report = self.run_bench(tmp_path, dataset_dir, index_path, method)
+            assert report["params"]["strict_radius"] is True
+            assert report["mean_probe_count"] == 4 * 7
+            out = tmp_path / f"{method}.ivecs"
+            main(
+                [
+                    "query", "--dataset", str(dataset_dir / "base.fvecs"),
+                    "--queries", str(dataset_dir / "queries.fvecs"),
+                    "--index", str(index_path), "--method", method,
+                    "--k", "5", "--out", str(out),
+                ]
+            )
+            rows[method] = read_ivecs(out)
+        assert np.array_equal(rows["boi"], rows["boi_strict"])
 
     def test_structural_override_rejected(self, tmp_path, dataset_dir):
         index_path = build_small(tmp_path, dataset_dir)

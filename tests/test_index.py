@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -307,7 +309,7 @@ def oracle_rows(index, q) -> np.ndarray:
     leaves in the thread's scratch."""
     tables = index.tables
     scratch = tables.scratch()
-    codes = hash_codes_all(scratch, q)
+    codes = scratch.hash(q)
     plan = index.plan
     rows = margin_rows(codes, scratch.dots[:, 0], plan.masks, plan.budgets, tables.bits)
     return np.array(rows, dtype=np.uint16).reshape(tables.num_tables, -1)
@@ -1370,6 +1372,23 @@ def test_each_thread_queries_with_its_own_scratch(mixed_index):
     assert mine.votes.shape == other.votes.shape == (tables.n,)
 
 
+def test_a_dropped_index_is_freed_without_the_cycle_collector():
+    # a table holds its threads' scratches, and a scratch holds the table's
+    # arrays but not the table, so no cycle keeps a dropped index's arrays
+    # until the cyclic collector runs
+    rng = np.random.default_rng(5)
+    data = VectorSet(rng.standard_normal((300, 8)).astype(np.float32))
+    index = build_index(data, BoiParams(num_tables=4, hash_bits=6, shortlist_size=20))
+    query(index, data.vectors[0], 3)
+    tables = weakref.ref(index.tables)
+    gc.disable()
+    try:
+        del index
+        assert tables() is None
+    finally:
+        gc.enable()
+
+
 def test_one_thread_keeps_the_scratches_of_two_indexes_apart(small_index, mixed_index):
     # queries of two indexes of different n, interleaved in one thread,
     # answer as each index's queries answer alone
@@ -1643,7 +1662,7 @@ class TestMarginOrder:
         for qi in range(5):
             q = rng.standard_normal(16).astype(np.float32)
             scratch = index.tables.scratch()
-            hash_codes_all(scratch, q)
+            scratch.hash(q)
             got = boi.index.neighbor_codes_with_distance(scratch, index.plan)
             assert got.tolist() == oracle_rows(index, q).tolist()
 
@@ -1660,7 +1679,7 @@ class TestMarginOrder:
                       schedule="linear", linear_step=2, shortlist_size=200),
         )
         scratch = partial.tables.scratch()
-        hash_codes_all(scratch, q)
+        scratch.hash(q)
         assert not np.isfinite(scratch.dots).all()
         assert partial.plan.shells.any()
         votes = accumulate(partial, q)
@@ -1806,8 +1825,7 @@ class TestRerankStage:
         # no base vectors bound, a negative k, and more records to rank than
         # the results hold, each refused by the compiled call and raised
         index, data = mixed_index
-        tables = index.tables
-        fresh = vote.QueryScratch(tables.sign_filter, tables.gather_vote, tables.order)
+        fresh = vote.QueryScratch(index.tables)
         with pytest.raises(ValueError, match="the re-rank needs base vectors bound"):
             fresh._stages(vote._RERANK, vote._STAGES, 0, 5)
         assert fresh.query(data.vectors[0], index.plan, 1, data.vectors, 1)[0] == 1

@@ -215,7 +215,7 @@ def test_gather_vote_rejects_disagreeing_shapes(position, replacement):
 def test_gather_vote_binds_only_a_valid_code_width(bits):
     args = list(_arrays())
     args[0] = bits
-    with pytest.raises(ValueError, match=r"GatherVote: bits must be in \[1, 16\]"):
+    with pytest.raises(ValueError, match=r"SignFilter: bits must be in \[1, 16\]"):
         gather_vote(*args)
 
 

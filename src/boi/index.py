@@ -21,8 +21,10 @@ Querying works in four stages:
    shortlist's set from the pairs, about 4k of them at b = 16. Otherwise,
    as at b = 8, a floor set from every 16th vote lets through the few
    votes that can hold the set, about 4 * ``shortlist_size`` of them, and
-   the same selection runs on those; when the sample misleads, an exact
-   pass over every vote selects instead;
+   the same selection runs on those; when the sample misleads, every vote
+   streams through the selection's heap instead. Every selection is one
+   histogram cut, which keeps the votes above the cut's bin, and one heap
+   on (vote, lower record id), which chooses among the votes in that bin;
 4. measure the shortlist's records where they lie in the base vectors, by
    exact Euclidean distance in the one fixed order of ``vote.c``'s
    ``distance``, the loop ``core.pairwise_distances`` and the oracle run

@@ -125,8 +125,9 @@
  * query touched, as (record id, vote) pairs, when they lie in few 64-id
  * blocks of the votes, and zeroes them as it goes; given a shortlist size,
  * it then keeps only the pairs of the shortlist's set, and selects that set
- * from dense votes too, from the few a sampled floor lets through (its own
- * comment, below).
+ * from dense votes too, from the few a sampled floor lets through. Either
+ * way one histogram cut bounds the set from below and one heap chooses
+ * among the votes at the cut (their own comments, below).
  *
  * The probe rows (probe_rows) are what the gather+vote probes: each
  * table's query code XOR the masks of its probe plan, with the table's
@@ -366,9 +367,9 @@ HOT static int64_t gather_vote(
  * return value is -1. Given one, the pairs are cut to the shortlist's set
  * (shortlist_touched, below) and the return value is its size; dense
  * votes go to dense_shortlist (below), which selects the same set from
- * them and zeroes them, so every query leaves its votes zero. The size
- * must be at most ``capacity``: vote.QueryScratch passes min(size, n) and
- * grows ``ids`` and ``weights`` to it.
+ * them, by the same cut and heap, and zeroes them, so every query leaves
+ * its votes zero. The size must be at most ``capacity``: vote.QueryScratch
+ * passes min(size, n) and grows ``ids`` and ``weights`` to it.
  *
  * The first pass keeps the list of non-empty blocks in the last most
  * entries of ``ids``, from ids[capacity - most], so no other memory is
@@ -424,104 +425,48 @@ static inline void swap_pairs(int32_t *ids, int32_t *weights, int64_t i, int64_t
     weights[j] = vote;
 }
 
-/* Put the r pairs of highest shortlist_key first among ``count`` pairs, in
- * no order: Hoare's FIND (quickselect), with the median of the first,
- * middle and last keys as each pivot. Keys are distinct, since ids are. */
-static void best_first(int32_t *ids, int32_t *weights, int64_t count, int64_t r)
-{
-    int64_t lo = 0, hi = count;
-    while (lo < r && r < hi) {
-        const int64_t mid = lo + (hi - lo) / 2, last = hi - 1;
-        const uint64_t a = shortlist_key(ids, weights, lo);
-        const uint64_t b = shortlist_key(ids, weights, mid);
-        const uint64_t c = shortlist_key(ids, weights, last);
-        const int64_t median = (a < b) == (b < c) ? mid : (a < b) == (a < c) ? last : lo;
-        swap_pairs(ids, weights, median, last);
-        const uint64_t pivot = shortlist_key(ids, weights, last);
-        int64_t store = lo;
-        for (int64_t i = lo; i < last; i++) {
-            if (shortlist_key(ids, weights, i) > pivot)
-                swap_pairs(ids, weights, i, store++);
-        }
-        swap_pairs(ids, weights, store, last);
-        /* [lo, store) ranks above the pivot, now at store, and (store, hi)
-         * below it */
-        if (r <= store)
-            hi = store;
-        else
-            lo = store + 1;
-    }
-}
-
-/* The shortlist's set of the m touched pairs, moved to the front of
- * ``ids`` and ``weights`` in no order; returns its size. It is the set
- * index.shortlist keeps: the ``size`` pairs of highest vote, those tied at
- * the cut by lowest record id, none whose vote is not positive, and all
- * the positive ones when there are at most ``size``.
+/* Every shortlist's set is chosen in one way, from touched pairs and from
+ * dense votes alike: one histogram cut (cut) bounds it from below, and one
+ * min-heap on shortlist_key (sift_down) chooses among the votes the cut
+ * cannot tell apart, by vote and then record id.
  *
- * One pass finds the top vote, and a second counts the positive votes in
- * BINS bins of vote >> shift, the smallest shift that puts the top vote
- * in the last bins. Walking the bins down from the top finds the cut's
- * bin, the one in which the running count reaches ``size``; a third pass
- * keeps the pairs in and above it. Only when the cut's bin holds more
- * pairs than the slots left does a quickselect (best_first) choose among
- * them, by vote and then record id. At b = 16 over the benchmark's data
- * the votes are multiples of 2**15, so each bin holds one vote value, and
- * the quickselect only picks the lowest ids of the tie at the cut. The
- * bins' counts are on the stack, so the selection allocates nothing.
- */
+ * The cut of ``want`` among the positive votes of votes[0], votes[step],
+ * votes[2 * step], ... below votes[count]: they are counted in BINS bins of
+ * vote >> shift, the smallest shift that puts the top vote in the last
+ * bins, and the bins are walked down from the top until they hold
+ * ``want``. The cut's bin holds the votes in [least, next), ``above`` of
+ * the counted votes lie in the bins above it, and least is at least 1.
+ * When the positive votes are fewer than ``want``, the walk ends in the
+ * lowest bin, so every positive vote is at or above least. The counts are
+ * on the stack, so the cut allocates nothing. */
 #define BINS 2048
 
-/* The smallest shift that puts ``top`` in the last of BINS bins of
- * vote >> shift. */
-static int bin_shift(int32_t top)
+struct bin {
+    int64_t least, next, above;
+};
+
+static struct bin cut(const int32_t *votes, int64_t count, int64_t step, int64_t want)
 {
+    int32_t top = 0;
+    for (int64_t i = 0; i < count; i += step)
+        top = votes[i] > top ? votes[i] : top;
     int shift = 0;
     while (top >> shift >= BINS)
         shift++;
-    return shift;
-}
-
-static int64_t shortlist_touched(int64_t m, int32_t *ids, int32_t *weights, int64_t size)
-{
-    int32_t top = 0;
-    for (int64_t i = 0; i < m; i++)
-        top = weights[i] > top ? weights[i] : top;
-    if (m <= size || top == 0)
-        return keep_at_least(m, ids, weights, 1);
-    const int shift = bin_shift(top);
-    uint32_t count[BINS];
-    memset(count, 0, sizeof count);
-    for (int64_t i = 0; i < m; i++) {
-        const int32_t vote = weights[i];
-        if (vote > 0)
-            count[vote >> shift]++;
+    uint32_t counts[BINS];
+    memset(counts, 0, sizeof counts);
+    for (int64_t i = 0; i < count; i += step) {
+        if (votes[i] > 0)
+            counts[votes[i] >> shift]++;
     }
-    int64_t bin = top >> shift, above = 0; /* the pairs in the bins above */
-    while (above + count[bin] < size) {
-        above += count[bin];
-        if (bin == 0)
-            return keep_at_least(m, ids, weights, 1); /* size or fewer positive */
-        bin--;
-    }
-    const int64_t least = bin << shift;
-    const int64_t kept = keep_at_least(m, ids, weights, least > 0 ? (int32_t)least : 1);
-    if (kept == size)
-        return size;
-    /* the bins above the cut's first, then choose among the cut's bin */
-    const int64_t next = (bin + 1) << shift;
-    int64_t front = 0;
-    for (int64_t i = 0; i < kept; i++) {
-        if (weights[i] >= next)
-            swap_pairs(ids, weights, i, front++);
-    }
-    best_first(ids + above, weights + above, kept - above, size - above);
-    return size;
+    int64_t bin = top >> shift, above = 0;
+    while (above + counts[bin] < want && bin > 0)
+        above += counts[bin--];
+    return (struct bin){bin > 0 ? bin << shift : 1, (bin + 1) << shift, above};
 }
 
 /* Sink the pair at ``at`` of a min-heap of ``size`` pairs on
- * shortlist_key (heap_shortlist, below) until neither child's key is
- * lower. */
+ * shortlist_key until neither child's key is lower. */
 static void sift_down(int32_t *ids, int32_t *weights, int64_t size, int64_t at)
 {
     for (;;) {
@@ -538,37 +483,45 @@ static void sift_down(int32_t *ids, int32_t *weights, int64_t size, int64_t at)
     }
 }
 
-/* The shortlist's set of the n dense votes, exactly, in ids[0..size) and
- * weights in no order; returns its size. One pass streams each positive
- * vote's pair through a min-heap of ``size`` pairs on shortlist_key: the
- * first ``size`` fill it, and a later pair replaces the root when its key
- * is higher. It needs no room past the ``size`` slots, whatever the ties,
- * and costs O(n + r log size) for r replacements, which in the worst
- * order is every pair. */
-static int64_t heap_shortlist(
-    int64_t n, const int32_t *votes, const int32_t *order, int32_t *ids, int32_t *weights,
-    int64_t size)
+/* The shortlist's set of the m touched pairs, moved to the front of
+ * ``ids`` and ``weights`` in no order; returns its size. It is the set
+ * index.shortlist keeps: the ``size`` pairs of highest vote, those tied at
+ * the cut by lowest record id, none whose vote is not positive, and all
+ * the positive ones when there are at most ``size``.
+ *
+ * The cut of ``size`` among the m votes finds its bin, and one pass keeps
+ * the pairs in and above it (keep_at_least). Only when they are more than
+ * ``size`` does a second pass move the pairs above the bin to the front,
+ * and the heap then chooses the slots left among the pairs of the bin: the
+ * first of them fill it, and each later one whose key is higher than the
+ * root's takes the root's place. At b = 16 over the benchmark's data the
+ * votes are multiples of 2**15, so each bin holds one vote value, and the
+ * heap only picks the lowest ids of the tie at the cut. */
+static int64_t shortlist_touched(int64_t m, int32_t *ids, int32_t *weights, int64_t size)
 {
-    int64_t kept = 0;
-    for (int64_t j = 0; j < n; j++) {
-        const int32_t vote = votes[j];
-        if (vote <= 0)
-            continue;
-        if (kept < size) {
-            ids[kept] = order[j];
-            weights[kept] = vote;
-            if (++kept == size) {
-                for (int64_t i = size / 2; i-- > 0;)
-                    sift_down(ids, weights, size, i);
-            }
-        } else if (((uint64_t)(uint32_t)vote << 32 | (uint32_t)~(uint32_t)order[j])
-                   > shortlist_key(ids, weights, 0)) {
-            ids[0] = order[j];
-            weights[0] = vote;
-            sift_down(ids, weights, size, 0);
+    if (m <= size)
+        return keep_at_least(m, ids, weights, 1);
+    const struct bin bin = cut(weights, m, 1, size);
+    const int64_t kept = keep_at_least(m, ids, weights, (int32_t)bin.least);
+    if (kept <= size)
+        return kept;
+    int64_t front = 0;
+    for (int64_t i = 0; i < kept; i++) {
+        if (weights[i] >= bin.next)
+            swap_pairs(ids, weights, i, front++);
+    }
+    int32_t *const tied = ids + bin.above, *const votes = weights + bin.above;
+    const int64_t slots = size - bin.above;
+    for (int64_t i = slots / 2; i-- > 0;)
+        sift_down(tied, votes, slots, i);
+    for (int64_t i = slots; i < kept - bin.above; i++) {
+        if (shortlist_key(tied, votes, i) > shortlist_key(tied, votes, 0)) {
+            tied[0] = tied[i];
+            votes[0] = votes[i];
+            sift_down(tied, votes, slots, 0);
         }
     }
-    return kept;
+    return size;
 }
 
 /* The shortlist's set of the n dense votes, selected from the few that
@@ -577,50 +530,32 @@ static int64_t heap_shortlist(
  * benchmark's b = 8 data 1,100 to 1,700 of the 100k votes reach the floor
  * at size 250.
  *
- * The floor: the 1-in-SAMPLE votes votes[0], votes[SAMPLE], ... are
- * counted in BINS bins of vote >> shift, the smallest shift that puts the
- * sample's top vote in the last bins, and the bins are walked down from
- * the top until they hold AIM * size / SAMPLE sampled votes; the floor is
- * the lower edge of that bin, at least 1. The collect: each chunk of
- * BLOCK votes is skipped when every vote in it lies below the floor, which
- * one AND over the sign bits of vote - floor, in uint32, tells without a
- * branch (a wrapped negative vote may read as at or above it; the copy
- * below does not keep it). Every other chunk is copied as in the touched
- * pass, each pair kept when its vote is at or above the floor. The pairs
- * then hold every vote at or above the floor, so when there are ``size``
- * or more of them, or the floor is 1, they hold the shortlist's set, and
- * one memset zeroes the votes.
+ * The floor: the least of the cut of AIM * size / SAMPLE among the 1-in-
+ * SAMPLE votes votes[0], votes[SAMPLE], ..., the lower edge of its bin and
+ * at least 1. The collect: each chunk of BLOCK votes is skipped when every
+ * vote in it lies below the floor, which one AND over the sign bits of
+ * vote - floor, in uint32, tells without a branch (a wrapped negative vote
+ * may read as at or above it; the copy below does not keep it). Every other
+ * chunk is copied as in the touched pass, each pair kept when its vote is
+ * at or above the floor. The pairs then hold every vote at or above the
+ * floor, so when there are ``size`` or more of them, or the floor is 1,
+ * they hold the shortlist's set, and one memset zeroes the votes.
  *
  * When they are fewer than ``size`` above a floor of 2 or more, or a chunk
- * would not fit in the ``capacity`` pairs, the sample misled: the exact
- * heap_shortlist runs over all n votes instead, then the memset. */
+ * would not fit in the ``capacity`` pairs, the sample misled: every
+ * positive vote's pair streams through the same heap instead, the first
+ * ``size`` filling it, which needs no room past the ``size`` slots,
+ * whatever the ties, and costs O(n + r log size) for r replacements; then
+ * the memset. */
 #define SAMPLE 16
 #define AIM 4
-
-static int32_t sampled_floor(int64_t n, const int32_t *votes, int64_t size)
-{
-    int32_t top = 0;
-    for (int64_t j = 0; j < n; j += SAMPLE)
-        top = votes[j] > top ? votes[j] : top;
-    const int shift = bin_shift(top);
-    uint32_t count[BINS];
-    memset(count, 0, sizeof count);
-    for (int64_t j = 0; j < n; j += SAMPLE) {
-        if (votes[j] > 0)
-            count[votes[j] >> shift]++;
-    }
-    const int64_t want = (AIM * size + SAMPLE - 1) / SAMPLE;
-    int64_t bin = top >> shift, seen = count[bin];
-    while (seen < want && bin > 0)
-        seen += count[--bin];
-    return bin > 0 ? (int32_t)(bin << shift) : 1;
-}
 
 static int64_t dense_shortlist(
     int64_t n, int32_t *votes, const int32_t *order, int64_t capacity, int32_t *ids,
     int32_t *weights, int64_t size)
 {
-    const int32_t least = sampled_floor(n, votes, size);
+    const int64_t want = (AIM * size + SAMPLE - 1) / SAMPLE;
+    const int32_t least = (int32_t)cut(votes, n, SAMPLE, want).least;
     int64_t m = 0, fits = 1;
     for (int64_t lo = 0; lo < n; lo += BLOCK) {
         const int64_t hi = lo + BLOCK < n ? lo + BLOCK : n;
@@ -640,11 +575,31 @@ static int64_t dense_shortlist(
             m += vote >= least;
         }
     }
-    const int64_t kept = fits && (m >= size || least == 1)
-        ? shortlist_touched(m, ids, weights, size)
-        : heap_shortlist(n, votes, order, ids, weights, size);
+    if (fits && (m >= size || least == 1)) {
+        m = shortlist_touched(m, ids, weights, size);
+    } else {
+        m = 0;
+        for (int64_t j = 0; j < n; j++) {
+            const int32_t vote = votes[j];
+            if (vote <= 0)
+                continue;
+            if (m < size) {
+                ids[m] = order[j];
+                weights[m] = vote;
+                if (++m == size) {
+                    for (int64_t i = size / 2; i-- > 0;)
+                        sift_down(ids, weights, size, i);
+                }
+            } else if (((uint64_t)(uint32_t)vote << 32 | (uint32_t)~(uint32_t)order[j])
+                       > shortlist_key(ids, weights, 0)) {
+                ids[0] = order[j];
+                weights[0] = vote;
+                sift_down(ids, weights, size, 0);
+            }
+        }
+    }
     memset(votes, 0, (size_t)n * sizeof *votes);
-    return kept;
+    return m;
 }
 
 /* A share of 1/TOUCHED_SHARE of the blocks is the most the touched pass
@@ -779,7 +734,7 @@ static int64_t probe_rows(
             most = hi - lo;
     }
     struct keyed small[SMALL_SHELL];
-    struct keyed *const key = most <= SMALL_SHELL ? small : malloc(most * sizeof *key);
+    struct keyed *const key = most <= SMALL_SHELL ? small : malloc((size_t)most * sizeof *key);
     if (key == NULL)
         return -2;
     for (int64_t t = 0; t < num_tables; t++) {
@@ -804,7 +759,7 @@ static int64_t probe_rows(
             for (int64_t i = 0; i < s; i++)
                 row[lo + rank[i]] = code ^ masks[lo + i];
         } else {
-            qsort(key, s, sizeof *key, by_margin);
+            qsort(key, (size_t)s, sizeof *key, by_margin);
             for (int64_t i = 0; i < s; i++)
                 row[lo + i] = code ^ masks[key[i].at];
         }
@@ -852,7 +807,7 @@ static int64_t probe_rows(
 static int count_codes(int64_t bits, const uint16_t *codes, int64_t size, int32_t *counts)
 {
     const int64_t num_buckets = (int64_t)1 << bits;
-    memset(counts, 0, num_buckets * sizeof *counts);
+    memset(counts, 0, (size_t)num_buckets * sizeof *counts);
     for (int64_t i = 0; i < size; i++) {
         if (codes[i] >= num_buckets)
             return -1;
@@ -1191,7 +1146,7 @@ int64_t boi_hash_codes(
         for (int64_t r = 0; r < count; r++)
             limit[r] = bound * norm_bound(xs + r * dim, dim, safe_square);
         for (int64_t t = 0; t < num_tables; t++) {
-            memset(code, 0, count * sizeof *code);
+            memset(code, 0, (size_t)count * sizeof *code);
             for (int64_t bit = 0; bit < bits; bit++) {
                 const int64_t j = t * bits + bit;
                 const float *const row = dots + j * rows + lo;

@@ -615,7 +615,8 @@ class TestTouchedPass:
 
 class TestTouchedShortlist:
     """The compiled selection of the shortlist's set from the touched
-    pairs, against ``shortlist(votes, eps, order)`` as the oracle
+    pairs, one histogram cut and one heap among the pairs in the cut's
+    bin, against ``shortlist(votes, eps, order)`` as the oracle
     (``take_and_shortlist``), over the 1044 votes of ``TestTouchedPass``:
     256 pairs of room, and a tail block of 20 ids. Every case's votes lie
     in at most 4 of the 17 blocks, so they are taken out."""
@@ -702,10 +703,11 @@ class TestDenseShortlist:
     """The compiled selection of the shortlist's set from dense votes, more
     than a quarter of whose 64-id blocks hold one (``take`` returns -1 for
     them), against ``shortlist(votes, eps, order)`` as the oracle
-    (``take_and_shortlist``): a floor set from every 16th vote lets a few
-    votes through, and when that sample misleads, an exact pass over every
-    vote runs instead. n = 1044 holds 256 pairs of room until a longer
-    shortlist grows it."""
+    (``take_and_shortlist``): the histogram cut of every 16th vote sets a
+    floor that lets a few votes through, and the touched pairs' cut and
+    heap select among them; when that sample misleads, every vote streams
+    through the same heap instead. n = 1044 holds 256 pairs of room until
+    a longer shortlist grows it."""
 
     N = TestTouchedPass.N
 
@@ -744,7 +746,7 @@ class TestDenseShortlist:
     def test_top_votes_the_sample_misses(self):
         # the sample reads ids 0, 16, 32, ...: top votes at every other id
         # leave it a floor so low that every vote passes, more than the 256
-        # pairs hold, and the exact pass selects instead
+        # pairs hold, and every vote streams through the heap
         tables = tables_of(self.N)
         ids = np.arange(self.N)
         votes = np.where(ids % 16 == 0, 1, 1 + (ids % 16 == 5) * (ids % 97)).astype(np.int32)
@@ -753,11 +755,31 @@ class TestDenseShortlist:
 
     def test_top_votes_only_in_the_sample(self):
         # the sampled ids hold the only top votes: the floor lets those 66
-        # through, fewer than the shortlist, and the exact pass selects
+        # through, fewer than the shortlist, and every vote streams through
+        # the heap
         tables = tables_of(self.N)
         votes = np.full(self.N, 2, np.int32)
         votes[::16] = 9
         for eps in (67, 100, 255, 256, 257, 1043):
+            assert take_and_shortlist(tables, votes, eps) == -1
+
+    def test_several_votes_share_the_cuts_bin(self):
+        # as in the touched case, a top vote of 2**20 makes bins of 2**10
+        # and the cut falls among votes 700 * 2**10 + {0, 3, 5, 1000,
+        # 1023}, several ids each, under leaders of other bins; here every
+        # other vote is 1, so the votes are dense. The three leaders and
+        # 12 of the 192 tied ids are sampled: for shortlists of 13 to 60
+        # the sample's cut falls in the same bin, its floor lets the 195
+        # pairs through, and the heap chooses among the 192. A shorter one
+        # sets the floor above them and a longer one at 1, whose votes
+        # overflow the 256 pairs, and every vote streams through the heap
+        tables = tables_of(self.N)
+        ids = np.arange(64, 256)
+        offsets = np.array([0, 3, 5, 1000, 1023])[ids % 5]
+        votes = np.ones(self.N, np.int32)
+        votes[ids] = 700 * 2**10 + offsets
+        votes[[0, 16, 32]] = [2**20, 900 * 2**10, 701 * 2**10]
+        for eps in (3, 10, 13, 20, 50, 60, 61, 100, 194, 196):
             assert take_and_shortlist(tables, votes, eps) == -1
 
     def test_a_vote_wrapped_negative_never_qualifies(self):
@@ -781,6 +803,27 @@ def test_dense_selection_matches_shortlist(n, seed, top, touched, eps):
     rng = np.random.default_rng(seed)
     votes = rng.integers(1, top, n, endpoint=True) * (rng.random(n) < touched)
     take_and_shortlist(tables_of(n), votes.astype(np.int32), eps)
+
+
+@given(
+    n=st.sampled_from([256, 300, 1044, 3000]),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.sampled_from([1, 3, 255, 2**16, 2**31 - 1]),
+    touched=st.floats(0.05, 1.0),
+    eps=st.integers(1, 3200),
+)
+@settings(max_examples=150, deadline=None)
+def test_touched_selection_matches_shortlist(n, seed, top, touched, eps):
+    # the votes of the dense twin above, confined to at most a quarter of
+    # the 64-id blocks, so the touched pairs' cut and heap select the set
+    rng = np.random.default_rng(seed)
+    blocks = -(-n // 64)
+    chosen = rng.permutation(blocks)[: rng.integers(1, blocks // 4, endpoint=True)]
+    ids = (chosen[:, None] * 64 + np.arange(64)).ravel()
+    ids = ids[ids < n]
+    votes = np.zeros(n, np.int64)
+    votes[ids] = rng.integers(1, top, ids.size, endpoint=True) * (rng.random(ids.size) < touched)
+    assert take_and_shortlist(tables_of(n), votes.astype(np.int32), eps) >= 0
 
 
 class TestQuery:

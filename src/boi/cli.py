@@ -146,22 +146,22 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _load_for_query(args, strict: bool):
+def _load_for_query(args):
+    """(dataset, index, queries, runner) of ``boi query`` and ``boi bench``:
+    the index is the snapshot under the flags' overrides, None without
+    ``--index``, and the runner answers one query by ``--method``."""
     dataset = read_fvecs(args.dataset)
     index = None
     if args.index:
         loaded = load_index(args.index)
-        index = BoiIndex(
-            _apply_overrides(loaded.params, args, strict), loaded.tables, dataset
-        )
-    return dataset, index
+        params = _apply_overrides(loaded.params, args, args.method == "boi_strict")
+        index = BoiIndex(params, loaded.tables, dataset)
+    queries = read_fvecs(args.queries)
+    return dataset, index, queries, _make_runner(args.method, index, dataset, args.k)
 
 
 def cmd_query(args) -> int:
-    strict = args.method == "boi_strict"
-    dataset, index = _load_for_query(args, strict)
-    queries = read_fvecs(args.queries)
-    run = _make_runner(args.method, index, dataset, args.k)
+    _, _, queries, run = _load_for_query(args)
     rows = np.full((queries.n, args.k), -1, dtype=np.int32)
     for qi in range(queries.n):
         result = run(queries.vectors[qi])
@@ -178,11 +178,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    strict = args.method == "boi_strict"
-    dataset, index = _load_for_query(args, strict)
-    queries = read_fvecs(args.queries)
+    dataset, index, queries, run = _load_for_query(args)
     gt = GroundTruth(read_ivecs(args.groundtruth)) if args.groundtruth else None
-    run = _make_runner(args.method, index, dataset, args.k)
     params = index.params if index is not None else _DEFAULTS
     memory = estimate_memory(dataset.n, dataset.dim, params)
     if args.method == "brute":  # it holds no tables and sums no votes
@@ -296,6 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments boi query and boi bench share
+    querying = argparse.ArgumentParser(add_help=False)
+    querying.add_argument("--dataset", required=True)
+    querying.add_argument("--queries", required=True)
+    querying.add_argument("--index", help="snapshot (not needed for method=brute)")
+    querying.add_argument("--method", choices=METHODS, default="boi")
+    querying.add_argument("--k", type=int, default=10)
+    _add_param_flags(querying, for_build=False)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset with ground truth")
     p.add_argument("--out", required=True, help="existing output directory")
@@ -315,30 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p, for_build=True)
     p.set_defaults(fn=cmd_build)
 
-    p = sub.add_parser("query", help="run queries and write/print rankings")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--index", help="snapshot (not needed for method=brute)")
-    p.add_argument("--method", choices=METHODS, default="boi")
-    p.add_argument("--k", type=int, default=10)
+    p = sub.add_parser("query", parents=[querying], help="run queries and write/print rankings")
     p.add_argument("--out", help="result ids as ivecs, -1 padded")
-    _add_param_flags(p, for_build=False)
     p.set_defaults(fn=cmd_query)
 
-    p = sub.add_parser("bench", help="measure accuracy, latency, probes, memory")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--queries", required=True)
+    p = sub.add_parser("bench", parents=[querying], help="measure accuracy, latency, probes, memory")
     p.add_argument("--groundtruth", help="exact neighbors (ivecs)")
-    p.add_argument("--index", help="snapshot (not needed for method=brute)")
-    p.add_argument("--method", choices=METHODS, default="boi")
-    p.add_argument("--k", type=int, default=10)
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument("--workers", type=int, default=1,
                    help="query threads; each query is one compiled call "
                    "without the GIL, so threads overlap whole queries")
     p.add_argument("--out", help="JSON report path (stdout when omitted)")
     p.add_argument("--csv", help="optional per-query CSV path")
-    _add_param_flags(p, for_build=False)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("eval", help="score a results file against ground truth")

@@ -31,19 +31,25 @@ SCHEDULE_KINDS = ("fixed", "linear", "sublinear")
 # mask of 512 KiB, whatever the set's size (4,096 rows at dim 128)
 _FINITE_CHUNK = 1 << 19
 
+# what every component of a descriptor must be; a finite value past
+# float32's range casts to inf, so it fails the check too
+_FINITE = f"must be finite and within float32's range, |x| <= {np.finfo(np.float32).max:.8g}"
+
 
 def dense_vector(values) -> np.ndarray:
     """Coerce ``values`` to a finite float32 descriptor vector.
 
-    Raises ValueError for empty, non-1-D, or non-finite input.
+    Raises ValueError for empty, non-1-D, or non-finite input, a value
+    past float32's range included.
     """
-    vec = np.asarray(values, dtype=np.float32)
+    with np.errstate(over="ignore"):  # the check below names the overflow
+        vec = np.asarray(values, dtype=np.float32)
     if vec.ndim != 1:
         raise ValueError(f"descriptor must be 1-D, got shape {vec.shape}")
     if vec.size == 0:
         raise ValueError("descriptor must have at least one component")
     if not np.all(np.isfinite(vec)):
-        raise ValueError("descriptor components must be finite")
+        raise ValueError(f"descriptor components {_FINITE}")
     return vec
 
 
@@ -91,7 +97,8 @@ class VectorSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float32))
+        with np.errstate(over="ignore"):  # the check below names the overflow
+            arr = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float32))
         if arr.ndim != 2:
             raise ValueError(f"vector set must have shape (n, dim), got {arr.shape}")
         if arr.shape[0] > 0 and arr.shape[1] == 0:
@@ -99,7 +106,7 @@ class VectorSet:
         step = max(1, _FINITE_CHUNK // max(arr.shape[1], 1))
         for start in range(0, arr.shape[0], step):
             if not np.isfinite(arr[start : start + step]).all():
-                raise ValueError("vector components must be finite")
+                raise ValueError(f"vector components {_FINITE}")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 

@@ -71,7 +71,9 @@ votes; ``hashing`` only hashes and buckets, and ``core`` makes every exact
 answer, the brute-force scan included. Every table's probe row is its
 query code XOR the masks of one ``probe_plan``, which ``BoiIndex`` binds
 once per index and ``_ball_plan`` once per ball (``vote.ProbePlan``): the
-center, then whole Hamming shells. A budget that ends inside a shell
+center, then whole Hamming shells. This module states what a row probes
+and what each position weighs, and the plan finds the shell each table's
+budget ends inside. A budget that ends inside a shell
 spends what it reaches of that shell where the neighbours are, as
 query-directed probing does (Lv et al. 2007): that shell's masks go by
 ascending sum of |q . a_j| over the bits j they flip, the margins of the
@@ -200,22 +202,6 @@ def probe_plan(bits: int, count: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _bound_plan(bits: int, masks, dists, units, budgets) -> ProbePlan:
-    """The ``vote.ProbePlan`` of the plan ``probe_plan`` gave (``masks``
-    and ``dists``), with these units and budgets, every array made
-    read-only first. Table t's rows order by margin the shell that holds
-    position budgets[t] when the budget ends before that shell's last
-    position: its [lo, hi) in the plan's ``shells``, (0, 0) otherwise."""
-    last = dists[budgets]
-    lo = np.searchsorted(dists, last, side="left")
-    hi = np.searchsorted(dists, last, side="right")
-    partial = (budgets + 1 < hi)[:, np.newaxis]
-    shells = np.where(partial, np.stack([lo, hi], axis=1), 0).astype(np.int64)
-    for arr in (masks, units, budgets, shells):
-        arr.setflags(write=False)
-    return ProbePlan(bits, masks, units, budgets, shells)
-
-
 @lru_cache(maxsize=None)
 def _ball_plan(bits: int, num_tables: int, radius: int) -> ProbePlan:
     """The plan of multi-probe LSH over ``num_tables`` tables: each probes
@@ -223,9 +209,9 @@ def _ball_plan(bits: int, num_tables: int, radius: int) -> ProbePlan:
     reordered, and every bucket adds 1. Cached, so each ball is planned
     and bound once."""
     count = neighbor_budget(bits, radius)
-    return _bound_plan(
+    return ProbePlan(
         bits,
-        *probe_plan(bits, count),
+        probe_plan(bits, count)[0],
         np.ones(count + 1, np.uint32),
         np.full(num_tables, count, np.int64),
     )
@@ -262,7 +248,9 @@ class BoiIndex:
     max(budgets))``, which every query XORs into its codes, and
     ``plan.units[j]`` (uint32) is weight(H_j, b) * 2**b for the plan's
     H_j, the vote the kernel adds at position j of a probe row (strict
-    budgets never reach past the radius). All three arrays are read-only.
+    budgets never reach past the radius). The plan derives ``plan.shells``,
+    each table's last, partly probed shell, from the masks and budgets, and
+    holds all four arrays read-only.
 
     Immutable: the table and the dataset are fixed by the constructor, and
     nothing is cached or bound later (there is no ``attach_dataset``). A
@@ -290,7 +278,7 @@ class BoiIndex:
         masks, dists = probe_plan(bits, int(budgets.max()))
         per_shell = [weight(h, bits) * 2**bits for h in range(bits + 1)]
         units = np.array(per_shell, np.uint32)[dists]
-        object.__setattr__(self, "plan", _bound_plan(bits, masks, dists, units, budgets))
+        object.__setattr__(self, "plan", ProbePlan(bits, masks, units, budgets))
 
     @property
     def dim(self) -> int:

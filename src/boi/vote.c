@@ -656,7 +656,9 @@ static int64_t touched_votes(
  * Row t of ``probes`` (width codes) is codes[t] XOR each of the plan's
  * ``masks``: mask 0, then whole Hamming shells (index.probe_plan). Every
  * position keeps plan order except those in [shells[2t], shells[2t + 1]),
- * the table's last, partly probed shell. There the masks go by ascending
+ * the table's last, partly probed shell, which vote.ProbePlan derives from
+ * the masks and the table's budget when it binds the plan and this
+ * checks again for every query. There the masks go by ascending
  * margin: the float64 sum, over the bits j a mask flips and in ascending
  * j, of |dots[t * bits + j]|, how far bit j's projection lies from its
  * sign boundary. A near neighbour most likely differs from the query in
@@ -1460,12 +1462,12 @@ int64_t boi_nearest(
  * when, given none, the votes are dense and left as they are (RERANK then
  * does not run); for RERANK, the number of records it ranked. Otherwise 0
  * once the stages have run; -2 when the heap had no room to order a shell;
- * -3 for arguments a stage refuses: a shell outside the row, or a
- * shortlist size outside [0, capacity]; -4 for a corrupt table, the votes
- * partly written, or a shortlisted id outside [0, n); -5, before any stage
- * runs, for a range outside [0, STAGES] or with first > last; -6 when
- * RERANK has no base vectors bound, a negative k, a count outside [0,
- * capacity] or more records to rank than its room holds.
+ * -3 for arguments a stage refuses: sizes the hash refuses, a shell
+ * outside the row, or a shortlist size outside [0, capacity]; -4 for a
+ * corrupt table, the votes partly written, or a shortlisted id outside [0,
+ * n); -5, before any stage runs, for a range outside [0, STAGES] or with
+ * first > last; -6 when RERANK has no base vectors bound, a negative k, a
+ * count outside [0, capacity] or more records to rank than its room holds.
  */
 enum { HASH, ROWS, VOTE, TAKE, RERANK, STAGES };
 

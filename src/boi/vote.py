@@ -303,20 +303,20 @@ class ProbePlan:
     ``boi_query``, whose block ``QueryScratch`` writes its addresses into.
 
     ``masks`` (width,) uint16 are the plan's masks, ``units`` (width,)
-    uint32 the vote of each position of a probe row, ``budgets`` (L,) int64
-    the positions past the first that table t probes, and ``shells`` (L, 2)
-    int64 the range [lo, hi) of positions whose masks table t's rows order
-    by margin, (0, 0) for none (``index`` sets them: the table's last,
-    partly probed shell). The plan holds all four, which must not change
-    while it is used, and ``probe_count``, the codes a query probes over
-    every table, sum(budgets) + L. They are checked here, once: ValueError
-    names the array whose type, shape or layout is wrong, and is raised
-    too when ``bits`` is not in [1, 16], there are no masks (every plan
-    holds mask 0), a budget is not in [0, width - 1], a mask has a bit at
-    or past ``bits``, or a range is not within the row.
+    uint32 the vote of each position of a probe row and ``budgets`` (L,)
+    int64 the positions past the first that table t probes. From them the
+    plan derives ``shells`` (L, 2) int64, table t's last, partly probed
+    shell, whose masks its rows order by margin: the run of positions whose
+    masks flip as many bits as the one at budgets[t], when the budget ends
+    before the run does, else (0, 0). The plan holds the four arrays,
+    read-only, and ``probe_count``, the codes a query probes over every
+    table, sum(budgets) + L. They are checked here, once: ValueError names
+    the array whose type, shape or layout is wrong, and is raised too when
+    ``bits`` is not in [1, 16], there are no masks (every plan holds mask
+    0), a budget is not in [0, width - 1] or a mask has a bit past ``bits``.
     """
 
-    def __init__(self, bits: int, masks, units, budgets, shells):
+    def __init__(self, bits: int, masks, units, budgets):
         width, num_tables = np.size(masks), np.size(budgets)
         if not 1 <= bits <= MAX_HASH_BITS:
             raise ValueError(f"ProbePlan: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
@@ -326,24 +326,24 @@ class ProbePlan:
             _address(masks, CODE_DTYPE, (width,)),
             _address(units, np.uint32, (width,)),
             _address(budgets, np.int64, (num_tables,)),
-            _address(shells, np.int64, (num_tables, 2)),
         )
         if num_tables and not 0 <= budgets.min() <= budgets.max() < width:
             raise ValueError(f"ProbePlan: budgets must be in [0, {width - 1}]")
         if int(masks.max()) >> bits:
             raise ValueError(f"ProbePlan: a mask has a bit past the {bits}-bit code")
-        if num_tables and not (
-            0 <= shells[:, 0].min()
-            and np.all(shells[:, 0] <= shells[:, 1])
-            and shells[:, 1].max() <= width
-        ):
-            raise ValueError(f"ProbePlan: shells must be ranges within [0, {width}]")
+        flips = np.unpackbits(masks.view(np.uint8)).reshape(width, -1).sum(1, np.int64)
+        starts = np.flatnonzero(np.diff(flips, prepend=-1))
+        run = np.searchsorted(starts, budgets, side="right") - 1
+        lo, hi = starts[run], np.append(starts[1:], width)[run]
+        shells = np.where((budgets + 1 < hi)[:, np.newaxis], np.stack([lo, hi], 1), 0)
+        for arr in (masks, units, budgets, shells):
+            arr.setflags(write=False)
         self.bits, self.width, self.num_tables = bits, width, num_tables
         self.masks, self.units, self.budgets, self.shells = masks, units, budgets, shells
         self.probe_count = int(budgets.sum()) + num_tables
         # the plan's slots of boi_query's block, in ``vote.c``'s order, all
         # but the last, the scratch's probe rows
-        self._slots = (width, fixed[0], fixed[3], *fixed[1:3])
+        self._slots = (width, fixed[0], _address(shells, np.int64, (num_tables, 2)), *fixed[1:])
 
 
 def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
@@ -845,19 +845,19 @@ class QueryScratch:
             self._voted = True
         status = _library.boi_query(self._at[0], first, last, shortlist_size, k, self._at[1])
         if status < -1:
-            self._raise(status)
+            self._raise(status, shortlist_size)
         if status >= 0 and first <= _TAKE < last:
             self._voted = False
         return status
 
-    def _raise(self, status: int) -> None:
-        """Raise what a failed status of ``boi_query`` means under the bound
-        plan: ``_NO_ROOM`` to order a shell; ``_QUERY_CORRUPT``, a corrupt
-        table; ``_NOT_STAGES``, a range of stages that is not one;
-        ``_NO_RERANK``, a re-rank with no base vectors bound, a negative k
-        or more records to rank than its results hold; any other, a shell
-        outside the row, since the plan's shells were checked when it was
-        bound."""
+    def _raise(self, status: int, shortlist_size: int) -> None:
+        """Raise what a failed status of ``boi_query`` means, read from the
+        block alone, a plan bound or not: ``_NO_ROOM`` to order a shell;
+        ``_QUERY_CORRUPT``, a corrupt table; ``_NOT_STAGES``, a range of
+        stages that is not one; ``_NO_RERANK``, a re-rank with no base
+        vectors bound, a negative k or more records to rank than its
+        results hold; any other, a refused argument: a shortlist size past
+        the pairs' room, the hash's sizes or a shell moved out of the row."""
         if status == _NO_ROOM:
             raise MemoryError("no room to sort a shell of the probe plan")
         if status == _QUERY_CORRUPT:
@@ -869,7 +869,12 @@ class QueryScratch:
                 "the re-rank needs base vectors bound, a k of 0 or more and room "
                 f"for its results: {len(self.nearest)} of them"
             )
-        raise ValueError(f"ProbePlan: shells must be ranges within [0, {self._plan.width}]")
+        capacity, width = self._block[[_PAIR_SLOTS.start, _PLAN_SLOTS.start]].tolist()
+        raise ValueError(
+            f"boi_query refused its arguments: the shortlist size must be in [0, {capacity}], "
+            f"got {shortlist_size}; the hash's sizes must fit; shells must be ranges within "
+            f"[0, {width}]"
+        )
 
     def query(
         self, q: np.ndarray, plan: ProbePlan, shortlist_size: int, vectors: np.ndarray,

@@ -387,3 +387,22 @@ def test_non_finite_query_rejected(populated, method, bad):
     }
     with pytest.raises(ValueError, match="finite"):
         calls[method]()
+
+
+@pytest.mark.parametrize("entry", ["query", "brute", "vector-set"])
+def test_a_float64_past_float32s_range_is_named(populated, entry):
+    # 1e39 is finite as a float64 but casts to inf as a float32: the cast
+    # must not warn of the overflow, which the suite's filterwarnings would
+    # raise, and the ValueError names float32's range rather than calling
+    # a finite input non-finite
+    tables, data = populated
+    index = BoiIndex(BoiParams(num_tables=10, hash_bits=4, seed=13), tables, data)
+    q = np.zeros(data.dim, np.float64)
+    q[3] = 1e39
+    calls = {
+        "query": lambda: query(index, q, 5),
+        "brute": lambda: brute_force_query(data, q, 5),
+        "vector-set": lambda: VectorSet(np.tile(q, (2, 1))),
+    }
+    with pytest.raises(ValueError, match=r"within float32's range, \|x\| <= 3\.4028235e\+38"):
+        calls[entry]()

@@ -24,7 +24,8 @@ from boi.hashing import (
     make_projections,
     occupancy_summary,
 )
-from boi.index import _bound_plan, build_index, probe_plan
+from boi.index import build_index, probe_plan
+from boi.vote import ProbePlan
 from hand_tables import dense_offsets, directory, from_record_ids, rows_of_plan
 from probe_rows import margin_rows
 
@@ -914,10 +915,8 @@ def rows_of(centers, bits, masks, budget=None, dots=None) -> np.ndarray:
     shell."""
     centers = np.array(centers, CODE_DTYPE)
     budget = masks.size - 1 if budget is None else budget
-    dists = np.array([bin(int(m)).count("1") for m in masks], np.uint8)
-    plan = _bound_plan(
-        bits, masks, dists, np.ones(masks.size, np.uint32),
-        np.full(centers.size, budget, np.int64),
+    plan = ProbePlan(
+        bits, masks, np.ones(masks.size, np.uint32), np.full(centers.size, budget, np.int64)
     )
     if dots is None:
         dots = np.ones(centers.size * bits)

@@ -30,7 +30,6 @@ from boi.index import (
     BoiIndex,
     _accumulate,
     _ball_plan,
-    _bound_plan,
     accumulate,
     build_index,
     build_schedule,
@@ -1514,13 +1513,28 @@ def test_the_one_call_refuses_shells_changed_after_binding(small_index):
     q = data.vectors[9]
     before = query(index, q, 5)
     plan = index.plan
-    shells = plan.shells.copy()
-    mine = vote.ProbePlan(
-        plan.bits, plan.masks.copy(), plan.units.copy(), plan.budgets.copy(), shells
-    )
-    shells[0] = [plan.width, 0]
+    mine = vote.ProbePlan(plan.bits, plan.masks.copy(), plan.units.copy(), plan.budgets.copy())
+    mine.shells.setflags(write=True)
+    mine.shells[0] = [plan.width, 0]
     with pytest.raises(ValueError, match=r"shells must be ranges within"):
         index.tables.scratch().query(q, mine, 5, data.vectors, 5)
+    again = query(index, q, 5)
+    assert again.ids.tobytes() == before.ids.tobytes()
+    assert again.distances.tobytes() == before.distances.tobytes()
+
+
+def test_a_refused_shortlist_size_is_named_with_and_without_a_plan(small_index):
+    # boi_query's -3 covers a shortlist size past the pairs' room as well
+    # as a shell outside the row; the message names both, from the block
+    # alone, before any plan is bound and after a query bound one
+    index, data = small_index
+    q = data.vectors[9]
+    before = query(index, q, 5)
+    for scratch in (vote.QueryScratch(index.tables), index.tables.scratch()):
+        size = len(scratch.ids) + 1
+        message = rf"shortlist size must be in \[0, {size - 1}\], got {size}"
+        with pytest.raises(ValueError, match=message):
+            scratch._stages(vote._TAKE, vote._RERANK, size)
     again = query(index, q, 5)
     assert again.ids.tobytes() == before.ids.tobytes()
     assert again.distances.tobytes() == before.distances.tobytes()
@@ -1653,11 +1667,49 @@ class TestMarginOrder:
         masks, dists = probe_plan(3, 6)
         units = (np.uint32(1) << (3 - dists)).astype(np.uint32)
         budgets = np.array([4, 3, 2, 0, 6], np.int64)
-        plan = _bound_plan(3, masks, dists, units, budgets)
+        plan = vote.ProbePlan(3, masks, units, budgets)
         assert plan.shells.tolist() == [[4, 7], [0, 0], [1, 4], [0, 0], [0, 0]]
         assert (plan.width, plan.num_tables, plan.bits) == (7, 5, 3)
         for arr in (plan.masks, plan.units, plan.budgets, plan.shells):
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_derived_shells_follow_the_searchsorted_rule(self, bits):
+        # the rule the index bound shells by before the plan derived them:
+        # the searchsorted range of dists[budgets[t]] over the plan's
+        # distances, when the budget ends before the range's end
+        def searchsorted_shells(dists, budgets):
+            last = dists[budgets]
+            lo = np.searchsorted(dists, last, side="left")
+            hi = np.searchsorted(dists, last, side="right")
+            return np.where((budgets + 1 < hi)[:, np.newaxis], np.stack([lo, hi], 1), 0)
+
+        data = VectorSet(np.random.default_rng(bits).standard_normal((8, 4)).astype(np.float32))
+        base = BoiParams(
+            num_tables=12, hash_bits=bits, initial_probe_count=0, linear_step=2,
+            sublinear_step=2, seed=3,
+        )
+        tables = build_index(data, base).tables
+        top = (1 << bits) - 1
+        gammas = sorted({g for g in (0, 1, 3, 10, min(50, top), top) if g <= top})
+        for radius in range(4):
+            for schedule in SCHEDULE_KINDS:
+                for strict in (False, True):
+                    for gamma in gammas:
+                        params = dataclasses.replace(
+                            base, probe_radius=radius, schedule=schedule,
+                            strict_radius=strict, initial_probe_count=gamma,
+                        )
+                        plan = BoiIndex(params, tables).plan
+                        masks, dists = probe_plan(bits, int(plan.budgets.max()))
+                        assert plan.masks.tobytes() == masks.tobytes()
+                        want = searchsorted_shells(dists, plan.budgets)
+                        assert plan.shells.tolist() == want.tolist(), params
+        for radius in range(bits + 1):
+            plan = _ball_plan(bits, 12, radius)
+            dists = probe_plan(bits, plan.width - 1)[1]
+            want = searchsorted_shells(dists, plan.budgets)
+            assert plan.shells.tolist() == want.tolist() == [[0, 0]] * 12
 
     def test_hand_built_budgets_end_mid_shell_one_and_two(self):
         # two 3-bit tables over 8 records, record r alone in bucket r of

@@ -13,7 +13,7 @@ import pytest
 import boi
 from boi import vote
 from boi.hashing import ProjectionTable
-from boi.index import _bound_plan, probe_plan
+from boi.index import probe_plan
 from hand_tables import rows_of_plan, scratch_over
 from probe_rows import margin_rows
 
@@ -104,13 +104,12 @@ def _arrays(units=(4, 2)):
 def vote_rows(scratch, bits, probes, units, budgets) -> int:
     """``scratch.vote`` of the probe rows ``probes``, as a query runs it:
     one ``scratch.rows`` binds a plan as wide as the rows, of the scratch's
-    ``bits`` and of masks 0, then 1s (so that no shell is reordered), with
-    these units and budgets, and its rows are then overwritten in place.
-    Returns the pairs scanned; the votes are in ``scratch.votes``."""
+    ``bits`` and of masks 0, then 1s, with these units and budgets, and its
+    rows, in whatever order, are then overwritten in place. Returns the
+    pairs scanned; the votes are in ``scratch.votes``."""
     width = np.shape(probes)[-1]
     masks = np.minimum(np.arange(width), 1).astype(np.uint16)
-    shells = np.zeros((np.size(budgets), 2), np.int64)
-    plan = vote.ProbePlan(bits, masks, units, budgets, shells)
+    plan = vote.ProbePlan(bits, masks, units, budgets)
     scratch.rows(plan)
     scratch.probes[...] = probes
     return scratch.vote(plan)
@@ -709,13 +708,12 @@ def test_every_wrapper_names_the_array_it_needs(defect, wrapper):
 
 
 def _plan_args(bits=3, count=4, tables=2):
-    """The masks, units, budgets and shells of ``tables`` tables probing
-    ``count`` neighbors of ``probe_plan(bits, count)``, units by shell; the
-    default count, 4, ends inside shell 2, at positions [4, 7)."""
+    """The masks, units and budgets of ``tables`` tables probing ``count``
+    neighbors of ``probe_plan(bits, count)``, units by shell; the default
+    count, 4, ends inside shell 2, at positions [4, 7)."""
     masks, dists = probe_plan(bits, count)
     units = (np.uint32(1) << (bits - dists)).astype(np.uint32)
-    shells = np.tile(np.array([4, 7], np.int64), (tables, 1))
-    return masks, units, np.full(tables, count, np.int64), shells
+    return masks, units, np.full(tables, count, np.int64)
 
 
 @pytest.mark.parametrize(
@@ -725,18 +723,13 @@ def _plan_args(bits=3, count=4, tables=2):
         (lambda a: (3, a[0][:0], a[1][:0], *a[2:]), "at least mask 0, got no masks"),
         (lambda a: (3, a[0].astype(np.int32), *a[1:]), r"uint16 array of shape \(7,\)"),
         (lambda a: (3, a[0], a[1][:5], *a[2:]), r"uint32 array of shape \(7,\)"),
-        (lambda a: (3, *a[:2], a[2].astype(np.int32), a[3]), r"int64 array of shape \(2,\)"),
-        (lambda a: (3, *a[:2], a[2] + 3, a[3]), r"budgets must be in \[0, 6\]"),
-        (lambda a: (3, *a[:2], a[2] - 5, a[3]), r"budgets must be in \[0, 6\]"),
+        (lambda a: (3, *a[:2], a[2].astype(np.int32)), r"int64 array of shape \(2,\)"),
+        (lambda a: (3, *a[:2], a[2] + 3), r"budgets must be in \[0, 6\]"),
+        (lambda a: (3, *a[:2], a[2] - 5), r"budgets must be in \[0, 6\]"),
         (lambda a: (2, *a), "a mask has a bit past the 2-bit code"),
-        (lambda a: (3, *a[:3], a[3][:1]), r"int64 array of shape \(2, 2\)"),
-        (lambda a: (3, *a[:3], a[3] + 1), r"shells must be ranges within \[0, 7\]"),
-        (lambda a: (3, *a[:3], a[3] - 5), r"shells must be ranges within \[0, 7\]"),
-        (lambda a: (3, *a[:3], a[3][:, ::-1].copy()), r"shells must be ranges"),
     ],
     ids=["bits", "no-masks", "masks", "units", "budgets-dtype", "budget-past-row",
-         "negative-budget", "mask-bit", "shells-shape", "shell-past-row",
-         "negative-shell", "reversed-shell"],
+         "negative-budget", "mask-bit"],
 )
 def test_probe_plan_refuses_what_it_cannot_bind(change, message):
     with pytest.raises(ValueError, match=message):
@@ -745,10 +738,10 @@ def test_probe_plan_refuses_what_it_cannot_bind(change, message):
 
 def test_probe_rows_refuse_shells_changed_after_binding():
     # the kernel's own range check, not a heap failure, refuses them
-    masks, units, budgets, shells = _plan_args()
-    plan = vote.ProbePlan(3, masks, units, budgets, shells)
+    plan = vote.ProbePlan(3, *_plan_args())
     assert rows_of_plan(plan, np.zeros(2), np.ones(6)).shape == (2, 7)
-    shells[1] = [5, 2]
+    plan.shells.setflags(write=True)
+    plan.shells[1] = [5, 2]
     with pytest.raises(ValueError, match=r"shells must be ranges within \[0, 7\]"):
         rows_of_plan(plan, np.zeros(2), np.ones(6))
 
@@ -770,9 +763,9 @@ def test_probe_rows_sort_a_shell_of_12870_masks_in_bounded_time():
     # table sorts all C(16, 8) masks on the heap, ties and non-finite
     # margins included, as the oracle orders them
     first_of_shell_8 = sum(math.comb(16, d) for d in range(8))
-    masks, dists = probe_plan(16, first_of_shell_8 + 100)
+    masks = probe_plan(16, first_of_shell_8 + 100)[0]
     budgets = np.array([first_of_shell_8 + 100, first_of_shell_8, 39_000], np.int64)
-    plan = _bound_plan(16, masks, dists, np.ones(masks.size, np.uint32), budgets)
+    plan = vote.ProbePlan(16, masks, np.ones(masks.size, np.uint32), budgets)
     assert plan.shells.tolist() == [[first_of_shell_8, masks.size]] * 3
     rng = np.random.default_rng(16)
     dots = rng.choice([0.25, -0.5, 1.0, 3.0e38, np.inf, np.nan], 48).astype(np.float32)

@@ -4,7 +4,7 @@ fvecs: per record, a little-endian int32 dimension header followed by that
 many little-endian float32 components. ivecs is identical with int32
 payloads. All records in a file share one dimension.
 
-Snapshot layout, version 5 (everything little-endian):
+Snapshot layout, version 6 (everything little-endian):
 
     header  68 bytes: the fields of ``_FIELDS``, one (name, struct code)
             row a field, in file order. They are the magic "BOIX", the
@@ -16,50 +16,54 @@ Snapshot layout, version 5 (everything little-endian):
             the 64 bytes before it. That table alone gives the header's
             ``struct`` format, what ``save_index`` packs, what
             ``_read_header`` unpacks and each field's byte offset.
-    body    num_tables records, one per table: the (hash_bits x dim)
-            float32 projection matrix and the u32 crc32 of its bytes, then
-            one piece for each of the table's P = ``vote.num_pages(n)``
-            pages of 2**16 ids: the page's bitmap
-            (``vote.directory_words(hash_bits)`` u64 words; bit c % 64 of
-            word c / 64 is set iff bucket c holds a record of the page),
-            the u32 sizes of its k non-empty buckets in code order, each at
-            least 1, and, in every table but table 0, the page's s ids as
-            u16, its ``members`` row there: the internal ids (positions in
-            ``order``) of the page grouped by code, each less the page's
-            first id. Table 0's ids are 0, 1, 2, ... in each page, so its
-            record stores none and ends with ``order`` instead, n u32: the
-            record ids grouped by its code, ascending within a bucket.
+    body    six blocks, in the order of ``_blocks``, each the bytes of one
+            of the arrays the index holds (``hashing.ProjectionTable``), or
+            of a part of one, for L tables of b bits and the P =
+            ``vote.num_pages(n)`` pages of 2**16 ids of each:
+            projections  (L * b, dim) f32, each table's b x dim matrix;
+            crcs         (L,) u32, the crc32 of each table's matrix bytes;
+            bitmap       (L, P, W) u64, W = ``vote.directory_words(b)``:
+                         bit c % 64 of word c / 64 of (t, p) is set iff
+                         bucket c of table t holds a record of page p;
+            sizes        K u32, the sizes of the non-empty buckets of
+                         every (table, page), table by table, page by page
+                         and in code order, each at least 1;
+            members      (L - 1, n) u16, rows 1 to L - 1 of ``members``:
+                         in each page the internal ids (positions in
+                         ``order``) of the page grouped by code, each less
+                         the page's first id. Row 0 is 0, 1, 2, ... in
+                         each page, and is not stored;
+            order        (n,) i32, the record ids grouped by table 0's
+                         code, ascending within a bucket.
 
-So the file holds the directory the index holds
-(``hashing.ProjectionTable``): the bitmap and the non-empty buckets of
-each (table, page) only, and each id in the two bytes the index keeps it
-in. A record's length hangs on its pages' k, but the header's K gives the
-file's exact length, 68 + num_tables * (4 * hash_bits * dim + 4 + 8 * P *
-words) + 4 * K + 4 * n + 2 * (num_tables - 1) * n, which is checked before
-anything is allocated. Earlier versions (version 4 stored u32 ids a table,
-version 3 2**hash_bits dense counts a table) are rejected at the version
+So the file holds the directory the index holds: the bitmap and the
+non-empty buckets of each (table, page) only, and each id in the two bytes
+the index keeps it in. The header's K gives the file's exact length, 68 +
+L * (4 * b * dim + 4 + 8 * P * W) + 4 * K + 4 * n + 2 * (L - 1) * n, which
+is checked before anything is allocated. Earlier versions (version 5
+stored the same values a table record at a time, version 4 u32 ids a
+table, version 3 2**b dense counts a table) are rejected at the version
 field; rebuild them with ``boi build``.
 
-Saving and loading are mirror loops over the tables, one record each, and
-within a record over its pages. Loading reads the header, checks its
-values, each at its own field, and its crc32, checks the file's size
-against it, then reads each record's projections, bitmaps, sizes and ids
+Saving writes each block with one write, straight from the index's arrays,
+and the sizes, the steps of ``offsets``, a table at a time. Loading reads
+the header, checks its values, each at its own field, and its crc32,
+checks the file's size against it, then reads each block with one read
 straight into the index's C-contiguous native arrays, swapping their bytes
-on a big-endian host: the sizes of each (table, page) go to the places in
-``offsets`` after where its piece begins. One ``vote.TableCheck``, bound to
-those arrays once, counts each page's non-empty buckets from its bitmap, so
-the loader knows how many sizes to read, then checks the sizes and the ids
-and turns the sizes into the page's piece of offsets in place. Row 0 of
-``members`` is set to 0, 1, 2, ... in each page before table 0's pages are
-checked, and ``order`` is read into its own array, so a loaded index holds
-the same arrays ``insert_all`` builds, and ``ProjectionTable`` makes the
-rank from them as it does for a built one. Every single-bit flip of a file
-fails to load: the crc32s cover the header and the projections, a flipped
-bitmap bit changes its page's count of sizes, so the sizes read no longer
-sum to the page's size, or the bitmaps' sum no longer matches K; a flipped
-size changes the sizes' sum; a flipped id changes its page's sum, or leaves
-the page, and a flipped record id of ``order`` leaves [0, n) or lists one
-record twice.
+on a big-endian host: the sizes go to ``offsets`` after its first L * P
+values, the members to rows 1 and on. It checks each table's crc32 and that
+its projections are finite; then one ``vote.check_tables`` call checks
+every (table, page), front to back: its bitmap, its sizes, which it turns
+into the page's piece of offsets in place, and its ids. Row 0 of
+``members`` is set to 0, 1, 2, ... in each page before, so a loaded index
+holds the same arrays ``insert_all`` builds, and ``ProjectionTable``
+checks that ``order`` is a permutation and makes the rank from them as it
+does for a built one. Every single-bit flip of a file fails to load: the
+crc32s cover the header and the projections, a flipped bitmap bit changes
+its page's count of sizes, so the sizes read no longer sum to the page's
+size, or the bitmaps' sum no longer matches K; a flipped size changes the
+sizes' sum; a flipped id changes its page's sum, or leaves the page, and a
+flipped record id of ``order`` leaves [0, n) or lists one record twice.
 Projections are stored rather than re-derived from the seed, so snapshots
 stay valid even if the generator implementation ever changes. Loading
 never re-hashes the dataset.
@@ -81,13 +85,14 @@ from .hashing import ProjectionTable, check_dimension, check_record_count
 from .index import BoiIndex
 from .vote import (
     BIT_PAST,
-    ID_DTYPE,
-    PAGE,
+    BUCKETS_OFF,
     EMPTY_BUCKET,
+    ID_DTYPE,
     ID_OUT_OF_RANGE,
     NOT_A_PERMUTATION,
+    PAGE,
     SIZES_OFF,
-    TableCheck,
+    check_tables,
     directory_words,
     num_pages,
     page_sizes,
@@ -203,7 +208,7 @@ def write_ivecs(path, rows) -> None:
 
 
 _MAGIC = b"BOIX"
-_VERSION = 5
+_VERSION = 6
 # the header's fields in file order, each a (name, little-endian struct
 # code); the BoiParams fields go under their own names
 _FIELDS = (
@@ -240,8 +245,24 @@ def _header_crc(head: bytes) -> int:
     return zlib.crc32(head[: _FIELD_AT["crc"]])
 
 
+def _blocks(params: BoiParams, dim: int, n: int, num_buckets: int) -> dict[str, int]:
+    """The byte offset of each block of a snapshot body, in file order, and
+    of the file's ``end``."""
+    num_tables, bits = params.num_tables, params.hash_bits
+    lengths = {
+        "projections": 4 * num_tables * bits * dim,
+        "crcs": 4 * num_tables,
+        "bitmap": 8 * num_tables * num_pages(n) * directory_words(bits),
+        "sizes": 4 * num_buckets,
+        "members": 2 * (num_tables - 1) * n,
+        "order": 4 * n,
+    }
+    return dict(zip([*lengths, "end"], accumulate(lengths.values(), initial=_HEADER.size)))
+
+
 def save_index(index: BoiIndex, path) -> None:
-    """Write a snapshot one table record at a time; same index, same bytes."""
+    """Write a snapshot a block at a time, straight from the index's arrays
+    on a little-endian host; same index, same bytes."""
     p = index.params
     tables = index.tables
     header = {
@@ -258,22 +279,22 @@ def save_index(index: BoiIndex, path) -> None:
         **{name: getattr(p, name) for name in _PARAM_FIELDS},
     }
     header["crc"] = _header_crc(_HEADER.pack(*(header[name] for name in _NAMES)))
-    projections = tables.projections.reshape(p.num_tables, p.hash_bits, index.dim)
-    firsts = np.arange(tables.num_pages) * PAGE
+    projections = tables.projections.astype("<f4", copy=False)
+    # where each table's pieces begin in offsets, then their end
+    starts = [*tables.rank[:, 0, 0].tolist(), tables.offsets.size]
     with open(path, "wb") as f:
         f.write(_HEADER.pack(*(header[name] for name in _NAMES)))
-        for t in range(p.num_tables):
-            matrix = projections[t].astype("<f4")
-            f.write(matrix)
-            f.write(struct.pack("<I", zlib.crc32(matrix)))
-            for page, (first, size) in enumerate(zip(firsts, page_sizes(index.n))):
-                f.write(tables.bitmap[t, page].astype("<u8"))
-                f.write(np.diff(tables.piece(t, page)).astype("<u4"))
-                # table 0's ids are 0, 1, 2, ... in each page
-                if t:
-                    f.write(tables.members[t, first : first + size].astype("<u2"))
-            if not t:
-                f.write(tables.order.astype("<u4"))
+        f.write(projections)
+        f.write(np.array([zlib.crc32(m) for m in projections.reshape(p.num_tables, -1)], "<u4"))
+        f.write(tables.bitmap.astype("<u8", copy=False))
+        for start, stop in zip(starts, starts[1:]):
+            # a table's pieces rise within a page, and each page ends where
+            # the next begins: the sizes are the steps above 0
+            steps = np.diff(tables.offsets[start:stop])
+            f.write(steps[steps > 0].astype("<u4"))
+        # table 0's ids are 0, 1, 2, ... in each page
+        f.write(tables.members[1:].astype("<u2", copy=False))
+        f.write(tables.order.astype("<i4", copy=False))
 
 
 def _read_header(f) -> tuple[BoiParams, int, int, int]:
@@ -327,14 +348,23 @@ def _read_header(f) -> tuple[BoiParams, int, int, int]:
     return params, h["dim"], h["n"], h["buckets"]
 
 
-# what TableCheck finds wrong with a page of a table record: the message,
-# and whether it points at the page's ids rather than its sizes
+# what check_tables finds wrong with a page of a table: the message, and
+# the block it points into
 _TABLE_FAULTS = {
-    EMPTY_BUCKET: ("a bucket size of 0 in table {t}, page {p}", False),
-    SIZES_OFF: ("bucket sizes do not sum to {s} in table {t}, page {p}", False),
-    ID_OUT_OF_RANGE: ("record id out of range in table {t}, page {p}", True),
+    BIT_PAST: (
+        "bitmap of table {t} has a bit set in page {p} for a code at or past 2**{bits}",
+        "bitmap",
+    ),
+    BUCKETS_OFF: (
+        "bitmap of table {t} marks {k} non-empty buckets in page {p} where the "
+        "header's K leaves {left}",
+        "bitmap",
+    ),
+    EMPTY_BUCKET: ("a bucket size of 0 in table {t}, page {p}", "sizes"),
+    SIZES_OFF: ("bucket sizes do not sum to {s} in table {t}, page {p}", "sizes"),
+    ID_OUT_OF_RANGE: ("record id out of range in table {t}, page {p}", "members"),
     NOT_A_PERMUTATION: (
-        "record ids of table {t}, page {p} are not a permutation of 0..{last}", True
+        "record ids of table {t}, page {p} are not a permutation of 0..{last}", "members"
     ),
 }
 
@@ -343,106 +373,77 @@ def load_index(path, dataset: VectorSet | None = None) -> BoiIndex:
     """Rebuild an index from a snapshot without re-hashing anything.
 
     The file's size is checked against its header before anything is
-    allocated; then each table record is read straight into the index's
-    C-contiguous arrays, and checked there, a page at a time. Rejects bad
-    magic, unknown versions (v1 to v4 included), unknown schedule codes or
-    flag bits, non-zero header padding, header values ``BoiParams``
-    rejects, n of 2**31 or more (record ids are int32), a dim
-    ``check_dimension`` refuses (0 among them), a K no tables of n records
-    can have, a header or projections that fail their crc32, length
-    mismatches, non-finite projections, a bitmap bit set for a code at or
-    past 2**b, bitmaps whose set bits do not sum to K, bucket sizes of 0 or
-    that do not sum to their page's size s, a page's ids at or past s, a
-    page's ids whose sum is not that of 0..s-1 (which catches every
-    single-bit flip of an id), and an ``order`` with a record id outside
-    [0, n) or that is not a permutation of 0..n-1. Each ``FormatError``
-    about a table names it, and its page. When ``dataset`` is given the
-    index is made over it (and size-checked) so it can answer queries
-    immediately.
+    allocated; then each block is read straight into the index's
+    C-contiguous arrays, and checked there. Rejects bad magic, unknown
+    versions (v1 to v5 included), unknown schedule codes or flag bits,
+    non-zero header padding, header values ``BoiParams`` rejects, n of
+    2**31 or more (record ids are int32), a dim ``check_dimension`` refuses
+    (0 among them), a K no tables of n records can have, a header or
+    projections that fail their crc32, length mismatches, non-finite
+    projections, a bitmap bit set for a code at or past 2**b, bitmaps whose
+    set bits do not sum to K, bucket sizes of 0 or that do not sum to their
+    page's size s, a page's ids at or past s, a page's ids whose sum is not
+    that of 0..s-1 (which catches every single-bit flip of an id), and an
+    ``order`` that is not a permutation of 0..n-1. Each ``FormatError``
+    about a table names it, and its page, and points into its block. When
+    ``dataset`` is given the index is made over it (and size-checked) so it
+    can answer queries immediately.
     """
     with open(path, "rb") as f:
         params, dim, n, num_buckets = _read_header(f)
         bits, num_tables = params.hash_bits, params.num_tables
-        words, pages, sizes = directory_words(bits), num_pages(n), page_sizes(n)
-        # a table record: projections and their crc32, then each page's
-        # bitmap, k sizes and (tables 1 and on) ids, then table 0's order;
-        # the bytes of a record when every k = 0
-        bitmap_at = 4 * bits * dim + 4
-        fixed_bytes = bitmap_at + 8 * words * pages
+        words, pages = directory_words(bits), num_pages(n)
+        at = _blocks(params, dim, n, num_buckets)
         size = os.fstat(f.fileno()).st_size
-        expected = (
-            _HEADER.size + num_tables * fixed_bytes + 4 * num_buckets + 4 * n
-            + 2 * n * (num_tables - 1)
-        )
-        if size != expected:
+        if size != at["end"]:
             raise FormatError(
-                f"snapshot length {size} != expected {expected}",
-                offset=min(size, expected),
+                f"snapshot length {size} != expected {at['end']}",
+                offset=min(size, at["end"]),
             )
         projections = np.empty((num_tables * bits, dim), dtype=np.float32)
+        crcs = np.empty(num_tables, dtype=np.uint32)
         bitmap = np.empty((num_tables, pages, words), dtype=np.uint64)
         offsets = np.empty(num_buckets + num_tables * pages, dtype=OFFSET_DTYPE)
         rows = np.empty((num_tables, n), dtype=ID_DTYPE)
-        for first, s in zip(range(0, n, PAGE), sizes.tolist()):
-            # table 0's ids, which its record does not store
-            rows[0, first : first + s] = np.arange(s, dtype=ID_DTYPE)
-        check = TableCheck(bits, bitmap, offsets, rows)
-        crc = np.empty(1, dtype="<u4")
         order = np.empty(n, dtype=np.int32)
-        record = _HEADER.size  # where table t's record begins
-        at = 0  # where the next piece of offsets begins, after earlier k + 1's
-        for t in range(num_tables):
-            matrix = projections[t * bits : (t + 1) * bits]
-            _read_into(f, matrix)
-            _read_into(f, crc)
-            if zlib.crc32(matrix) != crc[0]:
-                raise FormatError(f"projections of table {t} fail their crc32", offset=record)
-            if sys.byteorder == "big":
-                matrix.byteswap(inplace=True)
-            if not np.isfinite(matrix).all():
-                raise FormatError(f"non-finite projection in table {t}", offset=record)
-            piece_at = record + bitmap_at  # where page p's piece begins
-            for p, s in enumerate(sizes.tolist()):
-                first = p * PAGE
-                _read_native_into(f, bitmap[t, p])
-                k = check.buckets(t, p)
-                # the header's K less the earlier pages' k
-                left = num_buckets - (at - t * pages - p)
-                if k == BIT_PAST:
-                    raise FormatError(
-                        f"bitmap of table {t} has a bit set in page {p} for a code "
-                        f"at or past 2**{bits}",
-                        offset=piece_at,
-                    )
-                if k > left or (t == num_tables - 1 and p == pages - 1 and k < left):
-                    raise FormatError(
-                        f"bitmap of table {t} marks {k} non-empty buckets in page {p} "
-                        f"where the header's K leaves {left}",
-                        offset=piece_at,
-                    )
-                sizes_at = piece_at + 8 * words
-                ids_at = sizes_at + 4 * k
-                _read_native_into(f, offsets[at + 1 : at + 1 + k])
-                if t:
-                    _read_native_into(f, rows[t, first : first + s])
-                status = check(t, p, at)
-                if status < 0:
-                    message, about_ids = _TABLE_FAULTS[status]
-                    raise FormatError(
-                        message.format(t=t, p=p, s=s, last=s - 1),
-                        offset=ids_at if about_ids else sizes_at,
-                    )
-                at += status
-                piece_at = ids_at + (2 * s if t else 0)
-            record = piece_at
-            if not t:
-                order_at = record
-                _read_native_into(f, order)
-                if n and not 0 <= order.min() <= order.max() < n:
-                    raise FormatError("record id out of range in table 0's order", offset=order_at)
-                record += 4 * n
-        try:
-            tables = ProjectionTable(projections, bitmap, offsets, rows, order)
-        except ValueError as exc:
-            raise FormatError(f"bad table 0 record ids: {exc}", offset=order_at) from None
+        # the sizes go where check_tables turns them into pieces
+        for block in (projections, crcs, bitmap, offsets[num_tables * pages :], rows[1:], order):
+            _read_native_into(f, block)
+    matrices = projections.reshape(num_tables, -1)
+    matrix_bytes = 4 * bits * dim
+    for t, matrix in enumerate(matrices.astype("<f4", copy=False)):
+        if zlib.crc32(matrix) != crcs[t]:
+            raise FormatError(
+                f"projections of table {t} fail their crc32",
+                offset=at["projections"] + t * matrix_bytes,
+            )
+    # the min or the max is NaN or infinite iff some value is
+    if not (np.isfinite(projections.min()) and np.isfinite(projections.max())):
+        t = int(np.argmin(np.isfinite(matrices).all(axis=1)))
+        raise FormatError(
+            f"non-finite projection in table {t}", offset=at["projections"] + t * matrix_bytes
+        )
+    for first, s in zip(range(0, n, PAGE), page_sizes(n).tolist()):
+        # table 0's ids, which the file does not store
+        rows[0, first : first + s] = np.arange(s, dtype=ID_DTYPE)
+    status, t, p, read = check_tables(bits, bitmap, offsets, rows)
+    if status:
+        message, block = _TABLE_FAULTS[status]
+        s = int(page_sizes(n)[p])
+        within = {
+            "bitmap": 8 * words * (t * pages + p),
+            "sizes": 4 * read,
+            "members": 2 * ((t - 1) * n + p * PAGE),
+        }[block]
+        raise FormatError(
+            message.format(
+                t=t, p=p, s=s, last=s - 1, bits=bits, left=num_buckets - read,
+                k=int(np.unpackbits(bitmap[t, p].view(np.uint8)).sum()),
+            ),
+            offset=at[block] + within,
+        )
+    try:
+        tables = ProjectionTable(projections, bitmap, offsets, rows, order)
+    except ValueError as exc:
+        raise FormatError(f"bad table 0 record ids: {exc}", offset=at["order"]) from None
     return BoiIndex(params, tables, dataset)

@@ -2,9 +2,9 @@
  * margins, the weighted gather+vote of a query over the probed buckets of
  * every hash table, the pass that selects its shortlist's set from its
  * votes, the exact distances that re-rank the shortlist and make the
- * brute-force oracle, the counting sort that builds the buckets, the two
- * checks of a snapshot's table record as it is loaded, the check of the
- * tables' bucket directory, the sign filter that turns dot products into
+ * brute-force oracle, the counting sort that builds the buckets, the
+ * check of a snapshot's tables as it is loaded, the check of the tables'
+ * bucket directory, the sign filter that turns dot products into
  * codes, and the one call that runs a query's stages in turn, from its dot
  * products to its ranked answer.
  *
@@ -134,16 +134,15 @@
  * last, partly probed shell ordered by the query's margins (its own
  * comment, below).
  *
- * Seven entry points are exported, each with one caller in vote.py:
+ * Six entry points are exported, each with one caller in vote.py:
  *   boi_bucket_sort builds one table of the index: hashing.insert_all
  *     hashed the codes into ``members``, and one counting sort a page
  *     turns them into the internal ids of every bucket, ascending within a
  *     bucket, and the table's pieces of the directory; table 0 first sorts
  *     every record once, which gives ``order``;
- *   boi_table_buckets and boi_check_table count the non-empty buckets of
- *     one (table, page) of a snapshot and check its bucket sizes and ids,
- *     turning the sizes into its piece of offsets in place, for
- *     data_io.load_index;
+ *   boi_check_tables checks the bitmaps, bucket sizes and ids of every
+ *     (table, page) of a snapshot, turning the sizes into the pieces of
+ *     offsets in place, for data_io.load_index;
  *   boi_check_directory checks a whole directory and makes its rank, for
  *     hashing.ProjectionTable;
  *   boi_hash_codes turns the float32 dot products of a build's matrix
@@ -868,7 +867,7 @@ int64_t boi_bucket_sort(
     return length;
 }
 
-/* The set bits of one piece's WORDS(bits) words of bitmap, or -2 when one
+/* The set bits of one piece's WORDS(bits) words of bitmap, or -1 when one
  * is set for a code at or past 2**bits. */
 static int64_t table_buckets(int64_t bits, const uint64_t *row)
 {
@@ -878,99 +877,111 @@ static int64_t table_buckets(int64_t bits, const uint64_t *row)
         past |= row[w] & PAST(bits);
         k += popcount(row[w]);
     }
-    return past ? -2 : k;
+    return past ? -1 : k;
 }
 
-/* The number of non-empty buckets of page ``page`` of table ``table`` of a
- * snapshot of n records, the set bits of its words of ``bitmap``, so that
- * data_io.load_index knows how many bucket sizes its record holds: -2 when
- * a bit is set for a code at or past 2**bits, and -1 for bits outside
- * [1, 16], n outside [0, INT32_MAX], or a table or page outside [0,
- * num_tables) or [0, PAGES(n)). */
-int64_t boi_table_buckets(
-    int64_t num_tables, int64_t bits, int64_t n,
-    const uint64_t *bitmap,             /* (num_tables, PAGES(n), WORDS(bits)) */
-    int64_t table, int64_t page)
-{
-    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || table < 0
-        || table >= num_tables || page < 0 || page >= PAGES(n))
-        return -1;
-    return table_buckets(bits, bitmap + (table * PAGES(n) + page) * WORDS(bits));
-}
-
-/* Check page ``page`` of table ``table`` of a snapshot, as
- * data_io.load_index reads its record straight into the index's arrays,
- * in one pass over its bucket sizes and one over its ids, and turn the
- * sizes into its piece of offsets in place.
+/* Check the tables of a snapshot, as data_io.load_index reads its blocks
+ * straight into the index's arrays, and turn their bucket sizes into the
+ * pieces of offsets in place: one pass over every (table, page) in order,
+ * for its bitmap and its sizes, then one for its ids, as the file stores
+ * the sizes of every page before the ids of any.
  *
- * The page's words of ``bitmap`` mark its k non-empty buckets, and
- * offsets[at + 1 .. at + k] holds their sizes in code order, read as
- * uint32. Every size must be at least 1, and their sum, taken as uint64 so
- * that no size can wrap it, must be the page's size s = PAGE_SIZE(n, page);
- * then offsets[at .. at + k] become the piece (directory, above): the
- * position of each bucket in the row, from the page's first id, then the
- * page's end. Start i is written over size i - 1, which has been read, so
- * no scratch is needed. The page's s stored ids, row ``table`` of
- * ``members`` from the page's first id, must each be below s, and their
- * uint32 sum, which no s <= 2**16 ids below 2**16 can wrap, must be
- * s(s - 1)/2, the sum of 0..s-1, which any single flipped bit of a
- * permutation changes by a power of two. The id pass has no branch and no
- * compare, so it vectorises (a compare-select max did not, under the
- * default flags).
+ * The last K = num_offsets - num_tables * PAGES(n) values of ``offsets``
+ * hold the sizes of every non-empty bucket, read as uint32: table by table,
+ * page by page within a table, and in code order within a page, which
+ * marks its k non-empty buckets in its words of ``bitmap``. Every size must
+ * be at least 1, and the sizes of a page must sum, taken as uint64 so that
+ * no size can wrap the sum, to the page's size s = PAGE_SIZE(n, page);
+ * then the page's k + 1 values of ``offsets`` become its piece (directory,
+ * above): the position of each bucket in the row, from the page's first
+ * id, then the page's end. The piece of the page in row r = table * P +
+ * page of ``bitmap`` (P = PAGES(n)) begins num_tables * P - r values
+ * before the page's sizes, so, front to back, every value is written
+ * behind every size still to be read, and no scratch is needed. The page's
+ * s stored ids, row ``table`` of ``members`` from the page's
+ * first id, must each be below s, and their uint32 sum, which no s <= 2**16
+ * ids below 2**16 can wrap, must be s(s - 1)/2, the sum of 0..s-1, which
+ * any single flipped bit of a permutation changes by a power of two. The
+ * id pass has no branch and no compare, so it vectorises (a compare-select
+ * max did not, under the default flags).
  *
- * Returns k + 1, the length of the piece, when the record passes;
- * otherwise the first check that fails: -2 a bit set past 2**bits, -3 a
- * size of 0, -4 sizes that do not sum to s (``offsets`` is unchanged after
- * these three), -5 an id of s or more, -6 ids whose sum is wrong; or -1
- * for bits outside [1, 16], n outside [0, INT32_MAX], a table or page
- * outside [0, num_tables) or [0, PAGES(n)), or a piece that does not fit
- * between ``at`` and the end of the num_offsets offsets.
+ * Returns 0 when every page passes; otherwise the first check that fails,
+ * in the order of the passes, in (table, page) order within each and, in
+ * the first, in this order within a page: 1 a bit set past 2**bits, 2 a
+ * page whose k is more than the sizes left, or, in the last page, fewer, 3
+ * a size of 0, 4 sizes that do not sum to s; in the second, 5 an id of s
+ * or more, 6 ids whose sum is wrong. ``where`` then holds the failing
+ * page's table and its page. After faults 1 to 4 it also holds the number
+ * of sizes before the page's, the pieces of the pages before it are
+ * written, and its own sizes and every later page's are unchanged; after 5
+ * and 6 every piece is written. Returns -1 for bits outside [1, 16], n
+ * outside [0, INT32_MAX], fewer offsets than pages or more than INT32_MAX.
  */
-int64_t boi_check_table(
+int64_t boi_check_tables(
     int64_t num_tables, int64_t bits, int64_t n,
     const uint64_t *bitmap,             /* (num_tables, PAGES(n), WORDS(bits)) */
     int32_t *offsets, int64_t num_offsets, /* (num_offsets,) */
     const uint16_t *members,            /* (num_tables, n) */
-    int64_t table, int64_t page, int64_t at)
+    int64_t *where)                     /* (3,) */
 {
-    const int64_t k = boi_table_buckets(num_tables, bits, n, bitmap, table, page);
-    if (k < 0)
-        return k;
-    if (at < 0 || at + k >= num_offsets)
+    if (bits < 1 || bits > 16 || n < 0 || n > INT32_MAX || num_tables < 0
+        || num_offsets < num_tables * PAGES(n) || num_offsets > INT32_MAX)
         return -1;
-    const int64_t first = page * PAGE, size = PAGE_SIZE(n, page);
-    int32_t *const piece = offsets + at;
-    const uint32_t *const sizes = (const uint32_t *)piece + 1;
-    uint64_t total = 0;
-    uint32_t empty = 0;
-    for (int64_t i = 0; i < k; i++) {
-        total += sizes[i];
-        empty |= sizes[i] == 0;
+    const int64_t pages = PAGES(n), rows = num_tables * pages;
+    const uint32_t *const sizes = (const uint32_t *)offsets + rows;
+    const int64_t total = num_offsets - rows;
+    int64_t read = 0; /* the sizes of the pages before this one */
+    for (int64_t row = 0; row < rows; row++) {
+        const int64_t page = row % pages, first = page * PAGE, size = PAGE_SIZE(n, page);
+        where[0] = row / pages;
+        where[1] = page;
+        where[2] = read;
+        const int64_t k = table_buckets(bits, bitmap + row * WORDS(bits));
+        if (k < 0)
+            return 1;
+        if (k > total - read || (row == rows - 1 && k < total - read))
+            return 2;
+        const uint32_t *const here = sizes + read;
+        uint64_t sum = 0;
+        uint32_t empty = 0;
+        for (int64_t i = 0; i < k; i++) {
+            sum += here[i];
+            empty |= here[i] == 0;
+        }
+        if (empty)
+            return 3;
+        if (sum != (uint64_t)size)
+            return 4;
+        /* so every size is at most the page's, and int32 holds every start */
+        int32_t *const piece = offsets + read + row;
+        int32_t start = (int32_t)first;
+        for (int64_t i = 0; i < k; i++) {
+            const int32_t count = (int32_t)here[i];
+            piece[i] = start;
+            start += count;
+        }
+        piece[k] = start;
+        read += k;
     }
-    if (empty)
-        return -3;
-    if (total != (uint64_t)size)
-        return -4;
-    /* so every size is at most the page's, and int32 holds every start */
-    int32_t start = (int32_t)first;
-    for (int64_t i = 0; i < k; i++) {
-        const int32_t count = (int32_t)sizes[i];
-        piece[i] = start;
-        start += count;
+    for (int64_t row = 0; row < rows; row++) {
+        const int64_t page = row % pages, size = PAGE_SIZE(n, page);
+        where[0] = row / pages;
+        where[1] = page;
+        /* an id v is below s <= 2**16 iff (s - 1) - v, wrapped, has no top
+         * bit set: an OR instead of an unsigned compare, which SSE2 lacks */
+        const uint16_t *const ids = members + row / pages * n + page * PAGE;
+        const uint32_t last = (uint32_t)size - 1;
+        uint32_t bad = 0, id_sum = 0;
+        for (int64_t i = 0; i < size; i++) {
+            bad |= last - ids[i];
+            id_sum += ids[i];
+        }
+        if (bad >> 31)
+            return 5;
+        if (id_sum != (uint32_t)(size * (size - 1) / 2))
+            return 6;
     }
-    piece[k] = start;
-    /* an id v is below s <= 2**16 iff (s - 1) - v, wrapped, has no top bit
-     * set: an OR instead of an unsigned compare, which SSE2 lacks */
-    const uint16_t *const ids = members + table * n + first;
-    const uint32_t last = (uint32_t)size - 1;
-    uint32_t bad = 0, sum = 0;
-    for (int64_t i = 0; i < size; i++) {
-        bad |= last - ids[i];
-        sum += ids[i];
-    }
-    if (bad >> 31)
-        return -5;
-    return sum == (uint32_t)(size * (size - 1) / 2) ? k + 1 : -6;
+    return 0;
 }
 
 /* Check the directory of num_tables tables of n records (this file's

@@ -5,10 +5,10 @@ from the votes, touched or dense, and the re-rank of that set by exact
 distance), ``boi_nearest``, which ranks every row of an array by the same
 exact distance for the brute-force oracle and ``core.pairwise_distances``,
 the counting sort ``hashing.insert_all`` buckets its records with, the
-table-record checks ``data_io.load_index`` runs, the directory check
-``hashing.ProjectionTable`` runs, and the sign filter
+check of a snapshot's tables ``data_io.load_index`` runs, the directory
+check ``hashing.ProjectionTable`` runs, and the sign filter
 ``hashing.hash_codes_all`` turns a build's float32 dot products into codes
-with. These seven are all the library exports, besides two constants.
+with. These six are all the library exports, besides two constants.
 Every exact distance is summed by one loop, ``vote.c``'s ``distance``,
 which only ``boi_query``'s re-rank and ``boi_nearest`` reach.
 
@@ -23,12 +23,12 @@ position in the row of each of those buckets in code order, then the
 page's end. The pieces follow each other in one int32 array, table by
 table and page by page. The sort builds one table at a time, a counting
 sort a page in a scratch of 2**b int32 counts, and returns the
-length of the table's pieces; the snapshot check (``TableCheck``) turns a
-(table, page)'s bucket sizes into its piece in place, in the index's own
-offsets. The ``rank`` of each word, the position in ``offsets`` of its
-first non-empty bucket, is derived from the bitmap alone, by
-``check_directory``. The kernel counts the set bits below a code within
-its word, and so, in numpy and in the same broadword way, does
+length of the table's pieces; the snapshot check (``check_tables``) turns
+every (table, page)'s bucket sizes into its piece in place, in the index's
+own offsets, in one call. The ``rank`` of each word, the position in
+``offsets`` of its first non-empty bucket, is derived from the bitmap
+alone, by ``check_directory``. The kernel counts the set bits below a
+code within its word, and so, in numpy and in the same broadword way, does
 ``hashing.ProjectionTable.bucket``, which lists the records of given
 (table, code) pairs; ``piece`` reads the rank, and ``buckets`` the
 bitmap, a table at a time.
@@ -42,17 +42,17 @@ entry point takes raw addresses, and its wrapper gets each one from
 ``_address``, which checks the array's exact type, shape and layout first:
 numpy's own ctypes argument conversion would cost about 5 us an array
 while the GIL is held. What is fixed per table or per plan is checked
-once, when ``QueryScratch``, ``ProbePlan`` or ``SignFilter`` binds it;
-``TableCheck`` binds a snapshot load's arrays once in the same way. Each
-entry point has one Python caller. The querying thread's ``QueryScratch``
-binds its tables' arrays itself, owns every buffer a query writes and
-calls ``boi_query`` from one method, ``_stages``; ``ProbePlan`` is only a
-binding that it reads. The scratch writes every address and size a query
-needs into one int64 block, rebound only when the probe plan changes, a
-longer shortlist grows the pairs and the results, or other base vectors
-are given, so a query copies its vector into the scratch, crosses into C once
-and passes six arguments: the block, the range of stages to run, its
-shortlist size, its k and where its counts go. ``query`` runs every stage
+once, when ``QueryScratch``, ``ProbePlan`` or ``SignFilter`` binds it.
+Each entry point has one Python caller. The querying thread's
+``QueryScratch`` binds its tables' arrays itself, owns every buffer a
+query writes and calls ``boi_query`` from one method, ``_stages``;
+``ProbePlan`` is only a binding that it reads. The scratch writes every
+address and size a query needs into one int64 block, rebound only when
+the probe plan changes, a longer shortlist grows the pairs and the
+results, or other base vectors are given, so a query copies its vector
+into the scratch, crosses into C once and passes six arguments: the
+block, the range of stages to run, its shortlist size, its k and where
+its counts go. ``query`` runs every stage
 in one call, from the vector to the ranked answer; ``hash``, ``rows``,
 ``vote`` and ``take`` run one each, for ``index.accumulate``, so the
 staged path runs the same compiled stages as the query. A query's dot
@@ -151,10 +151,9 @@ def build_library(cache_dir, source=SOURCE) -> Path:
 
 def load_library(cache_dir) -> ctypes.CDLL:
     """The library ``build_library(cache_dir)`` gives, with the argument
-    and result types of its seven entry points declared:
-    ``boi_bucket_sort``, ``boi_table_buckets``, ``boi_check_table``,
-    ``boi_check_directory``, ``boi_hash_codes``, ``boi_nearest`` and
-    ``boi_query``."""
+    and result types of its six entry points declared:
+    ``boi_bucket_sort``, ``boi_check_tables``, ``boi_check_directory``,
+    ``boi_hash_codes``, ``boi_nearest`` and ``boi_query``."""
     library = ctypes.CDLL(str(build_library(cache_dir)))
     i64, address = ctypes.c_int64, ctypes.c_void_p
     # every address comes from _address, which checks the array behind it
@@ -171,15 +170,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         address,  # order
         address,  # scratch
     ]
-    library.boi_table_buckets.argtypes = [
-        i64,  # num_tables
-        i64,  # bits
-        i64,  # n
-        address,  # bitmap
-        i64,  # table
-        i64,  # page
-    ]
-    library.boi_check_table.argtypes = [
+    library.boi_check_tables.argtypes = [
         i64,  # num_tables
         i64,  # bits
         i64,  # n
@@ -187,9 +178,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
         address,  # offsets
         i64,  # number of offsets
         address,  # members
-        i64,  # table
-        i64,  # page
-        i64,  # position of the piece in offsets
+        address,  # where the first fault is
     ]
     library.boi_check_directory.argtypes = [
         i64,  # num_tables
@@ -234,8 +223,7 @@ def load_library(cache_dir) -> ctypes.CDLL:
     ]
     for entry in (
         library.boi_bucket_sort,
-        library.boi_table_buckets,
-        library.boi_check_table,
+        library.boi_check_tables,
         library.boi_check_directory,
         library.boi_hash_codes,
         library.boi_nearest,
@@ -395,77 +383,53 @@ def bucket_sort(bits: int, members: np.ndarray, order: np.ndarray) -> tuple:
     return bitmap, np.concatenate(tables)
 
 
-# what TableCheck finds wrong with a table record, by its status
-BIT_PAST, EMPTY_BUCKET, SIZES_OFF, ID_OUT_OF_RANGE, NOT_A_PERMUTATION = -2, -3, -4, -5, -6
+# what check_tables finds wrong with a snapshot's tables, by its status
+BIT_PAST, BUCKETS_OFF, EMPTY_BUCKET, SIZES_OFF, ID_OUT_OF_RANGE, NOT_A_PERMUTATION = range(1, 7)
 
 
-class TableCheck:
-    """``boi_table_buckets`` and ``boi_check_table`` bound to the arrays
-    ``data_io.load_index`` reads a snapshot's table records into: ``bitmap``
-    (L, P, W) uint64 of shape ``directory_shape(L, bits, n)``, ``offsets``
-    int32, K + L*P values for K non-empty buckets in all, and ``members``
-    (L, n) uint16, ``bits`` in [1, 16]; so a (table, page)'s calls pass
-    only the table, the page and the position of its piece in
-    ``offsets``.
+def check_tables(bits: int, bitmap, offsets, members) -> tuple[int, int, int, int]:
+    """Check every (table, page) of the arrays ``data_io.load_index``
+    reads a snapshot into, and turn their bucket sizes into the pieces of
+    ``offsets`` in place (``boi_check_tables``); return (status, table,
+    page, sizes before the page's).
 
-    The arrays are checked here, once, and held; they must not change shape
-    while the binding is used. ValueError names the array whose type, shape
-    or layout is wrong (``offsets`` must be writable), or says that
-    ``bits`` is not in [1, 16].
+    ``bitmap`` (L, P, W) uint64 has shape ``directory_shape(L, bits, n)``,
+    ``members`` (L, n) uint16 holds each page's ids at the page's
+    positions, each less the page's first id, and ``offsets`` int32 holds
+    L*P values, then the K sizes, read as uint32, of every non-empty bucket
+    the bitmap marks: table by table, page by page and in code order. When
+    every size is at least 1, the sizes of each page sum exactly to s, its
+    number of ids, the bitmap marks K buckets in all and none at or past
+    2**bits, and every page's ids are below s and sum to that of 0..s-1,
+    ``offsets`` becomes the pieces, each the position of each bucket in the
+    row, from the page's first id, then the page's end, and the status is
+    0. Otherwise it is the first check that fails, with the page it fails
+    in, in the file's order: each page's bitmap and sizes, in (table, page)
+    order, ``BIT_PAST``, ``BUCKETS_OFF`` (a page marks more buckets than
+    the sizes left, or the last page fewer), ``EMPTY_BUCKET`` or
+    ``SIZES_OFF``, then each page's ids, ``ID_OUT_OF_RANGE`` or
+    ``NOT_A_PERMUTATION``; the sizes before the page's are given for the
+    first four. Raises ValueError, naming the array, when a type, shape or
+    layout disagrees (``offsets`` must be writable), when there are fewer
+    offsets than pages, or when ``bits`` is not in [1, 16].
     """
-
-    def __init__(self, bits: int, bitmap, offsets, members):
-        if not 1 <= bits <= MAX_HASH_BITS:
-            raise ValueError(f"TableCheck: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
-        num_tables, n = len(bitmap), members.shape[-1]
-        self._arrays = (bitmap, offsets, members)
-        bitmap_at = _address(bitmap, np.uint64, directory_shape(num_tables, bits, n))
-        self._buckets = (num_tables, bits, n, bitmap_at)
-        self._check = (
-            num_tables, bits, n, bitmap_at,
-            _address(offsets, OFFSET_DTYPE, (offsets.size,), writable=True), offsets.size,
-            _address(members, ID_DTYPE, (num_tables, n)),
+    if not 1 <= bits <= MAX_HASH_BITS:
+        raise ValueError(f"check_tables: bits must be in [1, {MAX_HASH_BITS}], got {bits}")
+    num_tables, n = len(bitmap), members.shape[-1]
+    where = np.zeros(3, np.int64)
+    status = _library.boi_check_tables(
+        num_tables, bits, n,
+        _address(bitmap, np.uint64, directory_shape(num_tables, bits, n)),
+        _address(offsets, OFFSET_DTYPE, (offsets.size,), writable=True), offsets.size,
+        _address(members, ID_DTYPE, (num_tables, n)),
+        _address(where, np.int64, (3,), writable=True),
+    )
+    if status < 0:
+        raise ValueError(
+            f"check_tables: {offsets.size} offsets are fewer than the ends of "
+            f"{num_tables * num_pages(n)} pages, or more than int32 positions reach"
         )
-
-    def buckets(self, table: int, page: int) -> int:
-        """k, the non-empty buckets the bitmap marks in page ``page`` of
-        table ``table``, or ``BIT_PAST`` when a bit is set for a code at or
-        past 2**b. Raises ValueError for a table outside [0, L) or a page
-        outside [0, P)."""
-        k = _library.boi_table_buckets(*self._buckets, table, page)
-        if k == -1:
-            raise ValueError(
-                f"TableCheck: (table {table}, page {page}) is not in "
-                f"[0, {self._buckets[0]}) x [0, {num_pages(self._buckets[2])})"
-            )
-        return k
-
-    def __call__(self, table: int, page: int, at: int) -> int:
-        """Check page ``page`` of table ``table`` and turn its bucket sizes
-        into its piece of offsets, in place.
-
-        Entries ``at + 1 .. at + k`` of ``offsets`` hold the sizes, read as
-        uint32, of the k non-empty buckets the bitmap marks in the page, in
-        code order, and row ``table`` of ``members`` the page's ids at the
-        page's positions, each less the page's first id. When every size
-        is at least 1 and their exact sum is s, the page's number of ids,
-        entries ``at .. at + k`` become its piece of offsets: the position
-        of each bucket in the row, from the page's first id, then the
-        page's end. Returns k + 1, the piece's length, when, besides, every
-        stored id is below s and their sum is that of 0..s-1. Otherwise
-        returns the first check that fails, a negative status:
-        ``BIT_PAST``, ``EMPTY_BUCKET`` or ``SIZES_OFF`` (``offsets`` then
-        unchanged), ``ID_OUT_OF_RANGE`` or ``NOT_A_PERMUTATION``. Raises
-        ValueError for a table or page outside the tables' or a piece that
-        does not fit in ``offsets`` from ``at``.
-        """
-        status = _library.boi_check_table(*self._check, table, page, at)
-        if status == -1:
-            raise ValueError(
-                f"TableCheck: (table {table}, page {page}) is not one of the tables' "
-                f"or its piece does not fit in the {self._check[5]} offsets from {at}"
-            )
-        return status
+    return (status, *where.tolist())
 
 
 # what check_directory finds wrong with a directory, by its status

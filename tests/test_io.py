@@ -3,6 +3,7 @@ import struct
 import sys
 import tempfile
 import tracemalloc
+import itertools
 import zlib
 from pathlib import Path
 
@@ -37,34 +38,66 @@ def _header_sizes(raw) -> tuple[int, int, int, int]:
     )
 
 
-def table_fields(raw) -> list[dict]:
-    """Each table record of version 5 snapshot bytes: the byte offset of
-    its projections and their crc32, and ``pages``, one dict a page of
-    2**16 ids, with the byte offset of the page's bitmap, sizes and ids
-    (None in table 0, which stores none) and its k. Table 0's record also
-    gives the offset of ``order``. The record's ``bitmap``, ``sizes`` and
-    ``k`` are its page 0's, and its ``ids`` page 0's ids, or, in table 0,
-    the order, which stands in its place."""
+def blocks(raw) -> dict:
+    """The byte offset of each block of version 6 snapshot bytes, in file
+    order, and of the file's end, as its header implies them."""
+    num_tables, bits, dim, n = _header_sizes(raw)
+    (num_buckets,) = struct.unpack_from("<I", raw, 60)
+    pages, words = max(1, -(-n // 2**16)), max(1, (1 << bits) >> 6)
+    lengths = {
+        "projections": 4 * num_tables * bits * dim,
+        "crcs": 4 * num_tables,
+        "bitmap": 8 * num_tables * pages * words,
+        "sizes": 4 * num_buckets,
+        "members": 2 * (num_tables - 1) * n,
+        "order": 4 * n,
+    }
+    at = dict(zip([*lengths, "end"], itertools.accumulate(lengths.values(), initial=68)))
+    assert at["end"] == len(raw)
+    return at
+
+
+def page_fields(raw, t: int, p: int = 0) -> dict:
+    """Where page p of table t of version 6 snapshot bytes keeps its
+    fields, each the byte offset of its first byte in its block: the
+    table's projections and their crc32, the page's bitmap words, its
+    first size and its first id (None in table 0, which stores none); and
+    the page's k, its non-empty buckets."""
+    num_tables, bits, dim, n = _header_sizes(raw)
+    pages, words = max(1, -(-n // 2**16)), max(1, (1 << bits) >> 6)
+    at = blocks(raw)
+    bitmap = np.frombuffer(raw, "<u8", num_tables * pages * words, at["bitmap"])
+    ks = [sum(bin(int(w)).count("1") for w in row) for row in bitmap.reshape(-1, words)]
+    row = t * pages + p
+    return {
+        "projections": at["projections"] + 4 * bits * dim * t,
+        "crc": at["crcs"] + 4 * t,
+        "bitmap": at["bitmap"] + 8 * words * row,
+        "sizes": at["sizes"] + 4 * sum(ks[:row]),
+        "ids": at["members"] + 2 * ((t - 1) * n + p * 2**16) if t else None,
+        "k": ks[row],
+    }
+
+
+def v5_table_fields(raw) -> list[dict]:
+    """Each table record of version 5 snapshot bytes of one page: the byte
+    offset of its projections, their crc32, its bitmap, sizes and ids and
+    its k. Table 0's record stores no ids: its ``ids`` are the order, u32,
+    which ends it."""
     num_tables, bits, dim, n = _header_sizes(raw)
     words = max(1, (1 << bits) >> 6)
     at, records = 68, []
     for t in range(num_tables):
         crc = at + 4 * bits * dim
-        record = {"projections": at, "crc": crc, "pages": []}
-        at = crc + 4
-        for first in range(0, max(n, 1), 1 << 16):
-            size = min(n - first, 1 << 16)
-            bitmap, sizes = at, at + 8 * words
-            k = sum(bin(w).count("1") for w in struct.unpack_from(f"<{words}Q", raw, bitmap))
-            ids = sizes + 4 * k if t else None
-            record["pages"].append({"bitmap": bitmap, "sizes": sizes, "k": k, "ids": ids})
-            at = sizes + 4 * k + (2 * size if t else 0)
-        if not t:
-            record["order"] = at
-            at += 4 * n
-        record.update(record["pages"][0])
-        record["ids"] = record["pages"][0]["ids"] if t else record["order"]
-        records.append(record)
+        bitmap = crc + 4
+        sizes = bitmap + 8 * words
+        k = sum(bin(w).count("1") for w in struct.unpack_from(f"<{words}Q", raw, bitmap))
+        ids = sizes + 4 * k
+        records.append(
+            {"projections": at, "crc": crc, "bitmap": bitmap, "sizes": sizes, "k": k,
+             "ids": ids}
+        )
+        at = ids + (2 if t else 4) * n
     assert at == len(raw)
     return records
 
@@ -97,9 +130,10 @@ def reseal(raw: bytearray, table=None) -> bytearray:
     if table is None:
         struct.pack_into("<I", raw, 64, zlib.crc32(raw[:64]))
     else:
-        record = table_fields(raw)[table]
-        crc = zlib.crc32(raw[record["projections"] : record["crc"]])
-        struct.pack_into("<I", raw, record["crc"], crc)
+        _, bits, dim, _ = _header_sizes(raw)
+        matrix = page_fields(raw, table)["projections"]
+        crc = zlib.crc32(raw[matrix : matrix + 4 * bits * dim])
+        struct.pack_into("<I", raw, page_fields(raw, table)["crc"], crc)
     return raw
 
 
@@ -294,7 +328,7 @@ class TestSnapshot:
         save_index(load_index(path, data), again)
         assert path.read_bytes() == again.read_bytes()
 
-    def test_save_holds_one_table_record_at_a_time(self, tmp_path):
+    def test_save_copies_no_block(self, tmp_path):
         rng = np.random.default_rng(5)
         data = VectorSet(rng.standard_normal((100_000, 4)).astype(np.float32))
         index = build_index(data, BoiParams(num_tables=10, hash_bits=8, seed=3))
@@ -305,7 +339,8 @@ class TestSnapshot:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 4 MB file is ten records of about 0.4 MB each
+        # the 4 MB file is mostly the 3.6 MB members block, written straight
+        # from the index's array; only a table's sizes are made to write
         assert peak < path.stat().st_size / 4
 
     def test_load_holds_only_its_arrays(self, tmp_path):
@@ -324,7 +359,7 @@ class TestSnapshot:
         arrays += tables.bitmap.nbytes + tables.rank.nbytes
         arrays += tables.members.nbytes + tables.order.nbytes
         # 0.18 MB of arrays, where dense offsets alone were 2.6 MB; each
-        # record is read straight into them, through no scratch, so only
+        # block is read straight into them, through no scratch, so only
         # small transients come on top, such as the file's read buffer
         assert peak < arrays + 32_768
 
@@ -433,7 +468,7 @@ class TestSnapshot:
             load_index(bad)
 
     def test_version_2_rejected(self, built, tmp_path):
-        # a version 5 file patched to say 2: its id rows are not record ids
+        # a version 6 file patched to say 2: its id rows are not record ids
         _, _, path = built
         raw = bytearray(path.read_bytes())
         raw[4:8] = struct.pack("<I", 2)
@@ -443,43 +478,80 @@ class TestSnapshot:
             load_index(bad)
         assert err.value.offset == 4
 
-    def test_layout_is_header_then_arrays_per_table(self, built):
+    def test_layout_is_header_then_six_blocks(self, built):
         index, _, path = built
         raw = path.read_bytes()
-        offset = 68
         tables, bits = index.tables, index.params.hash_bits
         # the header ends with K and the crc32 of the 64 bytes before it;
         # 300 records make one page
         assert tables.num_pages == 1
         num_buckets = tables.offsets.size - tables.num_tables
         assert struct.unpack_from("<2I", raw, 60) == (num_buckets, zlib.crc32(raw[:64]))
-        # table 0's members row is 0..n-1, so its record ends with the order
-        # instead; the others' ids are two bytes each
+        # table 0's members row is 0..n-1, so only the later rows are stored
         assert np.array_equal(tables.members[0], np.arange(index.n))
+        matrices = tables.projections.astype("<f4").reshape(tables.num_tables, -1)
+        bitmaps = np.zeros((tables.num_tables, max(64, 1 << bits)), bool)  # whole u64 words
+        sizes = []
         for t in range(tables.num_tables):
-            matrix = tables.projections[t * bits : (t + 1) * bits].astype("<f4")
             codes, piece = tables.buckets(t, 0)
-            bitmap = np.zeros(max(64, 1 << bits), bool)  # whole u64 words
-            bitmap[codes] = True
-            for block in (
-                matrix,
-                np.array([zlib.crc32(matrix)], "<u4"),
-                np.packbits(bitmap, bitorder="little"),
-                np.diff(piece).astype("<u4"),
-                tables.order.astype("<u4") if t == 0 else tables.members[t].astype("<u2"),
-            ):
-                assert raw[offset : offset + block.nbytes] == block.tobytes()
-                offset += block.nbytes
+            bitmaps[t, codes] = True
+            sizes.append(np.diff(piece))
+        offset = 68
+        for block in (
+            matrices,
+            np.array([zlib.crc32(m) for m in matrices], "<u4"),
+            np.packbits(bitmaps, bitorder="little"),
+            np.concatenate(sizes).astype("<u4"),
+            tables.members[1:].astype("<u2"),
+            tables.order.astype("<i4"),
+        ):
+            assert raw[offset : offset + block.nbytes] == block.tobytes()
+            offset += block.nbytes
         assert offset == len(raw)
         # 32 codes need one bitmap word
         record = 4 * bits * index.dim + 4 + 8
         ids = 4 * index.n + 2 * index.n * (tables.num_tables - 1)
         assert len(raw) == 68 + tables.num_tables * record + 4 * num_buckets + ids
 
+    @pytest.mark.parametrize("n", [0, 1, 50, 70_000], ids=lambda n: f"n{n}")
+    @pytest.mark.parametrize("bits", [4, 8, 16], ids=lambda b: f"b{b}")
+    def test_blocks_are_the_arrays(self, tmp_path, bits, n):
+        # each block holds the bytes of its array at the offset the header
+        # implies, the sizes the steps of each (table, page)'s piece; and
+        # the loaded index saves the same bytes again
+        rng = np.random.default_rng(n + bits)
+        data = VectorSet(rng.standard_normal((n, 3)).astype(np.float32))
+        index = build_index(data, BoiParams(num_tables=3, hash_bits=bits, seed=4))
+        tables = index.tables
+        path = tmp_path / "blocks.boix"
+        save_index(index, path)
+        raw = path.read_bytes()
+        at = blocks(raw)
+        sizes = [
+            np.diff(tables.piece(t, p))
+            for t in range(tables.num_tables)
+            for p in range(tables.num_pages)
+        ]
+        for name, array in (
+            ("projections", tables.projections.astype("<f4")),
+            ("bitmap", tables.bitmap.astype("<u8")),
+            ("sizes", np.concatenate(sizes).astype("<u4")),
+            ("members", tables.members[1:].astype("<u2")),
+            ("order", tables.order.astype("<i4")),
+        ):
+            assert raw[at[name] : at[name] + array.nbytes] == array.tobytes(), name
+        for t in range(tables.num_tables):
+            matrix = page_fields(raw, t)["projections"]
+            crc = zlib.crc32(raw[matrix : matrix + 4 * bits * 3])
+            assert struct.unpack_from("<I", raw, page_fields(raw, t)["crc"]) == (crc,)
+        again = tmp_path / "again.boix"
+        save_index(load_index(path), again)
+        assert again.read_bytes() == raw
+
     def test_counts_not_summing_to_n_rejected(self, built, tmp_path):
         _, _, path = built
         raw = bytearray(path.read_bytes())
-        sizes = table_fields(raw)[0]["sizes"]
+        sizes = page_fields(raw, 0)["sizes"]
         (first,) = struct.unpack_from("<I", raw, sizes)
         struct.pack_into("<I", raw, sizes, first + 1)
         bad = tmp_path / "bad.boix"
@@ -491,21 +563,21 @@ class TestSnapshot:
     def test_record_id_out_of_range_rejected(self, built, tmp_path):
         index, _, path = built
         raw = bytearray(path.read_bytes())
-        ids = table_fields(raw)[0]["ids"]
-        struct.pack_into("<I", raw, ids, index.n)
+        order = blocks(raw)["order"]
+        struct.pack_into("<i", raw, order, index.n)
         bad = tmp_path / "bad.boix"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="out of range in table 0") as err:
+        with pytest.raises(FormatError, match="table 0 record ids: order is not") as err:
             load_index(bad)
-        assert err.value.offset == ids
+        assert err.value.offset == order
 
     def test_table_0_ids_that_are_no_permutation_rejected(self, built, tmp_path):
         # two ids moved one apart keep the row's sum and range, but one
         # record is then listed twice and another never
         index, _, path = built
         raw = bytearray(path.read_bytes())
-        ids = table_fields(raw)[0]["ids"]
-        row = np.frombuffer(raw, "<u4", index.n, ids).copy()
+        ids = blocks(raw)["order"]
+        row = np.frombuffer(raw, "<i4", index.n, ids).copy()
         low, high = np.flatnonzero(row == 0)[0], np.flatnonzero(row == 3)[0]
         row[low], row[high] = 1, 2
         raw[ids : ids + 4 * index.n] = row.tobytes()
@@ -594,9 +666,12 @@ class TestSnapshot:
         assert load_index(path).params.strict_radius is True
 
 
-# Version 5, saved from this recipe by the writer that first wrote the
+# Version 6, saved from this recipe by the writer that first wrote the
 # version; every later writer must read it and write the same bytes back.
-OLD_WRITER_SNAPSHOT = Path(__file__).parent / "data" / "v5_L3_b4_n50.boix"
+OLD_WRITER_SNAPSHOT = Path(__file__).parent / "data" / "v6_L3_b4_n50.boix"
+# The same index in version 5, which stored a record a table; saved by the
+# writer that first wrote that version.
+V5_SNAPSHOT = Path(__file__).parent / "data" / "v5_L3_b4_n50.boix"
 # The same index in version 4, which stored every id as u32; saved by the
 # writer that first wrote that version.
 V4_SNAPSHOT = Path(__file__).parent / "data" / "v4_L3_b4_n50.boix"
@@ -652,7 +727,7 @@ def test_header_fields_round_trip_at_their_limits(params):
         assert loaded.params == params
     expected = {
         "magic": b"BOIX",
-        "version": 5,
+        "version": 6,
         "dim": 2,
         "n": 7,
         "schedule_code": SCHEDULE_KINDS.index(params.schedule),
@@ -709,19 +784,47 @@ class TestSnapshotCompatibility:
             load_index(V4_SNAPSHOT, old_writer_data())
         assert err.value.offset == 4
 
+    def test_version_5_file_is_rejected_at_its_version(self):
+        with pytest.raises(
+            FormatError, match="unsupported snapshot version 5; rebuild .* `boi build`"
+        ) as err:
+            load_index(V5_SNAPSHOT, old_writer_data())
+        assert err.value.offset == 4
+
+    def test_version_6_holds_the_bytes_of_version_5_in_blocks(self):
+        # the same header but the version and its crc32, the same length,
+        # and each table record's fields moved into their blocks: its
+        # projections, crc32, bitmap, sizes and ids, table 0's order last
+        v5, v6 = V5_SNAPSHOT.read_bytes(), OLD_WRITER_SNAPSHOT.read_bytes()
+        assert struct.unpack_from("<I", v6, 4) == (6,)
+        assert v5[:4] == v6[:4] and v5[8:64] == v6[8:64] and len(v5) == len(v6)
+        at = blocks(v6)
+        moved = {name: [] for name in list(at)[:-1]}
+        for t, old in enumerate(v5_table_fields(v5)):
+            for name, start, stop in (
+                ("projections", old["projections"], old["crc"]),
+                ("crcs", old["crc"], old["bitmap"]),
+                ("bitmap", old["bitmap"], old["sizes"]),
+                ("sizes", old["sizes"], old["ids"]),
+                ("order" if t == 0 else "members", old["ids"], old["ids"] + (2 if t else 4) * 50),
+            ):
+                moved[name].append(v5[start:stop])
+        for name, stop in zip(at, list(at.values())[1:]):
+            assert b"".join(moved[name]) == v6[at[name] : stop], name
+
     def test_version_5_stores_the_ids_of_version_4_in_two_bytes(self):
         # the same params, K, projections, bitmaps and sizes; each later
         # table's u32 ids become u16, and table 0's id row, the order, moves
         # after its one page's sizes: 50 records make one page
-        v4, v5 = V4_SNAPSHOT.read_bytes(), OLD_WRITER_SNAPSHOT.read_bytes()
+        v4, v5 = V4_SNAPSHOT.read_bytes(), V5_SNAPSHOT.read_bytes()
         assert struct.unpack_from("<I", v4, 4) == (4,)
         assert struct.unpack_from("<I", v5, 4) == (5,)
         assert v4[:4] == v5[:4] and v4[8:64] == v5[8:64]
-        for old, new in zip(v4_table_fields(v4), table_fields(v5)):
+        for t, (old, new) in enumerate(zip(v4_table_fields(v4), v5_table_fields(v5))):
             assert old["k"] == new["k"]
-            assert v4[old["projections"] : old["ids"]] == v5[new["projections"] : new["sizes"] + 4 * new["k"]]
+            assert v4[old["projections"] : old["ids"]] == v5[new["projections"] : new["ids"]]
             ids = np.frombuffer(v4, "<u4", 50, old["ids"])
-            width = "<u4" if new["ids"] == new.get("order") else "<u2"
+            width = "<u2" if t else "<u4"
             assert np.array_equal(np.frombuffer(v5, width, 50, new["ids"]), ids)
         assert len(v5) == len(v4) - 2 * 50 * 2
 
@@ -777,8 +880,8 @@ class TestSnapshotCompatibility:
     @pytest.mark.parametrize(
         "bits, digest",
         [
-            (8, "b40a439e819942e13c07629bcb09cf04473abbbc6d5e7f5ab2b15e8ae90e8142"),
-            (16, "970f8076144df2fc7740c1765171b1db8366518e7287c45f62fb5be270662853"),
+            (8, "da559ade6727a21bdf5657786057946c881a01937ef0a85dab74bd044acd2f03"),
+            (16, "2f4779494e64e71e481443d73b1cf09364c81a7c88c64db190aa2a8291454b57"),
         ],
         ids=["b8", "b16"],
     )
@@ -833,13 +936,14 @@ class TestCorruptSnapshot:
         assert loaded == 0
 
     def test_every_single_bit_flip_of_a_member_id_raises(self, tmp_path):
-        # table 0's record ends with the order, u32 record ids; the others
-        # hold u16 internal ids
+        # table 0 stores no ids, but the order, i32 record ids, stands in
+        # for them; the others hold u16 internal ids
         raw = OLD_WRITER_SNAPSHOT.read_bytes()
         path = tmp_path / "flipped.boix"
-        for t, fields_at in enumerate(table_fields(raw)):
+        for t in range(3):
+            ids = page_fields(raw, t)["ids"] or blocks(raw)["order"]
             width = 2 if t else 4
-            for pos in range(fields_at["ids"], fields_at["ids"] + width * 50):
+            for pos in range(ids, ids + width * 50):
                 for bit in range(8):
                     damaged = bytearray(raw)
                     damaged[pos] ^= 1 << bit
@@ -924,7 +1028,7 @@ class TestCorruptSnapshot:
         # 2**32 - 1 + (51 - (k - 2)) + (k - 2) wraps to 50 in 32 bits: the
         # sum must be taken exactly
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
-        table_0 = table_fields(raw)[0]
+        table_0 = page_fields(raw, 0)
         k, sizes = table_0["k"], table_0["sizes"]
         struct.pack_into(f"<{k}I", raw, sizes, 2**32 - 1, 51 - (k - 2), *[1] * (k - 2))
         path = tmp_path / "wrap.boix"
@@ -936,7 +1040,7 @@ class TestCorruptSnapshot:
     def test_empty_bucket_rejected(self, tmp_path):
         # a size of 0 moved onto the next size keeps the sum n
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
-        table_1 = table_fields(raw)[1]
+        table_1 = page_fields(raw, 1)
         sizes = table_1["sizes"]
         first, second = struct.unpack_from("<2I", raw, sizes)
         struct.pack_into("<2I", raw, sizes, 0, first + second)
@@ -949,7 +1053,7 @@ class TestCorruptSnapshot:
     def test_bit_past_2_bits_rejected(self, tmp_path):
         # b = 4: bits 16-63 of the one word stand for no code
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
-        bitmap = table_fields(raw)[2]["bitmap"]
+        bitmap = page_fields(raw, 2)["bitmap"]
         raw[bitmap + 2] |= 1
         path = tmp_path / "past.boix"
         path.write_bytes(bytes(raw))
@@ -965,7 +1069,7 @@ class TestCorruptSnapshot:
         (num_buckets,) = struct.unpack_from("<I", raw, 60)
         struct.pack_into("<I", raw, 60, num_buckets + change)
         raw = reseal(raw) + bytes(4) if change > 0 else reseal(raw)[:-4]
-        bitmap = table_fields(OLD_WRITER_SNAPSHOT.read_bytes())[2]["bitmap"]
+        bitmap = page_fields(OLD_WRITER_SNAPSHOT.read_bytes(), 2)["bitmap"]
         path = tmp_path / "buckets.boix"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="bitmap of table 2 marks") as err:
@@ -995,7 +1099,7 @@ class TestCorruptSnapshot:
 
     def test_projection_crc_mismatch_rejected(self, tmp_path):
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
-        at = table_fields(raw)[1]["projections"]
+        at = page_fields(raw, 1)["projections"]
         raw[at] ^= 1
         path = tmp_path / "projection.boix"
         path.write_bytes(bytes(raw))
@@ -1006,7 +1110,7 @@ class TestCorruptSnapshot:
     def test_non_finite_projection_rejected(self, tmp_path):
         # with the crc32 made to match, the value itself is refused
         raw = bytearray(OLD_WRITER_SNAPSHOT.read_bytes())
-        at = table_fields(raw)[1]["projections"]
+        at = page_fields(raw, 1)["projections"]
         struct.pack_into("<f", raw, at, float("nan"))
         path = tmp_path / "nan.boix"
         path.write_bytes(bytes(reseal(raw, table=1)))

@@ -90,6 +90,5 @@ def test_each_compiled_stage_has_one_caller_in_vote():
         # the build's sort and the checks of a directory and a snapshot
         "boi_bucket_sort": 1,
         "boi_check_directory": 1,
-        "boi_table_buckets": 1,
-        "boi_check_table": 1,
+        "boi_check_tables": 1,
     }

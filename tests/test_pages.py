@@ -10,7 +10,7 @@ from boi.core import BoiParams, VectorSet, brute_force_query
 from boi.data_io import FormatError, load_index, save_index
 from boi.hashing import ProjectionTable, hash_codes_all
 from boi.index import BoiIndex, accumulate, build_index, query
-from test_io import table_fields
+from test_io import page_fields
 
 PAGE = 1 << 16
 COUNTS = [1, PAGE - 1, PAGE, PAGE + 1, 2 * PAGE + 1]
@@ -115,7 +115,7 @@ def test_a_page_1_id_past_its_page_is_refused_by_load_index(tmp_path, two_pages,
     path = tmp_path / "index.boix"
     save_index(index, path)
     raw = bytearray(path.read_bytes())
-    ids = table_fields(raw)[1]["pages"][1]["ids"]
+    ids = page_fields(raw, 1, 1)["ids"]
     raw[ids + 2 : ids + 4] = np.array([bad], "<u2").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="record id out of range in table 1, page 1") as err:

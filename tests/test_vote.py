@@ -406,11 +406,11 @@ def test_bucket_sort_rejects_disagreeing_shapes(
 
 
 def _record(sizes, ids, bits=2, codes=None):
-    """One table's arrays as load_index reads its record into them, one
+    """One table's arrays as load_index reads a snapshot into them, one
     page of at most 2**16 ids: the bitmap of its non-empty ``codes`` (the
-    first len(sizes) codes unless given), its bucket sizes in offsets[1:]
-    (entry 0 junk) and its id row; with ``bits``, the arguments of
-    vote.TableCheck."""
+    first len(sizes) codes unless given), its page's end (junk) then its
+    bucket sizes in offsets, and its id row; with ``bits``, the arguments
+    of vote.check_tables."""
     bitmap = np.zeros((1, 1, vote.directory_words(bits)), np.uint64)
     for c in range(len(sizes)) if codes is None else codes:
         bitmap[0, 0, c // 64] |= np.uint64(1 << (c % 64))
@@ -420,20 +420,28 @@ def _record(sizes, ids, bits=2, codes=None):
     return bits, bitmap, offsets, members
 
 
-def check_table(bits, bitmap, offsets, members, table=0, at=0):
-    """TableCheck bound to the arrays, called on page 0 of one table."""
-    return vote.TableCheck(bits, bitmap, offsets, members)(table, 0, at)
+def check_table(bits, bitmap, offsets, members):
+    """The status vote.check_tables returns for the arrays."""
+    return vote.check_tables(bits, bitmap, offsets, members)[0]
+
+
+def _sizes_last(offsets):
+    """The directory ``offsets`` of some tables as a snapshot stores it:
+    one junk value a page, then the sizes of the non-empty buckets, the
+    steps of the offsets within each page."""
+    steps = np.diff(offsets)
+    sizes = steps[steps > 0]
+    return np.concatenate([np.full(offsets.size - sizes.size, -7, np.int32), sizes])
 
 
 def test_check_table_turns_counts_into_offsets():
     # buckets 0, 2 and 3 hold 2, 1 and 2 records
     record = _record([2, 1, 2], [4, 0, 2, 1, 3], codes=[0, 2, 3])
-    assert vote.TableCheck(*record).buckets(0, 0) == 3
-    # the length of the piece, in place of the sizes
-    assert check_table(*record) == 4
+    assert check_table(*record) == 0
+    # the piece, in place of the page's end and the sizes
     assert record[2].tolist() == [0, 2, 3, 5]
     empty = _record([], [], bits=1)
-    assert check_table(*empty) == 1
+    assert check_table(*empty) == 0
     assert empty[2].tolist() == [0]
 
 
@@ -443,30 +451,39 @@ def test_check_table_ranks_the_words_of_a_wide_table():
         [3, 1, 2], [5, 0, 4, 1, 3, 2], bits=8, codes=[5, 130, 255]
     )
     assert bitmap.tolist() == [[[1 << 5, 0, 1 << 2, 1 << 63]]]
-    assert check_table(bits, bitmap, offsets, members) == 4
+    assert check_table(bits, bitmap, offsets, members) == 0
     assert offsets.tolist() == [0, 3, 4, 6]
     rank = vote.check_directory(8, bitmap, offsets, 6)
     assert rank.tolist() == [[[0, 1, 1, 2]]]
 
 
 def test_check_table_checks_each_table_at_its_own_piece():
-    # two 2-bit tables of 3 records: table 1's piece begins after table 0's 2
+    # two 2-bit tables of 3 records: a page's end each, then table 0's one
+    # size and table 1's two; table 1's piece begins after table 0's 2
     bits = 2
     bitmap = np.array([[[0b0010]], [[0b1001]]], np.uint64)
-    offsets = np.array([-7, 3, -7, 1, 2], np.int32)
+    offsets = np.array([-7, -7, 3, 1, 2], np.int32)
     members = np.array([[2, 0, 1], [1, 0, 2]], np.uint16)
-    check = vote.TableCheck(bits, bitmap, offsets, members)
-    assert [check.buckets(0, 0), check.buckets(1, 0)] == [1, 2]
-    assert check(0, 0, 0) == 2 and check(1, 0, 2) == 3
+    assert check_table(bits, bitmap, offsets, members) == 0
     assert offsets.tolist() == [0, 3, 0, 1, 3]
     assert vote.check_directory(bits, bitmap, offsets, 3).tolist() == [[[0]], [[2]]]
-    for table, page, at in ((2, 0, 0), (-1, 0, 0), (1, 0, 3), (0, 0, -1), (0, 1, 0)):
-        with pytest.raises(ValueError, match=r"TableCheck: \(table"):
-            check(table, page, at)
-    with pytest.raises(ValueError, match=r"not in \[0, 2\)"):
-        check.buckets(2, 0)
-    with pytest.raises(ValueError, match=r"x \[0, 1\)"):
-        check.buckets(0, 1)
+    # one value short of a page's end each
+    with pytest.raises(ValueError, match="fewer than the ends of 2 pages"):
+        vote.check_tables(bits, bitmap, offsets[:1], members)
+
+
+@pytest.mark.parametrize("bits", [4, 16])
+def test_check_tables_turns_the_sizes_of_every_page_into_its_piece(bits):
+    # three tables over two pages, page 1 holding 3 ids: the pieces a build
+    # makes, from the sizes a snapshot stores, front to back in place
+    rng = np.random.default_rng(bits)
+    codes = rng.integers(0, 1 << bits, (vote.PAGE + 3, 3)).astype(np.uint16)
+    _, members, order = _sort_inputs(codes, bits)
+    bitmap, built = vote.bucket_sort(bits, members, order)
+    offsets = _sizes_last(built)
+    assert offsets.size == built.size and offsets[6:].min() >= 1
+    assert check_table(bits, bitmap, offsets, members) == 0
+    assert np.array_equal(offsets, built)
 
 
 @pytest.mark.parametrize(
@@ -497,9 +514,47 @@ def test_check_table_reports_the_first_check_that_fails(sizes, ids, status):
     record = _record(sizes, ids)
     offsets = record[2]
     before = offsets.copy()
-    assert check_table(*record) == status
+    assert vote.check_tables(*record) == (status, 0, 0, 0)
     if status in (vote.EMPTY_BUCKET, vote.SIZES_OFF):
         assert np.array_equal(offsets, before)
+
+
+@pytest.mark.parametrize(
+    "codes, sizes",
+    [([0, 1, 2], [2, 3]), ([0, 1], [2, 1, 2])],
+    ids=["more-than-left", "fewer-than-left"],
+)
+def test_check_tables_refuses_bitmaps_that_do_not_mark_the_sizes(codes, sizes):
+    # the page marks one bucket more than the sizes, or one fewer
+    record = _record(sizes, [4, 0, 2, 1, 3], codes=codes)
+    assert vote.check_tables(*record) == (vote.BUCKETS_OFF, 0, 0, 0)
+
+
+def test_check_tables_names_the_first_page_that_fails():
+    # the three tables, two pages each, of a build, stored as a snapshot
+    # stores them; each fault is reported at its (table, page), a fault of
+    # the sizes with the sizes before that page's, and every earlier
+    # page's piece is written; the sizes of every page are checked before
+    # the ids of any, as the file stores them
+    codes = np.random.default_rng(7).integers(0, 16, (vote.PAGE + 3, 3)).astype(np.uint16)
+    _, members, order = _sort_inputs(codes, 4)
+    bitmap, built = vote.bucket_sort(4, members, order)
+    good = _sizes_last(built)
+    # rows (t, p) of the bitmap, in order, and where each page's sizes begin
+    counts = [bin(int(row[0])).count("1") for row in bitmap.reshape(6, 1)]
+    read = np.cumsum([0, *counts])
+    for t, p in ((0, 1), (1, 0), (2, 1)):
+        row = 2 * t + p
+        offsets, ids = good.copy(), members.copy()
+        ids[t, p * vote.PAGE] ^= 1
+        assert vote.check_tables(4, bitmap, offsets, ids)[1:3] == (t, p)
+        assert np.array_equal(offsets, built)
+        offsets = good.copy()
+        offsets[6 + read[row]] = 0
+        assert vote.check_tables(4, bitmap, offsets, ids) == (
+            vote.EMPTY_BUCKET, t, p, read[row]
+        )
+        assert np.array_equal(offsets[: read[row] + row], built[: read[row] + row])
 
 
 def test_check_table_refuses_a_bit_past_2_bits():
@@ -507,7 +562,6 @@ def test_check_table_refuses_a_bit_past_2_bits():
     bits, bitmap, offsets, members = _record([2, 1, 2], [4, 0, 2, 1, 3])
     bitmap[0, 0, 0] |= np.uint64(1 << 4)
     before = offsets.copy()
-    assert vote.TableCheck(bits, bitmap, offsets, members).buckets(0, 0) == vote.BIT_PAST
     assert check_table(bits, bitmap, offsets, members) == vote.BIT_PAST
     assert np.array_equal(offsets, before)
 
@@ -517,7 +571,8 @@ def test_check_table_reads_every_id_of_a_long_row():
     # loop: one bad id at either end
     n = 2**16 - 1
     record = _record([n], np.arange(n), bits=1)
-    assert check_table(*record) == 2  # one bucket: [0, n]
+    assert check_table(*record) == 0
+    assert record[2].tolist() == [0, n]
     for at in (0, n - 1):
         record = _record([n], np.arange(n), bits=1)
         record[3][0, at] = n
@@ -557,7 +612,7 @@ _IDS = np.zeros((1, 2), np.uint16)
 )
 def test_check_table_rejects_disagreeing_arrays(bits, bitmap, offsets, members, message):
     with pytest.raises(ValueError, match=message):
-        vote.TableCheck(bits, bitmap, offsets, members)
+        vote.check_tables(bits, bitmap, offsets, members)
 
 
 def _filter_inputs():
@@ -787,7 +842,7 @@ def test_a_build_save_load_and_each_query_run_every_entry_point(tmp_path, monkey
         for name, entry in vars(vote._library).items()
         if name.startswith("boi_") and getattr(entry, "argtypes", None)
     )
-    assert len(declared) == 7
+    assert len(declared) == 6
     calls = dict.fromkeys(declared, 0)
     for name in declared:
 
